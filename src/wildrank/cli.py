@@ -137,6 +137,8 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
                 raise SpecError(ln, _tok_col(line, parts[1]), "nilbound must be positive")
         else:
             raise SpecError(ln, 1, f"unknown key {key!r}")
+    if not vertices:
+        raise SpecError(1, 1, "the spec declares no vertex")
     if name is None:
         name = "unnamed"
     if field is None:
@@ -156,9 +158,10 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
             coef_text = pieces[0]
             try:
                 coef = Fraction(coef_text)
+                field.coerce(coef)
             except (ValueError, ZeroDivisionError):
-                raise SpecError(ln, _tok_col(line if False else body, coef_text),
-                                f"bad coefficient {coef_text!r}")
+                raise SpecError(ln, _tok_col(body, coef_text),
+                                f"bad coefficient {coef_text!r} over {field!r}")
             word = pieces[1:]
             for w in word:
                 if not any(a[0] == w for a in arrows):
@@ -334,8 +337,16 @@ def parse_certificate(text: str) -> CertificateDoc:
     if not lines or lines[0].strip() != "wildrank-certificate 1":
         raise SpecError(1, 1, "not a wildrank certificate")
     kv = {}
+    key_line = {}
     steps = []
     notes = []
+
+    def integer(ln: int, line: str, text: str, what: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise SpecError(ln, _tok_col(line, text), f"{what} must be an integer, got {text!r}")
+
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -343,22 +354,23 @@ def parse_certificate(text: str) -> CertificateDoc:
         if key == "step":
             rule, _, tail = rest.partition(" factor ")
             factor_text, _, note = tail.partition(" note ")
-            steps.append((rule.strip(), int(factor_text), note))
+            steps.append((rule.strip(), integer(ln, line, factor_text, "step factor"), note))
         elif key == "note":
             notes.append(rest)
         else:
             kv[key] = rest
+            key_line[key] = (ln, line)
     try:
         return CertificateDoc(
             name=kv["name"],
             algebra_desc=kv["algebra"],
             algebra_hash=kv["algebra-hash"],
-            algebra_dim=int(kv["algebra-dim"]),
+            algebra_dim=integer(*key_line["algebra-dim"], kv["algebra-dim"], "algebra-dim"),
             target_kind=kv["target-kind"],
             field_desc=kv["field"],
             seed=kv["seed"],
             steps=steps,
-            bound=int(kv["bound"]),
+            bound=integer(*key_line["bound"], kv["bound"], "bound"),
             verification=kv["verification"],
             notes=notes,
             version=kv.get("toolkit-version", __version__),

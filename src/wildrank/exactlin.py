@@ -4,7 +4,16 @@ Scalars are plain ``Fraction`` values over the rationals and plain ``int``
 residues in ``[0, p)`` over a prime field.  ``Mat`` wraps either a list of
 ``Fraction`` rows or a numpy ``float64`` array of residues; all prime-field
 arithmetic is exact because every intermediate value is kept below 2**53
-(delayed modular reduction).
+(delayed modular reduction).  The storage choice stays inside this module:
+other modules build and combine matrices only through ``Mat`` operations,
+
+* ``assemble`` (a sum of blocks placed at offsets), ``hcat``/``vcat`` (many
+  matrices side by side or on top of each other), ``lincomb`` (a linear
+  combination), ``unit`` (a matrix unit) and row-major ``reshape``;
+* ``column_space`` and ``minimal_polynomial``, next to rank, kernel, solve
+  and inverse;
+* ``intertwiner_system``, the linear conditions for a combination of
+  matrices to intertwine given pairs.
 
 All operations are pure and all values are immutable after construction.
 Randomized searches take an explicit seed and are deterministic under it.
@@ -269,24 +278,6 @@ def _kernel_fp(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _solve_fp(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """One particular solution of a x = b mod p, or None when inconsistent."""
-    m, n = a.shape
-    aug = np.concatenate([a, b.reshape(m, 1)], axis=1)
-    w, piv = _echelon_fp(aug, p)
-    if piv and piv[-1] == n:
-        return None
-    x = np.zeros(n)
-    r = len(piv)
-    for i in range(r - 1, -1, -1):
-        acc = w[i, n]
-        tail = w[i, piv[i + 1:r]]
-        if tail.size and tail.any():
-            acc -= float(tail @ x[piv[i + 1:r]])
-        x[piv[i]] = acc % p
-    return x
-
-
 def _solve_many_fp(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
     """Solve a X = b columnwise with a single elimination; None when any
     column is inconsistent.  Free variables are set to zero."""
@@ -401,14 +392,84 @@ class Mat:
         return cls(field, rows, cols, data if not field.char else
                    np.array(data, dtype=np.float64).reshape(rows, cols))
 
-    # -- accessors ----------------------------------------------------------
+    @classmethod
+    def unit(cls, field: Field, rows: int, cols: int, i: int, j: int) -> "Mat":
+        """The matrix unit: one at (i, j), zero elsewhere."""
+        return cls.assemble(field, rows, cols, [(i, j, cls.identity(field, 1))])
 
-    @property
-    def array(self) -> np.ndarray:
-        """Residue array view (prime fields only)."""
-        if self._arr is None:
-            raise ValueError("array view is only available over prime fields")
-        return self._arr
+    @classmethod
+    def assemble(cls, field: Field, rows: int, cols: int, blocks) -> "Mat":
+        """The ``rows x cols`` sum of the blocks ``(i, j, b)``, each placed with
+        its top-left entry at (i, j); overlapping blocks add."""
+        blocks = list(blocks)
+        for i, j, b in blocks:
+            if b.field != field:
+                raise ShapeMismatchError("field mismatch")
+            if i < 0 or j < 0 or i + b.rows > rows or j + b.cols > cols:
+                raise ShapeMismatchError(f"block {b.shape} at ({i}, {j}) leaves {rows}x{cols}")
+        if field.char:
+            out = np.zeros((rows, cols))
+            for i, j, b in blocks:
+                out[i:i + b.rows, j:j + b.cols] += b._arr
+            return cls(field, rows, cols, out)
+        data = [[0] * cols for _ in range(rows)]
+        for i, j, b in blocks:
+            for dst, src in zip(data[i:i + b.rows], b._rows):
+                for k, x in enumerate(src, j):
+                    if x:
+                        dst[k] += x
+        return cls(field, rows, cols, data)
+
+    @classmethod
+    def hcat(cls, field: Field, rows: int, mats: Sequence["Mat"]) -> "Mat":
+        """The matrices, each with ``rows`` rows, side by side."""
+        for m in mats:
+            if m.field != field or m.rows != rows:
+                raise ShapeMismatchError(f"hstack of {m.shape} over {m.field} onto {rows} rows")
+        cols = sum(m.cols for m in mats)
+        if field.char:
+            return cls(field, rows, cols, np.concatenate([m._arr for m in mats], axis=1)
+                       if mats else np.zeros((rows, 0)))
+        return cls(field, rows, cols, [[x for m in mats for x in m._rows[i]] for i in range(rows)])
+
+    @classmethod
+    def vcat(cls, field: Field, cols: int, mats: Sequence["Mat"]) -> "Mat":
+        """The matrices, each with ``cols`` columns, stacked top to bottom."""
+        for m in mats:
+            if m.field != field or m.cols != cols:
+                raise ShapeMismatchError(f"vstack of {m.shape} over {m.field} onto {cols} cols")
+        rows = sum(m.rows for m in mats)
+        if field.char:
+            return cls(field, rows, cols, np.concatenate([m._arr for m in mats], axis=0)
+                       if mats else np.zeros((0, cols)))
+        return cls(field, rows, cols, [r for m in mats for r in m._rows])
+
+    @classmethod
+    def lincomb(cls, field: Field, rows: int, cols: int, coeffs: Sequence,
+                mats: Sequence["Mat"]) -> "Mat":
+        """The ``rows x cols`` combination ``sum c_k * M_k`` of paired
+        coefficients and matrices."""
+        terms = [(field.coerce(c), m) for c, m in zip(coeffs, mats)]
+        for _, m in terms:
+            if m.field != field or m.shape != (rows, cols):
+                raise ShapeMismatchError(f"combination of {m.shape} into {rows}x{cols}")
+        if field.char:
+            out = np.zeros((rows, cols))
+            for c, m in terms:
+                if c:
+                    out += c * m._arr
+                    out %= field.char
+            return cls(field, rows, cols, out)
+        data = [[0] * cols for _ in range(rows)]
+        for c, m in terms:
+            if c:
+                for dst, src in zip(data, m._rows):
+                    for k, x in enumerate(src):
+                        if x:
+                            dst[k] += c * x
+        return cls(field, rows, cols, data)
+
+    # -- accessors ----------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Scalar:
         if self._arr is not None:
@@ -533,24 +594,19 @@ class Mat:
         return Mat(self.field, self.rows * other.rows, self.cols * other.cols, out)
 
     def hstack(self, other: "Mat") -> "Mat":
-        self._require_same_field(other)
-        if self.rows != other.rows:
-            raise ShapeMismatchError("hstack row mismatch")
-        if self._arr is not None:
-            return Mat(self.field, self.rows, self.cols + other.cols,
-                       np.concatenate([self._arr, other._arr], axis=1))
-        return Mat(self.field, self.rows, self.cols + other.cols,
-                   [list(r1) + list(r2) for r1, r2 in zip(self._rows, other._rows)])
+        return Mat.hcat(self.field, self.rows, [self, other])
 
     def vstack(self, other: "Mat") -> "Mat":
-        self._require_same_field(other)
-        if self.cols != other.cols:
-            raise ShapeMismatchError("vstack col mismatch")
+        return Mat.vcat(self.field, self.cols, [self, other])
+
+    def reshape(self, rows: int, cols: int) -> "Mat":
+        """The same entries in row-major order, refilled as ``rows x cols``."""
+        if rows * cols != self.rows * self.cols:
+            raise ShapeMismatchError(f"reshape {self.shape} to ({rows}, {cols})")
         if self._arr is not None:
-            return Mat(self.field, self.rows + other.rows, self.cols,
-                       np.concatenate([self._arr, other._arr], axis=0))
-        return Mat(self.field, self.rows + other.rows, self.cols,
-                   list(self._rows) + list(other._rows))
+            return Mat(self.field, rows, cols, self._arr.reshape(rows, cols))
+        flat = [x for row in self._rows for x in row]
+        return Mat(self.field, rows, cols, [flat[i * cols:(i + 1) * cols] for i in range(rows)])
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
         if self._arr is not None:
@@ -591,31 +647,29 @@ class Mat:
         return Mat(self.field, self.cols, len(cols),
                    [[cols[j][i] for j in range(len(cols))] for i in range(self.cols)])
 
+    def column_space(self) -> "Mat":
+        """A basis of the column space, as the columns of the result."""
+        if self.cols == 0:
+            return Mat.zeros(self.field, self.rows, 0)
+        if self._arr is not None:
+            w, piv = _echelon_fp(self._arr.T, self.field.char)
+            return Mat(self.field, self.rows, len(piv), w[:len(piv)].T)
+        w, piv = _echelon_qq(self.T.row_list())
+        return Mat(self.field, self.rows, len(piv),
+                   [[w[k][i] for k in range(len(piv))] for i in range(self.rows)])
+
     def solve(self, b: "Mat"):
         """Particular solution of self @ x = b (b a column), or None."""
         if b.rows != self.rows or b.cols != 1:
             raise ShapeMismatchError(f"rhs shape {b.shape} does not match {self.rows} rows")
-        self._require_same_field(b)
-        if self._arr is not None:
-            x = _solve_fp(self._arr, b._arr[:, 0], self.field.char)
-            if x is None:
-                return None
-            return Mat(self.field, self.cols, 1, x.reshape(self.cols, 1))
-        aug = [list(r) + [b._rows[i][0]] for i, r in enumerate(self._rows)]
-        if self.rows == 0:
-            return Mat.zeros(self.field, self.cols, 1)
-        w, piv = _echelon_qq(aug)
-        if piv and piv[-1] == self.cols:
-            return None
-        x = [Fraction(0)] * self.cols
-        for r, pc in enumerate(piv):
-            x[pc] = w[r][self.cols]
-        return Mat(self.field, self.cols, 1, [[v] for v in x])
+        return self.solve_matrix(b)
 
     def solve_matrix(self, b: "Mat"):
-        """Particular solution X of self @ X = B, or None when inconsistent."""
+        """Particular solution X of self @ X = B with free variables zero, or
+        None when some column is inconsistent; one elimination for all columns."""
         if b.rows != self.rows:
             raise ShapeMismatchError("solve_matrix row mismatch")
+        self._require_same_field(b)
         if self._arr is not None:
             if b.cols == 0:
                 return Mat.zeros(self.field, self.cols, 0)
@@ -623,18 +677,14 @@ class Mat:
             if x is None:
                 return None
             return Mat(self.field, self.cols, b.cols, x)
-        cols = []
-        for j in range(b.cols):
-            x = self.solve(b.submatrix(range(b.rows), [j]))
-            if x is None:
-                return None
-            cols.append(x)
-        if not cols:
-            return Mat.zeros(self.field, self.cols, 0)
-        out = cols[0]
-        for c in cols[1:]:
-            out = out.hstack(c)
-        return out
+        n = self.cols
+        w, piv = _echelon_qq([r + s for r, s in zip(self._rows, b._rows)])
+        if piv and piv[-1] >= n:
+            return None
+        x = [[0] * b.cols for _ in range(n)]
+        for r, pc in enumerate(piv):
+            x[pc] = w[r][n:]
+        return Mat(self.field, n, b.cols, x)
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.rows
@@ -663,6 +713,88 @@ class Mat:
         if len([c for c in piv if c < n]) < n:
             raise ZeroDivisionError("matrix is singular")
         return Mat(self.field, n, n, [row[n:] for row in w[:n]])
+
+    def minimal_polynomial(self) -> list:
+        """Exact minimal polynomial of a square matrix, ascending coefficients.
+
+        Incremental echelon over the flattened Krylov sequence I, t, t^2, ...;
+        the tracked expression gives the monic dependence when it appears.
+        """
+        if not self.is_square():
+            raise ShapeMismatchError("minimal polynomial of a non-square matrix")
+        field = self.field
+        n = self.rows
+        if n == 0:
+            return [field.one]
+        cur = Mat.identity(field, n)
+        if self._arr is not None:
+            p = field.char
+            reduced: list[tuple[int, np.ndarray, np.ndarray]] = []
+            k = 0
+            while True:
+                vec = cur._arr.reshape(-1).copy()
+                expr = np.zeros(k + 1)
+                expr[k] = 1.0
+                for piv, row, rexpr in reduced:
+                    f = vec[piv]
+                    if f:
+                        vec = (vec - f * row) % p
+                        expr[:len(rexpr)] = (expr[:len(rexpr)] - f * rexpr) % p
+                nz = np.nonzero(vec)[0]
+                if len(nz) == 0:
+                    return [field.coerce(int(c)) for c in expr]
+                piv = int(nz[0])
+                inv = pow(int(vec[piv]), p - 2, p)
+                vec = (vec * inv) % p
+                expr = (expr * inv) % p
+                reduced.append((piv, vec, expr))
+                cur = cur @ self
+                k += 1
+                if k > n:
+                    raise RuntimeError("minimal polynomial search exceeded the dimension")
+        reduced_q: list[tuple[int, list, list]] = []
+        k = 0
+        while True:
+            vec = [x for row in cur._rows for x in row]
+            expr = [Fraction(0)] * k + [Fraction(1)]
+            for piv, row, rexpr in reduced_q:
+                f = vec[piv]
+                if f != 0:
+                    vec = [x - f * y for x, y in zip(vec, row)]
+                    for i in range(len(rexpr)):
+                        expr[i] -= f * rexpr[i]
+            piv = next((i for i, x in enumerate(vec) if x != 0), None)
+            if piv is None:
+                return expr
+            inv = Fraction(1) / vec[piv]
+            vec = [x * inv for x in vec]
+            expr = [x * inv for x in expr]
+            reduced_q.append((piv, vec, expr))
+            cur = cur @ self
+            k += 1
+            if k > n:
+                raise RuntimeError("minimal polynomial search exceeded the dimension")
+
+
+def intertwiner_system(params: Sequence[Mat], pairs: Sequence[tuple[Mat, Mat]]) -> Mat:
+    """Linear conditions on x for ``g = sum x_c * g_c`` to intertwine every pair.
+
+    Column c stacks, pair by pair, the row-major entries of
+    ``g_c @ s - s2 @ g_c`` for the pairs ``(s, s2)``, so the kernel of the
+    result holds the coefficients of every g with ``g @ s == s2 @ g``.
+    ``params`` and ``pairs`` are nonempty.
+    """
+    field = params[0].field
+    e, d = params[0].shape
+    nrows = len(pairs) * e * d
+    if field.char:
+        g = np.stack([m._arr for m in params])            # (c, e, d)
+        blocks = [((g @ s._arr - s2._arr @ g) % field.char).reshape(len(params), e * d).T
+                  for s, s2 in pairs]
+        return Mat(field, nrows, len(params), np.concatenate(blocks, axis=0))
+    cols = [[x for s, s2 in pairs for row in (g @ s - s2 @ g)._rows for x in row]
+            for g in params]
+    return Mat(field, nrows, len(params), [list(r) for r in zip(*cols)])
 
 
 # ---------------------------------------------------------------------------
@@ -714,9 +846,7 @@ def jordan_nilpotent(s: Mat) -> tuple[Mat, list[int]]:
     def independent_over(base_cols: list[Mat], cand: Mat) -> bool:
         if not base_cols:
             return not cand.is_zero()
-        stacked = base_cols[0]
-        for col in base_cols[1:]:
-            stacked = stacked.hstack(col)
+        stacked = Mat.hcat(field, n, base_cols)
         r0 = stacked.rank()
         return stacked.hstack(cand).rank() > r0
 
@@ -747,9 +877,7 @@ def jordan_nilpotent(s: Mat) -> tuple[Mat, list[int]]:
     for chain in chains:
         sizes.append(len(chain))
         cols.extend(reversed(chain))
-    basis = cols[0]
-    for col in cols[1:]:
-        basis = basis.hstack(col)
+    basis = Mat.hcat(field, n, cols)
     if not basis.is_invertible():
         raise ValueError("Jordan basis construction failed")
     return basis, sizes
@@ -842,10 +970,7 @@ def find_invertible_in_span(basis: Sequence[Mat], trials: int, seed) -> Optional
         return [field.zero] * len(basis), basis[0]
 
     def check(coeffs):
-        combo = Mat.zeros(field, n, n)
-        for c, m in zip(coeffs, basis):
-            if c != 0:
-                combo = combo + m.scaled(c)
+        combo = Mat.lincomb(field, n, n, coeffs, basis)
         if combo.is_invertible():
             return [field.coerce(c) for c in coeffs], combo
         return None

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .exactlin import Field, Mat
 from .quiver import BoundQuiver
 from .rep import (Representation, SamplingStarvation, check_relations,
-                  hom_space, sample_representation)
+                  hom_space, relation_jacobian, sample_representation)
 
 
 @dataclass
@@ -53,53 +53,14 @@ def tangent_dimension(p: RepVarietyPoint) -> int:
     rep = p.rep
     field = rep.field
     nvars = arrow_coordinate_count(bq, rep.dims)
-    if not bq.relations:
-        return nvars
     offsets = {}
     off = 0
     for a in bq.quiver.arrows:
         offsets[a.name] = off
         off += rep.dims[a.target] * rep.dims[a.source]
-    rows: list[list] = []
-    for rel in bq.relations:
-        dt, ds = rep.dims[rel.target], rep.dims[rel.source]
-        if dt * ds == 0:
-            continue
-        block = [[field.zero] * nvars for _ in range(dt * ds)]
-        for coef, path in rel.terms:
-            coef = field.coerce(coef)
-            word = path.arrows
-            for occ, name in enumerate(word):
-                a = bq.quiver.arrow(name)
-                left = None
-                for nm in word[:occ]:
-                    m_ = rep.mats[nm]
-                    left = m_ if left is None else left @ m_
-                right = None
-                for nm in word[occ + 1:]:
-                    m_ = rep.mats[nm]
-                    right = m_ if right is None else right @ m_
-                lt = left if left is not None else Mat.identity(field, rep.dims[a.target])
-                rt = right if right is not None else Mat.identity(field, rep.dims[a.source])
-                du, dv = rep.dims[a.target], rep.dims[a.source]
-                base = offsets[name]
-                for i in range(dt):
-                    for j in range(ds):
-                        ridx = i * ds + j
-                        for u in range(du):
-                            lu = lt.entry(i, u)
-                            if lu == 0:
-                                continue
-                            for v in range(dv):
-                                rv = rt.entry(v, j)
-                                if rv != 0:
-                                    block[ridx][base + u * dv + v] = field.add(
-                                        block[ridx][base + u * dv + v],
-                                        field.mul(coef, field.mul(lu, rv)))
-        rows.extend(block)
-    if not rows:
-        return nvars
-    jac = Mat.from_rows(field, rows)
+    jac = Mat.vcat(field, nvars, [relation_jacobian(field, rel, rep.mats, rep.dims,
+                                                    offsets, nvars)
+                                  for rel in bq.relations])
     return nvars - jac.rank()
 
 

@@ -23,8 +23,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import networkx as nx
-
 from .exactlin import Field
 
 DEFAULT_NILBOUND_SLACK = 2
@@ -104,9 +102,7 @@ class Quiver:
         return Path(arrs[-1].source, arrs[0].target, tuple(arrow_names))
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        return nx.is_connected(underlying_diagram(self))
+        return len(self._component_vertices()) <= 1
 
     def full_subquiver(self, keep_vertices: Iterable[str]) -> "Quiver":
         keep = set(keep_vertices)
@@ -114,8 +110,25 @@ class Quiver:
                       [a for a in self.arrows if a.source in keep and a.target in keep])
 
     def connected_components(self) -> list["Quiver"]:
-        graph = underlying_diagram(self)
-        return [self.full_subquiver(comp) for comp in nx.connected_components(graph)]
+        """Full subquivers on the components of the underlying graph, ordered
+        by their first vertex."""
+        return [self.full_subquiver(comp) for comp in self._component_vertices()]
+
+    def _component_vertices(self) -> list[list[str]]:
+        parent = {v: v for v in self.vertices}
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        for a in self.arrows:
+            parent[find(a.source)] = find(a.target)
+        comps: dict[str, list[str]] = {}
+        for v in self.vertices:
+            comps.setdefault(find(v), []).append(v)
+        return list(comps.values())
 
     def opposite(self) -> "Quiver":
         return Quiver(self.vertices, [(a.name, a.target, a.source) for a in self.arrows])
@@ -708,15 +721,6 @@ def is_minimal_wild_hereditary(q: Quiver) -> bool:
             if comp.vertices and classify_hereditary(comp) == RepType.WILD:
                 return False
     return True
-
-
-def underlying_diagram(q: Quiver) -> nx.MultiGraph:
-    """Forget orientation, keep edge multiplicities (and loops)."""
-    g = nx.MultiGraph()
-    g.add_nodes_from(q.vertices)
-    for a in q.arrows:
-        g.add_edge(a.source, a.target, key=a.name)
-    return g
 
 
 # ---------------------------------------------------------------------------

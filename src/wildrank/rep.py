@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
 import sympy
 
 from .exactlin import (Field, Mat, ShapeMismatchError, find_invertible_in_span,
-                       nilpotency_index, nilpotent_hom_basis)
+                       intertwiner_system, nilpotency_index, nilpotent_hom_basis)
 from .quiver import AlgebraElement, BoundQuiver, Path
 
 DEFAULT_TRIALS = 32
@@ -97,9 +96,8 @@ class Representation:
         mats = {}
         for a in self.bound_quiver.quiver.arrows:
             m1, m2 = self.mats[a.name], other.mats[a.name]
-            top = m1.hstack(Mat.zeros(self.field, m1.rows, m2.cols))
-            bot = Mat.zeros(self.field, m2.rows, m1.cols).hstack(m2)
-            mats[a.name] = top.vstack(bot)
+            mats[a.name] = Mat.assemble(self.field, m1.rows + m2.rows, m1.cols + m2.cols,
+                                        [(0, 0, m1), (m1.rows, m1.cols, m2)])
         return Representation(self.bound_quiver, self.field, dims, mats, check=False)
 
     # -- structure --------------------------------------------------------------
@@ -114,10 +112,7 @@ class Representation:
         return self._offsets[v]
 
     def path_matrix(self, path: Path) -> Mat:
-        out = Mat.identity(self.field, self.dims[path.target])
-        for name in path.arrows:
-            out = out @ self.mats[name]
-        return out
+        return _word_matrix(self.field, path.arrows, self.mats, self.dims[path.target])
 
     def element_action(self, elt: AlgebraElement) -> Mat:
         """Total-space action of an algebra-table element (block by vertex)."""
@@ -125,29 +120,15 @@ class Representation:
         if table.bound_quiver != self.bound_quiver:
             raise ShapeMismatchError("algebra element over a different bound quiver")
         n = self.total_dim
-        out = Mat.zeros(self.field, n, n)
-        for i, c in enumerate(elt.coeffs):
-            if c == 0:
-                continue
-            path = table.basis[i]
-            block = self.path_matrix(path).scaled(c)
-            out = out + _embed_block(self.field, n, self.offset(path.target),
-                                     self.offset(path.source), block)
-        return out
+        blocks = []
+        for c, path in zip(elt.coeffs, table.basis):
+            if c != 0:
+                blocks.append((self.offset(path.target), self.offset(path.source),
+                               self.path_matrix(path).scaled(c)))
+        return Mat.assemble(self.field, n, n, blocks)
 
     def __repr__(self) -> str:
         return f"Representation(dims={self.dim_vector()}, field={self.field})"
-
-
-def _embed_block(field: Field, n: int, row_off: int, col_off: int, block: Mat) -> Mat:
-    out = np.zeros((n, n)) if field.char else [[Fraction(0)] * n for _ in range(n)]
-    if field.char:
-        out[row_off:row_off + block.rows, col_off:col_off + block.cols] = block.array
-        return Mat(field, n, n, out)
-    for i in range(block.rows):
-        for j in range(block.cols):
-            out[row_off + i][col_off + j] = block.entry(i, j)
-    return Mat(field, n, n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +139,9 @@ def check_relations(m: Representation) -> list[tuple]:
     """Evaluate every relation on m; returns (relation, holds) pairs."""
     out = []
     for rel in m.bound_quiver.relations:
-        total = Mat.zeros(m.field, m.dims[rel.target], m.dims[rel.source])
-        for coef, path in rel.terms:
-            total = total + m.path_matrix(path).scaled(coef)
+        total = Mat.lincomb(m.field, m.dims[rel.target], m.dims[rel.source],
+                            [coef for coef, _ in rel.terms],
+                            [m.path_matrix(path) for _, path in rel.terms])
         out.append((rel, total.is_zero()))
     return out
 
@@ -183,28 +164,10 @@ class HomSpace:
 
     def total_matrices(self) -> list[Mat]:
         """Block-diagonal total matrices (square only when dim vectors agree)."""
-        out = []
-        n_t = self.target.total_dim
-        n_s = self.source.total_dim
-        for f in self.basis:
-            m = Mat.zeros(self.source.field, n_t, n_s)
-            for v, blk in f.items():
-                m = m + _embed_rect(self.source.field, n_t, n_s,
-                                    self.target.offset(v), self.source.offset(v), blk)
-            out.append(m)
-        return out
-
-
-def _embed_rect(field: Field, rows: int, cols: int, ro: int, co: int, block: Mat) -> Mat:
-    if field.char:
-        arr = np.zeros((rows, cols))
-        arr[ro:ro + block.rows, co:co + block.cols] = block.array
-        return Mat(field, rows, cols, arr)
-    data = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(block.rows):
-        for j in range(block.cols):
-            data[ro + i][co + j] = block.entry(i, j)
-    return Mat(field, rows, cols, data)
+        s, t = self.source, self.target
+        return [Mat.assemble(s.field, t.total_dim, s.total_dim,
+                             [(t.offset(v), s.offset(v), blk) for v, blk in f.items()])
+                for f in self.basis]
 
 
 def morphism_compose(g: dict[str, Mat], f: dict[str, Mat]) -> dict[str, Mat]:
@@ -216,10 +179,15 @@ def morphism_is_zero(f: dict[str, Mat]) -> bool:
 
 
 def hom_space(m: Representation, n: Representation, use_fast_paths: bool = True) -> HomSpace:
-    """All intertwiners m -> n, by exact linear algebra."""
+    """All intertwiners m -> n, by exact linear algebra.
+
+    End(M) computed with the fast paths is cached on M; the plain path
+    neither reads nor fills that cache.
+    """
     if m.bound_quiver != n.bound_quiver:
         raise ShapeMismatchError("representations over different bound quivers")
-    if m is n and m._end_cache is not None:
+    cache_end = m is n and use_fast_paths
+    if cache_end and m._end_cache is not None:
         return m._end_cache
     field = m.field
     q = m.bound_quiver.quiver
@@ -281,7 +249,7 @@ def hom_space(m: Representation, n: Representation, use_fast_paths: bool = True)
                 f[v] = a_tf[v] @ fr[r] @ b_tf[v]
         out.append(f)
     hom = HomSpace(m, n, out)
-    if m is n:
+    if cache_end:
         m._end_cache = hom
     return hom
 
@@ -317,7 +285,7 @@ def _hom_pencil(field, e_dim, d_dim, pairs):
             nil_idx = i
             break
     if nil_idx is None:
-        params = [_unit_matrix(field, e_dim, d_dim, i, j)
+        params = [Mat.unit(field, e_dim, d_dim, i, j)
                   for i in range(e_dim) for j in range(d_dim)]
         rest = pairs
     else:
@@ -328,52 +296,9 @@ def _hom_pencil(field, e_dim, d_dim, pairs):
         return []
     if not rest:
         return params
-    if field.char:
-        g_arr = np.stack([g.array for g in params])            # (c, e, d)
-        rows = []
-        for s, sp in rest:
-            resid = (g_arr @ s.array - sp.array @ g_arr) % field.char
-            rows.append(resid.reshape(len(params), e_dim * d_dim).T)
-        system = Mat(field, sum(r.shape[0] for r in rows), len(params),
-                     np.concatenate(rows, axis=0))
-    else:
-        data = []
-        for s, sp in rest:
-            for c, g in enumerate(params):
-                resid = g @ s - sp @ g
-                col = [resid.entry(i, j) for i in range(e_dim) for j in range(d_dim)]
-                data.append((c, col))
-        nrows = len(rest) * e_dim * d_dim
-        arr = [[Fraction(0)] * len(params) for _ in range(nrows)]
-        for block, (s, sp) in enumerate(rest):
-            for c, g in enumerate(params):
-                resid = g @ s - sp @ g
-                base = block * e_dim * d_dim
-                for i in range(e_dim):
-                    for j in range(d_dim):
-                        arr[base + i * d_dim + j][c] = resid.entry(i, j)
-        system = Mat(field, nrows, len(params), arr)
-    ker = system.kernel()
-    out = []
-    for j in range(ker.cols):
-        combo = Mat.zeros(field, e_dim, d_dim)
-        for c in range(len(params)):
-            coef = ker.entry(c, j)
-            if coef != 0:
-                combo = combo + params[c].scaled(coef)
-        out.append(combo)
-    return out
-
-
-def _unit_matrix(field, rows, cols, i, j):
-    m = Mat.zeros(field, rows, cols)
-    if field.char:
-        arr = m.array.copy()
-        arr[i, j] = 1.0
-        return Mat(field, rows, cols, arr)
-    data = [[Fraction(0)] * cols for _ in range(rows)]
-    data[i][j] = Fraction(1)
-    return Mat(field, rows, cols, data)
+    ker = intertwiner_system(params, rest).kernel()
+    return [Mat.lincomb(field, e_dim, d_dim, ker.column_entries(j), params)
+            for j in range(ker.cols)]
 
 
 def _hom_kron(field, m, n, var_roots, equations):
@@ -386,48 +311,22 @@ def _hom_kron(field, m, n, var_roots, equations):
         off += sizes[r][0] * sizes[r][1]
     nvars = off
     blocks = []
+    nrows = 0
     for (rt, x1, y1, rs, x2, y2) in equations:
-        nrows = x1.rows * y1.cols
-        if nrows == 0:
-            continue
-        row = Mat.zeros(field, nrows, nvars)
-        if rt in offsets and sizes[rt][0] * sizes[rt][1] > 0:
-            k1 = x1.kron(y1.T)
-            row = row + _place_cols(field, k1, nrows, nvars, offsets[rt])
-        if rs in offsets and sizes[rs][0] * sizes[rs][1] > 0:
-            k2 = x2.kron(y2.T).scaled(field.coerce(-1))
-            row = row + _place_cols(field, k2, nrows, nvars, offsets[rs])
-        blocks.append(row)
-    if not blocks:
-        system = Mat.zeros(field, 0, nvars)
-    else:
-        system = blocks[0]
-        for b in blocks[1:]:
-            system = system.vstack(b)
-    ker = system.kernel()
+        if rt in offsets:
+            blocks.append((nrows, offsets[rt], x1.kron(y1.T)))
+        if rs in offsets:
+            blocks.append((nrows, offsets[rs], -x2.kron(y2.T)))
+        nrows += x1.rows * y1.cols
+    ker = Mat.assemble(field, nrows, nvars, blocks).kernel()
     out = []
     for j in range(ker.cols):
         sol = {}
         for r in var_roots:
             e_d, d_d = sizes[r]
-            ent = [ker.entry(offsets[r] + i, j) for i in range(e_d * d_d)]
-            sol[r] = Mat(field, e_d, d_d,
-                         [[ent[i * d_d + jj] for jj in range(d_d)] for i in range(e_d)]
-                         if not field.char else np.array(ent, dtype=float).reshape(e_d, d_d))
+            sol[r] = ker.submatrix(range(offsets[r], offsets[r] + e_d * d_d), [j]).reshape(e_d, d_d)
         out.append(sol)
     return out
-
-
-def _place_cols(field, block: Mat, nrows: int, nvars: int, col_off: int) -> Mat:
-    if field.char:
-        arr = np.zeros((nrows, nvars))
-        arr[:, col_off:col_off + block.cols] = block.array
-        return Mat(field, nrows, nvars, arr)
-    data = [[Fraction(0)] * nvars for _ in range(nrows)]
-    for i in range(block.rows):
-        for j in range(block.cols):
-            data[i][col_off + j] = block.entry(i, j)
-    return Mat(field, nrows, nvars, data)
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +347,8 @@ class EndAnalysis:
     def _build_coords(self):
         field = self.field
         basis = self.hom.basis
-        cols = []
-        for f in basis:
-            cols.append(_flatten_morph(field, f))
-        if cols:
-            flat = cols[0]
-            for c in cols[1:]:
-                flat = flat.hstack(c)
-        else:
-            flat = Mat.zeros(field, 0, 0)
+        flat_len = sum(d * d for d in self.rep.dims.values())
+        flat = Mat.hcat(field, flat_len, [_flatten_morph(field, f) for f in basis])
         self._flat = flat
         # identity coordinates
         ident = {v: Mat.identity(field, self.rep.dims[v]) for v in self.rep.dims}
@@ -465,14 +357,9 @@ class EndAnalysis:
         if self.dim == 0:
             self.regular = []
             return
-        prod_cols = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                prod = morphism_compose(basis[i], basis[j])
-                prod_cols.append(_flatten_morph(field, prod))
-        rhs = prod_cols[0]
-        for c in prod_cols[1:]:
-            rhs = rhs.hstack(c)
+        rhs = Mat.hcat(field, flat_len,
+                       [_flatten_morph(field, morphism_compose(f, g))
+                        for f in basis for g in basis])
         sol = flat.solve_matrix(rhs)
         if sol is None:
             raise ValueError("composition left the endomorphism algebra span")
@@ -492,13 +379,8 @@ class EndAnalysis:
         return [sol.entry(i, 0) for i in range(self.dim)]
 
     def from_coords(self, coords) -> dict[str, Mat]:
-        out = {v: Mat.zeros(self.field, self.rep.dims[v], self.rep.dims[v])
-               for v in self.rep.dims}
-        for c, f in zip(coords, self.hom.basis):
-            if c != 0:
-                for v in out:
-                    out[v] = out[v] + f[v].scaled(c)
-        return out
+        return {v: Mat.lincomb(self.field, d, d, coords, [f[v] for f in self.hom.basis])
+                for v, d in self.rep.dims.items()}
 
     def multiply(self, a: Sequence, b: Sequence) -> list:
         f = self.field
@@ -582,13 +464,7 @@ def _independent_rows(field, rows):
 
 
 def _flatten_morph(field, f: dict[str, Mat]) -> Mat:
-    entries = []
-    for v in sorted(f):
-        blk = f[v]
-        for i in range(blk.rows):
-            for j in range(blk.cols):
-                entries.append(blk.entry(i, j))
-    return Mat.column(field, entries) if entries else Mat.zeros(field, 0, 1)
+    return Mat.vcat(field, 1, [f[v].reshape(f[v].rows * f[v].cols, 1) for v in sorted(f)])
 
 
 # ---------------------------------------------------------------------------
@@ -704,66 +580,6 @@ class IndecVerdict:
         return self.verdict == "yes"
 
 
-def _matrix_minpoly(field: Field, t: Mat) -> list:
-    """Exact minimal polynomial of a square matrix, ascending coefficients.
-
-    Incremental echelon over the flattened Krylov sequence I, t, t^2, ...;
-    the tracked expression gives the monic dependence when it appears.
-    """
-    n = t.rows
-    if n == 0:
-        return [field.one]
-    if field.char:
-        p = field.char
-        reduced: list[tuple[int, np.ndarray, np.ndarray]] = []
-        cur = Mat.identity(field, n)
-        k = 0
-        while True:
-            vec = cur.array.reshape(-1).copy()
-            expr = np.zeros(k + 1)
-            expr[k] = 1.0
-            for piv, row, rexpr in reduced:
-                f = vec[piv]
-                if f:
-                    vec = (vec - f * row) % p
-                    expr[:len(rexpr)] = (expr[:len(rexpr)] - f * rexpr) % p
-            nz = np.nonzero(vec)[0]
-            if len(nz) == 0:
-                return [field.coerce(int(c)) for c in expr]
-            piv = int(nz[0])
-            inv = pow(int(vec[piv]), p - 2, p)
-            vec = (vec * inv) % p
-            expr = (expr * inv) % p
-            reduced.append((piv, vec, expr))
-            cur = cur @ t
-            k += 1
-            if k > n:
-                raise RuntimeError("minimal polynomial search exceeded the dimension")
-    reduced_q: list[tuple[int, list, list]] = []
-    cur = Mat.identity(field, n)
-    k = 0
-    while True:
-        vec = [cur.entry(i, j) for i in range(n) for j in range(n)]
-        expr = [Fraction(0)] * k + [Fraction(1)]
-        for piv, row, rexpr in reduced_q:
-            f = vec[piv]
-            if f != 0:
-                vec = [x - f * y for x, y in zip(vec, row)]
-                for i in range(len(rexpr)):
-                    expr[i] -= f * rexpr[i]
-        piv = next((i for i, x in enumerate(vec) if x != 0), None)
-        if piv is None:
-            return expr
-        inv = Fraction(1) / vec[piv]
-        vec = [x * inv for x in vec]
-        expr = [x * inv for x in expr]
-        reduced_q.append((piv, vec, expr))
-        cur = cur @ t
-        k += 1
-        if k > n:
-            raise RuntimeError("minimal polynomial search exceeded the dimension")
-
-
 def _poly_eval_matrix(field: Field, coeffs, t: Mat) -> Mat:
     n = t.rows
     acc = Mat.zeros(field, n, n)
@@ -829,12 +645,8 @@ def _natural_trace_radical(m: Representation, hom: HomSpace) -> Optional[list[li
     ker = gram.kernel()
     rad = [[ker.entry(i, j) for i in range(k)] for j in range(ker.cols)]
     for coords in rad:
-        total = Mat.zeros(field, m.total_dim, m.total_dim)
-        for c, t in zip(coords, totals):
-            if c != 0:
-                total = total + t.scaled(c)
-        from .exactlin import nilpotency_index
-        if nilpotency_index(total) is None:
+        if nilpotency_index(Mat.lincomb(field, m.total_dim, m.total_dim,
+                                        coords, totals)) is None:
             return None
     return rad
 
@@ -862,11 +674,8 @@ def is_indecomposable(m: Representation, seed, trials: int = DEFAULT_TRIALS) -> 
     extension_seen = False
     for _ in range(trials):
         coords = [field.random_scalar(rng) for _ in range(hom.dim)]
-        phi = Mat.zeros(field, m.total_dim, m.total_dim)
-        for c, t in zip(coords, totals):
-            if c != 0:
-                phi = phi + t.scaled(c)
-        minpoly = _matrix_minpoly(field, phi)
+        phi = Mat.lincomb(field, m.total_dim, m.total_dim, coords, totals)
+        minpoly = phi.minimal_polynomial()
         factors = factor_polynomial(field, minpoly)
         if len(factors) >= 2:
             e = _idempotent_matrix_from_minpoly(field, minpoly, phi)
@@ -937,13 +746,9 @@ def are_isomorphic(m: Representation, n: Representation,
     got = find_invertible_in_span(totals, trials, seed)
     if got is not None:
         coeffs, _ = got
-        witness = {}
-        for v in m.dims:
-            acc = Mat.zeros(m.field, n.dims[v], m.dims[v])
-            for c, f in zip(coeffs, h_mn.basis):
-                if c != 0:
-                    acc = acc + f[v].scaled(c)
-            witness[v] = acc
+        witness = {v: Mat.lincomb(m.field, n.dims[v], m.dims[v], coeffs,
+                                  [f[v] for f in h_mn.basis])
+                   for v in m.dims}
         return IsoVerdict("yes", witness, "invertible intertwiner found")
     if both_indecomposable:
         totals_back = h_nm.total_matrices()
@@ -990,13 +795,7 @@ class Decomposition:
 def _image_subrep(m: Representation, e: dict[str, Mat]) -> Representation:
     """The subrepresentation im(e) for an idempotent endomorphism e."""
     field = m.field
-    basis = {}
-    for v in m.dims:
-        img = e[v]
-        if img.cols == 0 or img.rows == 0:
-            basis[v] = Mat.zeros(field, m.dims[v], 0)
-            continue
-        basis[v] = _column_space(img)
+    basis = {v: e[v].column_space() for v in m.dims}
     dims = {v: basis[v].cols for v in m.dims}
     mats = {}
     for a in m.bound_quiver.quiver.arrows:
@@ -1007,23 +806,6 @@ def _image_subrep(m: Representation, e: dict[str, Mat]) -> Representation:
             raise ValueError("image not invariant; idempotent is not an endomorphism")
         mats[a.name] = x
     return Representation(m.bound_quiver, field, dims, mats, check=False)
-
-
-def _column_space(m: Mat) -> Mat:
-    """A basis of the column space, as columns."""
-    if m.cols == 0:
-        return Mat.zeros(m.field, m.rows, 0)
-    piv_of = m.T  # row space of transpose = column space
-    if m.field.char:
-        from .exactlin import _echelon_fp
-        w, piv = _echelon_fp(m.array.T, m.field.char)
-        rows = w[:len(piv)]
-        return Mat(m.field, m.rows, len(piv), rows.T)
-    from .exactlin import _echelon_qq
-    w, piv = _echelon_qq(piv_of.row_list())
-    rows = w[:len(piv)]
-    return Mat(m.field, m.rows, len(piv),
-               [[rows[j][i] for j in range(len(piv))] for i in range(m.rows)])
 
 
 def _complement_idempotent(m: Representation, e: dict[str, Mat]) -> dict[str, Mat]:
@@ -1156,110 +938,81 @@ def _sample_power_zero(bq: BoundQuiver, field: Field, dims: dict[str, int],
     return Representation(bq, field, dims, new_mats, check=False)
 
 
+def _word_matrix(field: Field, word: Sequence[str], mats: dict[str, Mat], n: int) -> Mat:
+    """Product of the arrow matrices along a word in composition order (the
+    first arrow is applied last); the n x n identity for the empty word."""
+    out = None
+    for name in word:
+        out = mats[name] if out is None else out @ mats[name]
+    return out if out is not None else Mat.identity(field, n)
+
+
+def relation_jacobian(field: Field, rel, mats: dict[str, Mat], dims: dict[str, int],
+                      offsets: dict[str, int], nvars: int) -> Mat:
+    """Jacobian of a relation at the point ``mats``, with respect to the
+    arrows in ``offsets``.
+
+    Rows are the row-major entries of the relation's value; the entries of
+    arrow a are the columns from ``offsets[a]`` on, row-major, out of
+    ``nvars``.  Each occurrence of a varying arrow X in a term c * L X R
+    contributes c * (L kron R^T), since vec(L X R) = (L kron R^T) vec(X) for
+    row-major vec.  Arrows outside ``offsets`` are held at ``mats``.
+    """
+    dt, ds = dims[rel.target], dims[rel.source]
+    blocks = []
+    for coef, path in rel.terms:
+        word = path.arrows
+        for k, name in enumerate(word):
+            if name in offsets:
+                left = _word_matrix(field, word[:k], mats, dt)
+                right = _word_matrix(field, word[k + 1:], mats, ds)
+                blocks.append((0, offsets[name], left.kron(right.T).scaled(coef)))
+    return Mat.assemble(field, dt * ds, nvars, blocks)
+
+
 def _sample_linear_solve(bq: BoundQuiver, field: Field, dims: dict[str, int],
                          rng: random.Random) -> Optional[Representation]:
     """Fix all arrows but one at random, solve the relations linear in it."""
     arrows = list(bq.quiver.arrows)
     target_arrow = rng.choice(arrows)
+    name = target_arrow.name
     # linearity: every relation term must use the chosen arrow at most once
     for rel in bq.relations:
         for _, path in rel.terms:
-            if path.arrows.count(target_arrow.name) > 1:
+            if path.arrows.count(name) > 1:
                 return None
-    fixed = {a.name: Mat.random(field, dims.get(a.target, 0), dims.get(a.source, 0), rng)
-             for a in arrows if a.name != target_arrow.name}
-    dt = dims.get(target_arrow.target, 0)
-    ds = dims.get(target_arrow.source, 0)
+    fixed = {a.name: Mat.random(field, dims[a.target], dims[a.source], rng)
+             for a in arrows if a.name != name}
+    dt, ds = dims[target_arrow.target], dims[target_arrow.source]
     nvars = dt * ds
-    rows: list[list] = []
-    rhs: list = []
-
-    def partial_products(path_arrows):
-        """Split a term around the unknown arrow: left @ X @ right, with the
-        word in composition order (first entry applied last)."""
-        idx = path_arrows.index(target_arrow.name)
-        left = None
-        for nm in path_arrows[:idx]:
-            m_ = fixed[nm]
-            left = m_ if left is None else left @ m_
-        right = None
-        for nm in path_arrows[idx + 1:]:
-            m_ = fixed[nm]
-            right = m_ if right is None else right @ m_
-        return left, right
-
+    jacobians: list[Mat] = []
+    consts: list[Mat] = []
     for rel in bq.relations:
-        if not any(target_arrow.name in p.arrows for _, p in rel.terms):
+        rt, rs = dims[rel.target], dims[rel.source]
+        fixed_terms = [(coef, path) for coef, path in rel.terms if name not in path.arrows]
+        const = Mat.lincomb(field, rt, rs, [coef for coef, _ in fixed_terms],
+                            [_word_matrix(field, p.arrows, fixed, rt) for _, p in fixed_terms])
+        if len(fixed_terms) == len(rel.terms):
             # fully determined by the fixed arrows; check directly
-            total = Mat.zeros(field, dims.get(rel.target, 0), dims.get(rel.source, 0))
-            for coef, path in rel.terms:
-                acc = Mat.identity(field, dims.get(rel.target, 0))
-                cur = Mat.identity(field, dims.get(path.target, 0))
-                for nm in path.arrows:
-                    cur = cur @ fixed[nm]
-                total = total + cur.scaled(coef)
-            if not total.is_zero():
+            if not const.is_zero():
                 return None
             continue
-        d_out = dims.get(rel.target, 0) * dims.get(rel.source, 0)
-        if d_out == 0:
-            continue
-        coeff_rows = [[field.zero] * nvars for _ in range(d_out)]
-        const = [field.zero] * d_out
-        for coef, path in rel.terms:
-            if target_arrow.name in path.arrows:
-                left, right = partial_products(path.arrows)
-                lm = left if left is not None else Mat.identity(field, dt)
-                rm = right if right is not None else Mat.identity(field, ds)
-                # contribution coef * L X R: rows (a,b), vars (i,j):
-                # coef * L[a,i] R[j,b]
-                for a_ in range(lm.rows):
-                    for b_ in range(rm.cols):
-                        ridx = a_ * rm.cols + b_
-                        for i in range(dt):
-                            la = lm.entry(a_, i)
-                            if la == 0:
-                                continue
-                            for j in range(ds):
-                                rv = rm.entry(j, b_)
-                                if rv != 0:
-                                    coeff_rows[ridx][i * ds + j] = field.add(
-                                        coeff_rows[ridx][i * ds + j],
-                                        field.mul(field.coerce(coef), field.mul(la, rv)))
-            else:
-                cur = None
-                for nm in path.arrows:
-                    m_ = fixed[nm]
-                    cur = m_ if cur is None else cur @ m_
-                for a_ in range(cur.rows):
-                    for b_ in range(cur.cols):
-                        const[a_ * cur.cols + b_] = field.add(
-                            const[a_ * cur.cols + b_],
-                            field.mul(field.coerce(coef), cur.entry(a_, b_)))
-        rows.extend(coeff_rows)
-        rhs.extend(field.neg(c) for c in const)
+        jacobians.append(relation_jacobian(field, rel, fixed, dims, {name: 0}, nvars))
+        consts.append(const.reshape(rt * rs, 1))
     if nvars == 0:
         rep_mats = dict(fixed)
-        rep_mats[target_arrow.name] = Mat.zeros(field, dt, ds)
+        rep_mats[name] = Mat.zeros(field, dt, ds)
         cand = Representation(bq, field, dims, rep_mats, check=False)
         return cand if all(ok for _, ok in check_relations(cand)) else None
-    system = Mat.from_rows(field, rows) if rows else Mat.zeros(field, 0, nvars)
-    bvec = Mat.column(field, rhs) if rhs else Mat.zeros(field, 0, 1)
-    sol = system.solve(bvec)
+    system = Mat.vcat(field, nvars, jacobians)
+    sol = system.solve(-Mat.vcat(field, 1, consts))
     if sol is None:
         return None
     ker = system.kernel()
-    x = [sol.entry(i, 0) for i in range(nvars)]
-    for j in range(ker.cols):
-        c = field.random_scalar(rng)
-        if c != 0:
-            for i in range(nvars):
-                x[i] = field.add(x[i], field.mul(c, ker.entry(i, j)))
-    mat = Mat(field, dt, ds,
-              np.array([float(v) for v in x]).reshape(dt, ds) if field.char
-              else [[x[i * ds + j] for j in range(ds)] for i in range(dt)])
+    coeffs = [field.random_scalar(rng) for _ in range(ker.cols)]
+    x = sol + ker @ Mat(field, ker.cols, 1, [[c] for c in coeffs])
     rep_mats = dict(fixed)
-    rep_mats[target_arrow.name] = mat
+    rep_mats[name] = x.reshape(dt, ds)
     cand = Representation(bq, field, dims, rep_mats, check=False)
     if all(ok for _, ok in check_relations(cand)):
         return cand

@@ -187,36 +187,16 @@ def _top_lift_basis(m: Representation) -> dict[str, Mat]:
         if not imgs:
             out[v] = Mat.identity(field, d)
             continue
-        stack = imgs[0]
-        for extra in imgs[1:]:
-            stack = stack.hstack(extra)
-        from .rep import _column_space
-        rad_basis = _column_space(stack)
-        # extend rad_basis to a basis of k^d; the new columns span the top
-        cols = rad_basis
+        # extend a basis of the radical to a basis of k^d; the new columns span the top
+        cols = Mat.hcat(field, d, imgs).column_space()
         lift = []
         for j in range(d):
-            cand = Mat.zeros(field, d, 1)
-            cand = _unit_col(field, d, j)
-            test = cols.hstack(cand) if cols.cols else cand
+            cand = Mat.unit(field, d, 1, j, 0)
+            test = cols.hstack(cand)
             if test.rank() > cols.cols:
                 cols = test
                 lift.append(cand)
-        out[v] = _hstack_all(field, d, lift)
-    return out
-
-
-def _unit_col(field: Field, d: int, j: int) -> Mat:
-    rows = [[field.one if i == j else field.zero] for i in range(d)]
-    return Mat.from_rows(field, rows)
-
-
-def _hstack_all(field: Field, rows: int, cols: list[Mat]) -> Mat:
-    if not cols:
-        return Mat.zeros(field, rows, 0)
-    out = cols[0]
-    for c in cols[1:]:
-        out = out.hstack(c)
+        out[v] = Mat.hcat(field, d, lift)
     return out
 
 
@@ -365,14 +345,14 @@ def ext1_dim_via_presentation(m: Representation, n: Representation) -> int:
             for j, (v, c) in enumerate(slots0):
                 col = Mat.zeros(field, n.dims[v], 1)
                 if j == j0:
-                    col = _unit_col(field, n.dims[v0], b)
+                    col = Mat.unit(field, n.dims[v0], 1, b, 0)
                 gen_images.append(col)
             g = _morphism_from_generators(bq, field, pres.p0, slots0, n, gen_images)
             # restrict along phi: value on P1 generators
             vals = []
             offs = _slot_offsets(bq, field, pres.p1, slots1)
             for j1, (v1, c1) in enumerate(slots1):
-                gen_col = _unit_col(field, pres.p1.dims[v1], offs[j1])
+                gen_col = Mat.unit(field, pres.p1.dims[v1], 1, offs[j1], 0)
                 img = g[v1] @ (pres.phi[v1] @ gen_col)
                 vals.extend(img.entry(i, 0) for i in range(n.dims[v1]))
             cols.append(vals)
@@ -443,7 +423,7 @@ def ar_translate_inverse(m: Representation) -> Representation:
         for j1, (v1, c1) in enumerate(slots1):
             # phi component: P1-slot j1 generator -> P0 slot j0 component in
             # the opposite algebra; reverse each path to act here
-            gen_col = _unit_col(field, pres.p1.dims[v1], offs1[j1])
+            gen_col = Mat.unit(field, pres.p1.dims[v1], 1, offs1[j1], 0)
             img = pres.phi[v1] @ gen_col            # element of P0(v1), over opp
             # decode: coordinates of P0(v1) are opposite-paths from slot
             # vertices to v1; reversed they are paths from v1 in the original
@@ -475,25 +455,19 @@ def ar_translate_inverse(m: Representation) -> Representation:
     mats = {}
     proj = {}
     for v in bq.quiver.vertices:
-        img = psi[v]
-        from .rep import _column_space
-        col = _column_space(img) if img.cols else Mat.zeros(field, img.rows, 0)
+        col = psi[v].column_space()
         # complement basis: extend columns of col to full space
         comp_cols = []
         cur = col
         d = p1_back.dims[v]
         for j in range(d):
-            cand = _unit_col(field, d, j)
-            test = cur.hstack(cand) if cur.cols else cand
+            test = cur.hstack(Mat.unit(field, d, 1, j, 0))
             if test.rank() > cur.cols:
                 cur = test
                 comp_cols.append(j)
         dims[v] = len(comp_cols)
-        # projection to the quotient in the chosen basis: solve [col | comp] c = x
-        basis = col
-        for j in comp_cols:
-            basis = basis.hstack(_unit_col(field, d, j)) if basis.cols else _unit_col(field, d, j)
-        proj[v] = (basis, col.cols, comp_cols)
+        # cur = [col | comp]; the projection to the quotient solves cur c = x
+        proj[v] = (cur, col.cols, comp_cols)
     for a in bq.quiver.arrows:
         s, t = a.source, a.target
         basis_t, rad_t, comp_t = proj[t]
@@ -501,7 +475,7 @@ def ar_translate_inverse(m: Representation) -> Representation:
         rows = [[field.zero] * dims[s] for _ in range(dims[t])]
         basis_s, rad_s, comp_s = proj[s]
         for jj, j in enumerate(comp_s):
-            x = p1_back.mats[a.name] @ _unit_col(field, p1_back.dims[s], j)
+            x = p1_back.mats[a.name] @ Mat.unit(field, p1_back.dims[s], 1, j, 0)
             coords = basis_t.solve(x)
             if coords is None:
                 raise ValueError("cokernel arrow map inconsistent")
@@ -545,7 +519,7 @@ def _path_on_generator(bq: BoundQuiver, field, p_sum, slots, slot_idx, path: Pat
         if j == slot_idx:
             for k, p in enumerate(plist):
                 if p.arrows == path.arrows:
-                    return _unit_col(field, p_sum.dims[target_vertex], idx + k)
+                    return Mat.unit(field, p_sum.dims[target_vertex], 1, idx + k, 0)
             raise ValueError(f"path {path} not found in projective basis")
         idx += len(plist)
     raise ValueError("slot not found")

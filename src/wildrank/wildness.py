@@ -20,10 +20,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
-
-import numpy as np
 
 from .exactlin import Field, Mat, ShapeMismatchError
 from .quiver import (AlgebraElement, AlgebraTable, BoundQuiver, Path, Quiver,
@@ -131,13 +128,13 @@ class NCPoly:
     def substitute(self, x: Mat, y: Mat) -> Mat:
         """Evaluate at square matrices; the empty word becomes the identity."""
         n = x.rows
-        out = Mat.zeros(self.field, n, n)
-        for word, coef in self.terms.items():
+        words = []
+        for word in self.terms:
             acc = Mat.identity(self.field, n)
             for letter in word:
                 acc = acc @ (x if letter == "x" else y)
-            out = out + acc.scaled(coef)
-        return out
+            words.append(acc)
+        return Mat.lincomb(self.field, n, n, self.terms.values(), words)
 
     def __eq__(self, other):
         return (isinstance(other, NCPoly) and other.field == self.field
@@ -182,9 +179,8 @@ class FreeAlgModule:
 
     def direct_sum(self, other: "FreeAlgModule") -> "FreeAlgModule":
         def blk(a, b):
-            top = a.hstack(Mat.zeros(a.field, a.rows, b.cols))
-            bot = Mat.zeros(a.field, b.rows, a.cols).hstack(b)
-            return top.vstack(bot)
+            return Mat.assemble(a.field, a.rows + b.rows, a.cols + b.cols,
+                                [(0, 0, a), (a.rows, a.cols, b)])
         return FreeAlgModule(blk(self.x, other.x), blk(self.y, other.y))
 
     @classmethod
@@ -382,24 +378,9 @@ class WitnessBimodule:
             n = module.total_dim
             sub = lambda e: module.element_action(e)
         r = self.rank
-        if field.char:
-            big = np.zeros((r * n, r * n))
-            for i in range(r):
-                for j in range(r):
-                    e = em[i][j]
-                    if not e.is_zero():
-                        big[i * n:(i + 1) * n, j * n:(j + 1) * n] = sub(e).array
-            return Mat(field, r * n, r * n, big)
-        big = [[Fraction(0)] * (r * n) for _ in range(r * n)]
-        for i in range(r):
-            for j in range(r):
-                e = em[i][j]
-                if not e.is_zero():
-                    blk = sub(e)
-                    for a in range(n):
-                        for b in range(n):
-                            big[i * n + a][j * n + b] = blk.entry(a, b)
-        return Mat(field, r * n, r * n, big)
+        return Mat.assemble(field, r * n, r * n,
+                            [(i * n, j * n, sub(em[i][j]))
+                             for i in range(r) for j in range(r) if not em[i][j].is_zero()])
 
     def source_dim(self, module) -> int:
         return module.dim if isinstance(self.source, FreeAlgebra) else module.total_dim
@@ -433,7 +414,7 @@ def eval_tensor_with_frame(w: WitnessBimodule, module):
     for v in q.vertices:
         idx = table.basis_index(Path(v, v, ()))
         proj[v] = w._entry_matrix_on(w.action[idx], module)
-    assignment = _diagonal_assignment(field, proj, q.vertices, total)
+    assignment = _diagonal_assignment(proj, q.vertices, total)
     if assignment is not None:
         order = [k for v in q.vertices for k in assignment[v]]
         dims = {v: len(assignment[v]) for v in q.vertices}
@@ -441,17 +422,12 @@ def eval_tensor_with_frame(w: WitnessBimodule, module):
         for a in q.arrows:
             idx = table.basis_index(Path(a.source, a.target, (a.name,)))
             big = w._entry_matrix_on(w.action[idx], module)
-            mats[a.name] = _extract_block(big, assignment[a.target], assignment[a.source])
+            mats[a.name] = big.submatrix(assignment[a.target], assignment[a.source])
         rep = Representation(table.bound_quiver, field, dims, mats, check=False)
         return rep, order
     # general position: change basis to the column spaces of the projections
-    from .rep import _column_space
-    cols = {}
-    for v in q.vertices:
-        cols[v] = _column_space(proj[v])
-    frame = None
-    for v in q.vertices:
-        frame = cols[v] if frame is None else frame.hstack(cols[v])
+    cols = {v: proj[v].column_space() for v in q.vertices}
+    frame = Mat.hcat(field, total, [cols[v] for v in q.vertices])
     if frame.rank() != frame.cols:
         raise ValueError("idempotent projections do not decompose the output space")
     dims = {v: cols[v].cols for v in q.vertices}
@@ -468,7 +444,7 @@ def eval_tensor_with_frame(w: WitnessBimodule, module):
     return rep, frame
 
 
-def _diagonal_assignment(field, proj, vertices, total):
+def _diagonal_assignment(proj, vertices, total):
     """Coordinate split when all projections are exact 0/1 diagonals.
 
     Coordinates owned by no vertex are outside the unital part and dropped.
@@ -477,55 +453,24 @@ def _diagonal_assignment(field, proj, vertices, total):
     owner = [None] * total
     for v in vertices:
         m = proj[v]
-        if field.char:
-            arr = m.array
-            if not np.array_equal(arr, np.diag(np.diagonal(arr))):
+        ones = [k for k in range(total) if m.entry(k, k) == 1]
+        unit = Mat.identity(m.field, 1)
+        if m != Mat.assemble(m.field, total, total, [(k, k, unit) for k in ones]):
+            return None
+        for k in ones:
+            if owner[k] is not None:
                 return None
-            diag = np.diagonal(arr)
-            if not np.all((diag == 0) | (diag == 1)):
-                return None
-            for k in np.nonzero(diag == 1)[0]:
-                if owner[int(k)] is not None:
-                    return None
-                owner[int(k)] = v
-                assign[v].append(int(k))
-        else:
-            for i in range(total):
-                for j in range(total):
-                    e = m.entry(i, j)
-                    if i != j and e != 0:
-                        return None
-                    if i == j:
-                        if e not in (0, 1):
-                            return None
-                        if e == 1:
-                            if owner[i] is not None:
-                                return None
-                            owner[i] = v
-                            assign[v].append(i)
+            owner[k] = v
+            assign[v].append(k)
     return assign
-
-
-def _extract_block(big: Mat, rows: list[int], cols: list[int]) -> Mat:
-    return big.submatrix(rows, cols)
 
 
 def eval_tensor_morphism(w: WitnessBimodule, f: Mat) -> Mat:
     """The functor on morphisms: the rank-fold block-diagonal of f, in raw
     (generator-major) coordinates."""
-    field = w.field
     r = w.rank
-    if field.char:
-        big = np.zeros((r * f.rows, r * f.cols))
-        for i in range(r):
-            big[i * f.rows:(i + 1) * f.rows, i * f.cols:(i + 1) * f.cols] = f.array
-        return Mat(field, r * f.rows, r * f.cols, big)
-    big = [[Fraction(0)] * (r * f.cols) for _ in range(r * f.rows)]
-    for k in range(r):
-        for i in range(f.rows):
-            for j in range(f.cols):
-                big[k * f.rows + i][k * f.cols + j] = f.entry(i, j)
-    return Mat(field, r * f.rows, r * f.cols, big)
+    return Mat.assemble(w.field, r * f.rows, r * f.cols,
+                        [(k * f.rows, k * f.cols, f) for k in range(r)])
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,44 @@ def test_parse_errors_positioned():
         parse_quiver_spec("field Fp 4\n")
 
 
+def test_coefficient_undefined_over_field_exits_2(tmp_path):
+    # 1/101 has no value in F101: a positioned error, not a ZeroDivisionError
+    text = "quiver d\nfield Fp 101\nvertex v\narrow x: v -> v\nrelation 1/101*x*x\nnilbound 2\n"
+    with pytest.raises(SpecError) as e:
+        parse_quiver_spec(text)
+    assert e.value.line == 5 and "1/101" in str(e.value)
+    out, code = cmd_classify(text)
+    assert code == 2 and out.startswith("error: line 5")
+    spec = tmp_path / "d.quiver"
+    spec.write_text(text)
+    from wildrank.cli import main
+    assert main(["classify", str(spec)]) == 2
+    # the same coefficient is fine over Q
+    assert parse_quiver_spec(text.replace("Fp 101", "Q")).bound_quiver.relations
+
+
+def test_empty_spec_rejected():
+    for text in ("", "# only a comment\n\nquiver none\nfield Q\n"):
+        with pytest.raises(SpecError):
+            parse_quiver_spec(text)
+        out, code = cmd_classify(text)
+        assert code == 2 and out.startswith("error:")
+
+
+def test_certificate_non_integer_factor_rejected():
+    text = CertificateDoc(
+        name="demo", algebra_desc="x", algebra_hash="00", algebra_dim=1,
+        target_kind="algebra", field_desc="F101", seed="0",
+        steps=[("explicit-bimodule", 3, "w")], bound=3,
+        verification="none", notes=[]).to_text()
+    for bad, line in ((text.replace("factor 3", "factor 2.5"), 9),
+                      (text.replace("bound 3", "bound 2.5"), 10),
+                      (text.replace("algebra-dim 1", "algebra-dim one"), 5)):
+        with pytest.raises(SpecError) as e:
+            parse_certificate(bad)
+        assert e.value.line == line and "integer" in str(e.value)
+
+
 def test_inhomogeneous_weights_rejected():
     text = ("quiver bad\nvertex v\narrow x: v -> v weight 1\n"
             "arrow y: v -> v weight 2\nrelation 1*x*x + -1*y*x\nnilbound 4\n")

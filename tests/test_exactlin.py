@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wildrank.exactlin import (F101, QQ, Field, Mat, ShapeMismatchError,
-                               find_invertible_in_span, jordan_nilpotent,
-                               kernel_basis, nilpotency_index,
+                               find_invertible_in_span, intertwiner_system,
+                               jordan_nilpotent, kernel_basis, nilpotency_index,
                                nilpotent_hom_basis, rank, solve_linear,
                                _jordan_shift)
 
@@ -179,3 +179,216 @@ def test_nilpotent_hom_basis_matches_kron_kernel(field):
             assert g @ s == t @ g
         big = s.T.kron(Mat.identity(field, n2)) - Mat.identity(field, n1).kron(t)
         assert big.kernel().cols == len(basis)
+
+
+# ---------------------------------------------------------------------------
+# Mat operations against plain list-of-rows references
+# ---------------------------------------------------------------------------
+
+FIELDS = [F101, Field.prime(7), QQ]
+
+
+def _rand_rows(field, m, n, rng):
+    return [[field.random_scalar(rng) for _ in range(n)] for _ in range(m)]
+
+
+def _ref_zeros(field, m, n):
+    return [[field.zero] * n for _ in range(m)]
+
+
+def _ref_matmul(field, a, b, inner):
+    out = _ref_zeros(field, len(a), len(b[0]) if b else 0)
+    for i, row in enumerate(a):
+        for j in range(len(out[i])):
+            for k in range(inner):
+                out[i][j] = field.add(out[i][j], field.mul(row[k], b[k][j]))
+    return out
+
+
+def _ref_rref(field, rows):
+    """Reduced row echelon form (nonzero rows only) and pivot columns."""
+    w = [list(r) for r in rows]
+    ncols = len(w[0]) if w else 0
+    piv, r = [], 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(w)) if w[i][c] != 0), None)
+        if sel is None:
+            continue
+        w[r], w[sel] = w[sel], w[r]
+        inv = field.inv(w[r][c])
+        w[r] = [field.mul(inv, x) for x in w[r]]
+        for i in range(len(w)):
+            if i != r and w[i][c] != 0:
+                f = w[i][c]
+                w[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(w[i], w[r])]
+        piv.append(c)
+        r += 1
+    return w[:r], piv
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_assemble_and_unit_match_reference(field):
+    rng = random.Random(31)
+    for _ in range(20):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        ref = _ref_zeros(field, rows, cols)
+        blocks = []
+        for k in range(rng.randint(1, 4)):
+            # the first block covers everything, so later ones overlap it
+            i, j = (0, 0) if k == 0 else (rng.randint(0, rows), rng.randint(0, cols))
+            b = _rand_rows(field, rows, cols, rng) if k == 0 else \
+                _rand_rows(field, rng.randint(0, rows - i), rng.randint(0, cols - j), rng)
+            blocks.append((i, j, Mat(field, len(b), len(b[0]) if b else 0, b) if b
+                           else Mat.zeros(field, 0, rng.randint(0, cols - j))))
+            for a, row in enumerate(b):
+                for c, x in enumerate(row):
+                    ref[i + a][j + c] = field.add(ref[i + a][j + c], x)
+        assert Mat.assemble(field, rows, cols, blocks).row_list() == ref
+        if rows and cols:
+            i, j = rng.randrange(rows), rng.randrange(cols)
+            unit = _ref_zeros(field, rows, cols)
+            unit[i][j] = field.one
+            assert Mat.unit(field, rows, cols, i, j).row_list() == unit
+    with pytest.raises(ShapeMismatchError):
+        Mat.assemble(field, 2, 2, [(1, 1, Mat.identity(field, 2))])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_concat_and_reshape_match_reference(field):
+    rng = random.Random(32)
+    for _ in range(20):
+        rows = rng.randint(0, 4)
+        parts = [_rand_rows(field, rows, rng.randint(0, 3), rng) for _ in range(rng.randint(0, 4))]
+        widths = [len(p[0]) if p else 0 for p in parts]
+        mats = [Mat(field, rows, w, p) if rows else Mat.zeros(field, 0, w)
+                for p, w in zip(parts, widths)]
+        h = Mat.hcat(field, rows, mats)
+        assert h.shape == (rows, sum(widths))
+        assert h.row_list() == [[x for p in parts for x in p[i]] for i in range(rows)]
+        v = Mat.vcat(field, rows, [m.T for m in mats])
+        assert v.row_list() == [[p[i][k] for i in range(rows)] for p in parts
+                                for k in range(len(p[0]) if p else 0)]
+        flat = [x for row in h.row_list() for x in row]
+        for r in range(1, len(flat) + 1):
+            if len(flat) % r == 0:
+                c = len(flat) // r
+                assert h.reshape(r, c).row_list() == [flat[k * c:(k + 1) * c] for k in range(r)]
+    with pytest.raises(ShapeMismatchError):
+        Mat.hcat(field, 2, [Mat.zeros(field, 3, 1)])
+    with pytest.raises(ShapeMismatchError):
+        Mat.identity(field, 2).reshape(3, 1)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_lincomb_matches_reference(field):
+    rng = random.Random(33)
+    for _ in range(20):
+        m, n, k = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 5)
+        rows = [_rand_rows(field, m, n, rng) for _ in range(k)]
+        coeffs = [field.random_scalar(rng) if rng.random() < 0.7 else field.zero
+                  for _ in range(k)]
+        ref = _ref_zeros(field, m, n)
+        for c, b in zip(coeffs, rows):
+            for i in range(m):
+                for j in range(n):
+                    ref[i][j] = field.add(ref[i][j], field.mul(c, b[i][j]))
+        mats = [Mat(field, m, n, b) for b in rows]
+        assert Mat.lincomb(field, m, n, coeffs, mats).row_list() == ref
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_column_space_matches_reference(field):
+    rng = random.Random(34)
+    for _ in range(25):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        a = _rand_rows(field, m, n, rng)
+        if m and n and rng.random() < 0.5:      # force a dependent column
+            j = rng.randrange(n)
+            c = field.random_scalar(rng)
+            for row in a:
+                row[j] = field.mul(c, row[0])
+        mat = Mat(field, m, n, a) if m else Mat.zeros(field, 0, n)
+        cs = mat.column_space()
+        ref_rows, piv = _ref_rref(field, [[a[i][j] for i in range(m)] for j in range(n)])
+        assert cs.shape == (m, len(piv))
+        got_rows, _ = _ref_rref(field, [[cs.entry(i, j) for i in range(m)] for j in range(cs.cols)])
+        assert got_rows == ref_rows
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_minimal_polynomial_matches_reference(field):
+    rng = random.Random(35)
+    for n in (1, 2, 3, 4, 5):
+        for kind in ("random", "scalar", "nilpotent"):
+            if kind == "random":
+                t = _rand_rows(field, n, n, rng)
+            elif kind == "scalar":
+                c = field.random_scalar(rng)
+                t = [[c if i == j else field.zero for j in range(n)] for i in range(n)]
+            else:
+                t = [[field.one if j == i + 1 else field.zero for j in range(n)] for i in range(n)]
+            # reference: the first power of t that depends on the lower ones
+            powers = [[[field.one if i == j else field.zero for j in range(n)] for i in range(n)]]
+            while True:
+                flat = [[x for row in p for x in row] for p in powers]
+                _, piv = _ref_rref(field, [[f[k] for f in flat] for k in range(n * n)])
+                if len(piv) < len(powers):
+                    break
+                powers.append(_ref_matmul(field, powers[-1], t, n))
+            mp = Mat(field, n, n, t).minimal_polynomial()
+            assert len(mp) == len(powers) and mp[-1] == field.one
+            total = _ref_zeros(field, n, n)
+            for c, p in zip(mp, powers):
+                total = [[field.add(x, field.mul(c, y)) for x, y in zip(r1, r2)]
+                         for r1, r2 in zip(total, p)]
+            assert total == _ref_zeros(field, n, n)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_intertwiner_system_matches_reference(field):
+    rng = random.Random(36)
+    for _ in range(10):
+        e, d = rng.randint(1, 4), rng.randint(1, 4)
+        params = [_rand_rows(field, e, d, rng) for _ in range(rng.randint(1, 4))]
+        pairs = [(_rand_rows(field, d, d, rng), _rand_rows(field, e, e, rng))
+                 for _ in range(rng.randint(1, 3))]
+        cols = []
+        for g in params:
+            col = []
+            for s, s2 in pairs:
+                gs = _ref_matmul(field, g, s, d)
+                sg = _ref_matmul(field, s2, g, e)
+                col += [field.sub(x, y) for r1, r2 in zip(gs, sg) for x, y in zip(r1, r2)]
+            cols.append(col)
+        ref = [[col[i] for col in cols] for i in range(len(cols[0]))]
+        got = intertwiner_system([Mat(field, e, d, g) for g in params],
+                                 [(Mat(field, d, d, s), Mat(field, e, e, s2)) for s, s2 in pairs])
+        assert got.row_list() == ref
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_solve_matches_reference(field):
+    # particular solutions set every free variable to zero, for one column and many
+    rng = random.Random(37)
+    for _ in range(30):
+        m, n, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 3)
+        a = _rand_rows(field, m, n, rng)
+        if rng.random() < 0.5:
+            a[-1] = list(a[0])
+        b = _rand_rows(field, m, k, rng)
+        if rng.random() < 0.5:
+            b = _ref_matmul(field, a, _rand_rows(field, n, k, rng), n)
+        rref, piv = _ref_rref(field, [ra + rb for ra, rb in zip(a, b)])
+        ref = None
+        if not piv or piv[-1] < n:
+            ref = _ref_zeros(field, n, k)
+            for r, pc in enumerate(piv):
+                ref[pc] = rref[r][n:]
+        got = Mat(field, m, n, a).solve_matrix(Mat(field, m, k, b))
+        assert (got.row_list() if got is not None else None) == ref
+        x = Mat(field, m, n, a).solve(Mat(field, m, 1, [row[:1] for row in b]))
+        rref1, piv1 = _ref_rref(field, [ra + rb[:1] for ra, rb in zip(a, b)])
+        assert (x is None) == bool(piv1 and piv1[-1] == n)
+        if x is not None:
+            assert x.column_entries(0) == [next((rref1[r][n] for r, pc in enumerate(piv1)
+                                                if pc == j), field.zero) for j in range(n)]

@@ -1,8 +1,14 @@
+import random
+
 import pytest
 
-from wildrank.exactlin import F101
-from wildrank.quiver import BoundQuiver, Quiver, loop_quiver, make_relation
-from wildrank.rep import Representation, hom_space
+from conftest import reference_relation_jacobian
+
+from wildrank.exactlin import F101, QQ, Mat
+from wildrank.quiver import (BoundQuiver, Quiver, loop_quiver, loop_square_zero,
+                             make_relation)
+from wildrank.rep import (Representation, SamplingStarvation, hom_space,
+                          relation_jacobian, sample_representation)
 from wildrank.modvariety import (RepVarietyPoint, arrow_coordinate_count,
                                  orbit_dimension, parameter_estimate,
                                  stratum_probe, tangent_dimension)
@@ -26,6 +32,56 @@ def test_tangent_examples(k3_bq, dual_numbers_bq, f101):
     assert tangent_dimension(zero2) == 4      # Jacobian vanishes at the origin
     empty = RepVarietyPoint(k3_bq, Representation.zero(k3_bq, f101))
     assert tangent_dimension(empty) == 0
+
+
+def _jacobian_quivers():
+    two = loop_quiver(2)
+    square = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"),
+                                      ("c", "1", "2"), ("d", "2", "3")])
+    return [
+        loop_square_zero(3),
+        BoundQuiver(two, [make_relation(two, [(1, ("x", "y", "x")), (-2, ("y", "y", "y")),
+                                              ("3/2", ("x", "x", "y"))])], nilbound=5),
+        BoundQuiver(square, [make_relation(square, [(1, ("b", "a")), (-1, ("d", "c"))])],
+                    nilbound=3),
+    ]
+
+
+@pytest.mark.parametrize("field", [F101, QQ])
+def test_tangent_jacobian_matches_entrywise_reference(field):
+    rng = random.Random(17)
+    checked = 0
+    for bq in _jacobian_quivers():
+        q = bq.quiver
+        for _ in range(6):
+            dims = {v: rng.randint(0, 3) for v in q.vertices}
+            mats = {a.name: Mat.random(field, dims[a.target], dims[a.source], rng)
+                    for a in q.arrows}
+            offsets, nvars = {}, 0
+            for a in q.arrows:
+                offsets[a.name] = nvars
+                nvars += dims[a.target] * dims[a.source]
+            for rel in bq.relations:
+                got = relation_jacobian(field, rel, mats, dims, offsets, nvars)
+                assert got.row_list() == reference_relation_jacobian(
+                    q, field, rel, mats, dims, offsets, nvars)
+        # at sampled points, tangent_dimension is nvars - rank of the reference
+        for _ in range(3):
+            dims = {v: rng.randint(1, 2) for v in q.vertices}
+            try:
+                rep = sample_representation(bq, field, dims, rng, budget=60)
+            except SamplingStarvation:
+                continue
+            checked += 1
+            offsets, nvars = {}, 0
+            for a in q.arrows:
+                offsets[a.name] = nvars
+                nvars += dims[a.target] * dims[a.source]
+            rows = [row for rel in bq.relations for row in reference_relation_jacobian(
+                q, field, rel, rep.mats, rep.dims, offsets, nvars)]
+            ref = nvars - (Mat.from_rows(field, rows).rank() if rows else 0)
+            assert tangent_dimension(RepVarietyPoint(bq, rep)) == ref
+    assert checked >= 6
 
 
 def test_orbit_examples(k3_bq, f101):

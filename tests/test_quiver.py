@@ -11,8 +11,7 @@ from wildrank.quiver import (AdmissibilityError, BoundQuiver, Quiver, RepType,
                              factor_quiver, is_minimal_wild_hereditary,
                              k3_bound_quiver, kronecker_quiver, line_quiver,
                              loop_quiver, loop_square_zero, make_relation,
-                             symmetrized_tits_matrix, tits_form,
-                             underlying_diagram, _det)
+                             symmetrized_tits_matrix, tits_form, _det)
 
 
 def test_quiver_validation():
@@ -168,13 +167,18 @@ def test_minimal_implies_wild_on_samples():
             assert classify_hereditary(q) == RepType.WILD
 
 
-def test_underlying_diagram():
-    g = underlying_diagram(line_quiver(2))
-    assert g.number_of_edges() == 1
-    g3 = underlying_diagram(kronecker_quiver(3))
-    assert g3.number_of_edges("1", "2") == 3
-    gl = underlying_diagram(loop_quiver(1))
-    assert gl.number_of_edges("v", "v") == 1
+def test_connected_components():
+    assert line_quiver(2).is_connected()
+    assert Quiver([], []).is_connected() and Quiver([], []).connected_components() == []
+    # parallel arrows 1 -> 2, a loop at 3, an arrow 4 -> 3, isolated 5; the
+    # components come in the order of their first vertex
+    q = Quiver(["5", "1", "3", "2", "4"],
+               [("a", "1", "2"), ("b", "1", "2"), ("x", "3", "3"), ("c", "4", "3")])
+    assert not q.is_connected()
+    comps = q.connected_components()
+    assert [c.vertices for c in comps] == [("5",), ("1", "2"), ("3", "4")]
+    assert [[a.name for a in c.arrows] for c in comps] == [[], ["a", "b"], ["x", "c"]]
+    assert loop_quiver(2).is_connected() and kronecker_quiver(3).is_connected()
 
 
 def _oracle_classify(q: Quiver) -> RepType:

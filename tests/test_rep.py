@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from conftest import reference_relation_jacobian
+
 from wildrank.exactlin import F101, QQ, Field, Mat
 from wildrank.quiver import (BoundQuiver, Quiver, build_algebra_table,
                              kronecker_quiver, line_quiver, loop_quiver,
@@ -9,8 +11,8 @@ from wildrank.quiver import (BoundQuiver, Quiver, build_algebra_table,
 from wildrank.rep import (InconclusiveError, Representation, SamplingStarvation,
                           are_isomorphic, check_relations, decompose,
                           hom_space, in_sincere_subcategory, is_indecomposable,
-                          sample_representation, support,
-                          _matrix_minpoly, _poly_eval_matrix)
+                          relation_jacobian, sample_representation, support,
+                          _poly_eval_matrix)
 
 
 def kron_module(k2_bq, field, lam):
@@ -61,6 +63,15 @@ def test_hom_fast_paths_agree(k3_bq, k2_bq, free_bq):
                         assert f[a.target] @ m.mats[a.name] == n.mats[a.name] @ f[a.source]
 
 
+def test_plain_hom_bypasses_end_cache(k3_bq):
+    m = rand_rep(k3_bq, F101, 3, random.Random(21))
+    fast = hom_space(m, m)
+    assert hom_space(m, m) is fast
+    plain = hom_space(m, m, use_fast_paths=False)
+    assert plain is not fast and plain.dim == fast.dim
+    assert hom_space(m, m) is fast
+
+
 def test_hom_bilinear_over_direct_sums(k3_bq):
     rng = random.Random(7)
     for _ in range(5):
@@ -76,7 +87,7 @@ def test_matrix_minpoly():
     for field in (F101, QQ):
         for n in (1, 3, 5):
             t = Mat.random(field, n, n, rng)
-            mp = _matrix_minpoly(field, t)
+            mp = t.minimal_polynomial()
             assert mp[-1] == field.one
             assert _poly_eval_matrix(field, mp, t).is_zero()
 
@@ -244,6 +255,28 @@ def test_sampler_linear_solve_mode():
     for _ in range(5):
         m = sample_representation(bq, F101, {"v": 3}, rng, budget=50)
         assert all(ok for _, ok in check_relations(m))
+
+
+@pytest.mark.parametrize("field", [F101, QQ])
+def test_sampler_jacobian_matches_entrywise_reference(field):
+    # the linear-solve sampler varies one arrow, used at most once per term,
+    # and holds the others at random values
+    q = Quiver(["1", "2"], [("x", "1", "1"), ("y", "1", "1"), ("a", "1", "2"),
+                            ("b", "1", "2")])
+    rels = [make_relation(q, [(1, ("x", "y")), (-1, ("y", "x")), ("2/3", ("x", "x"))]),
+            make_relation(q, [(1, ("a", "y")), (-3, ("b", "x")), (1, ("b", "y"))])]
+    rng = random.Random(19)
+    for _ in range(8):
+        dims = {"1": rng.randint(1, 3), "2": rng.randint(0, 3)}
+        for name in ("y", "b"):
+            var = q.arrow(name)
+            fixed = {a.name: Mat.random(field, dims[a.target], dims[a.source], rng)
+                     for a in q.arrows if a.name != name}
+            nvars = dims[var.target] * dims[var.source]
+            for rel in rels:
+                got = relation_jacobian(field, rel, fixed, dims, {name: 0}, nvars)
+                assert got.row_list() == reference_relation_jacobian(
+                    q, field, rel, fixed, dims, {name: 0}, nvars)
 
 
 def test_sampler_starvation():
