@@ -56,6 +56,19 @@ def _tok_col(line: str, token: str, occurrence: int = 0) -> int:
     return idx + 1 if idx >= 0 else 1
 
 
+def _split_cols(text: str, sep: str, col: int) -> list[tuple[str, int]]:
+    """Split ``text`` at ``sep``; each stripped piece with its column.
+
+    ``col`` is the column of ``text[0]`` in its line; a piece's column is
+    that of its first non-blank character.
+    """
+    out = []
+    for piece in text.split(sep):
+        out.append((piece.strip(), col + len(piece) - len(piece.lstrip())))
+        col += len(piece) + len(sep)
+    return out
+
+
 def parse_quiver_spec(text: str) -> ParsedSpec:
     """Parse the line-oriented quiver-spec format; unknown keys rejected."""
     name = None
@@ -63,7 +76,7 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
     vertices: list[str] = []
     arrows: list[tuple[str, str, str]] = []
     weights: dict[str, tuple[int, ...]] = {}
-    relation_lines: list[tuple[int, str]] = []
+    relation_lines: list[tuple[int, str, int]] = []
     nilbound: Optional[int] = None
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -93,7 +106,7 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
                     raise SpecError(ln, _tok_col(line, v), f"duplicate vertex {v}")
                 vertices.append(v)
         elif key == "arrow":
-            rest = line[len("arrow"):].strip()
+            rest = line.lstrip()[len(key):].strip()
             if ":" not in rest:
                 raise SpecError(ln, 1, "expected: arrow <name>: <src> -> <tgt>")
             aname, spec = rest.split(":", 1)
@@ -125,7 +138,8 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
             if wt is not None:
                 weights[aname] = wt
         elif key == "relation":
-            relation_lines.append((ln, line[len("relation"):].strip()))
+            start = line.index(key) + len(key)
+            relation_lines.append((ln, line[start:], start + 1))
         elif key == "nilbound":
             if len(parts) != 2:
                 raise SpecError(ln, 1, "expected: nilbound <L>")
@@ -145,31 +159,30 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
         field = Field.prime(101)
     quiver = Quiver(vertices, arrows)
     relations = []
-    for ln, body in relation_lines:
+    for ln, body, body_col in relation_lines:
         terms = []
-        for term_text in body.split("+"):
-            term_text = term_text.strip()
+        for term_text, term_col in _split_cols(body, "+", body_col):
             if not term_text:
-                raise SpecError(ln, 1, "empty relation term")
-            pieces = [p.strip() for p in term_text.split("*")]
+                raise SpecError(ln, term_col, "empty relation term")
+            pieces = _split_cols(term_text, "*", term_col)
             if len(pieces) < 2:
-                raise SpecError(ln, _tok_col(body, term_text),
+                raise SpecError(ln, term_col,
                                 "relation term needs a coefficient and arrows: c*a2*a1")
-            coef_text = pieces[0]
+            coef_text, coef_col = pieces[0]
             try:
                 coef = Fraction(coef_text)
                 field.coerce(coef)
             except (ValueError, ZeroDivisionError):
-                raise SpecError(ln, _tok_col(body, coef_text),
+                raise SpecError(ln, coef_col,
                                 f"bad coefficient {coef_text!r} over {field!r}")
-            word = pieces[1:]
-            for w in word:
+            word = [w for w, _ in pieces[1:]]
+            for w, w_col in pieces[1:]:
                 if not any(a[0] == w for a in arrows):
-                    raise SpecError(ln, _tok_col(body, w), f"unknown arrow {w!r} in relation")
+                    raise SpecError(ln, w_col, f"unknown arrow {w!r} in relation")
             try:
                 path = quiver.path(word)
             except ValueError as e:
-                raise SpecError(ln, _tok_col(body, word[0]), str(e))
+                raise SpecError(ln, pieces[1][1], str(e))
             terms.append((coef, path))
         try:
             relations.append(Relation(tuple(terms)))

@@ -355,7 +355,8 @@ class Mat:
             self._rows = None
         else:
             self._arr = None
-            self._rows = tuple(tuple(Fraction(x) for x in row) for row in data)
+            self._rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                               for row in data)
             if len(self._rows) != rows or any(len(r) != cols for r in self._rows):
                 raise ShapeMismatchError("row data does not match declared shape")
 

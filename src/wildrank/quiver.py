@@ -636,58 +636,60 @@ def symmetrized_tits_matrix(q: Quiver) -> list[list[int]]:
     return b
 
 
-def _char_poly(b: list[list[int]]) -> list[Fraction]:
+def _char_poly(b: list[list[int]]) -> list[int]:
     """Coefficients of det(tI - B), ascending order, by Faddeev-LeVerrier."""
     n = len(b)
-    bq = [[Fraction(x) for x in row] for row in b]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = [[Fraction(0)] * n for _ in range(n)]
-    c = Fraction(1)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = [[0] * n for _ in range(n)]
+    c = 1
     for k in range(1, n + 1):
-        # M <- B(M + cI)
+        # M <- B(M + cI); M stays integral, and tr(M) / k is the integer
+        # coefficient c_{n-k}, so the floor division is exact
         for i in range(n):
             m[i][i] += c
-        nm = [[sum(bq[i][l] * m[l][j] for l in range(n)) for j in range(n)]
-              for i in range(n)]
-        m = nm
-        tr = sum(m[i][i] for i in range(n))
-        c = -tr / k
+        cols = list(zip(*m))
+        m = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
+        c = -sum(m[i][i] for i in range(n)) // k
         coeffs[n - k] = c
     return coeffs
 
 
 def _leading_minors_positive(b: list[list[int]]) -> bool:
+    """All leading principal minors of the integer matrix B are positive.
+
+    One Bareiss pass without row swaps: after k steps the pivot w[k][k] is
+    the (k+1)-th leading principal minor, so the pass stops at the first
+    pivot <= 0 and every division is by a positive earlier pivot.
+    """
     n = len(b)
-    for k in range(1, n + 1):
-        sub = [[Fraction(b[i][j]) for j in range(k)] for i in range(k)]
-        if _det(sub) <= 0:
+    w = [list(row) for row in b]
+    prev = 1
+    for k in range(n):
+        piv = w[k][k]
+        if piv <= 0:
             return False
+        rk = w[k]
+        for i in range(k + 1, n):
+            ri = w[i]
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * piv - f * rk[j]) // prev
+        prev = piv
     return True
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    w = [list(r) for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        sel = next((i for i in range(c, n) if w[i][c] != 0), None)
-        if sel is None:
-            return Fraction(0)
-        if sel != c:
-            w[c], w[sel] = w[sel], w[c]
-            det = -det
-        det *= w[c][c]
-        inv = Fraction(1) / w[c][c]
-        for i in range(c + 1, n):
-            if w[i][c] != 0:
-                f = w[i][c] * inv
-                w[i] = [x - f * y for x, y in zip(w[i], w[c])]
-    return det
 
 
 def classify_hereditary(q: Quiver) -> RepType:
     """Finite / Tame / Wild via exact definiteness of the symmetrized Tits form.
+
+    The form is positive definite (finite) iff every leading principal
+    minor of B is positive, and positive semidefinite (tame) iff the
+    coefficients of det(tI - B) alternate weakly in sign. Both tests run
+    on Python ints with exact division: Bareiss's integer-preserving
+    elimination divides each updated entry by the previous pivot, and
+    Sylvester's identity makes the quotient an integer minor of B; the
+    Faddeev-LeVerrier step divides tr(M_k) by k, and the quotient is a
+    coefficient of det(tI - B), an integer since B is integral.
 
     Requires a connected, loop-free quiver; split other inputs into
     components (or remove loops) before calling.

@@ -540,15 +540,13 @@ def _poly_sub(field, a, b):
 
 def factor_polynomial(field: Field, coeffs: Sequence) -> list[tuple[list, int]]:
     """Irreducible factorization over the field; [(coeffs ascending, mult)]."""
-    x = sympy.Symbol("x")
     if field.char:
         dom = sympy.GF(field.char)
-        expr = sum(int(c) * x ** i for i, c in enumerate(coeffs))
+        elems = [dom(int(c)) for c in reversed(coeffs)]
     else:
         dom = sympy.QQ
-        expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
-                   for i, c in enumerate(coeffs))
-    poly = sympy.Poly(expr, x, domain=dom)
+        elems = [dom(c.numerator, c.denominator) for c in reversed(coeffs)]
+    poly = sympy.Poly.from_list(elems, sympy.Symbol("x"), domain=dom)
     _, factors = poly.factor_list()
     out = []
     for fac, mult in factors:

@@ -36,6 +36,27 @@ def test_parse_errors_positioned():
         parse_quiver_spec("field Fp 4\n")
 
 
+def test_relation_errors_point_at_the_token():
+    # columns count from the start of the line, at the offending token
+    head = "quiver r\nfield Fp 101\nvertex v\narrow x: v -> v\n"
+    for rel, col, token, what in (
+            ("relation 1*x*x + 1*q*x", 20, "q", "unknown arrow"),
+            ("relation 1*x*x + 2*x*x +  zz*x", 27, "zz", "bad coefficient"),
+            ("relation 1*x*x + 1/101*x*x", 18, "1/101", "bad coefficient"),
+            ("  relation 1*x * q*x", 18, "q", "unknown arrow"),
+            ("relation 1*x*x + x", 18, "x", "needs a coefficient")):
+        with pytest.raises(SpecError) as e:
+            parse_quiver_spec(head + rel + "\n")
+        assert (e.value.line, e.value.col) == (5, col) and what in str(e.value)
+        assert rel[col - 1:].startswith(token)
+
+
+def test_indented_lines_parse_like_flush_ones():
+    text = "quiver r\nvertex v\narrow x: v -> v\nrelation 1*x*x\nnilbound 2\n"
+    indented = "\n".join("  " + line for line in text.splitlines()) + "\n"
+    assert parse_quiver_spec(indented).bound_quiver == parse_quiver_spec(text).bound_quiver
+
+
 def test_coefficient_undefined_over_field_exits_2(tmp_path):
     # 1/101 has no value in F101: a positioned error, not a ZeroDivisionError
     text = "quiver d\nfield Fp 101\nvertex v\narrow x: v -> v\nrelation 1/101*x*x\nnilbound 2\n"

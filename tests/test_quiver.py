@@ -11,7 +11,8 @@ from wildrank.quiver import (AdmissibilityError, BoundQuiver, Quiver, RepType,
                              factor_quiver, is_minimal_wild_hereditary,
                              k3_bound_quiver, kronecker_quiver, line_quiver,
                              loop_quiver, loop_square_zero, make_relation,
-                             symmetrized_tits_matrix, tits_form, _det)
+                             symmetrized_tits_matrix, tits_form,
+                             _char_poly, _leading_minors_positive)
 
 
 def test_quiver_validation():
@@ -179,6 +180,91 @@ def test_connected_components():
     assert [c.vertices for c in comps] == [("5",), ("1", "2"), ("3", "4")]
     assert [[a.name for a in c.arrows] for c in comps] == [[], ["a", "b"], ["x", "c"]]
     assert loop_quiver(2).is_connected() and kronecker_quiver(3).is_connected()
+
+
+def _det(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant by Fraction elimination with row swaps (reference)."""
+    n = len(rows)
+    w = [list(r) for r in rows]
+    det = Fraction(1)
+    for c in range(n):
+        sel = next((i for i in range(c, n) if w[i][c] != 0), None)
+        if sel is None:
+            return Fraction(0)
+        if sel != c:
+            w[c], w[sel] = w[sel], w[c]
+            det = -det
+        det *= w[c][c]
+        inv = Fraction(1) / w[c][c]
+        for i in range(c + 1, n):
+            if w[i][c] != 0:
+                f = w[i][c] * inv
+                w[i] = [x - f * y for x, y in zip(w[i], w[c])]
+    return det
+
+
+def _reference_char_poly(b: list[list[int]]) -> list[Fraction]:
+    """Faddeev-LeVerrier over Fraction, dividing tr(M_k) by k exactly."""
+    n = len(b)
+    bq = [[Fraction(x) for x in row] for row in b]
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    c = Fraction(1)
+    for k in range(1, n + 1):
+        for i in range(n):
+            m[i][i] += c
+        m = [[sum(bq[i][l] * m[l][j] for l in range(n)) for j in range(n)]
+             for i in range(n)]
+        c = -sum(m[i][i] for i in range(n)) / k
+        coeffs[n - k] = c
+    return coeffs
+
+
+def _random_tits_like(rng: random.Random) -> list[list[int]]:
+    """Symmetric integer matrix shaped like a symmetrized Tits form: 2, 0
+    or -2 on the diagonal (no loop, one loop, two loops), and off the
+    diagonal minus the number of arrows between two vertices, up to 12."""
+    n = rng.randint(1, 8)
+    most = rng.choice((1, 2, 12))
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        b[i][i] = rng.choice((2, 2, 2, 0, -2))
+        for j in range(i):
+            b[i][j] = b[j][i] = -rng.randint(0, most) * (rng.random() < 0.5)
+    return b
+
+
+def test_char_poly_matches_fraction_reference():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        b = _random_tits_like(rng)
+        assert _char_poly(b) == _reference_char_poly(b)
+    assert _char_poly([]) == [1]
+    # a nonsymmetric matrix: det(tI - [[1, 2], [3, 4]]) = t^2 - 5t - 2
+    assert _char_poly([[1, 2], [3, 4]]) == [-2, -5, 1]
+
+
+def test_leading_minors_match_fraction_determinants():
+    rng = random.Random(20261019)
+    outcomes = set()
+    for _ in range(400):
+        b = _random_tits_like(rng)
+        n = len(b)
+        expect = all(_det([[Fraction(b[i][j]) for j in range(k)] for i in range(k)]) > 0
+                     for k in range(1, n + 1))
+        assert _leading_minors_positive(b) == expect
+        outcomes.add(expect)
+    assert outcomes == {True, False}
+    # E8 is positive definite; its extension ~E8 (the long arm one longer)
+    # is semidefinite, its last leading minor is 0
+    e8 = symmetrized_tits_matrix(Quiver([str(i) for i in range(8)],
+        [(f"a{i}", str(i), str(i + 1)) for i in range(6)] + [("b", "2", "7")]))
+    assert _leading_minors_positive(e8)
+    e8_ext = [row + [0] for row in e8] + [[0] * 9]
+    e8_ext[6][8] = e8_ext[8][6] = -1
+    e8_ext[8][8] = 2
+    assert not _leading_minors_positive(e8_ext)
 
 
 def _oracle_classify(q: Quiver) -> RepType:

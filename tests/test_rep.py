@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
 
 from conftest import reference_relation_jacobian
 
@@ -10,9 +12,9 @@ from wildrank.quiver import (BoundQuiver, Quiver, build_algebra_table,
                              loop_square_zero, make_relation)
 from wildrank.rep import (InconclusiveError, Representation, SamplingStarvation,
                           are_isomorphic, check_relations, decompose,
-                          hom_space, in_sincere_subcategory, is_indecomposable,
-                          relation_jacobian, sample_representation, support,
-                          _poly_eval_matrix)
+                          factor_polynomial, hom_space, in_sincere_subcategory,
+                          is_indecomposable, relation_jacobian,
+                          sample_representation, support, _poly_eval_matrix)
 
 
 def kron_module(k2_bq, field, lam):
@@ -90,6 +92,72 @@ def test_matrix_minpoly():
             mp = t.minimal_polynomial()
             assert mp[-1] == field.one
             assert _poly_eval_matrix(field, mp, t).is_zero()
+
+
+def _reference_factor_polynomial(field, coeffs):
+    """factor_polynomial with the Poly built from a sympy expression."""
+    x = sympy.Symbol("x")
+    if field.char:
+        dom = sympy.GF(field.char)
+        expr = sum(int(c) * x ** i for i, c in enumerate(coeffs))
+    else:
+        dom = sympy.QQ
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+                   for i, c in enumerate(coeffs))
+    _, factors = sympy.Poly(expr, x, domain=dom).factor_list()
+    out = []
+    for fac, mult in factors:
+        fc = fac.all_coeffs()[::-1]
+        if field.char:
+            lifted = [field.coerce(int(c)) for c in fc]
+        else:
+            lifted = [Fraction(sympy.Rational(c).p, sympy.Rational(c).q) for c in fc]
+        lead = lifted[-1]
+        if lead != field.one:
+            inv = field.inv(lead)
+            lifted = [field.mul(inv, c) for c in lifted]
+        out.append((lifted, int(mult)))
+    out.sort(key=lambda t: (len(t[0]), [str(c) for c in t[0]]))
+    return out
+
+
+def _poly_mul(field, a, b):
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return out
+
+
+@pytest.mark.parametrize("field", [F101, Field.prime(7), QQ], ids=["F101", "F7", "Q"])
+def test_factor_polynomial_matches_expression_reference(field):
+    rng = random.Random(field.char + 11)
+
+    def scalar():
+        if field.char:
+            return rng.randrange(field.char)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    def poly(deg):
+        lead = scalar()
+        while lead == 0:
+            lead = scalar()
+        return [scalar() for _ in range(deg)] + [lead]
+
+    cases = [poly(rng.randint(0, 5)) for _ in range(120)]
+    # repeated factors g^2 * h with deg g in 1..2 and deg g^2 * h <= 5
+    for _ in range(60):
+        g = poly(rng.randint(1, 2))
+        h = poly(rng.randint(0, 5 - 2 * (len(g) - 1)))
+        cases.append(_poly_mul(field, _poly_mul(field, g, g), h))
+    # non-monic: the first 40 cases scaled by 3, and 3 (x - 1)^2 (x + 2)
+    cases += [[field.mul(field.coerce(3), c) for c in f] for f in cases[:40]]
+    cases.append([field.coerce(c) for c in (6, -9, 0, 3)])
+    assert any(len(f) == 1 for f in cases) and any(f[-1] != field.one for f in cases)
+    for f in cases:
+        assert factor_polynomial(field, f) == _reference_factor_polynomial(field, f)
+    # the repeated factor shows up with its multiplicity
+    assert ([field.coerce(-1), field.one], 2) in factor_polynomial(field, cases[-1])
 
 
 def test_indecomposable_examples(a2_bq, k2_bq, f101):
