@@ -18,6 +18,8 @@ window found, 4 verification failure, 5 inconclusive-dominated run.
 from __future__ import annotations
 
 import argparse
+import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +27,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .exactlin import Field, Mat
-from .quiver import (BoundQuiver, Path, Quiver, Relation, RepType,
+from .quiver import (BoundQuiver, Quiver, Relation, RepType,
                      build_algebra_table, classify_hereditary,
                      is_minimal_wild_hereditary, AdmissibilityError)
 
@@ -49,21 +51,16 @@ class ParsedSpec:
     weights: Optional[dict]
 
 
-def _tok_col(line: str, token: str, occurrence: int = 0) -> int:
-    idx = -1
-    for _ in range(occurrence + 1):
-        idx = line.find(token, idx + 1)
-    return idx + 1 if idx >= 0 else 1
-
-
-def _split_cols(text: str, sep: str, col: int) -> list[tuple[str, int]]:
-    """Split ``text`` at ``sep``; each stripped piece with its column.
+def _split_cols(text: str, sep: str, col: int,
+                maxsplit: int = -1) -> list[tuple[str, int]]:
+    """Split ``text`` at ``sep``, at most ``maxsplit`` times; each stripped
+    piece with its column.
 
     ``col`` is the column of ``text[0]`` in its line; a piece's column is
     that of its first non-blank character.
     """
     out = []
-    for piece in text.split(sep):
+    for piece in text.split(sep, maxsplit):
         out.append((piece.strip(), col + len(piece) - len(piece.lstrip())))
         col += len(piece) + len(sep)
     return out
@@ -82,7 +79,8 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        parts = line.split()
+        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+        parts = [t for t, _ in tokens]
         key = parts[0]
         if key == "quiver":
             if len(parts) != 2:
@@ -95,44 +93,42 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
                 try:
                     field = Field.prime(int(parts[2]))
                 except ValueError as e:
-                    raise SpecError(ln, _tok_col(line, parts[2]), str(e))
+                    raise SpecError(ln, tokens[2][1], str(e))
             else:
                 raise SpecError(ln, 1, "expected: field Q | field Fp <prime>")
         elif key == "vertex":
             if len(parts) < 2:
                 raise SpecError(ln, 1, "expected: vertex <id> [...]")
-            for v in parts[1:]:
+            for v, v_col in tokens[1:]:
                 if v in vertices:
-                    raise SpecError(ln, _tok_col(line, v), f"duplicate vertex {v}")
+                    raise SpecError(ln, v_col, f"duplicate vertex {v}")
                 vertices.append(v)
         elif key == "arrow":
-            rest = line.lstrip()[len(key):].strip()
-            if ":" not in rest:
+            start = line.index(key) + len(key)
+            pieces = _split_cols(line[start:], ":", start + 1, 1)
+            if len(pieces) != 2:
                 raise SpecError(ln, 1, "expected: arrow <name>: <src> -> <tgt>")
-            aname, spec = rest.split(":", 1)
-            aname = aname.strip()
-            spec = spec.strip()
+            (aname, aname_col), (spec, spec_col) = pieces
             wt = None
             if " weight " in f" {spec} " or spec.endswith("weight"):
-                if "weight" in spec:
-                    spec, wt_text = spec.split("weight", 1)
-                    spec = spec.strip()
-                    wt_text = wt_text.strip()
-                    try:
-                        wt = tuple(int(x) for x in wt_text.split(","))
-                    except ValueError:
-                        raise SpecError(ln, _tok_col(line, "weight"),
-                                        f"bad weight tuple {wt_text!r}")
-            if "->" not in spec:
+                at = spec.index("weight")
+                wt_text = spec[at + len("weight"):].strip()
+                spec = spec[:at].strip()
+                try:
+                    wt = tuple(int(x) for x in wt_text.split(","))
+                except ValueError:
+                    raise SpecError(ln, spec_col + at, f"bad weight tuple {wt_text!r}")
+            ends = _split_cols(spec, "->", spec_col, 1)
+            if len(ends) != 2:
                 raise SpecError(ln, 1, "expected: arrow <name>: <src> -> <tgt>")
-            src, tgt = (s.strip() for s in spec.split("->", 1))
+            (src, src_col), (tgt, tgt_col) = ends
             if not aname or not src or not tgt:
                 raise SpecError(ln, 1, "expected: arrow <name>: <src> -> <tgt>")
             if any(a[0] == aname for a in arrows):
-                raise SpecError(ln, _tok_col(line, aname), f"duplicate arrow {aname}")
-            for v, what in ((src, "source"), (tgt, "target")):
+                raise SpecError(ln, aname_col, f"duplicate arrow {aname}")
+            for v, v_col, what in ((src, src_col, "source"), (tgt, tgt_col, "target")):
                 if v not in vertices:
-                    raise SpecError(ln, _tok_col(line, v),
+                    raise SpecError(ln, v_col,
                                     f"arrow {aname}: undeclared {what} vertex {v}")
             arrows.append((aname, src, tgt))
             if wt is not None:
@@ -146,9 +142,9 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
             try:
                 nilbound = int(parts[1])
             except ValueError:
-                raise SpecError(ln, _tok_col(line, parts[1]), "nilbound must be an integer")
+                raise SpecError(ln, tokens[1][1], "nilbound must be an integer")
             if nilbound < 1:
-                raise SpecError(ln, _tok_col(line, parts[1]), "nilbound must be positive")
+                raise SpecError(ln, tokens[1][1], "nilbound must be positive")
         else:
             raise SpecError(ln, 1, f"unknown key {key!r}")
     if not vertices:
@@ -298,8 +294,26 @@ def parse_representation(text: str, bq: BoundQuiver):
 # certificate files
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class CertStep:
+    rule: str              # explicit-bimodule | compose | factor-rule | morita-rule | covering-rule
+    rank_factor: int       # multiplicative contribution to the bound (1 for factor-rule)
+    note: str = ""
+
+
+class Derivation:
+    """Bound arithmetic of a certificate: the bound is the product of the
+    rank factors of its ``steps``, so it can be recomputed from them alone."""
+
+    def recompute_bound(self) -> int:
+        return math.prod(s.rank_factor for s in self.steps)
+
+    def check_arithmetic(self) -> bool:
+        return self.recompute_bound() == self.bound
+
+
 @dataclass
-class CertificateDoc:
+class CertificateDoc(Derivation):
     """Textual certificate with a stable field order; round-trips exactly."""
 
     name: str
@@ -309,7 +323,7 @@ class CertificateDoc:
     target_kind: str
     field_desc: str
     seed: str
-    steps: list[tuple[str, int, str]]       # (rule, factor, note)
+    steps: list[CertStep]
     bound: int
     verification: str                       # single summary line or "none"
     notes: list[str]
@@ -326,23 +340,14 @@ class CertificateDoc:
             f"field {self.field_desc}",
             f"seed {self.seed}",
         ]
-        for rule, factor, note in self.steps:
-            lines.append(f"step {rule} factor {factor} note {note}")
+        for s in self.steps:
+            lines.append(f"step {s.rule} factor {s.rank_factor} note {s.note}")
         lines.append(f"bound {self.bound}")
         lines.append(f"verification {self.verification}")
         for n in self.notes:
             lines.append(f"note {n}")
         lines.append(f"toolkit-version {self.version}")
         return "\n".join(lines) + "\n"
-
-    def recompute_bound(self) -> int:
-        out = 1
-        for _, factor, _ in self.steps:
-            out *= factor
-        return out
-
-    def check(self) -> bool:
-        return self.recompute_bound() == self.bound
 
 
 def parse_certificate(text: str) -> CertificateDoc:
@@ -354,11 +359,11 @@ def parse_certificate(text: str) -> CertificateDoc:
     steps = []
     notes = []
 
-    def integer(ln: int, line: str, text: str, what: str) -> int:
+    def integer(ln: int, col: int, text: str, what: str) -> int:
         try:
             return int(text)
         except ValueError:
-            raise SpecError(ln, _tok_col(line, text), f"{what} must be an integer, got {text!r}")
+            raise SpecError(ln, col, f"{what} must be an integer, got {text!r}")
 
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -367,12 +372,13 @@ def parse_certificate(text: str) -> CertificateDoc:
         if key == "step":
             rule, _, tail = rest.partition(" factor ")
             factor_text, _, note = tail.partition(" note ")
-            steps.append((rule.strip(), integer(ln, line, factor_text, "step factor"), note))
+            factor = integer(ln, len(line) - len(tail) + 1, factor_text, "step factor")
+            steps.append(CertStep(rule.strip(), factor, note))
         elif key == "note":
             notes.append(rest)
         else:
             kv[key] = rest
-            key_line[key] = (ln, line)
+            key_line[key] = (ln, len(key) + 2)
     try:
         return CertificateDoc(
             name=kv["name"],
@@ -401,7 +407,7 @@ def certificate_doc(cert, name: str, verification_summary: str) -> CertificateDo
         target_kind=cert.target_kind,
         field_desc=cert.field_desc,
         seed=str(cert.seed),
-        steps=[(s.rule, s.rank_factor, s.note) for s in cert.steps],
+        steps=list(cert.steps),
         bound=cert.bound,
         verification=verification_summary,
         notes=list(cert.notes),
@@ -474,21 +480,19 @@ def cmd_certify(text: str, radius: int = 2, samples: int = 30, max_dim: int = 1,
                 seed=0, pushdown_samples: int = 30, pushdown_max_dim: int = 6,
                 out_path: Optional[str] = None,
                 debug_corrupt_witness: bool = False) -> tuple[str, int]:
-    from .covering import (CoveringSpec, covering_criterion_with_window,
-                           verify_pushdown)
-    from .wildness import WitnessBimodule, verify_witness, _em_zero
+    from .covering import CoveringSpec, covering_criterion, verify_pushdown
+    from .wildness import WitnessBimodule, verify_witness
     try:
         spec = parse_quiver_spec(text)
     except SpecError as e:
         return (f"error: {e}", 2)
     cov = spec.covering
     if cov is None:
-        from .covering import CoveringSpec as CS
         try:
-            cov = CS(spec.bound_quiver, 1, {})
+            cov = CoveringSpec(spec.bound_quiver, 1, {})
         except ValueError as e:
             return (f"error: {e}", 2)
-    got = covering_criterion_with_window(cov, radius, field=spec.field, seed=seed)
+    got = covering_criterion(cov, radius, field=spec.field, seed=seed)
     if got is None:
         return (f"no certifiable wild window found within radius {radius} "
                 f"(this is not a tameness claim)", 3)
@@ -496,13 +500,9 @@ def cmd_certify(text: str, radius: int = 2, samples: int = 30, max_dim: int = 1,
     witness = cert.bimodule
     if debug_corrupt_witness:
         action = dict(witness.action)
-        table = witness.target
-        for a in table.bound_quiver.quiver.arrows:
-            idx = table.basis_index(Path(a.source, a.target, (a.name,)))
-            action[idx] = _em_zero(witness.ring, witness.rank, witness.rank)
-        for i, p in enumerate(table.basis):
-            if len(p.arrows) >= 1:
-                action[i] = _em_zero(witness.ring, witness.rank, witness.rank)
+        for i, p in enumerate(witness.target.basis):
+            if p.arrows:
+                action[i] = {}
         witness = WitnessBimodule(witness.target, witness.source, witness.rank,
                                   action, full=False)
     report_w = verify_witness(witness, samples=samples, max_dim=max_dim,
@@ -518,7 +518,7 @@ def cmd_certify(text: str, radius: int = 2, samples: int = 30, max_dim: int = 1,
         return (output + "\nverification FAILED", 4)
     if inconclusive_dominated(report_w):
         return (output + "\ninconclusive-dominated run", 5)
-    if not doc.check():
+    if not doc.check_arithmetic():
         return (output + "\ncertificate arithmetic recheck FAILED", 4)
     if out_path:
         with open(out_path, "w") as fh:

@@ -33,7 +33,7 @@ from .rep import (InconclusiveError, Representation, SamplingStarvation,
 from .wildness import (CertStep, CheckCounts, WitnessBimodule,
                        WitnessCertificate, bound_quiver_hash, compose_witness,
                        eval_tensor, sincere_witness_for_K3,
-                       _em_zero, _em_add, _em_scaled, _em_mul, _Ring)
+                       _coeffs, _from_entries, _tensor_prod, _tensor_sum)
 
 
 def _grade_str(g: tuple[int, ...]) -> str:
@@ -165,37 +165,29 @@ def pushdown_bimodule(w: Window, field: Field) -> WitnessBimodule:
     """
     base_table = build_algebra_table(w.covering.base, field)
     window_table = build_algebra_table(w.bound_quiver, field)
-    ring = _Ring(window_table)
     slots = sorted(w.bound_quiver.quiver.vertices)
     slot_of = {v: i for i, v in enumerate(slots)}
     r = len(slots)
-    vertex_actions = {}
-    for bv in w.covering.base.quiver.vertices:
-        em = _em_zero(ring, r, r)
-        for s in w.fiber(bv):
-            i = slot_of[s]
-            em[i][i] = window_table.idempotent(s)
-        vertex_actions[bv] = em
+    vertex_actions = {
+        bv: _from_entries(field, r, [(slot_of[s], slot_of[s],
+                                      _coeffs(window_table.idempotent(s)))
+                                     for s in w.fiber(bv)])
+        for bv in w.covering.base.quiver.vertices}
     arrow_actions = {}
     for a in w.covering.base.quiver.arrows:
-        em = _em_zero(ring, r, r)
+        entries = []
         for (name, g), wname in w.lifted.items():
-            if name != a.name:
-                continue
-            warrow = w.bound_quiver.quiver.arrow(wname)
-            i = slot_of[warrow.target]
-            j = slot_of[warrow.source]
-            em[i][j] = em[i][j] + window_table.arrow_element(wname)
-        arrow_actions[a.name] = em
+            if name == a.name:
+                warrow = w.bound_quiver.quiver.arrow(wname)
+                entries.append((slot_of[warrow.target], slot_of[warrow.source],
+                                _coeffs(window_table.arrow_element(wname))))
+        arrow_actions[a.name] = _from_entries(field, r, entries)
     # explicit check: base relations annihilate the action
     for rel in w.covering.base.relations:
-        total = _em_zero(ring, r, r)
-        for coef, path in rel.terms:
-            acc = None
-            for name in path.arrows:
-                acc = arrow_actions[name] if acc is None else _em_mul(acc, arrow_actions[name], ring)
-            total = _em_add(total, _em_scaled(acc, coef))
-        if not all(x.is_zero() for row in total for x in row):
+        total = _tensor_sum(field, r, [
+            (coef, _tensor_prod(window_table, r, [arrow_actions[n] for n in path.arrows]))
+            for coef, path in rel.terms])
+        if total:
             raise ValueError(f"base relation {rel} does not annihilate the pushdown "
                              f"bimodule; the grading does not present a covering")
     return WitnessBimodule.from_generator_actions(base_table, window_table, r,
@@ -389,11 +381,19 @@ class WindowDesignation:
     description: str = "user-designated wild concealed window"
 
 
-def covering_criterion_with_window(cov: CoveringSpec, search_radius: int,
-                                   field: Optional[Field] = None, seed=0,
-                                   designation: Optional[WindowDesignation] = None
-                                   ) -> Optional[tuple[WitnessCertificate, Window]]:
-    """As :func:`covering_criterion`, also returning the window found."""
+def covering_criterion(cov: CoveringSpec, search_radius: int,
+                       field: Optional[Field] = None, seed=0,
+                       designation: Optional[WindowDesignation] = None
+                       ) -> Optional[tuple[WitnessCertificate, Window]]:
+    """Search windows up to the radius for a certified wild window.
+
+    Success: a window that is connected minimal wild hereditary of
+    three-arrow Kronecker shape (built-in sincere witness), or the
+    user-designated window with a supplied sincere witness.  The emitted
+    bound is |window vertices| x (witness rank).  Returns ``(certificate,
+    window)``, or None when no certifiable window is found; that is not a
+    tameness claim.
+    """
     field = field if field is not None else Field.prime(101)
     if designation is not None:
         window = build_window(cov, designation.box)
@@ -423,23 +423,6 @@ def covering_criterion_with_window(cov: CoveringSpec, search_radius: int,
                                                   "(vertex-deletion criterion)")
         return cert, window
     return None
-
-
-def covering_criterion(cov: CoveringSpec, search_radius: int,
-                       field: Optional[Field] = None, seed=0,
-                       designation: Optional[WindowDesignation] = None
-                       ) -> Optional[WitnessCertificate]:
-    """Search windows up to the radius for a certified wild window.
-
-    Success: a window that is connected minimal wild hereditary of
-    three-arrow Kronecker shape (built-in sincere witness), or the
-    user-designated window with a supplied sincere witness.  The emitted
-    bound is |window vertices| x (witness rank).  Returns None when no
-    certifiable window is found; that is not a tameness claim.
-    """
-    got = covering_criterion_with_window(cov, search_radius, field=field,
-                                         seed=seed, designation=designation)
-    return got[0] if got is not None else None
 
 
 def _certificate_from_window(cov: CoveringSpec, window: Window, field: Field,

@@ -582,15 +582,18 @@ class Mat:
     def kron(self, other: "Mat") -> "Mat":
         self._require_same_field(other)
         if self._arr is not None:
+            # the outer product, reshaped: np.kron's generic path costs more
+            # than the product itself on the small blocks of witness actions
             return Mat(self.field, self.rows * other.rows, self.cols * other.cols,
-                       np.kron(self._arr, other._arr) % self.field.char)
+                       (self._arr[:, None, :, None] * other._arr[None, :, None, :])
+                       .reshape(self.rows * other.rows, self.cols * other.cols))
+        zero = [Fraction(0)] * other.cols
         out = []
         for i in range(self.rows):
             for k in range(other.rows):
                 row = []
-                for j in range(self.cols):
-                    a = self._rows[i][j]
-                    row.extend(a * x for x in other._rows[k])
+                for a in self._rows[i]:
+                    row.extend([a * x for x in other._rows[k]] if a else zero)
                 out.append(row)
         return Mat(self.field, self.rows * other.rows, self.cols * other.cols, out)
 
@@ -620,13 +623,16 @@ class Mat:
     # -- solving -------------------------------------------------------------
 
     def rank(self) -> int:
+        return len(self.pivot_columns())
+
+    def pivot_columns(self) -> list[int]:
+        """The pivot columns of an echelon form: the columns a greedy pass
+        keeps, each one independent of all columns before it."""
         if self._arr is not None:
-            _, piv = _echelon_fp(self._arr, self.field.char)
-            return len(piv)
+            return _echelon_fp(self._arr, self.field.char)[1]
         if self.rows == 0 or self.cols == 0:
-            return 0
-        _, piv = _echelon_qq(self.row_list())
-        return len(piv)
+            return []
+        return _echelon_qq(self.row_list())[1]
 
     def kernel(self) -> "Mat":
         """Matrix whose columns form a basis of the right null space."""
@@ -844,34 +850,26 @@ def jordan_nilpotent(s: Mat) -> tuple[Mat, list[int]]:
             raise ValueError("matrix is not nilpotent")
     m = len(kernels)
 
-    def independent_over(base_cols: list[Mat], cand: Mat) -> bool:
-        if not base_cols:
-            return not cand.is_zero()
-        stacked = Mat.hcat(field, n, base_cols)
-        r0 = stacked.rank()
-        return stacked.hstack(cand).rank() > r0
-
     chains: list[list[Mat]] = []
     for i in range(m, 0, -1):
         ki = kernels[i - 1]
-        base: list[Mat] = []
-        if i >= 2:
-            km1 = kernels[i - 2]
-            base.extend(km1.submatrix(range(n), [j]) for j in range(km1.cols))
-        carried = [chain[len(chain) - i] for chain in chains if len(chain) > i]
-        base.extend(carried)
-        target_dim = ki.cols
-        for j in range(ki.cols):
-            if len(base) >= target_dim:
-                break
-            cand = ki.submatrix(range(n), [j])
-            if independent_over(base, cand):
-                head = cand
-                chain = [head]
-                for _ in range(i - 1):
-                    chain.append(s @ chain[-1])
-                chains.append(chain)
-                base.append(cand)
+        # chains of length i start at the columns of ker s^i that are
+        # independent of ker s^(i-1) and of the longer chains passing level i
+        base = [kernels[i - 2]] if i >= 2 else []
+        base.extend(chain[len(chain) - i] for chain in chains if len(chain) > i)
+        nb = sum(b.cols for b in base)
+        if nb >= ki.cols:
+            continue
+        if nb == 0:
+            heads = range(ki.cols)         # a kernel basis is independent
+        else:
+            piv = Mat.hcat(field, n, base + [ki]).pivot_columns()
+            heads = [p - nb for p in piv if p >= nb]
+        for j in heads:
+            chain = [ki.submatrix(range(n), [j])]
+            for _ in range(i - 1):
+                chain.append(s @ chain[-1])
+            chains.append(chain)
     chains.sort(key=len, reverse=True)
     cols: list[Mat] = []
     sizes: list[int] = []
@@ -926,29 +924,6 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat) -> list[Mat]:
 # ---------------------------------------------------------------------------
 # spec-level operations
 # ---------------------------------------------------------------------------
-
-def rank(m: Mat) -> int:
-    """Rank by exact row reduction."""
-    return m.rank()
-
-
-def kernel_basis(m: Mat) -> list[Mat]:
-    """Basis of the right null space as a list of column vectors."""
-    ker = m.kernel()
-    return [ker.submatrix(range(ker.rows), [j]) for j in range(ker.cols)]
-
-
-def solve_linear(m: Mat, b: Mat):
-    """Solve m x = b exactly.
-
-    Returns ``(particular, kernel_basis)`` or ``None`` when inconsistent.
-    A shape mismatch raises :class:`ShapeMismatchError` instead.
-    """
-    x = m.solve(b)
-    if x is None:
-        return None
-    return x, kernel_basis(m)
-
 
 def find_invertible_in_span(basis: Sequence[Mat], trials: int, seed) -> Optional[tuple[list, Mat]]:
     """Search the span of square matrices for an invertible combination.

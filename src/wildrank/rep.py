@@ -452,15 +452,10 @@ class EndAnalysis:
 
 
 def _independent_rows(field, rows):
-    out = []
-    mat = None
-    for r in rows:
-        if all(x == 0 for x in r):
-            continue
-        cand = Mat.from_rows(field, out + [list(r)])
-        if cand.rank() > len(out):
-            out.append(list(r))
-    return out
+    """The rows each independent of the rows before them."""
+    if not rows:
+        return []
+    return [list(rows[k]) for k in Mat.from_rows(field, rows).T.pivot_columns()]
 
 
 def _flatten_morph(field, f: dict[str, Mat]) -> Mat:

@@ -170,6 +170,13 @@ def injective_rep(bq: BoundQuiver, field: Field, vertex: str) -> Representation:
     return Representation(bq, field, dims, mats, check=False)
 
 
+def _complement_units(cols: Mat) -> list[int]:
+    """The j whose unit vectors e_j extend the independent columns of
+    ``cols`` to a basis, each e_j independent of those before it."""
+    ident = Mat.identity(cols.field, cols.rows)
+    return [p - cols.cols for p in cols.hstack(ident).pivot_columns() if p >= cols.cols]
+
+
 def _top_lift_basis(m: Representation) -> dict[str, Mat]:
     """For each vertex, columns spanning a complement of the radical
     (arrow images) inside the vertex space."""
@@ -189,14 +196,7 @@ def _top_lift_basis(m: Representation) -> dict[str, Mat]:
             continue
         # extend a basis of the radical to a basis of k^d; the new columns span the top
         cols = Mat.hcat(field, d, imgs).column_space()
-        lift = []
-        for j in range(d):
-            cand = Mat.unit(field, d, 1, j, 0)
-            test = cols.hstack(cand)
-            if test.rank() > cols.cols:
-                cols = test
-                lift.append(cand)
-        out[v] = Mat.hcat(field, d, lift)
+        out[v] = Mat.identity(field, d).submatrix(range(d), _complement_units(cols))
     return out
 
 
@@ -457,14 +457,9 @@ def ar_translate_inverse(m: Representation) -> Representation:
     for v in bq.quiver.vertices:
         col = psi[v].column_space()
         # complement basis: extend columns of col to full space
-        comp_cols = []
-        cur = col
         d = p1_back.dims[v]
-        for j in range(d):
-            test = cur.hstack(Mat.unit(field, d, 1, j, 0))
-            if test.rank() > cur.cols:
-                cur = test
-                comp_cols.append(j)
+        comp_cols = _complement_units(col)
+        cur = col.hstack(Mat.identity(field, d).submatrix(range(d), comp_cols))
         dims[v] = len(comp_cols)
         # cur = [col | comp]; the projection to the quotient solves cur c = x
         proj[v] = (cur, col.cols, comp_cols)
@@ -652,15 +647,9 @@ def endomorphism_algebra(candidate: TiltingCandidate,
                 continue
             flat = [block_flatten(i, j, f) for f in block]
             r2 = rad2_block(i, j)
-            mat_r2 = Mat.from_rows(field, r2) if r2 else Mat.zeros(field, 0, len(flat[0]))
-            base_rank = mat_r2.rank()
-            chosen = []
-            cur = mat_r2
-            for idx, vec in enumerate(flat):
-                test = cur.vstack(Mat.from_rows(field, [vec]))
-                if test.rank() > cur.rank():
-                    cur = test
-                    chosen.append(idx)
+            # arrows: the radical maps independent of rad^2 and of each other
+            piv = Mat.from_rows(field, r2 + flat).T.pivot_columns()
+            chosen = [p - len(r2) for p in piv if p >= len(r2)]
             for k, idx in enumerate(chosen):
                 # arrow from vertex j (source summand) to vertex i
                 name = f"r{j}_{i}_{k}"

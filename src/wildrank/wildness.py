@@ -1,8 +1,14 @@
 """Witness bimodules for wildness, with tracked free ranks.
 
 A witness is a bimodule over (target algebra, source algebra), free of
-finite rank over the source, stored through the left action of the target's
-basis on the free generators.  Tensoring against a source module gives the
+finite rank r over the source, stored through the left action of the
+target's basis on the free generators.  Each action is an r x r matrix over
+the source B kept in tensor form: sum_k A_k (x) b_k with r x r field
+matrices A_k and basis elements b_k of B (words in x, y for the free
+algebra, basis indices for an algebra table), stored as ``{key: A_k}``.
+Products read B's structure constants, sum_m (sum_kl c^m_kl A_k B_l) b_m;
+evaluating at a module is sum_k A_k kron act(b_k); composing substitutes
+the inner action for each b_k.  Tensoring against a source module gives the
 associated exact functor; its preservation properties (indecomposability,
 isomorphism classes, Hom dimensions when fullness is claimed) are checked
 by bounded randomized verification, never assumed.
@@ -22,6 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .cli import CertStep, Derivation
 from .exactlin import Field, Mat, ShapeMismatchError
 from .quiver import (AlgebraElement, AlgebraTable, BoundQuiver, Path, Quiver,
                      build_algebra_table, loop_quiver)
@@ -32,7 +39,7 @@ DEFAULT_DEGREE_CAP = 8
 
 
 class DegreeCapError(ValueError):
-    """A noncommutative polynomial exceeded the configured degree cap."""
+    """A word of the free algebra exceeded the degree cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -40,12 +47,23 @@ class DegreeCapError(ValueError):
 # ---------------------------------------------------------------------------
 
 class FreeAlgebra:
-    """Marker for the free associative algebra on letters x, y over a field."""
+    """The free associative algebra on letters x, y over a field.
+
+    Its basis is the words in x and y, as tuples of letters; words longer
+    than ``DEFAULT_DEGREE_CAP`` are refused.
+    """
 
     __slots__ = ("field",)
 
     def __init__(self, field: Field):
         self.field = field
+
+    def product_entry(self, u: tuple, v: tuple) -> dict:
+        """Structure constants of u * v: the concatenated word, coefficient one."""
+        word = u + v
+        if len(word) > DEFAULT_DEGREE_CAP:
+            raise DegreeCapError(f"degree {len(word)} exceeds cap {DEFAULT_DEGREE_CAP}")
+        return {word: self.field.one}
 
     def __eq__(self, other):
         return isinstance(other, FreeAlgebra) and other.field == self.field
@@ -60,97 +78,6 @@ class FreeAlgebra:
 def free_carrier(field: Field) -> BoundQuiver:
     """Two-loop quiver carrying finite-dimensional two-matrix modules."""
     return BoundQuiver(loop_quiver(2), [], nilbound=3)
-
-
-class NCPoly:
-    """Noncommutative polynomial in x, y with a total-degree cap."""
-
-    __slots__ = ("field", "terms", "cap")
-
-    def __init__(self, field: Field, terms: dict[tuple[str, ...], object],
-                 cap: int = DEFAULT_DEGREE_CAP):
-        self.field = field
-        self.cap = cap
-        clean = {}
-        for word, coef in terms.items():
-            c = field.coerce(coef)
-            if c == 0:
-                continue
-            if any(letter not in ("x", "y") for letter in word):
-                raise ValueError(f"word {word} uses letters outside x, y")
-            if len(word) > cap:
-                raise DegreeCapError(f"degree {len(word)} exceeds cap {cap}")
-            clean[tuple(word)] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, field: Field, cap: int = DEFAULT_DEGREE_CAP) -> "NCPoly":
-        return cls(field, {}, cap)
-
-    @classmethod
-    def one(cls, field: Field, cap: int = DEFAULT_DEGREE_CAP) -> "NCPoly":
-        return cls(field, {(): 1}, cap)
-
-    @classmethod
-    def letter(cls, field: Field, name: str, cap: int = DEFAULT_DEGREE_CAP) -> "NCPoly":
-        return cls(field, {(name,): 1}, cap)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        out = dict(self.terms)
-        f = self.field
-        for w, c in other.terms.items():
-            out[w] = f.add(out.get(w, f.zero), c)
-        return NCPoly(f, out, max(self.cap, other.cap))
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + other.scaled(-1)
-
-    def scaled(self, c) -> "NCPoly":
-        f = self.field
-        c = f.coerce(c)
-        return NCPoly(f, {w: f.mul(c, v) for w, v in self.terms.items()}, self.cap)
-
-    def __mul__(self, other: "NCPoly") -> "NCPoly":
-        f = self.field
-        out: dict[tuple[str, ...], object] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = f.add(out.get(w, f.zero), f.mul(c1, c2))
-        return NCPoly(f, out, max(self.cap, other.cap))
-
-    def substitute(self, x: Mat, y: Mat) -> Mat:
-        """Evaluate at square matrices; the empty word becomes the identity."""
-        n = x.rows
-        words = []
-        for word in self.terms:
-            acc = Mat.identity(self.field, n)
-            for letter in word:
-                acc = acc @ (x if letter == "x" else y)
-            words.append(acc)
-        return Mat.lincomb(self.field, n, n, self.terms.values(), words)
-
-    def __eq__(self, other):
-        return (isinstance(other, NCPoly) and other.field == self.field
-                and other.terms == self.terms)
-
-    def __hash__(self):
-        return hash((self.field, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in sorted(self.terms.items()):
-            word = "*".join(w) if w else "1"
-            parts.append(f"{c}*{word}")
-        return " + ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -198,89 +125,109 @@ def free_hom_dim(v: FreeAlgModule, w: FreeAlgModule) -> int:
 
 
 # ---------------------------------------------------------------------------
-# entry-matrix helpers (matrices over NCPoly or AlgebraElement)
+# matrices over the source algebra, in tensor form {key: A_k}
 # ---------------------------------------------------------------------------
+#
+# Zero coefficients are dropped, so equal tensors are equal dicts.
 
-class _Ring:
-    """Adapter giving a uniform zero/one over entry rings."""
-
-    def __init__(self, source):
-        self.source = source
-
-    def zero(self):
-        if isinstance(self.source, FreeAlgebra):
-            return NCPoly.zero(self.source.field)
-        return self.source.zero()
-
-    def one(self):
-        if isinstance(self.source, FreeAlgebra):
-            return NCPoly.one(self.source.field)
-        return self.source.one()
-
-    def scalar(self, c):
-        return self.one().scaled(c)
+SourceOrTarget = Union[AlgebraTable, FreeAlgebra]
 
 
-def _em_shape(m) -> tuple[int, int]:
-    return (len(m), len(m[0]) if m else 0)
+def _is_key(source: SourceOrTarget, key) -> bool:
+    if isinstance(source, FreeAlgebra):
+        return (isinstance(key, tuple) and set(key) <= {"x", "y"}
+                and len(key) <= DEFAULT_DEGREE_CAP)
+    return isinstance(key, int) and 0 <= key < source.dimension
 
 
-def _em_add(a, b):
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+def _unit_keys(source: SourceOrTarget) -> list:
+    """Keys of the basis elements summing to the identity of the source."""
+    if isinstance(source, FreeAlgebra):
+        return [()]
+    return [source.basis_index(Path(v, v, ())) for v in source.bound_quiver.quiver.vertices]
 
 
-def _em_scaled(a, c):
-    return [[x.scaled(c) for x in row] for row in a]
+def _coeffs(elt: AlgebraElement) -> dict:
+    return {k: c for k, c in enumerate(elt.coeffs) if c != 0}
 
 
-def _em_mul(a, b, ring: _Ring):
-    n, k = _em_shape(a)
-    k2, m = _em_shape(b)
-    if k != k2:
-        raise ShapeMismatchError("entry-matrix product shape mismatch")
-    out = [[ring.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for l in range(k):
-            x = a[i][l]
-            if x.is_zero():
-                continue
-            for j in range(m):
-                y = b[l][j]
-                if not y.is_zero():
-                    out[i][j] = out[i][j] + x * y
+def _tensor(field: Field, r: int, terms) -> dict:
+    """The tensor sum c * M (x) b_key over ``(key, c, M)`` terms."""
+    acc: dict = {}
+    for key, c, m in terms:
+        cs, ms = acc.setdefault(key, ([], []))
+        cs.append(c)
+        ms.append(m)
+    out = {}
+    for key, (cs, ms) in acc.items():
+        m = Mat.lincomb(field, r, r, cs, ms)
+        if not m.is_zero():
+            out[key] = m
     return out
 
 
-def _em_eq(a, b) -> bool:
-    for r1, r2 in zip(a, b):
-        for x, y in zip(r1, r2):
-            if not (x - y).is_zero():
-                return False
-    return True
+def _from_entries(field: Field, r: int, entries) -> dict:
+    """The tensor of the r x r matrix over the source whose nonzero entries
+    are ``(i, j, {key: coefficient})``."""
+    return _tensor(field, r, [(key, c, Mat.unit(field, r, r, i, j))
+                              for i, j, elt in entries for key, c in elt.items()])
 
 
-def _em_identity(ring: _Ring, n: int):
-    return [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+def _tensor_sum(field: Field, r: int, terms) -> dict:
+    """sum c * T over ``(c, T)`` pairs."""
+    return _tensor(field, r, [(key, c, m) for c, t in terms for key, m in t.items()])
 
 
-def _em_zero(ring: _Ring, n: int, m: int):
-    return [[ring.zero() for _ in range(m)] for _ in range(n)]
+def _tensor_mul(source: SourceOrTarget, r: int, a: dict, b: dict) -> dict:
+    """(sum A_k b_k)(sum B_l b_l) = sum_m (sum_kl c^m_kl A_k B_l) b_m."""
+    terms = []
+    for k, ak in a.items():
+        for l, bl in b.items():
+            prod = source.product_entry(k, l)
+            if prod:
+                ab = ak @ bl
+                terms.extend((m, c, ab) for m, c in prod.items())
+    return _tensor(source.field, r, terms)
+
+
+def _identity(source: SourceOrTarget, r: int) -> dict:
+    return {k: Mat.identity(source.field, r) for k in _unit_keys(source)} if r else {}
+
+
+def _tensor_prod(source: SourceOrTarget, r: int, tensors: list) -> dict:
+    """The product of the tensors in order; the identity when there are none."""
+    if not tensors:
+        return _identity(source, r)
+    acc = tensors[0]
+    for t in tensors[1:]:
+        acc = _tensor_mul(source, r, acc, t)
+    return acc
+
+
+def _act(source: SourceOrTarget, module, key) -> Mat:
+    """The matrix by which the source basis element ``key`` acts on a module;
+    a word acts letter by letter, so xy acts as X @ Y."""
+    if isinstance(source, FreeAlgebra):
+        acc = Mat.identity(module.field, module.dim)
+        for letter in key:
+            acc = acc @ (module.x if letter == "x" else module.y)
+        return acc
+    return module.element_action(source.basis_element(key))
 
 
 # ---------------------------------------------------------------------------
 # witness bimodules
 # ---------------------------------------------------------------------------
 
-SourceOrTarget = Union[AlgebraTable, FreeAlgebra]
-
 
 class WitnessBimodule:
     """A (target, source)-bimodule, free of the given rank over the source.
 
     ``action`` maps each target basis index (or each free letter when the
-    target is the free algebra) to a rank x rank matrix with entries in the
-    source: noncommutative polynomials when the source is free, algebra
-    elements when the source is an algebra table.  Respecting the target's
+    target is the free algebra) to a rank x rank matrix over the source in
+    tensor form: a dict ``{key: Mat}`` of rank x rank field matrices keyed by
+    source basis elements (words in x, y when the source is free, basis
+    indices when it is an algebra table).  Respecting the target's
     multiplication table is checked on construction.
     """
 
@@ -291,7 +238,6 @@ class WitnessBimodule:
         self.rank = int(rank)
         self.action = action
         self.full = bool(full)
-        self.ring = _Ring(source)
         self.unital = True
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
@@ -303,44 +249,39 @@ class WitnessBimodule:
         return self.target.field
 
     def _validate(self):
-        ring = self.ring
         r = self.rank
-        if isinstance(self.target, FreeAlgebra):
-            for letter in ("x", "y"):
-                if letter not in self.action:
-                    raise ValueError(f"missing action of {letter}")
-                if _em_shape(self.action[letter]) != (r, r):
+        free_target = isinstance(self.target, FreeAlgebra)
+        for key in ("x", "y") if free_target else range(self.target.dimension):
+            if key not in self.action:
+                what = key if free_target else f"basis element {self.target.basis[key]}"
+                raise ValueError(f"missing action of {what}")
+            for k, m in self.action[key].items():
+                if not _is_key(self.source, k):
+                    raise ValueError(f"action of {key!r} uses {k!r}, not a basis key of "
+                                     f"the source")
+                if m.shape != (r, r):
                     raise ShapeMismatchError("action matrix shape mismatch")
+        if free_target:
             return
         table = self.target
-        for i in range(table.dimension):
-            if i not in self.action:
-                raise ValueError(f"missing action of basis element {table.basis[i]}")
-            if _em_shape(self.action[i]) != (r, r):
-                raise ShapeMismatchError("action matrix shape mismatch")
         # the identity must act as an idempotent projection; when it acts as
         # the identity the bimodule is unital, otherwise the tensor functor
         # passes to the unital part (the free-generator bookkeeping keeps the
         # declared rank either way)
-        ident = _em_zero(ring, r, r)
-        for v in table.bound_quiver.quiver.vertices:
-            idx = table.basis_index(Path(v, v, ()))
-            ident = _em_add(ident, self.action[idx])
-        if _em_eq(ident, _em_identity(ring, r)):
+        ident = _tensor_sum(self.field, r, [(1, self.action[k]) for k in _unit_keys(table)])
+        if ident == _identity(self.source, r):
             self.unital = True
-        elif _em_eq(_em_mul(ident, ident, ring), ident):
+        elif _tensor_mul(self.source, r, ident, ident) == ident:
             self.unital = False
         else:
             raise ValueError("identity does not act as an idempotent")
         # multiplicativity on all basis pairs
         for i in range(table.dimension):
-            ai = self.action[i]
             for j in range(table.dimension):
-                prod = _em_mul(ai, self.action[j], ring)
-                expected = _em_zero(ring, r, r)
-                for k, c in table.product_entry(i, j).items():
-                    expected = _em_add(expected, _em_scaled(self.action[k], c))
-                if not _em_eq(prod, expected):
+                prod = _tensor_mul(self.source, r, self.action[i], self.action[j])
+                expected = _tensor_sum(self.field, r, [(c, self.action[k]) for k, c
+                                                       in table.product_entry(i, j).items()])
+                if prod != expected:
                     raise ValueError(
                         f"action does not respect the product "
                         f"{table.basis[i]} * {table.basis[j]}")
@@ -352,35 +293,26 @@ class WitnessBimodule:
                                rank: int, vertex_actions: dict, arrow_actions: dict,
                                full: bool = False) -> "WitnessBimodule":
         """Extend actions of idempotents and arrows to the whole basis."""
-        ring = _Ring(source)
         action: dict = {}
         for i, path in enumerate(table.basis):
             if not path.arrows:
                 action[i] = vertex_actions[path.source]
-            elif len(path.arrows) == 1:
-                action[i] = arrow_actions[path.arrows[0]]
             else:
-                acc = arrow_actions[path.arrows[0]]
-                for name in path.arrows[1:]:
-                    acc = _em_mul(acc, arrow_actions[name], ring)
-                action[i] = acc
+                action[i] = _tensor_prod(source, rank,
+                                         [arrow_actions[name] for name in path.arrows])
         return cls(table, source, rank, action, full=full)
 
     # -- evaluation -------------------------------------------------------------
 
-    def _entry_matrix_on(self, em, module) -> Mat:
-        """Evaluate an entry matrix at a source module, as one big block matrix."""
-        field = self.field
-        if isinstance(self.source, FreeAlgebra):
-            n = module.dim
-            sub = lambda e: e.substitute(module.x, module.y)
-        else:
-            n = module.total_dim
-            sub = lambda e: module.element_action(e)
-        r = self.rank
-        return Mat.assemble(field, r * n, r * n,
-                            [(i * n, j * n, sub(em[i][j]))
-                             for i in range(r) for j in range(r) if not em[i][j].is_zero()])
+    def _entry_matrix_on(self, tensor: dict, module, acts: dict) -> Mat:
+        """Evaluate sum_k A_k (x) b_k at a source module, as the block matrix
+        sum_k A_k (x) act(b_k); ``acts`` caches act(b_k) for the module."""
+        for k in tensor:
+            if k not in acts:
+                acts[k] = _act(self.source, module, k)
+        total = self.rank * self.source_dim(module)
+        return Mat.lincomb(self.field, total, total, [1] * len(tensor),
+                           [a.kron(acts[k]) for k, a in tensor.items()])
 
     def source_dim(self, module) -> int:
         return module.dim if isinstance(self.source, FreeAlgebra) else module.total_dim
@@ -401,9 +333,10 @@ def eval_tensor_with_frame(w: WitnessBimodule, module):
     field = w.field
     n = w.source_dim(module)
     total = w.rank * n
+    acts: dict = {}
     if isinstance(w.target, FreeAlgebra):
-        x = w._entry_matrix_on(w.action["x"], module)
-        y = w._entry_matrix_on(w.action["y"], module)
+        x = w._entry_matrix_on(w.action["x"], module, acts)
+        y = w._entry_matrix_on(w.action["y"], module, acts)
         return FreeAlgModule(x, y), list(range(total))
 
     table = w.target
@@ -413,7 +346,7 @@ def eval_tensor_with_frame(w: WitnessBimodule, module):
     proj = {}
     for v in q.vertices:
         idx = table.basis_index(Path(v, v, ()))
-        proj[v] = w._entry_matrix_on(w.action[idx], module)
+        proj[v] = w._entry_matrix_on(w.action[idx], module, acts)
     assignment = _diagonal_assignment(proj, q.vertices, total)
     if assignment is not None:
         order = [k for v in q.vertices for k in assignment[v]]
@@ -421,7 +354,7 @@ def eval_tensor_with_frame(w: WitnessBimodule, module):
         mats = {}
         for a in q.arrows:
             idx = table.basis_index(Path(a.source, a.target, (a.name,)))
-            big = w._entry_matrix_on(w.action[idx], module)
+            big = w._entry_matrix_on(w.action[idx], module, acts)
             mats[a.name] = big.submatrix(assignment[a.target], assignment[a.source])
         rep = Representation(table.bound_quiver, field, dims, mats, check=False)
         return rep, order
@@ -434,7 +367,7 @@ def eval_tensor_with_frame(w: WitnessBimodule, module):
     mats = {}
     for a in q.arrows:
         idx = table.basis_index(Path(a.source, a.target, (a.name,)))
-        big = w._entry_matrix_on(w.action[idx], module)
+        big = w._entry_matrix_on(w.action[idx], module, acts)
         rhs = big @ cols[a.source]
         x = cols[a.target].solve_matrix(rhs)
         if x is None:
@@ -502,21 +435,17 @@ def builtin_G(table: Optional[AlgebraTable] = None, field: Field = None) -> Witn
         table = default_k3_table(field if field is not None else Field.prime(101))
     f = table.field
     src, tgt, (a1, a2, a3) = _k3_shape(table)
-    free = FreeAlgebra(f)
-    one = NCPoly.one(f)
-    zero = NCPoly.zero(f)
-    x = NCPoly.letter(f, "x")
-    y = NCPoly.letter(f, "y")
+    one = {(): 1}
     vertex_actions = {
-        src: [[one, zero], [zero, zero]],
-        tgt: [[zero, zero], [zero, one]],
+        src: _from_entries(f, 2, [(0, 0, one)]),
+        tgt: _from_entries(f, 2, [(1, 1, one)]),
     }
     arrow_actions = {
-        a1: [[zero, zero], [one, zero]],
-        a2: [[zero, zero], [x, zero]],
-        a3: [[zero, zero], [y, zero]],
+        a1: _from_entries(f, 2, [(1, 0, one)]),
+        a2: _from_entries(f, 2, [(1, 0, {("x",): 1})]),
+        a3: _from_entries(f, 2, [(1, 0, {("y",): 1})]),
     }
-    return WitnessBimodule.from_generator_actions(table, free, 2,
+    return WitnessBimodule.from_generator_actions(table, FreeAlgebra(f), 2,
                                                   vertex_actions, arrow_actions,
                                                   full=True)
 
@@ -532,83 +461,44 @@ def builtin_F(table: Optional[AlgebraTable] = None, field: Field = None) -> Witn
         table = default_k3_table(field if field is not None else Field.prime(101))
     f = table.field
     src, tgt, (a1, a2, a3) = _k3_shape(table)
-    e_src = table.idempotent(src)
-    e_tgt = table.idempotent(tgt)
-    one = table.one()
-    zero = table.zero()
-    arr = {name: table.arrow_element(name) for name in (a1, a2, a3)}
-    x = [[zero for _ in range(7)] for _ in range(7)]
-    for i in range(6):
-        x[i][i + 1] = one
-    y = [[zero for _ in range(7)] for _ in range(7)]
-    for i in range(6):
-        y[i + 1][i] = one
-    lower = [e_src, e_tgt, arr[a1], arr[a2], arr[a3]]
-    for i, elt in enumerate(lower):
-        y[i + 2][i] = elt
+    one = _coeffs(table.one())
+    lower = [table.idempotent(src), table.idempotent(tgt)] + \
+        [table.arrow_element(name) for name in (a1, a2, a3)]
+    x = _from_entries(f, 7, [(i, i + 1, one) for i in range(6)])
+    y = _from_entries(f, 7, [(i + 1, i, one) for i in range(6)]
+                      + [(i + 2, i, _coeffs(elt)) for i, elt in enumerate(lower)])
     return WitnessBimodule(FreeAlgebra(f), table, 7, {"x": x, "y": y}, full=True)
 
 
 def compose_witness(outer: WitnessBimodule, inner: WitnessBimodule) -> WitnessBimodule:
-    """Composite tensor functor; ranks multiply, claims conjoin."""
+    """Composite tensor functor; ranks multiply, claims conjoin.
+
+    Each outer coefficient sum_k O_k (x) m_k over the middle algebra becomes
+    sum_k O_k (x) inner(m_k) = sum_s (sum_k O_k kron I_ks) (x) s, where
+    inner(m_k) = sum_s I_ks (x) s is the inner action of m_k (for a word of
+    the free algebra, the product of its letters' actions)."""
     if isinstance(outer.source, FreeAlgebra):
         if not isinstance(inner.target, FreeAlgebra) or inner.target != outer.source:
             raise ShapeMismatchError("middle algebras do not match")
-        substitute = _substitute_poly_entry
     else:
         if not isinstance(inner.target, AlgebraTable):
             raise ShapeMismatchError("middle algebras do not match")
         if (inner.target.bound_quiver != outer.source.bound_quiver
                 or inner.target.field != outer.source.field):
             raise ShapeMismatchError("middle algebras do not match")
-        substitute = _substitute_table_entry
-    ring = inner.ring
-    r1, r2 = inner.rank, outer.rank
-    rank = r2 * r1
-
-    def blow_up(em):
-        blocks = [[substitute(em[i][j], inner) for j in range(r2)] for i in range(r2)]
-        out = _em_zero(ring, rank, rank)
-        for i in range(r2):
-            for j in range(r2):
-                blk = blocks[i][j]
-                for a in range(r1):
-                    for b in range(r1):
-                        out[i * r1 + a][j * r1 + b] = blk[a][b]
-        return out
-
-    action = {}
-    if isinstance(outer.target, FreeAlgebra):
-        for letter in ("x", "y"):
-            action[letter] = blow_up(outer.action[letter])
+    r1 = inner.rank
+    rank = outer.rank * r1
+    middle = {k for coeffs in outer.action.values() for k in coeffs}
+    if isinstance(outer.source, FreeAlgebra):
+        image = {k: _tensor_prod(inner.source, r1, [inner.action[l] for l in k])
+                 for k in middle}
     else:
-        for i in range(outer.target.dimension):
-            action[i] = blow_up(outer.action[i])
+        image = {k: inner.action[k] for k in middle}
+    action = {t: _tensor(outer.field, rank, [(s, 1, o.kron(i)) for k, o in coeffs.items()
+                                            for s, i in image[k].items()])
+              for t, coeffs in outer.action.items()}
     return WitnessBimodule(outer.target, inner.source, rank, action,
                            full=outer.full and inner.full)
-
-
-def _substitute_poly_entry(poly: NCPoly, inner: WitnessBimodule):
-    """Evaluate a polynomial entry at the inner witness's letter actions."""
-    ring = inner.ring
-    r = inner.rank
-    out = _em_zero(ring, r, r)
-    for word, coef in poly.terms.items():
-        acc = _em_identity(ring, r)
-        for letter in word:
-            acc = _em_mul(acc, inner.action[letter], ring)
-        out = _em_add(out, _em_scaled(acc, coef))
-    return out
-
-
-def _substitute_table_entry(elt: AlgebraElement, inner: WitnessBimodule):
-    ring = inner.ring
-    r = inner.rank
-    out = _em_zero(ring, r, r)
-    for i, c in enumerate(elt.coeffs):
-        if c != 0:
-            out = _em_add(out, _em_scaled(inner.action[i], c))
-    return out
 
 
 def sincere_witness_for_K3(table: Optional[AlgebraTable] = None,
@@ -797,15 +687,8 @@ def verify_witness(w: WitnessBimodule, samples: int, max_dim: int, seed,
 # certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CertStep:
-    rule: str              # explicit-bimodule | compose | factor-rule | morita-rule | covering-rule
-    rank_factor: int       # multiplicative contribution to the bound (1 for factor-rule)
-    note: str = ""
-
-
 @dataclass
-class WitnessCertificate:
+class WitnessCertificate(Derivation):
     """Machine-checkable derivation of an upper bound on a witness rank.
 
     The bound always equals the product of the step rank factors, so it can
@@ -826,15 +709,6 @@ class WitnessCertificate:
     notes: tuple = ()
     bimodule: Optional[WitnessBimodule] = None
     target_bq: Optional[BoundQuiver] = None
-
-    def recompute_bound(self) -> int:
-        out = 1
-        for s in self.steps:
-            out *= s.rank_factor
-        return out
-
-    def check_arithmetic(self) -> bool:
-        return self.recompute_bound() == self.bound
 
 
 def bound_quiver_hash(bq: BoundQuiver) -> str:
@@ -921,21 +795,17 @@ def _inflate_bimodule(w: WitnessBimodule, parent_table: AlgebraTable,
                       keep_arrows: set, keep_vertices: set) -> WitnessBimodule:
     """Reinterpret the action along the projection parent -> target."""
     quotient: AlgebraTable = w.target
-    ring = w.ring
     action = {}
     for i, path in enumerate(parent_table.basis):
         if path.arrows and not all(a in keep_arrows for a in path.arrows):
-            action[i] = _em_zero(ring, w.rank, w.rank)
+            action[i] = {}
             continue
         if not path.arrows and path.source not in keep_vertices:
-            action[i] = _em_zero(ring, w.rank, w.rank)
+            action[i] = {}
             continue
         elt = quotient.path_element(Path(path.source, path.target, path.arrows))
-        out = _em_zero(ring, w.rank, w.rank)
-        for k, c in enumerate(elt.coeffs):
-            if c != 0:
-                out = _em_add(out, _em_scaled(w.action[k], c))
-        action[i] = out
+        action[i] = _tensor_sum(w.field, w.rank,
+                                [(c, w.action[k]) for k, c in _coeffs(elt).items()])
     return WitnessBimodule(parent_table, w.source, w.rank, action, full=False)
 
 

@@ -59,6 +59,87 @@ def reference_relation_jacobian(q, field, rel, mats, dims, offsets, nvars):
     return block
 
 
+def reference_entry_matrix_on(w, tensor, module):
+    """A witness action evaluated at a source module, entry by entry: block
+    (i, j) of the result is sum_k A_k[i, j] * act(b_k) for the tensor
+    sum_k A_k (x) b_k, where a word acts as the product of the module's x
+    and y in word order and a basis path by its path matrix.  Reference for
+    the Kronecker form sum_k A_k kron act(b_k) behind ``eval_tensor``."""
+    field, r = w.field, w.rank
+    if hasattr(module, "x"):
+        n = module.dim
+
+        def act(word):
+            acc = Mat.identity(field, n)
+            for letter in word:
+                acc = acc @ (module.x if letter == "x" else module.y)
+            return acc
+    else:
+        n = module.total_dim
+
+        def act(k):
+            return module.element_action(w.source.basis_element(k))
+    rows = [[field.zero] * (r * n) for _ in range(r * n)]
+    for key, a in tensor.items():
+        m = act(key)
+        for i in range(r):
+            for j in range(r):
+                c = a.entry(i, j)
+                for u in range(n):
+                    for v in range(n):
+                        rows[i * n + u][j * n + v] = field.add(
+                            rows[i * n + u][j * n + v], field.mul(c, m.entry(u, v)))
+    return Mat(field, r * n, r * n, rows)
+
+
+def reference_jordan_nilpotent(s):
+    """Jordan basis of a nilpotent matrix, choosing chain heads one candidate
+    at a time: a kernel column heads a chain when it raises the rank of the
+    columns kept so far.  Reference for ``exactlin.jordan_nilpotent``, which
+    reads the same heads off the pivot columns of one echelon form."""
+    n = s.rows
+    if n == 0:
+        return Mat.identity(s.field, 0), []
+    field = s.field
+    kernels = []
+    power = Mat.identity(field, n)
+    while True:
+        power = power @ s if kernels else s
+        ker = power.kernel()
+        kernels.append(ker)
+        if ker.cols == n:
+            break
+    m = len(kernels)
+
+    def independent_over(base_cols, cand):
+        if not base_cols:
+            return not cand.is_zero()
+        stacked = Mat.hcat(field, n, base_cols)
+        return stacked.hstack(cand).rank() > stacked.rank()
+
+    chains = []
+    for i in range(m, 0, -1):
+        ki = kernels[i - 1]
+        base = []
+        if i >= 2:
+            km1 = kernels[i - 2]
+            base.extend(km1.submatrix(range(n), [j]) for j in range(km1.cols))
+        base.extend(chain[len(chain) - i] for chain in chains if len(chain) > i)
+        for j in range(ki.cols):
+            if len(base) >= ki.cols:
+                break
+            cand = ki.submatrix(range(n), [j])
+            if independent_over(base, cand):
+                chain = [cand]
+                for _ in range(i - 1):
+                    chain.append(s @ chain[-1])
+                chains.append(chain)
+                base.append(cand)
+    chains.sort(key=len, reverse=True)
+    cols = [c for chain in chains for c in reversed(chain)]
+    return Mat.hcat(field, n, cols), [len(chain) for chain in chains]
+
+
 @pytest.fixture(scope="session")
 def f101():
     return F101

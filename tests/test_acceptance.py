@@ -180,7 +180,7 @@ def test_criterion_4_certify(tmp_path):
                             pushdown_samples=12, pushdown_max_dim=6,
                             out_path=str(out_file))
     doc = parse_certificate(out_file.read_text())
-    ok = (code == 0 and doc.bound == 56 and doc.check()
+    ok = (code == 0 and doc.bound == 56 and doc.check_arithmetic()
           and doc.recompute_bound() == 2 * 28
           and "fail 0" in doc.verification)
     report(4, ok,

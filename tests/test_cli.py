@@ -2,7 +2,7 @@ import pytest
 
 from conftest import fixture_text
 
-from wildrank.cli import (CertificateDoc, SpecError, certificate_doc,
+from wildrank.cli import (CertificateDoc, CertStep, SpecError, certificate_doc,
                           cmd_certify, cmd_classify, cmd_tilt, cmd_variety,
                           parse_certificate, parse_quiver_spec,
                           parse_representation, serialize_quiver_spec,
@@ -51,6 +51,24 @@ def test_relation_errors_point_at_the_token():
         assert rel[col - 1:].startswith(token)
 
 
+def test_vertex_and_arrow_errors_point_at_the_token():
+    # columns come from the token's own position, not its first textual match
+    head = "quiver r\nvertex v\n"
+    for line, col, token, what in (
+            ("arrow f: v -> a", 15, "a", "undeclared target vertex a"),
+            ("arrow av: a -> v", 11, "a", "undeclared source vertex a"),
+            ("vertex b b", 10, "b", "duplicate vertex b"),
+            ("  vertex w x w", 14, "w", "duplicate vertex w"),
+            ("arrow w: v -> v\narrow w: v -> v", 7, "w", "duplicate arrow w"),
+            ("arrow weight: v -> v weight 1,x", 22, "weight", "bad weight tuple"),
+            ("nilbound nil", 10, "nil", "nilbound must be an integer")):
+        with pytest.raises(SpecError) as e:
+            parse_quiver_spec(head + line + "\n")
+        bad = line.splitlines()[-1]
+        assert (e.value.line, e.value.col) == (2 + len(line.splitlines()), col)
+        assert what in str(e.value) and bad[col - 1:].startswith(token)
+
+
 def test_indented_lines_parse_like_flush_ones():
     text = "quiver r\nvertex v\narrow x: v -> v\nrelation 1*x*x\nnilbound 2\n"
     indented = "\n".join("  " + line for line in text.splitlines()) + "\n"
@@ -85,14 +103,18 @@ def test_certificate_non_integer_factor_rejected():
     text = CertificateDoc(
         name="demo", algebra_desc="x", algebra_hash="00", algebra_dim=1,
         target_kind="algebra", field_desc="F101", seed="0",
-        steps=[("explicit-bimodule", 3, "w")], bound=3,
+        steps=[CertStep("explicit-bimodule", 3, "w")], bound=3,
         verification="none", notes=[]).to_text()
-    for bad, line in ((text.replace("factor 3", "factor 2.5"), 9),
-                      (text.replace("bound 3", "bound 2.5"), 10),
-                      (text.replace("algebra-dim 1", "algebra-dim one"), 5)):
+    # columns point at the value itself, not at its first textual match
+    for bad, line, col in ((text.replace("factor 3", "factor 2.5"), 9, 31),
+                           (text.replace("factor 3", "factor e"), 9, 31),
+                           (text.replace("bound 3", "bound 2.5"), 10, 7),
+                           (text.replace("bound 3", "bound bound"), 10, 7),
+                           (text.replace("algebra-dim 1", "algebra-dim one"), 5, 13)):
         with pytest.raises(SpecError) as e:
             parse_certificate(bad)
         assert e.value.line == line and "integer" in str(e.value)
+        assert e.value.col == col
 
 
 def test_inhomogeneous_weights_rejected():
@@ -145,14 +167,15 @@ def test_certificate_round_trip_bit_exact():
     doc = CertificateDoc(
         name="demo", algebra_desc="a local algebra", algebra_hash="ab12",
         algebra_dim=4, target_kind="algebra", field_desc="F101", seed="7",
-        steps=[("explicit-bimodule", 28, "witness"), ("covering-rule", 2, "box [(0, 1)]")],
+        steps=[CertStep("explicit-bimodule", 28, "witness"),
+               CertStep("covering-rule", 2, "box [(0, 1)]")],
         bound=56, verification="samples 10 pass 50 fail 0 inconclusive 0",
         notes=["window criterion: test"],
     )
     text = doc.to_text()
     back = parse_certificate(text)
     assert back.to_text() == text
-    assert back.check()
+    assert back.check_arithmetic()
     assert back.recompute_bound() == 56
 
 
@@ -160,9 +183,9 @@ def test_certificate_arithmetic_mismatch_detected():
     doc = parse_certificate(CertificateDoc(
         name="demo", algebra_desc="x", algebra_hash="00", algebra_dim=1,
         target_kind="algebra", field_desc="F101", seed="0",
-        steps=[("explicit-bimodule", 3, "w")], bound=9,
+        steps=[CertStep("explicit-bimodule", 3, "w")], bound=9,
         verification="none", notes=[]).to_text())
-    assert not doc.check()
+    assert not doc.check_arithmetic()
 
 
 def test_cmd_variety_k2_and_determinism():

@@ -8,7 +8,6 @@ from wildrank.quiver import (BoundQuiver, Quiver, build_algebra_table,
                              loop_square_zero, make_relation)
 from wildrank.covering import (CoveringSpec, Window, build_window,
                                covering_criterion,
-                               covering_criterion_with_window,
                                pushdown, pushdown_bimodule, verify_pushdown)
 from wildrank.rep import (Representation, are_isomorphic, is_indecomposable,
                           sample_representation)
@@ -170,7 +169,7 @@ def test_verify_pushdown_small(x2_cov):
 
 
 def test_covering_criterion_three_loop(three_loop_cov):
-    got = covering_criterion_with_window(three_loop_cov, 2, field=F101, seed=1)
+    got = covering_criterion(three_loop_cov, 2, field=F101, seed=1)
     assert got is not None
     cert, window = got
     assert cert.bound == 56
@@ -186,8 +185,8 @@ def test_covering_criterion_dual_numbers(x2_cov):
 
 def test_covering_criterion_degenerate_k3(k3_bq):
     cov = CoveringSpec(k3_bq, 1, {a.name: (0,) for a in k3_bq.quiver.arrows})
-    cert = covering_criterion(cov, 1, field=F101, seed=1)
-    assert cert is not None and cert.bound == 56
+    got = covering_criterion(cov, 1, field=F101, seed=1)
+    assert got is not None and got[0].bound == 56
 
 
 def test_covering_criterion_user_designation(three_loop_cov):
@@ -199,9 +198,11 @@ def test_covering_criterion_user_designation(three_loop_cov):
     table = build_algebra_table(window.bound_quiver, F101)
     witness = sincere_witness_for_K3(table)
     desig = WindowDesignation(box=((0, 1),), witness=witness)
-    cert = covering_criterion(three_loop_cov, 0, field=F101, seed=2,
-                              designation=desig)
-    assert cert is not None and cert.bound == 56
+    got = covering_criterion(three_loop_cov, 0, field=F101, seed=2,
+                             designation=desig)
+    assert got is not None
+    cert, _ = got
+    assert cert.bound == 56
     assert "user-designated" in " ".join(cert.notes)
 
 

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_jordan_nilpotent
+
 from wildrank.exactlin import (F101, QQ, Field, Mat, ShapeMismatchError,
                                find_invertible_in_span, intertwiner_system,
-                               jordan_nilpotent, kernel_basis, nilpotency_index,
-                               nilpotent_hom_basis, rank, solve_linear,
+                               jordan_nilpotent, nilpotency_index,
+                               nilpotent_hom_basis,
                                _jordan_shift)
 
 
@@ -28,30 +30,29 @@ def test_field_scalar_ops():
 
 
 def test_rank_examples():
-    assert rank(Mat.zeros(QQ, 0, 0)) == 0
-    assert rank(Mat.identity(F101, 2)) == 2
-    assert rank(Mat.from_rows(QQ, [[1, 2], [2, 4]])) == 1
+    assert Mat.zeros(QQ, 0, 0).rank() == 0
+    assert Mat.identity(F101, 2).rank() == 2
+    assert Mat.from_rows(QQ, [[1, 2], [2, 4]]).rank() == 1
 
 
 def test_kernel_examples():
-    assert kernel_basis(Mat.identity(F101, 3)) == []
-    assert len(kernel_basis(Mat.zeros(QQ, 2, 3))) == 3
-    ker = kernel_basis(Mat.from_rows(QQ, [[1, 1]]))
-    assert len(ker) == 1
-    v = ker[0]
-    assert v.entry(0, 0) == -v.entry(1, 0) != 0
+    assert Mat.identity(F101, 3).kernel().cols == 0
+    assert Mat.zeros(QQ, 2, 3).kernel().cols == 3
+    ker = Mat.from_rows(QQ, [[1, 1]]).kernel()
+    assert ker.cols == 1
+    assert ker.entry(0, 0) == -ker.entry(1, 0) != 0
 
 
 def test_solve_examples():
-    x, ker = solve_linear(Mat.identity(QQ, 2), Mat.column(QQ, [1, 2]))
-    assert x.column_entries(0) == [1, 2] and ker == []
-    got = solve_linear(Mat.from_rows(QQ, [[1, 1]]), Mat.column(QQ, [0]))
-    assert got is not None
-    x, ker = got
-    assert x.column_entries(0) == [0, 0] and len(ker) == 1
-    assert solve_linear(Mat.from_rows(QQ, [[0]]), Mat.column(QQ, [1])) is None
+    x = Mat.identity(QQ, 2).solve(Mat.column(QQ, [1, 2]))
+    assert x.column_entries(0) == [1, 2] and Mat.identity(QQ, 2).kernel().cols == 0
+    a = Mat.from_rows(QQ, [[1, 1]])
+    x = a.solve(Mat.column(QQ, [0]))
+    assert x is not None
+    assert x.column_entries(0) == [0, 0] and a.kernel().cols == 1
+    assert Mat.from_rows(QQ, [[0]]).solve(Mat.column(QQ, [1])) is None
     with pytest.raises(ShapeMismatchError):
-        solve_linear(Mat.identity(QQ, 2), Mat.column(QQ, [1, 2, 3]))
+        Mat.identity(QQ, 2).solve(Mat.column(QQ, [1, 2, 3]))
 
 
 def test_find_invertible_examples():
@@ -81,9 +82,9 @@ def test_find_invertible_deterministic():
 def test_rank_nullity(m, n, seed):
     rng = random.Random(seed)
     a = Mat.random(F101, m, n, rng)
-    assert rank(a) + len(kernel_basis(a)) == n
-    for v in kernel_basis(a):
-        assert (a @ v).is_zero()
+    ker = a.kernel()
+    assert a.rank() + ker.cols == n
+    assert (a @ ker).is_zero()
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 10 ** 6))
@@ -103,7 +104,7 @@ def test_solve_residual_exact():
         a = Mat.random(field, 4, 6, rng)
         x0 = Mat.random(field, 6, 1, rng)
         b = a @ x0
-        x, ker = solve_linear(a, b)
+        x = a.solve(b)
         assert (a @ x - b).is_zero()
 
 
@@ -165,6 +166,23 @@ def test_jordan_nilpotent(field):
         p, sizes = jordan_nilpotent(s)
         assert sum(sizes) == n
         assert s @ p == p @ _jordan_shift(field, sizes)
+
+
+@pytest.mark.parametrize("field", [F101, Field.prime(7), QQ], ids=repr)
+def test_jordan_nilpotent_matches_greedy_reference(field):
+    rng = random.Random(f"jordan:{field!r}")
+    cases = [Mat.zeros(field, 1, 1), Mat.zeros(field, 3, 3)]
+    cases += [_random_nilpotent(field, n, rng) for n in (1, 2, 5)]
+    for _ in range(10):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        n = sum(sizes)
+        while True:
+            g = Mat.random(field, n, n, rng)
+            if g.is_invertible():
+                break
+        cases.append(g @ _jordan_shift(field, sizes) @ g.inverse())
+    for s in cases:
+        assert jordan_nilpotent(s) == reference_jordan_nilpotent(s)
 
 
 @pytest.mark.parametrize("field", [F101, QQ])
@@ -294,6 +312,19 @@ def test_lincomb_matches_reference(field):
                     ref[i][j] = field.add(ref[i][j], field.mul(c, b[i][j]))
         mats = [Mat(field, m, n, b) for b in rows]
         assert Mat.lincomb(field, m, n, coeffs, mats).row_list() == ref
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_kron_matches_reference(field):
+    rng = random.Random(34)
+    for _ in range(20):
+        m, n, p, q = (rng.randint(0, 3) for _ in range(4))
+        a = [[field.random_scalar(rng) if rng.random() < 0.5 else field.zero
+              for _ in range(n)] for _ in range(m)]
+        b = _rand_rows(field, p, q, rng)
+        ref = [[field.mul(a[i // p][j // q], b[i % p][j % q]) for j in range(n * q)]
+               for i in range(m * p)]
+        assert Mat(field, m, n, a).kron(Mat(field, p, q, b)).row_list() == ref
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from wildrank.exactlin import F101, QQ, Mat
+from conftest import reference_entry_matrix_on
+
+from wildrank.exactlin import F101, QQ, Field, Mat
 from wildrank.quiver import (BoundQuiver, Path, build_algebra_table,
-                             factor_quiver, loop_quiver, loop_square_zero,
-                             make_relation)
+                             factor_quiver, k3_bound_quiver, loop_quiver,
+                             loop_square_zero, make_relation)
 from wildrank.rep import (Representation, are_isomorphic, hom_space,
                           in_sincere_subcategory, is_indecomposable)
 from wildrank.wildness import (CertStep, DegreeCapError, FactorProvenance,
-                               FreeAlgModule, FreeAlgebra, NCPoly,
+                               FreeAlgModule, FreeAlgebra,
                                WitnessBimodule, WitnessCertificate,
                                bound_via_factor, bound_via_morita, builtin_F,
                                builtin_G, certificate_for_bimodule,
@@ -23,17 +25,27 @@ def fam(field, x_rows, y_rows):
     return FreeAlgModule(Mat.from_rows(field, x_rows), Mat.from_rows(field, y_rows))
 
 
-def test_ncpoly_arithmetic():
-    x = NCPoly.letter(F101, "x")
-    y = NCPoly.letter(F101, "y")
-    p = x * y + y.scaled(3)
-    assert not p.is_zero() and p.degree() == 2
-    xy = p - y.scaled(3)
-    m = xy.substitute(Mat.from_rows(F101, [[0, 1], [0, 0]]),
-                      Mat.from_rows(F101, [[0, 0], [1, 0]]))
-    assert m == Mat.from_rows(F101, [[1, 0], [0, 0]])
+def test_free_word_product():
+    free = FreeAlgebra(F101)
+    assert free.product_entry(("x",), ("y",)) == {("x", "y"): 1}
+    assert free.product_entry(("y",), ("x",)) == {("y", "x"): 1}
+    assert free.product_entry((), ("y",)) == {("y",): 1}
+    assert free.product_entry(tuple("x" * 4), tuple("y" * 4)) == {tuple("xxxxyyyy"): 1}
     with pytest.raises(DegreeCapError):
-        NCPoly(F101, {tuple("x" * 9): 1})
+        free.product_entry(tuple("x" * 5), tuple("x" * 4))
+
+
+def test_free_word_evaluation_order():
+    # a rank-1 witness from two-matrix modules to two-matrix modules with
+    # x acting as xy + 3y and y as 3y: a word acts letter by letter, xy as X @ Y
+    one = Mat.identity(F101, 1)
+    w = WitnessBimodule(FreeAlgebra(F101), FreeAlgebra(F101), 1,
+                        {"x": {("x", "y"): one, ("y",): one.scaled(3)},
+                         "y": {("y",): one.scaled(3)}})
+    v = fam(F101, [[0, 1], [0, 0]], [[0, 0], [1, 0]])
+    img = eval_tensor(w, v)
+    assert img.x - img.y == Mat.from_rows(F101, [[1, 0], [0, 0]]) == v.x @ v.y
+    assert img.y == v.y.scaled(3)
 
 
 def test_builtin_G_formula(k3_table):
@@ -208,9 +220,8 @@ def test_verify_witness_catches_corruption(k3_table):
     g = builtin_G(k3_table)
     # zero the action of the third arrow: V -> (V, V; 1, x, 0) forgets y
     action = dict(g.action)
-    zero = NCPoly.zero(F101)
     idx = k3_table.basis_index(Path("1", "2", ("c",)))
-    action[idx] = [[zero, zero], [zero, zero]]
+    action[idx] = {}
     bad = WitnessBimodule(k3_table, FreeAlgebra(F101), 2, action, full=False)
     report = verify_witness(bad, samples=14, max_dim=2, seed=7)
     assert not report.valid
@@ -263,11 +274,9 @@ def test_bound_via_factor_inflation(three_loop_bq, f101):
     three = factor_quiver(four, ["v"], ["x", "y", "z"])
     table3 = build_algebra_table(three, f101)
     # explicit rank-1 bimodule over the 3-loop algebra: all loops act by zero
-    ring_one = NCPoly.one(f101)
-    ring_zero = NCPoly.zero(f101)
     action = {}
     for i, p in enumerate(table3.basis):
-        action[i] = [[ring_one if not p.arrows else ring_zero]]
+        action[i] = {(): Mat.identity(f101, 1)} if not p.arrows else {}
     w = WitnessBimodule(table3, FreeAlgebra(f101), 1, action)
     cert = certificate_for_bimodule(w, three, "three-loop radical-square-zero", seed=0)
     prov = FactorProvenance(four, ("v",), ("x", "y", "z"))
@@ -310,14 +319,9 @@ def test_eval_tensor_non_aligned_projections(k3_table):
     # diagonals: evaluation must fall back to the column-space frame and
     # produce isomorphic images
     g = builtin_G(k3_table)
-    u = [[NCPoly.one(F101), NCPoly.one(F101)],
-         [NCPoly.one(F101), NCPoly.one(F101).scaled(2)]]
-    u_inv_scalars = Mat.from_rows(F101, [[1, 1], [1, 2]]).inverse()
-    u_inv = [[NCPoly.one(F101).scaled(u_inv_scalars.entry(i, j)) for j in range(2)]
-             for i in range(2)]
-    from wildrank.wildness import _em_mul, _Ring
-    ring = _Ring(FreeAlgebra(F101))
-    action = {i: _em_mul(_em_mul(u, g.action[i], ring), u_inv, ring)
+    u = Mat.from_rows(F101, [[1, 1], [1, 2]])
+    u_inv = u.inverse()
+    action = {i: {k: u @ a @ u_inv for k, a in g.action[i].items()}
               for i in g.action}
     twisted = WitnessBimodule(k3_table, FreeAlgebra(F101), 2, action, full=True)
     rng = random.Random(3)
@@ -336,7 +340,7 @@ def test_covering_certificate_inherits_to_parent(three_loop_bq, f101):
     from wildrank.quiver import loop_square_zero
     cov = CoveringSpec(three_loop_bq, 1,
                        {a.name: (1,) for a in three_loop_bq.quiver.arrows})
-    cert = covering_criterion(cov, 2, field=f101, seed=0)
+    cert, _ = covering_criterion(cov, 2, field=f101, seed=0)
     assert cert.bound == 56
     four = loop_square_zero(4)
     prov = FactorProvenance(four, ("v",), ("x", "y", "z"))
@@ -350,3 +354,112 @@ def test_covering_certificate_inherits_to_parent(three_loop_bq, f101):
     img = eval_tensor(lifted.bimodule, v)
     assert img.total_dim == 28
     assert img.mats["w"].is_zero()
+
+
+# ---------------------------------------------------------------------------
+# tensor form of the actions
+# ---------------------------------------------------------------------------
+
+F7 = Field.prime(7)
+
+
+def _witness_zoo(field):
+    """The built-in witnesses, their composites and the rank-56 pushdown
+    composite of the covering criterion, over one field."""
+    from wildrank.covering import CoveringSpec, build_window, pushdown_bimodule
+    table = build_algebra_table(k3_bound_quiver(), field)
+    g, f = builtin_G(table), builtin_F(table)
+    fg = compose_witness(f, g)
+    three = loop_square_zero(3)
+    cov = CoveringSpec(three, 1, {a.name: (1,) for a in three.quiver.arrows})
+    window = build_window(cov, [(0, 1)])
+    pd = pushdown_bimodule(window, field)
+    sincere = sincere_witness_for_K3(build_algebra_table(window.bound_quiver, field))
+    return {"G": g, "F": f, "FG": fg, "GF": compose_witness(g, f),
+            "GFG": compose_witness(g, fg), "PD": pd, "sincere": sincere,
+            "PD.sincere": compose_witness(pd, sincere)}
+
+
+def _random_source_module(w, rng):
+    """A seeded source module of dimension at most 2 (at most 1 for the
+    rank-56 composite, to keep its 56-dimensional images small)."""
+    field = w.field
+    if isinstance(w.source, FreeAlgebra):
+        return FreeAlgModule.random(field, 1 if w.rank > 28 else 2, rng)
+    bq = w.source.bound_quiver
+    dims = {v: rng.randint(0, 2) for v in bq.quiver.vertices}
+    mats = {a.name: Mat.random(field, dims[a.target], dims[a.source], rng)
+            for a in bq.quiver.arrows}
+    return Representation(bq, field, dims, mats, check=False)
+
+
+@pytest.mark.parametrize("field", [F101, F7, QQ], ids=repr)
+def test_eval_tensor_matches_entrywise_reference(field):
+    rng = random.Random(f"tensor-ref:{field!r}")
+    for name, w in _witness_zoo(field).items():
+        for _ in range(2):
+            v = _random_source_module(w, rng)
+            img, frame = eval_tensor_with_frame(w, v)
+            if isinstance(w.target, FreeAlgebra):
+                assert img.x == reference_entry_matrix_on(w, w.action["x"], v), name
+                assert img.y == reference_entry_matrix_on(w, w.action["y"], v), name
+                continue
+            # diagonal idempotents: the frame lists the raw coordinates by vertex
+            table = w.target
+            start, coords = 0, {}
+            for vtx in table.bound_quiver.quiver.vertices:
+                coords[vtx] = frame[start:start + img.dims[vtx]]
+                start += img.dims[vtx]
+            for a in table.bound_quiver.quiver.arrows:
+                idx = table.basis_index(Path(a.source, a.target, (a.name,)))
+                ref = reference_entry_matrix_on(w, w.action[idx], v)
+                assert img.mats[a.name] == ref.submatrix(coords[a.target],
+                                                         coords[a.source]), name
+
+
+def _as_rep(m):
+    return m.as_representation() if isinstance(m, FreeAlgModule) else m
+
+
+def test_compose_then_evaluate_is_evaluate_twice():
+    zoo = _witness_zoo(F101)
+    rng = random.Random(53)
+    for outer, inner in (("G", "F"), ("F", "G"), ("G", "FG"), ("PD", "sincere")):
+        o, i = zoo[outer], zoo[inner]
+        composite = compose_witness(o, i)
+        assert composite.rank == o.rank * i.rank
+        for _ in range(2):
+            v = _random_source_module(composite, rng)
+            once = _as_rep(eval_tensor(composite, v))
+            twice = _as_rep(eval_tensor(o, eval_tensor(i, v)))
+            assert are_isomorphic(once, twice, seed=3).verdict == "yes", (outer, inner)
+            if isinstance(i.target, FreeAlgebra):
+                # no vertex re-sorting in between: the composite's
+                # outer-generator-major coordinates give the same matrices
+                assert once.dims == twice.dims and once.mats == twice.mats
+
+
+def test_validate_rejects_non_idempotent_identity(k3_table):
+    # each vertex idempotent acts as the identity, so 1 acts as 2
+    one = Mat.identity(F101, 1)
+    action = {i: ({(): one} if not p.arrows else {}) for i, p in enumerate(k3_table.basis)}
+    with pytest.raises(ValueError, match="identity does not act as an idempotent"):
+        WitnessBimodule(k3_table, FreeAlgebra(F101), 1, action)
+
+
+def test_validate_rejects_non_multiplicative_action(k3_table):
+    # routing arrow a from generator 2 to generator 1 breaks e_2 * a = a
+    g = builtin_G(k3_table)
+    action = dict(g.action)
+    action[k3_table.basis_index(Path("1", "2", ("a",)))] = {(): Mat.unit(F101, 2, 2, 0, 1)}
+    with pytest.raises(ValueError, match="action does not respect the product"):
+        WitnessBimodule(k3_table, FreeAlgebra(F101), 2, action)
+
+
+def test_validate_rejects_keys_outside_the_source(k3_table):
+    g = builtin_G(k3_table)
+    for bad in (("z",), tuple("x" * 9), 0):
+        action = dict(g.action)
+        action[0] = {bad: Mat.identity(F101, 2)}
+        with pytest.raises(ValueError, match="not a basis key"):
+            WitnessBimodule(k3_table, FreeAlgebra(F101), 2, action)
