@@ -66,6 +66,10 @@ def _split_cols(text: str, sep: str, col: int,
     return out
 
 
+#: the ``weight`` keyword of an arrow line: a whole token after the target
+_WEIGHT_KEYWORD = re.compile(r"->\s*\S+\s+(weight)(?!\S)")
+
+
 def parse_quiver_spec(text: str) -> ParsedSpec:
     """Parse the line-oriented quiver-spec format; unknown keys rejected."""
     name = None
@@ -110,8 +114,9 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
                 raise SpecError(ln, 1, "expected: arrow <name>: <src> -> <tgt>")
             (aname, aname_col), (spec, spec_col) = pieces
             wt = None
-            if " weight " in f" {spec} " or spec.endswith("weight"):
-                at = spec.index("weight")
+            keyword = _WEIGHT_KEYWORD.search(spec)
+            if keyword:
+                at = keyword.start(1)
                 wt_text = spec[at + len("weight"):].strip()
                 spec = spec[:at].strip()
                 try:

@@ -1,11 +1,22 @@
 """Exact scalar and matrix arithmetic over the rationals and prime fields.
 
 Scalars are plain ``Fraction`` values over the rationals and plain ``int``
-residues in ``[0, p)`` over a prime field.  ``Mat`` wraps either a list of
-``Fraction`` rows or a numpy ``float64`` array of residues; all prime-field
-arithmetic is exact because every intermediate value is kept below 2**53
-(delayed modular reduction).  The storage choice stays inside this module:
-other modules build and combine matrices only through ``Mat`` operations,
+residues in ``[0, p)`` over a prime field.  A ``Mat`` stores its entries in
+one read-only 2-D numpy array whichever the field: ``float64`` residues over
+F_p, ``Fraction`` objects (``dtype=object``) over Q.  Every operation is
+written once on that array.  What really differs between the fields lives in
+one small private kernel per field, picked once when the ``Field`` is made:
+
+* ``_PrimeKernel``: scalars mod p, reduction ``% p``, ``int`` read-out, the
+  blocked echelon form ``_echelon_fp`` and the BLAS product.  Prime-field
+  arithmetic is exact because every intermediate value is kept below 2**53
+  (delayed modular reduction).
+* ``_RationalKernel``: ``Fraction`` scalars, making every entry a
+  ``Fraction``, the reduced echelon form ``_echelon_qq`` on row lists and a
+  product that skips zero entries.
+
+The storage stays inside this module: other modules build and combine
+matrices only through ``Mat`` operations,
 
 * ``assemble`` (a sum of blocks placed at offsets), ``hcat``/``vcat`` (many
   matrices side by side or on top of each other), ``lincomb`` (a linear
@@ -13,7 +24,8 @@ other modules build and combine matrices only through ``Mat`` operations,
 * ``column_space`` and ``minimal_polynomial``, next to rank, kernel, solve
   and inverse;
 * ``intertwiner_system``, the linear conditions for a combination of
-  matrices to intertwine given pairs.
+  matrices to intertwine given pairs, and ``trace_form``, the traces of all
+  pairwise products of two lists of matrices.
 
 All operations are pure and all values are immutable after construction.
 Randomized searches take an explicit seed and are deterministic under it.
@@ -46,12 +58,12 @@ class Field:
     level (endomorphism-ring analysis), never silently.
     """
 
-    __slots__ = ("char",)
+    __slots__ = ("char", "_kernel")
 
     def __init__(self, char: int = 0):
-        if char != 0:
-            if char < 5 or not _is_prime(char):
-                raise ValueError(f"prime field characteristic must be a prime >= 5, got {char}")
+        # the one place that looks at the characteristic: everything that
+        # differs between the fields is in the kernel picked here
+        self._kernel = _PrimeKernel(char) if char else _RationalKernel()
         self.char = char
 
     @classmethod
@@ -66,51 +78,34 @@ class Field:
 
     def coerce(self, x) -> Scalar:
         """Coerce an int / Fraction / string like '2/3' into a field scalar."""
-        if self.char:
-            if isinstance(x, Fraction):
-                if x.denominator % self.char == 0:
-                    raise ZeroDivisionError(f"denominator divisible by {self.char}")
-                return (x.numerator * pow(x.denominator, -1, self.char)) % self.char
-            return int(x) % self.char
-        if isinstance(x, Fraction):
-            return x
-        return Fraction(x)
+        return self._kernel.coerce(x)
 
     @property
     def zero(self) -> Scalar:
-        return 0 if self.char else Fraction(0)
+        return self._kernel.zero
 
     @property
     def one(self) -> Scalar:
-        return 1 if self.char else Fraction(1)
+        return self._kernel.one
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a + b) % self.char if self.char else a + b
+        return self._kernel.coerce(a + b)
 
     def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a - b) % self.char if self.char else a - b
+        return self._kernel.coerce(a - b)
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a * b) % self.char if self.char else a * b
+        return self._kernel.coerce(a * b)
 
     def neg(self, a: Scalar) -> Scalar:
-        return (-a) % self.char if self.char else -a
+        return self._kernel.coerce(-a)
 
     def inv(self, a: Scalar) -> Scalar:
-        if self.char:
-            a = a % self.char
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return pow(a, self.char - 2, self.char)
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        return self._kernel.inv(a)
 
     def random_scalar(self, rng: random.Random) -> Scalar:
         """Uniform over F_p; small integers in [-9, 9] over the rationals."""
-        if self.char:
-            return rng.randrange(self.char)
-        return Fraction(rng.randint(-9, 9))
+        return self._kernel.random_scalar(rng)
 
     def random_nonzero(self, rng: random.Random) -> Scalar:
         while True:
@@ -125,7 +120,7 @@ class Field:
         return hash(("Field", self.char))
 
     def __repr__(self) -> str:
-        return "Q" if self.char == 0 else f"F{self.char}"
+        return self._kernel.name
 
 
 def _is_prime(n: int) -> bool:
@@ -137,10 +132,6 @@ def _is_prime(n: int) -> bool:
             return False
         k += 1
     return True
-
-
-QQ = Field.rationals()
-F101 = Field.prime(101)
 
 
 # ---------------------------------------------------------------------------
@@ -252,56 +243,6 @@ def _echelon_fp(a: np.ndarray, p: int, panel: int = _PANEL):
     return w, allpiv
 
 
-def _kernel_fp(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right null space mod p, as columns of an (n, k) array."""
-    m, n = a.shape
-    w, piv = _echelon_fp(a, p)
-    free = [c for c in range(n) if c not in set(piv)]
-    k = len(free)
-    out = np.zeros((n, k))
-    if k == 0:
-        return out
-    r = len(piv)
-    # back substitution on the echelon form, vectorized over all free columns
-    rhs = w[:r, free].copy()             # r x k
-    sol = np.zeros((r, k))
-    for i in range(r - 1, -1, -1):
-        acc = rhs[i].copy()
-        tail = w[i, piv[i + 1:r]]
-        if tail.size and tail.any():
-            acc -= tail @ sol[i + 1:r]
-        sol[i] = acc % p
-    for idx, c in enumerate(free):
-        out[c, idx] = 1.0
-    if r:
-        out[piv[:r], :] = (-sol) % p
-    return out
-
-
-def _solve_many_fp(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """Solve a X = b columnwise with a single elimination; None when any
-    column is inconsistent.  Free variables are set to zero."""
-    m, n = a.shape
-    k = b.shape[1]
-    aug = np.concatenate([a, b], axis=1)
-    w, piv = _echelon_fp(aug, p)
-    if piv and piv[-1] >= n:
-        return None
-    x = np.zeros((n, k))
-    r = len(piv)
-    for i in range(r - 1, -1, -1):
-        acc = w[i, n:].copy()
-        tail = w[i, piv[i + 1:r]]
-        if tail.size and tail.any():
-            acc -= tail @ x[piv[i + 1:r], :]
-        x[piv[i]] = acc % p
-    # rows above pivots may still be inconsistent when rank < m: check residual
-    resid = (a @ x - b) % p
-    if resid.any():
-        return None
-    return x
-
-
 # ---------------------------------------------------------------------------
 # rational kernels (Fraction rows)
 # ---------------------------------------------------------------------------
@@ -332,33 +273,175 @@ def _echelon_qq(rows: list[list[Fraction]]):
 
 
 # ---------------------------------------------------------------------------
+# field kernels: what differs between F_p and Q, and nothing else
+# ---------------------------------------------------------------------------
+
+class _PrimeKernel:
+    """F_p: ``int`` scalars in [0, p), ``float64`` arrays of residues.
+
+    ``coerce`` makes any integer, ``Fraction`` or array entry a residue,
+    ``normalize`` reduces an array mod p, ``exact`` reads entries out as
+    ``int``, ``echelon`` is the blocked ``_echelon_fp`` (unit pivots,
+    zeros below them) and ``matmul`` the BLAS product (reduced afterwards by
+    ``normalize``).
+    """
+
+    __slots__ = ("p", "name")
+    dtype = np.float64
+    zero = 0
+    one = 1
+
+    def __init__(self, p: int):
+        if p < 5 or not _is_prime(p):
+            raise ValueError(f"prime field characteristic must be a prime >= 5, got {p}")
+        self.p = p
+        self.name = f"F{p}"
+
+    def coerce(self, x) -> int:
+        if isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise ZeroDivisionError(f"denominator divisible by {self.p}")
+            return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
+        return int(x) % self.p
+
+    def inv(self, a):
+        a = a % self.p
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, self.p - 2, self.p)
+
+    def random_scalar(self, rng: random.Random) -> int:
+        return rng.randrange(self.p)
+
+    def normalize(self, a: np.ndarray) -> np.ndarray:
+        return a % self.p
+
+    def exact(self, a: np.ndarray) -> np.ndarray:
+        return a.astype(np.int64)
+
+    def echelon(self, a: np.ndarray):
+        return _echelon_fp(a, self.p)
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a @ b
+
+
+class _RationalKernel:
+    """Q: ``Fraction`` scalars and object arrays of ``Fraction`` entries.
+
+    ``coerce`` and ``normalize`` make a scalar or every entry of an array a
+    ``Fraction``, ``exact`` returns entries as they are, ``echelon`` is the reduced echelon form
+    ``_echelon_qq`` on row lists and ``matmul`` a row loop that skips zero
+    entries (a dense object-array product multiplies every zero it meets).
+    """
+
+    __slots__ = ()
+    name = "Q"
+    dtype = object
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def coerce(self, x) -> Fraction:
+        return x if isinstance(x, Fraction) else Fraction(x)
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return Fraction(1) / a
+
+    def random_scalar(self, rng: random.Random) -> Fraction:
+        return Fraction(rng.randint(-9, 9))
+
+    @staticmethod
+    def _array(data, shape) -> np.ndarray:
+        return np.array(data, dtype=object).reshape(shape)
+
+    def normalize(self, a: np.ndarray) -> np.ndarray:
+        return self._array([x if type(x) is Fraction else Fraction(x)
+                            for x in a.ravel().tolist()], a.shape)
+
+    def exact(self, a: np.ndarray) -> np.ndarray:
+        return a
+
+    def echelon(self, a: np.ndarray):
+        w, piv = _echelon_qq(a.tolist())
+        return self._array(w, a.shape), piv
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        cols = b.shape[1]
+        nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b.tolist()]
+        out = []
+        for row in a.tolist():
+            acc = [Fraction(0)] * cols
+            for x, terms in zip(row, nonzero):
+                if x:
+                    for j, y in terms:
+                        acc[j] += x * y
+            out.append(acc)
+        return self._array(out, (a.shape[0], cols))
+
+
+QQ = Field.rationals()
+F101 = Field.prime(101)
+
+
+# ---------------------------------------------------------------------------
 # Mat
 # ---------------------------------------------------------------------------
+
+def _zeros(field: Field, rows: int, cols: int) -> np.ndarray:
+    """A writable ``rows x cols`` array of the field's zero."""
+    arr = np.empty((rows, cols), dtype=field._kernel.dtype)
+    arr.fill(field.zero)
+    return arr
+
+
+def _identity(field: Field, n: int) -> np.ndarray:
+    """A writable ``n x n`` identity array."""
+    arr = _zeros(field, n, n)
+    arr.ravel()[::n + 1] = field.one
+    return arr
+
+
+def _back_substitute(fk, w: np.ndarray, piv: Sequence[int], rhs: np.ndarray) -> np.ndarray:
+    """X with ``w[i, piv] @ X == rhs[i]`` for the first ``len(piv)`` rows of
+    an echelon form ``w`` (unit pivots at ``piv``, zeros below them), solved
+    from the bottom row up.  Over a reduced echelon form every tail is zero
+    and X is ``rhs``."""
+    x = np.array(rhs)
+    for i in range(len(piv) - 1, -1, -1):
+        tail = w[i, piv[i + 1:]]
+        if tail.any():
+            x[i] = fk.normalize(x[i] - tail @ x[i + 1:])
+    return x
+
 
 class Mat:
     """An immutable exact matrix over a :class:`Field`.
 
-    Prime-field entries live in a float64 numpy array of residues in
-    ``[0, p)``; rational entries in a tuple of ``Fraction`` row tuples.
+    The entries are one read-only ``rows x cols`` numpy array, ``_entries``:
+    ``float64`` residues in ``[0, p)`` over F_p, ``Fraction`` objects over
+    Q.  Every operation below is written once on that array; the few steps
+    that differ between the fields (normalizing an array, reading entries
+    out, the echelon form and the product) go through the field's kernel.
     """
 
-    __slots__ = ("field", "rows", "cols", "_arr", "_rows")
+    __slots__ = ("field", "rows", "cols", "_entries")
 
     def __init__(self, field: Field, rows: int, cols: int, data):
         self.field = field
         self.rows = rows
         self.cols = cols
-        if field.char:
-            arr = np.asarray(data, dtype=np.float64).reshape(rows, cols) % field.char
-            arr.setflags(write=False)
-            self._arr = arr
-            self._rows = None
-        else:
-            self._arr = None
-            self._rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-                               for row in data)
-            if len(self._rows) != rows or any(len(r) != cols for r in self._rows):
-                raise ShapeMismatchError("row data does not match declared shape")
+        fk = field._kernel
+        arr = np.asarray(data, dtype=fk.dtype)
+        if arr.shape != (rows, cols):
+            if arr.size or rows * cols:
+                raise ShapeMismatchError(
+                    f"data of shape {arr.shape} does not match declared shape ({rows}, {cols})")
+            arr = arr.reshape(rows, cols)
+        arr = fk.normalize(arr)
+        arr.setflags(write=False)
+        self._entries = arr
 
     # -- constructors ------------------------------------------------------
 
@@ -368,20 +451,16 @@ class Mat:
         n = len(rows[0]) if m else 0
         if any(len(r) != n for r in rows):
             raise ShapeMismatchError("ragged rows")
-        coerced = [[field.coerce(x) for x in row] for row in rows]
-        return cls(field, m, n, coerced)
+        coerce = field._kernel.coerce
+        return cls(field, m, n, [[coerce(x) for x in row] for row in rows])
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Mat":
-        if field.char:
-            return cls(field, rows, cols, np.zeros((rows, cols)))
-        return cls(field, rows, cols, [[Fraction(0)] * cols for _ in range(rows)])
+        return cls(field, rows, cols, _zeros(field, rows, cols))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
-        if field.char:
-            return cls(field, n, n, np.eye(n))
-        return cls(field, n, n, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls(field, n, n, _identity(field, n))
 
     @classmethod
     def column(cls, field: Field, entries: Sequence) -> "Mat":
@@ -389,9 +468,8 @@ class Mat:
 
     @classmethod
     def random(cls, field: Field, rows: int, cols: int, rng: random.Random) -> "Mat":
-        data = [[field.random_scalar(rng) for _ in range(cols)] for _ in range(rows)]
-        return cls(field, rows, cols, data if not field.char else
-                   np.array(data, dtype=np.float64).reshape(rows, cols))
+        return cls(field, rows, cols,
+                   [[field.random_scalar(rng) for _ in range(cols)] for _ in range(rows)])
 
     @classmethod
     def unit(cls, field: Field, rows: int, cols: int, i: int, j: int) -> "Mat":
@@ -402,24 +480,14 @@ class Mat:
     def assemble(cls, field: Field, rows: int, cols: int, blocks) -> "Mat":
         """The ``rows x cols`` sum of the blocks ``(i, j, b)``, each placed with
         its top-left entry at (i, j); overlapping blocks add."""
-        blocks = list(blocks)
+        out = _zeros(field, rows, cols)
         for i, j, b in blocks:
             if b.field != field:
                 raise ShapeMismatchError("field mismatch")
             if i < 0 or j < 0 or i + b.rows > rows or j + b.cols > cols:
                 raise ShapeMismatchError(f"block {b.shape} at ({i}, {j}) leaves {rows}x{cols}")
-        if field.char:
-            out = np.zeros((rows, cols))
-            for i, j, b in blocks:
-                out[i:i + b.rows, j:j + b.cols] += b._arr
-            return cls(field, rows, cols, out)
-        data = [[0] * cols for _ in range(rows)]
-        for i, j, b in blocks:
-            for dst, src in zip(data[i:i + b.rows], b._rows):
-                for k, x in enumerate(src, j):
-                    if x:
-                        dst[k] += x
-        return cls(field, rows, cols, data)
+            out[i:i + b.rows, j:j + b.cols] += b._entries
+        return cls(field, rows, cols, out)
 
     @classmethod
     def hcat(cls, field: Field, rows: int, mats: Sequence["Mat"]) -> "Mat":
@@ -427,11 +495,9 @@ class Mat:
         for m in mats:
             if m.field != field or m.rows != rows:
                 raise ShapeMismatchError(f"hstack of {m.shape} over {m.field} onto {rows} rows")
-        cols = sum(m.cols for m in mats)
-        if field.char:
-            return cls(field, rows, cols, np.concatenate([m._arr for m in mats], axis=1)
-                       if mats else np.zeros((rows, 0)))
-        return cls(field, rows, cols, [[x for m in mats for x in m._rows[i]] for i in range(rows)])
+        return cls(field, rows, sum(m.cols for m in mats),
+                   np.concatenate([m._entries for m in mats], axis=1) if mats
+                   else _zeros(field, rows, 0))
 
     @classmethod
     def vcat(cls, field: Field, cols: int, mats: Sequence["Mat"]) -> "Mat":
@@ -439,60 +505,43 @@ class Mat:
         for m in mats:
             if m.field != field or m.cols != cols:
                 raise ShapeMismatchError(f"vstack of {m.shape} over {m.field} onto {cols} cols")
-        rows = sum(m.rows for m in mats)
-        if field.char:
-            return cls(field, rows, cols, np.concatenate([m._arr for m in mats], axis=0)
-                       if mats else np.zeros((0, cols)))
-        return cls(field, rows, cols, [r for m in mats for r in m._rows])
+        return cls(field, sum(m.rows for m in mats), cols,
+                   np.concatenate([m._entries for m in mats], axis=0) if mats
+                   else _zeros(field, 0, cols))
 
     @classmethod
     def lincomb(cls, field: Field, rows: int, cols: int, coeffs: Sequence,
                 mats: Sequence["Mat"]) -> "Mat":
         """The ``rows x cols`` combination ``sum c_k * M_k`` of paired
-        coefficients and matrices."""
-        terms = [(field.coerce(c), m) for c, m in zip(coeffs, mats)]
+        coefficients and matrices, as one product of the coefficient row with
+        the flattened matrices."""
+        fk = field._kernel
+        terms = [(fk.coerce(c), m) for c, m in zip(coeffs, mats)]
         for _, m in terms:
             if m.field != field or m.shape != (rows, cols):
                 raise ShapeMismatchError(f"combination of {m.shape} into {rows}x{cols}")
-        if field.char:
-            out = np.zeros((rows, cols))
-            for c, m in terms:
-                if c:
-                    out += c * m._arr
-                    out %= field.char
-            return cls(field, rows, cols, out)
-        data = [[0] * cols for _ in range(rows)]
-        for c, m in terms:
-            if c:
-                for dst, src in zip(data, m._rows):
-                    for k, x in enumerate(src):
-                        if x:
-                            dst[k] += c * x
-        return cls(field, rows, cols, data)
+        coef = np.array([c for c, _ in terms], dtype=fk.dtype).reshape(1, len(terms))
+        flat = np.array([m._entries for _, m in terms], dtype=fk.dtype)
+        return cls(field, rows, cols,
+                   fk.matmul(coef, flat.reshape(len(terms), rows * cols)).reshape(rows, cols))
 
     # -- accessors ----------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Scalar:
-        if self._arr is not None:
-            return int(self._arr[i, j])
-        return self._rows[i][j]
+        return self.field._kernel.coerce(self._entries[i, j])
 
     def row_list(self) -> list[list[Scalar]]:
-        if self._arr is not None:
-            return [[int(x) for x in row] for row in self._arr]
-        return [list(r) for r in self._rows]
+        return self.field._kernel.exact(self._entries).tolist()
 
     def column_entries(self, j: int) -> list[Scalar]:
-        return [self.entry(i, j) for i in range(self.rows)]
+        return self.field._kernel.exact(self._entries[:, j]).tolist()
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        if self._arr is not None:
-            return not self._arr.any()
-        return all(x == 0 for row in self._rows for x in row)
+        return not self._entries.any()
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -500,14 +549,12 @@ class Mat:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat) or other.field != self.field or other.shape != self.shape:
             return False
-        if self._arr is not None:
-            return bool((self._arr == other._arr).all())
-        return self._rows == other._rows
+        return bool((self._entries == other._entries).all())
 
     def __hash__(self):
-        if self._arr is not None:
-            return hash((self.field, self.rows, self.cols, self._arr.tobytes()))
-        return hash((self.field, self._rows))
+        # entries as Python numbers: equal residues and equal fractions hash
+        # equal (an object array's bytes would be pointers)
+        return hash((self.field, self.rows, self.cols, tuple(self._entries.ravel().tolist())))
 
     def __repr__(self) -> str:
         return f"Mat({self.field}, {self.rows}x{self.cols})"
@@ -522,10 +569,7 @@ class Mat:
         self._require_same_field(other)
         if self.shape != other.shape:
             raise ShapeMismatchError(f"add {self.shape} vs {other.shape}")
-        if self._arr is not None:
-            return Mat(self.field, self.rows, self.cols, self._arr + other._arr)
-        return Mat(self.field, self.rows, self.cols,
-                   [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)])
+        return Mat(self.field, self.rows, self.cols, self._entries + other._entries)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + other.scaled(self.field.coerce(-1))
@@ -534,36 +578,17 @@ class Mat:
         return self.scaled(self.field.coerce(-1))
 
     def scaled(self, c) -> "Mat":
-        c = self.field.coerce(c)
-        if self._arr is not None:
-            return Mat(self.field, self.rows, self.cols, self._arr * float(c))
-        return Mat(self.field, self.rows, self.cols, [[c * x for x in row] for row in self._rows])
+        return Mat(self.field, self.rows, self.cols, self._entries * self.field.coerce(c))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._require_same_field(other)
         if self.cols != other.rows:
             raise ShapeMismatchError(f"matmul {self.shape} @ {other.shape}")
-        if self._arr is not None:
-            return Mat(self.field, self.rows, other.cols, self._arr @ other._arr)
-        out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            ri = self._rows[i]
-            for k in range(self.cols):
-                a = ri[k]
-                if a == 0:
-                    continue
-                rk = other._rows[k]
-                oi = out[i]
-                for j in range(other.cols):
-                    if rk[j] != 0:
-                        oi[j] += a * rk[j]
-        return Mat(self.field, self.rows, other.cols, out)
+        return Mat(self.field, self.rows, other.cols,
+                   self.field._kernel.matmul(self._entries, other._entries))
 
     def transpose(self) -> "Mat":
-        if self._arr is not None:
-            return Mat(self.field, self.cols, self.rows, self._arr.T)
-        return Mat(self.field, self.cols, self.rows,
-                   [[self._rows[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Mat(self.field, self.cols, self.rows, self._entries.T)
 
     @property
     def T(self) -> "Mat":
@@ -572,29 +597,18 @@ class Mat:
     def trace(self) -> Scalar:
         if not self.is_square():
             raise ShapeMismatchError("trace of a non-square matrix")
-        if self._arr is not None:
-            return int(self._arr.trace()) % self.field.char
-        total = Fraction(0)
-        for i in range(self.rows):
-            total += self._rows[i][i]
-        return total
+        return self.field.coerce(self._entries.trace())
 
     def kron(self, other: "Mat") -> "Mat":
         self._require_same_field(other)
-        if self._arr is not None:
-            # the outer product, reshaped: np.kron's generic path costs more
-            # than the product itself on the small blocks of witness actions
-            return Mat(self.field, self.rows * other.rows, self.cols * other.cols,
-                       (self._arr[:, None, :, None] * other._arr[None, :, None, :])
-                       .reshape(self.rows * other.rows, self.cols * other.cols))
-        zero = [Fraction(0)] * other.cols
-        out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                row = []
-                for a in self._rows[i]:
-                    row.extend([a * x for x in other._rows[k]] if a else zero)
-                out.append(row)
+        # the outer product, reshaped: np.kron's generic path costs more
+        # than the product itself on the small blocks of witness actions;
+        # zero entries of self are skipped (each product of Fractions costs)
+        a, b = self._entries, other._entries
+        out = _zeros(self.field, self.rows * other.rows, self.cols * other.cols)
+        np.multiply(a[:, None, :, None], b[None, :, None, :],
+                    out=out.reshape(self.rows, other.rows, self.cols, other.cols),
+                    where=(a != 0)[:, None, :, None])
         return Mat(self.field, self.rows * other.rows, self.cols * other.cols, out)
 
     def hstack(self, other: "Mat") -> "Mat":
@@ -607,18 +621,12 @@ class Mat:
         """The same entries in row-major order, refilled as ``rows x cols``."""
         if rows * cols != self.rows * self.cols:
             raise ShapeMismatchError(f"reshape {self.shape} to ({rows}, {cols})")
-        if self._arr is not None:
-            return Mat(self.field, rows, cols, self._arr.reshape(rows, cols))
-        flat = [x for row in self._rows for x in row]
-        return Mat(self.field, rows, cols, [flat[i * cols:(i + 1) * cols] for i in range(rows)])
+        return Mat(self.field, rows, cols, self._entries.reshape(rows, cols))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
-        if self._arr is not None:
-            return Mat(self.field, len(row_idx), len(col_idx),
-                       self._arr[np.ix_(row_idx, col_idx)] if row_idx and col_idx
-                       else np.zeros((len(row_idx), len(col_idx))))
         return Mat(self.field, len(row_idx), len(col_idx),
-                   [[self._rows[i][j] for j in col_idx] for i in row_idx])
+                   self._entries[np.ix_(row_idx, col_idx)] if row_idx and col_idx
+                   else _zeros(self.field, len(row_idx), len(col_idx)))
 
     # -- solving -------------------------------------------------------------
 
@@ -628,42 +636,26 @@ class Mat:
     def pivot_columns(self) -> list[int]:
         """The pivot columns of an echelon form: the columns a greedy pass
         keeps, each one independent of all columns before it."""
-        if self._arr is not None:
-            return _echelon_fp(self._arr, self.field.char)[1]
-        if self.rows == 0 or self.cols == 0:
-            return []
-        return _echelon_qq(self.row_list())[1]
+        return self.field._kernel.echelon(self._entries)[1]
 
     def kernel(self) -> "Mat":
         """Matrix whose columns form a basis of the right null space."""
-        if self._arr is not None:
-            ker = _kernel_fp(self._arr, self.field.char)
-            return Mat(self.field, self.cols, ker.shape[1], ker)
-        if self.rows == 0 or self.cols == 0:
-            return Mat.identity(self.field, self.cols)
-        w, piv = _echelon_qq(self.row_list())
+        fk = self.field._kernel
+        w, piv = fk.echelon(self._entries)
         pivset = set(piv)
         free = [c for c in range(self.cols) if c not in pivset]
-        cols = []
-        for c in free:
-            v = [Fraction(0)] * self.cols
-            v[c] = Fraction(1)
-            for r, pc in enumerate(piv):
-                v[pc] = -w[r][c]
-            cols.append(v)
-        return Mat(self.field, self.cols, len(cols),
-                   [[cols[j][i] for j in range(len(cols))] for i in range(self.cols)])
+        out = _zeros(self.field, self.cols, len(free))
+        out[free, range(len(free))] = self.field.one
+        if piv and free:
+            out[piv] = fk.normalize(-_back_substitute(fk, w, piv, w[:len(piv), free]))
+        return Mat(self.field, self.cols, len(free), out)
 
     def column_space(self) -> "Mat":
         """A basis of the column space, as the columns of the result."""
         if self.cols == 0:
             return Mat.zeros(self.field, self.rows, 0)
-        if self._arr is not None:
-            w, piv = _echelon_fp(self._arr.T, self.field.char)
-            return Mat(self.field, self.rows, len(piv), w[:len(piv)].T)
-        w, piv = _echelon_qq(self.T.row_list())
-        return Mat(self.field, self.rows, len(piv),
-                   [[w[k][i] for k in range(len(piv))] for i in range(self.rows)])
+        w, piv = self.field._kernel.echelon(self._entries.T)
+        return Mat(self.field, self.rows, len(piv), w[:len(piv)].T)
 
     def solve(self, b: "Mat"):
         """Particular solution of self @ x = b (b a column), or None."""
@@ -677,21 +669,18 @@ class Mat:
         if b.rows != self.rows:
             raise ShapeMismatchError("solve_matrix row mismatch")
         self._require_same_field(b)
-        if self._arr is not None:
-            if b.cols == 0:
-                return Mat.zeros(self.field, self.cols, 0)
-            x = _solve_many_fp(self._arr, b._arr, self.field.char)
-            if x is None:
-                return None
-            return Mat(self.field, self.cols, b.cols, x)
         n = self.cols
-        w, piv = _echelon_qq([r + s for r, s in zip(self._rows, b._rows)])
+        if b.cols == 0:
+            return Mat.zeros(self.field, n, 0)
+        fk = self.field._kernel
+        w, piv = fk.echelon(np.concatenate([self._entries, b._entries], axis=1))
         if piv and piv[-1] >= n:
             return None
-        x = [[0] * b.cols for _ in range(n)]
-        for r, pc in enumerate(piv):
-            x[pc] = w[r][n:]
-        return Mat(self.field, n, b.cols, x)
+        x = _zeros(self.field, n, b.cols)
+        x[piv] = _back_substitute(fk, w, piv, w[:len(piv), n:])
+        x = Mat(self.field, n, b.cols, x)
+        # the residual guards the elimination: a nonzero one means no solution
+        return x if self @ x == b else None
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.rows
@@ -702,24 +691,11 @@ class Mat:
         n = self.rows
         if n == 0:
             return self
-        if self._arr is not None:
-            p = self.field.char
-            aug = np.concatenate([self._arr, np.eye(n)], axis=1)
-            w, piv = _echelon_fp(aug, p)
-            if len(piv) < n or piv[n - 1] != n - 1:
-                raise ZeroDivisionError("matrix is singular")
-            # back-eliminate above pivots
-            for i in range(n - 1, -1, -1):
-                f = w[:i, i].copy()
-                if f.any():
-                    w[:i, n:] = (w[:i, n:] - f[:, None] * w[i, n:][None, :]) % p
-            return Mat(self.field, n, n, w[:, n:])
-        aug = [list(r) + [Fraction(int(i == j)) for j in range(n)]
-               for i, r in enumerate(self._rows)]
-        w, piv = _echelon_qq(aug)
-        if len([c for c in piv if c < n]) < n:
+        fk = self.field._kernel
+        w, piv = fk.echelon(np.concatenate([self._entries, _identity(self.field, n)], axis=1))
+        if len(piv) < n or piv[n - 1] != n - 1:
             raise ZeroDivisionError("matrix is singular")
-        return Mat(self.field, n, n, [row[n:] for row in w[:n]])
+        return Mat(self.field, n, n, _back_substitute(fk, w, piv[:n], w[:n, n:]))
 
     def minimal_polynomial(self) -> list:
         """Exact minimal polynomial of a square matrix, ascending coefficients.
@@ -729,58 +705,31 @@ class Mat:
         """
         if not self.is_square():
             raise ShapeMismatchError("minimal polynomial of a non-square matrix")
-        field = self.field
+        field, fk = self.field, self.field._kernel
         n = self.rows
         if n == 0:
             return [field.one]
+        # each Krylov row carries its expression in the powers after the
+        # n*n entries, so one row operation reduces both; reduced rows are
+        # kept as (pivot, nonzero columns, values) and touch only those
+        width = n * n
+        powers = _identity(field, n + 1)
+        reduced: list[tuple[int, np.ndarray, np.ndarray]] = []
         cur = Mat.identity(field, n)
-        if self._arr is not None:
-            p = field.char
-            reduced: list[tuple[int, np.ndarray, np.ndarray]] = []
-            k = 0
-            while True:
-                vec = cur._arr.reshape(-1).copy()
-                expr = np.zeros(k + 1)
-                expr[k] = 1.0
-                for piv, row, rexpr in reduced:
-                    f = vec[piv]
-                    if f:
-                        vec = (vec - f * row) % p
-                        expr[:len(rexpr)] = (expr[:len(rexpr)] - f * rexpr) % p
-                nz = np.nonzero(vec)[0]
-                if len(nz) == 0:
-                    return [field.coerce(int(c)) for c in expr]
-                piv = int(nz[0])
-                inv = pow(int(vec[piv]), p - 2, p)
-                vec = (vec * inv) % p
-                expr = (expr * inv) % p
-                reduced.append((piv, vec, expr))
-                cur = cur @ self
-                k += 1
-                if k > n:
-                    raise RuntimeError("minimal polynomial search exceeded the dimension")
-        reduced_q: list[tuple[int, list, list]] = []
-        k = 0
-        while True:
-            vec = [x for row in cur._rows for x in row]
-            expr = [Fraction(0)] * k + [Fraction(1)]
-            for piv, row, rexpr in reduced_q:
-                f = vec[piv]
-                if f != 0:
-                    vec = [x - f * y for x, y in zip(vec, row)]
-                    for i in range(len(rexpr)):
-                        expr[i] -= f * rexpr[i]
-            piv = next((i for i, x in enumerate(vec) if x != 0), None)
-            if piv is None:
-                return expr
-            inv = Fraction(1) / vec[piv]
-            vec = [x * inv for x in vec]
-            expr = [x * inv for x in expr]
-            reduced_q.append((piv, vec, expr))
+        for k in range(n + 1):
+            row = np.concatenate([cur._entries.ravel(), powers[k]])
+            for piv, cols, vals in reduced:
+                f = row[piv]
+                if f:
+                    row[cols] = fk.normalize(row[cols] - f * vals)
+            nz = np.flatnonzero(row[:width])
+            if not nz.size:
+                return fk.exact(row[width:width + k + 1]).tolist()
+            cols = np.flatnonzero(row)
+            inv = fk.inv(fk.coerce(row[nz[0]]))
+            reduced.append((int(nz[0]), cols, fk.normalize(row[cols] * inv)))
             cur = cur @ self
-            k += 1
-            if k > n:
-                raise RuntimeError("minimal polynomial search exceeded the dimension")
+        raise RuntimeError("minimal polynomial search exceeded the dimension")
 
 
 def intertwiner_system(params: Sequence[Mat], pairs: Sequence[tuple[Mat, Mat]]) -> Mat:
@@ -789,19 +738,42 @@ def intertwiner_system(params: Sequence[Mat], pairs: Sequence[tuple[Mat, Mat]]) 
     Column c stacks, pair by pair, the row-major entries of
     ``g_c @ s - s2 @ g_c`` for the pairs ``(s, s2)``, so the kernel of the
     result holds the coefficients of every g with ``g @ s == s2 @ g``.
-    ``params`` and ``pairs`` are nonempty.
+    ``params`` and ``pairs`` are nonempty.  Each side is one product over all
+    the ``g_c``: stacked on top of each other for ``g_c @ s``, side by side
+    for ``s2 @ g_c``.
     """
     field = params[0].field
+    fk = field._kernel
+    c = len(params)
     e, d = params[0].shape
-    nrows = len(pairs) * e * d
-    if field.char:
-        g = np.stack([m._arr for m in params])            # (c, e, d)
-        blocks = [((g @ s._arr - s2._arr @ g) % field.char).reshape(len(params), e * d).T
-                  for s, s2 in pairs]
-        return Mat(field, nrows, len(params), np.concatenate(blocks, axis=0))
-    cols = [[x for s, s2 in pairs for row in (g @ s - s2 @ g)._rows for x in row]
-            for g in params]
-    return Mat(field, nrows, len(params), [list(r) for r in zip(*cols)])
+    g = np.stack([m._entries for m in params])            # (c, e, d)
+    side = g.transpose(1, 0, 2).reshape(e, c * d)         # [g_1 | ... | g_c]
+    blocks = []
+    for s, s2 in pairs:
+        right = fk.matmul(g.reshape(c * e, d), s._entries).reshape(c, e, d)
+        left = fk.matmul(s2._entries, side).reshape(e, c, d).transpose(1, 0, 2)
+        blocks.append((right - left).reshape(c, e * d).T)
+    return Mat(field, len(pairs) * e * d, c, np.concatenate(blocks, axis=0))
+
+
+def trace_form(lefts: Sequence[Mat], rights: Sequence[Mat]) -> Mat:
+    """The matrix with entry (i, j) equal to ``tr(lefts[i] @ rights[j])``.
+
+    One product of the row-major flattened ``lefts`` with the flattened
+    transposes of ``rights``, since tr(AB) = vec(A) . vec(B^T).  ``lefts``
+    and ``rights`` are nonempty; every left is n x m and every right m x n.
+    """
+    field = lefts[0].field
+    n, m = lefts[0].shape
+    for x in lefts:
+        if x.field != field or x.shape != (n, m):
+            raise ShapeMismatchError(f"trace form of {x.shape} among ({n}, {m}) lefts")
+    for y in rights:
+        if y.field != field or y.shape != (m, n):
+            raise ShapeMismatchError(f"trace form of {y.shape} against ({n}, {m}) lefts")
+    flat_left = np.stack([x._entries.ravel() for x in lefts])
+    flat_right = np.stack([y._entries.T.ravel() for y in rights], axis=1)
+    return Mat(field, len(lefts), len(rights), field._kernel.matmul(flat_left, flat_right))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from typing import Optional, Sequence
 import sympy
 
 from .exactlin import (Field, Mat, ShapeMismatchError, find_invertible_in_span,
-                       intertwiner_system, nilpotency_index, nilpotent_hom_basis)
+                       intertwiner_system, nilpotency_index, nilpotent_hom_basis,
+                       trace_form)
 from .quiver import AlgebraElement, BoundQuiver, Path
 
 DEFAULT_TRIALS = 32
@@ -67,7 +68,9 @@ class Representation:
         for v in q.vertices:
             self._offsets[v] = off
             off += self.dims[v]
-        self._end_cache: Optional[HomSpace] = None
+        # basis of End(M) from the fast paths; only the basis, since a
+        # HomSpace would refer back to this module and make a cycle
+        self._end_basis: Optional[list[dict[str, Mat]]] = None
         if check:
             bad = [str(rel) for rel, ok in check_relations(self) if not ok]
             if bad:
@@ -181,14 +184,14 @@ def morphism_is_zero(f: dict[str, Mat]) -> bool:
 def hom_space(m: Representation, n: Representation, use_fast_paths: bool = True) -> HomSpace:
     """All intertwiners m -> n, by exact linear algebra.
 
-    End(M) computed with the fast paths is cached on M; the plain path
-    neither reads nor fills that cache.
+    The basis of End(M) computed with the fast paths is cached on M; the
+    plain path neither reads nor fills that cache.
     """
     if m.bound_quiver != n.bound_quiver:
         raise ShapeMismatchError("representations over different bound quivers")
     cache_end = m is n and use_fast_paths
-    if cache_end and m._end_cache is not None:
-        return m._end_cache
+    if cache_end and m._end_basis is not None:
+        return HomSpace(m, m, m._end_basis)
     field = m.field
     q = m.bound_quiver.quiver
 
@@ -248,10 +251,9 @@ def hom_space(m: Representation, n: Representation, use_fast_paths: bool = True)
             else:
                 f[v] = a_tf[v] @ fr[r] @ b_tf[v]
         out.append(f)
-    hom = HomSpace(m, n, out)
     if cache_end:
-        m._end_cache = hom
-    return hom
+        m._end_basis = out
+    return HomSpace(m, n, out)
 
 
 def _solve_hom_equations(field, m, n, var_roots, equations, use_fast_paths):
@@ -398,34 +400,15 @@ class EndAnalysis:
                 out[k] = acc
         return out
 
-    def regular_matrix(self, coords: Sequence) -> Mat:
-        f = self.field
-        rows = [[f.zero] * self.dim for _ in range(self.dim)]
-        for i, c in enumerate(coords):
-            if c == 0:
-                continue
-            reg = self.regular[i]
-            for k in range(self.dim):
-                for j in range(self.dim):
-                    if reg[k][j] != 0:
-                        rows[k][j] = f.add(rows[k][j], f.mul(c, reg[k][j]))
-        return Mat.from_rows(f, rows)
-
     def trace_gram(self) -> Mat:
-        """Gram matrix of (a, b) -> trace of left multiplication by ab."""
-        f = self.field
-        gram = [[f.zero] * self.dim for _ in range(self.dim)]
-        ei = [[f.one if k == i else f.zero for k in range(self.dim)]
-              for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                prod = self.multiply(ei[i], ei[j])
-                tr = f.zero
-                lm = self.regular_matrix(prod)
-                tr = lm.trace()
-                gram[i][j] = tr
-                gram[j][i] = tr
-        return Mat.from_rows(f, gram)
+        """Gram matrix of (a, b) -> trace of left multiplication by ab.
+
+        Left multiplication is multiplicative, L(e_i e_j) = L(e_i) L(e_j), so
+        entry (i, j) is tr(regular[i] @ regular[j])."""
+        if self.dim == 0:
+            return Mat.zeros(self.field, 0, 0)
+        regs = [Mat.from_rows(self.field, reg) for reg in self.regular]
+        return trace_form(regs, regs)
 
     def radical_coords(self) -> Optional[list[list]]:
         """Radical basis via the regular trace form; None when the
@@ -628,14 +611,7 @@ def _natural_trace_radical(m: Representation, hom: HomSpace) -> Optional[list[li
         return None
     totals = hom.total_matrices()
     k = len(totals)
-    gram_rows = [[field.zero] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            tr = (totals[i] @ totals[j]).trace()
-            gram_rows[i][j] = tr
-            gram_rows[j][i] = tr
-    gram = Mat.from_rows(field, gram_rows)
-    ker = gram.kernel()
+    ker = trace_form(totals, totals).kernel()
     rad = [[ker.entry(i, j) for i in range(k)] for j in range(ker.cols)]
     for coords in rad:
         if nilpotency_index(Mat.lincomb(field, m.total_dim, m.total_dim,
@@ -744,20 +720,18 @@ def are_isomorphic(m: Representation, n: Representation,
                    for v in m.dims}
         return IsoVerdict("yes", witness, "invertible intertwiner found")
     if both_indecomposable:
-        totals_back = h_nm.total_matrices()
         field = m.field
-        any_nonzero = False
-        for i, f in enumerate(totals):
-            for g in totals_back:
-                if (g @ f).trace() != 0:
-                    # g.f is non-nilpotent in a local ring, hence invertible,
-                    # so f splits and equal dimensions make it an isomorphism
-                    any_nonzero = True
-                    cand = h_mn.basis[i]
-                    if all(blk.is_invertible() for blk in cand.values()):
-                        return IsoVerdict("yes", cand,
-                                          "isomorphism from a non-traceless pairing")
-        if any_nonzero:
+        # row i of the pairing holds tr(f_i . g_j) = tr(g_j . f_i) over the
+        # basis g_j of Hom(N, M)
+        pairing = trace_form(totals, h_nm.total_matrices()).row_list()
+        paired = [i for i, row in enumerate(pairing) if any(row)]
+        for i in paired:
+            # some g.f_i is non-nilpotent in a local ring, hence invertible,
+            # so f_i splits and equal dimensions make it an isomorphism
+            cand = h_mn.basis[i]
+            if all(blk.is_invertible() for blk in cand.values()):
+                return IsoVerdict("yes", cand, "isomorphism from a non-traceless pairing")
+        if paired:
             # a nonzero pairing without an invertible witness contradicts the
             # caller's indecomposability hint; stay inconclusive
             return IsoVerdict("inconclusive",

@@ -140,6 +140,45 @@ def reference_jordan_nilpotent(s):
     return Mat.hcat(field, n, cols), [len(chain) for chain in chains]
 
 
+def reference_trace_pairing(lefts, rights):
+    """The traces tr(lefts[i] @ rights[j]), one product and one trace per
+    pair, as rows.  Reference for ``exactlin.trace_form``; this double loop
+    built the Gram matrix of ``rep._natural_trace_radical`` and the pairing
+    of ``rep.are_isomorphic``."""
+    return [[(a @ b).trace() for b in rights] for a in lefts]
+
+
+def reference_pairing_witness(h_mn, h_nm):
+    """The trace-pairing decision of ``rep.are_isomorphic`` as a double
+    loop: the first basis index i of Hom(M, N) with some tr(g . f_i) != 0
+    whose map is invertible (None when there is none), and whether any
+    pairing was nonzero."""
+    any_nonzero = False
+    for i, f in enumerate(h_mn.total_matrices()):
+        for g in h_nm.total_matrices():
+            if (g @ f).trace() != 0:
+                any_nonzero = True
+                if all(blk.is_invertible() for blk in h_mn.basis[i].values()):
+                    return i, True
+    return None, any_nonzero
+
+
+def reference_regular_trace_gram(end):
+    """Gram matrix of (a, b) -> tr L(ab) for an ``rep.EndAnalysis``, one
+    product ab and one regular matrix L(ab) = sum_l (ab)_l regular[l] per
+    pair.  Reference for ``EndAnalysis.trace_gram``."""
+    f, dim = end.field, end.dim
+    gram = [[f.zero] * dim for _ in range(dim)]
+    units = [[f.one if k == i else f.zero for k in range(dim)] for i in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            prod = end.multiply(units[i], units[j])
+            lm = Mat.lincomb(f, dim, dim, prod,
+                             [Mat.from_rows(f, reg) for reg in end.regular])
+            gram[i][j] = lm.trace()
+    return Mat.from_rows(f, gram)
+
+
 @pytest.fixture(scope="session")
 def f101():
     return F101

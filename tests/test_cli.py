@@ -69,6 +69,21 @@ def test_vertex_and_arrow_errors_point_at_the_token():
         assert what in str(e.value) and bad[col - 1:].startswith(token)
 
 
+def test_weight_keyword_is_a_whole_token():
+    head = "quiver w\nfield Fp 101\nvertex weightless v\n"
+    spec = parse_quiver_spec(head + "arrow f: weightless -> v weight 1\n")
+    assert spec.weights == {"f": (1,)}
+    assert [(a.source, a.target) for a in spec.bound_quiver.quiver.arrows] == [("weightless", "v")]
+    # a bad tuple still points at its weight keyword
+    for line, col in (("arrow f: weightless -> v weight 1,x", 26),
+                      ("arrow f: weightless -> v  weight", 27),
+                      ("arrow f: v -> weightless weight a", 26)):
+        with pytest.raises(SpecError) as e:
+            parse_quiver_spec(head + line + "\n")
+        assert (e.value.line, e.value.col) == (4, col) and "bad weight tuple" in str(e.value)
+        assert line[col - 1:].startswith("weight ") or line[col - 1:] == "weight"
+
+
 def test_indented_lines_parse_like_flush_ones():
     text = "quiver r\nvertex v\narrow x: v -> v\nrelation 1*x*x\nnilbound 2\n"
     indented = "\n".join("  " + line for line in text.splitlines()) + "\n"

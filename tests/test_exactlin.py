@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_jordan_nilpotent
+from conftest import reference_jordan_nilpotent, reference_trace_pairing
 
 from wildrank.exactlin import (F101, QQ, Field, Mat, ShapeMismatchError,
                                find_invertible_in_span, intertwiner_system,
                                jordan_nilpotent, nilpotency_index,
-                               nilpotent_hom_basis,
+                               nilpotent_hom_basis, trace_form,
                                _jordan_shift)
 
 
@@ -423,3 +423,124 @@ def test_solve_matches_reference(field):
         if x is not None:
             assert x.column_entries(0) == [next((rref1[r][n] for r, pc in enumerate(piv1)
                                                 if pc == j), field.zero) for j in range(n)]
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=str)
+def test_constructor_checks_the_shape(field):
+    # one constructor for both fields: data of another shape is refused,
+    # never refilled in row-major order or broadcast
+    for rows, cols, data in ((2, 3, [[1, 2], [3, 4], [5, 6]]), (2, 3, [[1, 2, 3]]),
+                             (1, 6, [1, 2, 3, 4, 5, 6])):
+        with pytest.raises(ShapeMismatchError):
+            Mat(field, rows, cols, data)
+    with pytest.raises(ValueError):
+        Mat(field, 2, 2, [[1, 2], [3]])
+    assert Mat(field, 0, 3, []).shape == (0, 3)
+    assert Mat(field, 2, 0, [[], []]).shape == (2, 0)
+
+
+def test_entries_read_out_as_field_scalars():
+    q = Mat.from_rows(QQ, [[1, Fraction(1, 2)], [0, -3]])
+    assert all(type(x) is Fraction for row in q.row_list() for x in row)
+    assert type(q.entry(0, 1)) is Fraction and type(q.trace()) is Fraction
+    assert all(type(x) is Fraction for x in q.column_entries(1))
+    f = Mat.from_rows(F101, [[1, -1], [0, 3]])
+    assert f.row_list() == [[1, 100], [0, 3]]
+    assert all(type(x) is int for row in f.row_list() for x in row)
+    assert type(f.entry(0, 1)) is int and type(f.trace()) is int
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_equal_matrices_hash_equal(field):
+    rng = random.Random(38)
+    for _ in range(20):
+        m, n = rng.randint(1, 4), rng.randint(0, 4)
+        a = Mat(field, m, n, _rand_rows(field, m, n, rng))
+        # the same entries reached through other operations
+        same = [a.T.T, a + Mat.zeros(field, m, n), a.scaled(2).scaled(field.inv(2)),
+                Mat.from_rows(field, a.row_list()), a.reshape(n, m).reshape(m, n)]
+        for b in same:
+            assert b == a and hash(b) == hash(a)
+    assert hash(Mat.from_rows(QQ, [[Fraction(2, 4)]])) == hash(Mat.from_rows(QQ, [["1/2"]]))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_trace_form_matches_reference(field):
+    rng = random.Random(39)
+    for _ in range(25):
+        n, m = rng.randint(0, 4), rng.randint(0, 4)
+        lefts = [Mat(field, n, m, _sparse_rows(field, n, m, rng)) for _ in range(rng.randint(1, 4))]
+        rights = [Mat(field, m, n, _sparse_rows(field, m, n, rng)) for _ in range(rng.randint(1, 4))]
+        got = trace_form(lefts, rights)
+        assert got.shape == (len(lefts), len(rights))
+        assert got.row_list() == reference_trace_pairing(lefts, rights)
+    with pytest.raises(ShapeMismatchError):
+        trace_form([Mat.zeros(field, 2, 3)], [Mat.zeros(field, 2, 3)])
+
+
+def _sparse_rows(field, m, n, rng):
+    """Random rows where about half the entries are zero."""
+    return [[field.random_scalar(rng) if rng.random() < 0.5 else field.zero
+             for _ in range(n)] for _ in range(m)]
+
+
+@pytest.mark.parametrize("p", [101, 7])
+def test_prime_field_results_are_rational_results_mod_p(p):
+    # every operation on integer matrices commutes with reduction mod p, and
+    # reduction can only lower the rank
+    fp = Field.prime(p)
+    rng = random.Random(f"fp-vs-q:{p}")
+
+    def pair(rows, cols, rank=None):
+        if rank is not None and rows and cols:
+            a, _ = pair(rows, rank)
+            b, _ = pair(rank, cols)
+            ints = (a @ b).row_list()
+        else:
+            ints = [[rng.randint(-30, 30) if rng.random() < 0.6 else 0
+                     for _ in range(cols)] for _ in range(rows)]
+        return Mat(QQ, rows, cols, ints), Mat(fp, rows, cols, ints)
+
+    def agree(q, f):
+        assert Mat(fp, q.rows, q.cols, [[fp.coerce(x) for x in r] for r in q.row_list()]) == f
+        assert f.rank() <= q.rank()
+
+    drops = 0
+    for _ in range(40):
+        m, n, k = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        (aq, af), (bq, bf) = pair(m, n, rng.randint(0, 3)), pair(m, n)
+        cq, cf = pair(n, k)
+        c = rng.randint(-20, 20)
+        agree(aq, af)
+        drops += af.rank() < aq.rank()
+        agree(aq + bq, af + bf)
+        agree(aq.scaled(c), af.scaled(c))
+        agree(aq @ cq, af @ cf)
+        agree(aq.kron(cq), af.kron(cf))
+        agree(aq.T, af.T)
+        agree(aq.reshape(n, m), af.reshape(n, m))
+        ri = sorted(rng.sample(range(m), rng.randint(0, m)))
+        ci = sorted(rng.sample(range(n), rng.randint(0, n)))
+        agree(aq.submatrix(ri, ci), af.submatrix(ri, ci))
+        i, j = rng.randint(0, m), rng.randint(0, n)
+        dq, df = pair(m - i, n - j)
+        agree(Mat.assemble(QQ, m, n, [(0, 0, aq), (i, j, dq)]),
+              Mat.assemble(fp, m, n, [(0, 0, af), (i, j, df)]))
+        agree(Mat.hcat(QQ, m, [aq, bq]), Mat.hcat(fp, m, [af, bf]))
+        agree(Mat.vcat(QQ, n, [aq, bq]), Mat.vcat(fp, n, [af, bf]))
+        coeffs = [rng.randint(-9, 9) for _ in range(3)]
+        agree(Mat.lincomb(QQ, m, n, coeffs, [aq, bq, aq]),
+              Mat.lincomb(fp, m, n, coeffs, [af, bf, af]))
+        sq, sf = pair(n, n)
+        assert fp.coerce(sq.trace()) == sf.trace()
+        e, d = rng.randint(1, 4), rng.randint(1, 4)
+        params = [pair(e, d) for _ in range(rng.randint(1, 3))]
+        pairs = [(pair(d, d), pair(e, e)) for _ in range(rng.randint(1, 2))]
+        agree(intertwiner_system([g for g, _ in params], [(s[0], s2[0]) for s, s2 in pairs]),
+              intertwiner_system([g for _, g in params], [(s[1], s2[1]) for s, s2 in pairs]))
+        lefts = [pair(e, d) for _ in range(rng.randint(1, 3))]
+        rights = [pair(d, e) for _ in range(rng.randint(1, 3))]
+        agree(trace_form([x for x, _ in lefts], [y for y, _ in rights]),
+              trace_form([x for _, x in lefts], [y for _, y in rights]))
+    if p == 7:
+        assert drops   # some reductions mod 7 lost rank, so the bound was exercised

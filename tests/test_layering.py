@@ -1,8 +1,10 @@
-"""Matrix storage stays inside exactlin.
+"""Matrix storage stays inside exactlin, and the field differences inside its kernels.
 
 Every other module reaches matrices only through ``Mat`` operations: it
-imports no numpy, touches none of ``Mat``'s storage (``.array``, ``._arr``,
-``._rows``) and calls no elimination kernel (``_echelon_*``) directly.
+imports no numpy, touches none of the storage (``Mat._entries``,
+``Field._kernel``) and calls no elimination kernel (``_echelon_*``)
+directly.  Inside exactlin, only the two field kernels branch on the field
+or on the storage type; ``Field.__init__`` picks the kernel, once.
 """
 
 import ast
@@ -12,7 +14,11 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "wildrank")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "exactlin.py")
-STORAGE = {"array", "_arr", "_rows"}
+STORAGE = {"_entries", "_kernel"}
+KERNELS = ("_PrimeKernel", "_RationalKernel")
+#: names whose appearance in a condition means it branches on the field or
+#: on how entries are stored
+FIELD_MARKERS = {"char", "dtype", "ndarray", "float64", "Fraction", "_arr", "_rows"}
 
 
 def violations(tree: ast.AST) -> list[str]:
@@ -30,6 +36,36 @@ def violations(tree: ast.AST) -> list[str]:
     return out
 
 
+def _names(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | \
+        {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def field_branches(tree: ast.AST) -> list[str]:
+    """The scopes (``Class.method`` or ``function``) outside the kernels
+    holding a condition on the field or the storage type, one per condition."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if inner.split(".")[0] in KERNELS:
+                continue
+            tests = []
+            if isinstance(child, (ast.If, ast.IfExp, ast.While)):
+                tests = [child.test]
+            elif isinstance(child, ast.comprehension):
+                tests = child.ifs
+            if any(_names(t) & FIELD_MARKERS for t in tests):
+                out.append(inner or "<module>")
+            visit(child, inner)
+
+    visit(tree, "")
+    return out
+
+
 def test_modules_found():
     assert "rep.py" in MODULES and "wildness.py" in MODULES
 
@@ -41,8 +77,32 @@ def test_matrix_storage_stays_in_exactlin(name):
     assert violations(tree) == []
 
 
+def test_field_differences_stay_in_the_kernels():
+    with open(os.path.join(SRC, "exactlin.py")) as fh:
+        tree = ast.parse(fh.read(), "exactlin.py")
+    classes = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
+    assert set(KERNELS) <= classes
+    # the one branch left is the pick of the kernel
+    assert field_branches(tree) == ["Field.__init__"]
+
+
 def test_checker_catches_each_kind():
     bad = ast.parse("import numpy as np\nfrom numpy import zeros\n"
-                    "from .exactlin import _echelon_fp\nm.array\nm._arr\nm._rows\n"
+                    "from .exactlin import _echelon_fp\nm._entries\nf._kernel\n"
                     "exactlin._echelon_qq(rows)\n")
-    assert len(violations(bad)) == 7
+    assert len(violations(bad)) == 6
+    branches = ast.parse(
+        "class Mat:\n"
+        "    def trace(self):\n"
+        "        if self.field.char:\n            pass\n"
+        "        return 0 if self._arr is not None else 1\n"
+        "    def entry(self, i, j):\n"
+        "        while isinstance(self._entries, np.ndarray):\n            pass\n"
+        "        return [x for x in row if type(x) is Fraction]\n"
+        "def kron(a, b):\n"
+        "    if a.dtype == object:\n        pass\n"
+        "class _PrimeKernel:\n"
+        "    def coerce(self, x):\n"
+        "        if isinstance(x, Fraction):\n            pass\n")
+    assert field_branches(branches) == ["Mat.trace", "Mat.trace", "Mat.entry", "Mat.entry",
+                                        "kron"]

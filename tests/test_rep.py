@@ -1,16 +1,19 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from conftest import reference_relation_jacobian
+from conftest import (reference_pairing_witness, reference_regular_trace_gram,
+                      reference_relation_jacobian, reference_trace_pairing)
 
-from wildrank.exactlin import F101, QQ, Field, Mat
+from wildrank.exactlin import F101, QQ, Field, Mat, trace_form
 from wildrank.quiver import (BoundQuiver, Quiver, build_algebra_table,
                              kronecker_quiver, line_quiver, loop_quiver,
                              loop_square_zero, make_relation)
-from wildrank.rep import (InconclusiveError, Representation, SamplingStarvation,
+from wildrank.rep import (EndAnalysis, InconclusiveError, Representation, SamplingStarvation,
                           are_isomorphic, check_relations, decompose,
                           factor_polynomial, hom_space, in_sincere_subcategory,
                           is_indecomposable, relation_jacobian,
@@ -68,10 +71,25 @@ def test_hom_fast_paths_agree(k3_bq, k2_bq, free_bq):
 def test_plain_hom_bypasses_end_cache(k3_bq):
     m = rand_rep(k3_bq, F101, 3, random.Random(21))
     fast = hom_space(m, m)
-    assert hom_space(m, m) is fast
+    assert hom_space(m, m).basis is fast.basis
     plain = hom_space(m, m, use_fast_paths=False)
-    assert plain is not fast and plain.dim == fast.dim
-    assert hom_space(m, m) is fast
+    assert plain.basis is not fast.basis and plain.dim == fast.dim
+    assert hom_space(m, m).basis is fast.basis
+
+
+def test_end_cache_leaves_no_reference_cycle(k3_bq):
+    # with the cyclic collector off, reference counting alone must free a
+    # module whose End was computed and cached
+    gc.disable()
+    try:
+        m = rand_rep(k3_bq, F101, 3, random.Random(21))
+        assert hom_space(m, m).dim >= 1
+        is_indecomposable(m, seed=1)
+        gone = weakref.ref(m)
+        del m
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_hom_bilinear_over_direct_sums(k3_bq):
@@ -359,3 +377,58 @@ def test_sampler_starvation():
     with pytest.raises(SamplingStarvation):
         for _ in range(3):
             sample_representation(bq, F101, {"v": 3}, rng, budget=3)
+
+
+TRACE_FIELDS = [F101, Field.prime(7), QQ]
+
+
+@pytest.mark.parametrize("field", TRACE_FIELDS, ids=str)
+def test_trace_forms_match_reference_loops(k3_bq, field):
+    rng = random.Random(f"trace-form:{field}")
+    seen_end = 0
+    for _ in range(12):
+        m = rand_rep(k3_bq, field, 3, rng)
+        if m.is_zero():
+            continue
+        totals = hom_space(m, m).total_matrices()
+        # the Gram matrix of _natural_trace_radical
+        assert trace_form(totals, totals).row_list() == reference_trace_pairing(totals, totals)
+        n = rand_rep(k3_bq, field, 3, rng)
+        back = hom_space(n, m).total_matrices()
+        there = hom_space(m, n).total_matrices()
+        if back and there:
+            # the pairing of are_isomorphic (rectangular when dims differ)
+            assert trace_form(there, back).row_list() == reference_trace_pairing(there, back)
+        end = EndAnalysis(m)
+        if end.dim:
+            seen_end += 1
+            assert end.trace_gram() == reference_regular_trace_gram(end)
+    assert seen_end >= 5
+
+
+@pytest.mark.parametrize("field", TRACE_FIELDS, ids=str)
+def test_trace_pairing_decision_matches_reference_loop(k2_bq, a2_bq, field):
+    # pairs that reach the trace pairing: no invertible combination exists
+    def a2(rows):
+        dims = {"1": len(rows[0]) if rows else 1, "2": len(rows)}
+        return Representation.from_lists(a2_bq, field, dims, {"a1": rows})
+    p1, s1 = a2([[1]]), Representation.from_lists(a2_bq, field, {"1": 1, "2": 0}, {})
+    s2 = Representation.from_lists(a2_bq, field, {"1": 0, "2": 1}, {})
+    cases = [(s1.direct_sum(s2), p1), (p1, s1.direct_sum(s2))]
+    for lam in (0, 1, 2, 3):
+        base = kron_module(k2_bq, field, 0)
+        cases.append((base.direct_sum(kron_module(k2_bq, field, lam + 1)),
+                      base.direct_sum(kron_module(k2_bq, field, lam + 5))))
+    verdicts = set()
+    for m, n in cases:
+        got = are_isomorphic(m, n, trials=2, seed=3, both_indecomposable=True)
+        index, nonzero = reference_pairing_witness(hom_space(m, n), hom_space(n, m))
+        if index is not None:
+            expect = "yes"
+        elif nonzero:
+            expect = "inconclusive"
+        else:
+            expect = "no"
+        assert got.verdict == expect and "pairing" in got.detail
+        verdicts.add(expect)
+    assert verdicts == {"no", "inconclusive"}
