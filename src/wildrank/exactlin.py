@@ -9,11 +9,14 @@ one small private kernel per field, picked once when the ``Field`` is made:
 
 * ``_PrimeKernel``: scalars mod p, reduction ``% p``, ``int`` read-out, the
   blocked echelon form ``_echelon_fp`` and the BLAS product.  Prime-field
-  arithmetic is exact because every intermediate value is kept below 2**53
-  (delayed modular reduction).
+  arithmetic reduces mod p only now and then (delayed modular reduction),
+  so it is exact only while every intermediate value stays below 2**53; no
+  cap on p that guarantees this is proved or enforced yet.
 * ``_RationalKernel``: ``Fraction`` scalars, making every entry a
-  ``Fraction``, the reduced echelon form ``_echelon_qq`` on row lists and a
-  product that skips zero entries.
+  ``Fraction``, the reduced echelon form ``_echelon_qq`` and a product that
+  skips zero entries.  Both work on integer rows (each row, or each whole
+  operand, cleared of denominators) and build the ``Fraction`` entries of
+  the result once, in one normalization at the end.
 
 The storage stays inside this module: other modules build and combine
 matrices only through ``Mat`` operations,
@@ -33,6 +36,7 @@ Randomized searches take an explicit seed and are deterministic under it.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -143,8 +147,11 @@ def _echelon_fp(a: np.ndarray, p: int, panel: int = _PANEL):
 
     Each column panel is factored inside a contiguous buffer (cache friendly),
     then the trailing block is updated with one triangular pass plus one GEMM.
-    Entries may exceed p mid-panel but stay exact in float64: growth per panel
-    is bounded by ``panel * p**2`` which is far below 2**53.
+    Entries may exceed p mid-panel; they stay exact in float64 only while
+    they stay below 2**53.  Pivot rows are scaled before they are reduced and
+    a GEMM sums a whole panel of products, so the growth is nearer
+    ``n * p**3`` than ``panel * p**2``: exact for small p such as 101, not
+    for p near 10**6 and above.  No cap on p is enforced yet.
     Returns ``(w, pivot_columns)`` with w fully reduced mod p.
     """
     w = np.array(a, dtype=np.float64)
@@ -244,12 +251,37 @@ def _echelon_fp(a: np.ndarray, p: int, panel: int = _PANEL):
 
 
 # ---------------------------------------------------------------------------
-# rational kernels (Fraction rows)
+# rational kernels (integer rows, one normalization at the end)
 # ---------------------------------------------------------------------------
 
+_ZERO = Fraction(0)
+
+
+def _integer_row(xs) -> tuple[int, list[int]]:
+    """``(d, ints)`` with ``xs == [k / d for k in ints]`` and d the least
+    common multiple of the denominators of the rationals ``xs``."""
+    den = math.lcm(*[x.denominator for x in xs])
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
+def _over(ints: list[int], den: int) -> list[Fraction]:
+    """The ``Fraction`` values ``k / den``, sharing one zero."""
+    return [Fraction(k, den) if k else _ZERO for k in ints]
+
+
 def _echelon_qq(rows: list[list[Fraction]]):
-    """Reduced echelon over the rationals. Returns (rows, pivot columns)."""
-    w = [list(r) for r in rows]
+    """Reduced echelon over the rationals. Returns (rows, pivot columns).
+
+    Fraction-free Gauss-Jordan: each row is cleared to integers, a row is
+    eliminated as ``a * row - b * pivot_row`` and divided by the gcd of its
+    entries, so an update pays one gcd per row, not one per entry.  Pivot
+    row k becomes a ``Fraction`` row once, over its pivot; the rows past the
+    rank are zero.
+    The pivot choice (first nonzero entry at or below the current row) is
+    that of a plain rational elimination, and a reduced echelon form is
+    unique, so both give the same rows and pivots.
+    """
+    w = [_integer_row(r)[1] for r in rows]
     m = len(w)
     n = len(w[0]) if m else 0
     piv: list[int] = []
@@ -257,19 +289,26 @@ def _echelon_qq(rows: list[list[Fraction]]):
     for c in range(n):
         if r >= m:
             break
-        sel = next((i for i in range(r, m) if w[i][c] != 0), None)
+        sel = next((i for i in range(r, m) if w[i][c]), None)
         if sel is None:
             continue
         w[r], w[sel] = w[sel], w[r]
-        inv = Fraction(1) / w[r][c]
-        w[r] = [x * inv for x in w[r]]
+        prow = w[r]
+        a = prow[c]
         for i in range(m):
-            if i != r and w[i][c] != 0:
-                f = w[i][c]
-                w[i] = [x - f * y for x, y in zip(w[i], w[r])]
+            row = w[i]
+            b = row[c]
+            if b and i != r:
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = math.gcd(*row)
+                if g > 1:          # an all-zero row has gcd 0 and stays
+                    row = [x // g for x in row]
+                w[i] = row
         piv.append(c)
         r += 1
-    return w, piv
+    out = [_over(w[k], w[k][c]) for k, c in enumerate(piv)]
+    out.extend([_ZERO] * n for _ in range(m - r))
+    return out, piv
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +369,12 @@ class _RationalKernel:
     """Q: ``Fraction`` scalars and object arrays of ``Fraction`` entries.
 
     ``coerce`` and ``normalize`` make a scalar or every entry of an array a
-    ``Fraction``, ``exact`` returns entries as they are, ``echelon`` is the reduced echelon form
-    ``_echelon_qq`` on row lists and ``matmul`` a row loop that skips zero
-    entries (a dense object-array product multiplies every zero it meets).
+    ``Fraction``, ``exact`` returns entries as they are and ``echelon`` is the
+    fraction-free reduced echelon form ``_echelon_qq``.  ``matmul`` clears
+    each operand to one integer matrix over a common denominator, multiplies
+    on ``int`` in a row loop that skips zero entries (a dense object-array
+    product multiplies every zero it meets) and divides each entry of the
+    result once by the product of the two denominators.
     """
 
     __slots__ = ()
@@ -368,17 +410,21 @@ class _RationalKernel:
         return self._array(w, a.shape), piv
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        cols = b.shape[1]
-        nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b.tolist()]
-        out = []
-        for row in a.tolist():
-            acc = [Fraction(0)] * cols
-            for x, terms in zip(row, nonzero):
+        (m, k), cols = a.shape, b.shape[1]
+        da, ia = _integer_row(a.ravel().tolist())
+        db, ib = _integer_row(b.ravel().tolist())
+        den = da * db
+        nonzero = [[(j, y) for j, y in enumerate(ib[i * cols:(i + 1) * cols]) if y]
+                   for i in range(k)]
+        out: list[Fraction] = []
+        for i in range(m):
+            acc = [0] * cols
+            for x, terms in zip(ia[i * k:(i + 1) * k], nonzero):
                 if x:
                     for j, y in terms:
                         acc[j] += x * y
-            out.append(acc)
-        return self._array(out, (a.shape[0], cols))
+            out.extend(_over(acc, den))
+        return self._array(out, (m, cols))
 
 
 QQ = Field.rationals()

@@ -722,18 +722,14 @@ def are_isomorphic(m: Representation, n: Representation,
     if both_indecomposable:
         field = m.field
         # row i of the pairing holds tr(f_i . g_j) = tr(g_j . f_i) over the
-        # basis g_j of Hom(N, M)
-        pairing = trace_form(totals, h_nm.total_matrices()).row_list()
-        paired = [i for i, row in enumerate(pairing) if any(row)]
-        for i in paired:
-            # some g.f_i is non-nilpotent in a local ring, hence invertible,
-            # so f_i splits and equal dimensions make it an isomorphism
-            cand = h_mn.basis[i]
-            if all(blk.is_invertible() for blk in cand.values()):
-                return IsoVerdict("yes", cand, "isomorphism from a non-traceless pairing")
-        if paired:
-            # a nonzero pairing without an invertible witness contradicts the
-            # caller's indecomposability hint; stay inconclusive
+        # basis g_j of Hom(N, M).  For indecomposable M and N a nonzero entry
+        # makes g_j . f_i invertible and f_i an isomorphism, but no basis
+        # element f_i is invertible here: find_invertible_in_span tried each
+        # one alone (trials >= 1), and the total matrix of f_i is block
+        # diagonal with the blocks f_i[v] (equal dimension vectors), so it is
+        # invertible whenever every block is.  A nonzero pairing therefore
+        # contradicts the caller's hint, and the verdict stays inconclusive.
+        if not trace_form(totals, h_nm.total_matrices()).is_zero():
             return IsoVerdict("inconclusive",
                               detail="trace pairing inconsistent with the hint")
         if field.char == 0 or m.total_dim % field.char != 0:

@@ -1,5 +1,6 @@
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -177,6 +178,53 @@ def reference_regular_trace_gram(end):
                              [Mat.from_rows(f, reg) for reg in end.regular])
             gram[i][j] = lm.trace()
     return Mat.from_rows(f, gram)
+
+
+def reference_echelon_qq(rows):
+    """Reduced echelon over the rationals with a ``Fraction`` operation per
+    entry: the pivot row is scaled by the inverse of its pivot and every
+    other row loses the multiple that clears the pivot column.  Returns
+    (rows, pivot columns).  Reference for ``exactlin._echelon_qq``, which
+    eliminates on integer rows and builds the ``Fraction`` entries once."""
+    w = [list(r) for r in rows]
+    m = len(w)
+    n = len(w[0]) if m else 0
+    piv = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        sel = next((i for i in range(r, m) if w[i][c] != 0), None)
+        if sel is None:
+            continue
+        w[r], w[sel] = w[sel], w[r]
+        inv = Fraction(1) / w[r][c]
+        w[r] = [x * inv for x in w[r]]
+        for i in range(m):
+            if i != r and w[i][c] != 0:
+                f = w[i][c]
+                w[i] = [x - f * y for x, y in zip(w[i], w[r])]
+        piv.append(c)
+        r += 1
+    return w, piv
+
+
+def reference_matmul_qq(a, b):
+    """The product of two 2-D arrays of ``Fraction`` entries as a list of
+    rows, summing ``Fraction`` products and skipping zero entries.
+    Reference for the rational kernel's product, which multiplies integer
+    matrices over a common denominator and divides each entry once."""
+    cols = b.shape[1]
+    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b.tolist()]
+    out = []
+    for row in a.tolist():
+        acc = [Fraction(0)] * cols
+        for x, terms in zip(row, nonzero):
+            if x:
+                for j, y in terms:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 @pytest.fixture(scope="session")

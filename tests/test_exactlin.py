@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_jordan_nilpotent, reference_trace_pairing
+from conftest import (reference_echelon_qq, reference_jordan_nilpotent,
+                      reference_matmul_qq, reference_trace_pairing)
 
 from wildrank.exactlin import (F101, QQ, Field, Mat, ShapeMismatchError,
                                find_invertible_in_span, intertwiner_system,
                                jordan_nilpotent, nilpotency_index,
                                nilpotent_hom_basis, trace_form,
-                               _jordan_shift)
+                               _echelon_qq, _jordan_shift)
 
 
 def test_field_validation():
@@ -544,3 +546,93 @@ def test_prime_field_results_are_rational_results_mod_p(p):
               trace_form([x for _, x in lefts], [y for _, y in rights]))
     if p == 7:
         assert drops   # some reductions mod 7 lost rank, so the bound was exercised
+
+
+# ---------------------------------------------------------------------------
+# rational kernels against the Fraction-per-entry references
+# ---------------------------------------------------------------------------
+
+def _qq_rows(rng, m, n, kind):
+    """Seeded m x n rows, about 40% zeros; the other entries are small
+    integers, fractions with denominators up to 12, or numerators up to 10**30."""
+    def entry():
+        if rng.random() < 0.4:
+            return Fraction(0)
+        if kind == "integers":
+            return Fraction(rng.randint(-9, 9))
+        if kind == "fractions":
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        return Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 3))
+    return [[entry() for _ in range(n)] for _ in range(m)]
+
+
+def _qq_array(m, n, rows):
+    return np.array(rows, dtype=object).reshape(m, n)
+
+
+def _qq_cases():
+    """``(m, n, rows)``: empty, 1 x n, n x 1, tall, wide and square shapes of
+    each entry kind, the last three also as a rank-deficient product with two
+    all-zero rows inserted, and an all-zero matrix."""
+    rng = random.Random("qq-kernels")
+    cases = [(4, 5, [[Fraction(0)] * 5 for _ in range(4)])]
+    for m, n in [(0, 0), (0, 3), (3, 0), (1, 6), (6, 1), (9, 4), (4, 9), (6, 6)]:
+        for kind in ("integers", "fractions", "large"):
+            cases.append((m, n, _qq_rows(rng, m, n, kind)))
+            if m > 1 and n > 1:
+                r = rng.randint(1, min(m, n) - 1)
+                low = reference_matmul_qq(_qq_array(m, r, _qq_rows(rng, m, r, kind)),
+                                          _qq_array(r, n, _qq_rows(rng, r, n, kind)))
+                for _ in range(2):
+                    low.insert(rng.randint(0, len(low)), [Fraction(0)] * n)
+                cases.append((m + 2, n, low))
+    return cases
+
+
+def _check_echelon_qq(rows):
+    got = _echelon_qq(rows)
+    assert got == reference_echelon_qq(rows)
+    assert all(type(x) is Fraction for row in got[0] for x in row)
+    return got[1]
+
+
+def _check_matmul_qq(a, b):
+    got = QQ._kernel.matmul(a, b)
+    assert got.shape == (a.shape[0], b.shape[1])
+    assert got.tolist() == reference_matmul_qq(a, b)
+    assert all(type(x) is Fraction for x in got.ravel())
+
+
+def test_echelon_qq_matches_fraction_reference():
+    deficient = 0
+    for m, n, rows in _qq_cases():
+        piv = _check_echelon_qq(rows)
+        deficient += len(piv) < min(m, n)
+    assert deficient >= 10
+
+
+def test_rational_product_matches_fraction_reference():
+    rng = random.Random("qq-product")
+    for m, k, rows in _qq_cases():
+        a = _qq_array(m, k, rows)
+        for n in (0, 1, rng.randint(2, 7)):
+            kind = rng.choice(["integers", "fractions", "large"])
+            _check_matmul_qq(a, _qq_array(k, n, _qq_rows(rng, k, n, kind)))
+
+
+_QQ_ENTRY = st.one_of(st.just(Fraction(0)),
+                      st.fractions(-10 ** 12, 10 ** 12, max_denominator=40))
+
+
+@given(st.data(), st.integers(0, 6), st.integers(0, 6), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_rational_kernels_match_references_on_drawn_matrices(data, m, n, k):
+    def draw(rows, cols):
+        return data.draw(st.lists(st.lists(_QQ_ENTRY, min_size=cols, max_size=cols),
+                                  min_size=rows, max_size=rows))
+    rows = draw(m, n)
+    # a repeated row makes the rank deficient
+    if m > 1:
+        rows[-1] = rows[0]
+    _check_echelon_qq(rows)
+    _check_matmul_qq(_qq_array(m, n, rows), _qq_array(n, k, draw(n, k)))
