@@ -28,7 +28,10 @@ matrices only through ``Mat`` operations,
   and inverse;
 * ``intertwiner_system``, the linear conditions for a combination of
   matrices to intertwine given pairs, and ``trace_form``, the traces of all
-  pairwise products of two lists of matrices.
+  pairwise products of two lists of matrices;
+* ``Span``, one list of matrices stacked once, whose ``combine`` returns
+  many linear combinations of them (one per column of a coefficient
+  matrix) from one product; ``lincomb`` is its one-column case.
 
 All operations are pure and all values are immutable after construction.
 Randomized searches take an explicit seed and are deterministic under it.
@@ -36,6 +39,7 @@ Randomized searches take an explicit seed and are deterministic under it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -510,7 +514,8 @@ class Mat:
 
     @classmethod
     def column(cls, field: Field, entries: Sequence) -> "Mat":
-        return cls.from_rows(field, [[x] for x in entries])
+        coerce = field._kernel.coerce
+        return cls(field, len(entries), 1, [[coerce(x)] for x in entries])
 
     @classmethod
     def random(cls, field: Field, rows: int, cols: int, rng: random.Random) -> "Mat":
@@ -559,17 +564,8 @@ class Mat:
     def lincomb(cls, field: Field, rows: int, cols: int, coeffs: Sequence,
                 mats: Sequence["Mat"]) -> "Mat":
         """The ``rows x cols`` combination ``sum c_k * M_k`` of paired
-        coefficients and matrices, as one product of the coefficient row with
-        the flattened matrices."""
-        fk = field._kernel
-        terms = [(fk.coerce(c), m) for c, m in zip(coeffs, mats)]
-        for _, m in terms:
-            if m.field != field or m.shape != (rows, cols):
-                raise ShapeMismatchError(f"combination of {m.shape} into {rows}x{cols}")
-        coef = np.array([c for c, _ in terms], dtype=fk.dtype).reshape(1, len(terms))
-        flat = np.array([m._entries for _, m in terms], dtype=fk.dtype)
-        return cls(field, rows, cols,
-                   fk.matmul(coef, flat.reshape(len(terms), rows * cols)).reshape(rows, cols))
+        coefficients and matrices: the one-column case of ``Span.combine``."""
+        return Span(field, rows, cols, mats).combine(cls.column(field, coeffs))[0]
 
     # -- accessors ----------------------------------------------------------
 
@@ -578,9 +574,6 @@ class Mat:
 
     def row_list(self) -> list[list[Scalar]]:
         return self.field._kernel.exact(self._entries).tolist()
-
-    def column_entries(self, j: int) -> list[Scalar]:
-        return self.field._kernel.exact(self._entries[:, j]).tolist()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -822,6 +815,40 @@ def trace_form(lefts: Sequence[Mat], rights: Sequence[Mat]) -> Mat:
     return Mat(field, len(lefts), len(rights), field._kernel.matmul(flat_left, flat_right))
 
 
+class Span:
+    """Linear combinations of one list of ``rows x cols`` matrices.
+
+    The matrices are flattened once, row-major, into the rows of a stack.
+    ``combine`` then builds any number of combinations with one kernel
+    product: the transposed coefficient matrix times the stack.  The
+    product's inner dimension is the number of matrices, k, so over F_p
+    each entry sums k products of residues before its one reduction: exact
+    while ``k * (p - 1)**2 < 2**53``, which no cap on p enforces yet.
+    ``Mat.lincomb`` is the one-column case.
+    """
+
+    __slots__ = ("field", "rows", "cols", "mats", "_stack")
+
+    def __init__(self, field: Field, rows: int, cols: int, mats: Sequence[Mat]):
+        for m in mats:
+            if m.field != field or m.shape != (rows, cols):
+                raise ShapeMismatchError(f"combination of {m.shape} into {rows}x{cols}")
+        self.field, self.rows, self.cols = field, rows, cols
+        self.mats = list(mats)
+        self._stack = (np.stack([m._entries.reshape(rows * cols) for m in mats]) if mats
+                       else _zeros(field, 0, rows * cols))
+
+    def combine(self, coeffs: Mat) -> list[Mat]:
+        """The combinations ``sum_k coeffs[k, j] * mats[k]``, one per column j
+        of the ``len(mats) x c`` coefficient matrix."""
+        if coeffs.field != self.field or coeffs.rows != len(self.mats):
+            raise ShapeMismatchError(
+                f"coefficients {coeffs.shape} over {coeffs.field} for {len(self.mats)} matrices")
+        flat = self.field._kernel.matmul(coeffs._entries.T, self._stack)
+        return [Mat(self.field, self.rows, self.cols, row.reshape(self.rows, self.cols))
+                for row in flat]
+
+
 # ---------------------------------------------------------------------------
 # nilpotent Jordan structure
 # ---------------------------------------------------------------------------
@@ -962,24 +989,16 @@ def find_invertible_in_span(basis: Sequence[Mat], trials: int, seed) -> Optional
             raise ShapeMismatchError("span basis must be square matrices of equal size")
     if n == 0:
         return [field.zero] * len(basis), basis[0]
-
-    def check(coeffs):
-        combo = Mat.lincomb(field, n, n, coeffs, basis)
+    k = len(basis)
+    # a unit coefficient vector combines to its basis element: no product
+    for i, m in enumerate(basis):
+        if m.is_invertible():
+            return [field.one if j == i else field.zero for j in range(k)], m
+    span = Span(field, n, n, basis)
+    rng = random.Random(f"span:{seed}")
+    draws = ([field.random_scalar(rng) for _ in range(k)] for _ in range(trials))
+    for coeffs in itertools.chain([[field.one] * k] if k > 1 else [], draws):
+        combo = span.combine(Mat.column(field, coeffs))[0]
         if combo.is_invertible():
             return [field.coerce(c) for c in coeffs], combo
-        return None
-
-    for i in range(len(basis)):
-        got = check([field.one if j == i else field.zero for j in range(len(basis))])
-        if got:
-            return got
-    if len(basis) > 1:
-        got = check([field.one] * len(basis))
-        if got:
-            return got
-    rng = random.Random(f"span:{seed}")
-    for _ in range(trials):
-        got = check([field.random_scalar(rng) for _ in basis])
-        if got:
-            return got
     return None

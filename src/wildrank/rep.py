@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import sympy
 
-from .exactlin import (Field, Mat, ShapeMismatchError, find_invertible_in_span,
+from .exactlin import (Field, Mat, ShapeMismatchError, Span, find_invertible_in_span,
                        intertwiner_system, nilpotency_index, nilpotent_hom_basis,
                        trace_form)
 from .quiver import AlgebraElement, BoundQuiver, Path
@@ -248,6 +248,8 @@ def hom_space(m: Representation, n: Representation, use_fast_paths: bool = True)
             r = find(v)
             if n.dims[v] == 0 or m.dims[v] == 0:
                 f[v] = Mat.zeros(field, n.dims[v], m.dims[v])
+            elif r == v:        # a root's transforms stay identities
+                f[v] = fr[v]
             else:
                 f[v] = a_tf[v] @ fr[r] @ b_tf[v]
         out.append(f)
@@ -299,8 +301,7 @@ def _hom_pencil(field, e_dim, d_dim, pairs):
     if not rest:
         return params
     ker = intertwiner_system(params, rest).kernel()
-    return [Mat.lincomb(field, e_dim, d_dim, ker.column_entries(j), params)
-            for j in range(ker.cols)]
+    return Span(field, e_dim, d_dim, params).combine(ker)
 
 
 def _hom_kron(field, m, n, var_roots, equations):
@@ -344,6 +345,8 @@ class EndAnalysis:
         self.hom = hom_space(m, m)
         self.dim = self.hom.dim
         self._flat = None
+        self._spans = {v: Span(self.field, d, d, [f[v] for f in self.hom.basis])
+                       for v, d in m.dims.items()}
         self._build_coords()
 
     def _build_coords(self):
@@ -365,11 +368,9 @@ class EndAnalysis:
         sol = flat.solve_matrix(rhs)
         if sol is None:
             raise ValueError("composition left the endomorphism algebra span")
-        self.regular = []
-        for i in range(self.dim):
-            reg = [[sol.entry(k, i * self.dim + j) for j in range(self.dim)]
-                   for k in range(self.dim)]
-            self.regular.append(reg)
+        rows = sol.row_list()
+        d = self.dim
+        self.regular = [[row[i * d:(i + 1) * d] for row in rows] for i in range(d)]
 
     def coords_of(self, f: dict[str, Mat]) -> list:
         vec = _flatten_morph(self.field, f)
@@ -378,11 +379,11 @@ class EndAnalysis:
         sol = self._flat.solve(vec)
         if sol is None:
             raise ValueError("morphism outside the endomorphism algebra span")
-        return [sol.entry(i, 0) for i in range(self.dim)]
+        return sol.T.row_list()[0]
 
     def from_coords(self, coords) -> dict[str, Mat]:
-        return {v: Mat.lincomb(self.field, d, d, coords, [f[v] for f in self.hom.basis])
-                for v, d in self.rep.dims.items()}
+        col = Mat.column(self.field, coords)
+        return {v: span.combine(col)[0] for v, span in self._spans.items()}
 
     def multiply(self, a: Sequence, b: Sequence) -> list:
         f = self.field
@@ -417,8 +418,7 @@ class EndAnalysis:
         if f.char and f.char <= self.dim:
             return None
         gram = self.trace_gram()
-        ker = gram.kernel()
-        rad = [[ker.entry(i, j) for i in range(self.dim)] for j in range(ker.cols)]
+        rad = gram.kernel().T.row_list()
         # certify nilpotency of the span (iterate products until zero)
         span = [list(r) for r in rad]
         steps = 0
@@ -600,8 +600,9 @@ def _idempotent_matrix_from_minpoly(field: Field, minpoly, phi_total: Mat) -> Op
     return None
 
 
-def _natural_trace_radical(m: Representation, hom: HomSpace) -> Optional[list[list]]:
-    """Radical coordinates of End(M) via the trace form on the module.
+def _natural_trace_radical(m: Representation, totals: Span) -> Optional[list[list]]:
+    """Radical coordinates of End(M) via the trace form on the module, for
+    the span of the total matrices of an End(M) basis.
 
     Valid when the characteristic is zero or exceeds the module dimension;
     each radical element is additionally certified nilpotent.
@@ -609,15 +610,10 @@ def _natural_trace_radical(m: Representation, hom: HomSpace) -> Optional[list[li
     field = m.field
     if field.char and field.char <= m.total_dim:
         return None
-    totals = hom.total_matrices()
-    k = len(totals)
-    ker = trace_form(totals, totals).kernel()
-    rad = [[ker.entry(i, j) for i in range(k)] for j in range(ker.cols)]
-    for coords in rad:
-        if nilpotency_index(Mat.lincomb(field, m.total_dim, m.total_dim,
-                                        coords, totals)) is None:
-            return None
-    return rad
+    ker = trace_form(totals.mats, totals.mats).kernel()
+    if any(nilpotency_index(phi) is None for phi in totals.combine(ker)):
+        return None
+    return ker.T.row_list()
 
 
 def is_indecomposable(m: Representation, seed, trials: int = DEFAULT_TRIALS) -> IndecVerdict:
@@ -638,12 +634,12 @@ def is_indecomposable(m: Representation, seed, trials: int = DEFAULT_TRIALS) -> 
     hom = hom_space(m, m)
     if hom.dim == 1:
         return IndecVerdict("yes", detail="End is one-dimensional")
-    totals = hom.total_matrices()
+    totals = Span(field, m.total_dim, m.total_dim, hom.total_matrices())
     rng = random.Random(f"indec:{seed}")
     extension_seen = False
     for _ in range(trials):
         coords = [field.random_scalar(rng) for _ in range(hom.dim)]
-        phi = Mat.lincomb(field, m.total_dim, m.total_dim, coords, totals)
+        phi = totals.combine(Mat.column(field, coords))[0]
         minpoly = phi.minimal_polynomial()
         factors = factor_polynomial(field, minpoly)
         if len(factors) >= 2:
@@ -653,7 +649,7 @@ def is_indecomposable(m: Representation, seed, trials: int = DEFAULT_TRIALS) -> 
                                     "idempotent from a split minimal polynomial")
         elif factors and len(factors[0][0]) > 2:
             extension_seen = True
-    rad = _natural_trace_radical(m, hom)
+    rad = _natural_trace_radical(m, totals)
     if rad is None:
         # fall back to the regular representation of End(M) when its
         # dimension stays below the characteristic
@@ -714,11 +710,9 @@ def are_isomorphic(m: Representation, n: Representation,
     totals = h_mn.total_matrices()
     got = find_invertible_in_span(totals, trials, seed)
     if got is not None:
-        coeffs, _ = got
-        witness = {v: Mat.lincomb(m.field, n.dims[v], m.dims[v], coeffs,
-                                  [f[v] for f in h_mn.basis])
-                   for v in m.dims}
-        return IsoVerdict("yes", witness, "invertible intertwiner found")
+        # the combination of block-diagonal totals is block diagonal, with
+        # the same combination of the blocks f[v] at vertex v
+        return IsoVerdict("yes", _blocks_from_total(m, got[1]), "invertible intertwiner found")
     if both_indecomposable:
         field = m.field
         # row i of the pairing holds tr(f_i . g_j) = tr(g_j . f_i) over the

@@ -1,4 +1,5 @@
 import os
+import random
 import sys
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from wildrank.exactlin import Field, F101, Mat, QQ
+from wildrank.exactlin import (Field, F101, Mat, QQ, intertwiner_system, nilpotency_index,
+                               nilpotent_hom_basis)
 from wildrank.quiver import (BoundQuiver, Quiver, build_algebra_table,
                              k3_bound_quiver, kronecker_quiver, line_quiver,
                              loop_quiver, loop_square_zero, make_relation)
@@ -178,6 +180,77 @@ def reference_regular_trace_gram(end):
                              [Mat.from_rows(f, reg) for reg in end.regular])
             gram[i][j] = lm.trace()
     return Mat.from_rows(f, gram)
+
+
+def reference_combination(field, rows, cols, coeffs, mats):
+    """``sum c_k * M_k`` as a running sum of scaled matrices."""
+    acc = Mat.zeros(field, rows, cols)
+    for c, m in zip(coeffs, mats):
+        acc = acc + m.scaled(c)
+    return acc
+
+
+def reference_hom_pencil(field, e_dim, d_dim, pairs):
+    """Solutions g (e x d) of g S_k = S'_k g, each basis element built from
+    its own kernel column by a running sum.  Reference for
+    ``rep._hom_pencil``, which builds them all with one ``Span`` product."""
+    nil_idx = None
+    for i, (s, sp) in enumerate(pairs):
+        if nilpotency_index(s) is not None and nilpotency_index(sp) is not None:
+            nil_idx = i
+            break
+    if nil_idx is None:
+        params = [Mat.unit(field, e_dim, d_dim, i, j)
+                  for i in range(e_dim) for j in range(d_dim)]
+        rest = pairs
+    else:
+        s, sp = pairs[nil_idx]
+        params = nilpotent_hom_basis(s, sp)
+        rest = [p for i, p in enumerate(pairs) if i != nil_idx]
+    if not params:
+        return []
+    if not rest:
+        return params
+    ker = intertwiner_system(params, rest).kernel()
+    return [reference_combination(field, e_dim, d_dim,
+                                  [ker.entry(i, j) for i in range(ker.rows)], params)
+            for j in range(ker.cols)]
+
+
+def reference_find_invertible_in_span(basis, trials, seed):
+    """The invertible-combination search one candidate at a time: each unit
+    vector, then the all-ones vector, then ``trials`` seeded draws, each
+    combined by a running sum.  Reference for
+    ``exactlin.find_invertible_in_span``, which reuses the basis elements
+    and draws every later candidate from one stacked ``Span``."""
+    basis = list(basis)
+    if not basis:
+        return None
+    field = basis[0].field
+    n = basis[0].rows
+    if n == 0:
+        return [field.zero] * len(basis), basis[0]
+
+    def check(coeffs):
+        combo = reference_combination(field, n, n, coeffs, basis)
+        if combo.is_invertible():
+            return [field.coerce(c) for c in coeffs], combo
+        return None
+
+    for i in range(len(basis)):
+        got = check([field.one if j == i else field.zero for j in range(len(basis))])
+        if got:
+            return got
+    if len(basis) > 1:
+        got = check([field.one] * len(basis))
+        if got:
+            return got
+    rng = random.Random(f"span:{seed}")
+    for _ in range(trials):
+        got = check([field.random_scalar(rng) for _ in basis])
+        if got:
+            return got
+    return None
 
 
 def reference_echelon_qq(rows):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (reference_echelon_qq, reference_jordan_nilpotent,
-                      reference_matmul_qq, reference_trace_pairing)
+from conftest import (reference_echelon_qq, reference_find_invertible_in_span,
+                      reference_jordan_nilpotent, reference_matmul_qq,
+                      reference_trace_pairing)
 
-from wildrank.exactlin import (F101, QQ, Field, Mat, ShapeMismatchError,
+from wildrank.exactlin import (F101, QQ, Field, Mat, ShapeMismatchError, Span,
                                find_invertible_in_span, intertwiner_system,
                                jordan_nilpotent, nilpotency_index,
                                nilpotent_hom_basis, trace_form,
@@ -47,11 +48,11 @@ def test_kernel_examples():
 
 def test_solve_examples():
     x = Mat.identity(QQ, 2).solve(Mat.column(QQ, [1, 2]))
-    assert x.column_entries(0) == [1, 2] and Mat.identity(QQ, 2).kernel().cols == 0
+    assert x.T.row_list()[0] == [1, 2] and Mat.identity(QQ, 2).kernel().cols == 0
     a = Mat.from_rows(QQ, [[1, 1]])
     x = a.solve(Mat.column(QQ, [0]))
     assert x is not None
-    assert x.column_entries(0) == [0, 0] and a.kernel().cols == 1
+    assert x.T.row_list()[0] == [0, 0] and a.kernel().cols == 1
     assert Mat.from_rows(QQ, [[0]]).solve(Mat.column(QQ, [1])) is None
     with pytest.raises(ShapeMismatchError):
         Mat.identity(QQ, 2).solve(Mat.column(QQ, [1, 2, 3]))
@@ -77,6 +78,43 @@ def test_find_invertible_deterministic():
     a = find_invertible_in_span(basis, 8, seed=123)
     b = find_invertible_in_span(basis, 8, seed=123)
     assert a[0] == b[0]
+
+
+@pytest.mark.parametrize("field", [F101, Field.prime(7), QQ], ids=repr)
+def test_find_invertible_matches_per_candidate_reference(field):
+    rng = random.Random(f"span-search:{field!r}")
+    n = 3
+    while True:
+        g = Mat.random(field, n, n, rng)
+        if g.is_invertible():
+            break
+    ginv = g.inverse()
+
+    def conj(mats):
+        return [g @ x @ ginv for x in mats]
+
+    diag = [Mat.unit(field, n, n, i, i) for i in range(n)]
+    upper = [Mat.unit(field, n, n, i, j) for i in range(n) for j in range(i + 1, n)]
+    cases = [
+        ("unit", conj([upper[0], Mat.identity(field, n), diag[0]])),
+        ("sum", conj(diag)),
+        # every unit vector and the sum are singular; random draws are not
+        ("late", conj([diag[0], diag[1], diag[2], diag[2].scaled(-1)])),
+        ("none", conj(upper)),
+    ]
+    for name, basis in cases:
+        for seed in range(3):
+            got = find_invertible_in_span(basis, 8, seed)
+            ref = reference_find_invertible_in_span(basis, 8, seed)
+            if name == "none":
+                assert got is None and ref is None
+                continue
+            coeffs, combo = got
+            assert coeffs == ref[0] and [type(c) for c in coeffs] == [type(c) for c in ref[0]]
+            assert combo == ref[1] and combo.is_invertible()
+            if name == "late":   # a seeded draw: neither a unit vector nor the sum
+                assert sum(1 for c in coeffs if c != 0) > 1
+                assert coeffs != [field.one] * len(basis)
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10 ** 6))
@@ -302,18 +340,41 @@ def test_concat_and_reshape_match_reference(field):
 @pytest.mark.parametrize("field", FIELDS)
 def test_lincomb_matches_reference(field):
     rng = random.Random(33)
-    for _ in range(20):
-        m, n, k = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 5)
-        rows = [_rand_rows(field, m, n, rng) for _ in range(k)]
-        coeffs = [field.random_scalar(rng) if rng.random() < 0.7 else field.zero
-                  for _ in range(k)]
+    col_rng = random.Random(35)
+
+    def reference(coeffs, rows, m, n):
         ref = _ref_zeros(field, m, n)
         for c, b in zip(coeffs, rows):
             for i in range(m):
                 for j in range(n):
                     ref[i][j] = field.add(ref[i][j], field.mul(c, b[i][j]))
+        return ref
+
+    shapes = [(rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 5)) for _ in range(20)]
+    # 1x1, non-square, zero matrices, no matrices
+    extra = [(1, 1, 3), (2, 3, 2), (3, 1, 4), (2, 2, 3), (2, 3, 0)]
+    for case, (m, n, k) in enumerate(shapes + extra):
+        if case < len(shapes):
+            rows = [_rand_rows(field, m, n, rng) for _ in range(k)]
+            coeffs = [field.random_scalar(rng) if rng.random() < 0.7 else field.zero
+                      for _ in range(k)]
+        else:
+            zero = case - len(shapes) == 3
+            rows = [_ref_zeros(field, m, n) if zero else _rand_rows(field, m, n, col_rng)
+                    for _ in range(k)]
+            coeffs = _rand_rows(field, 1, k, col_rng)[0]
         mats = [Mat(field, m, n, b) for b in rows]
-        assert Mat.lincomb(field, m, n, coeffs, mats).row_list() == ref
+        assert Mat.lincomb(field, m, n, coeffs, mats).row_list() == reference(coeffs, rows, m, n)
+        # many combinations at once, one per coefficient column (none at all
+        # for a coefficient matrix with zero columns)
+        cols = _rand_rows(field, case % 4, k, col_rng)
+        coef = Mat(field, k, len(cols), [[c[i] for c in cols] for i in range(k)])
+        got = Span(field, m, n, mats).combine(coef)
+        assert [g.row_list() for g in got] == [reference(c, rows, m, n) for c in cols]
+    with pytest.raises(ShapeMismatchError):
+        Span(field, 2, 2, [Mat.zeros(field, 2, 3)])
+    with pytest.raises(ShapeMismatchError):
+        Span(field, 1, 1, [Mat.zeros(field, 1, 1)]).combine(Mat.zeros(field, 2, 1))
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -423,7 +484,7 @@ def test_solve_matches_reference(field):
         rref1, piv1 = _ref_rref(field, [ra + rb[:1] for ra, rb in zip(a, b)])
         assert (x is None) == bool(piv1 and piv1[-1] == n)
         if x is not None:
-            assert x.column_entries(0) == [next((rref1[r][n] for r, pc in enumerate(piv1)
+            assert x.T.row_list()[0] == [next((rref1[r][n] for r, pc in enumerate(piv1)
                                                 if pc == j), field.zero) for j in range(n)]
 
 
@@ -445,7 +506,7 @@ def test_entries_read_out_as_field_scalars():
     q = Mat.from_rows(QQ, [[1, Fraction(1, 2)], [0, -3]])
     assert all(type(x) is Fraction for row in q.row_list() for x in row)
     assert type(q.entry(0, 1)) is Fraction and type(q.trace()) is Fraction
-    assert all(type(x) is Fraction for x in q.column_entries(1))
+    assert all(type(x) is Fraction for x in q.T.row_list()[1])
     f = Mat.from_rows(F101, [[1, -1], [0, 3]])
     assert f.row_list() == [[1, 100], [0, 3]]
     assert all(type(x) is int for row in f.row_list() for x in row)

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import (reference_pairing_witness, reference_regular_trace_gram,
-                      reference_relation_jacobian, reference_trace_pairing)
+from conftest import (reference_hom_pencil, reference_pairing_witness,
+                      reference_regular_trace_gram, reference_relation_jacobian,
+                      reference_trace_pairing)
 
-from wildrank.exactlin import F101, QQ, Field, Mat, trace_form
+from wildrank.exactlin import F101, QQ, Field, Mat, nilpotency_index, trace_form
 from wildrank.quiver import (BoundQuiver, Quiver, build_algebra_table,
                              kronecker_quiver, line_quiver, loop_quiver,
                              loop_square_zero, make_relation)
@@ -17,7 +18,7 @@ from wildrank.rep import (EndAnalysis, InconclusiveError, Representation, Sampli
                           are_isomorphic, check_relations, decompose,
                           factor_polynomial, hom_space, in_sincere_subcategory,
                           is_indecomposable, relation_jacobian,
-                          sample_representation, support, _poly_eval_matrix)
+                          sample_representation, support, _hom_pencil, _poly_eval_matrix)
 
 
 def kron_module(k2_bq, field, lam):
@@ -380,6 +381,38 @@ def test_sampler_starvation():
 
 
 TRACE_FIELDS = [F101, Field.prime(7), QQ]
+
+
+@pytest.mark.parametrize("field", TRACE_FIELDS, ids=str)
+def test_hom_pencil_matches_per_column_reference(field):
+    # pencils g S_k = S'_k g with S'_k = diag(P S_k P^-1, T_k): g = [P; 0] and
+    # more solve them, so the basis is nonempty
+    rng = random.Random(f"pencil:{field}")
+    seen = set()
+    for trial in range(16):
+        nilpotent = trial % 2 == 0
+        d, extra = rng.randint(1, 4), rng.randint(0, 2)
+        e = d + extra
+        a = Mat.from_rows(field, [[field.random_scalar(rng) if j > i or not nilpotent
+                                   else field.zero for j in range(d)] for i in range(d)])
+        sources = [a, a @ a + Mat.identity(field, d)][:1 + trial % 4 // 2]
+        while True:
+            p = Mat.random(field, d, d, rng)
+            if p.is_invertible():
+                break
+        pinv = p.inverse()
+        pairs = []
+        for k, s in enumerate(sources):
+            t = (Mat.zeros(field, extra, extra) if nilpotent and k == 0
+                 else Mat.random(field, extra, extra, rng))
+            pairs.append((s, Mat.assemble(field, e, e, [(0, 0, p @ s @ pinv), (d, d, t)])))
+        rng.shuffle(pairs)
+        seen.add((any(nilpotency_index(s) is not None and nilpotency_index(sp) is not None
+                      for s, sp in pairs), len(pairs)))
+        got = _hom_pencil(field, e, d, pairs)
+        assert got == reference_hom_pencil(field, e, d, pairs) and got
+        assert all(g @ s == sp @ g for g in got for s, sp in pairs)
+    assert {(True, 2), (False, 2)} <= seen
 
 
 @pytest.mark.parametrize("field", TRACE_FIELDS, ids=str)
