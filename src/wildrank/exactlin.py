@@ -18,6 +18,17 @@ one small private kernel per field, picked once when the ``Field`` is made:
   operand, cleared of denominators) and build the ``Fraction`` entries of
   the result once, in one normalization at the end.
 
+``Mat.kernel`` eliminates only the support of a matrix, its nonzero rows
+and nonzero columns, which leaves its result unchanged: zero rows add
+nothing to the row space, a zero column is never a pivot (its kernel
+vector is its unit vector), and the kernel basis is the unique one that is
+the identity on the free columns.  Hom systems are mostly zeros, so most
+of their elimination is skipped.  ``column_space`` stays on the whole matrix: it
+reads its basis from the non-reduced echelon form over F_p, whose rows
+depend on the row swaps that zero rows take part in.  ``rank`` and
+``pivot_columns`` stay on it too: their inputs are small and dense, where
+finding the support costs more than it saves.
+
 The storage stays inside this module: other modules build and combine
 matrices only through ``Mat`` operations,
 
@@ -453,6 +464,24 @@ def _identity(field: Field, n: int) -> np.ndarray:
     return arr
 
 
+def _nonzero_lines(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the nonzero rows and of the nonzero columns of the matrices
+    on the last two axes of ``a``."""
+    nz = a.astype(bool)
+    return nz.any(axis=-1), nz.any(axis=-2)
+
+
+def _on_support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sub, cols)``: the submatrix of ``a`` on its nonzero rows and nonzero
+    columns, and the indices of those columns.  ``sub`` is ``a`` itself,
+    not a copy, when ``a`` has no zero row and no zero column."""
+    rows, cols = _nonzero_lines(a)
+    idx = np.flatnonzero(cols)
+    if idx.size == a.shape[1] and rows.all():
+        return a, idx
+    return a[np.ix_(rows, cols)], idx
+
+
 def _back_substitute(fk, w: np.ndarray, piv: Sequence[int], rhs: np.ndarray) -> np.ndarray:
     """X with ``w[i, piv] @ X == rhs[i]`` for the first ``len(piv)`` rows of
     an echelon form ``w`` (unit pivots at ``piv``, zeros below them), solved
@@ -678,16 +707,31 @@ class Mat:
         return self.field._kernel.echelon(self._entries)[1]
 
     def kernel(self) -> "Mat":
-        """Matrix whose columns form a basis of the right null space."""
+        """Matrix whose columns form a basis of the right null space: the
+        unique basis that is the identity on the free (non-pivot) columns.
+
+        Only the support is eliminated, the nonzero rows and the nonzero
+        columns; the result is the same matrix as from the whole one.  Zero
+        rows do not change the row space.  A zero column is never a pivot,
+        so it is a free column whose kernel vector is its unit vector, and
+        the pivots among the other columns are the same with or without it.
+        (``column_space`` keeps the whole matrix: see the module docstring.)
+        """
         fk = self.field._kernel
-        w, piv = fk.echelon(self._entries)
-        pivset = set(piv)
-        free = [c for c in range(self.cols) if c not in pivset]
-        out = _zeros(self.field, self.cols, len(free))
-        out[free, range(len(free))] = self.field.one
-        if piv and free:
-            out[piv] = fk.normalize(-_back_substitute(fk, w, piv, w[:len(piv), free]))
-        return Mat(self.field, self.cols, len(free), out)
+        sub, cols = _on_support(self._entries)
+        w, sub_piv = fk.echelon(sub)
+        is_free = np.ones(self.cols, dtype=bool)
+        is_free[cols[sub_piv]] = False
+        free = np.flatnonzero(is_free)
+        out = _zeros(self.field, self.cols, free.size)
+        out[free, np.arange(free.size)] = self.field.one
+        sub_free = np.flatnonzero(is_free[cols])
+        if sub_piv and sub_free.size:
+            # rows: the pivot columns; columns: where the support's free
+            # columns sit among all free columns
+            out[np.ix_(cols[sub_piv], np.searchsorted(free, cols[sub_free]))] = fk.normalize(
+                -_back_substitute(fk, w, sub_piv, w[:len(sub_piv), sub_free]))
+        return Mat(self.field, self.cols, free.size, out)
 
     def column_space(self) -> "Mat":
         """A basis of the column space, as the columns of the result."""
@@ -974,8 +1018,10 @@ def find_invertible_in_span(basis: Sequence[Mat], trials: int, seed) -> Optional
     """Search the span of square matrices for an invertible combination.
 
     Deterministic under the seed.  Tries each basis element, then the sum,
-    then seeded random combinations.  ``None`` after ``trials`` random draws
-    is inconclusive, not a proof that no invertible element exists.
+    then seeded random combinations.  A basis element with a zero row or a
+    zero column is singular, so it is passed over without an elimination.
+    ``None`` after ``trials`` random draws is inconclusive, not a proof that
+    no invertible element exists.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -990,11 +1036,14 @@ def find_invertible_in_span(basis: Sequence[Mat], trials: int, seed) -> Optional
     if n == 0:
         return [field.zero] * len(basis), basis[0]
     k = len(basis)
+    span = Span(field, n, n, basis)
+    # an element with a zero row or a zero column is singular: no elimination
+    rows, cols = _nonzero_lines(span._stack.reshape(k, n, n))
+    full = rows.all(axis=1) & cols.all(axis=1)
     # a unit coefficient vector combines to its basis element: no product
     for i, m in enumerate(basis):
-        if m.is_invertible():
+        if full[i] and m.is_invertible():
             return [field.one if j == i else field.zero for j in range(k)], m
-    span = Span(field, n, n, basis)
     rng = random.Random(f"span:{seed}")
     draws = ([field.random_scalar(rng) for _ in range(k)] for _ in range(trials))
     for coeffs in itertools.chain([[field.one] * k] if k > 1 else [], draws):

@@ -195,10 +195,12 @@ def hom_space(m: Representation, n: Representation, use_fast_paths: bool = True)
     field = m.field
     q = m.bound_quiver.quiver
 
-    # contract invertible arrows between distinct vertices: f_v = A_v f_root B_v
+    # contract invertible arrows between distinct vertices: f_v = A_v f_root B_v;
+    # only vertices folded into another root have transforms, a root's are
+    # identities and stay out of the dicts (None below)
     root = {v: v for v in q.vertices}
-    a_tf = {v: Mat.identity(field, n.dims[v]) for v in q.vertices}
-    b_tf = {v: Mat.identity(field, m.dims[v]) for v in q.vertices}
+    a_tf: dict[str, Mat] = {}
+    b_tf: dict[str, Mat] = {}
 
     def find(v):
         while root[v] != v:
@@ -214,12 +216,13 @@ def hom_space(m: Representation, n: Representation, use_fast_paths: bool = True)
             if (r1 != r2 and ma.is_square() and na.is_square()
                     and ma.rows > 0 and ma.is_invertible() and na.is_invertible()):
                 # f_t = N(a) f_s M(a)^{-1}; fold r2's tree into r1
-                x = a_tf[a.target].inverse() @ na @ a_tf[a.source]
-                y = b_tf[a.source] @ ma.inverse() @ b_tf[a.target].inverse()
+                x = _times(_times(_inverse(a_tf.get(a.target)), na), a_tf.get(a.source))
+                y = _times(_times(b_tf.get(a.source), ma.inverse()),
+                           _inverse(b_tf.get(a.target)))
                 for w in q.vertices:
                     if find(w) == r2:
-                        a_tf[w] = a_tf[w] @ x
-                        b_tf[w] = y @ b_tf[w]
+                        a_tf[w] = _times(a_tf.get(w), x)
+                        b_tf[w] = _times(y, b_tf.get(w))
                 root[r2] = r1
                 contracted = True
         if not contracted:
@@ -229,14 +232,15 @@ def hom_space(m: Representation, n: Representation, use_fast_paths: bool = True)
     var_roots = [r for r in roots
                  if n.dims[find(r)] * m.dims[find(r)] > 0]
 
-    # equations: A_t f_{rt} (B_t M(a)) - (N(a) A_s) f_{rs} B_s = 0
+    # equations: A_t f_{rt} (B_t M(a)) - (N(a) A_s) f_{rs} B_s = 0, with
+    # None for the identity transforms A_t and B_s of a root
     equations = []
     for a in remaining:
         rs, rt = find(a.source), find(a.target)
-        x1 = a_tf[a.target]
-        y1 = b_tf[a.target] @ m.mats[a.name]
-        x2 = n.mats[a.name] @ a_tf[a.source]
-        y2 = b_tf[a.source]
+        x1 = a_tf.get(a.target)
+        y1 = _times(b_tf.get(a.target), m.mats[a.name])
+        x2 = _times(n.mats[a.name], a_tf.get(a.source))
+        y2 = b_tf.get(a.source)
         equations.append((rt, x1, y1, rs, x2, y2))
 
     basis_root = _solve_hom_equations(field, m, n, var_roots, equations, use_fast_paths)
@@ -248,7 +252,7 @@ def hom_space(m: Representation, n: Representation, use_fast_paths: bool = True)
             r = find(v)
             if n.dims[v] == 0 or m.dims[v] == 0:
                 f[v] = Mat.zeros(field, n.dims[v], m.dims[v])
-            elif r == v:        # a root's transforms stay identities
+            elif r == v:        # a root has no transforms
                 f[v] = fr[v]
             else:
                 f[v] = a_tf[v] @ fr[r] @ b_tf[v]
@@ -258,8 +262,21 @@ def hom_space(m: Representation, n: Representation, use_fast_paths: bool = True)
     return HomSpace(m, n, out)
 
 
+def _times(x: Optional[Mat], y: Optional[Mat]) -> Optional[Mat]:
+    """``x @ y``, where None stands for an identity matrix."""
+    if x is None:
+        return y
+    return x if y is None else x @ y
+
+
+def _inverse(x: Optional[Mat]) -> Optional[Mat]:
+    """The inverse of ``x``, where None stands for an identity matrix."""
+    return None if x is None else x.inverse()
+
+
 def _solve_hom_equations(field, m, n, var_roots, equations, use_fast_paths):
-    """Solve the contracted intertwiner equations; returns bases {root: Mat}."""
+    """Solve the contracted intertwiner equations (``x1``, ``y2`` None for
+    identities); returns bases {root: Mat}."""
     if not var_roots:
         return []
     # single root and all-normalizable equations: matrix pencil fast path
@@ -271,10 +288,10 @@ def _solve_hom_equations(field, m, n, var_roots, equations, use_fast_paths):
             if rt != r or rs != r:
                 ok = False
                 break
-            if not (x1.is_invertible() and y2.is_invertible()):
+            if not all(t is None or t.is_invertible() for t in (x1, y2)):
                 ok = False
                 break
-            pencil.append((y1 @ y2.inverse(), x1.inverse() @ x2))
+            pencil.append((_times(y1, _inverse(y2)), _times(_inverse(x1), x2)))
         if ok:
             sols = _hom_pencil(field, n.dims[r], m.dims[r], pencil)
             return [{r: g} for g in sols]
@@ -316,6 +333,8 @@ def _hom_kron(field, m, n, var_roots, equations):
     blocks = []
     nrows = 0
     for (rt, x1, y1, rs, x2, y2) in equations:
+        x1 = Mat.identity(field, x2.rows) if x1 is None else x1
+        y2 = Mat.identity(field, y1.cols) if y2 is None else y2
         if rt in offsets:
             blocks.append((nrows, offsets[rt], x1.kron(y1.T)))
         if rs in offsets:
@@ -575,12 +594,10 @@ def _blocks_from_total(m: Representation, total: Mat) -> dict[str, Mat]:
     return out
 
 
-def _idempotent_matrix_from_minpoly(field: Field, minpoly, phi_total: Mat) -> Optional[Mat]:
+def _idempotent_matrix_from_minpoly(field: Field, factors, phi_total: Mat) -> Optional[Mat]:
     """Nontrivial idempotent polynomial in phi via a coprime split of its
-    minimal polynomial, or None."""
-    factors = factor_polynomial(field, minpoly)
-    if len(factors) < 2:
-        return None
+    minimal polynomial, given as its ``factor_polynomial`` factors (at least
+    two), or None."""
     fac0, mult0 = factors[0]
     f_part = fac0
     for _ in range(mult0 - 1):
@@ -643,7 +660,7 @@ def is_indecomposable(m: Representation, seed, trials: int = DEFAULT_TRIALS) -> 
         minpoly = phi.minimal_polynomial()
         factors = factor_polynomial(field, minpoly)
         if len(factors) >= 2:
-            e = _idempotent_matrix_from_minpoly(field, minpoly, phi)
+            e = _idempotent_matrix_from_minpoly(field, factors, phi)
             if e is not None:
                 return IndecVerdict("no", _blocks_from_total(m, e),
                                     "idempotent from a split minimal polynomial")

@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from wildrank.exactlin import (Field, F101, Mat, QQ, intertwiner_system, nilpotency_index,
-                               nilpotent_hom_basis)
+                               nilpotent_hom_basis, _back_substitute, _zeros)
 from wildrank.quiver import (BoundQuiver, Quiver, build_algebra_table,
                              k3_bound_quiver, kronecker_quiver, line_quiver,
                              loop_quiver, loop_square_zero, make_relation)
@@ -180,6 +180,22 @@ def reference_regular_trace_gram(end):
                              [Mat.from_rows(f, reg) for reg in end.regular])
             gram[i][j] = lm.trace()
     return Mat.from_rows(f, gram)
+
+
+def reference_kernel(a):
+    """The right null space basis that is the identity on the free columns,
+    from an echelon form of the whole matrix, zero rows and zero columns
+    included.  Reference for ``Mat.kernel``, which eliminates only the
+    nonzero rows and columns."""
+    fk = a.field._kernel
+    w, piv = fk.echelon(a._entries)
+    pivset = set(piv)
+    free = [c for c in range(a.cols) if c not in pivset]
+    out = _zeros(a.field, a.cols, len(free))
+    out[free, range(len(free))] = a.field.one
+    if piv and free:
+        out[piv] = fk.normalize(-_back_substitute(fk, w, piv, w[:len(piv), free]))
+    return Mat(a.field, a.cols, len(free), out)
 
 
 def reference_combination(field, rows, cols, coeffs, mats):

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (reference_echelon_qq, reference_find_invertible_in_span,
-                      reference_jordan_nilpotent, reference_matmul_qq,
-                      reference_trace_pairing)
+from conftest import (fixture_text, reference_echelon_qq,
+                      reference_find_invertible_in_span, reference_jordan_nilpotent,
+                      reference_kernel, reference_matmul_qq, reference_trace_pairing)
 
+from wildrank.cli import cmd_certify
 from wildrank.exactlin import (F101, QQ, Field, Mat, ShapeMismatchError, Span,
                                find_invertible_in_span, intertwiner_system,
                                jordan_nilpotent, nilpotency_index,
                                nilpotent_hom_basis, trace_form,
-                               _echelon_qq, _jordan_shift)
+                               _echelon_qq, _jordan_shift, _on_support)
 
 
 def test_field_validation():
@@ -101,6 +102,11 @@ def test_find_invertible_matches_per_candidate_reference(field):
         # every unit vector and the sum are singular; random draws are not
         ("late", conj([diag[0], diag[1], diag[2], diag[2].scaled(-1)])),
         ("none", conj(upper)),
+        # elements with a zero row or a zero column, singular by their support
+        ("unit", [upper[0], Mat.from_rows(field, [[0, 1, 0], [0, 0, 1], [0, 1, 1]]),
+                  diag[0], Mat.identity(field, n)]),
+        ("late", [diag[0], diag[1], diag[2], diag[2].scaled(-1)]),
+        ("none", upper),
     ]
     for name, basis in cases:
         for seed in range(3):
@@ -488,6 +494,64 @@ def test_solve_matches_reference(field):
                                                 if pc == j), field.zero) for j in range(n)]
 
 
+def _check_kernel(a):
+    got, ref = a.kernel(), reference_kernel(a)
+    assert got.shape == ref.shape and got.row_list() == ref.row_list()
+    assert (a @ got).is_zero()
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_kernel_matches_reference_on_support(field):
+    rng = random.Random(f"kernel-support:{field!r}")
+    for _ in range(40):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        rows = _sparse_rows(field, m, n, rng, rng.choice([0.3, 0.7, 1.0]))
+        if m > 2:
+            rows[1] = list(rows[0])          # rank deficient
+        for i in rng.sample(range(m), rng.randint(1, m)):
+            rows[i] = [field.zero] * n
+        zero_cols = rng.sample(range(n), rng.randint(1, n))
+        rows = [[field.zero if j in zero_cols else x for j, x in enumerate(r)] for r in rows]
+        _check_kernel(Mat(field, m, n, rows))
+    for m, n in [(0, 0), (0, 4), (4, 0), (3, 5)]:
+        _check_kernel(Mat.zeros(field, m, n))
+    for m, n in [(1, 1), (3, 5), (5, 3), (4, 4)]:
+        full = Mat(field, m, n, [[field.random_nonzero(rng) for _ in range(n)]
+                                 for _ in range(m)])
+        assert _on_support(full._entries)[0] is full._entries
+        _check_kernel(full)
+
+
+@given(st.sampled_from(FIELDS), st.integers(0, 6), st.integers(0, 6),
+       st.sampled_from([0.15, 0.5, 1.0]), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_reference_on_drawn_matrices(field, m, n, density, seed):
+    rng = random.Random(seed)
+    rows = _sparse_rows(field, m, n, rng, density)
+    if m > 1:
+        rows[-1] = rows[0]
+    _check_kernel(Mat(field, m, n, rows))
+
+
+def test_kernel_matches_reference_on_certify_systems(monkeypatch):
+    kernel = Mat.kernel
+    seen = {"calls": 0, "with_zero_lines": 0}
+
+    def checked(a):
+        got = kernel(a)
+        ref = reference_kernel(a)
+        assert got.shape == ref.shape and got.row_list() == ref.row_list()
+        seen["calls"] += 1
+        seen["with_zero_lines"] += _on_support(a._entries)[0].shape != a.shape
+        return got
+
+    monkeypatch.setattr(Mat, "kernel", checked)
+    out, code = cmd_certify(fixture_text("three_loop_rad2.quiver"), radius=2, samples=1,
+                            max_dim=1, seed=0, pushdown_samples=1)
+    assert code == 0, out
+    assert seen["with_zero_lines"] >= 4 and seen["calls"] > seen["with_zero_lines"]
+
+
 @pytest.mark.parametrize("field", [F101, QQ], ids=str)
 def test_constructor_checks_the_shape(field):
     # one constructor for both fields: data of another shape is refused,
@@ -541,9 +605,9 @@ def test_trace_form_matches_reference(field):
         trace_form([Mat.zeros(field, 2, 3)], [Mat.zeros(field, 2, 3)])
 
 
-def _sparse_rows(field, m, n, rng):
-    """Random rows where about half the entries are zero."""
-    return [[field.random_scalar(rng) if rng.random() < 0.5 else field.zero
+def _sparse_rows(field, m, n, rng, density=0.5):
+    """Random rows where about ``1 - density`` of the entries are zero."""
+    return [[field.random_scalar(rng) if rng.random() < density else field.zero
              for _ in range(n)] for _ in range(m)]
 
 

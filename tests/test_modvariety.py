@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from conftest import reference_relation_jacobian
+from conftest import reference_kernel, reference_relation_jacobian
 
 from wildrank.exactlin import F101, QQ, Mat
 from wildrank.quiver import (BoundQuiver, Quiver, loop_quiver, loop_square_zero,
                              make_relation)
 from wildrank.rep import (Representation, SamplingStarvation, hom_space,
-                          relation_jacobian, sample_representation)
+                          relation_jacobian, sample_representation, _sample_linear_solve)
 from wildrank.modvariety import (RepVarietyPoint, arrow_coordinate_count,
                                  orbit_dimension, parameter_estimate,
                                  stratum_probe, tangent_dimension)
@@ -82,6 +82,35 @@ def test_tangent_jacobian_matches_entrywise_reference(field):
             ref = nvars - (Mat.from_rows(field, rows).rank() if rows else 0)
             assert tangent_dimension(RepVarietyPoint(bq, rep)) == ref
     assert checked >= 6
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=str)
+def test_sample_linear_solve_matches_reference_kernel(field, monkeypatch):
+    # the mixed three-term relation is linear in no arrow, so it is rejected
+    # on every draw; the commutativity square and x*y - 2*y*y*x (lengths 2
+    # and 3, linear in x) are solved
+    two = loop_quiver(2)
+    mixed = BoundQuiver(two, [make_relation(two, [(1, ("x", "y")), (-2, ("y", "y", "x"))])],
+                        nilbound=5)
+    specs = _jacobian_quivers()[1:] + [mixed]
+
+    def draw():
+        out = []
+        for k, bq in enumerate(specs):
+            for seed in range(12):
+                rng = random.Random(f"linear-solve:{k}:{seed}")
+                dims = {v: rng.randint(0, 3) for v in bq.quiver.vertices}
+                cand = _sample_linear_solve(bq, field, dims, rng)
+                out.append(None if cand is None
+                           else {a: x.row_list() for a, x in cand.mats.items()})
+        return out
+
+    got = draw()
+    monkeypatch.setattr(Mat, "kernel", reference_kernel)
+    assert draw() == got
+    assert all(s is None for s in got[:12])
+    assert sum(s is not None for s in got[12:24]) >= 4
+    assert sum(s is not None for s in got[24:]) >= 4
 
 
 def test_orbit_examples(k3_bq, f101):
