@@ -38,8 +38,10 @@ matrices only through ``Mat`` operations,
 * ``column_space`` and ``minimal_polynomial``, next to rank, kernel, solve
   and inverse;
 * ``intertwiner_system``, the linear conditions for a combination of
-  matrices to intertwine given pairs, and ``trace_form``, the traces of all
-  pairwise products of two lists of matrices;
+  matrices to intertwine given pairs, ``kron_eye`` and ``kron_sum``,
+  Kronecker products and sums whose identity factors are placed as copies,
+  and ``trace_form``, the traces of all pairwise products of two lists of
+  matrices;
 * ``Span``, one list of matrices stacked once, whose ``combine`` returns
   many linear combinations of them (one per column of a coefficient
   matrix) from one product; ``lincomb`` is its one-column case.
@@ -837,6 +839,44 @@ def intertwiner_system(params: Sequence[Mat], pairs: Sequence[tuple[Mat, Mat]]) 
         left = fk.matmul(s2._entries, side).reshape(e, c, d).transpose(1, 0, 2)
         blocks.append((right - left).reshape(c, e * d).T)
     return Mat(field, len(pairs) * e * d, c, np.concatenate(blocks, axis=0))
+
+
+def kron_eye(x: Optional[Mat], y: Optional[Mat], n: int) -> Mat:
+    """The Kronecker product ``x ⊗ y``, where a None factor stands for the
+    ``n x n`` identity (at most one factor is None).
+
+    I_n ⊗ y is n copies of y down the diagonal, and x ⊗ I_n puts each entry
+    x[i, k] on the diagonal of block (i, k); neither builds the identity
+    nor multiplies by it.
+    """
+    if x is not None and y is not None:
+        return x.kron(y)
+    m = y if x is None else x
+    rows, cols = n * m.rows, n * m.cols
+    out = _zeros(m.field, rows, cols)
+    idx = np.arange(n)
+    if x is None:
+        out.reshape(n, m.rows, n, m.cols)[idx, :, idx, :] = m._entries
+    else:
+        out.reshape(m.rows, n, m.cols, n)[:, idx, :, idx] = m._entries
+    return Mat(m.field, rows, cols, out)
+
+
+def kron_sum(x: Mat, y: Mat) -> Mat:
+    """The Kronecker sum ``x ⊗ I_n + I_m ⊗ y`` of an ``m x m`` matrix x and
+    an ``n x n`` matrix y.
+
+    Both identity factors are placed as copies, as in ``kron_eye``, into one
+    array, so only the entries of x ⊗ I_n take an addition.  Row-major,
+    vec(g @ s - s2 @ g) = kron_sum(-s2, s.T) @ vec(g) for an m x n matrix g.
+    """
+    m, n = x.rows, y.rows
+    out = _zeros(x.field, m * n, m * n)
+    view = out.reshape(m, n, m, n)
+    i, j = np.arange(m), np.arange(n)
+    view[i, :, i, :] = y._entries
+    view[:, j, :, j] += x._entries
+    return Mat(x.field, m * n, m * n, out)
 
 
 def trace_form(lefts: Sequence[Mat], rights: Sequence[Mat]) -> Mat:

@@ -18,6 +18,7 @@ closed field, and verdicts carry it).
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -25,8 +26,8 @@ from typing import Optional, Sequence
 import sympy
 
 from .exactlin import (Field, Mat, ShapeMismatchError, Span, find_invertible_in_span,
-                       intertwiner_system, nilpotency_index, nilpotent_hom_basis,
-                       trace_form)
+                       intertwiner_system, kron_eye, kron_sum, nilpotency_index,
+                       nilpotent_hom_basis, trace_form)
 from .quiver import AlgebraElement, BoundQuiver, Path
 
 DEFAULT_TRIALS = 32
@@ -68,9 +69,10 @@ class Representation:
         for v in q.vertices:
             self._offsets[v] = off
             off += self.dims[v]
-        # basis of End(M) from the fast paths; only the basis, since a
-        # HomSpace would refer back to this module and make a cycle
-        self._end_basis: Optional[list[dict[str, Mat]]] = None
+        # bases of Hom(M, N) from the fast paths, keyed weakly by the target
+        # N: only the basis, since a HomSpace would refer back to both
+        # modules, and End(M) keyed by M itself must not keep M alive
+        self._homs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         if check:
             bad = [str(rel) for rel, ok in check_relations(self) if not ok]
             if bad:
@@ -184,14 +186,19 @@ def morphism_is_zero(f: dict[str, Mat]) -> bool:
 def hom_space(m: Representation, n: Representation, use_fast_paths: bool = True) -> HomSpace:
     """All intertwiners m -> n, by exact linear algebra.
 
-    The basis of End(M) computed with the fast paths is cached on M; the
-    plain path neither reads nor fills that cache.
+    Every basis computed with the fast paths is cached on the source ``m``,
+    keyed by the target ``n`` (by identity) in a weak dictionary: a later
+    call on the same pair returns the same basis list without solving
+    again.  The cache holds only bases, never a module, so it keeps no
+    target alive, and an entry goes when its target is freed.  The plain
+    path neither reads nor fills it.
     """
     if m.bound_quiver != n.bound_quiver:
         raise ShapeMismatchError("representations over different bound quivers")
-    cache_end = m is n and use_fast_paths
-    if cache_end and m._end_basis is not None:
-        return HomSpace(m, m, m._end_basis)
+    if use_fast_paths:
+        cached = m._homs.get(n)
+        if cached is not None:
+            return HomSpace(m, n, cached)
     field = m.field
     q = m.bound_quiver.quiver
 
@@ -257,8 +264,8 @@ def hom_space(m: Representation, n: Representation, use_fast_paths: bool = True)
             else:
                 f[v] = a_tf[v] @ fr[r] @ b_tf[v]
         out.append(f)
-    if cache_end:
-        m._end_basis = out
+    if use_fast_paths:
+        m._homs[n] = out
     return HomSpace(m, n, out)
 
 
@@ -306,13 +313,14 @@ def _hom_pencil(field, e_dim, d_dim, pairs):
             nil_idx = i
             break
     if nil_idx is None:
-        params = [Mat.unit(field, e_dim, d_dim, i, j)
-                  for i in range(e_dim) for j in range(d_dim)]
-        rest = pairs
-    else:
-        s, sp = pairs[nil_idx]
-        params = nilpotent_hom_basis(s, sp)
-        rest = [p for i, p in enumerate(pairs) if i != nil_idx]
+        # vec(g S - S' g) = (I_e ⊗ S^T - S' ⊗ I_d) vec(g) for row-major vec,
+        # so the kernel columns, reshaped, are the solutions
+        ed = e_dim * d_dim
+        ker = Mat.vcat(field, ed, [kron_sum(-sp, s.T) for s, sp in pairs]).kernel()
+        return [ker.submatrix(range(ed), [j]).reshape(e_dim, d_dim) for j in range(ker.cols)]
+    s, sp = pairs[nil_idx]
+    params = nilpotent_hom_basis(s, sp)
+    rest = [p for i, p in enumerate(pairs) if i != nil_idx]
     if not params:
         return []
     if not rest:
@@ -333,13 +341,14 @@ def _hom_kron(field, m, n, var_roots, equations):
     blocks = []
     nrows = 0
     for (rt, x1, y1, rs, x2, y2) in equations:
-        x1 = Mat.identity(field, x2.rows) if x1 is None else x1
-        y2 = Mat.identity(field, y1.cols) if y2 is None else y2
+        # a None transform is the identity of its root, on the target side
+        # for x1 and on the source side for y2
         if rt in offsets:
-            blocks.append((nrows, offsets[rt], x1.kron(y1.T)))
+            blocks.append((nrows, offsets[rt], kron_eye(x1, y1.T, x2.rows)))
         if rs in offsets:
-            blocks.append((nrows, offsets[rs], -x2.kron(y2.T)))
-        nrows += x1.rows * y1.cols
+            y2t = None if y2 is None else y2.T
+            blocks.append((nrows, offsets[rs], kron_eye(-x2, y2t, y1.cols)))
+        nrows += x2.rows * y1.cols
     ker = Mat.assemble(field, nrows, nvars, blocks).kernel()
     out = []
     for j in range(ker.cols):
@@ -641,9 +650,15 @@ def is_indecomposable(m: Representation, seed, trials: int = DEFAULT_TRIALS) -> 
     marks a field-proxy obstruction (radical not computable, or a semisimple
     quotient that is a division ring bigger than the ground field).
 
-    Splitting idempotents are found directly as polynomials in random
-    endomorphisms acting on the module, so no regular representation of
-    End(M) is built unless the module-level trace form is unavailable.
+    Locality is certified first: the trace radical on the module is
+    computed before any random trial, and when it is certified with
+    dim End/rad = 1 the answer is "yes" at once (a local ring has no
+    nontrivial idempotent, so no trial could have split it).  The seeded
+    split search runs only when End/rad has dimension >= 2 or the radical
+    is not certifiable on the module.  Splitting idempotents are found
+    directly as polynomials in random endomorphisms acting on the module,
+    so no regular representation of End(M) is built unless the
+    module-level trace form is unavailable.
     """
     if m.is_zero():
         return IndecVerdict("no", None, "zero module (decomposes to the empty sum)")
@@ -652,6 +667,9 @@ def is_indecomposable(m: Representation, seed, trials: int = DEFAULT_TRIALS) -> 
     if hom.dim == 1:
         return IndecVerdict("yes", detail="End is one-dimensional")
     totals = Span(field, m.total_dim, m.total_dim, hom.total_matrices())
+    rad = _natural_trace_radical(m, totals)
+    if rad is not None and hom.dim - len(rad) == 1:
+        return IndecVerdict("yes", detail="End local: dim End/rad = 1")
     rng = random.Random(f"indec:{seed}")
     extension_seen = False
     for _ in range(trials):
@@ -666,7 +684,6 @@ def is_indecomposable(m: Representation, seed, trials: int = DEFAULT_TRIALS) -> 
                                     "idempotent from a split minimal polynomial")
         elif factors and len(factors[0][0]) > 2:
             extension_seen = True
-    rad = _natural_trace_radical(m, totals)
     if rad is None:
         # fall back to the regular representation of End(M) when its
         # dimension stays below the characteristic

@@ -7,8 +7,11 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from wildrank.exactlin import (Field, F101, Mat, QQ, intertwiner_system, nilpotency_index,
-                               nilpotent_hom_basis, _back_substitute, _zeros)
+from wildrank.exactlin import (Field, F101, Mat, QQ, Span, intertwiner_system,
+                               nilpotency_index, nilpotent_hom_basis, _back_substitute, _zeros)
+from wildrank.rep import (EndAnalysis, IndecVerdict, _blocks_from_total,
+                          _idempotent_matrix_from_minpoly, _natural_trace_radical,
+                          factor_polynomial, hom_space)
 from wildrank.quiver import (BoundQuiver, Quiver, build_algebra_table,
                              k3_bound_quiver, kronecker_quiver, line_quiver,
                              loop_quiver, loop_square_zero, make_relation)
@@ -208,8 +211,10 @@ def reference_combination(field, rows, cols, coeffs, mats):
 
 def reference_hom_pencil(field, e_dim, d_dim, pairs):
     """Solutions g (e x d) of g S_k = S'_k g, each basis element built from
-    its own kernel column by a running sum.  Reference for
-    ``rep._hom_pencil``, which builds them all with one ``Span`` product."""
+    its own kernel column by a running sum, over matrix units when no pair
+    is nilpotent.  Reference for ``rep._hom_pencil``, which then solves the
+    Kronecker-sum system I ⊗ S_k^T - S'_k ⊗ I and reshapes its kernel
+    columns, and otherwise builds every element with one ``Span`` product."""
     nil_idx = None
     for i, (s, sp) in enumerate(pairs):
         if nilpotency_index(s) is not None and nilpotency_index(sp) is not None:
@@ -231,6 +236,47 @@ def reference_hom_pencil(field, e_dim, d_dim, pairs):
     return [reference_combination(field, e_dim, d_dim,
                                   [ker.entry(i, j) for i in range(ker.rows)], params)
             for j in range(ker.cols)]
+
+
+def reference_is_indecomposable(m, seed, trials=32):
+    """The indecomposability test with the seeded split search first: all
+    ``trials`` draws run before the trace radical is computed, also when
+    End(M) is local.  Reference for ``rep.is_indecomposable``, which
+    certifies locality before drawing a trial."""
+    if m.is_zero():
+        return IndecVerdict("no", None, "zero module (decomposes to the empty sum)")
+    field = m.field
+    hom = hom_space(m, m)
+    if hom.dim == 1:
+        return IndecVerdict("yes", detail="End is one-dimensional")
+    totals = Span(field, m.total_dim, m.total_dim, hom.total_matrices())
+    rng = random.Random(f"indec:{seed}")
+    extension_seen = False
+    for _ in range(trials):
+        coords = [field.random_scalar(rng) for _ in range(hom.dim)]
+        phi = totals.combine(Mat.column(field, coords))[0]
+        factors = factor_polynomial(field, phi.minimal_polynomial())
+        if len(factors) >= 2:
+            e = _idempotent_matrix_from_minpoly(field, factors, phi)
+            if e is not None:
+                return IndecVerdict("no", _blocks_from_total(m, e),
+                                    "idempotent from a split minimal polynomial")
+        elif factors and len(factors[0][0]) > 2:
+            extension_seen = True
+    rad = _natural_trace_radical(m, totals)
+    if rad is None:
+        if field.char == 0 or field.char > hom.dim:
+            rad = EndAnalysis(m).radical_coords()
+        if rad is None:
+            return IndecVerdict("inconclusive", None,
+                                "radical not certifiable over this field")
+    codim = hom.dim - len(rad)
+    if codim == 1:
+        return IndecVerdict("yes", detail="End local: dim End/rad = 1")
+    detail = ("End/rad is a division ring larger than the ground field"
+              if extension_seen else
+              f"no idempotent found; dim End/rad = {codim}")
+    return IndecVerdict("inconclusive", None, detail)
 
 
 def reference_find_invertible_in_span(basis, trials, seed):

@@ -12,7 +12,7 @@ from conftest import (fixture_text, reference_echelon_qq,
 from wildrank.cli import cmd_certify
 from wildrank.exactlin import (F101, QQ, Field, Mat, ShapeMismatchError, Span,
                                find_invertible_in_span, intertwiner_system,
-                               jordan_nilpotent, nilpotency_index,
+                               jordan_nilpotent, kron_eye, kron_sum, nilpotency_index,
                                nilpotent_hom_basis, trace_form,
                                _echelon_qq, _jordan_shift, _on_support)
 
@@ -464,6 +464,30 @@ def test_intertwiner_system_matches_reference(field):
         got = intertwiner_system([Mat(field, e, d, g) for g in params],
                                  [(Mat(field, d, d, s), Mat(field, e, e, s2)) for s, s2 in pairs])
         assert got.row_list() == ref
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_kron_with_identity_factors_matches_kron(field):
+    # the identity factors of kron_eye and kron_sum are placed as copies;
+    # Mat.kron with a built identity is the reference, entry for entry
+    rng = random.Random(38)
+
+    def eye(k):
+        return Mat.identity(field, k)
+
+    for _ in range(10):
+        a, b, n = rng.randint(0, 3), rng.randint(1, 4), rng.randint(0, 3)
+        x, y = Mat.random(field, a, b, rng), Mat.random(field, b, a, rng)
+        assert kron_eye(None, y, n).row_list() == eye(n).kron(y).row_list()
+        assert kron_eye(x, None, n).row_list() == x.kron(eye(n)).row_list()
+        assert kron_eye(x, y, n) == x.kron(y)
+        e, d = rng.randint(1, 4), rng.randint(1, 4)
+        s, s2, g = (Mat.random(field, d, d, rng), Mat.random(field, e, e, rng),
+                    Mat.random(field, e, d, rng))
+        got = kron_sum(-s2, s.T)
+        assert got.row_list() == (eye(e).kron(s.T) - s2.kron(eye(d))).row_list()
+        # the Sylvester operator g -> g s - s2 g on row-major vec(g)
+        assert got @ g.reshape(e * d, 1) == (g @ s - s2 @ g).reshape(e * d, 1)
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import (reference_hom_pencil, reference_pairing_witness,
+import wildrank.rep as rep_module
+from conftest import (reference_hom_pencil, reference_is_indecomposable,
+                      reference_pairing_witness,
                       reference_regular_trace_gram, reference_relation_jacobian,
                       reference_trace_pairing)
 
-from wildrank.exactlin import F101, QQ, Field, Mat, nilpotency_index, trace_form
+from wildrank.exactlin import F101, QQ, Field, Mat, Span, nilpotency_index, trace_form
 from wildrank.quiver import (BoundQuiver, Quiver, build_algebra_table,
                              kronecker_quiver, line_quiver, loop_quiver,
                              loop_square_zero, make_relation)
@@ -18,7 +20,8 @@ from wildrank.rep import (EndAnalysis, InconclusiveError, Representation, Sampli
                           are_isomorphic, check_relations, decompose,
                           factor_polynomial, hom_space, in_sincere_subcategory,
                           is_indecomposable, relation_jacobian,
-                          sample_representation, support, _hom_pencil, _poly_eval_matrix)
+                          sample_representation, support, _hom_pencil, _natural_trace_radical,
+                          _poly_eval_matrix)
 
 
 def kron_module(k2_bq, field, lam):
@@ -76,6 +79,53 @@ def test_plain_hom_bypasses_end_cache(k3_bq):
     plain = hom_space(m, m, use_fast_paths=False)
     assert plain.basis is not fast.basis and plain.dim == fast.dim
     assert hom_space(m, m).basis is fast.basis
+
+
+def copy_rep(m):
+    return Representation(m.bound_quiver, m.field, m.dims, m.mats, check=False)
+
+
+def test_hom_cache_serves_each_pair_once(k3_bq, monkeypatch):
+    solves = []
+    solve = rep_module._solve_hom_equations
+    monkeypatch.setattr(rep_module, "_solve_hom_equations",
+                        lambda *args: solves.append(args) or solve(*args))
+    rng = random.Random(34)
+    m = rand_rep(k3_bq, F101, 3, rng)
+    n = m.direct_sum(rand_rep(k3_bq, F101, 3, rng))
+    first = hom_space(m, n)
+    assert first.dim >= 1 and len(solves) == 1
+    second = hom_space(m, n)
+    assert len(solves) == 1 and second.basis is first.basis
+    assert second.source is m and second.target is n
+    # the cached basis is the one a fresh computation on equal modules gives
+    assert hom_space(copy_rep(m), copy_rep(n)).basis == first.basis and len(solves) == 2
+    # the plain path neither reads nor fills the cache
+    m2, n2 = copy_rep(m), copy_rep(n)
+    plain = hom_space(m2, n2, use_fast_paths=False)
+    assert len(solves) == 3 and n2 not in m2._homs and plain.dim == first.dim
+    assert hom_space(m, n, use_fast_paths=False).basis is not first.basis and len(solves) == 4
+    assert hom_space(m, n).basis is first.basis and len(solves) == 4
+
+
+def test_hom_cache_keeps_neither_module_alive(k3_bq):
+    # with the cyclic collector off: freeing the target drops its entry from
+    # the source's cache, and reference counting alone frees the source
+    gc.disable()
+    try:
+        rng = random.Random(35)
+        m = rand_rep(k3_bq, F101, 3, rng)
+        n = rand_rep(k3_bq, F101, 3, rng)
+        hom_space(m, n), hom_space(n, m), hom_space(m, m), hom_space(n, n)
+        assert set(m._homs) == {m, n}
+        gone_n = weakref.ref(n)
+        del n
+        assert gone_n() is None and set(m._homs) == {m}
+        gone_m = weakref.ref(m)
+        del m
+        assert gone_m() is None
+    finally:
+        gc.enable()
 
 
 def test_end_cache_leaves_no_reference_cycle(k3_bq):
@@ -413,6 +463,58 @@ def test_hom_pencil_matches_per_column_reference(field):
         assert got == reference_hom_pencil(field, e, d, pairs) and got
         assert all(g @ s == sp @ g for g in got for s, sp in pairs)
     assert {(True, 2), (False, 2)} <= seen
+
+
+def _indecomposability_cases(field, dual_numbers_bq, a2_bq, k2_bq):
+    """One module per route of ``is_indecomposable``, by name."""
+    one_loop = BoundQuiver(loop_quiver(1), [], nilbound=3)
+    lam = 2
+    jordan4 = [[lam if j == i else 1 if j == i + 1 else 0 for j in range(4)] for i in range(4)]
+    return {
+        # End = K[x]/(x^2): local of dimension 2
+        "local": Representation.from_lists(dual_numbers_bq, field, {"v": 2},
+                                           {"x": [[0, 0], [1, 0]]}),
+        "direct sum": kron_module(k2_bq, field, 2).direct_sum(kron_module(k2_bq, field, 3)),
+        # minimal polynomial x^2 + 1: End is K[x]/(x^2 + 1)
+        "x^2+1": Representation.from_lists(one_loop, field, {"v": 2},
+                                           {"x": [[0, -1], [1, 0]]}),
+        # End = K[x]/(x^4) on total dimension 8: over F7 the module trace
+        # form certifies nothing and EndAnalysis decides
+        "regular (4, 4)": Representation.from_lists(
+            k2_bq, field, {"1": 4, "2": 4},
+            {"a": [[int(i == j) for j in range(4)] for i in range(4)], "b": jordan4}),
+        "zero": Representation.zero(a2_bq, field),
+        "simple": Representation.simple(a2_bq, field, "1"),
+    }
+
+
+@pytest.mark.parametrize("field", TRACE_FIELDS, ids=str)
+def test_indecomposable_matches_trial_first_reference(field, dual_numbers_bq, a2_bq, k2_bq,
+                                                      monkeypatch):
+    cases = _indecomposability_cases(field, dual_numbers_bq, a2_bq, k2_bq)
+    got = {}
+    for name, m in cases.items():
+        for seed in (0, "x"):
+            new, ref = is_indecomposable(m, seed), reference_is_indecomposable(m, seed)
+            assert (new.verdict, new.detail, new.witness) == \
+                (ref.verdict, ref.detail, ref.witness), (name, seed)
+        got[name] = new.verdict
+    split_sq = "no" if field == F101 else "inconclusive"     # -1 is a square mod 101
+    assert got == {"local": "yes", "direct sum": "no", "x^2+1": split_sq,
+                   "regular (4, 4)": "yes", "zero": "no", "simple": "yes"}
+    if field == QQ:
+        assert "division ring" in is_indecomposable(cases["x^2+1"], 0).detail
+    big = cases["regular (4, 4)"]
+    totals = Span(field, 8, 8, hom_space(big, big).total_matrices())
+    assert (_natural_trace_radical(big, totals) is None) == (field.char == 7)
+    # certified locality decides before any trial is drawn
+    calls = []
+    monkeypatch.setattr(rep_module, "factor_polynomial",
+                        lambda *args: calls.append(args) or factor_polynomial(*args))
+    assert is_indecomposable(cases["local"], 1).detail == "End local: dim End/rad = 1"
+    if field.char != 7:
+        assert is_indecomposable(big, 1).verdict == "yes"
+    assert not calls
 
 
 @pytest.mark.parametrize("field", TRACE_FIELDS, ids=str)
