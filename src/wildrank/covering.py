@@ -28,10 +28,10 @@ from .quiver import (AlgebraTable, BoundQuiver, Path, Quiver, RepType, Relation,
                      build_algebra_table, classify_hereditary,
                      is_minimal_wild_hereditary)
 from .rep import (InconclusiveError, Representation, SamplingStarvation,
-                  are_isomorphic, in_sincere_subcategory,
-                  is_indecomposable, sample_representation)
+                  are_isomorphic, in_sincere_subcategory, sample_representation)
 from .wildness import (CertStep, CheckCounts, WitnessBimodule,
-                       WitnessCertificate, bound_quiver_hash, compose_witness,
+                       WitnessCertificate, bound_quiver_hash, check_preservation,
+                       compose_witness,
                        eval_tensor, sincere_witness_for_K3,
                        _coeffs, _from_entries, _tensor_prod, _tensor_sum)
 
@@ -211,19 +211,14 @@ def pushdown(w: Window, n: Representation) -> Representation:
             off += n.dims[s]
     mats = {}
     for a in base.quiver.arrows:
-        dt, ds = dims[a.target], dims[a.source]
-        rows = [[field.zero] * ds for _ in range(dt)]
+        # the lifts of a have distinct sources, so their blocks do not overlap
+        blocks = []
         for (name, g), wname in w.lifted.items():
-            if name != a.name:
-                continue
-            warrow = w.bound_quiver.quiver.arrow(wname)
-            blk = n.mats[wname]
-            ro = offs[a.target][warrow.target]
-            co = offs[a.source][warrow.source]
-            for i in range(blk.rows):
-                for j in range(blk.cols):
-                    rows[ro + i][co + j] = blk.entry(i, j)
-        mats[a.name] = Mat.from_rows(field, rows) if dt and ds else Mat.zeros(field, dt, ds)
+            if name == a.name:
+                warrow = w.bound_quiver.quiver.arrow(wname)
+                blocks.append((offs[a.target][warrow.target], offs[a.source][warrow.source],
+                               n.mats[wname]))
+        mats[a.name] = Mat.assemble(field, dims[a.target], dims[a.source], blocks)
     return Representation(base, field, dims, mats, check=True)
 
 
@@ -301,47 +296,21 @@ def verify_pushdown(w: Window, samples: int, max_total_dim: int, seed,
     if len(mods) < samples:
         starved = True
 
-    indec = CheckCounts()
-    iso = CheckCounts()
     agree = CheckCounts()
     images = []
-    indec_in = []
-    indec_out = []
     for i, n in enumerate(mods):
         direct = pushdown(w, n)
-        via_bimodule = eval_tensor(bimod, n)
         images.append(direct)
-        v = are_isomorphic(direct, via_bimodule, seed=f"{seed}:agree:{i}")
+        v = are_isomorphic(direct, eval_tensor(bimod, n), seed=f"{seed}:agree:{i}")
         agree.record(None if v.verdict == "inconclusive" else v.verdict == "yes")
-        vin = is_indecomposable(n, f"{seed}:in:{i}")
-        indec_in.append(vin.verdict)
-        vout_value = None
-        if vin.verdict == "yes":
-            vout = is_indecomposable(direct, f"{seed}:out:{i}")
-            vout_value = vout.verdict
-            indec.record(None if vout.verdict == "inconclusive" else vout.verdict == "yes")
-        indec_out.append(vout_value)
-    all_pairs = [(i, j) for i in range(len(mods)) for j in range(i + 1, len(mods))]
-    budget_pairs = pair_budget if pair_budget is not None else min(len(all_pairs), 200)
-    rng_pairs = random.Random(f"pushdown-pairs:{seed}")
-    rng_pairs.shuffle(all_pairs)
-    for (i, j) in sorted(all_pairs[:budget_pairs]):
-        hint_in = indec_in[i] == "yes" and indec_in[j] == "yes"
-        hint_out = indec_out[i] == "yes" and indec_out[j] == "yes"
-        vin = are_isomorphic(mods[i], mods[j], seed=f"{seed}:pin:{i}:{j}",
-                             both_indecomposable=hint_in)
-        vout = are_isomorphic(images[i], images[j], seed=f"{seed}:pout:{i}:{j}",
-                              both_indecomposable=hint_out)
-        if "inconclusive" in (vin.verdict, vout.verdict):
-            iso.record(None)
-        else:
-            iso.record(vin.verdict == vout.verdict)
+    indec, iso, pairs = check_preservation(mods, images, seed, "pushdown-pairs",
+                                           pair_budget, 200)
     notes = ("restricted to the sincere subcategory of the window",)
     return PushdownReport(samples=len(mods), max_total_dim=max_total_dim, seed=seed,
                           field=repr(field), starved=starved, rejected=rejected,
                           indecomposability=indec, iso_classes=iso,
                           bimodule_agreement=agree,
-                          pair_count=min(len(all_pairs), budget_pairs), notes=notes)
+                          pair_count=len(pairs), notes=notes)
 
 
 # ---------------------------------------------------------------------------

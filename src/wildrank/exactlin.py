@@ -576,7 +576,7 @@ class Mat:
         """The matrices, each with ``rows`` rows, side by side."""
         for m in mats:
             if m.field != field or m.rows != rows:
-                raise ShapeMismatchError(f"hstack of {m.shape} over {m.field} onto {rows} rows")
+                raise ShapeMismatchError(f"hcat of {m.shape} over {m.field} onto {rows} rows")
         return cls(field, rows, sum(m.cols for m in mats),
                    np.concatenate([m._entries for m in mats], axis=1) if mats
                    else _zeros(field, rows, 0))
@@ -586,7 +586,7 @@ class Mat:
         """The matrices, each with ``cols`` columns, stacked top to bottom."""
         for m in mats:
             if m.field != field or m.cols != cols:
-                raise ShapeMismatchError(f"vstack of {m.shape} over {m.field} onto {cols} cols")
+                raise ShapeMismatchError(f"vcat of {m.shape} over {m.field} onto {cols} cols")
         return cls(field, sum(m.rows for m in mats), cols,
                    np.concatenate([m._entries for m in mats], axis=0) if mats
                    else _zeros(field, 0, cols))
@@ -680,12 +680,6 @@ class Mat:
                     out=out.reshape(self.rows, other.rows, self.cols, other.cols),
                     where=(a != 0)[:, None, :, None])
         return Mat(self.field, self.rows * other.rows, self.cols * other.cols, out)
-
-    def hstack(self, other: "Mat") -> "Mat":
-        return Mat.hcat(self.field, self.rows, [self, other])
-
-    def vstack(self, other: "Mat") -> "Mat":
-        return Mat.vcat(self.field, self.cols, [self, other])
 
     def reshape(self, rows: int, cols: int) -> "Mat":
         """The same entries in row-major order, refilled as ``rows x cols``."""

@@ -1,12 +1,13 @@
 """Finite-dimensional representations of a bound quiver.
 
-Hom spaces are computed as exact kernels of the arrow-commutation equations.
-Two structural fast paths keep large instances cheap without changing any
-result: invertible arrows between distinct vertices are contracted away
-(f_t = N(a) f_s M(a)^{-1}), and when a remaining matrix-pencil equation has
-nilpotent matrices on both sides its solution space is parametrized in
-closed form from the Jordan structure.  Both paths are property-tested
-against the plain kernel computation.
+Hom spaces are computed as exact kernels of the arrow-commutation equations,
+with two structural shortcuts that keep large instances cheap without
+changing the space: invertible arrows between distinct vertices are
+contracted away (f_t = N(a) f_s M(a)^{-1}), and when a remaining
+matrix-pencil equation has nilpotent matrices on both sides its solution
+space is parametrized in closed form from the Jordan structure.  The tests
+check both against one uncontracted kernel of every arrow equation.  Each
+basis is cached on the source module, per target.
 
 Indecomposability follows the endomorphism ring: a nontrivial idempotent
 witnesses "no"; a local ring certified by an exactly computed radical with
@@ -69,7 +70,7 @@ class Representation:
         for v in q.vertices:
             self._offsets[v] = off
             off += self.dims[v]
-        # bases of Hom(M, N) from the fast paths, keyed weakly by the target
+        # bases of Hom(M, N), keyed weakly by the target
         # N: only the basis, since a HomSpace would refer back to both
         # modules, and End(M) keyed by M itself must not keep M alive
         self._homs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -179,26 +180,20 @@ def morphism_compose(g: dict[str, Mat], f: dict[str, Mat]) -> dict[str, Mat]:
     return {v: g[v] @ f[v] for v in f}
 
 
-def morphism_is_zero(f: dict[str, Mat]) -> bool:
-    return all(m.is_zero() for m in f.values())
-
-
-def hom_space(m: Representation, n: Representation, use_fast_paths: bool = True) -> HomSpace:
+def hom_space(m: Representation, n: Representation) -> HomSpace:
     """All intertwiners m -> n, by exact linear algebra.
 
-    Every basis computed with the fast paths is cached on the source ``m``,
-    keyed by the target ``n`` (by identity) in a weak dictionary: a later
-    call on the same pair returns the same basis list without solving
-    again.  The cache holds only bases, never a module, so it keeps no
-    target alive, and an entry goes when its target is freed.  The plain
-    path neither reads nor fills it.
+    Every basis is cached on the source ``m``, keyed by the target ``n`` (by
+    identity) in a weak dictionary: a later call on the same pair returns
+    the same basis list without solving again.  The cache holds only
+    bases, never a module, so it keeps no target alive, and an entry goes
+    when its target is freed.
     """
     if m.bound_quiver != n.bound_quiver:
         raise ShapeMismatchError("representations over different bound quivers")
-    if use_fast_paths:
-        cached = m._homs.get(n)
-        if cached is not None:
-            return HomSpace(m, n, cached)
+    cached = m._homs.get(n)
+    if cached is not None:
+        return HomSpace(m, n, cached)
     field = m.field
     q = m.bound_quiver.quiver
 
@@ -217,7 +212,7 @@ def hom_space(m: Representation, n: Representation, use_fast_paths: bool = True)
     remaining = []
     for a in q.arrows:
         contracted = False
-        if use_fast_paths and a.source != a.target:
+        if a.source != a.target:
             r1, r2 = find(a.source), find(a.target)
             ma, na = m.mats[a.name], n.mats[a.name]
             if (r1 != r2 and ma.is_square() and na.is_square()
@@ -250,7 +245,7 @@ def hom_space(m: Representation, n: Representation, use_fast_paths: bool = True)
         y2 = b_tf.get(a.source)
         equations.append((rt, x1, y1, rs, x2, y2))
 
-    basis_root = _solve_hom_equations(field, m, n, var_roots, equations, use_fast_paths)
+    basis_root = _solve_hom_equations(field, m, n, var_roots, equations)
 
     out = []
     for fr in basis_root:
@@ -264,8 +259,7 @@ def hom_space(m: Representation, n: Representation, use_fast_paths: bool = True)
             else:
                 f[v] = a_tf[v] @ fr[r] @ b_tf[v]
         out.append(f)
-    if use_fast_paths:
-        m._homs[n] = out
+    m._homs[n] = out
     return HomSpace(m, n, out)
 
 
@@ -281,13 +275,13 @@ def _inverse(x: Optional[Mat]) -> Optional[Mat]:
     return None if x is None else x.inverse()
 
 
-def _solve_hom_equations(field, m, n, var_roots, equations, use_fast_paths):
+def _solve_hom_equations(field, m, n, var_roots, equations):
     """Solve the contracted intertwiner equations (``x1``, ``y2`` None for
     identities); returns bases {root: Mat}."""
     if not var_roots:
         return []
     # single root and all-normalizable equations: matrix pencil fast path
-    if use_fast_paths and len(var_roots) == 1:
+    if len(var_roots) == 1:
         r = var_roots[0]
         pencil = []
         ok = True

@@ -1,9 +1,14 @@
 """Hereditary Auslander-Reiten combinatorics and tilting.
 
 Cartan and Coxeter data fix the dimension-vector arithmetic (row-vector
-convention d -> d * Phi).  The inverse AR translate is computed honestly:
+convention d -> d * Phi).  Every sum of projectives is one
+``_ProjectiveSum``: at each vertex its basis is the (slot, path) pairs, and a
+map out of it is fixed by its generator images, one product per basis
+element and one concatenation per vertex.  Minimal projective presentations
+and Ext^1 are built on it.  The inverse AR translate is computed honestly:
 dualize to the opposite algebra, take a minimal projective presentation,
-transpose it back through Hom(-, A), and read off the cokernel.  Tilting
+transpose it back through Hom(-, A) (reading the transposed map through the
+basis index), and read off the cokernel.  Tilting
 candidates are checked with the hereditary Euler formula, and endomorphism
 algebras of tilting modules are presented as bound quivers recovered by
 exact linear algebra (certified by dimension count).
@@ -18,7 +23,7 @@ from typing import Optional, Sequence
 
 from .exactlin import Field, Mat
 from .quiver import (AlgebraTable, BoundQuiver, Path, Quiver, Relation,
-                     build_algebra_table)
+                     _enumerate_paths, build_algebra_table)
 from .rep import (EndAnalysis, Representation, are_isomorphic,
                   hom_space, morphism_compose, support)
 
@@ -84,9 +89,6 @@ class CartanData:
             total -= int(d[pos[a.source]]) * int(e[pos[a.target]])
         return total
 
-    def apply_coxeter(self, d: Sequence[int]) -> tuple[int, ...]:
-        return _row_times(d, self.coxeter)
-
     def apply_coxeter_inverse(self, d: Sequence[int]) -> tuple[int, ...]:
         return _row_times(d, self.coxeter_inv)
 
@@ -127,35 +129,51 @@ def cartan_coxeter(q: Quiver) -> CartanData:
 # projectives, injectives, presentations
 # ---------------------------------------------------------------------------
 
+class _ProjectiveSum:
+    """The projective module ⊕_j A e_{v_j} over the slots ``(v_j, c_j)`` of
+    a hereditary quiver, on one basis.
+
+    The basis at a vertex t lists the pairs (j, p) of a slot j and a path p
+    from v_j to t: slot first, then paths by (length, arrows).
+    ``index[(j, p.arrows)]`` is the position of (j, p) in the basis at
+    ``p.target``, so ``index[(j, ())]`` is slot j's generator.  An arrow a
+    sends (j, p) to (j, a p); ``rep`` is the module.
+    """
+
+    def __init__(self, bq: BoundQuiver, field: Field, slots: Sequence[tuple[str, int]]):
+        if bq.relations:
+            raise ValueError("projective construction here assumes a hereditary quiver")
+        q = bq.quiver
+        paths = sorted(_enumerate_paths(q, len(q.vertices) + 1),
+                       key=lambda p: (len(p), p.arrows))
+        self.slots = list(slots)
+        self.mults = {v: sum(1 for s, _ in self.slots if s == v) for v in q.vertices}
+        self.basis: dict[str, list[tuple[int, Path]]] = {v: [] for v in q.vertices}
+        for j, (v, _) in enumerate(self.slots):
+            for p in paths:
+                if p.source == v:
+                    self.basis[p.target].append((j, p))
+        self.index = {(j, p.arrows): i for b in self.basis.values()
+                      for i, (j, p) in enumerate(b)}
+        dims = {v: len(b) for v, b in self.basis.items()}
+        mats = {}
+        for a in q.arrows:
+            # column (j, p) is the unit vector of (j, a p)
+            rows = [self.index[(j, (a.name,) + p.arrows)] for j, p in self.basis[a.source]]
+            mats[a.name] = Mat.identity(field, dims[a.target]).submatrix(
+                range(dims[a.target]), rows)
+        self.rep = Representation(bq, field, dims, mats, check=False)
+
+    def generator_columns(self, phi: dict[str, Mat]) -> list[Mat]:
+        """The column of each generator under a map given per vertex."""
+        return [phi[v].submatrix(range(phi[v].rows), [self.index[(j, ())]])
+                for j, (v, _) in enumerate(self.slots)]
+
+
 def projective_rep(bq: BoundQuiver, field: Field, vertex: str) -> Representation:
     """The indecomposable projective at a vertex of a hereditary quiver:
     basis all paths from the vertex, arrows act by composition."""
-    if bq.relations:
-        raise ValueError("projective construction here assumes a hereditary quiver")
-    q = bq.quiver
-    from .quiver import _enumerate_paths
-    maxlen = len(q.vertices) + 1
-    paths = [p for p in _enumerate_paths(q, maxlen) if p.source == vertex]
-    by_vertex: dict[str, list[Path]] = {v: [] for v in q.vertices}
-    for p in paths:
-        by_vertex[p.target].append(p)
-    for v in by_vertex:
-        by_vertex[v].sort(key=lambda p: (len(p), p.arrows))
-    index = {}
-    for v, plist in by_vertex.items():
-        for i, p in enumerate(plist):
-            index[(p.target, p.arrows)] = i
-    dims = {v: len(by_vertex[v]) for v in q.vertices}
-    mats = {}
-    for a in q.arrows:
-        rows = [[field.zero] * dims[a.source] for _ in range(dims[a.target])]
-        for j, p in enumerate(by_vertex[a.source]):
-            longer = Path(p.source, a.target, (a.name,) + p.arrows)
-            i = index[(a.target, longer.arrows)]
-            rows[i][j] = field.one
-        mats[a.name] = Mat.from_rows(field, rows) if dims[a.target] and dims[a.source] \
-            else Mat.zeros(field, dims[a.target], dims[a.source])
-    return Representation(bq, field, dims, mats, check=False)
+    return _ProjectiveSum(bq, field, [(vertex, 0)]).rep
 
 
 def injective_rep(bq: BoundQuiver, field: Field, vertex: str) -> Representation:
@@ -174,7 +192,8 @@ def _complement_units(cols: Mat) -> list[int]:
     """The j whose unit vectors e_j extend the independent columns of
     ``cols`` to a basis, each e_j independent of those before it."""
     ident = Mat.identity(cols.field, cols.rows)
-    return [p - cols.cols for p in cols.hstack(ident).pivot_columns() if p >= cols.cols]
+    return [p - cols.cols for p in Mat.hcat(cols.field, cols.rows, [cols, ident]).pivot_columns()
+            if p >= cols.cols]
 
 
 def _top_lift_basis(m: Representation) -> dict[str, Mat]:
@@ -200,82 +219,48 @@ def _top_lift_basis(m: Representation) -> dict[str, Mat]:
     return out
 
 
+def _morphism_from_generators(p: _ProjectiveSum, target: Representation,
+                              images: Sequence[Mat]) -> dict[str, Mat]:
+    """The module map P -> target sending generator j to the column
+    ``images[j]`` of target(v_j): basis element (j, p) goes to
+    target(p) images[j], so each vertex is one ``hcat``."""
+    return {t: Mat.hcat(target.field, target.dims[t],
+                        [target.path_matrix(path) @ images[j] for j, path in b])
+            for t, b in p.basis.items()}
+
+
+def _cover(m: Representation) -> tuple[_ProjectiveSum, dict[str, Mat]]:
+    """The projective cover P -> m: a slot per top-lift column, whose
+    generator goes to that column."""
+    tops = _top_lift_basis(m)
+    p = _ProjectiveSum(m.bound_quiver, m.field,
+                       [(v, c) for v, t in tops.items() for c in range(t.cols)])
+    images = [tops[v].submatrix(range(tops[v].rows), [c]) for v, c in p.slots]
+    return p, _morphism_from_generators(p, m, images)
+
+
 @dataclass
 class ProjectivePresentation:
-    """P1 -> P0 -> M -> 0 with multiplicities and an algebra-entry matrix.
+    """P1 -> P0 -> M -> 0, minimal, over a hereditary quiver.
 
-    ``p0_mults``/``p1_mults`` give the multiplicity of each projective;
-    ``phi`` holds, per (target copy, source copy), the algebra element of
-    paths (as a Representation morphism it is expanded on demand).
+    ``p0``/``p1`` are the projective sums (modules ``p0.rep``, ``p1.rep``),
+    ``phi`` the map P1 -> P0, per vertex, and ``p0_mults``/``p1_mults`` the
+    multiplicity of each projective.
     """
 
     bq: BoundQuiver
     field: Field
-    p0_mults: dict[str, int]
-    p1_mults: dict[str, int]
-    cover_maps: dict[str, list[Mat]]     # vertex -> chosen top lifts for P0 -> M
-    p0: Representation
-    p1: Representation
-    phi: dict[str, Mat]                  # expanded morphism P1 -> P0, per vertex
+    p0: _ProjectiveSum
+    p1: _ProjectiveSum
+    phi: dict[str, Mat]
 
+    @property
+    def p0_mults(self) -> dict[str, int]:
+        return self.p0.mults
 
-def _projective_sum(bq: BoundQuiver, field: Field, mults: dict[str, int]):
-    """Direct sum of projectives with multiplicities; returns (rep, slots)."""
-    reps = []
-    slots = []
-    for v in bq.quiver.vertices:
-        for c in range(mults.get(v, 0)):
-            reps.append(projective_rep(bq, field, v))
-            slots.append((v, c))
-    if not reps:
-        return Representation.zero(bq, field), []
-    total = reps[0]
-    for r in reps[1:]:
-        total = total.direct_sum(r)
-    return total, slots
-
-
-def _morphism_from_generators(bq: BoundQuiver, field: Field, p_sum, slots,
-                              target: Representation,
-                              generator_images: list[Mat]) -> dict[str, Mat]:
-    """Extend images of the projective generators to a module morphism.
-
-    Each summand Ae_v is spanned by paths from v; the generator (the lazy
-    path) goes to the prescribed image and a path p goes to p acting on it.
-    """
-    from .quiver import _enumerate_paths
-    q = bq.quiver
-    maxlen = len(q.vertices) + 1
-    paths_from = {v: [p for p in _enumerate_paths(q, maxlen) if p.source == v]
-                  for v in q.vertices}
-    for v in paths_from:
-        by_target: dict[str, list[Path]] = {}
-        for p in paths_from[v]:
-            by_target.setdefault(p.target, []).append(p)
-        for t in by_target:
-            by_target[t].sort(key=lambda p: (len(p), p.arrows))
-        paths_from[v] = by_target
-    offs = {}
-    off_by_vertex = {v: 0 for v in q.vertices}
-    for idx, (v, c) in enumerate(slots):
-        for t, plist in paths_from[v].items():
-            offs[(idx, t)] = off_by_vertex[t]
-            off_by_vertex[t] += len(plist)
-    out = {}
-    for t in q.vertices:
-        cols: list[list] = []
-        col_entries = [[field.zero] * p_sum.dims[t] for _ in range(target.dims[t])]
-        for idx, (v, c) in enumerate(slots):
-            plist = paths_from[v].get(t, [])
-            base = offs.get((idx, t), 0)
-            gen_img = generator_images[idx]          # column in target at v
-            for k, p in enumerate(plist):
-                img = target.path_matrix(p) @ gen_img
-                for i in range(target.dims[t]):
-                    col_entries[i][base + k] = img.entry(i, 0)
-        out[t] = Mat.from_rows(field, col_entries) if target.dims[t] and p_sum.dims[t] \
-            else Mat.zeros(field, target.dims[t], p_sum.dims[t])
-    return out
+    @property
+    def p1_mults(self) -> dict[str, int]:
+        return self.p1.mults
 
 
 def projective_presentation(m: Representation) -> ProjectivePresentation:
@@ -286,97 +271,47 @@ def projective_presentation(m: Representation) -> ProjectivePresentation:
     """
     bq = m.bound_quiver
     field = m.field
-    tops = _top_lift_basis(m)
-    p0_mults = {v: tops[v].cols for v in bq.quiver.vertices}
-    p0, slots0 = _projective_sum(bq, field, p0_mults)
-    gen_images = []
-    for (v, c) in slots0:
-        gen_images.append(tops[v].submatrix(range(tops[v].rows), [c]))
-    eps = _morphism_from_generators(bq, field, p0, slots0, m, gen_images)
+    p0, eps = _cover(m)
     # kernel of eps, vertexwise, with induced arrow maps
     ker_basis = {v: eps[v].kernel() for v in bq.quiver.vertices}
     ker_dims = {v: ker_basis[v].cols for v in bq.quiver.vertices}
     ker_mats = {}
     for a in bq.quiver.arrows:
-        rhs = p0.mats[a.name] @ ker_basis[a.source]
+        rhs = p0.rep.mats[a.name] @ ker_basis[a.source]
         x = ker_basis[a.target].solve_matrix(rhs)
         if x is None:
             raise ValueError("kernel is not arrow-invariant (inconsistent data)")
         ker_mats[a.name] = x
     kernel = Representation(bq, field, ker_dims, ker_mats, check=False)
-    tops_k = _top_lift_basis(kernel)
-    p1_mults = {v: tops_k[v].cols for v in bq.quiver.vertices}
-    p1, slots1 = _projective_sum(bq, field, p1_mults)
-    if p1.total_dim != kernel.total_dim:
+    p1, cover1 = _cover(kernel)
+    if p1.rep.total_dim != kernel.total_dim:
         raise ValueError("first syzygy is not projective; the quiver is not hereditary")
-    gen_images1 = []
-    for (v, c) in slots1:
-        gen_images1.append(tops_k[v].submatrix(range(tops_k[v].rows), [c]))
-    cover1 = _morphism_from_generators(bq, field, p1, slots1, kernel, gen_images1)
     # phi: P1 -> P0 = inclusion of the kernel after the cover
     phi = {v: ker_basis[v] @ cover1[v] for v in bq.quiver.vertices}
-    return ProjectivePresentation(bq, field, p0_mults, p1_mults,
-                                  {v: tops[v] for v in tops}, p0, p1, phi)
+    return ProjectivePresentation(bq, field, p0, p1, phi)
 
 
 def ext1_dim_via_presentation(m: Representation, n: Representation) -> int:
     """dim Ext^1(M, N) from a projective presentation of M.
 
-    Hom(P0, N) -> Hom(P1, N) has cokernel Ext^1 over a hereditary algebra;
-    Hom(Ae_v, N) is identified with N(v), and the connecting map applies the
-    presentation's path entries.  Independent of the Euler-form shortcut.
+    Hom(P0, N) -> Hom(P1, N), g -> g phi, has cokernel Ext^1 over a
+    hereditary algebra.  A map g out of a projective sum is its generator
+    images x_j, so Hom(P, N) is the sum of N(v_j) over the slots j.  When
+    phi sends generator j1 to sum coef (j0, p), g phi sends it to
+    sum coef N(p) x_j0: block (j1, j0) of the map is the sum of coef N(p)
+    over the terms of slot j0, and overlapping blocks add in one assembly.
+    Independent of the Euler-form shortcut.
     """
     pres = projective_presentation(m)
-    bq = m.bound_quiver
-    field = m.field
-    _, slots0 = _projective_sum(bq, field, pres.p0_mults)
-    _, slots1 = _projective_sum(bq, field, pres.p1_mults)
-    hom_p0 = sum(n.dims[v] for v, _ in slots0)
-    hom_p1 = sum(n.dims[v] for v, _ in slots1)
-    if hom_p1 == 0:
-        return 0
-    # map Hom(P0, N) -> Hom(P1, N): g -> g . phi; coordinates: for each slot
-    # (v, c) of P0 a vector in N(v).  Build by feeding unit generators.
-    cols = []
-    for j0, (v0, c0) in enumerate(slots0):
-        for b in range(n.dims[v0]):
-            # g sends generator of slot j0 to basis vector b of N(v0)
-            gen_images = []
-            for j, (v, c) in enumerate(slots0):
-                col = Mat.zeros(field, n.dims[v], 1)
-                if j == j0:
-                    col = Mat.unit(field, n.dims[v0], 1, b, 0)
-                gen_images.append(col)
-            g = _morphism_from_generators(bq, field, pres.p0, slots0, n, gen_images)
-            # restrict along phi: value on P1 generators
-            vals = []
-            offs = _slot_offsets(bq, field, pres.p1, slots1)
-            for j1, (v1, c1) in enumerate(slots1):
-                gen_col = Mat.unit(field, pres.p1.dims[v1], 1, offs[j1], 0)
-                img = g[v1] @ (pres.phi[v1] @ gen_col)
-                vals.extend(img.entry(i, 0) for i in range(n.dims[v1]))
-            cols.append(vals)
-    mat = Mat.from_rows(field, [[cols[j][i] for j in range(len(cols))]
-                                for i in range(hom_p1)]) if cols else \
-        Mat.zeros(field, hom_p1, 0)
-    return hom_p1 - mat.rank()
-
-
-def _slot_offsets(bq, field, p_sum, slots):
-    """Column index of each slot's generator inside its vertex space.
-
-    The vertex space at v concatenates, slot by slot, the paths from the
-    slot's vertex into v; the generator (the lazy path) sorts first within
-    its own slot's block at its own vertex.
-    """
-    counts = _path_counts(bq.quiver)
-    off_by_vertex = {v: 0 for v in bq.quiver.vertices}
-    offs = []
-    for (v, c) in slots:
-        offs.append(off_by_vertex[v])
-        for t in bq.quiver.vertices:
-            off_by_vertex[t] += counts[(v, t)]
-    return offs
+    p0, p1 = pres.p0, pres.p1
+    off0 = list(itertools.accumulate((n.dims[v] for v, _ in p0.slots), initial=0))
+    off1 = list(itertools.accumulate((n.dims[v] for v, _ in p1.slots), initial=0))
+    blocks = []
+    for j1, ((v1, _), col) in enumerate(zip(p1.slots, p1.generator_columns(pres.phi))):
+        for (j0, path), (coef,) in zip(p0.basis[v1], col.row_list()):
+            if coef:
+                blocks.append((off1[j1], off0[j0], n.path_matrix(path).scaled(coef)))
+    return off1[-1] - Mat.assemble(m.field, off1[-1], off0[-1], blocks).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -405,119 +340,42 @@ def ar_translate_inverse(m: Representation) -> Representation:
             if are_isomorphic(m, inj, seed="tau-inj").verdict == "yes":
                 raise ValueError("tau^- is undefined on injective modules")
     opp = BoundQuiver(bq.quiver.opposite(), [], nilbound=bq.nilbound)
-    dual = _dual_rep(m, opp)
-    pres = projective_presentation(dual)
-    # transpose: Hom_B(-, B) turns Be_v-sums over the opposite algebra into
-    # Ae_v-sums over the original; the connecting matrix is the transposed
-    # entry matrix with every path reversed.  Expand it as a morphism of
-    # projective sums over the original quiver and take the cokernel.
-    p0_back, slots0 = _projective_sum(bq, field, pres.p0_mults)
-    p1_back, slots1 = _projective_sum(bq, field, pres.p1_mults)
-    # build the transposed map p0_back -> p1_back: its value on the slot
-    # generators is determined by the entries of phi read backwards
-    gen_images = []
-    offs1 = _slot_offsets(opp, field, pres.p1, slots1)
-    for j0, (v0, c0) in enumerate(slots0):
-        # entry (j1 <- j0) of the transposed map = reversed phi entry (j0 <- j1)
-        col_entries = [field.zero] * p1_back.dims[v0]
-        for j1, (v1, c1) in enumerate(slots1):
-            # phi component: P1-slot j1 generator -> P0 slot j0 component in
-            # the opposite algebra; reverse each path to act here
-            gen_col = Mat.unit(field, pres.p1.dims[v1], 1, offs1[j1], 0)
-            img = pres.phi[v1] @ gen_col            # element of P0(v1), over opp
-            # decode: coordinates of P0(v1) are opposite-paths from slot
-            # vertices to v1; reversed they are paths from v1 in the original
-            decoded = _decode_projective_element(opp, field, pres.p0_mults,
-                                                 slots0, v1, img)
-            for (jj0, rev_path) in decoded:
-                if jj0 != j0:
-                    continue
-                coef, opp_path = rev_path
-                orig_word = tuple(reversed(opp_path.arrows))
-                if orig_word:
-                    orig_path = bq.quiver.path(orig_word)
-                else:
-                    orig_path = bq.quiver.trivial_path(v1)
-                # place: column of p1_back at slot j1, the basis vector of
-                # path (v1 -> ...)? the transposed map sends the slot-j0
-                # generator to (reversed path) . (slot-j1 generator)
-                target_vec = _path_on_generator(bq, field, p1_back, slots1,
-                                                j1, orig_path)
-                col_entries = [field.add(a, field.mul(coef, b))
-                               for a, b in zip(col_entries,
-                                               [target_vec.entry(i, 0)
-                                                for i in range(p1_back.dims[v0])])]
-        gen_images.append(Mat.from_rows(field, [[x] for x in col_entries])
-                          if p1_back.dims[v0] else Mat.zeros(field, 0, 1))
-    psi = _morphism_from_generators(bq, field, p0_back, slots0, p1_back, gen_images)
-    # cokernel vertexwise
+    pres = projective_presentation(_dual_rep(m, opp))
+    # transpose: Hom(-, B) turns the sums over the opposite algebra B into
+    # sums over the original algebra on the same slots, and psi: back0 ->
+    # back1 is phi read backwards: generator j0 goes to the element whose
+    # coordinate at (j1, q) is the coefficient of (j0, q reversed) in
+    # phi(generator j1); all generator columns of phi are stacked in `gens`
+    back0 = _ProjectiveSum(bq, field, pres.p0.slots)
+    back1 = _ProjectiveSum(bq, field, pres.p1.slots)
+    cols = pres.p1.generator_columns(pres.phi)
+    starts = list(itertools.accumulate((c.rows for c in cols), initial=0))
+    gens = Mat.vcat(field, 1, cols)
+    images = [gens.submatrix([starts[j1] + pres.p0.index[(j0, tuple(reversed(q.arrows)))]
+                              for j1, q in back1.basis[v0]], [0])
+              for j0, (v0, _) in enumerate(back0.slots)]
+    psi = _morphism_from_generators(back0, back1.rep, images)
+    # cokernel vertexwise: [image | complement] is a basis; coordinates in it
+    # project to the quotient
     dims = {}
-    mats = {}
-    proj = {}
+    frames = {}
     for v in bq.quiver.vertices:
         col = psi[v].column_space()
-        # complement basis: extend columns of col to full space
-        d = p1_back.dims[v]
-        comp_cols = _complement_units(col)
-        cur = col.hstack(Mat.identity(field, d).submatrix(range(d), comp_cols))
-        dims[v] = len(comp_cols)
-        # cur = [col | comp]; the projection to the quotient solves cur c = x
-        proj[v] = (cur, col.cols, comp_cols)
+        d = back1.rep.dims[v]
+        comp = _complement_units(col)
+        frames[v] = (Mat.hcat(field, d, [col, Mat.identity(field, d).submatrix(range(d), comp)]),
+                     col.cols, comp)
+        dims[v] = len(comp)
+    mats = {}
     for a in bq.quiver.arrows:
-        s, t = a.source, a.target
-        basis_t, rad_t, comp_t = proj[t]
-        d_t = p1_back.dims[t]
-        rows = [[field.zero] * dims[s] for _ in range(dims[t])]
-        basis_s, rad_s, comp_s = proj[s]
-        for jj, j in enumerate(comp_s):
-            x = p1_back.mats[a.name] @ Mat.unit(field, p1_back.dims[s], 1, j, 0)
-            coords = basis_t.solve(x)
-            if coords is None:
-                raise ValueError("cokernel arrow map inconsistent")
-            for ii in range(len(comp_t)):
-                rows[ii][jj] = coords.entry(rad_t + ii, 0)
-        mats[a.name] = Mat.from_rows(field, rows) if dims[t] and dims[s] \
-            else Mat.zeros(field, dims[t], dims[s])
+        frame_t, rad_t, _ = frames[a.target]
+        coords = frame_t.solve_matrix(back1.rep.mats[a.name].submatrix(
+            range(back1.rep.dims[a.target]), frames[a.source][2]))
+        if coords is None:
+            raise ValueError("cokernel arrow map inconsistent")
+        mats[a.name] = coords.submatrix(range(rad_t, rad_t + dims[a.target]),
+                                        range(dims[a.source]))
     return Representation(bq, field, dims, mats, check=False)
-
-
-def _decode_projective_element(bq: BoundQuiver, field, mults, slots, vertex, col: Mat):
-    """Decode a column of a projective sum at a vertex into (slot, (coef, path))."""
-    from .quiver import _enumerate_paths
-    q = bq.quiver
-    maxlen = len(q.vertices) + 1
-    out = []
-    idx = 0
-    for j, (v, c) in enumerate(slots):
-        plist = [p for p in _enumerate_paths(q, maxlen)
-                 if p.source == v and p.target == vertex]
-        plist.sort(key=lambda p: (len(p), p.arrows))
-        for p in plist:
-            coef = col.entry(idx, 0)
-            if coef != 0:
-                out.append((j, (coef, p)))
-            idx += 1
-    return out
-
-
-def _path_on_generator(bq: BoundQuiver, field, p_sum, slots, slot_idx, path: Path) -> Mat:
-    """The basis column of path . (slot generator) inside the projective sum."""
-    from .quiver import _enumerate_paths
-    q = bq.quiver
-    maxlen = len(q.vertices) + 1
-    target_vertex = path.target
-    idx = 0
-    for j, (v, c) in enumerate(slots):
-        plist = [p for p in _enumerate_paths(q, maxlen)
-                 if p.source == v and p.target == target_vertex]
-        plist.sort(key=lambda p: (len(p), p.arrows))
-        if j == slot_idx:
-            for k, p in enumerate(plist):
-                if p.arrows == path.arrows:
-                    return Mat.unit(field, p_sum.dims[target_vertex], 1, idx + k, 0)
-            raise ValueError(f"path {path} not found in projective basis")
-        idx += len(plist)
-    raise ValueError("slot not found")
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +517,6 @@ def endomorphism_algebra(candidate: TiltingCandidate,
 
     # relations: kernel of the evaluation of paths (length >= 2) in End(T),
     # with path length capped at the nilpotency degree of rad End(T)
-    from .quiver import _enumerate_paths
     maxlen = 1
     cur_layer = rad_basis
     while any(cur_layer[key] for key in cur_layer) and maxlen < 2 * n + 4:

@@ -26,11 +26,11 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .cli import CertStep, Derivation
 from .exactlin import Field, Mat, ShapeMismatchError
-from .quiver import (AlgebraElement, AlgebraTable, BoundQuiver, Path, Quiver,
+from .quiver import (AlgebraElement, AlgebraTable, BoundQuiver, Path,
                      build_algebra_table, loop_quiver)
 from .rep import (Representation, are_isomorphic, hom_space,
                   in_sincere_subcategory, is_indecomposable, InconclusiveError)
@@ -118,10 +118,6 @@ class FreeAlgModule:
     def random(cls, field: Field, max_dim: int, rng: random.Random) -> "FreeAlgModule":
         t = rng.randint(1, max_dim)
         return cls(Mat.random(field, t, t, rng), Mat.random(field, t, t, rng))
-
-
-def free_hom_dim(v: FreeAlgModule, w: FreeAlgModule) -> int:
-    return hom_space(v.as_representation(), w.as_representation()).dim
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +591,49 @@ class WitnessReport:
         return "\n".join(lines)
 
 
+def check_preservation(sources: Sequence[Representation], images: Sequence[Representation],
+                       seed, pair_stream: str, pair_budget: Optional[int],
+                       default_budget: int) -> tuple[CheckCounts, CheckCounts,
+                                                     list[tuple[int, int]]]:
+    """Seeded checks that ``sources[i] -> images[i]`` preserves
+    indecomposability and isomorphism classes.
+
+    When ``sources[i]`` is indecomposable (seed ``{seed}:in:{i}``),
+    ``images[i]`` must be too (``{seed}:out:{i}``).  On the pairs i < j
+    drawn by shuffling with the stream ``{pair_stream}:{seed}``
+    (``pair_budget`` of them, or at most ``default_budget``), the sources
+    must be isomorphic (``{seed}:pin:{i}:{j}``) exactly when the images are
+    (``{seed}:pout:{i}:{j}``).  An inconclusive verdict counts as
+    inconclusive.  Returns both counts and the sorted pairs.
+    """
+    indec = CheckCounts()
+    indec_in, indec_out = [], []
+    for i, (v, img) in enumerate(zip(sources, images)):
+        verdict_in = is_indecomposable(v, f"{seed}:in:{i}").verdict
+        verdict_out = None
+        if verdict_in == "yes":
+            verdict_out = is_indecomposable(img, f"{seed}:out:{i}").verdict
+            indec.record(None if verdict_out == "inconclusive" else verdict_out == "yes")
+        indec_in.append(verdict_in)
+        indec_out.append(verdict_out)
+
+    all_pairs = [(i, j) for i in range(len(sources)) for j in range(i + 1, len(sources))]
+    budget = pair_budget if pair_budget is not None else min(len(all_pairs), default_budget)
+    random.Random(f"{pair_stream}:{seed}").shuffle(all_pairs)
+    pairs = sorted(all_pairs[:budget])
+    iso = CheckCounts()
+    for (i, j) in pairs:
+        v_in = are_isomorphic(sources[i], sources[j], seed=f"{seed}:pin:{i}:{j}",
+                              both_indecomposable=indec_in[i] == indec_in[j] == "yes")
+        v_out = are_isomorphic(images[i], images[j], seed=f"{seed}:pout:{i}:{j}",
+                               both_indecomposable=indec_out[i] == indec_out[j] == "yes")
+        if "inconclusive" in (v_in.verdict, v_out.verdict):
+            iso.record(None)
+        else:
+            iso.record(v_in.verdict == v_out.verdict)
+    return indec, iso, pairs
+
+
 def verify_witness(w: WitnessBimodule, samples: int, max_dim: int, seed,
                    pair_budget: Optional[int] = None,
                    check_sincere: int = 0) -> WitnessReport:
@@ -622,49 +661,12 @@ def verify_witness(w: WitnessBimodule, samples: int, max_dim: int, seed,
         images.append(img)
     reps = [v.as_representation() for v in mods]
 
-    indec = CheckCounts()
-    iso = CheckCounts()
+    indec, iso, pairs = check_preservation(reps, images, seed, "verify-pairs", pair_budget, 150)
     hom = CheckCounts()
-    indec_in = []
-    indec_out = []
-    for i, (v, img) in enumerate(zip(reps, images)):
-        verdict_in = is_indecomposable(v, f"{seed}:in:{i}")
-        indec_in.append(verdict_in.verdict)
-        verdict_out_value = None
-        if verdict_in.verdict == "yes":
-            verdict_out = is_indecomposable(img, f"{seed}:out:{i}")
-            verdict_out_value = verdict_out.verdict
-            if verdict_out.verdict == "inconclusive":
-                indec.record(None)
-            else:
-                indec.record(verdict_out.verdict == "yes")
-        indec_out.append(verdict_out_value)
-        if w.full:
-            hd_in = hom_space(v, v).dim
-            hd_out = hom_space(img, img).dim
-            hom.record(hd_in == hd_out)
-
-    all_pairs = [(i, j) for i in range(samples) for j in range(i + 1, samples)]
-    budget = pair_budget if pair_budget is not None else min(len(all_pairs), 150)
-    rng_pairs = random.Random(f"verify-pairs:{seed}")
-    rng_pairs.shuffle(all_pairs)
-    chosen = sorted(all_pairs[:budget])
-    for (i, j) in chosen:
-        hint_in = indec_in[i] == "yes" and indec_in[j] == "yes"
-        hint_out = indec_out[i] == "yes" and indec_out[j] == "yes"
-        v_in = are_isomorphic(reps[i], reps[j], seed=f"{seed}:pin:{i}:{j}",
-                              both_indecomposable=hint_in)
-        v_out = are_isomorphic(images[i], images[j], seed=f"{seed}:pout:{i}:{j}",
-                               both_indecomposable=hint_out)
-        if "inconclusive" in (v_in.verdict, v_out.verdict):
-            iso.record(None)
-        elif v_in.verdict == "no" and v_out.verdict == "yes":
-            iso.record(False)      # collision: distinct classes merged
-        elif v_in.verdict == "yes" and v_out.verdict == "no":
-            iso.record(False)      # functor failed to preserve an isomorphism
-        else:
-            iso.record(True)
-        if w.full:
+    if w.full:
+        for v, img in zip(reps, images):
+            hom.record(hom_space(v, v).dim == hom_space(img, img).dim)
+        for (i, j) in pairs:
             hom.record(hom_space(reps[i], reps[j]).dim == hom_space(images[i], images[j]).dim)
             hom.record(hom_space(reps[j], reps[i]).dim == hom_space(images[j], images[i]).dim)
 
@@ -678,7 +680,7 @@ def verify_witness(w: WitnessBimodule, samples: int, max_dim: int, seed,
             except InconclusiveError:
                 sincere_counts.record(None)
     return WitnessReport(samples=samples, max_dim=max_dim, seed=seed,
-                         field=repr(field), pair_count=len(chosen),
+                         field=repr(field), pair_count=len(pairs),
                          indecomposability=indec, iso_classes=iso, hom_dims=hom,
                          sincere=sincere_counts, notes=tuple(notes))
 

@@ -9,12 +9,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from wildrank.exactlin import (Field, F101, Mat, QQ, Span, intertwiner_system,
                                nilpotency_index, nilpotent_hom_basis, _back_substitute, _zeros)
-from wildrank.rep import (EndAnalysis, IndecVerdict, _blocks_from_total,
+from wildrank.rep import (EndAnalysis, IndecVerdict, Representation, _blocks_from_total,
                           _idempotent_matrix_from_minpoly, _natural_trace_radical,
-                          factor_polynomial, hom_space)
-from wildrank.quiver import (BoundQuiver, Quiver, build_algebra_table,
+                          are_isomorphic, factor_polynomial, hom_space)
+from wildrank.quiver import (BoundQuiver, Quiver, _enumerate_paths, build_algebra_table,
                              k3_bound_quiver, kronecker_quiver, line_quiver,
                              loop_quiver, loop_square_zero, make_relation)
+from wildrank.tilting import _complement_units, _dual_rep, _top_lift_basis, injective_rep
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -121,7 +122,7 @@ def reference_jordan_nilpotent(s):
         if not base_cols:
             return not cand.is_zero()
         stacked = Mat.hcat(field, n, base_cols)
-        return stacked.hstack(cand).rank() > stacked.rank()
+        return Mat.hcat(field, n, [stacked, cand]).rank() > stacked.rank()
 
     chains = []
     for i in range(m, 0, -1):
@@ -360,6 +361,254 @@ def reference_matmul_qq(a, b):
                     acc[j] += x * y
         out.append(acc)
     return out
+
+
+def reference_hom_space(m, n):
+    """All intertwiners m -> n from one kernel: the unknowns are every f_v,
+    row-major, in vertex order, and arrow a contributes the rows of
+    vec(f_t M(a) - N(a) f_s) = (I ⊗ M(a)^T) vec(f_t) - (N(a) ⊗ I) vec(f_s),
+    built with ``Mat.kron``.  No arrow is contracted and nothing is cached.
+    Reference for ``rep.hom_space``; returns the basis as {vertex: Mat}."""
+    field = m.field
+    q = m.bound_quiver.quiver
+    offsets, nvars = {}, 0
+    for v in q.vertices:
+        offsets[v] = nvars
+        nvars += n.dims[v] * m.dims[v]
+    blocks, nrows = [], 0
+    for a in q.arrows:
+        s, t = a.source, a.target
+        blocks.append((nrows, offsets[t],
+                       Mat.identity(field, n.dims[t]).kron(m.mats[a.name].T)))
+        blocks.append((nrows, offsets[s],
+                       -n.mats[a.name].kron(Mat.identity(field, m.dims[s]))))
+        nrows += n.dims[t] * m.dims[s]
+    ker = Mat.assemble(field, nrows, nvars, blocks).kernel()
+    return [{v: ker.submatrix(range(offsets[v], offsets[v] + n.dims[v] * m.dims[v]), [j])
+             .reshape(n.dims[v], m.dims[v]) for v in q.vertices}
+            for j in range(ker.cols)]
+
+
+# -- projective presentations, Ext^1 and tau^-, entry by entry ----------------
+#
+# References for ``tilting.projective_presentation``,
+# ``ext1_dim_via_presentation`` and ``ar_translate_inverse``, which put
+# every projective sum on one (slot, path) basis and build each map with one
+# product per vertex.  Here each projective is built on its own and summed,
+# each map is filled cell by cell, and every lookup enumerates the paths again.
+
+def _reference_sorted_paths(q, source, target):
+    maxlen = len(q.vertices) + 1
+    plist = [p for p in _enumerate_paths(q, maxlen) if p.source == source and p.target == target]
+    plist.sort(key=lambda p: (len(p), p.arrows))
+    return plist
+
+
+def reference_projective_rep(bq, field, vertex):
+    """The projective at a vertex: basis all paths from the vertex."""
+    q = bq.quiver
+    by_vertex = {v: _reference_sorted_paths(q, vertex, v) for v in q.vertices}
+    index = {}
+    for v, plist in by_vertex.items():
+        for i, p in enumerate(plist):
+            index[(p.target, p.arrows)] = i
+    dims = {v: len(by_vertex[v]) for v in q.vertices}
+    mats = {}
+    for a in q.arrows:
+        rows = [[field.zero] * dims[a.source] for _ in range(dims[a.target])]
+        for j, p in enumerate(by_vertex[a.source]):
+            rows[index[(a.target, (a.name,) + p.arrows)]][j] = field.one
+        mats[a.name] = Mat.from_rows(field, rows) if dims[a.target] and dims[a.source] \
+            else Mat.zeros(field, dims[a.target], dims[a.source])
+    return Representation(bq, field, dims, mats, check=False)
+
+
+def _reference_projective_sum(bq, field, mults):
+    """The sum of projectives with multiplicities, by chained direct sums;
+    returns (module, slots)."""
+    reps, slots = [], []
+    for v in bq.quiver.vertices:
+        for c in range(mults.get(v, 0)):
+            reps.append(reference_projective_rep(bq, field, v))
+            slots.append((v, c))
+    if not reps:
+        return Representation.zero(bq, field), []
+    total = reps[0]
+    for r in reps[1:]:
+        total = total.direct_sum(r)
+    return total, slots
+
+
+def _reference_morphism_from_generators(bq, field, p_sum, slots, target, generator_images):
+    """The morphism out of a projective sum with the given generator
+    images, cell by cell."""
+    q = bq.quiver
+    out = {}
+    for t in q.vertices:
+        col_entries = [[field.zero] * p_sum.dims[t] for _ in range(target.dims[t])]
+        base = 0
+        for idx, (v, c) in enumerate(slots):
+            plist = _reference_sorted_paths(q, v, t)
+            for k, p in enumerate(plist):
+                img = target.path_matrix(p) @ generator_images[idx]
+                for i in range(target.dims[t]):
+                    col_entries[i][base + k] = img.entry(i, 0)
+            base += len(plist)
+        out[t] = Mat.from_rows(field, col_entries) if target.dims[t] and p_sum.dims[t] \
+            else Mat.zeros(field, target.dims[t], p_sum.dims[t])
+    return out
+
+
+def _reference_slot_offsets(bq, slots):
+    """Column index of each slot's generator inside its vertex space."""
+    q = bq.quiver
+    off_by_vertex = {v: 0 for v in q.vertices}
+    offs = []
+    for (v, c) in slots:
+        offs.append(off_by_vertex[v])
+        for t in q.vertices:
+            off_by_vertex[t] += len(_reference_sorted_paths(q, v, t))
+    return offs
+
+
+def _reference_cover(m, p_sum, slots, tops):
+    images = [tops[v].submatrix(range(tops[v].rows), [c]) for v, c in slots]
+    return _reference_morphism_from_generators(m.bound_quiver, m.field, p_sum, slots, m, images)
+
+
+def reference_projective_presentation(m):
+    """The minimal projective presentation as (p0_mults, p1_mults, P0, P1,
+    phi), with P0 and P1 modules and phi the map P1 -> P0 per vertex."""
+    bq, field = m.bound_quiver, m.field
+    tops = _top_lift_basis(m)
+    p0_mults = {v: tops[v].cols for v in bq.quiver.vertices}
+    p0, slots0 = _reference_projective_sum(bq, field, p0_mults)
+    eps = _reference_cover(m, p0, slots0, tops)
+    ker_basis = {v: eps[v].kernel() for v in bq.quiver.vertices}
+    ker_mats = {}
+    for a in bq.quiver.arrows:
+        ker_mats[a.name] = ker_basis[a.target].solve_matrix(
+            p0.mats[a.name] @ ker_basis[a.source])
+    kernel = Representation(bq, field, {v: ker_basis[v].cols for v in bq.quiver.vertices},
+                            ker_mats, check=False)
+    tops_k = _top_lift_basis(kernel)
+    p1_mults = {v: tops_k[v].cols for v in bq.quiver.vertices}
+    p1, slots1 = _reference_projective_sum(bq, field, p1_mults)
+    assert p1.total_dim == kernel.total_dim
+    cover1 = _reference_cover(kernel, p1, slots1, tops_k)
+    phi = {v: ker_basis[v] @ cover1[v] for v in bq.quiver.vertices}
+    return p0_mults, p1_mults, p0, p1, phi
+
+
+def reference_ext1_dim_via_presentation(m, n):
+    """dim Ext^1(M, N) as the cokernel of Hom(P0, N) -> Hom(P1, N), the map
+    built column by column from one morphism per unit generator image."""
+    p0_mults, p1_mults, p0, p1, phi = reference_projective_presentation(m)
+    bq, field = m.bound_quiver, m.field
+    _, slots0 = _reference_projective_sum(bq, field, p0_mults)
+    _, slots1 = _reference_projective_sum(bq, field, p1_mults)
+    hom_p1 = sum(n.dims[v] for v, _ in slots1)
+    if hom_p1 == 0:
+        return 0
+    offs = _reference_slot_offsets(bq, slots1)
+    cols = []
+    for j0, (v0, c0) in enumerate(slots0):
+        for b in range(n.dims[v0]):
+            gen_images = [Mat.unit(field, n.dims[v0], 1, b, 0) if j == j0
+                          else Mat.zeros(field, n.dims[v], 1)
+                          for j, (v, c) in enumerate(slots0)]
+            g = _reference_morphism_from_generators(bq, field, p0, slots0, n, gen_images)
+            vals = []
+            for j1, (v1, c1) in enumerate(slots1):
+                gen_col = Mat.unit(field, p1.dims[v1], 1, offs[j1], 0)
+                img = g[v1] @ (phi[v1] @ gen_col)
+                vals.extend(img.entry(i, 0) for i in range(n.dims[v1]))
+            cols.append(vals)
+    mat = Mat.from_rows(field, [[cols[j][i] for j in range(len(cols))]
+                                for i in range(hom_p1)]) if cols else \
+        Mat.zeros(field, hom_p1, 0)
+    return hom_p1 - mat.rank()
+
+
+def _reference_decode(bq, slots, vertex, col):
+    """A column of a projective sum at a vertex as (slot, (coef, path))."""
+    out = []
+    idx = 0
+    for j, (v, c) in enumerate(slots):
+        for p in _reference_sorted_paths(bq.quiver, v, vertex):
+            coef = col.entry(idx, 0)
+            if coef != 0:
+                out.append((j, (coef, p)))
+            idx += 1
+    return out
+
+
+def _reference_path_on_generator(bq, field, p_sum, slots, slot_idx, path):
+    """The basis column of path . (slot generator) inside the projective sum."""
+    idx = 0
+    for j, (v, c) in enumerate(slots):
+        plist = _reference_sorted_paths(bq.quiver, v, path.target)
+        if j == slot_idx:
+            k = [p.arrows for p in plist].index(path.arrows)
+            return Mat.unit(field, p_sum.dims[path.target], 1, idx + k, 0)
+        idx += len(plist)
+    raise ValueError("slot not found")
+
+
+def reference_ar_translate_inverse(m):
+    """tau^- M as the cokernel of the transposed presentation of the dual,
+    each transposed entry decoded, reversed and placed one at a time, and
+    each cokernel arrow solved one column at a time."""
+    bq, field = m.bound_quiver, m.field
+    if m.is_zero():
+        raise ValueError("tau^- of the zero module is undefined")
+    for v in bq.quiver.vertices:
+        inj = injective_rep(bq, field, v)
+        if inj.dim_vector() == m.dim_vector():
+            if are_isomorphic(m, inj, seed="tau-inj").verdict == "yes":
+                raise ValueError("tau^- is undefined on injective modules")
+    opp = BoundQuiver(bq.quiver.opposite(), [], nilbound=bq.nilbound)
+    p0_mults, p1_mults, _, p1_opp, phi = reference_projective_presentation(_dual_rep(m, opp))
+    p0_back, slots0 = _reference_projective_sum(bq, field, p0_mults)
+    p1_back, slots1 = _reference_projective_sum(bq, field, p1_mults)
+    offs1 = _reference_slot_offsets(opp, slots1)
+    gen_images = []
+    for j0, (v0, c0) in enumerate(slots0):
+        col_entries = [field.zero] * p1_back.dims[v0]
+        for j1, (v1, c1) in enumerate(slots1):
+            img = phi[v1] @ Mat.unit(field, p1_opp.dims[v1], 1, offs1[j1], 0)
+            for jj0, (coef, opp_path) in _reference_decode(opp, slots0, v1, img):
+                if jj0 != j0:
+                    continue
+                word = tuple(reversed(opp_path.arrows))
+                orig = bq.quiver.path(word) if word else bq.quiver.trivial_path(v1)
+                vec = _reference_path_on_generator(bq, field, p1_back, slots1, j1, orig)
+                col_entries = [field.add(a, field.mul(coef, vec.entry(i, 0)))
+                               for i, a in enumerate(col_entries)]
+        gen_images.append(Mat.from_rows(field, [[x] for x in col_entries])
+                          if p1_back.dims[v0] else Mat.zeros(field, 0, 1))
+    psi = _reference_morphism_from_generators(bq, field, p0_back, slots0, p1_back, gen_images)
+    dims, proj = {}, {}
+    for v in bq.quiver.vertices:
+        col = psi[v].column_space()
+        d = p1_back.dims[v]
+        comp_cols = _complement_units(col)
+        cur = Mat.hcat(field, d, [col, Mat.identity(field, d).submatrix(range(d), comp_cols)])
+        dims[v] = len(comp_cols)
+        proj[v] = (cur, col.cols, comp_cols)
+    mats = {}
+    for a in bq.quiver.arrows:
+        s, t = a.source, a.target
+        basis_t, rad_t, comp_t = proj[t]
+        rows = [[field.zero] * dims[s] for _ in range(dims[t])]
+        for jj, j in enumerate(proj[s][2]):
+            x = p1_back.mats[a.name] @ Mat.unit(field, p1_back.dims[s], 1, j, 0)
+            coords = basis_t.solve(x)
+            for ii in range(len(comp_t)):
+                rows[ii][jj] = coords.entry(rad_t + ii, 0)
+        mats[a.name] = Mat.from_rows(field, rows) if dims[t] and dims[s] \
+            else Mat.zeros(field, dims[t], dims[s])
+    return Representation(bq, field, dims, mats, check=False)
 
 
 @pytest.fixture(scope="session")

@@ -5,9 +5,13 @@ imports no numpy, touches none of the storage (``Mat._entries``,
 ``Field._kernel``) and calls no elimination kernel (``_echelon_*``)
 directly.  Inside exactlin, only the two field kernels branch on the field
 or on the storage type; ``Field.__init__`` picks the kernel, once.
+
+The benchmark's tracer (``perfbench/tracer.py``) wraps wildrank functions
+by module and name; every name it lists must still resolve.
 """
 
 import ast
+import importlib
 import os
 
 import pytest
@@ -106,3 +110,34 @@ def test_checker_catches_each_kind():
         "        if isinstance(x, Fraction):\n            pass\n")
     assert field_branches(branches) == ["Mat.trace", "Mat.trace", "Mat.entry", "Mat.entry",
                                         "kron"]
+
+
+TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
+
+
+def traced_targets() -> dict[str, tuple[str, str]]:
+    """The ``SPANS`` and ``COUNTERS`` tables of the benchmark's tracer, read
+    from its source: span name -> (wildrank module, ``name`` or
+    ``Class.name``)."""
+    with open(TRACER) as fh:
+        tree = ast.parse(fh.read(), "tracer.py")
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in ("SPANS", "COUNTERS") for t in node.targets):
+            out.update(ast.literal_eval(node.value))
+    return out
+
+
+def test_traced_functions_exist():
+    # the tracer wraps these by name; a rename in src would break --trace
+    targets = traced_targets()
+    assert "rep.hom_space" in targets and "exactlin.mat.constructed" in targets
+    missing = []
+    for span, (module, name) in sorted(targets.items()):
+        owner = importlib.import_module(f"wildrank.{module}")
+        for part in name.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{span}: wildrank.{module}.{name}")
+    assert missing == []

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from wildrank.exactlin import F101, Mat
+from conftest import (reference_ar_translate_inverse, reference_ext1_dim_via_presentation,
+                      reference_projective_presentation, reference_projective_rep)
+from wildrank.exactlin import F101, QQ, Field, Mat
 from wildrank.quiver import (BoundQuiver, Quiver, kronecker_quiver,
                              line_quiver, loop_quiver)
 from wildrank.rep import (Representation, are_isomorphic, hom_space,
@@ -13,7 +15,8 @@ from wildrank.tilting import (CartanData, CyclicQuiverError, Preprojective,
                               cartan_coxeter, endomorphism_algebra,
                               enumerate_preprojectives,
                               ext1_dim_via_presentation, injective_rep,
-                              is_tilting, projective_rep, search_concealed)
+                              is_tilting, projective_presentation, projective_rep,
+                              search_concealed)
 
 
 def test_cartan_examples(a2_bq, k2_bq):
@@ -213,3 +216,52 @@ def test_search_concealed_k3(k3_bq, f101):
 def test_search_concealed_requires_minimal_wild(k2_bq, f101):
     with pytest.raises(ValueError):
         search_concealed(k2_bq, f101, depth=1)
+
+
+def same_module(m, n):
+    return m.dims == n.dims and m.mats == n.mats
+
+
+PRESENTATION_QUIVERS = {
+    "a2": (line_quiver(2), 2),
+    "k2": (kronecker_quiver(2), 2),
+    "k3": (kronecker_quiver(3), 1),
+    "a3-line": (line_quiver(3), 2),
+    "a3-sink": (Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "3", "2")]), 2),
+    "d4": (Quiver(["0", "1", "2", "3"], [("a", "1", "0"), ("b", "2", "0"), ("c", "0", "3")]), 2),
+    # two paths of different lengths from 1 to 3: the basis order by
+    # (length, arrows) differs from the order by arrows alone
+    "a2-tilde": (Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")]), 2),
+}
+
+
+@pytest.mark.parametrize("field", [F101, Field.prime(7), QQ], ids=["F101", "F7", "Q"])
+def test_presentations_match_per_entry_reference(field):
+    # every projective, tau^- step, presentation and Ext^1 dimension equals
+    # the entry-by-entry construction, matrix for matrix
+    for name, (q, depth) in PRESENTATION_QUIVERS.items():
+        bq = BoundQuiver(q, [], nilbound=len(q.vertices))
+        pool = []
+        for v in q.vertices:
+            cur = projective_rep(bq, field, v)
+            assert same_module(cur, reference_projective_rep(bq, field, v)), (name, v)
+            pool.append(cur)
+            for _ in range(depth):
+                try:
+                    ref = reference_ar_translate_inverse(cur)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        ar_translate_inverse(cur)
+                    break
+                cur = ar_translate_inverse(cur)
+                assert same_module(cur, ref), (name, v)
+                pool.append(cur)
+        for m in pool:
+            pres = projective_presentation(m)
+            p0_mults, p1_mults, p0, p1, phi = reference_projective_presentation(m)
+            assert (pres.p0_mults, pres.p1_mults) == (p0_mults, p1_mults)
+            assert same_module(pres.p0.rep, p0) and same_module(pres.p1.rep, p1)
+            assert pres.phi == phi, (name, m)
+            for n in pool:
+                assert ext1_dim_via_presentation(m, n) == \
+                    reference_ext1_dim_via_presentation(m, n), (name, m, n)
