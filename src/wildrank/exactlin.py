@@ -40,8 +40,9 @@ matrices only through ``Mat`` operations,
 * ``intertwiner_system``, the linear conditions for a combination of
   matrices to intertwine given pairs, ``kron_eye`` and ``kron_sum``,
   Kronecker products and sums whose identity factors are placed as copies,
-  and ``trace_form``, the traces of all pairwise products of two lists of
-  matrices;
+  ``trace_form``, the traces of all pairwise products of two lists of
+  matrices, and ``trace_radical``, the radical of the algebra a ``Span``
+  spans when its trace form certifies it;
 * ``Span``, one list of matrices stacked once, whose ``combine`` returns
   many linear combinations of them (one per column of a coefficient
   matrix) from one product; ``lincomb`` is its one-column case.
@@ -946,6 +947,28 @@ def nilpotency_index(s: Mat) -> Optional[int]:
         power = power @ s
         m += 1
     return None
+
+
+def trace_radical(span: Span) -> Optional[Mat]:
+    """The radical of the unital matrix algebra A spanned by ``span.mats``,
+    as coefficient columns, or None when the trace form cannot certify it.
+
+    The kernel I of (a, b) -> tr(ab) on A is a two-sided ideal, since
+    tr((ab)c) = tr(a(bc)), and it holds rad A, whose products are
+    nilpotent and so traceless.  When every combination the kernel columns
+    give is nilpotent, I/rad A is an ideal of the semisimple A/rad A spanned
+    by nilpotents; each has reduced trace 0 and the reduced trace vanishes
+    on no nonzero semisimple algebra, so I = rad A.  This holds in every
+    characteristic; where I also holds a non-nilpotent element (as 1 does
+    when the characteristic divides the size of the matrices) the answer
+    is None.  ``Mat.kernel`` returns the one basis that is the identity on
+    the free columns, so equal spaces give equal results.  ``span.mats`` is
+    nonempty.
+    """
+    ker = trace_form(span.mats, span.mats).kernel()
+    if any(nilpotency_index(x) is None for x in span.combine(ker)):
+        return None
+    return ker
 
 
 def jordan_nilpotent(s: Mat) -> tuple[Mat, list[int]]:

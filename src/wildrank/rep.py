@@ -13,7 +13,10 @@ Indecomposability follows the endomorphism ring: a nontrivial idempotent
 witnesses "no"; a local ring certified by an exactly computed radical with
 one-dimensional quotient gives "yes"; everything else is reported
 inconclusive (the ground field is an exact stand-in for an algebraically
-closed field, and verdicts carry it).
+closed field, and verdicts carry it).  The radical is one function,
+``end_radical``: the trace-form kernel of End(M) on M, else on its regular
+representation, certified by the nilpotency of each basis element, with
+no condition on the characteristic.
 """
 
 from __future__ import annotations
@@ -22,13 +25,13 @@ import random
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import sympy
 
 from .exactlin import (Field, Mat, ShapeMismatchError, Span, find_invertible_in_span,
                        intertwiner_system, kron_eye, kron_sum, nilpotency_index,
-                       nilpotent_hom_basis, trace_form)
+                       nilpotent_hom_basis, trace_form, trace_radical)
 from .quiver import AlgebraElement, BoundQuiver, Path
 
 DEFAULT_TRIALS = 32
@@ -178,6 +181,11 @@ class HomSpace:
 
 def morphism_compose(g: dict[str, Mat], f: dict[str, Mat]) -> dict[str, Mat]:
     return {v: g[v] @ f[v] for v in f}
+
+
+def flatten_morphism(field: Field, f: dict[str, Mat]) -> Mat:
+    """One column: the row-major entries of each block, vertices sorted."""
+    return Mat.vcat(field, 1, [f[v].reshape(f[v].rows * f[v].cols, 1) for v in sorted(f)])
 
 
 def hom_space(m: Representation, n: Representation) -> HomSpace:
@@ -355,116 +363,42 @@ def _hom_kron(field, m, n, var_roots, equations):
 
 
 # ---------------------------------------------------------------------------
-# endomorphism-ring analysis
+# the radical of End(M)
 # ---------------------------------------------------------------------------
 
-class EndAnalysis:
-    """Coordinates, structure constants and radical of End(M)."""
+def end_radical(m: Representation) -> Optional[Mat]:
+    """rad End(M) as coefficient columns over the basis of ``hom_space(m, m)``,
+    or None when no trace form certifies it.
 
-    def __init__(self, m: Representation):
-        self.rep = m
-        self.field = m.field
-        self.hom = hom_space(m, m)
-        self.dim = self.hom.dim
-        self._flat = None
-        self._spans = {v: Span(self.field, d, d, [f[v] for f in self.hom.basis])
-                       for v, d in m.dims.items()}
-        self._build_coords()
-
-    def _build_coords(self):
-        field = self.field
-        basis = self.hom.basis
-        flat_len = sum(d * d for d in self.rep.dims.values())
-        flat = Mat.hcat(field, flat_len, [_flatten_morph(field, f) for f in basis])
-        self._flat = flat
-        # identity coordinates
-        ident = {v: Mat.identity(field, self.rep.dims[v]) for v in self.rep.dims}
-        self.one_coords = self.coords_of(ident)
-        # regular representation matrices, via one batched solve
-        if self.dim == 0:
-            self.regular = []
-            return
-        rhs = Mat.hcat(field, flat_len,
-                       [_flatten_morph(field, morphism_compose(f, g))
-                        for f in basis for g in basis])
-        sol = flat.solve_matrix(rhs)
-        if sol is None:
-            raise ValueError("composition left the endomorphism algebra span")
-        rows = sol.row_list()
-        d = self.dim
-        self.regular = [[row[i * d:(i + 1) * d] for row in rows] for i in range(d)]
-
-    def coords_of(self, f: dict[str, Mat]) -> list:
-        vec = _flatten_morph(self.field, f)
-        if self.dim == 0:
-            return []
-        sol = self._flat.solve(vec)
-        if sol is None:
-            raise ValueError("morphism outside the endomorphism algebra span")
-        return sol.T.row_list()[0]
-
-    def from_coords(self, coords) -> dict[str, Mat]:
-        col = Mat.column(self.field, coords)
-        return {v: span.combine(col)[0] for v, span in self._spans.items()}
-
-    def multiply(self, a: Sequence, b: Sequence) -> list:
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            reg = self.regular[i]
-            for k in range(self.dim):
-                acc = out[k]
-                row = reg[k]
-                for j, bj in enumerate(b):
-                    if bj != 0 and row[j] != 0:
-                        acc = f.add(acc, f.mul(ai, f.mul(row[j], bj)))
-                out[k] = acc
-        return out
-
-    def trace_gram(self) -> Mat:
-        """Gram matrix of (a, b) -> trace of left multiplication by ab.
-
-        Left multiplication is multiplicative, L(e_i e_j) = L(e_i) L(e_j), so
-        entry (i, j) is tr(regular[i] @ regular[j])."""
-        if self.dim == 0:
-            return Mat.zeros(self.field, 0, 0)
-        regs = [Mat.from_rows(self.field, reg) for reg in self.regular]
-        return trace_form(regs, regs)
-
-    def radical_coords(self) -> Optional[list[list]]:
-        """Radical basis via the regular trace form; None when the
-        characteristic is too small to certify it."""
-        f = self.field
-        if f.char and f.char <= self.dim:
-            return None
-        gram = self.trace_gram()
-        rad = gram.kernel().T.row_list()
-        # certify nilpotency of the span (iterate products until zero)
-        span = [list(r) for r in rad]
-        steps = 0
-        while span and steps <= self.dim:
-            nxt = []
-            for a in span:
-                for b in rad:
-                    nxt.append(self.multiply(a, b))
-            span = _independent_rows(f, nxt)
-            steps += 1
-        if span:
-            return None
-        return rad
+    ``trace_radical`` runs on the total matrices of End(M) acting on M, and
+    when that fails (its trace kernel holds a non-nilpotent element, as 1
+    when the characteristic divides dim M) on the regular representation,
+    where the traces differ.  A certified answer is the radical itself, so
+    both routes give the same columns.
+    """
+    hom = hom_space(m, m)
+    if hom.dim <= 1:
+        # End(M) is 0 or K
+        return Mat.zeros(m.field, hom.dim, 0)
+    n = m.total_dim
+    rad = trace_radical(Span(m.field, n, n, hom.total_matrices()))
+    return rad if rad is not None else trace_radical(_regular_representation(m, hom.basis))
 
 
-def _independent_rows(field, rows):
-    """The rows each independent of the rows before them."""
-    if not rows:
-        return []
-    return [list(rows[k]) for k in Mat.from_rows(field, rows).T.pivot_columns()]
-
-
-def _flatten_morph(field, f: dict[str, Mat]) -> Mat:
-    return Mat.vcat(field, 1, [f[v].reshape(f[v].rows * f[v].cols, 1) for v in sorted(f)])
+def _regular_representation(m: Representation, basis: list[dict[str, Mat]]) -> Span:
+    """The left multiplications of End(M) on its ``basis`` f_1, ..., f_d:
+    column j of matrix i holds the coordinates of f_i f_j, read from one
+    solve of the flattened basis against all d^2 products."""
+    field, d = m.field, len(basis)
+    flat_len = sum(k * k for k in m.dims.values())
+    flat = Mat.hcat(field, flat_len, [flatten_morphism(field, f) for f in basis])
+    coords = flat.solve_matrix(Mat.hcat(field, flat_len,
+                                        [flatten_morphism(field, morphism_compose(f, g))
+                                         for f in basis for g in basis]))
+    if coords is None:
+        raise ValueError("composition left the endomorphism algebra span")
+    return Span(field, d, d, [coords.submatrix(range(d), range(i * d, (i + 1) * d))
+                              for i in range(d)])
 
 
 # ---------------------------------------------------------------------------
@@ -620,39 +554,21 @@ def _idempotent_matrix_from_minpoly(field: Field, factors, phi_total: Mat) -> Op
     return None
 
 
-def _natural_trace_radical(m: Representation, totals: Span) -> Optional[list[list]]:
-    """Radical coordinates of End(M) via the trace form on the module, for
-    the span of the total matrices of an End(M) basis.
-
-    Valid when the characteristic is zero or exceeds the module dimension;
-    each radical element is additionally certified nilpotent.
-    """
-    field = m.field
-    if field.char and field.char <= m.total_dim:
-        return None
-    ker = trace_form(totals.mats, totals.mats).kernel()
-    if any(nilpotency_index(phi) is None for phi in totals.combine(ker)):
-        return None
-    return ker.T.row_list()
-
-
 def is_indecomposable(m: Representation, seed, trials: int = DEFAULT_TRIALS) -> IndecVerdict:
     """Endomorphism-ring test for indecomposability.
 
-    "no" always carries a nontrivial idempotent; "yes" is certified by an
-    exactly computed radical with one-dimensional quotient; "inconclusive"
-    marks a field-proxy obstruction (radical not computable, or a semisimple
-    quotient that is a division ring bigger than the ground field).
+    "no" always carries a nontrivial idempotent; "yes" is certified by the
+    radical from ``end_radical`` with one-dimensional quotient;
+    "inconclusive" marks a field-proxy obstruction (a radical that no trace
+    form certifies, or a semisimple quotient that is a division ring bigger
+    than the ground field).
 
-    Locality is certified first: the trace radical on the module is
-    computed before any random trial, and when it is certified with
+    Locality is certified first: when the radical is certified with
     dim End/rad = 1 the answer is "yes" at once (a local ring has no
     nontrivial idempotent, so no trial could have split it).  The seeded
     split search runs only when End/rad has dimension >= 2 or the radical
-    is not certifiable on the module.  Splitting idempotents are found
-    directly as polynomials in random endomorphisms acting on the module,
-    so no regular representation of End(M) is built unless the
-    module-level trace form is unavailable.
+    is not certified.  Splitting idempotents are found directly as
+    polynomials in random endomorphisms acting on the module.
     """
     if m.is_zero():
         return IndecVerdict("no", None, "zero module (decomposes to the empty sum)")
@@ -660,10 +576,10 @@ def is_indecomposable(m: Representation, seed, trials: int = DEFAULT_TRIALS) -> 
     hom = hom_space(m, m)
     if hom.dim == 1:
         return IndecVerdict("yes", detail="End is one-dimensional")
-    totals = Span(field, m.total_dim, m.total_dim, hom.total_matrices())
-    rad = _natural_trace_radical(m, totals)
-    if rad is not None and hom.dim - len(rad) == 1:
+    rad = end_radical(m)
+    if rad is not None and hom.dim - rad.cols == 1:
         return IndecVerdict("yes", detail="End local: dim End/rad = 1")
+    totals = Span(field, m.total_dim, m.total_dim, hom.total_matrices())
     rng = random.Random(f"indec:{seed}")
     extension_seen = False
     for _ in range(trials):
@@ -679,23 +595,13 @@ def is_indecomposable(m: Representation, seed, trials: int = DEFAULT_TRIALS) -> 
         elif factors and len(factors[0][0]) > 2:
             extension_seen = True
     if rad is None:
-        # fall back to the regular representation of End(M) when its
-        # dimension stays below the characteristic
-        if field.char == 0 or field.char > hom.dim:
-            end = EndAnalysis(m)
-            rad = end.radical_coords()
-        if rad is None:
-            return IndecVerdict("inconclusive", None,
-                                "radical not certifiable over this field")
-    codim = hom.dim - len(rad)
-    if codim == 1:
-        return IndecVerdict("yes", detail="End local: dim End/rad = 1")
+        return IndecVerdict("inconclusive", None, "radical not certifiable over this field")
     # dim End/rad >= 2 with no splitting element found: either End/rad is a
     # division ring larger than the ground field (a field-proxy artifact) or
     # the randomized search was unlucky; never claim "no" without a witness
     detail = ("End/rad is a division ring larger than the ground field"
               if extension_seen else
-              f"no idempotent found; dim End/rad = {codim}")
+              f"no idempotent found; dim End/rad = {hom.dim - rad.cols}")
     return IndecVerdict("inconclusive", None, detail)
 
 
@@ -797,13 +703,11 @@ def _complement_idempotent(m: Representation, e: dict[str, Mat]) -> dict[str, Ma
     return {v: Mat.identity(m.field, m.dims[v]) - e[v] for v in m.dims}
 
 
-def decompose(m: Representation, seed) -> Decomposition:
-    """Split into indecomposable summands with multiplicities.
-
-    Inconclusive indecomposability verdicts leave the decomposition flagged
-    as uncertified (partial) rather than guessed.
-    """
-    pieces: list[tuple[Representation, bool]] = []
+def _split_pieces(m: Representation, seed) -> Iterator[tuple[Representation, bool]]:
+    """The pieces of m, each with whether it is certified indecomposable,
+    one at a time: a piece that splits is replaced by the images of its
+    idempotent and of the complement, the latter handled first, and the
+    k-th verdict is drawn with seed ``f"{seed}:{k}"``."""
     stack = [m]
     counter = 0
     while stack:
@@ -812,14 +716,21 @@ def decompose(m: Representation, seed) -> Decomposition:
             continue
         verdict = is_indecomposable(cur, f"{seed}:{counter}")
         counter += 1
-        if verdict.verdict == "yes":
-            pieces.append((cur, True))
-        elif verdict.verdict == "no" and verdict.witness is not None:
+        if verdict.verdict == "no" and verdict.witness is not None:
             e = verdict.witness
             stack.append(_image_subrep(cur, e))
             stack.append(_image_subrep(cur, _complement_idempotent(cur, e)))
         else:
-            pieces.append((cur, False))
+            yield cur, verdict.verdict == "yes"
+
+
+def decompose(m: Representation, seed) -> Decomposition:
+    """Split into indecomposable summands with multiplicities.
+
+    Inconclusive indecomposability verdicts leave the decomposition flagged
+    as uncertified (partial) rather than guessed.
+    """
+    pieces = list(_split_pieces(m, seed))
     certified = all(ok for _, ok in pieces)
     # group by isomorphism
     groups: list[tuple[Representation, int, bool]] = []
@@ -1034,16 +945,18 @@ def sample_representation(bq: BoundQuiver, field: Field, dims: dict[str, int],
 def in_sincere_subcategory(m: Representation, seed) -> bool:
     """True iff every indecomposable summand is sincere (supports all vertices).
 
-    Raises :class:`InconclusiveError` when the decomposition could not be
-    certified and no summand already witnesses failure.
+    Sincerity reads only supports: the split stops at the first piece
+    whose support is not full, since each of its summands has a smaller
+    support too, and no summands are grouped by isomorphism.  Raises
+    :class:`InconclusiveError` when some piece is not certified
+    indecomposable and no piece witnesses failure.
     """
-    if m.is_zero():
-        return True
     all_vertices = set(m.bound_quiver.quiver.vertices)
-    dec = decompose(m, seed)
-    for rep, _ in dec:
-        if support(rep) != all_vertices:
+    certified = True
+    for piece, ok in _split_pieces(m, seed):
+        if support(piece) != all_vertices:
             return False
-    if not dec.certified:
+        certified = certified and ok
+    if not certified:
         raise InconclusiveError("decomposition not certified; sincerity undecided")
     return True

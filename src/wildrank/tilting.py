@@ -8,10 +8,13 @@ element and one concatenation per vertex.  Minimal projective presentations
 and Ext^1 are built on it.  The inverse AR translate is computed honestly:
 dualize to the opposite algebra, take a minimal projective presentation,
 transpose it back through Hom(-, A) (reading the transposed map through the
-basis index), and read off the cokernel.  Tilting
-candidates are checked with the hereditary Euler formula, and endomorphism
-algebras of tilting modules are presented as bound quivers recovered by
-exact linear algebra (certified by dimension count).
+basis index), and read off the cokernel.  Every construction here needs
+an acyclic quiver and raises ``CyclicQuiverError`` on an oriented cycle.
+Tilting candidates are checked with the hereditary Euler formula, and
+endomorphism algebras of tilting modules are presented as bound quivers
+recovered by exact linear algebra on flattened morphisms (the radical of
+each End(T_i) from ``rep.end_radical``, the arrows a basis of rad/rad^2,
+the relations kernel columns), certified by dimension count.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlin import Field, Mat
+from .exactlin import Field, Mat, Span
 from .quiver import (AlgebraTable, BoundQuiver, Path, Quiver, Relation,
                      _enumerate_paths, build_algebra_table)
-from .rep import (EndAnalysis, Representation, are_isomorphic,
+from .rep import (Representation, are_isomorphic, end_radical, flatten_morphism,
                   hom_space, morphism_compose, support)
 
 
@@ -131,7 +134,8 @@ def cartan_coxeter(q: Quiver) -> CartanData:
 
 class _ProjectiveSum:
     """The projective module ⊕_j A e_{v_j} over the slots ``(v_j, c_j)`` of
-    a hereditary quiver, on one basis.
+    a hereditary quiver, on one basis; a quiver with an oriented cycle
+    raises ``CyclicQuiverError``.
 
     The basis at a vertex t lists the pairs (j, p) of a slot j and a path p
     from v_j to t: slot first, then paths by (length, arrows).
@@ -144,6 +148,7 @@ class _ProjectiveSum:
         if bq.relations:
             raise ValueError("projective construction here assumes a hereditary quiver")
         q = bq.quiver
+        _topological_order(q)       # paths are finite only without oriented cycles
         paths = sorted(_enumerate_paths(q, len(q.vertices) + 1),
                        key=lambda p: (len(p), p.arrows))
         self.slots = list(slots)
@@ -470,31 +475,14 @@ def endomorphism_algebra(candidate: TiltingCandidate,
         for j in range(n):
             if i != j:
                 rad_basis[(i, j)] = list(homs[(i, j)].basis)
-            else:
-                ea = EndAnalysis(reps[i])
-                rad = ea.radical_coords()
-                if rad is None:
-                    raise ValueError("cannot certify the radical of a summand's "
-                                     "endomorphism ring over this field")
-                rad_basis[(i, j)] = [ea.from_coords(c) for c in rad]
-
-    def block_flatten(i, j, f):
-        entries = []
-        for v in sorted(f):
-            blk = f[v]
-            for a in range(blk.rows):
-                for b in range(blk.cols):
-                    entries.append(blk.entry(a, b))
-        return entries
-
-    # rad^2 blocks: sums over middle summands
-    def rad2_block(i, j) -> list[list]:
-        vecs = []
-        for k in range(n):
-            for g in rad_basis[(i, k)]:
-                for f in rad_basis[(k, j)]:
-                    vecs.append(block_flatten(i, j, morphism_compose(g, f)))
-        return vecs
+                continue
+            rad = end_radical(reps[i])
+            if rad is None:
+                raise ValueError("cannot certify the radical of a summand's "
+                                 "endomorphism ring over this field")
+            combos = {v: Span(field, d, d, [f[v] for f in homs[(i, i)].basis]).combine(rad)
+                      for v, d in reps[i].dims.items()}
+            rad_basis[(i, i)] = [{v: combos[v][k] for v in combos} for k in range(rad.cols)]
 
     arrows = []
     arrow_maps: dict[str, tuple[int, int, dict[str, Mat]]] = {}
@@ -503,10 +491,12 @@ def endomorphism_algebra(candidate: TiltingCandidate,
             block = rad_basis[(i, j)]
             if not block:
                 continue
-            flat = [block_flatten(i, j, f) for f in block]
-            r2 = rad2_block(i, j)
+            flat = [flatten_morphism(field, f) for f in block]
+            # the rad^2 block: sums over middle summands
+            r2 = [flatten_morphism(field, morphism_compose(g, f))
+                  for k in range(n) for g in rad_basis[(i, k)] for f in rad_basis[(k, j)]]
             # arrows: the radical maps independent of rad^2 and of each other
-            piv = Mat.from_rows(field, r2 + flat).T.pivot_columns()
+            piv = Mat.hcat(field, flat[0].rows, r2 + flat).pivot_columns()
             chosen = [p - len(r2) for p in piv if p >= len(r2)]
             for k, idx in enumerate(chosen):
                 # arrow from vertex j (source summand) to vertex i
@@ -540,51 +530,27 @@ def endomorphism_algebra(candidate: TiltingCandidate,
             break
     nilpotency = maxlen
 
+    # each kernel column of the path evaluations is a relation; when the
+    # block is zero the kernel is the identity and every path is one
     relations = []
-    paths_all = _enumerate_paths(quiver, nilpotency + 1)
     by_st: dict[tuple[str, str], list[Path]] = {}
-    for p in paths_all:
+    for p in _enumerate_paths(quiver, nilpotency + 1):
         if len(p) >= 2:
             by_st.setdefault((p.source, p.target), []).append(p)
-    for (s, t), plist in sorted(by_st.items()):
+    for _, plist in sorted(by_st.items()):
         plist.sort(key=lambda p: (len(p), p.arrows))
-        i = int(t[1:])
-        j = int(s[1:])
-        flat_len = None
-        vecs = []
+        cols = []
         for p in plist:
             f = None
             for name in p.arrows:
                 _, _, g = arrow_maps[name]
                 f = g if f is None else morphism_compose(f, g)
-            vec = block_flatten(i, j, f)
-            flat_len = len(vec)
-            vecs.append(vec)
-        if not vecs or flat_len == 0:
-            for p in plist:
-                relations.append((1, p))
-            continue
-        mat = Mat.from_rows(field, [[vecs[r][cc] for r in range(len(vecs))]
-                                    for cc in range(flat_len)])
-        ker = mat.kernel()
-        for col in range(ker.cols):
-            terms = []
-            for r, p in enumerate(plist):
-                coef = ker.entry(r, col)
-                if coef != 0:
-                    coef_q = Fraction(coef) if not field.char else Fraction(int(coef))
-                    terms.append((coef_q, p))
-            if terms:
-                relations.append(terms)
+            cols.append(flatten_morphism(field, f))
+        for coefs in Mat.hcat(field, cols[0].rows, cols).kernel().T.row_list():
+            relations.append(Relation(tuple((Fraction(c), p)
+                                            for c, p in zip(coefs, plist) if c != 0)))
 
-    rel_objs = []
-    for item in relations:
-        if isinstance(item, tuple):
-            coef, p = item
-            rel_objs.append(Relation(((Fraction(coef), p),)))
-        else:
-            rel_objs.append(Relation(tuple((c, p) for c, p in item)))
-    bq_pres = BoundQuiver(quiver, rel_objs, nilbound=max(2, nilpotency))
+    bq_pres = BoundQuiver(quiver, relations, nilbound=max(2, nilpotency))
     table = build_algebra_table(bq_pres, field)
     if table.dimension != end_dim:
         raise ValueError(f"presentation dimension {table.dimension} does not "

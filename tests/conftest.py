@@ -9,9 +9,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from wildrank.exactlin import (Field, F101, Mat, QQ, Span, intertwiner_system,
                                nilpotency_index, nilpotent_hom_basis, _back_substitute, _zeros)
-from wildrank.rep import (EndAnalysis, IndecVerdict, Representation, _blocks_from_total,
-                          _idempotent_matrix_from_minpoly, _natural_trace_radical,
-                          are_isomorphic, factor_polynomial, hom_space)
+from wildrank.rep import (IndecVerdict, InconclusiveError, Representation, _blocks_from_total,
+                          _idempotent_matrix_from_minpoly, are_isomorphic, decompose,
+                          factor_polynomial, flatten_morphism, hom_space, morphism_compose,
+                          support)
 from wildrank.quiver import (BoundQuiver, Quiver, _enumerate_paths, build_algebra_table,
                              k3_bound_quiver, kronecker_quiver, line_quiver,
                              loop_quiver, loop_square_zero, make_relation)
@@ -171,9 +172,10 @@ def reference_pairing_witness(h_mn, h_nm):
 
 
 def reference_regular_trace_gram(end):
-    """Gram matrix of (a, b) -> tr L(ab) for an ``rep.EndAnalysis``, one
+    """Gram matrix of (a, b) -> tr L(ab) for a ``ReferenceEndAnalysis``, one
     product ab and one regular matrix L(ab) = sum_l (ab)_l regular[l] per
-    pair.  Reference for ``EndAnalysis.trace_gram``."""
+    pair.  Reference for ``ReferenceEndAnalysis.trace_gram`` and for the
+    trace form of ``rep._regular_representation``."""
     f, dim = end.field, end.dim
     gram = [[f.zero] * dim for _ in range(dim)]
     units = [[f.one if k == i else f.zero for k in range(dim)] for i in range(dim)]
@@ -264,10 +266,10 @@ def reference_is_indecomposable(m, seed, trials=32):
                                     "idempotent from a split minimal polynomial")
         elif factors and len(factors[0][0]) > 2:
             extension_seen = True
-    rad = _natural_trace_radical(m, totals)
+    rad = reference_natural_trace_radical(m, totals)
     if rad is None:
         if field.char == 0 or field.char > hom.dim:
-            rad = EndAnalysis(m).radical_coords()
+            rad = ReferenceEndAnalysis(m).radical_coords()
         if rad is None:
             return IndecVerdict("inconclusive", None,
                                 "radical not certifiable over this field")
@@ -278,6 +280,120 @@ def reference_is_indecomposable(m, seed, trials=32):
               if extension_seen else
               f"no idempotent found; dim End/rad = {codim}")
     return IndecVerdict("inconclusive", None, detail)
+
+
+# -- the radical of End(M) behind characteristic gates -------------------------
+#
+# References for ``rep.end_radical``: the module trace form, run only when the
+# characteristic is 0 or exceeds dim M, then the regular trace form from
+# structure constants, run only when it exceeds dim End, with the radical
+# certified by multiplying it out until the products vanish.
+
+def _reference_independent_rows(field, rows):
+    """The rows each independent of the rows before them."""
+    if not rows:
+        return []
+    return [list(rows[k]) for k in Mat.from_rows(field, rows).T.pivot_columns()]
+
+
+class ReferenceEndAnalysis:
+    """Structure constants and radical of End(M): ``regular[i]`` holds, as
+    rows, the matrix of left multiplication by basis element i."""
+
+    def __init__(self, m):
+        field, basis = m.field, hom_space(m, m).basis
+        self.field, self.dim = field, len(basis)
+        self.regular = []
+        if not basis:
+            return
+        flat_len = sum(d * d for d in m.dims.values())
+        flat = Mat.hcat(field, flat_len, [flatten_morphism(field, f) for f in basis])
+        rhs = Mat.hcat(field, flat_len, [flatten_morphism(field, morphism_compose(f, g))
+                                         for f in basis for g in basis])
+        rows = flat.solve_matrix(rhs).row_list()
+        d = self.dim
+        self.regular = [[row[i * d:(i + 1) * d] for row in rows] for i in range(d)]
+
+    def multiply(self, a, b):
+        f = self.field
+        out = [f.zero] * self.dim
+        for i, ai in enumerate(a):
+            if ai == 0:
+                continue
+            reg = self.regular[i]
+            for k in range(self.dim):
+                acc = out[k]
+                row = reg[k]
+                for j, bj in enumerate(b):
+                    if bj != 0 and row[j] != 0:
+                        acc = f.add(acc, f.mul(ai, f.mul(row[j], bj)))
+                out[k] = acc
+        return out
+
+    def trace_gram(self):
+        """Gram matrix of (a, b) -> tr(regular[a] @ regular[b])."""
+        regs = [Mat.from_rows(self.field, reg) for reg in self.regular]
+        return Mat.from_rows(self.field, reference_trace_pairing(regs, regs))
+
+    def radical_coords(self):
+        """Radical basis via the regular trace form; None when the
+        characteristic is too small to certify it."""
+        f = self.field
+        if f.char and f.char <= self.dim:
+            return None
+        rad = self.trace_gram().kernel().T.row_list()
+        # certify nilpotency of the span (iterate products until zero)
+        span = [list(r) for r in rad]
+        steps = 0
+        while span and steps <= self.dim:
+            nxt = [self.multiply(a, b) for a in span for b in rad]
+            span = _reference_independent_rows(f, nxt)
+            steps += 1
+        return None if span else rad
+
+
+def reference_natural_trace_radical(m, totals):
+    """Radical coordinates of End(M) via the trace form on the module, when
+    the characteristic is zero or exceeds dim M; each radical element is
+    certified nilpotent."""
+    field = m.field
+    if field.char and field.char <= m.total_dim:
+        return None
+    ker = Mat.from_rows(field, reference_trace_pairing(totals.mats, totals.mats)).kernel()
+    if any(nilpotency_index(phi) is None for phi in totals.combine(ker)):
+        return None
+    return ker.T.row_list()
+
+
+def reference_end_radical(m):
+    """The radical as ``rep.end_radical`` returns it, coefficient columns,
+    from the gated module route and then the gated regular route; None when
+    neither gate lets a route certify it."""
+    field = m.field
+    hom = hom_space(m, m)
+    totals = Span(field, m.total_dim, m.total_dim, hom.total_matrices())
+    rad = reference_natural_trace_radical(m, totals)
+    if rad is None and (field.char == 0 or field.char > hom.dim):
+        rad = ReferenceEndAnalysis(m).radical_coords()
+    if rad is None:
+        return None
+    return Mat.hcat(field, hom.dim, [Mat.column(field, r) for r in rad])
+
+
+def reference_in_sincere_subcategory(m, seed):
+    """Sincerity from the complete ``rep.decompose``, summands grouped by
+    isomorphism.  Reference for ``rep.in_sincere_subcategory``, which stops
+    at the first piece with a smaller support and groups nothing."""
+    if m.is_zero():
+        return True
+    all_vertices = set(m.bound_quiver.quiver.vertices)
+    dec = decompose(m, seed)
+    for rep, _ in dec:
+        if support(rep) != all_vertices:
+            return False
+    if not dec.certified:
+        raise InconclusiveError("decomposition not certified; sincerity undecided")
+    return True
 
 
 def reference_find_invertible_in_span(basis, trials, seed):

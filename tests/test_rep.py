@@ -7,21 +7,23 @@ import pytest
 import sympy
 
 import wildrank.rep as rep_module
-from conftest import (reference_hom_pencil, reference_hom_space, reference_is_indecomposable,
-                      reference_pairing_witness,
+from conftest import (ReferenceEndAnalysis, reference_end_radical, reference_hom_pencil,
+                      reference_hom_space, reference_in_sincere_subcategory,
+                      reference_is_indecomposable, reference_pairing_witness,
                       reference_regular_trace_gram, reference_relation_jacobian,
                       reference_trace_pairing)
 
-from wildrank.exactlin import F101, QQ, Field, Mat, Span, nilpotency_index, trace_form
+from wildrank.exactlin import (F101, QQ, Field, Mat, Span, nilpotency_index, trace_form,
+                               trace_radical)
 from wildrank.quiver import (BoundQuiver, Quiver, build_algebra_table,
                              kronecker_quiver, line_quiver, loop_quiver,
                              loop_square_zero, make_relation)
-from wildrank.rep import (EndAnalysis, InconclusiveError, Representation, SamplingStarvation,
-                          are_isomorphic, check_relations, decompose,
+from wildrank.rep import (InconclusiveError, Representation, SamplingStarvation,
+                          are_isomorphic, check_relations, decompose, end_radical,
                           factor_polynomial, hom_space, in_sincere_subcategory,
                           is_indecomposable, relation_jacobian,
-                          sample_representation, support, _hom_pencil, _natural_trace_radical,
-                          _poly_eval_matrix)
+                          sample_representation, support, _hom_pencil,
+                          _poly_eval_matrix, _regular_representation)
 
 
 def kron_module(k2_bq, field, lam):
@@ -425,7 +427,8 @@ def test_sampler_starvation():
             sample_representation(bq, F101, {"v": 3}, rng, budget=3)
 
 
-TRACE_FIELDS = [F101, Field.prime(7), QQ]
+F5, F7 = Field.prime(5), Field.prime(7)
+TRACE_FIELDS = [F101, F7, F5, QQ]
 
 
 @pytest.mark.parametrize("field", TRACE_FIELDS, ids=str)
@@ -473,8 +476,8 @@ def _indecomposability_cases(field, dual_numbers_bq, a2_bq, k2_bq):
         # minimal polynomial x^2 + 1: End is K[x]/(x^2 + 1)
         "x^2+1": Representation.from_lists(one_loop, field, {"v": 2},
                                            {"x": [[0, -1], [1, 0]]}),
-        # End = K[x]/(x^4) on total dimension 8: over F7 the module trace
-        # form certifies nothing and EndAnalysis decides
+        # End = K[x]/(x^4) on total dimension 8: over F5 and F7 the gated
+        # reference skips the module trace form and the regular one decides
         "regular (4, 4)": Representation.from_lists(
             k2_bq, field, {"1": 4, "2": 4},
             {"a": [[int(i == j) for j in range(4)] for i in range(4)], "b": jordan4}),
@@ -494,21 +497,22 @@ def test_indecomposable_matches_trial_first_reference(field, dual_numbers_bq, a2
             assert (new.verdict, new.detail, new.witness) == \
                 (ref.verdict, ref.detail, ref.witness), (name, seed)
         got[name] = new.verdict
-    split_sq = "no" if field == F101 else "inconclusive"     # -1 is a square mod 101
+    # -1 is a square mod 101 and mod 5
+    split_sq = "no" if field in (F101, F5) else "inconclusive"
     assert got == {"local": "yes", "direct sum": "no", "x^2+1": split_sq,
                    "regular (4, 4)": "yes", "zero": "no", "simple": "yes"}
     if field == QQ:
         assert "division ring" in is_indecomposable(cases["x^2+1"], 0).detail
     big = cases["regular (4, 4)"]
     totals = Span(field, 8, 8, hom_space(big, big).total_matrices())
-    assert (_natural_trace_radical(big, totals) is None) == (field.char == 7)
+    # tr 1 = 8 on the module is nonzero on every field
+    assert trace_radical(totals) is not None
     # certified locality decides before any trial is drawn
     calls = []
     monkeypatch.setattr(rep_module, "factor_polynomial",
                         lambda *args: calls.append(args) or factor_polynomial(*args))
     assert is_indecomposable(cases["local"], 1).detail == "End local: dim End/rad = 1"
-    if field.char != 7:
-        assert is_indecomposable(big, 1).verdict == "yes"
+    assert is_indecomposable(big, 1).verdict == "yes"
     assert not calls
 
 
@@ -529,10 +533,12 @@ def test_trace_forms_match_reference_loops(k3_bq, field):
         if back and there:
             # the pairing of are_isomorphic (rectangular when dims differ)
             assert trace_form(there, back).row_list() == reference_trace_pairing(there, back)
-        end = EndAnalysis(m)
+        end = ReferenceEndAnalysis(m)
         if end.dim:
             seen_end += 1
-            assert end.trace_gram() == reference_regular_trace_gram(end)
+            regular = _regular_representation(m, hom_space(m, m).basis)
+            assert regular.mats == [Mat.from_rows(field, reg) for reg in end.regular]
+            assert trace_form(regular.mats, regular.mats) == reference_regular_trace_gram(end)
     assert seen_end >= 5
 
 
@@ -562,3 +568,162 @@ def test_trace_pairing_decision_matches_reference_loop(k2_bq, a2_bq, field):
         assert got.verdict == expect and "pairing" in got.detail
         verdicts.add(expect)
     assert verdicts == {"no", "inconclusive"}
+
+
+def _jordan_rows(sizes_and_values, n):
+    """Rows of the n x n block-diagonal matrix of Jordan blocks J_k(lam)."""
+    rows = [[0] * n for _ in range(n)]
+    off = 0
+    for k, lam in sizes_and_values:
+        for i in range(k):
+            rows[off + i][off + i] = lam
+            if i + 1 < k:
+                rows[off + i][off + i + 1] = 1
+        off += k
+    return rows
+
+
+def _radical_modules(field, k2_bq, k3_bq, rng):
+    """Seeded modules whose End(M) has a nonzero radical or several blocks:
+    random three-arrow Kronecker modules, one-loop modules conjugate to
+    Jordan forms with eigenvalues in {0, 1}, and Kronecker modules (I, J)
+    with J such a Jordan form."""
+    one_loop = BoundQuiver(loop_quiver(1), [], nilbound=3)
+    out = []
+    for _ in range(8):
+        out.append(rand_rep(k3_bq, field, 2, rng))
+    for _ in range(10):
+        sizes = [(rng.randint(1, 3), rng.randint(0, 1)) for _ in range(rng.randint(1, 2))]
+        n = sum(k for k, _ in sizes)
+        jordan = Mat.from_rows(field, _jordan_rows(sizes, n))
+        while True:
+            g = Mat.random(field, n, n, rng)
+            if g.is_invertible():
+                break
+        out.append(Representation(one_loop, field, {"v": n}, {"x": g @ jordan @ g.inverse()}))
+        out.append(Representation.from_lists(k2_bq, field, {"1": n, "2": n},
+                                             {"a": Mat.identity(field, n).row_list(),
+                                              "b": jordan.row_list()}))
+    return [m for m in out if not m.is_zero()]
+
+
+def _is_nilpotent_ideal(end, rad):
+    """Whether the span of the coefficient columns ``rad`` is a two-sided
+    ideal of End(M) whose powers vanish, by structure constants."""
+    field, cols = end.field, rad.T.row_list()
+    if not cols:
+        return True
+    units = Mat.identity(field, end.dim).row_list()
+    for r in cols:
+        for u in units:
+            for prod in (end.multiply(u, r), end.multiply(r, u)):
+                if rad.solve(Mat.column(field, prod)) is None:
+                    return False
+    power = cols
+    for _ in range(end.dim + 1):
+        prods = [end.multiply(a, b) for a in power for b in cols]
+        power = [prods[k] for k in Mat.from_rows(field, prods).T.pivot_columns()]
+        if not power:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("field", TRACE_FIELDS, ids=str)
+def test_end_radical_matches_gated_reference(field, k2_bq, k3_bq):
+    rng = random.Random(f"end-radical:{field}")
+    compared = extra = 0
+    for m in _radical_modules(field, k2_bq, k3_bq, rng):
+        got, ref = end_radical(m), reference_end_radical(m)
+        if ref is not None:
+            assert got == ref
+            compared += 1
+        elif got is not None:
+            # decided past the reference's characteristic gates
+            assert _is_nilpotent_ideal(ReferenceEndAnalysis(m), got)
+            extra += 1
+    assert compared >= 20
+    if field.char in (5, 7):
+        assert extra >= 1
+
+
+KRONECKER_JORDAN = [
+    # (p, n): (I, J_n(2)) has End = K[x]/(x^n) on dimension 2n, so tr 1 is
+    # 2n on the module and n on the regular representation
+    (5, 7, "yes"), (5, 8, "yes"), (7, 8, "yes"),
+    (5, 5, "inconclusive"), (7, 7, "inconclusive"),
+]
+
+
+@pytest.mark.parametrize("p,n,verdict", KRONECKER_JORDAN)
+def test_kronecker_jordan_radical_in_small_characteristic(k2_bq, p, n, verdict):
+    field = Field.prime(p)
+    m = Representation.from_lists(k2_bq, field, {"1": n, "2": n},
+                                  {"a": Mat.identity(field, n).row_list(),
+                                   "b": _jordan_rows([(n, 2)], n)})
+    got = is_indecomposable(m, 0)
+    assert got.verdict == verdict
+    # the gated reference certified none of them
+    ref = reference_is_indecomposable(m, 0)
+    assert (ref.verdict, ref.detail) == ("inconclusive", "radical not certifiable over this field")
+    if verdict == "yes":
+        assert got.detail == "End local: dim End/rad = 1"
+        assert end_radical(m).cols == n - 1
+    else:
+        # p divides both 2n and n: 1 is traceless in both representations
+        assert got.detail == "radical not certifiable over this field"
+        assert end_radical(m) is None
+
+
+def test_end_radical_regular_route():
+    # End(M) = K[phi] with phi^2 = 0, dimension 2, on a module of dimension
+    # 5: tr 1 = 5 vanishes on M over F5, tr L(1) = 2 does not
+    field = Field.prime(5)
+    bq = BoundQuiver(loop_quiver(2), [], nilbound=3)
+    m = Representation.from_lists(bq, field, {"v": 5}, {
+        "x": [[0, 0, 1, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 2, 0], [0, 0, 0, 0, 3], [0] * 5],
+        "y": [[0, 2, 0, 0, 4], [0, 0, 0, 0, 4], [0, 0, 0, 2, 0], [0] * 5, [0] * 5]})
+    hom = hom_space(m, m)
+    assert hom.dim == 2
+    assert trace_radical(Span(field, 5, 5, hom.total_matrices())) is None
+    assert trace_radical(_regular_representation(m, hom.basis)) is not None
+    rad = end_radical(m)
+    assert rad.cols == 1 and rad == reference_end_radical(m)
+    assert is_indecomposable(m, 0).verdict == "yes"
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=str)
+def test_in_sincere_subcategory_matches_decompose_reference(field, k3_bq, a2_bq, monkeypatch):
+    rng = random.Random(f"sincere:{field}")
+    modules = []
+    for bq in (k3_bq, a2_bq):
+        for _ in range(8):
+            modules.append(rand_rep(bq, field, 2, rng).direct_sum(rand_rep(bq, field, 2, rng)))
+    calls = []
+    counted = rep_module.is_indecomposable
+    monkeypatch.setattr(rep_module, "is_indecomposable",
+                        lambda *args: calls.append(args) or counted(*args))
+    answers = set()
+    for k, m in enumerate(modules):
+        del calls[:]
+        got = in_sincere_subcategory(m, k)
+        new_calls = len(calls)
+        del calls[:]
+        assert got == reference_in_sincere_subcategory(m, k)
+        # the same splits in the same order, stopping at a smaller support
+        assert new_calls <= len(calls)
+        answers.add(got)
+    assert answers == {True, False}
+
+
+def test_in_sincere_subcategory_uncertified_piece():
+    # End(rotation) = Q(i) is a division ring over Q: the piece is not
+    # certified indecomposable, so sincerity stays undecided unless a
+    # piece with a smaller support decides it
+    q = Quiver(["v", "w"], [("x", "v", "v"), ("a", "v", "w")])
+    bq = BoundQuiver(q, [], nilbound=3)
+    rotation = Representation.from_lists(bq, QQ, {"v": 2, "w": 2},
+                                         {"x": [[0, -1], [1, 0]], "a": [[1, 0], [0, 1]]})
+    for sincere in (in_sincere_subcategory, reference_in_sincere_subcategory):
+        with pytest.raises(InconclusiveError):
+            sincere(rotation, 0)
+        assert sincere(rotation.direct_sum(Representation.simple(bq, QQ, "v")), 0) is False

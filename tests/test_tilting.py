@@ -34,6 +34,21 @@ def test_cartan_examples(a2_bq, k2_bq):
         cartan_coxeter(cyc)
 
 
+@pytest.mark.parametrize("quiver", [loop_quiver(1),
+                                    Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])],
+                         ids=["loop", "2-cycle"])
+def test_projective_constructions_reject_cycles(quiver, f101):
+    # paths around a cycle never end: the projective sum refuses the quiver
+    bq = BoundQuiver(quiver, [], nilbound=2)
+    v = quiver.vertices[0]
+    with pytest.raises(CyclicQuiverError):
+        projective_rep(bq, f101, v)
+    with pytest.raises(CyclicQuiverError):
+        injective_rep(bq, f101, v)
+    with pytest.raises(CyclicQuiverError):
+        projective_presentation(Representation.simple(bq, f101, v))
+
+
 def test_projectives_and_injectives(k2_bq, f101):
     p1 = projective_rep(k2_bq, f101, "1")
     p2 = projective_rep(k2_bq, f101, "2")
@@ -61,12 +76,7 @@ def test_ar_translate_examples(k2_bq, f101):
 def test_ar_translate_dim_formula(k2_bq, k3_bq, f101):
     for bq in (k2_bq, k3_bq):
         cd = cartan_coxeter(bq.quiver)
-        for p in enumerate_preprojectives(bq, f101, 2):
-            if p.shift == 0:
-                continue
-            prev = None
-            # recompute: tau^- of the previous orbit element has the
-            # Coxeter-transformed dimension vector
+        # tau^- of each orbit element has the Coxeter-transformed dimension vector
         pool = enumerate_preprojectives(bq, f101, 2)
         by_key = {(p.projective_vertex, p.shift): p for p in pool}
         for (v, shift), p in by_key.items():
