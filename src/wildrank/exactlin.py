@@ -38,7 +38,10 @@ matrices only through ``Mat`` operations,
 * ``column_space`` and ``minimal_polynomial``, next to rank, kernel, solve
   and inverse;
 * ``intertwiner_system``, the linear conditions for a combination of
-  matrices to intertwine given pairs, ``kron_eye`` and ``kron_sum``,
+  matrices to intertwine given pairs, ``nilpotent_hom_basis``, the maps
+  that intertwine a nilpotent pair and any further pairs, solved in Jordan
+  coordinates (``jordan_nilpotent`` gives the Jordan frame, the basis with
+  its inverse and the block sizes), ``kron_eye`` and ``kron_sum``,
   Kronecker products and sums whose identity factors are placed as copies,
   ``trace_form``, the traces of all pairwise products of two lists of
   matrices, and ``trace_radical``, the radical of the algebra a ``Span``
@@ -47,7 +50,9 @@ matrices only through ``Mat`` operations,
   many linear combinations of them (one per column of a coefficient
   matrix) from one product; ``lincomb`` is its one-column case.
 
-All operations are pure and all values are immutable after construction.
+All operations are pure, and the entries of every ``Mat`` are immutable
+after construction.  The one thing stored later is a memo: the Jordan
+frame of a nilpotent ``Mat``, computed once per ``Mat`` object.
 Randomized searches take an explicit seed and are deterministic under it.
 """
 
@@ -506,9 +511,11 @@ class Mat:
     Q.  Every operation below is written once on that array; the few steps
     that differ between the fields (normalizing an array, reading entries
     out, the echelon form and the product) go through the field's kernel.
+    The entries never change after construction; the one slot written
+    later is ``_frame``, the Jordan frame that ``_jordan_frame`` memoises.
     """
 
-    __slots__ = ("field", "rows", "cols", "_entries")
+    __slots__ = ("field", "rows", "cols", "_entries", "_frame")
 
     def __init__(self, field: Field, rows: int, cols: int, data):
         self.field = field
@@ -524,6 +531,7 @@ class Mat:
         arr = fk.normalize(arr)
         arr.setflags(write=False)
         self._entries = arr
+        self._frame = None
 
     # -- constructors ------------------------------------------------------
 
@@ -949,7 +957,7 @@ def nilpotency_index(s: Mat) -> Optional[int]:
     return None
 
 
-def trace_radical(span: Span) -> Optional[Mat]:
+def trace_radical(span: Span, ker: Optional[Mat] = None) -> Optional[Mat]:
     """The radical of the unital matrix algebra A spanned by ``span.mats``,
     as coefficient columns, or None when the trace form cannot certify it.
 
@@ -963,25 +971,27 @@ def trace_radical(span: Span) -> Optional[Mat]:
     when the characteristic divides the size of the matrices) the answer
     is None.  ``Mat.kernel`` returns the one basis that is the identity on
     the free columns, so equal spaces give equal results.  ``span.mats`` is
-    nonempty.
+    nonempty.  ``ker``, when given, is that kernel, computed already.
     """
-    ker = trace_form(span.mats, span.mats).kernel()
+    if ker is None:
+        ker = trace_form(span.mats, span.mats).kernel()
     if any(nilpotency_index(x) is None for x in span.combine(ker)):
         return None
     return ker
 
 
-def jordan_nilpotent(s: Mat) -> tuple[Mat, list[int]]:
-    """Jordan basis of a nilpotent matrix.
+def jordan_nilpotent(s: Mat) -> tuple[Mat, Mat, tuple[int, ...]]:
+    """Jordan frame of a nilpotent matrix: ``(P, P_inv, sizes)``.
 
-    Returns ``(P, sizes)`` with ``s @ P == P @ J`` where J is block diagonal
-    with nilpotent Jordan blocks of the given sizes (ones on the
-    superdiagonal).  Each chain is stored as columns
-    ``s^(a-1) v, ..., s v, v``.
+    ``s @ P == P @ J`` where J is block diagonal with nilpotent Jordan
+    blocks of the given sizes (ones on the superdiagonal).  Each chain is
+    stored as columns ``s^(a-1) v, ..., s v, v``.  ``P_inv`` comes from the
+    one elimination that also certifies that P is invertible.
+    ``_jordan_frame`` memoises the frame on ``s``.
     """
     n = s.rows
     if n == 0:
-        return Mat.identity(s.field, 0), []
+        return Mat.identity(s.field, 0), Mat.identity(s.field, 0), ()
     field = s.field
     # kernel filtration
     kernels = []
@@ -1018,14 +1028,22 @@ def jordan_nilpotent(s: Mat) -> tuple[Mat, list[int]]:
             chains.append(chain)
     chains.sort(key=len, reverse=True)
     cols: list[Mat] = []
-    sizes: list[int] = []
     for chain in chains:
-        sizes.append(len(chain))
         cols.extend(reversed(chain))
     basis = Mat.hcat(field, n, cols)
-    if not basis.is_invertible():
-        raise ValueError("Jordan basis construction failed")
-    return basis, sizes
+    try:
+        inverse = basis.inverse()
+    except (ShapeMismatchError, ZeroDivisionError):
+        raise ValueError("Jordan basis construction failed") from None
+    return basis, inverse, tuple(len(chain) for chain in chains)
+
+
+def _jordan_frame(s: Mat) -> tuple[Mat, Mat, tuple[int, ...]]:
+    """The Jordan frame of ``jordan_nilpotent``, computed once per ``Mat``
+    object and kept in its ``_frame`` slot."""
+    if s._frame is None:
+        s._frame = jordan_nilpotent(s)
+    return s._frame
 
 
 def _jordan_shift(field: Field, sizes: Sequence[int]) -> Mat:
@@ -1039,32 +1057,77 @@ def _jordan_shift(field: Field, sizes: Sequence[int]) -> Mat:
     return Mat(field, n, n, rows)
 
 
-def nilpotent_hom_basis(s: Mat, s_target: Mat) -> list[Mat]:
-    """Basis of ``{g : g @ s == s_target @ g}`` for nilpotent s, s_target.
+def nilpotent_hom_basis(s: Mat, s_target: Mat,
+                        rest: Sequence[tuple[Mat, Mat]] = ()) -> list[Mat]:
+    """Basis of ``{g : g @ s == s_target @ g}`` for nilpotent s, s_target,
+    cut down by ``g @ r == r2 @ g`` for every remaining pair ``(r, r2)``.
 
-    Uses the closed-form intertwiner bases between Jordan blocks: a map
-    J_a -> J_b has min(a, b) independent shifted-diagonal intertwiners.
+    In the Jordan frames s = P_s J_s P_s^-1 and s_target = P_t J_t P_t^-1,
+    g = P_t h P_s^-1 intertwines s and s_target exactly when h intertwines
+    J_s and J_t, and those h have a closed-form basis of 0/1 matrices h_c:
+    a map J_a -> J_b has min(a, b) independent shifted-diagonal
+    intertwiners.  The h_c are placed by index into one array.
+
+    Each remaining pair is conjugated once, to (P_s^-1 r P_s, P_t^-1 r2 P_t),
+    and its conditions on the h_c are read off by index: row i of h_c r is
+    the row of r that h_c sends to i, column j of r2 h_c the column of r2
+    that h_c takes from j.  Since X -> P_t X P_s^-1 is a linear bijection,
+    the kernel of these conditions is that of the conditions on the
+    P_t h_c P_s^-1, and ``Mat.kernel`` returns the one basis of it that is
+    the identity on the free columns: the result is the same matrices as
+    when every h_c is mapped back first.  The kernel's combinations of the
+    h_c come from one product, and only they are mapped back, with one
+    product on each side for all of them; with no remaining pair every h_c
+    is mapped back, in order.  Over F_p the combination product sums c
+    products of residues, c the number of h_c, so it is exact while
+    ``c * (p - 1)**2 < 2**53`` (as for ``Span``); no cap on p enforces it.
     """
     field = s.field
-    p_src, sizes_src = jordan_nilpotent(s)
-    p_tgt, sizes_tgt = jordan_nilpotent(s_target)
-    p_src_inv = p_src.inverse()
-    n_src = s.rows
-    n_tgt = s_target.rows
-    out: list[Mat] = []
+    fk = field._kernel
+    p_src, p_src_inv, sizes_src = _jordan_frame(s)
+    p_tgt, p_tgt_inv, sizes_tgt = _jordan_frame(s_target)
+    e, d = s_target.rows, s.rows
+    # the ones of h_c: the last k vectors of a source chain go to the first
+    # k of a target chain, for k = 1 .. min(a, b)
+    idx: list[int] = []
+    rows: list[int] = []
+    cols: list[int] = []
+    c = 0
     off_t = 0
     for b in sizes_tgt:
         off_s = 0
         for a in sizes_src:
-            for sdx in range(1, min(a, b) + 1):
-                rows = [[field.zero] * n_src for _ in range(n_tgt)]
-                for k in range(max(1, a - sdx + 1), a + 1):
-                    rows[off_t + sdx - a + k - 1][off_s + k - 1] = field.one
-                h = Mat(field, n_tgt, n_src, rows)
-                out.append(p_tgt @ h @ p_src_inv)
+            for k in range(1, min(a, b) + 1):
+                idx.extend([c] * k)
+                rows.extend(range(off_t, off_t + k))
+                cols.extend(range(off_s + a - k, off_s + a))
+                c += 1
             off_s += a
         off_t += b
-    return out
+    if not c:
+        return []
+    h = _zeros(field, c * e, d).reshape(c, e, d)
+    h[idx, rows, cols] = field.one
+    if rest:
+        blocks = []
+        for r, r2 in rest:
+            rj = (p_src_inv @ r @ p_src)._entries
+            r2j = (p_tgt_inv @ r2 @ p_tgt)._entries
+            # h_c rj - r2j h_c, each term placed by index
+            block = _zeros(field, c * e, d).reshape(c, e, d)
+            block[idx, rows, :] = rj[cols, :]
+            block[idx, :, cols] -= r2j[:, rows].T
+            blocks.append(block.reshape(c, e * d).T)
+        ker = Mat(field, len(rest) * e * d, c, np.concatenate(blocks, axis=0)).kernel()
+        if not ker.cols:
+            return []
+        h = fk.normalize(fk.matmul(ker._entries.T, h.reshape(c, e * d))).reshape(-1, e, d)
+    k = h.shape[0]
+    # P_t [h_1 | ... | h_k], then its blocks stacked, times P_s^-1
+    left = fk.normalize(fk.matmul(p_tgt._entries, h.transpose(1, 0, 2).reshape(e, k * d)))
+    out = fk.matmul(left.reshape(e, k, d).transpose(1, 0, 2).reshape(k * e, d),
+                    p_src_inv._entries)
+    return [Mat(field, e, d, g) for g in out.reshape(k, e, d)]
 
 
 # ---------------------------------------------------------------------------

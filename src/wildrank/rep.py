@@ -4,10 +4,11 @@ Hom spaces are computed as exact kernels of the arrow-commutation equations,
 with two structural shortcuts that keep large instances cheap without
 changing the space: invertible arrows between distinct vertices are
 contracted away (f_t = N(a) f_s M(a)^{-1}), and when a remaining
-matrix-pencil equation has nilpotent matrices on both sides its solution
-space is parametrized in closed form from the Jordan structure.  The tests
-check both against one uncontracted kernel of every arrow equation.  Each
-basis is cached on the source module, per target.
+matrix-pencil equation has nilpotent matrices on both sides the whole
+pencil is solved in the Jordan coordinates of that pair
+(``exactlin.nilpotent_hom_basis``).  The tests check both against one
+uncontracted kernel of every arrow equation.  Each basis is cached on the
+source module, per target.
 
 Indecomposability follows the endomorphism ring: a nontrivial idempotent
 witnesses "no"; a local ring certified by an exactly computed radical with
@@ -30,8 +31,8 @@ from typing import Iterator, Optional, Sequence
 import sympy
 
 from .exactlin import (Field, Mat, ShapeMismatchError, Span, find_invertible_in_span,
-                       intertwiner_system, kron_eye, kron_sum, nilpotency_index,
-                       nilpotent_hom_basis, trace_form, trace_radical)
+                       kron_eye, kron_sum, nilpotency_index, nilpotent_hom_basis,
+                       trace_form, trace_radical)
 from .quiver import AlgebraElement, BoundQuiver, Path
 
 DEFAULT_TRIALS = 32
@@ -321,14 +322,7 @@ def _hom_pencil(field, e_dim, d_dim, pairs):
         ker = Mat.vcat(field, ed, [kron_sum(-sp, s.T) for s, sp in pairs]).kernel()
         return [ker.submatrix(range(ed), [j]).reshape(e_dim, d_dim) for j in range(ker.cols)]
     s, sp = pairs[nil_idx]
-    params = nilpotent_hom_basis(s, sp)
-    rest = [p for i, p in enumerate(pairs) if i != nil_idx]
-    if not params:
-        return []
-    if not rest:
-        return params
-    ker = intertwiner_system(params, rest).kernel()
-    return Span(field, e_dim, d_dim, params).combine(ker)
+    return nilpotent_hom_basis(s, sp, [p for i, p in enumerate(pairs) if i != nil_idx])
 
 
 def _hom_kron(field, m, n, var_roots, equations):
@@ -380,8 +374,19 @@ def end_radical(m: Representation) -> Optional[Mat]:
     if hom.dim <= 1:
         # End(M) is 0 or K
         return Mat.zeros(m.field, hom.dim, 0)
-    n = m.total_dim
-    rad = trace_radical(Span(m.field, n, n, hom.total_matrices()))
+    return _certified_radical(m, hom, _end_span(m, hom))
+
+
+def _end_span(m: Representation, hom: HomSpace) -> Span:
+    """The total matrices of End(M) on M, stacked once."""
+    return Span(m.field, m.total_dim, m.total_dim, hom.total_matrices())
+
+
+def _certified_radical(m: Representation, hom: HomSpace, totals: Span,
+                       ker: Optional[Mat] = None) -> Optional[Mat]:
+    """``end_radical`` on the span ``totals`` of End(M), given the kernel
+    ``ker`` of its module trace form when that is known already."""
+    rad = trace_radical(totals, ker)
     return rad if rad is not None else trace_radical(_regular_representation(m, hom.basis))
 
 
@@ -563,12 +568,16 @@ def is_indecomposable(m: Representation, seed, trials: int = DEFAULT_TRIALS) -> 
     form certifies, or a semisimple quotient that is a division ring bigger
     than the ground field).
 
-    Locality is certified first: when the radical is certified with
-    dim End/rad = 1 the answer is "yes" at once (a local ring has no
-    nontrivial idempotent, so no trial could have split it).  The seeded
-    split search runs only when End/rad has dimension >= 2 or the radical
-    is not certified.  Splitting idempotents are found directly as
-    polynomials in random endomorphisms acting on the module.
+    Locality is certified first when it can hold.  The radical lies in the
+    kernel K of the module trace form (every product with a radical element
+    is nilpotent, so traceless), so dim End/rad >= dim End/K.  When
+    dim End/K <= 1 the radical is certified first, and when it is certified
+    with dim End/rad = 1 the answer is "yes" at once (a local ring has no
+    nontrivial idempotent, so no trial could have split it).  Otherwise the
+    seeded split search runs first, and the radical, with its nilpotency
+    check, is certified only when no trial splits.  Splitting idempotents
+    are found directly as polynomials in random endomorphisms acting on the
+    module.
     """
     if m.is_zero():
         return IndecVerdict("no", None, "zero module (decomposes to the empty sum)")
@@ -576,10 +585,13 @@ def is_indecomposable(m: Representation, seed, trials: int = DEFAULT_TRIALS) -> 
     hom = hom_space(m, m)
     if hom.dim == 1:
         return IndecVerdict("yes", detail="End is one-dimensional")
-    rad = end_radical(m)
-    if rad is not None and hom.dim - rad.cols == 1:
-        return IndecVerdict("yes", detail="End local: dim End/rad = 1")
-    totals = Span(field, m.total_dim, m.total_dim, hom.total_matrices())
+    totals = _end_span(m, hom)
+    ker = trace_form(totals.mats, totals.mats).kernel()
+    may_be_local = hom.dim - ker.cols <= 1
+    if may_be_local:
+        rad = _certified_radical(m, hom, totals, ker)
+        if rad is not None and hom.dim - rad.cols == 1:
+            return IndecVerdict("yes", detail="End local: dim End/rad = 1")
     rng = random.Random(f"indec:{seed}")
     extension_seen = False
     for _ in range(trials):
@@ -594,6 +606,8 @@ def is_indecomposable(m: Representation, seed, trials: int = DEFAULT_TRIALS) -> 
                                     "idempotent from a split minimal polynomial")
         elif factors and len(factors[0][0]) > 2:
             extension_seen = True
+    if not may_be_local:
+        rad = _certified_radical(m, hom, totals, ker)
     if rad is None:
         return IndecVerdict("inconclusive", None, "radical not certifiable over this field")
     # dim End/rad >= 2 with no splitting element found: either End/rad is a

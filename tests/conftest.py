@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from wildrank.exactlin import (Field, F101, Mat, QQ, Span, intertwiner_system,
-                               nilpotency_index, nilpotent_hom_basis, _back_substitute, _zeros)
+                               nilpotency_index, _back_substitute, _zeros)
 from wildrank.rep import (IndecVerdict, InconclusiveError, Representation, _blocks_from_total,
                           _idempotent_matrix_from_minpoly, are_isomorphic, decompose,
                           factor_polynomial, flatten_morphism, hom_space, morphism_compose,
@@ -212,12 +212,42 @@ def reference_combination(field, rows, cols, coeffs, mats):
     return acc
 
 
+def reference_nilpotent_hom_basis(s, s_target):
+    """Basis of ``{g : g @ s == s_target @ g}`` for nilpotent s, s_target:
+    every Jordan-block intertwiner h, a 0/1 matrix built entry by entry, is
+    mapped back to the original bases as P_t h P_s^-1, with the Jordan bases
+    of ``reference_jordan_nilpotent``.  Reference for
+    ``exactlin.nilpotent_hom_basis``, which solves in Jordan coordinates
+    and maps back only the final basis."""
+    field = s.field
+    p_src, sizes_src = reference_jordan_nilpotent(s)
+    p_tgt, sizes_tgt = reference_jordan_nilpotent(s_target)
+    p_src_inv = p_src.inverse()
+    n_src, n_tgt = s.rows, s_target.rows
+    out = []
+    off_t = 0
+    for b in sizes_tgt:
+        off_s = 0
+        for a in sizes_src:
+            for sdx in range(1, min(a, b) + 1):
+                rows = [[field.zero] * n_src for _ in range(n_tgt)]
+                for k in range(max(1, a - sdx + 1), a + 1):
+                    rows[off_t + sdx - a + k - 1][off_s + k - 1] = field.one
+                h = Mat(field, n_tgt, n_src, rows)
+                out.append(p_tgt @ h @ p_src_inv)
+            off_s += a
+        off_t += b
+    return out
+
+
 def reference_hom_pencil(field, e_dim, d_dim, pairs):
     """Solutions g (e x d) of g S_k = S'_k g, each basis element built from
     its own kernel column by a running sum, over matrix units when no pair
-    is nilpotent.  Reference for ``rep._hom_pencil``, which then solves the
-    Kronecker-sum system I ⊗ S_k^T - S'_k ⊗ I and reshapes its kernel
-    columns, and otherwise builds every element with one ``Span`` product."""
+    is nilpotent, else over ``reference_nilpotent_hom_basis`` of the first
+    nilpotent pair.  Reference for ``rep._hom_pencil``, which then solves
+    the Kronecker-sum system I ⊗ S_k^T - S'_k ⊗ I and reshapes its kernel
+    columns, and otherwise solves the pencil in Jordan coordinates with
+    ``exactlin.nilpotent_hom_basis``."""
     nil_idx = None
     for i, (s, sp) in enumerate(pairs):
         if nilpotency_index(s) is not None and nilpotency_index(sp) is not None:
@@ -229,7 +259,7 @@ def reference_hom_pencil(field, e_dim, d_dim, pairs):
         rest = pairs
     else:
         s, sp = pairs[nil_idx]
-        params = nilpotent_hom_basis(s, sp)
+        params = reference_nilpotent_hom_basis(s, sp)
         rest = [p for i, p in enumerate(pairs) if i != nil_idx]
     if not params:
         return []

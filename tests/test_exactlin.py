@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (fixture_text, reference_echelon_qq,
-                      reference_find_invertible_in_span, reference_jordan_nilpotent,
-                      reference_kernel, reference_matmul_qq, reference_trace_pairing)
+                      reference_find_invertible_in_span, reference_hom_pencil,
+                      reference_jordan_nilpotent, reference_kernel, reference_matmul_qq,
+                      reference_trace_pairing)
+
+import wildrank.exactlin as exactlin_module
 
 from wildrank.cli import cmd_certify
 from wildrank.exactlin import (F101, QQ, Field, Mat, ShapeMismatchError, Span,
                                find_invertible_in_span, intertwiner_system,
                                jordan_nilpotent, kron_eye, kron_sum, nilpotency_index,
                                nilpotent_hom_basis, trace_form,
-                               _echelon_qq, _jordan_shift, _on_support)
+                               _echelon_qq, _jordan_frame, _jordan_shift, _on_support)
 
 
 def test_field_validation():
@@ -209,9 +212,10 @@ def test_jordan_nilpotent(field):
     rng = random.Random(5)
     for n in (1, 2, 4, 6):
         s = _random_nilpotent(field, n, rng)
-        p, sizes = jordan_nilpotent(s)
+        p, p_inv, sizes = jordan_nilpotent(s)
         assert sum(sizes) == n
         assert s @ p == p @ _jordan_shift(field, sizes)
+        assert p @ p_inv == Mat.identity(field, n)
 
 
 @pytest.mark.parametrize("field", [F101, Field.prime(7), QQ], ids=repr)
@@ -228,7 +232,9 @@ def test_jordan_nilpotent_matches_greedy_reference(field):
                 break
         cases.append(g @ _jordan_shift(field, sizes) @ g.inverse())
     for s in cases:
-        assert jordan_nilpotent(s) == reference_jordan_nilpotent(s)
+        p, p_inv, sizes = jordan_nilpotent(s)
+        assert (p, list(sizes)) == reference_jordan_nilpotent(s)
+        assert p_inv == p.inverse()
 
 
 @pytest.mark.parametrize("field", [F101, QQ])
@@ -243,6 +249,80 @@ def test_nilpotent_hom_basis_matches_kron_kernel(field):
             assert g @ s == t @ g
         big = s.T.kron(Mat.identity(field, n2)) - Mat.identity(field, n1).kron(t)
         assert big.kernel().cols == len(basis)
+
+
+def _random_invertible(field, n, rng):
+    while True:
+        g = Mat.random(field, n, n, rng)
+        if g.is_invertible():
+            return g
+
+
+def _conjugate_into(field, q, top, p, extra, rng, nilpotent):
+    """q [[p top p^-1, x], [0, t]] q^-1 with x random and t a random nilpotent
+    (when ``nilpotent``) or random ``extra x extra`` block: the map
+    q [p; 0] intertwines ``top`` with it."""
+    d = top.rows
+    t = (_random_nilpotent(field, extra, rng) if nilpotent
+         else Mat.random(field, extra, extra, rng))
+    m = Mat.assemble(field, d + extra, d + extra,
+                     [(0, 0, p @ top @ p.inverse()), (0, d, Mat.random(field, d, extra, rng)),
+                      (d, d, t)])
+    return q @ m @ q.inverse()
+
+
+@pytest.mark.parametrize("field", [F101, Field.prime(7), Field.prime(5), QQ], ids=repr)
+def test_nilpotent_hom_basis_in_jordan_coordinates_matches_reference(field):
+    # g S = S' g cut down by 0-3 more pairs g R = R' g: S of a random Jordan
+    # type, S' = q [[p S p^-1, x], [0, T]] q^-1 with T nilpotent of another
+    # type, each R' built alike from R, so q [p; 0] is a solution
+    rng = random.Random(f"jordan-pencil:{field!r}")
+    seen = set()
+    for trial in range(24):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        d, extra = sum(sizes), rng.randint(0, 3)
+        e = d + extra
+        g = _random_invertible(field, d, rng)
+        s = g @ _jordan_shift(field, sizes) @ g.inverse()
+        p, q = _random_invertible(field, d, rng), _random_invertible(field, e, rng)
+        sp = _conjugate_into(field, q, s, p, extra, rng, nilpotent=True)
+        rest = []
+        for _ in range(rng.randint(0, 3)):
+            r = Mat.random(field, d, d, rng)
+            rest.append((r, _conjugate_into(field, q, r, p, extra, rng, nilpotent=False)))
+        if trial % 6 == 5:
+            # a pair unrelated to q [p; 0]: often no common solution is left
+            rest.append((Mat.random(field, d, d, rng), Mat.random(field, e, e, rng)))
+        got = nilpotent_hom_basis(s, sp, rest)
+        assert got == reference_hom_pencil(field, e, d, [(s, sp)] + rest), trial
+        assert all(x @ y == y2 @ x for x in got for y, y2 in [(s, sp)] + rest)
+        if trial % 6 != 5:
+            assert got
+        seen.add((len(rest), e == d))
+    assert {0, 1, 2, 3} <= {n for n, _ in seen} and {sq for _, sq in seen} == {True, False}
+
+
+def test_jordan_frame_is_memoised_per_mat(monkeypatch):
+    rng = random.Random(41)
+    calls = []
+    monkeypatch.setattr(exactlin_module, "jordan_nilpotent",
+                        lambda s: calls.append(s) or jordan_nilpotent(s))
+    s = _random_nilpotent(F101, 6, rng)
+    t = _random_nilpotent(F101, 5, rng)
+    first = nilpotent_hom_basis(s, t)
+    assert len(calls) == 2
+    # a second solve on the same matrices runs no Jordan elimination
+    assert nilpotent_hom_basis(s, t) == first and len(calls) == 2
+    assert nilpotent_hom_basis(t, s, [(t, s)]) and len(calls) == 2
+    # equal entries in a new Mat: its own frame, equal to the first
+    twin = Mat.from_rows(F101, s.row_list())
+    assert twin == s and twin is not s
+    assert _jordan_frame(twin) == _jordan_frame(s) and len(calls) == 3
+    # another matrix of the same shape gets a frame of its own
+    other = _random_nilpotent(F101, 6, rng)
+    p, p_inv, sizes = _jordan_frame(other)
+    assert len(calls) == 4
+    assert other @ p == p @ _jordan_shift(F101, sizes) and p @ p_inv == Mat.identity(F101, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import wildrank.exactlin as exactlin_module
 import wildrank.rep as rep_module
 from conftest import (ReferenceEndAnalysis, reference_end_radical, reference_hom_pencil,
                       reference_hom_space, reference_in_sincere_subcategory,
@@ -514,6 +515,14 @@ def test_indecomposable_matches_trial_first_reference(field, dual_numbers_bq, a2
     assert is_indecomposable(cases["local"], 1).detail == "End local: dim End/rad = 1"
     assert is_indecomposable(big, 1).verdict == "yes"
     assert not calls
+    # End(M) = K x K for the direct sum: its trace-form kernel has
+    # codimension 2, so the trials split it before any nilpotency check
+    checks = []
+    monkeypatch.setattr(exactlin_module, "nilpotency_index",
+                        lambda s: checks.append(s) or nilpotency_index(s))
+    assert is_indecomposable(cases["direct sum"], 1).verdict == "no"
+    assert not checks
+    assert is_indecomposable(cases["local"], 1).verdict == "yes" and checks
 
 
 @pytest.mark.parametrize("field", TRACE_FIELDS, ids=str)
