@@ -66,6 +66,34 @@ def _split_cols(text: str, sep: str, col: int,
     return out
 
 
+def _tokens(line: str) -> list[tuple[str, int]]:
+    """The whitespace-separated tokens of a line, each with its column."""
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+
+
+def _parse_field(ln: int, tokens: list[tuple[str, int]]) -> Field:
+    """The field of a ``field Q | field Fp <prime>`` line."""
+    parts = [t for t, _ in tokens]
+    if len(parts) == 2 and parts[1] == "Q":
+        return Field.rationals()
+    if len(parts) == 3 and parts[1] == "Fp":
+        try:
+            return Field.prime(int(parts[2]))
+        except ValueError as e:
+            raise SpecError(ln, tokens[2][1], str(e))
+    raise SpecError(ln, 1, "expected: field Q | field Fp <prime>")
+
+
+def _scalar(field: Field, ln: int, col: int, text: str, what: str) -> Fraction:
+    """The number ``text`` at (ln, col), which must have a value in ``field``."""
+    try:
+        x = Fraction(text)
+        field.coerce(x)
+    except (ValueError, ZeroDivisionError):
+        raise SpecError(ln, col, f"bad {what} {text!r} over {field!r}")
+    return x
+
+
 #: the ``weight`` keyword of an arrow line: a whole token after the target
 _WEIGHT_KEYWORD = re.compile(r"->\s*\S+\s+(weight)(?!\S)")
 
@@ -83,7 +111,7 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+        tokens = _tokens(line)
         parts = [t for t, _ in tokens]
         key = parts[0]
         if key == "quiver":
@@ -91,15 +119,7 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
                 raise SpecError(ln, 1, "expected: quiver <name>")
             name = parts[1]
         elif key == "field":
-            if len(parts) == 2 and parts[1] == "Q":
-                field = Field.rationals()
-            elif len(parts) == 3 and parts[1] == "Fp":
-                try:
-                    field = Field.prime(int(parts[2]))
-                except ValueError as e:
-                    raise SpecError(ln, tokens[2][1], str(e))
-            else:
-                raise SpecError(ln, 1, "expected: field Q | field Fp <prime>")
+            field = _parse_field(ln, tokens)
         elif key == "vertex":
             if len(parts) < 2:
                 raise SpecError(ln, 1, "expected: vertex <id> [...]")
@@ -169,13 +189,7 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
             if len(pieces) < 2:
                 raise SpecError(ln, term_col,
                                 "relation term needs a coefficient and arrows: c*a2*a1")
-            coef_text, coef_col = pieces[0]
-            try:
-                coef = Fraction(coef_text)
-                field.coerce(coef)
-            except (ValueError, ZeroDivisionError):
-                raise SpecError(ln, coef_col,
-                                f"bad coefficient {coef_text!r} over {field!r}")
+            coef = _scalar(field, ln, pieces[0][1], pieces[0][0], "coefficient")
             word = [w for w, _ in pieces[1:]]
             for w, w_col in pieces[1:]:
                 if not any(a[0] == w for a in arrows):
@@ -250,49 +264,71 @@ def serialize_representation(rep, name: str, quiver_name: str) -> str:
 
 
 def parse_representation(text: str, bq: BoundQuiver):
+    """Parse a module file (the format of ``serialize_representation``) over
+    ``bq``; returns ``(name, Representation)``.
+
+    Every malformed input raises a positioned ``SpecError``.  Entries are
+    read once the whole file is, over its ``field`` line (F101 without one).
+    """
     from .rep import Representation
+    q = bq.quiver
     name = "unnamed"
     field: Optional[Field] = None
     dims: dict[str, int] = {}
-    mats_raw: dict[str, list[list[Fraction]]] = {}
+    # arrow -> (line, column of its name, rows of (entry text, column))
+    mats_raw: dict[str, tuple[int, int, list[list[tuple[str, int]]]]] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
             continue
-        parts = line.split()
-        key = parts[0]
+        tokens = _tokens(line)
+        key = tokens[0][0]
         if key == "module":
-            name = parts[1] if len(parts) > 1 else name
+            name = tokens[1][0] if len(tokens) > 1 else name
         elif key == "over":
             pass
         elif key == "field":
-            field = Field.rationals() if parts[1] == "Q" else Field.prime(int(parts[2]))
+            field = _parse_field(ln, tokens)
         elif key == "dim":
-            if len(parts) != 3:
+            if len(tokens) != 3:
                 raise SpecError(ln, 1, "expected: dim <vertex> <d>")
-            dims[parts[1]] = int(parts[2])
+            (v, v_col), (d_text, d_col) = tokens[1:]
+            if v not in q.vertices:
+                raise SpecError(ln, v_col, f"unknown vertex {v!r}")
+            try:
+                dims[v] = int(d_text)
+            except ValueError:
+                dims[v] = -1
+            if dims[v] < 0:
+                raise SpecError(ln, d_col, f"dimension must be a nonnegative integer, got {d_text!r}")
         elif key == "matrix":
-            aname = parts[1]
-            body = line.split(None, 2)[2] if len(parts) > 2 else ""
-            rows = []
-            for row_text in body.split(";"):
-                row_text = row_text.strip()
-                if row_text:
-                    rows.append([Fraction(x) for x in row_text.split()])
-            mats_raw[aname] = rows
+            if len(tokens) < 2:
+                raise SpecError(ln, 1, "expected: matrix <arrow> <row> ; <row> ...")
+            aname, a_col = tokens[1]
+            if aname not in {a.name for a in q.arrows}:
+                raise SpecError(ln, a_col, f"unknown arrow {aname!r}")
+            start = a_col - 1 + len(aname)
+            rows = [[(x, col + x_col - 1) for x, x_col in _tokens(row)]
+                    for row, col in _split_cols(line[start:], ";", start + 1)]
+            mats_raw[aname] = (ln, a_col, [r for r in rows if r])
         else:
             raise SpecError(ln, 1, f"unknown key {key!r}")
     if field is None:
         field = Field.prime(101)
     mats = {}
-    for a in bq.quiver.arrows:
-        dt, ds = dims.get(a.target, 0), dims.get(a.source, 0)
-        rows = mats_raw.get(a.name, [])
-        if not rows:
-            mats[a.name] = Mat.zeros(field, dt, ds)
-        else:
-            mats[a.name] = Mat.from_rows(field, rows)
-    return name, Representation(bq, field, dims, mats)
+    for aname, (ln, a_col, rows) in mats_raw.items():
+        a = q.arrow(aname)
+        shape = (dims.get(a.target, 0), dims.get(a.source, 0))
+        if rows and (len(rows) != shape[0] or any(len(r) != shape[1] for r in rows)):
+            raise SpecError(ln, a_col, f"arrow {aname}: matrix rows do not form the "
+                                       f"{shape[0]}x{shape[1]} matrix its dims ask for")
+        if rows:
+            mats[aname] = Mat.from_rows(field, [[_scalar(field, ln, col, x, "entry")
+                                                 for x, col in row] for row in rows])
+    try:
+        return name, Representation(bq, field, dims, mats)
+    except ValueError as e:
+        raise SpecError(1, 1, str(e))
 
 
 # ---------------------------------------------------------------------------

@@ -32,17 +32,17 @@ finding the support costs more than it saves.
 The storage stays inside this module: other modules build and combine
 matrices only through ``Mat`` operations,
 
-* ``assemble`` (a sum of blocks placed at offsets), ``hcat``/``vcat`` (many
-  matrices side by side or on top of each other), ``lincomb`` (a linear
-  combination), ``unit`` (a matrix unit) and row-major ``reshape``;
+* ``assemble`` (a sum of blocks placed at offsets), ``kron_assemble`` (a
+  sum of Kronecker products placed at offsets, identity factors placed as
+  copies: every linear system in a matrix unknown, by vec(L X R) =
+  (L ⊗ R^T) vec(X)), ``hcat``/``vcat`` (many matrices side by side or on
+  top of each other), ``lincomb`` (a linear combination), ``unit`` (a
+  matrix unit) and row-major ``reshape``;
 * ``column_space`` and ``minimal_polynomial``, next to rank, kernel, solve
   and inverse;
-* ``intertwiner_system``, the linear conditions for a combination of
-  matrices to intertwine given pairs, ``nilpotent_hom_basis``, the maps
-  that intertwine a nilpotent pair and any further pairs, solved in Jordan
-  coordinates (``jordan_nilpotent`` gives the Jordan frame, the basis with
-  its inverse and the block sizes), ``kron_eye`` and ``kron_sum``,
-  Kronecker products and sums whose identity factors are placed as copies,
+* ``nilpotent_hom_basis``, the maps that intertwine a nilpotent pair and
+  any further pairs, solved in Jordan coordinates (``jordan_nilpotent``
+  gives the Jordan frame, the basis with its inverse and the block sizes),
   ``trace_form``, the traces of all pairwise products of two lists of
   matrices, and ``trace_radical``, the radical of the algebra a ``Span``
   spans when its trace form certifies it;
@@ -581,6 +581,55 @@ class Mat:
         return cls(field, rows, cols, out)
 
     @classmethod
+    def kron_assemble(cls, field: Field, rows: int, cols: int, blocks) -> "Mat":
+        """The ``rows x cols`` sum of the Kronecker products ``x ⊗ y`` of the
+        blocks ``(i, j, x, y, n)``, each placed with its top-left entry at
+        (i, j); overlapping blocks add.
+
+        Row-major, vec(L X R) = (L ⊗ R^T) vec(X), so every linear system in
+        a matrix unknown X is one call.  A None factor stands for the
+        ``n x n`` identity (at most one per block; n is read only then) and
+        is placed as copies: I_n ⊗ y is n copies of y down the diagonal, and
+        x ⊗ I_n puts each entry x[r, c] on the diagonal of block (r, c).
+        With both factors given, the outer product is formed at the nonzero
+        entries of x only.  A block that overlaps no earlier one is written
+        rather than added (over Q, adding a Fraction to zero costs about as
+        much as a product).
+        """
+        out = _zeros(field, rows, cols)
+        placed: list[tuple[int, int, int, int]] = []
+        for i, j, x, y, n in blocks:
+            if any(f is not None and f.field != field for f in (x, y)):
+                raise ShapeMismatchError("field mismatch")
+            xr, xc = (n, n) if x is None else x.shape
+            yr, yc = (n, n) if y is None else y.shape
+            h, w = xr * yr, xc * yc
+            if i < 0 or j < 0 or i + h > rows or j + w > cols:
+                raise ShapeMismatchError(f"block ({h}, {w}) at ({i}, {j}) leaves {rows}x{cols}")
+            fresh = all(i + h <= i0 or i1 <= i or j + w <= j0 or j1 <= j
+                        for i0, i1, j0, j1 in placed)
+            placed.append((i, i + h, j, j + w))
+            view = out[i:i + h, j:j + w].reshape(xr, yr, xc, yc, copy=False)
+            if x is None or y is None:
+                k, whole = np.arange(n), slice(None)
+                at, part = (((k, whole, k, whole), y._entries) if x is None
+                            else ((whole, k, whole, k), x._entries))
+                if fresh:
+                    view[at] = part
+                else:
+                    view[at] += part
+            else:
+                # the outer product into a 4-d view: np.kron's generic path
+                # costs more than the product on the small blocks of witnesses
+                a, b = x._entries[:, None, :, None], y._entries[None, :, None, :]
+                nz = np.broadcast_to(a != 0, view.shape)
+                if fresh:
+                    np.multiply(a, b, out=view, where=nz)
+                else:
+                    np.add(view, np.multiply(a, b, out=None, where=nz), out=view, where=nz)
+        return cls(field, rows, cols, out)
+
+    @classmethod
     def hcat(cls, field: Field, rows: int, mats: Sequence["Mat"]) -> "Mat":
         """The matrices, each with ``rows`` rows, side by side."""
         for m in mats:
@@ -679,16 +728,9 @@ class Mat:
         return self.field.coerce(self._entries.trace())
 
     def kron(self, other: "Mat") -> "Mat":
-        self._require_same_field(other)
-        # the outer product, reshaped: np.kron's generic path costs more
-        # than the product itself on the small blocks of witness actions;
-        # zero entries of self are skipped (each product of Fractions costs)
-        a, b = self._entries, other._entries
-        out = _zeros(self.field, self.rows * other.rows, self.cols * other.cols)
-        np.multiply(a[:, None, :, None], b[None, :, None, :],
-                    out=out.reshape(self.rows, other.rows, self.cols, other.cols),
-                    where=(a != 0)[:, None, :, None])
-        return Mat(self.field, self.rows * other.rows, self.cols * other.cols, out)
+        """The Kronecker product: the one-block case of ``kron_assemble``."""
+        return Mat.kron_assemble(self.field, self.rows * other.rows, self.cols * other.cols,
+                                 [(0, 0, self, other, 0)])
 
     def reshape(self, rows: int, cols: int) -> "Mat":
         """The same entries in row-major order, refilled as ``rows x cols``."""
@@ -818,68 +860,6 @@ class Mat:
             reduced.append((int(nz[0]), cols, fk.normalize(row[cols] * inv)))
             cur = cur @ self
         raise RuntimeError("minimal polynomial search exceeded the dimension")
-
-
-def intertwiner_system(params: Sequence[Mat], pairs: Sequence[tuple[Mat, Mat]]) -> Mat:
-    """Linear conditions on x for ``g = sum x_c * g_c`` to intertwine every pair.
-
-    Column c stacks, pair by pair, the row-major entries of
-    ``g_c @ s - s2 @ g_c`` for the pairs ``(s, s2)``, so the kernel of the
-    result holds the coefficients of every g with ``g @ s == s2 @ g``.
-    ``params`` and ``pairs`` are nonempty.  Each side is one product over all
-    the ``g_c``: stacked on top of each other for ``g_c @ s``, side by side
-    for ``s2 @ g_c``.
-    """
-    field = params[0].field
-    fk = field._kernel
-    c = len(params)
-    e, d = params[0].shape
-    g = np.stack([m._entries for m in params])            # (c, e, d)
-    side = g.transpose(1, 0, 2).reshape(e, c * d)         # [g_1 | ... | g_c]
-    blocks = []
-    for s, s2 in pairs:
-        right = fk.matmul(g.reshape(c * e, d), s._entries).reshape(c, e, d)
-        left = fk.matmul(s2._entries, side).reshape(e, c, d).transpose(1, 0, 2)
-        blocks.append((right - left).reshape(c, e * d).T)
-    return Mat(field, len(pairs) * e * d, c, np.concatenate(blocks, axis=0))
-
-
-def kron_eye(x: Optional[Mat], y: Optional[Mat], n: int) -> Mat:
-    """The Kronecker product ``x ⊗ y``, where a None factor stands for the
-    ``n x n`` identity (at most one factor is None).
-
-    I_n ⊗ y is n copies of y down the diagonal, and x ⊗ I_n puts each entry
-    x[i, k] on the diagonal of block (i, k); neither builds the identity
-    nor multiplies by it.
-    """
-    if x is not None and y is not None:
-        return x.kron(y)
-    m = y if x is None else x
-    rows, cols = n * m.rows, n * m.cols
-    out = _zeros(m.field, rows, cols)
-    idx = np.arange(n)
-    if x is None:
-        out.reshape(n, m.rows, n, m.cols)[idx, :, idx, :] = m._entries
-    else:
-        out.reshape(m.rows, n, m.cols, n)[:, idx, :, idx] = m._entries
-    return Mat(m.field, rows, cols, out)
-
-
-def kron_sum(x: Mat, y: Mat) -> Mat:
-    """The Kronecker sum ``x ⊗ I_n + I_m ⊗ y`` of an ``m x m`` matrix x and
-    an ``n x n`` matrix y.
-
-    Both identity factors are placed as copies, as in ``kron_eye``, into one
-    array, so only the entries of x ⊗ I_n take an addition.  Row-major,
-    vec(g @ s - s2 @ g) = kron_sum(-s2, s.T) @ vec(g) for an m x n matrix g.
-    """
-    m, n = x.rows, y.rows
-    out = _zeros(x.field, m * n, m * n)
-    view = out.reshape(m, n, m, n)
-    i, j = np.arange(m), np.arange(n)
-    view[i, :, i, :] = y._entries
-    view[:, j, :, j] += x._entries
-    return Mat(x.field, m * n, m * n, out)
 
 
 def trace_form(lefts: Sequence[Mat], rights: Sequence[Mat]) -> Mat:

@@ -87,7 +87,7 @@ class Quiver:
         return any(a.source == a.target for a in self.arrows)
 
     def trivial_path(self, v: str) -> Path:
-        if v not in self._by_name and v not in set(self.vertices):
+        if v not in self.vertices:
             raise ValueError(f"unknown vertex {v}")
         return Path(v, v, ())
 
@@ -300,14 +300,13 @@ class AlgebraTable:
     """
 
     def __init__(self, bq: BoundQuiver, field: Field, basis: list[Path],
-                 normal_forms: dict, st_index: dict):
+                 normal_forms: dict):
         self.bound_quiver = bq
         self.field = field
         self.basis = tuple(basis)
         self.dimension = len(basis)
         self._index = {(p.source, p.target, p.arrows): i for i, p in enumerate(basis)}
         self._normal_forms = normal_forms      # (src, tgt, arrows) -> {basis_idx: coeff}
-        self._st_index = st_index
         self._products: dict[tuple[int, int], dict[int, object]] = {}
         self._build_products()
 
@@ -367,12 +366,7 @@ class AlgebraTable:
 
     def arrow_element(self, name: str) -> AlgebraElement:
         a = self.bound_quiver.quiver.arrow(name)
-        path = Path(a.source, a.target, (name,))
-        nf = self._normal_form_of_word(a.source, a.target, (name,))
-        coeffs = [self.field.zero] * self.dimension
-        for k, c in nf.items():
-            coeffs[k] = c
-        return AlgebraElement(self, coeffs)
+        return self.path_element(Path(a.source, a.target, (name,)))
 
     def path_element(self, path: Path) -> AlgebraElement:
         nf = self._normal_form_of_word(path.source, path.target, path.arrows)
@@ -521,7 +515,7 @@ def build_algebra_table(bq: BoundQuiver, field: Field) -> AlgebraTable:
                 nf[bi] = coef
             normal_forms[(p.source, p.target, p.arrows)] = nf
 
-    return AlgebraTable(bq, field, basis, normal_forms, st_cols)
+    return AlgebraTable(bq, field, basis, normal_forms)
 
 
 def _sparse_rref(rows: list[dict[int, object]], field: Field) -> list[tuple[int, dict[int, object]]]:

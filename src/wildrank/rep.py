@@ -6,9 +6,13 @@ changing the space: invertible arrows between distinct vertices are
 contracted away (f_t = N(a) f_s M(a)^{-1}), and when a remaining
 matrix-pencil equation has nilpotent matrices on both sides the whole
 pencil is solved in the Jordan coordinates of that pair
-(``exactlin.nilpotent_hom_basis``).  The tests check both against one
+(``exactlin.nilpotent_hom_basis``).  Every other Hom system is one kernel
+of one ``Mat.kron_assemble`` call, and so is the Jacobian of a relation
+(``relation_jacobian``).  The tests check both shortcuts against one
 uncontracted kernel of every arrow equation.  Each basis is cached on the
-source module, per target.
+source module, per target, and each module keeps its own half of the
+contracted equations (``_Side``), so the Hom spaces it takes part in share
+its transforms, pencil matrices and their Jordan frames.
 
 Indecomposability follows the endomorphism ring: a nontrivial idempotent
 witnesses "no"; a local ring certified by an exactly computed radical with
@@ -31,8 +35,7 @@ from typing import Iterator, Optional, Sequence
 import sympy
 
 from .exactlin import (Field, Mat, ShapeMismatchError, Span, find_invertible_in_span,
-                       kron_eye, kron_sum, nilpotency_index, nilpotent_hom_basis,
-                       trace_form, trace_radical)
+                       nilpotency_index, nilpotent_hom_basis, trace_form, trace_radical)
 from .quiver import AlgebraElement, BoundQuiver, Path
 
 DEFAULT_TRIALS = 32
@@ -78,6 +81,10 @@ class Representation:
         # N: only the basis, since a HomSpace would refer back to both
         # modules, and End(M) keyed by M itself must not keep M alive
         self._homs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        # this module's halves of contracted Hom equations (``_Side``) and
+        # which arrows act invertibly: built from its own matrices only
+        self._sides: dict = {}
+        self._invertible: dict[str, bool] = {}
         if check:
             bad = [str(rel) for rel, ok in check_relations(self) if not ok]
             if bad:
@@ -207,37 +214,26 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
     q = m.bound_quiver.quiver
 
     # contract invertible arrows between distinct vertices: f_v = A_v f_root B_v;
-    # only vertices folded into another root have transforms, a root's are
-    # identities and stay out of the dicts (None below)
+    # each step folds the tree of the arrow's target root into its source root
     root = {v: v for v in q.vertices}
-    a_tf: dict[str, Mat] = {}
-    b_tf: dict[str, Mat] = {}
 
     def find(v):
         while root[v] != v:
             v = root[v]
         return v
 
+    steps = []
     remaining = []
     for a in q.arrows:
-        contracted = False
         if a.source != a.target:
             r1, r2 = find(a.source), find(a.target)
-            ma, na = m.mats[a.name], n.mats[a.name]
-            if (r1 != r2 and ma.is_square() and na.is_square()
-                    and ma.rows > 0 and ma.is_invertible() and na.is_invertible()):
-                # f_t = N(a) f_s M(a)^{-1}; fold r2's tree into r1
-                x = _times(_times(_inverse(a_tf.get(a.target)), na), a_tf.get(a.source))
-                y = _times(_times(b_tf.get(a.source), ma.inverse()),
-                           _inverse(b_tf.get(a.target)))
-                for w in q.vertices:
-                    if find(w) == r2:
-                        a_tf[w] = _times(a_tf.get(w), x)
-                        b_tf[w] = _times(y, b_tf.get(w))
+            if (r1 != r2 and m.mats[a.name].rows > 0
+                    and _acts_invertibly(m, a.name) and _acts_invertibly(n, a.name)):
+                steps.append((a, [w for w in q.vertices if find(w) == r2]))
                 root[r2] = r1
-                contracted = True
-        if not contracted:
-            remaining.append(a)
+                continue
+        remaining.append(a)
+    src, tgt = _side(m, steps, remaining, True), _side(n, steps, remaining, False)
 
     roots = sorted({find(v) for v in q.vertices})
     var_roots = [r for r in roots
@@ -247,14 +243,11 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
     # None for the identity transforms A_t and B_s of a root
     equations = []
     for a in remaining:
-        rs, rt = find(a.source), find(a.target)
-        x1 = a_tf.get(a.target)
-        y1 = _times(b_tf.get(a.target), m.mats[a.name])
-        x2 = _times(n.mats[a.name], a_tf.get(a.source))
-        y2 = b_tf.get(a.source)
-        equations.append((rt, x1, y1, rs, x2, y2))
+        y1, y2 = src.factors[a.name]
+        x1, x2 = tgt.factors[a.name]
+        equations.append((a.name, find(a.target), x1, y1, find(a.source), x2, y2))
 
-    basis_root = _solve_hom_equations(field, m, n, var_roots, equations)
+    basis_root = _solve_hom_equations(field, m, n, var_roots, equations, src, tgt)
 
     out = []
     for fr in basis_root:
@@ -266,7 +259,7 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
             elif r == v:        # a root has no transforms
                 f[v] = fr[v]
             else:
-                f[v] = a_tf[v] @ fr[r] @ b_tf[v]
+                f[v] = tgt.tf[v] @ fr[r] @ src.tf[v]
         out.append(f)
     m._homs[n] = out
     return HomSpace(m, n, out)
@@ -284,49 +277,103 @@ def _inverse(x: Optional[Mat]) -> Optional[Mat]:
     return None if x is None else x.inverse()
 
 
-def _solve_hom_equations(field, m, n, var_roots, equations):
+def _acts_invertibly(mod: Representation, name: str) -> bool:
+    """Whether arrow ``name`` acts by an invertible matrix on ``mod`` (memoised)."""
+    known = mod._invertible.get(name)
+    if known is None:
+        known = mod._invertible[name] = mod.mats[name].is_invertible()
+    return known
+
+
+class _Side:
+    """One module's half of the contracted Hom equations: as the source
+    (``source``) or the target of a Hom space, for one sequence of
+    contraction ``steps`` (an arrow and the vertices its fold moves).
+
+    ``tf`` holds the transforms of folded vertices, B_v for a source and
+    A_v for a target; a root has none.  For each remaining arrow a,
+    ``factors[a]`` is (B_t M(a), B_s) for a source and (A_t, N(a) A_s) for
+    a target, None standing for a root's identity, and ``pencil(a)`` is
+    their normalized product B_t M(a) B_s^-1 or A_t^-1 N(a) A_s.  Each
+    transform is a product of invertible matrices and their inverses, so
+    the normalizing factors B_s and A_t are invertible.
+
+    A side depends on one module only, so ``_side`` builds it once per
+    module, contraction and role: every Hom space the module is part of
+    reads the same matrices, and the Jordan frames memoised on them.
+    """
+
+    def __init__(self, mod: Representation, steps, remaining, source: bool):
+        self.source = source
+        tf: dict[str, Mat] = {}
+        for a, folded in steps:
+            mat = mod.mats[a.name]
+            if source:
+                # f_t = N(a) f_s M(a)^-1: B_w <- (B_s M(a)^-1 B_t^-1) B_w
+                y = _times(_times(tf.get(a.source), mat.inverse()), _inverse(tf.get(a.target)))
+                for w in folded:
+                    tf[w] = _times(y, tf.get(w))
+            else:
+                # A_w <- A_w (A_t^-1 N(a) A_s)
+                x = _times(_times(_inverse(tf.get(a.target)), mat), tf.get(a.source))
+                for w in folded:
+                    tf[w] = _times(tf.get(w), x)
+        self.tf = tf
+        self.factors: dict[str, tuple[Optional[Mat], Optional[Mat]]] = {}
+        for a in remaining:
+            mat = mod.mats[a.name]
+            self.factors[a.name] = ((_times(tf.get(a.target), mat), tf.get(a.source))
+                                    if source else
+                                    (tf.get(a.target), _times(mat, tf.get(a.source))))
+        self._pencil: dict[str, Mat] = {}
+
+    def pencil(self, name: str) -> Mat:
+        got = self._pencil.get(name)
+        if got is None:
+            u, v = self.factors[name]
+            got = self._pencil[name] = (_times(u, _inverse(v)) if self.source
+                                        else _times(_inverse(u), v))
+        return got
+
+
+def _side(mod: Representation, steps, remaining, source: bool) -> _Side:
+    """``mod``'s ``_Side`` for these contraction steps and role, built once."""
+    key = (tuple(a.name for a, _ in steps), source)
+    side = mod._sides.get(key)
+    if side is None:
+        side = mod._sides[key] = _Side(mod, steps, remaining, source)
+    return side
+
+
+def _solve_hom_equations(field, m, n, var_roots, equations, src, tgt):
     """Solve the contracted intertwiner equations (``x1``, ``y2`` None for
-    identities); returns bases {root: Mat}."""
+    identities); returns bases {root: Mat}.
+
+    A single root whose equations normalize to a pencil g S_k = S'_k g
+    (S_k from the source side ``src``, S'_k from the target side ``tgt``)
+    with one nilpotent pair is solved in Jordan coordinates; everything
+    else is one Kronecker system (``_hom_kron``).
+    """
     if not var_roots:
         return []
-    # single root and all-normalizable equations: matrix pencil fast path
     if len(var_roots) == 1:
         r = var_roots[0]
-        pencil = []
-        ok = True
-        for (rt, x1, y1, rs, x2, y2) in equations:
-            if rt != r or rs != r:
-                ok = False
-                break
-            if not all(t is None or t.is_invertible() for t in (x1, y2)):
-                ok = False
-                break
-            pencil.append((_times(y1, _inverse(y2)), _times(_inverse(x1), x2)))
-        if ok:
-            sols = _hom_pencil(field, n.dims[r], m.dims[r], pencil)
-            return [{r: g} for g in sols]
+        if all(rt == r and rs == r for (_, rt, _, _, rs, _, _) in equations):
+            pencil = [(src.pencil(a), tgt.pencil(a)) for a, *_ in equations]
+            for i, (s, sp) in enumerate(pencil):
+                if nilpotency_index(s) is not None and nilpotency_index(sp) is not None:
+                    return [{r: g} for g in
+                            nilpotent_hom_basis(s, sp, pencil[:i] + pencil[i + 1:])]
     return _hom_kron(field, m, n, var_roots, equations)
 
 
-def _hom_pencil(field, e_dim, d_dim, pairs):
-    """Solutions g (e x d) of g S_k = S'_k g for all pairs (S_k, S'_k)."""
-    nil_idx = None
-    for i, (s, sp) in enumerate(pairs):
-        if nilpotency_index(s) is not None and nilpotency_index(sp) is not None:
-            nil_idx = i
-            break
-    if nil_idx is None:
-        # vec(g S - S' g) = (I_e ⊗ S^T - S' ⊗ I_d) vec(g) for row-major vec,
-        # so the kernel columns, reshaped, are the solutions
-        ed = e_dim * d_dim
-        ker = Mat.vcat(field, ed, [kron_sum(-sp, s.T) for s, sp in pairs]).kernel()
-        return [ker.submatrix(range(ed), [j]).reshape(e_dim, d_dim) for j in range(ker.cols)]
-    s, sp = pairs[nil_idx]
-    return nilpotent_hom_basis(s, sp, [p for i, p in enumerate(pairs) if i != nil_idx])
-
-
 def _hom_kron(field, m, n, var_roots, equations):
-    """General path: one kron-assembled kernel over concatenated root blocks."""
+    """General path: one Kronecker system over concatenated root blocks.
+
+    The equation A_t f_rt (B_t M(a)) - (N(a) A_s) f_rs B_s = 0 contributes
+    x1 ⊗ y1^T at f_rt and -x2 ⊗ y2^T at f_rs, a None transform being the
+    identity of its root.
+    """
     sizes = {r: (n.dims[r], m.dims[r]) for r in var_roots}
     offsets = {}
     off = 0
@@ -336,16 +383,13 @@ def _hom_kron(field, m, n, var_roots, equations):
     nvars = off
     blocks = []
     nrows = 0
-    for (rt, x1, y1, rs, x2, y2) in equations:
-        # a None transform is the identity of its root, on the target side
-        # for x1 and on the source side for y2
+    for (_, rt, x1, y1, rs, x2, y2) in equations:
         if rt in offsets:
-            blocks.append((nrows, offsets[rt], kron_eye(x1, y1.T, x2.rows)))
+            blocks.append((nrows, offsets[rt], x1, y1.T, x2.rows))
         if rs in offsets:
-            y2t = None if y2 is None else y2.T
-            blocks.append((nrows, offsets[rs], kron_eye(-x2, y2t, y1.cols)))
+            blocks.append((nrows, offsets[rs], -x2, None if y2 is None else y2.T, y1.cols))
         nrows += x2.rows * y1.cols
-    ker = Mat.assemble(field, nrows, nvars, blocks).kernel()
+    ker = Mat.kron_assemble(field, nrows, nvars, blocks).kernel()
     out = []
     for j in range(ker.cols):
         sol = {}
@@ -874,10 +918,10 @@ def relation_jacobian(field: Field, rel, mats: dict[str, Mat], dims: dict[str, i
         word = path.arrows
         for k, name in enumerate(word):
             if name in offsets:
-                left = _word_matrix(field, word[:k], mats, dt)
+                left = _word_matrix(field, word[:k], mats, dt).scaled(coef)
                 right = _word_matrix(field, word[k + 1:], mats, ds)
-                blocks.append((0, offsets[name], left.kron(right.T).scaled(coef)))
-    return Mat.assemble(field, dt * ds, nvars, blocks)
+                blocks.append((0, offsets[name], left, right.T, 0))
+    return Mat.kron_assemble(field, dt * ds, nvars, blocks)
 
 
 def _sample_linear_solve(bq: BoundQuiver, field: Field, dims: dict[str, int],

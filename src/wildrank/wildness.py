@@ -307,8 +307,8 @@ class WitnessBimodule:
             if k not in acts:
                 acts[k] = _act(self.source, module, k)
         total = self.rank * self.source_dim(module)
-        return Mat.lincomb(self.field, total, total, [1] * len(tensor),
-                           [a.kron(acts[k]) for k, a in tensor.items()])
+        return Mat.kron_assemble(self.field, total, total,
+                                 [(0, 0, a, acts[k], 0) for k, a in tensor.items()])
 
     def source_dim(self, module) -> int:
         return module.dim if isinstance(self.source, FreeAlgebra) else module.total_dim

@@ -7,8 +7,8 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from wildrank.exactlin import (Field, F101, Mat, QQ, Span, intertwiner_system,
-                               nilpotency_index, _back_substitute, _zeros)
+from wildrank.exactlin import (Field, F101, Mat, QQ, Span, nilpotency_index,
+                               _back_substitute, _zeros)
 from wildrank.rep import (IndecVerdict, InconclusiveError, Representation, _blocks_from_total,
                           _idempotent_matrix_from_minpoly, are_isomorphic, decompose,
                           factor_polynomial, flatten_morphism, hom_space, morphism_compose,
@@ -240,13 +240,29 @@ def reference_nilpotent_hom_basis(s, s_target):
     return out
 
 
+def intertwiner_system(params, pairs):
+    """Linear conditions on x for ``g = sum x_c * g_c`` to intertwine every pair.
+
+    Column c stacks, pair by pair, the row-major entries of
+    ``g_c @ s - s2 @ g_c`` for the pairs ``(s, s2)``, so the kernel of the
+    result holds the coefficients of every g with ``g @ s == s2 @ g``.
+    ``params`` and ``pairs`` are nonempty.
+    """
+    field = params[0].field
+    e, d = params[0].shape
+    return Mat.hcat(field, len(pairs) * e * d, [
+        Mat.vcat(field, 1, [(g @ s - s2 @ g).reshape(e * d, 1) for s, s2 in pairs])
+        for g in params])
+
+
 def reference_hom_pencil(field, e_dim, d_dim, pairs):
     """Solutions g (e x d) of g S_k = S'_k g, each basis element built from
     its own kernel column by a running sum, over matrix units when no pair
     is nilpotent, else over ``reference_nilpotent_hom_basis`` of the first
-    nilpotent pair.  Reference for ``rep._hom_pencil``, which then solves
-    the Kronecker-sum system I ⊗ S_k^T - S'_k ⊗ I and reshapes its kernel
-    columns, and otherwise solves the pencil in Jordan coordinates with
+    nilpotent pair.  Reference for ``rep.hom_space`` on the one-vertex
+    modules with M(a_k) = S_k and N(a_k) = S'_k, which solves the
+    Kronecker system of I ⊗ S_k^T - S'_k ⊗ I and reshapes its kernel
+    columns, or else the pencil in Jordan coordinates with
     ``exactlin.nilpotent_hom_basis``."""
     nil_idx = None
     for i, (s, sp) in enumerate(pairs):

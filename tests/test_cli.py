@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_text
 
@@ -165,6 +168,47 @@ def test_representation_file_round_trip(k2_bq, f101):
     assert serialize_representation(back, "m", "k2") == text
 
 
+#: a module over the Kronecker quiver 1 => 2 with dims (2, 1): a and b are 1 x 2
+K2_MODULE = "module m\nover k2\nfield Fp 101\ndim 1 2\ndim 2 1\nmatrix a 1 2\nmatrix b 3 4\n"
+
+
+@pytest.mark.parametrize("line, bad, col", [
+    (3, "field", 1),
+    (3, "field Fp 4", 10),
+    (4, "dim 1 x", 7),
+    (4, "dim 1 -2", 7),
+    (4, "dim 7 2", 5),
+    (4, "dim 1", 1),
+    (6, "matrix a 1 q", 12),
+    (6, "matrix a 1 1/0", 12),
+    (6, "matrix a 1 1/101", 12),
+    (6, "matrix a 1 2 3", 8),
+    (6, "matrix a 1 ; 2", 8),
+    (6, "matrix z 1 2", 8),
+    (6, "matrix", 1),
+    (6, "frobnicate", 1),
+])
+def test_representation_errors_positioned(k2_bq, line, bad, col):
+    lines = K2_MODULE.splitlines()
+    lines[line - 1] = bad
+    with pytest.raises(SpecError) as e:
+        parse_representation("\n".join(lines), k2_bq)
+    assert (e.value.line, e.value.col) == (line, col), str(e.value)
+
+
+def test_representation_semantic_errors(k2_bq, dual_numbers_bq):
+    # dims declared after the matrices still fix their shapes
+    text = "dim 1 1\nmatrix a 1 ; 2\nmatrix b 3 ; 4\ndim 2 2\n"
+    assert parse_representation(text, k2_bq)[1].dim_vector() == (1, 2)
+    with pytest.raises(SpecError) as e:
+        parse_representation(text.replace("dim 2 2", "dim 2 3"), k2_bq)
+    assert (e.value.line, e.value.col) == (2, 8)
+    # a module violating a relation of its bound quiver
+    with pytest.raises(SpecError) as e:
+        parse_representation("dim v 1\nmatrix x 1\n", dual_numbers_bq)
+    assert (e.value.line, e.value.col) == (1, 1) and "relations violated" in str(e.value)
+
+
 def test_cmd_classify_outputs():
     out, code = cmd_classify(fixture_text("k3.quiver"))
     assert code == 0 and "Wild" in out and "minimal wild hereditary: yes" in out
@@ -277,3 +321,97 @@ def test_main_entry(tmp_path, capsys):
     code = main(["classify", str(spec)])
     captured = capsys.readouterr()
     assert code == 0 and "Wild" in captured.out
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: malformed text ends in a SpecError, never in another exception
+# ---------------------------------------------------------------------------
+
+_TOKENS = ["", " ", "\n", "#", ";", ":", "->", "*", "+", "/", ",", "-", "0", "1", "-2",
+           "1/0", "2/3", "101", "4", "x", "a", "v", "1", "Q", "Fp", "weight", "1,0",
+           "quiver", "field", "vertex", "arrow", "relation", "nilbound", "module", "dim",
+           "matrix", "step", "factor", "note", "bound", "algebra-dim", "\u00e9", "\t"]
+
+_EDITS = st.lists(st.tuples(st.sampled_from(["insert", "delete", "copy-line", "drop-line"]),
+                            st.integers(0, 10 ** 4),
+                            st.one_of(st.sampled_from(_TOKENS), st.text(max_size=6))),
+                  min_size=1, max_size=5)
+
+_FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def _mutate(text: str, edits) -> str:
+    for kind, at, token in edits:
+        lines = text.split("\n")
+        if kind == "insert":
+            at %= len(text) + 1
+            text = text[:at] + token + text[at:]
+        elif kind == "delete":
+            at %= len(text) + 1
+            text = text[:at] + text[at + len(token) + 1:]
+        elif kind == "copy-line":
+            text = "\n".join(lines + [lines[at % len(lines)]])
+        else:
+            del lines[at % len(lines)]
+            text = "\n".join(lines)
+    return text
+
+
+def _spec_texts():
+    return [fixture_text(f"{name}.quiver")
+            for name in ("a2", "k2", "k3", "loop_x2", "three_loop_rad2")]
+
+
+def _module_cases():
+    from wildrank.exactlin import F101, QQ
+    from wildrank.quiver import BoundQuiver, kronecker_quiver, loop_quiver, make_relation
+    from wildrank.rep import Representation
+    k2 = BoundQuiver(kronecker_quiver(2), [], nilbound=2)
+    q = loop_quiver(1)
+    dual = BoundQuiver(q, [make_relation(q, [(1, ("x", "x"))])], nilbound=2)
+    modules = [
+        (k2, Representation.from_lists(k2, F101, {"1": 2, "2": 1},
+                                       {"a": [[1, 2]], "b": [[3, 4]]})),
+        (k2, Representation.from_lists(k2, QQ, {"1": 1, "2": 2},
+                                       {"a": [[Fraction(1, 2)], [-3]], "b": [[0], [7]]})),
+        (dual, Representation.from_lists(dual, F101, {"v": 2}, {"x": [[0, 1], [0, 0]]})),
+    ]
+    return [(bq, serialize_representation(m, "m", "q")) for bq, m in modules]
+
+
+def _certificate_text():
+    return CertificateDoc(
+        name="demo", algebra_desc="a local algebra", algebra_hash="ab12",
+        algebra_dim=4, target_kind="algebra", field_desc="F101", seed="7",
+        steps=[CertStep("explicit-bimodule", 28, "witness"),
+               CertStep("covering-rule", 2, "box [(0, 1)]")],
+        bound=56, verification="samples 10 pass 50 fail 0 inconclusive 0",
+        notes=["window criterion: test"]).to_text()
+
+
+@_FUZZ
+@given(st.sampled_from(_spec_texts()), _EDITS)
+def test_fuzz_quiver_spec_raises_only_spec_errors(text, edits):
+    try:
+        parse_quiver_spec(_mutate(text, edits))
+    except SpecError:
+        pass
+
+
+@_FUZZ
+@given(st.sampled_from(_module_cases()), _EDITS)
+def test_fuzz_module_raises_only_spec_errors(case, edits):
+    bq, text = case
+    try:
+        parse_representation(_mutate(text, edits), bq)
+    except SpecError:
+        pass
+
+
+@_FUZZ
+@given(_EDITS)
+def test_fuzz_certificate_raises_only_spec_errors(edits):
+    try:
+        parse_certificate(_mutate(_certificate_text(), edits))
+    except SpecError:
+        pass

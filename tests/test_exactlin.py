@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (fixture_text, reference_echelon_qq,
+from conftest import (fixture_text, intertwiner_system, reference_echelon_qq,
                       reference_find_invertible_in_span, reference_hom_pencil,
                       reference_jordan_nilpotent, reference_kernel, reference_matmul_qq,
                       reference_trace_pairing)
@@ -14,8 +14,7 @@ import wildrank.exactlin as exactlin_module
 
 from wildrank.cli import cmd_certify
 from wildrank.exactlin import (F101, QQ, Field, Mat, ShapeMismatchError, Span,
-                               find_invertible_in_span, intertwiner_system,
-                               jordan_nilpotent, kron_eye, kron_sum, nilpotency_index,
+                               find_invertible_in_span, jordan_nilpotent, nilpotency_index,
                                nilpotent_hom_basis, trace_form,
                                _echelon_qq, _jordan_frame, _jordan_shift, _on_support)
 
@@ -548,26 +547,51 @@ def test_intertwiner_system_matches_reference(field):
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_kron_with_identity_factors_matches_kron(field):
-    # the identity factors of kron_eye and kron_sum are placed as copies;
-    # Mat.kron with a built identity is the reference, entry for entry
+    # kron_assemble against an entrywise sum of Kronecker products, with
+    # every None factor built as an identity: blocks at offsets, overlapping
+    # blocks adding, and Mat.kron as the one-block case
     rng = random.Random(38)
 
-    def eye(k):
-        return Mat.identity(field, k)
+    def ref_kron(x, y):
+        return [[field.mul(xv, yv) for xv in xr for yv in yr] for xr in x for yr in y]
 
+    overlaps = 0
     for _ in range(10):
-        a, b, n = rng.randint(0, 3), rng.randint(1, 4), rng.randint(0, 3)
-        x, y = Mat.random(field, a, b, rng), Mat.random(field, b, a, rng)
-        assert kron_eye(None, y, n).row_list() == eye(n).kron(y).row_list()
-        assert kron_eye(x, None, n).row_list() == x.kron(eye(n)).row_list()
-        assert kron_eye(x, y, n) == x.kron(y)
+        rows, cols = rng.randint(9, 11), rng.randint(9, 11)
+        blocks, ref = [], _ref_zeros(field, rows, cols)
+        hit = [[False] * cols for _ in range(rows)]
+        for _ in range(4):
+            n, kind = rng.randint(0, 3), rng.choice(["left", "right", "both"])
+            x, y = (Mat.random(field, rng.randint(0, 3), rng.randint(0, 3), rng)
+                    for _ in range(2))
+            fx = Mat.identity(field, n) if kind == "left" else x
+            fy = Mat.identity(field, n) if kind == "right" else y
+            i = rng.randint(0, rows - fx.rows * fy.rows)
+            j = rng.randint(0, cols - fx.cols * fy.cols)
+            blocks.append((i, j, None if kind == "left" else x,
+                           None if kind == "right" else y, n))
+            for u, row in enumerate(ref_kron(fx.row_list(), fy.row_list())):
+                for v, val in enumerate(row):
+                    overlaps += hit[i + u][j + v]
+                    hit[i + u][j + v] = True
+                    ref[i + u][j + v] = field.add(ref[i + u][j + v], val)
+        assert Mat.kron_assemble(field, rows, cols, blocks).row_list() == ref
+        x, y = (Mat.random(field, rng.randint(0, 3), rng.randint(0, 3), rng) for _ in range(2))
+        assert x.kron(y).row_list() == ref_kron(x.row_list(), y.row_list())
+        n = rng.randint(0, 3)
+        assert (Mat.kron_assemble(field, n * y.rows, n * y.cols, [(0, 0, y, None, n)])
+                == y.kron(Mat.identity(field, n)))
         e, d = rng.randint(1, 4), rng.randint(1, 4)
         s, s2, g = (Mat.random(field, d, d, rng), Mat.random(field, e, e, rng),
                     Mat.random(field, e, d, rng))
-        got = kron_sum(-s2, s.T)
-        assert got.row_list() == (eye(e).kron(s.T) - s2.kron(eye(d))).row_list()
         # the Sylvester operator g -> g s - s2 g on row-major vec(g)
+        got = Mat.kron_assemble(field, e * d, e * d, [(0, 0, None, s.T, e), (0, 0, -s2, None, d)])
         assert got @ g.reshape(e * d, 1) == (g @ s - s2 @ g).reshape(e * d, 1)
+    assert overlaps
+    with pytest.raises(ShapeMismatchError):
+        Mat.kron_assemble(field, 3, 3, [(1, 0, None, Mat.identity(field, 1), 3)])
+    with pytest.raises(ShapeMismatchError):
+        Mat.kron_assemble(field, 1, 1, [(0, 0, Mat.identity(Field.prime(5), 1), None, 1)])
 
 
 @pytest.mark.parametrize("field", FIELDS)

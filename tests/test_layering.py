@@ -6,6 +6,9 @@ imports no numpy, touches none of the storage (``Mat._entries``,
 directly.  Inside exactlin, only the two field kernels branch on the field
 or on the storage type; ``Field.__init__`` picks the kernel, once.
 
+Every public top-level function of exactlin has a caller in ``src/``: a
+reference kept only for the tests lives in ``tests/conftest.py``.
+
 The benchmark's tracer (``perfbench/tracer.py``) wraps wildrank functions
 by module and name; every name it lists must still resolve.
 """
@@ -110,6 +113,31 @@ def test_checker_catches_each_kind():
         "        if isinstance(x, Fraction):\n            pass\n")
     assert field_branches(branches) == ["Mat.trace", "Mat.trace", "Mat.entry", "Mat.entry",
                                         "kron"]
+
+
+def _references(node: ast.AST, name: str) -> int:
+    return sum(isinstance(n, ast.Name) and n.id == name
+               or isinstance(n, ast.Attribute) and n.attr == name for n in ast.walk(node))
+
+
+def uncalled_functions(module: ast.Module, trees) -> list[str]:
+    """The public top-level functions of ``module`` that no tree in
+    ``trees`` names outside their own body."""
+    return [fn.name for fn in module.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            and sum(_references(t, fn.name) for t in trees) == _references(fn, fn.name)]
+
+
+def test_exactlin_functions_have_callers_in_src():
+    trees = {}
+    for name in MODULES + ["exactlin.py"]:
+        with open(os.path.join(SRC, name)) as fh:
+            trees[name] = ast.parse(fh.read(), name)
+    assert uncalled_functions(trees["exactlin.py"], trees.values()) == []
+    # the check itself: a function only the tests call is caught
+    extra = ast.parse("def reference_only(x):\n    return x\n")
+    trees["exactlin.py"].body += extra.body
+    assert uncalled_functions(trees["exactlin.py"], trees.values()) == ["reference_only"]
 
 
 TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")

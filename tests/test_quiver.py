@@ -24,6 +24,15 @@ def test_quiver_validation():
         Quiver(["a", "b"], [("f", "a", "b"), ("f", "b", "a")])
 
 
+def test_trivial_path_takes_vertices_only():
+    q = kronecker_quiver(2)
+    assert q.trivial_path("1").arrows == () and q.trivial_path("2").source == "2"
+    with pytest.raises(ValueError):
+        q.trivial_path("a")         # an arrow's name, not a vertex
+    with pytest.raises(ValueError):
+        q.trivial_path("3")
+
+
 def test_relation_validation():
     q = line_quiver(3)
     with pytest.raises(ValueError):

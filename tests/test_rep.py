@@ -23,7 +23,7 @@ from wildrank.rep import (InconclusiveError, Representation, SamplingStarvation,
                           are_isomorphic, check_relations, decompose, end_radical,
                           factor_polynomial, hom_space, in_sincere_subcategory,
                           is_indecomposable, relation_jacobian,
-                          sample_representation, support, _hom_pencil,
+                          sample_representation, support,
                           _poly_eval_matrix, _regular_representation)
 
 
@@ -435,7 +435,8 @@ TRACE_FIELDS = [F101, F7, F5, QQ]
 @pytest.mark.parametrize("field", TRACE_FIELDS, ids=str)
 def test_hom_pencil_matches_per_column_reference(field):
     # pencils g S_k = S'_k g with S'_k = diag(P S_k P^-1, T_k): g = [P; 0] and
-    # more solve them, so the basis is nonempty
+    # more solve them, so the basis is nonempty; Hom between the one-vertex
+    # modules M(a_k) = S_k and N(a_k) = S'_k is their solution space
     rng = random.Random(f"pencil:{field}")
     seen = set()
     for trial in range(16):
@@ -458,10 +459,47 @@ def test_hom_pencil_matches_per_column_reference(field):
         rng.shuffle(pairs)
         seen.add((any(nilpotency_index(s) is not None and nilpotency_index(sp) is not None
                       for s, sp in pairs), len(pairs)))
-        got = _hom_pencil(field, e, d, pairs)
+        bq = BoundQuiver(loop_quiver(len(pairs)), [])
+        names = [a.name for a in bq.quiver.arrows]
+        m = Representation(bq, field, {"v": d}, dict(zip(names, [s for s, _ in pairs])))
+        n = Representation(bq, field, {"v": e}, dict(zip(names, [sp for _, sp in pairs])))
+        got = [f["v"] for f in hom_space(m, n).basis]
         assert got == reference_hom_pencil(field, e, d, pairs) and got
         assert all(g @ s == sp @ g for g in got for s, sp in pairs)
     assert {(True, 2), (False, 2)} <= seen
+
+
+def test_hom_spaces_of_a_module_share_its_contracted_side(k2_bq, monkeypatch):
+    # Kronecker modules (A, A G J G^-1): contracting a leaves the nilpotent
+    # pencil A^-1 M(b); each module's side of it, as source and as target,
+    # is built once, so the four Hom spaces between two modules take four
+    # Jordan eliminations, not two each, and give the bases of fresh copies
+    rng = random.Random("shared-side")
+
+    def invertible(n):
+        while True:
+            g = Mat.random(F101, n, n, rng)
+            if g.is_invertible():
+                return g
+
+    mods = []
+    for sizes in ([(2, 0), (1, 0)], [(3, 0)]):
+        a, g = invertible(3), invertible(3)
+        nil = g @ Mat.from_rows(F101, _jordan_rows(sizes, 3)) @ g.inverse()
+        mods.append(Representation(k2_bq, F101, {"1": 3, "2": 3}, {"a": a, "b": a @ nil}))
+    frames = []
+    jordan = exactlin_module.jordan_nilpotent
+    monkeypatch.setattr(exactlin_module, "jordan_nilpotent",
+                        lambda s: frames.append(s) or jordan(s))
+    for m in mods:
+        for n in mods:
+            h = hom_space(m, n)
+            assert h.dim == len(reference_hom_space(m, n))
+            assert all(f["2"] @ m.mats[x] == n.mats[x] @ f["1"] for f in h.basis for x in "ab")
+    assert len(frames) == 4
+    for m in mods:
+        for n in mods:
+            assert hom_space(copy_rep(m), copy_rep(n)).basis == hom_space(m, n).basis
 
 
 def _indecomposability_cases(field, dual_numbers_bq, a2_bq, k2_bq):
