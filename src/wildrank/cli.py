@@ -590,9 +590,8 @@ def cmd_variety(text: str, nmax: int = 2, samples: int = 8, seed=0) -> tuple[str
 
 
 def cmd_tilt(text: str, depth: int = 1) -> tuple[str, int]:
-    from .tilting import (CyclicQuiverError, TiltingCandidate, cartan_coxeter,
-                          endomorphism_algebra, enumerate_preprojectives,
-                          is_tilting)
+    from .tilting import (CyclicQuiverError, TiltingCandidate, endomorphism_algebra,
+                          enumerate_preprojectives, is_tilting)
     import itertools as it
     try:
         spec = parse_quiver_spec(text)
@@ -602,10 +601,9 @@ def cmd_tilt(text: str, depth: int = 1) -> tuple[str, int]:
     if not bq.is_hereditary():
         return ("error: tilting analysis needs a hereditary (relation-free) quiver", 2)
     try:
-        cartan = cartan_coxeter(bq.quiver)
+        pool = enumerate_preprojectives(bq, spec.field, depth)
     except CyclicQuiverError as e:
         return (f"error: {e}", 2)
-    pool = enumerate_preprojectives(bq, spec.field, depth)
     lines = [f"preprojectives of {spec.name} up to depth {depth}:"]
     for p in pool:
         lines.append(f"  tau^-{p.shift} P({p.projective_vertex}): "
@@ -618,7 +616,7 @@ def cmd_tilt(text: str, depth: int = 1) -> tuple[str, int]:
         if not any(x.shift == 0 for x in items):
             continue
         cand = TiltingCandidate(items)
-        if not is_tilting(cand, cartan):
+        if not is_tilting(cand):
             continue
         found += 1
         lines.append(f"  tilting: {' + '.join(cand.labels())}")

@@ -10,8 +10,10 @@ one small private kernel per field, picked once when the ``Field`` is made:
 * ``_PrimeKernel``: scalars mod p, reduction ``% p``, ``int`` read-out, the
   blocked echelon form ``_echelon_fp`` and the BLAS product.  Prime-field
   arithmetic reduces mod p only now and then (delayed modular reduction),
-  so it is exact only while every intermediate value stays below 2**53; no
-  cap on p that guarantees this is proved or enforced yet.
+  so it is exact only while every intermediate value stays below 2**53.
+  ``Field.prime`` refuses p >= 2**53, so every residue is an exact
+  ``float64``; no smaller cap that keeps the products exact is proved or
+  enforced yet.
 * ``_RationalKernel``: ``Fraction`` scalars, making every entry a
   ``Fraction``, the reduced echelon form ``_echelon_qq`` and a product that
   skips zero entries.  Both work on integer rows (each row, or each whole
@@ -99,6 +101,7 @@ class Field:
 
     @classmethod
     def prime(cls, p: int) -> "Field":
+        """F_p; ``ValueError`` unless p is a prime with 5 <= p < 2**53."""
         return cls(p)
 
     # -- scalar helpers ----------------------------------------------------
@@ -150,14 +153,31 @@ class Field:
         return self._kernel.name
 
 
+#: the first twelve primes: as Miller-Rabin bases they decide primality of
+#: every n < 318665857834031151167461 (Sorenson and Webster, Math. Comp. 2017)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact far beyond 2**64."""
     if n < 2:
         return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 1
     return True
 
 
@@ -354,6 +374,9 @@ class _PrimeKernel:
     one = 1
 
     def __init__(self, p: int):
+        if p >= 2 ** 53:
+            # the residue p - 1 must be an exact float64
+            raise ValueError(f"prime field characteristic must be below 2**53, got {p}")
         if p < 5 or not _is_prime(p):
             raise ValueError(f"prime field characteristic must be a prime >= 5, got {p}")
         self.p = p
@@ -1024,17 +1047,6 @@ def _jordan_frame(s: Mat) -> tuple[Mat, Mat, tuple[int, ...]]:
     if s._frame is None:
         s._frame = jordan_nilpotent(s)
     return s._frame
-
-
-def _jordan_shift(field: Field, sizes: Sequence[int]) -> Mat:
-    n = sum(sizes)
-    rows = [[field.zero] * n for _ in range(n)]
-    off = 0
-    for a in sizes:
-        for k in range(1, a):
-            rows[off + k - 1][off + k] = field.one
-        off += a
-    return Mat(field, n, n, rows)
 
 
 def nilpotent_hom_basis(s: Mat, s_target: Mat,

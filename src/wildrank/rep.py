@@ -14,8 +14,10 @@ source module, per target, and each module keeps its own half of the
 contracted equations (``_Side``), so the Hom spaces it takes part in share
 its transforms, pencil matrices and their Jordan frames.
 
-Indecomposability follows the endomorphism ring: a nontrivial idempotent
-witnesses "no"; a local ring certified by an exactly computed radical with
+Indecomposability follows the endomorphism ring: a nontrivial idempotent,
+from a coprime split of a minimal polynomial (factored, multiplied and
+inverted by sympy: ``galoistools`` over F_p, dense lists over Q), witnesses
+"no"; a local ring certified by an exactly computed radical with
 one-dimensional quotient gives "yes"; everything else is reported
 inconclusive (the ground field is an exact stand-in for an algebraically
 closed field, and verdicts carry it).  The radical is one function,
@@ -30,9 +32,13 @@ import random
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, Optional, Sequence
 
 import sympy
+from sympy.polys.densearith import dup_mul, dup_pow
+from sympy.polys.euclidtools import dup_gcdex
+from sympy.polys.galoistools import gf_gcdex, gf_mul, gf_pow
 
 from .exactlin import (Field, Mat, ShapeMismatchError, Span, find_invertible_in_span,
                        nilpotency_index, nilpotent_hom_basis, trace_form, trace_radical)
@@ -451,93 +457,32 @@ def _regular_representation(m: Representation, basis: list[dict[str, Mat]]) -> S
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (factorization via sympy; gcd arithmetic native)
+# polynomials: sympy dense lists (leading coefficient first)
 # ---------------------------------------------------------------------------
 
-def _poly_trim(field, p):
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
+def _to_dense(field: Field, coeffs: Sequence) -> list:
+    """Ascending field coefficients as a sympy dense list: plain ints over
+    F_p (the ``galoistools`` form), ``QQ`` elements over Q."""
+    if field.char:
+        return [int(c) for c in reversed(coeffs)]
+    return [sympy.QQ(c.numerator, c.denominator) for c in reversed(coeffs)]
 
 
-def _poly_divmod(field, a, b):
-    a = list(a)
-    b = _poly_trim(field, list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv = field.inv(b[-1])
-    q = [field.zero] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _poly_trim(field, a):
-        a = _poly_trim(field, a)
-        if len(a) < len(b):
-            break
-        k = len(a) - len(b)
-        c = field.mul(a[-1], inv)
-        q[k] = c
-        for i, bc in enumerate(b):
-            a[k + i] = field.sub(a[k + i], field.mul(c, bc))
-        a = a[:-1]
-    return q, _poly_trim(field, a)
-
-
-def _poly_mul(field, a, b):
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y != 0:
-                out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return out
-
-
-def _poly_gcdext(field, a, b):
-    """Extended gcd: returns (g, u, v) with u a + v b = g (g monic)."""
-    r0, r1 = _poly_trim(field, list(a)), _poly_trim(field, list(b))
-    u0, u1 = [field.one], []
-    v0, v1 = [], [field.one]
-    while r1:
-        q, r = _poly_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(field, u0, _poly_mul(field, q, u1))
-        v0, v1 = v1, _poly_sub(field, v0, _poly_mul(field, q, v1))
-    if r0:
-        inv = field.inv(r0[-1])
-        r0 = [field.mul(inv, c) for c in r0]
-        u0 = [field.mul(inv, c) for c in u0]
-        v0 = [field.mul(inv, c) for c in v0]
-    return r0, u0, v0
-
-
-def _poly_sub(field, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else field.zero
-        y = b[i] if i < len(b) else field.zero
-        out.append(field.sub(x, y))
-    return _poly_trim(field, out)
+def _from_dense(field: Field, dense: Sequence) -> list:
+    """Field coefficients, ascending, of a dense list over F_p or Q."""
+    if field.char:
+        return [field.coerce(int(c)) for c in reversed(dense)]
+    return [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(dense)]
 
 
 def factor_polynomial(field: Field, coeffs: Sequence) -> list[tuple[list, int]]:
     """Irreducible factorization over the field; [(coeffs ascending, mult)]."""
-    if field.char:
-        dom = sympy.GF(field.char)
-        elems = [dom(int(c)) for c in reversed(coeffs)]
-    else:
-        dom = sympy.QQ
-        elems = [dom(c.numerator, c.denominator) for c in reversed(coeffs)]
-    poly = sympy.Poly.from_list(elems, sympy.Symbol("x"), domain=dom)
+    dom = sympy.GF(field.char) if field.char else sympy.QQ
+    poly = sympy.Poly.from_list(_to_dense(field, coeffs), sympy.Symbol("x"), domain=dom)
     _, factors = poly.factor_list()
     out = []
     for fac, mult in factors:
-        fc = fac.all_coeffs()[::-1]
-        if field.char:
-            lifted = [field.coerce(int(c)) for c in fc]
-        else:
-            lifted = [Fraction(sympy.Rational(c).p, sympy.Rational(c).q) for c in fc]
+        lifted = _from_dense(field, fac.rep.to_list())
         lead = lifted[-1]
         if lead != field.one:
             inv = field.inv(lead)
@@ -583,20 +528,26 @@ def _blocks_from_total(m: Representation, total: Mat) -> dict[str, Mat]:
 def _idempotent_matrix_from_minpoly(field: Field, factors, phi_total: Mat) -> Optional[Mat]:
     """Nontrivial idempotent polynomial in phi via a coprime split of its
     minimal polynomial, given as its ``factor_polynomial`` factors (at least
-    two), or None."""
-    fac0, mult0 = factors[0]
-    f_part = fac0
-    for _ in range(mult0 - 1):
-        f_part = _poly_mul(field, f_part, fac0)
-    g_part = [field.one]
-    for fac, mult in factors[1:]:
-        for _ in range(mult):
-            g_part = _poly_mul(field, g_part, fac)
-    g, u, v = _poly_gcdext(field, f_part, g_part)
-    if len(g) != 1:
+    two), or None.
+
+    With f^m the first factor's power and g the product of the others,
+    u f^m + v g = 1 makes e = v g(phi) the projection onto ker f^m(phi)
+    along ker g(phi), whatever u and v the extended gcd returns.
+    """
+    if field.char:
+        power, times, gcdex = (partial(op, p=field.char, K=sympy.ZZ)
+                               for op in (gf_pow, gf_mul, gf_gcdex))
+    else:
+        power, times, gcdex = (partial(op, K=sympy.QQ) for op in (dup_pow, dup_mul, dup_gcdex))
+    (fac0, mult0), rest = factors[0], factors[1:]
+    f_part = power(_to_dense(field, fac0), mult0)
+    g_part = _to_dense(field, [field.one])
+    for fac, mult in rest:
+        g_part = times(g_part, power(_to_dense(field, fac), mult))
+    _, v, gcd = gcdex(f_part, g_part)
+    if len(gcd) != 1:
         return None
-    vg = _poly_mul(field, v, g_part)
-    e = _poly_eval_matrix(field, vg, phi_total)
+    e = _poly_eval_matrix(field, _from_dense(field, times(v, g_part)), phi_total)
     n = phi_total.rows
     if e @ e == e and not e.is_zero() and e != Mat.identity(field, n):
         return e

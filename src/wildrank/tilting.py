@@ -1,7 +1,8 @@
 """Hereditary Auslander-Reiten combinatorics and tilting.
 
-Cartan and Coxeter data fix the dimension-vector arithmetic (row-vector
-convention d -> d * Phi).  Every sum of projectives is one
+Cartan and Coxeter matrices are ``Mat``s over Q (row-vector convention
+d -> d * Phi).  The Euler form that the tilting test reads depends on the
+quiver alone and is ``quiver.euler_form``.  Every sum of projectives is one
 ``_ProjectiveSum``: at each vertex its basis is the (slot, path) pairs, and a
 map out of it is fixed by its generator images, one product per basis
 element and one concatenation per vertex.  Minimal projective presentations
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlin import Field, Mat, Span
+from .exactlin import QQ, Field, Mat, Span
 from .quiver import (AlgebraTable, BoundQuiver, Path, Quiver, Relation,
-                     _enumerate_paths, build_algebra_table)
+                     _enumerate_paths, build_algebra_table, euler_form)
 from .rep import (Representation, are_isomorphic, end_radical, flatten_morphism,
                   hom_space, morphism_compose, support)
 
@@ -35,97 +36,51 @@ class CyclicQuiverError(ValueError):
     """Hereditary operations need an acyclic quiver."""
 
 
-def _topological_order(q: Quiver) -> list[str]:
-    indeg = {v: 0 for v in q.vertices}
-    for a in q.arrows:
-        if a.source == a.target:
-            raise CyclicQuiverError("quiver has a loop")
-        indeg[a.target] += 1
-    order = [v for v in q.vertices if indeg[v] == 0]
-    seen = list(order)
-    while order and len(seen) <= len(q.vertices):
-        frontier = []
-        for v in order:
-            for a in q.arrows:
-                if a.source == v:
-                    indeg[a.target] -= 1
-                    if indeg[a.target] == 0:
-                        frontier.append(a.target)
-                        seen.append(a.target)
-        order = frontier
-    if len(seen) != len(q.vertices):
-        raise CyclicQuiverError("quiver has an oriented cycle")
-    return seen
-
-
-def _path_counts(q: Quiver) -> dict[tuple[str, str], int]:
-    """Number of paths between each ordered vertex pair (acyclic quiver)."""
-    order = _topological_order(q)
-    counts: dict[tuple[str, str], int] = {}
-    for u in reversed(order):
-        for w in q.vertices:
-            total = 1 if u == w else 0
-            for a in q.arrows:
-                if a.source == u:
-                    total += counts[(a.target, w)]
-            counts[(u, w)] = total
-    return counts
+def _require_acyclic(q: Quiver) -> None:
+    """Raise ``CyclicQuiverError`` on a loop or an oriented cycle: vertices
+    with no arrow in from the rest are peeled off until none is left."""
+    if any(a.source == a.target for a in q.arrows):
+        raise CyclicQuiverError("quiver has a loop")
+    rest = set(q.vertices)
+    while rest:
+        sources = rest - {a.target for a in q.arrows if a.source in rest}
+        if not sources:
+            raise CyclicQuiverError("quiver has an oriented cycle")
+        rest -= sources
 
 
 @dataclass
 class CartanData:
-    """Cartan matrix (columns are projective dimension vectors), its inverse,
-    the Coxeter matrix and the Euler form, all over the integers."""
+    """Cartan matrix (columns are projective dimension vectors), the Coxeter
+    matrix and its inverse, exact over Q."""
 
     quiver: Quiver
-    cartan: list[list[int]]          # C[j][i] = number of paths i -> j
-    cartan_inv: list[list[Fraction]]
-    coxeter: list[list[Fraction]]    # Phi = -C^{-T} C, row-vector action
-    coxeter_inv: list[list[Fraction]]
-
-    def euler_form(self, d: Sequence[int], e: Sequence[int]) -> int:
-        """<d, e> = sum d_i e_i - sum over arrows d_source e_target."""
-        q = self.quiver
-        pos = {v: i for i, v in enumerate(q.vertices)}
-        total = sum(int(x) * int(y) for x, y in zip(d, e))
-        for a in q.arrows:
-            total -= int(d[pos[a.source]]) * int(e[pos[a.target]])
-        return total
+    cartan: Mat                 # C[j][i] = number of paths i -> j
+    coxeter: Mat                # Phi = -C^{-T} C, row-vector action
+    coxeter_inv: Mat
 
     def apply_coxeter_inverse(self, d: Sequence[int]) -> tuple[int, ...]:
-        return _row_times(d, self.coxeter_inv)
-
-
-def _row_times(d: Sequence[int], m: list[list[Fraction]]) -> tuple[int, ...]:
-    n = len(m)
-    out = []
-    for j in range(n):
-        acc = Fraction(0)
-        for i in range(n):
-            acc += Fraction(d[i]) * m[i][j]
-        if acc.denominator != 1:
+        (image,) = (Mat.from_rows(QQ, [list(d)]) @ self.coxeter_inv).row_list()
+        if any(x.denominator != 1 for x in image):
             raise ValueError("Coxeter image is not integral")
-        out.append(int(acc))
-    return tuple(out)
-
-
-def _mat_to_fractions(m: Mat) -> list[list[Fraction]]:
-    return [[Fraction(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+        return tuple(int(x) for x in image)
 
 
 def cartan_coxeter(q: Quiver) -> CartanData:
-    """Exact Cartan/Coxeter matrices of an acyclic quiver."""
-    counts = _path_counts(q)
+    """Exact Cartan/Coxeter matrices of an acyclic quiver.
+
+    With A[j][i] the number of arrows i -> j, the path counts are
+    C = I + A + A^2 + ... = (I - A)^{-1}, so C^{-1} = I - A is read off and
+    Phi^{-1} = -C^{-1} C^T; C is the one inversion.
+    """
+    _require_acyclic(q)         # paths are finite only without oriented cycles
     n = len(q.vertices)
-    c = [[counts[(q.vertices[i], q.vertices[j])] for i in range(n)] for j in range(n)]
-    from .exactlin import QQ
-    cmat = Mat.from_rows(QQ, c)
-    cinv = cmat.inverse()
-    # Phi = -C^{-T} C
-    phi = (cinv.T @ cmat).scaled(-1)
-    phi_inv = phi.inverse()
-    return CartanData(q, c, _mat_to_fractions(cinv),
-                      _mat_to_fractions(phi), _mat_to_fractions(phi_inv))
+    pos = {v: i for i, v in enumerate(q.vertices)}
+    arrows = Mat.assemble(QQ, n, n, [(pos[a.target], pos[a.source], Mat.identity(QQ, 1))
+                                     for a in q.arrows])
+    cinv = Mat.identity(QQ, n) - arrows
+    cmat = cinv.inverse()
+    return CartanData(q, cmat, -(cinv.T @ cmat), -(cinv @ cmat.T))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +103,7 @@ class _ProjectiveSum:
         if bq.relations:
             raise ValueError("projective construction here assumes a hereditary quiver")
         q = bq.quiver
-        _topological_order(q)       # paths are finite only without oriented cycles
+        _require_acyclic(q)         # paths are finite only without oriented cycles
         paths = sorted(_enumerate_paths(q, len(q.vertices) + 1),
                        key=lambda p: (len(p), p.arrows))
         self.slots = list(slots)
@@ -425,16 +380,16 @@ class TiltingCandidate:
         return [f"tau^-{s.shift} P({s.projective_vertex})" for s in self.summands]
 
 
-def is_tilting(candidate: TiltingCandidate, cartan: Optional[CartanData] = None) -> bool:
+def is_tilting(candidate: TiltingCandidate) -> bool:
     """|Q_0| pairwise non-isomorphic summands and Ext^1(T, T) = 0, where
-    dim Ext^1(M, N) = dim Hom(M, N) - <dim M, dim N> (hereditary)."""
+    dim Ext^1(M, N) = dim Hom(M, N) - <dim M, dim N> (hereditary), the
+    Euler form read from the quiver."""
     reps = candidate.reps()
     if not reps:
         return False
     bq = reps[0].bound_quiver
     if len(reps) != len(bq.quiver.vertices):
         return False
-    cartan = cartan if cartan is not None else cartan_coxeter(bq.quiver)
     for i in range(len(reps)):
         for j in range(len(reps)):
             if i < j:
@@ -442,7 +397,7 @@ def is_tilting(candidate: TiltingCandidate, cartan: Optional[CartanData] = None)
                 if v.verdict != "no":
                     return False
             hom_dim = hom_space(reps[i], reps[j]).dim
-            ext = hom_dim - cartan.euler_form(reps[i].dim_vector(), reps[j].dim_vector())
+            ext = hom_dim - euler_form(bq.quiver, reps[i].dim_vector(), reps[j].dim_vector())
             if ext < 0:
                 raise ValueError("negative Ext dimension; Euler data inconsistent")
             if ext != 0:

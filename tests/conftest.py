@@ -12,7 +12,7 @@ from wildrank.exactlin import (Field, F101, Mat, QQ, Span, nilpotency_index,
 from wildrank.rep import (IndecVerdict, InconclusiveError, Representation, _blocks_from_total,
                           _idempotent_matrix_from_minpoly, are_isomorphic, decompose,
                           factor_polynomial, flatten_morphism, hom_space, morphism_compose,
-                          support)
+                          support, _poly_eval_matrix)
 from wildrank.quiver import (BoundQuiver, Quiver, _enumerate_paths, build_algebra_table,
                              k3_bound_quiver, kronecker_quiver, line_quiver,
                              loop_quiver, loop_square_zero, make_relation)
@@ -212,6 +212,19 @@ def reference_combination(field, rows, cols, coeffs, mats):
     return acc
 
 
+def jordan_shift(field, sizes):
+    """The nilpotent Jordan matrix with blocks of the given sizes (ones on
+    the superdiagonal of each block)."""
+    n = sum(sizes)
+    rows = [[field.zero] * n for _ in range(n)]
+    off = 0
+    for a in sizes:
+        for k in range(1, a):
+            rows[off + k - 1][off + k] = field.one
+        off += a
+    return Mat(field, n, n, rows)
+
+
 def reference_nilpotent_hom_basis(s, s_target):
     """Basis of ``{g : g @ s == s_target @ g}`` for nilpotent s, s_target:
     every Jordan-block intertwiner h, a 0/1 matrix built entry by entry, is
@@ -326,6 +339,90 @@ def reference_is_indecomposable(m, seed, trials=32):
               if extension_seen else
               f"no idempotent found; dim End/rad = {codim}")
     return IndecVerdict("inconclusive", None, detail)
+
+
+# -- the coprime split by hand ----------------------------------------------
+#
+# Reference for ``rep._idempotent_matrix_from_minpoly``: the same split with
+# the polynomial products and the extended Euclidean algorithm written out
+# on ascending field coefficients instead of taken from sympy.
+
+def _reference_poly_trim(p):
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _reference_poly_divmod(field, a, b):
+    a = list(a)
+    b = _reference_poly_trim(list(b))
+    inv = field.inv(b[-1])
+    q = [field.zero] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b) and _reference_poly_trim(a):
+        a = _reference_poly_trim(a)
+        if len(a) < len(b):
+            break
+        k = len(a) - len(b)
+        c = field.mul(a[-1], inv)
+        q[k] = c
+        for i, bc in enumerate(b):
+            a[k + i] = field.sub(a[k + i], field.mul(c, bc))
+        a = a[:-1]
+    return q, _reference_poly_trim(a)
+
+
+def _reference_poly_mul(field, a, b):
+    if not a or not b:
+        return []
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return out
+
+
+def _reference_poly_sub(field, a, b):
+    n = max(len(a), len(b))
+    return _reference_poly_trim([field.sub(a[i] if i < len(a) else field.zero,
+                                           b[i] if i < len(b) else field.zero)
+                                 for i in range(n)])
+
+
+def _reference_poly_gcdext(field, a, b):
+    """(g, u, v) with u a + v b = g, g monic."""
+    r0, r1 = _reference_poly_trim(list(a)), _reference_poly_trim(list(b))
+    u0, u1 = [field.one], []
+    v0, v1 = [], [field.one]
+    while r1:
+        q, r = _reference_poly_divmod(field, r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, _reference_poly_sub(field, u0, _reference_poly_mul(field, q, u1))
+        v0, v1 = v1, _reference_poly_sub(field, v0, _reference_poly_mul(field, q, v1))
+    if r0:
+        inv = field.inv(r0[-1])
+        r0, u0, v0 = ([field.mul(inv, c) for c in p] for p in (r0, u0, v0))
+    return r0, u0, v0
+
+
+def reference_idempotent_from_minpoly(field, factors, phi_total):
+    """e = v g(phi) for u f^m + v g = 1, f^m the first factor's power and g
+    the product of the others; None unless e is a nontrivial idempotent."""
+    fac0, mult0 = factors[0]
+    f_part = [field.one]
+    for _ in range(mult0):
+        f_part = _reference_poly_mul(field, f_part, fac0)
+    g_part = [field.one]
+    for fac, mult in factors[1:]:
+        for _ in range(mult):
+            g_part = _reference_poly_mul(field, g_part, fac)
+    g, _, v = _reference_poly_gcdext(field, f_part, g_part)
+    if len(g) != 1:
+        return None
+    e = _poly_eval_matrix(field, _reference_poly_mul(field, v, g_part), phi_total)
+    n = phi_total.rows
+    if e @ e == e and not e.is_zero() and e != Mat.identity(field, n):
+        return e
+    return None
 
 
 # -- the radical of End(M) behind characteristic gates -------------------------

@@ -275,6 +275,15 @@ def test_cmd_tilt_outputs():
     assert code == 0 and "End dimension 5" in out
 
 
+def test_cmd_tilt_rejects_an_oriented_cycle():
+    # the preprojective enumeration refuses the cycle; no Cartan data is built
+    spec = ("quiver cyc\nfield Fp 101\nvertex 1 2\n"
+            "arrow a: 1 -> 2\narrow b: 2 -> 1\nnilbound 2\n")
+    out, code = cmd_tilt(spec, depth=1)
+    assert code == 2
+    assert out == "error: quiver has an oriented cycle"
+
+
 def test_cmd_certify_no_window():
     out, code = cmd_certify(fixture_text("loop_x2.quiver"), radius=2,
                             samples=4, max_dim=1, seed=1, pushdown_samples=4)

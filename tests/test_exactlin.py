@@ -1,22 +1,25 @@
+import contextlib
+import math
 import random
+import signal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (fixture_text, intertwiner_system, reference_echelon_qq,
+from conftest import (fixture_text, intertwiner_system, jordan_shift, reference_echelon_qq,
                       reference_find_invertible_in_span, reference_hom_pencil,
                       reference_jordan_nilpotent, reference_kernel, reference_matmul_qq,
                       reference_trace_pairing)
 
 import wildrank.exactlin as exactlin_module
 
-from wildrank.cli import cmd_certify
+from wildrank.cli import cmd_certify, cmd_classify
 from wildrank.exactlin import (F101, QQ, Field, Mat, ShapeMismatchError, Span,
                                find_invertible_in_span, jordan_nilpotent, nilpotency_index,
                                nilpotent_hom_basis, trace_form,
-                               _echelon_qq, _jordan_frame, _jordan_shift, _on_support)
+                               _echelon_qq, _is_prime, _jordan_frame, _on_support)
 
 
 def test_field_validation():
@@ -26,6 +29,47 @@ def test_field_validation():
         Field.prime(3)   # characteristic must be >= 5
     assert Field.prime(101).char == 101
     assert Field.rationals().char == 0
+
+
+@contextlib.contextmanager
+def at_once(seconds=1.0):
+    """Fail the block with ``TimeoutError`` once it has run for ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+    assert [n for n in range(100000) if _is_prime(n)] == \
+        [n for n in range(100000) if by_trial_division(n)]
+
+
+def test_is_prime_decides_large_numbers_at_once():
+    with at_once():
+        # Carmichael numbers and a composite with only large factors
+        assert not any(_is_prime(n) for n in (561, 41041, 2 ** 61 + 1, 1000003 * 1000033))
+        # the Mersenne prime 2**61 - 1 and the prime 10**18 + 3
+        assert _is_prime(2 ** 61 - 1) and _is_prime(10 ** 18 + 3)
+        assert Field.prime(2 ** 53 - 111).char == 2 ** 53 - 111
+
+
+def test_prime_field_refuses_inexact_residues():
+    # the residue p - 1 must be an exact float64; 2**53 + 5 is prime
+    for p in (2 ** 53 + 5, 2 ** 61 - 1, 10 ** 18 + 3):
+        with at_once(), pytest.raises(ValueError, match="below 2\\*\\*53"):
+            Field.prime(p)
+    with at_once():
+        for p in (2 ** 53 + 5, 10 ** 18 + 3):
+            out, code = cmd_classify(f"quiver big\nfield Fp {p}\nvertex 1 2\narrow a: 1 -> 2\n")
+            assert code == 2 and out.startswith("error: line 2") and "2**53" in out
 
 
 def test_field_scalar_ops():
@@ -213,7 +257,7 @@ def test_jordan_nilpotent(field):
         s = _random_nilpotent(field, n, rng)
         p, p_inv, sizes = jordan_nilpotent(s)
         assert sum(sizes) == n
-        assert s @ p == p @ _jordan_shift(field, sizes)
+        assert s @ p == p @ jordan_shift(field, sizes)
         assert p @ p_inv == Mat.identity(field, n)
 
 
@@ -229,7 +273,7 @@ def test_jordan_nilpotent_matches_greedy_reference(field):
             g = Mat.random(field, n, n, rng)
             if g.is_invertible():
                 break
-        cases.append(g @ _jordan_shift(field, sizes) @ g.inverse())
+        cases.append(g @ jordan_shift(field, sizes) @ g.inverse())
     for s in cases:
         p, p_inv, sizes = jordan_nilpotent(s)
         assert (p, list(sizes)) == reference_jordan_nilpotent(s)
@@ -282,7 +326,7 @@ def test_nilpotent_hom_basis_in_jordan_coordinates_matches_reference(field):
         d, extra = sum(sizes), rng.randint(0, 3)
         e = d + extra
         g = _random_invertible(field, d, rng)
-        s = g @ _jordan_shift(field, sizes) @ g.inverse()
+        s = g @ jordan_shift(field, sizes) @ g.inverse()
         p, q = _random_invertible(field, d, rng), _random_invertible(field, e, rng)
         sp = _conjugate_into(field, q, s, p, extra, rng, nilpotent=True)
         rest = []
@@ -321,7 +365,7 @@ def test_jordan_frame_is_memoised_per_mat(monkeypatch):
     other = _random_nilpotent(F101, 6, rng)
     p, p_inv, sizes = _jordan_frame(other)
     assert len(calls) == 4
-    assert other @ p == p @ _jordan_shift(F101, sizes) and p @ p_inv == Mat.identity(F101, 6)
+    assert other @ p == p @ jordan_shift(F101, sizes) and p @ p_inv == Mat.identity(F101, 6)
 
 
 # ---------------------------------------------------------------------------

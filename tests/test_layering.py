@@ -6,8 +6,9 @@ imports no numpy, touches none of the storage (``Mat._entries``,
 directly.  Inside exactlin, only the two field kernels branch on the field
 or on the storage type; ``Field.__init__`` picks the kernel, once.
 
-Every public top-level function of exactlin has a caller in ``src/``: a
-reference kept only for the tests lives in ``tests/conftest.py``.
+Every top-level function of exactlin, public or private, has a caller in
+``src/``: a reference or helper kept only for the tests lives in
+``tests/conftest.py``.
 
 The benchmark's tracer (``perfbench/tracer.py``) wraps wildrank functions
 by module and name; every name it lists must still resolve.
@@ -121,10 +122,10 @@ def _references(node: ast.AST, name: str) -> int:
 
 
 def uncalled_functions(module: ast.Module, trees) -> list[str]:
-    """The public top-level functions of ``module`` that no tree in
-    ``trees`` names outside their own body."""
+    """The top-level functions of ``module`` that no tree in ``trees`` names
+    outside their own body."""
     return [fn.name for fn in module.body
-            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            if isinstance(fn, ast.FunctionDef)
             and sum(_references(t, fn.name) for t in trees) == _references(fn, fn.name)]
 
 
@@ -134,10 +135,12 @@ def test_exactlin_functions_have_callers_in_src():
         with open(os.path.join(SRC, name)) as fh:
             trees[name] = ast.parse(fh.read(), name)
     assert uncalled_functions(trees["exactlin.py"], trees.values()) == []
-    # the check itself: a function only the tests call is caught
-    extra = ast.parse("def reference_only(x):\n    return x\n")
+    # the check itself: a function only the tests call is caught, private or not
+    extra = ast.parse("def reference_only(x):\n    return x\n"
+                      "def _helper_only(x):\n    return _helper_only(x)\n")
     trees["exactlin.py"].body += extra.body
-    assert uncalled_functions(trees["exactlin.py"], trees.values()) == ["reference_only"]
+    assert uncalled_functions(trees["exactlin.py"], trees.values()) == ["reference_only",
+                                                                        "_helper_only"]
 
 
 TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")

@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wildrank.exactlin import F101, QQ
+from wildrank.exactlin import F101, QQ, Field
 from wildrank.quiver import (AdmissibilityError, BoundQuiver, Quiver, RepType,
-                             build_algebra_table, classify_hereditary,
+                             build_algebra_table, classify_hereditary, euler_form,
                              factor_quiver, is_minimal_wild_hereditary,
                              k3_bound_quiver, kronecker_quiver, line_quiver,
                              loop_quiver, loop_square_zero, make_relation,
                              symmetrized_tits_matrix, tits_form,
-                             _char_poly, _leading_minors_positive)
+                             _char_poly, _leading_minors_positive, _sparse_rref)
 
 
 def test_quiver_validation():
@@ -131,6 +131,19 @@ def test_tits_form_examples():
     assert tits_form(kronecker_quiver(2), (1, 1)) == 0
     with pytest.raises(ValueError):
         tits_form(kronecker_quiver(2), (1, 1, 1))
+
+
+def test_euler_form_examples():
+    k3 = kronecker_quiver(3)
+    # Ext^1(S1, S2) has one dimension per arrow, and
+    # <dim P1, dim S2> = dim Hom(P1, S2) - dim Ext^1(P1, S2) = 0
+    assert euler_form(k3, (1, 0), (0, 1)) == -3
+    assert euler_form(k3, (0, 1), (1, 0)) == 0
+    assert euler_form(k3, (1, 3), (0, 1)) == 0
+    assert euler_form(k3, (2, 1), (2, 1)) == tits_form(k3, (2, 1))
+    for d, e in (((1, 1, 1), (1, 1)), ((1, 1), (1,))):
+        with pytest.raises(ValueError):
+            euler_form(k3, d, e)
 
 
 @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-3, 3))
@@ -308,3 +321,30 @@ def test_classify_matches_oracle_random_sample():
             continue
         assert classify_hereditary(q) == _oracle_classify(q)
         checked += 1
+
+
+@pytest.mark.parametrize("field", [F101, Field.prime(7), QQ], ids=["F101", "F7", "Q"])
+def test_sparse_rref_continues_from_a_reduced_span(field):
+    rng = random.Random(field.char + 5)
+
+    def sparse_row(ncols):
+        row = {}
+        for c in rng.sample(range(ncols), rng.randint(1, min(4, ncols))):
+            x = field.coerce(rng.randint(-6, 6))
+            if x != 0:
+                row[c] = x
+        return row
+
+    for trial in range(60):
+        ncols = rng.randint(1, 12)
+        span = [sparse_row(ncols) for _ in range(rng.randint(0, 8))]
+        units = [{c: field.one} for c in rng.sample(range(ncols), rng.randint(0, ncols))]
+        if trial % 2:
+            units += [sparse_row(ncols) for _ in range(rng.randint(1, 3))]
+        together = _sparse_rref(span + units, field)
+        continued = _sparse_rref(units, field, _sparse_rref(span, field))
+        assert continued == together
+        if trial % 2 == 0:
+            # on unit rows the entries even come in the same order
+            assert [list(r.items()) for _, r in continued] == \
+                [list(r.items()) for _, r in together]

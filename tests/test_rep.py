@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -9,7 +10,8 @@ import sympy
 import wildrank.exactlin as exactlin_module
 import wildrank.rep as rep_module
 from conftest import (ReferenceEndAnalysis, reference_end_radical, reference_hom_pencil,
-                      reference_hom_space, reference_in_sincere_subcategory,
+                      reference_hom_space, reference_idempotent_from_minpoly,
+                      reference_in_sincere_subcategory,
                       reference_is_indecomposable, reference_pairing_witness,
                       reference_regular_trace_gram, reference_relation_jacobian,
                       reference_trace_pairing)
@@ -225,6 +227,56 @@ def test_factor_polynomial_matches_expression_reference(field):
         assert factor_polynomial(field, f) == _reference_factor_polynomial(field, f)
     # the repeated factor shows up with its multiplicity
     assert ([field.coerce(-1), field.one], 2) in factor_polynomial(field, cases[-1])
+
+
+def _block_diagonal(field, blocks):
+    offs = list(itertools.accumulate((b.rows for b in blocks), initial=0))
+    return Mat.assemble(field, offs[-1], offs[-1], [(o, o, b) for o, b in zip(offs, blocks)])
+
+
+def _split_cases(field, rng):
+    """Seeded matrices whose minimal polynomials split into at least two
+    coprime factors: Jordan blocks (repeated factors), companion matrices of
+    irreducible quadratics and random blocks, in a random basis."""
+    roots = [field.coerce(c) for c in (0, 1, 2, -3)]
+    nonsquare = next(n for n in range(2, 200)
+                     if len(factor_polynomial(field, [field.coerce(-n), 0, 1])) == 1)
+    quad = Mat.from_rows(field, [[0, nonsquare], [1, 0]])
+
+    def jordan(lam, k):
+        return Mat.from_rows(field, [[lam if i == j else (1 if j == i + 1 else 0)
+                                      for j in range(k)] for i in range(k)])
+
+    cases = []
+    for _ in range(24):
+        blocks = [jordan(rng.choice(roots), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        blocks += [quad] * rng.randint(0, 2)
+        if rng.random() < 0.3:
+            blocks.append(Mat.random(field, 2, 2, rng))
+        d = _block_diagonal(field, blocks)
+        g = Mat.random(field, d.rows, d.rows, rng)
+        while not g.is_invertible():
+            g = Mat.random(field, d.rows, d.rows, rng)
+        cases.append(g @ d @ g.inverse())
+    return cases
+
+
+@pytest.mark.parametrize("field", [F101, Field.prime(7), Field.prime(5), QQ],
+                         ids=["F101", "F7", "F5", "Q"])
+def test_idempotent_split_matches_hand_written_reference(field):
+    rng = random.Random(field.char + 29)
+    splits = repeated = quadratic = 0
+    for phi in _split_cases(field, rng):
+        factors = factor_polynomial(field, phi.minimal_polynomial())
+        if len(factors) < 2:
+            continue
+        e = rep_module._idempotent_matrix_from_minpoly(field, factors, phi)
+        assert e is not None
+        assert e == reference_idempotent_from_minpoly(field, factors, phi)
+        splits += 1
+        repeated += any(mult > 1 for _, mult in factors)
+        quadratic += any(len(fac) == 3 for fac, _ in factors)
+    assert splits >= 12 and repeated >= 4 and quadratic >= 4
 
 
 def test_indecomposable_examples(a2_bq, k2_bq, f101):

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,8 +8,8 @@ import pytest
 from conftest import (reference_ar_translate_inverse, reference_ext1_dim_via_presentation,
                       reference_projective_presentation, reference_projective_rep)
 from wildrank.exactlin import F101, QQ, Field, Mat
-from wildrank.quiver import (BoundQuiver, Quiver, kronecker_quiver,
-                             line_quiver, loop_quiver)
+from wildrank.quiver import (BoundQuiver, Quiver, _enumerate_paths, euler_form,
+                             kronecker_quiver, line_quiver, loop_quiver)
 from wildrank.rep import (Representation, are_isomorphic, hom_space,
                           is_indecomposable, support)
 from wildrank.tilting import (CartanData, CyclicQuiverError, Preprojective,
@@ -21,12 +23,29 @@ from wildrank.tilting import (CartanData, CyclicQuiverError, Preprojective,
 
 def test_cartan_examples(a2_bq, k2_bq):
     cd = cartan_coxeter(a2_bq.quiver)
-    assert cd.cartan == [[1, 0], [1, 1]]
+    assert cd.cartan.row_list() == [[1, 0], [1, 1]]
     cdk = cartan_coxeter(k2_bq.quiver)
     assert cdk.apply_coxeter_inverse((0, 1)) == (2, 3)
+    assert (cdk.coxeter @ cdk.coxeter_inv).row_list() == [[1, 0], [0, 1]]
     point = cartan_coxeter(Quiver(["1"], []))
-    assert point.cartan == [[1]]
-    assert point.coxeter == [[Fraction(-1)]]
+    assert point.cartan.row_list() == [[1]]
+    assert point.coxeter.row_list() == [[Fraction(-1)]]
+    diamond = Quiver(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "1", "3"),
+                                            ("c", "2", "4"), ("d", "3", "4"), ("e", "1", "4")])
+    for q in (a2_bq.quiver, k2_bq.quiver, kronecker_quiver(3), line_quiver(4), diamond):
+        cd = cartan_coxeter(q)
+        n = len(q.vertices)
+        # C[j][i] counts the paths i -> j; Phi and Phi^{-1} are inverse
+        counts = Counter((p.source, p.target) for p in _enumerate_paths(q, n))
+        assert cd.cartan.row_list() == [[counts[(i, j)] for i in q.vertices] for j in q.vertices]
+        assert cd.coxeter @ cd.coxeter_inv == Mat.identity(QQ, n)
+        assert cd.coxeter == -(cd.cartan.inverse().T @ cd.cartan)
+        # the Euler form of the quiver is the bilinear form of C^{-T}
+        form = cd.cartan.inverse().T
+        for d in itertools.product(range(3), repeat=n):
+            for e in itertools.product(range(2), repeat=n):
+                value = Mat.from_rows(QQ, [list(d)]) @ form @ Mat.from_rows(QQ, [[x] for x in e])
+                assert value.row_list() == [[euler_form(q, d, e)]]
     with pytest.raises(CyclicQuiverError):
         cartan_coxeter(loop_quiver(1))
     cyc = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
@@ -116,14 +135,13 @@ def test_is_tilting_examples(a2_bq, k2_bq, k3_bq, f101):
 def test_euler_formula_consistency(k2_bq, k3_bq, f101):
     rng = random.Random(0)
     for bq in (k2_bq, k3_bq):
-        cd = cartan_coxeter(bq.quiver)
         pool = enumerate_preprojectives(bq, f101, 1)
         for p in pool:
             for q in pool:
                 hom_d = hom_space(p.rep, q.rep).dim
                 ext_d = ext1_dim_via_presentation(p.rep, q.rep)
-                assert hom_d - ext_d == cd.euler_form(p.rep.dim_vector(),
-                                                      q.rep.dim_vector())
+                assert hom_d - ext_d == euler_form(bq.quiver, p.rep.dim_vector(),
+                                                   q.rep.dim_vector())
 
 
 def test_ext_via_presentation_a2(a2_bq, f101):
@@ -143,7 +161,6 @@ def test_ext_via_presentation_mixed_syzygy(f101):
     m = Representation(a3, f101, {"1": 2, "2": 1, "3": 0},
                        {"a1": Mat.from_rows(f101, [[1, 0]]),
                         "a2": Mat.zeros(f101, 0, 1)}, check=False)
-    cd = cartan_coxeter(a3.quiver)
     rng = random.Random(2)
     for _ in range(6):
         dims = {v: rng.randint(0, 2) for v in a3.quiver.vertices}
@@ -152,7 +169,7 @@ def test_ext_via_presentation_mixed_syzygy(f101):
         n = Representation(a3, f101, dims, mats, check=False)
         hom_d = hom_space(m, n).dim
         ext_d = ext1_dim_via_presentation(m, n)
-        assert hom_d - ext_d == cd.euler_form(m.dim_vector(), n.dim_vector())
+        assert hom_d - ext_d == euler_form(a3.quiver, m.dim_vector(), n.dim_vector())
 
 
 def test_endomorphism_algebra_of_h(a2_bq, f101):
