@@ -6,7 +6,7 @@ Submodules:
     rep         representations: Hom, End, indecomposability, decomposition
     wildness    free-algebra modules, witness bimodules, rank certificates
     covering    Galois coverings by arrow gradings, windows, pushdown
-    tilting     Cartan/Coxeter data, AR translation, tilting, concealed search
+    tilting     projective presentations, AR translation, tilting, concealed search
     modvariety  representation varieties, orbit and parameter estimates
     cli         quiver-spec files, certificates, command-line interface
 """

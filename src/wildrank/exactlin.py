@@ -24,8 +24,11 @@ one small private kernel per field, picked once when the ``Field`` is made:
 and nonzero columns, which leaves its result unchanged: zero rows add
 nothing to the row space, a zero column is never a pivot (its kernel
 vector is its unit vector), and the kernel basis is the unique one that is
-the identity on the free columns.  Hom systems are mostly zeros, so most
-of their elimination is skipped.  ``column_space`` stays on the whole matrix: it
+the identity on the free columns.  On the support, rows of weight one are
+then peeled off with their columns, again and again, before the dense
+echelon form: each such column is a pivot with zero kernel entries.  Hom
+systems are mostly zeros and rows of weight one or two, so most of their
+elimination is skipped.  ``column_space`` stays on the whole matrix: it
 reads its basis from the non-reduced echelon form over F_p, whose rows
 depend on the row swaps that zero rows take part in.  ``rank`` and
 ``pivot_columns`` stay on it too: their inputs are small and dense, where
@@ -513,6 +516,37 @@ def _on_support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[np.ix_(rows, cols)], idx
 
 
+def _peel_unit_rows(a: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rest, rest_cols, peeled)`` for a matrix ``a`` with no zero row and
+    no zero column whose columns sit at ``cols``: rows of weight one are
+    taken off, with their columns (``peeled``), and then the rows left
+    zero, until no row has weight one.  ``rest`` is what is left, on the
+    columns ``rest_cols``; it is ``a`` itself when no row has weight one.
+    Only the pattern of nonzero entries is read: no arithmetic."""
+    nz = a.astype(bool)
+    weight = nz.sum(axis=1)
+    unit = weight == 1
+    if not unit.any():
+        return a, cols, cols[:0]
+    rows = np.ones(a.shape[0], dtype=bool)
+    keep = np.ones(a.shape[1], dtype=bool)
+    while unit.any():
+        hit = nz[unit].any(axis=0) & keep
+        weight -= nz[:, hit].sum(axis=1)
+        keep &= ~hit
+        rows &= weight > 0
+        unit = rows & (weight == 1)
+    return a[np.ix_(rows, keep)], cols[keep], cols[~keep]
+
+
+def _claim(placed: list, i0: int, i1: int, j0: int, j1: int) -> bool:
+    """Whether rows ``i0:i1`` by columns ``j0:j1`` overlap no block in
+    ``placed``; the block is added to ``placed`` either way."""
+    fresh = all(i1 <= a0 or a1 <= i0 or j1 <= b0 or b1 <= j0 for a0, a1, b0, b1 in placed)
+    placed.append((i0, i1, j0, j1))
+    return fresh
+
+
 def _back_substitute(fk, w: np.ndarray, piv: Sequence[int], rhs: np.ndarray) -> np.ndarray:
     """X with ``w[i, piv] @ X == rhs[i]`` for the first ``len(piv)`` rows of
     an echelon form ``w`` (unit pivots at ``piv``, zeros below them), solved
@@ -536,6 +570,17 @@ class Mat:
     out, the echelon form and the product) go through the field's kernel.
     The entries never change after construction; the one slot written
     later is ``_frame``, the Jordan frame that ``_jordan_frame`` memoises.
+
+    There are two constructors.  ``Mat(field, rows, cols, data)``, the
+    public one, checks the shape, normalizes every entry (``% p`` over F_p)
+    into a fresh array and makes it read-only.  The private ``Mat._of(field,
+    arr)`` takes ``arr`` as it is, with no normalization, no copy and no
+    shape check, and only makes it read-only.  It is used only where the
+    entries are canonical by construction (residues in [0, p) with no
+    negative zero, or ``Fraction`` objects: copies, views and
+    concatenations of other ``Mat``s, zeros and identities, results that
+    are reduced already) and where the caller keeps no writable alias of
+    ``arr``; every result is then reduced once.
     """
 
     __slots__ = ("field", "rows", "cols", "_entries", "_frame")
@@ -568,12 +613,25 @@ class Mat:
         return cls(field, m, n, [[coerce(x) for x in row] for row in rows])
 
     @classmethod
+    def _of(cls, field: Field, arr: np.ndarray) -> "Mat":
+        """The ``Mat`` on the 2-D array ``arr`` as it is, made read-only: for
+        canonical entries with no writable alias kept (see the class
+        docstring)."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows, m.cols = arr.shape
+        arr.setflags(write=False)
+        m._entries = arr
+        m._frame = None
+        return m
+
+    @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Mat":
-        return cls(field, rows, cols, _zeros(field, rows, cols))
+        return cls._of(field, _zeros(field, rows, cols))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
-        return cls(field, n, n, _identity(field, n))
+        return cls._of(field, _identity(field, n))
 
     @classmethod
     def column(cls, field: Field, entries: Sequence) -> "Mat":
@@ -593,15 +651,23 @@ class Mat:
     @classmethod
     def assemble(cls, field: Field, rows: int, cols: int, blocks) -> "Mat":
         """The ``rows x cols`` sum of the blocks ``(i, j, b)``, each placed with
-        its top-left entry at (i, j); overlapping blocks add."""
+        its top-left entry at (i, j); overlapping blocks add.  A block that
+        overlaps no earlier one is written rather than added, and only a sum
+        with an overlap is reduced again."""
         out = _zeros(field, rows, cols)
+        placed: list[tuple[int, int, int, int]] = []
+        disjoint = True
         for i, j, b in blocks:
             if b.field != field:
                 raise ShapeMismatchError("field mismatch")
             if i < 0 or j < 0 or i + b.rows > rows or j + b.cols > cols:
                 raise ShapeMismatchError(f"block {b.shape} at ({i}, {j}) leaves {rows}x{cols}")
-            out[i:i + b.rows, j:j + b.cols] += b._entries
-        return cls(field, rows, cols, out)
+            if _claim(placed, i, i + b.rows, j, j + b.cols):
+                out[i:i + b.rows, j:j + b.cols] = b._entries
+            else:
+                out[i:i + b.rows, j:j + b.cols] += b._entries
+                disjoint = False
+        return cls._of(field, out) if disjoint else cls(field, rows, cols, out)
 
     @classmethod
     def kron_assemble(cls, field: Field, rows: int, cols: int, blocks) -> "Mat":
@@ -629,9 +695,7 @@ class Mat:
             h, w = xr * yr, xc * yc
             if i < 0 or j < 0 or i + h > rows or j + w > cols:
                 raise ShapeMismatchError(f"block ({h}, {w}) at ({i}, {j}) leaves {rows}x{cols}")
-            fresh = all(i + h <= i0 or i1 <= i or j + w <= j0 or j1 <= j
-                        for i0, i1, j0, j1 in placed)
-            placed.append((i, i + h, j, j + w))
+            fresh = _claim(placed, i, i + h, j, j + w)
             view = out[i:i + h, j:j + w].reshape(xr, yr, xc, yc, copy=False)
             if x is None or y is None:
                 k, whole = np.arange(n), slice(None)
@@ -658,9 +722,8 @@ class Mat:
         for m in mats:
             if m.field != field or m.rows != rows:
                 raise ShapeMismatchError(f"hcat of {m.shape} over {m.field} onto {rows} rows")
-        return cls(field, rows, sum(m.cols for m in mats),
-                   np.concatenate([m._entries for m in mats], axis=1) if mats
-                   else _zeros(field, rows, 0))
+        return cls._of(field, np.concatenate([m._entries for m in mats], axis=1) if mats
+                       else _zeros(field, rows, 0))
 
     @classmethod
     def vcat(cls, field: Field, cols: int, mats: Sequence["Mat"]) -> "Mat":
@@ -668,9 +731,8 @@ class Mat:
         for m in mats:
             if m.field != field or m.cols != cols:
                 raise ShapeMismatchError(f"vcat of {m.shape} over {m.field} onto {cols} cols")
-        return cls(field, sum(m.rows for m in mats), cols,
-                   np.concatenate([m._entries for m in mats], axis=0) if mats
-                   else _zeros(field, 0, cols))
+        return cls._of(field, np.concatenate([m._entries for m in mats], axis=0) if mats
+                       else _zeros(field, 0, cols))
 
     @classmethod
     def lincomb(cls, field: Field, rows: int, cols: int, coeffs: Sequence,
@@ -739,7 +801,7 @@ class Mat:
                    self.field._kernel.matmul(self._entries, other._entries))
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, self.cols, self.rows, self._entries.T)
+        return Mat._of(self.field, self._entries.T)
 
     @property
     def T(self) -> "Mat":
@@ -759,12 +821,11 @@ class Mat:
         """The same entries in row-major order, refilled as ``rows x cols``."""
         if rows * cols != self.rows * self.cols:
             raise ShapeMismatchError(f"reshape {self.shape} to ({rows}, {cols})")
-        return Mat(self.field, rows, cols, self._entries.reshape(rows, cols))
+        return Mat._of(self.field, self._entries.reshape(rows, cols))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
-        return Mat(self.field, len(row_idx), len(col_idx),
-                   self._entries[np.ix_(row_idx, col_idx)] if row_idx and col_idx
-                   else _zeros(self.field, len(row_idx), len(col_idx)))
+        return Mat._of(self.field, self._entries[np.ix_(row_idx, col_idx)] if row_idx and col_idx
+                       else _zeros(self.field, len(row_idx), len(col_idx)))
 
     # -- solving -------------------------------------------------------------
 
@@ -786,29 +847,40 @@ class Mat:
         so it is a free column whose kernel vector is its unit vector, and
         the pivots among the other columns are the same with or without it.
         (``column_space`` keeps the whole matrix: see the module docstring.)
+
+        Then rows of weight one are peeled off (``_peel_unit_rows``) before
+        the echelon form.  A row whose one nonzero entry is at column j puts
+        e_j in the row space R, so j is a pivot and every kernel vector is 0
+        at j.  With F the peeled columns and U the rows left, R = span(e_F)
+        ⊕ R_U, where R_U is spanned by the rows of U off the columns F; the
+        pivots are F and those of R_U, so the free columns, and the basis
+        that is the identity on them, are the same.  Only the rest goes to
+        the echelon form, and the cascade does no arithmetic.
         """
         fk = self.field._kernel
-        sub, cols = _on_support(self._entries)
-        w, sub_piv = fk.echelon(sub)
+        rest, rest_cols, peeled = _peel_unit_rows(*_on_support(self._entries))
+        w, rest_piv = fk.echelon(rest)
+        piv = rest_cols[rest_piv]
         is_free = np.ones(self.cols, dtype=bool)
-        is_free[cols[sub_piv]] = False
+        is_free[peeled] = False
+        is_free[piv] = False
         free = np.flatnonzero(is_free)
         out = _zeros(self.field, self.cols, free.size)
         out[free, np.arange(free.size)] = self.field.one
-        sub_free = np.flatnonzero(is_free[cols])
-        if sub_piv and sub_free.size:
-            # rows: the pivot columns; columns: where the support's free
+        rest_free = np.flatnonzero(is_free[rest_cols])
+        if rest_piv and rest_free.size:
+            # rows: the pivot columns; columns: where the rest's free
             # columns sit among all free columns
-            out[np.ix_(cols[sub_piv], np.searchsorted(free, cols[sub_free]))] = fk.normalize(
-                -_back_substitute(fk, w, sub_piv, w[:len(sub_piv), sub_free]))
-        return Mat(self.field, self.cols, free.size, out)
+            out[np.ix_(piv, np.searchsorted(free, rest_cols[rest_free]))] = fk.normalize(
+                -_back_substitute(fk, w, rest_piv, w[:len(rest_piv), rest_free]))
+        return Mat._of(self.field, out)
 
     def column_space(self) -> "Mat":
         """A basis of the column space, as the columns of the result."""
         if self.cols == 0:
             return Mat.zeros(self.field, self.rows, 0)
         w, piv = self.field._kernel.echelon(self._entries.T)
-        return Mat(self.field, self.rows, len(piv), w[:len(piv)].T)
+        return Mat._of(self.field, w[:len(piv)].T.copy())
 
     def solve(self, b: "Mat"):
         """Particular solution of self @ x = b (b a column), or None."""
@@ -848,7 +920,7 @@ class Mat:
         w, piv = fk.echelon(np.concatenate([self._entries, _identity(self.field, n)], axis=1))
         if len(piv) < n or piv[n - 1] != n - 1:
             raise ZeroDivisionError("matrix is singular")
-        return Mat(self.field, n, n, _back_substitute(fk, w, piv[:n], w[:n, n:]))
+        return Mat._of(self.field, _back_substitute(fk, w, piv[:n], w[:n, n:]))
 
     def minimal_polynomial(self) -> list:
         """Exact minimal polynomial of a square matrix, ascending coefficients.
@@ -1067,12 +1139,13 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat,
     the kernel of these conditions is that of the conditions on the
     P_t h_c P_s^-1, and ``Mat.kernel`` returns the one basis of it that is
     the identity on the free columns: the result is the same matrices as
-    when every h_c is mapped back first.  The kernel's combinations of the
-    h_c come from one product, and only they are mapped back, with one
-    product on each side for all of them; with no remaining pair every h_c
-    is mapped back, in order.  Over F_p the combination product sums c
-    products of residues, c the number of h_c, so it is exact while
-    ``c * (p - 1)**2 < 2**53`` (as for ``Span``); no cap on p enforces it.
+    when every h_c is mapped back first.  Condition rows that are zero are
+    dropped before the kernel.  The h_c have pairwise disjoint supports
+    (each is its own shifted diagonal of its own block), so a combination
+    of them is its coefficients placed by index, with no product and no
+    reduction.  Only the combinations are mapped back, with one product on
+    each side for all of them; with no remaining pair every h_c is mapped
+    back, in order.
     """
     field = s.field
     fk = field._kernel
@@ -1110,10 +1183,14 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat,
             block[idx, rows, :] = rj[cols, :]
             block[idx, :, cols] -= r2j[:, rows].T
             blocks.append(block.reshape(c, e * d).T)
-        ker = Mat(field, len(rest) * e * d, c, np.concatenate(blocks, axis=0)).kernel()
+        cond = np.concatenate(blocks, axis=0)
+        cond = cond[_nonzero_lines(cond)[0]]
+        ker = Mat(field, cond.shape[0], c, cond).kernel()
         if not ker.cols:
             return []
-        h = fk.normalize(fk.matmul(ker._entries.T, h.reshape(c, e * d))).reshape(-1, e, d)
+        # the h_c have disjoint supports: each combination is placed by index
+        h = _zeros(field, ker.cols * e, d).reshape(ker.cols, e, d)
+        h[:, rows, cols] = ker._entries.T[:, idx]
     k = h.shape[0]
     # P_t [h_1 | ... | h_k], then its blocks stacked, times P_s^-1
     left = fk.normalize(fk.matmul(p_tgt._entries, h.transpose(1, 0, 2).reshape(e, k * d)))

@@ -299,14 +299,16 @@ class _Side:
     ``tf`` holds the transforms of folded vertices, B_v for a source and
     A_v for a target; a root has none.  For each remaining arrow a,
     ``factors[a]`` is (B_t M(a), B_s) for a source and (A_t, N(a) A_s) for
-    a target, None standing for a root's identity, and ``pencil(a)`` is
-    their normalized product B_t M(a) B_s^-1 or A_t^-1 N(a) A_s.  Each
+    a target, None standing for a root's identity, ``pencil(a)`` is
+    their normalized product B_t M(a) B_s^-1 or A_t^-1 N(a) A_s, and
+    ``nilpotent(a)`` whether that product is nilpotent.  Each
     transform is a product of invertible matrices and their inverses, so
     the normalizing factors B_s and A_t are invertible.
 
     A side depends on one module only, so ``_side`` builds it once per
     module, contraction and role: every Hom space the module is part of
-    reads the same matrices, and the Jordan frames memoised on them.
+    reads the same matrices, the Jordan frames memoised on them and the
+    answer of each nilpotency test.
     """
 
     def __init__(self, mod: Representation, steps, remaining, source: bool):
@@ -332,6 +334,7 @@ class _Side:
                                     if source else
                                     (tf.get(a.target), _times(mat, tf.get(a.source))))
         self._pencil: dict[str, Mat] = {}
+        self._nilpotent: dict[str, bool] = {}
 
     def pencil(self, name: str) -> Mat:
         got = self._pencil.get(name)
@@ -339,6 +342,12 @@ class _Side:
             u, v = self.factors[name]
             got = self._pencil[name] = (_times(u, _inverse(v)) if self.source
                                         else _times(_inverse(u), v))
+        return got
+
+    def nilpotent(self, name: str) -> bool:
+        got = self._nilpotent.get(name)
+        if got is None:
+            got = self._nilpotent[name] = nilpotency_index(self.pencil(name)) is not None
         return got
 
 
@@ -365,11 +374,11 @@ def _solve_hom_equations(field, m, n, var_roots, equations, src, tgt):
     if len(var_roots) == 1:
         r = var_roots[0]
         if all(rt == r and rs == r for (_, rt, _, _, rs, _, _) in equations):
-            pencil = [(src.pencil(a), tgt.pencil(a)) for a, *_ in equations]
-            for i, (s, sp) in enumerate(pencil):
-                if nilpotency_index(s) is not None and nilpotency_index(sp) is not None:
-                    return [{r: g} for g in
-                            nilpotent_hom_basis(s, sp, pencil[:i] + pencil[i + 1:])]
+            names = [a for a, *_ in equations]
+            for i, a in enumerate(names):
+                if src.nilpotent(a) and tgt.nilpotent(a):
+                    pencil = [(src.pencil(b), tgt.pencil(b)) for b in names]
+                    return [{r: g} for g in nilpotent_hom_basis(*pencil.pop(i), pencil)]
     return _hom_kron(field, m, n, var_roots, equations)
 
 

@@ -1,8 +1,7 @@
 """Hereditary Auslander-Reiten combinatorics and tilting.
 
-Cartan and Coxeter matrices are ``Mat``s over Q (row-vector convention
-d -> d * Phi).  The Euler form that the tilting test reads depends on the
-quiver alone and is ``quiver.euler_form``.  Every sum of projectives is one
+The Euler form that the tilting test reads depends on the quiver alone
+and is ``quiver.euler_form``.  Every sum of projectives is one
 ``_ProjectiveSum``: at each vertex its basis is the (slot, path) pairs, and a
 map out of it is fixed by its generator images, one product per basis
 element and one concatenation per vertex.  Minimal projective presentations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlin import QQ, Field, Mat, Span
+from .exactlin import Field, Mat, Span
 from .quiver import (AlgebraTable, BoundQuiver, Path, Quiver, Relation,
                      _enumerate_paths, build_algebra_table, euler_form)
 from .rep import (Representation, are_isomorphic, end_radical, flatten_morphism,
@@ -47,40 +46,6 @@ def _require_acyclic(q: Quiver) -> None:
         if not sources:
             raise CyclicQuiverError("quiver has an oriented cycle")
         rest -= sources
-
-
-@dataclass
-class CartanData:
-    """Cartan matrix (columns are projective dimension vectors), the Coxeter
-    matrix and its inverse, exact over Q."""
-
-    quiver: Quiver
-    cartan: Mat                 # C[j][i] = number of paths i -> j
-    coxeter: Mat                # Phi = -C^{-T} C, row-vector action
-    coxeter_inv: Mat
-
-    def apply_coxeter_inverse(self, d: Sequence[int]) -> tuple[int, ...]:
-        (image,) = (Mat.from_rows(QQ, [list(d)]) @ self.coxeter_inv).row_list()
-        if any(x.denominator != 1 for x in image):
-            raise ValueError("Coxeter image is not integral")
-        return tuple(int(x) for x in image)
-
-
-def cartan_coxeter(q: Quiver) -> CartanData:
-    """Exact Cartan/Coxeter matrices of an acyclic quiver.
-
-    With A[j][i] the number of arrows i -> j, the path counts are
-    C = I + A + A^2 + ... = (I - A)^{-1}, so C^{-1} = I - A is read off and
-    Phi^{-1} = -C^{-1} C^T; C is the one inversion.
-    """
-    _require_acyclic(q)         # paths are finite only without oriented cycles
-    n = len(q.vertices)
-    pos = {v: i for i, v in enumerate(q.vertices)}
-    arrows = Mat.assemble(QQ, n, n, [(pos[a.target], pos[a.source], Mat.identity(QQ, 1))
-                                     for a in q.arrows])
-    cinv = Mat.identity(QQ, n) - arrows
-    cmat = cinv.inverse()
-    return CartanData(q, cmat, -(cinv.T @ cmat), -(cinv @ cmat.T))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import os
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
@@ -16,7 +18,8 @@ from wildrank.rep import (IndecVerdict, InconclusiveError, Representation, _bloc
 from wildrank.quiver import (BoundQuiver, Quiver, _enumerate_paths, build_algebra_table,
                              k3_bound_quiver, kronecker_quiver, line_quiver,
                              loop_quiver, loop_square_zero, make_relation)
-from wildrank.tilting import _complement_units, _dual_rep, _top_lift_basis, injective_rep
+from wildrank.tilting import (_complement_units, _dual_rep, _require_acyclic,
+                              _top_lift_basis, injective_rep)
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -869,6 +872,43 @@ def reference_ar_translate_inverse(m):
             else Mat.zeros(field, dims[t], dims[s])
     return Representation(bq, field, dims, mats, check=False)
 
+
+
+@dataclass
+class CartanData:
+    """Cartan matrix (columns are projective dimension vectors), the Coxeter
+    matrix and its inverse, exact over Q, in the row-vector convention
+    d -> d * Phi."""
+
+    quiver: Quiver
+    cartan: Mat                 # C[j][i] = number of paths i -> j
+    coxeter: Mat                # Phi = -C^{-T} C, row-vector action
+    coxeter_inv: Mat
+
+    def apply_coxeter_inverse(self, d: Sequence[int]) -> tuple[int, ...]:
+        (image,) = (Mat.from_rows(QQ, [list(d)]) @ self.coxeter_inv).row_list()
+        if any(x.denominator != 1 for x in image):
+            raise ValueError("Coxeter image is not integral")
+        return tuple(int(x) for x in image)
+
+
+def cartan_coxeter(q):
+    """Exact Cartan/Coxeter matrices of an acyclic quiver; a quiver with an
+    oriented cycle raises ``CyclicQuiverError``.  Reference for the
+    dimension vectors of the AR translates in the tilting tests.
+
+    With A[j][i] the number of arrows i -> j, the path counts are
+    C = I + A + A^2 + ... = (I - A)^{-1}, so C^{-1} = I - A is read off and
+    Phi^{-1} = -C^{-1} C^T; C is the one inversion.
+    """
+    _require_acyclic(q)         # paths are finite only without oriented cycles
+    n = len(q.vertices)
+    pos = {v: i for i, v in enumerate(q.vertices)}
+    arrows = Mat.assemble(QQ, n, n, [(pos[a.target], pos[a.source], Mat.identity(QQ, 1))
+                                     for a in q.arrows])
+    cinv = Mat.identity(QQ, n) - arrows
+    cmat = cinv.inverse()
+    return CartanData(q, cmat, -(cinv.T @ cmat), -(cinv @ cmat.T))
 
 @pytest.fixture(scope="session")
 def f101():

@@ -15,11 +15,15 @@ from conftest import (fixture_text, intertwiner_system, jordan_shift, reference_
 
 import wildrank.exactlin as exactlin_module
 
+import wildrank.rep as rep_module
 from wildrank.cli import cmd_certify, cmd_classify
 from wildrank.exactlin import (F101, QQ, Field, Mat, ShapeMismatchError, Span,
                                find_invertible_in_span, jordan_nilpotent, nilpotency_index,
                                nilpotent_hom_basis, trace_form,
-                               _echelon_qq, _is_prime, _jordan_frame, _on_support)
+                               _echelon_qq, _is_prime, _jordan_frame, _on_support,
+                               _peel_unit_rows)
+from wildrank.rep import hom_space
+from wildrank.wildness import FreeAlgModule, eval_tensor, sincere_witness_for_K3
 
 
 def test_field_validation():
@@ -705,9 +709,81 @@ def test_kernel_matches_reference_on_drawn_matrices(field, m, n, density, seed):
     _check_kernel(Mat(field, m, n, rows))
 
 
+def _peeled(a):
+    """The columns of ``a`` that ``Mat.kernel`` peels off before the echelon form."""
+    return set(_peel_unit_rows(*_on_support(a._entries))[2].tolist())
+
+
+def _peelable(field, n, rng, units, chain, twins, zero_cols, dense):
+    """An ``(a, columns)`` pair: ``a`` has ``units`` unit rows, a chain of
+    ``chain`` weight-2 rows that turn into unit rows one drop after another,
+    ``twins`` more unit rows on columns that have one already, ``zero_cols``
+    zero columns and ``dense`` random rows on the other columns, with rows
+    and columns shuffled; ``columns`` are those the unit rows and the chain
+    pin, all of which the cascade must peel."""
+    cols = list(range(n))
+    rng.shuffle(cols)
+    zero, live = cols[:zero_cols], cols[zero_cols:]
+    rows, pinned = [], set()
+
+    def row(entries):
+        r = [field.zero] * n
+        for j in entries:
+            r[j] = field.random_nonzero(rng)
+        rows.append(r)
+
+    for j in rng.sample(live, min(units, len(live))):
+        row([j])
+        pinned.add(j)
+    if chain and len(live) > chain:
+        path = rng.sample(live, chain + 1)
+        row([path[0]])
+        for j0, j1 in zip(path, path[1:]):
+            row([j0, j1])
+        pinned.update(path)
+    for _ in range(twins if pinned else 0):
+        row([rng.choice(sorted(pinned))])
+    for _ in range(dense):
+        row([j for j in live if rng.random() < 0.6])
+    rng.shuffle(rows)
+    assert all(r[j] == field.zero for r in rows for j in zero)
+    return Mat(field, len(rows), n, rows) if rows else Mat.zeros(field, 0, n), pinned
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_kernel_cascade_matches_reference(field):
+    rng = random.Random(f"cascade:{field!r}")
+    fired = 0
+    for trial in range(60):
+        n = rng.randint(2, 12)
+        a, pinned = _peelable(field, n, rng, units=rng.randint(0, 3), chain=rng.randint(0, 4),
+                              twins=rng.randint(0, 2), zero_cols=rng.randint(0, 2),
+                              dense=rng.randint(0, 4))
+        _check_kernel(a)
+        assert pinned <= _peeled(a), trial
+        fired += bool(pinned)
+    # a chain that only a drop turns into unit rows: x0 = 0, x0 + x1 = 0, ...
+    chain = Mat.from_rows(field, [[1, 1, 0, 0, 0], [0, 1, 2, 0, 0], [1, 0, 0, 0, 0],
+                                  [0, 0, 1, 1, 1]])
+    assert _peeled(chain) == {0, 1, 2}
+    _check_kernel(chain)
+    assert fired > 40
+
+
+@given(st.sampled_from(FIELDS), st.integers(1, 10), st.integers(0, 3), st.integers(0, 4),
+       st.integers(0, 2), st.integers(0, 3), st.integers(0, 4), st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_kernel_cascade_matches_reference_on_drawn_matrices(field, n, units, chain, twins,
+                                                            zero_cols, dense, seed):
+    a, pinned = _peelable(field, n, random.Random(seed), units, chain, twins,
+                          min(zero_cols, n - 1), dense)
+    _check_kernel(a)
+    assert pinned <= _peeled(a)
+
+
 def test_kernel_matches_reference_on_certify_systems(monkeypatch):
     kernel = Mat.kernel
-    seen = {"calls": 0, "with_zero_lines": 0}
+    seen = {"calls": 0, "with_zero_lines": 0, "peeled": 0}
 
     def checked(a):
         got = kernel(a)
@@ -715,6 +791,7 @@ def test_kernel_matches_reference_on_certify_systems(monkeypatch):
         assert got.shape == ref.shape and got.row_list() == ref.row_list()
         seen["calls"] += 1
         seen["with_zero_lines"] += _on_support(a._entries)[0].shape != a.shape
+        seen["peeled"] += bool(_peeled(a))
         return got
 
     monkeypatch.setattr(Mat, "kernel", checked)
@@ -722,6 +799,109 @@ def test_kernel_matches_reference_on_certify_systems(monkeypatch):
                             max_dim=1, seed=0, pushdown_samples=1)
     assert code == 0, out
     assert seen["with_zero_lines"] >= 4 and seen["calls"] > seen["with_zero_lines"]
+    assert seen["peeled"] >= 4
+
+
+def _assert_canonical(m):
+    """``m`` is what the public constructor makes of its own entries, bit for
+    bit, with no negative zero, and its entries are read-only."""
+    ref = Mat(m.field, m.rows, m.cols, m._entries)
+    assert not m._entries.flags.writeable
+    assert m._entries.shape == (m.rows, m.cols) and m._entries.dtype == ref._entries.dtype
+    if m.field.char:
+        assert m._entries.tobytes() == ref._entries.tobytes()
+        assert not np.signbit(m._entries).any()
+    else:
+        assert all(type(x) is Fraction for x in m._entries.ravel().tolist())
+        assert m._entries.ravel().tolist() == ref._entries.ravel().tolist()
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_trusted_constructor_sites_give_canonical_entries(field):
+    # every site that builds its result without a reduction: the entries
+    # are canonical by construction, and no writable alias is left
+    rng = random.Random(f"trusted:{field!r}")
+    for _ in range(25):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        a = Mat(field, m, n, _sparse_rows(field, m, n, rng, rng.choice([0.3, 1.0])))
+        b = Mat(field, m, 2, _rand_rows(field, m, 2, rng))
+        square = Mat(field, n, n, _rand_rows(field, n, n, rng))
+        rows = sorted(rng.sample(range(m), rng.randint(0, m)))
+        cols = sorted(rng.sample(range(n), rng.randint(0, n)))
+        made = [Mat.zeros(field, m, n), Mat.identity(field, n), Mat.hcat(field, m, [a, b]),
+                Mat.vcat(field, n, [a, a]), Mat.hcat(field, m, []), a.T, a.T.reshape(n * m, 1),
+                a.reshape(1, m * n), a.submatrix(rows, cols), a.submatrix(rows, []),
+                a.kernel(), a.column_space(),
+                Mat.assemble(field, m + 2, n + 2, [(0, 0, a), (m, n, Mat.identity(field, 2))])]
+        if square.is_invertible():
+            made.append(square.inverse())
+        for x in made:
+            _assert_canonical(x)
+        # an overlap adds, and the sum is reduced
+        twice = Mat.assemble(field, m, n, [(0, 0, a), (0, 0, a)])
+        _assert_canonical(twice)
+        assert twice == a.scaled(2)
+    # the entries the reductions make: p - 1 and negatives of zero
+    top = Mat.from_rows(field, [[-1, 0], [0, -1]])
+    for x in (top.inverse(), (-top).kernel(), top.column_space(),
+              Mat.from_rows(field, [[1, -1], [-1, 1]]).kernel()):
+        _assert_canonical(x)
+
+
+def _k3_witness_pencils(k3_table):
+    """The arguments of every ``nilpotent_hom_basis`` call that the Hom
+    spaces between the images of a 1- and a 2-dimensional module under the
+    rank-28 K3 witness make, with those modules."""
+    w = sincere_witness_for_K3(k3_table)
+    images = []
+    for dim in (1, 2):
+        rng = random.Random(f"k3-pencils:{dim}")
+        while True:
+            v = FreeAlgModule(Mat.random(F101, dim, dim, rng), Mat.random(F101, dim, dim, rng))
+            img = eval_tensor(w, v)
+            if img.total_dim == 28 * dim:
+                images.append(img)
+                break
+    calls = []
+    solve = rep_module.nilpotent_hom_basis
+    rep_module.nilpotent_hom_basis = lambda s, sp, rest=(): (calls.append((s, sp, list(rest)))
+                                                             or solve(s, sp, rest))
+    try:
+        for m in images:
+            for n in images:
+                hom_space(m, n)
+    finally:
+        rep_module.nilpotent_hom_basis = solve
+    return calls
+
+
+def test_nilpotent_hom_basis_matches_reference_on_k3_witness_pencils(k3_table):
+    calls = _k3_witness_pencils(k3_table)
+    assert len(calls) == 4 and all(rest for _, _, rest in calls)
+    for s, sp, rest in calls:
+        got = nilpotent_hom_basis(s, sp, rest)
+        assert got == reference_hom_pencil(F101, sp.rows, s.rows, [(s, sp)] + rest)
+        for g in got:
+            _assert_canonical(g)
+
+
+def test_k3_witness_pencils_leave_a_small_dense_pass(k3_table, monkeypatch):
+    # the Hom conditions of the witness images are about 1% dense and mostly
+    # rows of weight one or two: after the cascade the echelon form sees a
+    # few columns, not one per Jordan-block intertwiner (112 on 28 x 28)
+    calls = _k3_witness_pencils(k3_table)
+    shapes = []
+    echelon = exactlin_module._echelon_fp
+    monkeypatch.setattr(exactlin_module, "_echelon_fp",
+                        lambda a, p, *args: shapes.append(a.shape) or echelon(a, p, *args))
+    dense = []
+    for s, sp, rest in calls:
+        _jordan_frame(s), _jordan_frame(sp)       # memoised already: no elimination
+        shapes.clear()
+        nilpotent_hom_basis(s, sp, rest)
+        assert len(shapes) == 1
+        dense.append((s.rows, sp.rows, shapes[0]))
+    assert max(cols for _, _, (_, cols) in dense) <= 16, dense
 
 
 @pytest.mark.parametrize("field", [F101, QQ], ids=str)

@@ -554,6 +554,42 @@ def test_hom_spaces_of_a_module_share_its_contracted_side(k2_bq, monkeypatch):
             assert hom_space(copy_rep(m), copy_rep(n)).basis == hom_space(m, n).basis
 
 
+def test_pencil_nilpotency_is_tested_once_per_side(k3_bq, monkeypatch):
+    # three-arrow Kronecker modules (A, A R, A G J G^-1): contracting a leaves
+    # the pencils A^-1 M(b), not nilpotent, and A^-1 M(c), nilpotent; each
+    # side tests each of its pencils once over the four Hom spaces between
+    # two modules, where a test per Hom space and pencil pair took twelve
+    rng = random.Random("nilpotency-memo")
+
+    def invertible(n):
+        while True:
+            g = Mat.random(F101, n, n, rng)
+            if g.is_invertible():
+                return g
+
+    mods = []
+    for sizes in ([(2, 0), (1, 0)], [(3, 0)]):
+        a, g, r = invertible(3), invertible(3), invertible(3)
+        assert nilpotency_index(r) is None
+        nil = g @ Mat.from_rows(F101, _jordan_rows(sizes, 3)) @ g.inverse()
+        mods.append(Representation(k3_bq, F101, {"1": 3, "2": 3},
+                                   {"a": a, "b": a @ r, "c": a @ nil}))
+    tested = []
+    monkeypatch.setattr(rep_module, "nilpotency_index",
+                        lambda s: tested.append(s) or nilpotency_index(s))
+    for m in mods:
+        for n in mods:
+            h = hom_space(m, n)
+            assert h.dim == len(reference_hom_space(m, n))
+            assert all(f["2"] @ m.mats[x] == n.mats[x] @ f["1"] for f in h.basis for x in "abc")
+    # b on the source sides (its target sides are never asked: the source
+    # pencil already fails), c on every side
+    assert len(tested) == len({id(s) for s in tested}) == 6
+    for m in mods:
+        for n in mods:
+            assert hom_space(copy_rep(m), copy_rep(n)).basis == hom_space(m, n).basis
+
+
 def _indecomposability_cases(field, dual_numbers_bq, a2_bq, k2_bq):
     """One module per route of ``is_indecomposable``, by name."""
     one_loop = BoundQuiver(loop_quiver(1), [], nilbound=3)

@@ -5,16 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (reference_ar_translate_inverse, reference_ext1_dim_via_presentation,
-                      reference_projective_presentation, reference_projective_rep)
+from conftest import (cartan_coxeter, reference_ar_translate_inverse,
+                      reference_ext1_dim_via_presentation, reference_projective_presentation,
+                      reference_projective_rep)
 from wildrank.exactlin import F101, QQ, Field, Mat
 from wildrank.quiver import (BoundQuiver, Quiver, _enumerate_paths, euler_form,
                              kronecker_quiver, line_quiver, loop_quiver)
 from wildrank.rep import (Representation, are_isomorphic, hom_space,
                           is_indecomposable, support)
-from wildrank.tilting import (CartanData, CyclicQuiverError, Preprojective,
+from wildrank.tilting import (CyclicQuiverError, Preprojective,
                               TiltingCandidate, ar_translate_inverse,
-                              cartan_coxeter, endomorphism_algebra,
+                              endomorphism_algebra,
                               enumerate_preprojectives,
                               ext1_dim_via_presentation, injective_rep,
                               is_tilting, projective_presentation, projective_rep,
