@@ -18,10 +18,9 @@ window found, 4 verification failure, 5 inconclusive-dominated run.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,7 +28,14 @@ from . import __version__
 from .exactlin import Field, Mat
 from .quiver import (BoundQuiver, Quiver, Relation, RepType,
                      build_algebra_table, classify_hereditary,
-                     is_minimal_wild_hereditary, AdmissibilityError)
+                     is_minimal_wild_hereditary, serialize_quiver_spec, AdmissibilityError)
+from .rep import Representation
+from .modvariety import stratum_probe
+from .tilting import (CyclicQuiverError, endomorphism_algebra, enumerate_preprojectives,
+                      tilting_candidates)
+from .wildness import (CertStep, CheckCounts, WitnessBimodule, WitnessCertificate,
+                       verify_witness)
+from .covering import CoveringSpec, covering_criterion, verify_pushdown
 
 
 class SpecError(ValueError):
@@ -47,7 +53,7 @@ class ParsedSpec:
     name: str
     field: Field
     bound_quiver: BoundQuiver
-    covering: Optional[object]      # CoveringSpec when weights are present
+    covering: Optional[CoveringSpec]    # when weights are present
     weights: Optional[dict]
 
 
@@ -209,7 +215,6 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
         raise SpecError(1, 1, str(e))
     covering = None
     if weights:
-        from .covering import CoveringSpec
         ranks = {len(w) for w in weights.values()}
         if len(ranks) != 1:
             raise SpecError(1, 1, "arrow weights have inconsistent lengths")
@@ -219,29 +224,6 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
         except ValueError as e:
             raise SpecError(1, 1, f"covering semantic error: {e}")
     return ParsedSpec(name, field, bq, covering, weights or None)
-
-
-def serialize_quiver_spec(bq: BoundQuiver, name: str,
-                          field: Optional[Field] = None,
-                          weights: Optional[dict] = None) -> str:
-    """Canonical serialization; parse-serialize round-trips exactly."""
-    lines = [f"quiver {name}"]
-    if field is not None:
-        lines.append("field Q" if field.char == 0 else f"field Fp {field.char}")
-    if bq.quiver.vertices:
-        lines.append("vertex " + " ".join(bq.quiver.vertices))
-    for a in bq.quiver.arrows:
-        w = ""
-        if weights and a.name in weights:
-            w = " weight " + ",".join(str(x) for x in weights[a.name])
-        lines.append(f"arrow {a.name}: {a.source} -> {a.target}{w}")
-    for rel in bq.relations:
-        terms = []
-        for coef, path in rel.terms:
-            terms.append(f"{coef}*" + "*".join(path.arrows))
-        lines.append("relation " + " + ".join(terms))
-    lines.append(f"nilbound {bq.nilbound}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +252,6 @@ def parse_representation(text: str, bq: BoundQuiver):
     Every malformed input raises a positioned ``SpecError``.  Entries are
     read once the whole file is, over its ``field`` line (F101 without one).
     """
-    from .rep import Representation
     q = bq.quiver
     name = "unnamed"
     field: Optional[Field] = None
@@ -335,63 +316,15 @@ def parse_representation(text: str, bq: BoundQuiver):
 # certificate files
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CertStep:
-    rule: str              # explicit-bimodule | compose | factor-rule | morita-rule | covering-rule
-    rank_factor: int       # multiplicative contribution to the bound (1 for factor-rule)
-    note: str = ""
+#: the keys of a certificate file that appear once; ``step`` and ``note``
+#: lines may repeat
+_CERT_KEYS = ("name", "algebra", "algebra-hash", "algebra-dim", "target-kind", "field",
+              "seed", "bound", "verification", "toolkit-version")
 
 
-class Derivation:
-    """Bound arithmetic of a certificate: the bound is the product of the
-    rank factors of its ``steps``, so it can be recomputed from them alone."""
-
-    def recompute_bound(self) -> int:
-        return math.prod(s.rank_factor for s in self.steps)
-
-    def check_arithmetic(self) -> bool:
-        return self.recompute_bound() == self.bound
-
-
-@dataclass
-class CertificateDoc(Derivation):
-    """Textual certificate with a stable field order; round-trips exactly."""
-
-    name: str
-    algebra_desc: str
-    algebra_hash: str
-    algebra_dim: int
-    target_kind: str
-    field_desc: str
-    seed: str
-    steps: list[CertStep]
-    bound: int
-    verification: str                       # single summary line or "none"
-    notes: list[str]
-    version: str = __version__
-
-    def to_text(self) -> str:
-        lines = [
-            "wildrank-certificate 1",
-            f"name {self.name}",
-            f"algebra {self.algebra_desc}",
-            f"algebra-hash {self.algebra_hash}",
-            f"algebra-dim {self.algebra_dim}",
-            f"target-kind {self.target_kind}",
-            f"field {self.field_desc}",
-            f"seed {self.seed}",
-        ]
-        for s in self.steps:
-            lines.append(f"step {s.rule} factor {s.rank_factor} note {s.note}")
-        lines.append(f"bound {self.bound}")
-        lines.append(f"verification {self.verification}")
-        for n in self.notes:
-            lines.append(f"note {n}")
-        lines.append(f"toolkit-version {self.version}")
-        return "\n".join(lines) + "\n"
-
-
-def parse_certificate(text: str) -> CertificateDoc:
+def parse_certificate(text: str) -> WitnessCertificate:
+    """Read a certificate file (``WitnessCertificate.to_text``); unknown and
+    repeated keys are rejected."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "wildrank-certificate 1":
         raise SpecError(1, 1, "not a wildrank certificate")
@@ -417,42 +350,30 @@ def parse_certificate(text: str) -> CertificateDoc:
             steps.append(CertStep(rule.strip(), factor, note))
         elif key == "note":
             notes.append(rest)
+        elif key not in _CERT_KEYS:
+            raise SpecError(ln, 1, f"unknown key {key!r}")
+        elif key in kv:
+            raise SpecError(ln, 1, f"repeated key {key!r}; first on line {key_line[key][0]}")
         else:
             kv[key] = rest
             key_line[key] = (ln, len(key) + 2)
     try:
-        return CertificateDoc(
+        return WitnessCertificate(
             name=kv["name"],
-            algebra_desc=kv["algebra"],
-            algebra_hash=kv["algebra-hash"],
-            algebra_dim=integer(*key_line["algebra-dim"], kv["algebra-dim"], "algebra-dim"),
+            target_desc=kv["algebra"],
+            target_hash=kv["algebra-hash"],
+            target_dim=integer(*key_line["algebra-dim"], kv["algebra-dim"], "algebra-dim"),
             target_kind=kv["target-kind"],
             field_desc=kv["field"],
             seed=kv["seed"],
-            steps=steps,
+            steps=tuple(steps),
             bound=integer(*key_line["bound"], kv["bound"], "bound"),
             verification=kv["verification"],
-            notes=notes,
+            notes=tuple(notes),
             version=kv.get("toolkit-version", __version__),
         )
     except KeyError as e:
         raise SpecError(1, 1, f"certificate missing field {e}")
-
-
-def certificate_doc(cert, name: str, verification_summary: str) -> CertificateDoc:
-    return CertificateDoc(
-        name=name,
-        algebra_desc=cert.target_desc,
-        algebra_hash=cert.target_hash,
-        algebra_dim=cert.target_dim,
-        target_kind=cert.target_kind,
-        field_desc=cert.field_desc,
-        seed=str(cert.seed),
-        steps=list(cert.steps),
-        bound=cert.bound,
-        verification=verification_summary,
-        notes=list(cert.notes),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -498,31 +419,15 @@ def inconclusive_dominated(report) -> bool:
 
 
 def _merged_summary(reports) -> str:
-    passed = failed = inconclusive = samples = 0
-    for r in reports:
-        if r is None:
-            continue
-        counts = [r.indecomposability, r.iso_classes]
-        if hasattr(r, "hom_dims"):
-            counts.append(r.hom_dims)
-        if hasattr(r, "bimodule_agreement"):
-            counts.append(r.bimodule_agreement)
-        if getattr(r, "sincere", None) is not None:
-            counts.append(r.sincere)
-        for c in counts:
-            passed += c.passed
-            failed += c.failed
-            inconclusive += c.inconclusive
-        samples += r.samples
-    return f"samples {samples} pass {passed} fail {failed} inconclusive {inconclusive}"
+    """The samples and the check counts of ``reports``, summed."""
+    counts = sum((r.counts for r in reports), CheckCounts())
+    return f"samples {sum(r.samples for r in reports)} {counts.as_text()}"
 
 
 def cmd_certify(text: str, radius: int = 2, samples: int = 30, max_dim: int = 1,
                 seed=0, pushdown_samples: int = 30, pushdown_max_dim: int = 6,
                 out_path: Optional[str] = None,
                 debug_corrupt_witness: bool = False) -> tuple[str, int]:
-    from .covering import CoveringSpec, covering_criterion, verify_pushdown
-    from .wildness import WitnessBimodule, verify_witness
     try:
         spec = parse_quiver_spec(text)
     except SpecError as e:
@@ -552,7 +457,7 @@ def cmd_certify(text: str, radius: int = 2, samples: int = 30, max_dim: int = 1,
                                max_total_dim=pushdown_max_dim, seed=seed,
                                field=spec.field)
     summary = _merged_summary([report_w, report_p])
-    doc = certificate_doc(cert, spec.name, summary)
+    doc = replace(cert, name=spec.name, verification=summary)
     lines = [doc.to_text().rstrip("\n"), "", report_w.to_text(), "", report_p.to_text()]
     output = "\n".join(lines)
     if not report_w.valid or not report_p.valid:
@@ -568,7 +473,6 @@ def cmd_certify(text: str, radius: int = 2, samples: int = 30, max_dim: int = 1,
 
 
 def cmd_variety(text: str, nmax: int = 2, samples: int = 8, seed=0) -> tuple[str, int]:
-    from .modvariety import stratum_probe
     try:
         spec = parse_quiver_spec(text)
     except SpecError as e:
@@ -590,9 +494,6 @@ def cmd_variety(text: str, nmax: int = 2, samples: int = 8, seed=0) -> tuple[str
 
 
 def cmd_tilt(text: str, depth: int = 1) -> tuple[str, int]:
-    from .tilting import (CyclicQuiverError, TiltingCandidate, endomorphism_algebra,
-                          enumerate_preprojectives, is_tilting)
-    import itertools as it
     try:
         spec = parse_quiver_spec(text)
     except SpecError as e:
@@ -608,17 +509,9 @@ def cmd_tilt(text: str, depth: int = 1) -> tuple[str, int]:
     for p in pool:
         lines.append(f"  tau^-{p.shift} P({p.projective_vertex}): "
                      f"dim {list(p.rep.dim_vector())} sincere {'yes' if p.sincere else 'no'}")
-    n = len(bq.quiver.vertices)
     lines.append("tilting candidates (with at least one projective summand):")
     found = 0
-    for combo in it.combinations(range(len(pool)), n):
-        items = [pool[i] for i in combo]
-        if not any(x.shift == 0 for x in items):
-            continue
-        cand = TiltingCandidate(items)
-        if not is_tilting(cand):
-            continue
-        found += 1
+    for found, cand in enumerate(tilting_candidates(pool, len(bq.quiver.vertices)), start=1):
         lines.append(f"  tilting: {' + '.join(cand.labels())}")
         try:
             pres, table = endomorphism_algebra(cand, spec.field)

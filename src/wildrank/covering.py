@@ -29,10 +29,9 @@ from .quiver import (AlgebraTable, BoundQuiver, Path, Quiver, RepType, Relation,
                      is_minimal_wild_hereditary)
 from .rep import (InconclusiveError, Representation, SamplingStarvation,
                   are_isomorphic, in_sincere_subcategory, sample_representation)
-from .wildness import (CertStep, CheckCounts, WitnessBimodule,
+from .wildness import (CertStep, CheckCounts, CheckedReport, WitnessBimodule,
                        WitnessCertificate, bound_quiver_hash, check_preservation,
-                       compose_witness,
-                       eval_tensor, sincere_witness_for_K3,
+                       compose_witness, eval_tensor, sincere_witness_for_K3,
                        _coeffs, _from_entries, _tensor_prod, _tensor_sum)
 
 
@@ -223,7 +222,7 @@ def pushdown(w: Window, n: Representation) -> Representation:
 
 
 @dataclass
-class PushdownReport:
+class PushdownReport(CheckedReport):
     """Sampled verification of pushdown preservation on sincere modules."""
 
     samples: int
@@ -239,24 +238,21 @@ class PushdownReport:
     notes: tuple = ()
 
     @property
+    def checks(self) -> list[tuple[str, CheckCounts]]:
+        return [("indecomposability-preservation", self.indecomposability),
+                ("iso-class-preservation", self.iso_classes),
+                ("bimodule-agreement", self.bimodule_agreement)]
+
+    @property
     def valid(self) -> bool:
-        return not (self.indecomposability.failed or self.iso_classes.failed
-                    or self.bimodule_agreement.failed or self.starved)
+        return super().valid and not self.starved
 
     def to_text(self) -> str:
-        lines = [
-            f"pushdown-verification samples {self.samples} max-total-dim "
-            f"{self.max_total_dim} seed {self.seed} field {self.field}",
-            f"rejected-nonsincere {self.rejected} starved {str(self.starved).lower()}",
-            f"pairs-checked {self.pair_count}",
-            f"indecomposability-preservation {self.indecomposability.as_text()}",
-            f"iso-class-preservation {self.iso_classes.as_text()}",
-            f"bimodule-agreement {self.bimodule_agreement.as_text()}",
-            f"verdict {'ok' if self.valid else 'FAILED'}",
-        ]
-        for n in self.notes:
-            lines.append(f"note {n}")
-        return "\n".join(lines)
+        return self._text([f"pushdown-verification samples {self.samples} max-total-dim "
+                           f"{self.max_total_dim} seed {self.seed} field {self.field}",
+                           f"rejected-nonsincere {self.rejected} "
+                           f"starved {str(self.starved).lower()}",
+                           f"pairs-checked {self.pair_count}"])
 
 
 def verify_pushdown(w: Window, samples: int, max_total_dim: int, seed,
@@ -424,7 +420,6 @@ def _certificate_from_window(cov: CoveringSpec, window: Window, field: Field,
         field_desc=repr(field),
         seed=seed,
         target_kind="algebra",
-        verification=None,
         notes=notes,
         bimodule=composite,
         target_bq=cov.base,

@@ -140,12 +140,6 @@ class Field:
         """Uniform over F_p; small integers in [-9, 9] over the rationals."""
         return self._kernel.random_scalar(rng)
 
-    def random_nonzero(self, rng: random.Random) -> Scalar:
-        while True:
-            x = self.random_scalar(rng)
-            if x != 0:
-                return x
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and other.char == self.char
 

@@ -228,6 +228,30 @@ def make_relation(q: Quiver, terms: Sequence[tuple[Fraction | int, Sequence[str]
     return Relation(tuple((Fraction(c), q.path(list(w))) for c, w in terms))
 
 
+def serialize_quiver_spec(bq: BoundQuiver, name: str,
+                          field: Optional[Field] = None,
+                          weights: Optional[dict] = None) -> str:
+    """The canonical quiver-spec text of ``bq`` (the grammar of
+    ``cli.parse_quiver_spec``); parse-serialize round-trips exactly."""
+    lines = [f"quiver {name}"]
+    if field is not None:
+        lines.append("field Q" if field.char == 0 else f"field Fp {field.char}")
+    if bq.quiver.vertices:
+        lines.append("vertex " + " ".join(bq.quiver.vertices))
+    for a in bq.quiver.arrows:
+        w = ""
+        if weights and a.name in weights:
+            w = " weight " + ",".join(str(x) for x in weights[a.name])
+        lines.append(f"arrow {a.name}: {a.source} -> {a.target}{w}")
+    for rel in bq.relations:
+        terms = []
+        for coef, path in rel.terms:
+            terms.append(f"{coef}*" + "*".join(path.arrows))
+        lines.append("relation " + " + ".join(terms))
+    lines.append(f"nilbound {bq.nilbound}")
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # algebra table
 # ---------------------------------------------------------------------------

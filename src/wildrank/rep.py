@@ -42,7 +42,7 @@ from sympy.polys.galoistools import gf_gcdex, gf_mul, gf_pow
 
 from .exactlin import (Field, Mat, ShapeMismatchError, Span, find_invertible_in_span,
                        nilpotency_index, nilpotent_hom_basis, trace_form, trace_radical)
-from .quiver import AlgebraElement, BoundQuiver, Path
+from .quiver import AlgebraElement, BoundQuiver, Path, _enumerate_paths
 
 DEFAULT_TRIALS = 32
 
@@ -803,7 +803,6 @@ def _uniform_power_length(bq: BoundQuiver) -> Optional[int]:
     if len(lengths) != 1:
         return None
     mu = lengths.pop()
-    from .quiver import _enumerate_paths
     all_mu = {p.arrows for p in _enumerate_paths(bq.quiver, mu) if len(p) == mu}
     return mu if words == all_mu else None
 

@@ -22,11 +22,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .exactlin import Field, Mat, Span
 from .quiver import (AlgebraTable, BoundQuiver, Path, Quiver, Relation,
-                     _enumerate_paths, build_algebra_table, euler_form)
+                     _enumerate_paths, build_algebra_table, euler_form,
+                     is_minimal_wild_hereditary)
 from .rep import (Representation, are_isomorphic, end_radical, flatten_morphism,
                   hom_space, morphism_compose, support)
 
@@ -478,6 +479,16 @@ def endomorphism_algebra(candidate: TiltingCandidate,
     return bq_pres, table
 
 
+def tilting_candidates(pool: Sequence[Preprojective], n: int) -> Iterator[TiltingCandidate]:
+    """The tilting modules among the ``n``-element subsets of ``pool`` with a
+    projective summand, in the order of ``itertools.combinations``."""
+    for items in itertools.combinations(pool, n):
+        if any(p.shift == 0 for p in items):
+            cand = TiltingCandidate(list(items))
+            if is_tilting(cand):
+                yield cand
+
+
 def search_concealed(bq: BoundQuiver, field: Field, depth: int,
                      require_minimal_wild: bool = True
                      ) -> list[tuple[TiltingCandidate, BoundQuiver, AlgebraTable]]:
@@ -487,19 +498,8 @@ def search_concealed(bq: BoundQuiver, field: Field, depth: int,
     Not exhaustive beyond the depth; candidates record, per non-projective
     summand, whether its shift-by-one predecessor is sincere.
     """
-    from .quiver import is_minimal_wild_hereditary
     if require_minimal_wild and not is_minimal_wild_hereditary(bq.quiver):
         raise ValueError("search requires a minimal wild hereditary quiver")
     pool = enumerate_preprojectives(bq, field, depth)
-    n = len(bq.quiver.vertices)
-    out = []
-    for combo in itertools.combinations(range(len(pool)), n):
-        items = [pool[i] for i in combo]
-        if not any(it.shift == 0 for it in items):
-            continue
-        cand = TiltingCandidate(items)
-        if not is_tilting(cand):
-            continue
-        pres, table = endomorphism_algebra(cand, field)
-        out.append((cand, pres, table))
-    return out
+    return [(cand, *endomorphism_algebra(cand, field))
+            for cand in tilting_candidates(pool, len(bq.quiver.vertices))]

@@ -18,20 +18,23 @@ Kronecker representations, the rank-7 fully faithful functor in the other
 direction, and their rank-28 composite whose images consist of sincere
 modules.  Certificate arithmetic tracks upper bounds on the minimal witness
 rank of an algebra under composition, factor algebras, and Morita
-multiplication.
+multiplication; a ``WitnessCertificate`` is also the certificate file,
+written by its ``to_text`` and read back by ``cli.parse_certificate``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
-from .cli import CertStep, Derivation
+from . import __version__
 from .exactlin import Field, Mat, ShapeMismatchError
 from .quiver import (AlgebraElement, AlgebraTable, BoundQuiver, Path,
-                     build_algebra_table, loop_quiver)
+                     build_algebra_table, factor_quiver, k3_bound_quiver, loop_quiver,
+                     serialize_quiver_spec)
 from .rep import (Representation, are_isomorphic, hom_space,
                   in_sincere_subcategory, is_indecomposable, InconclusiveError)
 
@@ -394,14 +397,6 @@ def _diagonal_assignment(proj, vertices, total):
     return assign
 
 
-def eval_tensor_morphism(w: WitnessBimodule, f: Mat) -> Mat:
-    """The functor on morphisms: the rank-fold block-diagonal of f, in raw
-    (generator-major) coordinates."""
-    r = w.rank
-    return Mat.assemble(w.field, r * f.rows, r * f.cols,
-                        [(k * f.rows, k * f.cols, f) for k in range(r)])
-
-
 # ---------------------------------------------------------------------------
 # built-in witnesses
 # ---------------------------------------------------------------------------
@@ -420,7 +415,6 @@ def _k3_shape(table: AlgebraTable):
 
 
 def default_k3_table(field: Field) -> AlgebraTable:
-    from .quiver import k3_bound_quiver
     return build_algebra_table(k3_bound_quiver(), field)
 
 
@@ -526,12 +520,47 @@ class CheckCounts:
         else:
             self.failed += 1
 
+    def __add__(self, other: "CheckCounts") -> "CheckCounts":
+        return CheckCounts(self.passed + other.passed, self.failed + other.failed,
+                           self.inconclusive + other.inconclusive)
+
     def as_text(self) -> str:
         return f"pass {self.passed} fail {self.failed} inconclusive {self.inconclusive}"
 
 
+class CheckedReport:
+    """A verification report whose checks are the ``(label, CheckCounts)``
+    pairs of its ``checks``; its verdict, totals and count lines are read
+    from that one list."""
+
+    @property
+    def valid(self) -> bool:
+        return not any(c.failed for _, c in self.checks)
+
+    @property
+    def counts(self) -> CheckCounts:
+        """All checks together."""
+        return sum((c for _, c in self.checks), CheckCounts())
+
+    @property
+    def inconclusive_total(self) -> int:
+        return self.counts.inconclusive
+
+    @property
+    def checked_total(self) -> int:
+        c = self.counts
+        return c.passed + c.failed + c.inconclusive
+
+    def _text(self, head: list[str]) -> str:
+        """``head``, then one line per check, the verdict and the notes."""
+        lines = head + [f"{label} {c.as_text()}" for label, c in self.checks]
+        lines.append(f"verdict {'ok' if self.valid else 'FAILED'}")
+        lines += [f"note {n}" for n in self.notes]
+        return "\n".join(lines)
+
+
 @dataclass
-class WitnessReport:
+class WitnessReport(CheckedReport):
     """Outcome of bounded randomized verification of a witness bimodule.
 
     This is statistical evidence over seeded samples, not a proof: the
@@ -550,45 +579,18 @@ class WitnessReport:
     notes: tuple = ()
 
     @property
-    def valid(self) -> bool:
-        bad = (self.indecomposability.failed or self.iso_classes.failed
-               or self.hom_dims.failed)
+    def checks(self) -> list[tuple[str, CheckCounts]]:
+        out = [("indecomposability-preservation", self.indecomposability),
+               ("iso-class-preservation", self.iso_classes),
+               ("hom-dimension-equality", self.hom_dims)]
         if self.sincere is not None:
-            bad = bad or self.sincere.failed
-        return not bad
-
-    @property
-    def inconclusive_total(self) -> int:
-        total = (self.indecomposability.inconclusive + self.iso_classes.inconclusive
-                 + self.hom_dims.inconclusive)
-        if self.sincere is not None:
-            total += self.sincere.inconclusive
-        return total
-
-    @property
-    def checked_total(self) -> int:
-        total = (self.indecomposability.passed + self.indecomposability.failed
-                 + self.iso_classes.passed + self.iso_classes.failed
-                 + self.hom_dims.passed + self.hom_dims.failed)
-        if self.sincere is not None:
-            total += self.sincere.passed + self.sincere.failed
-        return total + self.inconclusive_total
+            out.append(("sincere-images", self.sincere))
+        return out
 
     def to_text(self) -> str:
-        lines = [
-            f"witness-verification samples {self.samples} max-dim {self.max_dim} "
-            f"seed {self.seed} field {self.field}",
-            f"pairs-checked {self.pair_count}",
-            f"indecomposability-preservation {self.indecomposability.as_text()}",
-            f"iso-class-preservation {self.iso_classes.as_text()}",
-            f"hom-dimension-equality {self.hom_dims.as_text()}",
-        ]
-        if self.sincere is not None:
-            lines.append(f"sincere-images {self.sincere.as_text()}")
-        lines.append(f"verdict {'ok' if self.valid else 'FAILED'}")
-        for n in self.notes:
-            lines.append(f"note {n}")
-        return "\n".join(lines)
+        return self._text([f"witness-verification samples {self.samples} max-dim "
+                           f"{self.max_dim} seed {self.seed} field {self.field}",
+                           f"pairs-checked {self.pair_count}"])
 
 
 def check_preservation(sources: Sequence[Representation], images: Sequence[Representation],
@@ -689,14 +691,25 @@ def verify_witness(w: WitnessBimodule, samples: int, max_dim: int, seed,
 # certificates
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class CertStep:
+    rule: str              # explicit-bimodule | compose | factor-rule | morita-rule | covering-rule
+    rank_factor: int       # multiplicative contribution to the bound (1 for factor-rule)
+    note: str = ""
+
+
 @dataclass
-class WitnessCertificate(Derivation):
+class WitnessCertificate:
     """Machine-checkable derivation of an upper bound on a witness rank.
 
     The bound always equals the product of the step rank factors, so it can
     be recomputed from the derivation alone.  ``target_kind`` distinguishes
     bounds for the whole module category from bounds for its sincere
-    subcategory.
+    subcategory.  ``to_text`` is the certificate file, with a stable field
+    order; ``cli.parse_certificate`` reads it back into this class, without
+    the ``bimodule`` and ``target_bq`` that only a derivation in memory has.
+    ``verification`` is the one-line summary of the checks run on the
+    witness, or ``"none"``.
     """
 
     target_desc: str
@@ -707,14 +720,39 @@ class WitnessCertificate(Derivation):
     field_desc: str
     seed: object
     target_kind: str = "algebra"
-    verification: Optional[WitnessReport] = None
+    name: str = "unnamed"
+    verification: str = "none"
     notes: tuple = ()
     bimodule: Optional[WitnessBimodule] = None
     target_bq: Optional[BoundQuiver] = None
+    version: str = __version__
+
+    def recompute_bound(self) -> int:
+        return math.prod(s.rank_factor for s in self.steps)
+
+    def check_arithmetic(self) -> bool:
+        return self.recompute_bound() == self.bound
+
+    def to_text(self) -> str:
+        lines = [
+            "wildrank-certificate 1",
+            f"name {self.name}",
+            f"algebra {self.target_desc}",
+            f"algebra-hash {self.target_hash}",
+            f"algebra-dim {self.target_dim}",
+            f"target-kind {self.target_kind}",
+            f"field {self.field_desc}",
+            f"seed {self.seed}",
+        ]
+        lines += [f"step {s.rule} factor {s.rank_factor} note {s.note}" for s in self.steps]
+        lines.append(f"bound {self.bound}")
+        lines.append(f"verification {self.verification}")
+        lines += [f"note {n}" for n in self.notes]
+        lines.append(f"toolkit-version {self.version}")
+        return "\n".join(lines) + "\n"
 
 
 def bound_quiver_hash(bq: BoundQuiver) -> str:
-    from .cli import serialize_quiver_spec
     text = serialize_quiver_spec(bq, name="hash", field=None, weights=None)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -722,8 +760,7 @@ def bound_quiver_hash(bq: BoundQuiver) -> str:
 def certificate_for_bimodule(w: WitnessBimodule, target_bq: BoundQuiver,
                              target_desc: str, seed,
                              target_kind: str = "algebra",
-                             note: str = "explicit witness bimodule",
-                             verification: Optional[WitnessReport] = None) -> WitnessCertificate:
+                             note: str = "explicit witness bimodule") -> WitnessCertificate:
     table_dim = w.target.dimension if isinstance(w.target, AlgebraTable) else 0
     return WitnessCertificate(
         target_desc=target_desc,
@@ -734,7 +771,6 @@ def certificate_for_bimodule(w: WitnessBimodule, target_bq: BoundQuiver,
         field_desc=repr(w.field),
         seed=seed,
         target_kind=target_kind,
-        verification=verification,
         bimodule=w,
         target_bq=target_bq,
     )
@@ -758,7 +794,6 @@ def bound_via_factor(cert: WitnessCertificate, provenance: FactorProvenance,
     checked; when the certificate carries its bimodule, the inflated action
     is rebuilt over the parent algebra and revalidated.
     """
-    from .quiver import factor_quiver
     if cert.target_bq is None:
         raise ValueError("certificate lacks a target bound quiver; "
                          "factor provenance cannot be checked")
@@ -777,20 +812,10 @@ def bound_via_factor(cert: WitnessCertificate, provenance: FactorProvenance,
         parent_dim = parent_table.dimension
     step = CertStep("factor-rule", 1,
                     f"bound inherited along surjection onto {cert.target_desc}")
-    return WitnessCertificate(
-        target_desc=parent_desc or f"algebra with factor {cert.target_desc}",
-        target_hash=bound_quiver_hash(provenance.parent),
-        target_dim=parent_dim,
-        bound=cert.bound,
-        steps=cert.steps + (step,),
-        field_desc=cert.field_desc,
-        seed=cert.seed,
-        target_kind=cert.target_kind,
-        verification=cert.verification,
-        notes=cert.notes,
-        bimodule=new_bimodule,
-        target_bq=provenance.parent,
-    )
+    return replace(cert, target_desc=parent_desc or f"algebra with factor {cert.target_desc}",
+                   target_hash=bound_quiver_hash(provenance.parent), target_dim=parent_dim,
+                   steps=cert.steps + (step,), bimodule=new_bimodule,
+                   target_bq=provenance.parent)
 
 
 def _inflate_bimodule(w: WitnessBimodule, parent_table: AlgebraTable,
@@ -821,17 +846,7 @@ def bound_via_morita(cert: WitnessCertificate, d: int) -> WitnessCertificate:
         raise ValueError(f"dimension {d} is smaller than the basic algebra "
                          f"dimension {cert.target_dim}")
     step = CertStep("morita-rule", int(d), f"Morita multiplier d = {d}")
-    return WitnessCertificate(
-        target_desc=f"{d}-dimensional algebra Morita equivalent to {cert.target_desc}",
-        target_hash=cert.target_hash,
-        target_dim=int(d),
-        bound=cert.bound * int(d),
-        steps=cert.steps + (step,),
-        field_desc=cert.field_desc,
-        seed=cert.seed,
-        target_kind=cert.target_kind,
-        verification=cert.verification,
-        notes=cert.notes,
-        bimodule=None,
-        target_bq=None,
-    )
+    return replace(cert, target_desc=f"{d}-dimensional algebra Morita equivalent to "
+                                     f"{cert.target_desc}",
+                   target_dim=int(d), bound=cert.bound * int(d), steps=cert.steps + (step,),
+                   bimodule=None, target_bq=None)

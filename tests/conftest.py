@@ -29,6 +29,22 @@ def fixture_text(name: str) -> str:
         return fh.read()
 
 
+def random_nonzero(field, rng):
+    """A seeded random nonzero scalar of ``field``."""
+    while True:
+        x = field.random_scalar(rng)
+        if x != 0:
+            return x
+
+
+def eval_tensor_morphism(w, f):
+    """The tensor functor of the witness ``w`` on a morphism ``f``: the
+    rank-fold block diagonal of f, in raw (generator-major) coordinates."""
+    r = w.rank
+    return Mat.assemble(w.field, r * f.rows, r * f.cols,
+                        [(k * f.rows, k * f.cols, f) for k in range(r)])
+
+
 def reference_relation_jacobian(q, field, rel, mats, dims, offsets, nvars):
     """The entry-by-entry Jacobian of a relation, as a list of rows: every
     occurrence of a varying arrow X in a term c * L X R adds c * L[i, u] * R[v, j]

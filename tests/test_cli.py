@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_text
 
-from wildrank.cli import (CertificateDoc, CertStep, SpecError, certificate_doc,
-                          cmd_certify, cmd_classify, cmd_tilt, cmd_variety,
+from wildrank.cli import (SpecError, cmd_certify, cmd_classify, cmd_tilt, cmd_variety,
                           parse_certificate, parse_quiver_spec,
                           parse_representation, serialize_quiver_spec,
                           serialize_representation)
+from wildrank.covering import covering_criterion
+from wildrank.wildness import CertStep, WitnessCertificate
 
 
 def test_parse_minimal_spec():
@@ -118,11 +119,11 @@ def test_empty_spec_rejected():
 
 
 def test_certificate_non_integer_factor_rejected():
-    text = CertificateDoc(
-        name="demo", algebra_desc="x", algebra_hash="00", algebra_dim=1,
+    text = WitnessCertificate(
+        name="demo", target_desc="x", target_hash="00", target_dim=1,
         target_kind="algebra", field_desc="F101", seed="0",
-        steps=[CertStep("explicit-bimodule", 3, "w")], bound=3,
-        verification="none", notes=[]).to_text()
+        steps=(CertStep("explicit-bimodule", 3, "w"),), bound=3,
+        verification="none", notes=()).to_text()
     # columns point at the value itself, not at its first textual match
     for bad, line, col in ((text.replace("factor 3", "factor 2.5"), 9, 31),
                            (text.replace("factor 3", "factor e"), 9, 31),
@@ -223,27 +224,52 @@ def test_cmd_classify_outputs():
 
 
 def test_certificate_round_trip_bit_exact():
-    doc = CertificateDoc(
-        name="demo", algebra_desc="a local algebra", algebra_hash="ab12",
-        algebra_dim=4, target_kind="algebra", field_desc="F101", seed="7",
-        steps=[CertStep("explicit-bimodule", 28, "witness"),
-               CertStep("covering-rule", 2, "box [(0, 1)]")],
-        bound=56, verification="samples 10 pass 50 fail 0 inconclusive 0",
-        notes=["window criterion: test"],
-    )
-    text = doc.to_text()
+    text = _certificate_text()
     back = parse_certificate(text)
     assert back.to_text() == text
     assert back.check_arithmetic()
     assert back.recompute_bound() == 56
 
 
+def test_certificate_unknown_or_repeated_key_rejected():
+    text = _certificate_text()
+    # a line inserted after ``verification`` (line 12) is refused at line 13
+    for extra, what in (("bound 9", "repeated key 'bound'"),
+                        ("bogus whatever", "unknown key 'bogus'"),
+                        ("name other", "repeated key 'name'"),
+                        ("wildrank-certificate 1", "unknown key 'wildrank-certificate'")):
+        lines = text.splitlines()
+        lines.insert(12, extra)
+        with pytest.raises(SpecError) as e:
+            parse_certificate("\n".join(lines) + "\n")
+        assert (e.value.line, e.value.col) == (13, 1) and what in str(e.value)
+    # a second bound and an unknown key together: the first of them is reported
+    lines = text.splitlines()
+    lines[12:12] = ["bound 9", "bogus whatever"]
+    with pytest.raises(SpecError) as e:
+        parse_certificate("\n".join(lines))
+    assert e.value.line == 13 and "bound" in str(e.value)
+    # step and note lines may repeat
+    doc = parse_certificate(text)
+    assert len(doc.steps) == 2 and doc.bound == 56
+
+
+def test_covering_certificate_parses_back_to_its_own_class():
+    spec = parse_quiver_spec(fixture_text("three_loop_rad2.quiver"))
+    cert, _ = covering_criterion(spec.covering, 2, field=spec.field, seed=0)
+    text = cert.to_text()
+    back = parse_certificate(text)
+    assert type(back) is type(cert) is WitnessCertificate
+    assert back.to_text() == text
+    assert back.check_arithmetic() and back.bound == 56
+
+
 def test_certificate_arithmetic_mismatch_detected():
-    doc = parse_certificate(CertificateDoc(
-        name="demo", algebra_desc="x", algebra_hash="00", algebra_dim=1,
+    doc = parse_certificate(WitnessCertificate(
+        name="demo", target_desc="x", target_hash="00", target_dim=1,
         target_kind="algebra", field_desc="F101", seed="0",
-        steps=[CertStep("explicit-bimodule", 3, "w")], bound=9,
-        verification="none", notes=[]).to_text())
+        steps=(CertStep("explicit-bimodule", 3, "w"),), bound=9,
+        verification="none", notes=()).to_text())
     assert not doc.check_arithmetic()
 
 
@@ -389,13 +415,13 @@ def _module_cases():
 
 
 def _certificate_text():
-    return CertificateDoc(
-        name="demo", algebra_desc="a local algebra", algebra_hash="ab12",
-        algebra_dim=4, target_kind="algebra", field_desc="F101", seed="7",
-        steps=[CertStep("explicit-bimodule", 28, "witness"),
-               CertStep("covering-rule", 2, "box [(0, 1)]")],
+    return WitnessCertificate(
+        name="demo", target_desc="a local algebra", target_hash="ab12",
+        target_dim=4, target_kind="algebra", field_desc="F101", seed="7",
+        steps=(CertStep("explicit-bimodule", 28, "witness"),
+               CertStep("covering-rule", 2, "box [(0, 1)]")),
         bound=56, verification="samples 10 pass 50 fail 0 inconclusive 0",
-        notes=["window criterion: test"]).to_text()
+        notes=("window criterion: test",)).to_text()
 
 
 @_FUZZ

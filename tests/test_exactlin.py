@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (fixture_text, intertwiner_system, jordan_shift, reference_echelon_qq,
-                      reference_find_invertible_in_span, reference_hom_pencil,
-                      reference_jordan_nilpotent, reference_kernel, reference_matmul_qq,
-                      reference_trace_pairing)
+from conftest import (fixture_text, intertwiner_system, jordan_shift, random_nonzero,
+                      reference_echelon_qq, reference_find_invertible_in_span,
+                      reference_hom_pencil, reference_jordan_nilpotent, reference_kernel,
+                      reference_matmul_qq, reference_trace_pairing)
 
 import wildrank.exactlin as exactlin_module
 
@@ -692,7 +692,7 @@ def test_kernel_matches_reference_on_support(field):
     for m, n in [(0, 0), (0, 4), (4, 0), (3, 5)]:
         _check_kernel(Mat.zeros(field, m, n))
     for m, n in [(1, 1), (3, 5), (5, 3), (4, 4)]:
-        full = Mat(field, m, n, [[field.random_nonzero(rng) for _ in range(n)]
+        full = Mat(field, m, n, [[random_nonzero(field, rng) for _ in range(n)]
                                  for _ in range(m)])
         assert _on_support(full._entries)[0] is full._entries
         _check_kernel(full)
@@ -729,7 +729,7 @@ def _peelable(field, n, rng, units, chain, twins, zero_cols, dense):
     def row(entries):
         r = [field.zero] * n
         for j in entries:
-            r[j] = field.random_nonzero(rng)
+            r[j] = random_nonzero(field, rng)
         rows.append(r)
 
     for j in rng.sample(live, min(units, len(live))):

@@ -10,6 +10,10 @@ Every top-level function of exactlin, public or private, has a caller in
 ``src/``: a reference or helper kept only for the tests lives in
 ``tests/conftest.py``.
 
+The package imports in one order, ``LAYERS``: a module imports only from
+the layers before its own, and only at module level.  The package
+docstring and the README table list the modules in that order.
+
 The benchmark's tracer (``perfbench/tracer.py``) wraps wildrank functions
 by module and name; every name it lists must still resolve.
 """
@@ -19,6 +23,8 @@ import importlib
 import os
 
 import pytest
+
+import wildrank
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "wildrank")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "exactlin.py")
@@ -141,6 +147,79 @@ def test_exactlin_functions_have_callers_in_src():
     trees["exactlin.py"].body += extra.body
     assert uncalled_functions(trees["exactlin.py"], trees.values()) == ["reference_only",
                                                                         "_helper_only"]
+
+
+#: the import order: exactlin -> quiver -> rep -> {modvariety, tilting, wildness}
+#: -> covering -> cli; ``from . import __version__`` reads the package itself
+LAYERS = (("exactlin",), ("quiver",), ("rep",), ("modvariety", "tilting", "wildness"),
+          ("covering",), ("cli",))
+LAYER = {m: k for k, group in enumerate(LAYERS) for m in group}
+IN_ORDER = [m for group in LAYERS for m in group]
+
+
+def _package_targets(node) -> list[str]:
+    """The wildrank modules an import statement reads."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    else:
+        base = node.module or "" if node.level == 0 else \
+            "wildrank" + (f".{node.module}" if node.module else "")
+        names = [f"{base}.{a.name}" for a in node.names] if base == "wildrank" else [base]
+    parts = [n.split(".") for n in names]
+    return [p[1] for p in parts if p[0] == "wildrank" and len(p) > 1 and p[1] in LAYER]
+
+
+def import_violations(name: str, tree: ast.Module) -> list[str]:
+    """The imports of module ``name`` below module level, and its imports of
+    wildrank modules that are not in an earlier layer."""
+    out = []
+    top = {id(node) for node in tree.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if id(node) not in top:
+            out.append(f"line {node.lineno}: import below module level")
+        out += [f"line {node.lineno}: {name} imports {target}"
+                for target in _package_targets(node) if LAYER[target] >= LAYER[name]]
+    return sorted(out)
+
+
+def test_every_module_has_a_layer():
+    assert sorted(MODULES + ["exactlin.py"]) == sorted(["__init__.py"] +
+                                                       [f"{m}.py" for m in LAYER])
+
+
+@pytest.mark.parametrize("name", IN_ORDER)
+def test_imports_follow_the_layer_order(name):
+    with open(os.path.join(SRC, f"{name}.py")) as fh:
+        tree = ast.parse(fh.read(), name)
+    assert import_violations(name, tree) == []
+
+
+def test_init_imports_nothing_from_the_package():
+    with open(os.path.join(SRC, "__init__.py")) as fh:
+        tree = ast.parse(fh.read(), "__init__.py")
+    assert not any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(tree))
+
+
+def test_import_checker_catches_each_kind():
+    bad = ast.parse("from .rep import hom_space\nfrom . import __version__\n"
+                    "def f():\n    from .exactlin import Mat\n"
+                    "from .covering import pushdown\nimport wildrank.cli\n"
+                    "from wildrank import tilting\nfrom . import quiver, modvariety\n")
+    assert import_violations("wildness", bad) == [
+        "line 4: import below module level", "line 5: wildness imports covering",
+        "line 6: wildness imports cli", "line 7: wildness imports tilting",
+        "line 8: wildness imports modvariety"]
+
+
+def test_docs_list_the_modules_in_import_order():
+    readme = os.path.join(SRC, "..", "..", "README.md")
+    with open(readme) as fh:
+        rows = [line.split("`")[1] for line in fh if line.startswith("| `")]
+    listed = [line.split()[0] for line in wildrank.__doc__.splitlines()
+              if line.strip() and line.split()[0] in LAYER]
+    assert rows == listed == IN_ORDER
 
 
 TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")

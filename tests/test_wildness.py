@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import reference_entry_matrix_on
+from conftest import eval_tensor_morphism, reference_entry_matrix_on
 
 from wildrank.exactlin import F101, QQ, Field, Mat
 from wildrank.quiver import (BoundQuiver, Path, build_algebra_table,
@@ -16,7 +16,7 @@ from wildrank.wildness import (CertStep, DegreeCapError, FactorProvenance,
                                bound_via_factor, bound_via_morita, builtin_F,
                                builtin_G, certificate_for_bimodule,
                                compose_witness, eval_tensor,
-                               eval_tensor_morphism, eval_tensor_with_frame,
+                               eval_tensor_with_frame,
                                free_carrier, sincere_witness_for_K3,
                                verify_witness)
 
