@@ -11,9 +11,10 @@ one small private kernel per field, picked once when the ``Field`` is made:
   blocked echelon form ``_echelon_fp`` and the BLAS product.  Prime-field
   arithmetic reduces mod p only now and then (delayed modular reduction),
   so it is exact only while every intermediate value stays below 2**53.
-  ``Field.prime`` refuses p >= 2**53, so every residue is an exact
-  ``float64``; no smaller cap that keeps the products exact is proved or
-  enforced yet.
+  One rule keeps it there: every operand is a residue in [0, p) when it is
+  scaled or multiplied, and a sum of products is reduced before it could
+  reach 2**53.  ``_echelon_fp`` proves that this holds for every p < 2**24,
+  and ``Field.prime`` refuses p >= 2**24.
 * ``_RationalKernel``: ``Fraction`` scalars, making every entry a
   ``Fraction``, the reduced echelon form ``_echelon_qq`` and a product that
   skips zero entries.  Both work on integer rows (each row, or each whole
@@ -73,8 +74,8 @@ import numpy as np
 
 Scalar = Union[int, Fraction]
 
-#: widest panel used by the blocked prime-field elimination
-_PANEL = 128
+#: width of the sub-panels of ``_echelon_fp``
+_SUB = 16
 
 
 class ShapeMismatchError(ValueError):
@@ -104,7 +105,8 @@ class Field:
 
     @classmethod
     def prime(cls, p: int) -> "Field":
-        """F_p; ``ValueError`` unless p is a prime with 5 <= p < 2**53."""
+        """F_p; ``ValueError`` unless p is a prime with 5 <= p < 2**24, the
+        cap below which ``_echelon_fp`` and ``_PrimeKernel.matmul`` are exact."""
         return cls(p)
 
     # -- scalar helpers ----------------------------------------------------
@@ -182,112 +184,85 @@ def _is_prime(n: int) -> bool:
 # prime-field kernels (numpy, delayed reduction)
 # ---------------------------------------------------------------------------
 
-def _echelon_fp(a: np.ndarray, p: int, panel: int = _PANEL):
+def _echelon_fp(a: np.ndarray, p: int):
     """Row echelon form mod p with unit pivots and zeros below each pivot.
 
-    Each column panel is factored inside a contiguous buffer (cache friendly),
-    then the trailing block is updated with one triangular pass plus one GEMM.
-    Entries may exceed p mid-panel; they stay exact in float64 only while
-    they stay below 2**53.  Pivot rows are scaled before they are reduced and
-    a GEMM sums a whole panel of products, so the growth is nearer
-    ``n * p**3`` than ``panel * p**2``: exact for small p such as 101, not
-    for p near 10**6 and above.  No cap on p is enforced yet.
-    Returns ``(w, pivot_columns)`` with w fully reduced mod p.
+    Returns ``(w, pivot_columns)`` with w fully reduced mod p.  One reduced
+    copy of ``a`` is eliminated in sub-panels of ``_SUB`` columns.  Inside a
+    sub-panel each pivot takes rank-1 updates of the sub-panel's columns
+    below it.  The columns right of the sub-panel then get one triangular
+    pass over its pivot rows and one GEMM, ``rows below -= L @ T``, of inner
+    dimension at most ``_SUB``.
+
+    Exactness.  Every operand is a residue in [0, p) when it is scaled or
+    multiplied: a sub-panel is reduced before its first pivot, a column
+    before its pivot search, a row before it is scaled, and T before its
+    triangular pass; the multipliers L are residues of reduced columns.  So
+    each product is at most (p - 1)**2, and an entry that starts reduced and
+    takes at most ``_SUB`` = 16 products (in a sub-panel, in the triangular
+    pass or in one GEMM) stays below (p - 1) + 16 (p - 1)**2 in absolute
+    value.  Right of the sub-panel, entries take one GEMM per sub-panel
+    unreduced; ``bound``, a Python int, is the most their absolute value
+    can be, and they are reduced when the next GEMM could take it to 2**53.
+    Below the cap ``Field.prime`` enforces, p < 2**24, a reduced block plus
+    one GEMM stays below 2**24 + 16 * 2**48 < 2**53, so that reduction is
+    always enough.  Every value, partial sums of the GEMM included (its
+    terms are integers of one sign), is then an integer below 2**53 in
+    absolute value, exact in float64 whatever order BLAS sums in, and each
+    ``%`` of such a value is exact.
     """
-    w = np.array(a, dtype=np.float64)
+    w = np.asarray(a, dtype=np.float64) % p
     m, n = w.shape
-    if m == 0 or n == 0:
-        return w % p if w.size else w, []
-    allpiv: list[int] = []
-    row = 0
-    ps = 0
-    sub = 16
-    while ps < n and row < m:
-        pe = min(ps + panel, n)
-        nb = pe - ps
-        # factor the panel in a contiguous buffer
-        pb = w[row:, ps:pe].copy()
-        pb %= p
-        ma = pb.shape[0]
-        perm = np.arange(ma)
-        pivcols: list[int] = []
-        invs: list[float] = []
-        r = 0
-        # two-level blocking: rank-1 updates stay inside a narrow sub-panel,
-        # the rest of the panel is updated with one small GEMM per sub-panel
-        for ss in range(0, nb, sub):
-            se = min(ss + sub, nb)
-            r_sub = r
-            sub_piv: list[int] = []
-            sub_invs: list[float] = []
-            for c in range(ss, se):
-                if r >= ma:
-                    break
-                pb[r:, c] %= p
-                col = pb[r:, c]
-                nz = int(np.argmax(col != 0))
-                if col[nz] == 0:
-                    continue
-                if nz:
-                    i = r + nz
-                    pb[[r, i]] = pb[[i, r]]
-                    perm[[r, i]] = perm[[i, r]]
-                inv = float(pow(int(pb[r, c]), p - 2, p))
-                pb[r, c + 1:se] = (pb[r, c + 1:se] * inv) % p
-                pb[r, c] = 1.0
-                f = pb[r + 1:, c]
-                f %= p
-                if f.size and f.any():
-                    pb[r + 1:, c + 1:se] -= f[:, None] * pb[r, c + 1:se][None, :]
-                pivcols.append(c)
-                sub_piv.append(c)
-                invs.append(inv)
-                sub_invs.append(inv)
-                r += 1
-            k_sub = len(sub_piv)
-            if k_sub and se < nb:
-                # triangular pass over the sub-panel pivot rows, then GEMM below
-                t_sub = pb[r_sub:r, se:]
-                for k in range(k_sub):
-                    t_sub[k] = (t_sub[k] * sub_invs[k]) % p
-                    if k + 1 < k_sub:
-                        fk = pb[r_sub + k + 1:r, sub_piv[k]] % p
-                        if fk.any():
-                            t_sub[k + 1:] -= fk[:, None] * t_sub[k][None, :]
-                t_sub %= p
-                if r < ma:
-                    l_sub = pb[r:, sub_piv] % p
-                    if l_sub.any():
-                        pb[r:, se:] -= l_sub @ t_sub
-        k_piv = len(pivcols)
-        if k_piv:
-            if not np.array_equal(perm, np.arange(ma)):
-                w[row:, pe:] = w[row:, pe:][perm]
-            if pe < n:
-                t_blk = w[row:row + k_piv, pe:]
-                for k in range(k_piv):
-                    t_blk[k] = (t_blk[k] * invs[k]) % p
-                    if k + 1 < k_piv:
-                        fk = pb[k + 1:k_piv, pivcols[k]] % p
-                        if fk.any():
-                            t_blk[k + 1:] -= fk[:, None] * t_blk[k][None, :]
-                t_blk %= p
-                if row + k_piv < m:
-                    l_blk = pb[k_piv:, pivcols] % p
-                    if l_blk.any():
-                        w[row + k_piv:, pe:] -= l_blk @ t_blk
-            # store the clean echelon panel (zeros below pivots)
-            for k, c in enumerate(pivcols):
-                pb[k + 1:, c] = 0.0
-            pb[:k_piv] %= p
-            pb[k_piv:] %= p
-            w[row:, ps:pe] = pb
-        else:
-            w[row:, ps:pe] = pb % p
-        allpiv.extend(ps + c for c in pivcols)
-        row, ps = row + k_piv, pe
-    w[row:, :] %= p
-    return w, allpiv
+    step = (p - 1) ** 2
+    bound = p - 1
+    piv: list[int] = []
+    r = 0
+    for ss in range(0, n, _SUB):
+        if r >= m:
+            break
+        se = min(ss + _SUB, n)
+        r0 = r
+        sub: list[int] = []
+        invs: list[int] = []
+        w[r:, ss:se] %= p
+        for c in range(ss, se):
+            if r >= m:
+                break
+            col = w[r:, c]
+            col %= p
+            nz = int(np.argmax(col != 0))
+            if col[nz] == 0:
+                continue
+            if nz:
+                w[[r, r + nz]] = w[[r + nz, r]]
+            invs.append(pow(int(w[r, c]), p - 2, p))
+            w[r, c + 1:se] = w[r, c + 1:se] % p * invs[-1] % p
+            w[r, c] = 1.0
+            f = w[r + 1:, c]
+            if f.any():
+                w[r + 1:, c + 1:se] -= f[:, None] * w[r, c + 1:se]
+            sub.append(c)
+            r += 1
+        if sub and se < n:
+            t = w[r0:r, se:]
+            t %= p
+            for k, inv in enumerate(invs):
+                t[k] = t[k] % p * inv % p
+                l = w[r0 + k + 1:r, sub[k]]
+                if l.any():
+                    t[k + 1:] -= l[:, None] * t[k]
+            l = w[r:, sub]
+            if l.any():
+                grow = len(sub) * step
+                if bound + grow >= 2 ** 53:
+                    w[r:, se:] %= p
+                    bound = p - 1
+                w[r:, se:] -= l @ t
+                bound += grow
+        for k, c in enumerate(sub):
+            w[r0 + k + 1:, c] = 0.0
+        piv += sub
+    return w, piv
 
 
 # ---------------------------------------------------------------------------
@@ -361,23 +336,28 @@ class _PrimeKernel:
     ``coerce`` makes any integer, ``Fraction`` or array entry a residue,
     ``normalize`` reduces an array mod p, ``exact`` reads entries out as
     ``int``, ``echelon`` is the blocked ``_echelon_fp`` (unit pivots,
-    zeros below them) and ``matmul`` the BLAS product (reduced afterwards by
-    ``normalize``).
+    zeros below them) and ``matmul`` the BLAS product of two arrays of
+    residues (reduced afterwards by ``normalize``).  The product sums at
+    most ``chunk`` = floor((2**53 - p) / (p - 1)**2) products before it
+    reduces, so a reduced partial sum plus one chunk stays below 2**53:
+    ``chunk`` is 32 at p = 16777213, the largest prime below the 2**24 cap,
+    and about 9 * 10**11 at p = 101, where no product is split.
     """
 
-    __slots__ = ("p", "name")
+    __slots__ = ("p", "name", "chunk")
     dtype = np.float64
     zero = 0
     one = 1
 
     def __init__(self, p: int):
-        if p >= 2 ** 53:
-            # the residue p - 1 must be an exact float64
-            raise ValueError(f"prime field characteristic must be below 2**53, got {p}")
+        if p >= 2 ** 24:
+            # the exactness cap proved in ``_echelon_fp``
+            raise ValueError(f"prime field characteristic must be below 2**24, got {p}")
         if p < 5 or not _is_prime(p):
             raise ValueError(f"prime field characteristic must be a prime >= 5, got {p}")
         self.p = p
         self.name = f"F{p}"
+        self.chunk = (2 ** 53 - p) // (p - 1) ** 2
 
     def coerce(self, x) -> int:
         if isinstance(x, Fraction):
@@ -405,7 +385,14 @@ class _PrimeKernel:
         return _echelon_fp(a, self.p)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a @ b
+        k, p = self.chunk, self.p
+        if a.shape[-1] <= k:
+            return a @ b
+        out = a[..., :k] @ b[:k] % p
+        for s in range(k, a.shape[-1], k):
+            out += a[..., s:s + k] @ b[s:s + k]
+            out %= p
+        return out
 
 
 class _RationalKernel:
@@ -548,9 +535,9 @@ def _back_substitute(fk, w: np.ndarray, piv: Sequence[int], rhs: np.ndarray) -> 
     and X is ``rhs``."""
     x = np.array(rhs)
     for i in range(len(piv) - 1, -1, -1):
-        tail = w[i, piv[i + 1:]]
+        tail = w[i:i + 1, piv[i + 1:]]
         if tail.any():
-            x[i] = fk.normalize(x[i] - tail @ x[i + 1:])
+            x[i] = fk.normalize(x[i] - fk.matmul(tail, x[i + 1:])[0])
     return x
 
 
@@ -646,22 +633,22 @@ class Mat:
     def assemble(cls, field: Field, rows: int, cols: int, blocks) -> "Mat":
         """The ``rows x cols`` sum of the blocks ``(i, j, b)``, each placed with
         its top-left entry at (i, j); overlapping blocks add.  A block that
-        overlaps no earlier one is written rather than added, and only a sum
-        with an overlap is reduced again."""
+        overlaps no earlier one is written rather than added, and a sum with
+        an overlap is reduced where it is formed, so over F_p no entry ever
+        exceeds 2 (p - 1)."""
         out = _zeros(field, rows, cols)
         placed: list[tuple[int, int, int, int]] = []
-        disjoint = True
         for i, j, b in blocks:
             if b.field != field:
                 raise ShapeMismatchError("field mismatch")
             if i < 0 or j < 0 or i + b.rows > rows or j + b.cols > cols:
                 raise ShapeMismatchError(f"block {b.shape} at ({i}, {j}) leaves {rows}x{cols}")
+            view = out[i:i + b.rows, j:j + b.cols]
             if _claim(placed, i, i + b.rows, j, j + b.cols):
-                out[i:i + b.rows, j:j + b.cols] = b._entries
+                view[...] = b._entries
             else:
-                out[i:i + b.rows, j:j + b.cols] += b._entries
-                disjoint = False
-        return cls._of(field, out) if disjoint else cls(field, rows, cols, out)
+                view[...] = field._kernel.normalize(view + b._entries)
+        return cls._of(field, out)
 
     @classmethod
     def kron_assemble(cls, field: Field, rows: int, cols: int, blocks) -> "Mat":
@@ -677,7 +664,8 @@ class Mat:
         With both factors given, the outer product is formed at the nonzero
         entries of x only.  A block that overlaps no earlier one is written
         rather than added (over Q, adding a Fraction to zero costs about as
-        much as a product).
+        much as a product); a sum with an overlap is reduced where it is
+        formed, so over F_p no entry ever exceeds 2 (p - 1)**2.
         """
         out = _zeros(field, rows, cols)
         placed: list[tuple[int, int, int, int]] = []
@@ -708,6 +696,8 @@ class Mat:
                     np.multiply(a, b, out=view, where=nz)
                 else:
                     np.add(view, np.multiply(a, b, out=None, where=nz), out=view, where=nz)
+            if not fresh:
+                view[...] = field._kernel.normalize(view)
         return cls(field, rows, cols, out)
 
     @classmethod
@@ -977,9 +967,9 @@ class Span:
     The matrices are flattened once, row-major, into the rows of a stack.
     ``combine`` then builds any number of combinations with one kernel
     product: the transposed coefficient matrix times the stack.  The
-    product's inner dimension is the number of matrices, k, so over F_p
-    each entry sums k products of residues before its one reduction: exact
-    while ``k * (p - 1)**2 < 2**53``, which no cap on p enforces yet.
+    product's inner dimension is the number of matrices, k; over F_p the
+    kernel product reduces after every ``chunk`` of them (see
+    ``_PrimeKernel``), so the result is exact for every k.
     ``Mat.lincomb`` is the one-column case.
     """
 

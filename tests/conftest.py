@@ -9,8 +9,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from wildrank.exactlin import (Field, F101, Mat, QQ, Span, nilpotency_index,
-                               _back_substitute, _zeros)
+from wildrank.exactlin import F101, Mat, QQ, Span, nilpotency_index, _back_substitute, _zeros
 from wildrank.rep import (IndecVerdict, InconclusiveError, Representation, _blocks_from_total,
                           _idempotent_matrix_from_minpoly, are_isomorphic, decompose,
                           factor_polynomial, flatten_morphism, hom_space, morphism_compose,
@@ -639,6 +638,43 @@ def reference_matmul_qq(a, b):
                     acc[j] += x * y
         out.append(acc)
     return out
+
+
+def reference_echelon_fp(rows, p, reduced=False):
+    """Row echelon form mod p of integer rows, one Python-int operation per
+    entry: the pivot of each column is its first nonzero entry at or below
+    the current row, swapped up and scaled to one, and every row below (and
+    with ``reduced`` every row above too) loses the multiple that clears the
+    pivot column.  Returns (rows, pivot columns).  Reference for
+    ``exactlin._echelon_fp``, whose float64 arithmetic must be exact for
+    every prime below ``Field.prime``'s cap."""
+    w = [[x % p for x in row] for row in rows]
+    m = len(w)
+    n = len(w[0]) if m else 0
+    piv = []
+    for c in range(n):
+        r = len(piv)
+        if r >= m:
+            break
+        sel = next((i for i in range(r, m) if w[i][c]), None)
+        if sel is None:
+            continue
+        w[r], w[sel] = w[sel], w[r]
+        inv = pow(w[r][c], -1, p)
+        w[r] = [x * inv % p for x in w[r]]
+        for i in range(0 if reduced else r + 1, m):
+            f = w[i][c]
+            if f and i != r:
+                w[i] = [(x - f * y) % p for x, y in zip(w[i], w[r])]
+        piv.append(c)
+    return w, piv
+
+
+def reference_matmul_fp(a, b, p):
+    """The product mod p of two integer matrices given as lists of rows,
+    summed on Python ints and reduced once."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
 
 
 def reference_hom_space(m, n):

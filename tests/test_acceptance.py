@@ -7,21 +7,17 @@ import itertools
 import random
 import time
 
-import pytest
-
 from conftest import fixture_text
 
 from wildrank.exactlin import F101
-from wildrank.quiver import (BoundQuiver, Quiver, RepType, classify_hereditary,
-                             euler_form, k3_bound_quiver, kronecker_quiver, line_quiver,
+from wildrank.quiver import (Quiver, RepType, classify_hereditary, euler_form,
                              symmetrized_tits_matrix)
 from wildrank.rep import hom_space
 from wildrank.wildness import (FactorProvenance, builtin_G,
                                certificate_for_bimodule, bound_via_factor,
                                bound_via_morita, sincere_witness_for_K3,
                                verify_witness)
-from wildrank.covering import (CoveringSpec, build_window, pushdown,
-                               pushdown_bimodule, verify_pushdown)
+from wildrank.covering import CoveringSpec, build_window, verify_pushdown
 from wildrank.modvariety import parameter_estimate, stratum_probe
 from wildrank.tilting import (TiltingCandidate, enumerate_preprojectives,
                               ext1_dim_via_presentation, is_tilting)

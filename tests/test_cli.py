@@ -301,6 +301,24 @@ def test_cmd_tilt_outputs():
     assert code == 0 and "End dimension 5" in out
 
 
+def test_cmd_tilt_preprojectives_do_not_depend_on_the_prime():
+    # the preprojective dimension vectors of the Kronecker quiver K3 are the
+    # same over every field; a large prime needs exact elimination to see them
+    spec = ("quiver k3\nfield Fp {}\nvertex 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n"
+            "arrow c: 1 -> 2\nnilbound 2\n")
+    lines = {}
+    for p in (101, 1000003):
+        out, code = cmd_tilt(spec.format(p), depth=1)
+        assert code == 0
+        lines[p] = [line.strip() for line in out.splitlines()
+                    if line.strip().startswith(("tau^-", "tilting:"))]
+    assert lines[1000003] == lines[101]
+    assert "tau^-1 P(1): dim [8, 21] sincere yes" in lines[101]
+    assert "tau^-1 P(2): dim [3, 8] sincere yes" in lines[101]
+    assert lines[101][-2:] == ["tilting: tau^-0 P(1) + tau^-0 P(2)",
+                               "tilting: tau^-0 P(1) + tau^-1 P(2)"]
+
+
 def test_cmd_tilt_rejects_an_oriented_cycle():
     # the preprojective enumeration refuses the cycle; no Cartan data is built
     spec = ("quiver cyc\nfield Fp 101\nvertex 1 2\n"

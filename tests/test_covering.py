@@ -2,13 +2,11 @@ import random
 
 import pytest
 
-from wildrank.exactlin import F101, Mat
-from wildrank.quiver import (BoundQuiver, Quiver, build_algebra_table,
-                             factor_quiver, k3_bound_quiver, loop_quiver,
-                             loop_square_zero, make_relation)
-from wildrank.covering import (CoveringSpec, Window, build_window,
-                               covering_criterion,
-                               pushdown, pushdown_bimodule, verify_pushdown)
+from wildrank.exactlin import F101
+from wildrank.quiver import (BoundQuiver, Quiver, build_algebra_table, factor_quiver, loop_quiver,
+                             make_relation)
+from wildrank.covering import (CoveringSpec, build_window, covering_criterion, pushdown,
+                               pushdown_bimodule, verify_pushdown)
 from wildrank.rep import (Representation, are_isomorphic, is_indecomposable,
                           sample_representation)
 from wildrank.wildness import eval_tensor

@@ -10,7 +10,6 @@ from wildrank.exactlin import F101, QQ, Mat
 from wildrank.quiver import (AdmissibilityError, BoundQuiver, Quiver,
                              build_algebra_table, factor_quiver, loop_quiver,
                              loop_square_zero, make_relation)
-from wildrank.rep import Representation, are_isomorphic, hom_space
 from wildrank.covering import CoveringSpec, build_window, covering_criterion, pushdown
 from wildrank.wildness import (FreeAlgModule, builtin_G, eval_tensor,
                                sincere_witness_for_K3, verify_witness)

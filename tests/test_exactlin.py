@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (fixture_text, intertwiner_system, jordan_shift, random_nonzero,
-                      reference_echelon_qq, reference_find_invertible_in_span,
-                      reference_hom_pencil, reference_jordan_nilpotent, reference_kernel,
+                      reference_echelon_fp, reference_echelon_qq,
+                      reference_find_invertible_in_span, reference_hom_pencil,
+                      reference_jordan_nilpotent, reference_kernel, reference_matmul_fp,
                       reference_matmul_qq, reference_trace_pairing)
 
 import wildrank.exactlin as exactlin_module
@@ -62,18 +63,21 @@ def test_is_prime_decides_large_numbers_at_once():
         assert not any(_is_prime(n) for n in (561, 41041, 2 ** 61 + 1, 1000003 * 1000033))
         # the Mersenne prime 2**61 - 1 and the prime 10**18 + 3
         assert _is_prime(2 ** 61 - 1) and _is_prime(10 ** 18 + 3)
-        assert Field.prime(2 ** 53 - 111).char == 2 ** 53 - 111
+        assert _is_prime(2 ** 53 - 111)
 
 
 def test_prime_field_refuses_inexact_residues():
-    # the residue p - 1 must be an exact float64; 2**53 + 5 is prime
-    for p in (2 ** 53 + 5, 2 ** 61 - 1, 10 ** 18 + 3):
-        with at_once(), pytest.raises(ValueError, match="below 2\\*\\*53"):
+    # eliminations and products are proved exact only below the cap 2**24;
+    # 16777213 is the largest prime below it, 16777259 the least above it,
+    # and 2**31 - 1 and 2**53 + 5 are prime too
+    assert Field.prime(16777213).char == 16777213
+    for p in (16777259, 2 ** 31 - 1, 2 ** 53 + 5, 2 ** 61 - 1, 10 ** 18 + 3):
+        with at_once(), pytest.raises(ValueError, match="below 2\\*\\*24"):
             Field.prime(p)
     with at_once():
-        for p in (2 ** 53 + 5, 10 ** 18 + 3):
+        for p in (16777259, 2 ** 53 + 5, 10 ** 18 + 3):
             out, code = cmd_classify(f"quiver big\nfield Fp {p}\nvertex 1 2\narrow a: 1 -> 2\n")
-            assert code == 2 and out.startswith("error: line 2") and "2**53" in out
+            assert code == 2 and out.startswith("error: line 2") and "2**24" in out
 
 
 def test_field_scalar_ops():
@@ -963,7 +967,7 @@ def _sparse_rows(field, m, n, rng, density=0.5):
              for _ in range(n)] for _ in range(m)]
 
 
-@pytest.mark.parametrize("p", [101, 7])
+@pytest.mark.parametrize("p", [101, 7, 16777213])
 def test_prime_field_results_are_rational_results_mod_p(p):
     # every operation on integer matrices commutes with reduction mod p, and
     # reduction can only lower the rank
@@ -1023,6 +1027,100 @@ def test_prime_field_results_are_rational_results_mod_p(p):
               trace_form([x for _, x in lefts], [y for _, y in rights]))
     if p == 7:
         assert drops   # some reductions mod 7 lost rank, so the bound was exercised
+
+
+# ---------------------------------------------------------------------------
+# prime-field exactness up to the cap, against Python-int references
+# ---------------------------------------------------------------------------
+
+#: 2**17 - 1, where delayed reduction without the reduction rule broke, and
+#: 16777213, the largest prime below the 2**24 cap
+CAP_PRIMES = [131071, 16777213]
+
+
+def _residue_rows(p, m, n, rng, rank=None):
+    """Seeded m x n rows of residues mod p, of rank at most ``rank`` if given."""
+    if rank is not None:
+        return reference_matmul_fp(_residue_rows(p, m, rank, rng),
+                                   _residue_rows(p, rank, n, rng), p)
+    return [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+
+
+@pytest.mark.parametrize("p", CAP_PRIMES)
+def test_prime_field_echelon_rank_and_kernel_are_exact_below_the_cap(p):
+    fp = Field.prime(p)
+    rng = random.Random(f"exact-echelon:{p}")
+    sparse = [[x if rng.random() < 0.3 else 0 for x in row]
+              for row in _residue_rows(p, 90, 70, rng)]
+    # dense, wide, tall, low-rank, sparse, and every entry p - 1 (rank one)
+    inputs = [_residue_rows(p, 120, 120, rng), _residue_rows(p, 40, 170, rng),
+              _residue_rows(p, 170, 40, rng), _residue_rows(p, 130, 140, rng, rank=12),
+              sparse, [[p - 1] * 60 for _ in range(60)]]
+    for rows in inputs:
+        w, piv = exactlin_module._echelon_fp(np.array(rows, dtype=np.float64), p)
+        ref, ref_piv = reference_echelon_fp(rows, p)
+        assert piv == ref_piv and w.astype(np.int64).tolist() == ref
+        a = Mat.from_rows(fp, rows)
+        assert a.rank() == len(ref_piv)
+        # the kernel basis that is the identity on the free columns
+        red, _ = reference_echelon_fp(rows, p, reduced=True)
+        free = [c for c in range(a.cols) if c not in ref_piv]
+        ker = [[0] * len(free) for _ in range(a.cols)]
+        for j, f in enumerate(free):
+            ker[f][j] = 1
+            for k, c in enumerate(ref_piv):
+                ker[c][j] = -red[k][f] % p
+        assert a.kernel().row_list() == ker
+    assert len(ref_piv) == 1
+
+
+@pytest.mark.parametrize("p", CAP_PRIMES)
+def test_prime_field_solve_and_inverse_are_exact_below_the_cap(p):
+    fp = Field.prime(p)
+    rng = random.Random(f"exact-solve:{p}")
+    for n in (70, 150):
+        rows = _residue_rows(p, n, n, rng)
+        red, piv = reference_echelon_fp(
+            [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)], p, reduced=True)
+        assert piv[:n] == list(range(n))
+        assert Mat.from_rows(fp, rows).inverse().row_list() == [row[n:] for row in red]
+    rows = _residue_rows(p, 100, 110, rng, rank=60)
+    a = Mat.from_rows(fp, rows)
+    consistent = reference_matmul_fp(rows, _residue_rows(p, 110, 1, rng), p)
+    for b in (consistent, _residue_rows(p, 100, 1, rng)):
+        red, piv = reference_echelon_fp([r + x for r, x in zip(rows, b)], p, reduced=True)
+        x = a.solve(Mat.from_rows(fp, b))
+        if piv[-1] == 110:
+            assert x is None
+        else:
+            want = [[0] for _ in range(110)]
+            for k, c in enumerate(piv):
+                want[c][0] = red[k][110]
+            assert x.row_list() == want
+    assert x is None      # the random right-hand side is inconsistent
+
+
+@pytest.mark.parametrize("p", CAP_PRIMES)
+def test_prime_field_products_are_exact_below_the_cap(p):
+    fp = Field.prime(p)
+    rng = random.Random(f"exact-product:{p}")
+    # every inner dimension is above the 32 products that one float64 sum
+    # of residues holds exactly at p = 16777213
+    a, b = _residue_rows(p, 30, 100, rng), _residue_rows(p, 100, 25, rng)
+    for x, y in ((a, b), ([[p - 1] * 100] * 30, [[p - 1] * 25] * 100)):
+        assert (Mat.from_rows(fp, x) @ Mat.from_rows(fp, y)).row_list() == \
+            reference_matmul_fp(x, y, p)
+    mats = [_residue_rows(p, 3, 4, rng) for _ in range(40)]
+    coeffs = _residue_rows(p, 40, 5, rng)
+    combos = Span(fp, 3, 4, [Mat.from_rows(fp, m) for m in mats]).combine(
+        Mat.from_rows(fp, coeffs))
+    assert [c.reshape(1, 12).row_list()[0] for c in combos] == reference_matmul_fp(
+        [list(col) for col in zip(*coeffs)], [sum(m, []) for m in mats], p)
+    lefts = [_residue_rows(p, 6, 7, rng) for _ in range(3)]
+    rights = [_residue_rows(p, 7, 6, rng) for _ in range(4)]
+    form = trace_form([Mat.from_rows(fp, x) for x in lefts], [Mat.from_rows(fp, y) for y in rights])
+    assert form.row_list() == [[sum(reference_matmul_fp(x, y, p)[i][i] for i in range(6)) % p
+                                for y in rights] for x in lefts]
 
 
 # ---------------------------------------------------------------------------

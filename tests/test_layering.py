@@ -16,6 +16,9 @@ docstring and the README table list the modules in that order.
 
 The benchmark's tracer (``perfbench/tracer.py``) wraps wildrank functions
 by module and name; every name it lists must still resolve.
+
+No module of the package or of the tests imports a name at module level
+that nothing else in it reads.
 """
 
 import ast
@@ -251,3 +254,33 @@ def test_traced_functions_exist():
         if not callable(owner):
             missing.append(f"{span}: wildrank.{module}.{name}")
     assert missing == []
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """The names bound by module-level imports of ``tree`` that no other
+    part of it reads; ``from __future__`` binds none."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+
+
+def test_every_import_is_read():
+    tests = os.path.dirname(__file__)
+    paths = [os.path.join(d, f) for d in (SRC, tests) for f in sorted(os.listdir(d))
+             if f.endswith(".py")]
+    found = {}
+    for path in paths:
+        with open(path) as fh:
+            names = unused_imports(ast.parse(fh.read(), path))
+        if names:
+            found[os.path.basename(path)] = names
+    assert "test_layering.py" in map(os.path.basename, paths) and found == {}
+    # the check itself: a plain, a dotted, an aliased and a from-import
+    bad = ast.parse("from __future__ import annotations\nimport os, os.path, numpy as np\n"
+                    "from .rep import hom_space as hs, sample\nimport sys\n"
+                    "def f():\n    return np.zeros(sample)\n")
+    assert unused_imports(bad) == ["hs", "os", "sys"]

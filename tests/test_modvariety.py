@@ -9,8 +9,7 @@ from wildrank.quiver import (BoundQuiver, Quiver, loop_quiver, loop_square_zero,
                              make_relation)
 from wildrank.rep import (Representation, SamplingStarvation, hom_space,
                           relation_jacobian, sample_representation, _sample_linear_solve)
-from wildrank.modvariety import (RepVarietyPoint, arrow_coordinate_count,
-                                 orbit_dimension, parameter_estimate,
+from wildrank.modvariety import (RepVarietyPoint, orbit_dimension, parameter_estimate,
                                  stratum_probe, tangent_dimension)
 
 

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wildrank.exactlin import F101, QQ, Field
-from wildrank.quiver import (AdmissibilityError, BoundQuiver, Quiver, RepType,
-                             build_algebra_table, classify_hereditary, euler_form,
-                             factor_quiver, is_minimal_wild_hereditary,
-                             k3_bound_quiver, kronecker_quiver, line_quiver,
-                             loop_quiver, loop_square_zero, make_relation,
-                             symmetrized_tits_matrix, tits_form,
+from wildrank.quiver import (AdmissibilityError, BoundQuiver, Quiver, RepType, build_algebra_table,
+                             classify_hereditary, euler_form, factor_quiver,
+                             is_minimal_wild_hereditary, kronecker_quiver, line_quiver,
+                             loop_quiver, make_relation, symmetrized_tits_matrix, tits_form,
                              _char_poly, _leading_minors_positive, _sparse_rref)
 
 

@@ -18,9 +18,7 @@ from conftest import (ReferenceEndAnalysis, reference_end_radical, reference_hom
 
 from wildrank.exactlin import (F101, QQ, Field, Mat, Span, nilpotency_index, trace_form,
                                trace_radical)
-from wildrank.quiver import (BoundQuiver, Quiver, build_algebra_table,
-                             kronecker_quiver, line_quiver, loop_quiver,
-                             loop_square_zero, make_relation)
+from wildrank.quiver import BoundQuiver, Quiver, line_quiver, loop_quiver, make_relation
 from wildrank.rep import (InconclusiveError, Representation, SamplingStarvation,
                           are_isomorphic, check_relations, decompose, end_radical,
                           factor_polynomial, hom_space, in_sincere_subcategory,

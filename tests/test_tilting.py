@@ -11,15 +11,11 @@ from conftest import (cartan_coxeter, reference_ar_translate_inverse,
 from wildrank.exactlin import F101, QQ, Field, Mat
 from wildrank.quiver import (BoundQuiver, Quiver, _enumerate_paths, euler_form,
                              kronecker_quiver, line_quiver, loop_quiver)
-from wildrank.rep import (Representation, are_isomorphic, hom_space,
-                          is_indecomposable, support)
-from wildrank.tilting import (CyclicQuiverError, Preprojective,
-                              TiltingCandidate, ar_translate_inverse,
-                              endomorphism_algebra,
-                              enumerate_preprojectives,
-                              ext1_dim_via_presentation, injective_rep,
-                              is_tilting, projective_presentation, projective_rep,
-                              search_concealed)
+from wildrank.rep import Representation, hom_space, is_indecomposable, support
+from wildrank.tilting import (CyclicQuiverError, TiltingCandidate, ar_translate_inverse,
+                              endomorphism_algebra, enumerate_preprojectives,
+                              ext1_dim_via_presentation, injective_rep, is_tilting,
+                              projective_presentation, projective_rep, search_concealed)
 
 
 def test_cartan_examples(a2_bq, k2_bq):

@@ -5,20 +5,13 @@ import pytest
 from conftest import eval_tensor_morphism, reference_entry_matrix_on
 
 from wildrank.exactlin import F101, QQ, Field, Mat
-from wildrank.quiver import (BoundQuiver, Path, build_algebra_table,
-                             factor_quiver, k3_bound_quiver, loop_quiver,
-                             loop_square_zero, make_relation)
-from wildrank.rep import (Representation, are_isomorphic, hom_space,
-                          in_sincere_subcategory, is_indecomposable)
-from wildrank.wildness import (CertStep, DegreeCapError, FactorProvenance,
-                               FreeAlgModule, FreeAlgebra,
-                               WitnessBimodule, WitnessCertificate,
-                               bound_via_factor, bound_via_morita, builtin_F,
-                               builtin_G, certificate_for_bimodule,
-                               compose_witness, eval_tensor,
-                               eval_tensor_with_frame,
-                               free_carrier, sincere_witness_for_K3,
-                               verify_witness)
+from wildrank.quiver import (Path, build_algebra_table, factor_quiver, k3_bound_quiver,
+                             loop_square_zero)
+from wildrank.rep import Representation, are_isomorphic, hom_space, in_sincere_subcategory
+from wildrank.wildness import (DegreeCapError, FactorProvenance, FreeAlgModule, FreeAlgebra,
+                               WitnessBimodule, bound_via_factor, bound_via_morita, builtin_F,
+                               builtin_G, certificate_for_bimodule, compose_witness, eval_tensor,
+                               eval_tensor_with_frame, sincere_witness_for_K3, verify_witness)
 
 
 def fam(field, x_rows, y_rows):
@@ -174,7 +167,6 @@ def test_eval_tensor_functorial(k3_table):
         img_w, order_w = eval_tensor_with_frame(g, w)
         big = eval_tensor_morphism(g, fmat)
         # permute raw generator-major coordinates into the output frames
-        rows = [order_w.index(k) if False else k for k in order_w]
         big_perm = big.submatrix(order_w, order_v)
         # split into vertex blocks and check intertwining exactly
         offs_w, offs_v = {}, {}
