@@ -5,7 +5,7 @@ Submodules, in import order (each imports only from those above it):
     quiver      bound quivers, path-algebra tables, Tits form, hereditary types
     rep         representations: Hom, End, indecomposability, decomposition
     modvariety  representation varieties, orbit and parameter estimates
-    tilting     projective presentations, AR translation, tilting, concealed search
+    tilting     projective presentations, AR translation, tilting, endomorphism algebras
     wildness    free-algebra modules, witness bimodules, rank certificates
     covering    Galois coverings by arrow gradings, windows, pushdown
     cli         quiver-spec files, certificate files, command-line interface

@@ -32,7 +32,7 @@ from .rep import (InconclusiveError, Representation, SamplingStarvation,
 from .wildness import (CertStep, CheckCounts, CheckedReport, WitnessBimodule,
                        WitnessCertificate, bound_quiver_hash, check_preservation,
                        compose_witness, eval_tensor, sincere_witness_for_K3,
-                       _coeffs, _from_entries, _tensor_prod, _tensor_sum)
+                       _coeffs, _from_entries, _k3_shape, _tensor_prod, _tensor_sum)
 
 
 def _grade_str(g: tuple[int, ...]) -> str:
@@ -256,8 +256,7 @@ class PushdownReport(CheckedReport):
 
 
 def verify_pushdown(w: Window, samples: int, max_total_dim: int, seed,
-                    field: Optional[Field] = None,
-                    pair_budget: Optional[int] = None) -> PushdownReport:
+                    field: Optional[Field] = None) -> PushdownReport:
     """Sample sincere window modules; check that the pushdown preserves
     indecomposability and isomorphism classes and agrees with evaluation
     through the pushdown bimodule."""
@@ -299,8 +298,7 @@ def verify_pushdown(w: Window, samples: int, max_total_dim: int, seed,
         images.append(direct)
         v = are_isomorphic(direct, eval_tensor(bimod, n), seed=f"{seed}:agree:{i}")
         agree.record(None if v.verdict == "inconclusive" else v.verdict == "yes")
-    indec, iso, pairs = check_preservation(mods, images, seed, "pushdown-pairs",
-                                           pair_budget, 200)
+    indec, iso, pairs = check_preservation(mods, images, seed, "pushdown-pairs", 200)
     notes = ("restricted to the sincere subcategory of the window",)
     return PushdownReport(samples=len(mods), max_total_dim=max_total_dim, seed=seed,
                           field=repr(field), starved=starved, rejected=rejected,
@@ -327,14 +325,6 @@ def _boxes_up_to(group_rank: int, radius: int):
         boxes.append((vol, combo))
     boxes.sort(key=lambda t: (t[0], t[1]))
     return [b for _, b in boxes]
-
-
-def _is_k3_shaped(q: Quiver) -> bool:
-    if len(q.vertices) != 2 or len(q.arrows) != 3:
-        return False
-    srcs = {a.source for a in q.arrows}
-    tgts = {a.target for a in q.arrows}
-    return len(srcs) == 1 and len(tgts) == 1 and srcs != tgts
 
 
 @dataclass
@@ -377,7 +367,9 @@ def covering_criterion(cov: CoveringSpec, search_radius: int,
             continue
         if not is_minimal_wild_hereditary(q):
             continue
-        if not _is_k3_shaped(q):
+        try:
+            _k3_shape(window.bound_quiver)
+        except ValueError:
             # minimal wild hereditary window without a built-in sincere
             # witness; report nothing rather than an unverified bound
             continue

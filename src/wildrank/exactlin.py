@@ -334,14 +334,15 @@ class _PrimeKernel:
     """F_p: ``int`` scalars in [0, p), ``float64`` arrays of residues.
 
     ``coerce`` makes any integer, ``Fraction`` or array entry a residue,
-    ``normalize`` reduces an array mod p, ``exact`` reads entries out as
-    ``int``, ``echelon`` is the blocked ``_echelon_fp`` (unit pivots,
-    zeros below them) and ``matmul`` the BLAS product of two arrays of
-    residues (reduced afterwards by ``normalize``).  The product sums at
-    most ``chunk`` = floor((2**53 - p) / (p - 1)**2) products before it
-    reduces, so a reduced partial sum plus one chunk stays below 2**53:
-    ``chunk`` is 32 at p = 16777213, the largest prime below the 2**24 cap,
-    and about 9 * 10**11 at p = 101, where no product is split.
+    ``normalize`` reduces an array mod p, ``asarray`` reads the data of
+    ``Mat(...)`` for it (integers of any size exactly), ``exact`` reads
+    entries out as ``int``, ``echelon`` is the blocked ``_echelon_fp``
+    (unit pivots, zeros below them) and ``matmul`` the BLAS product of two
+    arrays of residues (reduced afterwards by ``normalize``).  The product
+    sums at most ``chunk`` = floor((2**53 - p) / (p - 1)**2) products
+    before it reduces, so a reduced partial sum plus one chunk stays below
+    2**53: ``chunk`` is 32 at p = 16777213, the largest prime below the
+    2**24 cap, and about 9 * 10**11 at p = 101, where no product is split.
     """
 
     __slots__ = ("p", "name", "chunk")
@@ -376,7 +377,16 @@ class _PrimeKernel:
         return rng.randrange(self.p)
 
     def normalize(self, a: np.ndarray) -> np.ndarray:
-        return a % self.p
+        return (a % self.p).astype(np.float64, copy=False)
+
+    def asarray(self, data) -> np.ndarray:
+        """``data`` as an array for ``normalize``: a float64 array as it is,
+        anything else (nested lists, other arrays) as Python objects, so that
+        an integer beyond 2**53 is reduced exactly before it becomes float64,
+        which would round it."""
+        if isinstance(data, np.ndarray) and data.dtype == np.float64:
+            return data
+        return np.asarray(data, dtype=object)
 
     def exact(self, a: np.ndarray) -> np.ndarray:
         return a.astype(np.int64)
@@ -399,7 +409,8 @@ class _RationalKernel:
     """Q: ``Fraction`` scalars and object arrays of ``Fraction`` entries.
 
     ``coerce`` and ``normalize`` make a scalar or every entry of an array a
-    ``Fraction``, ``exact`` returns entries as they are and ``echelon`` is the
+    ``Fraction``, ``asarray`` reads the data of ``Mat(...)`` as an object
+    array, ``exact`` returns entries as they are and ``echelon`` is the
     fraction-free reduced echelon form ``_echelon_qq``.  ``matmul`` clears
     each operand to one integer matrix over a common denominator, multiplies
     on ``int`` in a row loop that skips zero entries (a dense object-array
@@ -431,6 +442,9 @@ class _RationalKernel:
     def normalize(self, a: np.ndarray) -> np.ndarray:
         return self._array([x if type(x) is Fraction else Fraction(x)
                             for x in a.ravel().tolist()], a.shape)
+
+    def asarray(self, data) -> np.ndarray:
+        return np.asarray(data, dtype=object)
 
     def exact(self, a: np.ndarray) -> np.ndarray:
         return a
@@ -553,10 +567,11 @@ class Mat:
     later is ``_frame``, the Jordan frame that ``_jordan_frame`` memoises.
 
     There are two constructors.  ``Mat(field, rows, cols, data)``, the
-    public one, checks the shape, normalizes every entry (``% p`` over F_p)
-    into a fresh array and makes it read-only.  The private ``Mat._of(field,
-    arr)`` takes ``arr`` as it is, with no normalization, no copy and no
-    shape check, and only makes it read-only.  It is used only where the
+    public one, checks the shape, normalizes every entry (``% p`` over F_p,
+    exact for integers of any size) into a fresh array and makes it
+    read-only.  The private ``Mat._of(field, arr)`` takes ``arr`` as it is,
+    with no normalization, no copy and no shape check, and only makes it
+    read-only.  It is used only where the
     entries are canonical by construction (residues in [0, p) with no
     negative zero, or ``Fraction`` objects: copies, views and
     concatenations of other ``Mat``s, zeros and identities, results that
@@ -571,7 +586,7 @@ class Mat:
         self.rows = rows
         self.cols = cols
         fk = field._kernel
-        arr = np.asarray(data, dtype=fk.dtype)
+        arr = fk.asarray(data)
         if arr.shape != (rows, cols):
             if arr.size or rows * cols:
                 raise ShapeMismatchError(

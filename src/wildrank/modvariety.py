@@ -110,12 +110,12 @@ class StratumReport:
     def any_starved(self) -> bool:
         return any(r.starved for r in self.records)
 
-    def verdict_at_most(self, n: Optional[int] = None) -> Optional[bool]:
-        bound = self.n if n is None else n
+    def verdict_at_most(self) -> Optional[bool]:
+        """Whether the aggregate estimate is at most ``n``; None without one."""
         agg = self.aggregate
         if agg is None:
             return None
-        return agg <= bound
+        return agg <= self.n
 
     def record_for(self, dims: Sequence[int]) -> Optional[DimVectorRecord]:
         key = tuple(int(x) for x in dims)

@@ -2,17 +2,19 @@
 
 Hom spaces are computed as exact kernels of the arrow-commutation equations,
 with two structural shortcuts that keep large instances cheap without
-changing the space: invertible arrows between distinct vertices are
-contracted away (f_t = N(a) f_s M(a)^{-1}), and when a remaining
-matrix-pencil equation has nilpotent matrices on both sides the whole
-pencil is solved in the Jordan coordinates of that pair
-(``exactlin.nilpotent_hom_basis``).  Every other Hom system is one kernel
-of one ``Mat.kron_assemble`` call, and so is the Jacobian of a relation
-(``relation_jacobian``).  The tests check both shortcuts against one
-uncontracted kernel of every arrow equation.  Each basis is cached on the
-source module, per target, and each module keeps its own half of the
-contracted equations (``_Side``), so the Hom spaces it takes part in share
-its transforms, pencil matrices and their Jordan frames.
+changing the space.  Invertible arrows between distinct vertices are
+contracted away (f_t = N(a) f_s M(a)^{-1}), which leaves one equation form
+for every remaining arrow, the normalized pencil f_rt P(a) = P'(a) f_rs
+between the roots of its ends.  When some pair (P(a), P'(a)) of a single
+root is nilpotent on both sides, the whole pencil is solved in the Jordan
+coordinates of that pair (``exactlin.nilpotent_hom_basis``).  Every other
+Hom system is one kernel of one ``Mat.kron_assemble`` call on the same
+pencils, and so is the Jacobian of a relation (``relation_jacobian``).
+The tests check both shortcuts against one uncontracted kernel of every
+arrow equation.  Each basis is cached on the source module, per target,
+and each module keeps its own half of the contracted equations
+(``_Side``), so the Hom spaces it takes part in share its transforms,
+pencil matrices and their Jordan frames.
 
 Indecomposability follows the endomorphism ring: a nontrivial idempotent,
 from a coprime split of a minimal polynomial (factored, multiplied and
@@ -244,15 +246,8 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
     roots = sorted({find(v) for v in q.vertices})
     var_roots = [r for r in roots
                  if n.dims[find(r)] * m.dims[find(r)] > 0]
-
-    # equations: A_t f_{rt} (B_t M(a)) - (N(a) A_s) f_{rs} B_s = 0, with
-    # None for the identity transforms A_t and B_s of a root
-    equations = []
-    for a in remaining:
-        y1, y2 = src.factors[a.name]
-        x1, x2 = tgt.factors[a.name]
-        equations.append((a.name, find(a.target), x1, y1, find(a.source), x2, y2))
-
+    # each remaining arrow a relates the roots of its ends: f_rt P(a) = P'(a) f_rs
+    equations = [(a.name, find(a.target), find(a.source)) for a in remaining]
     basis_root = _solve_hom_equations(field, m, n, var_roots, equations, src, tgt)
 
     out = []
@@ -292,18 +287,19 @@ def _acts_invertibly(mod: Representation, name: str) -> bool:
 
 
 class _Side:
-    """One module's half of the contracted Hom equations: as the source
-    (``source``) or the target of a Hom space, for one sequence of
-    contraction ``steps`` (an arrow and the vertices its fold moves).
+    """One module's half of the contracted Hom equations, as the source or
+    the target of a Hom space, for one sequence of contraction ``steps``
+    (an arrow and the vertices its fold moves).
 
     ``tf`` holds the transforms of folded vertices, B_v for a source and
-    A_v for a target; a root has none.  For each remaining arrow a,
-    ``factors[a]`` is (B_t M(a), B_s) for a source and (A_t, N(a) A_s) for
-    a target, None standing for a root's identity, ``pencil(a)`` is
-    their normalized product B_t M(a) B_s^-1 or A_t^-1 N(a) A_s, and
-    ``nilpotent(a)`` whether that product is nilpotent.  Each
-    transform is a product of invertible matrices and their inverses, so
-    the normalizing factors B_s and A_t are invertible.
+    A_v for a target, so that f_v = A_v f_r B_v on the tree of root r; a
+    root has none.  For each remaining arrow a from s to t, ``pencil[a]``
+    is its normalized matrix, P(a) = B_t M(a) B_s^-1 for a source and
+    P'(a) = A_t^-1 N(a) A_s for a target, and the arrow's equation is
+    f_rt P(a) = P'(a) f_rs.  A contracted arrow's own pencil folds its
+    target's tree onto its source's root, so each transform is a product of
+    invertible matrices and their inverses, and B_s and A_t are invertible.
+    ``nilpotent(a)`` says whether ``pencil[a]`` is nilpotent.
 
     A side depends on one module only, so ``_side`` builds it once per
     module, contraction and role: every Hom space the module is part of
@@ -312,42 +308,27 @@ class _Side:
     """
 
     def __init__(self, mod: Representation, steps, remaining, source: bool):
-        self.source = source
         tf: dict[str, Mat] = {}
-        for a, folded in steps:
+
+        def normalized(a) -> Mat:
             mat = mod.mats[a.name]
             if source:
-                # f_t = N(a) f_s M(a)^-1: B_w <- (B_s M(a)^-1 B_t^-1) B_w
-                y = _times(_times(tf.get(a.source), mat.inverse()), _inverse(tf.get(a.target)))
-                for w in folded:
-                    tf[w] = _times(y, tf.get(w))
-            else:
-                # A_w <- A_w (A_t^-1 N(a) A_s)
-                x = _times(_times(_inverse(tf.get(a.target)), mat), tf.get(a.source))
-                for w in folded:
-                    tf[w] = _times(tf.get(w), x)
-        self.tf = tf
-        self.factors: dict[str, tuple[Optional[Mat], Optional[Mat]]] = {}
-        for a in remaining:
-            mat = mod.mats[a.name]
-            self.factors[a.name] = ((_times(tf.get(a.target), mat), tf.get(a.source))
-                                    if source else
-                                    (tf.get(a.target), _times(mat, tf.get(a.source))))
-        self._pencil: dict[str, Mat] = {}
-        self._nilpotent: dict[str, bool] = {}
+                return _times(_times(tf.get(a.target), mat), _inverse(tf.get(a.source)))
+            return _times(_times(_inverse(tf.get(a.target)), mat), tf.get(a.source))
 
-    def pencil(self, name: str) -> Mat:
-        got = self._pencil.get(name)
-        if got is None:
-            u, v = self.factors[name]
-            got = self._pencil[name] = (_times(u, _inverse(v)) if self.source
-                                        else _times(_inverse(u), v))
-        return got
+        for a, folded in steps:
+            # f_rt = P'(a) f_rs P(a)^-1: B_w <- P(a)^-1 B_w and A_w <- A_w P'(a)
+            x = normalized(a).inverse() if source else normalized(a)
+            for w in folded:
+                tf[w] = _times(x, tf.get(w)) if source else _times(tf.get(w), x)
+        self.tf = tf
+        self.pencil = {a.name: normalized(a) for a in remaining}
+        self._nilpotent: dict[str, bool] = {}
 
     def nilpotent(self, name: str) -> bool:
         got = self._nilpotent.get(name)
         if got is None:
-            got = self._nilpotent[name] = nilpotency_index(self.pencil(name)) is not None
+            got = self._nilpotent[name] = nilpotency_index(self.pencil[name]) is not None
         return got
 
 
@@ -361,50 +342,49 @@ def _side(mod: Representation, steps, remaining, source: bool) -> _Side:
 
 
 def _solve_hom_equations(field, m, n, var_roots, equations, src, tgt):
-    """Solve the contracted intertwiner equations (``x1``, ``y2`` None for
-    identities); returns bases {root: Mat}.
+    """Solve the contracted intertwiner equations f_rt P(a) = P'(a) f_rs,
+    one ``(a, rt, rs)`` per remaining arrow, with P(a) = ``src.pencil[a]``
+    and P'(a) = ``tgt.pencil[a]``; returns bases {root: Mat}.
 
-    A single root whose equations normalize to a pencil g S_k = S'_k g
-    (S_k from the source side ``src``, S'_k from the target side ``tgt``)
-    with one nilpotent pair is solved in Jordan coordinates; everything
-    else is one Kronecker system (``_hom_kron``).
+    A single root with a nilpotent pair (P(a), P'(a)) is solved in Jordan
+    coordinates (``nilpotent_hom_basis``).  Everything else is one
+    Kronecker system over the concatenated root blocks: arrow a puts
+    I ⊗ P(a)^T at f_rt and -P'(a) ⊗ I at f_rs.
+
+    The basis is the one the plain contracted equations give.  With
+    f_t = A_t f_rt B_t and f_s = A_s f_rs B_s, the arrow's equation
+    f_t M(a) = N(a) f_s reads A_t (f_rt P(a) - P'(a) f_rs) B_s = 0, whose
+    rows are (A_t ⊗ B_s^T) times the rows above.  That factor is
+    invertible, so each arrow's rows span the same space in both forms and
+    the kernel is the same; ``Mat.kernel`` returns its one basis that is
+    the identity on the free columns, and the free columns depend on the
+    row space only.
     """
     if not var_roots:
         return []
     if len(var_roots) == 1:
         r = var_roots[0]
-        if all(rt == r and rs == r for (_, rt, _, _, rs, _, _) in equations):
-            names = [a for a, *_ in equations]
+        if all(rt == r and rs == r for _, rt, rs in equations):
+            names = [a for a, _, _ in equations]
             for i, a in enumerate(names):
                 if src.nilpotent(a) and tgt.nilpotent(a):
-                    pencil = [(src.pencil(b), tgt.pencil(b)) for b in names]
+                    pencil = [(src.pencil[b], tgt.pencil[b]) for b in names]
                     return [{r: g} for g in nilpotent_hom_basis(*pencil.pop(i), pencil)]
-    return _hom_kron(field, m, n, var_roots, equations)
-
-
-def _hom_kron(field, m, n, var_roots, equations):
-    """General path: one Kronecker system over concatenated root blocks.
-
-    The equation A_t f_rt (B_t M(a)) - (N(a) A_s) f_rs B_s = 0 contributes
-    x1 ⊗ y1^T at f_rt and -x2 ⊗ y2^T at f_rs, a None transform being the
-    identity of its root.
-    """
     sizes = {r: (n.dims[r], m.dims[r]) for r in var_roots}
     offsets = {}
     off = 0
     for r in var_roots:
         offsets[r] = off
         off += sizes[r][0] * sizes[r][1]
-    nvars = off
     blocks = []
     nrows = 0
-    for (_, rt, x1, y1, rs, x2, y2) in equations:
+    for a, rt, rs in equations:
         if rt in offsets:
-            blocks.append((nrows, offsets[rt], x1, y1.T, x2.rows))
+            blocks.append((nrows, offsets[rt], None, src.pencil[a].T, n.dims[rt]))
         if rs in offsets:
-            blocks.append((nrows, offsets[rs], -x2, None if y2 is None else y2.T, y1.cols))
-        nrows += x2.rows * y1.cols
-    ker = Mat.kron_assemble(field, nrows, nvars, blocks).kernel()
+            blocks.append((nrows, offsets[rs], -tgt.pencil[a], None, m.dims[rs]))
+        nrows += n.dims[rt] * m.dims[rs]
+    ker = Mat.kron_assemble(field, nrows, off, blocks).kernel()
     out = []
     for j in range(ker.cols):
         sol = {}
@@ -563,7 +543,7 @@ def _idempotent_matrix_from_minpoly(field: Field, factors, phi_total: Mat) -> Op
     return None
 
 
-def is_indecomposable(m: Representation, seed, trials: int = DEFAULT_TRIALS) -> IndecVerdict:
+def is_indecomposable(m: Representation, seed) -> IndecVerdict:
     """Endomorphism-ring test for indecomposability.
 
     "no" always carries a nontrivial idempotent; "yes" is certified by the
@@ -598,7 +578,7 @@ def is_indecomposable(m: Representation, seed, trials: int = DEFAULT_TRIALS) -> 
             return IndecVerdict("yes", detail="End local: dim End/rad = 1")
     rng = random.Random(f"indec:{seed}")
     extension_seen = False
-    for _ in range(trials):
+    for _ in range(DEFAULT_TRIALS):
         coords = [field.random_scalar(rng) for _ in range(hom.dim)]
         phi = totals.combine(Mat.column(field, coords))[0]
         minpoly = phi.minimal_polynomial()

@@ -26,8 +26,7 @@ from typing import Iterator, Optional, Sequence
 
 from .exactlin import Field, Mat, Span
 from .quiver import (AlgebraTable, BoundQuiver, Path, Quiver, Relation,
-                     _enumerate_paths, build_algebra_table, euler_form,
-                     is_minimal_wild_hereditary)
+                     _enumerate_paths, build_algebra_table, euler_form)
 from .rep import (Representation, are_isomorphic, end_radical, flatten_morphism,
                   hom_space, morphism_compose, support)
 
@@ -488,18 +487,3 @@ def tilting_candidates(pool: Sequence[Preprojective], n: int) -> Iterator[Tiltin
             if is_tilting(cand):
                 yield cand
 
-
-def search_concealed(bq: BoundQuiver, field: Field, depth: int,
-                     require_minimal_wild: bool = True
-                     ) -> list[tuple[TiltingCandidate, BoundQuiver, AlgebraTable]]:
-    """Bounded search for preprojective tilting modules with a projective
-    summand, returning endomorphism-algebra presentations.
-
-    Not exhaustive beyond the depth; candidates record, per non-projective
-    summand, whether its shift-by-one predecessor is sincere.
-    """
-    if require_minimal_wild and not is_minimal_wild_hereditary(bq.quiver):
-        raise ValueError("search requires a minimal wild hereditary quiver")
-    pool = enumerate_preprojectives(bq, field, depth)
-    return [(cand, *endomorphism_algebra(cand, field))
-            for cand in tilting_candidates(pool, len(bq.quiver.vertices))]

@@ -231,7 +231,7 @@ class WitnessBimodule:
     """
 
     def __init__(self, target: SourceOrTarget, source: SourceOrTarget,
-                 rank: int, action: dict, full: bool = False, validate: bool = True):
+                 rank: int, action: dict, full: bool = False):
         self.target = target
         self.source = source
         self.rank = int(rank)
@@ -240,8 +240,7 @@ class WitnessBimodule:
         self.unital = True
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def field(self) -> Field:
@@ -401,10 +400,11 @@ def _diagonal_assignment(proj, vertices, total):
 # built-in witnesses
 # ---------------------------------------------------------------------------
 
-def _k3_shape(table: AlgebraTable):
-    """Recognize a three-arrow Kronecker algebra; returns (src, tgt, arrows)."""
-    q = table.bound_quiver.quiver
-    if len(q.vertices) != 2 or len(q.arrows) != 3 or table.bound_quiver.relations:
+def _k3_shape(bq: BoundQuiver):
+    """Recognize a three-arrow Kronecker bound quiver; returns (src, tgt,
+    arrows), or raises ``ValueError``."""
+    q = bq.quiver
+    if len(q.vertices) != 2 or len(q.arrows) != 3 or bq.relations:
         raise ValueError("expected a three-arrow Kronecker bound quiver")
     srcs = {a.source for a in q.arrows}
     tgts = {a.target for a in q.arrows}
@@ -424,7 +424,7 @@ def builtin_G(table: Optional[AlgebraTable] = None, field: Field = None) -> Witn
     if table is None:
         table = default_k3_table(field if field is not None else Field.prime(101))
     f = table.field
-    src, tgt, (a1, a2, a3) = _k3_shape(table)
+    src, tgt, (a1, a2, a3) = _k3_shape(table.bound_quiver)
     one = {(): 1}
     vertex_actions = {
         src: _from_entries(f, 2, [(0, 0, one)]),
@@ -440,17 +440,15 @@ def builtin_G(table: Optional[AlgebraTable] = None, field: Field = None) -> Witn
                                                   full=True)
 
 
-def builtin_F(table: Optional[AlgebraTable] = None, field: Field = None) -> WitnessBimodule:
+def builtin_F(table: AlgebraTable) -> WitnessBimodule:
     """Rank-7 fully faithful functor from three-arrow Kronecker
     representations to two-matrix modules.
 
     On (V1, V2; a, b, c) the image is (V1 + V2)^7 with x the block upper
     shift (x^7 = 0) and y carrying, below the subdiagonal of identities,
     the projections to V1 and V2 and the three arrow maps."""
-    if table is None:
-        table = default_k3_table(field if field is not None else Field.prime(101))
     f = table.field
-    src, tgt, (a1, a2, a3) = _k3_shape(table)
+    src, tgt, (a1, a2, a3) = _k3_shape(table.bound_quiver)
     one = _coeffs(table.one())
     lower = [table.idempotent(src), table.idempotent(tgt)] + \
         [table.arrow_element(name) for name in (a1, a2, a3)]
@@ -491,12 +489,9 @@ def compose_witness(outer: WitnessBimodule, inner: WitnessBimodule) -> WitnessBi
                            full=outer.full and inner.full)
 
 
-def sincere_witness_for_K3(table: Optional[AlgebraTable] = None,
-                           field: Field = None) -> WitnessBimodule:
+def sincere_witness_for_K3(table: AlgebraTable) -> WitnessBimodule:
     """Rank-28 witness into three-arrow Kronecker representations whose
     images land in the sincere subcategory (2 * 7 * 2)."""
-    if table is None:
-        table = default_k3_table(field if field is not None else Field.prime(101))
     g = builtin_G(table)
     f = builtin_F(table)
     return compose_witness(g, compose_witness(f, g))
@@ -594,17 +589,16 @@ class WitnessReport(CheckedReport):
 
 
 def check_preservation(sources: Sequence[Representation], images: Sequence[Representation],
-                       seed, pair_stream: str, pair_budget: Optional[int],
-                       default_budget: int) -> tuple[CheckCounts, CheckCounts,
-                                                     list[tuple[int, int]]]:
+                       seed, pair_stream: str, max_pairs: int
+                       ) -> tuple[CheckCounts, CheckCounts, list[tuple[int, int]]]:
     """Seeded checks that ``sources[i] -> images[i]`` preserves
     indecomposability and isomorphism classes.
 
     When ``sources[i]`` is indecomposable (seed ``{seed}:in:{i}``),
-    ``images[i]`` must be too (``{seed}:out:{i}``).  On the pairs i < j
-    drawn by shuffling with the stream ``{pair_stream}:{seed}``
-    (``pair_budget`` of them, or at most ``default_budget``), the sources
-    must be isomorphic (``{seed}:pin:{i}:{j}``) exactly when the images are
+    ``images[i]`` must be too (``{seed}:out:{i}``).  On the first
+    ``max_pairs`` pairs i < j after shuffling with the stream
+    ``{pair_stream}:{seed}``, the sources must be isomorphic
+    (``{seed}:pin:{i}:{j}``) exactly when the images are
     (``{seed}:pout:{i}:{j}``).  An inconclusive verdict counts as
     inconclusive.  Returns both counts and the sorted pairs.
     """
@@ -620,9 +614,8 @@ def check_preservation(sources: Sequence[Representation], images: Sequence[Repre
         indec_out.append(verdict_out)
 
     all_pairs = [(i, j) for i in range(len(sources)) for j in range(i + 1, len(sources))]
-    budget = pair_budget if pair_budget is not None else min(len(all_pairs), default_budget)
     random.Random(f"{pair_stream}:{seed}").shuffle(all_pairs)
-    pairs = sorted(all_pairs[:budget])
+    pairs = sorted(all_pairs[:max_pairs])
     iso = CheckCounts()
     for (i, j) in pairs:
         v_in = are_isomorphic(sources[i], sources[j], seed=f"{seed}:pin:{i}:{j}",
@@ -637,7 +630,6 @@ def check_preservation(sources: Sequence[Representation], images: Sequence[Repre
 
 
 def verify_witness(w: WitnessBimodule, samples: int, max_dim: int, seed,
-                   pair_budget: Optional[int] = None,
                    check_sincere: int = 0) -> WitnessReport:
     """Draw seeded random source modules and check preservation properties.
 
@@ -663,7 +655,7 @@ def verify_witness(w: WitnessBimodule, samples: int, max_dim: int, seed,
         images.append(img)
     reps = [v.as_representation() for v in mods]
 
-    indec, iso, pairs = check_preservation(reps, images, seed, "verify-pairs", pair_budget, 150)
+    indec, iso, pairs = check_preservation(reps, images, seed, "verify-pairs", 150)
     hom = CheckCounts()
     if w.full:
         for v, img in zip(reps, images):
@@ -759,15 +751,14 @@ def bound_quiver_hash(bq: BoundQuiver) -> str:
 
 def certificate_for_bimodule(w: WitnessBimodule, target_bq: BoundQuiver,
                              target_desc: str, seed,
-                             target_kind: str = "algebra",
-                             note: str = "explicit witness bimodule") -> WitnessCertificate:
+                             target_kind: str = "algebra") -> WitnessCertificate:
     table_dim = w.target.dimension if isinstance(w.target, AlgebraTable) else 0
     return WitnessCertificate(
         target_desc=target_desc,
         target_hash=bound_quiver_hash(target_bq),
         target_dim=table_dim,
         bound=w.rank,
-        steps=(CertStep("explicit-bimodule", w.rank, note),),
+        steps=(CertStep("explicit-bimodule", w.rank, "explicit witness bimodule"),),
         field_desc=repr(w.field),
         seed=seed,
         target_kind=target_kind,

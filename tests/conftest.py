@@ -15,10 +15,11 @@ from wildrank.rep import (IndecVerdict, InconclusiveError, Representation, _bloc
                           factor_polynomial, flatten_morphism, hom_space, morphism_compose,
                           support, _poly_eval_matrix)
 from wildrank.quiver import (BoundQuiver, Quiver, _enumerate_paths, build_algebra_table,
-                             k3_bound_quiver, kronecker_quiver, line_quiver,
-                             loop_quiver, loop_square_zero, make_relation)
+                             is_minimal_wild_hereditary, k3_bound_quiver, kronecker_quiver,
+                             line_quiver, loop_quiver, loop_square_zero, make_relation)
 from wildrank.tilting import (_complement_units, _dual_rep, _require_acyclic,
-                              _top_lift_basis, injective_rep)
+                              _top_lift_basis, endomorphism_algebra, enumerate_preprojectives,
+                              injective_rep, tilting_candidates)
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -1006,3 +1007,15 @@ def three_loop_bq():
 @pytest.fixture(scope="session")
 def free_bq():
     return BoundQuiver(loop_quiver(2), [], nilbound=3)
+
+
+def search_concealed(bq, field, depth):
+    """Bounded search for preprojective tilting modules with a projective
+    summand over a minimal wild hereditary quiver: each with its
+    endomorphism-algebra presentation, ``(candidate, bound quiver, table)``.
+    Not exhaustive beyond the depth."""
+    if not is_minimal_wild_hereditary(bq.quiver):
+        raise ValueError("search requires a minimal wild hereditary quiver")
+    pool = enumerate_preprojectives(bq, field, depth)
+    return [(cand, *endomorphism_algebra(cand, field))
+            for cand in tilting_candidates(pool, len(bq.quiver.vertices))]

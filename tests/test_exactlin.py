@@ -87,6 +87,16 @@ def test_field_scalar_ops():
     assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
 
 
+@pytest.mark.parametrize("p", [101, 16777213])
+def test_constructor_reduces_big_ints_exactly(p):
+    # float64 rounds an int beyond 2**53 (2**60 + 1 became 87 mod 101, not 88)
+    f = Field.prime(p)
+    for x in (2 ** 60 + 1, -(2 ** 60 + 1), 2 ** 100):
+        m = Mat(f, 1, 2, [[x, 1]])
+        assert m == Mat.from_rows(f, [[x, 1]])
+        assert m.entry(0, 0) == x % p
+
+
 def test_rank_examples():
     assert Mat.zeros(QQ, 0, 0).rank() == 0
     assert Mat.identity(F101, 2).rank() == 2

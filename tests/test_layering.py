@@ -19,6 +19,10 @@ by module and name; every name it lists must still resolve.
 
 No module of the package or of the tests imports a name at module level
 that nothing else in it reads.
+
+Every defaulted parameter of a function or method of the package is passed
+by some call in ``src/``, ``tests/`` or ``perfbench/``: a default that no
+call overrides is an option with one value in use, which is a constant.
 """
 
 import ast
@@ -284,3 +288,85 @@ def test_every_import_is_read():
                     "from .rep import hom_space as hs, sample\nimport sys\n"
                     "def f():\n    return np.zeros(sample)\n")
     assert unused_imports(bad) == ["hs", "os", "sys"]
+
+
+def _calls(tree: ast.AST) -> list[tuple[str, ast.Call]]:
+    """Each call in ``tree`` with the name it calls (a plain or attribute
+    name), ``cls(...)`` inside a class counting as a call of that class."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                out.append((owner if name == "cls" and owner else name, child))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    visit(tree, None)
+    return out
+
+
+def unpassed_defaults(module: ast.Module, trees) -> list[str]:
+    """The defaulted parameters of the top-level functions and the methods
+    of ``module`` that no call in ``trees`` passes, by keyword or by
+    position, as ``name: parameter`` or ``Class.name: parameter``.
+
+    A call matches by the name it calls, a class name for ``__init__``;
+    through an attribute it also binds the first parameter of a method
+    that is not static.  A call that unpacks ``*args`` or ``**kwargs``
+    passes everything.
+    """
+    calls = [c for tree in trees for c in _calls(tree)]
+    scopes = [(None, fn) for fn in module.body] + [
+        (cls, fn) for cls in module.body if isinstance(cls, ast.ClassDef) for fn in cls.body]
+    out = []
+    for cls, fn in scopes:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        name = cls.name if cls and fn.name == "__init__" else fn.name
+        bound = cls is not None and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                            for d in fn.decorator_list)
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        defaulted = [(p.arg, i) for i, p in enumerate(positional) if i >= first]
+        defaulted += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        for param, index in defaulted:
+            if not any(called == name and (
+                    any(k.arg in (None, param) for k in call.keywords)
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    or index is not None and len(call.args) + bound > index)
+                       for called, call in calls):
+                out.append(f"{cls.name + '.' if cls else ''}{fn.name}: {param}")
+    return out
+
+
+def test_every_default_is_overridden_somewhere():
+    root = os.path.join(os.path.dirname(__file__), "..")
+    trees = []
+    for d in ("src", "tests", "perfbench"):
+        for base, _, files in os.walk(os.path.join(root, d)):
+            for f in sorted(files):
+                if f.endswith(".py"):
+                    with open(os.path.join(base, f)) as fh:
+                        trees.append(ast.parse(fh.read(), f))
+    found = {}
+    for name in MODULES + ["exactlin.py"]:
+        with open(os.path.join(SRC, name)) as fh:
+            unpassed = unpassed_defaults(ast.parse(fh.read(), name), trees)
+        if unpassed:
+            found[name] = unpassed
+    assert found == {}
+    # the check itself: keyword, position (self bound through an attribute,
+    # cls(...) inside its class only) and unpacking
+    bad = ast.parse("def f(a, b=1, *, c=2):\n    return f(a, c=3)\n"
+                    "class K:\n"
+                    "    def __init__(self, x=0, y=0):\n        pass\n"
+                    "    @classmethod\n    def make(cls):\n        return cls(1)\n"
+                    "    def m(self, z=0):\n        pass\n"
+                    "    @staticmethod\n    def s(u=0):\n        pass\n"
+                    "def g(v=0, w=0):\n    return cls(0, 1)\n"
+                    "K().m(5)\nK.s()\ng(*[1])\n")
+    assert unpassed_defaults(bad, [bad]) == ["f: b", "K.__init__: y", "K.s: u"]

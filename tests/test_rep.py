@@ -64,24 +64,45 @@ def flat_morphism(f, vertices):
     return [x for v in vertices for row in f[v].row_list() for x in row]
 
 
+def invertible_rep(bq, field, dims, rng):
+    """A module on which every arrow between equal dimensions is invertible,
+    so that ``hom_space`` contracts all of them."""
+    def arrow(t, s):
+        while True:
+            g = Mat.random(field, t, s, rng)
+            if t != s or g.is_invertible():
+                return g
+    return Representation(bq, field, dims, {a.name: arrow(dims[a.target], dims[a.source])
+                                            for a in bq.quiver.arrows}, check=False)
+
+
 def test_hom_fast_paths_agree(k3_bq, k2_bq, free_bq):
     # the contraction, pencil and Kronecker paths of hom_space against one
     # uncontracted kernel: the same dimension, and a basis of intertwiners
     rng = random.Random(42)
+    a3 = BoundQuiver(line_quiver(3), [], nilbound=3)
+    d4 = BoundQuiver(Quiver(["c", "1", "2", "3"],
+                            [("a", "1", "c"), ("b", "c", "2"), ("d", "3", "c")]), [])
+    # inputs the random draws can miss: contracting a on K2 leaves one root
+    # with the invertible, so not nilpotent, pencils of b (the Kronecker
+    # route with transforms); on A3 and D4 it leaves two roots with transforms
+    contracted = [(k2_bq, {"1": 3, "2": 3}), (a3, {"1": 2, "2": 2, "3": 3}),
+                  (d4, {"c": 2, "1": 2, "2": 2, "3": 1})]
     for field in (F101, Field.prime(7), QQ):
-        for bq in (k2_bq, k3_bq, free_bq, BoundQuiver(line_quiver(3), [], nilbound=3)):
-            vertices = bq.quiver.vertices
-            for _ in range(4):
-                m = rand_rep(bq, field, 3, rng)
-                n = rand_rep(bq, field, 3, rng)
-                h = hom_space(m, n)
-                assert h.dim == len(reference_hom_space(m, n))
-                for f in h.basis:
-                    for a in bq.quiver.arrows:
-                        assert f[a.target] @ m.mats[a.name] == n.mats[a.name] @ f[a.source]
-                if h.dim:
-                    flat = [flat_morphism(f, vertices) for f in h.basis]
-                    assert Mat.from_rows(field, flat).rank() == h.dim
+        pairs = [(rand_rep(bq, field, 3, rng), rand_rep(bq, field, 3, rng))
+                 for bq in (k2_bq, k3_bq, free_bq, a3) for _ in range(4)]
+        for bq, dims in contracted:
+            m, n = invertible_rep(bq, field, dims, rng), invertible_rep(bq, field, dims, rng)
+            pairs += [(m, n), (n, m), (m, m)]
+        for m, n in pairs:
+            h = hom_space(m, n)
+            assert h.dim == len(reference_hom_space(m, n))
+            for f in h.basis:
+                for a in m.bound_quiver.quiver.arrows:
+                    assert f[a.target] @ m.mats[a.name] == n.mats[a.name] @ f[a.source]
+            if h.dim:
+                flat = [flat_morphism(f, m.bound_quiver.quiver.vertices) for f in h.basis]
+                assert Mat.from_rows(field, flat).rank() == h.dim
 
 
 def copy_rep(m):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (cartan_coxeter, reference_ar_translate_inverse,
                       reference_ext1_dim_via_presentation, reference_projective_presentation,
-                      reference_projective_rep)
+                      reference_projective_rep, search_concealed)
 from wildrank.exactlin import F101, QQ, Field, Mat
 from wildrank.quiver import (BoundQuiver, Quiver, _enumerate_paths, euler_form,
                              kronecker_quiver, line_quiver, loop_quiver)
@@ -15,7 +15,7 @@ from wildrank.rep import Representation, hom_space, is_indecomposable, support
 from wildrank.tilting import (CyclicQuiverError, TiltingCandidate, ar_translate_inverse,
                               endomorphism_algebra, enumerate_preprojectives,
                               ext1_dim_via_presentation, injective_rep, is_tilting,
-                              projective_presentation, projective_rep, search_concealed)
+                              projective_presentation, projective_rep)
 
 
 def test_cartan_examples(a2_bq, k2_bq):
