@@ -33,7 +33,7 @@ from .rep import Representation
 from .modvariety import stratum_probe
 from .tilting import (CyclicQuiverError, endomorphism_algebra, enumerate_preprojectives,
                       tilting_candidates)
-from .wildness import (CertStep, CheckCounts, WitnessBimodule, WitnessCertificate,
+from .wildness import (CertStep, CheckCounts, WitnessCertificate,
                        verify_witness)
 from .covering import CoveringSpec, covering_criterion, verify_pushdown
 
@@ -426,8 +426,7 @@ def _merged_summary(reports) -> str:
 
 def cmd_certify(text: str, radius: int = 2, samples: int = 30, max_dim: int = 1,
                 seed=0, pushdown_samples: int = 30, pushdown_max_dim: int = 6,
-                out_path: Optional[str] = None,
-                debug_corrupt_witness: bool = False) -> tuple[str, int]:
+                out_path: Optional[str] = None) -> tuple[str, int]:
     try:
         spec = parse_quiver_spec(text)
     except SpecError as e:
@@ -443,15 +442,7 @@ def cmd_certify(text: str, radius: int = 2, samples: int = 30, max_dim: int = 1,
         return (f"no certifiable wild window found within radius {radius} "
                 f"(this is not a tameness claim)", 3)
     cert, window = got
-    witness = cert.bimodule
-    if debug_corrupt_witness:
-        action = dict(witness.action)
-        for i, p in enumerate(witness.target.basis):
-            if p.arrows:
-                action[i] = {}
-        witness = WitnessBimodule(witness.target, witness.source, witness.rank,
-                                  action, full=False)
-    report_w = verify_witness(witness, samples=samples, max_dim=max_dim,
+    report_w = verify_witness(cert.bimodule, samples=samples, max_dim=max_dim,
                               seed=seed, check_sincere=0)
     report_p = verify_pushdown(window, samples=pushdown_samples,
                                max_total_dim=pushdown_max_dim, seed=seed,
@@ -553,8 +544,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_certify.add_argument("--pushdown-samples", type=int, default=30)
     p_certify.add_argument("--pushdown-max-dim", type=int, default=6)
     p_certify.add_argument("--out", default=None)
-    p_certify.add_argument("--debug-corrupt-witness", action="store_true",
-                           help="negative-path fixture: corrupt the witness before verification")
 
     p_variety = sub.add_parser("variety", help="module-variety parameter probe")
     p_variety.add_argument("spec")
@@ -579,8 +568,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                 max_dim=args.max_dim, seed=args.seed,
                                 pushdown_samples=args.pushdown_samples,
                                 pushdown_max_dim=args.pushdown_max_dim,
-                                out_path=args.out,
-                                debug_corrupt_witness=args.debug_corrupt_witness)
+                                out_path=args.out)
     elif args.command == "variety":
         out, code = cmd_variety(text, nmax=args.nmax, samples=args.samples,
                                 seed=args.seed)

@@ -32,7 +32,7 @@ from .rep import (InconclusiveError, Representation, SamplingStarvation,
 from .wildness import (CertStep, CheckCounts, CheckedReport, WitnessBimodule,
                        WitnessCertificate, bound_quiver_hash, check_preservation,
                        compose_witness, eval_tensor, sincere_witness_for_K3,
-                       _coeffs, _from_entries, _k3_shape, _tensor_prod, _tensor_sum)
+                       _from_entries, _k3_shape, _tensor_prod, _tensor_sum)
 
 
 def _grade_str(g: tuple[int, ...]) -> str:
@@ -169,7 +169,7 @@ def pushdown_bimodule(w: Window, field: Field) -> WitnessBimodule:
     r = len(slots)
     vertex_actions = {
         bv: _from_entries(field, r, [(slot_of[s], slot_of[s],
-                                      _coeffs(window_table.idempotent(s)))
+                                      window_table.idempotent(s))
                                      for s in w.fiber(bv)])
         for bv in w.covering.base.quiver.vertices}
     arrow_actions = {}
@@ -179,7 +179,7 @@ def pushdown_bimodule(w: Window, field: Field) -> WitnessBimodule:
             if name == a.name:
                 warrow = w.bound_quiver.quiver.arrow(wname)
                 entries.append((slot_of[warrow.target], slot_of[warrow.source],
-                                _coeffs(window_table.arrow_element(wname))))
+                                window_table.arrow_element(wname)))
         arrow_actions[a.name] = _from_entries(field, r, entries)
     # explicit check: base relations annihilate the action
     for rel in w.covering.base.relations:

@@ -333,7 +333,8 @@ def _echelon_qq(rows: list[list[Fraction]]):
 class _PrimeKernel:
     """F_p: ``int`` scalars in [0, p), ``float64`` arrays of residues.
 
-    ``coerce`` makes any integer, ``Fraction`` or array entry a residue,
+    ``coerce`` makes any integer, ``Fraction``, float or string such as
+    ``"2/3"`` a residue (a non-integer through ``Fraction``),
     ``normalize`` reduces an array mod p, ``asarray`` reads the data of
     ``Mat(...)`` for it (integers of any size exactly), ``exact`` reads
     entries out as ``int``, ``echelon`` is the blocked ``_echelon_fp``
@@ -361,11 +362,13 @@ class _PrimeKernel:
         self.chunk = (2 ** 53 - p) // (p - 1) ** 2
 
     def coerce(self, x) -> int:
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
-        return int(x) % self.p
+        if isinstance(x, (int, np.integer)) or (isinstance(x, float) and x.is_integer()):
+            return int(x) % self.p
+        if not isinstance(x, Fraction):
+            x = Fraction(x)     # a string such as "2/3", a float exactly
+        if x.denominator % self.p == 0:
+            raise ZeroDivisionError(f"denominator divisible by {self.p}")
+        return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
 
     def inv(self, a):
         a = a % self.p
@@ -381,12 +384,14 @@ class _PrimeKernel:
 
     def asarray(self, data) -> np.ndarray:
         """``data`` as an array for ``normalize``: a float64 array as it is,
-        anything else (nested lists, other arrays) as Python objects, so that
-        an integer beyond 2**53 is reduced exactly before it becomes float64,
-        which would round it."""
+        anything else (nested lists, other arrays) entry by entry through
+        ``coerce``, so that an integer beyond 2**53 or a ``Fraction`` is
+        reduced exactly before it becomes float64, which would round the
+        integer and keep the fraction."""
         if isinstance(data, np.ndarray) and data.dtype == np.float64:
             return data
-        return np.asarray(data, dtype=object)
+        arr = np.asarray(data, dtype=object)
+        return np.frompyfunc(self.coerce, 1, 1)(arr) if arr.ndim == 2 else arr
 
     def exact(self, a: np.ndarray) -> np.ndarray:
         return a.astype(np.int64)

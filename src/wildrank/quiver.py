@@ -7,9 +7,11 @@ parallel (same source and same target).
 
 The quotient algebra kQ/I is materialized as an :class:`AlgebraTable` whose
 basis consists of residue classes of paths of length below the nilpotency
-bound L.  Admissibility (every length-L path lies in the relation ideal) is
-verified constructively: each length-L path must lie in the exact span of
-untruncated products u*r*v of relation generators.  The check is sound
+bound L.  An element of the table is a dict ``{basis index: scalar}`` with
+zero coefficients dropped; normal forms and structure constants have the
+same form.  Admissibility (every length-L path lies in the relation ideal)
+is verified constructively: each length-L path must lie in the exact span
+of untruncated products u*r*v of relation generators.  The check is sound
 (those products are genuine ideal elements) and conservative; presentations
 that need cancellation outside the inspected window are rejected rather
 than silently accepted.
@@ -25,7 +27,6 @@ the inhomogeneous window of the edge-case tests (2-core VM).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -256,75 +257,13 @@ def serialize_quiver_spec(bq: BoundQuiver, name: str,
 # algebra table
 # ---------------------------------------------------------------------------
 
-class AlgebraElement:
-    """An element of an :class:`AlgebraTable`, stored as basis coefficients."""
-
-    __slots__ = ("table", "coeffs")
-
-    def __init__(self, table: "AlgebraTable", coeffs):
-        self.table = table
-        self.coeffs = tuple(coeffs)
-        if len(self.coeffs) != table.dimension:
-            raise ValueError("coefficient length mismatch")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        f = self.table.field
-        return AlgebraElement(self.table, [f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        f = self.table.field
-        return AlgebraElement(self.table, [f.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "AlgebraElement":
-        f = self.table.field
-        return AlgebraElement(self.table, [f.neg(a) for a in self.coeffs])
-
-    def scaled(self, c) -> "AlgebraElement":
-        f = self.table.field
-        c = f.coerce(c)
-        return AlgebraElement(self.table, [f.mul(c, a) for a in self.coeffs])
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        if other.table is not self.table:
-            raise ValueError("elements of different algebra tables")
-        f = self.table.field
-        out = [f.zero] * self.table.dimension
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                prod = self.table.product_entry(i, j)
-                if not prod:
-                    continue
-                ab = f.mul(a, b)
-                for k, c in prod.items():
-                    out[k] = f.add(out[k], f.mul(ab, c))
-        return AlgebraElement(self.table, out)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AlgebraElement) and other.table is self.table
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.table), self.coeffs))
-
-    def __repr__(self) -> str:
-        parts = [f"{c}*{self.table.basis[i]}" for i, c in enumerate(self.coeffs) if c != 0]
-        return " + ".join(parts) if parts else "0"
-
-
 class AlgebraTable:
     """Finite-dimensional quotient path algebra with explicit structure constants.
 
     ``basis`` holds residue classes of paths of length < L, the product
     table is closed, and the identity is the sum of the vertex idempotents.
+    An element is a dict ``{basis index: scalar}`` with zero coefficients
+    dropped, the form of the normal forms and of :meth:`product_entry`.
     Built via :func:`build_algebra_table`.
     """
 
@@ -370,46 +309,24 @@ class AlgebraTable:
     def basis_index(self, path: Path) -> Optional[int]:
         return self._index.get((path.source, path.target, path.arrows))
 
-    def zero(self) -> AlgebraElement:
-        return AlgebraElement(self, [self.field.zero] * self.dimension)
-
-    def basis_element(self, i: int) -> AlgebraElement:
-        coeffs = [self.field.zero] * self.dimension
-        coeffs[i] = self.field.one
-        return AlgebraElement(self, coeffs)
-
-    def idempotent(self, vertex: str) -> AlgebraElement:
+    def idempotent(self, vertex: str) -> dict:
         i = self.basis_index(Path(vertex, vertex, ()))
         if i is None:
             raise ValueError(f"no idempotent for vertex {vertex}")
-        return self.basis_element(i)
+        return {i: self.field.one}
 
-    def one(self) -> AlgebraElement:
-        out = self.zero()
-        for v in self.bound_quiver.quiver.vertices:
-            out = out + self.idempotent(v)
-        return out
+    def one(self) -> dict:
+        """The sum of the vertex idempotents."""
+        return {i: self.field.one for i, p in enumerate(self.basis) if not p.arrows}
 
-    def arrow_element(self, name: str) -> AlgebraElement:
+    def arrow_element(self, name: str) -> dict:
         a = self.bound_quiver.quiver.arrow(name)
         return self.path_element(Path(a.source, a.target, (name,)))
 
-    def path_element(self, path: Path) -> AlgebraElement:
-        nf = self._normal_form_of_word(path.source, path.target, path.arrows)
-        coeffs = [self.field.zero] * self.dimension
-        for k, c in nf.items():
-            coeffs[k] = c
-        return AlgebraElement(self, coeffs)
-
-    def check_associativity(self) -> bool:
-        """Exhaustively check (ab)c == a(bc) on basis triples."""
-        elems = [self.basis_element(i) for i in range(self.dimension)]
-        for a, b in itertools.product(elems, repeat=2):
-            ab = a * b
-            for c in elems:
-                if (ab * c) != (a * (b * c)):
-                    return False
-        return True
+    def path_element(self, path: Path) -> dict:
+        """The normal form of the path, in basis order."""
+        return dict(sorted(self._normal_form_of_word(path.source, path.target,
+                                                     path.arrows).items()))
 
     def __repr__(self) -> str:
         return f"AlgebraTable(dim={self.dimension}, field={self.field})"

@@ -44,7 +44,7 @@ from sympy.polys.galoistools import gf_gcdex, gf_mul, gf_pow
 
 from .exactlin import (Field, Mat, ShapeMismatchError, Span, find_invertible_in_span,
                        nilpotency_index, nilpotent_hom_basis, trace_form, trace_radical)
-from .quiver import AlgebraElement, BoundQuiver, Path, _enumerate_paths
+from .quiver import BoundQuiver, Path, _enumerate_paths
 
 DEFAULT_TRIALS = 32
 
@@ -138,19 +138,6 @@ class Representation:
 
     def path_matrix(self, path: Path) -> Mat:
         return _word_matrix(self.field, path.arrows, self.mats, self.dims[path.target])
-
-    def element_action(self, elt: AlgebraElement) -> Mat:
-        """Total-space action of an algebra-table element (block by vertex)."""
-        table = elt.table
-        if table.bound_quiver != self.bound_quiver:
-            raise ShapeMismatchError("algebra element over a different bound quiver")
-        n = self.total_dim
-        blocks = []
-        for c, path in zip(elt.coeffs, table.basis):
-            if c != 0:
-                blocks.append((self.offset(path.target), self.offset(path.source),
-                               self.path_matrix(path).scaled(c)))
-        return Mat.assemble(self.field, n, n, blocks)
 
     def __repr__(self) -> str:
         return f"Representation(dims={self.dim_vector()}, field={self.field})"

@@ -6,9 +6,11 @@ target's basis on the free generators.  Each action is an r x r matrix over
 the source B kept in tensor form: sum_k A_k (x) b_k with r x r field
 matrices A_k and basis elements b_k of B (words in x, y for the free
 algebra, basis indices for an algebra table), stored as ``{key: A_k}``.
+A table element is read as its coefficient dict ``{basis index: scalar}``.
 Products read B's structure constants, sum_m (sum_kl c^m_kl A_k B_l) b_m;
-evaluating at a module is sum_k A_k kron act(b_k); composing substitutes
-the inner action for each b_k.  Tensoring against a source module gives the
+evaluating at a module is sum_k A_k kron act(b_k), a basis path acting by
+its path matrix in block (target, source); composing substitutes the inner
+action for each b_k.  Tensoring against a source module gives the
 associated exact functor; its preservation properties (indecomposability,
 isomorphism classes, Hom dimensions when fullness is claimed) are checked
 by bounded randomized verification, never assumed.
@@ -32,7 +34,7 @@ from typing import Optional, Sequence, Union
 
 from . import __version__
 from .exactlin import Field, Mat, ShapeMismatchError
-from .quiver import (AlgebraElement, AlgebraTable, BoundQuiver, Path,
+from .quiver import (AlgebraTable, BoundQuiver, Path,
                      build_algebra_table, factor_quiver, k3_bound_quiver, loop_quiver,
                      serialize_quiver_spec)
 from .rep import (Representation, are_isomorphic, hom_space,
@@ -146,10 +148,6 @@ def _unit_keys(source: SourceOrTarget) -> list:
     return [source.basis_index(Path(v, v, ())) for v in source.bound_quiver.quiver.vertices]
 
 
-def _coeffs(elt: AlgebraElement) -> dict:
-    return {k: c for k, c in enumerate(elt.coeffs) if c != 0}
-
-
 def _tensor(field: Field, r: int, terms) -> dict:
     """The tensor sum c * M (x) b_key over ``(key, c, M)`` terms."""
     acc: dict = {}
@@ -205,13 +203,17 @@ def _tensor_prod(source: SourceOrTarget, r: int, tensors: list) -> dict:
 
 def _act(source: SourceOrTarget, module, key) -> Mat:
     """The matrix by which the source basis element ``key`` acts on a module;
-    a word acts letter by letter, so xy acts as X @ Y."""
+    a word acts letter by letter, so xy acts as X @ Y, and a basis path p
+    acts on the total space by its path matrix in block (p.target, p.source)."""
     if isinstance(source, FreeAlgebra):
         acc = Mat.identity(module.field, module.dim)
         for letter in key:
             acc = acc @ (module.x if letter == "x" else module.y)
         return acc
-    return module.element_action(source.basis_element(key))
+    p = source.basis[key]
+    n = module.total_dim
+    block = (module.offset(p.target), module.offset(p.source), module.path_matrix(p))
+    return Mat.assemble(module.field, n, n, [block])
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +331,9 @@ def eval_tensor_with_frame(w: WitnessBimodule, module):
     The frame maps output coordinates to (generator-major) raw coordinates.
     """
     field = w.field
+    if (isinstance(w.source, AlgebraTable)
+            and module.bound_quiver != w.source.bound_quiver):
+        raise ShapeMismatchError("module over a different bound quiver than the source")
     n = w.source_dim(module)
     total = w.rank * n
     acts: dict = {}
@@ -449,12 +454,12 @@ def builtin_F(table: AlgebraTable) -> WitnessBimodule:
     the projections to V1 and V2 and the three arrow maps."""
     f = table.field
     src, tgt, (a1, a2, a3) = _k3_shape(table.bound_quiver)
-    one = _coeffs(table.one())
+    one = table.one()
     lower = [table.idempotent(src), table.idempotent(tgt)] + \
         [table.arrow_element(name) for name in (a1, a2, a3)]
     x = _from_entries(f, 7, [(i, i + 1, one) for i in range(6)])
     y = _from_entries(f, 7, [(i + 1, i, one) for i in range(6)]
-                      + [(i + 2, i, _coeffs(elt)) for i, elt in enumerate(lower)])
+                      + [(i + 2, i, elt) for i, elt in enumerate(lower)])
     return WitnessBimodule(FreeAlgebra(f), table, 7, {"x": x, "y": y}, full=True)
 
 
@@ -821,9 +826,8 @@ def _inflate_bimodule(w: WitnessBimodule, parent_table: AlgebraTable,
         if not path.arrows and path.source not in keep_vertices:
             action[i] = {}
             continue
-        elt = quotient.path_element(Path(path.source, path.target, path.arrows))
-        action[i] = _tensor_sum(w.field, w.rank,
-                                [(c, w.action[k]) for k, c in _coeffs(elt).items()])
+        action[i] = _tensor_sum(w.field, w.rank, [(c, w.action[k]) for k, c in
+                                                  quotient.path_element(path).items()])
     return WitnessBimodule(parent_table, w.source, w.rank, action, full=False)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import sys
@@ -91,7 +92,9 @@ def reference_entry_matrix_on(w, tensor, module):
     (i, j) of the result is sum_k A_k[i, j] * act(b_k) for the tensor
     sum_k A_k (x) b_k, where a word acts as the product of the module's x
     and y in word order and a basis path by its path matrix.  Reference for
-    the Kronecker form sum_k A_k kron act(b_k) behind ``eval_tensor``."""
+    the Kronecker form sum_k A_k kron act(b_k) behind ``eval_tensor``.
+    A basis path p acts on the total space by its path matrix in rows
+    offset(p.target) and columns offset(p.source), zero elsewhere."""
     field, r = w.field, w.rank
     if hasattr(module, "x"):
         n = module.dim
@@ -105,7 +108,12 @@ def reference_entry_matrix_on(w, tensor, module):
         n = module.total_dim
 
         def act(k):
-            return module.element_action(w.source.basis_element(k))
+            p = w.source.basis[k]
+            block = module.path_matrix(p)
+            t, s = module.offset(p.target), module.offset(p.source)
+            return Mat(field, n, n, [[block.entry(u - t, v - s)
+                                      if 0 <= u - t < block.rows and 0 <= v - s < block.cols
+                                      else field.zero for v in range(n)] for u in range(n)])
     rows = [[field.zero] * (r * n) for _ in range(r * n)]
     for key, a in tensor.items():
         m = act(key)
@@ -117,6 +125,30 @@ def reference_entry_matrix_on(w, tensor, module):
                         rows[i * n + u][j * n + v] = field.add(
                             rows[i * n + u][j * n + v], field.mul(c, m.entry(u, v)))
     return Mat(field, r * n, r * n, rows)
+
+
+def table_product(table, a, b):
+    """The product of two elements ``{basis index: scalar}`` of an algebra
+    table, zeros dropped, read from its structure constants."""
+    f = table.field
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            xy = f.mul(x, y)
+            for k, c in table.product_entry(i, j).items():
+                out[k] = f.add(out.get(k, f.zero), f.mul(xy, c))
+    return {k: c for k, c in sorted(out.items()) if c != 0}
+
+
+def is_associative(table):
+    """(ab)c == a(bc) on every triple of basis elements of the table."""
+    basis = [{i: table.field.one} for i in range(table.dimension)]
+    for a, b in itertools.product(basis, repeat=2):
+        ab = table_product(table, a, b)
+        for c in basis:
+            if table_product(table, ab, c) != table_product(table, a, table_product(table, b, c)):
+                return False
+    return True
 
 
 def reference_jordan_nilpotent(s):

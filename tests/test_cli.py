@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ from wildrank.cli import (SpecError, cmd_certify, cmd_classify, cmd_tilt, cmd_va
                           parse_certificate, parse_quiver_spec,
                           parse_representation, serialize_quiver_spec,
                           serialize_representation)
+import wildrank.cli as cli_module
 from wildrank.covering import covering_criterion
-from wildrank.wildness import CertStep, WitnessCertificate
+from wildrank.wildness import CertStep, WitnessBimodule, WitnessCertificate
 
 
 def test_parse_minimal_spec():
@@ -333,6 +335,24 @@ def test_cmd_certify_no_window():
                             samples=4, max_dim=1, seed=1, pushdown_samples=4)
     assert code == 3
     assert "not a tameness claim" in out
+
+
+def test_cmd_certify_fails_on_a_corrupted_witness(monkeypatch, tmp_path):
+    def corrupted(*args, **kwargs):
+        # the found witness with every arrow of the target acting as zero
+        cert, window = covering_criterion(*args, **kwargs)
+        w = cert.bimodule
+        action = {i: ({} if p.arrows else w.action[i]) for i, p in enumerate(w.target.basis)}
+        bad = WitnessBimodule(w.target, w.source, w.rank, action, full=False)
+        return replace(cert, bimodule=bad), window
+
+    monkeypatch.setattr(cli_module, "covering_criterion", corrupted)
+    out_file = tmp_path / "cert.txt"
+    out, code = cmd_certify(fixture_text("three_loop_rad2.quiver"), radius=2, samples=4,
+                            max_dim=1, seed=0, pushdown_samples=1, out_path=str(out_file))
+    assert code == 4, out
+    assert out.endswith("\nverification FAILED")
+    assert not out_file.exists()
 
 
 def test_cmd_certify_parse_error():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import is_associative, table_product
 from wildrank.exactlin import F101, QQ, Mat
 from wildrank.quiver import (AdmissibilityError, BoundQuiver, Quiver,
                              build_algebra_table, factor_quiver, loop_quiver,
@@ -55,8 +56,8 @@ def test_inhomogeneous_length_relation_window():
     table = build_algebra_table(bq, F101)
     # basis: e, x, y, xx (= yxy which dies: yx = 0 kills it => xx = 0 too)
     x = table.arrow_element("x")
-    assert (x * x).is_zero()
-    assert table.check_associativity()
+    assert x and table_product(table, x, x) == {}
+    assert is_associative(table)
 
 
 def test_fractional_relation_coefficient():
@@ -68,8 +69,9 @@ def test_fractional_relation_coefficient():
         table = build_algebra_table(bq, field)
         ba = table.path_element(q.path(("b", "a")))
         dc = table.path_element(q.path(("d", "c")))
-        assert ba.scaled(Fraction(1, 2)) == dc
-        assert table.check_associativity()
+        half = field.coerce(Fraction(1, 2))
+        assert {k: field.mul(half, c) for k, c in ba.items()} == dc
+        assert is_associative(table)
 
 
 def test_factor_quiver_partial_term_loss():
@@ -82,7 +84,7 @@ def test_factor_quiver_partial_term_loss():
     assert len(dropped.relations[0].terms) == 1   # the d*c term vanished
     table = build_algebra_table(dropped, F101)
     ba = table.path_element(dropped.quiver.path(("b", "a")))
-    assert ba.is_zero()                           # b*a became a zero relation
+    assert ba == {}                               # b*a became a zero relation
 
 
 def test_witness_pipeline_over_rationals():

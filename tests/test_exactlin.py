@@ -97,6 +97,30 @@ def test_constructor_reduces_big_ints_exactly(p):
         assert m.entry(0, 0) == x % p
 
 
+@pytest.mark.parametrize("p", [101, 16777213])
+def test_constructor_reduces_fractions_exactly(p):
+    # a Fraction must be reduced, not stored as a float: diag(0.5, 1) has
+    # rank 2, but its square and its "inverse" both read out as diag(0, 1)
+    f = Field.prime(p)
+    half = Mat(f, 2, 2, [[Fraction(1, 2), 0], [0, 1]])
+    assert half == Mat.from_rows(f, [[Fraction(1, 2), 0], [0, 1]])
+    assert half.entry(0, 0) == (p + 1) // 2
+    assert half @ half == Mat.from_rows(f, [[Fraction(1, 4), 0], [0, 1]])
+    assert half.inverse() == Mat.from_rows(f, [[2, 0], [0, 1]])
+    data = [[Fraction(-7, 3), 1.5, "2/3"], [Fraction(5), -0.25, 2 ** 60 + 1]]
+    assert Mat(f, 2, 3, data) == Mat.from_rows(f, data)
+    assert Mat(f, 2, 3, data).row_list() == [[f.coerce(x) for x in row] for row in data]
+    assert f.coerce("2/3") == f.coerce(Fraction(2, 3)) and f.coerce(1.5) == f.coerce(Fraction(3, 2))
+    for bad in ([[Fraction(1, p)]], [[Fraction(3, 2 * p)]]):
+        with pytest.raises(ZeroDivisionError):
+            Mat(f, 1, 1, bad)
+        with pytest.raises(ZeroDivisionError):
+            Mat.from_rows(f, bad)
+    # float64 arrays of residues are taken as they are
+    arr = np.array([[3.0, p - 1.0]])
+    assert Mat(f, 1, 2, arr) == Mat.from_rows(f, [[3, -1]])
+
+
 def test_rank_examples():
     assert Mat.zeros(QQ, 0, 0).rank() == 0
     assert Mat.identity(F101, 2).rank() == 2

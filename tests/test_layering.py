@@ -307,6 +307,13 @@ def _calls(tree: ast.AST) -> list[tuple[str, ast.Call]]:
     return out
 
 
+def _forwards_option(keyword: ast.keyword) -> bool:
+    """``keyword`` is ``x=args.x``: it forwards the parsed option of its own name."""
+    v = keyword.value
+    return (isinstance(v, ast.Attribute) and v.attr == keyword.arg
+            and isinstance(v.value, ast.Name) and v.value.id == "args")
+
+
 def unpassed_defaults(module: ast.Module, trees) -> list[str]:
     """The defaulted parameters of the top-level functions and the methods
     of ``module`` that no call in ``trees`` passes, by keyword or by
@@ -315,7 +322,10 @@ def unpassed_defaults(module: ast.Module, trees) -> list[str]:
     A call matches by the name it calls, a class name for ``__init__``;
     through an attribute it also binds the first parameter of a method
     that is not static.  A call that unpacks ``*args`` or ``**kwargs``
-    passes everything.
+    passes everything.  A keyword that only forwards the command-line
+    option of the same name, as in ``x=args.x``, passes nothing: the
+    option's own default stands in for the parameter's, so the parameter
+    still needs a caller that sets it.
     """
     calls = [c for tree in trees for c in _calls(tree)]
     scopes = [(None, fn) for fn in module.body] + [
@@ -335,7 +345,8 @@ def unpassed_defaults(module: ast.Module, trees) -> list[str]:
                       if d is not None]
         for param, index in defaulted:
             if not any(called == name and (
-                    any(k.arg in (None, param) for k in call.keywords)
+                    any(k.arg is None or k.arg == param and not _forwards_option(k)
+                        for k in call.keywords)
                     or any(isinstance(a, ast.Starred) for a in call.args)
                     or index is not None and len(call.args) + bound > index)
                        for called, call in calls):
@@ -368,5 +379,6 @@ def test_every_default_is_overridden_somewhere():
                     "    def m(self, z=0):\n        pass\n"
                     "    @staticmethod\n    def s(u=0):\n        pass\n"
                     "def g(v=0, w=0):\n    return cls(0, 1)\n"
-                    "K().m(5)\nK.s()\ng(*[1])\n")
-    assert unpassed_defaults(bad, [bad]) == ["f: b", "K.__init__: y", "K.s: u"]
+                    "def h(x=0, y=0, z=0):\n    pass\n"
+                    "K().m(5)\nK.s()\ng(*[1])\nh(x=args.x, y=args.w, z=opts.z)\n")
+    assert unpassed_defaults(bad, [bad]) == ["f: b", "h: x", "K.__init__: y", "K.s: u"]

@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import is_associative, table_product
+from wildrank.covering import CoveringSpec, build_window
 from wildrank.exactlin import F101, QQ, Field
-from wildrank.quiver import (AdmissibilityError, BoundQuiver, Quiver, RepType, build_algebra_table,
-                             classify_hereditary, euler_form, factor_quiver,
-                             is_minimal_wild_hereditary, kronecker_quiver, line_quiver,
-                             loop_quiver, make_relation, symmetrized_tits_matrix, tits_form,
-                             _char_poly, _leading_minors_positive, _sparse_rref)
+from wildrank.quiver import (AdmissibilityError, BoundQuiver, Path, Quiver, RepType,
+                             build_algebra_table, classify_hereditary, euler_form, factor_quiver,
+                             is_minimal_wild_hereditary, k3_bound_quiver, kronecker_quiver,
+                             line_quiver, loop_quiver, loop_square_zero, make_relation,
+                             symmetrized_tits_matrix, tits_form, _char_poly, _enumerate_paths,
+                             _leading_minors_positive, _sparse_rref)
 
 
 def test_quiver_validation():
@@ -51,8 +54,8 @@ def test_table_dual_numbers(dual_numbers_bq, f101):
     t = build_algebra_table(dual_numbers_bq, f101)
     assert t.dimension == 2
     x = t.arrow_element("x")
-    assert (x * x).is_zero()
-    assert t.check_associativity()
+    assert x and table_product(t, x, x) == {}
+    assert is_associative(t)
 
 
 def test_table_a2(a2_bq, f101):
@@ -61,17 +64,54 @@ def test_table_a2(a2_bq, f101):
 
 def test_table_k3(k3_table):
     assert k3_table.dimension == 5
-    assert k3_table.check_associativity()
+    assert is_associative(k3_table)
 
 
 def test_table_three_loop(three_loop_bq, f101):
     t = build_algebra_table(three_loop_bq, f101)
     assert t.dimension == 4
-    assert t.check_associativity()
+    assert is_associative(t)
     one = t.one()
     for i in range(t.dimension):
-        b = t.basis_element(i)
-        assert one * b == b and b * one == b
+        b = {i: t.field.one}
+        assert table_product(t, one, b) == b and table_product(t, b, one) == b
+
+
+def _element_tables(field):
+    """The k3, three-loop and three-loop window (two sheets, with interior
+    relations) tables over ``field``."""
+    three_loop = loop_square_zero(3)
+    cov = CoveringSpec(three_loop, 1, {a.name: (1,) for a in three_loop.quiver.arrows})
+    window = build_window(cov, [(0, 2)]).bound_quiver
+    assert window.relations
+    return [build_algebra_table(bq, field) for bq in (k3_bound_quiver(), three_loop, window)]
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "QQ"])
+def test_table_elements_are_coefficient_dicts(field):
+    for t in _element_tables(field):
+        one = field.one
+        for i, p in enumerate(t.basis):
+            nf = t._normal_forms[(p.source, p.target, p.arrows)]
+            assert t.path_element(p) == {k: c for k, c in nf.items() if c != 0} == {i: one}
+        for p in _enumerate_paths(t.bound_quiver.quiver, t.bound_quiver.nilbound):
+            elt = t.path_element(p)
+            assert all(c != 0 for c in elt.values()) and list(elt) == sorted(elt)
+            if len(p) >= t.bound_quiver.nilbound:
+                assert elt == {}
+        for a in t.bound_quiver.quiver.arrows:
+            assert t.arrow_element(a.name) == t.path_element(Path(a.source, a.target,
+                                                                  (a.name,)))
+        total = {}
+        for v in t.bound_quiver.quiver.vertices:
+            e = t.idempotent(v)
+            assert table_product(t, e, e) == e
+            for k, c in e.items():
+                total[k] = field.add(total.get(k, field.zero), c)
+        assert total == t.one()
+        for i in range(t.dimension):
+            b = {i: one}
+            assert table_product(t, t.one(), b) == b == table_product(t, b, t.one())
 
 
 def test_admissibility_errors(f101, qq):
@@ -92,10 +132,10 @@ def test_table_commutative_square(f101):
     t = build_algebra_table(bq, f101)
     # paths: 4 idempotents + 4 arrows + one diagonal class (ba = dc)
     assert t.dimension == 9
-    assert t.check_associativity()
+    assert is_associative(t)
     ba = t.path_element(q.path(("b", "a")))
     dc = t.path_element(q.path(("d", "c")))
-    assert ba == dc and not ba.is_zero()
+    assert ba == dc and ba
 
 
 def test_factor_quiver_examples(three_loop_bq):

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import eval_tensor_morphism, reference_entry_matrix_on
 
-from wildrank.exactlin import F101, QQ, Field, Mat
+from wildrank.exactlin import F101, QQ, Field, Mat, ShapeMismatchError
 from wildrank.quiver import (Path, build_algebra_table, factor_quiver, k3_bound_quiver,
                              loop_square_zero)
 from wildrank.rep import Representation, are_isomorphic, hom_space, in_sincere_subcategory
@@ -140,6 +140,15 @@ def test_eval_tensor_zero(k3_table):
     g = builtin_G(k3_table)
     img = eval_tensor(g, FreeAlgModule.zero(F101))
     assert img.total_dim == 0
+
+
+def test_eval_tensor_refuses_module_over_another_quiver(k3_table, k2_bq):
+    f = builtin_F(k3_table)
+    for other in (Representation.simple(loop_square_zero(3), F101, "v"),
+                  Representation.simple(k2_bq, F101, "1")):
+        for w in (f, compose_witness(builtin_G(k3_table), f)):
+            with pytest.raises(ShapeMismatchError):
+                eval_tensor(w, other)
 
 
 def test_eval_tensor_additive(k3_table):
