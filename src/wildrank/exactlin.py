@@ -7,8 +7,9 @@ F_p, ``Fraction`` objects (``dtype=object``) over Q.  Every operation is
 written once on that array.  What really differs between the fields lives in
 one small private kernel per field, picked once when the ``Field`` is made:
 
-* ``_PrimeKernel``: scalars mod p, reduction ``% p``, ``int`` read-out, the
-  blocked echelon form ``_echelon_fp`` and the BLAS product.  Prime-field
+* ``_PrimeKernel``: scalars mod p, one reduction of arrays, ``_residues``
+  (int64 ``% p``, exact below 2**53), ``int`` read-out, the blocked echelon
+  form ``_echelon_fp`` and the BLAS product.  Prime-field
   arithmetic reduces mod p only now and then (delayed modular reduction),
   so it is exact only while every intermediate value stays below 2**53.
   One rule keeps it there: every operand is a residue in [0, p) when it is
@@ -135,7 +136,8 @@ class Field:
     def neg(self, a: Scalar) -> Scalar:
         return self._kernel.coerce(-a)
 
-    def inv(self, a: Scalar) -> Scalar:
+    def inv(self, a) -> Scalar:
+        """The inverse of a nonzero scalar, given in any form ``coerce`` reads."""
         return self._kernel.inv(a)
 
     def random_scalar(self, rng: random.Random) -> Scalar:
@@ -184,6 +186,25 @@ def _is_prime(n: int) -> bool:
 # prime-field kernels (numpy, delayed reduction)
 # ---------------------------------------------------------------------------
 
+def _residues(a: np.ndarray, p: int) -> np.ndarray:
+    """The residues in [0, p) of the integer-valued array ``a``, as a fresh
+    float64 array: the one reduction mod p of every F_p array.
+
+    Exact for integer values below 2**53 in absolute value, the envelope
+    ``_echelon_fp`` proves for every value the F_p code forms, and for the
+    Python ints of an object array that ``_PrimeKernel.asarray`` made: such
+    a value converts to int64 exactly, int64 ``%`` by p > 0 is exact and
+    never negative, and a residue below p < 2**24 converts back exactly,
+    with no negative zero.  From a few dozen entries on it is also cheaper
+    than ``%`` on float64, which takes numpy's divmod path (fmod and a
+    floor division) per entry: 18 against 48 microseconds on a 56 x 56
+    array, on one core of a 2-core Xeon VM.
+    """
+    r = a.astype(np.int64)
+    r %= p
+    return r.astype(np.float64)
+
+
 def _echelon_fp(a: np.ndarray, p: int):
     """Row echelon form mod p with unit pivots and zeros below each pivot.
 
@@ -210,8 +231,13 @@ def _echelon_fp(a: np.ndarray, p: int):
     terms are integers of one sign), is then an integer below 2**53 in
     absolute value, exact in float64 whatever order BLAS sums in, and each
     ``%`` of such a value is exact.
+
+    The working copy is made by ``_residues``; the reductions of sub-panel
+    views below stay float64 ``%=`` in place, since routing them through
+    int64 as well measured no gain on the benchmark's witness28 or certify
+    workloads.
     """
-    w = np.asarray(a, dtype=np.float64) % p
+    w = _residues(a, p)
     m, n = w.shape
     step = (p - 1) ** 2
     bound = p - 1
@@ -334,14 +360,16 @@ class _PrimeKernel:
     """F_p: ``int`` scalars in [0, p), ``float64`` arrays of residues.
 
     ``coerce`` makes any integer, ``Fraction``, float or string such as
-    ``"2/3"`` a residue (a non-integer through ``Fraction``),
-    ``normalize`` reduces an array mod p, ``asarray`` reads the data of
-    ``Mat(...)`` for it (integers of any size exactly), ``exact`` reads
-    entries out as ``int``, ``echelon`` is the blocked ``_echelon_fp``
-    (unit pivots, zeros below them) and ``matmul`` the BLAS product of two
-    arrays of residues (reduced afterwards by ``normalize``).  The product
-    sums at most ``chunk`` = floor((2**53 - p) / (p - 1)**2) products
-    before it reduces, so a reduced partial sum plus one chunk stays below
+    ``"2/3"`` a residue (a non-integer through ``Fraction``), and ``inv``
+    inverts any such input.  ``normalize`` reduces an array mod p through
+    ``_residues``, a float64 array and an object array from ``asarray``
+    alike; ``asarray`` reads the data of ``Mat(...)`` for it (integers of
+    any size exactly), ``exact`` reads entries out as ``int``, ``echelon``
+    is the blocked ``_echelon_fp`` (unit pivots, zeros below them) and
+    ``matmul`` the BLAS product of two arrays of residues (reduced
+    afterwards by ``normalize``).  The product sums at most ``chunk`` =
+    floor((2**53 - p) / (p - 1)**2) products before it reduces with
+    ``_residues``, so a reduced partial sum plus one chunk stays below
     2**53: ``chunk`` is 32 at p = 16777213, the largest prime below the
     2**24 cap, and about 9 * 10**11 at p = 101, where no product is split.
     """
@@ -370,8 +398,8 @@ class _PrimeKernel:
             raise ZeroDivisionError(f"denominator divisible by {self.p}")
         return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
 
-    def inv(self, a):
-        a = a % self.p
+    def inv(self, a) -> int:
+        a = self.coerce(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
@@ -380,14 +408,16 @@ class _PrimeKernel:
         return rng.randrange(self.p)
 
     def normalize(self, a: np.ndarray) -> np.ndarray:
-        return (a % self.p).astype(np.float64, copy=False)
+        return _residues(a, self.p)
 
     def asarray(self, data) -> np.ndarray:
-        """``data`` as an array for ``normalize``: a float64 array as it is,
-        anything else (nested lists, other arrays) entry by entry through
-        ``coerce``, so that an integer beyond 2**53 or a ``Fraction`` is
-        reduced exactly before it becomes float64, which would round the
-        integer and keep the fraction."""
+        """``data`` as an array for ``normalize``.  A float64 array is taken
+        as it is and must hold integer values below 2**53 in absolute value,
+        the envelope in which ``_residues`` is exact; anything else (nested
+        lists, other arrays) goes entry by entry through ``coerce``, so that
+        an integer beyond 2**53 or a ``Fraction`` is reduced exactly before
+        it becomes float64, which would round the integer and keep the
+        fraction."""
         if isinstance(data, np.ndarray) and data.dtype == np.float64:
             return data
         arr = np.asarray(data, dtype=object)
@@ -403,10 +433,10 @@ class _PrimeKernel:
         k, p = self.chunk, self.p
         if a.shape[-1] <= k:
             return a @ b
-        out = a[..., :k] @ b[:k] % p
+        out = _residues(a[..., :k] @ b[:k], p)
         for s in range(k, a.shape[-1], k):
             out += a[..., s:s + k] @ b[s:s + k]
-            out %= p
+            out = _residues(out, p)
         return out
 
 
@@ -432,10 +462,11 @@ class _RationalKernel:
     def coerce(self, x) -> Fraction:
         return x if isinstance(x, Fraction) else Fraction(x)
 
-    def inv(self, a):
+    def inv(self, a) -> Fraction:
+        a = self.coerce(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        return 1 / a
 
     def random_scalar(self, rng: random.Random) -> Fraction:
         return Fraction(rng.randint(-9, 9))
@@ -572,16 +603,19 @@ class Mat:
     later is ``_frame``, the Jordan frame that ``_jordan_frame`` memoises.
 
     There are two constructors.  ``Mat(field, rows, cols, data)``, the
-    public one, checks the shape, normalizes every entry (``% p`` over F_p,
-    exact for integers of any size) into a fresh array and makes it
+    public one, checks the shape, normalizes every entry (over F_p through
+    ``_residues``, exact for integers of any size in lists and for float64
+    arrays of integer values below 2**53) into a fresh array and makes it
     read-only.  The private ``Mat._of(field, arr)`` takes ``arr`` as it is,
     with no normalization, no copy and no shape check, and only makes it
-    read-only.  It is used only where the
-    entries are canonical by construction (residues in [0, p) with no
-    negative zero, or ``Fraction`` objects: copies, views and
-    concatenations of other ``Mat``s, zeros and identities, results that
-    are reduced already) and where the caller keeps no writable alias of
-    ``arr``; every result is then reduced once.
+    read-only.  It is used only where the entries are canonical by
+    construction (residues in [0, p) with no negative zero, or ``Fraction``
+    objects: copies, views and concatenations of other ``Mat``s, zeros and
+    identities, results that are reduced already, such as ``kron_assemble``
+    with each block reduced where it is formed and the views of one reduced
+    product that ``Span.combine`` and ``nilpotent_hom_basis`` return) and
+    where the caller keeps no writable alias of ``arr``; every result is
+    then reduced once.
     """
 
     __slots__ = ("field", "rows", "cols", "_entries", "_frame")
@@ -684,9 +718,13 @@ class Mat:
         With both factors given, the outer product is formed at the nonzero
         entries of x only.  A block that overlaps no earlier one is written
         rather than added (over Q, adding a Fraction to zero costs about as
-        much as a product); a sum with an overlap is reduced where it is
-        formed, so over F_p no entry ever exceeds 2 (p - 1)**2.
+        much as a product).  A product block, and a sum with an overlap, is
+        reduced where it is formed, so every entry is canonical when the
+        block is done and over F_p no entry ever exceeds (p - 1)**2 + p - 1;
+        reducing block by block keeps the int64 temporary of the reduction
+        to one block, not the whole output.
         """
+        fk = field._kernel
         out = _zeros(field, rows, cols)
         placed: list[tuple[int, int, int, int]] = []
         for i, j, x, y, n in blocks:
@@ -705,8 +743,8 @@ class Mat:
                             else ((whole, k, whole, k), x._entries))
                 if fresh:
                     view[at] = part
-                else:
-                    view[at] += part
+                    continue
+                view[at] += part
             else:
                 # the outer product into a 4-d view: np.kron's generic path
                 # costs more than the product on the small blocks of witnesses
@@ -716,9 +754,9 @@ class Mat:
                     np.multiply(a, b, out=view, where=nz)
                 else:
                     np.add(view, np.multiply(a, b, out=None, where=nz), out=view, where=nz)
-            if not fresh:
-                view[...] = field._kernel.normalize(view)
-        return cls(field, rows, cols, out)
+            # a product, or a sum with an overlap: reduced where it is formed
+            view[...] = fk.normalize(view)
+        return cls._of(field, out)
 
     @classmethod
     def hcat(cls, field: Field, rows: int, mats: Sequence["Mat"]) -> "Mat":
@@ -989,7 +1027,8 @@ class Span:
     product: the transposed coefficient matrix times the stack.  The
     product's inner dimension is the number of matrices, k; over F_p the
     kernel product reduces after every ``chunk`` of them (see
-    ``_PrimeKernel``), so the result is exact for every k.
+    ``_PrimeKernel``), so the result is exact for every k.  The product is
+    reduced once, and each combination is a view of it.
     ``Mat.lincomb`` is the one-column case.
     """
 
@@ -1010,9 +1049,9 @@ class Span:
         if coeffs.field != self.field or coeffs.rows != len(self.mats):
             raise ShapeMismatchError(
                 f"coefficients {coeffs.shape} over {coeffs.field} for {len(self.mats)} matrices")
-        flat = self.field._kernel.matmul(coeffs._entries.T, self._stack)
-        return [Mat(self.field, self.rows, self.cols, row.reshape(self.rows, self.cols))
-                for row in flat]
+        fk = self.field._kernel
+        flat = fk.normalize(fk.matmul(coeffs._entries.T, self._stack))
+        return [Mat._of(self.field, row.reshape(self.rows, self.cols)) for row in flat]
 
 
 # ---------------------------------------------------------------------------
@@ -1148,8 +1187,8 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat,
     (each is its own shifted diagonal of its own block), so a combination
     of them is its coefficients placed by index, with no product and no
     reduction.  Only the combinations are mapped back, with one product on
-    each side for all of them; with no remaining pair every h_c is mapped
-    back, in order.
+    each side for all of them and one reduction of each product; with no
+    remaining pair every h_c is mapped back, in order.
     """
     field = s.field
     fk = field._kernel
@@ -1198,9 +1237,9 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat,
     k = h.shape[0]
     # P_t [h_1 | ... | h_k], then its blocks stacked, times P_s^-1
     left = fk.normalize(fk.matmul(p_tgt._entries, h.transpose(1, 0, 2).reshape(e, k * d)))
-    out = fk.matmul(left.reshape(e, k, d).transpose(1, 0, 2).reshape(k * e, d),
-                    p_src_inv._entries)
-    return [Mat(field, e, d, g) for g in out.reshape(k, e, d)]
+    out = fk.normalize(fk.matmul(left.reshape(e, k, d).transpose(1, 0, 2).reshape(k * e, d),
+                                 p_src_inv._entries))
+    return [Mat._of(field, g) for g in out.reshape(k, e, d)]
 
 
 # ---------------------------------------------------------------------------

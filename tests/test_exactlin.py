@@ -87,6 +87,67 @@ def test_field_scalar_ops():
     assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
 
 
+def test_inverse_reads_what_coerce_reads():
+    # a numpy integer, an integral float, a string and a fraction are
+    # scalars to ``coerce``, so ``inv`` takes them too
+    for x in (5, np.int64(5), 5.0, "5", Fraction(10, 2)):
+        assert F101.inv(x) == 81 and QQ.inv(x) == Fraction(1, 5)      # 5 * 81 = 4 * 101 + 1
+    assert F101.inv(3.0) == F101.inv(3) == 34
+    assert F101.inv("2/3") == F101.coerce(Fraction(3, 2)) == 52
+    assert F101.inv(np.int64(-1)) == 100 and F101.inv(Fraction(-7, 3)) == F101.coerce("-3/7")
+    assert QQ.inv("2/3") == Fraction(3, 2) and QQ.inv(np.int64(-4)) == Fraction(-1, 4)
+    for field in (F101, QQ):
+        for zero in (0, np.int64(0), 0.0, "0", Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                field.inv(zero)
+    with pytest.raises(ZeroDivisionError):
+        F101.inv(np.int64(202))
+
+
+@pytest.mark.parametrize("p", [5, 101, 131071, 16777213])
+def test_residues_match_python_int_mod(p):
+    # the one reduction mod p, on integer values below 2**53 in absolute
+    # value: both signs, the edges of that envelope, multiples of p and one
+    # below them, and a negative zero
+    fk = Field.prime(p)._kernel
+    rng = random.Random(f"residues:{p}")
+    top = 2 ** 53 - 1
+    k = top // p
+    edge = [top, -top, k * p, -k * p, k * p - 1, -(k * p - 1), p, -p, p - 1, 1 - p, 1, -1, 0]
+    drawn = [rng.choice([-1, 1]) * rng.randrange(bound) for bound in (p, p * p, 2 ** 40, top)
+             for _ in range(60)]
+    values = edge + drawn + [0] * ((-len(edge) - len(drawn)) % 4)
+    arr = np.array(values, dtype=np.float64).reshape(4, -1)
+    arr[0, -1] = -0.0
+    assert np.signbit(arr).any()
+
+    def check(got, want):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.astype(np.int64).tolist() == want.tolist()
+        assert not np.signbit(got).any() and ((0 <= got) & (got < p)).all()
+
+    want = np.array([[x % p for x in row] for row in arr.astype(np.int64).tolist()], dtype=object)
+    # a contiguous array, a strided view and a transpose
+    for a, ref in ((arr, want), (arr[1:, ::3], want[1:, ::3]), (arr.T, want.T)):
+        check(exactlin_module._residues(a, p), ref)
+        check(fk.normalize(a), ref)
+    # products with every entry p - 1 whose inner dimension is above
+    # ``chunk`` (32 at p = 16777213), and one of exactly ``chunk`` terms
+    # where it is small, reduced only by ``normalize``
+    for inner in (min(fk.chunk, 64), 100):
+        x, y = [[p - 1] * inner] * 3, [[p - 1] * 2] * inner
+        got = fk.normalize(fk.matmul(np.array(x, dtype=np.float64), np.array(y, dtype=np.float64)))
+        check(got, np.array(reference_matmul_fp(x, y, p), dtype=object))
+    # object arrays from ``asarray``: integers beyond 2**53 and fractions
+    data = [[2 ** 60 + 1, Fraction(1, 2), -(2 ** 60 + 1)], [Fraction(-7, 3), 2 ** 100, -1]]
+    obj = fk.asarray(data)
+    assert obj.dtype == object
+    ref = np.array([[fk.coerce(x) for x in row] for row in data], dtype=object)
+    check(fk.normalize(obj), ref)
+    check(exactlin_module._residues(obj, p), ref)
+    assert ref[0, 1] == (p + 1) // 2 and ref[0, 0] == (2 ** 60 + 1) % p
+
+
 @pytest.mark.parametrize("p", [101, 16777213])
 def test_constructor_reduces_big_ints_exactly(p):
     # float64 rounds an int beyond 2**53 (2**60 + 1 became 87 mod 101, not 88)
@@ -854,11 +915,39 @@ def _assert_canonical(m):
         assert m._entries.ravel().tolist() == ref._entries.ravel().tolist()
 
 
-@pytest.mark.parametrize("field", FIELDS)
+def _ref_kron_assemble(field, rows, cols, blocks):
+    """The sum of ``Mat.kron_assemble`` on Python ints (``Fraction`` values
+    over Q), a None factor being the n x n identity, reduced mod p once at
+    the end."""
+    out = [[0] * cols for _ in range(rows)]
+    for i, j, x, y, n in blocks:
+        xs, ys = ([[int(r == c) for c in range(n)] for r in range(n)] if f is None
+                  else f.row_list() for f in (x, y))
+        yr, yc = (n, n) if y is None else y.shape
+        for r, xrow in enumerate(xs):
+            for c, xv in enumerate(xrow):
+                for s, yrow in enumerate(ys):
+                    for t, yv in enumerate(yrow):
+                        out[i + r * yr + s][j + c * yc + t] += xv * yv
+    return [[v % field.char if field.char else Fraction(v) for v in row] for row in out]
+
+
+def _kron_extent(blocks):
+    """The least ``(rows, cols)`` that holds every block of ``blocks``."""
+    corners = []
+    for i, j, x, y, n in blocks:
+        (xr, xc), (yr, yc) = ((n, n) if f is None else f.shape for f in (x, y))
+        corners.append((i + xr * yr, j + xc * yc))
+    return max(h for h, _ in corners), max(w for _, w in corners)
+
+
+@pytest.mark.parametrize("field", FIELDS + [Field.prime(16777213)])
 def test_trusted_constructor_sites_give_canonical_entries(field):
-    # every site that builds its result without a reduction: the entries
-    # are canonical by construction, and no writable alias is left
+    # every site that builds its result without a reduction of the whole
+    # output: the entries are canonical by construction, and no writable
+    # alias is left
     rng = random.Random(f"trusted:{field!r}")
+    top = Mat.from_rows(field, [[-1] * 3] * 2)       # every entry p - 1
     for _ in range(25):
         m, n = rng.randint(0, 5), rng.randint(0, 5)
         a = Mat(field, m, n, _sparse_rows(field, m, n, rng, rng.choice([0.3, 1.0])))
@@ -870,7 +959,8 @@ def test_trusted_constructor_sites_give_canonical_entries(field):
                 Mat.vcat(field, n, [a, a]), Mat.hcat(field, m, []), a.T, a.T.reshape(n * m, 1),
                 a.reshape(1, m * n), a.submatrix(rows, cols), a.submatrix(rows, []),
                 a.kernel(), a.column_space(),
-                Mat.assemble(field, m + 2, n + 2, [(0, 0, a), (m, n, Mat.identity(field, 2))])]
+                Mat.assemble(field, m + 2, n + 2, [(0, 0, a), (m, n, Mat.identity(field, 2))]),
+                *Span(field, m, n, [a, a, a]).combine(Mat(field, 3, 2, [[-1, 2]] * 3))]
         if square.is_invertible():
             made.append(square.inverse())
         for x in made:
@@ -879,6 +969,16 @@ def test_trusted_constructor_sites_give_canonical_entries(field):
         twice = Mat.assemble(field, m, n, [(0, 0, a), (0, 0, a)])
         _assert_canonical(twice)
         assert twice == a.scaled(2)
+        # Kronecker blocks: both factors, an identity on the left and on the
+        # right, and overlapping blocks, each reduced where it is formed
+        k = rng.randint(1, 3)
+        for blocks in ([(0, 0, a, b, 0)], [(0, 0, None, b, k)], [(1, 0, a, None, k)],
+                       [(0, 0, top, b, 0), (1, 1, b, top, 0), (0, 2, None, top, k),
+                        (0, 1, top, None, k), (2, 0, top, top, 0)]):
+            shape = _kron_extent(blocks)
+            got = Mat.kron_assemble(field, *shape, blocks)
+            _assert_canonical(got)
+            assert got.row_list() == _ref_kron_assemble(field, *shape, blocks)
     # the entries the reductions make: p - 1 and negatives of zero
     top = Mat.from_rows(field, [[-1, 0], [0, -1]])
     for x in (top.inverse(), (-top).kernel(), top.column_space(),

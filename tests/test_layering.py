@@ -10,6 +10,11 @@ Every top-level function of exactlin, public or private, has a caller in
 ``src/``: a reference or helper kept only for the tests lives in
 ``tests/conftest.py``.
 
+Inside exactlin a remainder mod p (``% p``, ``% self.p``, ``%= p``) is
+taken only by the one array reduction ``_residues``, by the in-place
+sub-panel reductions of ``_echelon_fp`` and by the scalar reductions of
+``_PrimeKernel.coerce`` and ``_PrimeKernel.inv``.
+
 The package imports in one order, ``LAYERS``: a module imports only from
 the layers before its own, and only at module level.  The package
 docstring and the README table list the modules in that order.
@@ -127,6 +132,49 @@ def test_checker_catches_each_kind():
         "        if isinstance(x, Fraction):\n            pass\n")
     assert field_branches(branches) == ["Mat.trace", "Mat.trace", "Mat.entry", "Mat.entry",
                                         "kron"]
+
+
+#: the scopes of exactlin that may take a remainder mod p
+REDUCERS = ("_residues", "_echelon_fp", "_PrimeKernel.coerce", "_PrimeKernel.inv")
+
+
+def stray_reductions(tree: ast.AST) -> list[str]:
+    """The scopes outside ``REDUCERS`` holding a ``%`` or ``%=`` whose right
+    operand is ``p`` or an attribute ``.p``, one per remainder."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Mod):
+                right = child.right if isinstance(child, ast.BinOp) else child.value
+                if ((isinstance(right, ast.Name) and right.id == "p"
+                     or isinstance(right, ast.Attribute) and right.attr == "p")
+                        and inner not in REDUCERS):
+                    out.append(inner or "<module>")
+            visit(child, inner)
+
+    visit(tree, "")
+    return out
+
+
+def test_one_reduction_mod_p():
+    with open(os.path.join(SRC, "exactlin.py")) as fh:
+        assert stray_reductions(ast.parse(fh.read(), "exactlin.py")) == []
+    # the check itself: a float64 remainder in a kernel method, an in-place
+    # one and one at module level; not those in the allowed scopes, nor a
+    # remainder by another name
+    bad = ast.parse("class _PrimeKernel:\n"
+                    "    def normalize(self, a):\n        return (a % self.p).astype(float)\n"
+                    "    def matmul(self, a, b):\n        out = a @ b\n        out %= p\n"
+                    "        return out\n"
+                    "    def coerce(self, x):\n        return int(x) % self.p\n"
+                    "r = x % field.p\n"
+                    "def _residues(a, p):\n    return a % p\n"
+                    "def _is_prime(n):\n    return n % 2 and n % b\n")
+    assert stray_reductions(bad) == ["_PrimeKernel.normalize", "_PrimeKernel.matmul", "<module>"]
 
 
 def _references(node: ast.AST, name: str) -> int:
