@@ -205,13 +205,16 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
     return r.astype(np.float64)
 
 
-def _echelon_fp(a: np.ndarray, p: int):
+def _echelon_fp(a: np.ndarray, p: int, stop_at_gap: bool = False):
     """Row echelon form mod p with unit pivots and zeros below each pivot.
 
-    Returns ``(w, pivot_columns)`` with w fully reduced mod p.  One reduced
-    copy of ``a`` is eliminated in sub-panels of ``_SUB`` columns.  Inside a
-    sub-panel each pivot takes rank-1 updates of the sub-panel's columns
-    below it.  The columns right of the sub-panel then get one triangular
+    Returns ``(w, pivot_columns)`` with w fully reduced mod p.  With
+    ``stop_at_gap``, returns ``(None, pivots so far)`` at the first column
+    that has no pivot: enough to tell whether every column has one.
+
+    One reduced copy of ``a`` is eliminated in sub-panels of ``_SUB``
+    columns.  Inside a sub-panel each pivot takes rank-1 updates of the
+    sub-panel's columns below it.  The columns right of the sub-panel then get one triangular
     pass over its pivot rows and one GEMM, ``rows below -= L @ T``, of inner
     dimension at most ``_SUB``.
 
@@ -258,6 +261,8 @@ def _echelon_fp(a: np.ndarray, p: int):
             col %= p
             nz = int(np.argmax(col != 0))
             if col[nz] == 0:
+                if stop_at_gap:
+                    return None, piv + sub
                 continue
             if nz:
                 w[[r, r + nz]] = w[[r + nz, r]]
@@ -310,8 +315,10 @@ def _over(ints: list[int], den: int) -> list[Fraction]:
     return [Fraction(k, den) if k else _ZERO for k in ints]
 
 
-def _echelon_qq(rows: list[list[Fraction]]):
-    """Reduced echelon over the rationals. Returns (rows, pivot columns).
+def _echelon_qq(rows: list[list[Fraction]], stop_at_gap: bool = False):
+    """Reduced echelon over the rationals. Returns (rows, pivot columns), or
+    with ``stop_at_gap`` (None, pivots so far) at the first column that has
+    no pivot.
 
     Fraction-free Gauss-Jordan: each row is cleared to integers, a row is
     eliminated as ``a * row - b * pivot_row`` and divided by the gcd of its
@@ -332,6 +339,8 @@ def _echelon_qq(rows: list[list[Fraction]]):
             break
         sel = next((i for i in range(r, m) if w[i][c]), None)
         if sel is None:
+            if stop_at_gap:
+                return None, piv
             continue
         w[r], w[sel] = w[sel], w[r]
         prow = w[r]
@@ -426,8 +435,8 @@ class _PrimeKernel:
     def exact(self, a: np.ndarray) -> np.ndarray:
         return a.astype(np.int64)
 
-    def echelon(self, a: np.ndarray):
-        return _echelon_fp(a, self.p)
+    def echelon(self, a: np.ndarray, stop_at_gap: bool = False):
+        return _echelon_fp(a, self.p, stop_at_gap)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         k, p = self.chunk, self.p
@@ -485,9 +494,9 @@ class _RationalKernel:
     def exact(self, a: np.ndarray) -> np.ndarray:
         return a
 
-    def echelon(self, a: np.ndarray):
-        w, piv = _echelon_qq(a.tolist())
-        return self._array(w, a.shape), piv
+    def echelon(self, a: np.ndarray, stop_at_gap: bool = False):
+        w, piv = _echelon_qq(a.tolist(), stop_at_gap)
+        return (w if w is None else self._array(w, a.shape)), piv
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         (m, k), cols = a.shape, b.shape[1]
@@ -611,9 +620,11 @@ class Mat:
     read-only.  It is used only where the entries are canonical by
     construction (residues in [0, p) with no negative zero, or ``Fraction``
     objects: copies, views and concatenations of other ``Mat``s, zeros and
-    identities, results that are reduced already, such as ``kron_assemble``
-    with each block reduced where it is formed and the views of one reduced
-    product that ``Span.combine`` and ``nilpotent_hom_basis`` return) and
+    identities, ``column`` and ``random``, whose scalars come from
+    ``coerce`` and ``random_scalar``, results that are reduced already, such
+    as ``kron_assemble`` with each block reduced where it is formed and the
+    views of one reduced product that ``Span.combine`` and
+    ``nilpotent_hom_basis`` return) and
     where the caller keeps no writable alias of ``arr``; every result is
     then reduced once.
     """
@@ -670,13 +681,14 @@ class Mat:
 
     @classmethod
     def column(cls, field: Field, entries: Sequence) -> "Mat":
-        coerce = field._kernel.coerce
-        return cls(field, len(entries), 1, [[coerce(x)] for x in entries])
+        fk = field._kernel
+        return cls._of(field, np.array([fk.coerce(x) for x in entries],
+                                       dtype=fk.dtype).reshape(len(entries), 1))
 
     @classmethod
     def random(cls, field: Field, rows: int, cols: int, rng: random.Random) -> "Mat":
-        return cls(field, rows, cols,
-                   [[field.random_scalar(rng) for _ in range(cols)] for _ in range(rows)])
+        return cls._of(field, np.array([field.random_scalar(rng) for _ in range(rows * cols)],
+                                       dtype=field._kernel.dtype).reshape(rows, cols))
 
     @classmethod
     def unit(cls, field: Field, rows: int, cols: int, i: int, j: int) -> "Mat":
@@ -950,7 +962,10 @@ class Mat:
         return x if self @ x == b else None
 
     def is_invertible(self) -> bool:
-        return self.is_square() and self.rank() == self.rows
+        """Whether the matrix is square with a pivot in every column; the
+        elimination stops at the first column without one."""
+        return self.is_square() and len(
+            self.field._kernel.echelon(self._entries, stop_at_gap=True)[1]) == self.rows
 
     def inverse(self) -> "Mat":
         if not self.is_square():

@@ -941,6 +941,37 @@ def _kron_extent(blocks):
     return max(h for h, _ in corners), max(w for _, w in corners)
 
 
+@pytest.mark.parametrize("field", FIELDS + [Field.prime(16777213)], ids=str)
+def test_invertibility_stops_at_the_first_column_without_a_pivot(field):
+    # a square matrix is invertible when every column has a pivot; the
+    # elimination that decides it stops at the first column without one,
+    # and the pivots it found are the full form's up to that column
+    rng = random.Random(f"gap:{field!r}")
+    fk = field._kernel
+    for _ in range(40):
+        n = rng.randint(1, 40)
+        a = Mat.random(field, n, n, rng)
+        if rng.random() < 0.7:
+            # column g a combination of the earlier ones (zero at g = 0)
+            g = rng.randrange(n)
+            rows = a.row_list()
+            coeffs = [field.random_scalar(rng) for _ in range(g)]
+            for row in rows:
+                row[g] = sum((c * x for c, x in zip(coeffs, row[:g])), field.zero)
+            a = Mat(field, n, n, rows)
+        full = a.pivot_columns()
+        w, got = fk.echelon(a._entries, stop_at_gap=True)
+        gap = next((c for c in range(n) if c not in full), None)
+        if gap is None:
+            assert w is not None and got == full == list(range(n))
+        else:
+            assert w is None and got == list(range(gap)) == full[:gap]
+        assert a.is_invertible() == (a.rank() == n)
+    assert not Mat.zeros(field, 3, 3).is_invertible()
+    assert not Mat.random(field, 2, 3, rng).is_invertible()
+    assert Mat.identity(field, 5).is_invertible()
+
+
 @pytest.mark.parametrize("field", FIELDS + [Field.prime(16777213)])
 def test_trusted_constructor_sites_give_canonical_entries(field):
     # every site that builds its result without a reduction of the whole
@@ -958,7 +989,10 @@ def test_trusted_constructor_sites_give_canonical_entries(field):
         made = [Mat.zeros(field, m, n), Mat.identity(field, n), Mat.hcat(field, m, [a, b]),
                 Mat.vcat(field, n, [a, a]), Mat.hcat(field, m, []), a.T, a.T.reshape(n * m, 1),
                 a.reshape(1, m * n), a.submatrix(rows, cols), a.submatrix(rows, []),
-                a.kernel(), a.column_space(),
+                a.kernel(), a.column_space(), Mat.random(field, m, n, rng),
+                Mat.column(field, [-1, 0, 2 * field.char - 1, Fraction(-2, 3)]
+                           if field.char else [-1, 0, Fraction(-2, 3)]),
+                Mat.column(field, []),
                 Mat.assemble(field, m + 2, n + 2, [(0, 0, a), (m, n, Mat.identity(field, 2))]),
                 *Span(field, m, n, [a, a, a]).combine(Mat(field, 3, 2, [[-1, 2]] * 3))]
         if square.is_invertible():
