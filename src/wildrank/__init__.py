@@ -2,7 +2,7 @@
 
 Submodules, in import order (each imports only from those above it):
     exactlin    exact scalar and matrix arithmetic (rationals, prime fields)
-    quiver      bound quivers, path-algebra tables, Tits form, hereditary types
+    quiver      bound quivers, path-algebra tables, Euler form, hereditary types
     rep         representations: Hom, End, indecomposability, decomposition
     modvariety  representation varieties, orbit and parameter estimates
     tilting     projective presentations, AR translation, tilting, endomorphism algebras

@@ -37,6 +37,9 @@ from .wildness import (CertStep, CheckCounts, WitnessCertificate,
                        verify_witness)
 from .covering import CoveringSpec, covering_criterion, verify_pushdown
 
+__all__ = ["cmd_certify", "cmd_tilt", "cmd_variety", "main", "parse_certificate",
+           "parse_quiver_spec", "parse_representation", "serialize_representation"]
+
 
 class SpecError(ValueError):
     """Parse or semantic error with a position."""
@@ -78,7 +81,8 @@ def _tokens(line: str) -> list[tuple[str, int]]:
 
 
 def _parse_field(ln: int, tokens: list[tuple[str, int]]) -> Field:
-    """The field of a ``field Q | field Fp <prime>`` line."""
+    """The field of a ``field Q | field Fp <prime>`` line, the inverse of
+    ``Field.spec``."""
     parts = [t for t, _ in tokens]
     if len(parts) == 2 and parts[1] == "Q":
         return Field.rationals()
@@ -232,9 +236,7 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
 
 def serialize_representation(rep, name: str, quiver_name: str) -> str:
     """Module file: dims and row-major matrices with exact entries."""
-    lines = [f"module {name}", f"over {quiver_name}"]
-    f = rep.field
-    lines.append("field Q" if f.char == 0 else f"field Fp {f.char}")
+    lines = [f"module {name}", f"over {quiver_name}", f"field {rep.field.spec}"]
     for v in rep.bound_quiver.quiver.vertices:
         lines.append(f"dim {v} {rep.dims[v]}")
     for a in rep.bound_quiver.quiver.arrows:

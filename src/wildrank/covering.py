@@ -24,15 +24,17 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exactlin import Field, Mat
-from .quiver import (AlgebraTable, BoundQuiver, Path, Quiver, RepType, Relation,
-                     build_algebra_table, classify_hereditary,
-                     is_minimal_wild_hereditary)
+from .quiver import (AlgebraTable, BoundQuiver, Path, Quiver, Relation,
+                     build_algebra_table, is_minimal_wild_hereditary)
 from .rep import (InconclusiveError, Representation, SamplingStarvation,
                   are_isomorphic, in_sincere_subcategory, sample_representation)
 from .wildness import (CertStep, CheckCounts, CheckedReport, WitnessBimodule,
                        WitnessCertificate, bound_quiver_hash, check_preservation,
                        compose_witness, eval_tensor, sincere_witness_for_K3,
                        _from_entries, _k3_shape, _tensor_prod, _tensor_sum)
+
+__all__ = ["CoveringSpec", "WindowDesignation", "build_window", "covering_criterion",
+           "verify_pushdown"]
 
 
 def _grade_str(g: tuple[int, ...]) -> str:
@@ -362,8 +364,6 @@ def covering_criterion(cov: CoveringSpec, search_radius: int,
         if not window.bound_quiver.is_hereditary():
             continue
         if q.has_loops() or not q.vertices or not q.is_connected():
-            continue
-        if classify_hereditary(q) != RepType.WILD:
             continue
         if not is_minimal_wild_hereditary(q):
             continue

@@ -73,6 +73,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+__all__ = ["Field", "Mat", "ShapeMismatchError", "Span", "find_invertible_in_span",
+           "nilpotency_index", "nilpotent_hom_basis", "trace_form", "trace_radical"]
+
 Scalar = Union[int, Fraction]
 
 #: width of the sub-panels of ``_echelon_fp``
@@ -124,17 +127,11 @@ class Field:
     def one(self) -> Scalar:
         return self._kernel.one
 
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return self._kernel.coerce(a + b)
-
     def sub(self, a: Scalar, b: Scalar) -> Scalar:
         return self._kernel.coerce(a - b)
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         return self._kernel.coerce(a * b)
-
-    def neg(self, a: Scalar) -> Scalar:
-        return self._kernel.coerce(-a)
 
     def inv(self, a) -> Scalar:
         """The inverse of a nonzero scalar, given in any form ``coerce`` reads."""
@@ -149,6 +146,11 @@ class Field:
 
     def __hash__(self) -> int:
         return hash(("Field", self.char))
+
+    @property
+    def spec(self) -> str:
+        """The field as a spec file's ``field`` line names it: ``Q`` or ``Fp <p>``."""
+        return self._kernel.spec
 
     def __repr__(self) -> str:
         return self._kernel.name
@@ -383,7 +385,7 @@ class _PrimeKernel:
     2**24 cap, and about 9 * 10**11 at p = 101, where no product is split.
     """
 
-    __slots__ = ("p", "name", "chunk")
+    __slots__ = ("p", "name", "spec", "chunk")
     dtype = np.float64
     zero = 0
     one = 1
@@ -395,7 +397,7 @@ class _PrimeKernel:
         if p < 5 or not _is_prime(p):
             raise ValueError(f"prime field characteristic must be a prime >= 5, got {p}")
         self.p = p
-        self.name = f"F{p}"
+        self.name, self.spec = f"F{p}", f"Fp {p}"
         self.chunk = (2 ** 53 - p) // (p - 1) ** 2
 
     def coerce(self, x) -> int:
@@ -463,7 +465,7 @@ class _RationalKernel:
     """
 
     __slots__ = ()
-    name = "Q"
+    name = spec = "Q"
     dtype = object
     zero = Fraction(0)
     one = Fraction(1)
@@ -514,10 +516,6 @@ class _RationalKernel:
                         acc[j] += x * y
             out.extend(_over(acc, den))
         return self._array(out, (m, cols))
-
-
-QQ = Field.rationals()
-F101 = Field.prime(101)
 
 
 # ---------------------------------------------------------------------------
@@ -860,11 +858,6 @@ class Mat:
     @property
     def T(self) -> "Mat":
         return self.transpose()
-
-    def trace(self) -> Scalar:
-        if not self.is_square():
-            raise ShapeMismatchError("trace of a non-square matrix")
-        return self.field.coerce(self._entries.trace())
 
     def kron(self, other: "Mat") -> "Mat":
         """The Kronecker product: the one-block case of ``kron_assemble``."""

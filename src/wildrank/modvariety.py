@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .exactlin import Field, Mat
 from .quiver import BoundQuiver
 from .rep import (Representation, SamplingStarvation, check_relations,
                   hom_space, relation_jacobian, sample_representation)
+
+__all__ = ["stratum_probe"]
 
 
 @dataclass
@@ -116,13 +118,6 @@ class StratumReport:
         if agg is None:
             return None
         return agg <= self.n
-
-    def record_for(self, dims: Sequence[int]) -> Optional[DimVectorRecord]:
-        key = tuple(int(x) for x in dims)
-        for r in self.records:
-            if r.dims == key:
-                return r
-        return None
 
     def to_text(self) -> str:
         marker = ("exact local dimensions (hereditary)" if self.hereditary

@@ -34,6 +34,11 @@ from typing import Iterable, Optional, Sequence
 
 from .exactlin import Field
 
+__all__ = ["AdmissibilityError", "AlgebraTable", "BoundQuiver", "Path", "Quiver", "Relation",
+           "RepType", "build_algebra_table", "classify_hereditary", "euler_form",
+           "factor_quiver", "is_minimal_wild_hereditary", "k3_bound_quiver", "loop_quiver",
+           "serialize_quiver_spec"]
+
 DEFAULT_NILBOUND_SLACK = 2
 
 
@@ -225,10 +230,6 @@ class BoundQuiver:
                 f"{len(self.relations)} relations, L={self.nilbound})")
 
 
-def make_relation(q: Quiver, terms: Sequence[tuple[Fraction | int, Sequence[str]]]) -> Relation:
-    return Relation(tuple((Fraction(c), q.path(list(w))) for c, w in terms))
-
-
 def serialize_quiver_spec(bq: BoundQuiver, name: str,
                           field: Optional[Field] = None,
                           weights: Optional[dict] = None) -> str:
@@ -236,7 +237,7 @@ def serialize_quiver_spec(bq: BoundQuiver, name: str,
     ``cli.parse_quiver_spec``); parse-serialize round-trips exactly."""
     lines = [f"quiver {name}"]
     if field is not None:
-        lines.append("field Q" if field.char == 0 else f"field Fp {field.char}")
+        lines.append(f"field {field.spec}")
     if bq.quiver.vertices:
         lines.append("vertex " + " ".join(bq.quiver.vertices))
     for a in bq.quiver.arrows:
@@ -522,7 +523,7 @@ def factor_quiver(bq_src: BoundQuiver, keep_vertices: Iterable[str],
 
 
 # ---------------------------------------------------------------------------
-# Tits form and hereditary classification
+# Euler form and hereditary classification
 # ---------------------------------------------------------------------------
 
 class RepType(Enum):
@@ -545,13 +546,8 @@ def euler_form(q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
     return total
 
 
-def tits_form(q: Quiver, d: Sequence[int]) -> int:
-    """q(d) = <d, d> = sum d_i^2 - sum over arrows of d_source * d_target."""
-    return euler_form(q, d, d)
-
-
 def symmetrized_tits_matrix(q: Quiver) -> list[list[int]]:
-    """Integer symmetric matrix B with q(d) = (1/2) d B d^T for loop-free q."""
+    """Integer symmetric matrix B with <d, d> = (1/2) d B d^T for loop-free q."""
     n = len(q.vertices)
     pos = {v: i for i, v in enumerate(q.vertices)}
     b = [[0] * n for _ in range(n)]
@@ -671,22 +667,6 @@ def k3_bound_quiver() -> BoundQuiver:
     return BoundQuiver(kronecker_quiver(3), [], nilbound=2)
 
 
-def line_quiver(n: int) -> Quiver:
-    """A_n with arrows i -> i+1."""
-    return Quiver([str(i) for i in range(1, n + 1)],
-                  [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)])
-
-
 def loop_quiver(loops: int = 1) -> Quiver:
     names = ["x", "y", "z", "w", "u", "v"]
     return Quiver(["v"], [(names[i], "v", "v") for i in range(loops)])
-
-
-def loop_square_zero(loops: int = 1) -> BoundQuiver:
-    """Local algebra with the given number of loops and all length-2 products zero."""
-    q = loop_quiver(loops)
-    rels = []
-    for a in q.arrows:
-        for b in q.arrows:
-            rels.append(make_relation(q, [(1, (a.name, b.name))]))
-    return BoundQuiver(q, rels, nilbound=2)

@@ -46,6 +46,11 @@ from .exactlin import (Field, Mat, ShapeMismatchError, Span, find_invertible_in_
                        nilpotency_index, nilpotent_hom_basis, trace_form, trace_radical)
 from .quiver import BoundQuiver, Path, _enumerate_paths
 
+__all__ = ["InconclusiveError", "Representation", "SamplingStarvation", "are_isomorphic",
+           "check_relations", "decompose", "end_radical", "flatten_morphism", "hom_space",
+           "in_sincere_subcategory", "is_indecomposable", "morphism_compose",
+           "relation_jacobian", "sample_representation", "support"]
+
 DEFAULT_TRIALS = 32
 
 
@@ -97,33 +102,6 @@ class Representation:
             bad = [str(rel) for rel, ok in check_relations(self) if not ok]
             if bad:
                 raise ValueError(f"relations violated: {bad}")
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def zero(cls, bq: BoundQuiver, field: Field) -> "Representation":
-        return cls(bq, field, {}, {}, check=False)
-
-    @classmethod
-    def simple(cls, bq: BoundQuiver, field: Field, vertex: str) -> "Representation":
-        return cls(bq, field, {vertex: 1}, {}, check=False)
-
-    @classmethod
-    def from_lists(cls, bq: BoundQuiver, field: Field, dims: dict[str, int],
-                   mats: dict[str, Sequence[Sequence]]) -> "Representation":
-        return cls(bq, field, dims,
-                   {k: Mat.from_rows(field, m) for k, m in mats.items()})
-
-    def direct_sum(self, other: "Representation") -> "Representation":
-        if other.bound_quiver != self.bound_quiver or other.field != self.field:
-            raise ShapeMismatchError("direct sum over different quivers or fields")
-        dims = {v: self.dims[v] + other.dims[v] for v in self.dims}
-        mats = {}
-        for a in self.bound_quiver.quiver.arrows:
-            m1, m2 = self.mats[a.name], other.mats[a.name]
-            mats[a.name] = Mat.assemble(self.field, m1.rows + m2.rows, m1.cols + m2.cols,
-                                        [(0, 0, m1), (m1.rows, m1.cols, m2)])
-        return Representation(self.bound_quiver, self.field, dims, mats, check=False)
 
     # -- structure --------------------------------------------------------------
 
@@ -645,7 +623,7 @@ def are_isomorphic(m: Representation, n: Representation,
         if not trace_form(totals, h_nm.total_matrices()).is_zero():
             return IsoVerdict("inconclusive",
                               detail="trace pairing inconsistent with the hint")
-        if field.char == 0 or m.total_dim % field.char != 0:
+        if field.coerce(m.total_dim) != field.zero:
             return IsoVerdict("no", detail="trace pairing vanishes identically "
                                            "(indecomposable inputs)")
     return IsoVerdict("inconclusive", detail=f"no invertible combination in {trials} trials")

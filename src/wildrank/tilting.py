@@ -30,6 +30,9 @@ from .quiver import (AlgebraTable, BoundQuiver, Path, Quiver, Relation,
 from .rep import (Representation, are_isomorphic, end_radical, flatten_morphism,
                   hom_space, morphism_compose, support)
 
+__all__ = ["CyclicQuiverError", "endomorphism_algebra", "enumerate_preprojectives",
+           "ext1_dim_via_presentation", "tilting_candidates"]
+
 
 class CyclicQuiverError(ValueError):
     """Hereditary operations need an acyclic quiver."""
@@ -101,18 +104,6 @@ def projective_rep(bq: BoundQuiver, field: Field, vertex: str) -> Representation
     return _ProjectiveSum(bq, field, [(vertex, 0)]).rep
 
 
-def injective_rep(bq: BoundQuiver, field: Field, vertex: str) -> Representation:
-    """The indecomposable injective at a vertex: dual of the opposite
-    projective (spaces indexed by paths into the vertex)."""
-    opp = BoundQuiver(bq.quiver.opposite(), [], nilbound=bq.nilbound)
-    p_op = projective_rep(opp, field, vertex)
-    dims = dict(p_op.dims)
-    mats = {}
-    for a in bq.quiver.arrows:
-        mats[a.name] = p_op.mats[a.name].T
-    return Representation(bq, field, dims, mats, check=False)
-
-
 def _complement_units(cols: Mat) -> list[int]:
     """The j whose unit vectors e_j extend the independent columns of
     ``cols`` to a basis, each e_j independent of those before it."""
@@ -168,9 +159,9 @@ def _cover(m: Representation) -> tuple[_ProjectiveSum, dict[str, Mat]]:
 class ProjectivePresentation:
     """P1 -> P0 -> M -> 0, minimal, over a hereditary quiver.
 
-    ``p0``/``p1`` are the projective sums (modules ``p0.rep``, ``p1.rep``),
-    ``phi`` the map P1 -> P0, per vertex, and ``p0_mults``/``p1_mults`` the
-    multiplicity of each projective.
+    ``p0``/``p1`` are the projective sums (modules ``p0.rep``, ``p1.rep``,
+    multiplicities ``p0.mults``, ``p1.mults``) and ``phi`` the map P1 -> P0,
+    per vertex.
     """
 
     bq: BoundQuiver
@@ -178,14 +169,6 @@ class ProjectivePresentation:
     p0: _ProjectiveSum
     p1: _ProjectiveSum
     phi: dict[str, Mat]
-
-    @property
-    def p0_mults(self) -> dict[str, int]:
-        return self.p0.mults
-
-    @property
-    def p1_mults(self) -> dict[str, int]:
-        return self.p1.mults
 
 
 def projective_presentation(m: Representation) -> ProjectivePresentation:
@@ -251,19 +234,14 @@ def _dual_rep(m: Representation, opp: BoundQuiver) -> Representation:
 def ar_translate_inverse(m: Representation) -> Representation:
     """tau^{-1} M via transpose of the dual: dualize, take a minimal
     projective presentation over the opposite quiver, apply Hom(-, algebra)
-    and return the cokernel.  Errors on injective input."""
+    and return the cokernel.  The presentation is minimal, so the cokernel is
+    zero exactly when M is injective, where tau^- is undefined."""
     bq = m.bound_quiver
     if bq.relations:
         raise ValueError("AR translation implemented for hereditary quivers")
     field = m.field
     if m.is_zero():
         raise ValueError("tau^- of the zero module is undefined")
-    # injective detection: compare against the indecomposable injectives
-    for v in bq.quiver.vertices:
-        inj = injective_rep(bq, field, v)
-        if inj.dim_vector() == m.dim_vector():
-            if are_isomorphic(m, inj, seed="tau-inj").verdict == "yes":
-                raise ValueError("tau^- is undefined on injective modules")
     opp = BoundQuiver(bq.quiver.opposite(), [], nilbound=bq.nilbound)
     pres = projective_presentation(_dual_rep(m, opp))
     # transpose: Hom(-, B) turns the sums over the opposite algebra B into
@@ -291,6 +269,8 @@ def ar_translate_inverse(m: Representation) -> Representation:
         frames[v] = (Mat.hcat(field, d, [col, Mat.identity(field, d).submatrix(range(d), comp)]),
                      col.cols, comp)
         dims[v] = len(comp)
+    if not any(dims.values()):
+        raise ValueError("tau^- is undefined on injective modules")
     mats = {}
     for a in bq.quiver.arrows:
         frame_t, rad_t, _ = frames[a.target]

@@ -40,6 +40,11 @@ from .quiver import (AlgebraTable, BoundQuiver, Path,
 from .rep import (Representation, are_isomorphic, hom_space,
                   in_sincere_subcategory, is_indecomposable, InconclusiveError)
 
+__all__ = ["CertStep", "CheckCounts", "CheckedReport", "FreeAlgModule", "WitnessBimodule",
+           "WitnessCertificate", "bound_quiver_hash", "bound_via_factor", "bound_via_morita",
+           "builtin_G", "certificate_for_bimodule", "check_preservation", "compose_witness",
+           "eval_tensor", "sincere_witness_for_K3", "verify_witness"]
+
 DEFAULT_DEGREE_CAP = 8
 
 
@@ -108,16 +113,6 @@ class FreeAlgModule:
         bq = free_carrier(self.field)
         return Representation(bq, self.field, {"v": self.dim},
                               {"x": self.x, "y": self.y}, check=False)
-
-    def direct_sum(self, other: "FreeAlgModule") -> "FreeAlgModule":
-        def blk(a, b):
-            return Mat.assemble(a.field, a.rows + b.rows, a.cols + b.cols,
-                                [(0, 0, a), (a.rows, a.cols, b)])
-        return FreeAlgModule(blk(self.x, other.x), blk(self.y, other.y))
-
-    @classmethod
-    def zero(cls, field: Field) -> "FreeAlgModule":
-        return cls(Mat.zeros(field, 0, 0), Mat.zeros(field, 0, 0))
 
     @classmethod
     def random(cls, field: Field, max_dim: int, rng: random.Random) -> "FreeAlgModule":

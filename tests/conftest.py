@@ -10,17 +10,21 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from wildrank.exactlin import F101, Mat, QQ, Span, nilpotency_index, _back_substitute, _zeros
+from wildrank.exactlin import Field, Mat, Span, nilpotency_index, _back_substitute, _zeros
 from wildrank.rep import (IndecVerdict, InconclusiveError, Representation, _blocks_from_total,
                           _idempotent_matrix_from_minpoly, are_isomorphic, decompose,
                           factor_polynomial, flatten_morphism, hom_space, morphism_compose,
                           support, _poly_eval_matrix)
-from wildrank.quiver import (BoundQuiver, Quiver, _enumerate_paths, build_algebra_table,
-                             is_minimal_wild_hereditary, k3_bound_quiver, kronecker_quiver,
-                             line_quiver, loop_quiver, loop_square_zero, make_relation)
+from wildrank.quiver import (BoundQuiver, Quiver, Relation, _enumerate_paths,
+                             build_algebra_table, is_minimal_wild_hereditary, k3_bound_quiver,
+                             kronecker_quiver, loop_quiver)
 from wildrank.tilting import (_complement_units, _dual_rep, _require_acyclic,
                               _top_lift_basis, endomorphism_algebra, enumerate_preprojectives,
-                              injective_rep, tilting_candidates)
+                              projective_rep, tilting_candidates)
+from wildrank.wildness import FreeAlgModule
+
+QQ = Field.rationals()
+F101 = Field.prime(101)
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -28,6 +32,81 @@ FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 def fixture_text(name: str) -> str:
     with open(os.path.join(FIXDIR, name)) as fh:
         return fh.read()
+
+
+# ---------------------------------------------------------------------------
+# constructors and operations only the tests use
+# ---------------------------------------------------------------------------
+
+def field_add(field, a, b):
+    return field.coerce(a + b)
+
+
+def mat_trace(m):
+    """The trace of a square ``Mat``, as a field scalar."""
+    return m.field.coerce(sum(m.entry(i, i) for i in range(m.rows)))
+
+
+def make_relation(q, terms):
+    """The relation sum c * path over ``terms``, pairs (c, arrow names)."""
+    return Relation(tuple((Fraction(c), q.path(list(w))) for c, w in terms))
+
+
+def line_quiver(n):
+    """A_n with arrows i -> i+1."""
+    return Quiver([str(i) for i in range(1, n + 1)],
+                  [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)])
+
+
+def loop_square_zero(loops=1):
+    """Local algebra with the given number of loops and all length-2 products zero."""
+    q = loop_quiver(loops)
+    rels = [make_relation(q, [(1, (a.name, b.name))]) for a in q.arrows for b in q.arrows]
+    return BoundQuiver(q, rels, nilbound=2)
+
+
+def zero_rep(bq, field):
+    return Representation(bq, field, {}, {}, check=False)
+
+
+def simple_rep(bq, field, vertex):
+    return Representation(bq, field, {vertex: 1}, {}, check=False)
+
+
+def rep_from_lists(bq, field, dims, mats):
+    """A representation from nested lists of entries, one per arrow."""
+    return Representation(bq, field, dims, {k: Mat.from_rows(field, m) for k, m in mats.items()})
+
+
+def _block_sum(a, b):
+    return Mat.assemble(a.field, a.rows + b.rows, a.cols + b.cols,
+                        [(0, 0, a), (a.rows, a.cols, b)])
+
+
+def direct_sum(m, n):
+    """M (+) N, of two representations or of two free-algebra modules."""
+    if isinstance(m, FreeAlgModule):
+        return FreeAlgModule(_block_sum(m.x, n.x), _block_sum(m.y, n.y))
+    if n.bound_quiver != m.bound_quiver or n.field != m.field:
+        raise ValueError("direct sum over different quivers or fields")
+    dims = {v: m.dims[v] + n.dims[v] for v in m.dims}
+    mats = {name: _block_sum(m.mats[name], n.mats[name]) for name in m.mats}
+    return Representation(m.bound_quiver, m.field, dims, mats, check=False)
+
+
+def zero_module(field):
+    """The zero module of the two-letter free algebra."""
+    return FreeAlgModule(Mat.zeros(field, 0, 0), Mat.zeros(field, 0, 0))
+
+
+def injective_rep(bq, field, vertex):
+    """The indecomposable injective at a vertex of a hereditary quiver: the
+    dual of the projective of the opposite quiver (spaces indexed by paths
+    into the vertex)."""
+    opp = BoundQuiver(bq.quiver.opposite(), [], nilbound=bq.nilbound)
+    p_op = projective_rep(opp, field, vertex)
+    mats = {a.name: p_op.mats[a.name].T for a in bq.quiver.arrows}
+    return Representation(bq, field, dict(p_op.dims), mats, check=False)
 
 
 def random_nonzero(field, rng):
@@ -81,8 +160,8 @@ def reference_relation_jacobian(q, field, rel, mats, dims, offsets, nvars):
                         for v in range(dv):
                             rv = rt.entry(v, j)
                             if rv != 0:
-                                block[ridx][base + u * dv + v] = field.add(
-                                    block[ridx][base + u * dv + v],
+                                block[ridx][base + u * dv + v] = field_add(
+                                    field, block[ridx][base + u * dv + v],
                                     field.mul(coef, field.mul(lu, rv)))
     return block
 
@@ -122,8 +201,8 @@ def reference_entry_matrix_on(w, tensor, module):
                 c = a.entry(i, j)
                 for u in range(n):
                     for v in range(n):
-                        rows[i * n + u][j * n + v] = field.add(
-                            rows[i * n + u][j * n + v], field.mul(c, m.entry(u, v)))
+                        rows[i * n + u][j * n + v] = field_add(
+                            field, rows[i * n + u][j * n + v], field.mul(c, m.entry(u, v)))
     return Mat(field, r * n, r * n, rows)
 
 
@@ -136,7 +215,7 @@ def table_product(table, a, b):
         for j, y in b.items():
             xy = f.mul(x, y)
             for k, c in table.product_entry(i, j).items():
-                out[k] = f.add(out.get(k, f.zero), f.mul(xy, c))
+                out[k] = field_add(f, out.get(k, f.zero), f.mul(xy, c))
     return {k: c for k, c in sorted(out.items()) if c != 0}
 
 
@@ -204,7 +283,7 @@ def reference_trace_pairing(lefts, rights):
     pair, as rows.  Reference for ``exactlin.trace_form``; this double loop
     built the Gram matrix of ``rep._natural_trace_radical`` and the pairing
     of ``rep.are_isomorphic``."""
-    return [[(a @ b).trace() for b in rights] for a in lefts]
+    return [[mat_trace(a @ b) for b in rights] for a in lefts]
 
 
 def reference_pairing_witness(h_mn, h_nm):
@@ -215,7 +294,7 @@ def reference_pairing_witness(h_mn, h_nm):
     any_nonzero = False
     for i, f in enumerate(h_mn.total_matrices()):
         for g in h_nm.total_matrices():
-            if (g @ f).trace() != 0:
+            if mat_trace(g @ f) != 0:
                 any_nonzero = True
                 if all(blk.is_invertible() for blk in h_mn.basis[i].values()):
                     return i, True
@@ -235,7 +314,7 @@ def reference_regular_trace_gram(end):
             prod = end.multiply(units[i], units[j])
             lm = Mat.lincomb(f, dim, dim, prod,
                              [Mat.from_rows(f, reg) for reg in end.regular])
-            gram[i][j] = lm.trace()
+            gram[i][j] = mat_trace(lm)
     return Mat.from_rows(f, gram)
 
 
@@ -428,7 +507,7 @@ def _reference_poly_mul(field, a, b):
     out = [field.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
+            out[i + j] = field_add(field, out[i + j], field.mul(x, y))
     return out
 
 
@@ -520,7 +599,7 @@ class ReferenceEndAnalysis:
                 row = reg[k]
                 for j, bj in enumerate(b):
                     if bj != 0 and row[j] != 0:
-                        acc = f.add(acc, f.mul(ai, f.mul(row[j], bj)))
+                        acc = field_add(f, acc, f.mul(ai, f.mul(row[j], bj)))
                 out[k] = acc
         return out
 
@@ -779,10 +858,10 @@ def _reference_projective_sum(bq, field, mults):
             reps.append(reference_projective_rep(bq, field, v))
             slots.append((v, c))
     if not reps:
-        return Representation.zero(bq, field), []
+        return zero_rep(bq, field), []
     total = reps[0]
     for r in reps[1:]:
-        total = total.direct_sum(r)
+        total = direct_sum(total, r)
     return total, slots
 
 
@@ -930,7 +1009,7 @@ def reference_ar_translate_inverse(m):
                 word = tuple(reversed(opp_path.arrows))
                 orig = bq.quiver.path(word) if word else bq.quiver.trivial_path(v1)
                 vec = _reference_path_on_generator(bq, field, p1_back, slots1, j1, orig)
-                col_entries = [field.add(a, field.mul(coef, vec.entry(i, 0)))
+                col_entries = [field_add(field, a, field.mul(coef, vec.entry(i, 0)))
                                for i, a in enumerate(col_entries)]
         gen_images.append(Mat.from_rows(field, [[x] for x in col_entries])
                           if p1_back.dims[v0] else Mat.zeros(field, 0, 1))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fixture_text
+from conftest import F101, fixture_text, make_relation, QQ, rep_from_lists
 
 from wildrank.cli import (SpecError, cmd_certify, cmd_classify, cmd_tilt, cmd_variety,
                           parse_certificate, parse_quiver_spec,
@@ -161,8 +161,8 @@ def test_round_trip_canonical():
 
 def test_representation_file_round_trip(k2_bq, f101):
     from wildrank.rep import Representation, are_isomorphic
-    rep = Representation.from_lists(k2_bq, f101, {"1": 1, "2": 2},
-                                    {"a": [[1], [2]], "b": [[3], [4]]})
+    rep = rep_from_lists(k2_bq, f101, {"1": 1, "2": 2},
+                         {"a": [[1], [2]], "b": [[3], [4]]})
     text = serialize_representation(rep, "m", "k2")
     name, back = parse_representation(text, k2_bq)
     assert name == "m"
@@ -378,8 +378,8 @@ def test_inconclusive_domination_rule():
 def test_representation_file_rationals(k2_bq, qq):
     from fractions import Fraction
     from wildrank.rep import Representation
-    rep = Representation.from_lists(k2_bq, qq, {"1": 1, "2": 1},
-                                    {"a": [[Fraction(1, 2)]], "b": [[-3]]})
+    rep = rep_from_lists(k2_bq, qq, {"1": 1, "2": 1},
+                         {"a": [[Fraction(1, 2)]], "b": [[-3]]})
     text = serialize_representation(rep, "m", "k2")
     assert "1/2" in text
     _, back = parse_representation(text, k2_bq)
@@ -394,6 +394,32 @@ def test_main_entry(tmp_path, capsys):
     code = main(["classify", str(spec)])
     captured = capsys.readouterr()
     assert code == 0 and "Wild" in captured.out
+
+
+@pytest.mark.parametrize("command, fixture, options, kwargs", [
+    ("certify", "three_loop_rad2.quiver",
+     ["--radius", "3", "--samples", "2", "--max-dim", "2", "--seed", "7",
+      "--pushdown-samples", "2", "--pushdown-max-dim", "4"],
+     dict(radius=3, samples=2, max_dim=2, seed="7", pushdown_samples=2, pushdown_max_dim=4)),
+    ("variety", "k3.quiver", ["--nmax", "1", "--samples", "3", "--seed", "5"],
+     dict(nmax=1, samples=3, seed="5")),
+    ("tilt", "a2.quiver", ["--depth", "2"], dict(depth=2)),
+], ids=["certify", "variety", "tilt"])
+def test_main_forwards_every_option(command, fixture, options, kwargs, tmp_path, capsys):
+    from wildrank.cli import main
+    spec = tmp_path / fixture
+    spec.write_text(fixture_text(fixture))
+    if command == "certify":
+        options += ["--out", str(tmp_path / "main.txt")]
+        kwargs["out_path"] = str(tmp_path / "cmd.txt")
+    code = main([command, str(spec)] + options)
+    printed = capsys.readouterr().out
+    cmd = {"certify": cmd_certify, "variety": cmd_variety, "tilt": cmd_tilt}[command]
+    out, cmd_code = cmd(fixture_text(fixture), **kwargs)
+    assert (printed, code) == (out + "\n", cmd_code)
+    if command == "certify":
+        assert code == 0
+        assert (tmp_path / "main.txt").read_text() == (tmp_path / "cmd.txt").read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -436,18 +462,16 @@ def _spec_texts():
 
 
 def _module_cases():
-    from wildrank.exactlin import F101, QQ
-    from wildrank.quiver import BoundQuiver, kronecker_quiver, loop_quiver, make_relation
-    from wildrank.rep import Representation
+    from wildrank.quiver import BoundQuiver, kronecker_quiver, loop_quiver
     k2 = BoundQuiver(kronecker_quiver(2), [], nilbound=2)
     q = loop_quiver(1)
     dual = BoundQuiver(q, [make_relation(q, [(1, ("x", "x"))])], nilbound=2)
     modules = [
-        (k2, Representation.from_lists(k2, F101, {"1": 2, "2": 1},
-                                       {"a": [[1, 2]], "b": [[3, 4]]})),
-        (k2, Representation.from_lists(k2, QQ, {"1": 1, "2": 2},
-                                       {"a": [[Fraction(1, 2)], [-3]], "b": [[0], [7]]})),
-        (dual, Representation.from_lists(dual, F101, {"v": 2}, {"x": [[0, 1], [0, 0]]})),
+        (k2, rep_from_lists(k2, F101, {"1": 2, "2": 1},
+                            {"a": [[1, 2]], "b": [[3, 4]]})),
+        (k2, rep_from_lists(k2, QQ, {"1": 1, "2": 2},
+                            {"a": [[Fraction(1, 2)], [-3]], "b": [[0], [7]]})),
+        (dual, rep_from_lists(dual, F101, {"v": 2}, {"x": [[0, 1], [0, 0]]})),
     ]
     return [(bq, serialize_representation(m, "m", "q")) for bq, m in modules]
 

@@ -2,13 +2,11 @@ import random
 
 import pytest
 
-from wildrank.exactlin import F101
-from wildrank.quiver import (BoundQuiver, Quiver, build_algebra_table, factor_quiver, loop_quiver,
-                             make_relation)
+from conftest import F101, direct_sum, make_relation, rep_from_lists, simple_rep, zero_rep
+from wildrank.quiver import BoundQuiver, Quiver, build_algebra_table, factor_quiver, loop_quiver
 from wildrank.covering import (CoveringSpec, build_window, covering_criterion, pushdown,
                                pushdown_bimodule, verify_pushdown)
-from wildrank.rep import (Representation, are_isomorphic, is_indecomposable,
-                          sample_representation)
+from wildrank.rep import are_isomorphic, is_indecomposable, sample_representation
 from wildrank.wildness import eval_tensor
 
 
@@ -105,15 +103,15 @@ def test_pushdown_direct_assembly(x2_cov):
     wq = w.bound_quiver
     v0, v1 = wq.quiver.vertices
     arrow = wq.quiver.arrows[0].name
-    n = Representation.from_lists(wq, F101, {v0: 1, v1: 1}, {arrow: [[1]]})
+    n = rep_from_lists(wq, F101, {v0: 1, v1: 1}, {arrow: [[1]]})
     down = pushdown(w, n)
     assert down.dim_vector() == (2,)
     assert down.mats["x"].row_list() == [[0, 0], [1, 0]]
     assert is_indecomposable(down, 0).verdict == "yes"
     # zero and simple cases
-    zero = pushdown(w, Representation.zero(wq, F101))
+    zero = pushdown(w, zero_rep(wq, F101))
     assert zero.total_dim == 0
-    s = pushdown(w, Representation.simple(wq, F101, v0))
+    s = pushdown(w, simple_rep(wq, F101, v0))
     assert s.total_dim == 1 and s.mats["x"].is_zero()
 
 
@@ -127,8 +125,8 @@ def test_pushdown_dim_preservation_and_sums(three_loop_cov):
         assert pushdown(w, n).total_dim == n.total_dim
     n1 = sample_representation(wq, F101, {v: 2 for v in wq.quiver.vertices}, rng)
     n2 = sample_representation(wq, F101, {v: 1 for v in wq.quiver.vertices}, rng)
-    lhs = pushdown(w, n1.direct_sum(n2))
-    rhs = pushdown(w, n1).direct_sum(pushdown(w, n2))
+    lhs = pushdown(w, direct_sum(n1, n2))
+    rhs = direct_sum(pushdown(w, n1), pushdown(w, n2))
     assert are_isomorphic(lhs, rhs, seed=1).verdict == "yes"
 
 
@@ -151,8 +149,8 @@ def test_nonsincere_translates_collide(x2_cov):
     w = build_window(x2_cov, [(0, 1)])
     wq = w.bound_quiver
     v0, v1 = wq.quiver.vertices
-    s0 = Representation.simple(wq, F101, v0)
-    s1 = Representation.simple(wq, F101, v1)
+    s0 = simple_rep(wq, F101, v0)
+    s1 = simple_rep(wq, F101, v1)
     assert are_isomorphic(s0, s1, seed=0).verdict == "no"
     assert are_isomorphic(pushdown(w, s0), pushdown(w, s1), seed=0).verdict == "yes"
 

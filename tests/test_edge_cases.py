@@ -6,11 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import is_associative, table_product
-from wildrank.exactlin import F101, QQ, Mat
-from wildrank.quiver import (AdmissibilityError, BoundQuiver, Quiver,
-                             build_algebra_table, factor_quiver, loop_quiver,
-                             loop_square_zero, make_relation)
+from conftest import F101, is_associative, loop_square_zero, make_relation, QQ, table_product
+from wildrank.exactlin import Mat
+from wildrank.quiver import (AdmissibilityError, BoundQuiver, Quiver, build_algebra_table,
+                             factor_quiver, loop_quiver)
 from wildrank.covering import CoveringSpec, build_window, covering_criterion, pushdown
 from wildrank.wildness import (FreeAlgModule, builtin_G, eval_tensor,
                                sincere_witness_for_K3, verify_witness)

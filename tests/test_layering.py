@@ -3,12 +3,17 @@
 Every other module reaches matrices only through ``Mat`` operations: it
 imports no numpy, touches none of the storage (``Mat._entries``,
 ``Field._kernel``) and calls no elimination kernel (``_echelon_*``)
-directly.  Inside exactlin, only the two field kernels branch on the field
-or on the storage type; ``Field.__init__`` picks the kernel, once.
+directly.  In the whole package, only exactlin's two field kernels branch
+on the field or on the storage type; ``Field.__init__`` picks the kernel,
+once, and rep's sympy glue is the one exception left.
 
-Every top-level function of exactlin, public or private, has a caller in
-``src/``: a reference or helper kept only for the tests lives in
-``tests/conftest.py``.
+Every definition of the package, each top-level function, class and
+constant and each method, is read somewhere in ``src/`` outside its own
+body, or is a module-level name its module declares public in
+``__all__``: a reference or helper kept only for the tests lives in
+``tests/conftest.py``.  Each ``__all__`` holds what the other modules and
+the benchmark's workloads import from it, plus the documented library
+surface, and the README lists it.
 
 Inside exactlin a remainder mod p (``% p``, ``% self.p``, ``%= p``) is
 taken only by the one array reduction ``_residues``, by the in-place
@@ -45,6 +50,14 @@ KERNELS = ("_PrimeKernel", "_RationalKernel")
 #: names whose appearance in a condition means it branches on the field or
 #: on how entries are stored
 FIELD_MARKERS = {"char", "dtype", "ndarray", "float64", "Fraction", "_arr", "_rows"}
+
+
+def _src_trees() -> dict[str, ast.Module]:
+    trees = {}
+    for name in MODULES + ["exactlin.py"]:
+        with open(os.path.join(SRC, name)) as fh:
+            trees[name] = ast.parse(fh.read(), name)
+    return trees
 
 
 def violations(tree: ast.AST) -> list[str]:
@@ -103,13 +116,20 @@ def test_matrix_storage_stays_in_exactlin(name):
     assert violations(tree) == []
 
 
+#: the scopes outside the kernels that may branch on the field: the pick of
+#: the kernel, and rep's glue to sympy's polynomials over GF(p) and QQ
+FIELD_BRANCHES = {"exactlin.py": ["Field.__init__"],
+                  "rep.py": ["_to_dense", "_from_dense", "factor_polynomial",
+                             "_idempotent_matrix_from_minpoly"]}
+
+
 def test_field_differences_stay_in_the_kernels():
-    with open(os.path.join(SRC, "exactlin.py")) as fh:
-        tree = ast.parse(fh.read(), "exactlin.py")
-    classes = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
+    trees = _src_trees()
+    classes = {n.name for n in trees["exactlin.py"].body if isinstance(n, ast.ClassDef)}
     assert set(KERNELS) <= classes
-    # the one branch left is the pick of the kernel
-    assert field_branches(tree) == ["Field.__init__"]
+    found = {name: branches for name, tree in trees.items()
+             if (branches := field_branches(tree))}
+    assert found == FIELD_BRANCHES
 
 
 def test_checker_catches_each_kind():
@@ -177,31 +197,80 @@ def test_one_reduction_mod_p():
     assert stray_reductions(bad) == ["_PrimeKernel.normalize", "_PrimeKernel.matmul", "<module>"]
 
 
-def _references(node: ast.AST, name: str) -> int:
-    return sum(isinstance(n, ast.Name) and n.id == name
-               or isinstance(n, ast.Attribute) and n.attr == name for n in ast.walk(node))
+#: names of builtin-type methods: ``s.add(x)`` reads ``set.add`` as much as
+#: a method ``add`` of the package, so such a method counts reads only
+#: through its class, ``cls`` or ``self``
+BUILTIN_METHODS = {m for t in (set, dict, list, str, int, tuple) for m in dir(t)}
 
 
-def uncalled_functions(module: ast.Module, trees) -> list[str]:
-    """The top-level functions of ``module`` that no tree in ``trees`` names
-    outside their own body."""
-    return [fn.name for fn in module.body
-            if isinstance(fn, ast.FunctionDef)
-            and sum(_references(t, fn.name) for t in trees) == _references(fn, fn.name)]
+def _definitions(module: ast.Module):
+    """``(cls, name, node, receivers)`` for each top-level function, class
+    and constant of ``module`` (``cls`` None) and each non-dunder method of
+    its classes.  ``receivers`` is None when any attribute ``.name`` reads a
+    method; a class or static method, or one named like a method of a
+    builtin type, is read only through its class, ``cls`` or ``self``."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield None, node.name, node, None
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((None, t.id, node, None) for t in targets
+                        if isinstance(t, ast.Name) and not t.id.startswith("__"))
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__"):
+                    bound = fn.name in BUILTIN_METHODS or any(
+                        isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod")
+                        for d in fn.decorator_list)
+                    yield node.name, fn.name, fn, {node.name, "cls", "self"} if bound else None
 
 
-def test_exactlin_functions_have_callers_in_src():
-    trees = {}
-    for name in MODULES + ["exactlin.py"]:
-        with open(os.path.join(SRC, name)) as fh:
-            trees[name] = ast.parse(fh.read(), name)
-    assert uncalled_functions(trees["exactlin.py"], trees.values()) == []
-    # the check itself: a function only the tests call is caught, private or not
-    extra = ast.parse("def reference_only(x):\n    return x\n"
-                      "def _helper_only(x):\n    return _helper_only(x)\n")
-    trees["exactlin.py"].body += extra.body
-    assert uncalled_functions(trees["exactlin.py"], trees.values()) == ["reference_only",
-                                                                        "_helper_only"]
+def _reads(node: ast.AST, cls, name: str, receivers) -> int:
+    """The reads of a definition in ``node``: a module-level name by name
+    (the package imports names, not modules), a method as an attribute."""
+    if cls is None:
+        return sum(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
+    return sum(isinstance(n, ast.Attribute) and n.attr == name
+               and (receivers is None or isinstance(n.value, ast.Name)
+                    and n.value.id in receivers) for n in ast.walk(node))
+
+
+def unread_definitions(module: ast.Module, trees) -> list[str]:
+    """The definitions of ``module`` that no tree in ``trees`` reads outside
+    their own body, as ``name`` or ``Class.name``; a module-level name listed
+    in the module's ``__all__`` is public and needs no reader."""
+    public = set()
+    for node in module.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            public.update(ast.literal_eval(node.value))
+    return [f"{cls}.{name}" if cls else name
+            for cls, name, node, receivers in _definitions(module)
+            if not (cls is None and name in public)
+            and sum(_reads(t, cls, name, receivers) for t in trees)
+            == _reads(node, cls, name, receivers)]
+
+
+def test_every_definition_has_a_reader_in_src():
+    trees = _src_trees()
+    found = {name: unread for name, tree in trees.items()
+             if (unread := unread_definitions(tree, trees.values()))}
+    assert found == {}
+    # the check itself: a test-only method, class method and constant are
+    # caught, and so are a method whose only reader is a set's .add, a class
+    # method whose only reader is a field's .zero, and a method named in
+    # __all__; a constant in __all__ is not
+    extra = ast.parse("class Mat:\n"
+                      "    def reference_only(self):\n        return self.reference_only()\n"
+                      "    @classmethod\n    def zero(cls):\n        return cls.zero()\n"
+                      "    def add(self, a, b):\n        return a\n"
+                      "REFERENCE_TABLE = {1: 2}\n"
+                      "PUBLIC_TABLE = {}\n"
+                      "__all__ = ['PUBLIC_TABLE', 'Mat.reference_only']\n"
+                      "def use(seen, field):\n    seen.add(Mat)\n    return field.zero\n")
+    trees["wildness.py"].body += extra.body
+    assert unread_definitions(trees["wildness.py"], trees.values()) == [
+        "Mat.reference_only", "Mat.zero", "Mat.add", "REFERENCE_TABLE", "use"]
 
 
 #: the import order: exactlin -> quiver -> rep -> {modvariety, tilting, wildness}
@@ -275,6 +344,75 @@ def test_docs_list_the_modules_in_import_order():
     listed = [line.split()[0] for line in wildrank.__doc__.splitlines()
               if line.strip() and line.split()[0] in LAYER]
     assert rows == listed == IN_ORDER
+
+
+WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+
+#: the documented library surface that nothing else in the package reads:
+#: Krull-Schmidt decomposition, Ext^1 from a presentation, the certificate
+#: rules, the window type, the module- and certificate-file readers and the
+#: ``wildrank`` console script
+DOCUMENTED = {"rep": {"decompose"}, "tilting": {"ext1_dim_via_presentation"},
+              "wildness": {"certificate_for_bimodule", "bound_via_factor", "bound_via_morita"},
+              "covering": {"WindowDesignation"},
+              "cli": {"parse_representation", "serialize_representation", "parse_certificate",
+                      "main"}}
+
+
+def workload_reads() -> dict[str, set[str]]:
+    """The names ``perfbench/workloads.py`` reads from each wildrank module:
+    attributes of ``wr["<module>"]`` and of a name called after the module
+    that is bound to nothing else (the loaded module, passed on)."""
+    with open(WORKLOADS) as fh:
+        tree = ast.parse(fh.read(), "workloads.py")
+
+    def loaded(node):
+        return node.slice.value if isinstance(node, ast.Subscript) and isinstance(
+            node.slice, ast.Constant) else None
+
+    rebound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                unpacked = isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                pairs = zip(target.elts, node.value.elts) if unpacked else [(target, node.value)]
+                rebound |= {t.id for t, v in pairs if isinstance(t, ast.Name) and loaded(v) != t.id}
+    out = {m: set() for m in LAYER}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            v = node.value
+            module = loaded(v) or (v.id if isinstance(v, ast.Name)
+                                   and v.id not in rebound else None)
+            if module in LAYER:
+                out[module].add(node.attr)
+    return out
+
+
+def test_all_declares_what_is_imported_or_documented():
+    reads = workload_reads()
+    # read through wr["exactlin"], a local (cli) and a parameter (wildness);
+    # the report in the local called ``rep`` is no module
+    assert "Field" in reads["exactlin"] and "cmd_certify" in reads["cli"]
+    assert "FreeAlgModule" in reads["wildness"] and not reads["rep"]
+    wanted = {m: set(DOCUMENTED.get(m, ())) | names for m, names in reads.items()}
+    for tree in _src_trees().values():
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in LAYER:
+                wanted[node.module] |= {a.name for a in node.names if not a.name.startswith("_")}
+    declared = {m: set(importlib.import_module(f"wildrank.{m}").__all__) for m in LAYER}
+    assert declared == wanted
+    for m, names in declared.items():
+        module = importlib.import_module(f"wildrank.{m}")
+        assert all(hasattr(module, name) for name in names)
+
+
+def test_docs_list_each_public_api():
+    readme = os.path.join(SRC, "..", "..", "README.md")
+    with open(readme) as fh:
+        rows = [line.split("`")[1::2] for line in fh if line.startswith("- `")]
+    listed = {row[0]: row[1:] for row in rows if row[0] in LAYER}
+    assert list(listed) == IN_ORDER
+    assert listed == {m: importlib.import_module(f"wildrank.{m}").__all__ for m in IN_ORDER}
 
 
 TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")

@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import is_associative, table_product
+from conftest import (F101, field_add, is_associative, line_quiver, loop_square_zero,
+                      make_relation, QQ, table_product)
 from wildrank.covering import CoveringSpec, build_window
-from wildrank.exactlin import F101, QQ, Field
+from wildrank.exactlin import Field
 from wildrank.quiver import (AdmissibilityError, BoundQuiver, Path, Quiver, RepType,
                              build_algebra_table, classify_hereditary, euler_form, factor_quiver,
                              is_minimal_wild_hereditary, k3_bound_quiver, kronecker_quiver,
-                             line_quiver, loop_quiver, loop_square_zero, make_relation,
-                             symmetrized_tits_matrix, tits_form, _char_poly, _enumerate_paths,
+                             loop_quiver, symmetrized_tits_matrix, _char_poly, _enumerate_paths,
                              _leading_minors_positive, _sparse_rref)
 
 
@@ -107,7 +107,7 @@ def test_table_elements_are_coefficient_dicts(field):
             e = t.idempotent(v)
             assert table_product(t, e, e) == e
             for k, c in e.items():
-                total[k] = field.add(total.get(k, field.zero), c)
+                total[k] = field_add(field, total.get(k, field.zero), c)
         assert total == t.one()
         for i in range(t.dimension):
             b = {i: one}
@@ -164,11 +164,12 @@ def test_factor_quiver_idempotent(three_loop_bq):
 
 
 def test_tits_form_examples():
-    assert tits_form(kronecker_quiver(3), (0, 0)) == 0
-    assert tits_form(kronecker_quiver(3), (1, 1)) == -1
-    assert tits_form(kronecker_quiver(2), (1, 1)) == 0
+    # the Tits form is the Euler form on the diagonal, q(d) = <d, d>
+    assert euler_form(kronecker_quiver(3), (0, 0), (0, 0)) == 0
+    assert euler_form(kronecker_quiver(3), (1, 1), (1, 1)) == -1
+    assert euler_form(kronecker_quiver(2), (1, 1), (1, 1)) == 0
     with pytest.raises(ValueError):
-        tits_form(kronecker_quiver(2), (1, 1, 1))
+        euler_form(kronecker_quiver(2), (1, 1, 1), (1, 1, 1))
 
 
 def test_euler_form_examples():
@@ -178,7 +179,6 @@ def test_euler_form_examples():
     assert euler_form(k3, (1, 0), (0, 1)) == -3
     assert euler_form(k3, (0, 1), (1, 0)) == 0
     assert euler_form(k3, (1, 3), (0, 1)) == 0
-    assert euler_form(k3, (2, 1), (2, 1)) == tits_form(k3, (2, 1))
     for d, e in (((1, 1, 1), (1, 1)), ((1, 1), (1,))):
         with pytest.raises(ValueError):
             euler_form(k3, d, e)
@@ -188,7 +188,8 @@ def test_euler_form_examples():
 @settings(max_examples=40, deadline=None)
 def test_tits_form_quadratic(d1, d2, lam):
     q = kronecker_quiver(3)
-    assert tits_form(q, (lam * d1, lam * d2)) == lam * lam * tits_form(q, (d1, d2))
+    d, scaled = (d1, d2), (lam * d1, lam * d2)
+    assert euler_form(q, scaled, scaled) == lam * lam * euler_form(q, d, d)
 
 
 def test_classify_examples():

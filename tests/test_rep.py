@@ -9,16 +9,16 @@ import sympy
 
 import wildrank.exactlin as exactlin_module
 import wildrank.rep as rep_module
-from conftest import (ReferenceEndAnalysis, reference_end_radical, reference_hom_pencil,
-                      reference_hom_space, reference_idempotent_from_minpoly,
-                      reference_in_sincere_subcategory,
+from conftest import (direct_sum, F101, field_add, line_quiver, make_relation, QQ,
+                      reference_end_radical, reference_hom_pencil, reference_hom_space,
+                      reference_idempotent_from_minpoly, reference_in_sincere_subcategory,
                       reference_is_indecomposable, reference_pairing_witness,
                       reference_regular_trace_gram, reference_relation_jacobian,
-                      reference_trace_pairing)
+                      reference_trace_pairing, ReferenceEndAnalysis, rep_from_lists, simple_rep,
+                      zero_rep)
 
-from wildrank.exactlin import (F101, QQ, Field, Mat, Span, nilpotency_index, trace_form,
-                               trace_radical)
-from wildrank.quiver import BoundQuiver, Quiver, line_quiver, loop_quiver, make_relation
+from wildrank.exactlin import Field, Mat, Span, nilpotency_index, trace_form, trace_radical
+from wildrank.quiver import BoundQuiver, Quiver, loop_quiver
 from wildrank.rep import (InconclusiveError, Representation, SamplingStarvation,
                           are_isomorphic, check_relations, decompose, end_radical,
                           factor_polynomial, hom_space, in_sincere_subcategory,
@@ -28,8 +28,8 @@ from wildrank.rep import (InconclusiveError, Representation, SamplingStarvation,
 
 
 def kron_module(k2_bq, field, lam):
-    return Representation.from_lists(k2_bq, field, {"1": 1, "2": 1},
-                                     {"a": [[1]], "b": [[lam]]})
+    return rep_from_lists(k2_bq, field, {"1": 1, "2": 1},
+                          {"a": [[1]], "b": [[lam]]})
 
 
 def rand_rep(bq, field, maxd, rng):
@@ -40,19 +40,19 @@ def rand_rep(bq, field, maxd, rng):
 
 
 def test_check_relations(dual_numbers_bq, f101):
-    zero = Representation.zero(dual_numbers_bq, f101)
+    zero = zero_rep(dual_numbers_bq, f101)
     assert all(ok for _, ok in check_relations(zero))
-    j2 = Representation.from_lists(dual_numbers_bq, f101, {"v": 2},
-                                   {"x": [[0, 0], [1, 0]]})
+    j2 = rep_from_lists(dual_numbers_bq, f101, {"v": 2},
+                        {"x": [[0, 0], [1, 0]]})
     assert all(ok for _, ok in check_relations(j2))
     with pytest.raises(ValueError):
-        Representation.from_lists(dual_numbers_bq, f101, {"v": 2},
-                                  {"x": [[1, 0], [0, 1]]})
+        rep_from_lists(dual_numbers_bq, f101, {"v": 2},
+                       {"x": [[1, 0], [0, 1]]})
 
 
 def test_hom_examples(a2_bq, k2_bq, f101):
-    s1 = Representation.simple(a2_bq, f101, "1")
-    s2 = Representation.simple(a2_bq, f101, "2")
+    s1 = simple_rep(a2_bq, f101, "1")
+    s2 = simple_rep(a2_bq, f101, "2")
     assert hom_space(s1, s1).dim == 1
     assert hom_space(s1, s2).dim == 0
     m3, m5 = kron_module(k2_bq, f101, 3), kron_module(k2_bq, f101, 5)
@@ -116,7 +116,7 @@ def test_hom_cache_serves_each_pair_once(k3_bq, monkeypatch):
                         lambda *args: solves.append(args) or solve(*args))
     rng = random.Random(34)
     m = rand_rep(k3_bq, F101, 3, rng)
-    n = m.direct_sum(rand_rep(k3_bq, F101, 3, rng))
+    n = direct_sum(m, rand_rep(k3_bq, F101, 3, rng))
     first = hom_space(m, n)
     assert first.dim >= 1 and len(solves) == 1
     second = hom_space(m, n)
@@ -168,7 +168,7 @@ def test_hom_bilinear_over_direct_sums(k3_bq):
         m = rand_rep(k3_bq, F101, 2, rng)
         mp = rand_rep(k3_bq, F101, 2, rng)
         n = rand_rep(k3_bq, F101, 2, rng)
-        lhs = hom_space(m.direct_sum(mp), n).dim
+        lhs = hom_space(direct_sum(m, mp), n).dim
         assert lhs == hom_space(m, n).dim + hom_space(mp, n).dim
 
 
@@ -213,7 +213,7 @@ def _poly_mul(field, a, b):
     out = [field.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
+            out[i + j] = field_add(field, out[i + j], field.mul(x, y))
     return out
 
 
@@ -299,15 +299,15 @@ def test_idempotent_split_matches_hand_written_reference(field):
 
 
 def test_indecomposable_examples(a2_bq, k2_bq, f101):
-    s1 = Representation.simple(a2_bq, f101, "1")
+    s1 = simple_rep(a2_bq, f101, "1")
     assert is_indecomposable(s1, 0).verdict == "yes"
-    v = is_indecomposable(s1.direct_sum(s1), 0)
+    v = is_indecomposable(direct_sum(s1, s1), 0)
     assert v.verdict == "no"
     e = v.witness
     for vt, blk in e.items():
         assert (blk @ blk) == blk
     assert is_indecomposable(kron_module(k2_bq, f101, 4), 0).verdict == "yes"
-    zero = Representation.zero(a2_bq, f101)
+    zero = zero_rep(a2_bq, f101)
     assert is_indecomposable(zero, 0).verdict == "no"
 
 
@@ -323,8 +323,8 @@ def test_indecomposable_field_extension_inconclusive(free_bq):
 
 
 def test_are_isomorphic_examples(a2_bq, k2_bq, f101):
-    s1 = Representation.simple(a2_bq, f101, "1")
-    s2 = Representation.simple(a2_bq, f101, "2")
+    s1 = simple_rep(a2_bq, f101, "1")
+    s2 = simple_rep(a2_bq, f101, "2")
     assert are_isomorphic(s1, s1, seed=0).verdict == "yes"
     assert are_isomorphic(s1, s2, seed=0).verdict == "no"
     m3, m5 = kron_module(k2_bq, f101, 3), kron_module(k2_bq, f101, 5)
@@ -337,8 +337,8 @@ def test_are_isomorphic_examples(a2_bq, k2_bq, f101):
 
 def test_iso_equivalence_relation(k2_bq, f101):
     mods = [kron_module(k2_bq, f101, lam) for lam in (2, 3, 2)]
-    mods.append(mods[0].direct_sum(mods[1]))
-    mods.append(mods[2].direct_sum(mods[1]))
+    mods.append(direct_sum(mods[0], mods[1]))
+    mods.append(direct_sum(mods[2], mods[1]))
     verdicts = {}
     for i, m in enumerate(mods):
         for j, n in enumerate(mods):
@@ -359,8 +359,8 @@ def test_kronecker_count_matches_oracle_small_p(k2_bq):
     # at (1,1) with first arrow the identity number exactly p
     for p in (5, 7):
         f = Field.prime(p)
-        mods = [Representation.from_lists(k2_bq, f, {"1": 1, "2": 1},
-                                          {"a": [[1]], "b": [[lam]]})
+        mods = [rep_from_lists(k2_bq, f, {"1": 1, "2": 1},
+                               {"a": [[1]], "b": [[lam]]})
                 for lam in range(p)]
         for i in range(p):
             for j in range(i + 1, p):
@@ -375,15 +375,15 @@ def test_kronecker_count_matches_oracle_small_p(k2_bq):
 
 
 def test_decompose_examples(a2_bq, k2_bq, f101):
-    zero = Representation.zero(a2_bq, f101)
+    zero = zero_rep(a2_bq, f101)
     assert list(decompose(zero, 0)) == []
-    s1 = Representation.simple(a2_bq, f101, "1")
-    s2 = Representation.simple(a2_bq, f101, "2")
-    d = decompose(s1.direct_sum(s1).direct_sum(s2), 0)
+    s1 = simple_rep(a2_bq, f101, "1")
+    s2 = simple_rep(a2_bq, f101, "2")
+    d = decompose(direct_sum(direct_sum(s1, s1), s2), 0)
     assert d.certified
     assert sorted((r.dim_vector(), mult) for r, mult in d) == [((0, 1), 1), ((1, 0), 2)]
     m3, m5 = kron_module(k2_bq, f101, 3), kron_module(k2_bq, f101, 5)
-    d2 = decompose(m3.direct_sum(m5), 1)
+    d2 = decompose(direct_sum(m3, m5), 1)
     assert len(d2.summands) == 2 and d2.certified
 
 
@@ -398,32 +398,32 @@ def test_decompose_reconstructs(k3_bq, k2_bq, dual_numbers_bq):
             total = None
             for r, mult in d:
                 for _ in range(mult):
-                    total = r if total is None else total.direct_sum(r)
+                    total = r if total is None else direct_sum(total, r)
             if total is None:
-                total = Representation.zero(bq, F101)
+                total = zero_rep(bq, F101)
             assert are_isomorphic(m, total, seed=3).verdict == "yes"
 
 
 def test_support_and_sincere(a2_bq, dual_numbers_bq, f101):
-    zero = Representation.zero(a2_bq, f101)
+    zero = zero_rep(a2_bq, f101)
     assert support(zero) == set()
-    s1 = Representation.simple(a2_bq, f101, "1")
+    s1 = simple_rep(a2_bq, f101, "1")
     assert support(s1) == {"1"}
-    p1 = Representation.from_lists(a2_bq, f101, {"1": 1, "2": 1}, {"a1": [[1]]})
+    p1 = rep_from_lists(a2_bq, f101, {"1": 1, "2": 1}, {"a1": [[1]]})
     assert support(p1) == {"1", "2"}
     assert in_sincere_subcategory(zero, 0) is True
     assert in_sincere_subcategory(p1, 0) is True
-    assert in_sincere_subcategory(s1.direct_sum(p1), 0) is False
-    j2 = Representation.from_lists(dual_numbers_bq, f101, {"v": 2},
-                                   {"x": [[0, 0], [1, 0]]})
+    assert in_sincere_subcategory(direct_sum(s1, p1), 0) is False
+    j2 = rep_from_lists(dual_numbers_bq, f101, {"v": 2},
+                        {"x": [[0, 0], [1, 0]]})
     assert in_sincere_subcategory(j2, 0) is True
 
 
 def test_no_invertible_composites_between_noniso_indecomposables(k2_bq, f101):
     from wildrank.exactlin import find_invertible_in_span
     m3, m5 = kron_module(k2_bq, f101, 3), kron_module(k2_bq, f101, 5)
-    p1 = Representation.from_lists(k2_bq, f101, {"1": 1, "2": 2},
-                                   {"a": [[1], [0]], "b": [[0], [1]]})
+    p1 = rep_from_lists(k2_bq, f101, {"1": 1, "2": 2},
+                        {"a": [[1], [0]], "b": [[0], [1]]})
     fixtures = [m3, m5, p1]
     for m in fixtures:
         assert is_indecomposable(m, 0).verdict == "yes"
@@ -616,19 +616,19 @@ def _indecomposability_cases(field, dual_numbers_bq, a2_bq, k2_bq):
     jordan4 = [[lam if j == i else 1 if j == i + 1 else 0 for j in range(4)] for i in range(4)]
     return {
         # End = K[x]/(x^2): local of dimension 2
-        "local": Representation.from_lists(dual_numbers_bq, field, {"v": 2},
-                                           {"x": [[0, 0], [1, 0]]}),
-        "direct sum": kron_module(k2_bq, field, 2).direct_sum(kron_module(k2_bq, field, 3)),
+        "local": rep_from_lists(dual_numbers_bq, field, {"v": 2},
+                                {"x": [[0, 0], [1, 0]]}),
+        "direct sum": direct_sum(kron_module(k2_bq, field, 2), kron_module(k2_bq, field, 3)),
         # minimal polynomial x^2 + 1: End is K[x]/(x^2 + 1)
-        "x^2+1": Representation.from_lists(one_loop, field, {"v": 2},
-                                           {"x": [[0, -1], [1, 0]]}),
+        "x^2+1": rep_from_lists(one_loop, field, {"v": 2},
+                                {"x": [[0, -1], [1, 0]]}),
         # End = K[x]/(x^4) on total dimension 8: over F5 and F7 the gated
         # reference skips the module trace form and the regular one decides
-        "regular (4, 4)": Representation.from_lists(
+        "regular (4, 4)": rep_from_lists(
             k2_bq, field, {"1": 4, "2": 4},
             {"a": [[int(i == j) for j in range(4)] for i in range(4)], "b": jordan4}),
-        "zero": Representation.zero(a2_bq, field),
-        "simple": Representation.simple(a2_bq, field, "1"),
+        "zero": zero_rep(a2_bq, field),
+        "simple": simple_rep(a2_bq, field, "1"),
     }
 
 
@@ -701,14 +701,14 @@ def test_trace_pairing_decision_matches_reference_loop(k2_bq, a2_bq, field):
     # pairs that reach the trace pairing: no invertible combination exists
     def a2(rows):
         dims = {"1": len(rows[0]) if rows else 1, "2": len(rows)}
-        return Representation.from_lists(a2_bq, field, dims, {"a1": rows})
-    p1, s1 = a2([[1]]), Representation.from_lists(a2_bq, field, {"1": 1, "2": 0}, {})
-    s2 = Representation.from_lists(a2_bq, field, {"1": 0, "2": 1}, {})
-    cases = [(s1.direct_sum(s2), p1), (p1, s1.direct_sum(s2))]
+        return rep_from_lists(a2_bq, field, dims, {"a1": rows})
+    p1, s1 = a2([[1]]), rep_from_lists(a2_bq, field, {"1": 1, "2": 0}, {})
+    s2 = rep_from_lists(a2_bq, field, {"1": 0, "2": 1}, {})
+    cases = [(direct_sum(s1, s2), p1), (p1, direct_sum(s1, s2))]
     for lam in (0, 1, 2, 3):
         base = kron_module(k2_bq, field, 0)
-        cases.append((base.direct_sum(kron_module(k2_bq, field, lam + 1)),
-                      base.direct_sum(kron_module(k2_bq, field, lam + 5))))
+        cases.append((direct_sum(base, kron_module(k2_bq, field, lam + 1)),
+                      direct_sum(base, kron_module(k2_bq, field, lam + 5))))
     verdicts = set()
     for m, n in cases:
         got = are_isomorphic(m, n, trials=2, seed=3, both_indecomposable=True)
@@ -755,9 +755,9 @@ def _radical_modules(field, k2_bq, k3_bq, rng):
             if g.is_invertible():
                 break
         out.append(Representation(one_loop, field, {"v": n}, {"x": g @ jordan @ g.inverse()}))
-        out.append(Representation.from_lists(k2_bq, field, {"1": n, "2": n},
-                                             {"a": Mat.identity(field, n).row_list(),
-                                              "b": jordan.row_list()}))
+        out.append(rep_from_lists(k2_bq, field, {"1": n, "2": n},
+                                  {"a": Mat.identity(field, n).row_list(),
+                                   "b": jordan.row_list()}))
     return [m for m in out if not m.is_zero()]
 
 
@@ -811,9 +811,9 @@ KRONECKER_JORDAN = [
 @pytest.mark.parametrize("p,n,verdict", KRONECKER_JORDAN)
 def test_kronecker_jordan_radical_in_small_characteristic(k2_bq, p, n, verdict):
     field = Field.prime(p)
-    m = Representation.from_lists(k2_bq, field, {"1": n, "2": n},
-                                  {"a": Mat.identity(field, n).row_list(),
-                                   "b": _jordan_rows([(n, 2)], n)})
+    m = rep_from_lists(k2_bq, field, {"1": n, "2": n},
+                       {"a": Mat.identity(field, n).row_list(),
+                        "b": _jordan_rows([(n, 2)], n)})
     got = is_indecomposable(m, 0)
     assert got.verdict == verdict
     # the gated reference certified none of them
@@ -833,7 +833,7 @@ def test_end_radical_regular_route():
     # 5: tr 1 = 5 vanishes on M over F5, tr L(1) = 2 does not
     field = Field.prime(5)
     bq = BoundQuiver(loop_quiver(2), [], nilbound=3)
-    m = Representation.from_lists(bq, field, {"v": 5}, {
+    m = rep_from_lists(bq, field, {"v": 5}, {
         "x": [[0, 0, 1, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 2, 0], [0, 0, 0, 0, 3], [0] * 5],
         "y": [[0, 2, 0, 0, 4], [0, 0, 0, 0, 4], [0, 0, 0, 2, 0], [0] * 5, [0] * 5]})
     hom = hom_space(m, m)
@@ -851,7 +851,7 @@ def test_in_sincere_subcategory_matches_decompose_reference(field, k3_bq, a2_bq,
     modules = []
     for bq in (k3_bq, a2_bq):
         for _ in range(8):
-            modules.append(rand_rep(bq, field, 2, rng).direct_sum(rand_rep(bq, field, 2, rng)))
+            modules.append(direct_sum(rand_rep(bq, field, 2, rng), rand_rep(bq, field, 2, rng)))
     calls = []
     counted = rep_module.is_indecomposable
     monkeypatch.setattr(rep_module, "is_indecomposable",
@@ -875,9 +875,9 @@ def test_in_sincere_subcategory_uncertified_piece():
     # piece with a smaller support decides it
     q = Quiver(["v", "w"], [("x", "v", "v"), ("a", "v", "w")])
     bq = BoundQuiver(q, [], nilbound=3)
-    rotation = Representation.from_lists(bq, QQ, {"v": 2, "w": 2},
-                                         {"x": [[0, -1], [1, 0]], "a": [[1, 0], [0, 1]]})
+    rotation = rep_from_lists(bq, QQ, {"v": 2, "w": 2},
+                              {"x": [[0, -1], [1, 0]], "a": [[1, 0], [0, 1]]})
     for sincere in (in_sincere_subcategory, reference_in_sincere_subcategory):
         with pytest.raises(InconclusiveError):
             sincere(rotation, 0)
-        assert sincere(rotation.direct_sum(Representation.simple(bq, QQ, "v")), 0) is False
+        assert sincere(direct_sum(rotation, simple_rep(bq, QQ, "v")), 0) is False

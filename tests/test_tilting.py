@@ -5,17 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (cartan_coxeter, reference_ar_translate_inverse,
-                      reference_ext1_dim_via_presentation, reference_projective_presentation,
-                      reference_projective_rep, search_concealed)
-from wildrank.exactlin import F101, QQ, Field, Mat
-from wildrank.quiver import (BoundQuiver, Quiver, _enumerate_paths, euler_form,
-                             kronecker_quiver, line_quiver, loop_quiver)
-from wildrank.rep import Representation, hom_space, is_indecomposable, support
+from conftest import (cartan_coxeter, direct_sum, F101, injective_rep, line_quiver, QQ,
+                      reference_ar_translate_inverse, reference_ext1_dim_via_presentation,
+                      reference_projective_presentation, reference_projective_rep, rep_from_lists,
+                      search_concealed, simple_rep)
+from wildrank.exactlin import Field, Mat
+from wildrank.quiver import (BoundQuiver, Quiver, _enumerate_paths, euler_form, kronecker_quiver,
+                             loop_quiver, serialize_quiver_spec)
+from wildrank.rep import (Representation, flatten_morphism, hom_space, is_indecomposable,
+                          morphism_compose, support)
 from wildrank.tilting import (CyclicQuiverError, TiltingCandidate, ar_translate_inverse,
                               endomorphism_algebra, enumerate_preprojectives,
-                              ext1_dim_via_presentation, injective_rep, is_tilting,
-                              projective_presentation, projective_rep)
+                              ext1_dim_via_presentation, is_tilting, projective_presentation,
+                              projective_rep, tilting_candidates)
 
 
 def test_cartan_examples(a2_bq, k2_bq):
@@ -62,7 +64,7 @@ def test_projective_constructions_reject_cycles(quiver, f101):
     with pytest.raises(CyclicQuiverError):
         injective_rep(bq, f101, v)
     with pytest.raises(CyclicQuiverError):
-        projective_presentation(Representation.simple(bq, f101, v))
+        projective_presentation(simple_rep(bq, f101, v))
 
 
 def test_projectives_and_injectives(k2_bq, f101):
@@ -87,6 +89,11 @@ def test_ar_translate_examples(k2_bq, f101):
     inj = injective_rep(k2_bq, f101, "1")
     with pytest.raises(ValueError):
         ar_translate_inverse(inj)
+    # tau^- is additive: an injective summand adds nothing, and a sum of
+    # injectives has no translate
+    assert ar_translate_inverse(direct_sum(p2, inj)).dim_vector() == (2, 3)
+    with pytest.raises(ValueError):
+        ar_translate_inverse(direct_sum(inj, injective_rep(k2_bq, f101, "2")))
 
 
 def test_ar_translate_dim_formula(k2_bq, k3_bq, f101):
@@ -142,8 +149,8 @@ def test_euler_formula_consistency(k2_bq, k3_bq, f101):
 
 
 def test_ext_via_presentation_a2(a2_bq, f101):
-    s1 = Representation.simple(a2_bq, f101, "1")
-    s2 = Representation.simple(a2_bq, f101, "2")
+    s1 = simple_rep(a2_bq, f101, "1")
+    s2 = simple_rep(a2_bq, f101, "2")
     assert ext1_dim_via_presentation(s1, s2) == 1
     assert ext1_dim_via_presentation(s2, s1) == 0
     assert ext1_dim_via_presentation(s1, s1) == 0
@@ -200,6 +207,73 @@ def test_endomorphism_algebra_rejects_non_tilting(k2_bq, f101):
         endomorphism_algebra(bad, f101)
 
 
+A3 = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+#: the subspace orientation of D4: three arrows into one vertex
+D4 = Quiver(["1", "2", "3", "4"], [("a", "1", "4"), ("b", "2", "4"), ("c", "3", "4")])
+#: tilting modules whose End presentation has relations, at depth 2, and the
+#: arrows and relations found; {c} is -1 in the field
+PRESENTED = [
+    (A3, "tau^-0 P(1) + tau^-0 P(3) + tau^-2 P(3)",
+     "vertex t0 t1 t2\narrow r1_0_0: t1 -> t0\narrow r0_2_0: t0 -> t2\n"
+     "relation 1*r0_2_0*r1_0_0\nnilbound 2\n"),
+    (D4, "tau^-0 P(1) + tau^-2 P(1) + tau^-1 P(2) + tau^-1 P(3)",
+     "vertex t0 t1 t2 t3\narrow r2_1_0: t2 -> t1\narrow r3_1_0: t3 -> t1\n"
+     "arrow r0_2_0: t0 -> t2\narrow r0_3_0: t0 -> t3\n"
+     "relation {c}*r2_1_0*r0_2_0 + 1*r3_1_0*r0_3_0\nnilbound 3\n"),
+    (D4, "tau^-1 P(1) + tau^-0 P(2) + tau^-2 P(2) + tau^-1 P(3)",
+     "vertex t0 t1 t2 t3\narrow r1_0_0: t1 -> t0\narrow r0_2_0: t0 -> t2\n"
+     "arrow r3_2_0: t3 -> t2\narrow r1_3_0: t1 -> t3\n"
+     "relation {c}*r0_2_0*r1_0_0 + 1*r3_2_0*r1_3_0\nnilbound 3\n"),
+]
+
+
+def _arrow_maps(reps, quiver):
+    """The map of each arrow ``r<j>_<i>_<k>`` of an End(T) presentation,
+    every summand a brick: the k-th basis element of Hom(T_j, T_i)
+    independent of the composites through the other summands and of the
+    basis elements before it."""
+    field, n = reps[0].field, len(reps)
+    homs = {(i, j): hom_space(reps[j], reps[i]).basis for i in range(n) for j in range(n)}
+    assert all(len(homs[(i, i)]) == 1 for i in range(n))
+    maps = {}
+    for a in quiver.arrows:
+        j, i = (int(v[1:]) for v in (a.source, a.target))
+        picked = [flatten_morphism(field, morphism_compose(g, f)) for k in range(n)
+                  if k not in (i, j) for g in homs[(i, k)] for f in homs[(k, j)]]
+        chosen = []
+        for f in homs[(i, j)]:
+            cols = picked + [flatten_morphism(field, f)]
+            if Mat.hcat(field, cols[0].rows, cols).rank() == len(cols):
+                picked, chosen = cols, chosen + [f]
+        maps[a.name] = chosen[int(a.name.split("_")[2])]
+    return maps
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+@pytest.mark.parametrize("quiver, labels, text", PRESENTED, ids=["A3", "D4", "D4-second"])
+def test_endomorphism_algebra_recovers_relations(quiver, labels, text, field):
+    bq = BoundQuiver(quiver, [], nilbound=2)
+    pool = enumerate_preprojectives(bq, field, 2)
+    (cand,) = [c for c in tilting_candidates(pool, len(quiver.vertices))
+               if " + ".join(c.labels()) == labels]
+    pres, table = endomorphism_algebra(cand)
+    assert serialize_quiver_spec(pres, "end") == \
+        "quiver end\n" + text.format(c=field.coerce(-1))
+    reps = cand.reps()
+    assert table.dimension == sum(hom_space(m, t).dim for m in reps for t in reps)
+    maps = _arrow_maps(reps, pres.quiver)
+    assert pres.relations
+    for rel in pres.relations:
+        value = None
+        for coef, path in rel.terms:
+            f = maps[path.arrows[0]]
+            for name in path.arrows[1:]:
+                f = morphism_compose(f, maps[name])
+            term = flatten_morphism(field, f).scaled(field.coerce(coef))
+            value = term if value is None else value + term
+        assert value.is_zero()
+
+
 def test_ar_translate_a3_intervals(f101):
     # every non-injective indecomposable of the A3 line quiver: the built
     # translate must match the Coxeter dimension formula and stay
@@ -213,14 +287,14 @@ def test_ar_translate_a3_intervals(f101):
     }
     for dims_t, mats in intervals.items():
         dims = dict(zip(a3.quiver.vertices, dims_t))
-        m = Representation.from_lists(a3, f101, dims, mats)
+        m = rep_from_lists(a3, f101, dims, mats)
         t = ar_translate_inverse(m)
         assert t.dim_vector() == cd.apply_coxeter_inverse(dims_t)
         assert is_indecomposable(t, 0).verdict == "yes"
     for inj_t, mats in {(1, 0, 0): {}, (1, 1, 0): {"a1": [[1]]},
                         (1, 1, 1): {"a1": [[1]], "a2": [[1]]}}.items():
         dims = dict(zip(a3.quiver.vertices, inj_t))
-        m = Representation.from_lists(a3, f101, dims, mats)
+        m = rep_from_lists(a3, f101, dims, mats)
         with pytest.raises(ValueError):
             ar_translate_inverse(m)
 
@@ -283,7 +357,7 @@ def test_presentations_match_per_entry_reference(field):
         for m in pool:
             pres = projective_presentation(m)
             p0_mults, p1_mults, p0, p1, phi = reference_projective_presentation(m)
-            assert (pres.p0_mults, pres.p1_mults) == (p0_mults, p1_mults)
+            assert (pres.p0.mults, pres.p1.mults) == (p0_mults, p1_mults)
             assert same_module(pres.p0.rep, p0) and same_module(pres.p1.rep, p1)
             assert pres.phi == phi, (name, m)
             for n in pool:

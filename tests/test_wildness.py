@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from conftest import eval_tensor_morphism, reference_entry_matrix_on
+from conftest import (direct_sum, eval_tensor_morphism, F101, loop_square_zero, QQ,
+                      reference_entry_matrix_on, simple_rep, zero_module, zero_rep)
 
-from wildrank.exactlin import F101, QQ, Field, Mat, ShapeMismatchError
-from wildrank.quiver import (Path, build_algebra_table, factor_quiver, k3_bound_quiver,
-                             loop_square_zero)
+from wildrank.exactlin import Field, Mat, ShapeMismatchError
+from wildrank.quiver import Path, build_algebra_table, factor_quiver, k3_bound_quiver
 from wildrank.rep import Representation, are_isomorphic, hom_space, in_sincere_subcategory
 from wildrank.wildness import (DegreeCapError, FactorProvenance, FreeAlgModule, FreeAlgebra,
                                WitnessBimodule, bound_via_factor, bound_via_morita, builtin_F,
@@ -71,7 +71,7 @@ def test_builtin_G_hom_preservation(k3_table):
 def test_builtin_F_structure(k3_bq, k3_table):
     f = builtin_F(k3_table)
     assert f.rank == 7 and f.full
-    s1 = Representation.simple(k3_bq, F101, "1")
+    s1 = simple_rep(k3_bq, F101, "1")
     img = eval_tensor(f, s1)
     assert isinstance(img, FreeAlgModule) and img.dim == 7
     # x is the nilpotent shift with x^7 = 0
@@ -86,7 +86,7 @@ def test_builtin_F_structure(k3_bq, k3_table):
     assert y[1][0] == 1 and y[2][0] == 1 and y[2][1] == 1
     assert all(y[i][j] == 0 for i in range(7) for j in range(7)
                if not (i == j + 1 or (i, j) == (2, 0)))
-    zero = eval_tensor(f, Representation.zero(k3_bq, F101))
+    zero = eval_tensor(f, zero_rep(k3_bq, F101))
     assert zero.dim == 0
 
 
@@ -138,14 +138,14 @@ def test_eval_tensor_rank_bookkeeping(k3_table):
 
 def test_eval_tensor_zero(k3_table):
     g = builtin_G(k3_table)
-    img = eval_tensor(g, FreeAlgModule.zero(F101))
+    img = eval_tensor(g, zero_module(F101))
     assert img.total_dim == 0
 
 
 def test_eval_tensor_refuses_module_over_another_quiver(k3_table, k2_bq):
     f = builtin_F(k3_table)
-    for other in (Representation.simple(loop_square_zero(3), F101, "v"),
-                  Representation.simple(k2_bq, F101, "1")):
+    for other in (simple_rep(loop_square_zero(3), F101, "v"),
+                  simple_rep(k2_bq, F101, "1")):
         for w in (f, compose_witness(builtin_G(k3_table), f)):
             with pytest.raises(ShapeMismatchError):
                 eval_tensor(w, other)
@@ -157,8 +157,8 @@ def test_eval_tensor_additive(k3_table):
     for _ in range(4):
         v = FreeAlgModule.random(F101, 2, rng)
         w = FreeAlgModule.random(F101, 2, rng)
-        lhs = eval_tensor(g, v.direct_sum(w))
-        rhs = eval_tensor(g, v).direct_sum(eval_tensor(g, w))
+        lhs = eval_tensor(g, direct_sum(v, w))
+        rhs = direct_sum(eval_tensor(g, v), eval_tensor(g, w))
         assert are_isomorphic(lhs, rhs, seed=5).verdict == "yes"
 
 
@@ -270,7 +270,6 @@ def test_bound_via_factor_identity(k3_bq, k3_table):
 def test_bound_via_factor_inflation(three_loop_bq, f101):
     # bound for the three-loop radical-square-zero algebra inherited by the
     # four-loop one (declared factor), with the bimodule action revalidated
-    from wildrank.quiver import loop_square_zero
     four = loop_square_zero(4)
     three = factor_quiver(four, ["v"], ["x", "y", "z"])
     table3 = build_algebra_table(three, f101)
@@ -338,7 +337,6 @@ def test_covering_certificate_inherits_to_parent(three_loop_bq, f101):
     # the three-loop bound transports to the four-loop algebra through the
     # declared factor, with the full rank-56 bimodule inflated and revalidated
     from wildrank.covering import CoveringSpec, covering_criterion
-    from wildrank.quiver import loop_square_zero
     cov = CoveringSpec(three_loop_bq, 1,
                        {a.name: (1,) for a in three_loop_bq.quiver.arrows})
     cert, _ = covering_criterion(cov, 2, field=f101, seed=0)
