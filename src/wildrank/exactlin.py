@@ -15,12 +15,19 @@ one small private kernel per field, picked once when the ``Field`` is made:
   One rule keeps it there: every operand is a residue in [0, p) when it is
   scaled or multiplied, and a sum of products is reduced before it could
   reach 2**53.  ``_echelon_fp`` proves that this holds for every p < 2**24,
-  and ``Field.prime`` refuses p >= 2**24.
+  and ``Field.prime`` refuses p >= 2**24.  Polynomials over F_p are
+  factored by Cantor and Zassenhaus's algorithm.
 * ``_RationalKernel``: ``Fraction`` scalars, making every entry a
   ``Fraction``, the reduced echelon form ``_echelon_qq`` and a product that
   skips zero entries.  Both work on integer rows (each row, or each whole
   operand, cleared of denominators) and build the ``Fraction`` entries of
-  the result once, in one normalization at the end.
+  the result once, in one normalization at the end.  Polynomials over Q
+  are factored over Z: mod a prime, Hensel-lifted, and recombined.
+
+Polynomials are ascending coefficient lists.  The dense-polynomial helpers
+(``_poly_*``: product, division, powers, gcds, squarefree parts) are
+written once for every coefficient ring; ``factor_polynomial`` hands a
+monic polynomial to the field's kernel and sorts what comes back.
 
 ``Mat.kernel`` eliminates only the support of a matrix, its nonzero rows
 and nonzero columns, which leaves its result unchanged: zero rows add
@@ -46,7 +53,7 @@ matrices only through ``Mat`` operations,
   top of each other), ``lincomb`` (a linear combination), ``unit`` (a
   matrix unit) and row-major ``reshape``;
 * ``column_space`` and ``minimal_polynomial``, next to rank, kernel, solve
-  and inverse;
+  and inverse, and ``factor_polynomial``;
 * ``nilpotent_hom_basis``, the maps that intertwine a nilpotent pair and
   any further pairs, solved in Jordan coordinates (``jordan_nilpotent``
   gives the Jordan frame, the basis with its inverse and the block sizes),
@@ -73,8 +80,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-__all__ = ["Field", "Mat", "ShapeMismatchError", "Span", "find_invertible_in_span",
-           "nilpotency_index", "nilpotent_hom_basis", "trace_form", "trace_radical"]
+__all__ = ["Field", "Mat", "ShapeMismatchError", "Span", "factor_polynomial",
+           "find_invertible_in_span", "nilpotency_index", "nilpotent_hom_basis", "trace_form",
+           "trace_radical"]
 
 Scalar = Union[int, Fraction]
 
@@ -450,6 +458,60 @@ class _PrimeKernel:
             out = _residues(out, p)
         return out
 
+    def factor(self, f: list) -> list[tuple[list, int]]:
+        """The monic irreducible factors of the monic ``f`` (degree >= 1),
+        with their multiplicities, in no particular order.
+
+        Squarefree parts first (``_poly_squarefree``); what is left has zero
+        derivative, so it is a p-th power, and its p-th root (the
+        coefficients of x^0, x^p, x^2p, ..., as a^p = a on F_p) goes round
+        again with p times the multiplicity.  Each squarefree part is split
+        by degree (``_distinct_degree``) and each of those products into its
+        factors (``_equal_degree``), Cantor and Zassenhaus, Math. Comp. 36
+        (1981); the splitting draws come from a fixed seed.
+        """
+        rng = random.Random(0)
+        out, mult = [], 1
+        while len(f) > 1:
+            parts, f = _poly_squarefree(self, f)
+            for part, i in parts:
+                for d, block in self._distinct_degree(part):
+                    out += [(g, i * mult) for g in self._equal_degree(block, d, rng)]
+            f, mult = f[::self.p], mult * self.p
+        return out
+
+    def _distinct_degree(self, f: list) -> list[tuple[int, list]]:
+        """``(d, product of the factors of degree d)`` of the squarefree
+        monic ``f``, one pair per d that occurs: the factors of degree d
+        divide x^(p^d) - x, and none of smaller degree is left by then."""
+        out, x, h, d = [], [0, 1], [0, 1], 0
+        while 2 * (d + 1) < len(f):
+            d += 1
+            h = _poly_powmod(self, h, self.p, f)
+            g = _poly_gcd(self, f, _poly_sub(self, h, x))
+            if len(g) > 1:
+                out.append((d, g))
+                f = _poly_divmod(self, f, g)[0]
+                h = _poly_divmod(self, h, f)[1]
+        if len(f) > 1:
+            out.append((len(f) - 1, f))
+        return out
+
+    def _equal_degree(self, f: list, d: int, rng: random.Random) -> list[list]:
+        """The monic irreducible factors of ``f``, a squarefree product of
+        monic irreducibles of degree ``d``: for a random a of degree below
+        deg f, gcd(f, a^((p^d - 1)/2) - 1) splits f with probability about
+        1/2 when p is odd."""
+        if len(f) - 1 == d:
+            return [f]
+        e = (self.p ** d - 1) // 2
+        while True:
+            a = _poly_trim([rng.randrange(self.p) for _ in range(len(f) - 1)])
+            g = _poly_gcd(self, f, _poly_sub(self, _poly_powmod(self, a, e, f), [1]))
+            if 1 < len(g) < len(f):
+                return (self._equal_degree(g, d, rng)
+                        + self._equal_degree(_poly_divmod(self, f, g)[0], d, rng))
+
 
 class _RationalKernel:
     """Q: ``Fraction`` scalars and object arrays of ``Fraction`` entries.
@@ -516,6 +578,97 @@ class _RationalKernel:
                         acc[j] += x * y
             out.extend(_over(acc, den))
         return self._array(out, (m, cols))
+
+    def factor(self, f: list) -> list[tuple[list, int]]:
+        """The monic irreducible factors of the monic ``f`` (degree >= 1),
+        with their multiplicities, in no particular order: each squarefree
+        part (``_poly_squarefree``; nothing is left over in characteristic
+        0) is cleared of denominators and factored over Z by
+        ``_factor_integer``."""
+        out = []
+        for part, mult in _poly_squarefree(self, f)[0]:
+            den = math.lcm(*(c.denominator for c in part))
+            ints = [c.numerator * (den // c.denominator) for c in part]
+            content = math.gcd(*ints)
+            out += [(_poly_monic(self, [self.coerce(c) for c in g]), mult)
+                    for g in self._factor_integer([c // content for c in ints])]
+        return out
+
+    def _factor_integer(self, f: list[int]) -> list[list[int]]:
+        """The irreducible factors over Z of the primitive squarefree ``f``
+        with positive leading coefficient (Zassenhaus, J. Number Theory 1,
+        1969; von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15).
+
+        The first prime q >= 5 that keeps the degree and the squarefreeness
+        of f mod q gives the monic factors of f mod q (``_PrimeKernel``).
+        For a factor g h of what is left of f, lc(h) g has every coefficient
+        within 2^deg f * ||f||_2 (Mignotte's bound), so the factors are
+        lifted mod a power m of q above twice that bound (``_hensel_lift``),
+        and lc(f) times the product of each subset of them, in symmetric
+        residues mod m, is tried as a divisor of f, smallest subsets first.
+        """
+        n = len(f) - 1
+        if n == 1:
+            return [f]
+        for q in filter(_is_prime, range(5, 2 ** 24)):
+            fq = _PrimeKernel(q)
+            g = _poly_trim([fq.coerce(c) for c in f])
+            if len(g) == n + 1 and len(_poly_gcd(fq, g, _poly_diff(fq, g))) == 1:
+                break
+        else:
+            raise ArithmeticError("no prime below 2**24 keeps the polynomial squarefree")
+        modular = [h for h, _ in fq.factor(_poly_monic(fq, g))]
+        if len(modular) == 1:
+            return [f]
+        bound = 2 ** n * (math.isqrt(sum(c * c for c in f)) + 1)
+        m = q
+        while m <= 2 * bound:
+            m *= m
+        ring = _IntegersMod(m)
+        lifted = self._hensel_lift(f, modular, fq, m)
+        out, size = [], 1
+        while 2 * size <= len(lifted):
+            for subset in itertools.combinations(range(len(lifted)), size):
+                g = [f[-1]]
+                for i in subset:
+                    g = _poly_mul(ring, g, lifted[i])
+                g = [c - m if 2 * c > m else c for c in g]
+                content = math.gcd(*g)
+                g = [c // content for c in g]
+                if g[0] and f[0] % g[0]:
+                    continue
+                quotient, rest = _poly_divmod(self, f, g)
+                if not rest:
+                    # g is primitive, so the quotient is integral (Gauss)
+                    out.append(g)
+                    f = [c.numerator for c in quotient]
+                    lifted = [h for i, h in enumerate(lifted) if i not in subset]
+                    break
+            else:
+                size += 1
+        return out + [f]
+
+    def _hensel_lift(self, f: list[int], factors: list[list], fq: _PrimeKernel,
+                     m: int) -> list[list[int]]:
+        """Monic lifts mod ``m`` = q^(2^k) of the monic, pairwise coprime
+        ``factors`` of f / lc(f) mod q (``fq`` is F_q): f mod q is split as
+        lc(f) times the product of the first half of them against the
+        product of the rest, that split is lifted by ``_hensel_step`` until
+        the modulus reaches m, and each side is split again."""
+        if len(factors) == 1:
+            return [_poly_monic(_IntegersMod(m), f)]
+        k = len(factors) // 2
+        g, h = [fq.coerce(f[-1])], [fq.one]
+        for x in factors[:k]:
+            g = _poly_mul(fq, g, x)
+        for x in factors[k:]:
+            h = _poly_mul(fq, h, x)
+        _, s, t = _poly_gcdex(fq, g, h)
+        mod = fq.p
+        while mod < m:
+            g, h, s, t = _hensel_step(f, g, h, s, t, mod)
+            mod *= mod
+        return self._hensel_lift(g, factors[:k], fq, m) + self._hensel_lift(h, factors[k:], fq, m)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,6 +1158,184 @@ class Mat:
             reduced.append((int(nz[0]), cols, fk.normalize(row[cols] * inv)))
             cur = cur @ self
         raise RuntimeError("minimal polynomial search exceeded the dimension")
+
+
+# ---------------------------------------------------------------------------
+# polynomials: ascending coefficient lists, [] for zero
+# ---------------------------------------------------------------------------
+#
+# One set of dense-polynomial helpers for every coefficient ring.  ``field``
+# is anything with ``coerce``, ``inv``, ``zero`` and ``one``: a ``Field``,
+# one of its kernels or ``_IntegersMod``; sums and products of coefficients
+# are formed with ``+`` and ``*`` and brought back by one ``coerce`` per
+# coefficient, so nothing here looks at which ring it is.  Inputs carry no
+# zero leading coefficient, and neither do the results.
+
+def _poly_trim(f: list) -> list:
+    """``f`` without its zero leading coefficients."""
+    n = len(f)
+    while n and not f[n - 1]:
+        n -= 1
+    return f[:n]
+
+
+def _poly_add(field, a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return _poly_trim([field.coerce(x + y) for x, y in zip(a, b)]
+                      + [field.coerce(x) for x in a[len(b):]])
+
+
+def _poly_sub(field, a: list, b: list) -> list:
+    return _poly_add(field, a, [-y for y in b])
+
+
+def _poly_mul(field, a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _poly_trim([field.coerce(c) for c in out])
+
+
+def _poly_divmod(field, a: list, b: list) -> tuple[list, list]:
+    """``(q, r)`` with a = q b + r and deg r < deg b, for b nonzero (over
+    ``_IntegersMod``, b monic)."""
+    a, n = list(a), len(b) - 1
+    inv = field.inv(b[-1])
+    q = [field.zero] * max(0, len(a) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = field.coerce(a[k + n] * inv)
+        if c:
+            for i in range(n):
+                a[k + i] -= c * b[i]
+    return q, _poly_trim([field.coerce(x) for x in a[:n]])
+
+
+def _poly_monic(field, f: list) -> list:
+    if f[-1] == field.one:
+        return f
+    inv = field.inv(f[-1])
+    return [field.coerce(inv * c) for c in f]
+
+
+def _poly_pow(field, a: list, k: int) -> list:
+    out = [field.one]
+    for _ in range(k):
+        out = _poly_mul(field, out, a)
+    return out
+
+
+def _poly_powmod(field, a: list, k: int, m: list) -> list:
+    """a^k mod m, by repeated squaring."""
+    out, a = [field.one], _poly_divmod(field, a, m)[1]
+    while k:
+        if k & 1:
+            out = _poly_divmod(field, _poly_mul(field, out, a), m)[1]
+        k >>= 1
+        if k:
+            a = _poly_divmod(field, _poly_mul(field, a, a), m)[1]
+    return out
+
+
+def _poly_diff(field, f: list) -> list:
+    return _poly_trim([field.coerce(i * c) for i, c in enumerate(f)][1:])
+
+
+def _poly_gcd(field, a: list, b: list) -> list:
+    """The monic gcd of a and b, a nonzero, by Euclid's algorithm with each
+    remainder made monic, which keeps coefficients over Q small."""
+    while b:
+        b = _poly_monic(field, b)
+        a, b = b, _poly_divmod(field, a, b)[1]
+    return _poly_monic(field, a)
+
+
+def _poly_gcdex(field, a: list, b: list) -> tuple[list, list, list]:
+    """``(g, u, v)`` with u a + v b = g, the monic gcd of the nonzero a and
+    b, by the monic Euclidean algorithm (von zur Gathen and Gerhard,
+    Algorithm 3.14): deg u < deg b - deg g and deg v < deg a - deg g."""
+    def monic(r, u, v):
+        inv = field.inv(r[-1])
+        return tuple([field.coerce(inv * c) for c in p] for p in (r, u, v))
+
+    (r0, u0, v0), (r1, u1, v1) = monic(a, [field.one], []), monic(b, [], [field.one])
+    while True:
+        q, r = _poly_divmod(field, r0, r1)
+        if not r:
+            return r1, u1, v1
+        (r0, u0, v0), (r1, u1, v1) = (r1, u1, v1), monic(
+            r, _poly_sub(field, u0, _poly_mul(field, q, u1)),
+            _poly_sub(field, v0, _poly_mul(field, q, v1)))
+
+
+def _poly_squarefree(field, f: list) -> tuple[list[tuple[list, int]], list]:
+    """Musser's squarefree decomposition of the monic f of degree >= 1:
+    ``([(h, i), ...], rest)`` with f = rest * prod h^i, the h monic,
+    squarefree, pairwise coprime and of degree >= 1, and ``rest`` monic with
+    zero derivative: [1] in characteristic 0, a p-th power in
+    characteristic p."""
+    g = _poly_gcd(field, f, _poly_diff(field, f))
+    if len(g) == 1:
+        return [(f, 1)], g
+    h = _poly_divmod(field, f, g)[0]
+    out, i = [], 1
+    while len(h) > 1:
+        common = _poly_gcd(field, g, h)
+        part = _poly_divmod(field, h, common)[0]
+        if len(part) > 1:
+            out.append((part, i))
+        g, h, i = _poly_divmod(field, g, common)[0], common, i + 1
+    return out, g
+
+
+class _IntegersMod:
+    """Z/m, the coefficient ring of the Hensel lift: residues in [0, m)."""
+
+    __slots__ = ("m",)
+    zero = 0
+    one = 1
+
+    def __init__(self, m: int):
+        self.m = m
+
+    def coerce(self, x: int) -> int:
+        return x % self.m
+
+    def inv(self, a: int) -> int:
+        return pow(a, -1, self.m)
+
+
+def _hensel_step(f: list[int], g: list, h: list, s: list, t: list, m: int):
+    """From f = g h and s g + t h = 1 mod m, h monic, deg s < deg h and
+    deg t < deg g, the same four mod m^2 (von zur Gathen and Gerhard,
+    Algorithm 15.10)."""
+    ring = _IntegersMod(m * m)
+    e = _poly_sub(ring, f, _poly_mul(ring, g, h))
+    q, r = _poly_divmod(ring, _poly_mul(ring, s, e), h)
+    g = _poly_add(ring, g, _poly_add(ring, _poly_mul(ring, t, e), _poly_mul(ring, q, g)))
+    h = _poly_add(ring, h, r)
+    b = _poly_sub(ring, _poly_add(ring, _poly_mul(ring, s, g), _poly_mul(ring, t, h)), [1])
+    c, d = _poly_divmod(ring, _poly_mul(ring, s, b), h)
+    s = _poly_sub(ring, s, d)
+    t = _poly_sub(ring, t, _poly_add(ring, _poly_mul(ring, t, b), _poly_mul(ring, c, g)))
+    return g, h, s, t
+
+
+def factor_polynomial(field: Field, coeffs: Sequence) -> list[tuple[list, int]]:
+    """The factorization over ``field`` of the polynomial with ascending
+    coefficients ``coeffs``: ``[(monic irreducible factor, multiplicity)]``
+    sorted by (length, coefficient text), which makes it unique; [] for a
+    constant.  The field's kernel factors (``factor``)."""
+    f = _poly_trim([field.coerce(c) for c in coeffs])
+    if len(f) < 2:
+        return []
+    out = field._kernel.factor(_poly_monic(field, f))
+    out.sort(key=lambda t: (len(t[0]), [str(c) for c in t[0]]))
+    return out
 
 
 def trace_form(lefts: Sequence[Mat], rights: Sequence[Mat]) -> Mat:

@@ -17,15 +17,17 @@ and each module keeps its own half of the contracted equations
 pencil matrices and their Jordan frames.
 
 Indecomposability follows the endomorphism ring: a nontrivial idempotent,
-from a coprime split of a minimal polynomial (factored, multiplied and
-inverted by sympy: ``galoistools`` over F_p, dense lists over Q), witnesses
-"no"; a local ring certified by an exactly computed radical with
-one-dimensional quotient gives "yes"; everything else is reported
-inconclusive (the ground field is an exact stand-in for an algebraically
-closed field, and verdicts carry it).  The radical is one function,
-``end_radical``: the trace-form kernel of End(M) on M, else on its regular
-representation, certified by the nilpotency of each basis element, with
-no condition on the characteristic.
+from a coprime split of a minimal polynomial (factored by
+``exactlin.factor_polynomial``: Cantor-Zassenhaus over F_p, Hensel lifting
+and Zassenhaus recombination over Q; the split's powers, products and
+extended gcd come from exactlin's polynomial helpers), witnesses "no"; a
+local ring certified by an exactly computed radical with one-dimensional
+quotient gives "yes"; everything else is reported inconclusive (the ground
+field is an exact stand-in for an algebraically closed field, and verdicts
+carry it).  The radical is one function, ``end_radical``: the trace-form
+kernel of End(M) on M, else on its regular representation, certified by
+the nilpotency of each basis element, with no condition on the
+characteristic.
 """
 
 from __future__ import annotations
@@ -33,17 +35,11 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import partial
 from typing import Iterator, Optional, Sequence
 
-import sympy
-from sympy.polys.densearith import dup_mul, dup_pow
-from sympy.polys.euclidtools import dup_gcdex
-from sympy.polys.galoistools import gf_gcdex, gf_mul, gf_pow
-
-from .exactlin import (Field, Mat, ShapeMismatchError, Span, find_invertible_in_span,
-                       nilpotency_index, nilpotent_hom_basis, trace_form, trace_radical)
+from .exactlin import (Field, Mat, ShapeMismatchError, Span, _poly_gcdex, _poly_mul, _poly_pow,
+                       factor_polynomial, find_invertible_in_span, nilpotency_index,
+                       nilpotent_hom_basis, trace_form, trace_radical)
 from .quiver import BoundQuiver, Path, _enumerate_paths
 
 __all__ = ["InconclusiveError", "Representation", "SamplingStarvation", "are_isomorphic",
@@ -411,42 +407,6 @@ def _regular_representation(m: Representation, basis: list[dict[str, Mat]]) -> S
 
 
 # ---------------------------------------------------------------------------
-# polynomials: sympy dense lists (leading coefficient first)
-# ---------------------------------------------------------------------------
-
-def _to_dense(field: Field, coeffs: Sequence) -> list:
-    """Ascending field coefficients as a sympy dense list: plain ints over
-    F_p (the ``galoistools`` form), ``QQ`` elements over Q."""
-    if field.char:
-        return [int(c) for c in reversed(coeffs)]
-    return [sympy.QQ(c.numerator, c.denominator) for c in reversed(coeffs)]
-
-
-def _from_dense(field: Field, dense: Sequence) -> list:
-    """Field coefficients, ascending, of a dense list over F_p or Q."""
-    if field.char:
-        return [field.coerce(int(c)) for c in reversed(dense)]
-    return [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(dense)]
-
-
-def factor_polynomial(field: Field, coeffs: Sequence) -> list[tuple[list, int]]:
-    """Irreducible factorization over the field; [(coeffs ascending, mult)]."""
-    dom = sympy.GF(field.char) if field.char else sympy.QQ
-    poly = sympy.Poly.from_list(_to_dense(field, coeffs), sympy.Symbol("x"), domain=dom)
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        lifted = _from_dense(field, fac.rep.to_list())
-        lead = lifted[-1]
-        if lead != field.one:
-            inv = field.inv(lead)
-            lifted = [field.mul(inv, c) for c in lifted]
-        out.append((lifted, int(mult)))
-    out.sort(key=lambda t: (len(t[0]), [str(c) for c in t[0]]))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # indecomposability / isomorphism / decomposition
 # ---------------------------------------------------------------------------
 
@@ -460,13 +420,15 @@ class IndecVerdict:
         return self.verdict == "yes"
 
 
-def _poly_eval_matrix(field: Field, coeffs, t: Mat) -> Mat:
-    n = t.rows
-    acc = Mat.zeros(field, n, n)
-    for c in reversed(list(coeffs)):
+def _poly_eval_matrix(field: Field, coeffs: list, t: Mat) -> Mat:
+    """The polynomial with ascending ``coeffs`` at ``t``, by Horner's rule
+    from the leading coefficient."""
+    one = Mat.identity(field, t.rows)
+    acc = one.scaled(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
         acc = acc @ t
         if c != 0:
-            acc = acc + Mat.identity(field, n).scaled(c)
+            acc = acc + one.scaled(c)
     return acc
 
 
@@ -488,20 +450,15 @@ def _idempotent_matrix_from_minpoly(field: Field, factors, phi_total: Mat) -> Op
     u f^m + v g = 1 makes e = v g(phi) the projection onto ker f^m(phi)
     along ker g(phi), whatever u and v the extended gcd returns.
     """
-    if field.char:
-        power, times, gcdex = (partial(op, p=field.char, K=sympy.ZZ)
-                               for op in (gf_pow, gf_mul, gf_gcdex))
-    else:
-        power, times, gcdex = (partial(op, K=sympy.QQ) for op in (dup_pow, dup_mul, dup_gcdex))
     (fac0, mult0), rest = factors[0], factors[1:]
-    f_part = power(_to_dense(field, fac0), mult0)
-    g_part = _to_dense(field, [field.one])
+    f_part = _poly_pow(field, fac0, mult0)
+    g_part = [field.one]
     for fac, mult in rest:
-        g_part = times(g_part, power(_to_dense(field, fac), mult))
-    _, v, gcd = gcdex(f_part, g_part)
+        g_part = _poly_mul(field, g_part, _poly_pow(field, fac, mult))
+    gcd, _, v = _poly_gcdex(field, f_part, g_part)
     if len(gcd) != 1:
         return None
-    e = _poly_eval_matrix(field, _from_dense(field, times(v, g_part)), phi_total)
+    e = _poly_eval_matrix(field, _poly_mul(field, v, g_part), phi_total)
     n = phi_total.rows
     if e @ e == e and not e.is_zero() and e != Mat.identity(field, n):
         return e

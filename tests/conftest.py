@@ -473,9 +473,10 @@ def reference_is_indecomposable(m, seed, trials=32):
 
 # -- the coprime split by hand ----------------------------------------------
 #
-# Reference for ``rep._idempotent_matrix_from_minpoly``: the same split with
-# the polynomial products and the extended Euclidean algorithm written out
-# on ascending field coefficients instead of taken from sympy.
+# Reference for ``rep._idempotent_matrix_from_minpoly``, and for exactlin's
+# polynomial product, division and extended gcd: the same split with the
+# products and the plain extended Euclidean algorithm written out on
+# ascending field coefficients, one field operation at a time.
 
 def _reference_poly_trim(p):
     while p and p[-1] == 0:

@@ -12,7 +12,8 @@ from conftest import (F101, field_add, fixture_text, intertwiner_system, jordan_
                       QQ, random_nonzero, reference_echelon_fp, reference_echelon_qq,
                       reference_find_invertible_in_span, reference_hom_pencil,
                       reference_jordan_nilpotent, reference_kernel, reference_matmul_fp,
-                      reference_matmul_qq, reference_trace_pairing)
+                      reference_matmul_qq, reference_trace_pairing, _reference_poly_divmod,
+                      _reference_poly_gcdext, _reference_poly_mul)
 
 import wildrank.exactlin as exactlin_module
 
@@ -20,7 +21,8 @@ import wildrank.rep as rep_module
 from wildrank.cli import cmd_certify, cmd_classify
 from wildrank.exactlin import (Field, Mat, ShapeMismatchError, Span, find_invertible_in_span,
                                jordan_nilpotent, nilpotency_index, nilpotent_hom_basis, trace_form,
-                               _echelon_qq, _is_prime, _jordan_frame, _on_support, _peel_unit_rows)
+                               _echelon_qq, _is_prime, _jordan_frame, _on_support, _peel_unit_rows,
+                               _poly_divmod, _poly_gcdex, _poly_mul)
 from wildrank.rep import hom_space
 from wildrank.wildness import FreeAlgModule, eval_tensor, sincere_witness_for_K3
 
@@ -666,6 +668,27 @@ def test_minimal_polynomial_matches_reference(field):
                 total = [[field_add(field, x, field.mul(c, y)) for x, y in zip(r1, r2)]
                          for r1, r2 in zip(total, p)]
             assert total == _ref_zeros(field, n, n)
+
+
+@pytest.mark.parametrize("field", [F101, Field.prime(5), QQ], ids=str)
+def test_polynomial_helpers_match_hand_written_references(field):
+    rng = random.Random(f"poly:{field}")
+
+    def poly(deg):
+        return [field.random_scalar(rng) for _ in range(deg)] + [random_nonzero(field, rng)]
+
+    gcds = 0
+    for _ in range(150):
+        a, b = poly(rng.randint(0, 8)), poly(rng.randint(0, 6))
+        if rng.random() < 0.4:
+            common = poly(rng.randint(1, 3))
+            a, b = (_reference_poly_mul(field, common, x) for x in (a, b))
+        assert _poly_mul(field, a, b) == _reference_poly_mul(field, a, b)
+        assert _poly_divmod(field, a, b) == _reference_poly_divmod(field, a, b)
+        assert _poly_gcdex(field, a, b) == _reference_poly_gcdext(field, a, b)
+        gcds += len(_poly_gcdex(field, a, b)[0]) > 1
+    assert gcds >= 40
+    assert _poly_mul(field, [], poly(2)) == []
 
 
 @pytest.mark.parametrize("field", FIELDS)

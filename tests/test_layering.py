@@ -5,7 +5,9 @@ imports no numpy, touches none of the storage (``Mat._entries``,
 ``Field._kernel``) and calls no elimination kernel (``_echelon_*``)
 directly.  In the whole package, only exactlin's two field kernels branch
 on the field or on the storage type; ``Field.__init__`` picks the kernel,
-once, and rep's sympy glue is the one exception left.
+once.  Polynomials are factored in exactlin too, by the kernels, so the
+package needs no computer-algebra library: a fresh ``import wildrank.cli``
+loads no sympy.
 
 Every definition of the package, each top-level function, class and
 constant and each method, is read somewhere in ``src/`` outside its own
@@ -18,7 +20,9 @@ surface, and the README lists it.
 Inside exactlin a remainder mod p (``% p``, ``% self.p``, ``%= p``) is
 taken only by the one array reduction ``_residues``, by the in-place
 sub-panel reductions of ``_echelon_fp`` and by the scalar reductions of
-``_PrimeKernel.coerce`` and ``_PrimeKernel.inv``.
+``_PrimeKernel.coerce`` and ``_PrimeKernel.inv``.  The Hensel lift of the
+factoring over Q reduces mod p^k (``_IntegersMod.coerce``, ``% self.m``),
+which is no F_p reduction, and the check does not count it.
 
 The package imports in one order, ``LAYERS``: a module imports only from
 the layers before its own, and only at module level.  The package
@@ -38,6 +42,8 @@ call overrides is an option with one value in use, which is a constant.
 import ast
 import importlib
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -116,11 +122,9 @@ def test_matrix_storage_stays_in_exactlin(name):
     assert violations(tree) == []
 
 
-#: the scopes outside the kernels that may branch on the field: the pick of
-#: the kernel, and rep's glue to sympy's polynomials over GF(p) and QQ
-FIELD_BRANCHES = {"exactlin.py": ["Field.__init__"],
-                  "rep.py": ["_to_dense", "_from_dense", "factor_polynomial",
-                             "_idempotent_matrix_from_minpoly"]}
+#: the one scope outside the kernels that may branch on the field: the pick
+#: of the kernel
+FIELD_BRANCHES = {"exactlin.py": ["Field.__init__"]}
 
 
 def test_field_differences_stay_in_the_kernels():
@@ -130,6 +134,15 @@ def test_field_differences_stay_in_the_kernels():
     found = {name: branches for name, tree in trees.items()
              if (branches := field_branches(tree))}
     assert found == FIELD_BRANCHES
+
+
+def test_cli_import_loads_no_sympy():
+    # in a fresh process: this one has sympy loaded by the tests' oracles
+    code = "import sys, wildrank.cli; print('sympy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.join(SRC, ".."))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_checker_catches_each_kind():

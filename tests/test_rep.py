@@ -9,13 +9,13 @@ import sympy
 
 import wildrank.exactlin as exactlin_module
 import wildrank.rep as rep_module
-from conftest import (direct_sum, F101, field_add, line_quiver, make_relation, QQ,
+from conftest import (direct_sum, F101, line_quiver, make_relation, QQ,
                       reference_end_radical, reference_hom_pencil, reference_hom_space,
                       reference_idempotent_from_minpoly, reference_in_sincere_subcategory,
                       reference_is_indecomposable, reference_pairing_witness,
                       reference_regular_trace_gram, reference_relation_jacobian,
                       reference_trace_pairing, ReferenceEndAnalysis, rep_from_lists, simple_rep,
-                      zero_rep)
+                      zero_rep, _reference_poly_mul)
 
 from wildrank.exactlin import Field, Mat, Span, nilpotency_index, trace_form, trace_radical
 from wildrank.quiver import BoundQuiver, Quiver, loop_quiver
@@ -209,15 +209,10 @@ def _reference_factor_polynomial(field, coeffs):
     return out
 
 
-def _poly_mul(field, a, b):
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = field_add(field, out[i + j], field.mul(x, y))
-    return out
+POLY_FIELDS = [F101, Field.prime(7), Field.prime(5), Field.prime(16777213), QQ]
 
 
-@pytest.mark.parametrize("field", [F101, Field.prime(7), QQ], ids=["F101", "F7", "Q"])
+@pytest.mark.parametrize("field", POLY_FIELDS, ids=["F101", "F7", "F5", "F16777213", "Q"])
 def test_factor_polynomial_matches_expression_reference(field):
     rng = random.Random(field.char + 11)
 
@@ -237,15 +232,68 @@ def test_factor_polynomial_matches_expression_reference(field):
     for _ in range(60):
         g = poly(rng.randint(1, 2))
         h = poly(rng.randint(0, 5 - 2 * (len(g) - 1)))
-        cases.append(_poly_mul(field, _poly_mul(field, g, g), h))
+        cases.append(_reference_poly_mul(field, _reference_poly_mul(field, g, g), h))
     # non-monic: the first 40 cases scaled by 3, and 3 (x - 1)^2 (x + 2)
     cases += [[field.mul(field.coerce(3), c) for c in f] for f in cases[:40]]
-    cases.append([field.coerce(c) for c in (6, -9, 0, 3)])
+    repeated = [field.coerce(c) for c in (6, -9, 0, 3)]
+    cases.append(repeated)
+    # up to degree 56, the largest module dimension in certify: random
+    # polynomials, and products of random factors with repeated ones
+    cases += [poly(d) for d in (12, 28, 56)]
+    for total in (30, 56):
+        f = [field.one]
+        while len(f) <= total - 3:
+            g = poly(rng.randint(1, 3))
+            f = _reference_poly_mul(field, f, _reference_poly_mul(field, g, g) if rng.random() < 0.3 else g)
+        cases.append(f)
+    # multiplicities 5, 7 and 10: p-th powers over F5 and F7
+    powers = [field.one]
+    for root, mult in ((-2, 5), (1, 7), (0, 10)):
+        for _ in range(mult):
+            powers = _reference_poly_mul(field, powers, [field.coerce(-root), field.one])
+    cases.append(powers)
     assert any(len(f) == 1 for f in cases) and any(f[-1] != field.one for f in cases)
+    assert max(map(len, cases)) == 57
     for f in cases:
         assert factor_polynomial(field, f) == _reference_factor_polynomial(field, f)
     # the repeated factor shows up with its multiplicity
-    assert ([field.coerce(-1), field.one], 2) in factor_polynomial(field, cases[-1])
+    assert ([field.coerce(-1), field.one], 2) in factor_polynomial(field, repeated)
+    # constants, zero among them, have no factors
+    for f in ([], [field.zero], [field.coerce(7)], [field.coerce(-2), field.zero]):
+        assert factor_polynomial(field, f) == [] == _reference_factor_polynomial(field, f)
+
+
+def test_factor_polynomial_recombines_over_q(monkeypatch):
+    """Inputs whose factors mod the chosen prime must be recombined: every
+    root of 1..12, and the Swinnerton-Dyer polynomials of sqrt 2, sqrt 3
+    (and sqrt 5), irreducible over Q and split mod every prime; then
+    coefficients so large that the Hensel lift runs past 2^24 three times."""
+    moduli = []
+    step = exactlin_module._hensel_step
+    monkeypatch.setattr(exactlin_module, "_hensel_step",
+                        lambda f, g, h, s, t, m: moduli.append(m) or step(f, g, h, s, t, m))
+    roots = [QQ.one]
+    for i in range(1, 13):
+        roots = _reference_poly_mul(QQ, roots, [QQ.coerce(-i), QQ.one])
+    sd4 = [QQ.coerce(c) for c in (1, 0, -10, 0, 1)]
+    sd8 = [QQ.coerce(c) for c in (576, 0, -960, 0, 352, 0, -40, 0, 1)]
+    big = [QQ.one]
+    for g in ([7, 3 * 10 ** 20, -1], [5, -2 ** 70, 0, 11], [-3, 2 * 10 ** 15],
+              [Fraction(1, 3), 0, 0, 0, 10 ** 12]):
+        big = _reference_poly_mul(QQ, big, [QQ.coerce(c) for c in g])
+    expected = {"roots": [1] * 12, "sd4": [4], "sd8": [8], "big": [1, 2, 3, 4]}
+    for name, f in zip(expected, (roots, sd4, sd8, big)):
+        moduli.clear()
+        got = factor_polynomial(QQ, f)
+        assert got == _reference_factor_polynomial(QQ, f), name
+        assert sorted(len(g) - 1 for g, _ in got) == expected[name], name
+        assert all(type(c) is Fraction for g, _ in got for c in g), name
+        assert moduli, name
+    assert max(moduli) ** 2 > 2 ** 72
+    # non-monic with a repeated factor: 3 (2x - 1)^2 (x^2 - 2)
+    f = _reference_poly_mul(QQ, [QQ.coerce(c) for c in (3, -12, 12)], [QQ.coerce(c) for c in (-2, 0, 1)])
+    assert factor_polynomial(QQ, f) == [([Fraction(-1, 2), QQ.one], 2),
+                                        ([QQ.coerce(-2), QQ.zero, QQ.one], 1)]
 
 
 def _block_diagonal(field, blocks):
