@@ -507,7 +507,7 @@ def cmd_tilt(text: str, depth: int = 1) -> tuple[str, int]:
     for found, cand in enumerate(tilting_candidates(pool, len(bq.quiver.vertices)), start=1):
         lines.append(f"  tilting: {' + '.join(cand.labels())}")
         try:
-            pres, table = endomorphism_algebra(cand, spec.field)
+            pres, table = endomorphism_algebra(cand)
             spec_text = serialize_quiver_spec(pres, f"end_{spec.name}_{found}",
                                               field=spec.field)
             lines.append(f"    End dimension {table.dimension}; presentation:")

@@ -24,14 +24,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exactlin import Field, Mat
-from .quiver import (AlgebraTable, BoundQuiver, Path, Quiver, Relation,
-                     build_algebra_table, is_minimal_wild_hereditary)
+from .quiver import (BoundQuiver, Path, Quiver, Relation, build_algebra_table,
+                     is_minimal_wild_hereditary)
 from .rep import (InconclusiveError, Representation, SamplingStarvation,
                   are_isomorphic, in_sincere_subcategory, sample_representation)
 from .wildness import (CertStep, CheckCounts, CheckedReport, WitnessBimodule,
                        WitnessCertificate, bound_quiver_hash, check_preservation,
                        compose_witness, eval_tensor, sincere_witness_for_K3,
-                       _from_entries, _k3_shape, _tensor_prod, _tensor_sum)
+                       _from_entries, _k3_shape, _same_algebra, _tensor_prod,
+                       _tensor_sum)
 
 __all__ = ["CoveringSpec", "WindowDesignation", "build_window", "covering_criterion",
            "verify_pushdown"]
@@ -385,10 +386,9 @@ def covering_criterion(cov: CoveringSpec, search_radius: int,
 def _certificate_from_window(cov: CoveringSpec, window: Window, field: Field,
                              seed, witness: WitnessBimodule,
                              criterion: str) -> WitnessCertificate:
-    if isinstance(witness.target, AlgebraTable):
-        if witness.target.bound_quiver != window.bound_quiver:
-            raise ValueError("witness target does not match the window algebra")
     pd = pushdown_bimodule(window, field)
+    if not _same_algebra(witness.target, pd.source):
+        raise ValueError("witness target does not match the window algebra")
     composite = compose_witness(pd, witness)
     k = window.vertex_count()
     steps = (

@@ -310,6 +310,9 @@ class AlgebraTable:
     def basis_index(self, path: Path) -> Optional[int]:
         return self._index.get((path.source, path.target, path.arrows))
 
+    def basis_path(self, i: int) -> Path:
+        return self.basis[i]
+
     def idempotent(self, vertex: str) -> dict:
         i = self.basis_index(Path(vertex, vertex, ()))
         if i is None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .exactlin import Field, Mat, Span
 from .quiver import (AlgebraTable, BoundQuiver, Path, Quiver, Relation,
@@ -317,6 +317,8 @@ class TiltingCandidate:
     """Pairwise non-isomorphic indecomposable summands with provenance."""
 
     summands: list[Preprojective]
+    #: True once ``tilting_candidates`` has seen ``is_tilting`` accept it
+    tilting = False
 
     def reps(self) -> list[Representation]:
         return [s.rep for s in self.summands]
@@ -350,9 +352,9 @@ def is_tilting(candidate: TiltingCandidate) -> bool:
     return True
 
 
-def endomorphism_algebra(candidate: TiltingCandidate,
-                         field: Optional[Field] = None) -> tuple[BoundQuiver, AlgebraTable]:
-    """Bound-quiver presentation of End(T) for a tilting module T.
+def endomorphism_algebra(candidate: TiltingCandidate) -> tuple[BoundQuiver, AlgebraTable]:
+    """Bound-quiver presentation of End(T) for a tilting module T, over the
+    field of its summands.
 
     Vertices are the summands; arrows realize a basis of rad/rad^2; the
     relations are recovered degree by degree by exact linear algebra and the
@@ -361,8 +363,8 @@ def endomorphism_algebra(candidate: TiltingCandidate,
     reps = candidate.reps()
     if not reps:
         raise ValueError("empty candidate")
-    field = field if field is not None else reps[0].field
-    if not is_tilting(candidate):
+    field = reps[0].field
+    if not (candidate.tilting or is_tilting(candidate)):
         raise ValueError("candidate is not a tilting module")
     n = len(reps)
     homs = {(i, j): hom_space(reps[j], reps[i]) for i in range(n) for j in range(n)}
@@ -460,10 +462,12 @@ def endomorphism_algebra(candidate: TiltingCandidate,
 
 def tilting_candidates(pool: Sequence[Preprojective], n: int) -> Iterator[TiltingCandidate]:
     """The tilting modules among the ``n``-element subsets of ``pool`` with a
-    projective summand, in the order of ``itertools.combinations``."""
+    projective summand, in the order of ``itertools.combinations``; each is
+    marked ``tilting``, so ``endomorphism_algebra`` does not test it again."""
     for items in itertools.combinations(pool, n):
         if any(p.shift == 0 for p in items):
             cand = TiltingCandidate(list(items))
-            if is_tilting(cand):
+            cand.tilting = is_tilting(cand)
+            if cand.tilting:
                 yield cand
 

@@ -2,26 +2,28 @@
 
 A witness is a bimodule over (target algebra, source algebra), free of
 finite rank r over the source, stored through the left action of the
-target's basis on the free generators.  Each action is an r x r matrix over
-the source B kept in tensor form: sum_k A_k (x) b_k with r x r field
-matrices A_k and basis elements b_k of B (words in x, y for the free
-algebra, basis indices for an algebra table), stored as ``{key: A_k}``.
-A table element is read as its coefficient dict ``{basis index: scalar}``.
+target's basis on the free generators.  Either algebra is the path algebra
+of its ``bound_quiver``: an ``AlgebraTable``, or the free algebra k<x,y>
+of the quiver with one vertex and two loops x, y (``FreeAlgebra``), so a
+module over it is a ``Representation`` (``FreeAlgModule`` for k<x,y>).
+Each action is an r x r matrix over the source B in tensor form,
+sum_k A_k (x) b_k stored as ``{key: A_k}``, with b_k a basis path of B (a
+word in x, y is its own key, a table path is keyed by its index); a table
+element is read as its coefficient dict ``{basis index: scalar}``.
 Products read B's structure constants, sum_m (sum_kl c^m_kl A_k B_l) b_m;
-evaluating at a module is sum_k A_k kron act(b_k), a basis path acting by
-its path matrix in block (target, source); composing substitutes the inner
-action for each b_k.  Tensoring against a source module gives the
-associated exact functor; its preservation properties (indecomposability,
-isomorphism classes, Hom dimensions when fullness is claimed) are checked
-by bounded randomized verification, never assumed.
+evaluating at a module is sum_k A_k kron act(b_k), the path b_k acting by
+its path matrix in block (target, source); composing substitutes the
+inner action for each b_k.  The associated exact functor's preservation
+properties (indecomposability, isomorphism classes, Hom dimensions when
+fullness is claimed) are checked by bounded randomized verification.
 
-Built-ins: the rank-2 embedding of two-matrix modules into three-arrow
-Kronecker representations, the rank-7 fully faithful functor in the other
-direction, and their rank-28 composite whose images consist of sincere
-modules.  Certificate arithmetic tracks upper bounds on the minimal witness
-rank of an algebra under composition, factor algebras, and Morita
-multiplication; a ``WitnessCertificate`` is also the certificate file,
-written by its ``to_text`` and read back by ``cli.parse_certificate``.
+Built-ins: the rank-2 embedding of two-loop representations into
+three-arrow Kronecker representations, the rank-7 fully faithful functor
+back, and their rank-28 composite whose images are sincere.  Certificate
+arithmetic tracks upper bounds on the minimal witness rank under
+composition, factor algebras, and Morita multiplication; a
+``WitnessCertificate`` is also the certificate file (``to_text``, read
+back by ``cli.parse_certificate``).
 """
 
 from __future__ import annotations
@@ -57,13 +59,17 @@ class DegreeCapError(ValueError):
 # ---------------------------------------------------------------------------
 
 class FreeAlgebra:
-    """The free associative algebra on letters x, y over a field.
+    """The free associative algebra k<x,y> over a field: the path algebra of
+    its carrier ``bound_quiver``, one vertex v with the loops x and y.
 
-    Its basis is the words in x and y, as tuples of letters; words longer
-    than ``DEFAULT_DEGREE_CAP`` are refused.
+    Its basis is the paths of that quiver, the words in x and y, and a word
+    is its own basis key; words longer than ``DEFAULT_DEGREE_CAP`` are
+    refused.  Like an ``AlgebraTable`` it gives the key of a path
+    (``basis_index``) and the path of a key (``basis_path``).
     """
 
     __slots__ = ("field",)
+    bound_quiver = BoundQuiver(loop_quiver(2), [], nilbound=3)
 
     def __init__(self, field: Field):
         self.field = field
@@ -75,44 +81,29 @@ class FreeAlgebra:
             raise DegreeCapError(f"degree {len(word)} exceeds cap {DEFAULT_DEGREE_CAP}")
         return {word: self.field.one}
 
-    def __eq__(self, other):
-        return isinstance(other, FreeAlgebra) and other.field == self.field
+    def basis_index(self, path: Path) -> tuple:
+        return path.arrows
 
-    def __hash__(self):
-        return hash(("FreeAlgebra", self.field))
+    def basis_path(self, word: tuple) -> Path:
+        return Path("v", "v", word)
 
     def __repr__(self):
         return f"k<x,y> over {self.field}"
 
 
-def free_carrier(field: Field) -> BoundQuiver:
-    """Two-loop quiver carrying finite-dimensional two-matrix modules."""
-    return BoundQuiver(loop_quiver(2), [], nilbound=3)
+class FreeAlgModule(Representation):
+    """A k<x,y>-module: a representation of the two-loop quiver of
+    ``FreeAlgebra``, given by the square matrices of x and y."""
 
-
-@dataclass(frozen=True)
-class FreeAlgModule:
-    """A module over the two-letter free algebra: a pair of square matrices."""
-
-    x: Mat
-    y: Mat
-
-    def __post_init__(self):
-        if not self.x.is_square() or self.x.shape != self.y.shape:
+    def __init__(self, x: Mat, y: Mat):
+        if not x.is_square() or x.shape != y.shape:
             raise ShapeMismatchError("x and y must be square of equal size")
+        super().__init__(FreeAlgebra.bound_quiver, x.field, {"v": x.rows},
+                         {"x": x, "y": y}, check=False)
 
     @property
     def dim(self) -> int:
-        return self.x.rows
-
-    @property
-    def field(self) -> Field:
-        return self.x.field
-
-    def as_representation(self) -> Representation:
-        bq = free_carrier(self.field)
-        return Representation(bq, self.field, {"v": self.dim},
-                              {"x": self.x, "y": self.y}, check=False)
+        return self.total_dim
 
     @classmethod
     def random(cls, field: Field, max_dim: int, rng: random.Random) -> "FreeAlgModule":
@@ -129,6 +120,11 @@ class FreeAlgModule:
 SourceOrTarget = Union[AlgebraTable, FreeAlgebra]
 
 
+def _same_algebra(a: SourceOrTarget, b: SourceOrTarget) -> bool:
+    """The same kind of algebra on the same bound quiver over the same field."""
+    return type(a) is type(b) and a.bound_quiver == b.bound_quiver and a.field == b.field
+
+
 def _is_key(source: SourceOrTarget, key) -> bool:
     if isinstance(source, FreeAlgebra):
         return (isinstance(key, tuple) and set(key) <= {"x", "y"}
@@ -138,8 +134,6 @@ def _is_key(source: SourceOrTarget, key) -> bool:
 
 def _unit_keys(source: SourceOrTarget) -> list:
     """Keys of the basis elements summing to the identity of the source."""
-    if isinstance(source, FreeAlgebra):
-        return [()]
     return [source.basis_index(Path(v, v, ())) for v in source.bound_quiver.quiver.vertices]
 
 
@@ -197,15 +191,11 @@ def _tensor_prod(source: SourceOrTarget, r: int, tensors: list) -> dict:
 
 
 def _act(source: SourceOrTarget, module, key) -> Mat:
-    """The matrix by which the source basis element ``key`` acts on a module;
-    a word acts letter by letter, so xy acts as X @ Y, and a basis path p
-    acts on the total space by its path matrix in block (p.target, p.source)."""
-    if isinstance(source, FreeAlgebra):
-        acc = Mat.identity(module.field, module.dim)
-        for letter in key:
-            acc = acc @ (module.x if letter == "x" else module.y)
-        return acc
-    p = source.basis[key]
+    """The matrix by which the source basis element ``key`` acts on a module:
+    its path p acts on the total space by its path matrix in block
+    (p.target, p.source).  A word of the free algebra is a path of its two
+    loops, so xy acts as X @ Y."""
+    p = source.basis_path(key)
     n = module.total_dim
     block = (module.offset(p.target), module.offset(p.source), module.path_matrix(p))
     return Mat.assemble(module.field, n, n, [block])
@@ -305,20 +295,17 @@ class WitnessBimodule:
         for k in tensor:
             if k not in acts:
                 acts[k] = _act(self.source, module, k)
-        total = self.rank * self.source_dim(module)
+        total = self.rank * module.total_dim
         return Mat.kron_assemble(self.field, total, total,
                                  [(0, 0, a, acts[k], 0) for k, a in tensor.items()])
 
-    def source_dim(self, module) -> int:
-        return module.dim if isinstance(self.source, FreeAlgebra) else module.total_dim
 
-
-def eval_tensor(w: WitnessBimodule, module) -> Union[Representation, FreeAlgModule]:
+def eval_tensor(w: WitnessBimodule, module: Representation) -> Representation:
     rep, _ = eval_tensor_with_frame(w, module)
     return rep
 
 
-def eval_tensor_with_frame(w: WitnessBimodule, module):
+def eval_tensor_with_frame(w: WitnessBimodule, module: Representation):
     """Apply the tensor functor; also return the coordinate frame.
 
     The output lives on ``rank * dim(module)`` coordinates ordered by free
@@ -326,11 +313,9 @@ def eval_tensor_with_frame(w: WitnessBimodule, module):
     The frame maps output coordinates to (generator-major) raw coordinates.
     """
     field = w.field
-    if (isinstance(w.source, AlgebraTable)
-            and module.bound_quiver != w.source.bound_quiver):
-        raise ShapeMismatchError("module over a different bound quiver than the source")
-    n = w.source_dim(module)
-    total = w.rank * n
+    if module.bound_quiver != w.source.bound_quiver or module.field != w.source.field:
+        raise ShapeMismatchError("module over another bound quiver or field than the source")
+    total = w.rank * module.total_dim
     acts: dict = {}
     if isinstance(w.target, FreeAlgebra):
         x = w._entry_matrix_on(w.action["x"], module, acts)
@@ -339,23 +324,22 @@ def eval_tensor_with_frame(w: WitnessBimodule, module):
 
     table = w.target
     q = table.bound_quiver.quiver
+
+    def raw(path: Path) -> Mat:
+        """The action of a basis path on the raw coordinates."""
+        return w._entry_matrix_on(w.action[table.basis_index(path)], module, acts)
+
     # idempotent projections split the unital part of the raw coordinates by
     # vertex; coordinates killed by the identity are dropped (non-unital case)
-    proj = {}
-    for v in q.vertices:
-        idx = table.basis_index(Path(v, v, ()))
-        proj[v] = w._entry_matrix_on(w.action[idx], module, acts)
+    proj = {v: raw(Path(v, v, ())) for v in q.vertices}
     assignment = _diagonal_assignment(proj, q.vertices, total)
     if assignment is not None:
         order = [k for v in q.vertices for k in assignment[v]]
         dims = {v: len(assignment[v]) for v in q.vertices}
-        mats = {}
-        for a in q.arrows:
-            idx = table.basis_index(Path(a.source, a.target, (a.name,)))
-            big = w._entry_matrix_on(w.action[idx], module, acts)
-            mats[a.name] = big.submatrix(assignment[a.target], assignment[a.source])
-        rep = Representation(table.bound_quiver, field, dims, mats, check=False)
-        return rep, order
+        mats = {a.name: raw(q.path([a.name])).submatrix(assignment[a.target],
+                                                        assignment[a.source])
+                for a in q.arrows}
+        return Representation(table.bound_quiver, field, dims, mats, check=False), order
     # general position: change basis to the column spaces of the projections
     cols = {v: proj[v].column_space() for v in q.vertices}
     frame = Mat.hcat(field, total, [cols[v] for v in q.vertices])
@@ -364,15 +348,11 @@ def eval_tensor_with_frame(w: WitnessBimodule, module):
     dims = {v: cols[v].cols for v in q.vertices}
     mats = {}
     for a in q.arrows:
-        idx = table.basis_index(Path(a.source, a.target, (a.name,)))
-        big = w._entry_matrix_on(w.action[idx], module, acts)
-        rhs = big @ cols[a.source]
-        x = cols[a.target].solve_matrix(rhs)
+        x = cols[a.target].solve_matrix(raw(q.path([a.name])) @ cols[a.source])
         if x is None:
             raise ValueError("arrow action does not respect the vertex splitting")
         mats[a.name] = x
-    rep = Representation(table.bound_quiver, field, dims, mats, check=False)
-    return rep, frame
+    return Representation(table.bound_quiver, field, dims, mats, check=False), frame
 
 
 def _diagonal_assignment(proj, vertices, total):
@@ -419,7 +399,7 @@ def default_k3_table(field: Field) -> AlgebraTable:
 
 
 def builtin_G(table: Optional[AlgebraTable] = None, field: Field = None) -> WitnessBimodule:
-    """Rank-2 full embedding of two-matrix modules into three-arrow
+    """Rank-2 full embedding of two-loop representations into three-arrow
     Kronecker representations: V goes to (V, V; 1, x, y)."""
     if table is None:
         table = default_k3_table(field if field is not None else Field.prime(101))
@@ -442,7 +422,7 @@ def builtin_G(table: Optional[AlgebraTable] = None, field: Field = None) -> Witn
 
 def builtin_F(table: AlgebraTable) -> WitnessBimodule:
     """Rank-7 fully faithful functor from three-arrow Kronecker
-    representations to two-matrix modules.
+    representations to two-loop representations.
 
     On (V1, V2; a, b, c) the image is (V1 + V2)^7 with x the block upper
     shift (x^7 = 0) and y carrying, below the subdiagonal of identities,
@@ -465,15 +445,8 @@ def compose_witness(outer: WitnessBimodule, inner: WitnessBimodule) -> WitnessBi
     sum_k O_k (x) inner(m_k) = sum_s (sum_k O_k kron I_ks) (x) s, where
     inner(m_k) = sum_s I_ks (x) s is the inner action of m_k (for a word of
     the free algebra, the product of its letters' actions)."""
-    if isinstance(outer.source, FreeAlgebra):
-        if not isinstance(inner.target, FreeAlgebra) or inner.target != outer.source:
-            raise ShapeMismatchError("middle algebras do not match")
-    else:
-        if not isinstance(inner.target, AlgebraTable):
-            raise ShapeMismatchError("middle algebras do not match")
-        if (inner.target.bound_quiver != outer.source.bound_quiver
-                or inner.target.field != outer.source.field):
-            raise ShapeMismatchError("middle algebras do not match")
+    if not _same_algebra(outer.source, inner.target):
+        raise ShapeMismatchError("middle algebras do not match")
     r1 = inner.rank
     rank = outer.rank * r1
     middle = {k for coeffs in outer.action.values() for k in coeffs}
@@ -647,22 +620,16 @@ def verify_witness(w: WitnessBimodule, samples: int, max_dim: int, seed,
     field = w.source.field
     rng = random.Random(f"verify:{seed}")
     mods = [FreeAlgModule.random(field, max_dim, rng) for _ in range(samples)]
-    images = []
-    for v in mods:
-        img = eval_tensor(w, v)
-        if isinstance(img, FreeAlgModule):
-            img = img.as_representation()
-        images.append(img)
-    reps = [v.as_representation() for v in mods]
+    images = [eval_tensor(w, v) for v in mods]
 
-    indec, iso, pairs = check_preservation(reps, images, seed, "verify-pairs", 150)
+    indec, iso, pairs = check_preservation(mods, images, seed, "verify-pairs", 150)
     hom = CheckCounts()
     if w.full:
-        for v, img in zip(reps, images):
+        for v, img in zip(mods, images):
             hom.record(hom_space(v, v).dim == hom_space(img, img).dim)
         for (i, j) in pairs:
-            hom.record(hom_space(reps[i], reps[j]).dim == hom_space(images[i], images[j]).dim)
-            hom.record(hom_space(reps[j], reps[i]).dim == hom_space(images[j], images[i]).dim)
+            hom.record(hom_space(mods[i], mods[j]).dim == hom_space(images[i], images[j]).dim)
+            hom.record(hom_space(mods[j], mods[i]).dim == hom_space(images[j], images[i]).dim)
 
     sincere_counts = None
     notes = ["bounded randomized verification; evidence, not proof"]

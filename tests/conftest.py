@@ -21,7 +21,7 @@ from wildrank.quiver import (BoundQuiver, Quiver, Relation, _enumerate_paths,
 from wildrank.tilting import (_complement_units, _dual_rep, _require_acyclic,
                               _top_lift_basis, endomorphism_algebra, enumerate_preprojectives,
                               projective_rep, tilting_candidates)
-from wildrank.wildness import FreeAlgModule
+from wildrank.wildness import FreeAlgModule, FreeAlgebra
 
 QQ = Field.rationals()
 F101 = Field.prime(101)
@@ -86,7 +86,7 @@ def _block_sum(a, b):
 def direct_sum(m, n):
     """M (+) N, of two representations or of two free-algebra modules."""
     if isinstance(m, FreeAlgModule):
-        return FreeAlgModule(_block_sum(m.x, n.x), _block_sum(m.y, n.y))
+        return FreeAlgModule(*(_block_sum(m.mats[a], n.mats[a]) for a in ("x", "y")))
     if n.bound_quiver != m.bound_quiver or n.field != m.field:
         raise ValueError("direct sum over different quivers or fields")
     dims = {v: m.dims[v] + n.dims[v] for v in m.dims}
@@ -174,18 +174,14 @@ def reference_entry_matrix_on(w, tensor, module):
     the Kronecker form sum_k A_k kron act(b_k) behind ``eval_tensor``.
     A basis path p acts on the total space by its path matrix in rows
     offset(p.target) and columns offset(p.source), zero elsewhere."""
-    field, r = w.field, w.rank
-    if hasattr(module, "x"):
-        n = module.dim
-
+    field, r, n = w.field, w.rank, module.total_dim
+    if isinstance(w.source, FreeAlgebra):
         def act(word):
             acc = Mat.identity(field, n)
             for letter in word:
-                acc = acc @ (module.x if letter == "x" else module.y)
+                acc = acc @ module.mats[letter]
             return acc
     else:
-        n = module.total_dim
-
         def act(k):
             p = w.source.basis[k]
             block = module.path_matrix(p)
@@ -1129,5 +1125,5 @@ def search_concealed(bq, field, depth):
     if not is_minimal_wild_hereditary(bq.quiver):
         raise ValueError("search requires a minimal wild hereditary quiver")
     pool = enumerate_preprojectives(bq, field, depth)
-    return [(cand, *endomorphism_algebra(cand, field))
+    return [(cand, *endomorphism_algebra(cand))
             for cand in tilting_candidates(pool, len(bq.quiver.vertices))]

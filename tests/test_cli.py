@@ -11,6 +11,7 @@ from wildrank.cli import (SpecError, cmd_certify, cmd_classify, cmd_tilt, cmd_va
                           parse_representation, serialize_quiver_spec,
                           serialize_representation)
 import wildrank.cli as cli_module
+import wildrank.tilting as tilting_module
 from wildrank.covering import covering_criterion
 from wildrank.wildness import CertStep, WitnessBimodule, WitnessCertificate
 
@@ -301,6 +302,17 @@ def test_cmd_tilt_outputs():
     assert code == 2
     out, code = cmd_tilt(fixture_text("k3.quiver"), depth=1)
     assert code == 0 and "End dimension 5" in out
+
+
+def test_cmd_tilt_tests_each_candidate_once(monkeypatch):
+    # k3 at depth 1: five two-element subsets with a projective summand, two
+    # of them tilting; their End presentations reuse the verdict
+    seen = []
+    test = tilting_module.is_tilting
+    monkeypatch.setattr(tilting_module, "is_tilting", lambda c: seen.append(c) or test(c))
+    out, code = cmd_tilt(fixture_text("k3.quiver"), depth=1)
+    assert code == 0 and out.count("End dimension") == 2
+    assert len(seen) == len({id(c) for c in seen}) == 5
 
 
 def test_cmd_tilt_preprojectives_do_not_depend_on_the_prime():

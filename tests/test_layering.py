@@ -7,7 +7,9 @@ directly.  In the whole package, only exactlin's two field kernels branch
 on the field or on the storage type; ``Field.__init__`` picks the kernel,
 once.  Polynomials are factored in exactlin too, by the kernels, so the
 package needs no computer-algebra library: a fresh ``import wildrank.cli``
-loads no sympy.
+loads no sympy.  The free algebra k<x,y> and an algebra table share one
+interface, so only the scopes in ``ALGEBRA_BRANCHES`` branch on the kind
+of algebra or module.
 
 Every definition of the package, each top-level function, class and
 constant and each method, is read somewhere in ``src/`` outside its own
@@ -56,6 +58,9 @@ KERNELS = ("_PrimeKernel", "_RationalKernel")
 #: names whose appearance in a condition means it branches on the field or
 #: on how entries are stored
 FIELD_MARKERS = {"char", "dtype", "ndarray", "float64", "Fraction", "_arr", "_rows"}
+#: names whose appearance in a condition means it branches on the kind of
+#: algebra or module
+ALGEBRA_MARKERS = {"FreeAlgebra", "AlgebraTable", "FreeAlgModule"}
 
 
 def _src_trees() -> dict[str, ast.Module]:
@@ -86,9 +91,9 @@ def _names(node: ast.AST) -> set[str]:
         {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
 
 
-def field_branches(tree: ast.AST) -> list[str]:
+def branches(tree: ast.AST, markers: set[str]) -> list[str]:
     """The scopes (``Class.method`` or ``function``) outside the kernels
-    holding a condition on the field or the storage type, one per condition."""
+    holding a condition that names one of ``markers``, one per condition."""
     out = []
 
     def visit(node, scope):
@@ -103,7 +108,7 @@ def field_branches(tree: ast.AST) -> list[str]:
                 tests = [child.test]
             elif isinstance(child, ast.comprehension):
                 tests = child.ifs
-            if any(_names(t) & FIELD_MARKERS for t in tests):
+            if any(_names(t) & markers for t in tests):
                 out.append(inner or "<module>")
             visit(child, inner)
 
@@ -131,9 +136,26 @@ def test_field_differences_stay_in_the_kernels():
     trees = _src_trees()
     classes = {n.name for n in trees["exactlin.py"].body if isinstance(n, ast.ClassDef)}
     assert set(KERNELS) <= classes
-    found = {name: branches for name, tree in trees.items()
-             if (branches := field_branches(tree))}
+    found = {name: hits for name, tree in trees.items()
+             if (hits := branches(tree, FIELD_MARKERS))}
     assert found == FIELD_BRANCHES
+
+
+#: the scopes that may branch on the kind of algebra: the free algebra's
+#: word keys (``_is_key``) and letter actions (evaluation at a free target,
+#: composition through a free middle algebra), the free source that
+#: randomized verification samples, and the table-only certificate steps.
+#: Only conditions are read: ``WitnessBimodule._validate`` tests a local that
+#: holds the kind (``free_target``), which the checker does not follow
+ALGEBRA_BRANCHES = {"wildness.py": ["_is_key", "eval_tensor_with_frame", "compose_witness",
+                                    "verify_witness", "certificate_for_bimodule",
+                                    "bound_via_factor"]}
+
+
+def test_algebra_kinds_branch_only_where_listed():
+    found = {name: hits for name, tree in _src_trees().items()
+             if (hits := branches(tree, ALGEBRA_MARKERS))}
+    assert found == ALGEBRA_BRANCHES
 
 
 def test_cli_import_loads_no_sympy():
@@ -150,7 +172,7 @@ def test_checker_catches_each_kind():
                     "from .exactlin import _echelon_fp\nm._entries\nf._kernel\n"
                     "exactlin._echelon_qq(rows)\n")
     assert len(violations(bad)) == 6
-    branches = ast.parse(
+    planted = ast.parse(
         "class Mat:\n"
         "    def trace(self):\n"
         "        if self.field.char:\n            pass\n"
@@ -163,8 +185,15 @@ def test_checker_catches_each_kind():
         "class _PrimeKernel:\n"
         "    def coerce(self, x):\n"
         "        if isinstance(x, Fraction):\n            pass\n")
-    assert field_branches(branches) == ["Mat.trace", "Mat.trace", "Mat.entry", "Mat.entry",
-                                        "kron"]
+    assert branches(planted, FIELD_MARKERS) == ["Mat.trace", "Mat.trace", "Mat.entry",
+                                                "Mat.entry", "kron"]
+    kinds = ast.parse(
+        "def _act(source, module, key):\n"
+        "    if isinstance(source, FreeAlgebra):\n        pass\n"
+        "    return module.dim if type(module) is FreeAlgModule else 0\n"
+        "def _same_algebra(a, b):\n"
+        "    return type(a) is type(b) and isinstance(a, AlgebraTable)\n")
+    assert branches(kinds, ALGEBRA_MARKERS) == ["_act", "_act"]
 
 
 #: the scopes of exactlin that may take a remainder mod p

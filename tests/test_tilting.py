@@ -178,7 +178,7 @@ def test_ext_via_presentation_mixed_syzygy(f101):
 
 def test_endomorphism_algebra_of_h(a2_bq, f101):
     projs = enumerate_preprojectives(a2_bq, f101, 0)
-    pres, table = endomorphism_algebra(TiltingCandidate(projs), f101)
+    pres, table = endomorphism_algebra(TiltingCandidate(projs))
     assert table.dimension == 3
     assert len(pres.quiver.vertices) == 2
     assert len(pres.quiver.arrows) == 1
@@ -189,7 +189,7 @@ def test_endomorphism_algebra_slice_tilt(k2_bq, f101):
     pool = enumerate_preprojectives(k2_bq, f101, 1)
     by_dim = {p.rep.dim_vector(): p for p in pool}
     cand = TiltingCandidate([by_dim[(1, 2)], by_dim[(2, 3)]])
-    pres, table = endomorphism_algebra(cand, f101)
+    pres, table = endomorphism_algebra(cand)
     # End of a slice tilt of the Kronecker quiver is again a Kronecker algebra
     assert table.dimension == 4
     assert len(pres.quiver.arrows) == 2
@@ -204,7 +204,7 @@ def test_endomorphism_algebra_rejects_non_tilting(k2_bq, f101):
     by_dim = {p.rep.dim_vector(): p for p in pool}
     bad = TiltingCandidate([by_dim[(0, 1)], by_dim[(2, 3)]])
     with pytest.raises(ValueError):
-        endomorphism_algebra(bad, f101)
+        endomorphism_algebra(bad)
 
 
 A3 = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])

@@ -6,7 +6,8 @@ from conftest import (direct_sum, eval_tensor_morphism, F101, loop_square_zero, 
                       reference_entry_matrix_on, simple_rep, zero_module, zero_rep)
 
 from wildrank.exactlin import Field, Mat, ShapeMismatchError
-from wildrank.quiver import Path, build_algebra_table, factor_quiver, k3_bound_quiver
+from wildrank.quiver import (AlgebraTable, Path, build_algebra_table, factor_quiver,
+                             k3_bound_quiver)
 from wildrank.rep import Representation, are_isomorphic, hom_space, in_sincere_subcategory
 from wildrank.wildness import (DegreeCapError, FactorProvenance, FreeAlgModule, FreeAlgebra,
                                WitnessBimodule, bound_via_factor, bound_via_morita, builtin_F,
@@ -29,16 +30,18 @@ def test_free_word_product():
 
 
 def test_free_word_evaluation_order():
-    # a rank-1 witness from two-matrix modules to two-matrix modules with
-    # x acting as xy + 3y and y as 3y: a word acts letter by letter, xy as X @ Y
+    # a rank-1 witness from two-loop representations to two-loop
+    # representations with x acting as xy + 3y and y as 3y: a word acts
+    # letter by letter, xy as X @ Y
     one = Mat.identity(F101, 1)
     w = WitnessBimodule(FreeAlgebra(F101), FreeAlgebra(F101), 1,
                         {"x": {("x", "y"): one, ("y",): one.scaled(3)},
                          "y": {("y",): one.scaled(3)}})
     v = fam(F101, [[0, 1], [0, 0]], [[0, 0], [1, 0]])
     img = eval_tensor(w, v)
-    assert img.x - img.y == Mat.from_rows(F101, [[1, 0], [0, 0]]) == v.x @ v.y
-    assert img.y == v.y.scaled(3)
+    x, y = img.mats["x"], img.mats["y"]
+    assert x - y == Mat.from_rows(F101, [[1, 0], [0, 0]]) == v.mats["x"] @ v.mats["y"]
+    assert y == v.mats["y"].scaled(3)
 
 
 def test_builtin_G_formula(k3_table):
@@ -53,8 +56,8 @@ def test_builtin_G_formula(k3_table):
     img2 = eval_tensor(g, j2)
     assert img2.dim_vector() == (2, 2)
     assert img2.mats["a"] == Mat.identity(F101, 2)
-    assert img2.mats["b"] == j2.x
-    assert img2.mats["c"] == j2.y
+    assert img2.mats["b"] == j2.mats["x"]
+    assert img2.mats["c"] == j2.mats["y"]
 
 
 def test_builtin_G_hom_preservation(k3_table):
@@ -63,7 +66,7 @@ def test_builtin_G_hom_preservation(k3_table):
     for _ in range(6):
         v = FreeAlgModule.random(F101, 3, rng)
         w = FreeAlgModule.random(F101, 3, rng)
-        lhs = hom_space(v.as_representation(), w.as_representation()).dim
+        lhs = hom_space(v, w).dim
         rhs = hom_space(eval_tensor(g, v), eval_tensor(g, w)).dim
         assert lhs == rhs
 
@@ -75,14 +78,15 @@ def test_builtin_F_structure(k3_bq, k3_table):
     img = eval_tensor(f, s1)
     assert isinstance(img, FreeAlgModule) and img.dim == 7
     # x is the nilpotent shift with x^7 = 0
-    power = img.x
+    x = img.mats["x"]
+    power = x
     for _ in range(5):
-        power = power @ img.x
+        power = power @ x
         assert not power.is_zero()
-    assert (power @ img.x).is_zero()
+    assert (power @ x).is_zero()
     # y lower bidiagonal with one extra sub-subdiagonal entry (from the
     # vertex-1 projection); all arrow contributions vanish on a simple
-    y = img.y.row_list()
+    y = img.mats["y"].row_list()
     assert y[1][0] == 1 and y[2][0] == 1 and y[2][1] == 1
     assert all(y[i][j] == 0 for i in range(7) for j in range(7)
                if not (i == j + 1 or (i, j) == (2, 0)))
@@ -111,8 +115,7 @@ def test_builtin_F_hom_preservation(k3_bq, k3_table):
     for v in mods:
         for w in mods:
             lhs = hom_space(v, w).dim
-            rhs = hom_space(eval_tensor(f, v).as_representation(),
-                            eval_tensor(f, w).as_representation()).dim
+            rhs = hom_space(eval_tensor(f, v), eval_tensor(f, w)).dim
             assert lhs == rhs
 
 
@@ -142,13 +145,16 @@ def test_eval_tensor_zero(k3_table):
     assert img.total_dim == 0
 
 
-def test_eval_tensor_refuses_module_over_another_quiver(k3_table, k2_bq):
-    f = builtin_F(k3_table)
+def test_eval_tensor_refuses_module_over_another_quiver(k3_table, k2_bq, k3_bq):
+    f, g = builtin_F(k3_table), builtin_G(k3_table)
     for other in (simple_rep(loop_square_zero(3), F101, "v"),
                   simple_rep(k2_bq, F101, "1")):
-        for w in (f, compose_witness(builtin_G(k3_table), f)):
+        for w in (f, compose_witness(g, f)):
             with pytest.raises(ShapeMismatchError):
                 eval_tensor(w, other)
+    # a free source takes two-loop representations only
+    with pytest.raises(ShapeMismatchError):
+        eval_tensor(g, simple_rep(k3_bq, F101, "1"))
 
 
 def test_eval_tensor_additive(k3_table):
@@ -168,7 +174,7 @@ def test_eval_tensor_functorial(k3_table):
     for _ in range(4):
         v = FreeAlgModule.random(F101, 2, rng)
         w = FreeAlgModule.random(F101, 2, rng)
-        homs = hom_space(v.as_representation(), w.as_representation())
+        homs = hom_space(v, w)
         if not homs.basis:
             continue
         fmat = homs.basis[0]["v"]
@@ -207,6 +213,13 @@ def test_compose_rank_law(k3_table):
     assert gfg.rank == 28
     with pytest.raises(Exception):
         compose_witness(g, g)      # middle algebras do not match
+    # a one-dimensional table, k<x,y>/(x, y), declared on the free algebra's
+    # bound quiver over its field is still another algebra
+    table = AlgebraTable(FreeAlgebra.bound_quiver, F101, [Path("v", "v", ())],
+                         {("v", "v", ()): {0: 1}})
+    inner = WitnessBimodule(table, FreeAlgebra(F101), 1, {0: {(): Mat.identity(F101, 1)}})
+    with pytest.raises(ShapeMismatchError, match="middle algebras do not match"):
+        compose_witness(g, inner)
 
 
 def test_verify_witness_passes(k3_table):
@@ -229,8 +242,7 @@ def test_verify_witness_catches_corruption(k3_table):
     # an explicit colliding pair: same x, different y
     v1 = fam(F101, [[2]], [[3]])
     v2 = fam(F101, [[2]], [[4]])
-    assert are_isomorphic(v1.as_representation(), v2.as_representation(),
-                          seed=0).verdict == "no"
+    assert are_isomorphic(v1, v2, seed=0).verdict == "no"
     assert are_isomorphic(eval_tensor(bad, v1), eval_tensor(bad, v2),
                           seed=0).verdict == "yes"
 
@@ -400,8 +412,9 @@ def test_eval_tensor_matches_entrywise_reference(field):
             v = _random_source_module(w, rng)
             img, frame = eval_tensor_with_frame(w, v)
             if isinstance(w.target, FreeAlgebra):
-                assert img.x == reference_entry_matrix_on(w, w.action["x"], v), name
-                assert img.y == reference_entry_matrix_on(w, w.action["y"], v), name
+                for letter in ("x", "y"):
+                    ref = reference_entry_matrix_on(w, w.action[letter], v)
+                    assert img.mats[letter] == ref, name
                 continue
             # diagonal idempotents: the frame lists the raw coordinates by vertex
             table = w.target
@@ -416,10 +429,6 @@ def test_eval_tensor_matches_entrywise_reference(field):
                                                          coords[a.source]), name
 
 
-def _as_rep(m):
-    return m.as_representation() if isinstance(m, FreeAlgModule) else m
-
-
 def test_compose_then_evaluate_is_evaluate_twice():
     zoo = _witness_zoo(F101)
     rng = random.Random(53)
@@ -429,8 +438,8 @@ def test_compose_then_evaluate_is_evaluate_twice():
         assert composite.rank == o.rank * i.rank
         for _ in range(2):
             v = _random_source_module(composite, rng)
-            once = _as_rep(eval_tensor(composite, v))
-            twice = _as_rep(eval_tensor(o, eval_tensor(i, v)))
+            once = eval_tensor(composite, v)
+            twice = eval_tensor(o, eval_tensor(i, v))
             assert are_isomorphic(once, twice, seed=3).verdict == "yes", (outer, inner)
             if isinstance(i.target, FreeAlgebra):
                 # no vertex re-sorting in between: the composite's
