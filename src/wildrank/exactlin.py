@@ -1,15 +1,20 @@
 """Exact scalar and matrix arithmetic over the rationals and prime fields.
 
 Scalars are plain ``Fraction`` values over the rationals and plain ``int``
-residues in ``[0, p)`` over a prime field.  A ``Mat`` stores its entries in
-one read-only 2-D numpy array whichever the field: ``float64`` residues over
-F_p, ``Fraction`` objects (``dtype=object``) over Q.  Every operation is
-written once on that array.  What really differs between the fields lives in
-one small private kernel per field, picked once when the ``Field`` is made:
+residues in ``[0, p)`` over a prime field.  A ``Mat`` stores its entries as
+one read-only 2-D numpy array over one positive denominator, whichever the
+field: ``float64`` residues over 1 over F_p, Python ``int`` numerators
+(``dtype=object``) over the lcm of the entries' denominators over Q.  That
+form is canonical, so ``==`` and ``hash`` read it as it is.  Every operation
+is written once on that pair.  What really differs between the fields lives
+in one small private kernel per field, picked once when the ``Field`` is
+made:
 
 * ``_PrimeKernel``: scalars mod p, one reduction of arrays, ``_residues``
   (int64 ``% p``, exact below 2**53), ``int`` read-out, the blocked echelon
-  form ``_echelon_fp`` and the BLAS product.  Prime-field
+  form ``_echelon_fp`` and the BLAS product; every denominator is 1, so
+  bringing matrices to a common denominator and into lowest terms returns
+  them as they are.  Prime-field
   arithmetic reduces mod p only now and then (delayed modular reduction),
   so it is exact only while every intermediate value stays below 2**53.
   One rule keeps it there: every operand is a residue in [0, p) when it is
@@ -17,12 +22,15 @@ one small private kernel per field, picked once when the ``Field`` is made:
   reach 2**53.  ``_echelon_fp`` proves that this holds for every p < 2**24,
   and ``Field.prime`` refuses p >= 2**24.  Polynomials over F_p are
   factored by Cantor and Zassenhaus's algorithm.
-* ``_RationalKernel``: ``Fraction`` scalars, making every entry a
-  ``Fraction``, the reduced echelon form ``_echelon_qq`` and a product that
-  skips zero entries.  Both work on integer rows (each row, or each whole
-  operand, cleared of denominators) and build the ``Fraction`` entries of
-  the result once, in one normalization at the end.  Polynomials over Q
-  are factored over Z: mod a prime, Hensel-lifted, and recombined.
+* ``_RationalKernel``: ``Fraction`` scalars, integer matrices over one
+  denominator (as FLINT's ``fmpq_mat`` keeps them), the fraction-free
+  reduced echelon form ``_echelon_qq`` and a product that skips zero
+  entries, both on the numerators as they are stored.  Matrices that are
+  joined (concatenated, assembled, added, combined) are first brought to
+  their common denominator, and a result is put in lowest terms by one gcd.
+  A ``Fraction`` is built only for a scalar and when an entry is read out.
+  Polynomials over Q are factored over Z: mod a prime, Hensel-lifted, and
+  recombined.
 
 Polynomials are ascending coefficient lists.  The dense-polynomial helpers
 (``_poly_*``: product, division, powers, gcds, squarefree parts) are
@@ -307,7 +315,7 @@ def _echelon_fp(a: np.ndarray, p: int, stop_at_gap: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# rational kernels (integer rows, one normalization at the end)
+# rational kernels (integer rows over one denominator)
 # ---------------------------------------------------------------------------
 
 _ZERO = Fraction(0)
@@ -315,31 +323,41 @@ _ZERO = Fraction(0)
 
 def _integer_row(xs) -> tuple[int, list[int]]:
     """``(d, ints)`` with ``xs == [k / d for k in ints]`` and d the least
-    common multiple of the denominators of the rationals ``xs``."""
+    common multiple of the denominators of the rationals ``xs``: the one
+    conversion from ``Fraction`` scalars to the stored form."""
     den = math.lcm(*[x.denominator for x in xs])
     return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
 def _over(ints: list[int], den: int) -> list[Fraction]:
-    """The ``Fraction`` values ``k / den``, sharing one zero."""
+    """The ``Fraction`` values ``k / den``, sharing one zero: the one
+    conversion from the stored form back to scalars."""
     return [Fraction(k, den) if k else _ZERO for k in ints]
 
 
-def _echelon_qq(rows: list[list[Fraction]], stop_at_gap: bool = False):
-    """Reduced echelon over the rationals. Returns (rows, pivot columns), or
-    with ``stop_at_gap`` (None, pivots so far) at the first column that has
-    no pivot.
+def _echelon_qq(rows: list[list[int]], stop_at_gap: bool = False):
+    """Reduced echelon form over the rationals of the integer rows ``rows``.
 
-    Fraction-free Gauss-Jordan: each row is cleared to integers, a row is
-    eliminated as ``a * row - b * pivot_row`` and divided by the gcd of its
-    entries, so an update pays one gcd per row, not one per entry.  Pivot
-    row k becomes a ``Fraction`` row once, over its pivot; the rows past the
-    rank are zero.
+    Returns ``(w, den, pivot columns)``: the integer rows ``w`` over the
+    positive ``den`` are the reduced echelon form, so every pivot entry is
+    ``den`` and the rows past the rank are zero.  With ``stop_at_gap``,
+    returns ``(None, 1, pivots so far)`` at the first column that has no
+    pivot.  A common denominator of the input does not change its row
+    space, so ``rows`` are the numerators of a matrix as they are stored.
+
+    Fraction-free Gauss-Jordan: each row is divided by the gcd of its
+    entries, a row is eliminated as ``a * row - b * pivot_row`` and divided
+    by the gcd of its entries again, so an update pays one gcd per row, not
+    one per entry.  At the end pivot row k, whose pivot is a_k, is scaled by
+    den / a_k, with den the lcm of the pivots.
     The pivot choice (first nonzero entry at or below the current row) is
     that of a plain rational elimination, and a reduced echelon form is
     unique, so both give the same rows and pivots.
     """
-    w = [_integer_row(r)[1] for r in rows]
+    w = []
+    for row in rows:
+        g = math.gcd(*row)
+        w.append([x // g for x in row] if g > 1 else row)
     m = len(w)
     n = len(w[0]) if m else 0
     piv: list[int] = []
@@ -350,7 +368,7 @@ def _echelon_qq(rows: list[list[Fraction]], stop_at_gap: bool = False):
         sel = next((i for i in range(r, m) if w[i][c]), None)
         if sel is None:
             if stop_at_gap:
-                return None, piv
+                return None, 1, piv
             continue
         w[r], w[sel] = w[sel], w[r]
         prow = w[r]
@@ -366,9 +384,11 @@ def _echelon_qq(rows: list[list[Fraction]], stop_at_gap: bool = False):
                 w[i] = row
         piv.append(c)
         r += 1
-    out = [_over(w[k], w[k][c]) for k, c in enumerate(piv)]
-    out.extend([_ZERO] * n for _ in range(m - r))
-    return out, piv
+    # lcm takes absolute values, so den // a_k makes a negative pivot den too
+    den = math.lcm(*(w[k][c] for k, c in enumerate(piv)))
+    out = [[x * (den // w[k][c]) for x in w[k]] for k, c in enumerate(piv)]
+    out.extend([0] * n for _ in range(m - r))
+    return out, den, piv
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +396,23 @@ def _echelon_qq(rows: list[list[Fraction]], stop_at_gap: bool = False):
 # ---------------------------------------------------------------------------
 
 class _PrimeKernel:
-    """F_p: ``int`` scalars in [0, p), ``float64`` arrays of residues.
+    """F_p: ``int`` scalars in [0, p), ``float64`` arrays of residues, and
+    the denominator of every matrix is 1.
 
     ``coerce`` makes any integer, ``Fraction``, float or string such as
     ``"2/3"`` a residue (a non-integer through ``Fraction``), and ``inv``
     inverts any such input.  ``normalize`` reduces an array mod p through
     ``_residues``, a float64 array and an object array from ``asarray``
-    alike; ``asarray`` reads the data of ``Mat(...)`` for it (integers of
-    any size exactly), ``exact`` reads entries out as ``int``, ``echelon``
-    is the blocked ``_echelon_fp`` (unit pivots, zeros below them) and
-    ``matmul`` the BLAS product of two arrays of residues (reduced
-    afterwards by ``normalize``).  The product sums at most ``chunk`` =
+    alike; ``entries`` stores an array of residues from ``coerce`` as it
+    is and reduces a float64 array from ``asarray``, over the denominator
+    1, and ``ratio`` makes a scalar a residue over 1.
+    ``asarray`` reads the data of ``Mat(...)`` for it (integers of any size
+    and fractions exactly), ``exact`` reads entries out as ``int``,
+    ``echelon`` is the blocked ``_echelon_fp`` (unit pivots, zeros below
+    them) and ``matmul`` the BLAS product of two arrays of residues
+    (reduced afterwards by ``normalize``).  ``common`` and ``lowest``, which
+    bring denominators together and into lowest terms, return their input.
+    The product sums at most ``chunk`` =
     floor((2**53 - p) / (p - 1)**2) products before it reduces with
     ``_residues``, so a reduced partial sum plus one chunk stays below
     2**53: ``chunk`` is 32 at p = 16777213, the largest prime below the
@@ -429,24 +455,45 @@ class _PrimeKernel:
     def normalize(self, a: np.ndarray) -> np.ndarray:
         return _residues(a, self.p)
 
+    primitive = normalize
+
+    def entries(self, a: np.ndarray) -> tuple[np.ndarray, int]:
+        # an object array holds residues from ``coerce`` or
+        # ``random_scalar`` already; a float64 one is ``asarray``'s data
+        return (self.normalize(a) if a.dtype == np.float64 else a.astype(np.float64)), 1
+
+    def ratio(self, c) -> tuple[int, int]:
+        return self.coerce(c), 1
+
+    def lowest(self, a: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+        return a, den
+
+    def common(self, arrays: list, dens: list) -> tuple[list, int]:
+        return arrays, 1
+
     def asarray(self, data) -> np.ndarray:
         """``data`` as an array for ``normalize``.  A float64 array is taken
-        as it is and must hold integer values below 2**53 in absolute value,
-        the envelope in which ``_residues`` is exact; anything else (nested
-        lists, other arrays) goes entry by entry through ``coerce``, so that
-        an integer beyond 2**53 or a ``Fraction`` is reduced exactly before
-        it becomes float64, which would round the integer and keep the
-        fraction."""
+        as it is when it holds integer values below 2**53 in absolute
+        value, the envelope in which ``_residues`` is exact, and refused
+        with ``ValueError`` when it holds a nan or an infinity.  Anything
+        else (nested lists, other arrays, float64 values off the envelope)
+        goes entry by entry through ``coerce``, so that an integer beyond
+        2**53 or a fraction is reduced exactly before it becomes float64,
+        which would round the integer and keep the fraction."""
         if isinstance(data, np.ndarray) and data.dtype == np.float64:
-            return data
+            if not np.isfinite(data).all():
+                raise ValueError("matrix entries must be finite")
+            if (np.abs(data) < 2.0 ** 53).all() and (np.trunc(data) == data).all():
+                return data
         arr = np.asarray(data, dtype=object)
         return np.frompyfunc(self.coerce, 1, 1)(arr) if arr.ndim == 2 else arr
 
-    def exact(self, a: np.ndarray) -> np.ndarray:
-        return a.astype(np.int64)
+    def exact(self, a, den: int):
+        return np.asarray(a).astype(np.int64).tolist()
 
     def echelon(self, a: np.ndarray, stop_at_gap: bool = False):
-        return _echelon_fp(a, self.p, stop_at_gap)
+        w, piv = _echelon_fp(a, self.p, stop_at_gap)
+        return w, 1, piv
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         k, p = self.chunk, self.p
@@ -514,16 +561,25 @@ class _PrimeKernel:
 
 
 class _RationalKernel:
-    """Q: ``Fraction`` scalars and object arrays of ``Fraction`` entries.
+    """Q: ``Fraction`` scalars, and a matrix stored as an object array of
+    Python ``int`` numerators over one positive ``int`` denominator.
 
-    ``coerce`` and ``normalize`` make a scalar or every entry of an array a
-    ``Fraction``, ``asarray`` reads the data of ``Mat(...)`` as an object
-    array, ``exact`` returns entries as they are and ``echelon`` is the
-    fraction-free reduced echelon form ``_echelon_qq``.  ``matmul`` clears
-    each operand to one integer matrix over a common denominator, multiplies
-    on ``int`` in a row loop that skips zero entries (a dense object-array
-    product multiplies every zero it meets) and divides each entry of the
-    result once by the product of the two denominators.
+    The stored form is canonical: the denominator is the lcm of the
+    denominators of the entries, so it shares no factor with all the
+    numerators, and the zero matrix has denominator 1.  ``coerce`` makes a
+    scalar a ``Fraction``; ``asarray`` reads the data of ``Mat(...)``
+    through it and ``entries`` clears an array of ``Fraction`` scalars to
+    that form (``_integer_row``), the one conversion in; ``ratio`` splits
+    one scalar into its numerator and denominator.  ``exact`` builds
+    the ``Fraction`` entries at read-out (``_over``), the one conversion
+    out.  Between the two, every operation works on the numerators:
+    ``common`` brings matrices to their common denominator, ``lowest``
+    divides a result by the gcd of its denominator and numerators, and
+    ``normalize``, the entrywise reduction, has nothing to do on ``int``;
+    ``primitive`` divides a vector by the gcd of its entries.  ``echelon``
+    is the fraction-free reduced echelon form ``_echelon_qq`` and
+    ``matmul`` multiplies numerators in a row loop that skips zero entries
+    (a dense object-array product multiplies every zero it meets).
     """
 
     __slots__ = ()
@@ -549,35 +605,53 @@ class _RationalKernel:
         return np.array(data, dtype=object).reshape(shape)
 
     def normalize(self, a: np.ndarray) -> np.ndarray:
-        return self._array([x if type(x) is Fraction else Fraction(x)
-                            for x in a.ravel().tolist()], a.shape)
-
-    def asarray(self, data) -> np.ndarray:
-        return np.asarray(data, dtype=object)
-
-    def exact(self, a: np.ndarray) -> np.ndarray:
         return a
 
+    def primitive(self, a: np.ndarray) -> np.ndarray:
+        g = math.gcd(*a.tolist())
+        return a // g if g > 1 else a
+
+    def entries(self, a: np.ndarray) -> tuple[np.ndarray, int]:
+        den, ints = _integer_row(a.ravel().tolist())
+        return self._array(ints, a.shape), den
+
+    def ratio(self, c) -> tuple[int, int]:
+        c = self.coerce(c)
+        return c.numerator, c.denominator
+
+    def lowest(self, a: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+        if den == 1:
+            return a, 1
+        g = math.gcd(den, *a.ravel().tolist())
+        return (a // g, den // g) if g > 1 else (a, den)
+
+    def common(self, arrays: list, dens: list) -> tuple[list, int]:
+        den = math.lcm(*dens)
+        return [a if d == den else a * (den // d) for a, d in zip(arrays, dens)], den
+
+    def asarray(self, data) -> np.ndarray:
+        arr = np.asarray(data, dtype=object)
+        return np.frompyfunc(self.coerce, 1, 1)(arr) if arr.ndim == 2 else arr
+
+    def exact(self, a, den: int):
+        return self._array(_over(np.ravel(a).tolist(), den), np.shape(a)).tolist()
+
     def echelon(self, a: np.ndarray, stop_at_gap: bool = False):
-        w, piv = _echelon_qq(a.tolist(), stop_at_gap)
-        return (w if w is None else self._array(w, a.shape)), piv
+        w, den, piv = _echelon_qq(a.tolist(), stop_at_gap)
+        return (w if w is None else self._array(w, a.shape)), den, piv
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        (m, k), cols = a.shape, b.shape[1]
-        da, ia = _integer_row(a.ravel().tolist())
-        db, ib = _integer_row(b.ravel().tolist())
-        den = da * db
-        nonzero = [[(j, y) for j, y in enumerate(ib[i * cols:(i + 1) * cols]) if y]
-                   for i in range(k)]
-        out: list[Fraction] = []
-        for i in range(m):
+        cols = b.shape[1]
+        nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b.tolist()]
+        out = []
+        for row in a.tolist():
             acc = [0] * cols
-            for x, terms in zip(ia[i * k:(i + 1) * k], nonzero):
+            for x, terms in zip(row, nonzero):
                 if x:
                     for j, y in terms:
                         acc[j] += x * y
-            out.extend(_over(acc, den))
-        return self._array(out, (m, cols))
+            out.append(acc)
+        return self._array(out, (a.shape[0], cols))
 
     def factor(self, f: list) -> list[tuple[list, int]]:
         """The monic irreducible factors of the monic ``f`` (degree >= 1),
@@ -587,8 +661,7 @@ class _RationalKernel:
         ``_factor_integer``."""
         out = []
         for part, mult in _poly_squarefree(self, f)[0]:
-            den = math.lcm(*(c.denominator for c in part))
-            ints = [c.numerator * (den // c.denominator) for c in part]
+            ints = _integer_row(part)[1]
             content = math.gcd(*ints)
             out += [(_poly_monic(self, [self.coerce(c) for c in g]), mult)
                     for g in self._factor_integer([c // content for c in ints])]
@@ -676,17 +749,23 @@ class _RationalKernel:
 # ---------------------------------------------------------------------------
 
 def _zeros(field: Field, rows: int, cols: int) -> np.ndarray:
-    """A writable ``rows x cols`` array of the field's zero."""
+    """A writable ``rows x cols`` array of stored zeros."""
     arr = np.empty((rows, cols), dtype=field._kernel.dtype)
-    arr.fill(field.zero)
+    arr.fill(0)
     return arr
 
 
 def _identity(field: Field, n: int) -> np.ndarray:
-    """A writable ``n x n`` identity array."""
+    """A writable ``n x n`` identity array, over the denominator 1."""
     arr = _zeros(field, n, n)
-    arr.ravel()[::n + 1] = field.one
+    arr.ravel()[::n + 1] = 1
     return arr
+
+
+def _joined(fk, mats: Sequence["Mat"]) -> tuple[list, int]:
+    """The stored entries of ``mats`` over their common denominator, and that
+    denominator: the kernel's ``common``."""
+    return fk.common([m._entries for m in mats], [m._den for m in mats])
 
 
 def _nonzero_lines(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -754,33 +833,37 @@ def _back_substitute(fk, w: np.ndarray, piv: Sequence[int], rhs: np.ndarray) -> 
 class Mat:
     """An immutable exact matrix over a :class:`Field`.
 
-    The entries are one read-only ``rows x cols`` numpy array, ``_entries``:
-    ``float64`` residues in ``[0, p)`` over F_p, ``Fraction`` objects over
-    Q.  Every operation below is written once on that array; the few steps
-    that differ between the fields (normalizing an array, reading entries
-    out, the echelon form and the product) go through the field's kernel.
-    The entries never change after construction; the one slot written
-    later is ``_frame``, the Jordan frame that ``_jordan_frame`` memoises.
+    A matrix is stored as one read-only ``rows x cols`` numpy array,
+    ``_entries``, over one positive ``int`` denominator, ``_den``: over F_p
+    ``float64`` residues in ``[0, p)`` over 1, over Q Python ``int``
+    numerators (``dtype=object``) over the lcm of the denominators of the
+    entries.  The form is canonical, so equal matrices have equal arrays and
+    denominators, and ``==`` and ``hash`` read them as they are.  Every
+    operation below is written once on that pair; the few steps that differ
+    between the fields (reading entries in and out, reducing an array,
+    bringing denominators together and into lowest terms, the echelon form
+    and the product) go through the field's kernel.  A ``Fraction`` is made
+    only when an entry is read out (``entry``, ``row_list``).  The entries
+    never change after construction; the one slot written later is
+    ``_frame``, the Jordan frame that ``_jordan_frame`` memoises.
 
     There are two constructors.  ``Mat(field, rows, cols, data)``, the
-    public one, checks the shape, normalizes every entry (over F_p through
-    ``_residues``, exact for integers of any size in lists and for float64
-    arrays of integer values below 2**53) into a fresh array and makes it
-    read-only.  The private ``Mat._of(field, arr)`` takes ``arr`` as it is,
-    with no normalization, no copy and no shape check, and only makes it
-    read-only.  It is used only where the entries are canonical by
-    construction (residues in [0, p) with no negative zero, or ``Fraction``
-    objects: copies, views and concatenations of other ``Mat``s, zeros and
-    identities, ``column`` and ``random``, whose scalars come from
-    ``coerce`` and ``random_scalar``, results that are reduced already, such
-    as ``kron_assemble`` with each block reduced where it is formed and the
-    views of one reduced product that ``Span.combine`` and
-    ``nilpotent_hom_basis`` return) and
-    where the caller keeps no writable alias of ``arr``; every result is
-    then reduced once.
+    public one, checks the shape and reads every entry into a fresh array
+    in canonical form (over F_p through ``_residues``, exact for integers of
+    any size and fractions in lists, and for float64 arrays of integer
+    values below 2**53; other float64 values go through ``coerce``, and a
+    nan or an infinity is refused), then makes it read-only.  The private
+    ``Mat._of(field, arr, den)`` takes ``arr`` and ``den`` as they are, with
+    no normalization, no copy and no shape check, and only makes ``arr``
+    read-only.  It is used only where the pair is canonical by construction
+    (copies, views and concatenations of other ``Mat``s over their common
+    denominator, zeros and identities, results of the kernel's
+    ``entries``, and results put in lowest terms by ``lowest`` after an
+    entrywise ``normalize``) and where the caller keeps no writable alias of
+    ``arr``.
     """
 
-    __slots__ = ("field", "rows", "cols", "_entries", "_frame")
+    __slots__ = ("field", "rows", "cols", "_entries", "_den", "_frame")
 
     def __init__(self, field: Field, rows: int, cols: int, data):
         self.field = field
@@ -793,7 +876,7 @@ class Mat:
                 raise ShapeMismatchError(
                     f"data of shape {arr.shape} does not match declared shape ({rows}, {cols})")
             arr = arr.reshape(rows, cols)
-        arr = fk.normalize(arr)
+        arr, self._den = fk.entries(arr)
         arr.setflags(write=False)
         self._entries = arr
         self._frame = None
@@ -810,36 +893,37 @@ class Mat:
         return cls(field, m, n, [[coerce(x) for x in row] for row in rows])
 
     @classmethod
-    def _of(cls, field: Field, arr: np.ndarray) -> "Mat":
-        """The ``Mat`` on the 2-D array ``arr`` as it is, made read-only: for
-        canonical entries with no writable alias kept (see the class
-        docstring)."""
+    def _of(cls, field: Field, arr: np.ndarray, den: int) -> "Mat":
+        """The ``Mat`` on the 2-D array ``arr`` over ``den`` as they are, made
+        read-only: for a canonical pair with no writable alias kept (see the
+        class docstring)."""
         m = object.__new__(cls)
         m.field = field
         m.rows, m.cols = arr.shape
         arr.setflags(write=False)
         m._entries = arr
+        m._den = den
         m._frame = None
         return m
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Mat":
-        return cls._of(field, _zeros(field, rows, cols))
+        return cls._of(field, _zeros(field, rows, cols), 1)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
-        return cls._of(field, _identity(field, n))
+        return cls._of(field, _identity(field, n), 1)
 
     @classmethod
     def column(cls, field: Field, entries: Sequence) -> "Mat":
         fk = field._kernel
-        return cls._of(field, np.array([fk.coerce(x) for x in entries],
-                                       dtype=fk.dtype).reshape(len(entries), 1))
+        return cls._of(field, *fk.entries(np.array([fk.coerce(x) for x in entries],
+                                                   dtype=object).reshape(len(entries), 1)))
 
     @classmethod
     def random(cls, field: Field, rows: int, cols: int, rng: random.Random) -> "Mat":
-        return cls._of(field, np.array([field.random_scalar(rng) for _ in range(rows * cols)],
-                                       dtype=field._kernel.dtype).reshape(rows, cols))
+        scalars = np.array([field.random_scalar(rng) for _ in range(rows * cols)], dtype=object)
+        return cls._of(field, *field._kernel.entries(scalars.reshape(rows, cols)))
 
     @classmethod
     def unit(cls, field: Field, rows: int, cols: int, i: int, j: int) -> "Mat":
@@ -849,23 +933,31 @@ class Mat:
     @classmethod
     def assemble(cls, field: Field, rows: int, cols: int, blocks) -> "Mat":
         """The ``rows x cols`` sum of the blocks ``(i, j, b)``, each placed with
-        its top-left entry at (i, j); overlapping blocks add.  A block that
-        overlaps no earlier one is written rather than added, and a sum with
-        an overlap is reduced where it is formed, so over F_p no entry ever
-        exceeds 2 (p - 1)."""
-        out = _zeros(field, rows, cols)
-        placed: list[tuple[int, int, int, int]] = []
+        its top-left entry at (i, j); overlapping blocks add.  The blocks are
+        brought to their common denominator first.  A block that overlaps no
+        earlier one is written rather than added, and a sum with an overlap
+        is reduced where it is formed, so over F_p no entry ever exceeds
+        2 (p - 1); the whole is put in lowest terms once."""
+        fk = field._kernel
+        spans, parts, dens = [], [], []
         for i, j, b in blocks:
             if b.field != field:
                 raise ShapeMismatchError("field mismatch")
             if i < 0 or j < 0 or i + b.rows > rows or j + b.cols > cols:
                 raise ShapeMismatchError(f"block {b.shape} at ({i}, {j}) leaves {rows}x{cols}")
-            view = out[i:i + b.rows, j:j + b.cols]
-            if _claim(placed, i, i + b.rows, j, j + b.cols):
-                view[...] = b._entries
+            spans.append((i, i + b.rows, j, j + b.cols))
+            parts.append(b._entries)
+            dens.append(b._den)
+        parts, den = fk.common(parts, dens)
+        out = _zeros(field, rows, cols)
+        placed: list[tuple[int, int, int, int]] = []
+        for (i0, i1, j0, j1), part in zip(spans, parts):
+            view = out[i0:i1, j0:j1]
+            if _claim(placed, i0, i1, j0, j1):
+                view[...] = part
             else:
-                view[...] = field._kernel.normalize(view + b._entries)
-        return cls._of(field, out)
+                view[...] = fk.normalize(view + part)
+        return cls._of(field, *fk.lowest(out, den))
 
     @classmethod
     def kron_assemble(cls, field: Field, rows: int, cols: int, blocks) -> "Mat":
@@ -879,39 +971,47 @@ class Mat:
         is placed as copies: I_n ⊗ y is n copies of y down the diagonal, and
         x ⊗ I_n puts each entry x[r, c] on the diagonal of block (r, c).
         With both factors given, the outer product is formed at the nonzero
-        entries of x only.  A block that overlaps no earlier one is written
-        rather than added (over Q, adding a Fraction to zero costs about as
-        much as a product).  A product block, and a sum with an overlap, is
-        reduced where it is formed, so every entry is canonical when the
-        block is done and over F_p no entry ever exceeds (p - 1)**2 + p - 1;
-        reducing block by block keeps the int64 temporary of the reduction
-        to one block, not the whole output.
+        entries of x only.  The denominator of a block is the product of its
+        factors' denominators; the blocks are brought to their common
+        denominator by scaling the first factor given.  A block that
+        overlaps no earlier one is written rather than added.  A product
+        block, and a sum with an overlap, is reduced where it is formed, so
+        every entry is reduced when the block is done and over F_p no entry
+        ever exceeds (p - 1)**2 + p - 1; reducing block by block keeps the
+        int64 temporary of the reduction to one block, not the whole output.
+        The whole is put in lowest terms once.
         """
         fk = field._kernel
-        out = _zeros(field, rows, cols)
-        placed: list[tuple[int, int, int, int]] = []
+        shaped, firsts, dens = [], [], []
         for i, j, x, y, n in blocks:
             if any(f is not None and f.field != field for f in (x, y)):
                 raise ShapeMismatchError("field mismatch")
             xr, xc = (n, n) if x is None else x.shape
             yr, yc = (n, n) if y is None else y.shape
-            h, w = xr * yr, xc * yc
-            if i < 0 or j < 0 or i + h > rows or j + w > cols:
-                raise ShapeMismatchError(f"block ({h}, {w}) at ({i}, {j}) leaves {rows}x{cols}")
-            fresh = _claim(placed, i, i + h, j, j + w)
-            view = out[i:i + h, j:j + w].reshape(xr, yr, xc, yc, copy=False)
+            if i < 0 or j < 0 or i + xr * yr > rows or j + xc * yc > cols:
+                raise ShapeMismatchError(
+                    f"block ({xr * yr}, {xc * yc}) at ({i}, {j}) leaves {rows}x{cols}")
+            shaped.append((i, j, x, y, n, xr, xc, yr, yc))
+            first = y if x is None else x
+            firsts.append(first._entries)
+            dens.append(first._den if x is None or y is None else x._den * y._den)
+        firsts, den = fk.common(firsts, dens)
+        out = _zeros(field, rows, cols)
+        placed: list[tuple[int, int, int, int]] = []
+        for (i, j, x, y, n, xr, xc, yr, yc), first in zip(shaped, firsts):
+            fresh = _claim(placed, i, i + xr * yr, j, j + xc * yc)
+            view = out[i:i + xr * yr, j:j + xc * yc].reshape(xr, yr, xc, yc, copy=False)
             if x is None or y is None:
                 k, whole = np.arange(n), slice(None)
-                at, part = (((k, whole, k, whole), y._entries) if x is None
-                            else ((whole, k, whole, k), x._entries))
+                at = (k, whole, k, whole) if x is None else (whole, k, whole, k)
                 if fresh:
-                    view[at] = part
+                    view[at] = first
                     continue
-                view[at] += part
+                view[at] += first
             else:
                 # the outer product into a 4-d view: np.kron's generic path
                 # costs more than the product on the small blocks of witnesses
-                a, b = x._entries[:, None, :, None], y._entries[None, :, None, :]
+                a, b = first[:, None, :, None], y._entries[None, :, None, :]
                 nz = np.broadcast_to(a != 0, view.shape)
                 if fresh:
                     np.multiply(a, b, out=view, where=nz)
@@ -919,7 +1019,7 @@ class Mat:
                     np.add(view, np.multiply(a, b, out=None, where=nz), out=view, where=nz)
             # a product, or a sum with an overlap: reduced where it is formed
             view[...] = fk.normalize(view)
-        return cls._of(field, out)
+        return cls._of(field, *fk.lowest(out, den))
 
     @classmethod
     def hcat(cls, field: Field, rows: int, mats: Sequence["Mat"]) -> "Mat":
@@ -927,8 +1027,10 @@ class Mat:
         for m in mats:
             if m.field != field or m.rows != rows:
                 raise ShapeMismatchError(f"hcat of {m.shape} over {m.field} onto {rows} rows")
-        return cls._of(field, np.concatenate([m._entries for m in mats], axis=1) if mats
-                       else _zeros(field, rows, 0))
+        if not mats:
+            return cls.zeros(field, rows, 0)
+        parts, den = _joined(field._kernel, mats)
+        return cls._of(field, np.concatenate(parts, axis=1), den)
 
     @classmethod
     def vcat(cls, field: Field, cols: int, mats: Sequence["Mat"]) -> "Mat":
@@ -936,8 +1038,10 @@ class Mat:
         for m in mats:
             if m.field != field or m.cols != cols:
                 raise ShapeMismatchError(f"vcat of {m.shape} over {m.field} onto {cols} cols")
-        return cls._of(field, np.concatenate([m._entries for m in mats], axis=0) if mats
-                       else _zeros(field, 0, cols))
+        if not mats:
+            return cls.zeros(field, 0, cols)
+        parts, den = _joined(field._kernel, mats)
+        return cls._of(field, np.concatenate(parts, axis=0), den)
 
     @classmethod
     def lincomb(cls, field: Field, rows: int, cols: int, coeffs: Sequence,
@@ -949,10 +1053,10 @@ class Mat:
     # -- accessors ----------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self.field._kernel.coerce(self._entries[i, j])
+        return self.field._kernel.exact(self._entries[i, j], self._den)
 
     def row_list(self) -> list[list[Scalar]]:
-        return self.field._kernel.exact(self._entries).tolist()
+        return self.field._kernel.exact(self._entries, self._den)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -967,12 +1071,13 @@ class Mat:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat) or other.field != self.field or other.shape != self.shape:
             return False
-        return bool((self._entries == other._entries).all())
+        return other._den == self._den and bool((self._entries == other._entries).all())
 
     def __hash__(self):
-        # entries as Python numbers: equal residues and equal fractions hash
-        # equal (an object array's bytes would be pointers)
-        return hash((self.field, self.rows, self.cols, tuple(self._entries.ravel().tolist())))
+        # the canonical form as Python numbers: equal matrices hash equal (an
+        # object array's bytes would be pointers)
+        return hash((self.field, self.rows, self.cols, self._den,
+                     tuple(self._entries.ravel().tolist())))
 
     def __repr__(self) -> str:
         return f"Mat({self.field}, {self.rows}x{self.cols})"
@@ -987,7 +1092,9 @@ class Mat:
         self._require_same_field(other)
         if self.shape != other.shape:
             raise ShapeMismatchError(f"add {self.shape} vs {other.shape}")
-        return Mat(self.field, self.rows, self.cols, self._entries + other._entries)
+        fk = self.field._kernel
+        (a, b), den = _joined(fk, [self, other])
+        return Mat._of(self.field, *fk.lowest(fk.normalize(a + b), den))
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + other.scaled(self.field.coerce(-1))
@@ -996,17 +1103,20 @@ class Mat:
         return self.scaled(self.field.coerce(-1))
 
     def scaled(self, c) -> "Mat":
-        return Mat(self.field, self.rows, self.cols, self._entries * self.field.coerce(c))
+        fk = self.field._kernel
+        num, den = fk.ratio(c)
+        return Mat._of(self.field, *fk.lowest(fk.normalize(self._entries * num), self._den * den))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._require_same_field(other)
         if self.cols != other.rows:
             raise ShapeMismatchError(f"matmul {self.shape} @ {other.shape}")
-        return Mat(self.field, self.rows, other.cols,
-                   self.field._kernel.matmul(self._entries, other._entries))
+        fk = self.field._kernel
+        product = fk.normalize(fk.matmul(self._entries, other._entries))
+        return Mat._of(self.field, *fk.lowest(product, self._den * other._den))
 
     def transpose(self) -> "Mat":
-        return Mat._of(self.field, self._entries.T)
+        return Mat._of(self.field, self._entries.T, self._den)
 
     @property
     def T(self) -> "Mat":
@@ -1021,11 +1131,13 @@ class Mat:
         """The same entries in row-major order, refilled as ``rows x cols``."""
         if rows * cols != self.rows * self.cols:
             raise ShapeMismatchError(f"reshape {self.shape} to ({rows}, {cols})")
-        return Mat._of(self.field, self._entries.reshape(rows, cols))
+        return Mat._of(self.field, self._entries.reshape(rows, cols), self._den)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
-        return Mat._of(self.field, self._entries[np.ix_(row_idx, col_idx)] if row_idx and col_idx
-                       else _zeros(self.field, len(row_idx), len(col_idx)))
+        if not (row_idx and col_idx):
+            return Mat.zeros(self.field, len(row_idx), len(col_idx))
+        return Mat._of(self.field, *self.field._kernel.lowest(
+            self._entries[np.ix_(row_idx, col_idx)], self._den))
 
     # -- solving -------------------------------------------------------------
 
@@ -1035,7 +1147,7 @@ class Mat:
     def pivot_columns(self) -> list[int]:
         """The pivot columns of an echelon form: the columns a greedy pass
         keeps, each one independent of all columns before it."""
-        return self.field._kernel.echelon(self._entries)[1]
+        return self.field._kernel.echelon(self._entries)[2]
 
     def kernel(self) -> "Mat":
         """Matrix whose columns form a basis of the right null space: the
@@ -1055,32 +1167,35 @@ class Mat:
         ⊕ R_U, where R_U is spanned by the rows of U off the columns F; the
         pivots are F and those of R_U, so the free columns, and the basis
         that is the identity on them, are the same.  Only the rest goes to
-        the echelon form, and the cascade does no arithmetic.
+        the echelon form, and the cascade does no arithmetic.  The echelon
+        form is over its own denominator, so the identity part is written as
+        that denominator.
         """
         fk = self.field._kernel
         rest, rest_cols, peeled = _peel_unit_rows(*_on_support(self._entries))
-        w, rest_piv = fk.echelon(rest)
+        w, den, rest_piv = fk.echelon(rest)
         piv = rest_cols[rest_piv]
         is_free = np.ones(self.cols, dtype=bool)
         is_free[peeled] = False
         is_free[piv] = False
         free = np.flatnonzero(is_free)
         out = _zeros(self.field, self.cols, free.size)
-        out[free, np.arange(free.size)] = self.field.one
+        out[free, np.arange(free.size)] = den
         rest_free = np.flatnonzero(is_free[rest_cols])
         if rest_piv and rest_free.size:
             # rows: the pivot columns; columns: where the rest's free
             # columns sit among all free columns
             out[np.ix_(piv, np.searchsorted(free, rest_cols[rest_free]))] = fk.normalize(
                 -_back_substitute(fk, w, rest_piv, w[:len(rest_piv), rest_free]))
-        return Mat._of(self.field, out)
+        return Mat._of(self.field, *fk.lowest(out, den))
 
     def column_space(self) -> "Mat":
         """A basis of the column space, as the columns of the result."""
         if self.cols == 0:
             return Mat.zeros(self.field, self.rows, 0)
-        w, piv = self.field._kernel.echelon(self._entries.T)
-        return Mat._of(self.field, w[:len(piv)].T.copy())
+        fk = self.field._kernel
+        w, den, piv = fk.echelon(self._entries.T)
+        return Mat._of(self.field, *fk.lowest(w[:len(piv)].T.copy(), den))
 
     def solve(self, b: "Mat"):
         """Particular solution of self @ x = b (b a column), or None."""
@@ -1090,7 +1205,8 @@ class Mat:
 
     def solve_matrix(self, b: "Mat"):
         """Particular solution X of self @ X = B with free variables zero, or
-        None when some column is inconsistent; one elimination for all columns."""
+        None when some column is inconsistent; one elimination for all
+        columns, on both sides over their common denominator."""
         if b.rows != self.rows:
             raise ShapeMismatchError("solve_matrix row mismatch")
         self._require_same_field(b)
@@ -1098,12 +1214,12 @@ class Mat:
         if b.cols == 0:
             return Mat.zeros(self.field, n, 0)
         fk = self.field._kernel
-        w, piv = fk.echelon(np.concatenate([self._entries, b._entries], axis=1))
+        w, den, piv = fk.echelon(np.concatenate(_joined(fk, [self, b])[0], axis=1))
         if piv and piv[-1] >= n:
             return None
         x = _zeros(self.field, n, b.cols)
         x[piv] = _back_substitute(fk, w, piv, w[:len(piv), n:])
-        x = Mat(self.field, n, b.cols, x)
+        x = Mat._of(self.field, *fk.lowest(x, den))
         # the residual guards the elimination: a nonzero one means no solution
         return x if self @ x == b else None
 
@@ -1111,7 +1227,7 @@ class Mat:
         """Whether the matrix is square with a pivot in every column; the
         elimination stops at the first column without one."""
         return self.is_square() and len(
-            self.field._kernel.echelon(self._entries, stop_at_gap=True)[1]) == self.rows
+            self.field._kernel.echelon(self._entries, stop_at_gap=True)[2]) == self.rows
 
     def inverse(self) -> "Mat":
         if not self.is_square():
@@ -1120,16 +1236,18 @@ class Mat:
         if n == 0:
             return self
         fk = self.field._kernel
-        w, piv = fk.echelon(np.concatenate([self._entries, _identity(self.field, n)], axis=1))
+        w, den, piv = fk.echelon(np.concatenate(
+            _joined(fk, [self, Mat.identity(self.field, n)])[0], axis=1))
         if len(piv) < n or piv[n - 1] != n - 1:
             raise ZeroDivisionError("matrix is singular")
-        return Mat._of(self.field, _back_substitute(fk, w, piv[:n], w[:n, n:]))
+        return Mat._of(self.field, *fk.lowest(_back_substitute(fk, w, piv[:n], w[:n, n:]), den))
 
     def minimal_polynomial(self) -> list:
         """Exact minimal polynomial of a square matrix, ascending coefficients.
 
-        Incremental echelon over the flattened Krylov sequence I, t, t^2, ...;
-        the tracked expression gives the monic dependence when it appears.
+        Incremental fraction-free echelon over the flattened Krylov sequence
+        I, t, t^2, ...; the tracked expression gives the dependence when it
+        appears, made monic at the end.
         """
         if not self.is_square():
             raise ShapeMismatchError("minimal polynomial of a non-square matrix")
@@ -1138,24 +1256,31 @@ class Mat:
         if n == 0:
             return [field.one]
         # each Krylov row carries its expression in the powers after the
-        # n*n entries, so one row operation reduces both; reduced rows are
-        # kept as (pivot, nonzero columns, values) and touch only those
+        # n*n entries, so one row operation reduces both: t^k is stored as
+        # numerators over a denominator, so the expression is that
+        # denominator times x^k.  A row is reduced by a reduced row with
+        # pivot value a as a * row - f * reduced row, and then kept small
+        # (``primitive``); reduced rows are kept as (pivot, pivot value,
+        # nonzero columns, values) and subtract only on those columns
         width = n * n
-        powers = _identity(field, n + 1)
-        reduced: list[tuple[int, np.ndarray, np.ndarray]] = []
+        reduced: list[tuple[int, object, np.ndarray, np.ndarray]] = []
         cur = Mat.identity(field, n)
         for k in range(n + 1):
-            row = np.concatenate([cur._entries.ravel(), powers[k]])
-            for piv, cols, vals in reduced:
+            row = np.concatenate([cur._entries.ravel(), _zeros(field, 1, n + 1)[0]])
+            row[width + k] = cur._den
+            for piv, a, cols, vals in reduced:
                 f = row[piv]
                 if f:
-                    row[cols] = fk.normalize(row[cols] - f * vals)
+                    row = row * a
+                    row[cols] -= f * vals
+                    row = fk.primitive(row)
             nz = np.flatnonzero(row[:width])
             if not nz.size:
-                return fk.exact(row[width:width + k + 1]).tolist()
+                coeffs = fk.exact(row[width:width + k + 1], 1)
+                inv = field.inv(coeffs[-1])
+                return [field.mul(c, inv) for c in coeffs]
             cols = np.flatnonzero(row)
-            inv = fk.inv(fk.coerce(row[nz[0]]))
-            reduced.append((int(nz[0]), cols, fk.normalize(row[cols] * inv)))
+            reduced.append((int(nz[0]), row[nz[0]], cols, row[cols]))
             cur = cur @ self
         raise RuntimeError("minimal polynomial search exceeded the dimension")
 
@@ -1342,7 +1467,8 @@ def trace_form(lefts: Sequence[Mat], rights: Sequence[Mat]) -> Mat:
     """The matrix with entry (i, j) equal to ``tr(lefts[i] @ rights[j])``.
 
     One product of the row-major flattened ``lefts`` with the flattened
-    transposes of ``rights``, since tr(AB) = vec(A) . vec(B^T).  ``lefts``
+    transposes of ``rights``, since tr(AB) = vec(A) . vec(B^T), each list
+    over its common denominator.  ``lefts``
     and ``rights`` are nonempty; every left is n x m and every right m x n.
     """
     field = lefts[0].field
@@ -1353,25 +1479,30 @@ def trace_form(lefts: Sequence[Mat], rights: Sequence[Mat]) -> Mat:
     for y in rights:
         if y.field != field or y.shape != (m, n):
             raise ShapeMismatchError(f"trace form of {y.shape} against ({n}, {m}) lefts")
-    flat_left = np.stack([x._entries.ravel() for x in lefts])
-    flat_right = np.stack([y._entries.T.ravel() for y in rights], axis=1)
-    return Mat(field, len(lefts), len(rights), field._kernel.matmul(flat_left, flat_right))
+    fk = field._kernel
+    (flat_left, left_den), (flat_right, right_den) = (_joined(fk, mats) for mats in (lefts, rights))
+    flat_left = np.stack([x.ravel() for x in flat_left])
+    flat_right = np.stack([y.T.ravel() for y in flat_right], axis=1)
+    return Mat._of(field, *fk.lowest(fk.normalize(fk.matmul(flat_left, flat_right)),
+                                     left_den * right_den))
 
 
 class Span:
     """Linear combinations of one list of ``rows x cols`` matrices.
 
-    The matrices are flattened once, row-major, into the rows of a stack.
-    ``combine`` then builds any number of combinations with one kernel
-    product: the transposed coefficient matrix times the stack.  The
+    The matrices are flattened once, row-major, into the rows of a stack
+    over their common denominator.  ``combine`` then builds any number of
+    combinations with one kernel product: the transposed coefficient
+    matrix times the stack.  The
     product's inner dimension is the number of matrices, k; over F_p the
     kernel product reduces after every ``chunk`` of them (see
     ``_PrimeKernel``), so the result is exact for every k.  The product is
-    reduced once, and each combination is a view of it.
+    reduced once, and each combination is a view of it, put in lowest
+    terms on its own.
     ``Mat.lincomb`` is the one-column case.
     """
 
-    __slots__ = ("field", "rows", "cols", "mats", "_stack")
+    __slots__ = ("field", "rows", "cols", "mats", "_stack", "_den")
 
     def __init__(self, field: Field, rows: int, cols: int, mats: Sequence[Mat]):
         for m in mats:
@@ -1379,7 +1510,8 @@ class Span:
                 raise ShapeMismatchError(f"combination of {m.shape} into {rows}x{cols}")
         self.field, self.rows, self.cols = field, rows, cols
         self.mats = list(mats)
-        self._stack = (np.stack([m._entries.reshape(rows * cols) for m in mats]) if mats
+        parts, self._den = _joined(field._kernel, mats)
+        self._stack = (np.stack([a.reshape(rows * cols) for a in parts]) if mats
                        else _zeros(field, 0, rows * cols))
 
     def combine(self, coeffs: Mat) -> list[Mat]:
@@ -1390,7 +1522,9 @@ class Span:
                 f"coefficients {coeffs.shape} over {coeffs.field} for {len(self.mats)} matrices")
         fk = self.field._kernel
         flat = fk.normalize(fk.matmul(coeffs._entries.T, self._stack))
-        return [Mat._of(self.field, row.reshape(self.rows, self.cols)) for row in flat]
+        den = coeffs._den * self._den
+        return [Mat._of(self.field, *fk.lowest(row.reshape(self.rows, self.cols), den))
+                for row in flat]
 
 
 # ---------------------------------------------------------------------------
@@ -1554,31 +1688,35 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat,
     if not c:
         return []
     h = _zeros(field, c * e, d).reshape(c, e, d)
-    h[idx, rows, cols] = field.one
+    h[idx, rows, cols] = 1
+    h_den = 1
     if rest:
         blocks = []
         for r, r2 in rest:
-            rj = (p_src_inv @ r @ p_src)._entries
-            r2j = (p_tgt_inv @ r2 @ p_tgt)._entries
-            # h_c rj - r2j h_c, each term placed by index
+            (rj, r2j), _ = _joined(fk, [p_src_inv @ r @ p_src, p_tgt_inv @ r2 @ p_tgt])
+            # h_c rj - r2j h_c, each term placed by index: rj and r2j over
+            # their common denominator, which scales the block's rows and so
+            # leaves the kernel of the conditions as it is
             block = _zeros(field, c * e, d).reshape(c, e, d)
             block[idx, rows, :] = rj[cols, :]
             block[idx, :, cols] -= r2j[:, rows].T
             blocks.append(block.reshape(c, e * d).T)
         cond = np.concatenate(blocks, axis=0)
         cond = cond[_nonzero_lines(cond)[0]]
-        ker = Mat(field, cond.shape[0], c, cond).kernel()
+        ker = Mat._of(field, fk.normalize(cond), 1).kernel()
         if not ker.cols:
             return []
         # the h_c have disjoint supports: each combination is placed by index
         h = _zeros(field, ker.cols * e, d).reshape(ker.cols, e, d)
         h[:, rows, cols] = ker._entries.T[:, idx]
+        h_den = ker._den
     k = h.shape[0]
     # P_t [h_1 | ... | h_k], then its blocks stacked, times P_s^-1
     left = fk.normalize(fk.matmul(p_tgt._entries, h.transpose(1, 0, 2).reshape(e, k * d)))
     out = fk.normalize(fk.matmul(left.reshape(e, k, d).transpose(1, 0, 2).reshape(k * e, d),
                                  p_src_inv._entries))
-    return [Mat._of(field, g) for g in out.reshape(k, e, d)]
+    den = p_tgt._den * h_den * p_src_inv._den
+    return [Mat._of(field, *fk.lowest(g, den)) for g in out.reshape(k, e, d)]
 
 
 # ---------------------------------------------------------------------------

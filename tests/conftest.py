@@ -320,14 +320,14 @@ def reference_kernel(a):
     included.  Reference for ``Mat.kernel``, which eliminates only the
     nonzero rows and columns."""
     fk = a.field._kernel
-    w, piv = fk.echelon(a._entries)
+    w, den, piv = fk.echelon(a._entries)
     pivset = set(piv)
     free = [c for c in range(a.cols) if c not in pivset]
     out = _zeros(a.field, a.cols, len(free))
-    out[free, range(len(free))] = a.field.one
+    out[free, range(len(free))] = den
     if piv and free:
         out[piv] = fk.normalize(-_back_substitute(fk, w, piv, w[:len(piv), free]))
-    return Mat(a.field, a.cols, len(free), out)
+    return Mat(a.field, a.cols, len(free), fk.exact(out, den))
 
 
 def reference_combination(field, rows, cols, coeffs, mats):

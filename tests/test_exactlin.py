@@ -182,6 +182,52 @@ def test_constructor_reduces_fractions_exactly(p):
     assert Mat(f, 1, 2, arr) == Mat.from_rows(f, [[3, -1]])
 
 
+@pytest.mark.parametrize("p", [101, 16777213])
+def test_constructor_reads_float64_off_the_envelope_exactly(p):
+    # a float64 array is taken as it is only when its values are integers
+    # below 2**53 in absolute value; other finite values are read exactly
+    # through ``coerce`` (1e20 read 11 mod 101 and 0.5 read 0 when they were
+    # taken on trust), and a nan or an infinity is refused
+    f = Field.prime(p)
+    edge = 2.0 ** 53
+    for v in (1e20, -1e20, 0.5, -0.5, 1.5, edge, -edge, edge - 1, 1 - edge, 1e300):
+        m = Mat(f, 1, 2, np.array([[v, 1.0]]))
+        assert m.entry(0, 0) == f.coerce(Fraction(v)) and m.entry(0, 1) == 1
+        assert m == Mat.from_rows(f, [[Fraction(v), 1]])
+    assert Mat(f, 1, 1, np.array([[1e20]])).entry(0, 0) == 10 ** 20 % p
+    assert Mat(f, 1, 1, np.array([[0.5]])).entry(0, 0) == (p + 1) // 2
+    assert Mat(f, 1, 1, np.array([[edge]])).entry(0, 0) == 2 ** 53 % p
+    assert Mat(f, 1, 1, np.array([[-edge]])).entry(0, 0) == -(2 ** 53) % p
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            Mat(f, 1, 2, np.array([[1.0, bad]]))
+
+
+def test_no_float64_array_reaches_the_public_constructor_from_src(monkeypatch):
+    # the operations that had a float64 array in hand (sum, scaling,
+    # product, solution, trace form, Hom conditions) build their results
+    # with the private constructor, after the kernel's reduction, and so
+    # does the certify pipeline
+    rng = random.Random("float64-sites")
+    a, b = (Mat.random(F101, 3, 3, rng) for _ in range(2))
+    s = Mat.from_rows(F101, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    init, seen = Mat.__init__, []
+
+    def spy(self, field, rows, cols, data):
+        seen.append(isinstance(data, np.ndarray) and data.dtype == np.float64)
+        init(self, field, rows, cols, data)
+
+    monkeypatch.setattr(Mat, "__init__", spy)
+    a + b, a - b, a.scaled(5), -a, a @ b, trace_form([a, b], [b])
+    a.solve_matrix(a @ b), nilpotent_hom_basis(s, s, [(a @ s @ a.inverse(), a @ s @ a.inverse())])
+    out, code = cmd_certify(fixture_text("three_loop_rad2.quiver"), radius=2, samples=1,
+                            max_dim=1, seed=0, pushdown_samples=1)
+    assert code == 0, out
+    assert not any(seen)
+    Mat(F101, 1, 1, np.array([[1.0]]))
+    assert seen[-1]
+
+
 def test_rank_examples():
     assert Mat.zeros(QQ, 0, 0).rank() == 0
     assert Mat.identity(F101, 2).rank() == 2
@@ -924,16 +970,24 @@ def test_kernel_matches_reference_on_certify_systems(monkeypatch):
 
 def _assert_canonical(m):
     """``m`` is what the public constructor makes of its own entries, bit for
-    bit, with no negative zero, and its entries are read-only."""
-    ref = Mat(m.field, m.rows, m.cols, m._entries)
-    assert not m._entries.flags.writeable
-    assert m._entries.shape == (m.rows, m.cols) and m._entries.dtype == ref._entries.dtype
+    bit, and its entries are read-only.  Over F_p: residues with no negative
+    zero over the denominator 1.  Over Q: ``int`` numerators over a positive
+    ``int`` denominator that shares no factor with all of them, so the zero
+    matrix is over 1."""
+    a, den = m._entries, m._den
+    ref = Mat(m.field, m.rows, m.cols, m.row_list())
+    assert not a.flags.writeable
+    assert a.shape == (m.rows, m.cols) and a.dtype == ref._entries.dtype
+    assert type(den) is int and den > 0 and den == ref._den
     if m.field.char:
-        assert m._entries.tobytes() == ref._entries.tobytes()
-        assert not np.signbit(m._entries).any()
+        assert den == 1
+        assert a.tobytes() == ref._entries.tobytes()
+        assert not np.signbit(a).any()
     else:
-        assert all(type(x) is Fraction for x in m._entries.ravel().tolist())
-        assert m._entries.ravel().tolist() == ref._entries.ravel().tolist()
+        nums = a.ravel().tolist()
+        assert all(type(x) is int for x in nums)
+        assert math.gcd(den, *nums) == 1
+        assert nums == ref._entries.ravel().tolist()
 
 
 def _ref_kron_assemble(field, rows, cols, blocks):
@@ -981,7 +1035,7 @@ def test_invertibility_stops_at_the_first_column_without_a_pivot(field):
                 row[g] = sum((c * x for c, x in zip(coeffs, row[:g])), field.zero)
             a = Mat(field, n, n, rows)
         full = a.pivot_columns()
-        w, got = fk.echelon(a._entries, stop_at_gap=True)
+        w, _, got = fk.echelon(a._entries, stop_at_gap=True)
         gap = next((c for c in range(n) if c not in full), None)
         if gap is None:
             assert w is not None and got == full == list(range(n))
@@ -1034,6 +1088,28 @@ def test_trusted_constructor_sites_give_canonical_entries(field):
             got = Mat.kron_assemble(field, *shape, blocks)
             _assert_canonical(got)
             assert got.row_list() == _ref_kron_assemble(field, *shape, blocks)
+        # the sites that bring operands to a common denominator, on operands
+        # over 3, over 2 and over 2 with even numerators (over F_p the same
+        # scalars are residues), and results that must be put in lowest terms
+        third, half = a.scaled(field.inv(3)), b.scaled(field.inv(2))
+        even = a.scaled(2).scaled(field.inv(4))
+        joined = [Mat.hcat(field, m, [third, half]), Mat.vcat(field, n, [third, a, even]),
+                  third + even, third - third, even.scaled(2), third.scaled(6), half @ half.T,
+                  third.submatrix(rows, cols), even.submatrix(rows, cols), third.kernel(),
+                  third.column_space(), third.reshape(n, m), third.T,
+                  Mat.assemble(field, m + 2, n, [(0, 0, third), (2, 0, even), (1, 0, third)]),
+                  Mat.kron_assemble(field, m * m, n * 2, [(0, 0, third, half, 0)]),
+                  Mat.kron_assemble(field, m * 3, n * 3, [(0, 0, third, None, 3),
+                                                          (0, 0, None, even, 3)]),
+                  *Span(field, m, n, [third, even, a]).combine(Mat(field, 3, 2, [[-1, 2]] * 3)),
+                  trace_form([third, even], [third.T, even.T]),
+                  *nilpotent_hom_basis(jordan_shift(field, [2, 1]).scaled(field.inv(3)),
+                                       jordan_shift(field, [2]).scaled(field.inv(2)))]
+        if square.is_invertible():
+            joined += [square.scaled(field.inv(5)).inverse(),
+                       square.solve_matrix(square.scaled(field.inv(3)))]
+        for x in joined:
+            _assert_canonical(x)
     # the entries the reductions make: p - 1 and negatives of zero
     top = Mat.from_rows(field, [[-1, 0], [0, -1]])
     for x in (top.inverse(), (-top).kernel(), top.column_space(),
@@ -1134,6 +1210,44 @@ def test_equal_matrices_hash_equal(field):
         for b in same:
             assert b == a and hash(b) == hash(a)
     assert hash(Mat.from_rows(QQ, [[Fraction(2, 4)]])) == hash(Mat.from_rows(QQ, [["1/2"]]))
+
+
+def test_rational_matrices_reached_by_different_routes_are_equal():
+    # one canonical (numerators, denominator) form per matrix, whatever
+    # denominators the route passed through
+    rng = random.Random("qq-routes")
+    for _ in range(20):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 2 ** 61 - 1]))
+                 for _ in range(n)] for _ in range(m)]
+        a = Mat.from_rows(QQ, rows)
+        third = Mat.from_rows(QQ, [[Fraction(1, 3)] * n] * m)
+        same = [a.scaled(Fraction(1, 3)).scaled(3), a.scaled(3 ** 40).scaled(Fraction(1, 3 ** 40)),
+                a + third - third, (a.scaled(2 ** 61 - 1) @ Mat.identity(QQ, n)).scaled(
+                    Fraction(1, 2 ** 61 - 1)),
+                Mat.hcat(QQ, m, [a.submatrix(range(m), [j]) for j in range(n)]),
+                Mat.vcat(QQ, n, [a.submatrix([i], range(n)) for i in range(m)]),
+                Mat.assemble(QQ, m, n, [(0, 0, a.scaled(Fraction(1, 3))),
+                                        (0, 0, a.scaled(Fraction(2, 3)))]),
+                Mat.lincomb(QQ, m, n, [Fraction(1, 2), Fraction(1, 2)], [a, a]),
+                Mat(QQ, m, n, [[str(x) for x in row] for row in rows])]
+        for b in same:
+            assert b == a and hash(b) == hash(a)
+        # one entry off: not equal, whatever the denominators
+        i, j = rng.randrange(m), rng.randrange(n)
+        off = [list(row) for row in rows]
+        off[i][j] += Fraction(1, 3 ** 40)
+        assert Mat.from_rows(QQ, off) != a and a != Mat.from_rows(QQ, off)
+    # an hcat of operands over the coprime 2**61 - 1 and 3**40 and over 1
+    parts = [Mat.from_rows(QQ, [[Fraction(1, 2 ** 61 - 1)], [0]]),
+             Mat.from_rows(QQ, [[Fraction(-2, 3 ** 40)], [Fraction(5, 3)]]),
+             Mat.from_rows(QQ, [[7], [0]])]
+    cat = Mat.hcat(QQ, 2, parts)
+    ref = Mat.from_rows(QQ, [[Fraction(1, 2 ** 61 - 1), Fraction(-2, 3 ** 40), 7],
+                             [0, Fraction(5, 3), 0]])
+    assert cat == ref and hash(cat) == hash(ref)
+    assert cat != Mat.from_rows(QQ, [[Fraction(1, 2 ** 61 - 1), Fraction(-2, 3 ** 40), 7],
+                                     [0, Fraction(5, 3), Fraction(1, 3 ** 40)]])
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -1354,17 +1468,24 @@ def _qq_cases():
 
 
 def _check_echelon_qq(rows):
-    got = _echelon_qq(rows)
-    assert got == reference_echelon_qq(rows)
-    assert all(type(x) is Fraction for row in got[0] for x in row)
-    return got[1]
+    # the rows over their common denominator, as a matrix stores them
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    w, got_den, piv = _echelon_qq([[x.numerator * (den // x.denominator) for x in row]
+                                   for row in rows])
+    assert ([[Fraction(x, got_den) for x in row] for row in w], piv) == reference_echelon_qq(rows)
+    assert type(got_den) is int and got_den > 0
+    assert all(type(x) is int for row in w for x in row)
+    assert all(w[k][c] == got_den for k, c in enumerate(piv))
+    return piv
 
 
 def _check_matmul_qq(a, b):
-    got = QQ._kernel.matmul(a, b)
+    fk = QQ._kernel
+    (x, dx), (y, dy) = fk.entries(a), fk.entries(b)
+    got = fk.matmul(x, y)
     assert got.shape == (a.shape[0], b.shape[1])
-    assert got.tolist() == reference_matmul_qq(a, b)
-    assert all(type(x) is Fraction for x in got.ravel())
+    assert all(type(v) is int for v in got.ravel())
+    assert fk.exact(got, dx * dy) == reference_matmul_qq(a, b)
 
 
 def test_echelon_qq_matches_fraction_reference():
@@ -1400,3 +1521,160 @@ def test_rational_kernels_match_references_on_drawn_matrices(data, m, n, k):
         rows[-1] = rows[0]
     _check_echelon_qq(rows)
     _check_matmul_qq(_qq_array(m, n, rows), _qq_array(n, k, draw(n, k)))
+
+
+# ---------------------------------------------------------------------------
+# rational matrices over large denominators against plain-Fraction references
+# ---------------------------------------------------------------------------
+
+#: denominators of the entries: a Mersenne prime, a prime power, both at once
+#: and small ones, so that operands have coprime and shared denominators
+_BIG_DENS = (2 ** 61 - 1, 3 ** 40, (2 ** 61 - 1) * 3 ** 40, 1, 4, 9)
+
+
+def _big_rows(rng, m, n, zero_rows=1):
+    """Seeded m x n rows over the denominators ``_BIG_DENS``, about a third
+    zeros, with ``zero_rows`` of them all zero."""
+    rows = [[Fraction(0) if rng.random() < 0.35 else
+             Fraction(rng.randint(-10 ** 20, 10 ** 20), rng.choice(_BIG_DENS))
+             for _ in range(n)] for _ in range(m)]
+    for i in rng.sample(range(m), min(zero_rows, m)):
+        rows[i] = [Fraction(0)] * n
+    return rows
+
+
+def _fraction_matmul(a, b):
+    return reference_matmul_qq(np.array(a, dtype=object).reshape(len(a), len(b)),
+                               np.array(b, dtype=object).reshape(len(b), len(b[0]) if b else 0))
+
+
+def _fraction_kernel(rows, n):
+    """The kernel basis that is the identity on the free columns, as
+    columns, from ``reference_echelon_qq``."""
+    w, piv = reference_echelon_qq(rows)
+    free = [c for c in range(n) if c not in piv]
+    out = [[Fraction(int(r == f)) for f in free] for r in range(n)]
+    for k, c in enumerate(piv):
+        out[c] = [-w[k][f] for f in free]
+    return out
+
+
+def _big_invertible(rng, n):
+    """A unit lower times a unit upper triangular matrix, both over
+    ``_BIG_DENS``: invertible."""
+    low, up = (_big_rows(rng, n, n, zero_rows=0) for _ in range(2))
+    return Mat.from_rows(QQ, [[x if i > j else int(i == j) for j, x in enumerate(r)]
+                              for i, r in enumerate(low)]) @ \
+        Mat.from_rows(QQ, [[x if i < j else int(i == j) for j, x in enumerate(r)]
+                           for i, r in enumerate(up)])
+
+
+def _q(rows):
+    return Mat.from_rows(QQ, rows)
+
+
+def _checked(m):
+    _assert_canonical(m)
+    return m.row_list()
+
+
+def test_rational_solving_over_large_denominators_matches_fraction_references():
+    rng = random.Random("qq-big-solve")
+    for m, n in [(4, 4), (5, 3), (3, 6), (6, 6), (1, 5)]:
+        rows = _big_rows(rng, m, n)
+        a = _q(rows)
+        other = _big_rows(rng, n, 3, zero_rows=0)
+        assert _checked(a @ _q(other)) == _fraction_matmul(rows, other)
+        assert a.pivot_columns() == reference_echelon_qq(rows)[1]
+        _check_echelon_qq(rows)
+        assert _checked(a.kernel()) == _fraction_kernel(rows, n)
+        assert _checked(a.T.column_space().T) == reference_echelon_qq(rows)[0][:a.rank()]
+        # a consistent right-hand side: the particular solution with free
+        # variables zero is the last column of the reduced [A | b]
+        x = _big_rows(rng, n, 1, zero_rows=0)
+        rhs = _fraction_matmul(rows, x)
+        w, piv = reference_echelon_qq([r + b for r, b in zip(rows, rhs)])
+        want = [[Fraction(0)] for _ in range(n)]
+        for k, c in enumerate(piv):
+            want[c] = [w[k][n]]
+        assert _checked(a.solve(_q(rhs))) == want
+    for n in (1, 2, 4, 6):
+        rows = _big_rows(rng, n, n, zero_rows=0)
+        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        w, piv = reference_echelon_qq([r + e for r, e in zip(rows, ident)])
+        if piv[:n] == list(range(n)):
+            assert _checked(_q(rows).inverse()) == [r[n:] for r in w]
+
+
+def test_rational_joins_over_large_denominators_match_fraction_references():
+    rng = random.Random("qq-big-joins")
+    for _ in range(6):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        # operands over coprime denominators: 2**61 - 1 and 3**40
+        xs = [[[Fraction(rng.randint(-9, 9), d) for _ in range(n)] for _ in range(m)]
+              for d in (2 ** 61 - 1, 3 ** 40, 1)]
+        a, b, c = (_q(x) for x in xs)
+        assert _checked(Mat.hcat(QQ, m, [a, b, c])) == [ra + rb + rc for ra, rb, rc in zip(*xs)]
+        assert _checked(Mat.vcat(QQ, n, [a, b, c])) == xs[0] + xs[1] + xs[2]
+        assert _checked(a + b) == [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(*xs[:2])]
+        # overlapping blocks add
+        got = Mat.assemble(QQ, m + 1, n + 1, [(0, 0, a), (1, 1, b), (0, 1, c)])
+        want = [[Fraction(0)] * (n + 1) for _ in range(m + 1)]
+        for (i, j), x in zip([(0, 0), (1, 1), (0, 1)], xs):
+            for r in range(m):
+                for s in range(n):
+                    want[i + r][j + s] += x[r][s]
+        assert _checked(got) == want
+        # Kronecker blocks with both factors, an identity on either side, and
+        # an overlap
+        for blocks in ([(0, 0, a, b, 0)], [(0, 0, None, b, 2)], [(0, 0, a, None, 2)],
+                       [(0, 0, a, c, 0), (0, 0, b, c, 0), (1, 1, None, a, 2)]):
+            shape = _kron_extent(blocks)
+            assert _checked(Mat.kron_assemble(QQ, *shape, blocks)) == \
+                _ref_kron_assemble(QQ, *shape, blocks)
+        # combinations and the trace form
+        coeffs = _big_rows(rng, 3, 2, zero_rows=0)
+        combos = Span(QQ, m, n, [a, b, c]).combine(_q(coeffs))
+        for j, combo in enumerate(combos):
+            assert _checked(combo) == [[sum((coeffs[k][j] * xs[k][r][s] for k in range(3)),
+                                            Fraction(0)) for s in range(n)] for r in range(m)]
+        form = trace_form([a, b, c], [a.T, c.T])
+        assert _checked(form) == [[sum((x[r][s] * y[r][s] for r in range(m) for s in range(n)),
+                                       Fraction(0)) for y in (xs[0], xs[2])] for x in xs]
+
+
+def test_rational_minimal_polynomial_and_hom_basis_over_large_denominators():
+    rng = random.Random("qq-big-minpoly")
+    for n in (1, 2, 3, 4):
+        for rows in (_big_rows(rng, n, n, zero_rows=0), _big_rows(rng, n, n, zero_rows=1)):
+            mp = _q(rows).minimal_polynomial()
+            assert all(type(c) is Fraction for c in mp) and mp[-1] == 1
+            # sum c_k t^k == 0 in plain Fraction arithmetic, and no power
+            # below the last depends on the lower ones
+            powers = [[[Fraction(int(i == j)) for j in range(n)] for i in range(n)]]
+            for _ in range(len(mp) - 1):
+                powers.append(_fraction_matmul(powers[-1], rows))
+            total = [[sum((c * p[i][j] for c, p in zip(mp, powers)), Fraction(0))
+                      for j in range(n)] for i in range(n)]
+            assert total == [[0] * n for _ in range(n)]
+            flat = [[x for r in p for x in r] for p in powers[:-1]]
+            assert len(reference_echelon_qq(flat)[1]) == len(powers) - 1
+    # a nilpotent pair conjugated by matrices over large denominators, cut
+    # down by a pair of idempotents conjugated the same way
+    nonempty = 0
+    for sizes_s, sizes_t in (([2, 1], [2]), ([3], [2, 1]), ([2, 2], [2, 1, 1])):
+        d, e = sum(sizes_s), sum(sizes_t)
+        ps, pt = _big_invertible(rng, d), _big_invertible(rng, e)
+        s = ps @ jordan_shift(QQ, sizes_s) @ ps.inverse()
+        t = pt @ jordan_shift(QQ, sizes_t) @ pt.inverse()
+        r = ps @ Mat.unit(QQ, d, d, 0, 0) @ ps.inverse()
+        r2 = pt @ Mat.unit(QQ, e, e, 0, 0) @ pt.inverse()
+        got = nilpotent_hom_basis(s, t, [(r, r2)])
+        sr, tr, rr, r2r = (x.row_list() for x in (s, t, r, r2))
+        for g in got:
+            gr = _checked(g)
+            assert _fraction_matmul(gr, sr) == _fraction_matmul(tr, gr)
+            assert _fraction_matmul(gr, rr) == _fraction_matmul(r2r, gr)
+        assert got == reference_hom_pencil(QQ, e, d, [(s, t), (r, r2)])
+        nonempty += bool(got)
+    assert nonempty >= 2

@@ -26,6 +26,10 @@ sub-panel reductions of ``_echelon_fp`` and by the scalar reductions of
 factoring over Q reduces mod p^k (``_IntegersMod.coerce``, ``% self.m``),
 which is no F_p reduction, and the check does not count it.
 
+Over Q a matrix is stored as integer numerators over one denominator, and
+exactlin converts to and from ``Fraction`` only where ``CONVERSIONS`` lists:
+scalars, reading entries in and reading them out.
+
 The package imports in one order, ``LAYERS``: a module imports only from
 the layers before its own, and only at module level.  The package
 docstring and the README table list the modules in that order.
@@ -194,6 +198,54 @@ def test_checker_catches_each_kind():
         "def _same_algebra(a, b):\n"
         "    return type(a) is type(b) and isinstance(a, AlgebraTable)\n")
     assert branches(kinds, ALGEBRA_MARKERS) == ["_act", "_act"]
+
+
+#: the scopes of exactlin that may convert between ``Fraction`` scalars and the
+#: stored form of a matrix over Q (numerators over one denominator), by the
+#: name they call: a ``Fraction`` is built only for a scalar (the module's and
+#: the rational kernel's zero and one, ``coerce``, ``random_scalar``) and at
+#: read-out (``_over``, which only the kernel's ``exact`` calls), and scalars
+#: are cleared to integers (``_integer_row``) only when entries are read in
+#: and for the factoring over Z.  No matrix operation converts on its way.
+CONVERSIONS = {"Fraction": ["<module>", "_PrimeKernel.coerce", "_over", "_RationalKernel",
+                            "_RationalKernel.coerce", "_RationalKernel.random_scalar"],
+               "_over": ["_RationalKernel.exact"],
+               "_integer_row": ["_RationalKernel.entries", "_RationalKernel.factor"]}
+
+
+def conversion_sites(tree: ast.AST) -> dict[str, list[str]]:
+    """The scopes holding a call of each name in ``CONVERSIONS``, one per
+    call, in the order they appear."""
+    out = {name: [] for name in CONVERSIONS}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in out):
+                out[child.func.id].append(inner or "<module>")
+            visit(child, inner)
+
+    visit(tree, "")
+    return out
+
+
+def test_fractions_are_built_only_for_scalars_and_at_read_out():
+    with open(os.path.join(SRC, "exactlin.py")) as fh:
+        found = conversion_sites(ast.parse(fh.read(), "exactlin.py"))
+    assert {name: sorted(set(scopes)) for name, scopes in found.items()} == \
+        {name: sorted(scopes) for name, scopes in CONVERSIONS.items()}
+    # the check itself: a product that rebuilds fractions, an elimination
+    # that clears rows, and a fraction made at module level
+    bad = ast.parse("class _RationalKernel:\n"
+                    "    def matmul(self, a, b):\n        return _over(a, _integer_row(b)[0])\n"
+                    "def _echelon_qq(rows):\n    return [_integer_row(r) for r in rows]\n"
+                    "HALF = Fraction(1, 2)\n")
+    assert conversion_sites(bad) == {"Fraction": ["<module>"],
+                                     "_over": ["_RationalKernel.matmul"],
+                                     "_integer_row": ["_RationalKernel.matmul", "_echelon_qq"]}
 
 
 #: the scopes of exactlin that may take a remainder mod p
