@@ -13,10 +13,11 @@ made:
 * ``_PrimeKernel``: scalars mod p, one reduction of arrays, ``_residues``
   (int64 ``% p``, exact below 2**53), ``int`` read-out, the blocked echelon
   form ``_echelon_fp`` and the BLAS product; every denominator is 1, so
-  bringing matrices to a common denominator and into lowest terms returns
-  them as they are.  Prime-field
-  arithmetic reduces mod p only now and then (delayed modular reduction),
-  so it is exact only while every intermediate value stays below 2**53.
+  ``_common`` and ``_lowest``, written once for both fields to bring
+  matrices to a common denominator and into lowest terms, return them as
+  they are.  Prime-field arithmetic reduces mod p only now and then
+  (delayed modular reduction), so it is exact only while every
+  intermediate value stays below 2**53.
   One rule keeps it there: every operand is a residue in [0, p) when it is
   scaled or multiplied, and a sum of products is reduced before it could
   reach 2**53.  ``_echelon_fp`` proves that this holds for every p < 2**24,
@@ -405,15 +406,12 @@ class _PrimeKernel:
     ``_residues``, a float64 array and an object array from ``asarray``
     alike; ``entries`` stores an array of residues from ``coerce`` as it
     is and reduces a float64 array from ``asarray``, over the denominator
-    1, and ``ratio`` makes a scalar a residue over 1.
-    ``asarray`` reads the data of ``Mat(...)`` for it (integers of any size
-    and fractions exactly), ``exact`` reads entries out as ``int``,
+    1.  ``asarray`` reads the data of ``Mat(...)`` for it (integers of any
+    size and fractions exactly), ``exact`` reads entries out as ``int``,
     ``echelon`` is the blocked ``_echelon_fp`` (unit pivots, zeros below
     them) and ``matmul`` the BLAS product of two arrays of residues
-    (reduced afterwards by ``normalize``).  ``common`` and ``lowest``, which
-    bring denominators together and into lowest terms, return their input.
-    The product sums at most ``chunk`` =
-    floor((2**53 - p) / (p - 1)**2) products before it reduces with
+    (reduced afterwards by ``normalize``).  The product sums at most
+    ``chunk`` = floor((2**53 - p) / (p - 1)**2) products before it reduces with
     ``_residues``, so a reduced partial sum plus one chunk stays below
     2**53: ``chunk`` is 32 at p = 16777213, the largest prime below the
     2**24 cap, and about 9 * 10**11 at p = 101, where no product is split.
@@ -461,15 +459,6 @@ class _PrimeKernel:
         # an object array holds residues from ``coerce`` or
         # ``random_scalar`` already; a float64 one is ``asarray``'s data
         return (self.normalize(a) if a.dtype == np.float64 else a.astype(np.float64)), 1
-
-    def ratio(self, c) -> tuple[int, int]:
-        return self.coerce(c), 1
-
-    def lowest(self, a: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-        return a, den
-
-    def common(self, arrays: list, dens: list) -> tuple[list, int]:
-        return arrays, 1
 
     def asarray(self, data) -> np.ndarray:
         """``data`` as an array for ``normalize``.  A float64 array is taken
@@ -569,14 +558,13 @@ class _RationalKernel:
     numerators, and the zero matrix has denominator 1.  ``coerce`` makes a
     scalar a ``Fraction``; ``asarray`` reads the data of ``Mat(...)``
     through it and ``entries`` clears an array of ``Fraction`` scalars to
-    that form (``_integer_row``), the one conversion in; ``ratio`` splits
-    one scalar into its numerator and denominator.  ``exact`` builds
+    that form (``_integer_row``), the one conversion in.  ``exact`` builds
     the ``Fraction`` entries at read-out (``_over``), the one conversion
-    out.  Between the two, every operation works on the numerators:
-    ``common`` brings matrices to their common denominator, ``lowest``
-    divides a result by the gcd of its denominator and numerators, and
-    ``normalize``, the entrywise reduction, has nothing to do on ``int``;
-    ``primitive`` divides a vector by the gcd of its entries.  ``echelon``
+    out.  Between the two, every operation works on the numerators (the
+    module's ``_common`` brings matrices to their common denominator and
+    ``_lowest`` divides a result by the gcd of its denominator and
+    numerators), and ``normalize``, the entrywise reduction, has nothing to
+    do on ``int``; ``primitive`` divides a vector by the gcd of its entries.  ``echelon``
     is the fraction-free reduced echelon form ``_echelon_qq`` and
     ``matmul`` multiplies numerators in a row loop that skips zero entries
     (a dense object-array product multiplies every zero it meets).
@@ -614,20 +602,6 @@ class _RationalKernel:
     def entries(self, a: np.ndarray) -> tuple[np.ndarray, int]:
         den, ints = _integer_row(a.ravel().tolist())
         return self._array(ints, a.shape), den
-
-    def ratio(self, c) -> tuple[int, int]:
-        c = self.coerce(c)
-        return c.numerator, c.denominator
-
-    def lowest(self, a: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-        if den == 1:
-            return a, 1
-        g = math.gcd(den, *a.ravel().tolist())
-        return (a // g, den // g) if g > 1 else (a, den)
-
-    def common(self, arrays: list, dens: list) -> tuple[list, int]:
-        den = math.lcm(*dens)
-        return [a if d == den else a * (den // d) for a, d in zip(arrays, dens)], den
 
     def asarray(self, data) -> np.ndarray:
         arr = np.asarray(data, dtype=object)
@@ -762,10 +736,36 @@ def _identity(field: Field, n: int) -> np.ndarray:
     return arr
 
 
-def _joined(fk, mats: Sequence["Mat"]) -> tuple[list, int]:
+def _ratio(fk, c) -> tuple[int, int]:
+    """The scalar ``c`` of the kernel ``fk`` as its numerator and denominator
+    (a residue mod p, a Python ``int``, is its own numerator over 1)."""
+    c = fk.coerce(c)
+    return c.numerator, c.denominator
+
+
+def _lowest(a: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """The matrix ``a / den`` in lowest terms: both divided by the gcd of
+    ``den`` and the entries.  Every F_p denominator is 1, where it returns
+    its input."""
+    if den == 1:
+        return a, 1
+    g = math.gcd(den, *a.ravel().tolist())
+    return (a // g, den // g) if g > 1 else (a, den)
+
+
+def _common(arrays: list, dens: list) -> tuple[list, int]:
+    """The arrays over the lcm of their denominators ``dens``, and that lcm.
+    Every F_p denominator is 1, where the arrays come back as they are."""
+    den = math.lcm(*dens)
+    if den == 1:
+        return arrays, 1
+    return [a if d == den else a * (den // d) for a, d in zip(arrays, dens)], den
+
+
+def _joined(mats: Sequence["Mat"]) -> tuple[list, int]:
     """The stored entries of ``mats`` over their common denominator, and that
-    denominator: the kernel's ``common``."""
-    return fk.common([m._entries for m in mats], [m._den for m in mats])
+    denominator."""
+    return _common([m._entries for m in mats], [m._den for m in mats])
 
 
 def _nonzero_lines(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -840,10 +840,12 @@ class Mat:
     entries.  The form is canonical, so equal matrices have equal arrays and
     denominators, and ``==`` and ``hash`` read them as they are.  Every
     operation below is written once on that pair; the few steps that differ
-    between the fields (reading entries in and out, reducing an array,
-    bringing denominators together and into lowest terms, the echelon form
-    and the product) go through the field's kernel.  A ``Fraction`` is made
-    only when an entry is read out (``entry``, ``row_list``).  The entries
+    between the fields (reading entries in and out, reducing an array, the
+    echelon form and the product) go through the field's kernel; bringing
+    denominators together (``_common``) and into lowest terms
+    (``_lowest``) is written once, since every F_p denominator is 1.  A
+    ``Fraction`` is made only when an entry is read out (``entry``,
+    ``row_list``).  The entries
     never change after construction; the one slot written later is
     ``_frame``, the Jordan frame that ``_jordan_frame`` memoises.
 
@@ -858,7 +860,7 @@ class Mat:
     read-only.  It is used only where the pair is canonical by construction
     (copies, views and concatenations of other ``Mat``s over their common
     denominator, zeros and identities, results of the kernel's
-    ``entries``, and results put in lowest terms by ``lowest`` after an
+    ``entries``, and results put in lowest terms by ``_lowest`` after an
     entrywise ``normalize``) and where the caller keeps no writable alias of
     ``arr``.
     """
@@ -948,7 +950,7 @@ class Mat:
             spans.append((i, i + b.rows, j, j + b.cols))
             parts.append(b._entries)
             dens.append(b._den)
-        parts, den = fk.common(parts, dens)
+        parts, den = _common(parts, dens)
         out = _zeros(field, rows, cols)
         placed: list[tuple[int, int, int, int]] = []
         for (i0, i1, j0, j1), part in zip(spans, parts):
@@ -957,7 +959,7 @@ class Mat:
                 view[...] = part
             else:
                 view[...] = fk.normalize(view + part)
-        return cls._of(field, *fk.lowest(out, den))
+        return cls._of(field, *_lowest(out, den))
 
     @classmethod
     def kron_assemble(cls, field: Field, rows: int, cols: int, blocks) -> "Mat":
@@ -995,7 +997,7 @@ class Mat:
             first = y if x is None else x
             firsts.append(first._entries)
             dens.append(first._den if x is None or y is None else x._den * y._den)
-        firsts, den = fk.common(firsts, dens)
+        firsts, den = _common(firsts, dens)
         out = _zeros(field, rows, cols)
         placed: list[tuple[int, int, int, int]] = []
         for (i, j, x, y, n, xr, xc, yr, yc), first in zip(shaped, firsts):
@@ -1019,7 +1021,7 @@ class Mat:
                     np.add(view, np.multiply(a, b, out=None, where=nz), out=view, where=nz)
             # a product, or a sum with an overlap: reduced where it is formed
             view[...] = fk.normalize(view)
-        return cls._of(field, *fk.lowest(out, den))
+        return cls._of(field, *_lowest(out, den))
 
     @classmethod
     def hcat(cls, field: Field, rows: int, mats: Sequence["Mat"]) -> "Mat":
@@ -1029,7 +1031,7 @@ class Mat:
                 raise ShapeMismatchError(f"hcat of {m.shape} over {m.field} onto {rows} rows")
         if not mats:
             return cls.zeros(field, rows, 0)
-        parts, den = _joined(field._kernel, mats)
+        parts, den = _joined(mats)
         return cls._of(field, np.concatenate(parts, axis=1), den)
 
     @classmethod
@@ -1040,7 +1042,7 @@ class Mat:
                 raise ShapeMismatchError(f"vcat of {m.shape} over {m.field} onto {cols} cols")
         if not mats:
             return cls.zeros(field, 0, cols)
-        parts, den = _joined(field._kernel, mats)
+        parts, den = _joined(mats)
         return cls._of(field, np.concatenate(parts, axis=0), den)
 
     @classmethod
@@ -1093,8 +1095,8 @@ class Mat:
         if self.shape != other.shape:
             raise ShapeMismatchError(f"add {self.shape} vs {other.shape}")
         fk = self.field._kernel
-        (a, b), den = _joined(fk, [self, other])
-        return Mat._of(self.field, *fk.lowest(fk.normalize(a + b), den))
+        (a, b), den = _joined([self, other])
+        return Mat._of(self.field, *_lowest(fk.normalize(a + b), den))
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + other.scaled(self.field.coerce(-1))
@@ -1104,8 +1106,8 @@ class Mat:
 
     def scaled(self, c) -> "Mat":
         fk = self.field._kernel
-        num, den = fk.ratio(c)
-        return Mat._of(self.field, *fk.lowest(fk.normalize(self._entries * num), self._den * den))
+        num, den = _ratio(fk, c)
+        return Mat._of(self.field, *_lowest(fk.normalize(self._entries * num), self._den * den))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._require_same_field(other)
@@ -1113,7 +1115,7 @@ class Mat:
             raise ShapeMismatchError(f"matmul {self.shape} @ {other.shape}")
         fk = self.field._kernel
         product = fk.normalize(fk.matmul(self._entries, other._entries))
-        return Mat._of(self.field, *fk.lowest(product, self._den * other._den))
+        return Mat._of(self.field, *_lowest(product, self._den * other._den))
 
     def transpose(self) -> "Mat":
         return Mat._of(self.field, self._entries.T, self._den)
@@ -1136,7 +1138,7 @@ class Mat:
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
         if not (row_idx and col_idx):
             return Mat.zeros(self.field, len(row_idx), len(col_idx))
-        return Mat._of(self.field, *self.field._kernel.lowest(
+        return Mat._of(self.field, *_lowest(
             self._entries[np.ix_(row_idx, col_idx)], self._den))
 
     # -- solving -------------------------------------------------------------
@@ -1187,7 +1189,7 @@ class Mat:
             # columns sit among all free columns
             out[np.ix_(piv, np.searchsorted(free, rest_cols[rest_free]))] = fk.normalize(
                 -_back_substitute(fk, w, rest_piv, w[:len(rest_piv), rest_free]))
-        return Mat._of(self.field, *fk.lowest(out, den))
+        return Mat._of(self.field, *_lowest(out, den))
 
     def column_space(self) -> "Mat":
         """A basis of the column space, as the columns of the result."""
@@ -1195,7 +1197,7 @@ class Mat:
             return Mat.zeros(self.field, self.rows, 0)
         fk = self.field._kernel
         w, den, piv = fk.echelon(self._entries.T)
-        return Mat._of(self.field, *fk.lowest(w[:len(piv)].T.copy(), den))
+        return Mat._of(self.field, *_lowest(w[:len(piv)].T.copy(), den))
 
     def solve(self, b: "Mat"):
         """Particular solution of self @ x = b (b a column), or None."""
@@ -1214,12 +1216,12 @@ class Mat:
         if b.cols == 0:
             return Mat.zeros(self.field, n, 0)
         fk = self.field._kernel
-        w, den, piv = fk.echelon(np.concatenate(_joined(fk, [self, b])[0], axis=1))
+        w, den, piv = fk.echelon(np.concatenate(_joined([self, b])[0], axis=1))
         if piv and piv[-1] >= n:
             return None
         x = _zeros(self.field, n, b.cols)
         x[piv] = _back_substitute(fk, w, piv, w[:len(piv), n:])
-        x = Mat._of(self.field, *fk.lowest(x, den))
+        x = Mat._of(self.field, *_lowest(x, den))
         # the residual guards the elimination: a nonzero one means no solution
         return x if self @ x == b else None
 
@@ -1237,10 +1239,10 @@ class Mat:
             return self
         fk = self.field._kernel
         w, den, piv = fk.echelon(np.concatenate(
-            _joined(fk, [self, Mat.identity(self.field, n)])[0], axis=1))
+            _joined([self, Mat.identity(self.field, n)])[0], axis=1))
         if len(piv) < n or piv[n - 1] != n - 1:
             raise ZeroDivisionError("matrix is singular")
-        return Mat._of(self.field, *fk.lowest(_back_substitute(fk, w, piv[:n], w[:n, n:]), den))
+        return Mat._of(self.field, *_lowest(_back_substitute(fk, w, piv[:n], w[:n, n:]), den))
 
     def minimal_polynomial(self) -> list:
         """Exact minimal polynomial of a square matrix, ascending coefficients.
@@ -1480,10 +1482,10 @@ def trace_form(lefts: Sequence[Mat], rights: Sequence[Mat]) -> Mat:
         if y.field != field or y.shape != (m, n):
             raise ShapeMismatchError(f"trace form of {y.shape} against ({n}, {m}) lefts")
     fk = field._kernel
-    (flat_left, left_den), (flat_right, right_den) = (_joined(fk, mats) for mats in (lefts, rights))
+    (flat_left, left_den), (flat_right, right_den) = (_joined(mats) for mats in (lefts, rights))
     flat_left = np.stack([x.ravel() for x in flat_left])
     flat_right = np.stack([y.T.ravel() for y in flat_right], axis=1)
-    return Mat._of(field, *fk.lowest(fk.normalize(fk.matmul(flat_left, flat_right)),
+    return Mat._of(field, *_lowest(fk.normalize(fk.matmul(flat_left, flat_right)),
                                      left_den * right_den))
 
 
@@ -1510,7 +1512,7 @@ class Span:
                 raise ShapeMismatchError(f"combination of {m.shape} into {rows}x{cols}")
         self.field, self.rows, self.cols = field, rows, cols
         self.mats = list(mats)
-        parts, self._den = _joined(field._kernel, mats)
+        parts, self._den = _joined(mats)
         self._stack = (np.stack([a.reshape(rows * cols) for a in parts]) if mats
                        else _zeros(field, 0, rows * cols))
 
@@ -1523,7 +1525,7 @@ class Span:
         fk = self.field._kernel
         flat = fk.normalize(fk.matmul(coeffs._entries.T, self._stack))
         den = coeffs._den * self._den
-        return [Mat._of(self.field, *fk.lowest(row.reshape(self.rows, self.cols), den))
+        return [Mat._of(self.field, *_lowest(row.reshape(self.rows, self.cols), den))
                 for row in flat]
 
 
@@ -1693,7 +1695,7 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat,
     if rest:
         blocks = []
         for r, r2 in rest:
-            (rj, r2j), _ = _joined(fk, [p_src_inv @ r @ p_src, p_tgt_inv @ r2 @ p_tgt])
+            (rj, r2j), _ = _joined([p_src_inv @ r @ p_src, p_tgt_inv @ r2 @ p_tgt])
             # h_c rj - r2j h_c, each term placed by index: rj and r2j over
             # their common denominator, which scales the block's rows and so
             # leaves the kernel of the conditions as it is
@@ -1716,7 +1718,7 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat,
     out = fk.normalize(fk.matmul(left.reshape(e, k, d).transpose(1, 0, 2).reshape(k * e, d),
                                  p_src_inv._entries))
     den = p_tgt._den * h_den * p_src_inv._den
-    return [Mat._of(field, *fk.lowest(g, den)) for g in out.reshape(k, e, d)]
+    return [Mat._of(field, *_lowest(g, den)) for g in out.reshape(k, e, d)]
 
 
 # ---------------------------------------------------------------------------

@@ -407,33 +407,32 @@ def endomorphism_algebra(candidate: TiltingCandidate) -> tuple[BoundQuiver, Alge
                 arrow_maps[name] = (j, i, block[idx])
     quiver = Quiver([f"t{i}" for i in range(n)], arrows)
 
-    # relations: kernel of the evaluation of paths (length >= 2) in End(T),
-    # with path length capped at the nilpotency degree of rad End(T)
-    maxlen = 1
-    cur_layer = rad_basis
-    while any(cur_layer[key] for key in cur_layer) and maxlen < 2 * n + 4:
-        nxt: dict[tuple[int, int], list] = {key: [] for key in cur_layer}
-        any_nonzero = False
-        for i in range(n):
-            for j in range(n):
-                vecs = []
-                for k in range(n):
-                    for g in rad_basis[(i, k)]:
-                        for f in cur_layer[(k, j)]:
-                            comp = morphism_compose(g, f)
-                            if not all(mm.is_zero() for mm in comp.values()):
-                                vecs.append(comp)
-                nxt[(i, j)] = vecs
-                if vecs:
-                    any_nonzero = True
-        cur_layer = nxt
-        maxlen += 1
-        if not any_nonzero:
-            break
-    nilpotency = maxlen
+    # the arrows span rad modulo rad^2, so rad^m = 0 exactly when every
+    # arrow path of length m evaluates to zero: evaluate the paths by length
+    # up to the first such m, the nilpotency degree, which is at most
+    # dim End(T)
+    evals = {(name,): f for name, (_, _, f) in arrow_maps.items()}
+    layer = list(evals)
+    nilpotency = 1
+    while any(not m.is_zero() for word in layer for m in evals[word].values()):
+        if nilpotency == end_dim:
+            raise ValueError("the radical of End(T) is not nilpotent")
+        layer = [(name,) + word for word in layer
+                 for name, (j, _, _) in arrow_maps.items() if j == arrow_maps[word[0]][1]]
+        for word in layer:
+            evals[word] = morphism_compose(arrow_maps[word[0]][2], evals[word[1:]])
+        nilpotency += 1
 
-    # each kernel column of the path evaluations is a relation; when the
-    # block is zero the kernel is the identity and every path is one
+    def evaluation(word: tuple) -> dict[str, Mat]:
+        """The evaluated path; a path one longer than the last layer is zero."""
+        if word in evals:
+            return evals[word]
+        g, f = arrow_maps[word[0]][2], evals[word[1:]]
+        return {v: Mat.zeros(field, g[v].rows, f[v].cols) for v in f}
+
+    # relations: each kernel column of the evaluations of the paths of
+    # lengths 2 to nilpotency + 1 is one; when the block is zero the kernel
+    # is the identity and every path is one
     relations = []
     by_st: dict[tuple[str, str], list[Path]] = {}
     for p in _enumerate_paths(quiver, nilpotency + 1):
@@ -441,13 +440,7 @@ def endomorphism_algebra(candidate: TiltingCandidate) -> tuple[BoundQuiver, Alge
             by_st.setdefault((p.source, p.target), []).append(p)
     for _, plist in sorted(by_st.items()):
         plist.sort(key=lambda p: (len(p), p.arrows))
-        cols = []
-        for p in plist:
-            f = None
-            for name in p.arrows:
-                _, _, g = arrow_maps[name]
-                f = g if f is None else morphism_compose(f, g)
-            cols.append(flatten_morphism(field, f))
+        cols = [flatten_morphism(field, evaluation(p.arrows)) for p in plist]
         for coefs in Mat.hcat(field, cols[0].rows, cols).kernel().T.row_list():
             relations.append(Relation(tuple((Fraction(c), p)
                                             for c, p in zip(coefs, plist) if c != 0)))

@@ -1,11 +1,13 @@
 """Witness bimodules for wildness, with tracked free ranks.
 
 A witness is a bimodule over (target algebra, source algebra), free of
-finite rank r over the source, stored through the left action of the
-target's basis on the free generators.  Either algebra is the path algebra
-of its ``bound_quiver``: an ``AlgebraTable``, or the free algebra k<x,y>
-of the quiver with one vertex and two loops x, y (``FreeAlgebra``), so a
-module over it is a ``Representation`` (``FreeAlgModule`` for k<x,y>).
+finite rank r over the source.  Either algebra is the path algebra of its
+``bound_quiver``: an ``AlgebraTable``, or the free algebra k<x,y> of the
+quiver with one vertex v and two loops x, y (``FreeAlgebra``), so a module
+over it is a ``Representation`` (``FreeAlgModule`` for k<x,y>).  A left
+module over the target kQ/I is a representation of (Q, I), so a witness
+holds one action per vertex and one per arrow of Q, keyed by name, for
+either kind of target; a path acts by the product of its arrows' actions.
 Each action is an r x r matrix over the source B in tensor form,
 sum_k A_k (x) b_k stored as ``{key: A_k}``, with b_k a basis path of B (a
 word in x, y is its own key, a table path is keyed by its index); a table
@@ -13,9 +15,10 @@ element is read as its coefficient dict ``{basis index: scalar}``.
 Products read B's structure constants, sum_m (sum_kl c^m_kl A_k B_l) b_m;
 evaluating at a module is sum_k A_k kron act(b_k), the path b_k acting by
 its path matrix in block (target, source); composing substitutes the
-inner action for each b_k.  The associated exact functor's preservation
-properties (indecomposability, isomorphism classes, Hom dimensions when
-fullness is claimed) are checked by bounded randomized verification.
+inner action of the path b_k for each b_k.  The associated exact functor's
+preservation properties (indecomposability, isomorphism classes, Hom
+dimensions when fullness is claimed) are checked by bounded randomized
+verification.
 
 Built-ins: the rank-2 embedding of two-loop representations into
 three-arrow Kronecker representations, the rank-7 fully faithful functor
@@ -180,16 +183,6 @@ def _identity(source: SourceOrTarget, r: int) -> dict:
     return {k: Mat.identity(source.field, r) for k in _unit_keys(source)} if r else {}
 
 
-def _tensor_prod(source: SourceOrTarget, r: int, tensors: list) -> dict:
-    """The product of the tensors in order; the identity when there are none."""
-    if not tensors:
-        return _identity(source, r)
-    acc = tensors[0]
-    for t in tensors[1:]:
-        acc = _tensor_mul(source, r, acc, t)
-    return acc
-
-
 def _act(source: SourceOrTarget, module, key) -> Mat:
     """The matrix by which the source basis element ``key`` acts on a module:
     its path p acts on the total space by its path matrix in block
@@ -209,22 +202,30 @@ def _act(source: SourceOrTarget, module, key) -> Mat:
 class WitnessBimodule:
     """A (target, source)-bimodule, free of the given rank over the source.
 
-    ``action`` maps each target basis index (or each free letter when the
-    target is the free algebra) to a rank x rank matrix over the source in
-    tensor form: a dict ``{key: Mat}`` of rank x rank field matrices keyed by
-    source basis elements (words in x, y when the source is free, basis
-    indices when it is an algebra table).  Respecting the target's
-    multiplication table is checked on construction.
+    A left module over the target kQ/I is a representation of (Q, I)
+    (Assem, Simson and Skowroński, Elements I, Thm. III.1.6), so the
+    bimodule is one action per vertex (``vertices``) and one per arrow
+    (``arrows``) of the target's quiver, keyed by name: for k<x,y> the
+    vertex ``"v"`` and the arrows ``"x"`` and ``"y"``.  Each action is a
+    rank x rank matrix over the source in tensor form, a dict ``{key: Mat}``
+    of rank x rank field matrices keyed by source basis elements (words in
+    x, y when the source is free, basis indices when it is an algebra
+    table).  ``path_action`` gives the action of any path.  Construction
+    checks that the vertex actions are orthogonal idempotents, that each
+    arrow acts from its source's idempotent to its target's, and that every
+    relation acts as zero, so the action factors through kQ/I (the paths of
+    length L of a table lie in the relation ideal); ``unital`` is whether
+    the idempotents sum to 1.
     """
 
     def __init__(self, target: SourceOrTarget, source: SourceOrTarget,
-                 rank: int, action: dict, full: bool = False):
+                 rank: int, vertices: dict, arrows: dict, full: bool = False):
         self.target = target
         self.source = source
         self.rank = int(rank)
-        self.action = action
+        self.vertices = vertices
+        self.arrows = arrows
         self.full = bool(full)
-        self.unital = True
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
         self._validate()
@@ -233,59 +234,57 @@ class WitnessBimodule:
     def field(self) -> Field:
         return self.target.field
 
+    def path_action(self, path: Path) -> dict:
+        """The action of a path: its vertex's idempotent when it is trivial,
+        otherwise the product of its arrows' actions in the path's order."""
+        if not path.arrows:
+            return self.vertices[path.source]
+        acc = self.arrows[path.arrows[0]]
+        for a in path.arrows[1:]:
+            acc = _tensor_mul(self.source, self.rank, acc, self.arrows[a])
+        return acc
+
     def _validate(self):
-        r = self.rank
-        free_target = isinstance(self.target, FreeAlgebra)
-        for key in ("x", "y") if free_target else range(self.target.dimension):
-            if key not in self.action:
-                what = key if free_target else f"basis element {self.target.basis[key]}"
-                raise ValueError(f"missing action of {what}")
-            for k, m in self.action[key].items():
-                if not _is_key(self.source, k):
-                    raise ValueError(f"action of {key!r} uses {k!r}, not a basis key of "
-                                     f"the source")
-                if m.shape != (r, r):
-                    raise ShapeMismatchError("action matrix shape mismatch")
-        if free_target:
-            return
-        table = self.target
-        # the identity must act as an idempotent projection; when it acts as
-        # the identity the bimodule is unital, otherwise the tensor functor
-        # passes to the unital part (the free-generator bookkeeping keeps the
-        # declared rank either way)
-        ident = _tensor_sum(self.field, r, [(1, self.action[k]) for k in _unit_keys(table)])
-        if ident == _identity(self.source, r):
-            self.unital = True
-        elif _tensor_mul(self.source, r, ident, ident) == ident:
-            self.unital = False
-        else:
-            raise ValueError("identity does not act as an idempotent")
-        # multiplicativity on all basis pairs
-        for i in range(table.dimension):
-            for j in range(table.dimension):
-                prod = _tensor_mul(self.source, r, self.action[i], self.action[j])
-                expected = _tensor_sum(self.field, r, [(c, self.action[k]) for k, c
-                                                       in table.product_entry(i, j).items()])
-                if prod != expected:
-                    raise ValueError(
-                        f"action does not respect the product "
-                        f"{table.basis[i]} * {table.basis[j]}")
+        r, source = self.rank, self.source
+        q = self.target.bound_quiver.quiver
+        for kind, given, names in (("vertex", self.vertices, q.vertices),
+                                   ("arrow", self.arrows, [a.name for a in q.arrows])):
+            for name in names:
+                if name not in given:
+                    raise ValueError(f"missing action of {kind} {name}")
+            for name, tensor in given.items():
+                if name not in names:
+                    raise ValueError(f"action given for {name!r}, which is no {kind} of "
+                                     f"the target")
+                for k, m in tensor.items():
+                    if not _is_key(source, k):
+                        raise ValueError(f"action of {name!r} uses {k!r}, not a basis key of "
+                                         f"the source")
+                    if m.shape != (r, r):
+                        raise ShapeMismatchError("action matrix shape mismatch")
 
-    # -- construction ---------------------------------------------------------
+        def mul(a: dict, b: dict) -> dict:
+            return _tensor_mul(source, r, a, b)
 
-    @classmethod
-    def from_generator_actions(cls, table: AlgebraTable, source: SourceOrTarget,
-                               rank: int, vertex_actions: dict, arrow_actions: dict,
-                               full: bool = False) -> "WitnessBimodule":
-        """Extend actions of idempotents and arrows to the whole basis."""
-        action: dict = {}
-        for i, path in enumerate(table.basis):
-            if not path.arrows:
-                action[i] = vertex_actions[path.source]
-            else:
-                action[i] = _tensor_prod(source, rank,
-                                         [arrow_actions[name] for name in path.arrows])
-        return cls(table, source, rank, action, full=full)
+        e = self.vertices
+        for v in q.vertices:
+            for u in q.vertices:
+                if mul(e[v], e[u]) != (e[v] if u == v else {}):
+                    raise ValueError(f"vertices {v} and {u} do not act as orthogonal "
+                                     f"idempotents")
+        for a in q.arrows:
+            x = self.arrows[a.name]
+            if not mul(e[a.target], x) == x == mul(x, e[a.source]):
+                raise ValueError(f"arrow {a.name} does not act from vertex {a.source} to "
+                                 f"vertex {a.target}")
+        for rel in self.target.bound_quiver.relations:
+            if _tensor_sum(self.field, r, [(c, self.path_action(p)) for c, p in rel.terms]):
+                raise ValueError(f"relation {rel} does not act as zero")
+        # when the idempotents do not sum to 1, the tensor functor passes to
+        # the unital part (the free-generator bookkeeping keeps the declared
+        # rank either way)
+        self.unital = _tensor_sum(self.field, r, [(1, e[v]) for v in q.vertices]) == \
+            _identity(source, r)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -309,37 +308,37 @@ def eval_tensor_with_frame(w: WitnessBimodule, module: Representation):
     """Apply the tensor functor; also return the coordinate frame.
 
     The output lives on ``rank * dim(module)`` coordinates ordered by free
-    generator; for an algebra-table target these are re-sorted by vertex.
-    The frame maps output coordinates to (generator-major) raw coordinates.
+    generator, re-sorted by the target's vertices.  The frame maps output
+    coordinates to (generator-major) raw coordinates.  The module must lie
+    over the source's quiver and relations; its nilbound is not compared,
+    since it only certifies finiteness and a module that satisfies the
+    relations kills the long paths already.
     """
     field = w.field
-    if module.bound_quiver != w.source.bound_quiver or module.field != w.source.field:
+    mine, theirs = module.bound_quiver, w.source.bound_quiver
+    if (mine.quiver != theirs.quiver or mine.relations != theirs.relations
+            or module.field != w.source.field):
         raise ShapeMismatchError("module over another bound quiver or field than the source")
     total = w.rank * module.total_dim
     acts: dict = {}
-    if isinstance(w.target, FreeAlgebra):
-        x = w._entry_matrix_on(w.action["x"], module, acts)
-        y = w._entry_matrix_on(w.action["y"], module, acts)
-        return FreeAlgModule(x, y), list(range(total))
+    bq = w.target.bound_quiver
+    q = bq.quiver
 
-    table = w.target
-    q = table.bound_quiver.quiver
-
-    def raw(path: Path) -> Mat:
-        """The action of a basis path on the raw coordinates."""
-        return w._entry_matrix_on(w.action[table.basis_index(path)], module, acts)
+    def raw(tensor: dict) -> Mat:
+        """An action on the raw coordinates."""
+        return w._entry_matrix_on(tensor, module, acts)
 
     # idempotent projections split the unital part of the raw coordinates by
     # vertex; coordinates killed by the identity are dropped (non-unital case)
-    proj = {v: raw(Path(v, v, ())) for v in q.vertices}
+    proj = {v: raw(w.vertices[v]) for v in q.vertices}
     assignment = _diagonal_assignment(proj, q.vertices, total)
     if assignment is not None:
         order = [k for v in q.vertices for k in assignment[v]]
         dims = {v: len(assignment[v]) for v in q.vertices}
-        mats = {a.name: raw(q.path([a.name])).submatrix(assignment[a.target],
+        mats = {a.name: raw(w.arrows[a.name]).submatrix(assignment[a.target],
                                                         assignment[a.source])
                 for a in q.arrows}
-        return Representation(table.bound_quiver, field, dims, mats, check=False), order
+        return Representation(bq, field, dims, mats, check=False), order
     # general position: change basis to the column spaces of the projections
     cols = {v: proj[v].column_space() for v in q.vertices}
     frame = Mat.hcat(field, total, [cols[v] for v in q.vertices])
@@ -348,11 +347,11 @@ def eval_tensor_with_frame(w: WitnessBimodule, module: Representation):
     dims = {v: cols[v].cols for v in q.vertices}
     mats = {}
     for a in q.arrows:
-        x = cols[a.target].solve_matrix(raw(q.path([a.name])) @ cols[a.source])
+        x = cols[a.target].solve_matrix(raw(w.arrows[a.name]) @ cols[a.source])
         if x is None:
             raise ValueError("arrow action does not respect the vertex splitting")
         mats[a.name] = x
-    return Representation(table.bound_quiver, field, dims, mats, check=False), frame
+    return Representation(bq, field, dims, mats, check=False), frame
 
 
 def _diagonal_assignment(proj, vertices, total):
@@ -406,18 +405,16 @@ def builtin_G(table: Optional[AlgebraTable] = None, field: Field = None) -> Witn
     f = table.field
     src, tgt, (a1, a2, a3) = _k3_shape(table.bound_quiver)
     one = {(): 1}
-    vertex_actions = {
+    vertices = {
         src: _from_entries(f, 2, [(0, 0, one)]),
         tgt: _from_entries(f, 2, [(1, 1, one)]),
     }
-    arrow_actions = {
+    arrows = {
         a1: _from_entries(f, 2, [(1, 0, one)]),
         a2: _from_entries(f, 2, [(1, 0, {("x",): 1})]),
         a3: _from_entries(f, 2, [(1, 0, {("y",): 1})]),
     }
-    return WitnessBimodule.from_generator_actions(table, FreeAlgebra(f), 2,
-                                                  vertex_actions, arrow_actions,
-                                                  full=True)
+    return WitnessBimodule(table, FreeAlgebra(f), 2, vertices, arrows, full=True)
 
 
 def builtin_F(table: AlgebraTable) -> WitnessBimodule:
@@ -435,7 +432,8 @@ def builtin_F(table: AlgebraTable) -> WitnessBimodule:
     x = _from_entries(f, 7, [(i, i + 1, one) for i in range(6)])
     y = _from_entries(f, 7, [(i + 1, i, one) for i in range(6)]
                       + [(i + 2, i, elt) for i, elt in enumerate(lower)])
-    return WitnessBimodule(FreeAlgebra(f), table, 7, {"x": x, "y": y}, full=True)
+    return WitnessBimodule(FreeAlgebra(f), table, 7, {"v": _identity(table, 7)},
+                           {"x": x, "y": y}, full=True)
 
 
 def compose_witness(outer: WitnessBimodule, inner: WitnessBimodule) -> WitnessBimodule:
@@ -443,22 +441,22 @@ def compose_witness(outer: WitnessBimodule, inner: WitnessBimodule) -> WitnessBi
 
     Each outer coefficient sum_k O_k (x) m_k over the middle algebra becomes
     sum_k O_k (x) inner(m_k) = sum_s (sum_k O_k kron I_ks) (x) s, where
-    inner(m_k) = sum_s I_ks (x) s is the inner action of m_k (for a word of
-    the free algebra, the product of its letters' actions)."""
+    inner(m_k) = sum_s I_ks (x) s is the inner action of the basis path
+    m_k."""
     if not _same_algebra(outer.source, inner.target):
         raise ShapeMismatchError("middle algebras do not match")
-    r1 = inner.rank
-    rank = outer.rank * r1
-    middle = {k for coeffs in outer.action.values() for k in coeffs}
-    if isinstance(outer.source, FreeAlgebra):
-        image = {k: _tensor_prod(inner.source, r1, [inner.action[l] for l in k])
-                 for k in middle}
-    else:
-        image = {k: inner.action[k] for k in middle}
-    action = {t: _tensor(outer.field, rank, [(s, 1, o.kron(i)) for k, o in coeffs.items()
-                                            for s, i in image[k].items()])
-              for t, coeffs in outer.action.items()}
-    return WitnessBimodule(outer.target, inner.source, rank, action,
+    rank = outer.rank * inner.rank
+    outer_actions = [*outer.vertices.values(), *outer.arrows.values()]
+    image = {k: inner.path_action(outer.source.basis_path(k))
+             for coeffs in outer_actions for k in coeffs}
+
+    def through(coeffs: dict) -> dict:
+        return _tensor(outer.field, rank, [(s, 1, o.kron(i)) for k, o in coeffs.items()
+                                           for s, i in image[k].items()])
+
+    vertices = {v: through(t) for v, t in outer.vertices.items()}
+    arrows = {a: through(t) for a, t in outer.arrows.items()}
+    return WitnessBimodule(outer.target, inner.source, rank, vertices, arrows,
                            full=outer.full and inner.full)
 
 
@@ -778,19 +776,12 @@ def bound_via_factor(cert: WitnessCertificate, provenance: FactorProvenance,
 
 def _inflate_bimodule(w: WitnessBimodule, parent_table: AlgebraTable,
                       keep_arrows: set, keep_vertices: set) -> WitnessBimodule:
-    """Reinterpret the action along the projection parent -> target."""
-    quotient: AlgebraTable = w.target
-    action = {}
-    for i, path in enumerate(parent_table.basis):
-        if path.arrows and not all(a in keep_arrows for a in path.arrows):
-            action[i] = {}
-            continue
-        if not path.arrows and path.source not in keep_vertices:
-            action[i] = {}
-            continue
-        action[i] = _tensor_sum(w.field, w.rank, [(c, w.action[k]) for k, c in
-                                                  quotient.path_element(path).items()])
-    return WitnessBimodule(parent_table, w.source, w.rank, action, full=False)
+    """Reinterpret the action along the projection parent -> target: the
+    kept vertices and arrows keep their actions, the others act by zero."""
+    q = parent_table.bound_quiver.quiver
+    vertices = {v: w.vertices[v] if v in keep_vertices else {} for v in q.vertices}
+    arrows = {a.name: w.arrows[a.name] if a.name in keep_arrows else {} for a in q.arrows}
+    return WitnessBimodule(parent_table, w.source, w.rank, vertices, arrows, full=False)
 
 
 def bound_via_morita(cert: WitnessCertificate, d: int) -> WitnessCertificate:

@@ -12,7 +12,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from wildrank.exactlin import Field, Mat, Span, nilpotency_index, _back_substitute, _zeros
 from wildrank.rep import (IndecVerdict, InconclusiveError, Representation, _blocks_from_total,
-                          _idempotent_matrix_from_minpoly, are_isomorphic, decompose,
+                          _idempotent_matrix_from_minpoly, are_isomorphic, decompose, end_radical,
                           factor_polynomial, flatten_morphism, hom_space, morphism_compose,
                           support, _poly_eval_matrix)
 from wildrank.quiver import (BoundQuiver, Quiver, Relation, _enumerate_paths,
@@ -1127,3 +1127,100 @@ def search_concealed(bq, field, depth):
     pool = enumerate_preprojectives(bq, field, depth)
     return [(cand, *endomorphism_algebra(cand))
             for cand in tilting_candidates(pool, len(bq.quiver.vertices))]
+
+
+def reference_end_presentation(candidate):
+    """The bound quiver of ``tilting.endomorphism_algebra`` for a tilting
+    candidate, with the nilpotency degree of rad End(T) found by composing
+    unreduced spanning lists of radical maps, rad^(m+1) = rad * rad^m, until
+    a power is zero, and each path evaluated by composing its arrows' maps.
+    Reference for reading the degree and the relations off one evaluation
+    of the arrow paths by length."""
+    reps = candidate.reps()
+    field = reps[0].field
+    n = len(reps)
+    homs = {(i, j): hom_space(reps[j], reps[i]) for i in range(n) for j in range(n)}
+
+    # radical blocks: off-diagonal blocks entirely; diagonal blocks are the
+    # radicals of the local rings End(T_i)
+    rad_basis = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                rad_basis[(i, j)] = list(homs[(i, j)].basis)
+                continue
+            rad = end_radical(reps[i])
+            if rad is None:
+                raise ValueError("cannot certify the radical of a summand's "
+                                 "endomorphism ring over this field")
+            combos = {v: Span(field, d, d, [f[v] for f in homs[(i, i)].basis]).combine(rad)
+                      for v, d in reps[i].dims.items()}
+            rad_basis[(i, i)] = [{v: combos[v][k] for v in combos} for k in range(rad.cols)]
+
+    arrows = []
+    arrow_maps = {}
+    for i in range(n):
+        for j in range(n):
+            block = rad_basis[(i, j)]
+            if not block:
+                continue
+            flat = [flatten_morphism(field, f) for f in block]
+            # the rad^2 block: sums over middle summands
+            r2 = [flatten_morphism(field, morphism_compose(g, f))
+                  for k in range(n) for g in rad_basis[(i, k)] for f in rad_basis[(k, j)]]
+            # arrows: the radical maps independent of rad^2 and of each other
+            piv = Mat.hcat(field, flat[0].rows, r2 + flat).pivot_columns()
+            chosen = [p - len(r2) for p in piv if p >= len(r2)]
+            for k, idx in enumerate(chosen):
+                # arrow from vertex j (source summand) to vertex i
+                name = f"r{j}_{i}_{k}"
+                arrows.append((name, f"t{j}", f"t{i}"))
+                arrow_maps[name] = (j, i, block[idx])
+    quiver = Quiver([f"t{i}" for i in range(n)], arrows)
+
+    # relations: kernel of the evaluation of paths (length >= 2) in End(T),
+    # with path length capped at the nilpotency degree of rad End(T)
+    maxlen = 1
+    cur_layer = rad_basis
+    while any(cur_layer[key] for key in cur_layer) and maxlen < 2 * n + 4:
+        nxt = {key: [] for key in cur_layer}
+        any_nonzero = False
+        for i in range(n):
+            for j in range(n):
+                vecs = []
+                for k in range(n):
+                    for g in rad_basis[(i, k)]:
+                        for f in cur_layer[(k, j)]:
+                            comp = morphism_compose(g, f)
+                            if not all(mm.is_zero() for mm in comp.values()):
+                                vecs.append(comp)
+                nxt[(i, j)] = vecs
+                if vecs:
+                    any_nonzero = True
+        cur_layer = nxt
+        maxlen += 1
+        if not any_nonzero:
+            break
+    nilpotency = maxlen
+
+    # each kernel column of the path evaluations is a relation; when the
+    # block is zero the kernel is the identity and every path is one
+    relations = []
+    by_st = {}
+    for p in _enumerate_paths(quiver, nilpotency + 1):
+        if len(p) >= 2:
+            by_st.setdefault((p.source, p.target), []).append(p)
+    for _, plist in sorted(by_st.items()):
+        plist.sort(key=lambda p: (len(p), p.arrows))
+        cols = []
+        for p in plist:
+            f = None
+            for name in p.arrows:
+                _, _, g = arrow_maps[name]
+                f = g if f is None else morphism_compose(f, g)
+            cols.append(flatten_morphism(field, f))
+        for coefs in Mat.hcat(field, cols[0].rows, cols).kernel().T.row_list():
+            relations.append(Relation(tuple((Fraction(c), p)
+                                            for c, p in zip(coefs, plist) if c != 0)))
+
+    return BoundQuiver(quiver, relations, nilbound=max(2, nilpotency))

@@ -354,8 +354,8 @@ def test_cmd_certify_fails_on_a_corrupted_witness(monkeypatch, tmp_path):
         # the found witness with every arrow of the target acting as zero
         cert, window = covering_criterion(*args, **kwargs)
         w = cert.bimodule
-        action = {i: ({} if p.arrows else w.action[i]) for i, p in enumerate(w.target.basis)}
-        bad = WitnessBimodule(w.target, w.source, w.rank, action, full=False)
+        bad = WitnessBimodule(w.target, w.source, w.rank, w.vertices,
+                              {a: {} for a in w.arrows}, full=False)
         return replace(cert, bimodule=bad), window
 
     monkeypatch.setattr(cli_module, "covering_criterion", corrupted)

@@ -8,8 +8,9 @@ on the field or on the storage type; ``Field.__init__`` picks the kernel,
 once.  Polynomials are factored in exactlin too, by the kernels, so the
 package needs no computer-algebra library: a fresh ``import wildrank.cli``
 loads no sympy.  The free algebra k<x,y> and an algebra table share one
-interface, so only the scopes in ``ALGEBRA_BRANCHES`` branch on the kind
-of algebra or module.
+interface, and a witness holds one action per vertex and per arrow of
+either, so only the scopes in ``ALGEBRA_BRANCHES`` branch on the kind of
+algebra or module or test it with ``isinstance``.
 
 Every definition of the package, each top-level function, class and
 constant and each method, is read somewhere in ``src/`` outside its own
@@ -97,8 +98,11 @@ def _names(node: ast.AST) -> set[str]:
 
 def branches(tree: ast.AST, markers: set[str]) -> list[str]:
     """The scopes (``Class.method`` or ``function``) outside the kernels
-    holding a condition that names one of ``markers``, one per condition."""
+    holding a condition that names one of ``markers``, one per condition,
+    or an ``isinstance`` call outside any condition that names one, one
+    per call: a kind held in a local is counted where the local is set."""
     out = []
+    in_condition = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -112,7 +116,12 @@ def branches(tree: ast.AST, markers: set[str]) -> list[str]:
                 tests = [child.test]
             elif isinstance(child, ast.comprehension):
                 tests = child.ifs
+            in_condition.update(id(n) for t in tests for n in ast.walk(t))
             if any(_names(t) & markers for t in tests):
+                out.append(inner or "<module>")
+            elif (id(child) not in in_condition and isinstance(child, ast.Call)
+                  and isinstance(child.func, ast.Name) and child.func.id == "isinstance"
+                  and _names(child) & markers):
                 out.append(inner or "<module>")
             visit(child, inner)
 
@@ -146,13 +155,10 @@ def test_field_differences_stay_in_the_kernels():
 
 
 #: the scopes that may branch on the kind of algebra: the free algebra's
-#: word keys (``_is_key``) and letter actions (evaluation at a free target,
-#: composition through a free middle algebra), the free source that
-#: randomized verification samples, and the table-only certificate steps.
-#: Only conditions are read: ``WitnessBimodule._validate`` tests a local that
-#: holds the kind (``free_target``), which the checker does not follow
-ALGEBRA_BRANCHES = {"wildness.py": ["_is_key", "eval_tensor_with_frame", "compose_witness",
-                                    "verify_witness", "certificate_for_bimodule",
+#: word keys (``_is_key``), the free source that randomized verification
+#: samples, and the table-only certificate steps.  Every ``isinstance`` call
+#: that names a kind counts, so a kind held in a local is seen too
+ALGEBRA_BRANCHES = {"wildness.py": ["_is_key", "verify_witness", "certificate_for_bimodule",
                                     "bound_via_factor"]}
 
 
@@ -196,8 +202,13 @@ def test_checker_catches_each_kind():
         "    if isinstance(source, FreeAlgebra):\n        pass\n"
         "    return module.dim if type(module) is FreeAlgModule else 0\n"
         "def _same_algebra(a, b):\n"
-        "    return type(a) is type(b) and isinstance(a, AlgebraTable)\n")
-    assert branches(kinds, ALGEBRA_MARKERS) == ["_act", "_act"]
+        "    return type(a) is type(b) and isinstance(a, AlgebraTable)\n"
+        "def _validate(self):\n"
+        "    free = isinstance(self.target, FreeAlgebra)\n"
+        "    if free:\n        return\n"
+        "    return [k for k in keys if isinstance(k, int) or isinstance(k, FreeAlgModule)]\n")
+    assert branches(kinds, ALGEBRA_MARKERS) == ["_act", "_act", "_same_algebra", "_validate",
+                                                "_validate"]
 
 
 #: the scopes of exactlin that may convert between ``Fraction`` scalars and the

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (cartan_coxeter, direct_sum, F101, injective_rep, line_quiver, QQ,
-                      reference_ar_translate_inverse, reference_ext1_dim_via_presentation,
+                      reference_ar_translate_inverse, reference_end_presentation,
+                      reference_ext1_dim_via_presentation,
                       reference_projective_presentation, reference_projective_rep, rep_from_lists,
                       search_concealed, simple_rep)
 from wildrank.exactlin import Field, Mat
@@ -199,6 +200,16 @@ def test_endomorphism_algebra_slice_tilt(k2_bq, f101):
     assert hom_total == table.dimension
 
 
+def test_endomorphism_algebra_refuses_a_radical_that_is_not_nilpotent(k2_bq, f101):
+    # two isomorphic summands marked tilting: the isomorphisms between them
+    # are taken for arrows, and their paths never vanish
+    pool = enumerate_preprojectives(k2_bq, f101, 0)
+    cand = TiltingCandidate([pool[0], pool[0]])
+    cand.tilting = True
+    with pytest.raises(ValueError, match="the radical of End\\(T\\) is not nilpotent"):
+        endomorphism_algebra(cand)
+
+
 def test_endomorphism_algebra_rejects_non_tilting(k2_bq, f101):
     pool = enumerate_preprojectives(k2_bq, f101, 1)
     by_dim = {p.rep.dim_vector(): p for p in pool}
@@ -225,6 +236,23 @@ PRESENTED = [
      "arrow r3_2_0: t3 -> t2\narrow r1_3_0: t1 -> t3\n"
      "relation {c}*r0_2_0*r1_0_0 + 1*r3_2_0*r1_3_0\nnilbound 3\n"),
 ]
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+def test_nilpotency_from_arrow_paths_matches_radical_powers(k2_bq, k3_bq, field):
+    # every tilting candidate of K2 and K3 at depth 1, and of A3 and D4 at
+    # depth 2 (with relations, up to nilbound 3): the presentation read off
+    # the arrow paths is the one the powers of the radical gave
+    count = 0
+    for bq, depth in ((k2_bq, 1), (k3_bq, 1), (BoundQuiver(A3, [], nilbound=2), 2),
+                      (BoundQuiver(D4, [], nilbound=2), 2)):
+        pool = enumerate_preprojectives(bq, field, depth)
+        for cand in tilting_candidates(pool, len(bq.quiver.vertices)):
+            pres, _ = endomorphism_algebra(cand)
+            assert serialize_quiver_spec(pres, "end") == \
+                serialize_quiver_spec(reference_end_presentation(cand), "end")
+            count += 1
+    assert count > 4
 
 
 def _arrow_maps(reps, quiver):

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from conftest import (direct_sum, eval_tensor_morphism, F101, loop_square_zero, QQ,
-                      reference_entry_matrix_on, simple_rep, zero_module, zero_rep)
+from conftest import (direct_sum, eval_tensor_morphism, F101, line_quiver, loop_square_zero,
+                      make_relation, QQ, reference_entry_matrix_on, simple_rep, zero_module,
+                      zero_rep)
 
 from wildrank.exactlin import Field, Mat, ShapeMismatchError
-from wildrank.quiver import (AlgebraTable, Path, build_algebra_table, factor_quiver,
-                             k3_bound_quiver)
+from wildrank.quiver import (AlgebraTable, BoundQuiver, Path, build_algebra_table,
+                             factor_quiver, k3_bound_quiver, loop_quiver)
 from wildrank.rep import Representation, are_isomorphic, hom_space, in_sincere_subcategory
 from wildrank.wildness import (DegreeCapError, FactorProvenance, FreeAlgModule, FreeAlgebra,
                                WitnessBimodule, bound_via_factor, bound_via_morita, builtin_F,
@@ -34,7 +35,7 @@ def test_free_word_evaluation_order():
     # representations with x acting as xy + 3y and y as 3y: a word acts
     # letter by letter, xy as X @ Y
     one = Mat.identity(F101, 1)
-    w = WitnessBimodule(FreeAlgebra(F101), FreeAlgebra(F101), 1,
+    w = WitnessBimodule(FreeAlgebra(F101), FreeAlgebra(F101), 1, {"v": {(): one}},
                         {"x": {("x", "y"): one, ("y",): one.scaled(3)},
                          "y": {("y",): one.scaled(3)}})
     v = fam(F101, [[0, 1], [0, 0]], [[0, 0], [1, 0]])
@@ -76,7 +77,7 @@ def test_builtin_F_structure(k3_bq, k3_table):
     assert f.rank == 7 and f.full
     s1 = simple_rep(k3_bq, F101, "1")
     img = eval_tensor(f, s1)
-    assert isinstance(img, FreeAlgModule) and img.dim == 7
+    assert img.bound_quiver == FreeAlgebra.bound_quiver and img.total_dim == 7
     # x is the nilpotent shift with x^7 = 0
     x = img.mats["x"]
     power = x
@@ -91,7 +92,7 @@ def test_builtin_F_structure(k3_bq, k3_table):
     assert all(y[i][j] == 0 for i in range(7) for j in range(7)
                if not (i == j + 1 or (i, j) == (2, 0)))
     zero = eval_tensor(f, zero_rep(k3_bq, F101))
-    assert zero.dim == 0
+    assert zero.total_dim == 0
 
 
 def test_builtin_F_dim_multiplier(k3_bq, k3_table):
@@ -101,7 +102,7 @@ def test_builtin_F_dim_multiplier(k3_bq, k3_table):
         d1, d2 = rng.randint(0, 3), rng.randint(0, 3)
         mats = {n: Mat.random(F101, d2, d1, rng) for n in ("a", "b", "c")}
         v = Representation(k3_bq, F101, {"1": d1, "2": d2}, mats, check=False)
-        assert eval_tensor(f, v).dim == 7 * (d1 + d2)
+        assert eval_tensor(f, v).total_dim == 7 * (d1 + d2)
 
 
 def test_builtin_F_hom_preservation(k3_bq, k3_table):
@@ -217,7 +218,8 @@ def test_compose_rank_law(k3_table):
     # bound quiver over its field is still another algebra
     table = AlgebraTable(FreeAlgebra.bound_quiver, F101, [Path("v", "v", ())],
                          {("v", "v", ()): {0: 1}})
-    inner = WitnessBimodule(table, FreeAlgebra(F101), 1, {0: {(): Mat.identity(F101, 1)}})
+    inner = WitnessBimodule(table, FreeAlgebra(F101), 1, {"v": {(): Mat.identity(F101, 1)}},
+                            {"x": {}, "y": {}})
     with pytest.raises(ShapeMismatchError, match="middle algebras do not match"):
         compose_witness(g, inner)
 
@@ -233,10 +235,8 @@ def test_verify_witness_passes(k3_table):
 def test_verify_witness_catches_corruption(k3_table):
     g = builtin_G(k3_table)
     # zero the action of the third arrow: V -> (V, V; 1, x, 0) forgets y
-    action = dict(g.action)
-    idx = k3_table.basis_index(Path("1", "2", ("c",)))
-    action[idx] = {}
-    bad = WitnessBimodule(k3_table, FreeAlgebra(F101), 2, action, full=False)
+    bad = WitnessBimodule(k3_table, FreeAlgebra(F101), 2, g.vertices, {**g.arrows, "c": {}},
+                          full=False)
     report = verify_witness(bad, samples=14, max_dim=2, seed=7)
     assert not report.valid
     # an explicit colliding pair: same x, different y
@@ -286,10 +286,8 @@ def test_bound_via_factor_inflation(three_loop_bq, f101):
     three = factor_quiver(four, ["v"], ["x", "y", "z"])
     table3 = build_algebra_table(three, f101)
     # explicit rank-1 bimodule over the 3-loop algebra: all loops act by zero
-    action = {}
-    for i, p in enumerate(table3.basis):
-        action[i] = {(): Mat.identity(f101, 1)} if not p.arrows else {}
-    w = WitnessBimodule(table3, FreeAlgebra(f101), 1, action)
+    w = WitnessBimodule(table3, FreeAlgebra(f101), 1, {"v": {(): Mat.identity(f101, 1)}},
+                        {a: {} for a in ("x", "y", "z")})
     cert = certificate_for_bimodule(w, three, "three-loop radical-square-zero", seed=0)
     prov = FactorProvenance(four, ("v",), ("x", "y", "z"))
     lifted = bound_via_factor(cert, prov, "four-loop radical-square-zero", field=f101)
@@ -333,9 +331,12 @@ def test_eval_tensor_non_aligned_projections(k3_table):
     g = builtin_G(k3_table)
     u = Mat.from_rows(F101, [[1, 1], [1, 2]])
     u_inv = u.inverse()
-    action = {i: {k: u @ a @ u_inv for k, a in g.action[i].items()}
-              for i in g.action}
-    twisted = WitnessBimodule(k3_table, FreeAlgebra(F101), 2, action, full=True)
+
+    def twist(actions):
+        return {name: {k: u @ a @ u_inv for k, a in t.items()} for name, t in actions.items()}
+
+    twisted = WitnessBimodule(k3_table, FreeAlgebra(F101), 2, twist(g.vertices),
+                              twist(g.arrows), full=True)
     rng = random.Random(3)
     for _ in range(4):
         v = FreeAlgModule.random(F101, 2, rng)
@@ -411,20 +412,14 @@ def test_eval_tensor_matches_entrywise_reference(field):
         for _ in range(2):
             v = _random_source_module(w, rng)
             img, frame = eval_tensor_with_frame(w, v)
-            if isinstance(w.target, FreeAlgebra):
-                for letter in ("x", "y"):
-                    ref = reference_entry_matrix_on(w, w.action[letter], v)
-                    assert img.mats[letter] == ref, name
-                continue
             # diagonal idempotents: the frame lists the raw coordinates by vertex
-            table = w.target
+            q = w.target.bound_quiver.quiver
             start, coords = 0, {}
-            for vtx in table.bound_quiver.quiver.vertices:
+            for vtx in q.vertices:
                 coords[vtx] = frame[start:start + img.dims[vtx]]
                 start += img.dims[vtx]
-            for a in table.bound_quiver.quiver.arrows:
-                idx = table.basis_index(Path(a.source, a.target, (a.name,)))
-                ref = reference_entry_matrix_on(w, w.action[idx], v)
+            for a in q.arrows:
+                ref = reference_entry_matrix_on(w, w.arrows[a.name], v)
                 assert img.mats[a.name] == ref.submatrix(coords[a.target],
                                                          coords[a.source]), name
 
@@ -432,7 +427,11 @@ def test_eval_tensor_matches_entrywise_reference(field):
 def test_compose_then_evaluate_is_evaluate_twice():
     zoo = _witness_zoo(F101)
     rng = random.Random(53)
-    for outer, inner in (("G", "F"), ("F", "G"), ("G", "FG"), ("PD", "sincere")):
+    # through a one-vertex middle target no vertex re-sorting happens in
+    # between, so the composite's outer-generator-major coordinates give the
+    # same matrices
+    for outer, inner, same in (("G", "F", True), ("F", "G", False), ("G", "FG", True),
+                               ("PD", "sincere", False)):
         o, i = zoo[outer], zoo[inner]
         composite = compose_witness(o, i)
         assert composite.rank == o.rank * i.rank
@@ -441,33 +440,137 @@ def test_compose_then_evaluate_is_evaluate_twice():
             once = eval_tensor(composite, v)
             twice = eval_tensor(o, eval_tensor(i, v))
             assert are_isomorphic(once, twice, seed=3).verdict == "yes", (outer, inner)
-            if isinstance(i.target, FreeAlgebra):
-                # no vertex re-sorting in between: the composite's
-                # outer-generator-major coordinates give the same matrices
+            if same:
                 assert once.dims == twice.dims and once.mats == twice.mats
 
 
 def test_validate_rejects_non_idempotent_identity(k3_table):
-    # each vertex idempotent acts as the identity, so 1 acts as 2
+    # each vertex idempotent acts as the identity, so 1 acts as 2; or one
+    # vertex acts as twice the identity
     one = Mat.identity(F101, 1)
-    action = {i: ({(): one} if not p.arrows else {}) for i, p in enumerate(k3_table.basis)}
-    with pytest.raises(ValueError, match="identity does not act as an idempotent"):
-        WitnessBimodule(k3_table, FreeAlgebra(F101), 1, action)
+    arrows = {a: {} for a in ("a", "b", "c")}
+    for vertices in ({"1": {(): one}, "2": {(): one}}, {"1": {(): one.scaled(2)}, "2": {}}):
+        with pytest.raises(ValueError, match="do not act as orthogonal idempotents"):
+            WitnessBimodule(k3_table, FreeAlgebra(F101), 1, vertices, arrows)
 
 
 def test_validate_rejects_non_multiplicative_action(k3_table):
-    # routing arrow a from generator 2 to generator 1 breaks e_2 * a = a
+    # routing arrow a from generator 2 to generator 1 breaks e_2 * a = a,
+    # and from generator 2 to itself breaks a * e_1 = a
     g = builtin_G(k3_table)
-    action = dict(g.action)
-    action[k3_table.basis_index(Path("1", "2", ("a",)))] = {(): Mat.unit(F101, 2, 2, 0, 1)}
-    with pytest.raises(ValueError, match="action does not respect the product"):
-        WitnessBimodule(k3_table, FreeAlgebra(F101), 2, action)
+    for i, j in ((0, 1), (1, 1)):
+        arrows = {**g.arrows, "a": {(): Mat.unit(F101, 2, 2, i, j)}}
+        with pytest.raises(ValueError, match="arrow a does not act from vertex 1 to vertex 2"):
+            WitnessBimodule(k3_table, FreeAlgebra(F101), 2, g.vertices, arrows)
 
 
 def test_validate_rejects_keys_outside_the_source(k3_table):
     g = builtin_G(k3_table)
     for bad in (("z",), tuple("x" * 9), 0):
-        action = dict(g.action)
-        action[0] = {bad: Mat.identity(F101, 2)}
+        vertices = {**g.vertices, "1": {bad: Mat.identity(F101, 2)}}
         with pytest.raises(ValueError, match="not a basis key"):
-            WitnessBimodule(k3_table, FreeAlgebra(F101), 2, action)
+            WitnessBimodule(k3_table, FreeAlgebra(F101), 2, vertices, g.arrows)
+
+
+def test_validate_rejects_names_outside_the_target(k3_table):
+    g = builtin_G(k3_table)
+    for vertices, arrows, message in (
+            ({**g.vertices, "3": {}}, g.arrows, "'3', which is no vertex of the target"),
+            (g.vertices, {**g.arrows, "d": {}}, "'d', which is no arrow of the target"),
+            (g.vertices, {**g.arrows, "x": {}}, "'x', which is no arrow of the target"),
+            ({"1": g.vertices["1"]}, g.arrows, "missing action of vertex 2"),
+            (g.vertices, {"a": g.arrows["a"]}, "missing action of arrow b")):
+        with pytest.raises(ValueError, match=message):
+            WitnessBimodule(k3_table, FreeAlgebra(F101), 2, vertices, arrows)
+    free = FreeAlgebra(F101)
+    with pytest.raises(ValueError, match="'a', which is no arrow of the target"):
+        WitnessBimodule(free, free, 1, {"v": {(): Mat.identity(F101, 1)}},
+                        {"x": {}, "y": {}, "a": {}})
+
+
+def test_validate_rejects_a_relation_that_does_not_act_as_zero(three_loop_bq):
+    # x acting as the letter x makes x*x act as the word xx, not as zero
+    table = build_algebra_table(three_loop_bq, F101)
+    one = Mat.identity(F101, 1)
+    vertices = {"v": {(): one}}
+    good = WitnessBimodule(table, FreeAlgebra(F101), 1, vertices, {"x": {}, "y": {}, "z": {}})
+    assert good.unital
+    with pytest.raises(ValueError, match=r"relation 1\*x\*x does not act as zero"):
+        WitnessBimodule(table, FreeAlgebra(F101), 1, vertices,
+                        {"x": {("x",): one}, "y": {}, "z": {}})
+
+
+def test_validation_multiplies_per_vertex_arrow_and_relation_term(monkeypatch, k3_table,
+                                                                 three_loop_bq):
+    # a table target is checked on its quiver: |V|^2 products for the
+    # idempotents, 2|V||A| at most for the arrows and one per extra arrow in
+    # each relation term, not one per pair of basis elements (25 for kK3)
+    from wildrank import wildness
+    from wildrank.covering import CoveringSpec, build_window, pushdown_bimodule
+    calls = []
+    real = wildness._tensor_mul
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(wildness, "_tensor_mul", spy)
+    cov = CoveringSpec(three_loop_bq, 1, {a.name: (1,) for a in three_loop_bq.quiver.arrows})
+    window = build_window(cov, [(0, 1)])
+    for build, bq in ((lambda: builtin_G(k3_table), k3_table.bound_quiver),
+                      (lambda: pushdown_bimodule(window, F101), three_loop_bq)):
+        calls.clear()
+        build()
+        v, a = len(bq.quiver.vertices), len(bq.quiver.arrows)
+        extra = sum(len(p) - 1 for rel in bq.relations for _, p in rel.terms)
+        assert len(calls) <= v * v + 2 * v * a + extra
+
+
+def test_compose_through_a_table_middle_uses_path_products():
+    # the middle algebra is kA3 (1 -> 2 -> 3), whose basis holds the path
+    # a2*a1 of length 2; the inner witness sends a1 to E_21 (x) x and a2 to
+    # E_32 (x) y, so a2*a1 acts as E_31 (x) yx
+    a3 = build_algebra_table(BoundQuiver(line_quiver(3), [], nilbound=3), F101)
+    free = FreeAlgebra(F101)
+    one = Mat.identity(F101, 1)
+    e = {v: a3.basis_index(Path(v, v, ())) for v in ("1", "2", "3")}
+    a2a1 = a3.basis_index(Path("1", "3", ("a2", "a1")))
+    a1 = a3.basis_index(Path("1", "2", ("a1",)))
+
+    def unit(i, j):
+        return Mat.unit(F101, 3, 3, i, j)
+
+    inner = WitnessBimodule(a3, free, 3, {v: {(): unit(i, i)} for i, v in enumerate("123")},
+                            {"a1": {("x",): unit(1, 0)}, "a2": {("y",): unit(2, 1)}})
+    # the outer witness: x acts as a2*a1 + 2 a1, y as e_2
+    outer = WitnessBimodule(free, a3, 1, {"v": {k: one for k in e.values()}},
+                            {"x": {a2a1: one, a1: one.scaled(2)}, "y": {e["2"]: one}})
+    composite = compose_witness(outer, inner)
+    assert composite.vertices == {"v": {(): Mat.identity(F101, 3)}}
+    assert composite.arrows == {"x": {("y", "x"): unit(2, 0), ("x",): unit(1, 0).scaled(2)},
+                                "y": {(): unit(1, 1)}}
+    rng = random.Random(61)
+    for _ in range(3):
+        v = FreeAlgModule.random(F101, 2, rng)
+        once, twice = eval_tensor(composite, v), eval_tensor(outer, eval_tensor(inner, v))
+        assert are_isomorphic(once, twice, seed=4).verdict == "yes"
+
+
+def test_module_over_another_nilbound_of_the_source_quiver(k3_table):
+    # a two-loop module over the relation-free two-loop quiver with its
+    # default nilbound 4 is a k<x,y>-module like a FreeAlgModule
+    g = builtin_G(k3_table)
+    rng = random.Random(67)
+    x, y = Mat.random(F101, 3, 3, rng), Mat.random(F101, 3, 3, rng)
+    plain = BoundQuiver(loop_quiver(2), [])
+    assert plain.nilbound != FreeAlgebra.bound_quiver.nilbound
+    m = Representation(plain, F101, {"v": 3}, {"x": x, "y": y}, check=False)
+    img = eval_tensor(g, m)
+    ref = eval_tensor(g, FreeAlgModule(x, y))
+    assert img.dims == ref.dims and img.mats == ref.mats
+    # other relations are another algebra
+    q = loop_quiver(2)
+    nil = Mat.from_rows(F101, [[0, 1], [0, 0]])
+    bound = BoundQuiver(q, [make_relation(q, [(1, ("x", "x"))])], nilbound=4)
+    with pytest.raises(ShapeMismatchError):
+        eval_tensor(g, Representation(bound, F101, {"v": 2}, {"x": nil, "y": nil}, check=False))
