@@ -476,13 +476,9 @@ def cmd_variety(text: str, nmax: int = 2, samples: int = 8, seed=0) -> tuple[str
     except ValueError as e:
         return (f"error: {e}", 2)
     lines = [f"variety report for {spec.name} (heuristic; see markers)"]
-    for n, rep, line in probes:
-        lines.append("")
-        lines.append(rep.to_text())
-    lines.append("")
-    lines.append("summary")
-    for n, rep, line in probes:
-        lines.append(line.to_text())
+    for rep in probes:
+        lines += ["", rep.to_text()]
+    lines += ["", "summary"] + [rep.summary() for rep in probes]
     return ("\n".join(lines), 0)
 
 

@@ -119,6 +119,17 @@ class StratumReport:
             return None
         return agg <= self.n
 
+    def _verdict(self) -> str:
+        v = self.verdict_at_most()
+        return "<= n" if v else "> n" if v is not None else "unknown"
+
+    def summary(self) -> str:
+        """The one-line verdict of the stratum, as ``wildrank variety``
+        prints it under ``summary``."""
+        est = self.aggregate if self.aggregate is not None else "none"
+        extra = " (starvation in some strata)" if self.any_starved else ""
+        return f"n {self.n} estimate {est} verdict {self._verdict()}{extra}"
+
     def to_text(self) -> str:
         marker = ("exact local dimensions (hereditary)" if self.hereditary
                   else "tangent upper bounds (bound quiver)")
@@ -131,8 +142,7 @@ class StratumReport:
             lines.append(r.to_text())
         agg = self.aggregate
         lines.append(f"aggregate {agg if agg is not None else 'none'}")
-        v = self.verdict_at_most()
-        lines.append(f"verdict {'<= n' if v else '> n' if v is not None else 'unknown'}")
+        lines.append(f"verdict {self._verdict()}")
         return "\n".join(lines)
 
 
@@ -198,23 +208,10 @@ def parameter_estimate(bq: BoundQuiver, field: Field, n: int,
                          hereditary=hereditary)
 
 
-@dataclass
-class ProbeLine:
-    n: int
-    estimate: Optional[int]
-    at_most_n: Optional[bool]
-    starved: bool
-
-    def to_text(self) -> str:
-        est = self.estimate if self.estimate is not None else "none"
-        verdict = ("<= n" if self.at_most_n else "> n") if self.at_most_n is not None else "unknown"
-        extra = " (starvation in some strata)" if self.starved else ""
-        return f"n {self.n} estimate {est} verdict {verdict}{extra}"
-
-
 def stratum_probe(bq: BoundQuiver, field: Field, n_max: int,
-                  samples_per_d: int = 8, seed=0) -> list[tuple[int, StratumReport, ProbeLine]]:
-    """Run parameter_estimate for n = 1..n_max with per-n verdicts.
+                  samples_per_d: int = 8, seed=0) -> list[StratumReport]:
+    """Run parameter_estimate for n = 1..n_max; each report's ``summary``
+    is its verdict.
 
     Verdicts are heuristic: sampling gives lower evidence, tangents upper
     bounds; a bound-quiver "<= n" verdict is one-sided (the upper bound
@@ -222,9 +219,5 @@ def stratum_probe(bq: BoundQuiver, field: Field, n_max: int,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    out = []
-    for n in range(1, n_max + 1):
-        rep = parameter_estimate(bq, field, n, samples_per_d=samples_per_d, seed=seed)
-        line = ProbeLine(n, rep.aggregate, rep.verdict_at_most(), rep.any_starved)
-        out.append((n, rep, line))
-    return out
+    return [parameter_estimate(bq, field, n, samples_per_d=samples_per_d, seed=seed)
+            for n in range(1, n_max + 1)]

@@ -265,13 +265,14 @@ class AlgebraTable:
     table is closed, and the identity is the sum of the vertex idempotents.
     An element is a dict ``{basis index: scalar}`` with zero coefficients
     dropped, the form of the normal forms and of :meth:`product_entry`.
-    Built via :func:`build_algebra_table`.
+    The table computes its basis and normal forms from ``bq`` itself
+    (``_present``, which checks admissibility), so it presents ``bq``.
     """
 
-    def __init__(self, bq: BoundQuiver, field: Field, basis: list[Path],
-                 normal_forms: dict):
+    def __init__(self, bq: BoundQuiver, field: Field):
         self.bound_quiver = bq
         self.field = field
+        basis, normal_forms = _present(bq, field)
         self.basis = tuple(basis)
         self.dimension = len(basis)
         self._index = {(p.source, p.target, p.arrows): i for i, p in enumerate(basis)}
@@ -354,7 +355,12 @@ def _enumerate_paths(q: Quiver, max_len: int) -> list[Path]:
 
 
 def build_algebra_table(bq: BoundQuiver, field: Field) -> AlgebraTable:
-    """Compute the basis and structure constants of kQ/I.
+    """The basis and structure constants of kQ/I: ``AlgebraTable(bq, field)``."""
+    return AlgebraTable(bq, field)
+
+
+def _present(bq: BoundQuiver, field: Field) -> tuple[list[Path], dict]:
+    """The basis of kQ/I and the normal form of every enumerated path.
 
     Raises :class:`AdmissibilityError` when some path of length L cannot be
     certified to lie in the relation ideal.
@@ -449,8 +455,7 @@ def build_algebra_table(bq: BoundQuiver, field: Field) -> AlgebraTable:
                         f"normal form of {p} involves non-basis path {bp}")
                 nf[bi] = coef
             normal_forms[(p.source, p.target, p.arrows)] = nf
-
-    return AlgebraTable(bq, field, basis, normal_forms)
+    return basis, normal_forms
 
 
 def _sparse_rref(rows: list[dict[int, object]], field: Field,

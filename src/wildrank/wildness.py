@@ -124,8 +124,9 @@ SourceOrTarget = Union[AlgebraTable, FreeAlgebra]
 
 
 def _same_algebra(a: SourceOrTarget, b: SourceOrTarget) -> bool:
-    """The same kind of algebra on the same bound quiver over the same field."""
-    return type(a) is type(b) and a.bound_quiver == b.bound_quiver and a.field == b.field
+    """The same bound quiver over the same field, hence the same kind: no table
+    sits on k<x,y>'s quiver, whose long paths are not in the zero ideal."""
+    return a.bound_quiver == b.bound_quiver and a.field == b.field
 
 
 def _is_key(source: SourceOrTarget, key) -> bool:

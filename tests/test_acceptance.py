@@ -189,8 +189,8 @@ def test_criterion_5_parameters(k3_bq, k2_bq):
     rec = next((r for r in rep.records if r.dims == (1, 1)), None)
     ok = rec is not None and rec.estimate == 2 and rec.estimate > 1
     probes = stratum_probe(k2_bq, F101, 3, samples_per_d=8, seed=SEED)
-    for n, srep, line in probes:
-        ok = ok and line.at_most_n is True
+    for srep in probes:
+        ok = ok and srep.verdict_at_most() is True
     report(5, ok,
            f"three-arrow Kronecker at d=(1,1): estimate {rec.estimate} (> 1 = t^2); "
            f"two-arrow Kronecker estimates <= n for all n <= 3, exact arithmetic")

@@ -1,13 +1,18 @@
+import itertools
 import random
 
 import pytest
 
-from conftest import F101, direct_sum, make_relation, rep_from_lists, simple_rep, zero_rep
+from conftest import F101, QQ, direct_sum, make_relation, rep_from_lists, simple_rep, zero_rep
+import wildrank.covering as covering_module
+from wildrank.exactlin import Field, Mat
 from wildrank.quiver import BoundQuiver, Quiver, build_algebra_table, factor_quiver, loop_quiver
 from wildrank.covering import (CoveringSpec, build_window, covering_criterion, pushdown,
                                pushdown_bimodule, verify_pushdown)
 from wildrank.rep import are_isomorphic, is_indecomposable, sample_representation
-from wildrank.wildness import eval_tensor
+from wildrank.wildness import WitnessBimodule, eval_tensor
+
+F7 = Field.prime(7)
 
 
 @pytest.fixture(scope="module")
@@ -130,17 +135,58 @@ def test_pushdown_dim_preservation_and_sums(three_loop_cov):
     assert are_isomorphic(lhs, rhs, seed=1).verdict == "yes"
 
 
-def test_pushdown_agrees_with_bimodule(three_loop_cov):
-    w = build_window(three_loop_cov, [(0, 1)])
-    wq = w.bound_quiver
-    pb = pushdown_bimodule(w, F101)
-    rng = random.Random(5)
-    for _ in range(5):
-        dims = {v: rng.randint(0, 2) for v in wq.quiver.vertices}
-        n = sample_representation(wq, F101, dims, rng)
-        direct = pushdown(w, n)
-        via = eval_tensor(pb, n)
-        assert are_isomorphic(direct, via, seed=2).verdict == "yes"
+def test_pushdown_agrees_with_bimodule(x2_cov, three_loop_cov):
+    # the two constructions give the same dims and the same arrow matrices,
+    # not merely isomorphic modules
+    for cov, box, field in itertools.product((x2_cov, three_loop_cov),
+                                             ([(0, 1)], [(-1, 1)], [(0, 2)]), (F101, F7, QQ)):
+        w = build_window(cov, box)
+        wq = w.bound_quiver
+        pb = pushdown_bimodule(w, field)
+        rng = random.Random(5)
+        for _ in range(5):
+            dims = {v: rng.randint(0, 2) for v in wq.quiver.vertices}
+            n = sample_representation(wq, field, dims, rng)
+            direct = pushdown(w, n)
+            via = eval_tensor(pb, n)
+            assert via.bound_quiver == direct.bound_quiver
+            assert via.dims == direct.dims, (box, field)
+            assert via.mats == direct.mats, (box, field)
+
+
+def _scale_one_entry(pb):
+    """The pushdown bimodule with one arrow-action entry doubled."""
+    name = next(a for a, t in pb.arrows.items() if t)
+    key, m = next(iter(pb.arrows[name].items()))
+    rows = m.row_list()
+    i, j = next((i, j) for i, row in enumerate(rows) for j, c in enumerate(row) if c)
+    rows[i][j] = 2 * rows[i][j]
+    arrows = {**pb.arrows, name: {**pb.arrows[name], key: Mat.from_rows(pb.field, rows)}}
+    return WitnessBimodule(pb.target, pb.source, pb.rank, pb.vertices, arrows)
+
+
+def _swap_two_slots(pb):
+    """The pushdown bimodule conjugated by the swap of the first two slots,
+    which lie in one fiber: an isomorphic bimodule whose images are
+    isomorphic to the pushdown but not equal to it."""
+    perm = [1, 0] + list(range(2, pb.rank))
+
+    def conj(actions):
+        return {name: {k: m.submatrix(perm, perm) for k, m in t.items()}
+                for name, t in actions.items()}
+    return WitnessBimodule(pb.target, pb.source, pb.rank, conj(pb.vertices), conj(pb.arrows))
+
+
+@pytest.mark.parametrize("mutate", [_scale_one_entry, _swap_two_slots], ids=["scale", "swap"])
+def test_verify_pushdown_fails_on_a_wrong_bimodule(monkeypatch, x2_cov, mutate):
+    w = build_window(x2_cov, [(0, 1)])
+    assert w.fiber("v") == sorted(w.bound_quiver.quiver.vertices)[:2]
+    original = covering_module.pushdown_bimodule
+    monkeypatch.setattr(covering_module, "pushdown_bimodule",
+                        lambda w, field: mutate(original(w, field)))
+    report = verify_pushdown(w, samples=10, max_total_dim=4, seed=11, field=F101)
+    assert report.bimodule_agreement.failed > 0
+    assert not report.valid
 
 
 def test_nonsincere_translates_collide(x2_cov):

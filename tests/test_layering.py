@@ -47,6 +47,7 @@ call overrides is an option with one value in use, which is a constant.
 """
 
 import ast
+from collections import Counter
 import importlib
 import os
 import subprocess
@@ -330,20 +331,36 @@ def _definitions(module: ast.Module):
                     yield node.name, fn.name, fn, {node.name, "cls", "self"} if bound else None
 
 
-def _reads(node: ast.AST, cls, name: str, receivers) -> int:
-    """The reads of a definition in ``node``: a module-level name by name
+def _read_index(trees) -> tuple[Counter, Counter, Counter]:
+    """The reads in ``trees``, from one walk of each: the names, the
+    attributes, and the attributes per ``Name`` receiver."""
+    names, attrs, on = Counter(), Counter(), Counter()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                names[n.id] += 1
+            elif isinstance(n, ast.Attribute):
+                attrs[n.attr] += 1
+                if isinstance(n.value, ast.Name):
+                    on[n.value.id, n.attr] += 1
+    return names, attrs, on
+
+
+def _reads(index, cls, name: str, receivers) -> int:
+    """The reads of a definition in an index: a module-level name by name
     (the package imports names, not modules), a method as an attribute."""
+    names, attrs, on = index
     if cls is None:
-        return sum(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
-    return sum(isinstance(n, ast.Attribute) and n.attr == name
-               and (receivers is None or isinstance(n.value, ast.Name)
-                    and n.value.id in receivers) for n in ast.walk(node))
+        return names[name]
+    if receivers is None:
+        return attrs[name]
+    return sum(on[r, name] for r in receivers)
 
 
-def unread_definitions(module: ast.Module, trees) -> list[str]:
-    """The definitions of ``module`` that no tree in ``trees`` reads outside
-    their own body, as ``name`` or ``Class.name``; a module-level name listed
-    in the module's ``__all__`` is public and needs no reader."""
+def unread_definitions(module: ast.Module, index) -> list[str]:
+    """The definitions of ``module`` that no tree of the ``index`` reads
+    outside their own body, as ``name`` or ``Class.name``; a module-level
+    name listed in the module's ``__all__`` is public and needs no reader."""
     public = set()
     for node in module.body:
         if isinstance(node, ast.Assign) and any(
@@ -352,14 +369,15 @@ def unread_definitions(module: ast.Module, trees) -> list[str]:
     return [f"{cls}.{name}" if cls else name
             for cls, name, node, receivers in _definitions(module)
             if not (cls is None and name in public)
-            and sum(_reads(t, cls, name, receivers) for t in trees)
-            == _reads(node, cls, name, receivers)]
+            and _reads(index, cls, name, receivers)
+            == _reads(_read_index([node]), cls, name, receivers)]
 
 
 def test_every_definition_has_a_reader_in_src():
     trees = _src_trees()
+    index = _read_index(trees.values())
     found = {name: unread for name, tree in trees.items()
-             if (unread := unread_definitions(tree, trees.values()))}
+             if (unread := unread_definitions(tree, index))}
     assert found == {}
     # the check itself: a test-only method, class method and constant are
     # caught, and so are a method whose only reader is a set's .add, a class
@@ -374,7 +392,7 @@ def test_every_definition_has_a_reader_in_src():
                       "__all__ = ['PUBLIC_TABLE', 'Mat.reference_only']\n"
                       "def use(seen, field):\n    seen.add(Mat)\n    return field.zero\n")
     trees["wildness.py"].body += extra.body
-    assert unread_definitions(trees["wildness.py"], trees.values()) == [
+    assert unread_definitions(trees["wildness.py"], _read_index(trees.values())) == [
         "Mat.reference_only", "Mat.zero", "Mat.add", "REFERENCE_TABLE", "use"]
 
 

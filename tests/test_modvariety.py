@@ -180,16 +180,18 @@ def test_parameter_estimate_one_vertex(f101):
 
 def test_stratum_probe_k2(k2_bq, f101):
     probes = stratum_probe(k2_bq, f101, 3, samples_per_d=8, seed=20260811)
-    for n, rep, line in probes:
-        assert line.at_most_n is True
+    assert [rep.n for rep in probes] == [1, 2, 3]
+    for rep in probes:
+        assert rep.verdict_at_most() is True
     # known value at n=2: the one-parameter family contributes exactly 1
-    assert probes[1][1].aggregate == 1
+    assert probes[1].aggregate == 1
+    assert probes[1].summary() == "n 2 estimate 1 verdict <= n"
 
 
 def test_stratum_probe_dual_numbers(dual_numbers_bq, f101):
     probes = stratum_probe(dual_numbers_bq, f101, 3, samples_per_d=8, seed=3)
-    for n, rep, line in probes:
-        assert line.at_most_n is True
+    for rep in probes:
+        assert rep.verdict_at_most() is True
         assert not rep.hereditary
 
 
@@ -222,3 +224,4 @@ def test_starvation_reported(f101):
     report = parameter_estimate(bq, f101, 3, samples_per_d=2, seed=0)
     assert report.any_starved
     assert "STARVED" in report.to_text()
+    assert report.summary().endswith(" (starvation in some strata)")

@@ -7,8 +7,8 @@ from conftest import (direct_sum, eval_tensor_morphism, F101, line_quiver, loop_
                       zero_rep)
 
 from wildrank.exactlin import Field, Mat, ShapeMismatchError
-from wildrank.quiver import (AlgebraTable, BoundQuiver, Path, build_algebra_table,
-                             factor_quiver, k3_bound_quiver, loop_quiver)
+from wildrank.quiver import (AdmissibilityError, AlgebraTable, BoundQuiver, Path,
+                             build_algebra_table, factor_quiver, k3_bound_quiver, loop_quiver)
 from wildrank.rep import Representation, are_isomorphic, hom_space, in_sincere_subcategory
 from wildrank.wildness import (DegreeCapError, FactorProvenance, FreeAlgModule, FreeAlgebra,
                                WitnessBimodule, bound_via_factor, bound_via_morita, builtin_F,
@@ -214,14 +214,10 @@ def test_compose_rank_law(k3_table):
     assert gfg.rank == 28
     with pytest.raises(Exception):
         compose_witness(g, g)      # middle algebras do not match
-    # a one-dimensional table, k<x,y>/(x, y), declared on the free algebra's
-    # bound quiver over its field is still another algebra
-    table = AlgebraTable(FreeAlgebra.bound_quiver, F101, [Path("v", "v", ())],
-                         {("v", "v", ()): {0: 1}})
-    inner = WitnessBimodule(table, FreeAlgebra(F101), 1, {"v": {(): Mat.identity(F101, 1)}},
-                            {"x": {}, "y": {}})
-    with pytest.raises(ShapeMismatchError, match="middle algebras do not match"):
-        compose_witness(g, inner)
+    # no table sits on the free algebra's bound quiver, which has no
+    # relations: its paths of length 3 are not in the ideal
+    with pytest.raises(AdmissibilityError, match=r"path x\*x\*x of length 3 is not certified"):
+        AlgebraTable(FreeAlgebra.bound_quiver, F101)
 
 
 def test_verify_witness_passes(k3_table):
