@@ -28,6 +28,10 @@ carry it).  The radical is one function, ``end_radical``: the trace-form
 kernel of End(M) on M, else on its regular representation, certified by
 the nilpotency of each basis element, with no condition on the
 characteristic.
+
+Every module cut from another module's coordinates, a summand of a split,
+a syzygy or cokernel in ``tilting``, a tensor functor's image, is one
+``subquotient``, which solves each arrow once in a frame per vertex.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .quiver import BoundQuiver, Path, _enumerate_paths
 __all__ = ["InconclusiveError", "Representation", "SamplingStarvation", "are_isomorphic",
            "check_relations", "decompose", "end_radical", "flatten_morphism", "hom_space",
            "in_sincere_subcategory", "is_indecomposable", "morphism_compose",
-           "relation_jacobian", "sample_representation", "support"]
+           "relation_jacobian", "sample_representation", "subquotient", "support"]
 
 DEFAULT_TRIALS = 32
 
@@ -62,6 +66,9 @@ class Representation:
         self.bound_quiver = bq
         self.field = field
         q = bq.quiver
+        unknown = set(dims) - set(q.vertices)
+        if unknown:
+            raise ValueError(f"dimensions given for unknown vertices: {sorted(unknown)}")
         self.dims = {v: int(dims.get(v, 0)) for v in q.vertices}
         if any(d < 0 for d in self.dims.values()):
             raise ValueError("negative dimension")
@@ -130,6 +137,35 @@ def check_relations(m: Representation) -> list[tuple]:
                             [m.path_matrix(path) for _, path in rel.terms])
         out.append((rel, total.is_zero()))
     return out
+
+
+def subquotient(bq: BoundQuiver, field: Field, mats: dict[str, Mat], top: dict[str, Mat],
+                sub: Optional[dict[str, Mat]] = None) -> Representation:
+    """The module on the columns of ``top[v]`` modulo the span of ``sub[v]``
+    at each vertex, where arrow a acts on the ambient spaces by ``mats[a]``.
+
+    Arrow a: s -> t gets the rows of ``top[t]`` in the coordinates of
+    ``mats[a] @ top[s]`` in the frame ``[sub[t] | top[t]]``, or in
+    ``top[t]`` alone when ``sub`` is None (a submodule).  The columns of
+    each frame must be independent.  An arrow that leaves that span raises
+    ``ValueError`` naming it.  ``mats`` must act as a module of ``bq``,
+    and the result is built without the relation check: a subquotient of
+    a module satisfies the module's relations.
+    """
+    dims = {v: t.cols for v, t in top.items()}
+    frames = top if sub is None else {v: Mat.hcat(field, t.rows, [sub[v], t])
+                                      for v, t in top.items()}
+    out = {}
+    for a in bq.quiver.arrows:
+        s, t = a.source, a.target
+        x = frames[t].solve_matrix(mats[a.name] @ top[s])
+        if x is None:
+            raise ValueError(f"arrow {a.name} leaves the subspace at {t}")
+        if sub is not None:
+            r = sub[t].cols
+            x = x.submatrix(range(r, r + dims[t]), range(dims[s]))
+        out[a.name] = x
+    return Representation(bq, field, dims, out, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -596,27 +632,11 @@ class Decomposition:
     def __iter__(self):
         return iter(self.summands)
 
-    def __len__(self):
-        return len(self.summands)
-
-    def total_dim(self) -> int:
-        return sum(rep.total_dim * mult for rep, mult in self.summands)
-
 
 def _image_subrep(m: Representation, e: dict[str, Mat]) -> Representation:
     """The subrepresentation im(e) for an idempotent endomorphism e."""
-    field = m.field
-    basis = {v: e[v].column_space() for v in m.dims}
-    dims = {v: basis[v].cols for v in m.dims}
-    mats = {}
-    for a in m.bound_quiver.quiver.arrows:
-        c_s, c_t = basis[a.source], basis[a.target]
-        rhs = m.mats[a.name] @ c_s
-        x = c_t.solve_matrix(rhs)
-        if x is None:
-            raise ValueError("image not invariant; idempotent is not an endomorphism")
-        mats[a.name] = x
-    return Representation(m.bound_quiver, field, dims, mats, check=False)
+    return subquotient(m.bound_quiver, m.field, m.mats,
+                       {v: e[v].column_space() for v in m.dims})
 
 
 def _complement_idempotent(m: Representation, e: dict[str, Mat]) -> dict[str, Mat]:
@@ -739,7 +759,6 @@ def _sample_power_zero(bq: BoundQuiver, field: Field, dims: dict[str, int],
                 for j in range(s0, s1):
                     rows[i][j] = field.random_scalar(rng)
         mats[a.name] = Mat.from_rows(field, rows) if dt and ds else Mat.zeros(field, dt, ds)
-    rep = Representation(bq, field, dims, mats, check=False)
     # conjugate by random invertible base changes
     g = {}
     for v, d in dims.items():
@@ -748,9 +767,10 @@ def _sample_power_zero(bq: BoundQuiver, field: Field, dims: dict[str, int],
             if cand.is_invertible():
                 g[v] = cand
                 break
-    new_mats = {a.name: g[a.target] @ rep.mats[a.name] @ g[a.source].inverse()
-                for a in bq.quiver.arrows}
-    return Representation(bq, field, dims, new_mats, check=False)
+    inv = {v: x.inverse() for v, x in g.items()}
+    return Representation(bq, field, dims,
+                          {a.name: g[a.target] @ mats[a.name] @ inv[a.source]
+                           for a in bq.quiver.arrows}, check=False)
 
 
 def _word_matrix(field: Field, word: Sequence[str], mats: dict[str, Mat], n: int) -> Mat:

@@ -8,8 +8,10 @@ element and one concatenation per vertex.  Minimal projective presentations
 and Ext^1 are built on it.  The inverse AR translate is computed honestly:
 dualize to the opposite algebra, take a minimal projective presentation,
 transpose it back through Hom(-, A) (reading the transposed map through the
-basis index), and read off the cokernel.  Every construction here needs
-an acyclic quiver and raises ``CyclicQuiverError`` on an oriented cycle.
+basis index), and read off the cokernel.  The syzygy and the cokernel are
+each a ``rep.subquotient``, and a top or a cokernel is spanned by unit
+columns (``_complement``).  Every construction here needs an acyclic
+quiver and raises ``CyclicQuiverError`` on an oriented cycle.
 Tilting candidates are checked with the hereditary Euler formula, and
 endomorphism algebras of tilting modules are presented as bound quivers
 recovered by exact linear algebra on flattened morphisms (the radical of
@@ -28,7 +30,7 @@ from .exactlin import Field, Mat, Span
 from .quiver import (AlgebraTable, BoundQuiver, Path, Quiver, Relation,
                      _enumerate_paths, build_algebra_table, euler_form)
 from .rep import (Representation, are_isomorphic, end_radical, flatten_morphism,
-                  hom_space, morphism_compose, support)
+                  hom_space, morphism_compose, subquotient, support)
 
 __all__ = ["CyclicQuiverError", "endomorphism_algebra", "enumerate_preprojectives",
            "ext1_dim_via_presentation", "tilting_candidates"]
@@ -104,35 +106,23 @@ def projective_rep(bq: BoundQuiver, field: Field, vertex: str) -> Representation
     return _ProjectiveSum(bq, field, [(vertex, 0)]).rep
 
 
-def _complement_units(cols: Mat) -> list[int]:
-    """The j whose unit vectors e_j extend the independent columns of
-    ``cols`` to a basis, each e_j independent of those before it."""
-    ident = Mat.identity(cols.field, cols.rows)
-    return [p - cols.cols for p in Mat.hcat(cols.field, cols.rows, [cols, ident]).pivot_columns()
-            if p >= cols.cols]
+def _complement(cols: Mat) -> Mat:
+    """The unit columns e_j that extend the span of ``cols`` to the whole
+    space, each independent of the columns before it: the pivots of
+    [cols | I] past cols, which depend only on that span."""
+    n = cols.rows
+    pivots = Mat.hcat(cols.field, n, [cols, Mat.identity(cols.field, n)]).pivot_columns()
+    return Mat.identity(cols.field, n).submatrix(
+        range(n), [p - cols.cols for p in pivots if p >= cols.cols])
 
 
 def _top_lift_basis(m: Representation) -> dict[str, Mat]:
-    """For each vertex, columns spanning a complement of the radical
+    """For each vertex, unit columns spanning a complement of the radical
     (arrow images) inside the vertex space."""
-    field = m.field
-    out = {}
-    for v in m.dims:
-        d = m.dims[v]
-        imgs = []
-        for a in m.bound_quiver.quiver.arrows:
-            if a.target == v and m.dims[a.source] > 0 and d > 0:
-                imgs.append(m.mats[a.name])
-        if d == 0:
-            out[v] = Mat.zeros(field, 0, 0)
-            continue
-        if not imgs:
-            out[v] = Mat.identity(field, d)
-            continue
-        # extend a basis of the radical to a basis of k^d; the new columns span the top
-        cols = Mat.hcat(field, d, imgs).column_space()
-        out[v] = Mat.identity(field, d).submatrix(range(d), _complement_units(cols))
-    return out
+    arrows = m.bound_quiver.quiver.arrows
+    return {v: _complement(Mat.hcat(m.field, d, [m.mats[a.name] for a in arrows
+                                                 if a.target == v]))
+            for v, d in m.dims.items()}
 
 
 def _morphism_from_generators(p: _ProjectiveSum, target: Representation,
@@ -164,8 +154,6 @@ class ProjectivePresentation:
     per vertex.
     """
 
-    bq: BoundQuiver
-    field: Field
     p0: _ProjectiveSum
     p1: _ProjectiveSum
     phi: dict[str, Mat]
@@ -174,29 +162,20 @@ class ProjectivePresentation:
 def projective_presentation(m: Representation) -> ProjectivePresentation:
     """Minimal projective presentation over a hereditary algebra.
 
-    The cover P0 hits a basis of the top; its kernel (computed vertexwise)
-    is projective and is covered in turn, giving P1 -> P0 exactly.
+    The cover P0 hits a basis of the top; its kernel (vertexwise, a
+    ``subquotient`` of P0) is projective and is covered in turn, giving
+    P1 -> P0 exactly.
     """
     bq = m.bound_quiver
-    field = m.field
     p0, eps = _cover(m)
-    # kernel of eps, vertexwise, with induced arrow maps
     ker_basis = {v: eps[v].kernel() for v in bq.quiver.vertices}
-    ker_dims = {v: ker_basis[v].cols for v in bq.quiver.vertices}
-    ker_mats = {}
-    for a in bq.quiver.arrows:
-        rhs = p0.rep.mats[a.name] @ ker_basis[a.source]
-        x = ker_basis[a.target].solve_matrix(rhs)
-        if x is None:
-            raise ValueError("kernel is not arrow-invariant (inconsistent data)")
-        ker_mats[a.name] = x
-    kernel = Representation(bq, field, ker_dims, ker_mats, check=False)
+    kernel = subquotient(bq, m.field, p0.rep.mats, ker_basis)
     p1, cover1 = _cover(kernel)
     if p1.rep.total_dim != kernel.total_dim:
         raise ValueError("first syzygy is not projective; the quiver is not hereditary")
     # phi: P1 -> P0 = inclusion of the kernel after the cover
     phi = {v: ker_basis[v] @ cover1[v] for v in bq.quiver.vertices}
-    return ProjectivePresentation(bq, field, p0, p1, phi)
+    return ProjectivePresentation(p0, p1, phi)
 
 
 def ext1_dim_via_presentation(m: Representation, n: Representation) -> int:
@@ -258,29 +237,12 @@ def ar_translate_inverse(m: Representation) -> Representation:
                               for j1, q in back1.basis[v0]], [0])
               for j0, (v0, _) in enumerate(back0.slots)]
     psi = _morphism_from_generators(back0, back1.rep, images)
-    # cokernel vertexwise: [image | complement] is a basis; coordinates in it
-    # project to the quotient
-    dims = {}
-    frames = {}
-    for v in bq.quiver.vertices:
-        col = psi[v].column_space()
-        d = back1.rep.dims[v]
-        comp = _complement_units(col)
-        frames[v] = (Mat.hcat(field, d, [col, Mat.identity(field, d).submatrix(range(d), comp)]),
-                     col.cols, comp)
-        dims[v] = len(comp)
-    if not any(dims.values()):
+    # the cokernel, vertexwise: unit columns complementing im(psi), modulo im(psi)
+    sub = {v: psi[v].column_space() for v in bq.quiver.vertices}
+    top = {v: _complement(sub[v]) for v in bq.quiver.vertices}
+    if not any(t.cols for t in top.values()):
         raise ValueError("tau^- is undefined on injective modules")
-    mats = {}
-    for a in bq.quiver.arrows:
-        frame_t, rad_t, _ = frames[a.target]
-        coords = frame_t.solve_matrix(back1.rep.mats[a.name].submatrix(
-            range(back1.rep.dims[a.target]), frames[a.source][2]))
-        if coords is None:
-            raise ValueError("cokernel arrow map inconsistent")
-        mats[a.name] = coords.submatrix(range(rad_t, rad_t + dims[a.target]),
-                                        range(dims[a.source]))
-    return Representation(bq, field, dims, mats, check=False)
+    return subquotient(bq, field, back1.rep.mats, top, sub)
 
 
 # ---------------------------------------------------------------------------

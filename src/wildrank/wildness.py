@@ -14,11 +14,13 @@ word in x, y is its own key, a table path is keyed by its index); a table
 element is read as its coefficient dict ``{basis index: scalar}``.
 Products read B's structure constants, sum_m (sum_kl c^m_kl A_k B_l) b_m;
 evaluating at a module is sum_k A_k kron act(b_k), the path b_k acting by
-its path matrix in block (target, source); composing substitutes the
-inner action of the path b_k for each b_k.  The associated exact functor's
-preservation properties (indecomposability, isomorphism classes, Hom
-dimensions when fullness is claimed) are checked by bounded randomized
-verification.
+its path matrix in block (target, source), split by the vertices' actions:
+by coordinates when they are 0/1 diagonals, as every built-in witness's
+are, else as a ``rep.subquotient`` on their column spaces.  Composing
+substitutes the inner action of the path b_k for each b_k.  The associated
+exact functor's preservation properties (indecomposability, isomorphism
+classes, Hom dimensions when fullness is claimed) are checked by bounded
+randomized verification.
 
 Built-ins: the rank-2 embedding of two-loop representations into
 three-arrow Kronecker representations, the rank-7 fully faithful functor
@@ -42,8 +44,8 @@ from .exactlin import Field, Mat, ShapeMismatchError
 from .quiver import (AlgebraTable, BoundQuiver, Path,
                      build_algebra_table, factor_quiver, k3_bound_quiver, loop_quiver,
                      serialize_quiver_spec)
-from .rep import (Representation, are_isomorphic, hom_space,
-                  in_sincere_subcategory, is_indecomposable, InconclusiveError)
+from .rep import (Representation, are_isomorphic, hom_space, in_sincere_subcategory,
+                  is_indecomposable, subquotient, InconclusiveError)
 
 __all__ = ["CertStep", "CheckCounts", "CheckedReport", "FreeAlgModule", "WitnessBimodule",
            "WitnessCertificate", "bound_quiver_hash", "bound_via_factor", "bound_via_morita",
@@ -345,14 +347,8 @@ def eval_tensor_with_frame(w: WitnessBimodule, module: Representation):
     frame = Mat.hcat(field, total, [cols[v] for v in q.vertices])
     if frame.rank() != frame.cols:
         raise ValueError("idempotent projections do not decompose the output space")
-    dims = {v: cols[v].cols for v in q.vertices}
-    mats = {}
-    for a in q.arrows:
-        x = cols[a.target].solve_matrix(raw(w.arrows[a.name]) @ cols[a.source])
-        if x is None:
-            raise ValueError("arrow action does not respect the vertex splitting")
-        mats[a.name] = x
-    return Representation(bq, field, dims, mats, check=False), frame
+    mats = {a.name: raw(w.arrows[a.name]) for a in q.arrows}
+    return subquotient(bq, field, mats, cols), frame
 
 
 def _diagonal_assignment(proj, vertices, total):

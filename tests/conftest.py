@@ -18,9 +18,8 @@ from wildrank.rep import (IndecVerdict, InconclusiveError, Representation, _bloc
 from wildrank.quiver import (BoundQuiver, Quiver, Relation, _enumerate_paths,
                              build_algebra_table, is_minimal_wild_hereditary, k3_bound_quiver,
                              kronecker_quiver, loop_quiver)
-from wildrank.tilting import (_complement_units, _dual_rep, _require_acyclic,
-                              _top_lift_basis, endomorphism_algebra, enumerate_preprojectives,
-                              projective_rep, tilting_candidates)
+from wildrank.tilting import (_dual_rep, _require_acyclic, _top_lift_basis, endomorphism_algebra,
+                              enumerate_preprojectives, projective_rep, tilting_candidates)
 from wildrank.wildness import FreeAlgModule, FreeAlgebra
 
 QQ = Field.rationals()
@@ -978,6 +977,14 @@ def _reference_path_on_generator(bq, field, p_sum, slots, slot_idx, path):
     raise ValueError("slot not found")
 
 
+def _reference_complement_units(col):
+    """The j whose unit vectors extend the columns of ``col`` to a basis:
+    the pivot columns of [col | I] past col."""
+    ident = Mat.identity(col.field, col.rows)
+    return [p - col.cols for p in Mat.hcat(col.field, col.rows, [col, ident]).pivot_columns()
+            if p >= col.cols]
+
+
 def reference_ar_translate_inverse(m):
     """tau^- M as the cokernel of the transposed presentation of the dual,
     each transposed entry decoded, reversed and placed one at a time, and
@@ -1015,7 +1022,7 @@ def reference_ar_translate_inverse(m):
     for v in bq.quiver.vertices:
         col = psi[v].column_space()
         d = p1_back.dims[v]
-        comp_cols = _complement_units(col)
+        comp_cols = _reference_complement_units(col)
         cur = Mat.hcat(field, d, [col, Mat.identity(field, d).submatrix(range(d), comp_cols)])
         dims[v] = len(comp_cols)
         proj[v] = (cur, col.cols, comp_cols)

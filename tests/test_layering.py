@@ -10,7 +10,8 @@ package needs no computer-algebra library: a fresh ``import wildrank.cli``
 loads no sympy.  The free algebra k<x,y> and an algebra table share one
 interface, and a witness holds one action per vertex and per arrow of
 either, so only the scopes in ``ALGEBRA_BRANCHES`` branch on the kind of
-algebra or module or test it with ``isinstance``.
+algebra or module or test it with ``isinstance``.  Only the scopes in
+``UNCHECKED_SITES`` build a module without its relation check.
 
 Every definition of the package, each top-level function, class and
 constant and each method, is read somewhere in ``src/`` outside its own
@@ -210,6 +211,57 @@ def test_checker_catches_each_kind():
         "    return [k for k in keys if isinstance(k, int) or isinstance(k, FreeAlgModule)]\n")
     assert branches(kinds, ALGEBRA_MARKERS) == ["_act", "_act", "_same_algebra", "_validate",
                                                 "_validate"]
+
+
+#: the scopes that build a ``Representation`` without its relation check:
+#: the one subquotient construction (a subquotient of a module satisfies
+#: its relations), the samplers (their candidates are checked afterwards, or
+#: satisfy the relations by construction), tilting's projective sums and
+#: duals, the modules of k<x,y> (which has no relations) and the images of
+#: a tensor functor on its diagonal path
+UNCHECKED_SITES = {"rep.py": ["subquotient", "random_representation_unchecked",
+                              "_sample_power_zero", "_sample_linear_solve"],
+                   "tilting.py": ["_ProjectiveSum.__init__", "_dual_rep"],
+                   "wildness.py": ["FreeAlgModule.__init__", "eval_tensor_with_frame"]}
+
+
+def unchecked_sites(tree: ast.AST) -> list[str]:
+    """The scopes holding a call that passes ``check`` anything but
+    ``True``, by keyword or as the fifth argument of ``Representation``,
+    each scope once, in the order they appear."""
+    out = {}
+
+    def unchecked(call: ast.Call) -> bool:
+        args = [k.value for k in call.keywords if k.arg == "check"]
+        if isinstance(call.func, ast.Name) and call.func.id == "Representation":
+            args += call.args[4:5]
+        return any(not (isinstance(a, ast.Constant) and a.value is True) for a in args)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and unchecked(child):
+                out[inner or "<module>"] = None
+            visit(child, inner)
+
+    visit(tree, "")
+    return list(out)
+
+
+def test_modules_skip_the_relation_check_only_where_listed():
+    found = {name: hits for name, tree in _src_trees().items() if (hits := unchecked_sites(tree))}
+    assert found == UNCHECKED_SITES
+    planted = ast.parse(
+        "def _image(m):\n    return Representation(m.bq, m.k, m.dims, m.mats, check=False)\n"
+        "def _checked(m):\n    return Representation(m.bq, m.k, m.dims, m.mats, check=True)\n"
+        "def _default(m):\n    return Representation(m.bq, m.k, m.dims, m.mats)\n"
+        "class Module(Representation):\n"
+        "    def __init__(self, bq, k, flag):\n"
+        "        super().__init__(bq, k, {}, {}, check=flag)\n"
+        "def _positional(m):\n    return Representation(m.bq, m.k, m.dims, m.mats, False)\n")
+    assert unchecked_sites(planted) == ["_image", "Module.__init__", "_positional"]
 
 
 #: the scopes of exactlin that may convert between ``Fraction`` scalars and the

@@ -23,7 +23,7 @@ from wildrank.rep import (InconclusiveError, Representation, SamplingStarvation,
                           are_isomorphic, check_relations, decompose, end_radical,
                           factor_polynomial, hom_space, in_sincere_subcategory,
                           is_indecomposable, relation_jacobian,
-                          sample_representation, support,
+                          sample_representation, subquotient, support,
                           _poly_eval_matrix, _regular_representation)
 
 
@@ -48,6 +48,35 @@ def test_check_relations(dual_numbers_bq, f101):
     with pytest.raises(ValueError):
         rep_from_lists(dual_numbers_bq, f101, {"v": 2},
                        {"x": [[1, 0], [0, 1]]})
+
+
+def test_unknown_vertices_are_refused(k3_bq):
+    with pytest.raises(ValueError, match="unknown vertices: \\['zz'\\]"):
+        Representation(k3_bq, F101, {"1": 1, "2": 1, "zz": 5}, {})
+
+
+@pytest.mark.parametrize("field", [F101, Field.prime(7), QQ], ids=repr)
+def test_subquotient_of_the_kronecker_projective(k2_bq, field):
+    # P(1): a and b send the generator at 1 to the two unit vectors at 2
+    p = rep_from_lists(k2_bq, field, {"1": 1, "2": 2}, {"a": [[1], [0]], "b": [[0], [1]]})
+    unit = {i: Mat.from_rows(field, [[1 - i], [i]]) for i in (0, 1)}
+    one, none = Mat.identity(field, 1), {n: Mat.zeros(field, n, 0) for n in (1, 2)}
+    # P(1) modulo its radical is the simple S(1)
+    top = subquotient(k2_bq, field, p.mats, {"1": one, "2": none[2]},
+                      {"1": none[1], "2": Mat.identity(field, 2)})
+    s1 = simple_rep(k2_bq, field, "1")
+    assert top.dims == s1.dims and top.mats == s1.mats
+    # modulo the image of a, a acts as zero and b as one
+    quot = subquotient(k2_bq, field, p.mats, {"1": one, "2": unit[1]},
+                       {"1": none[1], "2": unit[0]})
+    assert quot.dims == {"1": 1, "2": 1}
+    assert quot.mats == {"a": Mat.zeros(field, 1, 1), "b": one}
+    # the radical, S(2) twice, as a submodule
+    rad = subquotient(k2_bq, field, p.mats, {"1": none[1], "2": Mat.identity(field, 2)})
+    assert rad.dims == {"1": 0, "2": 2}
+    # the image of a alone is not stable under b
+    with pytest.raises(ValueError, match="arrow b "):
+        subquotient(k2_bq, field, p.mats, {"1": one, "2": unit[0]})
 
 
 def test_hom_examples(a2_bq, k2_bq, f101):
