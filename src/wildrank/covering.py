@@ -21,6 +21,7 @@ window's sincere-subcategory witness rank.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
@@ -82,6 +83,9 @@ class Window:
     bound_quiver: BoundQuiver
     pi_vertices: dict[str, str]
     lifted: dict[tuple[str, tuple[int, ...]], str]
+    # the pushdown bimodule per field, built on first use; its source is
+    # the window's algebra table (``pushdown_bimodule``)
+    _bimodules: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
     def vertex_count(self) -> int:
         return len(self.bound_quiver.quiver.vertices)
@@ -178,7 +182,13 @@ def pushdown_bimodule(w: Window, field: Field) -> WitnessBimodule:
     offsets.  The raw action of a lift l: s -> t puts ``n.mats[l]`` in the
     rows of block t of slot t and the columns of block s of slot s: the
     block (t, s) that ``pushdown`` assembles for a.
+
+    Built once per window and field, and memoised on the window, so its
+    source is also the window's one algebra table over ``field``.
     """
+    cached = w._bimodules.get(field)
+    if cached is not None:
+        return cached
     base_table = build_algebra_table(w.covering.base, field)
     window_table = build_algebra_table(w.bound_quiver, field)
     slot_of = {v: i for i, v in enumerate(sorted(w.bound_quiver.quiver.vertices))}
@@ -190,7 +200,8 @@ def pushdown_bimodule(w: Window, field: Field) -> WitnessBimodule:
                                                 window_table.arrow_element(lift.name))
                                                for lift in w.lifts(a.name)])
               for a in w.covering.base.quiver.arrows}
-    return WitnessBimodule(base_table, window_table, r, vertices, arrows)
+    w._bimodules[field] = WitnessBimodule(base_table, window_table, r, vertices, arrows)
+    return w._bimodules[field]
 
 
 def pushdown(w: Window, n: Representation) -> Representation:
@@ -367,8 +378,7 @@ def covering_criterion(cov: CoveringSpec, search_radius: int,
             # minimal wild hereditary window without a built-in sincere
             # witness; report nothing rather than an unverified bound
             continue
-        window_table = build_algebra_table(window.bound_quiver, field)
-        witness = sincere_witness_for_K3(window_table)
+        witness = sincere_witness_for_K3(pushdown_bimodule(window, field).source)
         cert = _certificate_from_window(cov, window, field, seed, witness,
                                         criterion="minimal wild hereditary window "
                                                   "(vertex-deletion criterion)")

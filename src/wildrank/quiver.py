@@ -571,39 +571,23 @@ def symmetrized_tits_matrix(q: Quiver) -> list[list[int]]:
     return b
 
 
-def _char_poly(b: list[list[int]]) -> list[int]:
-    """Coefficients of det(tI - B), ascending order, by Faddeev-LeVerrier."""
-    n = len(b)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = [[0] * n for _ in range(n)]
-    c = 1
-    for k in range(1, n + 1):
-        # M <- B(M + cI); M stays integral, and tr(M) / k is the integer
-        # coefficient c_{n-k}, so the floor division is exact
-        for i in range(n):
-            m[i][i] += c
-        cols = list(zip(*m))
-        m = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
-        c = -sum(m[i][i] for i in range(n)) // k
-        coeffs[n - k] = c
-    return coeffs
-
-
-def _leading_minors_positive(b: list[list[int]]) -> bool:
-    """All leading principal minors of the integer matrix B are positive.
+def _leading_minors(b: list[list[int]]) -> list[int]:
+    """The leading principal minors D_1, D_2, ... of the integer matrix B,
+    up to the first one that is <= 0 (all n when every one is positive).
 
     One Bareiss pass without row swaps: after k steps the pivot w[k][k] is
-    the (k+1)-th leading principal minor, so the pass stops at the first
-    pivot <= 0 and every division is by a positive earlier pivot.
+    D_(k+1), so every division is by a positive earlier pivot, and
+    Sylvester's identity makes each quotient an integer minor of B.
     """
     n = len(b)
     w = [list(row) for row in b]
+    minors = []
     prev = 1
     for k in range(n):
         piv = w[k][k]
+        minors.append(piv)
         if piv <= 0:
-            return False
+            break
         rk = w[k]
         for i in range(k + 1, n):
             ri = w[i]
@@ -611,20 +595,24 @@ def _leading_minors_positive(b: list[list[int]]) -> bool:
             for j in range(k + 1, n):
                 ri[j] = (ri[j] * piv - f * rk[j]) // prev
         prev = piv
-    return True
+    return minors
 
 
 def classify_hereditary(q: Quiver) -> RepType:
-    """Finite / Tame / Wild via exact definiteness of the symmetrized Tits form.
+    """Finite / Tame / Wild via exact definiteness of the symmetrized Tits form,
+    read from one Bareiss pass over its leading principal minors.
 
-    The form is positive definite (finite) iff every leading principal
-    minor of B is positive, and positive semidefinite (tame) iff the
-    coefficients of det(tI - B) alternate weakly in sign. Both tests run
-    on Python ints with exact division: Bareiss's integer-preserving
-    elimination divides each updated entry by the previous pivot, and
-    Sylvester's identity makes the quotient an integer minor of B; the
-    Faddeev-LeVerrier step divides tr(M_k) by k, and the quotient is a
-    coefficient of det(tI - B), an integer since B is integral.
+    The form is positive definite (finite) iff D_1, ..., D_n > 0.  For a
+    connected loop-free quiver, B is a symmetric generalized Cartan matrix,
+    and it is positive semidefinite and singular (tame) iff D_1, ..., D_(n-1)
+    > 0 and D_n = 0.  If so, B|_(n-1) is positive definite, so by Cauchy
+    interlacing B has at most one eigenvalue <= 0, which det B = 0 makes 0.
+    Conversely every proper principal minor of a semidefinite singular B is
+    positive (Kac, *Infinite Dimensional Lie Algebras*, ch. 4): if x is a
+    null vector of a proper principal block, then |x|^T B |x| <= x^T B x = 0
+    as off-diagonal entries are <= 0, so |x| is a null vector of B; but
+    connectedness gives a vertex next to the support of |x| and outside
+    it, where B|x| is negative.  Anything else is indefinite (wild).
 
     Requires a connected, loop-free quiver; split other inputs into
     components (or remove loops) before calling.
@@ -635,16 +623,10 @@ def classify_hereditary(q: Quiver) -> RepType:
         raise ValueError("classification requires a nonempty quiver")
     if not q.is_connected():
         raise ValueError("classification requires a connected quiver; classify components separately")
-    b = symmetrized_tits_matrix(q)
-    if _leading_minors_positive(b):
-        return RepType.FINITE
-    # positive semidefinite iff all elementary symmetric functions of the
-    # (real) eigenvalues are nonnegative: coefficients of det(tI - B)
-    # alternate weakly in sign
-    coeffs = _char_poly(b)
-    n = len(b)
-    psd = all(coeffs[k] * (-1) ** (n - k) >= 0 for k in range(n + 1))
-    return RepType.TAME if psd else RepType.WILD
+    minors = _leading_minors(symmetrized_tits_matrix(q))
+    if len(minors) < len(q.vertices) or minors[-1] < 0:
+        return RepType.WILD
+    return RepType.FINITE if minors[-1] > 0 else RepType.TAME
 
 
 def is_minimal_wild_hereditary(q: Quiver) -> bool:

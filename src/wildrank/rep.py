@@ -12,9 +12,9 @@ Hom system is one kernel of one ``Mat.kron_assemble`` call on the same
 pencils, and so is the Jacobian of a relation (``relation_jacobian``).
 The tests check both shortcuts against one uncontracted kernel of every
 arrow equation.  Each basis is cached on the source module, per target,
-and each module keeps its own half of the contracted equations
-(``_Side``), so the Hom spaces it takes part in share its transforms,
-pencil matrices and their Jordan frames.
+and each module keeps one half of the contracted equations (``_Side``)
+for its roles as a source and as a target, so the Hom spaces it takes
+part in share its transforms, pencil matrices and their Jordan frames.
 
 Indecomposability follows the endomorphism ring: a nontrivial idempotent,
 from a coprime split of a minimal polynomial (factored by
@@ -97,8 +97,9 @@ class Representation:
         # N: only the basis, since a HomSpace would refer back to both
         # modules, and End(M) keyed by M itself must not keep M alive
         self._homs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        # this module's halves of contracted Hom equations (``_Side``) and
-        # which arrows act invertibly: built from its own matrices only
+        # this module's half of contracted Hom equations per contraction
+        # (``_Side``) and which arrows act invertibly: built from its own
+        # matrices only
         self._sides: dict = {}
         self._invertible: dict[str, bool] = {}
         if check:
@@ -238,7 +239,7 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
                 root[r2] = r1
                 continue
         remaining.append(a)
-    src, tgt = _side(m, steps, remaining, True), _side(n, steps, remaining, False)
+    src, tgt = _side(m, steps, remaining), _side(n, steps, remaining)
 
     roots = sorted({find(v) for v in q.vertices})
     var_roots = [r for r in roots
@@ -257,7 +258,7 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
             elif r == v:        # a root has no transforms
                 f[v] = fr[v]
             else:
-                f[v] = tgt.tf[v] @ fr[r] @ src.tf[v]
+                f[v] = tgt.a[v] @ fr[r] @ src.b[v]
         out.append(f)
     m._homs[n] = out
     return HomSpace(m, n, out)
@@ -270,11 +271,6 @@ def _times(x: Optional[Mat], y: Optional[Mat]) -> Optional[Mat]:
     return x if y is None else x @ y
 
 
-def _inverse(x: Optional[Mat]) -> Optional[Mat]:
-    """The inverse of ``x``, where None stands for an identity matrix."""
-    return None if x is None else x.inverse()
-
-
 def _acts_invertibly(mod: Representation, name: str) -> bool:
     """Whether arrow ``name`` acts by an invertible matrix on ``mod`` (memoised)."""
     known = mod._invertible.get(name)
@@ -284,42 +280,42 @@ def _acts_invertibly(mod: Representation, name: str) -> bool:
 
 
 class _Side:
-    """One module's half of the contracted Hom equations, as the source or
-    the target of a Hom space, for one sequence of contraction ``steps``
-    (an arrow and the vertices its fold moves).
+    """One module's half of the contracted Hom equations for one sequence
+    of contraction ``steps`` (an arrow and the vertices its fold moves).
+    It depends on that module only, so ``_side`` builds it once per module
+    and contraction, and every Hom space the module is the source or the
+    target of, End(M) included, reads its matrices, the Jordan frames
+    memoised on them and the answer of each nilpotency test.
 
-    ``tf`` holds the transforms of folded vertices, B_v for a source and
-    A_v for a target, so that f_v = A_v f_r B_v on the tree of root r; a
-    root has none.  For each remaining arrow a from s to t, ``pencil[a]``
-    is its normalized matrix, P(a) = B_t M(a) B_s^-1 for a source and
-    P'(a) = A_t^-1 N(a) A_s for a target, and the arrow's equation is
-    f_rt P(a) = P'(a) f_rs.  A contracted arrow's own pencil folds its
-    target's tree onto its source's root, so each transform is a product of
-    invertible matrices and their inverses, and B_s and A_t are invertible.
+    A Hom space M -> N writes f_v = A_v f_r B_v on the tree of root r, B_v
+    from M and A_v from N (a root has neither), and a remaining arrow
+    a: s -> t reads f_rt P(a) = P'(a) f_rs, with P(a) = B_t M(a) B_s^-1 and
+    P'(a) = A_t^-1 N(a) A_s.  Contracting a folds the tree of t's root onto
+    s's root: B_w <- P(a)^-1 B_w and A_w <- A_w P'(a) at each vertex w it
+    moves.  Built from one module, A_v = B_v^-1, by induction on the steps:
+    both start as identities, and when it holds before a step, P'(a) =
+    A_t^-1 M(a) A_s = B_t M(a) B_s^-1 = P(a), so A_w B_w = A_w P(a) P(a)^-1
+    B_w = I after it.  So one matrix, ``pencil[a]`` = B_t M(a) A_s, is the
+    module's pencil in both roles, and a step inverts its own pencil only.
+    ``b`` holds the B_v and ``a`` the A_v of folded vertices;
     ``nilpotent(a)`` says whether ``pencil[a]`` is nilpotent.
-
-    A side depends on one module only, so ``_side`` builds it once per
-    module, contraction and role: every Hom space the module is part of
-    reads the same matrices, the Jordan frames memoised on them and the
-    answer of each nilpotency test.
     """
 
-    def __init__(self, mod: Representation, steps, remaining, source: bool):
-        tf: dict[str, Mat] = {}
+    def __init__(self, mod: Representation, steps, remaining):
+        b: dict[str, Mat] = {}
+        a: dict[str, Mat] = {}
 
-        def normalized(a) -> Mat:
-            mat = mod.mats[a.name]
-            if source:
-                return _times(_times(tf.get(a.target), mat), _inverse(tf.get(a.source)))
-            return _times(_times(_inverse(tf.get(a.target)), mat), tf.get(a.source))
+        def normalized(arrow) -> Mat:
+            return _times(_times(b.get(arrow.target), mod.mats[arrow.name]), a.get(arrow.source))
 
-        for a, folded in steps:
-            # f_rt = P'(a) f_rs P(a)^-1: B_w <- P(a)^-1 B_w and A_w <- A_w P'(a)
-            x = normalized(a).inverse() if source else normalized(a)
+        for arrow, folded in steps:
+            p = normalized(arrow)
+            p_inv = p.inverse()
             for w in folded:
-                tf[w] = _times(x, tf.get(w)) if source else _times(tf.get(w), x)
-        self.tf = tf
-        self.pencil = {a.name: normalized(a) for a in remaining}
+                b[w] = _times(p_inv, b.get(w))
+                a[w] = _times(a.get(w), p)
+        self.b, self.a = b, a
+        self.pencil = {arrow.name: normalized(arrow) for arrow in remaining}
         self._nilpotent: dict[str, bool] = {}
 
     def nilpotent(self, name: str) -> bool:
@@ -329,12 +325,12 @@ class _Side:
         return got
 
 
-def _side(mod: Representation, steps, remaining, source: bool) -> _Side:
-    """``mod``'s ``_Side`` for these contraction steps and role, built once."""
-    key = (tuple(a.name for a, _ in steps), source)
+def _side(mod: Representation, steps, remaining) -> _Side:
+    """``mod``'s ``_Side`` for these contraction steps, built once."""
+    key = tuple(a.name for a, _ in steps)
     side = mod._sides.get(key)
     if side is None:
-        side = mod._sides[key] = _Side(mod, steps, remaining, source)
+        side = mod._sides[key] = _Side(mod, steps, remaining)
     return side
 
 

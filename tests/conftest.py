@@ -811,6 +811,40 @@ def reference_hom_space(m, n):
             for j in range(ker.cols)]
 
 
+def reference_target_side(m, contracted):
+    """m's half of the contracted Hom equations as a target, built alone:
+    the arrows named in ``contracted`` are contracted in order, each folding
+    the tree of its target's root onto its source's root, A_w <- A_w P'(a)
+    for each moved vertex w, with P'(a) = A_t^-1 M(a) A_s and A_t inverted
+    afresh each time.  Returns the transforms A_v of folded vertices and
+    P'(a) for every other arrow.  Reference for ``rep._Side``, which keeps
+    one side for both roles and never inverts a transform."""
+    q = m.bound_quiver.quiver
+    root = {v: v for v in q.vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    tf = {}
+
+    def transform(v):
+        return tf.get(v, Mat.identity(m.field, m.dims[v]))
+
+    def pencil(a):
+        return transform(a.target).inverse() @ m.mats[a.name] @ transform(a.source)
+
+    for name in contracted:
+        a = q.arrow(name)
+        r1, r2 = find(a.source), find(a.target)
+        x = pencil(a)
+        for w in [w for w in q.vertices if find(w) == r2]:
+            tf[w] = transform(w) @ x
+        root[r2] = r1
+    return tf, {a.name: pencil(a) for a in q.arrows if a.name not in contracted}
+
+
 # -- projective presentations, Ext^1 and tau^-, entry by entry ----------------
 #
 # References for ``tilting.projective_presentation``,

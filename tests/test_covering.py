@@ -95,6 +95,22 @@ def test_pushdown_bimodule_examples(x2_cov, three_loop_cov):
     assert pb3.rank == 2
 
 
+def test_pushdown_bimodule_is_built_once_per_window_and_field(three_loop_cov, monkeypatch):
+    # the bimodule, with the window's table as its source, is memoised on
+    # the window per field and left out of window equality
+    built = []
+    real = covering_module.build_algebra_table
+    monkeypatch.setattr(covering_module, "build_algebra_table",
+                        lambda bq, field: built.append(field) or real(bq, field))
+    w = build_window(three_loop_cov, [(0, 1)])
+    for field in (F101, QQ):
+        pb = pushdown_bimodule(w, field)
+        assert pushdown_bimodule(w, Field.prime(101) if field == F101 else QQ) is pb
+        assert pb.source.field == field and pb.source.bound_quiver == w.bound_quiver
+    assert built == [F101, F101, QQ, QQ]
+    assert w == build_window(three_loop_cov, [(0, 1)])
+
+
 def test_pushdown_bimodule_rank_one_identity():
     bq = BoundQuiver(Quiver(["v"], []), [], nilbound=1)
     cov = CoveringSpec(bq, 1, {})

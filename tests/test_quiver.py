@@ -12,8 +12,8 @@ from wildrank.exactlin import Field
 from wildrank.quiver import (AdmissibilityError, BoundQuiver, Path, Quiver, RepType,
                              build_algebra_table, classify_hereditary, euler_form, factor_quiver,
                              is_minimal_wild_hereditary, k3_bound_quiver, kronecker_quiver,
-                             loop_quiver, symmetrized_tits_matrix, _char_poly, _enumerate_paths,
-                             _leading_minors_positive, _sparse_rref)
+                             loop_quiver, symmetrized_tits_matrix, _enumerate_paths,
+                             _leading_minors, _sparse_rref)
 
 
 def test_quiver_validation():
@@ -264,24 +264,6 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def _reference_char_poly(b: list[list[int]]) -> list[Fraction]:
-    """Faddeev-LeVerrier over Fraction, dividing tr(M_k) by k exactly."""
-    n = len(b)
-    bq = [[Fraction(x) for x in row] for row in b]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = [[Fraction(0)] * n for _ in range(n)]
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        for i in range(n):
-            m[i][i] += c
-        m = [[sum(bq[i][l] * m[l][j] for l in range(n)) for j in range(n)]
-             for i in range(n)]
-        c = -sum(m[i][i] for i in range(n)) / k
-        coeffs[n - k] = c
-    return coeffs
-
-
 def _random_tits_like(rng: random.Random) -> list[list[int]]:
     """Symmetric integer matrix shaped like a symmetrized Tits form: 2, 0
     or -2 on the diagonal (no loop, one loop, two loops), and off the
@@ -296,36 +278,31 @@ def _random_tits_like(rng: random.Random) -> list[list[int]]:
     return b
 
 
-def test_char_poly_matches_fraction_reference():
-    rng = random.Random(20261018)
-    for _ in range(400):
-        b = _random_tits_like(rng)
-        assert _char_poly(b) == _reference_char_poly(b)
-    assert _char_poly([]) == [1]
-    # a nonsymmetric matrix: det(tI - [[1, 2], [3, 4]]) = t^2 - 5t - 2
-    assert _char_poly([[1, 2], [3, 4]]) == [-2, -5, 1]
-
-
 def test_leading_minors_match_fraction_determinants():
+    # the minors up to the first one <= 0, or all of them
     rng = random.Random(20261019)
     outcomes = set()
     for _ in range(400):
         b = _random_tits_like(rng)
         n = len(b)
-        expect = all(_det([[Fraction(b[i][j]) for j in range(k)] for i in range(k)]) > 0
-                     for k in range(1, n + 1))
-        assert _leading_minors_positive(b) == expect
-        outcomes.add(expect)
-    assert outcomes == {True, False}
+        expect = []
+        for k in range(1, n + 1):
+            expect.append(_det([[Fraction(b[i][j]) for j in range(k)] for i in range(k)]))
+            if expect[-1] <= 0:
+                break
+        assert _leading_minors(b) == expect
+        outcomes.add((len(expect) == n, expect[-1] > 0, expect[-1] == 0))
+    assert {(True, True, False), (True, False, True), (True, False, False),
+            (False, False, True), (False, False, False)} <= outcomes
     # E8 is positive definite; its extension ~E8 (the long arm one longer)
     # is semidefinite, its last leading minor is 0
     e8 = symmetrized_tits_matrix(Quiver([str(i) for i in range(8)],
         [(f"a{i}", str(i), str(i + 1)) for i in range(6)] + [("b", "2", "7")]))
-    assert _leading_minors_positive(e8)
+    assert _leading_minors(e8)[-1] == 1 and len(_leading_minors(e8)) == 8
     e8_ext = [row + [0] for row in e8] + [[0] * 9]
     e8_ext[6][8] = e8_ext[8][6] = -1
     e8_ext[8][8] = 2
-    assert not _leading_minors_positive(e8_ext)
+    assert _leading_minors(e8_ext) == _leading_minors(e8) + [0]
 
 
 def _oracle_classify(q: Quiver) -> RepType:

@@ -14,7 +14,7 @@ from conftest import (direct_sum, F101, line_quiver, make_relation, QQ,
                       reference_idempotent_from_minpoly, reference_in_sincere_subcategory,
                       reference_is_indecomposable, reference_pairing_witness,
                       reference_regular_trace_gram, reference_relation_jacobian,
-                      reference_trace_pairing, ReferenceEndAnalysis, rep_from_lists, simple_rep,
+                      reference_target_side, reference_trace_pairing, ReferenceEndAnalysis, rep_from_lists, simple_rep,
                       zero_rep, _reference_poly_mul)
 
 from wildrank.exactlin import Field, Mat, Span, nilpotency_index, trace_form, trace_radical
@@ -91,6 +91,13 @@ def test_hom_examples(a2_bq, k2_bq, f101):
 
 def flat_morphism(f, vertices):
     return [x for v in vertices for row in f[v].row_list() for x in row]
+
+
+def random_invertible(field, n, rng):
+    while True:
+        g = Mat.random(field, n, n, rng)
+        if g.is_invertible():
+            return g
 
 
 def invertible_rep(bq, field, dims, rng):
@@ -619,20 +626,14 @@ def test_hom_pencil_matches_per_column_reference(field):
 
 def test_hom_spaces_of_a_module_share_its_contracted_side(k2_bq, monkeypatch):
     # Kronecker modules (A, A G J G^-1): contracting a leaves the nilpotent
-    # pencil A^-1 M(b); each module's side of it, as source and as target,
-    # is built once, so the four Hom spaces between two modules take four
-    # Jordan eliminations, not two each, and give the bases of fresh copies
+    # pencil A^-1 M(b); each module's side of it serves it as source and as
+    # target, so the four Hom spaces between two modules take two Jordan
+    # eliminations, one per module, and give the bases of fresh copies
     rng = random.Random("shared-side")
-
-    def invertible(n):
-        while True:
-            g = Mat.random(F101, n, n, rng)
-            if g.is_invertible():
-                return g
 
     mods = []
     for sizes in ([(2, 0), (1, 0)], [(3, 0)]):
-        a, g = invertible(3), invertible(3)
+        a, g = random_invertible(F101, 3, rng), random_invertible(F101, 3, rng)
         nil = g @ Mat.from_rows(F101, _jordan_rows(sizes, 3)) @ g.inverse()
         mods.append(Representation(k2_bq, F101, {"1": 3, "2": 3}, {"a": a, "b": a @ nil}))
     frames = []
@@ -644,7 +645,7 @@ def test_hom_spaces_of_a_module_share_its_contracted_side(k2_bq, monkeypatch):
             h = hom_space(m, n)
             assert h.dim == len(reference_hom_space(m, n))
             assert all(f["2"] @ m.mats[x] == n.mats[x] @ f["1"] for f in h.basis for x in "ab")
-    assert len(frames) == 4
+    assert len(frames) == 2
     for m in mods:
         for n in mods:
             assert hom_space(copy_rep(m), copy_rep(n)).basis == hom_space(m, n).basis
@@ -653,19 +654,14 @@ def test_hom_spaces_of_a_module_share_its_contracted_side(k2_bq, monkeypatch):
 def test_pencil_nilpotency_is_tested_once_per_side(k3_bq, monkeypatch):
     # three-arrow Kronecker modules (A, A R, A G J G^-1): contracting a leaves
     # the pencils A^-1 M(b), not nilpotent, and A^-1 M(c), nilpotent; each
-    # side tests each of its pencils once over the four Hom spaces between
-    # two modules, where a test per Hom space and pencil pair took twelve
+    # module's one side, for both roles, tests each of its pencils once over
+    # the four Hom spaces between two modules, where a test per Hom space
+    # and pencil pair took twelve
     rng = random.Random("nilpotency-memo")
-
-    def invertible(n):
-        while True:
-            g = Mat.random(F101, n, n, rng)
-            if g.is_invertible():
-                return g
 
     mods = []
     for sizes in ([(2, 0), (1, 0)], [(3, 0)]):
-        a, g, r = invertible(3), invertible(3), invertible(3)
+        a, g, r = (random_invertible(F101, 3, rng) for _ in range(3))
         assert nilpotency_index(r) is None
         nil = g @ Mat.from_rows(F101, _jordan_rows(sizes, 3)) @ g.inverse()
         mods.append(Representation(k3_bq, F101, {"1": 3, "2": 3},
@@ -678,12 +674,75 @@ def test_pencil_nilpotency_is_tested_once_per_side(k3_bq, monkeypatch):
             h = hom_space(m, n)
             assert h.dim == len(reference_hom_space(m, n))
             assert all(f["2"] @ m.mats[x] == n.mats[x] @ f["1"] for f in h.basis for x in "abc")
-    # b on the source sides (its target sides are never asked: the source
-    # pencil already fails), c on every side
-    assert len(tested) == len({id(s) for s in tested}) == 6
+    # b and c once on each module's side
+    assert len(tested) == len({id(s) for s in tested}) == 4
     for m in mods:
         for n in mods:
             assert hom_space(copy_rep(m), copy_rep(n)).basis == hom_space(m, n).basis
+
+
+def _folded_tree_modules(field, rng, nilpotent, extra):
+    """Two modules on a quiver whose arrows a: 2 -> 3, b: 1 -> 2 and
+    g: 5 -> 1 act invertibly, so that contracting them folds {3} onto 2,
+    {2, 3} onto 1 and the tree {1, 2, 3} of two arrows onto 5, while
+    c: 3 -> 1 and e: 3 -> 2 stay.  Arrow x: s -> t acts by g_t X g_s^-1
+    with X = 1 on the contracted arrows and, on c and e, X nilpotent (every
+    pencil is then nilpotent) or random.  With ``extra`` a vertex 4 of
+    another dimension and an arrow d: 4 -> 1 leave a second root."""
+    vertices = ["1", "2", "3", "5"] + (["4"] if extra else [])
+    arrows = [("a", "2", "3"), ("b", "1", "2"), ("g", "5", "1"), ("c", "3", "1"),
+              ("e", "3", "2")] + ([("d", "4", "1")] if extra else [])
+    bq = BoundQuiver(Quiver(vertices, arrows), [])
+    dims = {v: 2 if v == "4" else 3 for v in vertices}
+
+    def inner():
+        if not nilpotent:
+            return Mat.random(field, 3, 3, rng)
+        h = random_invertible(field, 3, rng)
+        low = Mat.from_rows(field, [[field.random_scalar(rng) if j < i else 0 for j in range(3)]
+                                    for i in range(3)])
+        return h @ low @ h.inverse()
+
+    mods = []
+    for _ in range(2):
+        g = {v: random_invertible(field, dims[v], rng) for v in vertices}
+        mats = {}
+        for name, src, tgt in arrows:
+            x = (Mat.identity(field, 3) if name in "abg" else
+                 Mat.random(field, dims[tgt], dims[src], rng) if name == "d" else inner())
+            mats[name] = g[tgt] @ x @ g[src].inverse()
+        mods.append(Representation(bq, field, dims, mats, check=False))
+    return mods
+
+
+@pytest.mark.parametrize("field", [F101, Field.prime(7), QQ], ids=repr)
+def test_one_contracted_side_serves_both_roles(field, monkeypatch):
+    # one side per module and contraction, for both roles: A_v B_v = 1 at
+    # each folded vertex, the pencils are the target pencils A_t^-1 M(a) A_s
+    # built with inversions, and the bases span the uncontracted kernels,
+    # on the Jordan route (one root, nilpotent pencils) and the Kronecker one
+    rng = random.Random(f"folded-trees:{field!r}")
+    solved = []
+    solve = rep_module.nilpotent_hom_basis
+    monkeypatch.setattr(rep_module, "nilpotent_hom_basis",
+                        lambda s, sp, rest=(): solved.append(s) or solve(s, sp, rest))
+    for nilpotent, extra in ((True, False), (False, False), (True, True)):
+        m, n = _folded_tree_modules(field, rng, nilpotent, extra)
+        solved.clear()
+        for x, y in ((m, n), (n, m), (m, m), (n, n)):
+            got, ref = hom_space(x, y).basis, reference_hom_space(x, y)
+            vertices = x.bound_quiver.quiver.vertices
+            flat = [flat_morphism(f, vertices) for f in got]
+            both = flat + [flat_morphism(f, vertices) for f in ref]
+            assert len(got) == len(ref) == Mat.from_rows(field, both).rank() if got else not ref
+        assert len(solved) == (4 if nilpotent and not extra else 0)
+        for mod in (m, n):
+            (key, side), = mod._sides.items()
+            assert key == ("a", "b", "g")
+            assert sorted(side.a) == sorted(side.b) == ["1", "2", "3"]
+            for v in side.a:
+                assert side.a[v] @ side.b[v] == Mat.identity(field, 3)
+            assert (side.a, side.pencil) == reference_target_side(mod, key)
 
 
 def _indecomposability_cases(field, dual_numbers_bq, a2_bq, k2_bq):

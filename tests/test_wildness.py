@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import wildrank.exactlin as exactlin_module
 from conftest import (direct_sum, eval_tensor_morphism, F101, line_quiver, loop_square_zero,
                       make_relation, QQ, reference_entry_matrix_on, simple_rep, zero_module,
                       zero_rep)
@@ -131,6 +132,20 @@ def test_sincere_witness_rank_and_images(k3_table):
     img2 = eval_tensor(w, fam(F101, [[3]], [[7]]))
     assert img2.dim_vector() == (14, 14)
     assert in_sincere_subcategory(img2, 1)
+
+
+def test_verify_witness_runs_one_jordan_elimination_per_rank_28_image(k3_table, monkeypatch):
+    # the Hom spaces between the images go the Jordan route, and each
+    # image's one contracted side serves it as source and as target, so
+    # three samples take three eliminations
+    w = sincere_witness_for_K3(k3_table)
+    frames = []
+    jordan = exactlin_module.jordan_nilpotent
+    monkeypatch.setattr(exactlin_module, "jordan_nilpotent",
+                        lambda s: frames.append(s) or jordan(s))
+    report = verify_witness(w, samples=3, max_dim=2, seed=0, check_sincere=2)
+    assert report.valid and report.pair_count > 0
+    assert len(frames) == 3
 
 
 def test_eval_tensor_rank_bookkeeping(k3_table):
