@@ -460,8 +460,12 @@ def cmd_certify(text: str, radius: int = 2, samples: int = 30, max_dim: int = 1,
     if not doc.check_arithmetic():
         return (output + "\ncertificate arithmetic recheck FAILED", 4)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(doc.to_text())
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(doc.to_text())
+        except OSError as e:
+            return (output + f"\nerror: cannot write the certificate to {out_path}: "
+                             f"{e.strerror or e}", 2)
     return (output, 0)
 
 
@@ -525,6 +529,20 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _at_least(low: int):
+    """An argparse type: an ``int`` of at least ``low``, else a usage error
+    (exit 2 with a message naming the option)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="wildrank",
                                      description="bound-quiver wildness toolkit")
@@ -535,23 +553,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_certify = sub.add_parser("certify", help="covering criterion rank certificate")
     p_certify.add_argument("spec")
-    p_certify.add_argument("--radius", type=int, default=2)
-    p_certify.add_argument("--samples", type=int, default=30)
-    p_certify.add_argument("--max-dim", type=int, default=1)
+    positive, non_negative = _at_least(1), _at_least(0)
+    p_certify.add_argument("--radius", type=non_negative, default=2)
+    p_certify.add_argument("--samples", type=positive, default=30)
+    p_certify.add_argument("--max-dim", type=positive, default=1)
     p_certify.add_argument("--seed", default="0")
-    p_certify.add_argument("--pushdown-samples", type=int, default=30)
-    p_certify.add_argument("--pushdown-max-dim", type=int, default=6)
+    p_certify.add_argument("--pushdown-samples", type=positive, default=30)
+    p_certify.add_argument("--pushdown-max-dim", type=positive, default=6)
     p_certify.add_argument("--out", default=None)
 
     p_variety = sub.add_parser("variety", help="module-variety parameter probe")
     p_variety.add_argument("spec")
-    p_variety.add_argument("--nmax", type=int, default=2)
-    p_variety.add_argument("--samples", type=int, default=8)
+    p_variety.add_argument("--nmax", type=positive, default=2)
+    p_variety.add_argument("--samples", type=positive, default=8)
     p_variety.add_argument("--seed", default="0")
 
     p_tilt = sub.add_parser("tilt", help="preprojectives and tilting candidates")
     p_tilt.add_argument("spec")
-    p_tilt.add_argument("--depth", type=int, default=1)
+    p_tilt.add_argument("--depth", type=non_negative, default=1)
 
     args = parser.parse_args(argv)
     try:

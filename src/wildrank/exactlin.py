@@ -67,8 +67,10 @@ matrices only through ``Mat`` operations,
   any further pairs, solved in Jordan coordinates (``jordan_nilpotent``
   gives the Jordan frame, the basis with its inverse and the block sizes),
   ``trace_form``, the traces of all pairwise products of two lists of
-  matrices, and ``trace_radical``, the radical of the algebra a ``Span``
-  spans when its trace form certifies it;
+  matrices, ``trace_radical``, the radical of the algebra a ``Span``
+  spans when its trace form certifies it, and ``all_nilpotent``, whether
+  every combination of a ``Span`` is nilpotent, for a whole stack in one
+  pass of repeated squaring;
 * ``Span``, one list of matrices stacked once, whose ``combine`` returns
   many linear combinations of them (one per column of a coefficient
   matrix) from one product; ``lincomb`` is its one-column case.
@@ -89,9 +91,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-__all__ = ["Field", "Mat", "ShapeMismatchError", "Span", "factor_polynomial",
-           "find_invertible_in_span", "nilpotency_index", "nilpotent_hom_basis", "trace_form",
-           "trace_radical"]
+__all__ = ["Field", "Mat", "ShapeMismatchError", "Span", "all_nilpotent", "factor_polynomial",
+           "find_invertible_in_span", "nilpotent_hom_basis", "trace_form", "trace_radical"]
 
 Scalar = Union[int, Fraction]
 
@@ -409,10 +410,12 @@ class _PrimeKernel:
     1.  ``asarray`` reads the data of ``Mat(...)`` for it (integers of any
     size and fractions exactly), ``exact`` reads entries out as ``int``,
     ``echelon`` is the blocked ``_echelon_fp`` (unit pivots, zeros below
-    them) and ``matmul`` the BLAS product of two arrays of residues
-    (reduced afterwards by ``normalize``).  The product sums at most
+    them) and ``matmul`` the BLAS product of two arrays of residues, or of
+    two stacks of them slice by slice (reduced afterwards by
+    ``normalize``).  The product sums at most
     ``chunk`` = floor((2**53 - p) / (p - 1)**2) products before it reduces with
-    ``_residues``, so a reduced partial sum plus one chunk stays below
+    ``_residues``, slicing the contraction axis (the last of ``a``, the one
+    before the last of ``b``), so a reduced partial sum plus one chunk stays below
     2**53: ``chunk`` is 32 at p = 16777213, the largest prime below the
     2**24 cap, and about 9 * 10**11 at p = 101, where no product is split.
     """
@@ -488,9 +491,9 @@ class _PrimeKernel:
         k, p = self.chunk, self.p
         if a.shape[-1] <= k:
             return a @ b
-        out = _residues(a[..., :k] @ b[:k], p)
+        out = _residues(a[..., :k] @ b[..., :k, :], p)
         for s in range(k, a.shape[-1], k):
-            out += a[..., s:s + k] @ b[s:s + k]
+            out += a[..., s:s + k] @ b[..., s:s + k, :]
             out = _residues(out, p)
         return out
 
@@ -567,7 +570,8 @@ class _RationalKernel:
     do on ``int``; ``primitive`` divides a vector by the gcd of its entries.  ``echelon``
     is the fraction-free reduced echelon form ``_echelon_qq`` and
     ``matmul`` multiplies numerators in a row loop that skips zero entries
-    (a dense object-array product multiplies every zero it meets).
+    (a dense object-array product multiplies every zero it meets), slice
+    by slice for two stacks.
     """
 
     __slots__ = ()
@@ -615,6 +619,12 @@ class _RationalKernel:
         return (w if w is None else self._array(w, a.shape)), den, piv
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if a.ndim == 3:
+            # two stacks: one product per pair of slices
+            out = np.empty(a.shape[:2] + b.shape[2:], dtype=object)
+            for i, (x, y) in enumerate(zip(a, b)):
+                out[i] = self.matmul(x, y)
+            return out
         cols = b.shape[1]
         nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b.tolist()]
         out = []
@@ -1519,35 +1529,55 @@ class Span:
     def combine(self, coeffs: Mat) -> list[Mat]:
         """The combinations ``sum_k coeffs[k, j] * mats[k]``, one per column j
         of the ``len(mats) x c`` coefficient matrix."""
+        flat, den = self._flat(coeffs)
+        return [Mat._of(self.field, *_lowest(row.reshape(self.rows, self.cols), den))
+                for row in flat]
+
+    def _flat(self, coeffs: Mat) -> tuple[np.ndarray, int]:
+        """The combinations of ``combine`` as the rows of one reduced array
+        of numerators, and their common denominator."""
         if coeffs.field != self.field or coeffs.rows != len(self.mats):
             raise ShapeMismatchError(
                 f"coefficients {coeffs.shape} over {coeffs.field} for {len(self.mats)} matrices")
         fk = self.field._kernel
-        flat = fk.normalize(fk.matmul(coeffs._entries.T, self._stack))
-        den = coeffs._den * self._den
-        return [Mat._of(self.field, *_lowest(row.reshape(self.rows, self.cols), den))
-                for row in flat]
+        return (fk.normalize(fk.matmul(coeffs._entries.T, self._stack)),
+                coeffs._den * self._den)
 
 
 # ---------------------------------------------------------------------------
 # nilpotent Jordan structure
 # ---------------------------------------------------------------------------
 
-def nilpotency_index(s: Mat) -> Optional[int]:
-    """Least m with s**m = 0, or None when s is not nilpotent."""
-    if not s.is_square():
+def all_nilpotent(span: Span, coeffs: Optional[Mat] = None) -> bool:
+    """Whether every combination ``sum_k coeffs[k, j] * span.mats[k]``, one
+    per column j of ``coeffs``, is nilpotent, or with ``coeffs`` None every
+    one of ``span.mats``; the span's matrices are square.
+
+    The combinations are the numerators of one kernel product over the
+    span's stack (``Span._flat``), and the matrices themselves are the
+    numerators of the stack: a nonzero multiple of a matrix is nilpotent
+    exactly when the matrix is.  An n x n matrix x is nilpotent
+    exactly when x^n = 0, its characteristic polynomial then being t^n, so
+    exactly when x^(2^j) = 0 for the least j with 2^j >= n.  The whole stack
+    is squared at once, one batched kernel product per step, at most
+    ceil(log2 n) times, and after each squaring the slices that became zero
+    are dropped, since all their further powers are zero too.  A slice still
+    nonzero once 2^j >= n is not nilpotent.
+    """
+    if span.rows != span.cols:
         raise ShapeMismatchError("nilpotency is defined for square matrices")
-    n = s.rows
-    if n == 0 or s.is_zero():
-        return 0 if n == 0 else 1
-    power = s
-    m = 1
-    while m <= n:
-        if power.is_zero():
-            return m
-        power = power @ s
-        m += 1
-    return None
+    fk, n = span.field._kernel, span.rows
+    flat = span._stack if coeffs is None else span._flat(coeffs)[0]
+    stack = flat.reshape(len(flat), n, n)
+    power = 1
+    while True:
+        stack = stack[stack.reshape(len(stack), n * n).astype(bool).any(axis=1)]
+        if not len(stack):
+            return True
+        if power >= n:
+            return False
+        stack = fk.normalize(fk.matmul(stack, stack))
+        power *= 2
 
 
 def trace_radical(span: Span, ker: Optional[Mat] = None) -> Optional[Mat]:
@@ -1562,15 +1592,15 @@ def trace_radical(span: Span, ker: Optional[Mat] = None) -> Optional[Mat]:
     on no nonzero semisimple algebra, so I = rad A.  This holds in every
     characteristic; where I also holds a non-nilpotent element (as 1 does
     when the characteristic divides the size of the matrices) the answer
-    is None.  ``Mat.kernel`` returns the one basis that is the identity on
-    the free columns, so equal spaces give equal results.  ``span.mats`` is
-    nonempty.  ``ker``, when given, is that kernel, computed already.
+    is None.  The combinations are tested in one stacked pass
+    (``all_nilpotent``), never built as matrices one by one.  ``Mat.kernel``
+    returns the one basis that is the identity on the free columns, so
+    equal spaces give equal results.  ``span.mats`` is nonempty.  ``ker``,
+    when given, is that kernel, computed already.
     """
     if ker is None:
         ker = trace_form(span.mats, span.mats).kernel()
-    if any(nilpotency_index(x) is None for x in span.combine(ker)):
-        return None
-    return ker
+    return ker if all_nilpotent(span, ker) else None
 
 
 def jordan_nilpotent(s: Mat) -> tuple[Mat, Mat, tuple[int, ...]]:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .exactlin import (Field, Mat, ShapeMismatchError, Span, _poly_gcdex, _poly_mul, _poly_pow,
-                       factor_polynomial, find_invertible_in_span, nilpotency_index,
+                       all_nilpotent, factor_polynomial, find_invertible_in_span,
                        nilpotent_hom_basis, trace_form, trace_radical)
 from .quiver import BoundQuiver, Path, _enumerate_paths
 
@@ -321,7 +321,9 @@ class _Side:
     def nilpotent(self, name: str) -> bool:
         got = self._nilpotent.get(name)
         if got is None:
-            got = self._nilpotent[name] = nilpotency_index(self.pencil[name]) is not None
+            pencil = self.pencil[name]
+            one = Span(pencil.field, pencil.rows, pencil.cols, [pencil])
+            got = self._nilpotent[name] = all_nilpotent(one)
         return got
 
 
@@ -579,6 +581,21 @@ def are_isomorphic(m: Representation, n: Representation,
     local endomorphism ring, which is nilpotent and traceless, while an
     isomorphism pairs to trace dim M != 0 (the characteristic must not
     divide dim M for the negative direction).
+
+    When the characteristic does not divide dim M, the pairing is computed
+    before ``find_invertible_in_span`` draws a trial, and a pairing that
+    vanishes identically answers "no" at once.  That is the answer the
+    trials-first order gives for every input, whether or not the hint
+    holds.  Suppose f = sum a_i f_i is an isomorphism.  Then f^-1 =
+    sum b_j g_j lies in Hom(N, M), and sum a_i b_j tr(g_j f_i) =
+    tr(f^-1 f) = dim M != 0, so some entry of the pairing is nonzero.  A
+    zero pairing therefore rules out every isomorphism, without the hint:
+    no combination of the f_i is invertible, the search could never
+    succeed, and after its failed trials the trials-first order reached
+    the same zero pairing and answered "no" with the same detail.  When
+    the pairing is nonzero, the trials run as before and the pairing is
+    read after them.  When the characteristic divides dim M, the trials
+    run first and the pairing only tells a contradicted hint apart.
     """
     if m.bound_quiver != n.bound_quiver:
         raise ShapeMismatchError("representations over different bound quivers")
@@ -594,27 +611,33 @@ def are_isomorphic(m: Representation, n: Representation,
     if h_mn.dim == 0:
         return IsoVerdict("no", detail="Hom(M, N) = 0")
     totals = h_mn.total_matrices()
+    nonzero = None
+    if both_indecomposable and m.field.coerce(m.total_dim) != m.field.zero:
+        # row i of the pairing holds tr(f_i . g_j) = tr(g_j . f_i) over the
+        # basis g_j of Hom(N, M); a zero pairing leaves no isomorphism
+        nonzero = not trace_form(totals, h_nm.total_matrices()).is_zero()
+        if not nonzero:
+            return IsoVerdict("no", detail="trace pairing vanishes identically "
+                                           "(indecomposable inputs)")
     got = find_invertible_in_span(totals, trials, seed)
     if got is not None:
         # the combination of block-diagonal totals is block diagonal, with
         # the same combination of the blocks f[v] at vertex v
         return IsoVerdict("yes", _blocks_from_total(m, got[1]), "invertible intertwiner found")
     if both_indecomposable:
-        field = m.field
-        # row i of the pairing holds tr(f_i . g_j) = tr(g_j . f_i) over the
-        # basis g_j of Hom(N, M).  For indecomposable M and N a nonzero entry
-        # makes g_j . f_i invertible and f_i an isomorphism, but no basis
-        # element f_i is invertible here: find_invertible_in_span tried each
-        # one alone (trials >= 1), and the total matrix of f_i is block
+        # For indecomposable M and N a nonzero entry of the pairing makes
+        # g_j . f_i invertible and f_i an isomorphism, but no basis element
+        # f_i is invertible here: find_invertible_in_span has just tried
+        # each one alone (trials >= 1), and the total matrix of f_i is block
         # diagonal with the blocks f_i[v] (equal dimension vectors), so it is
-        # invertible whenever every block is.  A nonzero pairing therefore
-        # contradicts the caller's hint, and the verdict stays inconclusive.
-        if not trace_form(totals, h_nm.total_matrices()).is_zero():
+        # invertible whenever every block is.  A nonzero pairing, read before
+        # the trials or now, therefore contradicts the caller's hint, and the
+        # verdict stays inconclusive.
+        if nonzero is None:
+            nonzero = not trace_form(totals, h_nm.total_matrices()).is_zero()
+        if nonzero:
             return IsoVerdict("inconclusive",
                               detail="trace pairing inconsistent with the hint")
-        if field.coerce(m.total_dim) != field.zero:
-            return IsoVerdict("no", detail="trace pairing vanishes identically "
-                                           "(indecomposable inputs)")
     return IsoVerdict("inconclusive", detail=f"no invertible combination in {trials} trials")
 
 

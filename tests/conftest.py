@@ -10,8 +10,10 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from wildrank.exactlin import Field, Mat, Span, nilpotency_index, _back_substitute, _zeros
-from wildrank.rep import (IndecVerdict, InconclusiveError, Representation, _blocks_from_total,
+from wildrank.exactlin import (Field, Mat, Span, _back_substitute, _zeros, find_invertible_in_span,
+                               trace_form)
+from wildrank.rep import (IndecVerdict, InconclusiveError, IsoVerdict, Representation,
+                          _blocks_from_total,
                           _idempotent_matrix_from_minpoly, are_isomorphic, decompose, end_radical,
                           factor_polynomial, flatten_morphism, hom_space, morphism_compose,
                           support, _poly_eval_matrix)
@@ -271,6 +273,53 @@ def reference_jordan_nilpotent(s):
     chains.sort(key=len, reverse=True)
     cols = [c for chain in chains for c in reversed(chain)]
     return Mat.hcat(field, n, cols), [len(chain) for chain in chains]
+
+
+def nilpotency_index(s):
+    """Least m with s**m = 0, or None when s is not nilpotent, one power at a
+    time.  Reference for ``exactlin.all_nilpotent``, which squares a whole
+    stack of combinations at once."""
+    if not s.is_square():
+        raise ValueError("nilpotency is defined for square matrices")
+    n = s.rows
+    if n == 0 or s.is_zero():
+        return 0 if n == 0 else 1
+    power = s
+    m = 1
+    while m <= n:
+        if power.is_zero():
+            return m
+        power = power @ s
+        m += 1
+    return None
+
+
+def reference_are_isomorphic(m, n, trials, seed, both_indecomposable=False):
+    """``rep.are_isomorphic`` with the trials first and the trace pairing
+    second: every search for an invertible combination runs, and the
+    pairing is read only after it fails.  Reference for the order that reads
+    the pairing first when the characteristic does not divide dim M."""
+    if m.dim_vector() != n.dim_vector():
+        return IsoVerdict("no", detail="dimension vectors differ")
+    if m.is_zero():
+        return IsoVerdict("yes", {v: Mat.zeros(m.field, 0, 0) for v in m.dims}, "both zero")
+    h_mn, h_nm = hom_space(m, n), hom_space(n, m)
+    if h_mn.dim != h_nm.dim:
+        return IsoVerdict("no", detail="Hom dimensions differ between directions")
+    if h_mn.dim == 0:
+        return IsoVerdict("no", detail="Hom(M, N) = 0")
+    totals = h_mn.total_matrices()
+    got = find_invertible_in_span(totals, trials, seed)
+    if got is not None:
+        return IsoVerdict("yes", _blocks_from_total(m, got[1]), "invertible intertwiner found")
+    if both_indecomposable:
+        field = m.field
+        if not trace_form(totals, h_nm.total_matrices()).is_zero():
+            return IsoVerdict("inconclusive", detail="trace pairing inconsistent with the hint")
+        if field.coerce(m.total_dim) != field.zero:
+            return IsoVerdict("no", detail="trace pairing vanishes identically "
+                                           "(indecomposable inputs)")
+    return IsoVerdict("inconclusive", detail=f"no invertible combination in {trials} trials")
 
 
 def reference_trace_pairing(lefts, rights):

@@ -434,6 +434,47 @@ def test_main_forwards_every_option(command, fixture, options, kwargs, tmp_path,
         assert (tmp_path / "main.txt").read_text() == (tmp_path / "cmd.txt").read_text()
 
 
+
+@pytest.mark.parametrize("command, fixture, option, value", [
+    ("certify", "three_loop_rad2.quiver", "--samples", "0"),
+    ("certify", "three_loop_rad2.quiver", "--pushdown-samples", "0"),
+    ("certify", "three_loop_rad2.quiver", "--max-dim", "0"),
+    ("certify", "three_loop_rad2.quiver", "--pushdown-max-dim", "-3"),
+    ("certify", "three_loop_rad2.quiver", "--radius", "-1"),
+    ("certify", "three_loop_rad2.quiver", "--samples", "two"),
+    ("variety", "k3.quiver", "--samples", "0"),
+    ("variety", "k3.quiver", "--nmax", "0"),
+    ("tilt", "a2.quiver", "--depth", "-1"),
+])
+def test_main_rejects_bad_counts(command, fixture, option, value, tmp_path, capsys):
+    # a count or dimension below 1, a radius or depth below 0, or no integer
+    # at all: a usage error, exit 2 with the option named, before any work
+    from wildrank.cli import main
+    spec = tmp_path / fixture
+    spec.write_text(fixture_text(fixture))
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(spec), option, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"argument {option}:" in captured.err and value in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_main_certify_out_in_a_missing_directory(tmp_path, capsys):
+    # the certificate cannot be written: exit 2 naming the path, after the
+    # report, with no traceback and no file
+    from wildrank.cli import main
+    spec = tmp_path / "three_loop_rad2.quiver"
+    spec.write_text(fixture_text("three_loop_rad2.quiver"))
+    out_path = tmp_path / "missing" / "cert.txt"
+    code = main(["certify", str(spec), "--samples", "1", "--pushdown-samples", "1",
+                 "--out", str(out_path)])
+    printed = capsys.readouterr().out
+    assert code == 2
+    assert printed.rstrip("\n").splitlines()[-1] == (
+        f"error: cannot write the certificate to {out_path}: No such file or directory")
+    assert not out_path.exists()
+
 # ---------------------------------------------------------------------------
 # fuzzing: malformed text ends in a SpecError, never in another exception
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (F101, field_add, fixture_text, intertwiner_system, jordan_shift, mat_trace,
-                      QQ, random_nonzero, reference_echelon_fp, reference_echelon_qq,
-                      reference_find_invertible_in_span, reference_hom_pencil,
+                      nilpotency_index, QQ, random_nonzero, reference_echelon_fp,
+                      reference_echelon_qq, reference_find_invertible_in_span, reference_hom_pencil,
                       reference_jordan_nilpotent, reference_kernel, reference_matmul_fp,
                       reference_matmul_qq, reference_trace_pairing, _reference_poly_divmod,
                       _reference_poly_gcdext, _reference_poly_mul)
@@ -19,8 +19,9 @@ import wildrank.exactlin as exactlin_module
 
 import wildrank.rep as rep_module
 from wildrank.cli import cmd_certify, cmd_classify
-from wildrank.exactlin import (Field, Mat, ShapeMismatchError, Span, find_invertible_in_span,
-                               jordan_nilpotent, nilpotency_index, nilpotent_hom_basis, trace_form,
+from wildrank.exactlin import (Field, Mat, ShapeMismatchError, Span, all_nilpotent,
+                               find_invertible_in_span, jordan_nilpotent, nilpotent_hom_basis,
+                               trace_form,
                                _echelon_qq, _is_prime, _jordan_frame, _on_support, _peel_unit_rows,
                                _poly_divmod, _poly_gcdex, _poly_mul)
 from wildrank.rep import hom_space
@@ -138,6 +139,15 @@ def test_residues_match_python_int_mod(p):
         x, y = [[p - 1] * inner] * 3, [[p - 1] * 2] * inner
         got = fk.normalize(fk.matmul(np.array(x, dtype=np.float64), np.array(y, dtype=np.float64)))
         check(got, np.array(reference_matmul_fp(x, y, p), dtype=object))
+        # two stacks of 4: the chunks cut the contraction axis, not the
+        # stack's first axis, slice by slice as for one product
+        xs = np.array([np.array(x) - i for i in range(4)], dtype=np.float64)
+        ys = np.array([np.array(y) - 2 * i for i in range(4)], dtype=np.float64)
+        got = fk.normalize(fk.matmul(xs, ys))
+        for i in range(4):
+            ref = reference_matmul_fp(xs[i].astype(np.int64).tolist(),
+                                      ys[i].astype(np.int64).tolist(), p)
+            check(got[i], np.array(ref, dtype=object))
     # object arrays from ``asarray``: integers beyond 2**53 and fractions
     data = [[2 ** 60 + 1, Fraction(1, 2), -(2 ** 60 + 1)], [Fraction(-7, 3), 2 ** 100, -1]]
     obj = fk.asarray(data)
@@ -397,6 +407,67 @@ def test_nilpotency_index():
     assert nilpotency_index(Mat.identity(F101, 2)) is None
     j = Mat.from_rows(QQ, [[0, 1], [0, 0]])
     assert nilpotency_index(j) == 2
+    for m, want in ((Mat.zeros(F101, 3, 3), True), (Mat.identity(F101, 2), False), (j, True)):
+        assert all_nilpotent(Span(m.field, m.rows, m.cols, [m])) is want
+
+
+def _conjugate(field, s, rng):
+    """g s g^-1 for a seeded random invertible g."""
+    while True:
+        g = Mat.random(field, s.rows, s.rows, rng)
+        if g.is_invertible():
+            return g @ s @ g.inverse()
+
+
+@pytest.mark.parametrize("field, n", [(F101, 5), (Field.prime(7), 9), (QQ, 6),
+                                      (Field.prime(16777213), 40)], ids=str)
+def test_all_nilpotent_matches_per_element_index(field, n):
+    # the stacked squaring against one power at a time: J_n(0), whose index
+    # is exactly n (n = 5, 9 and 40 lie just above a power of two, where one
+    # squaring too few still sees a nonzero power), index n - 1, zero slices,
+    # non-nilpotent slices alone and among nilpotent ones, and combinations;
+    # over Q the conjugates have denominators, and at p = 16777213 every
+    # product of 40 x 40 slices is chunked (``chunk`` = 32)
+    rng = random.Random(f"all-nilpotent:{field}:{n}")
+    j_n = jordan_shift(field, [n])
+    j_short = jordan_shift(field, [n - 1, 1])
+    cycle = j_n + Mat.unit(field, n, n, n - 1, 0)        # a permutation matrix
+    zero = Mat.zeros(field, n, n)
+    mats = [_conjugate(field, x, rng) for x in (j_n, j_short, cycle)] + [zero, j_n]
+    if field == QQ:
+        mats.append(mats[0].scaled(Fraction(1, 3)))
+        assert any(y.denominator > 1 for x in mats for row in x.row_list() for y in row)
+    span = Span(field, n, n, mats)
+    want_index = [n, n - 1, None, 1, n] + ([n] if field == QQ else [])
+    assert [nilpotency_index(x) for x in mats] == want_index
+    k = len(mats)
+
+    def columns(*cols):
+        return Mat(field, k, len(cols), [list(row) for row in zip(*cols)])
+
+    def unit(i):
+        return [1 if j == i else 0 for j in range(k)]
+
+    nil = [i for i, w in enumerate(want_index) if w is not None]
+    cases = [columns(*(unit(i) for i in nil)), columns(unit(0)), columns(unit(1)),
+             columns(unit(2)), columns(unit(3)), columns(unit(3), unit(3)),
+             columns(unit(3), unit(2), unit(0)), Mat.zeros(field, k, 0),
+             # J_n + (its conjugate) is not nilpotent in general; 2 J_n and
+             # J_n - J_n (zero) are
+             columns([0, 0, 0, 0, 2] + [0] * (k - 5), unit(0), [0] * k),
+             columns(unit(0), [1, 0, 0, 0, 1] + [0] * (k - 5))]
+    for coeffs in cases:
+        combos = span.combine(coeffs)
+        want = all(nilpotency_index(x) is not None for x in combos)
+        assert all_nilpotent(span, coeffs) is want, coeffs
+    # with no coefficients, the span's own matrices, alone and together
+    for i, x in enumerate(mats):
+        assert all_nilpotent(Span(field, n, n, [x])) is (want_index[i] is not None)
+    assert not all_nilpotent(span)
+    assert all_nilpotent(Span(field, n, n, [x for x, w in zip(mats, want_index) if w]))
+    assert all_nilpotent(span, cases[0]) and not all_nilpotent(span, cases[3])
+    with pytest.raises(ShapeMismatchError):
+        all_nilpotent(Span(field, 2, 3, []), Mat.zeros(field, 0, 1))
 
 
 @pytest.mark.parametrize("field", [F101, QQ])

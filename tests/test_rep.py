@@ -9,7 +9,8 @@ import sympy
 
 import wildrank.exactlin as exactlin_module
 import wildrank.rep as rep_module
-from conftest import (direct_sum, F101, line_quiver, make_relation, QQ,
+from conftest import (direct_sum, F101, fixture_text, line_quiver, make_relation,
+                      nilpotency_index, QQ, reference_are_isomorphic,
                       reference_end_radical, reference_hom_pencil, reference_hom_space,
                       reference_idempotent_from_minpoly, reference_in_sincere_subcategory,
                       reference_is_indecomposable, reference_pairing_witness,
@@ -17,7 +18,9 @@ from conftest import (direct_sum, F101, line_quiver, make_relation, QQ,
                       reference_target_side, reference_trace_pairing, ReferenceEndAnalysis, rep_from_lists, simple_rep,
                       zero_rep, _reference_poly_mul)
 
-from wildrank.exactlin import Field, Mat, Span, nilpotency_index, trace_form, trace_radical
+from wildrank.cli import cmd_certify
+from wildrank.exactlin import (Field, Mat, Span, all_nilpotent, find_invertible_in_span,
+                               trace_form, trace_radical)
 from wildrank.quiver import BoundQuiver, Quiver, loop_quiver
 from wildrank.rep import (InconclusiveError, Representation, SamplingStarvation,
                           are_isomorphic, check_relations, decompose, end_radical,
@@ -667,8 +670,8 @@ def test_pencil_nilpotency_is_tested_once_per_side(k3_bq, monkeypatch):
         mods.append(Representation(k3_bq, F101, {"1": 3, "2": 3},
                                    {"a": a, "b": a @ r, "c": a @ nil}))
     tested = []
-    monkeypatch.setattr(rep_module, "nilpotency_index",
-                        lambda s: tested.append(s) or nilpotency_index(s))
+    monkeypatch.setattr(rep_module, "all_nilpotent",
+                        lambda span: tested.append(*span.mats) or all_nilpotent(span))
     for m in mods:
         for n in mods:
             h = hom_space(m, n)
@@ -799,8 +802,8 @@ def test_indecomposable_matches_trial_first_reference(field, dual_numbers_bq, a2
     # End(M) = K x K for the direct sum: its trace-form kernel has
     # codimension 2, so the trials split it before any nilpotency check
     checks = []
-    monkeypatch.setattr(exactlin_module, "nilpotency_index",
-                        lambda s: checks.append(s) or nilpotency_index(s))
+    monkeypatch.setattr(exactlin_module, "all_nilpotent",
+                        lambda span, c: checks.append(c) or all_nilpotent(span, c))
     assert is_indecomposable(cases["direct sum"], 1).verdict == "no"
     assert not checks
     assert is_indecomposable(cases["local"], 1).verdict == "yes" and checks
@@ -858,6 +861,66 @@ def test_trace_pairing_decision_matches_reference_loop(k2_bq, a2_bq, field):
         assert got.verdict == expect and "pairing" in got.detail
         verdicts.add(expect)
     assert verdicts == {"no", "inconclusive"}
+
+
+@pytest.mark.parametrize("field", [F101, F7, QQ, Field.prime(16777213)], ids=str)
+def test_pairing_first_order_matches_trials_first_reference(k2_bq, k3_bq, a2_bq, field):
+    # certified-indecomposable pairs (Kronecker modules, seeded three-arrow
+    # Kronecker modules, and base changes of them, which are isomorphic) and
+    # the direct sums of the pairing-decision test, with and without the
+    # hint: the pairing read before the trials gives the verdict, detail and
+    # witness of the trials-first reference.  Over F7 the dimension vectors
+    # (3, 4) make 7 | dim M, where the trials still run first
+    rng = random.Random(f"iso-order:{field}")
+    mods = [kron_module(k2_bq, field, lam) for lam in range(3)]
+    for dims in ((1, 2), (2, 1), (2, 2), (3, 4), (2, 3)):
+        for _ in range(2):
+            m = Representation(k3_bq, field, {"1": dims[0], "2": dims[1]},
+                               {a: Mat.random(field, dims[1], dims[0], rng) for a in "abc"})
+            if is_indecomposable(m, 0).verdict == "yes":
+                mods.append(m)
+    pairs = [(m, n) for m in mods for n in mods if m.bound_quiver == n.bound_quiver]
+    for m in mods[3::2]:
+        g = {v: random_invertible(field, m.dims[v], rng) for v in m.dims}
+        moved = {a.name: g[a.target] @ m.mats[a.name] @ g[a.source].inverse()
+                 for a in m.bound_quiver.quiver.arrows}
+        pairs.append((m, Representation(m.bound_quiver, field, m.dims, moved)))
+    p1 = rep_from_lists(a2_bq, field, {"1": 1, "2": 1}, {"a1": [[1]]})
+    s12 = direct_sum(rep_from_lists(a2_bq, field, {"1": 1, "2": 0}, {}),
+                     rep_from_lists(a2_bq, field, {"1": 0, "2": 1}, {}))
+    pairs += [(s12, p1), (p1, s12)]
+    base = kron_module(k2_bq, field, 0)
+    pairs += [(direct_sum(base, kron_module(k2_bq, field, lam + 1)),
+               direct_sum(base, kron_module(k2_bq, field, lam + 5))) for lam in range(4)]
+    seen = set()
+    for k, (m, n) in enumerate(pairs):
+        for hint in (True, False):
+            got = are_isomorphic(m, n, trials=2, seed=k, both_indecomposable=hint)
+            ref = reference_are_isomorphic(m, n, 2, k, both_indecomposable=hint)
+            assert (got.verdict, got.detail, got.witness) == (ref.verdict, ref.detail,
+                                                               ref.witness), (k, hint)
+            seen.add((hint, field.coerce(m.total_dim) == 0, got.detail))
+    assert {(True, False, "invertible intertwiner found"),
+            (True, False, "trace pairing inconsistent with the hint"),
+            (True, False, "trace pairing vanishes identically (indecomposable inputs)")} <= seen
+    if field == F7:
+        # base changes of bricks with dimension vector (3, 4): End = K, and the
+        # isomorphism pairs with its inverse to 7 = 0, so the whole pairing is
+        # zero and only the trials, run first, find the isomorphism
+        assert (True, True, "invertible intertwiner found") in seen
+
+
+def test_certify_runs_no_isomorphism_trials(monkeypatch):
+    # at benchmark size the one pair of certified indecomposables that the
+    # witness check compares with the hint pairs to zero: the pairing answers
+    # before find_invertible_in_span, which the trials-first order called once
+    searches = []
+    monkeypatch.setattr(rep_module, "find_invertible_in_span",
+                        lambda *args: searches.append(args) or find_invertible_in_span(*args))
+    out, code = cmd_certify(fixture_text("three_loop_rad2.quiver"), radius=2, samples=2,
+                            max_dim=1, seed="7", pushdown_samples=2)
+    assert code == 0, out
+    assert searches == []
 
 
 def _jordan_rows(sizes_and_values, n):
