@@ -66,14 +66,17 @@ matrices only through ``Mat`` operations,
 * ``nilpotent_hom_basis``, the maps that intertwine a nilpotent pair and
   any further pairs, solved in Jordan coordinates (``jordan_nilpotent``
   gives the Jordan frame, the basis with its inverse and the block sizes),
-  ``trace_form``, the traces of all pairwise products of two lists of
-  matrices, ``trace_radical``, the radical of the algebra a ``Span``
+  ``trace_form``, the traces of all pairwise products of the matrices of
+  two ``Span``s, ``trace_radical``, the radical of the algebra a ``Span``
   spans when its trace form certifies it, and ``all_nilpotent``, whether
-  every combination of a ``Span`` is nilpotent, for a whole stack in one
-  pass of repeated squaring;
+  every combination of a ``Span`` is nilpotent, and ``Mat.is_nilpotent``,
+  both through ``_nilpotent_stack``, one pass of repeated squaring over a
+  whole stack;
 * ``Span``, one list of matrices stacked once, whose ``combine`` returns
   many linear combinations of them (one per column of a coefficient
-  matrix) from one product; ``lincomb`` is its one-column case.
+  matrix) from one product; ``lincomb`` is its one-column case, and
+  ``Span.assemble`` places the blocks of many matrices into one stack at
+  once.
 
 All operations are pure, and the entries of every ``Mat`` are immutable
 after construction.  The one thing stored later is a memo: the Jordan
@@ -91,7 +94,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-__all__ = ["Field", "Mat", "ShapeMismatchError", "Span", "all_nilpotent", "factor_polynomial",
+__all__ = ["Field", "Mat", "ShapeMismatchError", "Span", "factor_polynomial",
            "find_invertible_in_span", "nilpotent_hom_basis", "trace_form", "trace_radical"]
 
 Scalar = Union[int, Fraction]
@@ -732,16 +735,15 @@ class _RationalKernel:
 # Mat
 # ---------------------------------------------------------------------------
 
-def _zeros(field: Field, rows: int, cols: int) -> np.ndarray:
-    """A writable ``rows x cols`` array of stored zeros."""
-    arr = np.empty((rows, cols), dtype=field._kernel.dtype)
-    arr.fill(0)
-    return arr
+def _zeros(field: Field, shape: tuple[int, ...]) -> np.ndarray:
+    """A writable array of stored zeros of any ``shape`` (``int`` zeros in
+    an object array over Q)."""
+    return np.zeros(shape, dtype=field._kernel.dtype)
 
 
 def _identity(field: Field, n: int) -> np.ndarray:
     """A writable ``n x n`` identity array, over the denominator 1."""
-    arr = _zeros(field, n, n)
+    arr = _zeros(field, (n, n))
     arr.ravel()[::n + 1] = 1
     return arr
 
@@ -920,7 +922,7 @@ class Mat:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Mat":
-        return cls._of(field, _zeros(field, rows, cols), 1)
+        return cls._of(field, _zeros(field, (rows, cols)), 1)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
@@ -961,7 +963,7 @@ class Mat:
             parts.append(b._entries)
             dens.append(b._den)
         parts, den = _common(parts, dens)
-        out = _zeros(field, rows, cols)
+        out = _zeros(field, (rows, cols))
         placed: list[tuple[int, int, int, int]] = []
         for (i0, i1, j0, j1), part in zip(spans, parts):
             view = out[i0:i1, j0:j1]
@@ -1008,7 +1010,7 @@ class Mat:
             firsts.append(first._entries)
             dens.append(first._den if x is None or y is None else x._den * y._den)
         firsts, den = _common(firsts, dens)
-        out = _zeros(field, rows, cols)
+        out = _zeros(field, (rows, cols))
         placed: list[tuple[int, int, int, int]] = []
         for (i, j, x, y, n, xr, xc, yr, yc), first in zip(shaped, firsts):
             fresh = _claim(placed, i, i + xr * yr, j, j + xc * yc)
@@ -1079,6 +1081,13 @@ class Mat:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
+
+    def is_nilpotent(self) -> bool:
+        """Whether the square matrix is nilpotent: the stacked test of
+        ``all_nilpotent`` on a stack of one, with no ``Span``."""
+        if not self.is_square():
+            raise ShapeMismatchError("nilpotency is defined for square matrices")
+        return _nilpotent_stack(self.field._kernel, self._entries[None])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat) or other.field != self.field or other.shape != self.shape:
@@ -1191,7 +1200,7 @@ class Mat:
         is_free[peeled] = False
         is_free[piv] = False
         free = np.flatnonzero(is_free)
-        out = _zeros(self.field, self.cols, free.size)
+        out = _zeros(self.field, (self.cols, free.size))
         out[free, np.arange(free.size)] = den
         rest_free = np.flatnonzero(is_free[rest_cols])
         if rest_piv and rest_free.size:
@@ -1229,7 +1238,7 @@ class Mat:
         w, den, piv = fk.echelon(np.concatenate(_joined([self, b])[0], axis=1))
         if piv and piv[-1] >= n:
             return None
-        x = _zeros(self.field, n, b.cols)
+        x = _zeros(self.field, (n, b.cols))
         x[piv] = _back_substitute(fk, w, piv, w[:len(piv), n:])
         x = Mat._of(self.field, *_lowest(x, den))
         # the residual guards the elimination: a nonzero one means no solution
@@ -1278,7 +1287,7 @@ class Mat:
         reduced: list[tuple[int, object, np.ndarray, np.ndarray]] = []
         cur = Mat.identity(field, n)
         for k in range(n + 1):
-            row = np.concatenate([cur._entries.ravel(), _zeros(field, 1, n + 1)[0]])
+            row = np.concatenate([cur._entries.ravel(), _zeros(field, (n + 1,))])
             row[width + k] = cur._den
             for piv, a, cols, vals in reduced:
                 f = row[piv]
@@ -1475,42 +1484,19 @@ def factor_polynomial(field: Field, coeffs: Sequence) -> list[tuple[list, int]]:
     return out
 
 
-def trace_form(lefts: Sequence[Mat], rights: Sequence[Mat]) -> Mat:
-    """The matrix with entry (i, j) equal to ``tr(lefts[i] @ rights[j])``.
-
-    One product of the row-major flattened ``lefts`` with the flattened
-    transposes of ``rights``, since tr(AB) = vec(A) . vec(B^T), each list
-    over its common denominator.  ``lefts``
-    and ``rights`` are nonempty; every left is n x m and every right m x n.
-    """
-    field = lefts[0].field
-    n, m = lefts[0].shape
-    for x in lefts:
-        if x.field != field or x.shape != (n, m):
-            raise ShapeMismatchError(f"trace form of {x.shape} among ({n}, {m}) lefts")
-    for y in rights:
-        if y.field != field or y.shape != (m, n):
-            raise ShapeMismatchError(f"trace form of {y.shape} against ({n}, {m}) lefts")
-    fk = field._kernel
-    (flat_left, left_den), (flat_right, right_den) = (_joined(mats) for mats in (lefts, rights))
-    flat_left = np.stack([x.ravel() for x in flat_left])
-    flat_right = np.stack([y.T.ravel() for y in flat_right], axis=1)
-    return Mat._of(field, *_lowest(fk.normalize(fk.matmul(flat_left, flat_right)),
-                                     left_den * right_den))
-
-
 class Span:
     """Linear combinations of one list of ``rows x cols`` matrices.
 
     The matrices are flattened once, row-major, into the rows of a stack
-    over their common denominator.  ``combine`` then builds any number of
-    combinations with one kernel product: the transposed coefficient
-    matrix times the stack.  The
+    over their common denominator; ``assemble`` places the blocks of many
+    matrices by index into one such stack, and its matrices are views of
+    it.  ``combine`` then builds any number of combinations with one kernel
+    product: the transposed coefficient matrix times the stack.  The
     product's inner dimension is the number of matrices, k; over F_p the
     kernel product reduces after every ``chunk`` of them (see
     ``_PrimeKernel``), so the result is exact for every k.  The product is
     reduced once, and each combination is a view of it, put in lowest
-    terms on its own.
+    terms on its own.  ``trace_form`` reads two stacks as they are.
     ``Mat.lincomb`` is the one-column case.
     """
 
@@ -1524,7 +1510,44 @@ class Span:
         self.mats = list(mats)
         parts, self._den = _joined(mats)
         self._stack = (np.stack([a.reshape(rows * cols) for a in parts]) if mats
-                       else _zeros(field, 0, rows * cols))
+                       else _zeros(field, (0, rows * cols)))
+
+    @classmethod
+    def assemble(cls, field: Field, rows: int, cols: int, count: int, blocks) -> "Span":
+        """The Span of ``count`` ``rows x cols`` matrices, matrix i the sum of
+        the blocks ``(r, c, mats[i])`` of ``blocks``, each block of ``mats``
+        placed with its top-left entry at (r, c); blocks at different places
+        do not overlap.  Every block of every matrix is brought to one
+        common denominator, and the blocks at one place are written for all
+        matrices at once into one zeroed (count, rows, cols) array: the
+        stack.  Matrix i is its slice i in lowest terms, a view of it over
+        F_p, where every denominator is 1."""
+        spans, parts, dens = [], [], []
+        placed: list[tuple[int, int, int, int]] = []
+        for r, c, mats in blocks:
+            if len(mats) != count:
+                raise ShapeMismatchError(f"{len(mats)} blocks at ({r}, {c}) for {count} matrices")
+            shape = mats[0].shape if mats else (0, 0)
+            for m in mats:
+                if m.field != field or m.shape != shape:
+                    raise ShapeMismatchError(f"block {m.shape} over {m.field} among {shape}")
+            place = (r, r + shape[0], c, c + shape[1])
+            if r < 0 or c < 0 or place[1] > rows or place[3] > cols or not _claim(placed, *place):
+                raise ShapeMismatchError(f"block {shape} at ({r}, {c}) leaves {rows}x{cols} "
+                                         f"or overlaps another")
+            spans.append(place)
+            parts.extend(m._entries for m in mats)
+            dens.extend(m._den for m in mats)
+        parts, den = _common(parts, dens)
+        out = _zeros(field, (count, rows, cols))
+        for n, (i0, i1, j0, j1) in enumerate(spans if count else ()):
+            out[:, i0:i1, j0:j1] = np.stack(parts[n * count:(n + 1) * count])
+        out.setflags(write=False)
+        span = object.__new__(cls)
+        span.field, span.rows, span.cols, span._den = field, rows, cols, den
+        span._stack = out.reshape(count, rows * cols)
+        span.mats = [Mat._of(field, *_lowest(x, den)) for x in out]
+        return span
 
     def combine(self, coeffs: Mat) -> list[Mat]:
         """The combinations ``sum_k coeffs[k, j] * mats[k]``, one per column j
@@ -1544,6 +1567,26 @@ class Span:
                 coeffs._den * self._den)
 
 
+def trace_form(lefts: Span, rights: Span) -> Mat:
+    """The matrix with entry (i, j) equal to ``tr(lefts.mats[i] @
+    rights.mats[j])``, for n x m ``lefts`` and m x n ``rights``.
+
+    One product of the stack of ``lefts`` (row-major flattened matrices)
+    with the stack of ``rights`` with each matrix transposed, since tr(AB) =
+    vec(A) . vec(B^T): the stacks are read as the Spans keep them, over
+    their denominators, and only the right one is transposed.
+    """
+    field, n, m = lefts.field, lefts.rows, lefts.cols
+    if rights.field != field or (rights.rows, rights.cols) != (m, n):
+        raise ShapeMismatchError(f"trace form of {rights.rows}x{rights.cols} over {rights.field} "
+                                 f"against {n}x{m} over {field}")
+    fk = field._kernel
+    k = len(rights.mats)
+    flat_right = rights._stack.reshape(k, m, n).transpose(0, 2, 1).reshape(k, n * m).T
+    return Mat._of(field, *_lowest(fk.normalize(fk.matmul(lefts._stack, flat_right)),
+                                     lefts._den * rights._den))
+
+
 # ---------------------------------------------------------------------------
 # nilpotent Jordan structure
 # ---------------------------------------------------------------------------
@@ -1556,23 +1599,34 @@ def all_nilpotent(span: Span, coeffs: Optional[Mat] = None) -> bool:
     The combinations are the numerators of one kernel product over the
     span's stack (``Span._flat``), and the matrices themselves are the
     numerators of the stack: a nonzero multiple of a matrix is nilpotent
-    exactly when the matrix is.  An n x n matrix x is nilpotent
-    exactly when x^n = 0, its characteristic polynomial then being t^n, so
-    exactly when x^(2^j) = 0 for the least j with 2^j >= n.  The whole stack
-    is squared at once, one batched kernel product per step, at most
-    ceil(log2 n) times, and after each squaring the slices that became zero
-    are dropped, since all their further powers are zero too.  A slice still
-    nonzero once 2^j >= n is not nilpotent.
+    exactly when the matrix is.  ``_nilpotent_stack`` tests them all in one
+    pass.
     """
     if span.rows != span.cols:
         raise ShapeMismatchError("nilpotency is defined for square matrices")
-    fk, n = span.field._kernel, span.rows
     flat = span._stack if coeffs is None else span._flat(coeffs)[0]
-    stack = flat.reshape(len(flat), n, n)
+    return _nilpotent_stack(span.field._kernel, flat.reshape(len(flat), span.rows, span.rows))
+
+
+def _nilpotent_stack(fk, stack: np.ndarray) -> bool:
+    """Whether every slice of the (k, n, n) ``stack`` of numerators of the
+    kernel ``fk`` is nilpotent: the one nilpotency test, for ``all_nilpotent``
+    and ``Mat.is_nilpotent`` alike.
+
+    An n x n matrix x is nilpotent exactly when x^n = 0, its characteristic
+    polynomial then being t^n, so exactly when x^(2^j) = 0 for the least j
+    with 2^j >= n.  The whole stack is squared at once, one batched kernel
+    product per step, at most ceil(log2 n) times, and after each squaring
+    the slices that became zero are dropped, since all their further powers
+    are zero too.  A slice still nonzero once 2^j >= n is not nilpotent; a
+    1 x 1 slice is nilpotent exactly when it is zero, with no product.
+    """
+    k, n = stack.shape[0], stack.shape[-1]
     power = 1
     while True:
-        stack = stack[stack.reshape(len(stack), n * n).astype(bool).any(axis=1)]
-        if not len(stack):
+        stack = stack[stack.reshape(k, n * n).any(axis=1)]
+        k = len(stack)
+        if not k:
             return True
         if power >= n:
             return False
@@ -1599,7 +1653,7 @@ def trace_radical(span: Span, ker: Optional[Mat] = None) -> Optional[Mat]:
     when given, is that kernel, computed already.
     """
     if ker is None:
-        ker = trace_form(span.mats, span.mats).kernel()
+        ker = trace_form(span, span).kernel()
     return ker if all_nilpotent(span, ker) else None
 
 
@@ -1673,33 +1727,51 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat,
                         rest: Sequence[tuple[Mat, Mat]] = ()) -> list[Mat]:
     """Basis of ``{g : g @ s == s_target @ g}`` for nilpotent s, s_target,
     cut down by ``g @ r == r2 @ g`` for every remaining pair ``(r, r2)``.
+    Every matrix is over one field, s and s_target are square, and each r
+    has the shape of s and each r2 that of s_target; anything else raises
+    ``ShapeMismatchError``.
 
     In the Jordan frames s = P_s J_s P_s^-1 and s_target = P_t J_t P_t^-1,
     g = P_t h P_s^-1 intertwines s and s_target exactly when h intertwines
     J_s and J_t, and those h have a closed-form basis of 0/1 matrices h_c:
     a map J_a -> J_b has min(a, b) independent shifted-diagonal
-    intertwiners.  The h_c are placed by index into one array.
+    intertwiners.  Only their ones are listed, as (c, i, j) index triples.
 
     Each remaining pair is conjugated once, to (P_s^-1 r P_s, P_t^-1 r2 P_t),
-    and its conditions on the h_c are read off by index: row i of h_c r is
-    the row of r that h_c sends to i, column j of r2 h_c the column of r2
-    that h_c takes from j.  Since X -> P_t X P_s^-1 is a linear bijection,
-    the kernel of these conditions is that of the conditions on the
-    P_t h_c P_s^-1, and ``Mat.kernel`` returns the one basis of it that is
-    the identity on the free columns: the result is the same matrices as
-    when every h_c is mapped back first.  Condition rows that are zero are
-    dropped before the kernel.  The h_c have pairwise disjoint supports
-    (each is its own shifted diagonal of its own block), so a combination
-    of them is its coefficients placed by index, with no product and no
-    reduction.  Only the combinations are mapped back, with one product on
-    each side for all of them and one reduction of each product; with no
-    remaining pair every h_c is mapped back, in order.
+    and its conditions on the h_c are written by index into one zeroed
+    array with rows (pair, i, j) and columns c: entry (i, j) of h_c r -
+    r2 h_c, where row i of h_c r is the row of r that h_c sends to i and
+    column j of r2 h_c the column of r2 that h_c takes from j.  Each pair's
+    two matrices are over their common denominator, which scales its rows
+    and so leaves the kernel as it is.  Since X -> P_t X P_s^-1 is a linear
+    bijection, the kernel of these conditions is that of the conditions on
+    the P_t h_c P_s^-1, and ``Mat.kernel`` returns the one basis of it that
+    is the identity on the free columns: the result is the same matrices as
+    when every h_c is mapped back first.  Zero condition rows are dropped
+    before the kernel, which leaves the row space as it is.
+
+    The h_c have pairwise disjoint supports (each is its own shifted
+    diagonal of its own block), so the combinations, the kernel's columns
+    or with no remaining pair the h_c themselves in order, are their
+    coefficients placed by index, with no product and no reduction.  They
+    are placed side by side in an (e, k, d) array, whose (e, k d) view is
+    the row of products [h_1 | ... | h_k]: P_t times it is one kernel
+    product, and its (e k, d) view, every row of every P_t h, times P_s^-1
+    is a second one.  Each product is reduced once, the same arithmetic for
+    every entry as one product per combination, and result i is the slice
+    (:, i, :) in lowest terms.
     """
     field = s.field
+    if any(x.field != field for x in itertools.chain([s_target], *rest)):
+        raise ShapeMismatchError("nilpotent_hom_basis over more than one field")
+    e, d = s_target.rows, s.rows
+    if not (s.is_square() and s_target.is_square()) or any(
+            r.shape != (d, d) or r2.shape != (e, e) for r, r2 in rest):
+        raise ShapeMismatchError(f"pencil pairs do not fit a {s.shape} and a "
+                                 f"{s_target.shape} square matrix")
     fk = field._kernel
     p_src, p_src_inv, sizes_src = _jordan_frame(s)
     p_tgt, p_tgt_inv, sizes_tgt = _jordan_frame(s_target)
-    e, d = s_target.rows, s.rows
     # the ones of h_c: the last k vectors of a source chain go to the first
     # k of a target chain, for k = 1 .. min(a, b)
     idx: list[int] = []
@@ -1719,36 +1791,27 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat,
         off_t += b
     if not c:
         return []
-    h = _zeros(field, c * e, d).reshape(c, e, d)
-    h[idx, rows, cols] = 1
-    h_den = 1
     if rest:
-        blocks = []
-        for r, r2 in rest:
+        cond = _zeros(field, (len(rest), e, d, c))
+        for block, (r, r2) in zip(cond, rest):
             (rj, r2j), _ = _joined([p_src_inv @ r @ p_src, p_tgt_inv @ r2 @ p_tgt])
-            # h_c rj - r2j h_c, each term placed by index: rj and r2j over
-            # their common denominator, which scales the block's rows and so
-            # leaves the kernel of the conditions as it is
-            block = _zeros(field, c * e, d).reshape(c, e, d)
-            block[idx, rows, :] = rj[cols, :]
-            block[idx, :, cols] -= r2j[:, rows].T
-            blocks.append(block.reshape(c, e * d).T)
-        cond = np.concatenate(blocks, axis=0)
-        cond = cond[_nonzero_lines(cond)[0]]
-        ker = Mat._of(field, fk.normalize(cond), 1).kernel()
-        if not ker.cols:
+            block[rows, :, idx] = rj[cols]
+            block[:, cols, idx] -= r2j[:, rows]
+        cond = cond.reshape(len(rest) * e * d, c)
+        ker = Mat._of(field, fk.normalize(cond[cond.any(axis=1)]), 1).kernel()
+        k, h_den = ker.cols, ker._den
+        if not k:
             return []
-        # the h_c have disjoint supports: each combination is placed by index
-        h = _zeros(field, ker.cols * e, d).reshape(ker.cols, e, d)
-        h[:, rows, cols] = ker._entries.T[:, idx]
-        h_den = ker._den
-    k = h.shape[0]
-    # P_t [h_1 | ... | h_k], then its blocks stacked, times P_s^-1
-    left = fk.normalize(fk.matmul(p_tgt._entries, h.transpose(1, 0, 2).reshape(e, k * d)))
-    out = fk.normalize(fk.matmul(left.reshape(e, k, d).transpose(1, 0, 2).reshape(k * e, d),
-                                 p_src_inv._entries))
+        h = _zeros(field, (e, k, d))
+        h[rows, :, cols] = ker._entries[idx]
+    else:
+        k, h_den = c, 1
+        h = _zeros(field, (e, k, d))
+        h[rows, idx, cols] = 1
+    left = fk.normalize(fk.matmul(p_tgt._entries, h.reshape(e, k * d)))
+    out = fk.normalize(fk.matmul(left.reshape(e * k, d), p_src_inv._entries)).reshape(e, k, d)
     den = p_tgt._den * h_den * p_src_inv._den
-    return [Mat._of(field, *_lowest(g, den)) for g in out.reshape(k, e, d)]
+    return [Mat._of(field, *_lowest(out[:, i], den)) for i in range(k)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ Hom system is one kernel of one ``Mat.kron_assemble`` call on the same
 pencils, and so is the Jacobian of a relation (``relation_jacobian``).
 The tests check both shortcuts against one uncontracted kernel of every
 arrow equation.  Each basis is cached on the source module, per target,
+with its total matrices once they are read (one stack, ``HomSpace.totals``),
 and each module keeps one half of the contracted equations (``_Side``)
 for its roles as a source and as a target, so the Hom spaces it takes
 part in share its transforms, pencil matrices and their Jordan frames.
@@ -42,8 +43,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .exactlin import (Field, Mat, ShapeMismatchError, Span, _poly_gcdex, _poly_mul, _poly_pow,
-                       all_nilpotent, factor_polynomial, find_invertible_in_span,
-                       nilpotent_hom_basis, trace_form, trace_radical)
+                       factor_polynomial, find_invertible_in_span, nilpotent_hom_basis,
+                       trace_form, trace_radical)
 from .quiver import BoundQuiver, Path, _enumerate_paths
 
 __all__ = ["InconclusiveError", "Representation", "SamplingStarvation", "are_isomorphic",
@@ -173,24 +174,45 @@ def subquotient(bq: BoundQuiver, field: Field, mats: dict[str, Mat], top: dict[s
 # Hom spaces
 # ---------------------------------------------------------------------------
 
+class _HomMemo:
+    """What ``hom_space`` keeps on the source module per target: the basis
+    and, once read, its total matrices.  It holds no module."""
+
+    __slots__ = ("basis", "totals")
+
+    def __init__(self, basis: list[dict[str, Mat]]):
+        self.basis = basis
+        self.totals: Optional[Span] = None
+
+
 @dataclass
 class HomSpace:
     """A basis of intertwiners f with f_t M(a) = N(a) f_s for every arrow."""
 
     source: Representation
     target: Representation
-    basis: list[dict[str, Mat]]
+    _memo: _HomMemo
+
+    @property
+    def basis(self) -> list[dict[str, Mat]]:
+        return self._memo.basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._memo.basis)
 
-    def total_matrices(self) -> list[Mat]:
-        """Block-diagonal total matrices (square only when dim vectors agree)."""
-        s, t = self.source, self.target
-        return [Mat.assemble(s.field, t.total_dim, s.total_dim,
-                             [(t.offset(v), s.offset(v), blk) for v, blk in f.items()])
-                for f in self.basis]
+    def totals(self) -> Span:
+        """The block-diagonal total matrices of the basis (square only when
+        the dimension vectors agree), as one ``Span``: the blocks of every
+        basis element at a vertex are placed at once into one stack
+        (``Span.assemble``), built once per pair and kept with the basis."""
+        memo = self._memo
+        if memo.totals is None:
+            s, t = self.source, self.target
+            memo.totals = Span.assemble(s.field, t.total_dim, s.total_dim, len(memo.basis),
+                                        [(t.offset(v), s.offset(v), [f[v] for f in memo.basis])
+                                         for v in s.bound_quiver.quiver.vertices])
+        return memo.totals
 
 
 def morphism_compose(g: dict[str, Mat], f: dict[str, Mat]) -> dict[str, Mat]:
@@ -207,9 +229,10 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
 
     Every basis is cached on the source ``m``, keyed by the target ``n`` (by
     identity) in a weak dictionary: a later call on the same pair returns
-    the same basis list without solving again.  The cache holds only
-    bases, never a module, so it keeps no target alive, and an entry goes
-    when its target is freed.
+    the same basis list, and the same total matrices once they were read,
+    without solving again.  The cache holds only bases and their totals,
+    never a module, so it keeps no target alive, and an entry goes when its
+    target is freed.
     """
     if m.bound_quiver != n.bound_quiver:
         raise ShapeMismatchError("representations over different bound quivers")
@@ -260,8 +283,8 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
             else:
                 f[v] = tgt.a[v] @ fr[r] @ src.b[v]
         out.append(f)
-    m._homs[n] = out
-    return HomSpace(m, n, out)
+    memo = m._homs[n] = _HomMemo(out)
+    return HomSpace(m, n, memo)
 
 
 def _times(x: Optional[Mat], y: Optional[Mat]) -> Optional[Mat]:
@@ -321,9 +344,7 @@ class _Side:
     def nilpotent(self, name: str) -> bool:
         got = self._nilpotent.get(name)
         if got is None:
-            pencil = self.pencil[name]
-            one = Span(pencil.field, pencil.rows, pencil.cols, [pencil])
-            got = self._nilpotent[name] = all_nilpotent(one)
+            got = self._nilpotent[name] = self.pencil[name].is_nilpotent()
         return got
 
 
@@ -408,12 +429,7 @@ def end_radical(m: Representation) -> Optional[Mat]:
     if hom.dim <= 1:
         # End(M) is 0 or K
         return Mat.zeros(m.field, hom.dim, 0)
-    return _certified_radical(m, hom, _end_span(m, hom))
-
-
-def _end_span(m: Representation, hom: HomSpace) -> Span:
-    """The total matrices of End(M) on M, stacked once."""
-    return Span(m.field, m.total_dim, m.total_dim, hom.total_matrices())
+    return _certified_radical(m, hom, hom.totals())
 
 
 def _certified_radical(m: Representation, hom: HomSpace, totals: Span,
@@ -525,8 +541,8 @@ def is_indecomposable(m: Representation, seed) -> IndecVerdict:
     hom = hom_space(m, m)
     if hom.dim == 1:
         return IndecVerdict("yes", detail="End is one-dimensional")
-    totals = _end_span(m, hom)
-    ker = trace_form(totals.mats, totals.mats).kernel()
+    totals = hom.totals()
+    ker = trace_form(totals, totals).kernel()
     may_be_local = hom.dim - ker.cols <= 1
     if may_be_local:
         rad = _certified_radical(m, hom, totals, ker)
@@ -610,16 +626,16 @@ def are_isomorphic(m: Representation, n: Representation,
         return IsoVerdict("no", detail="Hom dimensions differ between directions")
     if h_mn.dim == 0:
         return IsoVerdict("no", detail="Hom(M, N) = 0")
-    totals = h_mn.total_matrices()
+    totals = h_mn.totals()
     nonzero = None
     if both_indecomposable and m.field.coerce(m.total_dim) != m.field.zero:
         # row i of the pairing holds tr(f_i . g_j) = tr(g_j . f_i) over the
         # basis g_j of Hom(N, M); a zero pairing leaves no isomorphism
-        nonzero = not trace_form(totals, h_nm.total_matrices()).is_zero()
+        nonzero = not trace_form(totals, h_nm.totals()).is_zero()
         if not nonzero:
             return IsoVerdict("no", detail="trace pairing vanishes identically "
                                            "(indecomposable inputs)")
-    got = find_invertible_in_span(totals, trials, seed)
+    got = find_invertible_in_span(totals.mats, trials, seed)
     if got is not None:
         # the combination of block-diagonal totals is block diagonal, with
         # the same combination of the blocks f[v] at vertex v
@@ -634,7 +650,7 @@ def are_isomorphic(m: Representation, n: Representation,
         # the trials or now, therefore contradicts the caller's hint, and the
         # verdict stays inconclusive.
         if nonzero is None:
-            nonzero = not trace_form(totals, h_nm.total_matrices()).is_zero()
+            nonzero = not trace_form(totals, h_nm.totals()).is_zero()
         if nonzero:
             return IsoVerdict("inconclusive",
                               detail="trace pairing inconsistent with the hint")

@@ -308,18 +308,23 @@ def reference_are_isomorphic(m, n, trials, seed, both_indecomposable=False):
         return IsoVerdict("no", detail="Hom dimensions differ between directions")
     if h_mn.dim == 0:
         return IsoVerdict("no", detail="Hom(M, N) = 0")
-    totals = h_mn.total_matrices()
-    got = find_invertible_in_span(totals, trials, seed)
+    totals = h_mn.totals()
+    got = find_invertible_in_span(totals.mats, trials, seed)
     if got is not None:
         return IsoVerdict("yes", _blocks_from_total(m, got[1]), "invertible intertwiner found")
     if both_indecomposable:
         field = m.field
-        if not trace_form(totals, h_nm.total_matrices()).is_zero():
+        if not trace_form(totals, h_nm.totals()).is_zero():
             return IsoVerdict("inconclusive", detail="trace pairing inconsistent with the hint")
         if field.coerce(m.total_dim) != field.zero:
             return IsoVerdict("no", detail="trace pairing vanishes identically "
                                            "(indecomposable inputs)")
     return IsoVerdict("inconclusive", detail=f"no invertible combination in {trials} trials")
+
+
+def span_of(mats):
+    """The ``Span`` of a nonempty list of matrices of one shape."""
+    return Span(mats[0].field, mats[0].rows, mats[0].cols, mats)
 
 
 def reference_trace_pairing(lefts, rights):
@@ -336,8 +341,8 @@ def reference_pairing_witness(h_mn, h_nm):
     whose map is invertible (None when there is none), and whether any
     pairing was nonzero."""
     any_nonzero = False
-    for i, f in enumerate(h_mn.total_matrices()):
-        for g in h_nm.total_matrices():
+    for i, f in enumerate(h_mn.totals().mats):
+        for g in h_nm.totals().mats:
             if mat_trace(g @ f) != 0:
                 any_nonzero = True
                 if all(blk.is_invertible() for blk in h_mn.basis[i].values()):
@@ -371,7 +376,7 @@ def reference_kernel(a):
     w, den, piv = fk.echelon(a._entries)
     pivset = set(piv)
     free = [c for c in range(a.cols) if c not in pivset]
-    out = _zeros(a.field, a.cols, len(free))
+    out = _zeros(a.field, (a.cols, len(free)))
     out[free, range(len(free))] = den
     if piv and free:
         out[piv] = fk.normalize(-_back_substitute(fk, w, piv, w[:len(piv), free]))
@@ -485,7 +490,7 @@ def reference_is_indecomposable(m, seed, trials=32):
     hom = hom_space(m, m)
     if hom.dim == 1:
         return IndecVerdict("yes", detail="End is one-dimensional")
-    totals = Span(field, m.total_dim, m.total_dim, hom.total_matrices())
+    totals = hom.totals()
     rng = random.Random(f"indec:{seed}")
     extension_seen = False
     for _ in range(trials):
@@ -689,7 +694,7 @@ def reference_end_radical(m):
     neither gate lets a route certify it."""
     field = m.field
     hom = hom_space(m, m)
-    totals = Span(field, m.total_dim, m.total_dim, hom.total_matrices())
+    totals = hom.totals()
     rad = reference_natural_trace_radical(m, totals)
     if rad is None and (field.char == 0 or field.char > hom.dim):
         rad = ReferenceEndAnalysis(m).radical_coords()

@@ -11,14 +11,15 @@ from hypothesis import given, settings, strategies as st
 from conftest import (F101, field_add, fixture_text, intertwiner_system, jordan_shift, mat_trace,
                       nilpotency_index, QQ, random_nonzero, reference_echelon_fp,
                       reference_echelon_qq, reference_find_invertible_in_span, reference_hom_pencil,
-                      reference_jordan_nilpotent, reference_kernel, reference_matmul_fp,
+                      reference_jordan_nilpotent, reference_kernel, reference_matmul_fp, span_of,
                       reference_matmul_qq, reference_trace_pairing, _reference_poly_divmod,
                       _reference_poly_gcdext, _reference_poly_mul)
 
 import wildrank.exactlin as exactlin_module
 
 import wildrank.rep as rep_module
-from wildrank.cli import cmd_certify, cmd_classify
+from wildrank.cli import cmd_certify, cmd_classify, parse_quiver_spec
+from wildrank.covering import covering_criterion
 from wildrank.exactlin import (Field, Mat, ShapeMismatchError, Span, all_nilpotent,
                                find_invertible_in_span, jordan_nilpotent, nilpotent_hom_basis,
                                trace_form,
@@ -228,7 +229,7 @@ def test_no_float64_array_reaches_the_public_constructor_from_src(monkeypatch):
         init(self, field, rows, cols, data)
 
     monkeypatch.setattr(Mat, "__init__", spy)
-    a + b, a - b, a.scaled(5), -a, a @ b, trace_form([a, b], [b])
+    a + b, a - b, a.scaled(5), -a, a @ b, trace_form(span_of([a, b]), span_of([b]))
     a.solve_matrix(a @ b), nilpotent_hom_basis(s, s, [(a @ s @ a.inverse(), a @ s @ a.inverse())])
     out, code = cmd_certify(fixture_text("three_loop_rad2.quiver"), radius=2, samples=1,
                             max_dim=1, seed=0, pushdown_samples=1)
@@ -463,6 +464,12 @@ def test_all_nilpotent_matches_per_element_index(field, n):
     # with no coefficients, the span's own matrices, alone and together
     for i, x in enumerate(mats):
         assert all_nilpotent(Span(field, n, n, [x])) is (want_index[i] is not None)
+        assert x.is_nilpotent() is (want_index[i] is not None)
+    # a 1 x 1 matrix is nilpotent exactly when it is zero
+    assert Mat.zeros(field, 1, 1).is_nilpotent() and not Mat.identity(field, 1).is_nilpotent()
+    assert Mat.zeros(field, 0, 0).is_nilpotent()
+    with pytest.raises(ShapeMismatchError):
+        Mat.zeros(field, 2, 3).is_nilpotent()
     assert not all_nilpotent(span)
     assert all_nilpotent(Span(field, n, n, [x for x, w in zip(mats, want_index) if w]))
     assert all_nilpotent(span, cases[0]) and not all_nilpotent(span, cases[3])
@@ -534,7 +541,8 @@ def _conjugate_into(field, q, top, p, extra, rng, nilpotent):
     return q @ m @ q.inverse()
 
 
-@pytest.mark.parametrize("field", [F101, Field.prime(7), Field.prime(5), QQ], ids=repr)
+@pytest.mark.parametrize("field", [F101, Field.prime(7), Field.prime(5), QQ,
+                                   Field.prime(16777213)], ids=repr)
 def test_nilpotent_hom_basis_in_jordan_coordinates_matches_reference(field):
     # g S = S' g cut down by 0-3 more pairs g R = R' g: S of a random Jordan
     # type, S' = q [[p S p^-1, x], [0, T]] q^-1 with T nilpotent of another
@@ -563,6 +571,49 @@ def test_nilpotent_hom_basis_in_jordan_coordinates_matches_reference(field):
             assert got
         seen.add((len(rest), e == d))
     assert {0, 1, 2, 3} <= {n for n, _ in seen} and {sq for _, sq in seen} == {True, False}
+
+
+@pytest.mark.parametrize("field", [Field.prime(16777213), F101], ids=repr)
+def test_nilpotent_hom_basis_with_chunked_map_back_matches_reference(field):
+    # d, e > 32: at p = 16777213 (``chunk`` = 32) both products of the map
+    # back, P_t over the e rows and P_s^-1 over the d columns, are chunked
+    rng = random.Random(f"jordan-chunks:{field!r}")
+    for sizes, extra, pairs in (([12, 11, 11], 2, 1), ([17, 9, 7, 1], 0, 0), ([33], 1, 2)):
+        d = sum(sizes)
+        e = d + extra
+        assert min(d, e) > 32
+        g = _random_invertible(field, d, rng)
+        s = g @ jordan_shift(field, sizes) @ g.inverse()
+        p, q = _random_invertible(field, d, rng), _random_invertible(field, e, rng)
+        sp = _conjugate_into(field, q, s, p, extra, rng, nilpotent=True)
+        rest = []
+        for _ in range(pairs):
+            r = Mat.random(field, d, d, rng)
+            rest.append((r, _conjugate_into(field, q, r, p, extra, rng, nilpotent=False)))
+        got = nilpotent_hom_basis(s, sp, rest)
+        assert got and got == reference_hom_pencil(field, e, d, [(s, sp)] + rest)
+        assert all(x @ y == y2 @ x for x in got for y, y2 in [(s, sp)] + rest)
+        for x in got:
+            _assert_canonical(x)
+
+
+def test_nilpotent_hom_basis_refuses_mixed_fields_and_shapes():
+    # every matrix over one field: F101 against F7 used to come back over
+    # F101 and F101 against Q to end in a TypeError
+    s = jordan_shift(F101, [2, 1])
+    for other in (jordan_shift(Field.prime(7), [2, 1]), jordan_shift(QQ, [2, 1])):
+        for args in ((s, other), (other, s), (s, s, [(s, other)]), (s, s, [(other, s)]),
+                     (s, s, [(s, s), (other, other)])):
+            with pytest.raises(ShapeMismatchError):
+                nilpotent_hom_basis(*args)
+    # s and s_target square, each r like s and each r2 like s_target
+    wide = Mat.zeros(F101, 3, 4)
+    t = jordan_shift(F101, [2])
+    for args in ((wide, s), (s, wide), (s, t, [(t, t)]), (s, t, [(s, s)]),
+                 (s, t, [(s, t), (wide, t)])):
+        with pytest.raises(ShapeMismatchError):
+            nilpotent_hom_basis(*args)
+    assert nilpotent_hom_basis(s, t, [(s, t)]) == reference_hom_pencil(F101, 2, 3, [(s, t), (s, t)])
 
 
 def test_jordan_frame_is_memoised_per_mat(monkeypatch):
@@ -658,6 +709,38 @@ def test_assemble_and_unit_match_reference(field):
             assert Mat.unit(field, rows, cols, i, j).row_list() == unit
     with pytest.raises(ShapeMismatchError):
         Mat.assemble(field, 2, 2, [(1, 1, Mat.identity(field, 2))])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_span_assemble_matches_one_assemble_per_matrix(field):
+    # k matrices whose blocks sit at shared places, over Q with denominators
+    # that differ between matrices and places: each matrix is the one
+    # Mat.assemble builds, and the stack over its denominator holds them
+    rng = random.Random(f"span-assemble:{field}")
+    for trial in range(12):
+        k = rng.randint(0, 4)
+        heights, widths = ([rng.randint(0, 3) for _ in range(3)] for _ in range(2))
+        rows, cols = sum(heights) + rng.randint(0, 1), sum(widths)
+        blocks = []
+        for b, (h, w) in enumerate(zip(heights, widths)):
+            mats = [Mat(field, h, w, _rand_rows(field, h, w, rng)) if h * w else
+                    Mat.zeros(field, h, w) for _ in range(k)]
+            if field == QQ:
+                mats = [x.scaled(Fraction(1, rng.choice([1, 2, 6, 35]))) for x in mats]
+            blocks.append((sum(heights[:b]), sum(widths[:b]), mats))
+        span = Span.assemble(field, rows, cols, k, blocks)
+        want = [Mat.assemble(field, rows, cols, [(i, j, mats[x]) for i, j, mats in blocks])
+                for x in range(k)]
+        assert span.mats == want and (span.rows, span.cols) == (rows, cols)
+        for x in span.mats:
+            _assert_canonical(x)
+        assert span.combine(Mat.identity(field, k)) == want
+        assert not span._stack.flags.writeable
+    one, two = Mat.identity(field, 1), Mat.identity(field, 2)
+    for count, blocks in ((2, [(0, 0, [two])]), (1, [(1, 1, [two])]), (2, [(0, 0, [two, one])]),
+                          (1, [(0, 0, [one]), (1, 0, [one]), (0, 0, [one])])):
+        with pytest.raises(ShapeMismatchError):
+            Span.assemble(field, 2, 2, count, blocks)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -1173,7 +1256,7 @@ def test_trusted_constructor_sites_give_canonical_entries(field):
                   Mat.kron_assemble(field, m * 3, n * 3, [(0, 0, third, None, 3),
                                                           (0, 0, None, even, 3)]),
                   *Span(field, m, n, [third, even, a]).combine(Mat(field, 3, 2, [[-1, 2]] * 3)),
-                  trace_form([third, even], [third.T, even.T]),
+                  trace_form(span_of([third, even]), span_of([third.T, even.T])),
                   *nilpotent_hom_basis(jordan_shift(field, [2, 1]).scaled(field.inv(3)),
                                        jordan_shift(field, [2]).scaled(field.inv(2)))]
         if square.is_invertible():
@@ -1223,6 +1306,44 @@ def test_nilpotent_hom_basis_matches_reference_on_k3_witness_pencils(k3_table):
         assert got == reference_hom_pencil(F101, sp.rows, s.rows, [(s, sp)] + rest)
         for g in got:
             _assert_canonical(g)
+
+
+def _certify_pencils():
+    """The arguments of the ``nilpotent_hom_basis`` calls that the Hom spaces
+    between the images of two 1-dimensional modules under the witness that
+    ``covering_criterion`` finds for ``three_loop_rad2`` make: 28-dimensional
+    modules whose pencils have the Jordan type J_2^14, two further pairs."""
+    spec = parse_quiver_spec(fixture_text("three_loop_rad2.quiver"))
+    cert, _ = covering_criterion(spec.covering, 2, field=spec.field, seed="certify-pencils")
+    rng = random.Random("certify-pencils")
+    m, n = (eval_tensor(cert.bimodule, FreeAlgModule(Mat.random(F101, 1, 1, rng),
+                                                     Mat.random(F101, 1, 1, rng)))
+            for _ in range(2))
+    calls = []
+    solve = rep_module.nilpotent_hom_basis
+    rep_module.nilpotent_hom_basis = lambda s, sp, rest=(): (calls.append((s, sp, list(rest)))
+                                                             or solve(s, sp, rest))
+    try:
+        hom_space(m, m), hom_space(m, n)
+    finally:
+        rep_module.nilpotent_hom_basis = solve
+    return calls
+
+
+def test_nilpotent_hom_basis_matches_reference_on_certify_pencils():
+    # the shape of the benchmark's certify round: 392 intertwiners of
+    # J_2^14 -> J_2^14 cut down by two pairs to 197 and 196 dimensions
+    calls = _certify_pencils()
+    dims = []
+    for s, sp, rest in calls:
+        assert (s.rows, sp.rows, len(rest)) == (28, 28, 2)
+        assert _jordan_frame(s)[2] == _jordan_frame(sp)[2] == (2,) * 14
+        got = nilpotent_hom_basis(s, sp, rest)
+        assert got == reference_hom_pencil(F101, 28, 28, [(s, sp)] + rest)
+        dims.append(len(got))
+        for g in got:
+            _assert_canonical(g)
+    assert dims == [197, 196]
 
 
 def test_k3_witness_pencils_leave_a_small_dense_pass(k3_table, monkeypatch):
@@ -1328,11 +1449,11 @@ def test_trace_form_matches_reference(field):
         n, m = rng.randint(0, 4), rng.randint(0, 4)
         lefts = [Mat(field, n, m, _sparse_rows(field, n, m, rng)) for _ in range(rng.randint(1, 4))]
         rights = [Mat(field, m, n, _sparse_rows(field, m, n, rng)) for _ in range(rng.randint(1, 4))]
-        got = trace_form(lefts, rights)
+        got = trace_form(span_of(lefts), span_of(rights))
         assert got.shape == (len(lefts), len(rights))
         assert got.row_list() == reference_trace_pairing(lefts, rights)
     with pytest.raises(ShapeMismatchError):
-        trace_form([Mat.zeros(field, 2, 3)], [Mat.zeros(field, 2, 3)])
+        trace_form(span_of([Mat.zeros(field, 2, 3)]), span_of([Mat.zeros(field, 2, 3)]))
 
 
 def _sparse_rows(field, m, n, rng, density=0.5):
@@ -1397,8 +1518,8 @@ def test_prime_field_results_are_rational_results_mod_p(p):
               intertwiner_system([g for _, g in params], [(s[1], s2[1]) for s, s2 in pairs]))
         lefts = [pair(e, d) for _ in range(rng.randint(1, 3))]
         rights = [pair(d, e) for _ in range(rng.randint(1, 3))]
-        agree(trace_form([x for x, _ in lefts], [y for y, _ in rights]),
-              trace_form([x for _, x in lefts], [y for _, y in rights]))
+        agree(trace_form(span_of([x for x, _ in lefts]), span_of([y for y, _ in rights])),
+              trace_form(span_of([x for _, x in lefts]), span_of([y for _, y in rights])))
     if p == 7:
         assert drops   # some reductions mod 7 lost rank, so the bound was exercised
 
@@ -1492,7 +1613,8 @@ def test_prime_field_products_are_exact_below_the_cap(p):
         [list(col) for col in zip(*coeffs)], [sum(m, []) for m in mats], p)
     lefts = [_residue_rows(p, 6, 7, rng) for _ in range(3)]
     rights = [_residue_rows(p, 7, 6, rng) for _ in range(4)]
-    form = trace_form([Mat.from_rows(fp, x) for x in lefts], [Mat.from_rows(fp, y) for y in rights])
+    form = trace_form(span_of([Mat.from_rows(fp, x) for x in lefts]),
+                      span_of([Mat.from_rows(fp, y) for y in rights]))
     assert form.row_list() == [[sum(reference_matmul_fp(x, y, p)[i][i] for i in range(6)) % p
                                 for y in rights] for x in lefts]
 
@@ -1709,7 +1831,7 @@ def test_rational_joins_over_large_denominators_match_fraction_references():
         for j, combo in enumerate(combos):
             assert _checked(combo) == [[sum((coeffs[k][j] * xs[k][r][s] for k in range(3)),
                                             Fraction(0)) for s in range(n)] for r in range(m)]
-        form = trace_form([a, b, c], [a.T, c.T])
+        form = trace_form(span_of([a, b, c]), span_of([a.T, c.T]))
         assert _checked(form) == [[sum((x[r][s] * y[r][s] for r in range(m) for s in range(n)),
                                        Fraction(0)) for y in (xs[0], xs[2])] for x in xs]
 

@@ -186,6 +186,45 @@ def test_hom_cache_keeps_neither_module_alive(k3_bq):
         gc.enable()
 
 
+@pytest.mark.parametrize("field", [F101, QQ], ids=str)
+def test_total_matrices_are_one_stack_built_once(k3_bq, field, monkeypatch):
+    # one Span.assemble per Hom space, kept with its cached basis: equal,
+    # matrix for matrix, to one Mat.assemble per basis element, and shared
+    # by every later HomSpace of the pair; the cache still keeps no module
+    assembled = []
+    assemble = Span.assemble
+    monkeypatch.setattr(Span, "assemble", lambda *args: assembled.append(args) or assemble(*args))
+    rng = random.Random(f"totals:{field}")
+    gc.disable()
+    try:
+        one = Representation(k3_bq, field, {"1": 2, "2": 1},
+                             {a: Mat.random(field, 1, 2, rng) for a in "abc"})
+        mods = [one, direct_sum(one, one), direct_sum(one, rand_rep(k3_bq, field, 2, rng))]
+        if field == QQ:
+            mods.append(Representation(k3_bq, field, mods[0].dims,
+                                       {a: x.scaled(Fraction(1, 6)) for a, x in mods[0].mats.items()}))
+        seen = 0
+        for m in mods:
+            for n in mods:
+                h = hom_space(m, n)
+                totals = h.totals()
+                assert totals is h.totals() is hom_space(m, n).totals()
+                assert (totals.rows, totals.cols) == (n.total_dim, m.total_dim)
+                assert totals.mats == [
+                    Mat.assemble(field, n.total_dim, m.total_dim,
+                                 [(n.offset(v), m.offset(v), f[v]) for v in f]) for f in h.basis]
+                seen += h.dim > 1
+        assert len(assembled) == len(mods) ** 2 and seen >= 3
+        if field == QQ:
+            assert any(x.denominator > 1 for m in mods for n in mods
+                       for g in hom_space(m, n).totals().mats for row in g.row_list() for x in row)
+        gone = [weakref.ref(m) for m in mods]
+        del one, m, n, h, mods
+        assert all(ref() is None for ref in gone)
+    finally:
+        gc.enable()
+
+
 def test_end_cache_leaves_no_reference_cycle(k3_bq):
     # with the cyclic collector off, reference counting alone must free a
     # module whose End was computed and cached
@@ -521,8 +560,8 @@ def test_no_invertible_composites_between_noniso_indecomposables(k2_bq, f101):
             h_mn = hom_space(m, n)
             h_nm = hom_space(n, m)
             composites = []
-            for f in h_mn.total_matrices():
-                for g in h_nm.total_matrices():
+            for f in h_mn.totals().mats:
+                for g in h_nm.totals().mats:
                     composites.append(g @ f)
             nonzero = [c for c in composites if not c.is_zero()]
             if nonzero:
@@ -670,8 +709,8 @@ def test_pencil_nilpotency_is_tested_once_per_side(k3_bq, monkeypatch):
         mods.append(Representation(k3_bq, F101, {"1": 3, "2": 3},
                                    {"a": a, "b": a @ r, "c": a @ nil}))
     tested = []
-    monkeypatch.setattr(rep_module, "all_nilpotent",
-                        lambda span: tested.append(*span.mats) or all_nilpotent(span))
+    is_nilpotent = Mat.is_nilpotent
+    monkeypatch.setattr(Mat, "is_nilpotent", lambda x: tested.append(x) or is_nilpotent(x))
     for m in mods:
         for n in mods:
             h = hom_space(m, n)
@@ -789,7 +828,7 @@ def test_indecomposable_matches_trial_first_reference(field, dual_numbers_bq, a2
     if field == QQ:
         assert "division ring" in is_indecomposable(cases["x^2+1"], 0).detail
     big = cases["regular (4, 4)"]
-    totals = Span(field, 8, 8, hom_space(big, big).total_matrices())
+    totals = hom_space(big, big).totals()
     # tr 1 = 8 on the module is nonzero on every field
     assert trace_radical(totals) is not None
     # certified locality decides before any trial is drawn
@@ -817,21 +856,23 @@ def test_trace_forms_match_reference_loops(k3_bq, field):
         m = rand_rep(k3_bq, field, 3, rng)
         if m.is_zero():
             continue
-        totals = hom_space(m, m).total_matrices()
+        totals = hom_space(m, m).totals()
         # the Gram matrix of _natural_trace_radical
-        assert trace_form(totals, totals).row_list() == reference_trace_pairing(totals, totals)
+        assert trace_form(totals, totals).row_list() == reference_trace_pairing(totals.mats,
+                                                                               totals.mats)
         n = rand_rep(k3_bq, field, 3, rng)
-        back = hom_space(n, m).total_matrices()
-        there = hom_space(m, n).total_matrices()
-        if back and there:
+        back = hom_space(n, m).totals()
+        there = hom_space(m, n).totals()
+        if back.mats and there.mats:
             # the pairing of are_isomorphic (rectangular when dims differ)
-            assert trace_form(there, back).row_list() == reference_trace_pairing(there, back)
+            assert trace_form(there, back).row_list() == reference_trace_pairing(there.mats,
+                                                                                 back.mats)
         end = ReferenceEndAnalysis(m)
         if end.dim:
             seen_end += 1
             regular = _regular_representation(m, hom_space(m, m).basis)
             assert regular.mats == [Mat.from_rows(field, reg) for reg in end.regular]
-            assert trace_form(regular.mats, regular.mats) == reference_regular_trace_gram(end)
+            assert trace_form(regular, regular) == reference_regular_trace_gram(end)
     assert seen_end >= 5
 
 
@@ -1037,7 +1078,7 @@ def test_end_radical_regular_route():
         "y": [[0, 2, 0, 0, 4], [0, 0, 0, 0, 4], [0, 0, 0, 2, 0], [0] * 5, [0] * 5]})
     hom = hom_space(m, m)
     assert hom.dim == 2
-    assert trace_radical(Span(field, 5, 5, hom.total_matrices())) is None
+    assert trace_radical(hom.totals()) is None
     assert trace_radical(_regular_representation(m, hom.basis)) is not None
     rad = end_radical(m)
     assert rad.cols == 1 and rad == reference_end_radical(m)
