@@ -12,7 +12,6 @@ Hom system is one kernel of one ``Mat.kron_assemble`` call on the same
 pencils, and so is the Jacobian of a relation (``relation_jacobian``).
 The tests check both shortcuts against one uncontracted kernel of every
 arrow equation.  Each basis is cached on the source module, per target,
-with its total matrices once they are read (one stack, ``HomSpace.totals``),
 and each module keeps one half of the contracted equations (``_Side``)
 for its roles as a source and as a target, so the Hom spaces it takes
 part in share its transforms, pencil matrices and their Jordan frames.
@@ -174,45 +173,31 @@ def subquotient(bq: BoundQuiver, field: Field, mats: dict[str, Mat], top: dict[s
 # Hom spaces
 # ---------------------------------------------------------------------------
 
-class _HomMemo:
-    """What ``hom_space`` keeps on the source module per target: the basis
-    and, once read, its total matrices.  It holds no module."""
-
-    __slots__ = ("basis", "totals")
-
-    def __init__(self, basis: list[dict[str, Mat]]):
-        self.basis = basis
-        self.totals: Optional[Span] = None
-
-
 @dataclass
 class HomSpace:
     """A basis of intertwiners f with f_t M(a) = N(a) f_s for every arrow."""
 
     source: Representation
     target: Representation
-    _memo: _HomMemo
-
-    @property
-    def basis(self) -> list[dict[str, Mat]]:
-        return self._memo.basis
+    basis: list[dict[str, Mat]]
 
     @property
     def dim(self) -> int:
-        return len(self._memo.basis)
+        return len(self.basis)
 
     def totals(self) -> Span:
         """The block-diagonal total matrices of the basis (square only when
         the dimension vectors agree), as one ``Span``: the blocks of every
         basis element at a vertex are placed at once into one stack
-        (``Span.assemble``), built once per pair and kept with the basis."""
-        memo = self._memo
-        if memo.totals is None:
-            s, t = self.source, self.target
-            memo.totals = Span.assemble(s.field, t.total_dim, s.total_dim, len(memo.basis),
-                                        [(t.offset(v), s.offset(v), [f[v] for f in memo.basis])
-                                         for v in s.bound_quiver.quiver.vertices])
-        return memo.totals
+        (``Span.assemble``), which ``trace_form`` and the ``Span`` read as it
+        is.  It is built per call, not cached with the basis: a verdict reads
+        it once, and stacks kept as long as their modules left heap memory
+        that was freed but never returned to the system (certify's peak RSS
+        rose by about 10%)."""
+        s, t = self.source, self.target
+        return Span.assemble(s.field, t.total_dim, s.total_dim, len(self.basis),
+                             [(t.offset(v), s.offset(v), [f[v] for f in self.basis])
+                              for v in s.bound_quiver.quiver.vertices])
 
 
 def morphism_compose(g: dict[str, Mat], f: dict[str, Mat]) -> dict[str, Mat]:
@@ -229,10 +214,9 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
 
     Every basis is cached on the source ``m``, keyed by the target ``n`` (by
     identity) in a weak dictionary: a later call on the same pair returns
-    the same basis list, and the same total matrices once they were read,
-    without solving again.  The cache holds only bases and their totals,
-    never a module, so it keeps no target alive, and an entry goes when its
-    target is freed.
+    the same basis list without solving again.  The cache holds only
+    bases, never a module, so it keeps no target alive, and an entry goes
+    when its target is freed.
     """
     if m.bound_quiver != n.bound_quiver:
         raise ShapeMismatchError("representations over different bound quivers")
@@ -283,8 +267,8 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
             else:
                 f[v] = tgt.a[v] @ fr[r] @ src.b[v]
         out.append(f)
-    memo = m._homs[n] = _HomMemo(out)
-    return HomSpace(m, n, memo)
+    m._homs[n] = out
+    return HomSpace(m, n, out)
 
 
 def _times(x: Optional[Mat], y: Optional[Mat]) -> Optional[Mat]:
