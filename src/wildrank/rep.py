@@ -191,9 +191,8 @@ class HomSpace:
         basis element at a vertex are placed at once into one stack
         (``Span.assemble``), which ``trace_form`` and the ``Span`` read as it
         is.  It is built per call, not cached with the basis: a verdict reads
-        it once, and stacks kept as long as their modules left heap memory
-        that was freed but never returned to the system (certify's peak RSS
-        rose by about 10%)."""
+        it once, and stacks kept as long as their modules left freed heap
+        memory that the allocator did not return to the system."""
         s, t = self.source, self.target
         return Span.assemble(s.field, t.total_dim, s.total_dim, len(self.basis),
                              [(t.offset(v), s.offset(v), [f[v] for f in self.basis])
