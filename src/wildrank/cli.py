@@ -35,7 +35,7 @@ from .tilting import (CyclicQuiverError, endomorphism_algebra, enumerate_preproj
                       tilting_candidates)
 from .wildness import (CertStep, CheckCounts, WitnessCertificate,
                        verify_witness)
-from .covering import CoveringSpec, covering_criterion, verify_pushdown
+from .covering import CoveringSpec, InhomogeneousRelation, covering_criterion, verify_pushdown
 
 __all__ = ["cmd_certify", "cmd_tilt", "cmd_variety", "main", "parse_certificate",
            "parse_quiver_spec", "parse_representation", "serialize_representation"]
@@ -153,6 +153,11 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
                     wt = tuple(int(x) for x in wt_text.split(","))
                 except ValueError:
                     raise SpecError(ln, spec_col + at, f"bad weight tuple {wt_text!r}")
+                first = next(iter(weights.items()), None)
+                if first is not None and len(first[1]) != len(wt):
+                    raise SpecError(ln, spec_col + at,
+                                    f"arrow weights have inconsistent lengths: {len(wt)} here, "
+                                    f"{len(first[1])} on arrow {first[0]}")
             ends = _split_cols(spec, "->", spec_col, 1)
             if len(ends) != 2:
                 raise SpecError(ln, 1, "expected: arrow <name>: <src> -> <tgt>")
@@ -189,10 +194,12 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
     if field is None:
         field = Field.prime(101)
     quiver = Quiver(vertices, arrows)
-    relations = []
+    relations, term_cols = [], []
     for ln, body, body_col in relation_lines:
         terms = []
+        term_cols.append([])
         for term_text, term_col in _split_cols(body, "+", body_col):
+            term_cols[-1].append(term_col)
             if not term_text:
                 raise SpecError(ln, term_col, "empty relation term")
             pieces = _split_cols(term_text, "*", term_col)
@@ -219,14 +226,12 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
         raise SpecError(1, 1, str(e))
     covering = None
     if weights:
-        ranks = {len(w) for w in weights.values()}
-        if len(ranks) != 1:
-            raise SpecError(1, 1, "arrow weights have inconsistent lengths")
-        m = ranks.pop()
         try:
-            covering = CoveringSpec(bq, m, weights)
-        except ValueError as e:
-            raise SpecError(1, 1, f"covering semantic error: {e}")
+            covering = CoveringSpec(bq, len(next(iter(weights.values()))), weights)
+        except InhomogeneousRelation as e:
+            k = relations.index(e.relation)
+            raise SpecError(relation_lines[k][0], term_cols[k][e.term],
+                            f"covering semantic error: {e}")
     return ParsedSpec(name, field, bq, covering, weights or None)
 
 

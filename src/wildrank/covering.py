@@ -37,12 +37,21 @@ from .wildness import (CertStep, CheckCounts, CheckedReport, WitnessBimodule,
                        compose_witness, eval_tensor, sincere_witness_for_K3,
                        _from_entries, _k3_shape, _same_algebra)
 
-__all__ = ["CoveringSpec", "WindowDesignation", "build_window", "covering_criterion",
-           "verify_pushdown"]
+__all__ = ["CoveringSpec", "InhomogeneousRelation", "WindowDesignation", "build_window",
+           "covering_criterion", "verify_pushdown"]
 
 
 def _grade_str(g: tuple[int, ...]) -> str:
     return ",".join(str(x) for x in g)
+
+
+class InhomogeneousRelation(ValueError):
+    """A relation whose term ``term`` (an index) has another weight than its
+    first term under a grading."""
+
+    def __init__(self, relation: Relation, term: int):
+        self.relation, self.term = relation, term
+        super().__init__(f"relation {relation} is not homogeneous under the grading")
 
 
 class CoveringSpec:
@@ -62,9 +71,10 @@ class CoveringSpec:
                                  f"expected {group_rank}")
             self.weights[a.name] = w
         for rel in base.relations:
-            ws = {self.path_weight(p) for _, p in rel.terms}
-            if len(ws) != 1:
-                raise ValueError(f"relation {rel} is not homogeneous under the grading")
+            ws = [self.path_weight(p) for _, p in rel.terms]
+            for k, w in enumerate(ws):
+                if w != ws[0]:
+                    raise InhomogeneousRelation(rel, k)
 
     def path_weight(self, path: Path) -> tuple[int, ...]:
         total = [0] * self.group_rank

@@ -1818,34 +1818,29 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat,
 # spec-level operations
 # ---------------------------------------------------------------------------
 
-def find_invertible_in_span(basis: Sequence[Mat], trials: int, seed) -> Optional[tuple[list, Mat]]:
-    """Search the span of square matrices for an invertible combination.
+def find_invertible_in_span(span: Span, trials: int, seed) -> Optional[tuple[list, Mat]]:
+    """Search a ``Span`` of square matrices for an invertible combination.
 
-    Deterministic under the seed.  Tries each basis element, then the sum,
-    then seeded random combinations.  A basis element with a zero row or a
-    zero column is singular, so it is passed over without an elimination.
-    ``None`` after ``trials`` random draws is inconclusive, not a proof that
-    no invertible element exists.
+    Deterministic under the seed.  Tries each matrix, then the sum, then
+    seeded random combinations, all drawn from the span's one stack.  A
+    matrix with a zero row or a zero column is singular, so it is passed
+    over without an elimination.  ``None`` after ``trials`` random draws is
+    inconclusive, not a proof that no invertible element exists.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    basis = list(basis)
-    if not basis:
+    if span.rows != span.cols:
+        raise ShapeMismatchError(f"span of {span.rows}x{span.cols} matrices is not square")
+    field, n, k = span.field, span.rows, len(span.mats)
+    if not k:
         return None
-    field = basis[0].field
-    n = basis[0].rows
-    for m in basis:
-        if m.shape != (n, n) or m.field != field:
-            raise ShapeMismatchError("span basis must be square matrices of equal size")
     if n == 0:
-        return [field.zero] * len(basis), basis[0]
-    k = len(basis)
-    span = Span(field, n, n, basis)
+        return [field.zero] * k, span.mats[0]
     # an element with a zero row or a zero column is singular: no elimination
     rows, cols = _nonzero_lines(span._stack.reshape(k, n, n))
     full = rows.all(axis=1) & cols.all(axis=1)
-    # a unit coefficient vector combines to its basis element: no product
-    for i, m in enumerate(basis):
+    # a unit coefficient vector combines to its matrix: no product
+    for i, m in enumerate(span.mats):
         if full[i] and m.is_invertible():
             return [field.one if j == i else field.zero for j in range(k)], m
     rng = random.Random(f"span:{seed}")

@@ -29,6 +29,12 @@ kernel of End(M) on M, else on its regular representation, certified by
 the nilpotency of each basis element, with no condition on the
 characteristic.
 
+Isomorphism is decided in one order for every pair of modules: dimension
+arguments, then, when the characteristic does not divide dim M, the trace
+pairing on Hom(M, N) x Hom(N, M), whose vanishing rules out every
+isomorphism (``are_isomorphic`` gives the proof), then a seeded search
+for an invertible intertwiner, which is the only route to "yes".
+
 Every module cut from another module's coordinates, a summand of a split,
 a syzygy or cokernel in ``tilting``, a tensor functor's image, is one
 ``subquotient``, which solves each arrow once in a frame per vertex.
@@ -189,8 +195,8 @@ class HomSpace:
         """The block-diagonal total matrices of the basis (square only when
         the dimension vectors agree), as one ``Span``: the blocks of every
         basis element at a vertex are placed at once into one stack
-        (``Span.assemble``), which ``trace_form`` and the ``Span`` read as it
-        is.  It is built per call, not cached with the basis: a verdict reads
+        (``Span.assemble``), which ``trace_form`` and
+        ``find_invertible_in_span`` read as it is.  It is built per call, not cached with the basis: a verdict reads
         it once, and stacks kept as long as their modules left freed heap
         memory that the allocator did not return to the system."""
         s, t = self.source, self.target
@@ -449,9 +455,6 @@ class IndecVerdict:
     witness: Optional[dict] = None   # nontrivial idempotent endomorphism
     detail: str = ""
 
-    def __bool__(self) -> bool:
-        return self.verdict == "yes"
-
 
 def _poly_eval_matrix(field: Field, coeffs: list, t: Mat) -> Mat:
     """The polynomial with ascending ``coeffs`` at ``t``, by Horner's rule
@@ -564,37 +567,21 @@ class IsoVerdict:
     witness: Optional[dict] = None   # invertible intertwiner for "yes"
     detail: str = ""
 
-    def __bool__(self) -> bool:
-        return self.verdict == "yes"
-
 
 def are_isomorphic(m: Representation, n: Representation,
-                   trials: int = DEFAULT_TRIALS, seed=0,
-                   both_indecomposable: bool = False) -> IsoVerdict:
-    """Exact negatives from dimension arguments; positives carry an explicit
-    invertible intertwiner; otherwise inconclusive.
+                   trials: int = DEFAULT_TRIALS, seed=0) -> IsoVerdict:
+    """Exact negatives from dimension arguments and the trace pairing;
+    positives carry an explicit invertible intertwiner; otherwise
+    inconclusive.
 
-    With ``both_indecomposable`` (caller-certified), the trace pairing
-    tr(g . f) on Hom(M, N) x Hom(N, M) decides exactly: non-isomorphisms
-    between non-isomorphic indecomposables compose into the radical of the
-    local endomorphism ring, which is nilpotent and traceless, while an
-    isomorphism pairs to trace dim M != 0 (the characteristic must not
-    divide dim M for the negative direction).
-
-    When the characteristic does not divide dim M, the pairing is computed
-    before ``find_invertible_in_span`` draws a trial, and a pairing that
-    vanishes identically answers "no" at once.  That is the answer the
-    trials-first order gives for every input, whether or not the hint
-    holds.  Suppose f = sum a_i f_i is an isomorphism.  Then f^-1 =
-    sum b_j g_j lies in Hom(N, M), and sum a_i b_j tr(g_j f_i) =
-    tr(f^-1 f) = dim M != 0, so some entry of the pairing is nonzero.  A
-    zero pairing therefore rules out every isomorphism, without the hint:
-    no combination of the f_i is invertible, the search could never
-    succeed, and after its failed trials the trials-first order reached
-    the same zero pairing and answered "no" with the same detail.  When
-    the pairing is nonzero, the trials run as before and the pairing is
-    read after them.  When the characteristic divides dim M, the trials
-    run first and the pairing only tells a contradicted hint apart.
+    When the characteristic does not divide dim M, the trace pairing
+    tr(g . f) on Hom(M, N) x Hom(N, M) is read before the seeded search for
+    an invertible intertwiner, and a pairing that vanishes identically
+    answers "no", for any M and N.  Suppose f = sum a_i f_i is an
+    isomorphism.  Then f^-1 = sum b_j g_j lies in Hom(N, M), and
+    sum a_i b_j tr(g_j f_i) = tr(f^-1 f) = dim M != 0, so some entry of the
+    pairing is nonzero.  Otherwise the search runs, and no invertible
+    combination in ``trials`` draws is inconclusive.
     """
     if m.bound_quiver != n.bound_quiver:
         raise ShapeMismatchError("representations over different bound quivers")
@@ -610,33 +597,16 @@ def are_isomorphic(m: Representation, n: Representation,
     if h_mn.dim == 0:
         return IsoVerdict("no", detail="Hom(M, N) = 0")
     totals = h_mn.totals()
-    nonzero = None
-    if both_indecomposable and m.field.coerce(m.total_dim) != m.field.zero:
-        # row i of the pairing holds tr(f_i . g_j) = tr(g_j . f_i) over the
-        # basis g_j of Hom(N, M); a zero pairing leaves no isomorphism
-        nonzero = not trace_form(totals, h_nm.totals()).is_zero()
-        if not nonzero:
-            return IsoVerdict("no", detail="trace pairing vanishes identically "
-                                           "(indecomposable inputs)")
-    got = find_invertible_in_span(totals.mats, trials, seed)
+    # row i of the pairing holds tr(f_i . g_j) = tr(g_j . f_i) over the
+    # basis g_j of Hom(N, M)
+    if (m.field.coerce(m.total_dim) != m.field.zero
+            and trace_form(totals, h_nm.totals()).is_zero()):
+        return IsoVerdict("no", detail="trace pairing vanishes identically")
+    got = find_invertible_in_span(totals, trials, seed)
     if got is not None:
         # the combination of block-diagonal totals is block diagonal, with
         # the same combination of the blocks f[v] at vertex v
         return IsoVerdict("yes", _blocks_from_total(m, got[1]), "invertible intertwiner found")
-    if both_indecomposable:
-        # For indecomposable M and N a nonzero entry of the pairing makes
-        # g_j . f_i invertible and f_i an isomorphism, but no basis element
-        # f_i is invertible here: find_invertible_in_span has just tried
-        # each one alone (trials >= 1), and the total matrix of f_i is block
-        # diagonal with the blocks f_i[v] (equal dimension vectors), so it is
-        # invertible whenever every block is.  A nonzero pairing, read before
-        # the trials or now, therefore contradicts the caller's hint, and the
-        # verdict stays inconclusive.
-        if nonzero is None:
-            nonzero = not trace_form(totals, h_nm.totals()).is_zero()
-        if nonzero:
-            return IsoVerdict("inconclusive",
-                              detail="trace pairing inconsistent with the hint")
     return IsoVerdict("inconclusive", detail=f"no invertible combination in {trials} trials")
 
 
@@ -691,21 +661,18 @@ def decompose(m: Representation, seed) -> Decomposition:
     pieces = list(_split_pieces(m, seed))
     certified = all(ok for _, ok in pieces)
     # group by isomorphism
-    groups: list[tuple[Representation, int, bool]] = []
-    for rep, ok in pieces:
-        placed = False
-        for i, (r0, mult, ok0) in enumerate(groups):
-            v = are_isomorphic(rep, r0, seed=f"{seed}:group:{i}",
-                               both_indecomposable=ok and ok0)
+    groups: list[tuple[Representation, int]] = []
+    for rep, _ in pieces:
+        for i, (r0, mult) in enumerate(groups):
+            v = are_isomorphic(rep, r0, seed=f"{seed}:group:{i}")
             if v.verdict == "yes":
-                groups[i] = (r0, mult + 1, ok0 and ok)
-                placed = True
+                groups[i] = (r0, mult + 1)
                 break
             if v.verdict == "inconclusive":
                 certified = False
-        if not placed:
-            groups.append((rep, 1, ok))
-    return Decomposition([(r, mult) for r, mult, _ in groups], certified)
+        else:
+            groups.append((rep, 1))
+    return Decomposition(groups, certified)
 
 
 def support(m: Representation) -> set[str]:

@@ -571,25 +571,18 @@ def check_preservation(sources: Sequence[Representation], images: Sequence[Repre
     inconclusive.  Returns both counts and the sorted pairs.
     """
     indec = CheckCounts()
-    indec_in, indec_out = [], []
     for i, (v, img) in enumerate(zip(sources, images)):
-        verdict_in = is_indecomposable(v, f"{seed}:in:{i}").verdict
-        verdict_out = None
-        if verdict_in == "yes":
+        if is_indecomposable(v, f"{seed}:in:{i}").verdict == "yes":
             verdict_out = is_indecomposable(img, f"{seed}:out:{i}").verdict
             indec.record(None if verdict_out == "inconclusive" else verdict_out == "yes")
-        indec_in.append(verdict_in)
-        indec_out.append(verdict_out)
 
     all_pairs = [(i, j) for i in range(len(sources)) for j in range(i + 1, len(sources))]
     random.Random(f"{pair_stream}:{seed}").shuffle(all_pairs)
     pairs = sorted(all_pairs[:max_pairs])
     iso = CheckCounts()
     for (i, j) in pairs:
-        v_in = are_isomorphic(sources[i], sources[j], seed=f"{seed}:pin:{i}:{j}",
-                              both_indecomposable=indec_in[i] == indec_in[j] == "yes")
-        v_out = are_isomorphic(images[i], images[j], seed=f"{seed}:pout:{i}:{j}",
-                               both_indecomposable=indec_out[i] == indec_out[j] == "yes")
+        v_in = are_isomorphic(sources[i], sources[j], seed=f"{seed}:pin:{i}:{j}")
+        v_out = are_isomorphic(images[i], images[j], seed=f"{seed}:pout:{i}:{j}")
         if "inconclusive" in (v_in.verdict, v_out.verdict):
             iso.record(None)
         else:

@@ -76,6 +76,26 @@ def test_vertex_and_arrow_errors_point_at_the_token():
         assert what in str(e.value) and bad[col - 1:].startswith(token)
 
 
+def test_grading_errors_point_at_their_arrow_or_relation():
+    head = "# a graded spec\nquiver w\nvertex v\narrow x: v -> v weight 1\n"
+    # the first arrow whose weight length differs from the first weighted
+    # arrow's, at its weight keyword; an unweighted arrow in between is fine
+    lengths = head + "arrow y: v -> v\narrow z: v -> v  weight 1,0\nnilbound 2\n"
+    # the relation's own line, at its first term of another weight
+    grading = head + ("arrow y: v -> v weight 2\nrelation 1*x*x\n"
+                      "relation 1*x*x + -1*x*y + 1*y*x\nnilbound 3\n")
+    for text, line, col, token, what in (
+            (lengths, 6, 18, "weight 1,0",
+             "arrow weights have inconsistent lengths: 2 here, 1 on arrow x"),
+            (grading, 7, 18, "-1*x*y", "relation 1*x*x + -1*x*y + 1*y*x is not homogeneous")):
+        with pytest.raises(SpecError) as e:
+            parse_quiver_spec(text)
+        assert (e.value.line, e.value.col) == (line, col) and what in str(e.value)
+        assert text.splitlines()[line - 1][col - 1:].startswith(token)
+        out, code = cmd_certify(text, radius=1, samples=1, max_dim=1, seed="0")
+        assert code == 2 and out.startswith(f"error: line {line}, col {col}: ")
+
+
 def test_weight_keyword_is_a_whole_token():
     head = "quiver w\nfield Fp 101\nvertex weightless v\n"
     spec = parse_quiver_spec(head + "arrow f: weightless -> v weight 1\n")

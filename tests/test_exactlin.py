@@ -22,7 +22,7 @@ from wildrank.cli import cmd_certify, cmd_classify, parse_quiver_spec
 from wildrank.covering import covering_criterion
 from wildrank.exactlin import (Field, Mat, ShapeMismatchError, Span, all_nilpotent,
                                find_invertible_in_span, jordan_nilpotent, nilpotent_hom_basis,
-                               trace_form,
+                               trace_form, trace_radical,
                                _echelon_qq, _is_prime, _jordan_frame, _on_support, _peel_unit_rows,
                                _poly_divmod, _poly_gcdex, _poly_mul)
 from wildrank.rep import hom_space
@@ -267,23 +267,27 @@ def test_solve_examples():
 
 def test_find_invertible_examples():
     ident = Mat.identity(F101, 2)
-    coeffs, combo = find_invertible_in_span([ident], 4, seed=0)
+    coeffs, combo = find_invertible_in_span(span_of([ident]), 4, seed=0)
     assert combo.is_invertible() and coeffs == [1]
     nil = Mat.from_rows(F101, [[0, 1], [0, 0]])
-    assert find_invertible_in_span([nil], 16, seed=0) is None
+    assert find_invertible_in_span(span_of([nil]), 16, seed=0) is None
     e11 = Mat.from_rows(QQ, [[1, 0], [0, 0]])
     e22 = Mat.from_rows(QQ, [[0, 0], [0, 1]])
-    coeffs, combo = find_invertible_in_span([e11, e22], 16, seed=0)
+    coeffs, combo = find_invertible_in_span(span_of([e11, e22]), 16, seed=0)
     assert combo.is_invertible()
     assert all(c != 0 for c in coeffs)
-    assert find_invertible_in_span([], 4, seed=1) is None
+    assert find_invertible_in_span(Span(F101, 2, 2, []), 4, seed=1) is None
+    with pytest.raises(ShapeMismatchError):
+        find_invertible_in_span(span_of([Mat.zeros(F101, 2, 3)]), 4, seed=0)
+    with pytest.raises(ValueError):
+        find_invertible_in_span(span_of([ident]), 0, seed=0)
 
 
 def test_find_invertible_deterministic():
     rng = random.Random(9)
-    basis = [Mat.random(F101, 3, 3, rng) for _ in range(3)]
-    a = find_invertible_in_span(basis, 8, seed=123)
-    b = find_invertible_in_span(basis, 8, seed=123)
+    span = span_of([Mat.random(F101, 3, 3, rng) for _ in range(3)])
+    a = find_invertible_in_span(span, 8, seed=123)
+    b = find_invertible_in_span(span, 8, seed=123)
     assert a[0] == b[0]
 
 
@@ -316,7 +320,7 @@ def test_find_invertible_matches_per_candidate_reference(field):
     ]
     for name, basis in cases:
         for seed in range(3):
-            got = find_invertible_in_span(basis, 8, seed)
+            got = find_invertible_in_span(span_of(basis), 8, seed)
             ref = reference_find_invertible_in_span(basis, 8, seed)
             if name == "none":
                 assert got is None and ref is None
@@ -1454,6 +1458,20 @@ def test_trace_form_matches_reference(field):
         assert got.row_list() == reference_trace_pairing(lefts, rights)
     with pytest.raises(ShapeMismatchError):
         trace_form(span_of([Mat.zeros(field, 2, 3)]), span_of([Mat.zeros(field, 2, 3)]))
+
+
+def test_trace_radical_refuses_a_kernel_with_a_non_nilpotent_element():
+    # over F5, tr(I_5 . I_5) = 5 = 0: the trace-form kernel of the span of I_5
+    # is the whole span, and I_5 is not nilpotent, so no radical is certified
+    f5 = Field.prime(5)
+    ident = span_of([Mat.identity(f5, 5)])
+    assert trace_form(ident, ident).is_zero()
+    assert trace_radical(ident) is None
+    # the kernel is certified when it holds only nilpotents: here span(N)
+    # in span(I_2, N), and the zero space when the characteristic is 7
+    nil = Mat.from_rows(f5, [[0, 1], [0, 0]])
+    assert trace_radical(span_of([Mat.identity(f5, 2), nil])) == Mat.column(f5, [0, 1])
+    assert trace_radical(span_of([Mat.identity(Field.prime(7), 5)])).cols == 0
 
 
 def _sparse_rows(field, m, n, rng, density=0.5):

@@ -51,6 +51,7 @@ import ast
 from collections import Counter
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -579,6 +580,30 @@ def test_all_declares_what_is_imported_or_documented():
     for m, names in declared.items():
         module = importlib.import_module(f"wildrank.{m}")
         assert all(hasattr(module, name) for name in names)
+
+
+def stale_references(text: str, trees) -> list[str]:
+    """The backticked references ``module.name`` in ``text`` (``name`` may be
+    ``Class.method``) to a wildrank module that defines no such name."""
+    defined = {f[:-3]: {f"{cls}.{name}" if cls else name for cls, name, _, _ in _definitions(tree)}
+               for f, tree in trees.items()}
+    return [f"{module}.{name}" for module, name in re.findall(r"`(\w+)\.(\w[\w.]*)[^`]*`", text)
+            if module in LAYER and name not in defined[module]]
+
+
+def test_readme_references_name_definitions():
+    # perfbench/README.md is the benchmark's own text and is not checked here
+    readme = os.path.join(SRC, "..", "..", "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    trees = _src_trees()
+    assert stale_references(text, trees) == []
+    # the check itself: a removed function and a method of a class are
+    # caught; a definition, a method that exists and a call with arguments
+    # are not, nor a dotted name outside the package
+    planted = ("`rep._hom_kron` `exactlin.Mat.kron_assemble` `exactlin.Mat.no_such` "
+               "`rep.subquotient(top, sub)` `wildrank.cli` `quiver.euler_form`")
+    assert stale_references(planted, trees) == ["rep._hom_kron", "exactlin.Mat.no_such"]
 
 
 def test_docs_list_each_public_api():

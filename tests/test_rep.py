@@ -16,7 +16,7 @@ from conftest import (direct_sum, F101, fixture_text, line_quiver, make_relation
                       reference_is_indecomposable, reference_pairing_witness,
                       reference_regular_trace_gram, reference_relation_jacobian,
                       reference_target_side, reference_trace_pairing, ReferenceEndAnalysis, rep_from_lists, simple_rep,
-                      zero_rep, _reference_poly_mul)
+                      span_of, zero_rep, _reference_poly_mul)
 
 from wildrank.cli import cmd_certify
 from wildrank.exactlin import (Field, Mat, Span, all_nilpotent, find_invertible_in_span,
@@ -537,7 +537,6 @@ def test_support_and_sincere(a2_bq, dual_numbers_bq, f101):
 
 
 def test_no_invertible_composites_between_noniso_indecomposables(k2_bq, f101):
-    from wildrank.exactlin import find_invertible_in_span
     m3, m5 = kron_module(k2_bq, f101, 3), kron_module(k2_bq, f101, 5)
     p1 = rep_from_lists(k2_bq, f101, {"1": 1, "2": 2},
                         {"a": [[1], [0]], "b": [[0], [1]]})
@@ -556,7 +555,7 @@ def test_no_invertible_composites_between_noniso_indecomposables(k2_bq, f101):
                     composites.append(g @ f)
             nonzero = [c for c in composites if not c.is_zero()]
             if nonzero:
-                assert find_invertible_in_span(nonzero, 32, seed=1) is None
+                assert find_invertible_in_span(span_of(nonzero), 32, seed=1) is None
 
 
 def test_sampler_hereditary_and_power_zero(k2_bq, three_loop_bq, dual_numbers_bq):
@@ -882,7 +881,7 @@ def test_trace_pairing_decision_matches_reference_loop(k2_bq, a2_bq, field):
                       direct_sum(base, kron_module(k2_bq, field, lam + 5))))
     verdicts = set()
     for m, n in cases:
-        got = are_isomorphic(m, n, trials=2, seed=3, both_indecomposable=True)
+        got = are_isomorphic(m, n, trials=2, seed=3)
         index, nonzero = reference_pairing_witness(hom_space(m, n), hom_space(n, m))
         if index is not None:
             expect = "yes"
@@ -890,7 +889,8 @@ def test_trace_pairing_decision_matches_reference_loop(k2_bq, a2_bq, field):
             expect = "inconclusive"
         else:
             expect = "no"
-        assert got.verdict == expect and "pairing" in got.detail
+        assert got.verdict == expect
+        assert ("pairing" in got.detail) == (expect == "no")
         verdicts.add(expect)
     assert verdicts == {"no", "inconclusive"}
 
@@ -899,10 +899,10 @@ def test_trace_pairing_decision_matches_reference_loop(k2_bq, a2_bq, field):
 def test_pairing_first_order_matches_trials_first_reference(k2_bq, k3_bq, a2_bq, field):
     # certified-indecomposable pairs (Kronecker modules, seeded three-arrow
     # Kronecker modules, and base changes of them, which are isomorphic) and
-    # the direct sums of the pairing-decision test, with and without the
-    # hint: the pairing read before the trials gives the verdict, detail and
-    # witness of the trials-first reference.  Over F7 the dimension vectors
-    # (3, 4) make 7 | dim M, where the trials still run first
+    # the direct sums of the pairing-decision test: the pairing read before
+    # the trials gives the verdict, detail and witness of the trials-first
+    # reference.  Over F7 the dimension vectors (3, 4) make 7 | dim M, where
+    # the pairing is not read
     rng = random.Random(f"iso-order:{field}")
     mods = [kron_module(k2_bq, field, lam) for lam in range(3)]
     for dims in ((1, 2), (2, 1), (2, 2), (3, 4), (2, 3)):
@@ -911,41 +911,43 @@ def test_pairing_first_order_matches_trials_first_reference(k2_bq, k3_bq, a2_bq,
                                {a: Mat.random(field, dims[1], dims[0], rng) for a in "abc"})
             if is_indecomposable(m, 0).verdict == "yes":
                 mods.append(m)
-    pairs = [(m, n) for m in mods for n in mods if m.bound_quiver == n.bound_quiver]
+    pairs = [("indecomposable", m, n) for m in mods for n in mods
+             if m.bound_quiver == n.bound_quiver]
     for m in mods[3::2]:
         g = {v: random_invertible(field, m.dims[v], rng) for v in m.dims}
         moved = {a.name: g[a.target] @ m.mats[a.name] @ g[a.source].inverse()
                  for a in m.bound_quiver.quiver.arrows}
-        pairs.append((m, Representation(m.bound_quiver, field, m.dims, moved)))
+        pairs.append(("indecomposable", m, Representation(m.bound_quiver, field, m.dims, moved)))
     p1 = rep_from_lists(a2_bq, field, {"1": 1, "2": 1}, {"a1": [[1]]})
     s12 = direct_sum(rep_from_lists(a2_bq, field, {"1": 1, "2": 0}, {}),
                      rep_from_lists(a2_bq, field, {"1": 0, "2": 1}, {}))
-    pairs += [(s12, p1), (p1, s12)]
+    pairs += [("sum", s12, p1), ("sum", p1, s12)]
     base = kron_module(k2_bq, field, 0)
-    pairs += [(direct_sum(base, kron_module(k2_bq, field, lam + 1)),
+    pairs += [("sum", direct_sum(base, kron_module(k2_bq, field, lam + 1)),
                direct_sum(base, kron_module(k2_bq, field, lam + 5))) for lam in range(4)]
     seen = set()
-    for k, (m, n) in enumerate(pairs):
-        for hint in (True, False):
-            got = are_isomorphic(m, n, trials=2, seed=k, both_indecomposable=hint)
-            ref = reference_are_isomorphic(m, n, 2, k, both_indecomposable=hint)
-            assert (got.verdict, got.detail, got.witness) == (ref.verdict, ref.detail,
-                                                               ref.witness), (k, hint)
-            seen.add((hint, field.coerce(m.total_dim) == 0, got.detail))
-    assert {(True, False, "invertible intertwiner found"),
-            (True, False, "trace pairing inconsistent with the hint"),
-            (True, False, "trace pairing vanishes identically (indecomposable inputs)")} <= seen
+    for k, (kind, m, n) in enumerate(pairs):
+        got = are_isomorphic(m, n, trials=2, seed=k)
+        ref = reference_are_isomorphic(m, n, 2, k)
+        assert (got.verdict, got.detail, got.witness) == (ref.verdict, ref.detail,
+                                                           ref.witness), k
+        seen.add((kind, field.coerce(m.total_dim) == 0, got.verdict, got.detail))
+    assert {("indecomposable", False, "yes", "invertible intertwiner found"),
+            # S1 + S2 against P1: the pairing is zero, so "no" with no trial
+            ("sum", False, "no", "trace pairing vanishes identically"),
+            # a common summand pairs to nonzero, and no combination is invertible
+            ("sum", False, "inconclusive", "no invertible combination in 2 trials")} <= seen
     if field == F7:
         # base changes of bricks with dimension vector (3, 4): End = K, and the
         # isomorphism pairs with its inverse to 7 = 0, so the whole pairing is
-        # zero and only the trials, run first, find the isomorphism
-        assert (True, True, "invertible intertwiner found") in seen
+        # zero and only the trials find the isomorphism
+        assert ("indecomposable", True, "yes", "invertible intertwiner found") in seen
 
 
 def test_certify_runs_no_isomorphism_trials(monkeypatch):
-    # at benchmark size the one pair of certified indecomposables that the
-    # witness check compares with the hint pairs to zero: the pairing answers
-    # before find_invertible_in_span, which the trials-first order called once
+    # at benchmark size every pair that the witness check compares past the
+    # dimension arguments pairs to zero: the pairing answers before
+    # find_invertible_in_span, which the trials-first order called once
     searches = []
     monkeypatch.setattr(rep_module, "find_invertible_in_span",
                         lambda *args: searches.append(args) or find_invertible_in_span(*args))

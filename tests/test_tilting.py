@@ -10,11 +10,12 @@ from conftest import (cartan_coxeter, direct_sum, F101, injective_rep, line_quiv
                       reference_ext1_dim_via_presentation,
                       reference_projective_presentation, reference_projective_rep, rep_from_lists,
                       search_concealed, simple_rep)
+import wildrank.tilting as tilting_module
 from wildrank.exactlin import Field, Mat
 from wildrank.quiver import (BoundQuiver, Quiver, _enumerate_paths, euler_form, kronecker_quiver,
                              loop_quiver, serialize_quiver_spec)
-from wildrank.rep import (Representation, flatten_morphism, hom_space, is_indecomposable,
-                          morphism_compose, support)
+from wildrank.rep import (IsoVerdict, Representation, flatten_morphism, hom_space,
+                          is_indecomposable, morphism_compose, support)
 from wildrank.tilting import (CyclicQuiverError, TiltingCandidate, ar_translate_inverse,
                               endomorphism_algebra, enumerate_preprojectives,
                               ext1_dim_via_presentation, is_tilting, projective_presentation,
@@ -135,6 +136,18 @@ def test_is_tilting_examples(a2_bq, k2_bq, k3_bq, f101):
     assert not is_tilting(TiltingCandidate([by_dim[(0, 1)], by_dim[(2, 3)]]))
     # repeated summand is rejected
     assert not is_tilting(TiltingCandidate([by_dim[(0, 1)], by_dim[(0, 1)]]))
+
+
+def test_is_tilting_needs_a_proved_non_isomorphism(k2_bq, f101, monkeypatch):
+    # a tilting module whose summands' isomorphism test is forced to each
+    # verdict: only "no" leaves it tilting, and "inconclusive" is not "no"
+    pool = enumerate_preprojectives(k2_bq, f101, 1)
+    by_dim = {p.rep.dim_vector(): p for p in pool}
+    cand = TiltingCandidate([by_dim[(1, 2)], by_dim[(2, 3)]])
+    for verdict, tilting in (("no", True), ("inconclusive", False), ("yes", False)):
+        monkeypatch.setattr(tilting_module, "are_isomorphic",
+                            lambda m, n, seed, verdict=verdict: IsoVerdict(verdict))
+        assert is_tilting(cand) is tilting, verdict
 
 
 def test_euler_formula_consistency(k2_bq, k3_bq, f101):
