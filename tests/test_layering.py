@@ -37,7 +37,8 @@ the layers before its own, and only at module level.  The package
 docstring and the README table list the modules in that order.
 
 The benchmark's tracer (``perfbench/tracer.py``) wraps wildrank functions
-by module and name; every name it lists must still resolve.
+by module and name; every name it lists must still resolve.  Every
+backticked ``module.name`` in README.md names a definition of that module.
 
 No module of the package or of the tests imports a name at module level
 that nothing else in it reads.
