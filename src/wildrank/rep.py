@@ -15,6 +15,9 @@ arrow equation.  Each basis is cached on the source module, per target,
 and each module keeps one half of the contracted equations (``_Side``)
 for its roles as a source and as a target, so the Hom spaces it takes
 part in share its transforms, pencil matrices and their Jordan frames.
+``hom_spaces`` solves a batch of pairs, one phase of a verification, and
+solves each distinct contracted system of the batch once, and frames each
+distinct nilpotent pencil once, in tables that live for the call.
 
 Indecomposability follows the endomorphism ring: a nontrivial idempotent,
 from a coprime split of a minimal polynomial (factored by
@@ -54,7 +57,7 @@ from .quiver import BoundQuiver, Path, _enumerate_paths
 
 __all__ = ["InconclusiveError", "Representation", "SamplingStarvation", "are_isomorphic",
            "check_relations", "decompose", "end_radical", "flatten_morphism", "hom_space",
-           "in_sincere_subcategory", "is_indecomposable", "morphism_compose",
+           "hom_spaces", "in_sincere_subcategory", "is_indecomposable", "morphism_compose",
            "relation_jacobian", "sample_representation", "subquotient", "support"]
 
 DEFAULT_TRIALS = 32
@@ -214,8 +217,19 @@ def flatten_morphism(field: Field, f: dict[str, Mat]) -> Mat:
     return Mat.vcat(field, 1, [f[v].reshape(f[v].rows * f[v].cols, 1) for v in sorted(f)])
 
 
+def _require_one_category(m: Representation, n: Representation):
+    """Raise ``ShapeMismatchError`` unless m and n are modules of one bound
+    quiver over one field."""
+    if m.bound_quiver != n.bound_quiver:
+        raise ShapeMismatchError("representations over different bound quivers")
+    if m.field != n.field:
+        raise ShapeMismatchError(f"representations over different fields: "
+                                 f"{m.field} and {n.field}")
+
+
 def hom_space(m: Representation, n: Representation) -> HomSpace:
-    """All intertwiners m -> n, by exact linear algebra.
+    """All intertwiners m -> n, by exact linear algebra: the batch of
+    ``hom_spaces`` with one pair.
 
     Every basis is cached on the source ``m``, keyed by the target ``n`` (by
     identity) in a weak dictionary: a later call on the same pair returns
@@ -223,11 +237,46 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
     bases, never a module, so it keeps no target alive, and an entry goes
     when its target is freed.
     """
-    if m.bound_quiver != n.bound_quiver:
-        raise ShapeMismatchError("representations over different bound quivers")
-    cached = m._homs.get(n)
-    if cached is not None:
-        return HomSpace(m, n, cached)
+    return hom_spaces([(m, n)])[0]
+
+
+def hom_spaces(pairs: Sequence[tuple[Representation, Representation]]) -> list[HomSpace]:
+    """``hom_space`` of each pair (m, n), in order, solved as one batch.
+
+    Pairs whose contracted systems are equal (same field, root dimensions,
+    equation pattern and pencils, whatever the names of the roots and
+    arrows) share one solve, mapped back through each pair's own
+    transforms, and equal nilpotent pencils share one Jordan frame: the
+    Jordan route is handed the first equal pencil of the batch
+    (hash-consing: Filliâtre and Conchon, "Type-safe modular
+    hash-consing", ML Workshop 2006), whose frame ``exactlin`` memoises on
+    it.  The system is a function of that key, and ``Mat.kernel`` and the
+    Jordan frame depend on the entries only, so each basis is the one the
+    pair gives alone.  Both tables live for the call:
+    a caller that batches the pairs of one phase shares what that phase
+    repeats, and nothing is kept across phases but the bases, cached on
+    each source as ``hom_space`` caches them.  A pair of modules over two
+    bound quivers or two fields raises ``ShapeMismatchError`` before any
+    pair is solved.
+    """
+    for m, n in pairs:
+        _require_one_category(m, n)
+    systems: dict = {}
+    pencils: dict = {}
+    out = []
+    for m, n in pairs:
+        basis = m._homs.get(n)
+        if basis is None:
+            basis = m._homs[n] = _hom_basis(m, n, systems, pencils)
+        out.append(HomSpace(m, n, basis))
+    return out
+
+
+def _hom_basis(m: Representation, n: Representation, systems: dict, pencils: dict
+               ) -> list[dict[str, Mat]]:
+    """The basis of Hom(m, n), reading and filling a batch's ``systems``
+    (contracted system -> its root bases) and ``pencils`` (each pencil
+    handed to the Jordan route -> the first equal one)."""
     field = m.field
     q = m.bound_quiver.quiver
 
@@ -254,14 +303,22 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
     src, tgt = _side(m, steps, remaining), _side(n, steps, remaining)
 
     roots = sorted({find(v) for v in q.vertices})
-    var_roots = [r for r in roots
-                 if n.dims[find(r)] * m.dims[find(r)] > 0]
+    var_roots = [r for r in roots if n.dims[r] * m.dims[r] > 0]
     # each remaining arrow a relates the roots of its ends: f_rt P(a) = P'(a) f_rs
     equations = [(a.name, find(a.target), find(a.source)) for a in remaining]
-    basis_root = _solve_hom_equations(field, m, n, var_roots, equations, src, tgt)
-
+    # the system up to names: a root is its place in var_roots (None when it
+    # carries no unknown), and each Mat is hashed once (``Mat.__hash__``)
+    place = {r: i for i, r in enumerate(var_roots)}
+    key = (field, tuple((n.dims[r], m.dims[r]) for r in var_roots),
+           tuple((place.get(rt), place.get(rs), src.pencil[a], tgt.pencil[a])
+                 for a, rt, rs in equations))
+    solved = systems.get(key)
+    if solved is None:
+        solved = systems[key] = _solve_hom_equations(field, m, n, var_roots, equations,
+                                                     src, tgt, pencils)
     out = []
-    for fr in basis_root:
+    for sol in solved:
+        fr = dict(zip(var_roots, sol))
         f = {}
         for v in q.vertices:
             r = find(v)
@@ -272,8 +329,7 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
             else:
                 f[v] = tgt.a[v] @ fr[r] @ src.b[v]
         out.append(f)
-    m._homs[n] = out
-    return HomSpace(m, n, out)
+    return out
 
 
 def _times(x: Optional[Mat], y: Optional[Mat]) -> Optional[Mat]:
@@ -346,13 +402,17 @@ def _side(mod: Representation, steps, remaining) -> _Side:
     return side
 
 
-def _solve_hom_equations(field, m, n, var_roots, equations, src, tgt):
+def _solve_hom_equations(field, m, n, var_roots, equations, src, tgt, pencils):
     """Solve the contracted intertwiner equations f_rt P(a) = P'(a) f_rs,
     one ``(a, rt, rs)`` per remaining arrow, with P(a) = ``src.pencil[a]``
-    and P'(a) = ``tgt.pencil[a]``; returns bases {root: Mat}.
+    and P'(a) = ``tgt.pencil[a]``; returns bases as one ``Mat`` per root of
+    ``var_roots``, in that order.
 
     A single root with a nilpotent pair (P(a), P'(a)) is solved in Jordan
-    coordinates (``nilpotent_hom_basis``).  Everything else is one
+    coordinates (``nilpotent_hom_basis``), on the first equal matrices
+    entered in the batch's ``pencils``, whose memoised frames serve them
+    all.
+    Everything else is one
     Kronecker system over the concatenated root blocks: arrow a puts
     I ⊗ P(a)^T at f_rt and -P'(a) ⊗ I at f_rs.
 
@@ -374,7 +434,9 @@ def _solve_hom_equations(field, m, n, var_roots, equations, src, tgt):
             for i, a in enumerate(names):
                 if src.nilpotent(a) and tgt.nilpotent(a):
                     pencil = [(src.pencil[b], tgt.pencil[b]) for b in names]
-                    return [{r: g} for g in nilpotent_hom_basis(*pencil.pop(i), pencil)]
+                    s, s_target = pencil.pop(i)
+                    return [[g] for g in nilpotent_hom_basis(
+                        pencils.setdefault(s, s), pencils.setdefault(s_target, s_target), pencil)]
     sizes = {r: (n.dims[r], m.dims[r]) for r in var_roots}
     offsets = {}
     off = 0
@@ -390,14 +452,8 @@ def _solve_hom_equations(field, m, n, var_roots, equations, src, tgt):
             blocks.append((nrows, offsets[rs], -tgt.pencil[a], None, m.dims[rs]))
         nrows += n.dims[rt] * m.dims[rs]
     ker = Mat.kron_assemble(field, nrows, off, blocks).kernel()
-    out = []
-    for j in range(ker.cols):
-        sol = {}
-        for r in var_roots:
-            e_d, d_d = sizes[r]
-            sol[r] = ker.submatrix(range(offsets[r], offsets[r] + e_d * d_d), [j]).reshape(e_d, d_d)
-        out.append(sol)
-    return out
+    return [[ker.submatrix(range(offsets[r], offsets[r] + sizes[r][0] * sizes[r][1]), [j])
+             .reshape(*sizes[r]) for r in var_roots] for j in range(ker.cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +639,7 @@ def are_isomorphic(m: Representation, n: Representation,
     pairing is nonzero.  Otherwise the search runs, and no invertible
     combination in ``trials`` draws is inconclusive.
     """
-    if m.bound_quiver != n.bound_quiver:
-        raise ShapeMismatchError("representations over different bound quivers")
+    _require_one_category(m, n)
     if m.dim_vector() != n.dim_vector():
         return IsoVerdict("no", detail="dimension vectors differ")
     if m.is_zero():

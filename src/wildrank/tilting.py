@@ -30,7 +30,7 @@ from .exactlin import Field, Mat, Span
 from .quiver import (AlgebraTable, BoundQuiver, Path, Quiver, Relation,
                      _enumerate_paths, build_algebra_table, euler_form)
 from .rep import (Representation, are_isomorphic, end_radical, flatten_morphism,
-                  hom_space, morphism_compose, subquotient, support)
+                  hom_space, hom_spaces, morphism_compose, subquotient, support)
 
 __all__ = ["CyclicQuiverError", "endomorphism_algebra", "enumerate_preprojectives",
            "ext1_dim_via_presentation", "tilting_candidates"]
@@ -329,7 +329,8 @@ def endomorphism_algebra(candidate: TiltingCandidate) -> tuple[BoundQuiver, Alge
     if not (candidate.tilting or is_tilting(candidate)):
         raise ValueError("candidate is not a tilting module")
     n = len(reps)
-    homs = {(i, j): hom_space(reps[j], reps[i]) for i in range(n) for j in range(n)}
+    index = [(i, j) for i in range(n) for j in range(n)]
+    homs = dict(zip(index, hom_spaces([(reps[j], reps[i]) for i, j in index])))
     end_dim = sum(h.dim for h in homs.values())
 
     # radical blocks: off-diagonal blocks entirely; diagonal blocks are the

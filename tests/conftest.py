@@ -15,14 +15,14 @@ from wildrank.exactlin import (Field, Mat, Span, _back_substitute, _zeros, find_
 from wildrank.rep import (IndecVerdict, InconclusiveError, IsoVerdict, Representation,
                           _blocks_from_total,
                           _idempotent_matrix_from_minpoly, are_isomorphic, decompose, end_radical,
-                          factor_polynomial, flatten_morphism, hom_space, morphism_compose,
-                          support, _poly_eval_matrix)
+                          factor_polynomial, flatten_morphism, hom_space, is_indecomposable,
+                          morphism_compose, support, _poly_eval_matrix)
 from wildrank.quiver import (BoundQuiver, Quiver, Relation, _enumerate_paths,
                              build_algebra_table, is_minimal_wild_hereditary, k3_bound_quiver,
                              kronecker_quiver, loop_quiver)
 from wildrank.tilting import (_dual_rep, _require_acyclic, _top_lift_basis, endomorphism_algebra,
                               enumerate_preprojectives, projective_rep, tilting_candidates)
-from wildrank.wildness import FreeAlgModule, FreeAlgebra
+from wildrank.wildness import CheckCounts, FreeAlgModule, FreeAlgebra
 
 QQ = Field.rationals()
 F101 = Field.prime(101)
@@ -860,6 +860,38 @@ def reference_hom_space(m, n):
     return [{v: ker.submatrix(range(offsets[v], offsets[v] + n.dims[v] * m.dims[v]), [j])
              .reshape(n.dims[v], m.dims[v]) for v in q.vertices}
             for j in range(ker.cols)]
+
+
+def fresh_copy(m):
+    """m with every matrix rebuilt from its entries: equal to m, sharing no
+    ``Mat`` object and so no cached hash, Jordan frame, side or Hom basis."""
+    return Representation(m.bound_quiver, m.field, m.dims,
+                          {a: Mat.from_rows(m.field, x.row_list()) if x.rows and x.cols
+                           else Mat.zeros(m.field, x.rows, x.cols) for a, x in m.mats.items()},
+                          check=False)
+
+
+def reference_check_preservation(sources, images, seed, pair_stream, max_pairs):
+    """``wildness.check_preservation`` with no batch: each verdict solves the
+    Hom spaces it reads when it reads them, the image verdict right after
+    its source's.  Reference for the batched checks."""
+    indec = CheckCounts()
+    for i, (v, img) in enumerate(zip(sources, images)):
+        if is_indecomposable(v, f"{seed}:in:{i}").verdict == "yes":
+            verdict_out = is_indecomposable(img, f"{seed}:out:{i}").verdict
+            indec.record(None if verdict_out == "inconclusive" else verdict_out == "yes")
+    all_pairs = [(i, j) for i in range(len(sources)) for j in range(i + 1, len(sources))]
+    random.Random(f"{pair_stream}:{seed}").shuffle(all_pairs)
+    pairs = sorted(all_pairs[:max_pairs])
+    iso = CheckCounts()
+    for i, j in pairs:
+        v_in = are_isomorphic(sources[i], sources[j], seed=f"{seed}:pin:{i}:{j}")
+        v_out = are_isomorphic(images[i], images[j], seed=f"{seed}:pout:{i}:{j}")
+        if "inconclusive" in (v_in.verdict, v_out.verdict):
+            iso.record(None)
+        else:
+            iso.record(v_in.verdict == v_out.verdict)
+    return indec, iso, pairs
 
 
 def reference_target_side(m, contracted):

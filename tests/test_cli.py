@@ -13,7 +13,8 @@ from wildrank.cli import (SpecError, cmd_certify, cmd_classify, cmd_tilt, cmd_va
 import wildrank.cli as cli_module
 import wildrank.tilting as tilting_module
 from wildrank.covering import covering_criterion
-from wildrank.wildness import CertStep, WitnessBimodule, WitnessCertificate
+from wildrank.wildness import (CertStep, CheckCounts, WitnessBimodule, WitnessCertificate,
+                               WitnessReport)
 
 
 def test_parse_minimal_spec():
@@ -385,6 +386,32 @@ def test_cmd_certify_fails_on_a_corrupted_witness(monkeypatch, tmp_path):
     assert code == 4, out
     assert out.endswith("\nverification FAILED")
     assert not out_file.exists()
+
+
+def test_cmd_certify_exits_5_on_an_inconclusive_dominated_run(monkeypatch, tmp_path):
+    # a valid witness report with more inconclusive checks than decided ones
+    def dominated(*args, **kwargs):
+        return WitnessReport(samples=1, max_dim=1, seed=0, field="F101", pair_count=0,
+                             indecomposability=CheckCounts(1, 0, 3),
+                             iso_classes=CheckCounts(), hom_dims=CheckCounts())
+
+    monkeypatch.setattr(cli_module, "verify_witness", dominated)
+    out_file = tmp_path / "cert.txt"
+    out, code = cmd_certify(fixture_text("three_loop_rad2.quiver"), radius=2, samples=1,
+                            max_dim=1, seed=0, pushdown_samples=1, out_path=str(out_file))
+    assert code == 5, out
+    assert out.endswith("\ninconclusive-dominated run")
+    assert not out_file.exists()
+
+
+def test_cmd_certify_exits_4_when_the_arithmetic_recheck_fails(monkeypatch, tmp_path):
+    monkeypatch.setattr(WitnessCertificate, "check_arithmetic", lambda self: False)
+    out_file = tmp_path / "cert.txt"
+    out, code = cmd_certify(fixture_text("three_loop_rad2.quiver"), radius=2, samples=2,
+                            max_dim=1, seed=0, pushdown_samples=1, out_path=str(out_file))
+    assert code == 4, out
+    assert out.endswith("\ncertificate arithmetic recheck FAILED")
+    assert "verification FAILED" not in out and not out_file.exists()
 
 
 def test_cmd_certify_parse_error():

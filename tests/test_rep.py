@@ -9,8 +9,9 @@ import sympy
 
 import wildrank.exactlin as exactlin_module
 import wildrank.rep as rep_module
-from conftest import (direct_sum, F101, fixture_text, line_quiver, make_relation,
+from conftest import (direct_sum, F101, fixture_text, fresh_copy, line_quiver, make_relation,
                       nilpotency_index, QQ, reference_are_isomorphic,
+                      reference_check_preservation,
                       reference_end_radical, reference_hom_pencil, reference_hom_space,
                       reference_idempotent_from_minpoly, reference_in_sincere_subcategory,
                       reference_is_indecomposable, reference_pairing_witness,
@@ -19,8 +20,9 @@ from conftest import (direct_sum, F101, fixture_text, line_quiver, make_relation
                       span_of, zero_rep, _reference_poly_mul)
 
 from wildrank.cli import cmd_certify
-from wildrank.exactlin import (Field, Mat, Span, all_nilpotent, find_invertible_in_span,
-                               trace_form, trace_radical)
+from wildrank.covering import CoveringSpec, build_window, pushdown
+from wildrank.exactlin import (Field, Mat, ShapeMismatchError, Span, all_nilpotent,
+                               find_invertible_in_span, trace_form, trace_radical)
 from wildrank.quiver import BoundQuiver, Quiver, loop_quiver
 from wildrank.rep import (InconclusiveError, Representation, SamplingStarvation,
                           are_isomorphic, check_relations, decompose, end_radical,
@@ -28,6 +30,8 @@ from wildrank.rep import (InconclusiveError, Representation, SamplingStarvation,
                           is_indecomposable, relation_jacobian,
                           sample_representation, subquotient, support,
                           _poly_eval_matrix, _regular_representation)
+import wildrank.wildness as wildness_module
+from wildrank.wildness import (FreeAlgModule, builtin_G, check_preservation, eval_tensor)
 
 
 def kron_module(k2_bq, field, lam):
@@ -56,6 +60,23 @@ def test_check_relations(dual_numbers_bq, f101):
 def test_unknown_vertices_are_refused(k3_bq):
     with pytest.raises(ValueError, match="unknown vertices: \\['zz'\\]"):
         Representation(k3_bq, F101, {"1": 1, "2": 1, "zz": 5}, {})
+
+
+def test_modules_over_different_fields_are_refused(a2_bq):
+    # on one vertex with no arrow, Hom(F101^2, F7^2) is no 4-dimensional
+    # space over F101; disjointly supported modules over F101 and Q have no
+    # zero Hom between them; and a dimension count is no isomorphism verdict
+    point = BoundQuiver(Quiver(["v"], []), [])
+    m, n = (Representation(point, f, {"v": 2}, {}) for f in (F101, Field.prime(7)))
+    left, right = simple_rep(a2_bq, F101, "1"), simple_rep(a2_bq, QQ, "2")
+    for x, y in ((m, n), (left, right), (right, left)):
+        with pytest.raises(ShapeMismatchError, match="different fields"):
+            hom_space(x, y)
+        with pytest.raises(ShapeMismatchError, match="different fields"):
+            rep_module.hom_spaces([(x, x), (x, y)])
+        with pytest.raises(ShapeMismatchError, match="different fields"):
+            are_isomorphic(x, y)
+    assert not m._homs and not left._homs
 
 
 @pytest.mark.parametrize("field", [F101, Field.prime(7), QQ], ids=repr)
@@ -184,6 +205,158 @@ def test_hom_cache_keeps_neither_module_alive(k3_bq):
         assert gone_m() is None
     finally:
         gc.enable()
+
+
+def _hom_route_modules(field, a2_bq, k2_bq, k3_bq, rng):
+    """Groups of modules of one bound quiver each, one group per route of
+    the Hom solver, with equal systems among their pairs: Kronecker modules
+    (A, A N) with N nilpotent leave the pencil N after contracting a (the
+    Jordan route; two share N), three-arrow modules with a invertible leave
+    one root (the single-root Kronecker route; one is a copy of another),
+    three-arrow modules of dimension (2, 1) contract nothing (the
+    multi-root route, as do one singular arrow 1 -> 2 and the same arrow
+    2 -> 1, whose systems differ only in which root each end is), and A2
+    modules with an invertible arrow leave no equation row."""
+    nil = [random_invertible(field, 3, rng) for _ in range(2)]
+    nil = [g @ Mat.from_rows(field, _jordan_rows(sizes, 3)) @ g.inverse()
+           for g, sizes in zip(nil, ([(2, 0), (1, 0)], [(3, 0)]))]
+    jordan = []
+    for n in (nil[0], nil[0], nil[1]):
+        a = random_invertible(field, 3, rng)
+        jordan.append(Representation(k2_bq, field, {"1": 3, "2": 3}, {"a": a, "b": a @ n}))
+    single = [invertible_rep(k3_bq, field, {"1": 2, "2": 2}, rng) for _ in range(2)]
+    single.append(fresh_copy(single[0]))
+    multi = [rand_rep(k3_bq, field, 2, rng) for _ in range(2)]
+    multi += [Representation(k3_bq, field, {"1": 2, "2": 1},
+                             {x: Mat.random(field, 1, 2, rng) for x in "abc"}, check=False)]
+    rank_one = Mat.random(field, 2, 1, rng) @ Mat.random(field, 1, 2, rng)
+    swapped = [[Representation(bq, field, {"1": 2, "2": 2}, {"a1": rank_one})]
+               for bq in (a2_bq, BoundQuiver(Quiver(["1", "2"], [("a1", "2", "1")]), []))]
+    no_rows = [invertible_rep(a2_bq, field, {"1": d, "2": d}, rng) for d in (2, 2, 1)]
+    return [jordan, single, multi, *swapped, no_rows]
+
+
+@pytest.mark.parametrize("field", [F101, Field.prime(7), Field.prime(16777213), QQ], ids=str)
+def test_hom_spaces_give_the_bases_of_hom_space(field, a2_bq, k2_bq, k3_bq, monkeypatch):
+    # one batch over every route: pair by pair, the bases a fresh hom_space
+    # gives on fresh copies, each filling the source's cache, with equal
+    # systems solved once and the Jordan route taken
+    rng = random.Random(f"hom-batch:{field!r}")
+    groups = _hom_route_modules(field, a2_bq, k2_bq, k3_bq, rng)
+    pairs = [(m, n) for group in groups for m in group for n in group]
+    solves, jordan = [], []
+    solve, nilpotent_basis = rep_module._solve_hom_equations, rep_module.nilpotent_hom_basis
+    monkeypatch.setattr(rep_module, "_solve_hom_equations",
+                        lambda *args: solves.append(args) or solve(*args))
+    monkeypatch.setattr(rep_module, "nilpotent_hom_basis",
+                        lambda s, sp, rest=(): jordan.append(s) or nilpotent_basis(s, sp, rest))
+    got = rep_module.hom_spaces(pairs)
+    assert [(h.source, h.target) for h in got] == pairs
+    assert all(m._homs[n] is h.basis for (m, n), h in zip(pairs, got))
+    assert jordan and len(solves) < len(pairs)
+    monkeypatch.undo()
+    for (m, n), h in zip(pairs, got):
+        assert h.basis == hom_space(fresh_copy(m), fresh_copy(n)).basis
+        assert h.dim == len(reference_hom_space(m, n))
+
+
+def test_hom_spaces_solve_each_distinct_system_once(k3_table, monkeypatch):
+    # builtin_G sends (X, Y) to the three-arrow module (1, X, Y), whose
+    # contracted system is the source's own: the eight Hom spaces among two
+    # modules and their images are four systems
+    g = builtin_G(k3_table)
+    rng = random.Random("distinct-systems")
+    mods = [FreeAlgModule(Mat.random(F101, 3, 3, rng), Mat.random(F101, 3, 3, rng))
+            for _ in range(2)]
+    images = [eval_tensor(g, v) for v in mods]
+    solves = []
+    solve = rep_module._solve_hom_equations
+    monkeypatch.setattr(rep_module, "_solve_hom_equations",
+                        lambda *args: solves.append(args) or solve(*args))
+    pairs = [(x[i], x[j]) for x in (mods, images) for i in range(2) for j in range(2)]
+    got = rep_module.hom_spaces(pairs)
+    assert len(solves) == 4
+    assert [h.dim for h in got[:4]] == [h.dim for h in got[4:]]
+    # a second batch solves nothing: every basis is cached on its source
+    assert [h.basis for h in rep_module.hom_spaces(pairs)] == [h.basis for h in got]
+    assert len(solves) == 4
+
+
+def test_hom_spaces_share_jordan_frames_within_a_field(k3_bq, monkeypatch):
+    # three-arrow modules (1, N, R) leave the pencils N (nilpotent) and R
+    # after contracting a; two modules with one N and two R are four
+    # systems on one frame, and the same integer entries over F7 and F101
+    # are two systems on two frames, as are the End spaces of one vertex
+    # with no arrow over the two fields
+    rng = random.Random("shared-frames")
+    one = BoundQuiver(Quiver(["v"], []), [])
+
+    def module(field, n, r):
+        return Representation(k3_bq, field, {"1": 3, "2": 3},
+                              {"a": Mat.identity(field, 3), "b": Mat.from_rows(field, n),
+                               "c": Mat.from_rows(field, r)}, check=False)
+
+    def rand_rows():
+        return [[rng.randrange(7) for _ in range(3)] for _ in range(3)]
+
+    nil, other = [[0, 1, 2], [0, 0, 3], [0, 0, 0]], [[0, 0, 0], [4, 0, 0], [0, 5, 0]]
+    same = [module(F101, nil, rand_rows()) for _ in range(2)]
+    rows = rand_rows()
+    by_field = [module(F7, other, rows), module(F101, other, rows)]
+    points = [Representation(one, f, {"v": 2}, {}) for f in (F7, F101)]
+    frames, solves = [], []
+    jordan, solve = exactlin_module.jordan_nilpotent, rep_module._solve_hom_equations
+    monkeypatch.setattr(exactlin_module, "jordan_nilpotent",
+                        lambda s: frames.append(s) or jordan(s))
+    monkeypatch.setattr(rep_module, "_solve_hom_equations",
+                        lambda *args: solves.append(args) or solve(*args))
+    pairs = [(x, y) for x in same for y in same] + [(x, x) for x in by_field + points]
+    got = rep_module.hom_spaces(pairs)
+    assert len(solves) == 8
+    assert sorted(repr(s.field) for s in frames) == ["F101", "F101", "F7"]
+    for (x, y), h in zip(pairs, got):
+        assert all(f[v].field == x.field for f in h.basis for v in f)
+        assert h.dim == len(reference_hom_space(x, y))
+    assert [h.dim for h in got[-2:]] == [4, 4]
+
+
+def _witness_and_pushdown_samples(k3_table, dual_numbers_bq):
+    """Seeded sources and images as ``verify_witness`` (builtin_G, up to
+    dimension 2) and ``verify_pushdown`` (the dual numbers' window) check
+    them."""
+    rng = random.Random("preservation-samples")
+    mods = [FreeAlgModule.random(F101, 2, rng) for _ in range(6)]
+    g = builtin_G(k3_table)
+    window = build_window(CoveringSpec(dual_numbers_bq, 1, {"x": (1,)}), [(0, 1)])
+    bq = window.bound_quiver
+    lifts = [sample_representation(bq, F101, {v: rng.randint(1, 2) for v in bq.quiver.vertices},
+                                   rng) for _ in range(6)]
+    return [(mods, [eval_tensor(g, v) for v in mods]),
+            (lifts, [pushdown(window, n) for n in lifts])]
+
+
+def test_check_preservation_matches_the_per_pair_reference(k3_table, dual_numbers_bq,
+                                                           monkeypatch):
+    # the same counts and pairs as one hom_space per verdict on fresh copies,
+    # and the two batches hold exactly the Hom spaces the verdicts read
+    for seed, (sources, images) in enumerate(_witness_and_pushdown_samples(k3_table,
+                                                                           dual_numbers_bq)):
+        ref = reference_check_preservation([fresh_copy(v) for v in sources],
+                                           [fresh_copy(v) for v in images],
+                                           seed, "pairs", 10)
+        batched, read = [], []
+        batch, single = wildness_module.hom_spaces, rep_module.hom_space
+        monkeypatch.setattr(wildness_module, "hom_spaces",
+                            lambda pairs: batched.extend(pairs) or batch(pairs))
+        monkeypatch.setattr(rep_module, "hom_space",
+                            lambda m, n: read.append((m, n)) or single(m, n))
+        got = check_preservation(sources, images, seed, "pairs", 10)
+        monkeypatch.undo()
+        assert got == ref
+        assert sum(vars(got[1]).values()) == len(got[2]) > 0
+        batched_ids = sorted((id(m), id(n)) for m, n in batched)
+        assert batched_ids == sorted({(id(m), id(n)) for m, n in read})
+        assert len(set(batched_ids)) == len(batched_ids)
 
 
 @pytest.mark.parametrize("field", [F101, QQ], ids=str)

@@ -138,6 +138,20 @@ def test_is_tilting_examples(a2_bq, k2_bq, k3_bq, f101):
     assert not is_tilting(TiltingCandidate([by_dim[(0, 1)], by_dim[(0, 1)]]))
 
 
+def test_is_tilting_refuses_too_few_summands_before_any_hom(k2_bq, f101, monkeypatch):
+    # no summand, and one summand on two vertices: False with no isomorphism
+    # test and no Hom space, though the one projective alone has no Ext
+    def unexpected(*args, **kwargs):
+        raise AssertionError("read a Hom space")
+
+    monkeypatch.setattr(tilting_module, "are_isomorphic", unexpected)
+    monkeypatch.setattr(tilting_module, "hom_space", unexpected)
+    projective = enumerate_preprojectives(k2_bq, f101, 0)[0]
+    assert ext1_dim_via_presentation(projective.rep, projective.rep) == 0
+    assert is_tilting(TiltingCandidate([])) is False
+    assert is_tilting(TiltingCandidate([projective])) is False
+
+
 def test_is_tilting_needs_a_proved_non_isomorphism(k2_bq, f101, monkeypatch):
     # a tilting module whose summands' isomorphism test is forced to each
     # verdict: only "no" leaves it tilting, and "inconclusive" is not "no"

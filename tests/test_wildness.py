@@ -135,9 +135,11 @@ def test_sincere_witness_rank_and_images(k3_table):
 
 
 def test_verify_witness_runs_one_jordan_elimination_per_rank_28_image(k3_table, monkeypatch):
-    # the Hom spaces between the images go the Jordan route, and each
-    # image's one contracted side serves it as source and as target, so
-    # three samples take three eliminations
+    # the Hom spaces between the images go the Jordan route, the images of
+    # modules of one dimension share one nilpotent pencil, and one batch
+    # frames equal pencils once: the samples of seed 0, of dimensions 1, 2
+    # and 1, take one elimination per dimension, and three samples of
+    # dimension 2, as the benchmark draws them, take one
     w = sincere_witness_for_K3(k3_table)
     frames = []
     jordan = exactlin_module.jordan_nilpotent
@@ -145,7 +147,17 @@ def test_verify_witness_runs_one_jordan_elimination_per_rank_28_image(k3_table, 
                         lambda s: frames.append(s) or jordan(s))
     report = verify_witness(w, samples=3, max_dim=2, seed=0, check_sincere=2)
     assert report.valid and report.pair_count > 0
-    assert len(frames) == 3
+    assert sorted(s.rows for s in frames) == [14, 28]
+
+    def full_size(seed):
+        rng = random.Random(f"verify:{seed}")
+        return all(FreeAlgModule.random(F101, 2, rng).dim == 2 for _ in range(3))
+
+    frames.clear()
+    report = verify_witness(w, samples=3, max_dim=2, seed=next(filter(full_size, range(1, 100))),
+                            check_sincere=2)
+    assert report.valid and report.pair_count == 3
+    assert [s.rows for s in frames] == [28]
 
 
 def test_eval_tensor_rank_bookkeeping(k3_table):
