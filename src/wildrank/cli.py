@@ -108,15 +108,23 @@ def _scalar(field: Field, ln: int, col: int, text: str, what: str) -> Fraction:
 _WEIGHT_KEYWORD = re.compile(r"->\s*\S+\s+(weight)(?!\S)")
 
 
+def _once(first_line: dict[str, int], key: str, ln: int) -> None:
+    """Record ``key`` as set on line ``ln``; a repeat is a ``SpecError`` there."""
+    if key in first_line:
+        raise SpecError(ln, 1, f"repeated key {key!r}; first on line {first_line[key]}")
+    first_line[key] = ln
+
+
 def parse_quiver_spec(text: str) -> ParsedSpec:
-    """Parse the line-oriented quiver-spec format; unknown keys rejected."""
-    name = None
-    field: Optional[Field] = None
+    """Parse the line-oriented quiver-spec format; unknown and repeated keys rejected."""
+    name = "unnamed"
+    field = Field.prime(101)
     vertices: list[str] = []
     arrows: list[tuple[str, str, str]] = []
     weights: dict[str, tuple[int, ...]] = {}
     relation_lines: list[tuple[int, str, int]] = []
     nilbound: Optional[int] = None
+    first_line: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -124,6 +132,8 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
         tokens = _tokens(line)
         parts = [t for t, _ in tokens]
         key = parts[0]
+        if key in ("quiver", "field", "nilbound"):
+            _once(first_line, key, ln)
         if key == "quiver":
             if len(parts) != 2:
                 raise SpecError(ln, 1, "expected: quiver <name>")
@@ -189,10 +199,6 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
             raise SpecError(ln, 1, f"unknown key {key!r}")
     if not vertices:
         raise SpecError(1, 1, "the spec declares no vertex")
-    if name is None:
-        name = "unnamed"
-    if field is None:
-        field = Field.prime(101)
     quiver = Quiver(vertices, arrows)
     relations, term_cols = [], []
     for ln, body, body_col in relation_lines:
@@ -256,21 +262,26 @@ def parse_representation(text: str, bq: BoundQuiver):
     """Parse a module file (the format of ``serialize_representation``) over
     ``bq``; returns ``(name, Representation)``.
 
-    Every malformed input raises a positioned ``SpecError``.  Entries are
-    read once the whole file is, over its ``field`` line (F101 without one).
+    Every malformed input, a repeated ``module``, ``over``, ``field``,
+    ``dim <v>`` or ``matrix <a>`` line too, raises a positioned
+    ``SpecError``.  Entries are read once the whole file is, over its
+    ``field`` line (F101 without one).
     """
     q = bq.quiver
     name = "unnamed"
-    field: Optional[Field] = None
+    field = Field.prime(101)
     dims: dict[str, int] = {}
     # arrow -> (line, column of its name, rows of (entry text, column))
     mats_raw: dict[str, tuple[int, int, list[list[tuple[str, int]]]]] = {}
+    first_line: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
         tokens = _tokens(line)
         key = tokens[0][0]
+        if key in ("module", "over", "field"):
+            _once(first_line, key, ln)
         if key == "module":
             name = tokens[1][0] if len(tokens) > 1 else name
         elif key == "over":
@@ -283,6 +294,7 @@ def parse_representation(text: str, bq: BoundQuiver):
             (v, v_col), (d_text, d_col) = tokens[1:]
             if v not in q.vertices:
                 raise SpecError(ln, v_col, f"unknown vertex {v!r}")
+            _once(first_line, f"dim {v}", ln)
             try:
                 dims[v] = int(d_text)
             except ValueError:
@@ -295,14 +307,13 @@ def parse_representation(text: str, bq: BoundQuiver):
             aname, a_col = tokens[1]
             if aname not in {a.name for a in q.arrows}:
                 raise SpecError(ln, a_col, f"unknown arrow {aname!r}")
+            _once(first_line, f"matrix {aname}", ln)
             start = a_col - 1 + len(aname)
             rows = [[(x, col + x_col - 1) for x, x_col in _tokens(row)]
                     for row, col in _split_cols(line[start:], ";", start + 1)]
             mats_raw[aname] = (ln, a_col, [r for r in rows if r])
         else:
             raise SpecError(ln, 1, f"unknown key {key!r}")
-    if field is None:
-        field = Field.prime(101)
     mats = {}
     for aname, (ln, a_col, rows) in mats_raw.items():
         a = q.arrow(aname)
@@ -336,7 +347,7 @@ def parse_certificate(text: str) -> WitnessCertificate:
     if not lines or lines[0].strip() != "wildrank-certificate 1":
         raise SpecError(1, 1, "not a wildrank certificate")
     kv = {}
-    key_line = {}
+    first_line: dict[str, int] = {}
     steps = []
     notes = []
 
@@ -359,22 +370,24 @@ def parse_certificate(text: str) -> WitnessCertificate:
             notes.append(rest)
         elif key not in _CERT_KEYS:
             raise SpecError(ln, 1, f"unknown key {key!r}")
-        elif key in kv:
-            raise SpecError(ln, 1, f"repeated key {key!r}; first on line {key_line[key][0]}")
         else:
+            _once(first_line, key, ln)
             kv[key] = rest
-            key_line[key] = (ln, len(key) + 2)
+
+    def value(key: str) -> int:
+        return integer(first_line[key], len(key) + 2, kv[key], key)
+
     try:
         return WitnessCertificate(
             name=kv["name"],
             target_desc=kv["algebra"],
             target_hash=kv["algebra-hash"],
-            target_dim=integer(*key_line["algebra-dim"], kv["algebra-dim"], "algebra-dim"),
+            target_dim=value("algebra-dim"),
             target_kind=kv["target-kind"],
             field_desc=kv["field"],
             seed=kv["seed"],
             steps=tuple(steps),
-            bound=integer(*key_line["bound"], kv["bound"], "bound"),
+            bound=value("bound"),
             verification=kv["verification"],
             notes=tuple(notes),
             version=kv.get("toolkit-version", __version__),
@@ -460,10 +473,10 @@ def cmd_certify(text: str, radius: int = 2, samples: int = 30, max_dim: int = 1,
     output = "\n".join(lines)
     if not report_w.valid or not report_p.valid:
         return (output + "\nverification FAILED", 4)
-    if inconclusive_dominated(report_w):
-        return (output + "\ninconclusive-dominated run", 5)
     if not doc.check_arithmetic():
         return (output + "\ncertificate arithmetic recheck FAILED", 4)
+    if inconclusive_dominated(report_w):
+        return (output + "\ninconclusive-dominated run", 5)
     if out_path:
         try:
             with open(out_path, "w") as fh:

@@ -31,7 +31,7 @@ from .exactlin import Field, Mat
 from .quiver import (BoundQuiver, Path, Quiver, Relation, build_algebra_table,
                      is_minimal_wild_hereditary)
 from .rep import (InconclusiveError, Representation, SamplingStarvation,
-                  in_sincere_subcategory, sample_representation)
+                  in_sincere_subcategory, sample_representation, shared_solves)
 from .wildness import (CertStep, CheckCounts, CheckedReport, WitnessBimodule,
                        WitnessCertificate, bound_quiver_hash, check_preservation,
                        compose_witness, eval_tensor, sincere_witness_for_K3,
@@ -270,6 +270,7 @@ class PushdownReport(CheckedReport):
                            f"pairs-checked {self.pair_count}"])
 
 
+@shared_solves()
 def verify_pushdown(w: Window, samples: int, max_total_dim: int, seed,
                     field: Optional[Field] = None) -> PushdownReport:
     """Sample sincere window modules; check that the pushdown preserves

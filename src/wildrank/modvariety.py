@@ -20,7 +20,7 @@ from typing import Optional
 from .exactlin import Field, Mat
 from .quiver import BoundQuiver
 from .rep import (Representation, SamplingStarvation, check_relations,
-                  hom_space, relation_jacobian, sample_representation)
+                  hom_space, relation_jacobian, sample_representation, shared_solves)
 
 __all__ = ["stratum_probe"]
 
@@ -208,6 +208,7 @@ def parameter_estimate(bq: BoundQuiver, field: Field, n: int,
                          hereditary=hereditary)
 
 
+@shared_solves()
 def stratum_probe(bq: BoundQuiver, field: Field, n_max: int,
                   samples_per_d: int = 8, seed=0) -> list[StratumReport]:
     """Run parameter_estimate for n = 1..n_max; each report's ``summary``

@@ -15,9 +15,9 @@ arrow equation.  Each basis is cached on the source module, per target,
 and each module keeps one half of the contracted equations (``_Side``)
 for its roles as a source and as a target, so the Hom spaces it takes
 part in share its transforms, pencil matrices and their Jordan frames.
-``hom_spaces`` solves a batch of pairs, one phase of a verification, and
-solves each distinct contracted system of the batch once, and frames each
-distinct nilpotent pencil once, in tables that live for the call.
+Inside a ``shared_solves`` block, one phase of a verification, each
+distinct contracted system is solved once and each distinct nilpotent
+pencil framed once, in tables that live for the outermost block.
 
 Indecomposability follows the endomorphism ring: a nontrivial idempotent,
 from a coprime split of a minimal polynomial (factored by
@@ -45,6 +45,8 @@ a syzygy or cokernel in ``tilting``, a tensor functor's image, is one
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import random
 import weakref
 from dataclasses import dataclass
@@ -57,8 +59,9 @@ from .quiver import BoundQuiver, Path, _enumerate_paths
 
 __all__ = ["InconclusiveError", "Representation", "SamplingStarvation", "are_isomorphic",
            "check_relations", "decompose", "end_radical", "flatten_morphism", "hom_space",
-           "hom_spaces", "in_sincere_subcategory", "is_indecomposable", "morphism_compose",
-           "relation_jacobian", "sample_representation", "subquotient", "support"]
+           "in_sincere_subcategory", "is_indecomposable", "morphism_compose",
+           "relation_jacobian", "sample_representation", "shared_solves", "subquotient",
+           "support"]
 
 DEFAULT_TRIALS = 32
 
@@ -227,54 +230,53 @@ def _require_one_category(m: Representation, n: Representation):
                                  f"{m.field} and {n.field}")
 
 
+#: the tables of the open ``shared_solves`` block, or None outside one:
+#: contracted system -> its root bases, and pencil -> the first equal pencil
+_SHARED: contextvars.ContextVar = contextvars.ContextVar("shared_solves", default=None)
+
+
+@contextlib.contextmanager
+def shared_solves():
+    """A phase of Hom work, as a ``with`` block or a decorator: each
+    distinct contracted system solved in it (field, root dimensions,
+    equation pattern and pencils, whatever the names of roots and arrows)
+    is solved once and mapped back through each pair's own transforms, and
+    equal nilpotent pencils share the Jordan frame memoised on the first of
+    them (hash-consing: Filliâtre and Conchon, "Type-safe modular
+    hash-consing", ML Workshop 2006).  A basis depends on that key only, so
+    it is the one the pair gives alone.  Nested blocks join the outermost,
+    whose exit, by an exception too, drops the tables; the bases stay cached
+    on their sources.  Decorate no generator function: the block would
+    close before its body runs.
+    """
+    token = _SHARED.set(_SHARED.get() or ({}, {}))
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def hom_space(m: Representation, n: Representation) -> HomSpace:
-    """All intertwiners m -> n, by exact linear algebra: the batch of
-    ``hom_spaces`` with one pair.
+    """All intertwiners m -> n, by exact linear algebra.
 
     Every basis is cached on the source ``m``, keyed by the target ``n`` (by
     identity) in a weak dictionary: a later call on the same pair returns
     the same basis list without solving again.  The cache holds only
     bases, never a module, so it keeps no target alive, and an entry goes
-    when its target is freed.
+    when its target is freed.  Inside ``shared_solves`` the solve is shared
+    with the equal systems of the phase.  Modules over two bound quivers or
+    two fields raise ``ShapeMismatchError``.
     """
-    return hom_spaces([(m, n)])[0]
-
-
-def hom_spaces(pairs: Sequence[tuple[Representation, Representation]]) -> list[HomSpace]:
-    """``hom_space`` of each pair (m, n), in order, solved as one batch.
-
-    Pairs whose contracted systems are equal (same field, root dimensions,
-    equation pattern and pencils, whatever the names of the roots and
-    arrows) share one solve, mapped back through each pair's own
-    transforms, and equal nilpotent pencils share one Jordan frame: the
-    Jordan route is handed the first equal pencil of the batch
-    (hash-consing: Filliâtre and Conchon, "Type-safe modular
-    hash-consing", ML Workshop 2006), whose frame ``exactlin`` memoises on
-    it.  The system is a function of that key, and ``Mat.kernel`` and the
-    Jordan frame depend on the entries only, so each basis is the one the
-    pair gives alone.  Both tables live for the call:
-    a caller that batches the pairs of one phase shares what that phase
-    repeats, and nothing is kept across phases but the bases, cached on
-    each source as ``hom_space`` caches them.  A pair of modules over two
-    bound quivers or two fields raises ``ShapeMismatchError`` before any
-    pair is solved.
-    """
-    for m, n in pairs:
-        _require_one_category(m, n)
-    systems: dict = {}
-    pencils: dict = {}
-    out = []
-    for m, n in pairs:
-        basis = m._homs.get(n)
-        if basis is None:
-            basis = m._homs[n] = _hom_basis(m, n, systems, pencils)
-        out.append(HomSpace(m, n, basis))
-    return out
+    _require_one_category(m, n)
+    basis = m._homs.get(n)
+    if basis is None:
+        basis = m._homs[n] = _hom_basis(m, n, *(_SHARED.get() or ({}, {})))
+    return HomSpace(m, n, basis)
 
 
 def _hom_basis(m: Representation, n: Representation, systems: dict, pencils: dict
                ) -> list[dict[str, Mat]]:
-    """The basis of Hom(m, n), reading and filling a batch's ``systems``
+    """The basis of Hom(m, n), reading and filling a phase's ``systems``
     (contracted system -> its root bases) and ``pencils`` (each pencil
     handed to the Jordan route -> the first equal one)."""
     field = m.field
@@ -410,7 +412,7 @@ def _solve_hom_equations(field, m, n, var_roots, equations, src, tgt, pencils):
 
     A single root with a nilpotent pair (P(a), P'(a)) is solved in Jordan
     coordinates (``nilpotent_hom_basis``), on the first equal matrices
-    entered in the batch's ``pencils``, whose memoised frames serve them
+    entered in the phase's ``pencils``, whose memoised frames serve them
     all.
     Everything else is one
     Kronecker system over the concatenated root blocks: arrow a puts

@@ -30,7 +30,7 @@ from .exactlin import Field, Mat, Span
 from .quiver import (AlgebraTable, BoundQuiver, Path, Quiver, Relation,
                      _enumerate_paths, build_algebra_table, euler_form)
 from .rep import (Representation, are_isomorphic, end_radical, flatten_morphism,
-                  hom_space, hom_spaces, morphism_compose, subquotient, support)
+                  hom_space, morphism_compose, shared_solves, subquotient, support)
 
 __all__ = ["CyclicQuiverError", "endomorphism_algebra", "enumerate_preprojectives",
            "ext1_dim_via_presentation", "tilting_candidates"]
@@ -314,6 +314,7 @@ def is_tilting(candidate: TiltingCandidate) -> bool:
     return True
 
 
+@shared_solves()
 def endomorphism_algebra(candidate: TiltingCandidate) -> tuple[BoundQuiver, AlgebraTable]:
     """Bound-quiver presentation of End(T) for a tilting module T, over the
     field of its summands.
@@ -329,23 +330,22 @@ def endomorphism_algebra(candidate: TiltingCandidate) -> tuple[BoundQuiver, Alge
     if not (candidate.tilting or is_tilting(candidate)):
         raise ValueError("candidate is not a tilting module")
     n = len(reps)
-    index = [(i, j) for i in range(n) for j in range(n)]
-    homs = dict(zip(index, hom_spaces([(reps[j], reps[i]) for i, j in index])))
-    end_dim = sum(h.dim for h in homs.values())
+    end_dim = sum(hom_space(s, t).dim for s in reps for t in reps)
 
     # radical blocks: off-diagonal blocks entirely; diagonal blocks are the
     # radicals of the local rings End(T_i)
     rad_basis: dict[tuple[int, int], list[dict[str, Mat]]] = {}
     for i in range(n):
         for j in range(n):
+            basis = hom_space(reps[j], reps[i]).basis
             if i != j:
-                rad_basis[(i, j)] = list(homs[(i, j)].basis)
+                rad_basis[(i, j)] = list(basis)
                 continue
             rad = end_radical(reps[i])
             if rad is None:
                 raise ValueError("cannot certify the radical of a summand's "
                                  "endomorphism ring over this field")
-            combos = {v: Span(field, d, d, [f[v] for f in homs[(i, i)].basis]).combine(rad)
+            combos = {v: Span(field, d, d, [f[v] for f in basis]).combine(rad)
                       for v, d in reps[i].dims.items()}
             rad_basis[(i, i)] = [{v: combos[v][k] for v in combos} for k in range(rad.cols)]
 

@@ -44,8 +44,8 @@ from .exactlin import Field, Mat, ShapeMismatchError
 from .quiver import (AlgebraTable, BoundQuiver, Path,
                      build_algebra_table, factor_quiver, k3_bound_quiver, loop_quiver,
                      serialize_quiver_spec)
-from .rep import (Representation, are_isomorphic, hom_space, hom_spaces, in_sincere_subcategory,
-                  is_indecomposable, subquotient, InconclusiveError)
+from .rep import (Representation, are_isomorphic, hom_space, in_sincere_subcategory,
+                  is_indecomposable, shared_solves, subquotient, InconclusiveError)
 
 __all__ = ["CertStep", "CheckCounts", "CheckedReport", "FreeAlgModule", "WitnessBimodule",
            "WitnessCertificate", "bound_quiver_hash", "bound_via_factor", "bound_via_morita",
@@ -556,6 +556,7 @@ class WitnessReport(CheckedReport):
                            f"pairs-checked {self.pair_count}"])
 
 
+@shared_solves()
 def check_preservation(sources: Sequence[Representation], images: Sequence[Representation],
                        seed, pair_stream: str, max_pairs: int
                        ) -> tuple[CheckCounts, CheckCounts, list[tuple[int, int]]]:
@@ -568,33 +569,17 @@ def check_preservation(sources: Sequence[Representation], images: Sequence[Repre
     ``{pair_stream}:{seed}``, the sources must be isomorphic
     (``{seed}:pin:{i}:{j}``) exactly when the images are
     (``{seed}:pout:{i}:{j}``).  An inconclusive verdict counts as
-    inconclusive.  Returns both counts and the sorted pairs.
-
-    The Hom spaces the verdicts read are solved in two ``hom_spaces``
-    batches: End of every nonzero source, then, once the source verdicts
-    are known, End of each nonzero image whose source is indecomposable,
-    with both Hom directions of every sampled pair of sources, and of
-    images, whose dimension vectors agree and are nonzero.  Those are
-    exactly the spaces ``is_indecomposable`` and ``are_isomorphic`` read,
-    so each batch shares the systems and Jordan frames that repeat in it
-    and solves nothing that no verdict reads.
+    inconclusive.  Returns both counts and the sorted pairs.  The checks
+    are one ``shared_solves`` phase.
     """
-    hom_spaces([(v, v) for v in sources if not v.is_zero()])
-    indecomposable = [is_indecomposable(v, f"{seed}:in:{i}").verdict == "yes"
-                      for i, v in enumerate(sources)]
+    indec = CheckCounts()
+    for i, (v, img) in enumerate(zip(sources, images)):
+        if is_indecomposable(v, f"{seed}:in:{i}").verdict == "yes":
+            verdict_out = is_indecomposable(img, f"{seed}:out:{i}").verdict
+            indec.record(None if verdict_out == "inconclusive" else verdict_out == "yes")
     all_pairs = [(i, j) for i in range(len(sources)) for j in range(i + 1, len(sources))]
     random.Random(f"{pair_stream}:{seed}").shuffle(all_pairs)
     pairs = sorted(all_pairs[:max_pairs])
-    agreeing = [(x[i], x[j]) for x in (sources, images) for i, j in pairs
-                if x[i].dim_vector() == x[j].dim_vector() and not x[i].is_zero()]
-    hom_spaces([(img, img) for img, yes in zip(images, indecomposable)
-                if yes and not img.is_zero()] + agreeing + [(n, m) for m, n in agreeing])
-
-    indec = CheckCounts()
-    for i, (yes, img) in enumerate(zip(indecomposable, images)):
-        if yes:
-            verdict_out = is_indecomposable(img, f"{seed}:out:{i}").verdict
-            indec.record(None if verdict_out == "inconclusive" else verdict_out == "yes")
     iso = CheckCounts()
     for (i, j) in pairs:
         v_in = are_isomorphic(sources[i], sources[j], seed=f"{seed}:pin:{i}:{j}")
@@ -606,6 +591,7 @@ def check_preservation(sources: Sequence[Representation], images: Sequence[Repre
     return indec, iso, pairs
 
 
+@shared_solves()
 def verify_witness(w: WitnessBimodule, samples: int, max_dim: int, seed,
                    check_sincere: int = 0) -> WitnessReport:
     """Draw seeded random source modules and check preservation properties.
@@ -629,12 +615,7 @@ def verify_witness(w: WitnessBimodule, samples: int, max_dim: int, seed,
     indec, iso, pairs = check_preservation(mods, images, seed, "verify-pairs", 150)
     hom = CheckCounts()
     if w.full:
-        # every diagonal, then both directions of each sampled pair, for the
-        # modules and their images in one batch
-        index = [(i, i) for i in range(samples)] + [ij for i, j in pairs
-                                                    for ij in ((i, j), (j, i))]
-        hom_spaces([(x[i], x[j]) for x in (mods, images) for i, j in index])
-        for i, j in index:
+        for i, j in [(i, i) for i in range(samples)] + pairs + [(j, i) for i, j in pairs]:
             hom.record(hom_space(mods[i], mods[j]).dim == hom_space(images[i], images[j]).dim)
 
     sincere_counts = None

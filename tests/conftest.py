@@ -872,9 +872,9 @@ def fresh_copy(m):
 
 
 def reference_check_preservation(sources, images, seed, pair_stream, max_pairs):
-    """``wildness.check_preservation`` with no batch: each verdict solves the
-    Hom spaces it reads when it reads them, the image verdict right after
-    its source's.  Reference for the batched checks."""
+    """``wildness.check_preservation`` outside any ``shared_solves`` phase:
+    each verdict solves the Hom spaces it reads alone, the image verdict
+    right after its source's.  Reference for the shared checks."""
     indec = CheckCounts()
     for i, (v, img) in enumerate(zip(sources, images)):
         if is_indecomposable(v, f"{seed}:in:{i}").verdict == "yes":

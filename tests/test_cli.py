@@ -221,6 +221,34 @@ def test_representation_errors_positioned(k2_bq, line, bad, col):
     assert (e.value.line, e.value.col) == (line, col), str(e.value)
 
 
+@pytest.mark.parametrize("text, line, key, first", [
+    *((K2_MODULE + repeat + "\n", 8, key, first) for repeat, key, first in (
+        ("module n", "module", 1), ("over k3", "over", 2), ("field Q", "field", 3),
+        ("dim 1 1", "dim 1", 4), ("matrix a 5 7", "matrix a", 6))),
+    # a later line overrode the first: [[7]], and 1/2 accepted over F101
+    ("dim 1 1\ndim 2 1\nmatrix a 5\nmatrix a 7\n", 4, "matrix a", 3),
+    ("field Fp 101\nfield Q\ndim 1 1\ndim 2 1\nmatrix a 1/2\n", 2, "field", 1),
+], ids=["module", "over", "field", "dim", "matrix", "matrix-override", "field-override"])
+def test_representation_single_valued_keys_appear_once(k2_bq, text, line, key, first):
+    with pytest.raises(SpecError) as e:
+        parse_representation(text, k2_bq)
+    assert (e.value.line, e.value.col) == (line, 1)
+    assert e.value.message == f"repeated key {key!r}; first on line {first}"
+
+
+@pytest.mark.parametrize("first, repeat", [
+    ("quiver a", "quiver b"), ("field Fp 7", "field Q"), ("nilbound 3", "nilbound 2"),
+])
+def test_spec_single_valued_keys_appear_once(first, repeat):
+    text = f"vertex v\n{first}\narrow x: v -> v\n{repeat}\n"
+    with pytest.raises(SpecError) as e:
+        parse_quiver_spec(text)
+    assert (e.value.line, e.value.col) == (4, 1)
+    assert e.value.message == f"repeated key {first.split()[0]!r}; first on line 2"
+    for cmd in (cmd_classify, cmd_certify, cmd_variety, cmd_tilt):
+        assert cmd(text) == (f"error: {e.value}", 2)
+
+
 def test_representation_semantic_errors(k2_bq, dual_numbers_bq):
     # dims declared after the matrices still fix their shapes
     text = "dim 1 1\nmatrix a 1 ; 2\nmatrix b 3 ; 4\ndim 2 2\n"
@@ -388,14 +416,15 @@ def test_cmd_certify_fails_on_a_corrupted_witness(monkeypatch, tmp_path):
     assert not out_file.exists()
 
 
-def test_cmd_certify_exits_5_on_an_inconclusive_dominated_run(monkeypatch, tmp_path):
-    # a valid witness report with more inconclusive checks than decided ones
-    def dominated(*args, **kwargs):
-        return WitnessReport(samples=1, max_dim=1, seed=0, field="F101", pair_count=0,
-                             indecomposability=CheckCounts(1, 0, 3),
-                             iso_classes=CheckCounts(), hom_dims=CheckCounts())
+def _dominated_witness_report(*args, **kwargs):
+    """A valid witness report with more inconclusive checks than decided ones."""
+    return WitnessReport(samples=1, max_dim=1, seed=0, field="F101", pair_count=0,
+                         indecomposability=CheckCounts(1, 0, 3),
+                         iso_classes=CheckCounts(), hom_dims=CheckCounts())
 
-    monkeypatch.setattr(cli_module, "verify_witness", dominated)
+
+def test_cmd_certify_exits_5_on_an_inconclusive_dominated_run(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli_module, "verify_witness", _dominated_witness_report)
     out_file = tmp_path / "cert.txt"
     out, code = cmd_certify(fixture_text("three_loop_rad2.quiver"), radius=2, samples=1,
                             max_dim=1, seed=0, pushdown_samples=1, out_path=str(out_file))
@@ -405,13 +434,17 @@ def test_cmd_certify_exits_5_on_an_inconclusive_dominated_run(monkeypatch, tmp_p
 
 
 def test_cmd_certify_exits_4_when_the_arithmetic_recheck_fails(monkeypatch, tmp_path):
+    # a broken certificate exits 4 also when the run is inconclusive-dominated
     monkeypatch.setattr(WitnessCertificate, "check_arithmetic", lambda self: False)
-    out_file = tmp_path / "cert.txt"
-    out, code = cmd_certify(fixture_text("three_loop_rad2.quiver"), radius=2, samples=2,
-                            max_dim=1, seed=0, pushdown_samples=1, out_path=str(out_file))
-    assert code == 4, out
-    assert out.endswith("\ncertificate arithmetic recheck FAILED")
-    assert "verification FAILED" not in out and not out_file.exists()
+    for dominated in (False, True):
+        if dominated:
+            monkeypatch.setattr(cli_module, "verify_witness", _dominated_witness_report)
+        out_file = tmp_path / f"cert-{dominated}.txt"
+        out, code = cmd_certify(fixture_text("three_loop_rad2.quiver"), radius=2, samples=2,
+                                max_dim=1, seed=0, pushdown_samples=1, out_path=str(out_file))
+        assert code == 4, out
+        assert out.endswith("\ncertificate arithmetic recheck FAILED")
+        assert "verification FAILED" not in out and not out_file.exists()
 
 
 def test_cmd_certify_parse_error():

@@ -11,7 +11,9 @@ loads no sympy.  The free algebra k<x,y> and an algebra table share one
 interface, and a witness holds one action per vertex and per arrow of
 either, so only the scopes in ``ALGEBRA_BRANCHES`` branch on the kind of
 algebra or module or test it with ``isinstance``.  Only the scopes in
-``UNCHECKED_SITES`` build a module without its relation check.
+``UNCHECKED_SITES`` build a module without its relation check.  Only the
+scopes in ``PHASES`` open a ``rep.shared_solves`` phase, and none of them
+yields: a phase around a generator would close before its body runs.
 
 Every definition of the package, each top-level function, class and
 constant and each method, is read somewhere in ``src/`` outside its own
@@ -264,6 +266,70 @@ def test_modules_skip_the_relation_check_only_where_listed():
         "        super().__init__(bq, k, {}, {}, check=flag)\n"
         "def _positional(m):\n    return Representation(m.bq, m.k, m.dims, m.mats, False)\n")
     assert unchecked_sites(planted) == ["_image", "Module.__init__", "_positional"]
+
+
+#: the scopes that open a ``rep.shared_solves`` phase: the checks of one
+#: verification (a witness's, a pushdown's, their shared preservation
+#: checks), a tilting module's endomorphism algebra and a variety probe
+PHASES = {"covering.py": ["verify_pushdown"], "modvariety.py": ["stratum_probe"],
+          "tilting.py": ["endomorphism_algebra"],
+          "wildness.py": ["check_preservation", "verify_witness"]}
+
+
+def phases(tree: ast.AST) -> dict[str, bool]:
+    """The scopes that open ``shared_solves``, by decorator or in a ``with``
+    statement, each once in the order they appear, mapped to whether the
+    scope's own body yields (nested functions and classes aside)."""
+    out = {}
+
+    def opens(node) -> bool:
+        target = node.func if isinstance(node, ast.Call) else node
+        return (isinstance(target, ast.Name) and target.id == "shared_solves"
+                or isinstance(target, ast.Attribute) and target.attr == "shared_solves")
+
+    def yields(fn) -> bool:
+        stack = list(fn.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.Yield, ast.YieldFrom)):
+                return True
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                     ast.Lambda)):
+                stack.extend(ast.iter_child_nodes(node))
+        return False
+
+    def visit(node, scope, fn):
+        for child in ast.iter_child_nodes(node):
+            inner, inner_fn = scope, fn
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+                inner_fn = child
+                if any(opens(d) for d in getattr(child, "decorator_list", [])):
+                    out[inner] = yields(child)
+            if isinstance(child, (ast.With, ast.AsyncWith)) and any(
+                    opens(item.context_expr) for item in child.items):
+                out[inner or "<module>"] = fn is not None and yields(fn)
+            visit(child, inner, inner_fn)
+
+    visit(tree, "", None)
+    return out
+
+
+def test_phases_open_only_where_listed_and_never_around_a_generator():
+    found = {name: hits for name, tree in _src_trees().items() if (hits := phases(tree))}
+    assert {name: list(hits) for name, hits in found.items()} == PHASES
+    assert not any(yielding for hits in found.values() for yielding in hits.values())
+    planted = ast.parse(
+        "@shared_solves()\ndef check(m):\n    return hom_space(m, m)\n"
+        "def verify(m):\n    with rep.shared_solves():\n        return check(m)\n"
+        "@shared_solves()\ndef samples(ms):\n    for m in ms:\n        yield check(m)\n"
+        "class Probe:\n"
+        "    def run(self, ms):\n"
+        "        with open(p) as fh, shared_solves():\n            yield from ms\n"
+        "@shared_solves()\ndef eager(ms):\n    return [lambda: (yield m) for m in ms]\n"
+        "def helper(ms):\n    def inner():\n        yield 1\n    return list(inner())\n")
+    assert phases(planted) == {"check": False, "verify": False, "samples": True,
+                               "Probe.run": True, "eager": False}
 
 
 #: the scopes of exactlin that may convert between ``Fraction`` scalars and the

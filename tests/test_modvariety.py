@@ -5,6 +5,7 @@ import pytest
 from conftest import (direct_sum, F101, loop_square_zero, make_relation, QQ, reference_kernel,
                       reference_relation_jacobian, rep_from_lists, simple_rep, zero_rep)
 
+import wildrank.rep as rep_module
 from wildrank.exactlin import Mat
 from wildrank.quiver import BoundQuiver, Quiver, loop_quiver
 from wildrank.rep import (SamplingStarvation, hom_space, relation_jacobian,
@@ -225,3 +226,16 @@ def test_starvation_reported(f101):
     assert report.any_starved
     assert "STARVED" in report.to_text()
     assert report.summary().endswith(" (starvation in some strata)")
+
+
+def test_stratum_probe_solves_the_end_system_of_its_zero_points_once(three_loop_bq,
+                                                                      monkeypatch):
+    # at n = 1 every point of three_loop_rad2 is the zero module on a line,
+    # so the orbit dimensions of all its points read one End system
+    solves = []
+    solve = rep_module._solve_hom_equations
+    monkeypatch.setattr(rep_module, "_solve_hom_equations",
+                        lambda *args: solves.append(args) or solve(*args))
+    (report,) = stratum_probe(three_loop_bq, F101, 1, samples_per_d=8, seed=0)
+    assert [r.sampled for r in report.records] == [8] and report.records[0].orbit == 0
+    assert len(solves) == 1

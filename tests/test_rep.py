@@ -28,9 +28,8 @@ from wildrank.rep import (InconclusiveError, Representation, SamplingStarvation,
                           are_isomorphic, check_relations, decompose, end_radical,
                           factor_polynomial, hom_space, in_sincere_subcategory,
                           is_indecomposable, relation_jacobian,
-                          sample_representation, subquotient, support,
+                          sample_representation, shared_solves, subquotient, support,
                           _poly_eval_matrix, _regular_representation)
-import wildrank.wildness as wildness_module
 from wildrank.wildness import (FreeAlgModule, builtin_G, check_preservation, eval_tensor)
 
 
@@ -72,8 +71,8 @@ def test_modules_over_different_fields_are_refused(a2_bq):
     for x, y in ((m, n), (left, right), (right, left)):
         with pytest.raises(ShapeMismatchError, match="different fields"):
             hom_space(x, y)
-        with pytest.raises(ShapeMismatchError, match="different fields"):
-            rep_module.hom_spaces([(x, x), (x, y)])
+        with pytest.raises(ShapeMismatchError, match="different fields"), shared_solves():
+            hom_space(x, y)
         with pytest.raises(ShapeMismatchError, match="different fields"):
             are_isomorphic(x, y)
     assert not m._homs and not left._homs
@@ -238,7 +237,7 @@ def _hom_route_modules(field, a2_bq, k2_bq, k3_bq, rng):
 
 @pytest.mark.parametrize("field", [F101, Field.prime(7), Field.prime(16777213), QQ], ids=str)
 def test_hom_spaces_give_the_bases_of_hom_space(field, a2_bq, k2_bq, k3_bq, monkeypatch):
-    # one batch over every route: pair by pair, the bases a fresh hom_space
+    # one phase over every route: pair by pair, the bases a fresh hom_space
     # gives on fresh copies, each filling the source's cache, with equal
     # systems solved once and the Jordan route taken
     rng = random.Random(f"hom-batch:{field!r}")
@@ -250,7 +249,8 @@ def test_hom_spaces_give_the_bases_of_hom_space(field, a2_bq, k2_bq, k3_bq, monk
                         lambda *args: solves.append(args) or solve(*args))
     monkeypatch.setattr(rep_module, "nilpotent_hom_basis",
                         lambda s, sp, rest=(): jordan.append(s) or nilpotent_basis(s, sp, rest))
-    got = rep_module.hom_spaces(pairs)
+    with shared_solves():
+        got = [hom_space(m, n) for m, n in pairs]
     assert [(h.source, h.target) for h in got] == pairs
     assert all(m._homs[n] is h.basis for (m, n), h in zip(pairs, got))
     assert jordan and len(solves) < len(pairs)
@@ -274,11 +274,13 @@ def test_hom_spaces_solve_each_distinct_system_once(k3_table, monkeypatch):
     monkeypatch.setattr(rep_module, "_solve_hom_equations",
                         lambda *args: solves.append(args) or solve(*args))
     pairs = [(x[i], x[j]) for x in (mods, images) for i in range(2) for j in range(2)]
-    got = rep_module.hom_spaces(pairs)
+    with shared_solves():
+        got = [hom_space(m, n) for m, n in pairs]
     assert len(solves) == 4
     assert [h.dim for h in got[:4]] == [h.dim for h in got[4:]]
-    # a second batch solves nothing: every basis is cached on its source
-    assert [h.basis for h in rep_module.hom_spaces(pairs)] == [h.basis for h in got]
+    # a second phase solves nothing: every basis is cached on its source
+    with shared_solves():
+        assert [hom_space(m, n).basis for m, n in pairs] == [h.basis for h in got]
     assert len(solves) == 4
 
 
@@ -311,13 +313,53 @@ def test_hom_spaces_share_jordan_frames_within_a_field(k3_bq, monkeypatch):
     monkeypatch.setattr(rep_module, "_solve_hom_equations",
                         lambda *args: solves.append(args) or solve(*args))
     pairs = [(x, y) for x in same for y in same] + [(x, x) for x in by_field + points]
-    got = rep_module.hom_spaces(pairs)
+    with shared_solves():
+        got = [hom_space(x, y) for x, y in pairs]
     assert len(solves) == 8
     assert sorted(repr(s.field) for s in frames) == ["F101", "F101", "F7"]
     for (x, y), h in zip(pairs, got):
         assert all(f[v].field == x.field for f in h.basis for v in f)
         assert h.dim == len(reference_hom_space(x, y))
     assert [h.dim for h in got[-2:]] == [4, 4]
+
+
+def test_a_nested_phase_joins_the_outer_one(k3_bq, monkeypatch):
+    # End of fresh copies of one module is one system: shared within a
+    # phase, a nested one included, and solved again after the outermost
+    # phase exits, normally or by an exception; a decorated function opens
+    # a phase per call
+    rng = random.Random("nested-phases")
+    m = Representation(k3_bq, F101, {"1": 2, "2": 1}, {a: Mat.random(F101, 1, 2, rng)
+                                                         for a in "abc"})
+    solves = []
+    solve = rep_module._solve_hom_equations
+    monkeypatch.setattr(rep_module, "_solve_hom_equations",
+                        lambda *args: solves.append(args) or solve(*args))
+
+    def end_of_a_copy():
+        c = fresh_copy(m)
+        return hom_space(c, c).basis
+
+    with shared_solves():
+        end_of_a_copy()
+        with shared_solves():
+            end_of_a_copy()
+        end_of_a_copy()
+    assert len(solves) == 1
+    end_of_a_copy()
+    assert len(solves) == 2
+    with pytest.raises(RuntimeError, match="inside"), shared_solves():
+        end_of_a_copy()
+        raise RuntimeError("raised inside")
+    end_of_a_copy()
+    assert len(solves) == 4
+
+    @shared_solves()
+    def two_copies():
+        return end_of_a_copy() == end_of_a_copy()
+
+    assert two_copies() and two_copies() and len(solves) == 6
+    assert rep_module._SHARED.get() is None
 
 
 def _witness_and_pushdown_samples(k3_table, dual_numbers_bq):
@@ -335,28 +377,16 @@ def _witness_and_pushdown_samples(k3_table, dual_numbers_bq):
             (lifts, [pushdown(window, n) for n in lifts])]
 
 
-def test_check_preservation_matches_the_per_pair_reference(k3_table, dual_numbers_bq,
-                                                           monkeypatch):
-    # the same counts and pairs as one hom_space per verdict on fresh copies,
-    # and the two batches hold exactly the Hom spaces the verdicts read
+def test_check_preservation_matches_the_per_pair_reference(k3_table, dual_numbers_bq):
+    # the same counts and pairs as one hom_space per verdict on fresh copies
     for seed, (sources, images) in enumerate(_witness_and_pushdown_samples(k3_table,
                                                                            dual_numbers_bq)):
         ref = reference_check_preservation([fresh_copy(v) for v in sources],
                                            [fresh_copy(v) for v in images],
                                            seed, "pairs", 10)
-        batched, read = [], []
-        batch, single = wildness_module.hom_spaces, rep_module.hom_space
-        monkeypatch.setattr(wildness_module, "hom_spaces",
-                            lambda pairs: batched.extend(pairs) or batch(pairs))
-        monkeypatch.setattr(rep_module, "hom_space",
-                            lambda m, n: read.append((m, n)) or single(m, n))
         got = check_preservation(sources, images, seed, "pairs", 10)
-        monkeypatch.undo()
         assert got == ref
         assert sum(vars(got[1]).values()) == len(got[2]) > 0
-        batched_ids = sorted((id(m), id(n)) for m, n in batched)
-        assert batched_ids == sorted({(id(m), id(n)) for m, n in read})
-        assert len(set(batched_ids)) == len(batched_ids)
 
 
 @pytest.mark.parametrize("field", [F101, QQ], ids=str)

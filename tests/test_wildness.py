@@ -3,6 +3,8 @@ import random
 import pytest
 
 import wildrank.exactlin as exactlin_module
+import wildrank.rep as rep_module
+import wildrank.wildness as wildness_module
 from conftest import (direct_sum, eval_tensor_morphism, F101, line_quiver, loop_square_zero,
                       make_relation, QQ, reference_entry_matrix_on, simple_rep, zero_module,
                       zero_rep)
@@ -13,8 +15,9 @@ from wildrank.quiver import (AdmissibilityError, AlgebraTable, BoundQuiver, Path
 from wildrank.rep import Representation, are_isomorphic, hom_space, in_sincere_subcategory
 from wildrank.wildness import (DegreeCapError, FactorProvenance, FreeAlgModule, FreeAlgebra,
                                WitnessBimodule, bound_via_factor, bound_via_morita, builtin_F,
-                               builtin_G, certificate_for_bimodule, compose_witness, eval_tensor,
-                               eval_tensor_with_frame, sincere_witness_for_K3, verify_witness)
+                               builtin_G, certificate_for_bimodule, check_preservation,
+                               compose_witness, eval_tensor, eval_tensor_with_frame,
+                               sincere_witness_for_K3, verify_witness)
 
 
 def fam(field, x_rows, y_rows):
@@ -136,7 +139,7 @@ def test_sincere_witness_rank_and_images(k3_table):
 
 def test_verify_witness_runs_one_jordan_elimination_per_rank_28_image(k3_table, monkeypatch):
     # the Hom spaces between the images go the Jordan route, the images of
-    # modules of one dimension share one nilpotent pencil, and one batch
+    # modules of one dimension share one nilpotent pencil, and one phase
     # frames equal pencils once: the samples of seed 0, of dimensions 1, 2
     # and 1, take one elimination per dimension, and three samples of
     # dimension 2, as the benchmark draws them, take one
@@ -158,6 +161,39 @@ def test_verify_witness_runs_one_jordan_elimination_per_rank_28_image(k3_table, 
                             check_sincere=2)
     assert report.valid and report.pair_count == 3
     assert [s.rows for s in frames] == [28]
+
+
+def test_verification_solves_no_end_system_of_a_builtin_g_image(k3_table, monkeypatch):
+    # builtin_G sends (X, Y) to the three-arrow module (1, X, Y), whose
+    # contracted End system is its source's: in one phase, End of each
+    # image read by a verdict takes no solve of its own
+    images, ends = [], []
+    evaluate, solve = wildness_module.eval_tensor, rep_module._solve_hom_equations
+
+    def image(w, v):
+        images.append(evaluate(w, v))
+        return images[-1]
+
+    def solve_counting_ends(field, m, n, *rest):
+        if m is n:
+            ends.append(m)
+        return solve(field, m, n, *rest)
+
+    monkeypatch.setattr(wildness_module, "eval_tensor", image)
+    monkeypatch.setattr(rep_module, "_solve_hom_equations", solve_counting_ends)
+    g = builtin_G(k3_table)
+    report = verify_witness(g, samples=6, max_dim=2, seed=0)
+    assert report.valid and report.indecomposability.passed > 0
+    assert any(img in img._homs for img in images)
+    assert ends and not any(m is img for m in ends for img in images)
+    # check_preservation called alone is a phase of its own
+    images.clear()
+    ends.clear()
+    rng = random.Random("preservation-alone")
+    mods = [FreeAlgModule.random(F101, 2, rng) for _ in range(6)]
+    check_preservation(mods, [image(g, v) for v in mods], 0, "pairs", 10)
+    assert any(img in img._homs for img in images)
+    assert ends and not any(m is img for m in ends for img in images)
 
 
 def test_eval_tensor_rank_bookkeeping(k3_table):
