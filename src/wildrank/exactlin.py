@@ -38,15 +38,16 @@ Polynomials are ascending coefficient lists.  The dense-polynomial helpers
 written once for every coefficient ring; ``factor_polynomial`` hands a
 monic polynomial to the field's kernel and sorts what comes back.
 
-``Mat.kernel`` eliminates only the support of a matrix, its nonzero rows
-and nonzero columns, which leaves its result unchanged: zero rows add
-nothing to the row space, a zero column is never a pivot (its kernel
-vector is its unit vector), and the kernel basis is the unique one that is
-the identity on the free columns.  On the support, rows of weight one are
-then peeled off with their columns, again and again, before the dense
-echelon form: each such column is a pivot with zero kernel entries.  Hom
-systems are mostly zeros and rows of weight one or two, so most of their
-elimination is skipped.  ``column_space`` stays on the whole matrix: it
+``Mat.kernel`` (``_null_basis``, which also takes the Jordan route's
+integer conditions unreduced) eliminates only the support of a matrix, its
+nonzero rows and nonzero columns, which leaves its result unchanged: zero
+rows add nothing to the row space, a zero column is never a pivot (its
+kernel vector is its unit vector), and the kernel basis is the unique one
+that is the identity on the free columns.  On the support, rows of weight
+one are then peeled off with their columns, again and again, before the
+dense echelon form: each such column is a pivot with zero kernel entries.
+Hom systems are mostly zeros and rows of weight one or two, so most of
+their elimination is skipped.  ``column_space`` stays on the whole matrix: it
 reads its basis from the non-reduced echelon form over F_p, whose rows
 depend on the row swaps that zero rows take part in.  ``rank`` and
 ``pivot_columns`` stay on it too: their inputs are small and dense, where
@@ -81,11 +82,14 @@ matrices only through ``Mat`` operations,
 All operations are pure, and the entries of every ``Mat`` are immutable
 after construction.  The things stored later are two memos, computed once
 per ``Mat`` object: its hash and the Jordan frame of a nilpotent ``Mat``.
-Randomized searches take an explicit seed and are deterministic under it.
+One memo belongs to no ``Mat``: ``_intertwiner_pattern`` keeps read-only
+index arrays for at most 32 pairs of Jordan types.  Randomized searches
+take an explicit seed and are deterministic under it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -821,6 +825,55 @@ def _peel_unit_rows(a: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.nda
     return a[np.ix_(rows, keep)], cols[keep], cols[~keep]
 
 
+def _null_basis(field: Field, a: np.ndarray) -> "Mat":
+    """The null basis of ``Mat.kernel`` for the matrix given by the integer
+    array ``a``: over F_p its residues, with every entry in (-p, p); over Q
+    ``a`` itself, whose rows may each be scaled by a nonzero rational, which
+    changes no kernel.  ``Mat.kernel`` hands it its stored entries, and
+    ``nilpotent_hom_basis`` its conditions, unreduced.
+
+    Only the support is eliminated, the nonzero rows and the nonzero
+    columns; the result is the same matrix as from the whole one.  Zero
+    rows do not change the row space.  A zero column is never a pivot, so
+    it is a free column whose kernel vector is its unit vector, and the
+    pivots among the other columns are the same with or without it.
+    (``column_space`` keeps the whole matrix: see the module docstring.)
+
+    Then rows of weight one are peeled off (``_peel_unit_rows``) before the
+    echelon form.  A row whose one nonzero entry is at column j puts e_j in
+    the row space R, so j is a pivot and every kernel vector is 0 at j.
+    With F the peeled columns and U the rows left, R = span(e_F) ⊕ R_U,
+    where R_U is spanned by the rows of U off the columns F; the pivots are
+    F and those of R_U, so the free columns, and the basis that is the
+    identity on them, are the same.  Only the rest goes to the echelon form,
+    and the cascade does no arithmetic.  The echelon form is over its own
+    denominator, so the identity part is written as that denominator.
+
+    Entries in (-p, p) need no reduction: the support and the cascade read
+    only which entries are nonzero, and such an entry is nonzero exactly
+    when it is nonzero mod p; ``_echelon_fp`` starts with ``_residues``,
+    exact below 2**53.  A multiple of p would pass for a nonzero entry, and
+    the cascade could take a row that is zero mod p for a unit row.
+    """
+    fk = field._kernel
+    rest, rest_cols, peeled = _peel_unit_rows(*_on_support(a))
+    w, den, rest_piv = fk.echelon(rest)
+    piv = rest_cols[rest_piv]
+    is_free = np.ones(a.shape[1], dtype=bool)
+    is_free[peeled] = False
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
+    out = _zeros(field, (a.shape[1], free.size))
+    out[free, np.arange(free.size)] = den
+    rest_free = np.flatnonzero(is_free[rest_cols])
+    if rest_piv and rest_free.size:
+        # rows: the pivot columns; columns: where the rest's free
+        # columns sit among all free columns
+        out[np.ix_(piv, np.searchsorted(free, rest_cols[rest_free]))] = fk.normalize(
+            -_back_substitute(fk, w, rest_piv, w[:len(rest_piv), rest_free]))
+    return Mat._of(field, *_lowest(out, den))
+
+
 def _claim(placed: list, i0: int, i1: int, j0: int, j1: int) -> bool:
     """Whether rows ``i0:i1`` by columns ``j0:j1`` overlap no block in
     ``placed``; the block is added to ``placed`` either way."""
@@ -875,7 +928,9 @@ class Mat:
     denominator, zeros and identities, results of the kernel's
     ``entries``, and results put in lowest terms by ``_lowest`` after an
     entrywise ``normalize``) and where the caller keeps no writable alias of
-    ``arr``.
+    ``arr``.  Unreduced integer arrays are never wrapped: the one that
+    needs a kernel, the Jordan route's conditions, goes to ``_null_basis``
+    as an array, as ``kernel`` hands it its stored entries.
     """
 
     __slots__ = ("field", "rows", "cols", "_entries", "_den", "_hash", "_frame")
@@ -1178,43 +1233,11 @@ class Mat:
 
     def kernel(self) -> "Mat":
         """Matrix whose columns form a basis of the right null space: the
-        unique basis that is the identity on the free (non-pivot) columns.
-
-        Only the support is eliminated, the nonzero rows and the nonzero
-        columns; the result is the same matrix as from the whole one.  Zero
-        rows do not change the row space.  A zero column is never a pivot,
-        so it is a free column whose kernel vector is its unit vector, and
-        the pivots among the other columns are the same with or without it.
-        (``column_space`` keeps the whole matrix: see the module docstring.)
-
-        Then rows of weight one are peeled off (``_peel_unit_rows``) before
-        the echelon form.  A row whose one nonzero entry is at column j puts
-        e_j in the row space R, so j is a pivot and every kernel vector is 0
-        at j.  With F the peeled columns and U the rows left, R = span(e_F)
-        ⊕ R_U, where R_U is spanned by the rows of U off the columns F; the
-        pivots are F and those of R_U, so the free columns, and the basis
-        that is the identity on them, are the same.  Only the rest goes to
-        the echelon form, and the cascade does no arithmetic.  The echelon
-        form is over its own denominator, so the identity part is written as
-        that denominator.
+        unique basis that is the identity on the free (non-pivot) columns:
+        ``_null_basis`` of the stored entries (residues in [0, p) over F_p,
+        over Q the numerators, the matrix times its denominator).
         """
-        fk = self.field._kernel
-        rest, rest_cols, peeled = _peel_unit_rows(*_on_support(self._entries))
-        w, den, rest_piv = fk.echelon(rest)
-        piv = rest_cols[rest_piv]
-        is_free = np.ones(self.cols, dtype=bool)
-        is_free[peeled] = False
-        is_free[piv] = False
-        free = np.flatnonzero(is_free)
-        out = _zeros(self.field, (self.cols, free.size))
-        out[free, np.arange(free.size)] = den
-        rest_free = np.flatnonzero(is_free[rest_cols])
-        if rest_piv and rest_free.size:
-            # rows: the pivot columns; columns: where the rest's free
-            # columns sit among all free columns
-            out[np.ix_(piv, np.searchsorted(free, rest_cols[rest_free]))] = fk.normalize(
-                -_back_substitute(fk, w, rest_piv, w[:len(rest_piv), rest_free]))
-        return Mat._of(self.field, *_lowest(out, den))
+        return _null_basis(self.field, self._entries)
 
     def column_space(self) -> "Mat":
         """A basis of the column space, as the columns of the result."""
@@ -1729,6 +1752,36 @@ def _jordan_frame(s: Mat) -> tuple[Mat, Mat, tuple[int, ...]]:
     return s._frame
 
 
+@functools.lru_cache(maxsize=32)
+def _intertwiner_pattern(sizes_src: tuple[int, ...], sizes_tgt: tuple[int, ...]
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``(idx, rows, cols, c)``: the ones of the 0/1 intertwiners h_c of
+    the Jordan types ``sizes_src`` -> ``sizes_tgt``, one (c, i, j) triple
+    per one, as read-only ``intp`` arrays, and the number c of intertwiners.
+    The last k vectors of a source chain of length a go to the first k of a
+    target chain of length b, for k = 1 .. min(a, b).  Memoised per pair of
+    types: the arrays are shared, so nothing may write them."""
+    idx: list[int] = []
+    rows: list[int] = []
+    cols: list[int] = []
+    c = 0
+    off_t = 0
+    for b in sizes_tgt:
+        off_s = 0
+        for a in sizes_src:
+            for k in range(1, min(a, b) + 1):
+                idx.extend([c] * k)
+                rows.extend(range(off_t, off_t + k))
+                cols.extend(range(off_s + a - k, off_s + a))
+                c += 1
+            off_s += a
+        off_t += b
+    out = tuple(np.array(x, dtype=np.intp) for x in (idx, rows, cols))
+    for x in out:
+        x.setflags(write=False)
+    return (*out, c)
+
+
 def nilpotent_hom_basis(s: Mat, s_target: Mat,
                         rest: Sequence[tuple[Mat, Mat]] = ()) -> list[Mat]:
     """Basis of ``{g : g @ s == s_target @ g}`` for nilpotent s, s_target,
@@ -1741,20 +1794,29 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat,
     g = P_t h P_s^-1 intertwines s and s_target exactly when h intertwines
     J_s and J_t, and those h have a closed-form basis of 0/1 matrices h_c:
     a map J_a -> J_b has min(a, b) independent shifted-diagonal
-    intertwiners.  Only their ones are listed, as (c, i, j) index triples.
+    intertwiners.  Only their ones are listed, as (c, i, j) index triples
+    (``_intertwiner_pattern``, memoised per pair of Jordan types).
 
-    Each remaining pair is conjugated once, to (P_s^-1 r P_s, P_t^-1 r2 P_t),
-    and its conditions on the h_c are written by index into one zeroed
-    array with rows (pair, i, j) and columns c: entry (i, j) of h_c r -
-    r2 h_c, where row i of h_c r is the row of r that h_c sends to i and
-    column j of r2 h_c the column of r2 that h_c takes from j.  Each pair's
-    two matrices are over their common denominator, which scales its rows
-    and so leaves the kernel as it is.  Since X -> P_t X P_s^-1 is a linear
-    bijection, the kernel of these conditions is that of the conditions on
-    the P_t h_c P_s^-1, and ``Mat.kernel`` returns the one basis of it that
-    is the identity on the free columns: the result is the same matrices as
-    when every h_c is mapped back first.  Zero condition rows are dropped
-    before the kernel, which leaves the row space as it is.
+    Each remaining pair is conjugated once, to (r', r2') = (P_s^-1 r P_s,
+    P_t^-1 r2 P_t), and its conditions on the h_c are the entries (i, j) of
+    h_c r' - r2' h_c, one row per (pair, i, j) and one column per c.  A one
+    of h_c at (i, j') gives two terms: r'[j', j] in row (i, j) for every j
+    (A), and -r2'[i', i] in row (i', j') for every i' (B).  For one c, each
+    row i and each column j' holds at most one one, so within a term each
+    (row, c) occurs once: the nonzero A entries are written and the nonzero
+    B entries subtracted.  Only the rows that get an entry are allocated,
+    in their order, numbered by a cumulative sum; every other row is zero.
+    A row whose A and B entries all cancel is zero too: the entries just
+    placed are read back, and such rows are dropped.  Zero rows leave the
+    row space as it is, so these are the nonzero rows of the whole system,
+    in order.  Each pair's two matrices are over their common denominator,
+    which scales its rows and so leaves the kernel as it is.  Over F_p every
+    entry lies in (-p, p), and ``_null_basis`` takes the conditions
+    unreduced.  Since X -> P_t X P_s^-1 is a linear bijection, the kernel of
+    these conditions is that of the conditions on the P_t h_c P_s^-1, and
+    ``_null_basis`` returns the one basis of it that is the identity on the
+    free columns: the result is the same matrices as when every h_c is
+    mapped back first.
 
     The h_c have pairwise disjoint supports (each is its own shifted
     diagonal of its own block), so the combinations, the kernel's columns
@@ -1778,33 +1840,36 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat,
     fk = field._kernel
     p_src, p_src_inv, sizes_src = _jordan_frame(s)
     p_tgt, p_tgt_inv, sizes_tgt = _jordan_frame(s_target)
-    # the ones of h_c: the last k vectors of a source chain go to the first
-    # k of a target chain, for k = 1 .. min(a, b)
-    idx: list[int] = []
-    rows: list[int] = []
-    cols: list[int] = []
-    c = 0
-    off_t = 0
-    for b in sizes_tgt:
-        off_s = 0
-        for a in sizes_src:
-            for k in range(1, min(a, b) + 1):
-                idx.extend([c] * k)
-                rows.extend(range(off_t, off_t + k))
-                cols.extend(range(off_s + a - k, off_s + a))
-                c += 1
-            off_s += a
-        off_t += b
+    idx, rows, cols, c = _intertwiner_pattern(sizes_src, sizes_tgt)
     if not c:
         return []
     if rest:
-        cond = _zeros(field, (len(rest), e, d, c))
-        for block, (r, r2) in zip(cond, rest):
+        hit = np.zeros(len(rest) * e * d, dtype=bool)
+        terms = []
+        for t, (r, r2) in enumerate(rest):
             (rj, r2j), _ = _joined([p_src_inv @ r @ p_src, p_tgt_inv @ r2 @ p_tgt])
-            block[rows, :, idx] = rj[cols]
-            block[:, cols, idx] -= r2j[:, rows]
-        cond = cond.reshape(len(rest) * e * d, c)
-        ker = Mat._of(field, fk.normalize(cond[cond.any(axis=1)]), 1).kernel()
+            a = rj[cols]                        # (one, j): r'[j', j]
+            one_a, j = np.nonzero(a)
+            b = r2j[:, rows]                    # (i', one): r2'[i', i]
+            i2, one_b = np.nonzero(b)
+            row_a = (t * e + rows[one_a]) * d + j
+            row_b = (t * e + i2) * d + cols[one_b]
+            hit[row_a] = True
+            hit[row_b] = True
+            terms.append((row_a, idx[one_a], a[one_a, j], row_b, idx[one_b], b[i2, one_b]))
+        at = np.cumsum(hit) - 1
+        cond = _zeros(field, (int(at[-1]) + 1, c))
+        live = np.zeros(cond.shape[0], dtype=bool)
+        for row_a, c_a, x_a, row_b, c_b, x_b in terms:
+            row_a, row_b = at[row_a], at[row_b]
+            cond[row_a, c_a] = x_a
+            cond[row_b, c_b] -= x_b
+            # the pairs' rows are disjoint: read this pair's entries back
+            live[row_a[cond[row_a, c_a] != 0]] = True
+            live[row_b[cond[row_b, c_b] != 0]] = True
+        if not live.all():
+            cond = cond[live]
+        ker = _null_basis(field, cond)
         k, h_den = ker.cols, ker._den
         if not k:
             return []

@@ -12,10 +12,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from wildrank.exactlin import (Field, Mat, Span, _back_substitute, _zeros, find_invertible_in_span,
                                trace_form)
-from wildrank.rep import (IndecVerdict, InconclusiveError, IsoVerdict, Representation,
-                          _blocks_from_total,
+from wildrank.rep import (DEFAULT_TRIALS, IndecVerdict, InconclusiveError, IsoVerdict,
+                          Representation, _blocks_from_total,
                           _idempotent_matrix_from_minpoly, are_isomorphic, decompose, end_radical,
-                          factor_polynomial, flatten_morphism, hom_space, is_indecomposable,
+                          factor_polynomial, flatten_morphism, hom_space,
                           morphism_compose, support, _poly_eval_matrix)
 from wildrank.quiver import (BoundQuiver, Quiver, Relation, _enumerate_paths,
                              build_algebra_table, is_minimal_wild_hereditary, k3_bound_quiver,
@@ -872,26 +872,35 @@ def fresh_copy(m):
 
 
 def reference_check_preservation(sources, images, seed, pair_stream, max_pairs):
-    """``wildness.check_preservation`` outside any ``shared_solves`` phase:
-    each verdict solves the Hom spaces it reads alone, the image verdict
-    right after its source's.  Reference for the shared checks."""
+    """``wildness.check_preservation`` rebuilt from its docstring: the
+    indecomposability checks with ``reference_is_indecomposable`` and the
+    isomorphism checks with ``reference_are_isomorphic``, on a pair stream
+    of its own.  Returns both counts, the sorted pairs and the seed of every
+    verdict drawn, in sorted order."""
+    seeds = []
+
+    def indecomposable(m, s):
+        seeds.append(s)
+        return reference_is_indecomposable(m, s).verdict
+
+    def isomorphic(m, n, s):
+        seeds.append(s)
+        return reference_are_isomorphic(m, n, DEFAULT_TRIALS, s).verdict
+
     indec = CheckCounts()
-    for i, (v, img) in enumerate(zip(sources, images)):
-        if is_indecomposable(v, f"{seed}:in:{i}").verdict == "yes":
-            verdict_out = is_indecomposable(img, f"{seed}:out:{i}").verdict
-            indec.record(None if verdict_out == "inconclusive" else verdict_out == "yes")
-    all_pairs = [(i, j) for i in range(len(sources)) for j in range(i + 1, len(sources))]
-    random.Random(f"{pair_stream}:{seed}").shuffle(all_pairs)
-    pairs = sorted(all_pairs[:max_pairs])
+    for i in range(len(sources)):
+        if indecomposable(sources[i], f"{seed}:in:{i}") == "yes":
+            out = indecomposable(images[i], f"{seed}:out:{i}")
+            indec.record(None if out == "inconclusive" else out == "yes")
+    stream = list(itertools.combinations(range(len(sources)), 2))
+    random.Random(f"{pair_stream}:{seed}").shuffle(stream)
+    pairs = sorted(stream[:max_pairs])
     iso = CheckCounts()
     for i, j in pairs:
-        v_in = are_isomorphic(sources[i], sources[j], seed=f"{seed}:pin:{i}:{j}")
-        v_out = are_isomorphic(images[i], images[j], seed=f"{seed}:pout:{i}:{j}")
-        if "inconclusive" in (v_in.verdict, v_out.verdict):
-            iso.record(None)
-        else:
-            iso.record(v_in.verdict == v_out.verdict)
-    return indec, iso, pairs
+        got = {isomorphic(sources[i], sources[j], f"{seed}:pin:{i}:{j}"),
+               isomorphic(images[i], images[j], f"{seed}:pout:{i}:{j}")}
+        iso.record(None if "inconclusive" in got else len(got) == 1)
+    return indec, iso, pairs, sorted(seeds)
 
 
 def reference_target_side(m, contracted):

@@ -1369,6 +1369,145 @@ def test_k3_witness_pencils_leave_a_small_dense_pass(k3_table, monkeypatch):
     assert max(cols for _, _, (_, cols) in dense) <= 16, dense
 
 
+@pytest.mark.parametrize("case", ["certify", "k3"])
+def test_jordan_route_hands_the_kernel_its_nonzero_rows_unreduced(case, k3_table, monkeypatch):
+    # the conditions reach the null basis as built: entries in (-p, p), some
+    # negative, no reduction before the echelon form's own, and only the
+    # rows that hold a nonzero entry (of 1568 (pair, i, j) rows on certify's
+    # 28 x 28 calls and 784 on the witness's)
+    calls = _certify_pencils() if case == "certify" else _k3_witness_pencils(k3_table)
+    log = []
+    residues, echelon, on_support = (exactlin_module._residues, exactlin_module._echelon_fp,
+                                     exactlin_module._on_support)
+    monkeypatch.setattr(exactlin_module, "_residues",
+                        lambda a, p: log.append(("reduce", a.shape)) or residues(a, p))
+    monkeypatch.setattr(exactlin_module, "_echelon_fp",
+                        lambda a, p, *args: log.append(("echelon",)) or echelon(a, p, *args))
+    monkeypatch.setattr(exactlin_module, "_on_support",
+                        lambda a: log.append(a) or on_support(a))
+    rows = []
+    for s, sp, rest in calls:
+        _jordan_frame(s), _jordan_frame(sp)       # memoised already: no elimination
+        log.clear()
+        nilpotent_hom_basis(s, sp, rest)
+        at = next(k for k, x in enumerate(log) if isinstance(x, np.ndarray))
+        cond = log[at]
+        # before the conditions only the pairs are conjugated into the frames
+        assert {x[1] for x in log[:at]} <= {s.shape, sp.shape}, log[:at]
+        assert log[at + 1][0] == "echelon" and log[at + 2][0] == "reduce"
+        assert cond.any(axis=1).all() and np.abs(cond).max() < 101 and (cond < 0).any()
+        rows.append(cond.shape[0])
+    assert rows == ([384, 384] if case == "certify" else [110, 220, 220, 440])
+
+
+def _unreduced_rows(field, n, rng, density):
+    """Integer rows for ``_null_basis``, entries in (-p, p) and most of them
+    +-(p - 1) (any small integers over Q): random rows, zero rows, a row and
+    its negative, which cancel, a row with the residues of another written
+    as negatives, and a chain of one weight-one row and weight-two rows,
+    shuffled."""
+    top = field.char - 1 if field.char else 9
+
+    def entry():
+        return rng.choice([top, -top, rng.randint(-top, top)]) if rng.random() < density else 0
+
+    rows = [[entry() for _ in range(n)] for _ in range(rng.randint(0, 4))]
+    rows += [[0] * n for _ in range(rng.randint(0, 2))]
+    if rows:
+        first = rng.choice(rows)
+        rows.append([-x for x in first])
+        if field.char:
+            rows.append([x - field.char if x > 0 else x for x in first])
+    chain = rng.sample(range(n), rng.randint(0, min(n, 4)))
+    for k, j in enumerate(chain):
+        row = [0] * n
+        row[j] = rng.choice([top, -top])
+        if k:
+            row[chain[k - 1]] = rng.choice([1, -top])
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+@given(st.sampled_from([Field.prime(5), F101, Field.prime(16777213), QQ]), st.integers(1, 7),
+       st.sampled_from([0.2, 0.6, 1.0]), st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_null_basis_of_unreduced_rows_is_the_kernel_of_their_residues(field, n, density, seed):
+    rows = _unreduced_rows(field, n, random.Random(seed), density)
+    a = np.array(rows, dtype=field._kernel.dtype).reshape(len(rows), n)
+    got = exactlin_module._null_basis(field, a)
+    assert got == Mat(field, len(rows), n, rows).kernel()
+    _assert_canonical(got)
+
+
+@pytest.mark.parametrize("field", [F101, Field.prime(5), QQ], ids=repr)
+def test_nilpotent_hom_basis_on_cancelling_and_empty_conditions(field, monkeypatch):
+    # (s + c, s + c) adds no condition: in Jordan coordinates it is J + c,
+    # every h_c commutes with it, and each of its A entries meets the B entry
+    # that cancels it; (0, 0) gives no entry at all.  Either way no row
+    # reaches the null basis, and every h_c remains
+    rng = random.Random(f"cancel:{field!r}")
+    shapes = []
+    null_basis = exactlin_module._null_basis
+    monkeypatch.setattr(exactlin_module, "_null_basis",
+                        lambda f, a: shapes.append(a.shape) or null_basis(f, a))
+    for sizes in ([3, 2], [2, 2, 1], [4], [1]):
+        n = sum(sizes)
+        g = _random_invertible(field, n, rng)
+        s = g @ jordan_shift(field, sizes) @ g.inverse()
+        shifted = s + Mat.identity(field, n).scaled(random_nonzero(field, rng))
+        zero = Mat.zeros(field, n, n)
+        every = nilpotent_hom_basis(s, s)
+        for rest in ([(shifted, shifted)], [(zero, zero)], [(zero, zero), (shifted, shifted)]):
+            shapes.clear()
+            assert nilpotent_hom_basis(s, s, rest) == every
+            assert shapes == [(0, len(every))]
+        assert every == reference_hom_pencil(field, n, n, [(s, s), (shifted, shifted)])
+        # next to a pair that cuts the space down, the cancelled rows are gone
+        r = Mat.random(field, n, n, rng)
+        shapes.clear()
+        alone = nilpotent_hom_basis(s, s, [(r, r)])
+        both = nilpotent_hom_basis(s, s, [(shifted, shifted), (r, r)])
+        assert shapes[0] == shapes[1] and alone == both
+        assert both == reference_hom_pencil(field, n, n, [(s, s), (shifted, shifted), (r, r)])
+        # and within one pair: J + c plus a matrix unit in s's Jordan frame
+        p, p_inv, _ = _jordan_frame(s)
+        i, j = rng.randrange(n), rng.randrange(n)
+        bump = shifted + p @ Mat.unit(field, n, n, i, j) @ p_inv
+        shapes.clear()
+        got = nilpotent_hom_basis(s, s, [(bump, bump)])
+        assert got and shapes[0][0] <= 2 * n
+        assert got == reference_hom_pencil(field, n, n, [(s, s), (bump, bump)])
+
+
+def test_intertwiner_pattern_is_memoised_and_read_only():
+    # one pattern per pair of Jordan types, shared by every call with those
+    # types, in a bounded cache; nothing can write it
+    pattern = exactlin_module._intertwiner_pattern
+    pattern.cache_clear()
+    rng = random.Random("pattern-memo")
+
+    def of_type(sizes):
+        g = _random_invertible(F101, sum(sizes), rng)
+        return g @ jordan_shift(F101, sizes) @ g.inverse()
+
+    s, t = of_type([3, 1]), of_type([2, 2])
+    first = nilpotent_hom_basis(s, t)
+    assert (pattern.cache_info().hits, pattern.cache_info().misses) == (0, 1)
+    s2, t2 = of_type([3, 1]), of_type([2, 2])
+    r, r2 = Mat.random(F101, 4, 4, rng), Mat.random(F101, 4, 4, rng)
+    assert nilpotent_hom_basis(s2, t2, [(r, r2)]) == \
+        reference_hom_pencil(F101, 4, 4, [(s2, t2), (r, r2)])
+    assert (pattern.cache_info().hits, pattern.cache_info().misses) == (1, 1)
+    idx, rows, cols, c = pattern((3, 1), (2, 2))
+    assert c == len(first) == 6 and pattern((3, 1), (2, 2))[0] is idx
+    for x in (idx, rows, cols):
+        assert x.dtype == np.intp and not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 1
+    assert pattern.cache_info().maxsize is not None
+
+
 @pytest.mark.parametrize("field", [F101, QQ], ids=str)
 def test_constructor_checks_the_shape(field):
     # one constructor for both fields: data of another shape is refused,

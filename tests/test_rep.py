@@ -9,6 +9,7 @@ import sympy
 
 import wildrank.exactlin as exactlin_module
 import wildrank.rep as rep_module
+import wildrank.wildness as wildness_module
 from conftest import (direct_sum, F101, fixture_text, fresh_copy, line_quiver, make_relation,
                       nilpotency_index, QQ, reference_are_isomorphic,
                       reference_check_preservation,
@@ -377,15 +378,24 @@ def _witness_and_pushdown_samples(k3_table, dual_numbers_bq):
             (lifts, [pushdown(window, n) for n in lifts])]
 
 
-def test_check_preservation_matches_the_per_pair_reference(k3_table, dual_numbers_bq):
-    # the same counts and pairs as one hom_space per verdict on fresh copies
+def test_check_preservation_matches_the_per_pair_reference(k3_table, dual_numbers_bq,
+                                                           monkeypatch):
+    # the counts, pairs and verdict seeds that check_preservation's docstring
+    # names, from the trial-first references on fresh copies
+    seeds = []
+    indecomposable, isomorphic = wildness_module.is_indecomposable, wildness_module.are_isomorphic
+    monkeypatch.setattr(wildness_module, "is_indecomposable",
+                        lambda m, seed: seeds.append(seed) or indecomposable(m, seed))
+    monkeypatch.setattr(wildness_module, "are_isomorphic",
+                        lambda m, n, seed: seeds.append(seed) or isomorphic(m, n, seed=seed))
     for seed, (sources, images) in enumerate(_witness_and_pushdown_samples(k3_table,
                                                                            dual_numbers_bq)):
-        ref = reference_check_preservation([fresh_copy(v) for v in sources],
-                                           [fresh_copy(v) for v in images],
-                                           seed, "pairs", 10)
+        *ref, ref_seeds = reference_check_preservation([fresh_copy(v) for v in sources],
+                                                       [fresh_copy(v) for v in images],
+                                                       seed, "pairs", 10)
+        seeds.clear()
         got = check_preservation(sources, images, seed, "pairs", 10)
-        assert got == ref
+        assert list(got) == ref and sorted(seeds) == ref_seeds
         assert sum(vars(got[1]).values()) == len(got[2]) > 0
 
 
