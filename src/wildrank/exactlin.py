@@ -80,8 +80,10 @@ matrices only through ``Mat`` operations,
   once.
 
 All operations are pure, and the entries of every ``Mat`` are immutable
-after construction.  The things stored later are two memos, computed once
-per ``Mat`` object: its hash and the Jordan frame of a nilpotent ``Mat``.
+after construction.  The things stored later are three memos, computed
+once per ``Mat`` object: its hash, the Jordan frame of a nilpotent ``Mat``
+and the inverse of a square one (or the mark that it is singular), which
+``is_invertible`` and ``inverse`` share.
 One memo belongs to no ``Mat``: ``_intertwiner_pattern`` keeps read-only
 index arrays for at most 32 pairs of Jordan types.  Randomized searches
 take an explicit seed and are deterministic under it.
@@ -241,14 +243,22 @@ def _echelon_fp(a: np.ndarray, p: int, stop_at_gap: bool = False):
 
     One reduced copy of ``a`` is eliminated in sub-panels of ``_SUB``
     columns.  Inside a sub-panel each pivot takes rank-1 updates of the
-    sub-panel's columns below it.  The columns right of the sub-panel then get one triangular
-    pass over its pivot rows and one GEMM, ``rows below -= L @ T``, of inner
-    dimension at most ``_SUB``.
+    sub-panel's columns below it.  The columns right of the sub-panel then
+    get one triangular pass over its pivot rows and one GEMM, ``rows below
+    -= L @ T``, of inner dimension at most ``_SUB``.  A pivot step is one
+    ``flatnonzero`` of its column, which finds the pivot and tells whether
+    any row below needs the rank-1 update, and a scaling of the pivot row
+    in place.
 
     Exactness.  Every operand is a residue in [0, p) when it is scaled or
-    multiplied: a sub-panel is reduced before its first pivot, a column
-    before its pivot search, a row before it is scaled, and T before its
-    triangular pass; the multipliers L are residues of reduced columns.  So
+    multiplied.  A sub-panel is reduced when it is entered, unless no GEMM
+    has touched its columns since the last reduction (``bound`` is still
+    p - 1), and T likewise before its triangular pass.  After that a column
+    is reduced before its pivot search, and a row before it is scaled, only
+    once a rank-1 update of the same sub-panel (or of the same triangular
+    pass) has run (``dirty``): what no update has touched since the
+    reduction is still reduced.  The multipliers L are residues of reduced
+    columns, which the updates never write.  So
     each product is at most (p - 1)**2, and an entry that starts reduced and
     takes at most ``_SUB`` = 16 products (in a sub-panel, in the triangular
     pass or in one GEMM) stays below (p - 1) + 16 (p - 1)**2 in absolute
@@ -280,35 +290,51 @@ def _echelon_fp(a: np.ndarray, p: int, stop_at_gap: bool = False):
         r0 = r
         sub: list[int] = []
         invs: list[int] = []
-        w[r:, ss:se] %= p
+        if bound > p - 1:
+            w[r:, ss:se] %= p
+        dirty = False
         for c in range(ss, se):
             if r >= m:
                 break
             col = w[r:, c]
-            col %= p
-            nz = int(np.argmax(col != 0))
-            if col[nz] == 0:
+            if dirty:
+                col %= p
+            nz = np.flatnonzero(col)
+            if not nz.size:
                 if stop_at_gap:
                     return None, piv + sub
                 continue
-            if nz:
-                w[[r, r + nz]] = w[[r + nz, r]]
-            invs.append(pow(int(w[r, c]), p - 2, p))
-            w[r, c + 1:se] = w[r, c + 1:se] % p * invs[-1] % p
+            k = int(nz[0])
+            if k:
+                w[[r, r + k]] = w[[r + k, r]]
+            inv = pow(int(w[r, c]), p - 2, p)
+            invs.append(inv)
+            row = w[r, c + 1:se]
+            if dirty:
+                row %= p
+            row *= inv
+            row %= p
             w[r, c] = 1.0
-            f = w[r + 1:, c]
-            if f.any():
-                w[r + 1:, c + 1:se] -= f[:, None] * w[r, c + 1:se]
+            if nz.size > 1:
+                w[r + 1:, c + 1:se] -= w[r + 1:, c, None] * row
+                dirty = True
             sub.append(c)
             r += 1
         if sub and se < n:
             t = w[r0:r, se:]
-            t %= p
+            if bound > p - 1:
+                t %= p
+            dirty = False
             for k, inv in enumerate(invs):
-                t[k] = t[k] % p * inv % p
-                l = w[r0 + k + 1:r, sub[k]]
+                row = t[k]
+                if dirty:
+                    row %= p
+                row *= inv
+                row %= p
+                l = w[r0 + k + 1:r, sub[k], None]
                 if l.any():
-                    t[k + 1:] -= l[:, None] * t[k]
+                    t[k + 1:] -= l * row
+                    dirty = True
             l = w[r:, sub]
             if l.any():
                 grow = len(sub) * step
@@ -847,7 +873,11 @@ def _null_basis(field: Field, a: np.ndarray) -> "Mat":
     F and those of R_U, so the free columns, and the basis that is the
     identity on them, are the same.  Only the rest goes to the echelon form,
     and the cascade does no arithmetic.  The echelon form is over its own
-    denominator, so the identity part is written as that denominator.
+    denominator, so the identity part is written as that denominator.  A
+    rest with no row (the cascade drops the rows it leaves zero, so then
+    every column left is free) needs no echelon form at all: the pivots
+    are the peeled columns, and each free column's kernel vector is its
+    unit vector, over the denominator 1.
 
     Entries in (-p, p) need no reduction: the support and the cascade read
     only which entries are nonzero, and such an entry is nonzero exactly
@@ -857,7 +887,10 @@ def _null_basis(field: Field, a: np.ndarray) -> "Mat":
     """
     fk = field._kernel
     rest, rest_cols, peeled = _peel_unit_rows(*_on_support(a))
-    w, den, rest_piv = fk.echelon(rest)
+    if rest.shape[0]:
+        w, den, rest_piv = fk.echelon(rest)
+    else:
+        den, rest_piv = 1, []
     piv = rest_cols[rest_piv]
     is_free = np.ones(a.shape[1], dtype=bool)
     is_free[peeled] = False
@@ -912,8 +945,10 @@ class Mat:
     ``Fraction`` is made only when an entry is read out (``entry``,
     ``row_list``).  The entries
     never change after construction; the slots written later are
-    ``_hash``, the hash that ``__hash__`` memoises, and ``_frame``, the
-    Jordan frame that ``_jordan_frame`` memoises.
+    ``_hash``, the hash that ``__hash__`` memoises, ``_frame``, the
+    Jordan frame that ``_jordan_frame`` memoises, and ``_inverse``, the
+    inverse (``False`` when singular) that ``_inverted`` memoises for
+    ``is_invertible`` and ``inverse``.
 
     There are two constructors.  ``Mat(field, rows, cols, data)``, the
     public one, checks the shape and reads every entry into a fresh array
@@ -933,7 +968,7 @@ class Mat:
     as an array, as ``kernel`` hands it its stored entries.
     """
 
-    __slots__ = ("field", "rows", "cols", "_entries", "_den", "_hash", "_frame")
+    __slots__ = ("field", "rows", "cols", "_entries", "_den", "_hash", "_frame", "_inverse")
 
     def __init__(self, field: Field, rows: int, cols: int, data):
         self.field = field
@@ -951,6 +986,7 @@ class Mat:
         self._entries = arr
         self._hash = None
         self._frame = None
+        self._inverse = None
 
     # -- constructors ------------------------------------------------------
 
@@ -976,6 +1012,7 @@ class Mat:
         m._den = den
         m._hash = None
         m._frame = None
+        m._inverse = None
         return m
 
     @classmethod
@@ -1274,23 +1311,40 @@ class Mat:
         return x if self @ x == b else None
 
     def is_invertible(self) -> bool:
-        """Whether the matrix is square with a pivot in every column; the
-        elimination stops at the first column without one."""
-        return self.is_square() and len(
-            self.field._kernel.echelon(self._entries, stop_at_gap=True)[2]) == self.rows
+        """Whether the matrix is square and has an inverse (``_inverted``)."""
+        return self.is_square() and self._inverted() is not None
 
     def inverse(self) -> "Mat":
+        """The inverse of a square matrix (``_inverted``); a singular one
+        raises ``ZeroDivisionError``."""
         if not self.is_square():
             raise ShapeMismatchError("inverse of a non-square matrix")
+        inv = self._inverted()
+        if inv is None:
+            raise ZeroDivisionError("matrix is singular")
+        return inv
+
+    def _inverted(self) -> Optional["Mat"]:
+        """The inverse of this square matrix, or None when it is singular,
+        computed once per ``Mat`` object and kept in its ``_inverse`` slot
+        (``False`` for a singular one).
+
+        One elimination of [A | I] that stops at the first gap: A is
+        invertible exactly when each of its n columns has a pivot, and then
+        the n pivots use up every row before the elimination reaches I.  So
+        a singular matrix costs an elimination up to its first gap, and an
+        invertible one a single elimination whatever asks first, whether
+        it is invertible or what its inverse is."""
         n = self.rows
         if n == 0:
             return self
-        fk = self.field._kernel
-        w, den, piv = fk.echelon(np.concatenate(
-            _joined([self, Mat.identity(self.field, n)])[0], axis=1))
-        if len(piv) < n or piv[n - 1] != n - 1:
-            raise ZeroDivisionError("matrix is singular")
-        return Mat._of(self.field, *_lowest(_back_substitute(fk, w, piv[:n], w[:n, n:]), den))
+        if self._inverse is None:
+            fk = self.field._kernel
+            w, den, piv = fk.echelon(np.concatenate(
+                _joined([self, Mat.identity(self.field, n)])[0], axis=1), stop_at_gap=True)
+            self._inverse = w is not None and Mat._of(
+                self.field, *_lowest(_back_substitute(fk, w, piv, w[:n, n:]), den))
+        return self._inverse or None
 
     def minimal_polynomial(self) -> list:
         """Exact minimal polynomial of a square matrix, ascending coefficients.

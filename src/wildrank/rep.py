@@ -110,10 +110,8 @@ class Representation:
         # modules, and End(M) keyed by M itself must not keep M alive
         self._homs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         # this module's half of contracted Hom equations per contraction
-        # (``_Side``) and which arrows act invertibly: built from its own
-        # matrices only
+        # (``_Side``): built from its own matrices only
         self._sides: dict = {}
-        self._invertible: dict[str, bool] = {}
         if check:
             bad = [str(rel) for rel, ok in check_relations(self) if not ok]
             if bad:
@@ -342,11 +340,12 @@ def _times(x: Optional[Mat], y: Optional[Mat]) -> Optional[Mat]:
 
 
 def _acts_invertibly(mod: Representation, name: str) -> bool:
-    """Whether arrow ``name`` acts by an invertible matrix on ``mod`` (memoised)."""
-    known = mod._invertible.get(name)
-    if known is None:
-        known = mod._invertible[name] = mod.mats[name].is_invertible()
-    return known
+    """Whether arrow ``name`` acts by an invertible matrix on ``mod``.  The
+    answer comes from the arrow matrix's own inverse memo
+    (``Mat.is_invertible``), so the elimination that decides it also gives
+    the inverse that ``_Side`` contracts with, and a module's arrow matrix
+    is eliminated once however many Hom spaces ask."""
+    return mod.mats[name].is_invertible()
 
 
 class _Side:
@@ -367,6 +366,10 @@ class _Side:
     A_t^-1 M(a) A_s = B_t M(a) B_s^-1 = P(a), so A_w B_w = A_w P(a) P(a)^-1
     B_w = I after it.  So one matrix, ``pencil[a]`` = B_t M(a) A_s, is the
     module's pencil in both roles, and a step inverts its own pencil only.
+    A step's pencil is the arrow matrix itself when no earlier step moved
+    the arrow's ends, and then ``inverse`` reads the memo that
+    ``_acts_invertibly`` filled; a product is a new ``Mat`` and is
+    eliminated once here.
     ``b`` holds the B_v and ``a`` the A_v of folded vertices;
     ``nilpotent(a)`` says whether ``pencil[a]`` is nilpotent.
     """

@@ -226,6 +226,21 @@ def test_verify_pushdown_small(x2_cov):
     assert report.to_text() == r2.to_text()
 
 
+def test_verify_pushdown_starves_on_a_window_with_no_sincere_module(x2_cov):
+    # the window 0 -> 1 -> 2 with x x = 0 has no sincere indecomposable (its
+    # indecomposables are the simples and the two length-two paths), so
+    # every sample is rejected, the budget of 60 draws a sample runs out,
+    # and a starved run is not valid
+    w = build_window(x2_cov, [(0, 2)])
+    assert len(w.bound_quiver.quiver.vertices) == 3
+    report = verify_pushdown(w, samples=2, max_total_dim=6, seed=0, field=F101)
+    assert report.starved and report.rejected == 120 and report.samples == 0
+    assert not report.valid
+    text = report.to_text()
+    assert "rejected-nonsincere 120 starved true" in text.splitlines()
+    assert text.splitlines()[-2] == "verdict FAILED"
+
+
 def test_covering_criterion_three_loop(three_loop_cov):
     got = covering_criterion(three_loop_cov, 2, field=F101, seed=1)
     assert got is not None

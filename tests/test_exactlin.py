@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (F101, field_add, fixture_text, intertwiner_system, jordan_shift, mat_trace,
                       nilpotency_index, QQ, random_nonzero, reference_echelon_fp,
@@ -1750,6 +1750,118 @@ def test_prime_field_solve_and_inverse_are_exact_below_the_cap(p):
                 want[c][0] = red[k][110]
             assert x.row_list() == want
     assert x is None      # the random right-hand side is inconsistent
+
+
+@st.composite
+def _pivot_step_inputs(draw):
+    """``(p, rows, m, n)``: m x n integer rows with entries in (-p, p), for
+    the pivot step of ``_echelon_fp``.  Besides drawn rows: all zero, copies
+    of a few rows (the rank falls short of the width, so there are gaps), a
+    first row that is zero in the first column (its pivot needs a row swap),
+    and a column that is a multiple of an earlier column of its sub-panel
+    (that column's pivot zeroes it below, and only a reduction shows it)."""
+    p = draw(st.sampled_from([5, 101, 16777213]))
+    m = draw(st.integers(0, 24))
+    n = draw(st.sampled_from([16, 17]) | st.integers(0, 40))
+    entry = st.sampled_from([p - 1, 1 - p]) | st.integers(1 - p, p - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    shape = draw(st.sampled_from(["drawn", "zero", "copies", "swap", "zeroed"]))
+    if shape == "zero":
+        rows = [[0] * n for _ in range(m)]
+    elif shape == "copies" and m:
+        few = draw(st.integers(1, m))
+        rows = [list(rows[draw(st.integers(0, few - 1))]) for _ in range(m)]
+    elif shape == "swap" and m > 1 and n:
+        rows[0][0], rows[-1][0] = 0, p - 1
+    elif shape == "zeroed" and n > 1:
+        j = draw(st.integers(1, n - 1))
+        i = draw(st.integers(j - j % exactlin_module._SUB, j - 1)) if j % exactlin_module._SUB else 0
+        k = draw(st.integers(1, p - 1))
+        for row in rows:
+            row[j] = k * row[i] % p - draw(st.sampled_from([0, p])) * bool(row[i])
+    return p, rows, m, n
+
+
+@given(_pivot_step_inputs(), st.booleans())
+# a dense 24 x 40 matrix at the largest prime: its second sub-panel's
+# triangular pass starts on entries that the first GEMM left unreduced
+@example((16777213, _residue_rows(16777213, 24, 40, random.Random("pivot-step")), 24, 40), False)
+@settings(max_examples=200, deadline=None)
+def test_prime_field_echelon_matches_the_reference_on_small_shapes(case, stop_at_gap):
+    p, rows, m, n = case
+    w, piv = exactlin_module._echelon_fp(np.array(rows, dtype=np.float64).reshape(m, n), p,
+                                         stop_at_gap)
+    ref, ref_piv = reference_echelon_fp(rows, p)
+    # the pivots of the leading columns, up to the first column without one
+    lead = 0
+    while lead < len(ref_piv) and ref_piv[lead] == lead:
+        lead += 1
+    if stop_at_gap and lead < min(m, n):
+        assert w is None and piv == ref_piv[:lead]
+    else:
+        assert piv == ref_piv
+        assert w.shape == (m, n) and w.astype(np.int64).tolist() == ref
+
+
+def _eliminations(monkeypatch) -> list:
+    """Record ``(input, stop_at_gap, result)`` of every ``_echelon_fp`` and
+    ``_echelon_qq`` call from now on."""
+    calls = []
+    fp, qq = exactlin_module._echelon_fp, exactlin_module._echelon_qq
+
+    def spy_fp(a, p, stop_at_gap=False):
+        calls.append((np.array(a), stop_at_gap, fp(a, p, stop_at_gap)))
+        return calls[-1][2]
+
+    def spy_qq(rows, stop_at_gap=False):
+        calls.append((np.array(rows, dtype=object), stop_at_gap, qq(rows, stop_at_gap)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(exactlin_module, "_echelon_fp", spy_fp)
+    monkeypatch.setattr(exactlin_module, "_echelon_qq", spy_qq)
+    return calls
+
+
+@pytest.mark.parametrize("field", [F101, QQ])
+def test_kernel_eliminates_nothing_when_support_and_cascade_leave_nothing(field, monkeypatch):
+    calls = _eliminations(monkeypatch)
+    perm = Mat.from_rows(field, [[0, 0, 3], [5, 0, 0], [0, 2, 0]])
+    diag = Mat.from_rows(field, [[4, 0, 0, 0], [0, 0, 0, 0], [0, 0, 7, 0], [0, 0, 0, 0]])
+    assert Mat.zeros(field, 0, 3).kernel() == Mat.identity(field, 3)
+    assert Mat.zeros(field, 2, 2).kernel() == Mat.identity(field, 2)
+    assert perm.kernel() == Mat.zeros(field, 3, 0)
+    assert diag.kernel() == Mat.from_rows(field, [[0, 0], [1, 0], [0, 0], [0, 1]])
+    assert calls == []
+    # a rest with a row is eliminated, once
+    assert Mat.from_rows(field, [[1, 1], [2, 2]]).kernel() == Mat.from_rows(field, [[-1], [1]])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field", [F101, QQ])
+def test_inverse_is_one_elimination_memoised_on_the_matrix(field, monkeypatch):
+    calls = _eliminations(monkeypatch)
+    a = Mat.from_rows(field, [[2, 1, 0], [1, 1, 0], [0, 0, 3]])
+    assert a.is_invertible()
+    inv = a.inverse()
+    assert len(calls) == 1 and calls[0][0].shape == (3, 6)
+    assert a.inverse() is inv and a.is_invertible() and len(calls) == 1
+    assert a @ inv == Mat.identity(field, 3)
+    assert not inv._entries.flags.writeable and not a._entries.flags.writeable
+    with pytest.raises(ValueError):
+        inv._entries[0, 0] = 0
+    # a singular matrix: the [A | I] elimination stops at the first column
+    # without a pivot, and the answer is memoised too
+    calls.clear()
+    s = Mat.from_rows(field, [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    with pytest.raises(ZeroDivisionError):
+        s.inverse()
+    assert len(calls) == 1
+    rows, stop_at_gap, got = calls[0]
+    assert rows.shape == (3, 6) and stop_at_gap and got[0] is None and got[-1] == [0]
+    assert not s.is_invertible() and len(calls) == 1
+    with pytest.raises(ZeroDivisionError):
+        s.inverse()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("p", CAP_PRIMES)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import wildrank.exactlin as exactlin_module
@@ -12,7 +13,8 @@ from conftest import (direct_sum, eval_tensor_morphism, F101, line_quiver, loop_
 from wildrank.exactlin import Field, Mat, ShapeMismatchError
 from wildrank.quiver import (AdmissibilityError, AlgebraTable, BoundQuiver, Path,
                              build_algebra_table, factor_quiver, k3_bound_quiver, loop_quiver)
-from wildrank.rep import Representation, are_isomorphic, hom_space, in_sincere_subcategory
+from wildrank.rep import (Representation, are_isomorphic, hom_space, in_sincere_subcategory,
+                         shared_solves)
 from wildrank.wildness import (DegreeCapError, FactorProvenance, FreeAlgModule, FreeAlgebra,
                                WitnessBimodule, bound_via_factor, bound_via_morita, builtin_F,
                                builtin_G, certificate_for_bimodule, check_preservation,
@@ -161,6 +163,40 @@ def test_verify_witness_runs_one_jordan_elimination_per_rank_28_image(k3_table, 
                             check_sincere=2)
     assert report.valid and report.pair_count == 3
     assert [s.rows for s in frames] == [28]
+
+
+def test_an_invertible_arrow_matrix_is_eliminated_once(k3_table, monkeypatch):
+    # arrow a acts invertibly on the witness images (by the identity, and by
+    # g2 g1^-1 on a conjugated copy), so each Hom space contracts it: the
+    # answer of _acts_invertibly and the inverse _Side contracts with come
+    # from one elimination of each module's matrix, however many Hom spaces
+    # read them; b and c are never eliminated whole
+    w = sincere_witness_for_K3(k3_table)
+    m, img = eval_tensor(w, fam(F101, [[0]], [[0]])), eval_tensor(w, fam(F101, [[3]], [[7]]))
+    rng = random.Random("eliminated-once")
+    g = []
+    while len(g) < 2:
+        x = Mat.random(F101, 14, 14, rng)
+        if x.is_invertible():
+            g.append(x)
+    n = Representation(img.bound_quiver, F101, img.dims,
+                       {name: g[1] @ x @ g[0].inverse() for name, x in img.mats.items()},
+                       check=False)
+    seen = []
+    echelon = exactlin_module._echelon_fp
+    monkeypatch.setattr(exactlin_module, "_echelon_fp",
+                        lambda a, p, *args: seen.append(np.array(a)) or echelon(a, p, *args))
+    with shared_solves():
+        for x, y in ((m, n), (n, m), (m, m), (n, n)):
+            hom_space(x, y)
+
+    def eliminations(x):
+        return sum(a.shape[0] == x.rows and a.shape[1] in (x.cols, 2 * x.cols)
+                   and np.array_equal(a[:, :x.cols], x._entries) for a in seen)
+
+    assert m.mats["a"] == Mat.identity(F101, 14) and n.mats["a"] != m.mats["a"]
+    assert [eliminations(mod.mats[name]) for mod in (m, n) for name in "abc"] == [1, 0, 0] * 2
+    assert m.mats["a"].is_invertible() and n.mats["a"].is_invertible()
 
 
 def test_verification_solves_no_end_system_of_a_builtin_g_image(k3_table, monkeypatch):
