@@ -65,8 +65,9 @@ matrices only through ``Mat`` operations,
 * ``column_space`` and ``minimal_polynomial``, next to rank, kernel, solve
   and inverse, and ``factor_polynomial``;
 * ``nilpotent_hom_basis``, the maps that intertwine a nilpotent pair and
-  any further pairs, solved in Jordan coordinates (``jordan_nilpotent``
-  gives the Jordan frame, the basis with its inverse and the block sizes),
+  any further pairs, solved and returned in Jordan coordinates with the
+  two frames (``jordan_nilpotent`` gives the Jordan frame, the basis with
+  its inverse and the block sizes),
   ``trace_form``, the traces of all pairwise products of the matrices of
   two ``Span``s, ``trace_radical``, the radical of the algebra a ``Span``
   spans when its trace form certifies it, and ``all_nilpotent``, whether
@@ -215,9 +216,11 @@ def _is_prime(n: int) -> bool:
 # prime-field kernels (numpy, delayed reduction)
 # ---------------------------------------------------------------------------
 
-def _residues(a: np.ndarray, p: int) -> np.ndarray:
+def _residues(a: np.ndarray, p: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The residues in [0, p) of the integer-valued array ``a``, as a fresh
-    float64 array: the one reduction mod p of every F_p array.
+    float64 array, or written into the float64 array ``out`` (``a`` itself
+    for a product no one else holds, which then needs no second fresh
+    array): the one reduction mod p of every F_p array.
 
     Exact for integer values below 2**53 in absolute value, the envelope
     ``_echelon_fp`` proves for every value the F_p code forms, and for the
@@ -231,7 +234,10 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
     """
     r = a.astype(np.int64)
     r %= p
-    return r.astype(np.float64)
+    if out is None:
+        return r.astype(np.float64)
+    out[...] = r
+    return out
 
 
 def _echelon_fp(a: np.ndarray, p: int, stop_at_gap: bool = False):
@@ -438,7 +444,8 @@ class _PrimeKernel:
     ``"2/3"`` a residue (a non-integer through ``Fraction``), and ``inv``
     inverts any such input.  ``normalize`` reduces an array mod p through
     ``_residues``, a float64 array and an object array from ``asarray``
-    alike; ``entries`` stores an array of residues from ``coerce`` as it
+    alike, and ``reduce`` reduces a fresh product in its own array;
+    ``entries`` stores an array of residues from ``coerce`` as it
     is and reduces a float64 array from ``asarray``, over the denominator
     1.  ``asarray`` reads the data of ``Mat(...)`` for it (integers of any
     size and fractions exactly), ``exact`` reads entries out as ``int``,
@@ -469,6 +476,8 @@ class _PrimeKernel:
         self.chunk = (2 ** 53 - p) // (p - 1) ** 2
 
     def coerce(self, x) -> int:
+        if type(x) is int:      # the common case, ahead of the checks; a bool goes on
+            return x % self.p
         if isinstance(x, (int, np.integer)) or (isinstance(x, float) and x.is_integer()):
             return int(x) % self.p
         if not isinstance(x, Fraction):
@@ -488,6 +497,9 @@ class _PrimeKernel:
 
     def normalize(self, a: np.ndarray) -> np.ndarray:
         return _residues(a, self.p)
+
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        return _residues(a, self.p, a)
 
     primitive = normalize
 
@@ -599,8 +611,8 @@ class _RationalKernel:
     out.  Between the two, every operation works on the numerators (the
     module's ``_common`` brings matrices to their common denominator and
     ``_lowest`` divides a result by the gcd of its denominator and
-    numerators), and ``normalize``, the entrywise reduction, has nothing to
-    do on ``int``; ``primitive`` divides a vector by the gcd of its entries.  ``echelon``
+    numerators), and ``normalize`` and ``reduce``, the entrywise reduction,
+    have nothing to do on ``int``; ``primitive`` divides a vector by the gcd of its entries.  ``echelon``
     is the fraction-free reduced echelon form ``_echelon_qq`` and
     ``matmul`` multiplies numerators in a row loop that skips zero entries
     (a dense object-array product multiplies every zero it meets), slice
@@ -631,6 +643,8 @@ class _RationalKernel:
 
     def normalize(self, a: np.ndarray) -> np.ndarray:
         return a
+
+    reduce = normalize
 
     def primitive(self, a: np.ndarray) -> np.ndarray:
         g = math.gcd(*a.tolist())
@@ -1231,7 +1245,7 @@ class Mat:
         if self.cols != other.rows:
             raise ShapeMismatchError(f"matmul {self.shape} @ {other.shape}")
         fk = self.field._kernel
-        product = fk.normalize(fk.matmul(self._entries, other._entries))
+        product = fk.reduce(fk.matmul(self._entries, other._entries))
         return Mat._of(self.field, *_lowest(product, self._den * other._den))
 
     def transpose(self) -> "Mat":
@@ -1601,9 +1615,9 @@ class Span:
         the blocks ``(r, c, mats[i])`` of ``blocks``, each block of ``mats``
         placed with its top-left entry at (r, c); blocks at different places
         do not overlap.  Every block of every matrix is brought to one
-        common denominator, and the blocks at one place are written for all
-        matrices at once into one zeroed (count, rows, cols) array: the
-        stack.  Matrix i is its slice i in lowest terms, a view of it over
+        common denominator, and the blocks at one place are stacked for all
+        matrices at once straight into one zeroed (count, rows, cols) array:
+        the stack.  Matrix i is its slice i in lowest terms, a view of it over
         F_p, where every denominator is 1."""
         spans, parts, dens = [], [], []
         placed: list[tuple[int, int, int, int]] = []
@@ -1624,7 +1638,7 @@ class Span:
         parts, den = _common(parts, dens)
         out = _zeros(field, (count, rows, cols))
         for n, (i0, i1, j0, j1) in enumerate(spans if count else ()):
-            out[:, i0:i1, j0:j1] = np.stack(parts[n * count:(n + 1) * count])
+            np.stack(parts[n * count:(n + 1) * count], out=out[:, i0:i1, j0:j1])
         out.setflags(write=False)
         span = object.__new__(cls)
         span.field, span.rows, span.cols, span._den = field, rows, cols, den
@@ -1646,7 +1660,7 @@ class Span:
             raise ShapeMismatchError(
                 f"coefficients {coeffs.shape} over {coeffs.field} for {len(self.mats)} matrices")
         fk = self.field._kernel
-        return (fk.normalize(fk.matmul(coeffs._entries.T, self._stack)),
+        return (fk.reduce(fk.matmul(coeffs._entries.T, self._stack)),
                 coeffs._den * self._den)
 
 
@@ -1666,7 +1680,7 @@ def trace_form(lefts: Span, rights: Span) -> Mat:
     fk = field._kernel
     k = len(rights.mats)
     flat_right = rights._stack.reshape(k, m, n).transpose(0, 2, 1).reshape(k, n * m).T
-    return Mat._of(field, *_lowest(fk.normalize(fk.matmul(lefts._stack, flat_right)),
+    return Mat._of(field, *_lowest(fk.reduce(fk.matmul(lefts._stack, flat_right)),
                                      lefts._den * rights._den))
 
 
@@ -1707,13 +1721,15 @@ def _nilpotent_stack(fk, stack: np.ndarray) -> bool:
     k, n = stack.shape[0], stack.shape[-1]
     power = 1
     while True:
-        stack = stack[stack.reshape(k, n * n).any(axis=1)]
+        live = stack.reshape(k, n * n).any(axis=1)
+        if not live.all():
+            stack = stack[live]
         k = len(stack)
         if not k:
             return True
         if power >= n:
             return False
-        stack = fk.normalize(fk.matmul(stack, stack))
+        stack = fk.reduce(fk.matmul(stack, stack))
         power *= 2
 
 
@@ -1836,13 +1852,14 @@ def _intertwiner_pattern(sizes_src: tuple[int, ...], sizes_tgt: tuple[int, ...]
     return (*out, c)
 
 
-def nilpotent_hom_basis(s: Mat, s_target: Mat,
-                        rest: Sequence[tuple[Mat, Mat]] = ()) -> list[Mat]:
+def nilpotent_hom_basis(s: Mat, s_target: Mat, rest: Sequence[tuple[Mat, Mat]] = ()
+                        ) -> tuple[list[Mat], Mat, Mat]:
     """Basis of ``{g : g @ s == s_target @ g}`` for nilpotent s, s_target,
-    cut down by ``g @ r == r2 @ g`` for every remaining pair ``(r, r2)``.
-    Every matrix is over one field, s and s_target are square, and each r
-    has the shape of s and each r2 that of s_target; anything else raises
-    ``ShapeMismatchError``.
+    cut down by ``g @ r == r2 @ g`` for every remaining pair ``(r, r2)``, in
+    Jordan coordinates: ``(hs, P_t, P_s^-1)``, where every g of the space is
+    P_t h P_s^-1 for one h in the span of ``hs``.  Every matrix is over one
+    field, s and s_target are square, and each r has the shape of s and
+    each r2 that of s_target; anything else raises ``ShapeMismatchError``.
 
     In the Jordan frames s = P_s J_s P_s^-1 and s_target = P_t J_t P_t^-1,
     g = P_t h P_s^-1 intertwines s and s_target exactly when h intertwines
@@ -1869,19 +1886,18 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat,
     unreduced.  Since X -> P_t X P_s^-1 is a linear bijection, the kernel of
     these conditions is that of the conditions on the P_t h_c P_s^-1, and
     ``_null_basis`` returns the one basis of it that is the identity on the
-    free columns: the result is the same matrices as when every h_c is
-    mapped back first.
+    free columns: mapped back, the hs are the basis that solving in the
+    original coordinates gives.
 
     The h_c have pairwise disjoint supports (each is its own shifted
-    diagonal of its own block), so the combinations, the kernel's columns
-    or with no remaining pair the h_c themselves in order, are their
-    coefficients placed by index, with no product and no reduction.  They
-    are placed side by side in an (e, k, d) array, whose (e, k d) view is
-    the row of products [h_1 | ... | h_k]: P_t times it is one kernel
-    product, and its (e k, d) view, every row of every P_t h, times P_s^-1
-    is a second one.  Each product is reduced once, the same arithmetic for
-    every entry as one product per combination, and result i is the slice
-    (:, i, :) in lowest terms.
+    diagonal of its own block), so each h, a kernel column or with no
+    remaining pair an h_c itself, is its coefficients placed by index, with
+    no product and no reduction.  The frames are returned, not applied:
+    the frame of a matrix is a function of its entries (``jordan_nilpotent``
+    is deterministic), so a module whose pencil is framed as a source and
+    as a target gets P and P^-1 of one frame, and the traces, products and
+    polynomials of its endomorphisms read the same in Jordan coordinates
+    (see ``rep.HomSpace``).
     """
     field = s.field
     if any(x.field != field for x in itertools.chain([s_target], *rest)):
@@ -1891,13 +1907,10 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat,
             r.shape != (d, d) or r2.shape != (e, e) for r, r2 in rest):
         raise ShapeMismatchError(f"pencil pairs do not fit a {s.shape} and a "
                                  f"{s_target.shape} square matrix")
-    fk = field._kernel
     p_src, p_src_inv, sizes_src = _jordan_frame(s)
     p_tgt, p_tgt_inv, sizes_tgt = _jordan_frame(s_target)
     idx, rows, cols, c = _intertwiner_pattern(sizes_src, sizes_tgt)
-    if not c:
-        return []
-    if rest:
+    if c and rest:
         hit = np.zeros(len(rest) * e * d, dtype=bool)
         terms = []
         for t, (r, r2) in enumerate(rest):
@@ -1925,18 +1938,13 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat,
             cond = cond[live]
         ker = _null_basis(field, cond)
         k, h_den = ker.cols, ker._den
-        if not k:
-            return []
-        h = _zeros(field, (e, k, d))
-        h[rows, :, cols] = ker._entries[idx]
+        h = _zeros(field, (k, e, d))
+        h[:, rows, cols] = ker._entries[idx].T
     else:
         k, h_den = c, 1
-        h = _zeros(field, (e, k, d))
-        h[rows, idx, cols] = 1
-    left = fk.normalize(fk.matmul(p_tgt._entries, h.reshape(e, k * d)))
-    out = fk.normalize(fk.matmul(left.reshape(e * k, d), p_src_inv._entries)).reshape(e, k, d)
-    den = p_tgt._den * h_den * p_src_inv._den
-    return [Mat._of(field, *_lowest(out[:, i], den)) for i in range(k)]
+        h = _zeros(field, (k, e, d))
+        h[idx, rows, cols] = 1
+    return [Mat._of(field, *_lowest(x, h_den)) for x in h], p_tgt, p_src_inv
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ coordinates of that pair (``exactlin.nilpotent_hom_basis``).  Every other
 Hom system is one kernel of one ``Mat.kron_assemble`` call on the same
 pencils, and so is the Jacobian of a relation (``relation_jacobian``).
 The tests check both shortcuts against one uncontracted kernel of every
-arrow equation.  Each basis is cached on the source module, per target,
-and each module keeps one half of the contracted equations (``_Side``)
-for its roles as a source and as a target, so the Hom spaces it takes
-part in share its transforms, pencil matrices and their Jordan frames.
+arrow equation.  Each solution is cached on the source module, per target,
+in the frame it was solved in (``HomSpace``): the verdicts read only that
+frame, and a basis is mapped back when it is read.  Each module keeps one
+half of the contracted equations (``_Side``) for its roles as a source
+and as a target, so the Hom spaces it takes part in share its transforms,
+pencil matrices and their Jordan frames.
 Inside a ``shared_solves`` block, one phase of a verification, each
 distinct contracted system is solved once and each distinct nilpotent
 pencil framed once, in tables that live for the outermost block.
@@ -183,30 +185,115 @@ def subquotient(bq: BoundQuiver, field: Field, mats: dict[str, Mat], top: dict[s
 # Hom spaces
 # ---------------------------------------------------------------------------
 
-@dataclass
 class HomSpace:
-    """A basis of intertwiners f with f_t M(a) = N(a) f_s for every arrow."""
+    """Hom(M, N), kept in the coordinates it was solved in.
 
-    source: Representation
-    target: Representation
-    basis: list[dict[str, Mat]]
+    ``frame`` holds one dict per basis element, root -> block: the
+    solution of the contracted system at each root that carries unknowns,
+    in Jordan coordinates on the Jordan route.  Basis element f is
+    f_v = L_v g_r R_v at each vertex v of root r, with L_v = A_v P_t, the
+    target's contraction transform (``_Side``) times its Jordan frame, and
+    R_v = P_s^-1 B_v, the source's; a factor is the identity where there
+    is no contraction or no Jordan frame, and f_v is zero where either
+    dimension at v is.  ``basis`` maps every element back on its first
+    read and keeps the result with the frame; ``unframe`` maps one total.
+
+    ``totals`` are the frame totals, block diagonal with vertex v's block
+    its root's block, and every verdict reads them as the totals of
+    ``basis``.  A module takes one frame in both roles.  For End(M), and
+    for M and N of one dimension vector, the case the trace pairing is read
+    in, the contraction steps, the roots and the Jordan arrow are symmetric
+    in the pair, and the frame of a pencil is a function of its entries.
+    So R_v L_v = P^-1 B_v A_v P = I for one module (``_Side`` proves
+    A_v = B_v^-1), and with L = diag(L_v) and R = diag(R_v) = L^-1:
+
+    * an element of End(M) is F = L G R: the frame totals are
+      simultaneously similar to the totals, so products, polynomials,
+      minimal polynomials and their factors, idempotency, nilpotency,
+      invertibility, traces tr(F_i F_j) = tr(G_i G_j) and structure
+      constants are the same;
+    * for f in Hom(M, N) and g in Hom(N, M), tr(g f) = sum_v tr(L^M_v g_r
+      R^N_v L^N_v f_r R^M_v) = sum_v tr(g_r f_r), the trace of the frame
+      totals' product;
+    * an element L^N G R^M of Hom(M, N) is invertible exactly when G is.
+
+    Trace forms, their kernels and every seeded draw on the totals
+    therefore read the same, and a witness total is mapped back exactly.
+    """
+
+    __slots__ = ("source", "target", "_framed")
+
+    def __init__(self, source: Representation, target: Representation, framed: "_Framed"):
+        self.source, self.target, self._framed = source, target, framed
+
+    @property
+    def frame(self) -> list[dict[str, Mat]]:
+        """The basis in its solving frame: per element, root -> block."""
+        return self._framed.blocks
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._framed.blocks)
+
+    @property
+    def basis(self) -> list[dict[str, Mat]]:
+        """The basis as per-vertex blocks, mapped on the first read."""
+        framed = self._framed
+        if framed.basis is None:
+            framed.basis = [framed.unframed(g) for g in framed.blocks]
+        return framed.basis
 
     def totals(self) -> Span:
-        """The block-diagonal total matrices of the basis (square only when
-        the dimension vectors agree), as one ``Span``: the blocks of every
-        basis element at a vertex are placed at once into one stack
-        (``Span.assemble``), which ``trace_form`` and
-        ``find_invertible_in_span`` read as it is.  It is built per call, not cached with the basis: a verdict reads
-        it once, and stacks kept as long as their modules left freed heap
-        memory that the allocator did not return to the system."""
+        """The block-diagonal frame totals (square only when the dimension
+        vectors agree), as one ``Span``: each root's blocks are placed at
+        every vertex of its tree at once (``Span.assemble``), and
+        ``trace_form`` and ``find_invertible_in_span`` read the stack as it
+        is.  Built per call, not cached: a verdict reads it once, and stacks
+        kept as long as their modules left freed heap memory that the
+        allocator did not return to the system."""
+        s, t, framed = self.source, self.target, self._framed
+        return Span.assemble(s.field, t.total_dim, s.total_dim, len(framed.blocks),
+                             [(t.offset(v), s.offset(v), [g[r] for g in framed.blocks])
+                              for v, r in framed.root.items()])
+
+    def unframe(self, total: Mat) -> dict[str, Mat]:
+        """The per-vertex blocks of the map whose frame total is ``total``,
+        a block-diagonal combination or polynomial of ``totals()``, whose
+        blocks on one tree are equal: its root blocks mapped back."""
         s, t = self.source, self.target
-        return Span.assemble(s.field, t.total_dim, s.total_dim, len(self.basis),
-                             [(t.offset(v), s.offset(v), [f[v] for f in self.basis])
-                              for v in s.bound_quiver.quiver.vertices])
+        return self._framed.unframed({
+            r: total.submatrix(range(t.offset(r), t.offset(r) + t.dims[r]),
+                               range(s.offset(r), s.offset(r) + s.dims[r]))
+            for r in dict.fromkeys(self._framed.root.values())})
+
+
+class _Framed:
+    """What ``hom_space`` caches on the source M per target N: the basis of
+    Hom(M, N) in its solving frame (``blocks``), the root of each vertex
+    whose block is not empty (``root``), the shape of every block
+    (``shapes``), N's A_v (``a``) and M's B_v (``b``) as ``_Side`` keeps
+    them, the Jordan frames (P_t, P_s^-1) or None (``jordan``), and the
+    mapped ``basis`` once read.  It holds matrices and names only, never a
+    module, so End(M) cached on M does not keep M alive."""
+
+    __slots__ = ("field", "blocks", "root", "shapes", "a", "b", "jordan", "basis")
+
+    def __init__(self, field, blocks, root, shapes, a, b, jordan):
+        self.field, self.blocks, self.root, self.shapes = field, blocks, root, shapes
+        self.a, self.b, self.jordan, self.basis = a, b, jordan, None
+
+    def unframed(self, blocks: dict[str, Mat]) -> dict[str, Mat]:
+        """The one map back: root blocks g_r in the frame to per-vertex
+        blocks L_v g_r R_v, each root block through the Jordan frames once."""
+        if self.jordan is not None:
+            p_t, p_s_inv = self.jordan
+            blocks = {r: p_t @ g @ p_s_inv for r, g in blocks.items()}
+        out = {}
+        for v, (rows, cols) in self.shapes.items():
+            r = self.root.get(v)
+            out[v] = (Mat.zeros(self.field, rows, cols) if r is None
+                      else _times(_times(self.a.get(v), blocks[r]), self.b.get(v)))
+        return out
 
 
 def morphism_compose(g: dict[str, Mat], f: dict[str, Mat]) -> dict[str, Mat]:
@@ -257,26 +344,29 @@ def shared_solves():
 def hom_space(m: Representation, n: Representation) -> HomSpace:
     """All intertwiners m -> n, by exact linear algebra.
 
-    Every basis is cached on the source ``m``, keyed by the target ``n`` (by
-    identity) in a weak dictionary: a later call on the same pair returns
-    the same basis list without solving again.  The cache holds only
-    bases, never a module, so it keeps no target alive, and an entry goes
-    when its target is freed.  Inside ``shared_solves`` the solve is shared
-    with the equal systems of the phase.  Modules over two bound quivers or
-    two fields raise ``ShapeMismatchError``.
+    Every solution is cached on the source ``m``, keyed by the target ``n``
+    (by identity) in a weak dictionary: a later call on the same pair
+    returns a ``HomSpace`` on the same cached frame and basis without
+    solving again.  The cache holds no module (``_Framed``), so it keeps
+    no target alive, and an entry goes when its target is freed.  Inside
+    ``shared_solves`` the solve is shared with the equal systems of the
+    phase.  Modules over two bound quivers or two fields raise
+    ``ShapeMismatchError``.
     """
     _require_one_category(m, n)
-    basis = m._homs.get(n)
-    if basis is None:
-        basis = m._homs[n] = _hom_basis(m, n, *(_SHARED.get() or ({}, {})))
-    return HomSpace(m, n, basis)
+    framed = m._homs.get(n)
+    if framed is None:
+        framed = m._homs[n] = _hom_basis(m, n, *(_SHARED.get() or ({}, {})))
+    return HomSpace(m, n, framed)
 
 
 def _hom_basis(m: Representation, n: Representation, systems: dict, pencils: dict
-               ) -> list[dict[str, Mat]]:
-    """The basis of Hom(m, n), reading and filling a phase's ``systems``
-    (contracted system -> its root bases) and ``pencils`` (each pencil
-    handed to the Jordan route -> the first equal one)."""
+               ) -> _Framed:
+    """The basis of Hom(m, n) in its solving frame, reading and filling a
+    phase's ``systems`` (contracted system -> its root bases and Jordan
+    frames) and ``pencils`` (each pencil handed to the Jordan route -> the
+    first equal one).  Nothing is mapped back: the pair's own transforms
+    are kept by reference."""
     field = m.field
     q = m.bound_quiver.quiver
 
@@ -316,20 +406,11 @@ def _hom_basis(m: Representation, n: Representation, systems: dict, pencils: dic
     if solved is None:
         solved = systems[key] = _solve_hom_equations(field, m, n, var_roots, equations,
                                                      src, tgt, pencils)
-    out = []
-    for sol in solved:
-        fr = dict(zip(var_roots, sol))
-        f = {}
-        for v in q.vertices:
-            r = find(v)
-            if n.dims[v] == 0 or m.dims[v] == 0:
-                f[v] = Mat.zeros(field, n.dims[v], m.dims[v])
-            elif r == v:        # a root has no transforms
-                f[v] = fr[v]
-            else:
-                f[v] = tgt.a[v] @ fr[r] @ src.b[v]
-        out.append(f)
-    return out
+    sols, jordan = solved
+    # a vertex's block is empty unless its root carries unknowns
+    return _Framed(field, [dict(zip(var_roots, sol)) for sol in sols],
+                   {v: find(v) for v in q.vertices if n.dims[v] * m.dims[v] > 0},
+                   {v: (n.dims[v], m.dims[v]) for v in q.vertices}, tgt.a, src.b, jordan)
 
 
 def _times(x: Optional[Mat], y: Optional[Mat]) -> Optional[Mat]:
@@ -372,6 +453,14 @@ class _Side:
     eliminated once here.
     ``b`` holds the B_v and ``a`` the A_v of folded vertices;
     ``nilpotent(a)`` says whether ``pencil[a]`` is nilpotent.
+
+    ``HomSpace`` keeps a basis in its solving frame on this: a module's
+    pencil at the Jordan arrow is one matrix in both roles, so it has one
+    Jordan frame P, and its source factor R_v = P^-1 B_v and target factor
+    L_v = A_v P multiply to R_v L_v = P^-1 B_v A_v P = I.  End(M) in the
+    frame is thus conjugate to End(M), by one invertible matrix
+    diag(L_v), and the traces of Hom(M, N) x Hom(N, M) are the same in the
+    frames of the two modules.
     """
 
     def __init__(self, mod: Representation, steps, remaining):
@@ -410,13 +499,14 @@ def _side(mod: Representation, steps, remaining) -> _Side:
 def _solve_hom_equations(field, m, n, var_roots, equations, src, tgt, pencils):
     """Solve the contracted intertwiner equations f_rt P(a) = P'(a) f_rs,
     one ``(a, rt, rs)`` per remaining arrow, with P(a) = ``src.pencil[a]``
-    and P'(a) = ``tgt.pencil[a]``; returns bases as one ``Mat`` per root of
-    ``var_roots``, in that order.
+    and P'(a) = ``tgt.pencil[a]``; returns ``(bases, jordan)``, bases as
+    one ``Mat`` per root of ``var_roots``, in that order, in the frame
+    ``jordan`` = (P_t, P_s^-1), or None for the plain coordinates.
 
-    A single root with a nilpotent pair (P(a), P'(a)) is solved in Jordan
-    coordinates (``nilpotent_hom_basis``), on the first equal matrices
-    entered in the phase's ``pencils``, whose memoised frames serve them
-    all.
+    A single root with a nilpotent pair (P(a), P'(a)), a the first such
+    arrow, is solved in Jordan coordinates (``nilpotent_hom_basis``), on
+    the first equal matrices entered in the phase's ``pencils``, whose
+    memoised frames serve them all; its bases stay in those coordinates.
     Everything else is one
     Kronecker system over the concatenated root blocks: arrow a puts
     I ⊗ P(a)^T at f_rt and -P'(a) ⊗ I at f_rs.
@@ -431,7 +521,7 @@ def _solve_hom_equations(field, m, n, var_roots, equations, src, tgt, pencils):
     row space only.
     """
     if not var_roots:
-        return []
+        return [], None
     if len(var_roots) == 1:
         r = var_roots[0]
         if all(rt == r and rs == r for _, rt, rs in equations):
@@ -440,8 +530,9 @@ def _solve_hom_equations(field, m, n, var_roots, equations, src, tgt, pencils):
                 if src.nilpotent(a) and tgt.nilpotent(a):
                     pencil = [(src.pencil[b], tgt.pencil[b]) for b in names]
                     s, s_target = pencil.pop(i)
-                    return [[g] for g in nilpotent_hom_basis(
-                        pencils.setdefault(s, s), pencils.setdefault(s_target, s_target), pencil)]
+                    hs, p_t, p_s_inv = nilpotent_hom_basis(
+                        pencils.setdefault(s, s), pencils.setdefault(s_target, s_target), pencil)
+                    return [[h] for h in hs], (p_t, p_s_inv)
     sizes = {r: (n.dims[r], m.dims[r]) for r in var_roots}
     offsets = {}
     off = 0
@@ -458,7 +549,7 @@ def _solve_hom_equations(field, m, n, var_roots, equations, src, tgt, pencils):
         nrows += n.dims[rt] * m.dims[rs]
     ker = Mat.kron_assemble(field, nrows, off, blocks).kernel()
     return [[ker.submatrix(range(offsets[r], offsets[r] + sizes[r][0] * sizes[r][1]), [j])
-             .reshape(*sizes[r]) for r in var_roots] for j in range(ker.cols)]
+             .reshape(*sizes[r]) for r in var_roots] for j in range(ker.cols)], None
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +578,17 @@ def _certified_radical(m: Representation, hom: HomSpace, totals: Span,
     """``end_radical`` on the span ``totals`` of End(M), given the kernel
     ``ker`` of its module trace form when that is known already."""
     rad = trace_radical(totals, ker)
-    return rad if rad is not None else trace_radical(_regular_representation(m, hom.basis))
+    return rad if rad is not None else trace_radical(_regular_representation(m, hom.frame))
 
 
 def _regular_representation(m: Representation, basis: list[dict[str, Mat]]) -> Span:
-    """The left multiplications of End(M) on its ``basis`` f_1, ..., f_d:
-    column j of matrix i holds the coordinates of f_i f_j, read from one
-    solve of the flattened basis against all d^2 products."""
+    """The left multiplications of End(M) on its ``basis`` f_1, ..., f_d,
+    given as blocks per vertex or, with the same structure constants, per
+    root in the solving frame (``HomSpace``): column j of matrix i holds
+    the coordinates of f_i f_j, read from one solve of the flattened basis
+    against all d^2 products."""
     field, d = m.field, len(basis)
-    flat_len = sum(k * k for k in m.dims.values())
+    flat_len = sum(x.rows * x.cols for x in basis[0].values()) if basis else 0
     flat = Mat.hcat(field, flat_len, [flatten_morphism(field, f) for f in basis])
     coords = flat.solve_matrix(Mat.hcat(field, flat_len,
                                         [flatten_morphism(field, morphism_compose(f, g))
@@ -527,15 +620,6 @@ def _poly_eval_matrix(field: Field, coeffs: list, t: Mat) -> Mat:
         if c != 0:
             acc = acc + one.scaled(c)
     return acc
-
-
-def _blocks_from_total(m: Representation, total: Mat) -> dict[str, Mat]:
-    out = {}
-    for v in m.dims:
-        off = m.offset(v)
-        idx = list(range(off, off + m.dims[v]))
-        out[v] = total.submatrix(idx, idx)
-    return out
 
 
 def _idempotent_matrix_from_minpoly(field: Field, factors, phi_total: Mat) -> Optional[Mat]:
@@ -605,7 +689,7 @@ def is_indecomposable(m: Representation, seed) -> IndecVerdict:
         if len(factors) >= 2:
             e = _idempotent_matrix_from_minpoly(field, factors, phi)
             if e is not None:
-                return IndecVerdict("no", _blocks_from_total(m, e),
+                return IndecVerdict("no", hom.unframe(e),
                                     "idempotent from a split minimal polynomial")
         elif factors and len(factors[0][0]) > 2:
             extension_seen = True
@@ -664,9 +748,9 @@ def are_isomorphic(m: Representation, n: Representation,
         return IsoVerdict("no", detail="trace pairing vanishes identically")
     got = find_invertible_in_span(totals, trials, seed)
     if got is not None:
-        # the combination of block-diagonal totals is block diagonal, with
-        # the same combination of the blocks f[v] at vertex v
-        return IsoVerdict("yes", _blocks_from_total(m, got[1]), "invertible intertwiner found")
+        # the combination of block-diagonal frame totals is block diagonal,
+        # with the same combination of the root blocks on every tree
+        return IsoVerdict("yes", h_mn.unframe(got[1]), "invertible intertwiner found")
     return IsoVerdict("inconclusive", detail=f"no invertible combination in {trials} trials")
 
 

@@ -13,7 +13,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from wildrank.exactlin import (Field, Mat, Span, _back_substitute, _zeros, find_invertible_in_span,
                                trace_form)
 from wildrank.rep import (DEFAULT_TRIALS, IndecVerdict, InconclusiveError, IsoVerdict,
-                          Representation, _blocks_from_total,
+                          Representation,
                           _idempotent_matrix_from_minpoly, are_isomorphic, decompose, end_radical,
                           factor_polynomial, flatten_morphism, hom_space,
                           morphism_compose, support, _poly_eval_matrix)
@@ -22,7 +22,10 @@ from wildrank.quiver import (BoundQuiver, Quiver, Relation, _enumerate_paths,
                              kronecker_quiver, loop_quiver)
 from wildrank.tilting import (_dual_rep, _require_acyclic, _top_lift_basis, endomorphism_algebra,
                               enumerate_preprojectives, projective_rep, tilting_candidates)
-from wildrank.wildness import CheckCounts, FreeAlgModule, FreeAlgebra
+from wildrank.wildness import (CheckCounts, FreeAlgModule, FreeAlgebra, eval_tensor,
+                               sincere_witness_for_K3)
+from wildrank.covering import covering_criterion
+from wildrank.cli import parse_quiver_spec
 
 QQ = Field.rationals()
 F101 = Field.prime(101)
@@ -294,6 +297,28 @@ def nilpotency_index(s):
     return None
 
 
+def reference_totals(hom):
+    """The block-diagonal total matrices of ``hom.basis``, the basis mapped
+    back to the original coordinates, as one ``Span``.  Reference for
+    ``rep.HomSpace.totals``, which places the root blocks of the solving
+    frame instead."""
+    s, t = hom.source, hom.target
+    return Span.assemble(s.field, t.total_dim, s.total_dim, len(hom.basis),
+                         [(t.offset(v), s.offset(v), [f[v] for f in hom.basis])
+                          for v in s.bound_quiver.quiver.vertices])
+
+
+def reference_blocks(m, total):
+    """The diagonal blocks of a total matrix of End(M) or Hom(M, N), one per
+    vertex of m.  Reference for ``rep.HomSpace.unframe``."""
+    out = {}
+    for v in m.dims:
+        off = m.offset(v)
+        idx = list(range(off, off + m.dims[v]))
+        out[v] = total.submatrix(idx, idx)
+    return out
+
+
 def reference_are_isomorphic(m, n, trials, seed):
     """``rep.are_isomorphic`` with the trials first and the trace pairing
     second: every search for an invertible combination runs, and the
@@ -308,13 +333,13 @@ def reference_are_isomorphic(m, n, trials, seed):
         return IsoVerdict("no", detail="Hom dimensions differ between directions")
     if h_mn.dim == 0:
         return IsoVerdict("no", detail="Hom(M, N) = 0")
-    totals = h_mn.totals()
+    totals = reference_totals(h_mn)
     got = find_invertible_in_span(totals, trials, seed)
     if got is not None:
-        return IsoVerdict("yes", _blocks_from_total(m, got[1]), "invertible intertwiner found")
+        return IsoVerdict("yes", reference_blocks(m, got[1]), "invertible intertwiner found")
     field = m.field
     if (field.coerce(m.total_dim) != field.zero
-            and trace_form(totals, h_nm.totals()).is_zero()):
+            and trace_form(totals, reference_totals(h_nm)).is_zero()):
         return IsoVerdict("no", detail="trace pairing vanishes identically")
     return IsoVerdict("inconclusive", detail=f"no invertible combination in {trials} trials")
 
@@ -338,8 +363,8 @@ def reference_pairing_witness(h_mn, h_nm):
     whose map is invertible (None when there is none), and whether any
     pairing was nonzero."""
     any_nonzero = False
-    for i, f in enumerate(h_mn.totals().mats):
-        for g in h_nm.totals().mats:
+    for i, f in enumerate(reference_totals(h_mn).mats):
+        for g in reference_totals(h_nm).mats:
             if mat_trace(g @ f) != 0:
                 any_nonzero = True
                 if all(blk.is_invertible() for blk in h_mn.basis[i].values()):
@@ -487,7 +512,7 @@ def reference_is_indecomposable(m, seed, trials=32):
     hom = hom_space(m, m)
     if hom.dim == 1:
         return IndecVerdict("yes", detail="End is one-dimensional")
-    totals = hom.totals()
+    totals = reference_totals(hom)
     rng = random.Random(f"indec:{seed}")
     extension_seen = False
     for _ in range(trials):
@@ -497,7 +522,7 @@ def reference_is_indecomposable(m, seed, trials=32):
         if len(factors) >= 2:
             e = _idempotent_matrix_from_minpoly(field, factors, phi)
             if e is not None:
-                return IndecVerdict("no", _blocks_from_total(m, e),
+                return IndecVerdict("no", reference_blocks(m, e),
                                     "idempotent from a split minimal polynomial")
         elif factors and len(factors[0][0]) > 2:
             extension_seen = True
@@ -691,7 +716,7 @@ def reference_end_radical(m):
     neither gate lets a route certify it."""
     field = m.field
     hom = hom_space(m, m)
-    totals = hom.totals()
+    totals = reference_totals(hom)
     rad = reference_natural_trace_radical(m, totals)
     if rad is None and (field.char == 0 or field.char > hom.dim):
         rad = ReferenceEndAnalysis(m).radical_coords()
@@ -860,6 +885,31 @@ def reference_hom_space(m, n):
     return [{v: ker.submatrix(range(offsets[v], offsets[v] + n.dims[v] * m.dims[v]), [j])
              .reshape(n.dims[v], m.dims[v]) for v in q.vertices}
             for j in range(ker.cols)]
+
+
+def certify_images(seed="certify-pencils"):
+    """The images of two random 1-dimensional modules under the witness that
+    ``covering_criterion`` finds for ``three_loop_rad2`` at radius 2, as in
+    the benchmark's certify round: 28-dimensional one-vertex modules whose
+    loops are nilpotent of Jordan type J_2^14."""
+    spec = parse_quiver_spec(fixture_text("three_loop_rad2.quiver"))
+    cert, _ = covering_criterion(spec.covering, 2, field=spec.field, seed=seed)
+    rng = random.Random(seed)
+    return [eval_tensor(cert.bimodule, FreeAlgModule(Mat.random(F101, 1, 1, rng),
+                                                     Mat.random(F101, 1, 1, rng)))
+            for _ in range(2)]
+
+
+def k3_witness_image(k3_table, dim, seed="k3-pencils"):
+    """The image of a random ``dim``-dimensional module under the rank-28
+    sincere K3 witness whose dimension is the full 28 * dim."""
+    w = sincere_witness_for_K3(k3_table)
+    rng = random.Random(f"{seed}:{dim}")
+    while True:
+        v = FreeAlgModule(Mat.random(F101, dim, dim, rng), Mat.random(F101, dim, dim, rng))
+        img = eval_tensor(w, v)
+        if img.total_dim == 28 * dim:
+            return img
 
 
 def fresh_copy(m):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (F101, field_add, fixture_text, intertwiner_system, jordan_shift, mat_trace,
+from conftest import (F101, certify_images, field_add, fixture_text, intertwiner_system,
+                      jordan_shift, k3_witness_image, mat_trace,
                       nilpotency_index, QQ, random_nonzero, reference_echelon_fp,
                       reference_echelon_qq, reference_find_invertible_in_span, reference_hom_pencil,
                       reference_jordan_nilpotent, reference_kernel, reference_matmul_fp, span_of,
@@ -18,15 +19,13 @@ from conftest import (F101, field_add, fixture_text, intertwiner_system, jordan_
 import wildrank.exactlin as exactlin_module
 
 import wildrank.rep as rep_module
-from wildrank.cli import cmd_certify, cmd_classify, parse_quiver_spec
-from wildrank.covering import covering_criterion
+from wildrank.cli import cmd_certify, cmd_classify
 from wildrank.exactlin import (Field, Mat, ShapeMismatchError, Span, all_nilpotent,
                                find_invertible_in_span, jordan_nilpotent, nilpotent_hom_basis,
                                trace_form, trace_radical,
                                _echelon_qq, _is_prime, _jordan_frame, _on_support, _peel_unit_rows,
                                _poly_divmod, _poly_gcdex, _poly_mul)
 from wildrank.rep import hom_space
-from wildrank.wildness import FreeAlgModule, eval_tensor, sincere_witness_for_K3
 
 
 def test_field_validation():
@@ -133,6 +132,10 @@ def test_residues_match_python_int_mod(p):
     for a, ref in ((arr, want), (arr[1:, ::3], want[1:, ::3]), (arr.T, want.T)):
         check(exactlin_module._residues(a, p), ref)
         check(fk.normalize(a), ref)
+        # in place, as ``reduce`` reduces a fresh product in its own array
+        own = a.copy()
+        assert fk.reduce(own) is own
+        check(own, ref)
     # products with every entry p - 1 whose inner dimension is above
     # ``chunk`` (32 at p = 16777213), and one of exactly ``chunk`` terms
     # where it is small, reduced only by ``normalize``
@@ -144,7 +147,7 @@ def test_residues_match_python_int_mod(p):
         # stack's first axis, slice by slice as for one product
         xs = np.array([np.array(x) - i for i in range(4)], dtype=np.float64)
         ys = np.array([np.array(y) - 2 * i for i in range(4)], dtype=np.float64)
-        got = fk.normalize(fk.matmul(xs, ys))
+        got = fk.reduce(fk.matmul(xs, ys))
         for i in range(4):
             ref = reference_matmul_fp(xs[i].astype(np.int64).tolist(),
                                       ys[i].astype(np.int64).tolist(), p)
@@ -518,7 +521,7 @@ def test_nilpotent_hom_basis_matches_kron_kernel(field):
         n1, n2 = rng.randint(1, 5), rng.randint(1, 5)
         s = _random_nilpotent(field, n1, rng)
         t = _random_nilpotent(field, n2, rng)
-        basis = nilpotent_hom_basis(s, t)
+        basis = mapped_hom_basis(s, t)
         for g in basis:
             assert g @ s == t @ g
         big = s.T.kron(Mat.identity(field, n2)) - Mat.identity(field, n1).kron(t)
@@ -530,6 +533,13 @@ def _random_invertible(field, n, rng):
         g = Mat.random(field, n, n, rng)
         if g.is_invertible():
             return g
+
+
+def mapped_hom_basis(s, s_target, rest=()):
+    """``nilpotent_hom_basis`` mapped back to the original coordinates: each
+    h in Jordan coordinates as P_t h P_s^-1."""
+    hs, p_t, p_s_inv = nilpotent_hom_basis(s, s_target, rest)
+    return [p_t @ h @ p_s_inv for h in hs]
 
 
 def _conjugate_into(field, q, top, p, extra, rng, nilpotent):
@@ -568,7 +578,7 @@ def test_nilpotent_hom_basis_in_jordan_coordinates_matches_reference(field):
         if trial % 6 == 5:
             # a pair unrelated to q [p; 0]: often no common solution is left
             rest.append((Mat.random(field, d, d, rng), Mat.random(field, e, e, rng)))
-        got = nilpotent_hom_basis(s, sp, rest)
+        got = mapped_hom_basis(s, sp, rest)
         assert got == reference_hom_pencil(field, e, d, [(s, sp)] + rest), trial
         assert all(x @ y == y2 @ x for x in got for y, y2 in [(s, sp)] + rest)
         if trial % 6 != 5:
@@ -594,7 +604,7 @@ def test_nilpotent_hom_basis_with_chunked_map_back_matches_reference(field):
         for _ in range(pairs):
             r = Mat.random(field, d, d, rng)
             rest.append((r, _conjugate_into(field, q, r, p, extra, rng, nilpotent=False)))
-        got = nilpotent_hom_basis(s, sp, rest)
+        got = mapped_hom_basis(s, sp, rest)
         assert got and got == reference_hom_pencil(field, e, d, [(s, sp)] + rest)
         assert all(x @ y == y2 @ x for x in got for y, y2 in [(s, sp)] + rest)
         for x in got:
@@ -617,7 +627,7 @@ def test_nilpotent_hom_basis_refuses_mixed_fields_and_shapes():
                  (s, t, [(s, t), (wide, t)])):
         with pytest.raises(ShapeMismatchError):
             nilpotent_hom_basis(*args)
-    assert nilpotent_hom_basis(s, t, [(s, t)]) == reference_hom_pencil(F101, 2, 3, [(s, t), (s, t)])
+    assert mapped_hom_basis(s, t, [(s, t)]) == reference_hom_pencil(F101, 2, 3, [(s, t), (s, t)])
 
 
 def test_jordan_frame_is_memoised_per_mat(monkeypatch):
@@ -631,7 +641,7 @@ def test_jordan_frame_is_memoised_per_mat(monkeypatch):
     assert len(calls) == 2
     # a second solve on the same matrices runs no Jordan elimination
     assert nilpotent_hom_basis(s, t) == first and len(calls) == 2
-    assert nilpotent_hom_basis(t, s, [(t, s)]) and len(calls) == 2
+    assert nilpotent_hom_basis(t, s, [(t, s)])[0] and len(calls) == 2
     # equal entries in a new Mat: its own frame, equal to the first
     twin = Mat.from_rows(F101, s.row_list())
     assert twin == s and twin is not s
@@ -1262,7 +1272,9 @@ def test_trusted_constructor_sites_give_canonical_entries(field):
                   *Span(field, m, n, [third, even, a]).combine(Mat(field, 3, 2, [[-1, 2]] * 3)),
                   trace_form(span_of([third, even]), span_of([third.T, even.T])),
                   *nilpotent_hom_basis(jordan_shift(field, [2, 1]).scaled(field.inv(3)),
-                                       jordan_shift(field, [2]).scaled(field.inv(2)))]
+                                       jordan_shift(field, [2]).scaled(field.inv(2)))[0],
+                  *mapped_hom_basis(jordan_shift(field, [2, 1]).scaled(field.inv(3)),
+                                    jordan_shift(field, [2]).scaled(field.inv(2)))]
         if square.is_invertible():
             joined += [square.scaled(field.inv(5)).inverse(),
                        square.solve_matrix(square.scaled(field.inv(3)))]
@@ -1279,16 +1291,7 @@ def _k3_witness_pencils(k3_table):
     """The arguments of every ``nilpotent_hom_basis`` call that the Hom
     spaces between the images of a 1- and a 2-dimensional module under the
     rank-28 K3 witness make, with those modules."""
-    w = sincere_witness_for_K3(k3_table)
-    images = []
-    for dim in (1, 2):
-        rng = random.Random(f"k3-pencils:{dim}")
-        while True:
-            v = FreeAlgModule(Mat.random(F101, dim, dim, rng), Mat.random(F101, dim, dim, rng))
-            img = eval_tensor(w, v)
-            if img.total_dim == 28 * dim:
-                images.append(img)
-                break
+    images = [k3_witness_image(k3_table, dim) for dim in (1, 2)]
     calls = []
     solve = rep_module.nilpotent_hom_basis
     rep_module.nilpotent_hom_basis = lambda s, sp, rest=(): (calls.append((s, sp, list(rest)))
@@ -1306,9 +1309,9 @@ def test_nilpotent_hom_basis_matches_reference_on_k3_witness_pencils(k3_table):
     calls = _k3_witness_pencils(k3_table)
     assert len(calls) == 4 and all(rest for _, _, rest in calls)
     for s, sp, rest in calls:
-        got = nilpotent_hom_basis(s, sp, rest)
+        got = mapped_hom_basis(s, sp, rest)
         assert got == reference_hom_pencil(F101, sp.rows, s.rows, [(s, sp)] + rest)
-        for g in got:
+        for g in got + nilpotent_hom_basis(s, sp, rest)[0]:
             _assert_canonical(g)
 
 
@@ -1317,12 +1320,7 @@ def _certify_pencils():
     between the images of two 1-dimensional modules under the witness that
     ``covering_criterion`` finds for ``three_loop_rad2`` make: 28-dimensional
     modules whose pencils have the Jordan type J_2^14, two further pairs."""
-    spec = parse_quiver_spec(fixture_text("three_loop_rad2.quiver"))
-    cert, _ = covering_criterion(spec.covering, 2, field=spec.field, seed="certify-pencils")
-    rng = random.Random("certify-pencils")
-    m, n = (eval_tensor(cert.bimodule, FreeAlgModule(Mat.random(F101, 1, 1, rng),
-                                                     Mat.random(F101, 1, 1, rng)))
-            for _ in range(2))
+    m, n = certify_images()
     calls = []
     solve = rep_module.nilpotent_hom_basis
     rep_module.nilpotent_hom_basis = lambda s, sp, rest=(): (calls.append((s, sp, list(rest)))
@@ -1342,10 +1340,10 @@ def test_nilpotent_hom_basis_matches_reference_on_certify_pencils():
     for s, sp, rest in calls:
         assert (s.rows, sp.rows, len(rest)) == (28, 28, 2)
         assert _jordan_frame(s)[2] == _jordan_frame(sp)[2] == (2,) * 14
-        got = nilpotent_hom_basis(s, sp, rest)
+        got = mapped_hom_basis(s, sp, rest)
         assert got == reference_hom_pencil(F101, 28, 28, [(s, sp)] + rest)
         dims.append(len(got))
-        for g in got:
+        for g in got + nilpotent_hom_basis(s, sp, rest)[0]:
             _assert_canonical(g)
     assert dims == [197, 196]
 
@@ -1380,7 +1378,7 @@ def test_jordan_route_hands_the_kernel_its_nonzero_rows_unreduced(case, k3_table
     residues, echelon, on_support = (exactlin_module._residues, exactlin_module._echelon_fp,
                                      exactlin_module._on_support)
     monkeypatch.setattr(exactlin_module, "_residues",
-                        lambda a, p: log.append(("reduce", a.shape)) or residues(a, p))
+                        lambda a, p, *out: log.append(("reduce", a.shape)) or residues(a, p, *out))
     monkeypatch.setattr(exactlin_module, "_echelon_fp",
                         lambda a, p, *args: log.append(("echelon",)) or echelon(a, p, *args))
     monkeypatch.setattr(exactlin_module, "_on_support",
@@ -1394,7 +1392,12 @@ def test_jordan_route_hands_the_kernel_its_nonzero_rows_unreduced(case, k3_table
         cond = log[at]
         # before the conditions only the pairs are conjugated into the frames
         assert {x[1] for x in log[:at]} <= {s.shape, sp.shape}, log[:at]
-        assert log[at + 1][0] == "echelon" and log[at + 2][0] == "reduce"
+        assert log[at + 1][0] == "echelon"
+        # after the echelon form only the null basis reduces: no map back
+        after = log[at + 2:]
+        del log[:]
+        exactlin_module._null_basis(F101, cond)
+        assert after and after == log[2:] and all(x[0] == "reduce" for x in after)
         assert cond.any(axis=1).all() and np.abs(cond).max() < 101 and (cond < 0).any()
         rows.append(cond.shape[0])
     assert rows == ([384, 384] if case == "certify" else [110, 220, 220, 440])
@@ -1461,21 +1464,23 @@ def test_nilpotent_hom_basis_on_cancelling_and_empty_conditions(field, monkeypat
         for rest in ([(shifted, shifted)], [(zero, zero)], [(zero, zero), (shifted, shifted)]):
             shapes.clear()
             assert nilpotent_hom_basis(s, s, rest) == every
-            assert shapes == [(0, len(every))]
-        assert every == reference_hom_pencil(field, n, n, [(s, s), (shifted, shifted)])
+            assert shapes == [(0, len(every[0]))]
+        assert mapped_hom_basis(s, s) == reference_hom_pencil(field, n, n,
+                                                              [(s, s), (shifted, shifted)])
         # next to a pair that cuts the space down, the cancelled rows are gone
         r = Mat.random(field, n, n, rng)
         shapes.clear()
         alone = nilpotent_hom_basis(s, s, [(r, r)])
         both = nilpotent_hom_basis(s, s, [(shifted, shifted), (r, r)])
         assert shapes[0] == shapes[1] and alone == both
-        assert both == reference_hom_pencil(field, n, n, [(s, s), (shifted, shifted), (r, r)])
+        assert mapped_hom_basis(s, s, [(shifted, shifted), (r, r)]) == \
+            reference_hom_pencil(field, n, n, [(s, s), (shifted, shifted), (r, r)])
         # and within one pair: J + c plus a matrix unit in s's Jordan frame
         p, p_inv, _ = _jordan_frame(s)
         i, j = rng.randrange(n), rng.randrange(n)
         bump = shifted + p @ Mat.unit(field, n, n, i, j) @ p_inv
         shapes.clear()
-        got = nilpotent_hom_basis(s, s, [(bump, bump)])
+        got = mapped_hom_basis(s, s, [(bump, bump)])
         assert got and shapes[0][0] <= 2 * n
         assert got == reference_hom_pencil(field, n, n, [(s, s), (bump, bump)])
 
@@ -1492,11 +1497,11 @@ def test_intertwiner_pattern_is_memoised_and_read_only():
         return g @ jordan_shift(F101, sizes) @ g.inverse()
 
     s, t = of_type([3, 1]), of_type([2, 2])
-    first = nilpotent_hom_basis(s, t)
+    first, _, _ = nilpotent_hom_basis(s, t)
     assert (pattern.cache_info().hits, pattern.cache_info().misses) == (0, 1)
     s2, t2 = of_type([3, 1]), of_type([2, 2])
     r, r2 = Mat.random(F101, 4, 4, rng), Mat.random(F101, 4, 4, rng)
-    assert nilpotent_hom_basis(s2, t2, [(r, r2)]) == \
+    assert mapped_hom_basis(s2, t2, [(r, r2)]) == \
         reference_hom_pencil(F101, 4, 4, [(s2, t2), (r, r2)])
     assert (pattern.cache_info().hits, pattern.cache_info().misses) == (1, 1)
     idx, rows, cols, c = pattern((3, 1), (2, 2))
@@ -2131,7 +2136,7 @@ def test_rational_minimal_polynomial_and_hom_basis_over_large_denominators():
         t = pt @ jordan_shift(QQ, sizes_t) @ pt.inverse()
         r = ps @ Mat.unit(QQ, d, d, 0, 0) @ ps.inverse()
         r2 = pt @ Mat.unit(QQ, e, e, 0, 0) @ pt.inverse()
-        got = nilpotent_hom_basis(s, t, [(r, r2)])
+        got = mapped_hom_basis(s, t, [(r, r2)])
         sr, tr, rr, r2r = (x.row_list() for x in (s, t, r, r2))
         for g in got:
             gr = _checked(g)

@@ -6,18 +6,21 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 import wildrank.exactlin as exactlin_module
 import wildrank.rep as rep_module
 import wildrank.wildness as wildness_module
-from conftest import (direct_sum, F101, fixture_text, fresh_copy, line_quiver, make_relation,
+from conftest import (certify_images, direct_sum, F101, fixture_text, fresh_copy,
+                      k3_witness_image, line_quiver, make_relation,
                       nilpotency_index, QQ, reference_are_isomorphic,
                       reference_check_preservation,
                       reference_end_radical, reference_hom_pencil, reference_hom_space,
                       reference_idempotent_from_minpoly, reference_in_sincere_subcategory,
                       reference_is_indecomposable, reference_pairing_witness,
                       reference_regular_trace_gram, reference_relation_jacobian,
-                      reference_target_side, reference_trace_pairing, ReferenceEndAnalysis, rep_from_lists, simple_rep,
+                      reference_target_side, reference_totals, reference_trace_pairing,
+                      ReferenceEndAnalysis, rep_from_lists, simple_rep,
                       span_of, zero_rep, _reference_poly_mul)
 
 from wildrank.cli import cmd_certify
@@ -253,7 +256,7 @@ def test_hom_spaces_give_the_bases_of_hom_space(field, a2_bq, k2_bq, k3_bq, monk
     with shared_solves():
         got = [hom_space(m, n) for m, n in pairs]
     assert [(h.source, h.target) for h in got] == pairs
-    assert all(m._homs[n] is h.basis for (m, n), h in zip(pairs, got))
+    assert all(m._homs[n] is h._framed for (m, n), h in zip(pairs, got))
     assert jordan and len(solves) < len(pairs)
     monkeypatch.undo()
     for (m, n), h in zip(pairs, got):
@@ -988,6 +991,157 @@ def test_one_contracted_side_serves_both_roles(field, monkeypatch):
             for v in side.a:
                 assert side.a[v] @ side.b[v] == Mat.identity(field, 3)
             assert (side.a, side.pencil) == reference_target_side(mod, key)
+
+
+def _frame_route_modules(route, field, rng):
+    """Modules of one bound quiver whose Hom spaces take one route of the
+    solver, with a direct sum (an idempotent to find) and a base change of
+    the first (an isomorphism to find) among them."""
+    if route == "jordan tree":
+        # a, b, g contracted onto one root, c and e nilpotent: the Jordan
+        # route with a further pair, after a multi-vertex contraction
+        mods = list(_folded_tree_modules(field, rng, True, False))
+    elif route == "kronecker tree":
+        mods = list(_folded_tree_modules(field, rng, False, False))
+    elif route == "two roots":
+        # vertex 4 of another dimension: a multi-root Kronecker system
+        mods = list(_folded_tree_modules(field, rng, rng.random() < 0.5, True))
+    elif route == "jordan alone":
+        # Kronecker modules (A, A N): contracting a leaves the pencil N alone
+        k2 = BoundQuiver(Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]), [])
+        mods = []
+        for sizes in ([(2, 0), (1, 0)], rng.choice([[(3, 0)], [(2, 0), (1, 0)]])):
+            g = random_invertible(field, 3, rng)
+            a = random_invertible(field, 3, rng)
+            nil = g @ Mat.from_rows(field, _jordan_rows(sizes, 3)) @ g.inverse()
+            mods.append(Representation(k2, field, {"1": 3, "2": 3}, {"a": a, "b": a @ nil}))
+    else:
+        # three loops, x nilpotent: the Jordan route with two further pairs
+        loops = BoundQuiver(loop_quiver(3), [], nilbound=3)
+        mods = []
+        for _ in range(2):
+            g = random_invertible(field, 3, rng)
+            x = g @ Mat.from_rows(field, _jordan_rows([(2, 0), (1, 0)], 3)) @ g.inverse()
+            mods.append(Representation(loops, field, {"v": 3}, {
+                "x": x, "y": Mat.random(field, 3, 3, rng),
+                "z": x @ x if rng.random() < 0.5 else Mat.random(field, 3, 3, rng)}))
+    first = mods[0]
+    g = {v: random_invertible(field, d, rng) for v, d in first.dims.items()}
+    moved = {a.name: g[a.target] @ first.mats[a.name] @ g[a.source].inverse()
+             for a in first.bound_quiver.quiver.arrows}
+    return mods + [direct_sum(mods[0], mods[1]),
+                   Representation(first.bound_quiver, field, first.dims, moved, check=False)]
+
+
+def _gates_open(field, m, hom):
+    """Whether the characteristic gates of ``reference_is_indecomposable``
+    let it certify every radical that ``is_indecomposable`` certifies."""
+    return not field.char or field.char > max(m.total_dim, hom.dim)
+
+
+@given(st.sampled_from([F101, Field.prime(7), Field.prime(16777213), QQ]),
+       st.sampled_from(["jordan tree", "kronecker tree", "two roots", "jordan alone",
+                        "loops"]),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_the_solving_frame_reads_as_the_mapped_basis(field, route, seed):
+    # the basis mapped on first read spans the uncontracted kernel; the frame
+    # totals give the trace forms and the pairing of the eagerly mapped
+    # totals, unframe maps a combination of them to the same combination of
+    # the basis, and the verdicts and witnesses are the references'
+    rng = random.Random(seed)
+    mods = _frame_route_modules(route, field, rng)
+    vertices = mods[0].bound_quiver.quiver.vertices
+    for i, m in enumerate(mods):
+        for n in mods:
+            h = hom_space(m, n)
+            ref = reference_hom_space(m, n)
+            assert h.dim == len(h.frame) == len(ref)
+            for f in h.basis:
+                for a in m.bound_quiver.quiver.arrows:
+                    assert f[a.target] @ m.mats[a.name] == n.mats[a.name] @ f[a.source]
+            if h.dim:
+                both = [flat_morphism(f, vertices) for f in h.basis + ref]
+                assert Mat.from_rows(field, both).rank() == h.dim
+                coeffs = [field.random_scalar(rng) for _ in range(h.dim)]
+                total = h.totals().combine(Mat.column(field, coeffs))[0]
+                assert h.unframe(total) == {
+                    v: Mat.lincomb(field, n.dims[v], m.dims[v], coeffs, [f[v] for f in h.basis])
+                    for v in vertices}
+            if m.dim_vector() == n.dim_vector() and h.dim and hom_space(n, m).dim:
+                back = hom_space(n, m)
+                assert trace_form(h.totals(), back.totals()) == \
+                    trace_form(reference_totals(h), reference_totals(back))
+        end = hom_space(m, m)
+        if end.dim:
+            assert trace_form(end.totals(), end.totals()) == \
+                trace_form(reference_totals(end), reference_totals(end))
+        got, ref = is_indecomposable(m, seed), reference_is_indecomposable(m, seed)
+        if ref.verdict != "inconclusive" or _gates_open(field, m, end):
+            assert (got.verdict, got.detail, got.witness) == (ref.verdict, ref.detail,
+                                                               ref.witness), i
+        rad = reference_end_radical(m)
+        if rad is not None:
+            assert end_radical(m) == rad
+        for k, n in enumerate(mods):
+            got = are_isomorphic(m, n, trials=2, seed=k)
+            ref = reference_are_isomorphic(m, n, 2, k)
+            assert (got.verdict, got.detail, got.witness) == (ref.verdict, ref.detail,
+                                                               ref.witness), (i, k)
+
+
+def test_verdicts_map_back_only_their_witnesses(k3_table, monkeypatch):
+    # the certify images and a witness28 image, with every Hom space solved
+    # first: the verdicts make no product by a Jordan frame on the left or by
+    # an inverse frame on the right (the map back) but inside the one unframe
+    # of each witness, and a second read of a basis maps nothing
+    m, n = certify_images()
+    w = k3_witness_image(k3_table, 1)
+    rng = random.Random("frame-spy")
+    g = random_invertible(F101, m.total_dim, rng)
+    moved = Representation(m.bound_quiver, F101, m.dims,
+                           {a: g @ x @ g.inverse() for a, x in m.mats.items()}, check=False)
+    both = direct_sum(m, n)
+    frames = []
+    framed = exactlin_module._jordan_frame
+    monkeypatch.setattr(exactlin_module, "_jordan_frame",
+                        lambda s: frames.append(framed(s)) or frames[-1])
+    pairs = [(m, m), (n, n), (w, w), (both, both), (m, n), (n, m), (m, moved), (moved, m)]
+    for x, y in pairs:
+        hom_space(x, y)
+    assert frames
+    depth, unframes, inside, outside = [0], [], [], []
+    unframed = rep_module._Framed.unframed
+
+    def spy_unframed(self, blocks):
+        unframes.append(self)
+        depth[0] += 1
+        try:
+            return unframed(self, blocks)
+        finally:
+            depth[0] -= 1
+
+    matmul = exactlin_module._PrimeKernel.matmul
+
+    def spy_matmul(self, a, b):
+        if (any(a is p._entries for p, _, _ in frames)
+                or any(b is p_inv._entries for _, p_inv, _ in frames)):
+            (inside if depth[0] else outside).append((a.shape, b.shape))
+        return matmul(self, a, b)
+
+    monkeypatch.setattr(rep_module._Framed, "unframed", spy_unframed)
+    monkeypatch.setattr(exactlin_module._PrimeKernel, "matmul", spy_matmul)
+    indec = [is_indecomposable(x, 0) for x in (m, n, w, both)]
+    iso = [are_isomorphic(m, n), are_isomorphic(m, moved)]
+    assert [v.verdict for v in indec] == ["yes", "yes", "yes", "no"]
+    assert [v.verdict for v in iso] == ["no", "yes"]
+    assert indec[-1].witness and iso[-1].witness
+    assert len(unframes) == 2 and not outside and inside
+    unframes.clear()
+    end = hom_space(m, m)
+    first = end.basis
+    assert len(unframes) == end.dim
+    assert hom_space(m, m).basis is first and len(unframes) == end.dim
 
 
 def _indecomposability_cases(field, dual_numbers_bq, a2_bq, k2_bq):
