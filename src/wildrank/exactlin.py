@@ -78,7 +78,8 @@ matrices only through ``Mat`` operations,
   many linear combinations of them (one per column of a coefficient
   matrix) from one product; ``lincomb`` is its one-column case, and
   ``Span.assemble`` places the blocks of many matrices into one stack at
-  once.
+  once and records its support, the stack columns that hold a nonzero,
+  outside which ``combine`` and ``trace_form`` do no work.
 
 All operations are pure, and the entries of every ``Mat`` are immutable
 after construction.  The things stored later are three memos, computed
@@ -1587,17 +1588,23 @@ class Span:
     The matrices are flattened once, row-major, into the rows of a stack
     over their common denominator; ``assemble`` places the blocks of many
     matrices by index into one such stack, and its matrices are views of
-    it.  ``combine`` then builds any number of combinations with one kernel
-    product: the transposed coefficient matrix times the stack.  The
-    product's inner dimension is the number of matrices, k; over F_p the
-    kernel product reduces after every ``chunk`` of them (see
-    ``_PrimeKernel``), so the result is exact for every k.  The product is
-    reduced once, and each combination is a view of it, put in lowest
-    terms on its own.  ``trace_form`` reads two stacks as they are.
+    it.  The support is a sorted index array of stack columns outside
+    which every matrix is zero: all of them for a Span built from a list,
+    which scans nothing, and exactly the columns that hold a nonzero for
+    ``assemble``, which reads them off the stack it has just written.
+    ``combine`` then builds any number of combinations with one kernel
+    product: the transposed coefficient matrix times the support columns
+    of the stack, placed into a zeroed stack (the whole stack, with no
+    copy, when the support is every column).  The product's inner
+    dimension is the number of matrices, k; over F_p the kernel product
+    reduces after every ``chunk`` of them (see ``_PrimeKernel``), so the
+    result is exact for every k.  The product is reduced once, and each
+    combination is a view of it, put in lowest terms on its own.
+    ``trace_form`` reads two stacks as they are, on their supports.
     ``Mat.lincomb`` is the one-column case.
     """
 
-    __slots__ = ("field", "rows", "cols", "mats", "_stack", "_den")
+    __slots__ = ("field", "rows", "cols", "mats", "_stack", "_den", "_support")
 
     def __init__(self, field: Field, rows: int, cols: int, mats: Sequence[Mat]):
         for m in mats:
@@ -1608,6 +1615,7 @@ class Span:
         parts, self._den = _joined(mats)
         self._stack = (np.stack([a.reshape(rows * cols) for a in parts]) if mats
                        else _zeros(field, (0, rows * cols)))
+        self._support = np.arange(rows * cols)
 
     @classmethod
     def assemble(cls, field: Field, rows: int, cols: int, count: int, blocks) -> "Span":
@@ -1618,7 +1626,8 @@ class Span:
         common denominator, and the blocks at one place are stacked for all
         matrices at once straight into one zeroed (count, rows, cols) array:
         the stack.  Matrix i is its slice i in lowest terms, a view of it over
-        F_p, where every denominator is 1."""
+        F_p, where every denominator is 1.  The support is the columns of
+        the flattened stack that hold a nonzero, read off once."""
         spans, parts, dens = [], [], []
         placed: list[tuple[int, int, int, int]] = []
         for r, c, mats in blocks:
@@ -1643,6 +1652,7 @@ class Span:
         span = object.__new__(cls)
         span.field, span.rows, span.cols, span._den = field, rows, cols, den
         span._stack = out.reshape(count, rows * cols)
+        span._support = span._stack.any(axis=0).nonzero()[0]
         span.mats = [Mat._of(field, *_lowest(x, den)) for x in out]
         return span
 
@@ -1659,29 +1669,41 @@ class Span:
         if coeffs.field != self.field or coeffs.rows != len(self.mats):
             raise ShapeMismatchError(
                 f"coefficients {coeffs.shape} over {coeffs.field} for {len(self.mats)} matrices")
-        fk = self.field._kernel
-        return (fk.reduce(fk.matmul(coeffs._entries.T, self._stack)),
-                coeffs._den * self._den)
+        fk, stack, support = self.field._kernel, self._stack, self._support
+        den = coeffs._den * self._den
+        if len(support) == stack.shape[1]:
+            return fk.reduce(fk.matmul(coeffs._entries.T, stack)), den
+        out = _zeros(self.field, (coeffs.cols, stack.shape[1]))
+        out[:, support] = fk.reduce(fk.matmul(coeffs._entries.T, stack.take(support, axis=1)))
+        return out, den
 
 
 def trace_form(lefts: Span, rights: Span) -> Mat:
     """The matrix with entry (i, j) equal to ``tr(lefts.mats[i] @
     rights.mats[j])``, for n x m ``lefts`` and m x n ``rights``.
 
-    One product of the stack of ``lefts`` (row-major flattened matrices)
-    with the stack of ``rights`` with each matrix transposed, since tr(AB) =
-    vec(A) . vec(B^T): the stacks are read as the Spans keep them, over
-    their denominators, and only the right one is transposed.
+    Since tr(AB) = sum over (a, b) of A[a, b] B[b, a], entry (a, b) of a
+    left matrix, column a*m + b of its stack (row-major flattened), meets
+    column b*n + a of the right stack.  Only the positions where both
+    supports hold that pair can contribute, so the form is one product of
+    the left stack's columns at those positions with the right stack's
+    matching columns, both gathered by index, with no transposed copy.
+    The stacks are read over their denominators.
     """
     field, n, m = lefts.field, lefts.rows, lefts.cols
     if rights.field != field or (rights.rows, rights.cols) != (m, n):
         raise ShapeMismatchError(f"trace form of {rights.rows}x{rights.cols} over {rights.field} "
                                  f"against {n}x{m} over {field}")
-    fk = field._kernel
-    k = len(rights.mats)
-    flat_right = rights._stack.reshape(k, m, n).transpose(0, 2, 1).reshape(k, n * m).T
-    return Mat._of(field, *_lowest(fk.reduce(fk.matmul(lefts._stack, flat_right)),
-                                     lefts._den * rights._den))
+    fk, support = field._kernel, lefts._support
+    right = np.zeros(m * n, dtype=bool)
+    right[rights._support] = True
+    # the right column b*n + a that meets each left support column a*m + b
+    turn = np.arange(m * n).reshape(m, n).T.ravel().take(support)
+    meet = right.take(turn)
+    return Mat._of(field, *_lowest(
+        fk.reduce(fk.matmul(lefts._stack.take(support[meet], axis=1),
+                            rights._stack.take(turn[meet], axis=1).T)),
+        lefts._den * rights._den))
 
 
 # ---------------------------------------------------------------------------
@@ -1713,24 +1735,21 @@ def _nilpotent_stack(fk, stack: np.ndarray) -> bool:
     An n x n matrix x is nilpotent exactly when x^n = 0, its characteristic
     polynomial then being t^n, so exactly when x^(2^j) = 0 for the least j
     with 2^j >= n.  The whole stack is squared at once, one batched kernel
-    product per step, at most ceil(log2 n) times, and after each squaring
-    the slices that became zero are dropped, since all their further powers
-    are zero too.  A slice still nonzero once 2^j >= n is not nilpotent; a
+    product per step, at most ceil(log2 n) times.  After each squaring the
+    slices whose square is zero before its reduction are dropped, since a
+    zero is zero mod p and all their further powers are zero too, and only
+    the slices still live are reduced.  A slice that only its reduction
+    makes zero squares to an exact zero and drops at the next step.  The
+    stack is nilpotent exactly when what is left once 2^j >= n is zero; a
     1 x 1 slice is nilpotent exactly when it is zero, with no product.
     """
-    k, n = stack.shape[0], stack.shape[-1]
-    power = 1
-    while True:
-        live = stack.reshape(k, n * n).any(axis=1)
-        if not live.all():
-            stack = stack[live]
-        k = len(stack)
-        if not k:
-            return True
-        if power >= n:
-            return False
-        stack = fk.reduce(fk.matmul(stack, stack))
+    power, n = 1, stack.shape[-1]
+    while power < n and len(stack):
+        stack = fk.matmul(stack, stack)
+        live = stack.reshape(len(stack), n * n).any(axis=1)
+        stack = fk.reduce(stack if live.all() else stack[live])
         power *= 2
+    return not stack.any()
 
 
 def trace_radical(span: Span, ker: Optional[Mat] = None) -> Optional[Mat]:

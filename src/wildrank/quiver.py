@@ -27,6 +27,7 @@ the inhomogeneous window of the edge-case tests (2-core VM).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -359,6 +360,52 @@ def build_algebra_table(bq: BoundQuiver, field: Field) -> AlgebraTable:
     return AlgebraTable(bq, field)
 
 
+def _relation_rows(bq: BoundQuiver, field: Field, paths: list[Path], window: int,
+                   st_cols: dict[tuple[str, str], dict[tuple, int]]) -> dict:
+    """The products u.r.v of every relation r with enumerated paths u and v
+    of total length len(u) + (longest term of r) + len(v) <= ``window``, as
+    sparse rows {column: nonzero scalar of ``field``} over the columns
+    ``st_cols`` of their stratum, per stratum, in the order (r, u, v) of
+    ``paths``; a product that is zero over ``field`` gives no row.
+
+    ``paths`` is sorted by length (``_enumerate_paths``), so the u that fit
+    come first among the paths from r's target, and for each u the v that
+    fit come first among the paths into r's source: the loops visit those
+    pairs only, in the order of the full double loop over all pairs.
+    """
+    prefix: dict[str, list[Path]] = {}
+    suffix: dict[str, list[Path]] = {}
+    for p in paths:
+        prefix.setdefault(p.source, []).append(p)   # paths starting at v (for right factors)
+        suffix.setdefault(p.target, []).append(p)   # paths ending at v (for left factors)
+    lengths = {v: [len(p) for p in ps] for v, ps in suffix.items()}
+    span_rows: dict[tuple[str, str], list[dict[int, object]]] = {k: [] for k in st_cols}
+    for rel in bq.relations:
+        maxlen = rel.max_length()
+        ends, ends_len = suffix.get(rel.source, []), lengths.get(rel.source, [])
+        for u in prefix.get(rel.target, []):
+            room = window - maxlen - len(u)
+            if room < 0:
+                break
+            for v in ends[:bisect.bisect_right(ends_len, room)]:
+                key = (v.source, u.target)
+                cols = st_cols[key]
+                row: dict[int, Fraction] = {}
+                for coef, term in rel.terms:
+                    word = u.arrows + term.arrows + v.arrows
+                    idx = cols[word]
+                    row[idx] = row.get(idx, Fraction(0)) + coef
+                coerced = {}
+                for k2, c in row.items():
+                    if c != 0:
+                        cc = field.coerce(c)
+                        if cc != 0:
+                            coerced[k2] = cc
+                if coerced:
+                    span_rows[key].append(coerced)
+    return span_rows
+
+
 def _present(bq: BoundQuiver, field: Field) -> tuple[list[Path], dict]:
     """The basis of kQ/I and the normal form of every enumerated path.
 
@@ -386,34 +433,7 @@ def _present(bq: BoundQuiver, field: Field) -> tuple[list[Path], dict]:
 
     # every length-L path must be certified inside the span of untruncated
     # generator products; collect those products per stratum
-    prefix: dict[str, list[Path]] = {}
-    suffix: dict[str, list[Path]] = {}
-    for p in paths:
-        prefix.setdefault(p.source, []).append(p)   # paths starting at v (for right factors)
-        suffix.setdefault(p.target, []).append(p)   # paths ending at v (for left factors)
-
-    span_rows: dict[tuple[str, str], list[dict[int, Fraction]]] = {k: [] for k in strata}
-    for rel in bq.relations:
-        maxlen = rel.max_length()
-        for u in prefix.get(rel.target, []):
-            for v in suffix.get(rel.source, []):
-                if len(u) + maxlen + len(v) > window:
-                    continue
-                key = (v.source, u.target)
-                cols = st_cols[key]
-                row: dict[int, Fraction] = {}
-                for coef, term in rel.terms:
-                    word = u.arrows + term.arrows + v.arrows
-                    idx = cols[word]
-                    row[idx] = row.get(idx, Fraction(0)) + coef
-                coerced = {}
-                for k2, c in row.items():
-                    if c != 0:
-                        cc = field.coerce(c)
-                        if cc != 0:
-                            coerced[k2] = cc
-                if coerced:
-                    span_rows[key].append(coerced)
+    span_rows = _relation_rows(bq, field, paths, window, st_cols)
 
     # per stratum: reduce the generator span once and check admissibility on
     # it, then continue the same reduction with unit vectors for all paths of

@@ -206,6 +206,34 @@ def reference_entry_matrix_on(w, tensor, module):
     return Mat(field, r * n, r * n, rows)
 
 
+def reference_relation_rows(bq, field, paths, window, st_cols):
+    """Every relation r times every pair (u, v) of enumerated paths, the pairs
+    that leave the window dropped only after they are visited: the double
+    loop ``quiver._relation_rows`` had before it visited only the pairs that
+    fit.  Reference for it; quadratic in the number of paths."""
+    prefix, suffix = {}, {}
+    for p in paths:
+        prefix.setdefault(p.source, []).append(p)
+        suffix.setdefault(p.target, []).append(p)
+    span_rows = {k: [] for k in st_cols}
+    for rel in bq.relations:
+        maxlen = rel.max_length()
+        for u in prefix.get(rel.target, []):
+            for v in suffix.get(rel.source, []):
+                if len(u) + maxlen + len(v) > window:
+                    continue
+                key = (v.source, u.target)
+                row = {}
+                for coef, term in rel.terms:
+                    idx = st_cols[key][u.arrows + term.arrows + v.arrows]
+                    row[idx] = row.get(idx, Fraction(0)) + coef
+                coerced = {k: field.coerce(c) for k, c in row.items() if c != 0}
+                coerced = {k: c for k, c in coerced.items() if c != 0}
+                if coerced:
+                    span_rows[key].append(coerced)
+    return span_rows
+
+
 def table_product(table, a, b):
     """The product of two elements ``{basis index: scalar}`` of an algebra
     table, zeros dropped, read from its structure constants."""

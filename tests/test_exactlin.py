@@ -419,6 +419,26 @@ def test_nilpotency_index():
         assert all_nilpotent(Span(m.field, m.rows, m.cols, [m])) is want
 
 
+@pytest.mark.parametrize("p", [5, 101, 16777213])
+def test_nilpotency_reduces_the_squares_still_live(p):
+    # [[1, 1], [p - 1, p - 1]] squares to [[p, p], [p(p - 1), p(p - 1)]]:
+    # zero mod p, but not before the reduction, so it must be reduced to read
+    # as nilpotent; next to it a slice whose square is an exact zero and a
+    # non-nilpotent one, alone and in 4 x 4 corners (two squarings)
+    fp = Field.prime(p)
+    lazy = Mat.from_rows(fp, [[1, 1], [p - 1, p - 1]])
+    exact = Mat.from_rows(fp, [[0, 1], [0, 0]])
+    unipotent = Mat.from_rows(fp, [[1, 1], [0, 1]])
+    assert (lazy @ lazy).is_zero() and lazy._entries.max() == p - 1
+    for size in (2, 4):
+        lz, ex, un = (Mat.assemble(fp, size, size, [(0, 0, x)]) for x in (lazy, exact, unipotent))
+        assert lz.is_nilpotent() and ex.is_nilpotent() and not un.is_nilpotent()
+        assert all_nilpotent(Span(fp, size, size, [lz, ex]))
+        assert all_nilpotent(Span(fp, size, size, [ex, lz, ex]))
+        assert not all_nilpotent(Span(fp, size, size, [lz, ex, un]))
+        assert all_nilpotent(Span(fp, size, size, [lz, un]), Mat.column(fp, [1, 0]))
+
+
 def _conjugate(field, s, rng):
     """g s g^-1 for a seeded random invertible g."""
     while True:
@@ -1602,6 +1622,59 @@ def test_trace_form_matches_reference(field):
         assert got.row_list() == reference_trace_pairing(lefts, rights)
     with pytest.raises(ShapeMismatchError):
         trace_form(span_of([Mat.zeros(field, 2, 3)]), span_of([Mat.zeros(field, 2, 3)]))
+
+
+def _assembled(field, rows, cols, count, rng, allowed, full):
+    """``count`` sparse ``rows x cols`` matrices, nonzero only where
+    ``allowed(i, j)`` holds, with entries 0, +-1, +-(p - 1) or random (with
+    denominators over Q): as a Span from the list when ``full`` (its support
+    is every column), else assembled from one block per diagonal piece of a
+    random split of the rows and the columns (its support is exact)."""
+    big = field.coerce(-1)
+    def entry(i, j):
+        if not allowed(i, j) or rng.random() < 0.6:
+            return field.zero
+        x = rng.choice([field.one, -field.one, big, -big, field.random_scalar(rng)])
+        return x / rng.choice([1, 2, 35]) if field == QQ else x
+    mats = [Mat(field, rows, cols, [[entry(i, j) for j in range(cols)] for i in range(rows)])
+            for _ in range(count)]
+    if full:
+        return Span(field, rows, cols, mats)
+    cut_r = sorted(rng.sample(range(1, rows), min(2, rows - 1))) if rows > 1 else []
+    cut_c = sorted(rng.sample(range(1, cols), min(2, cols - 1))) if cols > 1 else []
+    pieces = list(zip(zip([0] + cut_r, cut_r + [rows]), zip([0] + cut_c, cut_c + [cols])))
+    if len(pieces) == 1 or rng.random() < 0.5:
+        pieces = [((0, rows), (0, cols))]
+    # the assembled matrices keep only the entries inside their blocks
+    return Span.assemble(field, rows, cols, count,
+                         [(r0, c0, [x.submatrix(range(r0, r1), range(c0, c1)) for x in mats])
+                          for (r0, r1), (c0, c1) in pieces])
+
+
+@given(st.sampled_from([Field.prime(5), F101, Field.prime(16777213), QQ]), st.integers(0, 4),
+       st.integers(0, 4), st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from(["sparse", "disjoint", "full left", "full right"]), st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_trace_form_on_assembled_supports_matches_reference(field, n, m, kl, kr, case, seed):
+    """``trace_form`` contracts only where the left support meets the
+    transposed right support: drawn over n x m against m x n (square or
+    not), empty spans, supports that never meet (the form is zero), and one
+    side from a list, at full width.  ``combine`` on an assembled span
+    agrees with the Span of its matrices."""
+    rng = random.Random(seed)
+    lefts = _assembled(field, n, m, kl, rng, lambda i, j: True, case == "full left")
+    hit = {(j, i) for x in lefts.mats for i in range(n) for j in range(m)
+           if x.entry(i, j) != field.zero}
+    allowed = (lambda i, j: (i, j) not in hit) if case == "disjoint" else (lambda i, j: True)
+    rights = _assembled(field, m, n, kr, rng, allowed, case == "full right")
+    got = trace_form(lefts, rights)
+    assert got.shape == (kl, kr)
+    assert got.row_list() == reference_trace_pairing(lefts.mats, rights.mats)
+    if case == "disjoint":
+        assert got.is_zero()
+    for span, k, rows, cols in ((lefts, kl, n, m), (rights, kr, m, n)):
+        coeffs = Mat(field, k, 2, _rand_rows(field, k, 2, rng))
+        assert span.combine(coeffs) == Span(field, rows, cols, span.mats).combine(coeffs)
 
 
 def test_trace_radical_refuses_a_kernel_with_a_non_nilpotent_element():

@@ -5,15 +5,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (F101, field_add, is_associative, line_quiver, loop_square_zero,
-                      make_relation, QQ, table_product)
+from conftest import (F101, field_add, fixture_text, is_associative, line_quiver,
+                      loop_square_zero, make_relation, QQ, reference_relation_rows, table_product)
+from wildrank import quiver
+from wildrank.cli import parse_quiver_spec
 from wildrank.covering import CoveringSpec, build_window
 from wildrank.exactlin import Field
 from wildrank.quiver import (AdmissibilityError, BoundQuiver, Path, Quiver, RepType,
                              build_algebra_table, classify_hereditary, euler_form, factor_quiver,
                              is_minimal_wild_hereditary, k3_bound_quiver, kronecker_quiver,
                              loop_quiver, symmetrized_tits_matrix, _enumerate_paths,
-                             _leading_minors, _sparse_rref)
+                             _leading_minors, _present, _sparse_rref)
 
 
 def test_quiver_validation():
@@ -364,3 +366,45 @@ def test_sparse_rref_continues_from_a_reduced_span(field):
             # on unit rows the entries even come in the same order
             assert [list(r.items()) for _, r in continued] == \
                 [list(r.items()) for _, r in together]
+
+
+def _mixed_two_loop():
+    """Two loops with xy = yx = 0 and x^2 = y^3: relations of lengths 2 and 3
+    in one, so the window runs past the nilbound."""
+    q = loop_quiver(2)
+    x, y = (a.name for a in q.arrows)
+    rels = [make_relation(q, [(1, (x, y))]), make_relation(q, [(1, (y, x))]),
+            make_relation(q, [(1, (x, x)), (-1, (y, y, y))])]
+    return q, rels
+
+
+@pytest.mark.parametrize("name", ["a2", "k2", "k3", "loop_x2", "three_loop_rad2", "mixed"])
+def test_relation_rows_match_the_full_double_loop(name, monkeypatch):
+    """``_relation_rows`` visits only the pairs (u, v) that fit the window; it
+    gives the rows of the double loop over every pair, in the same order,
+    and ``_present`` the same basis and normal forms, or the same error."""
+    if name == "mixed":
+        q, rels = _mixed_two_loop()
+    else:
+        bq = parse_quiver_spec(fixture_text(f"{name}.quiver")).bound_quiver
+        q, rels = bq.quiver, bq.relations
+    seen = []
+    fast = quiver._relation_rows
+
+    def spy(*args):
+        rows = fast(*args)
+        seen.append(rows == reference_relation_rows(*args))
+        return rows
+
+    for field in (F101, QQ):
+        for nilbound in range(2, 6):
+            bq = BoundQuiver(q, rels, nilbound=nilbound)
+            outcomes = []
+            for rows in (spy, reference_relation_rows):
+                monkeypatch.setattr(quiver, "_relation_rows", rows)
+                try:
+                    outcomes.append(_present(bq, field))
+                except AdmissibilityError as e:
+                    outcomes.append(str(e))
+            assert outcomes[0] == outcomes[1], (name, field, nilbound)
+    assert seen == [True] * 8

@@ -1144,6 +1144,37 @@ def test_verdicts_map_back_only_their_witnesses(k3_table, monkeypatch):
     assert hom_space(m, m).basis is first and len(unframes) == end.dim
 
 
+def test_end_verdicts_work_on_the_support_of_the_frame_totals(monkeypatch):
+    # End(M) of a certify image has 197 basis elements whose (197, 784)
+    # frame totals hold 224 nonzeros, on 28 diagonal positions and 196
+    # others: the trace form contracts over the 28 positions where the
+    # support meets its transpose, and the nilpotency test of the 196
+    # radical elements reduces neither their combinations nor their squares
+    # on all 784 positions
+    m, _ = certify_images()
+    end = hom_space(m, m)
+    assert end.dim == 197 and len(end.totals()._support) == 224
+    products, reduced = [], []
+    matmul, residues = exactlin_module._PrimeKernel.matmul, exactlin_module._residues
+
+    def spy_matmul(self, a, b):
+        products.append((a.shape, b.shape))
+        return matmul(self, a, b)
+
+    def spy_residues(a, p, out=None):
+        reduced.append(a.shape)
+        return residues(a, p, out)
+
+    monkeypatch.setattr(exactlin_module._PrimeKernel, "matmul", spy_matmul)
+    monkeypatch.setattr(exactlin_module, "_residues", spy_residues)
+    verdict = is_indecomposable(m, 0)
+    assert verdict.verdict == "yes"
+    assert ((197, 28), (28, 197)) in products
+    assert not [x for x in products if x[0][-1] == 784 or (197, 784) in x]
+    assert ((196, 28, 28), (196, 28, 28)) in products
+    assert not [x for x in reduced if x in ((196, 784), (196, 28, 28))]
+
+
 def _indecomposability_cases(field, dual_numbers_bq, a2_bq, k2_bq):
     """One module per route of ``is_indecomposable``, by name."""
     one_loop = BoundQuiver(loop_quiver(1), [], nilbound=3)
