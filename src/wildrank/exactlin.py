@@ -65,21 +65,24 @@ matrices only through ``Mat`` operations,
 * ``column_space`` and ``minimal_polynomial``, next to rank, kernel, solve
   and inverse, and ``factor_polynomial``;
 * ``nilpotent_hom_basis``, the maps that intertwine a nilpotent pair and
-  any further pairs, solved and returned in Jordan coordinates with the
-  two frames (``jordan_nilpotent`` gives the Jordan frame, the basis with
-  its inverse and the block sizes),
+  any further pairs, solved and returned in Jordan coordinates as one
+  ``Span``, with the two frames (``jordan_nilpotent`` gives the Jordan
+  frame, the basis with its inverse and the block sizes),
   ``trace_form``, the traces of all pairwise products of the matrices of
   two ``Span``s, ``trace_radical``, the radical of the algebra a ``Span``
   spans when its trace form certifies it, and ``all_nilpotent``, whether
   every combination of a ``Span`` is nilpotent, and ``Mat.is_nilpotent``,
   both through ``_nilpotent_stack``, one pass of repeated squaring over a
   whole stack;
-* ``Span``, one list of matrices stacked once, whose ``combine`` returns
-  many linear combinations of them (one per column of a coefficient
-  matrix) from one product; ``lincomb`` is its one-column case, and
-  ``Span.assemble`` places the blocks of many matrices into one stack at
-  once and records its support, the stack columns that hold a nonzero,
-  outside which ``combine`` and ``trace_form`` do no work.
+* ``Span``, many matrices of one shape as one read-only stack, whose
+  ``combine`` returns many linear combinations of them (one per column of
+  a coefficient matrix) from one product; ``lincomb`` is its one-column
+  case.  A Span made from a stack (a Hom basis: ``nilpotent_hom_basis``,
+  ``Span.of_columns`` of a kernel) builds its matrices only when
+  ``mats`` is read.  ``Span.assemble`` places the stacks of several Spans
+  into one stack, or shares the stack of one that fills the whole matrix,
+  and records its support, the stack columns that hold a nonzero, outside
+  which ``combine`` and ``trace_form`` do no work.
 
 All operations are pure, and the entries of every ``Mat`` are immutable
 after construction.  The things stored later are three memos, computed
@@ -866,18 +869,22 @@ def _peel_unit_rows(a: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.nda
     return a[np.ix_(rows, keep)], cols[keep], cols[~keep]
 
 
-def _null_basis(field: Field, a: np.ndarray) -> "Mat":
-    """The null basis of ``Mat.kernel`` for the matrix given by the integer
-    array ``a``: over F_p its residues, with every entry in (-p, p); over Q
-    ``a`` itself, whose rows may each be scaled by a nonzero rational, which
-    changes no kernel.  ``Mat.kernel`` hands it its stored entries, and
-    ``nilpotent_hom_basis`` its conditions, unreduced.
+def _null_basis(field: Field, a: np.ndarray, cols: np.ndarray, width: int) -> "Mat":
+    """The null basis of ``Mat.kernel`` for the system of ``width`` columns
+    whose columns at the increasing positions ``cols`` are those of the
+    integer array ``a`` and whose other columns are zero: over F_p the
+    residues of ``a``, with every entry in (-p, p); over Q ``a`` itself,
+    whose rows may each be scaled by a nonzero rational, which changes no
+    kernel.  ``Mat.kernel`` hands it its stored entries on all of its
+    columns, and ``nilpotent_hom_basis`` its conditions, unreduced, on the
+    columns that get an entry.
 
     Only the support is eliminated, the nonzero rows and the nonzero
     columns; the result is the same matrix as from the whole one.  Zero
-    rows do not change the row space.  A zero column is never a pivot, so
-    it is a free column whose kernel vector is its unit vector, and the
-    pivots among the other columns are the same with or without it.
+    rows do not change the row space.  A zero column, one left out of
+    ``cols`` too, is never a pivot, so it is a free column whose kernel
+    vector is its unit vector, and the pivots among the other columns are
+    the same with or without it.
     (``column_space`` keeps the whole matrix: see the module docstring.)
 
     Then rows of weight one are peeled off (``_peel_unit_rows``) before the
@@ -901,17 +908,18 @@ def _null_basis(field: Field, a: np.ndarray) -> "Mat":
     the cascade could take a row that is zero mod p for a unit row.
     """
     fk = field._kernel
-    rest, rest_cols, peeled = _peel_unit_rows(*_on_support(a))
+    sub, on = _on_support(a)
+    rest, rest_cols, peeled = _peel_unit_rows(sub, cols[on])
     if rest.shape[0]:
         w, den, rest_piv = fk.echelon(rest)
     else:
         den, rest_piv = 1, []
     piv = rest_cols[rest_piv]
-    is_free = np.ones(a.shape[1], dtype=bool)
+    is_free = np.ones(width, dtype=bool)
     is_free[peeled] = False
     is_free[piv] = False
     free = np.flatnonzero(is_free)
-    out = _zeros(field, (a.shape[1], free.size))
+    out = _zeros(field, (width, free.size))
     out[free, np.arange(free.size)] = den
     rest_free = np.flatnonzero(is_free[rest_cols])
     if rest_piv and rest_free.size:
@@ -1287,9 +1295,10 @@ class Mat:
         """Matrix whose columns form a basis of the right null space: the
         unique basis that is the identity on the free (non-pivot) columns:
         ``_null_basis`` of the stored entries (residues in [0, p) over F_p,
-        over Q the numerators, the matrix times its denominator).
+        over Q the numerators, the matrix times its denominator), on all of
+        its columns.
         """
-        return _null_basis(self.field, self._entries)
+        return _null_basis(self.field, self._entries, np.arange(self.cols), self.cols)
 
     def column_space(self) -> "Mat":
         """A basis of the column space, as the columns of the result."""
@@ -1585,17 +1594,20 @@ def factor_polynomial(field: Field, coeffs: Sequence) -> list[tuple[list, int]]:
 class Span:
     """Linear combinations of one list of ``rows x cols`` matrices.
 
-    The matrices are flattened once, row-major, into the rows of a stack
-    over their common denominator; ``assemble`` places the blocks of many
-    matrices by index into one such stack, and its matrices are views of
-    it.  The support is a sorted index array of stack columns outside
-    which every matrix is zero: all of them for a Span built from a list,
-    which scans nothing, and exactly the columns that hold a nonzero for
-    ``assemble``, which reads them off the stack it has just written.
-    ``combine`` then builds any number of combinations with one kernel
-    product: the transposed coefficient matrix times the support columns
-    of the stack, placed into a zeroed stack (the whole stack, with no
-    copy, when the support is every column).  The product's inner
+    The matrices are the rows of one stack, each flattened row-major, over
+    one common denominator.  ``Span(field, rows, cols, mats)`` stacks a
+    list once; ``Span._of`` takes a stack as it is, as ``nilpotent_hom_basis``
+    and ``Span.of_columns`` make a Hom basis, with no matrix built;
+    ``assemble`` places the matrices of many Spans by index into one stack.
+    A stack is read-only, and ``mats``, the matrices in lowest terms, views
+    of the stack over F_p, where every denominator is 1, is built on its
+    first read for a Span made from a stack.  The support is a sorted index
+    array of stack columns outside which every matrix is zero: all of them,
+    with no scan, except for ``assemble``, which reads off the columns that
+    hold a nonzero.  ``combine`` then builds any number of combinations with
+    one kernel product: the transposed coefficient matrix times the support
+    columns of the stack, placed into a zeroed stack (the whole stack, with
+    no copy, when the support is every column).  The product's inner
     dimension is the number of matrices, k; over F_p the kernel product
     reduces after every ``chunk`` of them (see ``_PrimeKernel``), so the
     result is exact for every k.  The product is reduced once, and each
@@ -1604,57 +1616,93 @@ class Span:
     ``Mat.lincomb`` is the one-column case.
     """
 
-    __slots__ = ("field", "rows", "cols", "mats", "_stack", "_den", "_support")
+    __slots__ = ("field", "rows", "cols", "_mats", "_stack", "_den", "_support")
 
     def __init__(self, field: Field, rows: int, cols: int, mats: Sequence[Mat]):
         for m in mats:
             if m.field != field or m.shape != (rows, cols):
                 raise ShapeMismatchError(f"combination of {m.shape} into {rows}x{cols}")
         self.field, self.rows, self.cols = field, rows, cols
-        self.mats = list(mats)
+        self._mats = list(mats)
         parts, self._den = _joined(mats)
         self._stack = (np.stack([a.reshape(rows * cols) for a in parts]) if mats
                        else _zeros(field, (0, rows * cols)))
         self._support = np.arange(rows * cols)
 
     @classmethod
+    def _of(cls, field: Field, rows: int, cols: int, stack: np.ndarray, den: int,
+            support: Optional[np.ndarray] = None) -> "Span":
+        """The Span whose matrices are the rows of the (k, rows * cols) array
+        ``stack`` of numerators over ``den``, taken as they are and made
+        read-only, with the given support (every column when None): for a
+        stack of which the caller keeps no writable alias.  Its ``mats``
+        are built on first read."""
+        span = object.__new__(cls)
+        stack.setflags(write=False)
+        span.field, span.rows, span.cols, span._stack, span._den = field, rows, cols, stack, den
+        span._support = np.arange(rows * cols) if support is None else support
+        span._mats = None
+        return span
+
+    @classmethod
+    def of_columns(cls, mat: Mat, shapes: Sequence[tuple[int, int]]) -> list["Span"]:
+        """One Span per shape (e, d) of ``shapes``, for the rows of ``mat``
+        cut top to bottom into consecutive blocks of e * d rows: matrix j of
+        a block's Span is column j of the block refilled row-major as e x d.
+        The entries are transposed once, and each Span's stack is a view of
+        that copy."""
+        if sum(e * d for e, d in shapes) != mat.rows:
+            raise ShapeMismatchError(f"blocks {list(shapes)} do not cut {mat.rows} rows")
+        flat = np.ascontiguousarray(mat._entries.T)
+        out, off = [], 0
+        for e, d in shapes:
+            out.append(cls._of(mat.field, e, d, flat[:, off:off + e * d], mat._den))
+            off += e * d
+        return out
+
+    def __len__(self) -> int:
+        return len(self._stack)
+
+    @property
+    def mats(self) -> list[Mat]:
+        """The matrices, each in lowest terms; built once, on first read."""
+        if self._mats is None:
+            self._mats = [Mat._of(self.field, *_lowest(x.reshape(self.rows, self.cols), self._den))
+                          for x in self._stack]
+        return self._mats
+
+    @classmethod
     def assemble(cls, field: Field, rows: int, cols: int, count: int, blocks) -> "Span":
         """The Span of ``count`` ``rows x cols`` matrices, matrix i the sum of
-        the blocks ``(r, c, mats[i])`` of ``blocks``, each block of ``mats``
-        placed with its top-left entry at (r, c); blocks at different places
-        do not overlap.  Every block of every matrix is brought to one
-        common denominator, and the blocks at one place are stacked for all
-        matrices at once straight into one zeroed (count, rows, cols) array:
-        the stack.  Matrix i is its slice i in lowest terms, a view of it over
-        F_p, where every denominator is 1.  The support is the columns of
-        the flattened stack that hold a nonzero, read off once."""
-        spans, parts, dens = [], [], []
+        the blocks ``(r, c, span)`` of ``blocks``, each placing matrix i of
+        its ``span`` of ``count`` matrices with its top-left entry at (r, c);
+        blocks do not overlap.  One block that fills the whole matrix gives
+        its stack as it is, shared with no copy.  Otherwise every block is
+        brought to one common denominator and placed, for all matrices at
+        once, into one zeroed (count, rows, cols) stack.  Either way the
+        support is the columns of the stack that hold a nonzero, read off
+        once, and no matrix is built until ``mats`` is read."""
+        blocks = list(blocks)
         placed: list[tuple[int, int, int, int]] = []
-        for r, c, mats in blocks:
-            if len(mats) != count:
-                raise ShapeMismatchError(f"{len(mats)} blocks at ({r}, {c}) for {count} matrices")
-            shape = mats[0].shape if mats else (0, 0)
-            for m in mats:
-                if m.field != field or m.shape != shape:
-                    raise ShapeMismatchError(f"block {m.shape} over {m.field} among {shape}")
-            place = (r, r + shape[0], c, c + shape[1])
+        for r, c, span in blocks:
+            if span.field != field or len(span) != count:
+                raise ShapeMismatchError(f"{len(span)} blocks over {span.field} at ({r}, {c}) "
+                                         f"for {count} matrices")
+            place = (r, r + span.rows, c, c + span.cols)
             if r < 0 or c < 0 or place[1] > rows or place[3] > cols or not _claim(placed, *place):
-                raise ShapeMismatchError(f"block {shape} at ({r}, {c}) leaves {rows}x{cols} "
-                                         f"or overlaps another")
-            spans.append(place)
-            parts.extend(m._entries for m in mats)
-            dens.extend(m._den for m in mats)
-        parts, den = _common(parts, dens)
-        out = _zeros(field, (count, rows, cols))
-        for n, (i0, i1, j0, j1) in enumerate(spans if count else ()):
-            np.stack(parts[n * count:(n + 1) * count], out=out[:, i0:i1, j0:j1])
-        out.setflags(write=False)
-        span = object.__new__(cls)
-        span.field, span.rows, span.cols, span._den = field, rows, cols, den
-        span._stack = out.reshape(count, rows * cols)
-        span._support = span._stack.any(axis=0).nonzero()[0]
-        span.mats = [Mat._of(field, *_lowest(x, den)) for x in out]
-        return span
+                raise ShapeMismatchError(f"block {span.rows}x{span.cols} at ({r}, {c}) leaves "
+                                         f"{rows}x{cols} or overlaps another")
+        if placed == [(0, rows, 0, cols)]:
+            stack, den = blocks[0][2]._stack, blocks[0][2]._den
+        else:
+            parts, den = _common([span._stack for _, _, span in blocks],
+                                 [span._den for _, _, span in blocks])
+            out = _zeros(field, (count, rows, cols))
+            for (r, c, span), part in zip(blocks, parts):
+                h, w = span.rows, span.cols
+                out[:, r:r + h, c:c + w] = part.reshape(count, h, w)
+            stack = out.reshape(count, rows * cols)
+        return cls._of(field, rows, cols, stack, den, stack.any(axis=0).nonzero()[0])
 
     def combine(self, coeffs: Mat) -> list[Mat]:
         """The combinations ``sum_k coeffs[k, j] * mats[k]``, one per column j
@@ -1666,9 +1714,9 @@ class Span:
     def _flat(self, coeffs: Mat) -> tuple[np.ndarray, int]:
         """The combinations of ``combine`` as the rows of one reduced array
         of numerators, and their common denominator."""
-        if coeffs.field != self.field or coeffs.rows != len(self.mats):
+        if coeffs.field != self.field or coeffs.rows != len(self):
             raise ShapeMismatchError(
-                f"coefficients {coeffs.shape} over {coeffs.field} for {len(self.mats)} matrices")
+                f"coefficients {coeffs.shape} over {coeffs.field} for {len(self)} matrices")
         fk, stack, support = self.field._kernel, self._stack, self._support
         den = coeffs._den * self._den
         if len(support) == stack.shape[1]:
@@ -1735,19 +1783,30 @@ def _nilpotent_stack(fk, stack: np.ndarray) -> bool:
     An n x n matrix x is nilpotent exactly when x^n = 0, its characteristic
     polynomial then being t^n, so exactly when x^(2^j) = 0 for the least j
     with 2^j >= n.  The whole stack is squared at once, one batched kernel
-    product per step, at most ceil(log2 n) times.  After each squaring the
-    slices whose square is zero before its reduction are dropped, since a
-    zero is zero mod p and all their further powers are zero too, and only
-    the slices still live are reduced.  A slice that only its reduction
-    makes zero squares to an exact zero and drops at the next step.  The
-    stack is nilpotent exactly when what is left once 2^j >= n is zero; a
-    1 x 1 slice is nilpotent exactly when it is zero, with no product.
+    product per step, at most ceil(log2 n) times, and reduced.  Each
+    product runs on the inner support only, the indices b that are a
+    nonzero row of some slice and a nonzero column of some slice (as
+    Gustavson's sparse product visits only the index pairs nonzero on both
+    sides): a term x[i, b] x[b, j] of x^2 is nonzero only when b is a
+    nonzero column and a nonzero row of x.  When no index is both, every
+    square is zero and the stack is nilpotent, with no product.  A square
+    is reduced before its support is read, so an entry that only its
+    reduction makes zero counts as zero.  The stack is nilpotent exactly
+    when what is left once 2^j >= n is zero; a 1 x 1 slice is nilpotent
+    exactly when it is zero, with no product.
     """
     power, n = 1, stack.shape[-1]
     while power < n and len(stack):
-        stack = fk.matmul(stack, stack)
-        live = stack.reshape(len(stack), n * n).any(axis=1)
-        stack = fk.reduce(stack if live.all() else stack[live])
+        nz = stack != 0
+        inner = nz.any(axis=(0, 2)) & nz.any(axis=(0, 1))
+        if not inner.all():
+            if not inner.any():
+                return True
+            inner = np.flatnonzero(inner)
+            stack = fk.matmul(stack[:, :, inner], stack[:, inner, :])
+        else:
+            stack = fk.matmul(stack, stack)
+        stack = fk.reduce(stack)
         power *= 2
     return not stack.any()
 
@@ -1872,13 +1931,14 @@ def _intertwiner_pattern(sizes_src: tuple[int, ...], sizes_tgt: tuple[int, ...]
 
 
 def nilpotent_hom_basis(s: Mat, s_target: Mat, rest: Sequence[tuple[Mat, Mat]] = ()
-                        ) -> tuple[list[Mat], Mat, Mat]:
+                        ) -> tuple[Span, Mat, Mat]:
     """Basis of ``{g : g @ s == s_target @ g}`` for nilpotent s, s_target,
     cut down by ``g @ r == r2 @ g`` for every remaining pair ``(r, r2)``, in
-    Jordan coordinates: ``(hs, P_t, P_s^-1)``, where every g of the space is
-    P_t h P_s^-1 for one h in the span of ``hs``.  Every matrix is over one
-    field, s and s_target are square, and each r has the shape of s and
-    each r2 that of s_target; anything else raises ``ShapeMismatchError``.
+    Jordan coordinates: ``(hs, P_t, P_s^-1)``, where ``hs`` is a ``Span``
+    and every g of the space is P_t h P_s^-1 for one h in it.  Every matrix
+    is over one field, s and s_target are square, and each r has the shape
+    of s and each r2 that of s_target; anything else raises
+    ``ShapeMismatchError``.
 
     In the Jordan frames s = P_s J_s P_s^-1 and s_target = P_t J_t P_t^-1,
     g = P_t h P_s^-1 intertwines s and s_target exactly when h intertwines
@@ -1894,8 +1954,10 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat, rest: Sequence[tuple[Mat, Mat]] =
     (A), and -r2'[i', i] in row (i', j') for every i' (B).  For one c, each
     row i and each column j' holds at most one one, so within a term each
     (row, c) occurs once: the nonzero A entries are written and the nonzero
-    B entries subtracted.  Only the rows that get an entry are allocated,
-    in their order, numbered by a cumulative sum; every other row is zero.
+    B entries subtracted.  Only the rows and the columns that get an entry
+    are allocated, in their order, each numbered by a cumulative sum; every
+    other row and column is zero, and ``_null_basis`` takes the columns'
+    positions among all c.
     A row whose A and B entries all cancel is zero too: the entries just
     placed are read back, and such rows are dropped.  Zero rows leave the
     row space as it is, so these are the nonzero rows of the whole system,
@@ -1911,7 +1973,9 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat, rest: Sequence[tuple[Mat, Mat]] =
     The h_c have pairwise disjoint supports (each is its own shifted
     diagonal of its own block), so each h, a kernel column or with no
     remaining pair an h_c itself, is its coefficients placed by index, with
-    no product and no reduction.  The frames are returned, not applied:
+    no product and no reduction, into one (k, e, d) stack over the kernel's
+    denominator, returned as a read-only ``Span`` whose matrices are built
+    only when ``mats`` is read.  The frames are returned, not applied:
     the frame of a matrix is a function of its entries (``jordan_nilpotent``
     is deterministic), so a module whose pencil is framed as a source and
     as a target gets P and P^-1 of one frame, and the traces, products and
@@ -1931,6 +1995,7 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat, rest: Sequence[tuple[Mat, Mat]] =
     idx, rows, cols, c = _intertwiner_pattern(sizes_src, sizes_tgt)
     if c and rest:
         hit = np.zeros(len(rest) * e * d, dtype=bool)
+        used = np.zeros(c, dtype=bool)
         terms = []
         for t, (r, r2) in enumerate(rest):
             (rj, r2j), _ = _joined([p_src_inv @ r @ p_src, p_tgt_inv @ r2 @ p_tgt])
@@ -1940,14 +2005,17 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat, rest: Sequence[tuple[Mat, Mat]] =
             i2, one_b = np.nonzero(b)
             row_a = (t * e + rows[one_a]) * d + j
             row_b = (t * e + i2) * d + cols[one_b]
+            c_a, c_b = idx[one_a], idx[one_b]
             hit[row_a] = True
             hit[row_b] = True
-            terms.append((row_a, idx[one_a], a[one_a, j], row_b, idx[one_b], b[i2, one_b]))
-        at = np.cumsum(hit) - 1
-        cond = _zeros(field, (int(at[-1]) + 1, c))
+            used[c_a] = True
+            used[c_b] = True
+            terms.append((row_a, c_a, a[one_a, j], row_b, c_b, b[i2, one_b]))
+        at, to = np.cumsum(hit) - 1, np.cumsum(used) - 1
+        cond = _zeros(field, (int(at[-1]) + 1, int(to[-1]) + 1))
         live = np.zeros(cond.shape[0], dtype=bool)
         for row_a, c_a, x_a, row_b, c_b, x_b in terms:
-            row_a, row_b = at[row_a], at[row_b]
+            row_a, row_b, c_a, c_b = at[row_a], at[row_b], to[c_a], to[c_b]
             cond[row_a, c_a] = x_a
             cond[row_b, c_b] -= x_b
             # the pairs' rows are disjoint: read this pair's entries back
@@ -1955,7 +2023,7 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat, rest: Sequence[tuple[Mat, Mat]] =
             live[row_b[cond[row_b, c_b] != 0]] = True
         if not live.all():
             cond = cond[live]
-        ker = _null_basis(field, cond)
+        ker = _null_basis(field, cond, np.flatnonzero(used), c)
         k, h_den = ker.cols, ker._den
         h = _zeros(field, (k, e, d))
         h[:, rows, cols] = ker._entries[idx].T
@@ -1963,7 +2031,7 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat, rest: Sequence[tuple[Mat, Mat]] =
         k, h_den = c, 1
         h = _zeros(field, (k, e, d))
         h[idx, rows, cols] = 1
-    return [Mat._of(field, *_lowest(x, h_den)) for x in h], p_tgt, p_src_inv
+    return Span._of(field, e, d, h.reshape(k, e * d), h_den), p_tgt, p_src_inv
 
 
 # ---------------------------------------------------------------------------
@@ -1983,7 +2051,7 @@ def find_invertible_in_span(span: Span, trials: int, seed) -> Optional[tuple[lis
         raise ValueError("trials must be >= 1")
     if span.rows != span.cols:
         raise ShapeMismatchError(f"span of {span.rows}x{span.cols} matrices is not square")
-    field, n, k = span.field, span.rows, len(span.mats)
+    field, n, k = span.field, span.rows, len(span)
     if not k:
         return None
     if n == 0:

@@ -188,9 +188,10 @@ def subquotient(bq: BoundQuiver, field: Field, mats: dict[str, Mat], top: dict[s
 class HomSpace:
     """Hom(M, N), kept in the coordinates it was solved in.
 
-    ``frame`` holds one dict per basis element, root -> block: the
-    solution of the contracted system at each root that carries unknowns,
-    in Jordan coordinates on the Jordan route.  Basis element f is
+    The basis is one ``Span`` per root that carries unknowns: the solution
+    of the contracted system at that root, in Jordan coordinates on the
+    Jordan route.  ``frame`` reads it as one dict per basis element, root ->
+    block, built on its first read.  Basis element f is
     f_v = L_v g_r R_v at each vertex v of root r, with L_v = A_v P_t, the
     target's contraction transform (``_Side``) times its Jordan frame, and
     R_v = P_s^-1 B_v, the source's; a factor is the identity where there
@@ -228,32 +229,39 @@ class HomSpace:
 
     @property
     def frame(self) -> list[dict[str, Mat]]:
-        """The basis in its solving frame: per element, root -> block."""
-        return self._framed.blocks
+        """The basis in its solving frame: per element, root -> block, built
+        on the first read."""
+        framed = self._framed
+        if framed.frame is None:
+            mats = {r: span.mats for r, span in framed.spans.items()}
+            framed.frame = [{r: x[i] for r, x in mats.items()} for i in range(framed.dim)]
+        return framed.frame
 
     @property
     def dim(self) -> int:
-        return len(self._framed.blocks)
+        return self._framed.dim
 
     @property
     def basis(self) -> list[dict[str, Mat]]:
         """The basis as per-vertex blocks, mapped on the first read."""
         framed = self._framed
         if framed.basis is None:
-            framed.basis = [framed.unframed(g) for g in framed.blocks]
+            framed.basis = [framed.unframed(g) for g in self.frame]
         return framed.basis
 
     def totals(self) -> Span:
         """The block-diagonal frame totals (square only when the dimension
-        vectors agree), as one ``Span``: each root's blocks are placed at
-        every vertex of its tree at once (``Span.assemble``), and
-        ``trace_form`` and ``find_invertible_in_span`` read the stack as it
-        is.  Built per call, not cached: a verdict reads it once, and stacks
-        kept as long as their modules left freed heap memory that the
-        allocator did not return to the system."""
+        vectors agree), as one ``Span``: each root's Span is placed at every
+        vertex of its tree at once (``Span.assemble``); a module with one
+        vertex of nonzero dimension has its root's Span as its totals, the
+        same stack, with no copy.  ``trace_form`` and
+        ``find_invertible_in_span`` read the stack as it is.  Assembled per
+        call, not cached: a verdict reads it once, and stacks kept as long
+        as their modules left freed heap memory that the allocator did not
+        return to the system."""
         s, t, framed = self.source, self.target, self._framed
-        return Span.assemble(s.field, t.total_dim, s.total_dim, len(framed.blocks),
-                             [(t.offset(v), s.offset(v), [g[r] for g in framed.blocks])
+        return Span.assemble(s.field, t.total_dim, s.total_dim, framed.dim,
+                             [(t.offset(v), s.offset(v), framed.spans[r])
                               for v, r in framed.root.items()])
 
     def unframe(self, total: Mat) -> dict[str, Mat]:
@@ -269,18 +277,21 @@ class HomSpace:
 
 class _Framed:
     """What ``hom_space`` caches on the source M per target N: the basis of
-    Hom(M, N) in its solving frame (``blocks``), the root of each vertex
-    whose block is not empty (``root``), the shape of every block
-    (``shapes``), N's A_v (``a``) and M's B_v (``b``) as ``_Side`` keeps
-    them, the Jordan frames (P_t, P_s^-1) or None (``jordan``), and the
-    mapped ``basis`` once read.  It holds matrices and names only, never a
-    module, so End(M) cached on M does not keep M alive."""
+    Hom(M, N) in its solving frame, one ``Span`` of ``dim`` blocks per root
+    that carries unknowns (``spans``), the root of each vertex whose block
+    is not empty (``root``), the shape of every block (``shapes``), N's A_v
+    (``a``) and M's B_v (``b``) as ``_Side`` keeps them, the Jordan frames
+    (P_t, P_s^-1) or None (``jordan``), and, once read, the per-element
+    ``frame`` and the mapped ``basis``.  It holds matrices, stacks and names
+    only, never a module, so End(M) cached on M does not keep M alive."""
 
-    __slots__ = ("field", "blocks", "root", "shapes", "a", "b", "jordan", "basis")
+    __slots__ = ("field", "spans", "dim", "root", "shapes", "a", "b", "jordan", "frame",
+                 "basis")
 
-    def __init__(self, field, blocks, root, shapes, a, b, jordan):
-        self.field, self.blocks, self.root, self.shapes = field, blocks, root, shapes
-        self.a, self.b, self.jordan, self.basis = a, b, jordan, None
+    def __init__(self, field, spans, root, shapes, a, b, jordan):
+        self.field, self.spans, self.root, self.shapes = field, spans, root, shapes
+        self.dim = len(next(iter(spans.values()))) if spans else 0
+        self.a, self.b, self.jordan, self.frame, self.basis = a, b, jordan, None, None
 
     def unframed(self, blocks: dict[str, Mat]) -> dict[str, Mat]:
         """The one map back: root blocks g_r in the frame to per-vertex
@@ -406,9 +417,9 @@ def _hom_basis(m: Representation, n: Representation, systems: dict, pencils: dic
     if solved is None:
         solved = systems[key] = _solve_hom_equations(field, m, n, var_roots, equations,
                                                      src, tgt, pencils)
-    sols, jordan = solved
+    spans, jordan = solved
     # a vertex's block is empty unless its root carries unknowns
-    return _Framed(field, [dict(zip(var_roots, sol)) for sol in sols],
+    return _Framed(field, dict(zip(var_roots, spans)),
                    {v: find(v) for v in q.vertices if n.dims[v] * m.dims[v] > 0},
                    {v: (n.dims[v], m.dims[v]) for v in q.vertices}, tgt.a, src.b, jordan)
 
@@ -499,8 +510,8 @@ def _side(mod: Representation, steps, remaining) -> _Side:
 def _solve_hom_equations(field, m, n, var_roots, equations, src, tgt, pencils):
     """Solve the contracted intertwiner equations f_rt P(a) = P'(a) f_rs,
     one ``(a, rt, rs)`` per remaining arrow, with P(a) = ``src.pencil[a]``
-    and P'(a) = ``tgt.pencil[a]``; returns ``(bases, jordan)``, bases as
-    one ``Mat`` per root of ``var_roots``, in that order, in the frame
+    and P'(a) = ``tgt.pencil[a]``; returns ``(spans, jordan)``, the basis
+    as one ``Span`` per root of ``var_roots``, in that order, in the frame
     ``jordan`` = (P_t, P_s^-1), or None for the plain coordinates.
 
     A single root with a nilpotent pair (P(a), P'(a)), a the first such
@@ -509,7 +520,8 @@ def _solve_hom_equations(field, m, n, var_roots, equations, src, tgt, pencils):
     memoised frames serve them all; its bases stay in those coordinates.
     Everything else is one
     Kronecker system over the concatenated root blocks: arrow a puts
-    I ⊗ P(a)^T at f_rt and -P'(a) ⊗ I at f_rs.
+    I ⊗ P(a)^T at f_rt and -P'(a) ⊗ I at f_rs, and the kernel's rows are
+    cut into one Span per root (``Span.of_columns``).
 
     The basis is the one the plain contracted equations give.  With
     f_t = A_t f_rt B_t and f_s = A_s f_rs B_s, the arrow's equation
@@ -532,7 +544,7 @@ def _solve_hom_equations(field, m, n, var_roots, equations, src, tgt, pencils):
                     s, s_target = pencil.pop(i)
                     hs, p_t, p_s_inv = nilpotent_hom_basis(
                         pencils.setdefault(s, s), pencils.setdefault(s_target, s_target), pencil)
-                    return [[h] for h in hs], (p_t, p_s_inv)
+                    return [hs], (p_t, p_s_inv)
     sizes = {r: (n.dims[r], m.dims[r]) for r in var_roots}
     offsets = {}
     off = 0
@@ -548,8 +560,7 @@ def _solve_hom_equations(field, m, n, var_roots, equations, src, tgt, pencils):
             blocks.append((nrows, offsets[rs], -tgt.pencil[a], None, m.dims[rs]))
         nrows += n.dims[rt] * m.dims[rs]
     ker = Mat.kron_assemble(field, nrows, off, blocks).kernel()
-    return [[ker.submatrix(range(offsets[r], offsets[r] + sizes[r][0] * sizes[r][1]), [j])
-             .reshape(*sizes[r]) for r in var_roots] for j in range(ker.cols)], None
+    return Span.of_columns(ker, [sizes[r] for r in var_roots]), None
 
 
 # ---------------------------------------------------------------------------

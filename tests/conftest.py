@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import sys
@@ -6,6 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -306,6 +308,21 @@ def reference_jordan_nilpotent(s):
     return Mat.hcat(field, n, cols), [len(chain) for chain in chains]
 
 
+def reference_all_nilpotent(mats):
+    """Whether every square ``Mat`` of ``mats`` is nilpotent, each squared
+    on its own, whole, until 2^j >= n: x is nilpotent exactly when x^n = 0.
+    Reference for ``exactlin._nilpotent_stack``, which squares a stack on
+    its inner support."""
+    for x in mats:
+        power = 1
+        while power < x.rows:
+            x = x @ x
+            power *= 2
+        if not x.is_zero():
+            return False
+    return True
+
+
 def nilpotency_index(s):
     """Least m with s**m = 0, or None when s is not nilpotent, one power at a
     time.  Reference for ``exactlin.all_nilpotent``, which squares a whole
@@ -325,15 +342,44 @@ def nilpotency_index(s):
     return None
 
 
+def reference_assemble(field, rows, cols, count, blocks):
+    """The ``Span`` of ``count`` ``rows x cols`` matrices, matrix i the sum
+    of the blocks ``(r, c, mats[i])`` of ``blocks``, each a list of ``Mat``s
+    placed with its top-left entry at (r, c): every block brought to one
+    common denominator, the blocks at one place stacked for all matrices
+    into one zeroed (count, rows, cols) array, and each matrix read out of
+    it.  Reference for ``Span.assemble``, which places the stacks of Spans
+    and shares a block that fills the whole matrix."""
+    fk = field._kernel
+    den = math.lcm(1, *(m._den for _, _, mats in blocks for m in mats))
+    out = _zeros(field, (count, rows, cols))
+    for r, c, mats in blocks:
+        if mats:
+            h, w = mats[0].shape
+            out[:, r:r + h, c:c + w] = np.stack([m._entries * (den // m._den) for m in mats])
+    return Span(field, rows, cols, [Mat(field, rows, cols, fk.exact(x, den)) for x in out])
+
+
 def reference_totals(hom):
     """The block-diagonal total matrices of ``hom.basis``, the basis mapped
     back to the original coordinates, as one ``Span``.  Reference for
-    ``rep.HomSpace.totals``, which places the root blocks of the solving
+    ``rep.HomSpace.totals``, which places the root Spans of the solving
     frame instead."""
     s, t = hom.source, hom.target
-    return Span.assemble(s.field, t.total_dim, s.total_dim, len(hom.basis),
-                         [(t.offset(v), s.offset(v), [f[v] for f in hom.basis])
-                          for v in s.bound_quiver.quiver.vertices])
+    return reference_assemble(s.field, t.total_dim, s.total_dim, len(hom.basis),
+                              [(t.offset(v), s.offset(v), [f[v] for f in hom.basis])
+                               for v in s.bound_quiver.quiver.vertices])
+
+
+def reference_frame_totals(hom):
+    """The block-diagonal frame totals of ``hom``, each root's block of
+    every element of ``hom.frame`` placed at every vertex of its tree, as
+    one ``Span``.  Reference for ``rep.HomSpace.totals``, which places the
+    root Spans and shares the stack of a root that fills the whole matrix."""
+    s, t, framed = hom.source, hom.target, hom._framed
+    return reference_assemble(s.field, t.total_dim, s.total_dim, hom.dim,
+                              [(t.offset(v), s.offset(v), [g[r] for g in hom.frame])
+                               for v, r in framed.root.items()])
 
 
 def reference_blocks(m, total):

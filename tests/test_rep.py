@@ -4,6 +4,7 @@ import random
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,8 @@ from conftest import (certify_images, direct_sum, F101, fixture_text, fresh_copy
                       reference_idempotent_from_minpoly, reference_in_sincere_subcategory,
                       reference_is_indecomposable, reference_pairing_witness,
                       reference_regular_trace_gram, reference_relation_jacobian,
-                      reference_target_side, reference_totals, reference_trace_pairing,
+                      reference_frame_totals, reference_target_side, reference_totals,
+                      reference_trace_pairing,
                       ReferenceEndAnalysis, rep_from_lists, simple_rep,
                       span_of, zero_rep, _reference_poly_mul)
 
@@ -1057,6 +1059,7 @@ def test_the_solving_frame_reads_as_the_mapped_basis(field, route, seed):
             h = hom_space(m, n)
             ref = reference_hom_space(m, n)
             assert h.dim == len(h.frame) == len(ref)
+            assert h.totals().mats == reference_frame_totals(h).mats
             for f in h.basis:
                 for a in m.bound_quiver.quiver.arrows:
                     assert f[a.target] @ m.mats[a.name] == n.mats[a.name] @ f[a.source]
@@ -1150,7 +1153,8 @@ def test_end_verdicts_work_on_the_support_of_the_frame_totals(monkeypatch):
     # others: the trace form contracts over the 28 positions where the
     # support meets its transpose, and the nilpotency test of the 196
     # radical elements reduces neither their combinations nor their squares
-    # on all 784 positions
+    # on all 784 positions; no index is both a nonzero row of one of them
+    # and a nonzero column of one, so no product squares them
     m, _ = certify_images()
     end = hom_space(m, m)
     assert end.dim == 197 and len(end.totals()._support) == 224
@@ -1171,8 +1175,94 @@ def test_end_verdicts_work_on_the_support_of_the_frame_totals(monkeypatch):
     assert verdict.verdict == "yes"
     assert ((197, 28), (28, 197)) in products
     assert not [x for x in products if x[0][-1] == 784 or (197, 784) in x]
-    assert ((196, 28, 28), (196, 28, 28)) in products
+    assert not [x for x in products if (196, 28, 28) in x]
     assert not [x for x in reduced if x in ((196, 784), (196, 28, 28))]
+
+
+def test_one_vertex_totals_share_the_hom_basis_stack():
+    # a one-vertex module's frame totals are its root's Span: the stack of
+    # the Hom basis itself, read-only, on the Jordan route (the certify
+    # images) and on the Kronecker one (a loop module over Q)
+    rng = random.Random("shared-totals")
+    loop = BoundQuiver(loop_quiver(1), [], nilbound=3)
+    x, g = Mat.random(QQ, 3, 3, rng), random_invertible(QQ, 3, rng)
+    kron = [Representation(loop, QQ, {"v": 3}, {"x": y}) for y in (x, g @ x @ g.inverse())]
+    for m, n in (certify_images(), kron):
+        for target in (m, n):
+            h = hom_space(m, target)
+            (span,) = h._framed.spans.values()
+            totals = h.totals()
+            assert len(totals) == h.dim > 0 and np.shares_memory(totals._stack, span._stack)
+            with pytest.raises(ValueError):
+                totals._stack[..., 0] = 1
+            assert totals.mats == reference_frame_totals(h).mats
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=str)
+def test_totals_of_a_two_vertex_tree_match_the_reference(field):
+    # an invertible arrow a: 1 -> 2 folds vertex 2 onto root 1, so the root's
+    # Span is placed twice, into one zeroed stack: the old assembly of the
+    # frame blocks element by element, on the Jordan route (x nilpotent) and
+    # the Kronecker one
+    rng = random.Random(f"tree-totals:{field}")
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("x", "2", "2")])
+    bq = BoundQuiver(q, [], nilbound=3)
+    for nilpotent in (True, False):
+        mods = []
+        for _ in range(2):
+            if nilpotent:
+                g = random_invertible(field, 3, rng)
+                x = g @ Mat.from_rows(field, _jordan_rows([(2, 0), (1, 0)], 3)) @ g.inverse()
+            else:
+                x = Mat.random(field, 3, 3, rng)
+            mods.append(Representation(bq, field, {"1": 3, "2": 3},
+                                       {"a": random_invertible(field, 3, rng), "x": x}))
+        for m in mods:
+            for n in mods:
+                h = hom_space(m, n)
+                assert (h._framed.jordan is not None) == nilpotent
+                assert set(h._framed.root.values()) == {"1"} and len(h._framed.root) == 2
+                totals = h.totals()
+                (span,) = h._framed.spans.values()
+                assert not np.shares_memory(totals._stack, span._stack)
+                assert totals.mats == reference_frame_totals(h).mats
+                if m is n:
+                    assert trace_form(totals, totals) == trace_form(reference_totals(h),
+                                                                    reference_totals(h))
+
+
+def test_a_yes_on_a_certify_image_builds_no_basis_matrix():
+    # the verdict reads stacks only: neither the frame's per-element dicts
+    # nor any per-element Mat of the Hom basis is built
+    m, _ = certify_images()
+    assert is_indecomposable(m, 0).verdict == "yes"
+    framed = m._homs[m]
+    assert framed.frame is None and framed.basis is None
+    assert all(span._mats is None for span in framed.spans.values())
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_trap_fallback_reads_the_kernel_columns_as_before(k2_bq, p):
+    # (I, J_p(2)) over F_p: both trace forms fail, and the regular fallback
+    # reads the frame, built on that read from the contracted Kronecker
+    # kernel: element j is kernel column j refilled as p x p, as each was
+    # cut before; basis and unframe map those same matrices back
+    field = Field.prime(p)
+    m = rep_from_lists(k2_bq, field, {"1": p, "2": p},
+                       {"a": Mat.identity(field, p).row_list(), "b": _jordan_rows([(p, 2)], p)})
+    hom = hom_space(m, m)
+    framed = hom._framed
+    assert framed.jordan is None and framed.frame is None
+    (_, side), = m._sides.items()
+    pencil, one = side.pencil["b"], Mat.identity(field, p)
+    ker = (one.kron(pencil.T) - pencil.kron(one)).kernel()
+    before = [ker.submatrix(range(p * p), [j]).reshape(p, p) for j in range(ker.cols)]
+    assert end_radical(m) is None and framed.frame is not None
+    assert [g["1"] for g in hom.frame] == before and len(before) == hom.dim == p
+    assert _regular_representation(m, hom.frame).mats == \
+        _regular_representation(m, hom.basis).mats
+    assert hom.basis == [framed.unframed({"1": g}) for g in before]
+    assert [hom.unframe(t) for t in hom.totals().mats] == hom.basis
 
 
 def _indecomposability_cases(field, dual_numbers_bq, a2_bq, k2_bq):
