@@ -1783,30 +1783,23 @@ def _nilpotent_stack(fk, stack: np.ndarray) -> bool:
     An n x n matrix x is nilpotent exactly when x^n = 0, its characteristic
     polynomial then being t^n, so exactly when x^(2^j) = 0 for the least j
     with 2^j >= n.  The whole stack is squared at once, one batched kernel
-    product per step, at most ceil(log2 n) times, and reduced.  Each
-    product runs on the inner support only, the indices b that are a
-    nonzero row of some slice and a nonzero column of some slice (as
-    Gustavson's sparse product visits only the index pairs nonzero on both
-    sides): a term x[i, b] x[b, j] of x^2 is nonzero only when b is a
-    nonzero column and a nonzero row of x.  When no index is both, every
-    square is zero and the stack is nilpotent, with no product.  A square
-    is reduced before its support is read, so an entry that only its
-    reduction makes zero counts as zero.  The stack is nilpotent exactly
-    when what is left once 2^j >= n is zero; a 1 x 1 slice is nilpotent
-    exactly when it is zero, with no product.
+    product per step, at most ceil(log2 n) times, and reduced.  Before
+    each product the stack's inner indices are read, those b that are a
+    nonzero row of some slice and a nonzero column of some slice: a term
+    x[i, b] x[b, j] of x^2 is nonzero only when b is both.  When there is
+    none, every square is zero and the stack is nilpotent, with no
+    product (the radical stacks of a certify round are of this kind).  A
+    square is reduced before its support is read, so an entry that only
+    its reduction makes zero counts as zero.  The stack is nilpotent
+    exactly when what is left once 2^j >= n is zero; a 1 x 1 slice is
+    nilpotent exactly when it is zero, with no product.
     """
     power, n = 1, stack.shape[-1]
     while power < n and len(stack):
         nz = stack != 0
-        inner = nz.any(axis=(0, 2)) & nz.any(axis=(0, 1))
-        if not inner.all():
-            if not inner.any():
-                return True
-            inner = np.flatnonzero(inner)
-            stack = fk.matmul(stack[:, :, inner], stack[:, inner, :])
-        else:
-            stack = fk.matmul(stack, stack)
-        stack = fk.reduce(stack)
+        if not (nz.any(axis=(0, 2)) & nz.any(axis=(0, 1))).any():
+            return True
+        stack = fk.reduce(fk.matmul(stack, stack))
         power *= 2
     return not stack.any()
 

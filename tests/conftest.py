@@ -311,8 +311,8 @@ def reference_jordan_nilpotent(s):
 def reference_all_nilpotent(mats):
     """Whether every square ``Mat`` of ``mats`` is nilpotent, each squared
     on its own, whole, until 2^j >= n: x is nilpotent exactly when x^n = 0.
-    Reference for ``exactlin._nilpotent_stack``, which squares a stack on
-    its inner support."""
+    Reference for ``exactlin._nilpotent_stack``, which squares a whole
+    stack at once and stops when it has no inner index."""
     for x in mats:
         power = 1
         while power < x.rows:

@@ -491,7 +491,7 @@ def _nilpotency_slice(field, n, kind, rng):
 @example(Field.prime(16777213), 7, ["partial", "partial", "jordan"], 2)
 @settings(max_examples=150, deadline=None)
 def test_nilpotent_stack_matches_repeated_squaring(field, n, kinds, seed):
-    """``_nilpotent_stack``, which squares a stack on its inner support,
+    """``_nilpotent_stack``, which stops when a stack has no inner index,
     against squaring each matrix on its own, whole, on stacks that mix
     nilpotent slices (strictly upper triangular, conjugated Jordan blocks,
     a partial inner set, an unreduced square that is a multiple of p) with
@@ -509,13 +509,13 @@ def test_nilpotent_stack_matches_repeated_squaring(field, n, kinds, seed):
     assert [m.is_nilpotent() for m in mats] == [reference_all_nilpotent([m]) for m in mats]
 
 
-def test_nilpotent_stack_squares_on_the_inner_support(monkeypatch):
-    # strictly upper triangular on rows {0, 1, 2} by columns {2, 3, 4}: only
-    # index 2 is a nonzero row and a nonzero column, so the first square is
-    # a product over one index, and the square, on rows {0, 1} by columns
-    # {3, 4}, has none: nilpotent with no second product.  Matrix units
-    # from rows {0, 1} to columns {2, 3, 4} have none either, however many
-    # are stacked
+def test_nilpotent_stack_stops_with_no_inner_index(monkeypatch):
+    # strictly upper triangular on rows {0, 1, 2} by columns {2, 3, 4}:
+    # index 2 is a nonzero row and a nonzero column, so the stack is
+    # squared, whole, and the square, on rows {0, 1} by columns {3, 4}, has
+    # no such index: nilpotent with no second product.  Matrix units from
+    # rows {0, 1} to columns {2, 3, 4} have none either, however many are
+    # stacked, and need no product at all
     products = []
     matmul = exactlin_module._PrimeKernel.matmul
     monkeypatch.setattr(exactlin_module._PrimeKernel, "matmul",
@@ -523,13 +523,13 @@ def test_nilpotent_stack_squares_on_the_inner_support(monkeypatch):
                         or matmul(self, a, b))
     x = Mat.from_rows(F101, [[0, 0, 1, 1, 1], [0, 0, 1, 1, 1], [0, 0, 0, 100, 100],
                              [0] * 5, [0] * 5])
-    assert x.is_nilpotent() and products == [((1, 5, 1), (1, 1, 5))]
+    assert x.is_nilpotent() and products == [((1, 5, 5), (1, 5, 5))]
     products.clear()
     units = [Mat.unit(F101, 5, 5, i, j) for i in (0, 1) for j in (2, 3, 4)]
     assert all_nilpotent(span_of(units)) and not products
-    # next to them a diagonal unit, idempotent: three squarings over index 3
+    # next to them a diagonal unit, idempotent: three squarings, whole
     assert not all_nilpotent(span_of(units + [Mat.unit(F101, 5, 5, 3, 3)]))
-    assert products == [((7, 5, 1), (7, 1, 5))] * 3
+    assert products == [((7, 5, 5), (7, 5, 5))] * 3
 
 
 def _conjugate(field, s, rng):
@@ -1622,7 +1622,7 @@ def test_nilpotent_hom_basis_on_cancelling_and_empty_conditions(field, monkeypat
     shapes = []
     null_basis = exactlin_module._null_basis
     monkeypatch.setattr(exactlin_module, "_null_basis",
-                        lambda f, a, cols, width: shapes.append((a.shape[0], width))
+                        lambda f, a, cols, width: shapes.append((a.shape, len(cols), width))
                         or null_basis(f, a, cols, width))
     for sizes in ([3, 2], [2, 2, 1], [4], [1]):
         n = sum(sizes)
@@ -1635,7 +1635,10 @@ def test_nilpotent_hom_basis_on_cancelling_and_empty_conditions(field, monkeypat
             shapes.clear()
             got = nilpotent_hom_basis(s, s, rest)
             assert (got[0].mats, got[1:]) == (every[0].mats, every[1:])
-            assert shapes == [(0, len(every[0]))]
+            # no row survives, on the columns that get an entry, of the
+            # system over every h_c
+            [((m, c), on, width)] = shapes
+            assert m == 0 and c == on <= width == len(every[0])
         assert mapped_hom_basis(s, s) == reference_hom_pencil(field, n, n,
                                                               [(s, s), (shifted, shifted)])
         # next to a pair that cuts the space down, the cancelled rows are gone
@@ -1643,7 +1646,11 @@ def test_nilpotent_hom_basis_on_cancelling_and_empty_conditions(field, monkeypat
         shapes.clear()
         alone = nilpotent_hom_basis(s, s, [(r, r)])
         both = nilpotent_hom_basis(s, s, [(shifted, shifted), (r, r)])
-        assert shapes[0] == shapes[1] and (alone[0].mats, alone[1:]) == (both[0].mats, both[1:])
+        # the same rows over the same width; the cancelled entries may still
+        # number columns, which stay zero
+        (alone_shape, _, alone_width), (both_shape, _, both_width) = shapes
+        assert (alone_shape[0], alone_width) == (both_shape[0], both_width)
+        assert (alone[0].mats, alone[1:]) == (both[0].mats, both[1:])
         assert mapped_hom_basis(s, s, [(shifted, shifted), (r, r)]) == \
             reference_hom_pencil(field, n, n, [(s, s), (shifted, shifted), (r, r)])
         # and within one pair: J + c plus a matrix unit in s's Jordan frame
@@ -1652,7 +1659,7 @@ def test_nilpotent_hom_basis_on_cancelling_and_empty_conditions(field, monkeypat
         bump = shifted + p @ Mat.unit(field, n, n, i, j) @ p_inv
         shapes.clear()
         got = mapped_hom_basis(s, s, [(bump, bump)])
-        assert got and shapes[0][0] <= 2 * n
+        assert got and shapes[0][0][0] <= 2 * n
         assert got == reference_hom_pencil(field, n, n, [(s, s), (bump, bump)])
 
 
