@@ -41,6 +41,12 @@ __all__ = ["cmd_certify", "cmd_tilt", "cmd_variety", "main", "parse_certificate"
            "parse_quiver_spec", "parse_representation", "serialize_representation"]
 
 
+#: most arrow names the paths of a parsed spec's presentation may hold
+#: together (``BoundQuiver.path_letters``): about 8 MB of path tuples alone;
+#: a larger nilbound is refused before a path is enumerated
+MAX_PATH_LETTERS = 10 ** 6
+
+
 class SpecError(ValueError):
     """Parse or semantic error with a position."""
 
@@ -124,6 +130,7 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
     weights: dict[str, tuple[int, ...]] = {}
     relation_lines: list[tuple[int, str, int]] = []
     nilbound: Optional[int] = None
+    nilbound_at = (1, 1)
     first_line: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -195,6 +202,7 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
                 raise SpecError(ln, tokens[1][1], "nilbound must be an integer")
             if nilbound < 1:
                 raise SpecError(ln, tokens[1][1], "nilbound must be positive")
+            nilbound_at = (ln, tokens[1][1])
         else:
             raise SpecError(ln, 1, f"unknown key {key!r}")
     if not vertices:
@@ -230,6 +238,10 @@ def parse_quiver_spec(text: str) -> ParsedSpec:
         bq = BoundQuiver(quiver, relations, nilbound=nilbound)
     except ValueError as e:
         raise SpecError(1, 1, str(e))
+    if bq.path_letters(MAX_PATH_LETTERS) > MAX_PATH_LETTERS:
+        raise SpecError(*nilbound_at,
+                        f"nilbound {bq.nilbound} is too large: the paths of length at most "
+                        f"{bq.window()} hold more than {MAX_PATH_LETTERS} arrows")
     covering = None
     if weights:
         try:

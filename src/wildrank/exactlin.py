@@ -38,18 +38,21 @@ Polynomials are ascending coefficient lists.  The dense-polynomial helpers
 written once for every coefficient ring; ``factor_polynomial`` hands a
 monic polynomial to the field's kernel and sorts what comes back.
 
-``Mat.kernel`` (``_null_basis``, which also takes the Jordan route's
-integer conditions unreduced) eliminates only the support of a matrix, its
-nonzero rows and nonzero columns, which leaves its result unchanged: zero
-rows add nothing to the row space, a zero column is never a pivot (its
-kernel vector is its unit vector), and the kernel basis is the unique one
-that is the identity on the free columns.  On the support, rows of weight
-one are then peeled off with their columns, again and again, before the
-dense echelon form: each such column is a pivot with zero kernel entries.
-Hom systems are mostly zeros and rows of weight one or two, so most of
-their elimination is skipped.  ``column_space`` stays on the whole matrix: it
-reads its basis from the non-reduced echelon form over F_p, whose rows
-depend on the row swaps that zero rows take part in.  ``rank`` and
+``Mat.kernel`` and the Jordan route share one null-basis function,
+``_null_basis``, with one input form: a system's nonzero entries as
+(row, column, value) index arrays and its shape (``np.nonzero`` of a
+matrix's stored entries; the Jordan route's integer conditions as built,
+unreduced).  It reads the support and runs the weight-one cascade on those
+arrays with ``np.bincount``, and allocates only the dense rest that the
+cascade leaves for the echelon form, so no array of the whole system's
+shape is made.  The result is unchanged: zero rows add nothing to the row
+space, a zero column is never a pivot (its kernel vector is its unit
+vector), each column of a row of weight one is a pivot with zero kernel
+entries, and the kernel basis is the unique one that is the identity on
+the free columns.  Hom systems are mostly zeros and rows of weight one or
+two, so most of their elimination is skipped.  ``column_space`` stays on
+the whole matrix: it reads its basis from the non-reduced echelon form
+over F_p, whose rows depend on the row swaps that zero rows take part in.  ``rank`` and
 ``pivot_columns`` stay on it too: their inputs are small and dense, where
 finding the support costs more than it saves.
 
@@ -835,98 +838,82 @@ def _nonzero_lines(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nz.any(axis=-1), nz.any(axis=-2)
 
 
-def _on_support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(sub, cols)``: the submatrix of ``a`` on its nonzero rows and nonzero
-    columns, and the indices of those columns.  ``sub`` is ``a`` itself,
-    not a copy, when ``a`` has no zero row and no zero column."""
-    rows, cols = _nonzero_lines(a)
-    idx = np.flatnonzero(cols)
-    if idx.size == a.shape[1] and rows.all():
-        return a, idx
-    return a[np.ix_(rows, cols)], idx
+def _null_basis(field: Field, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                shape: tuple[int, int]) -> "Mat":
+    """The null basis of ``Mat.kernel`` for the ``shape[0] x shape[1]``
+    system whose nonzero entries are ``vals`` at the cells ``(rows, cols)``,
+    given as ``intp`` index arrays, each cell at most once: over F_p
+    integers in (-p, p), nonzero mod p; over Q ``int``s, the numerators of
+    rows that may each be scaled by a nonzero rational, which changes no
+    kernel.  ``Mat.kernel`` hands it ``np.nonzero`` of its stored entries,
+    and ``nilpotent_hom_basis`` its conditions as built, unreduced.
 
-
-def _peel_unit_rows(a: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rest, rest_cols, peeled)`` for a matrix ``a`` with no zero row and
-    no zero column whose columns sit at ``cols``: rows of weight one are
-    taken off, with their columns (``peeled``), and then the rows left
-    zero, until no row has weight one.  ``rest`` is what is left, on the
-    columns ``rest_cols``; it is ``a`` itself when no row has weight one.
-    Only the pattern of nonzero entries is read: no arithmetic."""
-    nz = a.astype(bool)
-    weight = nz.sum(axis=1)
-    unit = weight == 1
-    if not unit.any():
-        return a, cols, cols[:0]
-    rows = np.ones(a.shape[0], dtype=bool)
-    keep = np.ones(a.shape[1], dtype=bool)
-    while unit.any():
-        hit = nz[unit].any(axis=0) & keep
-        weight -= nz[:, hit].sum(axis=1)
-        keep &= ~hit
-        rows &= weight > 0
-        unit = rows & (weight == 1)
-    return a[np.ix_(rows, keep)], cols[keep], cols[~keep]
-
-
-def _null_basis(field: Field, a: np.ndarray, cols: np.ndarray, width: int) -> "Mat":
-    """The null basis of ``Mat.kernel`` for the system of ``width`` columns
-    whose columns at the increasing positions ``cols`` are those of the
-    integer array ``a`` and whose other columns are zero: over F_p the
-    residues of ``a``, with every entry in (-p, p); over Q ``a`` itself,
-    whose rows may each be scaled by a nonzero rational, which changes no
-    kernel.  ``Mat.kernel`` hands it its stored entries on all of its
-    columns, and ``nilpotent_hom_basis`` its conditions, unreduced, on the
-    columns that get an entry.
-
-    Only the support is eliminated, the nonzero rows and the nonzero
-    columns; the result is the same matrix as from the whole one.  Zero
-    rows do not change the row space.  A zero column, one left out of
-    ``cols`` too, is never a pivot, so it is a free column whose kernel
-    vector is its unit vector, and the pivots among the other columns are
-    the same with or without it.
+    Every row and column with no entry is left out of the elimination, and
+    the result is the same matrix as from the whole one.  Zero rows do not
+    change the row space.  A zero column is never a pivot, so it is a free
+    column whose kernel vector is its unit vector, and the pivots among the
+    other columns are the same with or without it.
     (``column_space`` keeps the whole matrix: see the module docstring.)
 
-    Then rows of weight one are peeled off (``_peel_unit_rows``) before the
-    echelon form.  A row whose one nonzero entry is at column j puts e_j in
-    the row space R, so j is a pivot and every kernel vector is 0 at j.
-    With F the peeled columns and U the rows left, R = span(e_F) ⊕ R_U,
-    where R_U is spanned by the rows of U off the columns F; the pivots are
-    F and those of R_U, so the free columns, and the basis that is the
-    identity on them, are the same.  Only the rest goes to the echelon form,
-    and the cascade does no arithmetic.  The echelon form is over its own
-    denominator, so the identity part is written as that denominator.  A
-    rest with no row (the cascade drops the rows it leaves zero, so then
-    every column left is free) needs no echelon form at all: the pivots
-    are the peeled columns, and each free column's kernel vector is its
-    unit vector, over the denominator 1.
+    Rows of weight one are then taken off with their columns, again and
+    again, on the index arrays: ``np.bincount`` of the rows gives each row's
+    weight, and an entry on a peeled column takes one off its row.  A row
+    whose one nonzero entry is at column j puts e_j in the row space R, so
+    j is a pivot and every kernel vector is 0 at j.  With F the peeled
+    columns and U the rows left, R = span(e_F) + R_U, where R_U is spanned
+    by the rows of U off the columns F; the pivots are F and those of R_U,
+    so the free columns, and the basis that is the identity on them, are the
+    same.  The cascade does no arithmetic, and only what it leaves, the
+    entries off F on the rows of weight two or more, is written into a
+    dense array for the echelon form, on its own rows and columns in their
+    order.  The echelon form is over its own denominator, so the identity
+    part is written as that denominator.  When the cascade leaves no entry,
+    every column not peeled is free and no echelon form is needed: each
+    free column's kernel vector is its unit vector, over the denominator 1.
 
-    Entries in (-p, p) need no reduction: the support and the cascade read
-    only which entries are nonzero, and such an entry is nonzero exactly
-    when it is nonzero mod p; ``_echelon_fp`` starts with ``_residues``,
-    exact below 2**53.  A multiple of p would pass for a nonzero entry, and
-    the cascade could take a row that is zero mod p for a unit row.
+    Entries in (-p, p) need no reduction: the cascade reads only where the
+    entries are, and such an entry is nonzero exactly when it is nonzero
+    mod p; ``_echelon_fp`` starts with ``_residues``, exact below 2**53.  A
+    multiple of p would pass for a nonzero entry, and the cascade could
+    take a row that is zero mod p for a unit row.
     """
     fk = field._kernel
-    sub, on = _on_support(a)
-    rest, rest_cols, peeled = _peel_unit_rows(sub, cols[on])
-    if rest.shape[0]:
+    m, width = shape
+    weight = np.bincount(rows, minlength=m)
+    peeled = np.zeros(width, dtype=bool)
+    unit = weight == 1
+    while unit.any():
+        peeled[cols[unit[rows]]] = True
+        gone = peeled[cols]
+        weight -= np.bincount(rows[gone], minlength=m)
+        kept = ~gone
+        rows, cols, vals = rows[kept], cols[kept], vals[kept]
+        unit = weight == 1
+    is_free = ~peeled
+    if rows.size:
+        on = np.zeros(width, dtype=bool)
+        on[cols] = True
+        rest_cols = np.flatnonzero(on)
+        count = int(np.count_nonzero(weight))
+        rest = _zeros(field, (count, rest_cols.size))
+        # each entry's row and column in the rest (the same when none is left out)
+        rest[rows if count == m else np.cumsum(weight > 0)[rows] - 1,
+             cols if rest_cols.size == width else np.searchsorted(rest_cols, cols)] = vals
         w, den, rest_piv = fk.echelon(rest)
+        piv = rest_cols[rest_piv]
+        is_free[piv] = False
     else:
         den, rest_piv = 1, []
-    piv = rest_cols[rest_piv]
-    is_free = np.ones(width, dtype=bool)
-    is_free[peeled] = False
-    is_free[piv] = False
     free = np.flatnonzero(is_free)
     out = _zeros(field, (width, free.size))
     out[free, np.arange(free.size)] = den
-    rest_free = np.flatnonzero(is_free[rest_cols])
-    if rest_piv and rest_free.size:
-        # rows: the pivot columns; columns: where the rest's free
-        # columns sit among all free columns
-        out[np.ix_(piv, np.searchsorted(free, rest_cols[rest_free]))] = fk.normalize(
-            -_back_substitute(fk, w, rest_piv, w[:len(rest_piv), rest_free]))
+    if rest_piv:
+        rest_free = np.flatnonzero(is_free[rest_cols])
+        if rest_free.size:
+            # rows: the pivot columns; columns: where the rest's free
+            # columns sit among all free columns
+            out[np.ix_(piv, np.searchsorted(free, rest_cols[rest_free]))] = fk.normalize(
+                -_back_substitute(fk, w, rest_piv, w[:len(rest_piv), rest_free]))
     return Mat._of(field, *_lowest(out, den))
 
 
@@ -986,9 +973,9 @@ class Mat:
     denominator, zeros and identities, results of the kernel's
     ``entries``, and results put in lowest terms by ``_lowest`` after an
     entrywise ``normalize``) and where the caller keeps no writable alias of
-    ``arr``.  Unreduced integer arrays are never wrapped: the one that
-    needs a kernel, the Jordan route's conditions, goes to ``_null_basis``
-    as an array, as ``kernel`` hands it its stored entries.
+    ``arr``.  Unreduced integer entries are never wrapped: the ones that
+    need a kernel, the Jordan route's conditions, go to ``_null_basis`` as
+    index triples, as ``kernel`` hands it its stored entries.
     """
 
     __slots__ = ("field", "rows", "cols", "_entries", "_den", "_hash", "_frame", "_inverse")
@@ -1294,11 +1281,13 @@ class Mat:
     def kernel(self) -> "Mat":
         """Matrix whose columns form a basis of the right null space: the
         unique basis that is the identity on the free (non-pivot) columns:
-        ``_null_basis`` of the stored entries (residues in [0, p) over F_p,
-        over Q the numerators, the matrix times its denominator), on all of
-        its columns.
+        ``_null_basis`` of the nonzero stored entries (residues in [0, p)
+        over F_p, over Q the numerators, the matrix times its denominator)
+        as ``np.nonzero`` finds them, row by row.  Only the rest that the
+        weight-one cascade leaves is copied into a dense array.
         """
-        return _null_basis(self.field, self._entries, np.arange(self.cols), self.cols)
+        rows, cols = np.nonzero(self._entries)
+        return _null_basis(self.field, rows, cols, self._entries[rows, cols], self.shape)
 
     def column_space(self) -> "Mat":
         """A basis of the column space, as the columns of the result."""
@@ -1895,13 +1884,16 @@ def _jordan_frame(s: Mat) -> tuple[Mat, Mat, tuple[int, ...]]:
 
 @functools.lru_cache(maxsize=32)
 def _intertwiner_pattern(sizes_src: tuple[int, ...], sizes_tgt: tuple[int, ...]
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """``(idx, rows, cols, c)``: the ones of the 0/1 intertwiners h_c of
-    the Jordan types ``sizes_src`` -> ``sizes_tgt``, one (c, i, j) triple
-    per one, as read-only ``intp`` arrays, and the number c of intertwiners.
-    The last k vectors of a source chain of length a go to the first k of a
-    target chain of length b, for k = 1 .. min(a, b).  Memoised per pair of
-    types: the arrays are shared, so nothing may write them."""
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int,
+                                    tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """``(idx, rows, cols, c, by_row, by_col)``: the ones of the 0/1
+    intertwiners h_c of the Jordan types ``sizes_src`` -> ``sizes_tgt``, one
+    (c, i, j) triple per one, as read-only ``intp`` arrays, the number c of
+    intertwiners, and the ones grouped by their row and by their column
+    (``_groups``).  The last k vectors of a source chain of length a go to
+    the first k of a target chain of length b, for k = 1 .. min(a, b).
+    Memoised per pair of types: the arrays are shared, so nothing may write
+    them."""
     idx: list[int] = []
     rows: list[int] = []
     cols: list[int] = []
@@ -1918,9 +1910,47 @@ def _intertwiner_pattern(sizes_src: tuple[int, ...], sizes_tgt: tuple[int, ...]
             off_s += a
         off_t += b
     out = tuple(np.array(x, dtype=np.intp) for x in (idx, rows, cols))
-    for x in out:
+    groups = (_groups(out[1], sum(sizes_tgt)), _groups(out[2], sum(sizes_src)))
+    for x in itertools.chain(out, *groups):
         x.setflags(write=False)
-    return (*out, c)
+    return (*out, c, *groups)
+
+
+def _groups(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, starts)`` for the keys in ``range(size)``: the positions
+    ``order[starts[k]:starts[k + 1]]`` are those that hold the key k, in
+    increasing order."""
+    starts = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys, minlength=size), out=starts[1:])
+    return np.argsort(keys, kind="stable"), starts
+
+
+def _join(keys: np.ndarray, groups: tuple[np.ndarray, np.ndarray]
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """``(at, pos)``: every pair of a position ``at`` in ``keys`` and a
+    position ``pos`` in the grouped array that holds the same key, grouped
+    by ``at``."""
+    order, starts = groups
+    lo = starts[keys]
+    count = starts[keys + 1] - lo
+    ends = np.cumsum(count)
+    skip = np.repeat(lo - ends + count, count)
+    return np.repeat(np.arange(keys.size), count), order[np.arange(skip.size) + skip]
+
+
+def _summed(cells: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries ``vals`` at the flat ``cells``, where a cell occurs at
+    most twice, with the two values of a cell added and the cells whose
+    values cancel dropped, in increasing order of cells: one entry per cell,
+    each nonzero.  Two values of opposite signs in (-p, p), as the Jordan
+    route's A and B entries are over F_p, add up to a value in (-p, p)."""
+    order = np.argsort(cells, kind="stable")
+    cells, vals = cells[order], vals[order]
+    twin = cells[1:] == cells[:-1]
+    vals[:-1][twin] += vals[1:][twin]
+    keep = vals != 0
+    keep[1:][twin] = False
+    return cells[keep], vals[keep]
 
 
 def nilpotent_hom_basis(s: Mat, s_target: Mat, rest: Sequence[tuple[Mat, Mat]] = ()
@@ -1946,22 +1976,23 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat, rest: Sequence[tuple[Mat, Mat]] =
     of h_c at (i, j') gives two terms: r'[j', j] in row (i, j) for every j
     (A), and -r2'[i', i] in row (i', j') for every i' (B).  For one c, each
     row i and each column j' holds at most one one, so within a term each
-    (row, c) occurs once: the nonzero A entries are written and the nonzero
-    B entries subtracted.  Only the rows and the columns that get an entry
-    are allocated, in their order, each numbered by a cumulative sum; every
-    other row and column is zero, and ``_null_basis`` takes the columns'
-    positions among all c.
-    A row whose A and B entries all cancel is zero too: the entries just
-    placed are read back, and such rows are dropped.  Zero rows leave the
-    row space as it is, so these are the nonzero rows of the whole system,
-    in order.  Each pair's two matrices are over their common denominator,
-    which scales its rows and so leaves the kernel as it is.  Over F_p every
-    entry lies in (-p, p), and ``_null_basis`` takes the conditions
-    unreduced.  Since X -> P_t X P_s^-1 is a linear bijection, the kernel of
-    these conditions is that of the conditions on the P_t h_c P_s^-1, and
-    ``_null_basis`` returns the one basis of it that is the identity on the
-    free columns: mapped back, the hs are the basis that solving in the
-    original coordinates gives.
+    (row, c) occurs once.  The conditions are built as index triples, never
+    as an array: the nonzeros of each conjugated matrix (12 to 38 of the
+    784 entries of a 28 x 28 one on the benchmark's workloads) are joined
+    by index with the ones of the pattern grouped by column (A) and by row
+    (B), and each cell, which holds at most one A and one B entry, gets
+    their sum (``_summed``); a cell whose two entries cancel is dropped, so
+    every triple is nonzero, and the rows left are the nonzero rows of the
+    whole system.  Each pair's two matrices are over their common
+    denominator, which scales its rows and so leaves the kernel as it is.
+    Over F_p an A entry is a residue in [0, p) and a B entry the negative of
+    one, so a sum lies in (-p, p) and is zero mod p only when it is zero:
+    ``_null_basis`` takes the conditions exact and unreduced.  Since
+    X -> P_t X P_s^-1 is a linear bijection, the kernel of these conditions
+    is that of the conditions on the P_t h_c P_s^-1, and ``_null_basis``
+    returns the one basis of it that is the identity on the free columns:
+    mapped back, the hs are the basis that solving in the original
+    coordinates gives.
 
     The h_c have pairwise disjoint supports (each is its own shifted
     diagonal of its own block), so each h, a kernel column or with no
@@ -1985,38 +2016,21 @@ def nilpotent_hom_basis(s: Mat, s_target: Mat, rest: Sequence[tuple[Mat, Mat]] =
                                  f"{s_target.shape} square matrix")
     p_src, p_src_inv, sizes_src = _jordan_frame(s)
     p_tgt, p_tgt_inv, sizes_tgt = _jordan_frame(s_target)
-    idx, rows, cols, c = _intertwiner_pattern(sizes_src, sizes_tgt)
+    idx, rows, cols, c, by_row, by_col = _intertwiner_pattern(sizes_src, sizes_tgt)
     if c and rest:
-        hit = np.zeros(len(rest) * e * d, dtype=bool)
-        used = np.zeros(c, dtype=bool)
-        terms = []
+        cells, vals = [], []
         for t, (r, r2) in enumerate(rest):
             (rj, r2j), _ = _joined([p_src_inv @ r @ p_src, p_tgt_inv @ r2 @ p_tgt])
-            a = rj[cols]                        # (one, j): r'[j', j]
-            one_a, j = np.nonzero(a)
-            b = r2j[:, rows]                    # (i', one): r2'[i', i]
-            i2, one_b = np.nonzero(b)
-            row_a = (t * e + rows[one_a]) * d + j
-            row_b = (t * e + i2) * d + cols[one_b]
-            c_a, c_b = idx[one_a], idx[one_b]
-            hit[row_a] = True
-            hit[row_b] = True
-            used[c_a] = True
-            used[c_b] = True
-            terms.append((row_a, c_a, a[one_a, j], row_b, c_b, b[i2, one_b]))
-        at, to = np.cumsum(hit) - 1, np.cumsum(used) - 1
-        cond = _zeros(field, (int(at[-1]) + 1, int(to[-1]) + 1))
-        live = np.zeros(cond.shape[0], dtype=bool)
-        for row_a, c_a, x_a, row_b, c_b, x_b in terms:
-            row_a, row_b, c_a, c_b = at[row_a], at[row_b], to[c_a], to[c_b]
-            cond[row_a, c_a] = x_a
-            cond[row_b, c_b] -= x_b
-            # the pairs' rows are disjoint: read this pair's entries back
-            live[row_a[cond[row_a, c_a] != 0]] = True
-            live[row_b[cond[row_b, c_b] != 0]] = True
-        if not live.all():
-            cond = cond[live]
-        ker = _null_basis(field, cond, np.flatnonzero(used), c)
+            jp, j = np.nonzero(rj)              # A: r'[j', j], at the ones in column j'
+            at, one = _join(jp, by_col)
+            cells.append(((t * e + rows[one]) * d + j[at]) * c + idx[one])
+            vals.append(rj[jp, j][at])
+            i2, i = np.nonzero(r2j)             # B: -r2'[i', i], at the ones in row i
+            at, one = _join(i, by_row)
+            cells.append(((t * e + i2[at]) * d + cols[one]) * c + idx[one])
+            vals.append(-r2j[i2, i][at])
+        cells, vals = _summed(np.concatenate(cells), np.concatenate(vals))
+        ker = _null_basis(field, cells // c, cells % c, vals, (len(rest) * e * d, c))
         k, h_den = ker.cols, ker._den
         h = _zeros(field, (k, e, d))
         h[:, rows, cols] = ker._entries[idx].T

@@ -219,6 +219,31 @@ class BoundQuiver:
     def is_hereditary(self) -> bool:
         return not self.relations
 
+    def window(self) -> int:
+        """The longest path a presentation of the algebra enumerates: L, plus
+        the longest relation term when some relation is not homogeneous."""
+        if self.relations and any(r.max_length() != r.min_length() for r in self.relations):
+            return self.nilbound + max(r.max_length() for r in self.relations)
+        return self.nilbound
+
+    def path_letters(self, cap: int) -> int:
+        """The arrow names that the paths of length at most ``window()``
+        hold together, a trivial path counted as one: the size of the path
+        enumeration of a presentation, counted level by level with one
+        integer per vertex and no path listed.  Counting stops after the
+        first level that takes the count past ``cap``."""
+        ends = dict.fromkeys(self.quiver.vertices, 1)
+        total = len(ends)
+        for k in range(1, self.window() + 1):
+            level = dict.fromkeys(ends, 0)
+            for a in self.quiver.arrows:
+                level[a.target] += ends[a.source]
+            ends = level
+            total += k * sum(ends.values())
+            if total > cap or not any(ends.values()):
+                break
+        return total
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, BoundQuiver) and other.quiver == self.quiver
                 and other.relations == self.relations and other.nilbound == self.nilbound)
@@ -414,11 +439,7 @@ def _present(bq: BoundQuiver, field: Field) -> tuple[list[Path], dict]:
     """
     q = bq.quiver
     L = bq.nilbound
-    if bq.relations:
-        homogeneous = all(r.max_length() == r.min_length() for r in bq.relations)
-        window = L if homogeneous else L + max(r.max_length() for r in bq.relations)
-    else:
-        window = L
+    window = bq.window()
     paths = _enumerate_paths(q, window)
 
     # stratify by (source, target); columns ordered long-to-short so that

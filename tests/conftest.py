@@ -12,8 +12,8 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from wildrank.exactlin import (Field, Mat, Span, _back_substitute, _zeros, find_invertible_in_span,
-                               trace_form)
+from wildrank.exactlin import (Field, Mat, Span, _back_substitute, _lowest, _zeros,
+                               find_invertible_in_span, trace_form)
 from wildrank.rep import (DEFAULT_TRIALS, IndecVerdict, InconclusiveError, IsoVerdict,
                           Representation,
                           _idempotent_matrix_from_minpoly, are_isomorphic, decompose, end_radical,
@@ -477,6 +477,60 @@ def reference_kernel(a):
     if piv and free:
         out[piv] = fk.normalize(-_back_substitute(fk, w, piv, w[:len(piv), free]))
     return Mat(a.field, a.cols, len(free), fk.exact(out, den))
+
+
+def reference_on_support(a):
+    """``(sub, cols)``: the submatrix of the array ``a`` on its nonzero rows
+    and nonzero columns, and the indices of those columns."""
+    nz = a.astype(bool)
+    rows, cols = nz.any(axis=1), nz.any(axis=0)
+    return a[np.ix_(rows, cols)], np.flatnonzero(cols)
+
+
+def reference_peel_unit_rows(a, cols):
+    """``(rest, rest_cols, peeled)`` for an array ``a`` with no zero row and
+    no zero column whose columns sit at ``cols``: rows of weight one are
+    taken off with their columns (``peeled``), and then the rows left zero,
+    until no row has weight one, one dense mask pass per round."""
+    nz = a.astype(bool)
+    weight = nz.sum(axis=1)
+    rows = np.ones(a.shape[0], dtype=bool)
+    keep = np.ones(a.shape[1], dtype=bool)
+    unit = weight == 1
+    while unit.any():
+        hit = nz[unit].any(axis=0) & keep
+        weight -= nz[:, hit].sum(axis=1)
+        keep &= ~hit
+        rows &= weight > 0
+        unit = rows & (weight == 1)
+    return a[np.ix_(rows, keep)], cols[keep], cols[~keep]
+
+
+def reference_dense_null_basis(field, a):
+    """The null basis of the integer array ``a`` (over F_p entries in
+    (-p, p)) by the dense front end: the support, then the weight-one
+    cascade on dense masks, then the echelon form of what is left.
+    Reference for ``exactlin._null_basis``, which runs the same steps on
+    the index triples of the nonzero entries."""
+    fk = field._kernel
+    width = a.shape[1]
+    sub, on = reference_on_support(a)
+    rest, rest_cols, peeled = reference_peel_unit_rows(sub, on)
+    den, rest_piv = 1, []
+    if rest.shape[0]:
+        w, den, rest_piv = fk.echelon(rest)
+    piv = rest_cols[rest_piv]
+    is_free = np.ones(width, dtype=bool)
+    is_free[peeled] = False
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
+    out = _zeros(field, (width, free.size))
+    out[free, np.arange(free.size)] = den
+    rest_free = np.flatnonzero(is_free[rest_cols])
+    if rest_piv and rest_free.size:
+        out[np.ix_(piv, np.searchsorted(free, rest_cols[rest_free]))] = fk.normalize(
+            -_back_substitute(fk, w, rest_piv, w[:len(rest_piv), rest_free]))
+    return Mat._of(field, *_lowest(out, den))
 
 
 def reference_combination(field, rows, cols, coeffs, mats):
@@ -961,26 +1015,28 @@ def reference_hom_space(m, n):
             for j in range(ker.cols)]
 
 
-def certify_images(seed="certify-pencils"):
+def certify_images(seed="certify-pencils", field=F101):
     """The images of two random 1-dimensional modules under the witness that
     ``covering_criterion`` finds for ``three_loop_rad2`` at radius 2, as in
-    the benchmark's certify round: 28-dimensional one-vertex modules whose
-    loops are nilpotent of Jordan type J_2^14."""
+    the benchmark's certify round (over F101): 28-dimensional one-vertex
+    modules whose loops are nilpotent of Jordan type J_2^14."""
     spec = parse_quiver_spec(fixture_text("three_loop_rad2.quiver"))
-    cert, _ = covering_criterion(spec.covering, 2, field=spec.field, seed=seed)
+    cert, _ = covering_criterion(spec.covering, 2, field=field, seed=seed)
     rng = random.Random(seed)
-    return [eval_tensor(cert.bimodule, FreeAlgModule(Mat.random(F101, 1, 1, rng),
-                                                     Mat.random(F101, 1, 1, rng)))
+    return [eval_tensor(cert.bimodule, FreeAlgModule(Mat.random(field, 1, 1, rng),
+                                                     Mat.random(field, 1, 1, rng)))
             for _ in range(2)]
 
 
 def k3_witness_image(k3_table, dim, seed="k3-pencils"):
     """The image of a random ``dim``-dimensional module under the rank-28
-    sincere K3 witness whose dimension is the full 28 * dim."""
+    sincere K3 witness over the table's field whose dimension is the full
+    28 * dim."""
     w = sincere_witness_for_K3(k3_table)
+    field = k3_table.field
     rng = random.Random(f"{seed}:{dim}")
     while True:
-        v = FreeAlgModule(Mat.random(F101, dim, dim, rng), Mat.random(F101, dim, dim, rng))
+        v = FreeAlgModule(Mat.random(field, dim, dim, rng), Mat.random(field, dim, dim, rng))
         img = eval_tensor(w, v)
         if img.total_dim == 28 * dim:
             return img

@@ -112,6 +112,36 @@ def test_weight_keyword_is_a_whole_token():
         assert line[col - 1:].startswith("weight ") or line[col - 1:] == "weight"
 
 
+def test_a_nilbound_too_large_to_enumerate_exits_2_at_its_token(tmp_path, monkeypatch):
+    # three loops at nilbound 999999999999 would list 3^L paths: refused
+    # while parsing, at the number, before a path is enumerated
+    import wildrank.quiver as quiver_module
+    monkeypatch.setattr(quiver_module, "_enumerate_paths",
+                        lambda *args: pytest.fail("paths enumerated"))
+    base = fixture_text("three_loop_rad2.quiver")
+    text = base.replace("nilbound 2", "nilbound 999999999999")
+    line = next(k for k, x in enumerate(text.splitlines(), 1) if x.startswith("nilbound"))
+    with pytest.raises(SpecError) as e:
+        parse_quiver_spec(text)
+    assert (e.value.line, e.value.col) == (line, 10) and "nilbound 999999999999" in str(e.value)
+    out, code = cmd_classify(text)
+    assert code == 2 and out.startswith(f"error: line {line}, col 10")
+    spec = tmp_path / "big.quiver"
+    spec.write_text(text)
+    from wildrank.cli import main
+    assert main(["classify", str(spec)]) == 2
+    # the bound is on the arrows the paths hold: nilbound 10 (841,450 of
+    # them) parses, 11 does not, and one loop is refused too; an acyclic
+    # quiver's paths stop, whatever the nilbound
+    assert parse_quiver_spec(base.replace("nilbound 2", "nilbound 10")).bound_quiver.nilbound == 10
+    with pytest.raises(SpecError):
+        parse_quiver_spec(base.replace("nilbound 2", "nilbound 11"))
+    with pytest.raises(SpecError):
+        parse_quiver_spec("quiver l\nvertex v\narrow x: v -> v\nnilbound 999999999999\n")
+    acyclic = "quiver a\nvertex v w\narrow x: v -> w\nnilbound 999999999999\n"
+    assert parse_quiver_spec(acyclic).bound_quiver.path_letters(cli_module.MAX_PATH_LETTERS) == 3
+
+
 def test_indented_lines_parse_like_flush_ones():
     text = "quiver r\nvertex v\narrow x: v -> v\nrelation 1*x*x\nnilbound 2\n"
     indented = "\n".join("  " + line for line in text.splitlines()) + "\n"

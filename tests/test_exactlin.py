@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (F101, certify_images, field_add, fixture_text, intertwiner_system,
                       jordan_shift, k3_witness_image, mat_trace,
                       nilpotency_index, QQ, random_nonzero, reference_all_nilpotent,
-                      reference_assemble, reference_echelon_fp, reference_echelon_qq,
+                      reference_assemble, reference_dense_null_basis, reference_echelon_fp,
+                      reference_echelon_qq, reference_on_support, reference_peel_unit_rows,
                       reference_find_invertible_in_span, reference_hom_pencil,
                       reference_jordan_nilpotent, reference_kernel, reference_matmul_fp, span_of,
                       reference_matmul_qq, reference_trace_pairing, _reference_poly_divmod,
@@ -21,11 +22,12 @@ import wildrank.exactlin as exactlin_module
 
 import wildrank.rep as rep_module
 from wildrank.cli import cmd_certify, cmd_classify
-from wildrank.exactlin import (Field, Mat, ShapeMismatchError, Span, all_nilpotent,
+from wildrank.exactlin import (Field, Mat, ShapeMismatchError, Span, _zeros, all_nilpotent,
                                find_invertible_in_span, jordan_nilpotent, nilpotent_hom_basis,
                                trace_form, trace_radical,
-                               _echelon_qq, _is_prime, _jordan_frame, _on_support, _peel_unit_rows,
+                               _echelon_qq, _is_prime, _jordan_frame,
                                _poly_divmod, _poly_gcdex, _poly_mul)
+from wildrank.quiver import build_algebra_table, k3_bound_quiver
 from wildrank.rep import hom_space
 
 
@@ -1135,9 +1137,32 @@ def test_solve_matches_reference(field):
                                                 if pc == j), field.zero) for j in range(n)]
 
 
+@contextlib.contextmanager
+def _echelon_shapes():
+    """The shapes of the arrays handed to ``_echelon_fp`` and ``_echelon_qq``
+    while the block runs (no fixture: hypothesis tests use it too)."""
+    shapes = []
+    fp, qq = exactlin_module._echelon_fp, exactlin_module._echelon_qq
+    exactlin_module._echelon_fp = lambda a, *args: shapes.append(a.shape) or fp(a, *args)
+    exactlin_module._echelon_qq = lambda rows, *args: (
+        shapes.append((len(rows), len(rows[0]) if rows else 0)) or qq(rows, *args))
+    try:
+        yield shapes
+    finally:
+        exactlin_module._echelon_fp, exactlin_module._echelon_qq = fp, qq
+
+
 def _check_kernel(a):
-    got, ref = a.kernel(), reference_kernel(a)
+    """``a.kernel()`` against the reference kernel and the dense front end,
+    which must leave the echelon form the same rest: the rows and columns
+    that the support and the weight-one cascade keep."""
+    with _echelon_shapes() as shapes:
+        got = a.kernel()
+    ref = reference_kernel(a)
     assert got.shape == ref.shape and got.row_list() == ref.row_list()
+    assert got == reference_dense_null_basis(a.field, a._entries)
+    rest = reference_peel_unit_rows(*reference_on_support(a._entries))[0]
+    assert shapes == ([rest.shape] if rest.shape[0] else [])
     assert (a @ got).is_zero()
 
 
@@ -1159,7 +1184,6 @@ def test_kernel_matches_reference_on_support(field):
     for m, n in [(1, 1), (3, 5), (5, 3), (4, 4)]:
         full = Mat(field, m, n, [[random_nonzero(field, rng) for _ in range(n)]
                                  for _ in range(m)])
-        assert _on_support(full._entries)[0] is full._entries
         _check_kernel(full)
 
 
@@ -1175,8 +1199,10 @@ def test_kernel_matches_reference_on_drawn_matrices(field, m, n, density, seed):
 
 
 def _peeled(a):
-    """The columns of ``a`` that ``Mat.kernel`` peels off before the echelon form."""
-    return set(_peel_unit_rows(*_on_support(a._entries))[2].tolist())
+    """The columns of ``a`` that the dense front end peels off before the
+    echelon form; ``_check_kernel`` checks that ``Mat.kernel`` leaves the
+    echelon form the same rest."""
+    return set(reference_peel_unit_rows(*reference_on_support(a._entries))[2].tolist())
 
 
 def _peelable(field, n, rng, units, chain, twins, zero_cols, dense):
@@ -1255,7 +1281,7 @@ def test_kernel_matches_reference_on_certify_systems(monkeypatch):
         ref = reference_kernel(a)
         assert got.shape == ref.shape and got.row_list() == ref.row_list()
         seen["calls"] += 1
-        seen["with_zero_lines"] += _on_support(a._entries)[0].shape != a.shape
+        seen["with_zero_lines"] += reference_on_support(a._entries)[0].shape != a.shape
         seen["peeled"] += bool(_peeled(a))
         return got
 
@@ -1347,7 +1373,7 @@ def test_invertibility_stops_at_the_first_column_without_a_pivot(field):
 
 
 @pytest.mark.parametrize("field", FIELDS + [Field.prime(16777213)])
-def test_trusted_constructor_sites_give_canonical_entries(field):
+def test_trusted_constructor_sites_give_canonical_entries(field, monkeypatch):
     # every site that builds its result without a reduction of the whole
     # output: the entries are canonical by construction, and no writable
     # alias is left
@@ -1415,6 +1441,25 @@ def test_trusted_constructor_sites_give_canonical_entries(field):
     top = Mat.from_rows(field, [[-1, 0], [0, -1]])
     for x in (top.inverse(), (-top).kernel(), top.column_space(),
               Mat.from_rows(field, [[1, -1], [-1, 1]]).kernel()):
+        _assert_canonical(x)
+    if field.char not in (101, 16777213, 0):
+        return
+    # every Mat the Hom path builds, through either constructor, on the
+    # certify images and on a K3 witness image: the Jordan route's triples,
+    # its kernels and frames, the Hom bases and what they are read as
+    made = []
+    init, of = Mat.__init__, Mat._of
+    monkeypatch.setattr(Mat, "__init__", lambda self, *args: init(self, *args) or made.append(self))
+    monkeypatch.setattr(Mat, "_of", classmethod(lambda cls, *args: made.append(of(*args))
+                                                or made[-1]))
+    m, n = certify_images(field=field)
+    k3 = k3_witness_image(build_algebra_table(k3_bound_quiver(), field), 1)
+    before = len(made)
+    for src, tgt in ((m, m), (m, n), (k3, k3)):
+        h = hom_space(src, tgt)
+        assert h.dim and h.frame and h.basis and h.unframe(h.totals().mats[-1])
+    assert len(made) - before > 1000
+    for x in made[before:]:
         _assert_canonical(x)
 
 
@@ -1498,52 +1543,85 @@ def test_k3_witness_pencils_leave_a_small_dense_pass(k3_table, monkeypatch):
     assert max(cols for _, _, (_, cols) in dense) <= 16, dense
 
 
+class _ShapeLog:
+    """A stand-in for numpy inside ``exactlin`` that records the shape of
+    every array a numpy function returns, alone or in a tuple."""
+
+    def __init__(self, shapes: list):
+        self._shapes = shapes
+
+    def __getattr__(self, name):
+        obj = getattr(np, name)
+        if isinstance(obj, type) or not callable(obj):
+            return obj
+
+        def logged(*args, **kwargs):
+            out = obj(*args, **kwargs)
+            for x in out if isinstance(out, tuple) else (out,):
+                if isinstance(x, np.ndarray):
+                    self._shapes.append(x.shape)
+            return out
+        return logged
+
+
 @pytest.mark.parametrize("case", ["certify", "k3"])
 def test_jordan_route_hands_the_kernel_its_nonzero_rows_unreduced(case, k3_table, monkeypatch):
-    # the conditions reach the null basis as built: entries in (-p, p), some
-    # negative, no reduction before the echelon form's own, and only the
-    # rows that hold a nonzero entry (of 1568 (pair, i, j) rows on certify's
-    # 28 x 28 calls and 784 on the witness's) and the columns that get one
-    # (196 of certify's 392 intertwiners)
+    # the conditions reach the null basis as built: one nonzero entry per
+    # cell, in (-p, p), some negative, with no reduction before the echelon
+    # form's own, on the rows that hold a nonzero entry (of 1568 (pair, i, j)
+    # rows on certify's 28 x 28 calls and 784 on the witness's) and the
+    # columns that hold one (of certify's 392 intertwiners).  Neither the
+    # Jordan route nor the null basis allocates an array of that system's
+    # shape: only the dense rest the cascade leaves reaches the echelon form
     calls = _certify_pencils() if case == "certify" else _k3_witness_pencils(k3_table)
-    log, systems = [], []
-    residues, echelon, on_support, null_basis = (
-        exactlin_module._residues, exactlin_module._echelon_fp, exactlin_module._on_support,
-        exactlin_module._null_basis)
+    log, systems, shapes = [], [], []
+    residues, echelon, null_basis = (
+        exactlin_module._residues, exactlin_module._echelon_fp, exactlin_module._null_basis)
     monkeypatch.setattr(exactlin_module, "_null_basis",
-                        lambda f, a, cols, width: systems.append((cols, width))
-                        or null_basis(f, a, cols, width))
+                        lambda f, *triples: systems.append(triples) or log.append(("null basis",))
+                        or null_basis(f, *triples))
     monkeypatch.setattr(exactlin_module, "_residues",
                         lambda a, p, *out: log.append(("reduce", a.shape)) or residues(a, p, *out))
     monkeypatch.setattr(exactlin_module, "_echelon_fp",
-                        lambda a, p, *args: log.append(("echelon",)) or echelon(a, p, *args))
-    monkeypatch.setattr(exactlin_module, "_on_support",
-                        lambda a: log.append(a) or on_support(a))
-    rows, cols = [], []
+                        lambda a, p, *args: log.append(("echelon", a.shape)) or echelon(a, p, *args))
+    monkeypatch.setattr(exactlin_module, "np", _ShapeLog(shapes))
+    found = []
     for s, sp, rest in calls:
         _jordan_frame(s), _jordan_frame(sp)       # memoised already: no elimination
         log.clear()
         systems.clear()
+        shapes.clear()
         nilpotent_hom_basis(s, sp, rest)
-        (at_cols, width), = systems
-        at = next(k for k, x in enumerate(log) if isinstance(x, np.ndarray))
-        cond = log[at]
+        (rows, cols, vals, (m, width)), = systems
+        at = log.index(("null basis",))
         # before the conditions only the pairs are conjugated into the frames
         assert {x[1] for x in log[:at]} <= {s.shape, sp.shape}, log[:at]
         assert log[at + 1][0] == "echelon"
         # after the echelon form only the null basis reduces: no map back
         after = log[at + 2:]
+        seen = shapes + [x[1] for x in log if len(x) > 1]
         del log[:]
-        null_basis(F101, cond, at_cols, width)
-        assert after and after == log[2:] and all(x[0] == "reduce" for x in after)
-        assert cond.any(axis=1).all() and np.abs(cond).max() < 101 and (cond < 0).any()
-        # the columns that get no entry are zero in the whole system
-        assert len(at_cols) == cond.shape[1] <= width and (np.diff(at_cols) > 0).all()
-        rows.append(cond.shape[0])
-        cols.append((cond.shape[1], width))
-    assert rows == ([384, 384] if case == "certify" else [110, 220, 220, 440])
-    assert cols == ([(196, 392)] * 2 if case == "certify" else
-                    [(28, 28), (56, 56), (56, 56), (112, 112)])
+        null_basis(F101, rows, cols, vals, (m, width))
+        assert after and after == log[1:] and all(x[0] == "reduce" for x in after)
+        assert (vals != 0).all() and np.abs(vals).max() < 101 and (vals < 0).any()
+        cells = rows * width + cols
+        assert np.unique(cells).size == cells.size and cols.max() < width and rows.max() < m
+        system = (np.unique(rows).size, np.unique(cols).size)
+        assert system not in seen and system[::-1] not in seen
+        # the echelon form sees a small rest, not the system
+        rest = log[0][1]
+        assert 8 * rest[0] <= system[0] and 4 * rest[1] <= system[1], (rest, system)
+        found.append((*system, width))
+    assert found == ([(384, 196, 392)] * 2 if case == "certify" else
+                     [(110, 28, 28), (220, 56, 56), (220, 56, 56), (440, 112, 112)])
+
+
+def _triples(field, rows, n):
+    """``(rows, cols, vals, shape)`` of the nonzero entries of the integer
+    rows ``rows`` of length ``n``, as ``_null_basis`` takes them."""
+    a = np.array(rows, dtype=field._kernel.dtype).reshape(len(rows), n)
+    at, to = np.nonzero(a)
+    return at, to, a[at, to], a.shape
 
 
 def _unreduced_rows(field, n, rng, density):
@@ -1580,8 +1658,7 @@ def _unreduced_rows(field, n, rng, density):
 @settings(max_examples=80, deadline=None)
 def test_null_basis_of_unreduced_rows_is_the_kernel_of_their_residues(field, n, density, seed):
     rows = _unreduced_rows(field, n, random.Random(seed), density)
-    a = np.array(rows, dtype=field._kernel.dtype).reshape(len(rows), n)
-    got = exactlin_module._null_basis(field, a, np.arange(n), n)
+    got = exactlin_module._null_basis(field, *_triples(field, rows, n))
     assert got == Mat(field, len(rows), n, rows).kernel()
     _assert_canonical(got)
 
@@ -1593,23 +1670,95 @@ def test_null_basis_of_unreduced_rows_is_the_kernel_of_their_residues(field, n, 
 @settings(max_examples=120, deadline=None)
 def test_null_basis_on_a_column_subset_matches_reference_kernel(field, m, width, density, seed):
     """A random sparse m x ``width`` matrix, entries in (-p, p), handed to
-    ``_null_basis`` on its nonzero columns (and some zero ones), with their
-    positions and the full width, against the reference kernel of the whole
-    matrix: with trailing zero columns, with no row and with no nonzero
-    column."""
+    ``_null_basis`` as the triples of its nonzero entries, which lie on a
+    subset of the columns, with the full shape, against the reference
+    kernel of the whole matrix: with trailing zero columns, with no row and
+    with no nonzero column."""
     rng = random.Random(seed)
     top = field.char - 1 if field.char else 9
     live = width - rng.randint(0, min(3, width))
     rows = [[rng.choice([top, -top, rng.randint(-top, top)])
              if j < live and rng.random() < density else 0 for j in range(width)]
             for _ in range(m)]
-    full = np.array(rows, dtype=field._kernel.dtype).reshape(m, width)
-    extra = rng.sample(range(width), rng.randint(0, width // 3))
-    cols = np.array(sorted(set(np.flatnonzero(full.any(axis=0)).tolist()) | set(extra)),
-                    dtype=np.intp)
-    got = exactlin_module._null_basis(field, full[:, cols], cols, width)
+    got = exactlin_module._null_basis(field, *_triples(field, rows, width))
     assert got == reference_kernel(Mat(field, m, width, rows))
     _assert_canonical(got)
+
+
+def _cancelling_triples(field, m, n, chain, rng):
+    """``(rows, cols, vals, shape, pinned)``: raw entries of a system of at
+    least m rows and n columns, each cell at most twice with values of
+    opposite signs, as the Jordan route's A and B entries (over F_p
+    residues in [1, p) and their negatives, most of them +-(p - 1); over Q
+    small integers): pairs that cancel, pairs that do not and single
+    entries at random; with n > ``chain`` >= 1, a unit row and ``chain``
+    weight-two rows behind it, which the cascade peels one after another
+    (their columns are ``pinned``), a copy of the unit row and a row on two
+    chain columns, which the cascade empties; and zero rows."""
+    top = field.char - 1 if field.char else 9
+
+    def value():
+        return rng.choice([top, top, 1, rng.randint(1, top)])
+
+    entries = []
+    for i in range(m):
+        for j in range(n):
+            if rng.random() < 0.35:
+                a = value()
+                kind = rng.randrange(4)
+                entries += [(i, j, a)] if kind != 1 else [(i, j, -a)]
+                if kind == 2:
+                    entries.append((i, j, -a))              # cancels
+                elif kind == 3:
+                    entries.append((i, j, -value()))
+    pinned = set()
+    if 1 <= chain < n:
+        path = rng.sample(range(n), chain + 1)
+        extra = [[path[0]], [path[0]], rng.sample(path, 2)]
+        extra += [[j0, j1] for j0, j1 in zip(path, path[1:])]
+        for k, cols in enumerate(extra):
+            entries += [(m + k, j, rng.choice([value(), -value()])) for j in cols]
+        m += len(extra)
+        pinned = set(path)
+    m += rng.randint(0, 2)
+    rng.shuffle(entries)
+    rows, cols, vals = zip(*entries) if entries else ((), (), ())
+    vals = np.array(vals, dtype=field._kernel.dtype)
+    return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), vals, (m, n),
+            pinned)
+
+
+@given(st.sampled_from([Field.prime(5), F101, Field.prime(16777213), QQ]), st.integers(0, 6),
+       st.integers(0, 8), st.integers(0, 5), st.integers(0, 10 ** 6))
+@example(F101, 0, 0, 0, 0)
+@example(QQ, 3, 0, 0, 0)
+@example(Field.prime(16777213), 0, 5, 0, 0)
+@example(Field.prime(5), 2, 7, 4, 1)
+@settings(max_examples=150, deadline=None)
+def test_null_basis_of_summed_triples_matches_reference_kernel(field, m, n, chain, seed):
+    """Raw triples summed as the Jordan route sums its A and B entries, then
+    handed to ``_null_basis``, against the reference kernel of the dense
+    matrix and against the dense front end, which must leave the echelon
+    form the same rest; with cells that cancel, weight-one chains at least
+    three deep, rows the cascade empties, and systems with no row or no
+    column."""
+    rows, cols, vals, shape, pinned = _cancelling_triples(field, m, n, chain,
+                                                          random.Random(seed))
+    cells, vals = exactlin_module._summed(rows * max(n, 1) + cols, vals)
+    rows, cols = cells // max(n, 1), cells % max(n, 1)
+    assert (vals != 0).all() and np.unique(cells).size == cells.size
+    if field.char:
+        assert (np.abs(vals) < field.char).all()
+    dense = _zeros(field, shape)
+    dense[rows, cols] = vals
+    with _echelon_shapes() as shapes:
+        got = exactlin_module._null_basis(field, rows, cols, vals, shape)
+    assert got == reference_kernel(Mat(field, *shape, dense))
+    assert got == reference_dense_null_basis(field, dense)
+    _assert_canonical(got)
+    rest, _, peeled = reference_peel_unit_rows(*reference_on_support(dense))
+    assert shapes == ([rest.shape] if rest.shape[0] else [])
+    assert pinned <= set(peeled.tolist())
 
 
 @pytest.mark.parametrize("field", [F101, Field.prime(5), QQ], ids=repr)
@@ -1621,9 +1770,12 @@ def test_nilpotent_hom_basis_on_cancelling_and_empty_conditions(field, monkeypat
     rng = random.Random(f"cancel:{field!r}")
     shapes = []
     null_basis = exactlin_module._null_basis
+    # each system as its number of rows and of columns that hold an entry,
+    # and its width
     monkeypatch.setattr(exactlin_module, "_null_basis",
-                        lambda f, a, cols, width: shapes.append((a.shape, len(cols), width))
-                        or null_basis(f, a, cols, width))
+                        lambda f, rows, cols, vals, shape: shapes.append(
+                            (np.unique(rows).size, np.unique(cols).size, shape[1]))
+                        or null_basis(f, rows, cols, vals, shape))
     for sizes in ([3, 2], [2, 2, 1], [4], [1]):
         n = sum(sizes)
         g = _random_invertible(field, n, rng)
@@ -1635,10 +1787,9 @@ def test_nilpotent_hom_basis_on_cancelling_and_empty_conditions(field, monkeypat
             shapes.clear()
             got = nilpotent_hom_basis(s, s, rest)
             assert (got[0].mats, got[1:]) == (every[0].mats, every[1:])
-            # no row survives, on the columns that get an entry, of the
-            # system over every h_c
-            [((m, c), on, width)] = shapes
-            assert m == 0 and c == on <= width == len(every[0])
+            # no entry survives, of the system over every h_c
+            [(m, on, width)] = shapes
+            assert m == on == 0 and width == len(every[0])
         assert mapped_hom_basis(s, s) == reference_hom_pencil(field, n, n,
                                                               [(s, s), (shifted, shifted)])
         # next to a pair that cuts the space down, the cancelled rows are gone
@@ -1646,10 +1797,10 @@ def test_nilpotent_hom_basis_on_cancelling_and_empty_conditions(field, monkeypat
         shapes.clear()
         alone = nilpotent_hom_basis(s, s, [(r, r)])
         both = nilpotent_hom_basis(s, s, [(shifted, shifted), (r, r)])
-        # the same rows over the same width; the cancelled entries may still
-        # number columns, which stay zero
-        (alone_shape, _, alone_width), (both_shape, _, both_width) = shapes
-        assert (alone_shape[0], alone_width) == (both_shape[0], both_width)
+        # the same rows and columns over the same width: the cancelled
+        # entries leave no cell behind
+        alone_system, both_system = shapes
+        assert alone_system == both_system
         assert (alone[0].mats, alone[1:]) == (both[0].mats, both[1:])
         assert mapped_hom_basis(s, s, [(shifted, shifted), (r, r)]) == \
             reference_hom_pencil(field, n, n, [(s, s), (shifted, shifted), (r, r)])
@@ -1659,7 +1810,7 @@ def test_nilpotent_hom_basis_on_cancelling_and_empty_conditions(field, monkeypat
         bump = shifted + p @ Mat.unit(field, n, n, i, j) @ p_inv
         shapes.clear()
         got = mapped_hom_basis(s, s, [(bump, bump)])
-        assert got and shapes[0][0][0] <= 2 * n
+        assert got and shapes[0][0] <= 2 * n
         assert got == reference_hom_pencil(field, n, n, [(s, s), (bump, bump)])
 
 
@@ -1682,9 +1833,15 @@ def test_intertwiner_pattern_is_memoised_and_read_only():
     assert mapped_hom_basis(s2, t2, [(r, r2)]) == \
         reference_hom_pencil(F101, 4, 4, [(s2, t2), (r, r2)])
     assert (pattern.cache_info().hits, pattern.cache_info().misses) == (1, 1)
-    idx, rows, cols, c = pattern((3, 1), (2, 2))
+    idx, rows, cols, c, by_row, by_col = pattern((3, 1), (2, 2))
     assert c == len(first) == 6 and pattern((3, 1), (2, 2))[0] is idx
-    for x in (idx, rows, cols):
+    # the ones grouped by row (of 4) and by column (of 4), each group in order
+    for keys, (order, starts) in ((rows, by_row), (cols, by_col)):
+        assert len(starts) == 5 and sorted(order.tolist()) == list(range(len(idx)))
+        for k in range(4):
+            group = order[starts[k]:starts[k + 1]].tolist()
+            assert group == sorted(group) and group == np.flatnonzero(keys == k).tolist()
+    for x in (idx, rows, cols, *by_row, *by_col):
         assert x.dtype == np.intp and not x.flags.writeable
         with pytest.raises(ValueError):
             x[0] = 1
