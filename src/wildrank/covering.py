@@ -203,12 +203,12 @@ def pushdown_bimodule(w: Window, field: Field) -> WitnessBimodule:
     window_table = build_algebra_table(w.bound_quiver, field)
     slot_of = {v: i for i, v in enumerate(sorted(w.bound_quiver.quiver.vertices))}
     r = len(slot_of)
-    vertices = {bv: _from_entries(field, r, [(slot_of[s], slot_of[s], window_table.idempotent(s))
-                                             for s in w.fiber(bv)])
+    vertices = {bv: _from_entries(field, [(slot_of[s], slot_of[s], window_table.idempotent(s))
+                                          for s in w.fiber(bv)])
                 for bv in w.covering.base.quiver.vertices}
-    arrows = {a.name: _from_entries(field, r, [(slot_of[lift.target], slot_of[lift.source],
-                                                window_table.arrow_element(lift.name))
-                                               for lift in w.lifts(a.name)])
+    arrows = {a.name: _from_entries(field, [(slot_of[lift.target], slot_of[lift.source],
+                                             window_table.arrow_element(lift.name))
+                                            for lift in w.lifts(a.name)])
               for a in w.covering.base.quiver.arrows}
     w._bimodules[field] = WitnessBimodule(base_table, window_table, r, vertices, arrows)
     return w._bimodules[field]

@@ -62,9 +62,11 @@ matrices only through ``Mat`` operations,
 * ``assemble`` (a sum of blocks placed at offsets), ``kron_assemble`` (a
   sum of Kronecker products placed at offsets, identity factors placed as
   copies: every linear system in a matrix unknown, by vec(L X R) =
-  (L ⊗ R^T) vec(X)), ``hcat``/``vcat`` (many matrices side by side or on
-  top of each other), ``lincomb`` (a linear combination), ``unit`` (a
-  matrix unit) and row-major ``reshape``;
+  (L ⊗ R^T) vec(X)), ``kron_cells`` (a sum of Kronecker products whose
+  left factors are given by their nonzero cells: a witness action at a
+  module), ``hcat``/``vcat`` (many matrices side by side or on top of
+  each other), ``lincomb`` (a linear combination) and row-major
+  ``reshape``;
 * ``column_space`` and ``minimal_polynomial``, next to rank, kernel, solve
   and inverse, and ``factor_polynomial``;
 * ``nilpotent_hom_basis``, the maps that intertwine a nilpotent pair and
@@ -629,6 +631,8 @@ class _RationalKernel:
     __slots__ = ()
     name = spec = "Q"
     dtype = object
+    #: sums of ints never overflow: no count of products reaches it
+    chunk = math.inf
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -1045,11 +1049,6 @@ class Mat:
         return cls._of(field, *field._kernel.entries(scalars.reshape(rows, cols)))
 
     @classmethod
-    def unit(cls, field: Field, rows: int, cols: int, i: int, j: int) -> "Mat":
-        """The matrix unit: one at (i, j), zero elsewhere."""
-        return cls.assemble(field, rows, cols, [(i, j, cls.identity(field, 1))])
-
-    @classmethod
     def assemble(cls, field: Field, rows: int, cols: int, blocks) -> "Mat":
         """The ``rows x cols`` sum of the blocks ``(i, j, b)``, each placed with
         its top-left entry at (i, j); overlapping blocks add.  The blocks are
@@ -1139,6 +1138,56 @@ class Mat:
             # a product, or a sum with an overlap: reduced where it is formed
             view[...] = fk.normalize(view)
         return cls._of(field, *_lowest(out, den))
+
+    @classmethod
+    def kron_cells(cls, field: Field, r: int, n: int, parts) -> "Mat":
+        """The ``r n x r n`` sum of the Kronecker products A ⊗ M over
+        ``parts``, pairs of an ``r x r`` matrix A given by its nonzero
+        cells, a dict ``{(i, j): scalar}`` with the scalars as ``coerce``
+        gives them, and an ``n x n`` matrix M: block (i, j) of the result is
+        the sum of c * M over the parts whose A holds c at (i, j).  Each
+        part is one scatter of its products into its blocks, and no A is
+        built as a matrix.
+
+        The scalars of a part are brought to their common denominator d and
+        its M is read over d times its own; the parts are then brought to
+        one common denominator by scaling their M.  Over F_p every
+        denominator is 1.  There a part adds to each entry at most one
+        product c * M[u, v] of two residues, at most (p - 1)**2, since its
+        cells are distinct; the whole is reduced before the part that would
+        add the (``chunk`` + 1)-th product since the last reduction, and
+        once at the end, with ``chunk`` = floor((2**53 - p) / (p - 1)**2).
+        An entry below p plus ``chunk`` products stays at most
+        p - 1 + 2**53 - p < 2**53, the envelope in which float64 holds
+        integers exactly and ``_residues`` reduces them exactly; at
+        p = 16777213 ``chunk`` is 32, so 33 parts force a reduction between
+        them.  Over Q the numerators are Python ints and no reduction is
+        ever due.  The whole is put in lowest terms once."""
+        fk = field._kernel
+        scatters, mats, dens = [], [], []
+        for cells, m in parts:
+            if m.field != field or m.shape != (n, n):
+                raise ShapeMismatchError(f"Kronecker factor {m.shape} over {m.field} for "
+                                         f"{n}x{n} blocks")
+            ratios = [_ratio(fk, c) for c in cells.values()]
+            d = math.lcm(*(q for _, q in ratios))
+            at = np.array(list(cells), dtype=np.intp).reshape(len(cells), 2)
+            if at.size and (at.min() < 0 or at.max() >= r):
+                raise ShapeMismatchError(f"cell outside {r}x{r}")
+            nums = np.array([x * (d // q) for x, q in ratios], dtype=fk.dtype)
+            scatters.append((at[:, 0], at[:, 1], nums[:, None, None]))
+            mats.append(m._entries)
+            dens.append(d * m._den)
+        mats, den = _common(mats, dens)
+        out = _zeros(field, (r, n, r, n))
+        since = 0
+        for (i, j, c), m in zip(scatters, mats):
+            if since == fk.chunk:
+                fk.reduce(out)
+                since = 0
+            out[i, :, j, :] += c * m
+            since += 1
+        return cls._of(field, *_lowest(fk.reduce(out).reshape(r * n, r * n), den))
 
     @classmethod
     def hcat(cls, field: Field, rows: int, mats: Sequence["Mat"]) -> "Mat":
@@ -1250,11 +1299,6 @@ class Mat:
     @property
     def T(self) -> "Mat":
         return self.transpose()
-
-    def kron(self, other: "Mat") -> "Mat":
-        """The Kronecker product: the one-block case of ``kron_assemble``."""
-        return Mat.kron_assemble(self.field, self.rows * other.rows, self.cols * other.cols,
-                                 [(0, 0, self, other, 0)])
 
     def reshape(self, rows: int, cols: int) -> "Mat":
         """The same entries in row-major order, refilled as ``rows x cols``."""

@@ -657,6 +657,31 @@ def _idempotent_matrix_from_minpoly(field: Field, factors, phi_total: Mat) -> Op
     return None
 
 
+def _without_seed(m: Representation):
+    """The part of ``is_indecomposable`` that reads no seed.
+
+    Returns its verdict when that is decided before the seeded split search
+    ("no" for the zero module, "yes" when End is one-dimensional or
+    certified local), and None otherwise, together with what the search
+    goes on with, ``(hom, totals, ker, rad)``: the Hom space End(M), its
+    span, the kernel of its module trace form and, when End may be local,
+    the radical certified for it (else None).  A "yes" comes only from
+    here, so a caller that reads nothing but "yes" needs no seed."""
+    if m.is_zero():
+        return IndecVerdict("no", None, "zero module (decomposes to the empty sum)"), None
+    hom = hom_space(m, m)
+    if hom.dim == 1:
+        return IndecVerdict("yes", detail="End is one-dimensional"), None
+    totals = hom.totals()
+    ker = trace_form(totals, totals).kernel()
+    rad = None
+    if hom.dim - ker.cols <= 1:
+        rad = _certified_radical(m, hom, totals, ker)
+        if rad is not None and hom.dim - rad.cols == 1:
+            return IndecVerdict("yes", detail="End local: dim End/rad = 1"), None
+    return None, (hom, totals, ker, rad)
+
+
 def is_indecomposable(m: Representation, seed) -> IndecVerdict:
     """Endomorphism-ring test for indecomposability.
 
@@ -666,30 +691,22 @@ def is_indecomposable(m: Representation, seed) -> IndecVerdict:
     form certifies, or a semisimple quotient that is a division ring bigger
     than the ground field).
 
-    Locality is certified first when it can hold.  The radical lies in the
-    kernel K of the module trace form (every product with a radical element
-    is nilpotent, so traceless), so dim End/rad >= dim End/K.  When
-    dim End/K <= 1 the radical is certified first, and when it is certified
-    with dim End/rad = 1 the answer is "yes" at once (a local ring has no
-    nontrivial idempotent, so no trial could have split it).  Otherwise the
-    seeded split search runs first, and the radical, with its nilpotency
-    check, is certified only when no trial splits.  Splitting idempotents
-    are found directly as polynomials in random endomorphisms acting on the
-    module.
+    Locality is certified first when it can hold (``_without_seed``).  The
+    radical lies in the kernel K of the module trace form (every product
+    with a radical element is nilpotent, so traceless), so
+    dim End/rad >= dim End/K.  When dim End/K <= 1 the radical is certified
+    first, and when it is certified with dim End/rad = 1 the answer is
+    "yes" at once (a local ring has no nontrivial idempotent, so no trial
+    could have split it).  Otherwise the seeded split search runs first,
+    and the radical, with its nilpotency check, is certified only when no
+    trial splits.  Splitting idempotents are found directly as polynomials
+    in random endomorphisms acting on the module.
     """
-    if m.is_zero():
-        return IndecVerdict("no", None, "zero module (decomposes to the empty sum)")
+    decided, end = _without_seed(m)
+    if decided is not None:
+        return decided
+    hom, totals, ker, rad = end
     field = m.field
-    hom = hom_space(m, m)
-    if hom.dim == 1:
-        return IndecVerdict("yes", detail="End is one-dimensional")
-    totals = hom.totals()
-    ker = trace_form(totals, totals).kernel()
-    may_be_local = hom.dim - ker.cols <= 1
-    if may_be_local:
-        rad = _certified_radical(m, hom, totals, ker)
-        if rad is not None and hom.dim - rad.cols == 1:
-            return IndecVerdict("yes", detail="End local: dim End/rad = 1")
     rng = random.Random(f"indec:{seed}")
     extension_seen = False
     for _ in range(DEFAULT_TRIALS):
@@ -704,7 +721,7 @@ def is_indecomposable(m: Representation, seed) -> IndecVerdict:
                                     "idempotent from a split minimal polynomial")
         elif factors and len(factors[0][0]) > 2:
             extension_seen = True
-    if not may_be_local:
+    if hom.dim - ker.cols > 1:
         rad = _certified_radical(m, hom, totals, ker)
     if rad is None:
         return IndecVerdict("inconclusive", None, "radical not certifiable over this field")

@@ -9,15 +9,22 @@ module over the target kQ/I is a representation of (Q, I), so a witness
 holds one action per vertex and one per arrow of Q, keyed by name, for
 either kind of target; a path acts by the product of its arrows' actions.
 Each action is an r x r matrix over the source B in tensor form,
-sum_k A_k (x) b_k stored as ``{key: A_k}``, with b_k a basis path of B (a
-word in x, y is its own key, a table path is keyed by its index); a table
-element is read as its coefficient dict ``{basis index: scalar}``.
-Products read B's structure constants, sum_m (sum_kl c^m_kl A_k B_l) b_m;
-evaluating at a module is sum_k A_k kron act(b_k), the path b_k acting by
-its path matrix in block (target, source), split by the vertices' actions:
-by coordinates when they are 0/1 diagonals, as every built-in witness's
-are, else as a ``rep.subquotient`` on their column spaces.  Composing
-substitutes the inner action of the path b_k for each b_k.  The associated
+sum_k A_k (x) b_k, with b_k a basis path of B (a word in x, y is its own
+key, a table path is keyed by its index), stored as its nonzero cells
+``{key: {(i, j): scalar}}``: the r x r field matrix A_k is never built,
+since the actions of witnesses hold a few nonzero entries each (7 to 28
+of the 3136 of a 56 x 56 matrix).  The form is canonical (every scalar
+coerced into the field, no zero cell, no key without a cell), so equal
+tensors are equal dicts.  A table element is read as its coefficient dict
+``{basis index: scalar}``.  Products read B's structure constants,
+sum_m (sum_kl c^m_kl A_k B_l) b_m, each A_k B_l a join of the cells on
+the inner index (Gustavson, ACM TOMS 4(3), 1978); evaluating at a module
+is sum_k A_k kron act(b_k), one scatter per key (``Mat.kron_cells``), the
+path b_k acting by its path matrix in block (target, source), split by
+the vertices' actions: by coordinates when they are 0/1 diagonals, as
+every built-in witness's are, else as a ``rep.subquotient`` on their
+column spaces.  Composing substitutes the inner action of the path b_k
+for each b_k, the Kronecker product O_k kron I_ks taken cell by cell.  The associated
 exact functor's preservation properties (indecomposability, isomorphism
 classes, Hom dimensions when fullness is claimed) are checked by bounded
 randomized verification.
@@ -45,7 +52,8 @@ from .quiver import (AlgebraTable, BoundQuiver, Path,
                      build_algebra_table, factor_quiver, k3_bound_quiver, loop_quiver,
                      serialize_quiver_spec)
 from .rep import (Representation, are_isomorphic, hom_space, in_sincere_subcategory,
-                  is_indecomposable, shared_solves, subquotient, InconclusiveError)
+                  is_indecomposable, shared_solves, subquotient, InconclusiveError,
+                  _without_seed)
 
 __all__ = ["CertStep", "CheckCounts", "CheckedReport", "FreeAlgModule", "WitnessBimodule",
            "WitnessCertificate", "bound_quiver_hash", "bound_via_factor", "bound_via_morita",
@@ -117,10 +125,13 @@ class FreeAlgModule(Representation):
 
 
 # ---------------------------------------------------------------------------
-# matrices over the source algebra, in tensor form {key: A_k}
+# matrices over the source algebra, in tensor form {key: {(i, j): scalar}}
 # ---------------------------------------------------------------------------
 #
-# Zero coefficients are dropped, so equal tensors are equal dicts.
+# A_k is stored as its nonzero cells, canonical: every scalar as
+# ``Field.coerce`` returns it, no zero cell and no key without a cell, so
+# equal tensors are equal dicts.  Sums are taken as they come (Python ints
+# over F_p, Fractions over Q) and made canonical once, by ``_canonical``.
 
 SourceOrTarget = Union[AlgebraTable, FreeAlgebra]
 
@@ -143,47 +154,62 @@ def _unit_keys(source: SourceOrTarget) -> list:
     return [source.basis_index(Path(v, v, ())) for v in source.bound_quiver.quiver.vertices]
 
 
-def _tensor(field: Field, r: int, terms) -> dict:
-    """The tensor sum c * M (x) b_key over ``(key, c, M)`` terms."""
-    acc: dict = {}
-    for key, c, m in terms:
-        cs, ms = acc.setdefault(key, ([], []))
-        cs.append(c)
-        ms.append(m)
-    out = {}
-    for key, (cs, ms) in acc.items():
-        m = Mat.lincomb(field, r, r, cs, ms)
-        if not m.is_zero():
-            out[key] = m
+def _canonical(field: Field, sums: dict) -> dict:
+    """The tensor of ``{key: {(i, j): sum}}``: each sum coerced into the
+    field, the zero cells and the keys left with no cell dropped."""
+    coerce, out = field.coerce, {}
+    for key, cells in sums.items():
+        kept = {}
+        for ij, x in cells.items():
+            x = coerce(x)
+            if x:
+                kept[ij] = x
+        if kept:
+            out[key] = kept
     return out
 
 
-def _from_entries(field: Field, r: int, entries) -> dict:
-    """The tensor of the r x r matrix over the source whose nonzero entries
-    are ``(i, j, {key: coefficient})``."""
-    return _tensor(field, r, [(key, c, Mat.unit(field, r, r, i, j))
-                              for i, j, elt in entries for key, c in elt.items()])
-
-
-def _tensor_sum(field: Field, r: int, terms) -> dict:
+def _tensor_sum(field: Field, terms) -> dict:
     """sum c * T over ``(c, T)`` pairs."""
-    return _tensor(field, r, [(key, c, m) for c, t in terms for key, m in t.items()])
+    sums: dict = {}
+    for c, t in terms:
+        for key, cells in t.items():
+            acc = sums.setdefault(key, {})
+            for ij, x in cells.items():
+                acc[ij] = acc.get(ij, 0) + c * x
+    return _canonical(field, sums)
 
 
-def _tensor_mul(source: SourceOrTarget, r: int, a: dict, b: dict) -> dict:
-    """(sum A_k b_k)(sum B_l b_l) = sum_m (sum_kl c^m_kl A_k B_l) b_m."""
-    terms = []
+def _from_entries(field: Field, entries) -> dict:
+    """The tensor of the matrix over the source whose nonzero entries are
+    ``(i, j, {key: coefficient})``."""
+    return _tensor_sum(field, [(c, {key: {(i, j): 1}})
+                               for i, j, elt in entries for key, c in elt.items()])
+
+
+def _tensor_mul(source: SourceOrTarget, a: dict, b: dict) -> dict:
+    """(sum A_k b_k)(sum B_l b_l) = sum_m (sum_kl c^m_kl A_k B_l) b_m, with
+    A_k B_l a join of A_k's cells (i, j) and B_l's cells (j, n) on j."""
+    rows = {}
+    for l, cells in b.items():
+        by_row = rows[l] = {}
+        for (j, n), y in cells.items():
+            by_row.setdefault(j, []).append((n, y))
+    sums: dict = {}
     for k, ak in a.items():
-        for l, bl in b.items():
-            prod = source.product_entry(k, l)
-            if prod:
-                ab = ak @ bl
-                terms.extend((m, c, ab) for m, c in prod.items())
-    return _tensor(source.field, r, terms)
+        for l, bl in rows.items():
+            for m, c in source.product_entry(k, l).items():
+                acc = sums.setdefault(m, {})
+                for (i, j), x in ak.items():
+                    cx = c * x
+                    for n, y in bl.get(j, ()):
+                        acc[i, n] = acc.get((i, n), 0) + cx * y
+    return _canonical(source.field, sums)
 
 
 def _identity(source: SourceOrTarget, r: int) -> dict:
-    return {k: Mat.identity(source.field, r) for k in _unit_keys(source)} if r else {}
+    one = source.field.one
+    return {k: {(i, i): one for i in range(r)} for k in _unit_keys(source)} if r else {}
 
 
 def _act(source: SourceOrTarget, module, key) -> Mat:
@@ -210,10 +236,14 @@ class WitnessBimodule:
     bimodule is one action per vertex (``vertices``) and one per arrow
     (``arrows``) of the target's quiver, keyed by name: for k<x,y> the
     vertex ``"v"`` and the arrows ``"x"`` and ``"y"``.  Each action is a
-    rank x rank matrix over the source in tensor form, a dict ``{key: Mat}``
-    of rank x rank field matrices keyed by source basis elements (words in
+    rank x rank matrix over the source in tensor form, a dict
+    ``{key: {(i, j): scalar}}`` keyed by source basis elements (words in
     x, y when the source is free, basis indices when it is an algebra
-    table).  ``path_action`` gives the action of any path.  Construction
+    table), each holding the nonzero cells of its rank x rank field matrix.
+    Construction stores the actions in canonical form (scalars coerced
+    into the field, zero cells and empty keys dropped), so equal actions
+    are equal dicts, and refuses a cell outside rank x rank.
+    ``path_action`` gives the action of any path.  Construction
     checks that the vertex actions are orthogonal idempotents, that each
     arrow acts from its source's idempotent to its target's, and that every
     relation acts as zero, so the action factors through kQ/I (the paths of
@@ -244,12 +274,13 @@ class WitnessBimodule:
             return self.vertices[path.source]
         acc = self.arrows[path.arrows[0]]
         for a in path.arrows[1:]:
-            acc = _tensor_mul(self.source, self.rank, acc, self.arrows[a])
+            acc = _tensor_mul(self.source, acc, self.arrows[a])
         return acc
 
     def _validate(self):
         r, source = self.rank, self.source
         q = self.target.bound_quiver.quiver
+        inside, canonical = range(r), []
         for kind, given, names in (("vertex", self.vertices, q.vertices),
                                    ("arrow", self.arrows, [a.name for a in q.arrows])):
             for name in names:
@@ -259,15 +290,18 @@ class WitnessBimodule:
                 if name not in names:
                     raise ValueError(f"action given for {name!r}, which is no {kind} of "
                                      f"the target")
-                for k, m in tensor.items():
+                for k, cells in tensor.items():
                     if not _is_key(source, k):
                         raise ValueError(f"action of {name!r} uses {k!r}, not a basis key of "
                                          f"the source")
-                    if m.shape != (r, r):
+                    if not all(type(c) is tuple and len(c) == 2 and c[0] in inside
+                               and c[1] in inside for c in cells):
                         raise ShapeMismatchError("action matrix shape mismatch")
+            canonical.append({name: _canonical(self.field, t) for name, t in given.items()})
+        self.vertices, self.arrows = canonical
 
         def mul(a: dict, b: dict) -> dict:
-            return _tensor_mul(source, r, a, b)
+            return _tensor_mul(source, a, b)
 
         e = self.vertices
         for v in q.vertices:
@@ -281,25 +315,27 @@ class WitnessBimodule:
                 raise ValueError(f"arrow {a.name} does not act from vertex {a.source} to "
                                  f"vertex {a.target}")
         for rel in self.target.bound_quiver.relations:
-            if _tensor_sum(self.field, r, [(c, self.path_action(p)) for c, p in rel.terms]):
+            if _tensor_sum(self.field, [(c, self.path_action(p)) for c, p in rel.terms]):
                 raise ValueError(f"relation {rel} does not act as zero")
         # when the idempotents do not sum to 1, the tensor functor passes to
         # the unital part (the free-generator bookkeeping keeps the declared
         # rank either way)
-        self.unital = _tensor_sum(self.field, r, [(1, e[v]) for v in q.vertices]) == \
+        self.unital = _tensor_sum(self.field, [(1, e[v]) for v in q.vertices]) == \
             _identity(source, r)
 
     # -- evaluation -------------------------------------------------------------
 
     def _entry_matrix_on(self, tensor: dict, module, acts: dict) -> Mat:
         """Evaluate sum_k A_k (x) b_k at a source module, as the block matrix
-        sum_k A_k (x) act(b_k); ``acts`` caches act(b_k) for the module."""
+        sum_k A_k kron act(b_k): ``Mat.kron_cells`` adds c * act(b_k) into
+        block (i, j) for each cell (i, j) of A_k with value c, and over F_p
+        reduces before any entry has summed more products than the bound
+        proved there allows.  ``acts`` caches act(b_k) for the module."""
         for k in tensor:
             if k not in acts:
                 acts[k] = _act(self.source, module, k)
-        total = self.rank * module.total_dim
-        return Mat.kron_assemble(self.field, total, total,
-                                 [(0, 0, a, acts[k], 0) for k, a in tensor.items()])
+        return Mat.kron_cells(self.field, self.rank, module.total_dim,
+                              [(cells, acts[k]) for k, cells in tensor.items()])
 
 
 def eval_tensor(w: WitnessBimodule, module: Representation) -> Representation:
@@ -361,8 +397,8 @@ def _diagonal_assignment(proj, vertices, total):
     for v in vertices:
         m = proj[v]
         ones = [k for k in range(total) if m.entry(k, k) == 1]
-        unit = Mat.identity(m.field, 1)
-        if m != Mat.assemble(m.field, total, total, [(k, k, unit) for k in ones]):
+        diagonal = {(k, k): m.field.one for k in ones}
+        if m != Mat.kron_cells(m.field, total, 1, [(diagonal, Mat.identity(m.field, 1))]):
             return None
         for k in ones:
             if owner[k] is not None:
@@ -403,13 +439,13 @@ def builtin_G(table: Optional[AlgebraTable] = None, field: Field = None) -> Witn
     src, tgt, (a1, a2, a3) = _k3_shape(table.bound_quiver)
     one = {(): 1}
     vertices = {
-        src: _from_entries(f, 2, [(0, 0, one)]),
-        tgt: _from_entries(f, 2, [(1, 1, one)]),
+        src: _from_entries(f, [(0, 0, one)]),
+        tgt: _from_entries(f, [(1, 1, one)]),
     }
     arrows = {
-        a1: _from_entries(f, 2, [(1, 0, one)]),
-        a2: _from_entries(f, 2, [(1, 0, {("x",): 1})]),
-        a3: _from_entries(f, 2, [(1, 0, {("y",): 1})]),
+        a1: _from_entries(f, [(1, 0, one)]),
+        a2: _from_entries(f, [(1, 0, {("x",): 1})]),
+        a3: _from_entries(f, [(1, 0, {("y",): 1})]),
     }
     return WitnessBimodule(table, FreeAlgebra(f), 2, vertices, arrows, full=True)
 
@@ -426,8 +462,8 @@ def builtin_F(table: AlgebraTable) -> WitnessBimodule:
     one = table.one()
     lower = [table.idempotent(src), table.idempotent(tgt)] + \
         [table.arrow_element(name) for name in (a1, a2, a3)]
-    x = _from_entries(f, 7, [(i, i + 1, one) for i in range(6)])
-    y = _from_entries(f, 7, [(i + 1, i, one) for i in range(6)]
+    x = _from_entries(f, [(i, i + 1, one) for i in range(6)])
+    y = _from_entries(f, [(i + 1, i, one) for i in range(6)]
                       + [(i + 2, i, elt) for i, elt in enumerate(lower)])
     return WitnessBimodule(FreeAlgebra(f), table, 7, {"v": _identity(table, 7)},
                            {"x": x, "y": y}, full=True)
@@ -442,18 +478,22 @@ def compose_witness(outer: WitnessBimodule, inner: WitnessBimodule) -> WitnessBi
     m_k."""
     if not _same_algebra(outer.source, inner.target):
         raise ShapeMismatchError("middle algebras do not match")
-    rank = outer.rank * inner.rank
+    ri = inner.rank
     outer_actions = [*outer.vertices.values(), *outer.arrows.values()]
     image = {k: inner.path_action(outer.source.basis_path(k))
              for coeffs in outer_actions for k in coeffs}
 
     def through(coeffs: dict) -> dict:
-        return _tensor(outer.field, rank, [(s, 1, o.kron(i)) for k, o in coeffs.items()
-                                           for s, i in image[k].items()])
+        # O_k kron I_ks on cells: (a, b) of O_k and (c, d) of I_ks meet at
+        # (a ri + c, b ri + d)
+        return _tensor_sum(outer.field, [
+            (1, {s: {(a * ri + c, b * ri + d): x * y
+                     for (a, b), x in o.items() for (c, d), y in cells.items()}})
+            for k, o in coeffs.items() for s, cells in image[k].items()])
 
     vertices = {v: through(t) for v, t in outer.vertices.items()}
     arrows = {a: through(t) for a, t in outer.arrows.items()}
-    return WitnessBimodule(outer.target, inner.source, rank, vertices, arrows,
+    return WitnessBimodule(outer.target, inner.source, outer.rank * ri, vertices, arrows,
                            full=outer.full and inner.full)
 
 
@@ -563,8 +603,10 @@ def check_preservation(sources: Sequence[Representation], images: Sequence[Repre
     """Seeded checks that ``sources[i] -> images[i]`` preserves
     indecomposability and isomorphism classes.
 
-    When ``sources[i]`` is indecomposable (seed ``{seed}:in:{i}``),
-    ``images[i]`` must be too (``{seed}:out:{i}``).  On the first
+    When ``sources[i]`` is indecomposable, ``images[i]`` must be too
+    (``{seed}:out:{i}``).  A source counts as indecomposable when
+    ``is_indecomposable`` says "yes", which only its seed-free part
+    (``rep._without_seed``) can, so only that part runs on the sources.  On the first
     ``max_pairs`` pairs i < j after shuffling with the stream
     ``{pair_stream}:{seed}``, the sources must be isomorphic
     (``{seed}:pin:{i}:{j}``) exactly when the images are
@@ -574,7 +616,8 @@ def check_preservation(sources: Sequence[Representation], images: Sequence[Repre
     """
     indec = CheckCounts()
     for i, (v, img) in enumerate(zip(sources, images)):
-        if is_indecomposable(v, f"{seed}:in:{i}").verdict == "yes":
+        decided, _ = _without_seed(v)
+        if decided is not None and decided.verdict == "yes":
             verdict_out = is_indecomposable(img, f"{seed}:out:{i}").verdict
             indec.record(None if verdict_out == "inconclusive" else verdict_out == "yes")
     all_pairs = [(i, j) for i in range(len(sources)) for j in range(i + 1, len(sources))]

@@ -172,39 +172,141 @@ def reference_relation_jacobian(q, field, rel, mats, dims, offsets, nvars):
     return block
 
 
+def kron(a, b):
+    """The Kronecker product a ⊗ b: the one-block case of ``Mat.kron_assemble``."""
+    return Mat.kron_assemble(a.field, a.rows * b.rows, a.cols * b.cols, [(0, 0, a, b, 0)])
+
+
+def matrix_unit(field, rows, cols, i, j):
+    """The matrix unit: one at (i, j), zero elsewhere."""
+    return Mat.assemble(field, rows, cols, [(i, j, Mat.identity(field, 1))])
+
+
+# ---------------------------------------------------------------------------
+# witness tensors: the dense form {key: A_k} as a reference for the cells
+# ---------------------------------------------------------------------------
+
+def cells_of(tensor):
+    """The cell form ``{key: {(i, j): scalar}}`` of a dense tensor
+    ``{key: Mat}``: the nonzero entries of each A_k, with no key whose A_k is
+    zero.  The one way the tests build a witness action from matrices."""
+    out = {}
+    for key, a in tensor.items():
+        cells = {(i, j): c for i, row in enumerate(a.row_list()) for j, c in enumerate(row) if c}
+        if cells:
+            out[key] = cells
+    return out
+
+
+def dense_of(field, r, tensor):
+    """The dense tensor ``{key: A_k}`` of r x r ``Mat``s of a cell tensor."""
+    return {key: Mat.assemble(field, r, r, [(i, j, Mat.from_rows(field, [[c]]))
+                                            for (i, j), c in cells.items()])
+            for key, cells in tensor.items()}
+
+
+def reference_tensor(field, r, terms):
+    """The dense tensor sum c * M (x) b_key over ``(key, c, M)`` terms, with
+    zero matrices dropped: the dense arithmetic of the witness actions."""
+    acc = {}
+    for key, c, m in terms:
+        cs, ms = acc.setdefault(key, ([], []))
+        cs.append(c)
+        ms.append(m)
+    out = {}
+    for key, (cs, ms) in acc.items():
+        m = Mat.lincomb(field, r, r, cs, ms)
+        if not m.is_zero():
+            out[key] = m
+    return out
+
+
+def reference_tensor_sum(field, r, terms):
+    """sum c * T over ``(c, T)`` pairs of dense tensors."""
+    return reference_tensor(field, r, [(key, c, m) for c, t in terms for key, m in t.items()])
+
+
+def reference_tensor_mul(source, r, a, b):
+    """(sum A_k b_k)(sum B_l b_l) = sum_m (sum_kl c^m_kl A_k B_l) b_m on
+    dense tensors, with one matrix product per pair of keys."""
+    terms = []
+    for k, ak in a.items():
+        for l, bl in b.items():
+            prod = source.product_entry(k, l)
+            if prod:
+                ab = ak @ bl
+                terms.extend((m, c, ab) for m, c in prod.items())
+    return reference_tensor(source.field, r, terms)
+
+
+def reference_compose_actions(outer, inner):
+    """The dense actions ``(vertices, arrows)`` of ``compose_witness(outer,
+    inner)``: sum_k O_k kron I_ks (x) s, with inner(m_k) = sum_s I_ks (x) s
+    the inner action of the basis path m_k, a product of dense arrow
+    actions."""
+    r = inner.rank
+
+    def inner_action(k):
+        path = outer.source.basis_path(k)
+        if not path.arrows:
+            return dense_of(inner.field, r, inner.vertices[path.source])
+        acc = dense_of(inner.field, r, inner.arrows[path.arrows[0]])
+        for a in path.arrows[1:]:
+            acc = reference_tensor_mul(inner.source, r, acc,
+                                       dense_of(inner.field, r, inner.arrows[a]))
+        return acc
+
+    def through(coeffs):
+        dense = dense_of(outer.field, outer.rank, coeffs)
+        return reference_tensor(outer.field, outer.rank * r,
+                                [(s, 1, kron(o, i)) for k, o in dense.items()
+                                 for s, i in inner_action(k).items()])
+    return ({v: through(t) for v, t in outer.vertices.items()},
+            {a: through(t) for a, t in outer.arrows.items()})
+
+
+def reference_act(w, module, key):
+    """The matrix by which the source basis element ``key`` acts on the
+    total space of a source module: a word as the product of the module's
+    x and y in word order, a basis path p by its path matrix in rows
+    offset(p.target) and columns offset(p.source), zero elsewhere."""
+    field, n = w.field, module.total_dim
+    if isinstance(w.source, FreeAlgebra):
+        acc = Mat.identity(field, n)
+        for letter in key:
+            acc = acc @ module.mats[letter]
+        return acc
+    p = w.source.basis[key]
+    block = module.path_matrix(p)
+    t, s = module.offset(p.target), module.offset(p.source)
+    return Mat(field, n, n, [[block.entry(u - t, v - s)
+                              if 0 <= u - t < block.rows and 0 <= v - s < block.cols
+                              else field.zero for v in range(n)] for u in range(n)])
+
+
+def reference_dense_entry_matrix_on(w, tensor, module):
+    """A witness action evaluated at a source module in the dense form: one
+    ``Mat.kron_assemble`` of the blocks A_k kron act(b_k)."""
+    total = w.rank * module.total_dim
+    return Mat.kron_assemble(w.field, total, total,
+                             [(0, 0, a, reference_act(w, module, k), 0)
+                              for k, a in dense_of(w.field, w.rank, tensor).items()])
+
+
 def reference_entry_matrix_on(w, tensor, module):
     """A witness action evaluated at a source module, entry by entry: block
     (i, j) of the result is sum_k A_k[i, j] * act(b_k) for the tensor
-    sum_k A_k (x) b_k, where a word acts as the product of the module's x
-    and y in word order and a basis path by its path matrix.  Reference for
-    the Kronecker form sum_k A_k kron act(b_k) behind ``eval_tensor``.
-    A basis path p acts on the total space by its path matrix in rows
-    offset(p.target) and columns offset(p.source), zero elsewhere."""
+    sum_k A_k (x) b_k, with act as in ``reference_act``.  Reference for
+    the Kronecker form sum_k A_k kron act(b_k) behind ``eval_tensor``."""
     field, r, n = w.field, w.rank, module.total_dim
-    if isinstance(w.source, FreeAlgebra):
-        def act(word):
-            acc = Mat.identity(field, n)
-            for letter in word:
-                acc = acc @ module.mats[letter]
-            return acc
-    else:
-        def act(k):
-            p = w.source.basis[k]
-            block = module.path_matrix(p)
-            t, s = module.offset(p.target), module.offset(p.source)
-            return Mat(field, n, n, [[block.entry(u - t, v - s)
-                                      if 0 <= u - t < block.rows and 0 <= v - s < block.cols
-                                      else field.zero for v in range(n)] for u in range(n)])
     rows = [[field.zero] * (r * n) for _ in range(r * n)]
-    for key, a in tensor.items():
-        m = act(key)
-        for i in range(r):
-            for j in range(r):
-                c = a.entry(i, j)
-                for u in range(n):
-                    for v in range(n):
-                        rows[i * n + u][j * n + v] = field_add(
-                            field, rows[i * n + u][j * n + v], field.mul(c, m.entry(u, v)))
+    for key, cells in tensor.items():
+        m = reference_act(w, module, key)
+        for (i, j), c in cells.items():
+            for u in range(n):
+                for v in range(n):
+                    rows[i * n + u][j * n + v] = field_add(
+                        field, rows[i * n + u][j * n + v], field.mul(c, m.entry(u, v)))
     return Mat(field, r * n, r * n, rows)
 
 
@@ -612,7 +714,7 @@ def reference_hom_pencil(field, e_dim, d_dim, pairs):
             nil_idx = i
             break
     if nil_idx is None:
-        params = [Mat.unit(field, e_dim, d_dim, i, j)
+        params = [matrix_unit(field, e_dim, d_dim, i, j)
                   for i in range(e_dim) for j in range(d_dim)]
         rest = pairs
     else:
@@ -993,7 +1095,7 @@ def reference_hom_space(m, n):
     """All intertwiners m -> n from one kernel: the unknowns are every f_v,
     row-major, in vertex order, and arrow a contributes the rows of
     vec(f_t M(a) - N(a) f_s) = (I ⊗ M(a)^T) vec(f_t) - (N(a) ⊗ I) vec(f_s),
-    built with ``Mat.kron``.  No arrow is contracted and nothing is cached.
+    built with ``kron``.  No arrow is contracted and nothing is cached.
     Reference for ``rep.hom_space``; returns the basis as {vertex: Mat}."""
     field = m.field
     q = m.bound_quiver.quiver
@@ -1005,9 +1107,9 @@ def reference_hom_space(m, n):
     for a in q.arrows:
         s, t = a.source, a.target
         blocks.append((nrows, offsets[t],
-                       Mat.identity(field, n.dims[t]).kron(m.mats[a.name].T)))
+                       kron(Mat.identity(field, n.dims[t]), m.mats[a.name].T)))
         blocks.append((nrows, offsets[s],
-                       -n.mats[a.name].kron(Mat.identity(field, m.dims[s]))))
+                       kron(-n.mats[a.name], Mat.identity(field, m.dims[s]))))
         nrows += n.dims[t] * m.dims[s]
     ker = Mat.assemble(field, nrows, nvars, blocks).kernel()
     return [{v: ker.submatrix(range(offsets[v], offsets[v] + n.dims[v] * m.dims[v]), [j])
@@ -1055,8 +1157,9 @@ def reference_check_preservation(sources, images, seed, pair_stream, max_pairs):
     """``wildness.check_preservation`` rebuilt from its docstring: the
     indecomposability checks with ``reference_is_indecomposable`` and the
     isomorphism checks with ``reference_are_isomorphic``, on a pair stream
-    of its own.  Returns both counts, the sorted pairs and the seed of every
-    verdict drawn, in sorted order."""
+    of its own.  A source is read only for "yes", which no seed changes, so
+    its check draws no seed.  Returns both counts, the sorted pairs and the
+    seed of every verdict drawn, in sorted order."""
     seeds = []
 
     def indecomposable(m, s):
@@ -1069,7 +1172,7 @@ def reference_check_preservation(sources, images, seed, pair_stream, max_pairs):
 
     indec = CheckCounts()
     for i in range(len(sources)):
-        if indecomposable(sources[i], f"{seed}:in:{i}") == "yes":
+        if reference_is_indecomposable(sources[i], "any").verdict == "yes":
             out = indecomposable(images[i], f"{seed}:out:{i}")
             indec.record(None if out == "inconclusive" else out == "yes")
     stream = list(itertools.combinations(range(len(sources)), 2))
@@ -1242,13 +1345,13 @@ def reference_ext1_dim_via_presentation(m, n):
     cols = []
     for j0, (v0, c0) in enumerate(slots0):
         for b in range(n.dims[v0]):
-            gen_images = [Mat.unit(field, n.dims[v0], 1, b, 0) if j == j0
+            gen_images = [matrix_unit(field, n.dims[v0], 1, b, 0) if j == j0
                           else Mat.zeros(field, n.dims[v], 1)
                           for j, (v, c) in enumerate(slots0)]
             g = _reference_morphism_from_generators(bq, field, p0, slots0, n, gen_images)
             vals = []
             for j1, (v1, c1) in enumerate(slots1):
-                gen_col = Mat.unit(field, p1.dims[v1], 1, offs[j1], 0)
+                gen_col = matrix_unit(field, p1.dims[v1], 1, offs[j1], 0)
                 img = g[v1] @ (phi[v1] @ gen_col)
                 vals.extend(img.entry(i, 0) for i in range(n.dims[v1]))
             cols.append(vals)
@@ -1278,7 +1381,7 @@ def _reference_path_on_generator(bq, field, p_sum, slots, slot_idx, path):
         plist = _reference_sorted_paths(bq.quiver, v, path.target)
         if j == slot_idx:
             k = [p.arrows for p in plist].index(path.arrows)
-            return Mat.unit(field, p_sum.dims[path.target], 1, idx + k, 0)
+            return matrix_unit(field, p_sum.dims[path.target], 1, idx + k, 0)
         idx += len(plist)
     raise ValueError("slot not found")
 
@@ -1312,7 +1415,7 @@ def reference_ar_translate_inverse(m):
     for j0, (v0, c0) in enumerate(slots0):
         col_entries = [field.zero] * p1_back.dims[v0]
         for j1, (v1, c1) in enumerate(slots1):
-            img = phi[v1] @ Mat.unit(field, p1_opp.dims[v1], 1, offs1[j1], 0)
+            img = phi[v1] @ matrix_unit(field, p1_opp.dims[v1], 1, offs1[j1], 0)
             for jj0, (coef, opp_path) in _reference_decode(opp, slots0, v1, img):
                 if jj0 != j0:
                     continue
@@ -1338,7 +1441,7 @@ def reference_ar_translate_inverse(m):
         basis_t, rad_t, comp_t = proj[t]
         rows = [[field.zero] * dims[s] for _ in range(dims[t])]
         for jj, j in enumerate(proj[s][2]):
-            x = p1_back.mats[a.name] @ Mat.unit(field, p1_back.dims[s], 1, j, 0)
+            x = p1_back.mats[a.name] @ matrix_unit(field, p1_back.dims[s], 1, j, 0)
             coords = basis_t.solve(x)
             for ii in range(len(comp_t)):
                 rows[ii][jj] = coords.entry(rad_t + ii, 0)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import F101, QQ, direct_sum, make_relation, rep_from_lists, simple_rep, zero_rep
 import wildrank.covering as covering_module
-from wildrank.exactlin import Field, Mat
+from wildrank.exactlin import Field
 from wildrank.quiver import BoundQuiver, Quiver, build_algebra_table, factor_quiver, loop_quiver
 from wildrank.covering import (CoveringSpec, build_window, covering_criterion, pushdown,
                                pushdown_bimodule, verify_pushdown)
@@ -173,11 +173,9 @@ def test_pushdown_agrees_with_bimodule(x2_cov, three_loop_cov):
 def _scale_one_entry(pb):
     """The pushdown bimodule with one arrow-action entry doubled."""
     name = next(a for a, t in pb.arrows.items() if t)
-    key, m = next(iter(pb.arrows[name].items()))
-    rows = m.row_list()
-    i, j = next((i, j) for i, row in enumerate(rows) for j, c in enumerate(row) if c)
-    rows[i][j] = 2 * rows[i][j]
-    arrows = {**pb.arrows, name: {**pb.arrows[name], key: Mat.from_rows(pb.field, rows)}}
+    key, cells = next(iter(pb.arrows[name].items()))
+    ij, c = next(iter(cells.items()))
+    arrows = {**pb.arrows, name: {**pb.arrows[name], key: {**cells, ij: 2 * c}}}
     return WitnessBimodule(pb.target, pb.source, pb.rank, pb.vertices, arrows)
 
 
@@ -188,7 +186,8 @@ def _swap_two_slots(pb):
     perm = [1, 0] + list(range(2, pb.rank))
 
     def conj(actions):
-        return {name: {k: m.submatrix(perm, perm) for k, m in t.items()}
+        return {name: {k: {(perm[i], perm[j]): c for (i, j), c in cells.items()}
+                       for k, cells in t.items()}
                 for name, t in actions.items()}
     return WitnessBimodule(pb.target, pb.source, pb.rank, conj(pb.vertices), conj(pb.arrows))
 

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (F101, certify_images, field_add, fixture_text, intertwiner_system,
-                      jordan_shift, k3_witness_image, mat_trace,
+from conftest import (F101, certify_images, dense_of, field_add, fixture_text,
+                      intertwiner_system,
+                      jordan_shift, k3_witness_image, kron, mat_trace, matrix_unit,
                       nilpotency_index, QQ, random_nonzero, reference_all_nilpotent,
                       reference_assemble, reference_dense_null_basis, reference_echelon_fp,
                       reference_echelon_qq, reference_on_support, reference_peel_unit_rows,
@@ -310,8 +311,8 @@ def test_find_invertible_matches_per_candidate_reference(field):
     def conj(mats):
         return [g @ x @ ginv for x in mats]
 
-    diag = [Mat.unit(field, n, n, i, i) for i in range(n)]
-    upper = [Mat.unit(field, n, n, i, j) for i in range(n) for j in range(i + 1, n)]
+    diag = [matrix_unit(field, n, n, i, i) for i in range(n)]
+    upper = [matrix_unit(field, n, n, i, j) for i in range(n) for j in range(i + 1, n)]
     cases = [
         ("unit", conj([upper[0], Mat.identity(field, n), diag[0]])),
         ("sum", conj(diag)),
@@ -527,10 +528,10 @@ def test_nilpotent_stack_stops_with_no_inner_index(monkeypatch):
                              [0] * 5, [0] * 5])
     assert x.is_nilpotent() and products == [((1, 5, 5), (1, 5, 5))]
     products.clear()
-    units = [Mat.unit(F101, 5, 5, i, j) for i in (0, 1) for j in (2, 3, 4)]
+    units = [matrix_unit(F101, 5, 5, i, j) for i in (0, 1) for j in (2, 3, 4)]
     assert all_nilpotent(span_of(units)) and not products
     # next to them a diagonal unit, idempotent: three squarings, whole
-    assert not all_nilpotent(span_of(units + [Mat.unit(F101, 5, 5, 3, 3)]))
+    assert not all_nilpotent(span_of(units + [matrix_unit(F101, 5, 5, 3, 3)]))
     assert products == [((7, 5, 5), (7, 5, 5))] * 3
 
 
@@ -554,7 +555,7 @@ def test_all_nilpotent_matches_per_element_index(field, n):
     rng = random.Random(f"all-nilpotent:{field}:{n}")
     j_n = jordan_shift(field, [n])
     j_short = jordan_shift(field, [n - 1, 1])
-    cycle = j_n + Mat.unit(field, n, n, n - 1, 0)        # a permutation matrix
+    cycle = j_n + matrix_unit(field, n, n, n - 1, 0)        # a permutation matrix
     zero = Mat.zeros(field, n, n)
     mats = [_conjugate(field, x, rng) for x in (j_n, j_short, cycle)] + [zero, j_n]
     if field == QQ:
@@ -639,7 +640,7 @@ def test_nilpotent_hom_basis_matches_kron_kernel(field):
         basis = mapped_hom_basis(s, t)
         for g in basis:
             assert g @ s == t @ g
-        big = s.T.kron(Mat.identity(field, n2)) - Mat.identity(field, n1).kron(t)
+        big = kron(s.T, Mat.identity(field, n2)) - kron(Mat.identity(field, n1), t)
         assert big.kernel().cols == len(basis)
 
 
@@ -836,7 +837,7 @@ def test_assemble_and_unit_match_reference(field):
             i, j = rng.randrange(rows), rng.randrange(cols)
             unit = _ref_zeros(field, rows, cols)
             unit[i][j] = field.one
-            assert Mat.unit(field, rows, cols, i, j).row_list() == unit
+            assert matrix_unit(field, rows, cols, i, j).row_list() == unit
     with pytest.raises(ShapeMismatchError):
         Mat.assemble(field, 2, 2, [(1, 1, Mat.identity(field, 2))])
 
@@ -966,7 +967,28 @@ def test_kron_matches_reference(field):
         b = _rand_rows(field, p, q, rng)
         ref = [[field.mul(a[i // p][j // q], b[i % p][j % q]) for j in range(n * q)]
                for i in range(m * p)]
-        assert Mat(field, m, n, a).kron(Mat(field, p, q, b)).row_list() == ref
+        assert kron(Mat(field, m, n, a), Mat(field, p, q, b)).row_list() == ref
+    # a sum of Kronecker products whose left factors are given by their
+    # nonzero cells, some over denominators: Mat.kron_cells
+    third = field.inv(3)
+    for _ in range(20):
+        r, n = rng.randint(0, 3), rng.randint(0, 3)
+        parts, ref = [], Mat.zeros(field, r * n, r * n)
+        for _ in range(rng.randint(0, 4)):
+            cells = {(i, j): field.mul(third, random_nonzero(field, rng))
+                     for i in range(r) for j in range(r) if rng.random() < 0.5}
+            m = Mat(field, n, n, _rand_rows(field, n, n, rng)).scaled(field.inv(2))
+            parts.append((cells, m))
+            ref = ref + kron(dense_of(field, r, {0: cells}).get(0, Mat.zeros(field, r, r)), m)
+        got = Mat.kron_cells(field, r, n, parts)
+        _assert_canonical(got)
+        assert got == ref
+    for r, n, cells, m in ((2, 1, {(2, 0): field.one}, Mat.identity(field, 1)),
+                           (2, 1, {(0, -1): field.one}, Mat.identity(field, 1)),
+                           (2, 1, {(0, 0): field.one}, Mat.identity(field, 2)),
+                           (1, 1, {(0, 0): field.one}, Mat.identity(Field.prime(5), 1))):
+        with pytest.raises(ShapeMismatchError):
+            Mat.kron_cells(field, r, n, [(cells, m)])
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -1064,7 +1086,7 @@ def test_intertwiner_system_matches_reference(field):
 def test_kron_with_identity_factors_matches_kron(field):
     # kron_assemble against an entrywise sum of Kronecker products, with
     # every None factor built as an identity: blocks at offsets, overlapping
-    # blocks adding, and Mat.kron as the one-block case
+    # blocks adding, and ``kron`` as the one-block case
     rng = random.Random(38)
 
     def ref_kron(x, y):
@@ -1092,10 +1114,10 @@ def test_kron_with_identity_factors_matches_kron(field):
                     ref[i + u][j + v] = field_add(field, ref[i + u][j + v], val)
         assert Mat.kron_assemble(field, rows, cols, blocks).row_list() == ref
         x, y = (Mat.random(field, rng.randint(0, 3), rng.randint(0, 3), rng) for _ in range(2))
-        assert x.kron(y).row_list() == ref_kron(x.row_list(), y.row_list())
+        assert kron(x, y).row_list() == ref_kron(x.row_list(), y.row_list())
         n = rng.randint(0, 3)
         assert (Mat.kron_assemble(field, n * y.rows, n * y.cols, [(0, 0, y, None, n)])
-                == y.kron(Mat.identity(field, n)))
+                == kron(y, Mat.identity(field, n)))
         e, d = rng.randint(1, 4), rng.randint(1, 4)
         s, s2, g = (Mat.random(field, d, d, rng), Mat.random(field, e, e, rng),
                     Mat.random(field, e, d, rng))
@@ -1435,8 +1457,22 @@ def test_trusted_constructor_sites_give_canonical_entries(field, monkeypatch):
         if square.is_invertible():
             joined += [square.scaled(field.inv(5)).inverse(),
                        square.solve_matrix(square.scaled(field.inv(3)))]
+        # cells over 3 scattered into blocks over 2, and cells that cancel
+        joined += [Mat.kron_cells(field, 2, n, [({(0, 0): field.inv(3), (1, 0): field.coerce(-1)},
+                                                 square.scaled(field.inv(2))),
+                                                ({(0, 0): field.coerce(-1), (1, 1): field.one},
+                                                 square)]),
+                   Mat.kron_cells(field, 2, n, [({(0, 1): field.inv(3)}, square),
+                                                ({(0, 1): field.coerce(-field.inv(3))}, square)]),
+                   Mat.kron_cells(field, 3, n, [])]
         for x in joined:
             _assert_canonical(x)
+    # 40 products of (p - 1)**2 in one entry, more than the 32 that
+    # p = 16777213 allows between reductions
+    square = Mat.from_rows(field, [[-1, -1], [-1, -1]])
+    many = Mat.kron_cells(field, 1, 2, [({(0, 0): field.coerce(-1)}, square)] * 40)
+    _assert_canonical(many)
+    assert many == Mat.from_rows(field, [[40, 40], [40, 40]])
     # the entries the reductions make: p - 1 and negatives of zero
     top = Mat.from_rows(field, [[-1, 0], [0, -1]])
     for x in (top.inverse(), (-top).kernel(), top.column_space(),
@@ -1444,22 +1480,29 @@ def test_trusted_constructor_sites_give_canonical_entries(field, monkeypatch):
         _assert_canonical(x)
     if field.char not in (101, 16777213, 0):
         return
-    # every Mat the Hom path builds, through either constructor, on the
+    # every Mat that evaluation through a witness builds (the scatters of
+    # the actions, the actions of the source basis and the vertex splits)
+    # and that the Hom path builds, through either constructor, on the
     # certify images and on a K3 witness image: the Jordan route's triples,
     # its kernels and frames, the Hom bases and what they are read as
-    made = []
-    init, of = Mat.__init__, Mat._of
+    k3_table = build_algebra_table(k3_bound_quiver(), field)
+    made, scattered = [], []
+    init, of, kron_cells = Mat.__init__, Mat._of, Mat.kron_cells
     monkeypatch.setattr(Mat, "__init__", lambda self, *args: init(self, *args) or made.append(self))
     monkeypatch.setattr(Mat, "_of", classmethod(lambda cls, *args: made.append(of(*args))
                                                 or made[-1]))
+    monkeypatch.setattr(Mat, "kron_cells", classmethod(
+        lambda cls, *args: scattered.append(kron_cells(*args)) or scattered[-1]))
     m, n = certify_images(field=field)
-    k3 = k3_witness_image(build_algebra_table(k3_bound_quiver(), field), 1)
+    start = len(made)
+    k3 = k3_witness_image(k3_table, 1)
+    assert len(made) - start > 10 and scattered and all(x in made for x in scattered)
     before = len(made)
     for src, tgt in ((m, m), (m, n), (k3, k3)):
         h = hom_space(src, tgt)
         assert h.dim and h.frame and h.basis and h.unframe(h.totals().mats[-1])
     assert len(made) - before > 1000
-    for x in made[before:]:
+    for x in made[:]:
         _assert_canonical(x)
 
 
@@ -1807,7 +1850,7 @@ def test_nilpotent_hom_basis_on_cancelling_and_empty_conditions(field, monkeypat
         # and within one pair: J + c plus a matrix unit in s's Jordan frame
         p, p_inv, _ = _jordan_frame(s)
         i, j = rng.randrange(n), rng.randrange(n)
-        bump = shifted + p @ Mat.unit(field, n, n, i, j) @ p_inv
+        bump = shifted + p @ matrix_unit(field, n, n, i, j) @ p_inv
         shapes.clear()
         got = mapped_hom_basis(s, s, [(bump, bump)])
         assert got and shapes[0][0] <= 2 * n
@@ -2045,7 +2088,7 @@ def test_prime_field_results_are_rational_results_mod_p(p):
         agree(aq + bq, af + bf)
         agree(aq.scaled(c), af.scaled(c))
         agree(aq @ cq, af @ cf)
-        agree(aq.kron(cq), af.kron(cf))
+        agree(kron(aq, cq), kron(af, cf))
         agree(aq.T, af.T)
         agree(aq.reshape(n, m), af.reshape(n, m))
         ri = sorted(rng.sample(range(m), rng.randint(0, m)))
@@ -2523,8 +2566,8 @@ def test_rational_minimal_polynomial_and_hom_basis_over_large_denominators():
         ps, pt = _big_invertible(rng, d), _big_invertible(rng, e)
         s = ps @ jordan_shift(QQ, sizes_s) @ ps.inverse()
         t = pt @ jordan_shift(QQ, sizes_t) @ pt.inverse()
-        r = ps @ Mat.unit(QQ, d, d, 0, 0) @ ps.inverse()
-        r2 = pt @ Mat.unit(QQ, e, e, 0, 0) @ pt.inverse()
+        r = ps @ matrix_unit(QQ, d, d, 0, 0) @ ps.inverse()
+        r2 = pt @ matrix_unit(QQ, e, e, 0, 0) @ pt.inverse()
         got = mapped_hom_basis(s, t, [(r, r2)])
         sr, tr, rr, r2r = (x.row_list() for x in (s, t, r, r2))
         for g in got:

@@ -13,7 +13,7 @@ import wildrank.exactlin as exactlin_module
 import wildrank.rep as rep_module
 import wildrank.wildness as wildness_module
 from conftest import (certify_images, direct_sum, F101, fixture_text, fresh_copy,
-                      k3_witness_image, line_quiver, make_relation,
+                      k3_witness_image, kron, line_quiver, make_relation,
                       nilpotency_index, QQ, reference_are_isomorphic,
                       reference_check_preservation,
                       reference_end_radical, reference_hom_pencil, reference_hom_space,
@@ -1255,7 +1255,7 @@ def test_trap_fallback_reads_the_kernel_columns_as_before(k2_bq, p):
     assert framed.jordan is None and framed.frame is None
     (_, side), = m._sides.items()
     pencil, one = side.pencil["b"], Mat.identity(field, p)
-    ker = (one.kron(pencil.T) - pencil.kron(one)).kernel()
+    ker = (kron(one, pencil.T) - kron(pencil, one)).kernel()
     before = [ker.submatrix(range(p * p), [j]).reshape(p, p) for j in range(ker.cols)]
     assert end_radical(m) is None and framed.frame is not None
     assert [g["1"] for g in hom.frame] == before and len(before) == hom.dim == p

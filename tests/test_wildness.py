@@ -1,14 +1,19 @@
+import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wildrank.exactlin as exactlin_module
 import wildrank.rep as rep_module
 import wildrank.wildness as wildness_module
-from conftest import (direct_sum, eval_tensor_morphism, F101, line_quiver, loop_square_zero,
-                      make_relation, QQ, reference_entry_matrix_on, simple_rep, zero_module,
-                      zero_rep)
+from conftest import (cells_of, dense_of, direct_sum, eval_tensor_morphism, F101, line_quiver,
+                      loop_square_zero, make_relation, matrix_unit, QQ,
+                      reference_compose_actions, reference_dense_entry_matrix_on,
+                      reference_entry_matrix_on, reference_tensor_mul, reference_tensor_sum,
+                      simple_rep, zero_module, zero_rep)
 
 from wildrank.exactlin import Field, Mat, ShapeMismatchError
 from wildrank.quiver import (AdmissibilityError, AlgebraTable, BoundQuiver, Path,
@@ -41,9 +46,9 @@ def test_free_word_evaluation_order():
     # representations with x acting as xy + 3y and y as 3y: a word acts
     # letter by letter, xy as X @ Y
     one = Mat.identity(F101, 1)
-    w = WitnessBimodule(FreeAlgebra(F101), FreeAlgebra(F101), 1, {"v": {(): one}},
-                        {"x": {("x", "y"): one, ("y",): one.scaled(3)},
-                         "y": {("y",): one.scaled(3)}})
+    w = WitnessBimodule(FreeAlgebra(F101), FreeAlgebra(F101), 1, {"v": cells_of({(): one})},
+                        {"x": cells_of({("x", "y"): one, ("y",): one.scaled(3)}),
+                         "y": cells_of({("y",): one.scaled(3)})})
     v = fam(F101, [[0, 1], [0, 0]], [[0, 0], [1, 0]])
     img = eval_tensor(w, v)
     x, y = img.mats["x"], img.mats["y"]
@@ -381,7 +386,8 @@ def test_bound_via_factor_inflation(three_loop_bq, f101):
     three = factor_quiver(four, ["v"], ["x", "y", "z"])
     table3 = build_algebra_table(three, f101)
     # explicit rank-1 bimodule over the 3-loop algebra: all loops act by zero
-    w = WitnessBimodule(table3, FreeAlgebra(f101), 1, {"v": {(): Mat.identity(f101, 1)}},
+    w = WitnessBimodule(table3, FreeAlgebra(f101), 1,
+                        {"v": cells_of({(): Mat.identity(f101, 1)})},
                         {a: {} for a in ("x", "y", "z")})
     cert = certificate_for_bimodule(w, three, "three-loop radical-square-zero", seed=0)
     prov = FactorProvenance(four, ("v",), ("x", "y", "z"))
@@ -428,7 +434,8 @@ def test_eval_tensor_non_aligned_projections(k3_table):
     u_inv = u.inverse()
 
     def twist(actions):
-        return {name: {k: u @ a @ u_inv for k, a in t.items()} for name, t in actions.items()}
+        return {name: cells_of({k: u @ a @ u_inv for k, a in dense_of(F101, 2, t).items()})
+                for name, t in actions.items()}
 
     twisted = WitnessBimodule(k3_table, FreeAlgebra(F101), 2, twist(g.vertices),
                               twist(g.arrows), full=True)
@@ -544,7 +551,8 @@ def test_validate_rejects_non_idempotent_identity(k3_table):
     # vertex acts as twice the identity
     one = Mat.identity(F101, 1)
     arrows = {a: {} for a in ("a", "b", "c")}
-    for vertices in ({"1": {(): one}, "2": {(): one}}, {"1": {(): one.scaled(2)}, "2": {}}):
+    for vertices in ({"1": cells_of({(): one}), "2": cells_of({(): one})},
+                     {"1": cells_of({(): one.scaled(2)}), "2": {}}):
         with pytest.raises(ValueError, match="do not act as orthogonal idempotents"):
             WitnessBimodule(k3_table, FreeAlgebra(F101), 1, vertices, arrows)
 
@@ -554,7 +562,7 @@ def test_validate_rejects_non_multiplicative_action(k3_table):
     # and from generator 2 to itself breaks a * e_1 = a
     g = builtin_G(k3_table)
     for i, j in ((0, 1), (1, 1)):
-        arrows = {**g.arrows, "a": {(): Mat.unit(F101, 2, 2, i, j)}}
+        arrows = {**g.arrows, "a": cells_of({(): matrix_unit(F101, 2, 2, i, j)})}
         with pytest.raises(ValueError, match="arrow a does not act from vertex 1 to vertex 2"):
             WitnessBimodule(k3_table, FreeAlgebra(F101), 2, g.vertices, arrows)
 
@@ -562,7 +570,7 @@ def test_validate_rejects_non_multiplicative_action(k3_table):
 def test_validate_rejects_keys_outside_the_source(k3_table):
     g = builtin_G(k3_table)
     for bad in (("z",), tuple("x" * 9), 0):
-        vertices = {**g.vertices, "1": {bad: Mat.identity(F101, 2)}}
+        vertices = {**g.vertices, "1": cells_of({bad: Mat.identity(F101, 2)})}
         with pytest.raises(ValueError, match="not a basis key"):
             WitnessBimodule(k3_table, FreeAlgebra(F101), 2, vertices, g.arrows)
 
@@ -579,7 +587,7 @@ def test_validate_rejects_names_outside_the_target(k3_table):
             WitnessBimodule(k3_table, FreeAlgebra(F101), 2, vertices, arrows)
     free = FreeAlgebra(F101)
     with pytest.raises(ValueError, match="'a', which is no arrow of the target"):
-        WitnessBimodule(free, free, 1, {"v": {(): Mat.identity(F101, 1)}},
+        WitnessBimodule(free, free, 1, {"v": cells_of({(): Mat.identity(F101, 1)})},
                         {"x": {}, "y": {}, "a": {}})
 
 
@@ -587,12 +595,12 @@ def test_validate_rejects_a_relation_that_does_not_act_as_zero(three_loop_bq):
     # x acting as the letter x makes x*x act as the word xx, not as zero
     table = build_algebra_table(three_loop_bq, F101)
     one = Mat.identity(F101, 1)
-    vertices = {"v": {(): one}}
+    vertices = {"v": cells_of({(): one})}
     good = WitnessBimodule(table, FreeAlgebra(F101), 1, vertices, {"x": {}, "y": {}, "z": {}})
     assert good.unital
     with pytest.raises(ValueError, match=r"relation 1\*x\*x does not act as zero"):
         WitnessBimodule(table, FreeAlgebra(F101), 1, vertices,
-                        {"x": {("x",): one}, "y": {}, "z": {}})
+                        {"x": cells_of({("x",): one}), "y": {}, "z": {}})
 
 
 def test_validation_multiplies_per_vertex_arrow_and_relation_term(monkeypatch, k3_table,
@@ -633,17 +641,21 @@ def test_compose_through_a_table_middle_uses_path_products():
     a1 = a3.basis_index(Path("1", "2", ("a1",)))
 
     def unit(i, j):
-        return Mat.unit(F101, 3, 3, i, j)
+        return matrix_unit(F101, 3, 3, i, j)
 
-    inner = WitnessBimodule(a3, free, 3, {v: {(): unit(i, i)} for i, v in enumerate("123")},
-                            {"a1": {("x",): unit(1, 0)}, "a2": {("y",): unit(2, 1)}})
+    inner = WitnessBimodule(a3, free, 3,
+                            {v: cells_of({(): unit(i, i)}) for i, v in enumerate("123")},
+                            {"a1": cells_of({("x",): unit(1, 0)}),
+                             "a2": cells_of({("y",): unit(2, 1)})})
     # the outer witness: x acts as a2*a1 + 2 a1, y as e_2
-    outer = WitnessBimodule(free, a3, 1, {"v": {k: one for k in e.values()}},
-                            {"x": {a2a1: one, a1: one.scaled(2)}, "y": {e["2"]: one}})
+    outer = WitnessBimodule(free, a3, 1, {"v": cells_of({k: one for k in e.values()})},
+                            {"x": cells_of({a2a1: one, a1: one.scaled(2)}),
+                             "y": cells_of({e["2"]: one})})
     composite = compose_witness(outer, inner)
-    assert composite.vertices == {"v": {(): Mat.identity(F101, 3)}}
-    assert composite.arrows == {"x": {("y", "x"): unit(2, 0), ("x",): unit(1, 0).scaled(2)},
-                                "y": {(): unit(1, 1)}}
+    assert composite.vertices == {"v": cells_of({(): Mat.identity(F101, 3)})}
+    assert composite.arrows == {"x": cells_of({("y", "x"): unit(2, 0),
+                                               ("x",): unit(1, 0).scaled(2)}),
+                                "y": cells_of({(): unit(1, 1)})}
     rng = random.Random(61)
     for _ in range(3):
         v = FreeAlgModule.random(F101, 2, rng)
@@ -669,3 +681,115 @@ def test_module_over_another_nilbound_of_the_source_quiver(k3_table):
     bound = BoundQuiver(q, [make_relation(q, [(1, ("x", "x"))])], nilbound=4)
     with pytest.raises(ShapeMismatchError):
         eval_tensor(g, Representation(bound, F101, {"v": 2}, {"x": nil, "y": nil}, check=False))
+
+
+# ---------------------------------------------------------------------------
+# the cell form against the dense form {key: A_k}
+# ---------------------------------------------------------------------------
+
+F_BIG = Field.prime(16777213)
+#: cell scalars: small ones, so that random sums and products cancel
+_SCALARS = [1, -1, 2, -2, Fraction(1, 3), Fraction(-1, 3)]
+
+
+def _source_of(kind, field):
+    return FreeAlgebra(field) if kind == "free" else build_algebra_table(k3_bound_quiver(), field)
+
+
+def _source_keys(source):
+    """Words of length at most two, or every basis index of a table."""
+    if isinstance(source, FreeAlgebra):
+        return [()] + [w for n in (1, 2) for w in itertools.product("xy", repeat=n)]
+    return list(range(source.dimension))
+
+
+@st.composite
+def _cell_tensors(draw, field, source, r):
+    """A canonical random tensor, read through the dense form: a key may
+    get no cell, and cells may cancel to zero."""
+    keys = draw(st.lists(st.sampled_from(_source_keys(source)), max_size=4, unique=True))
+    cell = st.tuples(st.integers(0, r - 1), st.integers(0, r - 1))
+    raw = {k: draw(st.dictionaries(cell, st.sampled_from(_SCALARS), max_size=r * r))
+           for k in keys}
+    return cells_of(dense_of(field, r, raw))
+
+
+@st.composite
+def _free_target_witnesses(draw, field, source):
+    """A witness from source modules to k<x,y>-modules: v acts by the
+    identity, x and y by random tensors, which is valid for any tensors."""
+    r = draw(st.integers(1, 3))
+    x, y = draw(_cell_tensors(field, source, r)), draw(_cell_tensors(field, source, r))
+    return WitnessBimodule(FreeAlgebra(field), source, r, {"v": wildness_module._identity(source, r)},
+                           {"x": x, "y": y})
+
+
+@pytest.mark.parametrize("kind", ["free", "table"])
+@pytest.mark.parametrize("field", [F101, F_BIG, QQ], ids=repr)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_cell_arithmetic_matches_the_dense_form(field, kind, data):
+    # products, sums, composites and evaluations of random tensors and
+    # witnesses, each against the dense arithmetic on {key: A_k}
+    source = _source_of(kind, field)
+    r = data.draw(st.integers(1, 3))
+    a, b = (data.draw(_cell_tensors(field, source, r)) for _ in range(2))
+    da, db = dense_of(field, r, a), dense_of(field, r, b)
+    assert wildness_module._tensor_mul(source, a, b) == \
+        cells_of(reference_tensor_mul(source, r, da, db))
+    c = data.draw(st.sampled_from(_SCALARS))
+    terms = [(c, a), (1, b), (-c, a)]
+    assert wildness_module._tensor_sum(field, terms) == cells_of(reference_tensor_sum(
+        field, r, [(c, dense_of(field, r, t)) for c, t in terms])) == b
+    outer = data.draw(_free_target_witnesses(field, FreeAlgebra(field)))
+    inner = data.draw(_free_target_witnesses(field, source))
+    composite = compose_witness(outer, inner)
+    vertices, arrows = reference_compose_actions(outer, inner)
+    assert composite.vertices == {v: cells_of(t) for v, t in vertices.items()}
+    assert composite.arrows == {a: cells_of(t) for a, t in arrows.items()}
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    for w in (inner, composite):
+        v = _random_source_module(w, rng)
+        img = eval_tensor(w, v)
+        for name in ("x", "y"):
+            assert img.mats[name] == reference_dense_entry_matrix_on(w, w.arrows[name], v)
+
+
+@pytest.mark.parametrize("field", [F101, F_BIG, QQ], ids=repr)
+def test_evaluation_of_an_action_with_many_keys(field):
+    # x acts by -2 E_00 (x) w for each of the 42 words w of odd length at
+    # most 5; at a one-dimensional module with x = y = -2 every key adds an
+    # odd product near p**2 to one entry, more than the 32 that
+    # p = 16777213 allows between reductions
+    words = [w for n in (1, 3, 5) for w in itertools.product("xy", repeat=n)]
+    minus_two = field.coerce(-2)
+    w = WitnessBimodule(FreeAlgebra(field), FreeAlgebra(field), 1,
+                        {"v": {(): {(0, 0): field.one}}},
+                        {"x": {word: {(0, 0): minus_two} for word in words}, "y": {}})
+    v = fam(field, [[-2]], [[-2]])
+    img = eval_tensor(w, v)
+    expected = sum((-2) * (-2) ** len(word) for word in words)
+    assert len(words) == 42
+    assert img.mats["x"] == reference_dense_entry_matrix_on(w, w.arrows["x"], v) == \
+        Mat.from_rows(field, [[expected]])
+
+
+def test_witness_arithmetic_builds_no_matrix(monkeypatch, three_loop_bq):
+    # constructing, validating, composing and taking path actions work on
+    # the cells alone: no Mat is made through either constructor
+    from wildrank.covering import CoveringSpec, build_window, pushdown_bimodule
+    cov = CoveringSpec(three_loop_bq, 1, {a.name: (1,) for a in three_loop_bq.quiver.arrows})
+    pd = pushdown_bimodule(build_window(cov, [(0, 1)]), F101)
+    made = []
+    init, of = Mat.__init__, Mat._of
+    monkeypatch.setattr(Mat, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+    monkeypatch.setattr(Mat, "_of", classmethod(lambda cls, *args: made.append(args) or of(*args)))
+    sincere = sincere_witness_for_K3(pd.source)
+    composite = compose_witness(pd, sincere)
+    again = WitnessBimodule(composite.target, composite.source, composite.rank,
+                            composite.vertices, composite.arrows)
+    for w in (pd, sincere, again):
+        for k in range(w.target.dimension):
+            w.path_action(w.target.basis_path(k))
+    assert made == []
+    assert again.vertices == composite.vertices and again.arrows == composite.arrows
