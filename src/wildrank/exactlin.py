@@ -1128,7 +1128,7 @@ class Mat:
                 view[at] += first
             else:
                 # the outer product into a 4-d view: np.kron's generic path
-                # costs more than the product on the small blocks of witnesses
+                # costs more than the product on small blocks
                 a, b = first[:, None, :, None], y._entries[None, :, None, :]
                 nz = np.broadcast_to(a != 0, view.shape)
                 if fresh:
