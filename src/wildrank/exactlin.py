@@ -38,34 +38,32 @@ Polynomials are ascending coefficient lists.  The dense-polynomial helpers
 written once for every coefficient ring; ``factor_polynomial`` hands a
 monic polynomial to the field's kernel and sorts what comes back.
 
-``Mat.kernel`` and the Jordan route share one null-basis function,
-``_null_basis``, with one input form: a system's nonzero entries as
-(row, column, value) index arrays and its shape (``np.nonzero`` of a
+``Mat.kernel``, the Jordan route and ``kron_kernel`` share one null-basis
+function, ``_null_basis``, with one input form: a system's nonzero entries
+as (row, column, value) index arrays and its shape (``np.nonzero`` of a
 matrix's stored entries; the Jordan route's integer conditions as built,
-unreduced).  It reads the support and runs the weight-one cascade on those
-arrays with ``np.bincount``, and allocates only the dense rest that the
-cascade leaves for the echelon form, so no array of the whole system's
-shape is made.  The result is unchanged: zero rows add nothing to the row
-space, a zero column is never a pivot (its kernel vector is its unit
-vector), each column of a row of weight one is a pivot with zero kernel
-entries, and the kernel basis is the unique one that is the identity on
-the free columns.  Hom systems are mostly zeros and rows of weight one or
-two, so most of their elimination is skipped.  ``column_space`` stays on
-the whole matrix: it reads its basis from the non-reduced echelon form
-over F_p, whose rows depend on the row swaps that zero rows take part in.  ``rank`` and
-``pivot_columns`` stay on it too: their inputs are small and dense, where
-finding the support costs more than it saves.
+unreduced; a Kronecker system's ``_kron_triples``).  It runs the weight-one
+cascade on those arrays and allocates only the dense rest that the cascade
+leaves for the echelon form, so no array of the whole system's shape is
+made, and returns the same basis as the whole matrix (proved in its
+docstring).  Hom systems are mostly zeros and rows of weight one or two,
+so most of their elimination is skipped.  ``column_space`` stays on the
+whole matrix: it reads its basis from the non-reduced echelon form over
+F_p, whose rows depend on the row swaps that zero rows take part in.
+``rank`` and ``pivot_columns`` stay on it too: their inputs are small and
+dense, where finding the support costs more than it saves.
 
 The storage stays inside this module: other modules build and combine
 matrices only through ``Mat`` operations,
 
 * ``assemble`` (a sum of blocks placed at offsets), ``kron_assemble`` (a
-  sum of Kronecker products placed at offsets, identity factors placed as
-  copies: every linear system in a matrix unknown, by vec(L X R) =
-  (L ⊗ R^T) vec(X)), ``kron_cells`` (a sum of Kronecker products whose
-  left factors are given by their nonzero cells: a witness action at a
-  module), ``hcat``/``vcat`` (many matrices side by side or on top of
-  each other), ``lincomb`` (a linear combination) and row-major
+  sum of Kronecker products placed at offsets, None for an identity
+  factor: every linear system in a matrix unknown, by vec(L X R) =
+  (L ⊗ R^T) vec(X), laid out by ``_kron_triples`` alone, which
+  ``kron_kernel`` solves), ``kron_cells`` (a sum of Kronecker products
+  whose left factors are given by their nonzero cells: a witness action
+  at a module), ``hcat``/``vcat`` (many matrices side by side or on top
+  of each other), ``lincomb`` (a linear combination) and row-major
   ``reshape``;
 * ``column_space`` and ``minimal_polynomial``, next to rank, kernel, solve
   and inverse, and ``factor_polynomial``;
@@ -111,7 +109,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 __all__ = ["Field", "Mat", "ShapeMismatchError", "Span", "factor_polynomial",
-           "find_invertible_in_span", "nilpotent_hom_basis", "trace_form", "trace_radical"]
+           "find_invertible_in_span", "kron_kernel", "nilpotent_hom_basis", "trace_form", "trace_radical"]
 
 Scalar = Union[int, Fraction]
 
@@ -842,6 +840,74 @@ def _nonzero_lines(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nz.any(axis=-1), nz.any(axis=-2)
 
 
+def _summed(cells: np.ndarray, vals: np.ndarray, reduce=None) -> tuple[np.ndarray, np.ndarray]:
+    """The entries ``vals`` at the flat ``cells``, one per cell in increasing
+    order: each cell's values added, the sums passed through ``reduce`` when
+    given, and zero sums dropped.  A sum is the difference of two running
+    totals; for values in (-p, p), as both callers pass, a total of N values
+    is exact in float64 while N p < 2**53: 2**29 values (4 GiB) at p < 2**24."""
+    order = np.argsort(cells, kind="stable")
+    cells, vals = cells[order], vals[order]
+    last = np.ones(cells.size, dtype=bool)
+    last[:-1] = cells[1:] != cells[:-1]
+    ends = np.flatnonzero(last)
+    vals = np.cumsum(vals)[ends]
+    vals[1:] = vals[1:] - vals[:-1]
+    if reduce is not None:
+        vals = reduce(vals)
+    keep = vals != 0
+    return cells[ends][keep], vals[keep]
+
+
+def _nonzeros(field: Field, f: Optional["Mat"], n: int):
+    """``(rows, cols, r, c, vals)``: the shape and the nonzero entries of the
+    matrix ``f``, or of the ``n x n`` identity for None."""
+    if f is None:
+        return n, n, np.arange(n), np.arange(n), np.ones(n, dtype=field._kernel.dtype)
+    if f.field != field:
+        raise ShapeMismatchError("field mismatch")
+    r, c = np.nonzero(f._entries)
+    return f.rows, f.cols, r, c, f._entries[r, c]
+
+
+def _kron_triples(field: Field, rows: int, cols: int, blocks):
+    """``(cells, vals, den)``: the nonzero entries of the ``rows x cols`` sum
+    of the blocks ``(i, j, x, y, n)`` of ``Mat.kron_assemble``, one per flat
+    row-major cell, over the common denominator ``den``: residues in (0, p)
+    over 1, or ``int`` numerators.  The one place that knows how an L X R
+    system is laid out: nonzero entries (r, c) of x and (s, t) of y give
+    entry (r yr + s, c yc + t) of x ⊗ y, y being yr x yc, so a block's cells
+    are distinct.  A product of two residues is exact in float64 (below
+    2**48) and nonzero mod p; it is reduced before any sum, so with no
+    overlap (``_claim``) no sort is needed.  Overlapping blocks, a loop, add
+    per cell (``_summed``); a zero sum, mod p or over Q, is dropped."""
+    fk = field._kernel
+    keys, parts, dens, placed, overlap = [], [], [], [], False
+    for i, j, x, y, n in blocks:
+        (xr, xc, ar, ac, av), (yr, yc, br, bc, bv) = _nonzeros(field, x, n), _nonzeros(field, y, n)
+        if i < 0 or j < 0 or i + xr * yr > rows or j + xc * yc > cols:
+            raise ShapeMismatchError(
+                f"block ({xr * yr}, {xc * yc}) at ({i}, {j}) leaves {rows}x{cols}")
+        overlap |= not _claim(placed, i, i + xr * yr, j, j + xc * yc)
+        keys.append(((ar * (yr * cols) + ac * yc + (i * cols + j))[:, None]
+                     + (br * cols + bc)).ravel())
+        parts.append((av[:, None] * bv).ravel())
+        dens.append((1 if x is None else x._den) * (1 if y is None else y._den))
+    parts, den = _common(parts, dens)
+    cells = np.concatenate(keys) if keys else np.zeros(0, dtype=np.intp)
+    vals = fk.normalize(np.concatenate(parts)) if parts else _zeros(field, (0,))
+    if overlap:
+        cells, vals = _summed(cells, vals, fk.normalize)
+    return cells, vals, den
+
+
+def kron_kernel(field: Field, rows: int, cols: int, blocks) -> "Mat":
+    """``Mat.kron_assemble(field, rows, cols, blocks).kernel()``, solved by
+    ``_null_basis`` on ``_kron_triples``, with no array of the system's shape."""
+    cells, vals, _ = _kron_triples(field, rows, cols, blocks)
+    return _null_basis(field, *np.divmod(cells, max(cols, 1)), vals, (rows, cols))
+
+
 def _null_basis(field: Field, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                 shape: tuple[int, int]) -> "Mat":
     """The null basis of ``Mat.kernel`` for the ``shape[0] x shape[1]``
@@ -850,7 +916,7 @@ def _null_basis(field: Field, rows: np.ndarray, cols: np.ndarray, vals: np.ndarr
     integers in (-p, p), nonzero mod p; over Q ``int``s, the numerators of
     rows that may each be scaled by a nonzero rational, which changes no
     kernel.  ``Mat.kernel`` hands it ``np.nonzero`` of its stored entries,
-    and ``nilpotent_hom_basis`` its conditions as built, unreduced.
+    ``kron_kernel`` ``_kron_triples``, ``nilpotent_hom_basis`` its raw conditions.
 
     Every row and column with no entry is left out of the elimination, and
     the result is the same matrix as from the whole one.  Zero rows do not
@@ -979,7 +1045,7 @@ class Mat:
     entrywise ``normalize``) and where the caller keeps no writable alias of
     ``arr``.  Unreduced integer entries are never wrapped: the ones that
     need a kernel, the Jordan route's conditions, go to ``_null_basis`` as
-    index triples, as ``kernel`` hands it its stored entries.
+    index triples, as ``kernel`` and ``kron_kernel`` hand it theirs.
     """
 
     __slots__ = ("field", "rows", "cols", "_entries", "_den", "_hash", "_frame", "_inverse")
@@ -1080,63 +1146,13 @@ class Mat:
     @classmethod
     def kron_assemble(cls, field: Field, rows: int, cols: int, blocks) -> "Mat":
         """The ``rows x cols`` sum of the Kronecker products ``x ⊗ y`` of the
-        blocks ``(i, j, x, y, n)``, each placed with its top-left entry at
-        (i, j); overlapping blocks add.
-
-        Row-major, vec(L X R) = (L ⊗ R^T) vec(X), so every linear system in
-        a matrix unknown X is one call.  A None factor stands for the
-        ``n x n`` identity (at most one per block; n is read only then) and
-        is placed as copies: I_n ⊗ y is n copies of y down the diagonal, and
-        x ⊗ I_n puts each entry x[r, c] on the diagonal of block (r, c).
-        With both factors given, the outer product is formed at the nonzero
-        entries of x only.  The denominator of a block is the product of its
-        factors' denominators; the blocks are brought to their common
-        denominator by scaling the first factor given.  A block that
-        overlaps no earlier one is written rather than added.  A product
-        block, and a sum with an overlap, is reduced where it is formed, so
-        every entry is reduced when the block is done and over F_p no entry
-        ever exceeds (p - 1)**2 + p - 1; reducing block by block keeps the
-        int64 temporary of the reduction to one block, not the whole output.
-        The whole is put in lowest terms once.
-        """
-        fk = field._kernel
-        shaped, firsts, dens = [], [], []
-        for i, j, x, y, n in blocks:
-            if any(f is not None and f.field != field for f in (x, y)):
-                raise ShapeMismatchError("field mismatch")
-            xr, xc = (n, n) if x is None else x.shape
-            yr, yc = (n, n) if y is None else y.shape
-            if i < 0 or j < 0 or i + xr * yr > rows or j + xc * yc > cols:
-                raise ShapeMismatchError(
-                    f"block ({xr * yr}, {xc * yc}) at ({i}, {j}) leaves {rows}x{cols}")
-            shaped.append((i, j, x, y, n, xr, xc, yr, yc))
-            first = y if x is None else x
-            firsts.append(first._entries)
-            dens.append(first._den if x is None or y is None else x._den * y._den)
-        firsts, den = _common(firsts, dens)
+        blocks ``(i, j, x, y, n)`` placed at (i, j), overlapping blocks
+        adding, None for the ``n x n`` identity: every linear system in a
+        matrix unknown X, by vec(L X R) = (L ⊗ R^T) vec(X) row-major.  The
+        entries of ``_kron_triples`` are written into zeros, in lowest terms."""
+        cells, vals, den = _kron_triples(field, rows, cols, blocks)
         out = _zeros(field, (rows, cols))
-        placed: list[tuple[int, int, int, int]] = []
-        for (i, j, x, y, n, xr, xc, yr, yc), first in zip(shaped, firsts):
-            fresh = _claim(placed, i, i + xr * yr, j, j + xc * yc)
-            view = out[i:i + xr * yr, j:j + xc * yc].reshape(xr, yr, xc, yc, copy=False)
-            if x is None or y is None:
-                k, whole = np.arange(n), slice(None)
-                at = (k, whole, k, whole) if x is None else (whole, k, whole, k)
-                if fresh:
-                    view[at] = first
-                    continue
-                view[at] += first
-            else:
-                # the outer product into a 4-d view: np.kron's generic path
-                # costs more than the product on small blocks
-                a, b = first[:, None, :, None], y._entries[None, :, None, :]
-                nz = np.broadcast_to(a != 0, view.shape)
-                if fresh:
-                    np.multiply(a, b, out=view, where=nz)
-                else:
-                    np.add(view, np.multiply(a, b, out=None, where=nz), out=view, where=nz)
-            # a product, or a sum with an overlap: reduced where it is formed
-            view[...] = fk.normalize(view)
+        np.put(out, cells, vals)
         return cls._of(field, *_lowest(out, den))
 
     @classmethod
@@ -1330,8 +1346,7 @@ class Mat:
         as ``np.nonzero`` finds them, row by row.  Only the rest that the
         weight-one cascade leaves is copied into a dense array.
         """
-        rows, cols = np.nonzero(self._entries)
-        return _null_basis(self.field, rows, cols, self._entries[rows, cols], self.shape)
+        return _null_basis(self.field, *_nonzeros(self.field, self, 0)[2:], self.shape)
 
     def column_space(self) -> "Mat":
         """A basis of the column space, as the columns of the result."""
@@ -1980,21 +1995,6 @@ def _join(keys: np.ndarray, groups: tuple[np.ndarray, np.ndarray]
     ends = np.cumsum(count)
     skip = np.repeat(lo - ends + count, count)
     return np.repeat(np.arange(keys.size), count), order[np.arange(skip.size) + skip]
-
-
-def _summed(cells: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The entries ``vals`` at the flat ``cells``, where a cell occurs at
-    most twice, with the two values of a cell added and the cells whose
-    values cancel dropped, in increasing order of cells: one entry per cell,
-    each nonzero.  Two values of opposite signs in (-p, p), as the Jordan
-    route's A and B entries are over F_p, add up to a value in (-p, p)."""
-    order = np.argsort(cells, kind="stable")
-    cells, vals = cells[order], vals[order]
-    twin = cells[1:] == cells[:-1]
-    vals[:-1][twin] += vals[1:][twin]
-    keep = vals != 0
-    keep[1:][twin] = False
-    return cells[keep], vals[keep]
 
 
 def nilpotent_hom_basis(s: Mat, s_target: Mat, rest: Sequence[tuple[Mat, Mat]] = ()

@@ -8,8 +8,8 @@ for every remaining arrow, the normalized pencil f_rt P(a) = P'(a) f_rs
 between the roots of its ends.  When some pair (P(a), P'(a)) of a single
 root is nilpotent on both sides, the whole pencil is solved in the Jordan
 coordinates of that pair (``exactlin.nilpotent_hom_basis``).  Every other
-Hom system is one kernel of one ``Mat.kron_assemble`` call on the same
-pencils, and so is the Jacobian of a relation (``relation_jacobian``).
+Hom system is one ``kron_kernel`` of Kronecker blocks on the same pencils,
+and the Jacobian of a relation one ``Mat.kron_assemble`` (``relation_jacobian``).
 The tests check both shortcuts against one uncontracted kernel of every
 arrow equation.  Each solution is cached on the source module, per target,
 in the frame it was solved in (``HomSpace``): the verdicts read only that
@@ -55,8 +55,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .exactlin import (Field, Mat, ShapeMismatchError, Span, _poly_gcdex, _poly_mul, _poly_pow,
-                       factor_polynomial, find_invertible_in_span, nilpotent_hom_basis,
-                       trace_form, trace_radical)
+                       factor_polynomial, find_invertible_in_span, kron_kernel,
+                       nilpotent_hom_basis, trace_form, trace_radical)
 from .quiver import BoundQuiver, Path, _enumerate_paths
 
 __all__ = ["InconclusiveError", "Representation", "SamplingStarvation", "are_isomorphic",
@@ -520,15 +520,15 @@ def _solve_hom_equations(field, m, n, var_roots, equations, src, tgt, pencils):
     memoised frames serve them all; its bases stay in those coordinates.
     Everything else is one
     Kronecker system over the concatenated root blocks: arrow a puts
-    I ⊗ P(a)^T at f_rt and -P'(a) ⊗ I at f_rs, and the kernel's rows are
-    cut into one Span per root (``Span.of_columns``).
+    I ⊗ P(a)^T at f_rt and -P'(a) ⊗ I at f_rs, ``kron_kernel`` solves it on
+    its nonzero entries, and the kernel's rows are cut into one Span per root.
 
     The basis is the one the plain contracted equations give.  With
     f_t = A_t f_rt B_t and f_s = A_s f_rs B_s, the arrow's equation
     f_t M(a) = N(a) f_s reads A_t (f_rt P(a) - P'(a) f_rs) B_s = 0, whose
     rows are (A_t ⊗ B_s^T) times the rows above.  That factor is
     invertible, so each arrow's rows span the same space in both forms and
-    the kernel is the same; ``Mat.kernel`` returns its one basis that is
+    the kernel is the same; ``kron_kernel`` returns its one basis that is
     the identity on the free columns, and the free columns depend on the
     row space only.
     """
@@ -559,7 +559,7 @@ def _solve_hom_equations(field, m, n, var_roots, equations, src, tgt, pencils):
         if rs in offsets:
             blocks.append((nrows, offsets[rs], -tgt.pencil[a], None, m.dims[rs]))
         nrows += n.dims[rt] * m.dims[rs]
-    ker = Mat.kron_assemble(field, nrows, off, blocks).kernel()
+    ker = kron_kernel(field, nrows, off, blocks)
     return Span.of_columns(ker, [sizes[r] for r in var_roots]), None
 
 

@@ -172,9 +172,33 @@ def reference_relation_jacobian(q, field, rel, mats, dims, offsets, nvars):
     return block
 
 
+def reference_kron_assemble(field, rows, cols, blocks):
+    """The ``rows x cols`` sum of the Kronecker products of the blocks
+    ``(i, j, x, y, n)`` as row lists, a None factor being the n x n
+    identity: every product of a nonzero entry of x and one of y added on
+    Python ints (``Fraction`` values over Q), reduced mod p once at the
+    end.  Reference for ``Mat.kron_assemble`` and ``exactlin.kron_kernel``,
+    which build the same sum from ``exactlin._kron_triples``."""
+    def nonzeros(f, n):
+        lists = [[int(r == c) for c in range(n)] for r in range(n)] if f is None else f.row_list()
+        return [(r, c, v) for r, row in enumerate(lists) for c, v in enumerate(row) if v]
+
+    out = [[0] * cols for _ in range(rows)]
+    for i, j, x, y, n in blocks:
+        xs, ys = nonzeros(x, n), nonzeros(y, n)
+        yr, yc = (n, n) if y is None else y.shape
+        for r, c, xv in xs:
+            for s, t, yv in ys:
+                out[i + r * yr + s][j + c * yc + t] += xv * yv
+    return [[v % field.char if field.char else Fraction(v) for v in row] for row in out]
+
+
 def kron(a, b):
-    """The Kronecker product a ⊗ b: the one-block case of ``Mat.kron_assemble``."""
-    return Mat.kron_assemble(a.field, a.rows * b.rows, a.cols * b.cols, [(0, 0, a, b, 0)])
+    """The Kronecker product a ⊗ b: the one-block case of
+    ``reference_kron_assemble``."""
+    rows, cols = a.rows * b.rows, a.cols * b.cols
+    return Mat(a.field, rows, cols, reference_kron_assemble(a.field, rows, cols,
+                                                            [(0, 0, a, b, 0)]))
 
 
 def matrix_unit(field, rows, cols, i, j):
@@ -286,11 +310,11 @@ def reference_act(w, module, key):
 
 def reference_dense_entry_matrix_on(w, tensor, module):
     """A witness action evaluated at a source module in the dense form: one
-    ``Mat.kron_assemble`` of the blocks A_k kron act(b_k)."""
+    ``reference_kron_assemble`` of the blocks A_k kron act(b_k)."""
     total = w.rank * module.total_dim
-    return Mat.kron_assemble(w.field, total, total,
-                             [(0, 0, a, reference_act(w, module, k), 0)
-                              for k, a in dense_of(w.field, w.rank, tensor).items()])
+    return Mat(w.field, total, total, reference_kron_assemble(
+        w.field, total, total, [(0, 0, a, reference_act(w, module, k), 0)
+                                for k, a in dense_of(w.field, w.rank, tensor).items()]))
 
 
 def reference_entry_matrix_on(w, tensor, module):

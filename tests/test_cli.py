@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
 
@@ -381,6 +386,45 @@ def test_cmd_tilt_outputs():
     assert code == 2
     out, code = cmd_tilt(fixture_text("k3.quiver"), depth=1)
     assert code == 0 and "End dimension 5" in out
+
+
+#: run in a fresh process whose address space is capped at 3 GiB: cmd_tilt
+#: on the spec read from stdin at depth 2, then End of every preprojective
+K3_DEPTH_2 = textwrap.dedent("""
+    import json, resource, sys
+    cap = 3 << 30
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    from wildrank.cli import cmd_tilt, parse_quiver_spec
+    from wildrank.rep import hom_space
+    from wildrank.tilting import enumerate_preprojectives
+    text = sys.stdin.read()
+    out, code = cmd_tilt(text, depth=2)
+    spec = parse_quiver_spec(text)
+    pool = enumerate_preprojectives(spec.bound_quiver, spec.field, 2)
+    print(json.dumps({"code": code, "field": str(spec.field), "out": out,
+                      "dims": [list(p.rep.dim_vector()) for p in pool],
+                      "end": [hom_space(p.rep, p.rep).dim for p in pool]}))
+""")
+
+
+@pytest.mark.parametrize("field", ["Fp 101", "Q"])
+def test_cmd_tilt_k3_at_depth_2_runs_in_3_gib(field):
+    # End of tau^-2 P(1), of dimension vector (55, 144), is a 23760 x 23761
+    # Hom system with 39,800 nonzero entries: as a float64 array it alone
+    # would take 4.2 GiB.  Each preprojective is a brick, End = k
+    text = fixture_text("k3.quiver").replace("field Fp 101", f"field {field}")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    run = subprocess.run([sys.executable, "-c", K3_DEPTH_2], input=text, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got["code"] == 0 and got["field"] == ("F101" if field == "Fp 101" else "Q"), got
+    assert got["dims"] == [[1, 3], [8, 21], [55, 144], [0, 1], [3, 8], [21, 55]]
+    assert "tau^-2 P(1): dim [55, 144] sincere yes" in got["out"]
+    assert got["end"] == [1] * 6
 
 
 def test_cmd_tilt_tests_each_candidate_once(monkeypatch):

@@ -15,7 +15,8 @@ from conftest import (F101, certify_images, dense_of, field_add, fixture_text,
                       reference_assemble, reference_dense_null_basis, reference_echelon_fp,
                       reference_echelon_qq, reference_on_support, reference_peel_unit_rows,
                       reference_find_invertible_in_span, reference_hom_pencil,
-                      reference_jordan_nilpotent, reference_kernel, reference_matmul_fp, span_of,
+                      reference_jordan_nilpotent, reference_kernel, reference_kron_assemble,
+                      reference_matmul_fp, span_of,
                       reference_matmul_qq, reference_trace_pairing, _reference_poly_divmod,
                       _reference_poly_gcdext, _reference_poly_mul)
 
@@ -24,12 +25,14 @@ import wildrank.exactlin as exactlin_module
 import wildrank.rep as rep_module
 from wildrank.cli import cmd_certify, cmd_classify
 from wildrank.exactlin import (Field, Mat, ShapeMismatchError, Span, _zeros, all_nilpotent,
-                               find_invertible_in_span, jordan_nilpotent, nilpotent_hom_basis,
+                               find_invertible_in_span, jordan_nilpotent, kron_kernel,
+                               nilpotent_hom_basis,
                                trace_form, trace_radical,
                                _echelon_qq, _is_prime, _jordan_frame,
                                _poly_divmod, _poly_gcdex, _poly_mul)
 from wildrank.quiver import build_algebra_table, k3_bound_quiver
-from wildrank.rep import hom_space
+from wildrank.rep import Representation, hom_space
+from wildrank.tilting import enumerate_preprojectives
 
 
 def test_field_validation():
@@ -1295,11 +1298,17 @@ def test_kernel_cascade_matches_reference_on_drawn_matrices(field, n, units, cha
 
 
 def test_kernel_matches_reference_on_certify_systems(monkeypatch):
-    kernel = Mat.kernel
+    # every system certify solves reaches ``_null_basis``: a Mat's kernel,
+    # the Jordan route's conditions and the Kronecker route's system; each
+    # is checked against the reference kernel of its dense matrix
+    null_basis = exactlin_module._null_basis
     seen = {"calls": 0, "with_zero_lines": 0, "peeled": 0}
 
-    def checked(a):
-        got = kernel(a)
+    def checked(field, rows, cols, vals, shape):
+        got = null_basis(field, rows, cols, vals, shape)
+        dense = _zeros(field, shape)
+        dense[rows, cols] = vals
+        a = Mat(field, *shape, dense)
         ref = reference_kernel(a)
         assert got.shape == ref.shape and got.row_list() == ref.row_list()
         seen["calls"] += 1
@@ -1307,7 +1316,7 @@ def test_kernel_matches_reference_on_certify_systems(monkeypatch):
         seen["peeled"] += bool(_peeled(a))
         return got
 
-    monkeypatch.setattr(Mat, "kernel", checked)
+    monkeypatch.setattr(exactlin_module, "_null_basis", checked)
     out, code = cmd_certify(fixture_text("three_loop_rad2.quiver"), radius=2, samples=1,
                             max_dim=1, seed=0, pushdown_samples=1)
     assert code == 0, out
@@ -1337,30 +1346,114 @@ def _assert_canonical(m):
         assert nums == ref._entries.ravel().tolist()
 
 
-def _ref_kron_assemble(field, rows, cols, blocks):
-    """The sum of ``Mat.kron_assemble`` on Python ints (``Fraction`` values
-    over Q), a None factor being the n x n identity, reduced mod p once at
-    the end."""
-    out = [[0] * cols for _ in range(rows)]
-    for i, j, x, y, n in blocks:
-        xs, ys = ([[int(r == c) for c in range(n)] for r in range(n)] if f is None
-                  else f.row_list() for f in (x, y))
-        yr, yc = (n, n) if y is None else y.shape
-        for r, xrow in enumerate(xs):
-            for c, xv in enumerate(xrow):
-                for s, yrow in enumerate(ys):
-                    for t, yv in enumerate(yrow):
-                        out[i + r * yr + s][j + c * yc + t] += xv * yv
-    return [[v % field.char if field.char else Fraction(v) for v in row] for row in out]
-
-
 def _kron_extent(blocks):
     """The least ``(rows, cols)`` that holds every block of ``blocks``."""
     corners = []
     for i, j, x, y, n in blocks:
         (xr, xc), (yr, yc) = ((n, n) if f is None else f.shape for f in (x, y))
         corners.append((i + xr * yr, j + xc * yc))
-    return max(h for h, _ in corners), max(w for _, w in corners)
+    return max((h for h, _ in corners), default=0), max((w for _, w in corners), default=0)
+
+
+def _kron_factor(field, rng):
+    """A random factor for a Kronecker block: up to 3 x 3, possibly empty,
+    with zeros, entries p - 1 (-1 over Q) and random ones, over the
+    denominator 1, 2 or 3 (over F_p the same scalars are residues)."""
+    r, c = rng.randint(0, 3), rng.randint(0, 3)
+    m = Mat(field, r, c, [[rng.choice([0, 0, -1, field.random_scalar(rng)]) for _ in range(c)]
+                          for _ in range(r)])
+    return m.scaled(field.inv(rng.choice([1, 2, 3])))
+
+
+def _kron_blocks(field, rng):
+    """Random Kronecker blocks ``(i, j, x, y, n)``, close to one another so
+    that they overlap (a loop), with None on either side and empty blocks;
+    some repeat an earlier block with one factor negated, which cancels it,
+    and with an identity given as a matrix where the earlier one was None."""
+    blocks = []
+    for _ in range(rng.randint(0, 6)):
+        if blocks and rng.random() < 0.3:
+            i, j, x, y, n = rng.choice(blocks)
+            x = Mat.identity(field, n) if x is None else x
+            blocks.append((i, j, -x, y, n) if rng.random() < 0.5 else (i, j, x, y, n))
+            continue
+        n, kind = rng.randint(0, 3), rng.choice(["left", "right", "both"])
+        x = None if kind == "left" else _kron_factor(field, rng)
+        y = None if kind == "right" else _kron_factor(field, rng)
+        blocks.append((rng.randint(0, 3), rng.randint(0, 3), x, y, n))
+    return blocks
+
+
+def _check_kron_triples(field, rows, cols, blocks):
+    """The triples of ``blocks`` against ``reference_kron_assemble``: each
+    cell once, each value nonzero and, over F_p, a residue over 1; the
+    matrix they make, ``Mat.kron_assemble`` and the kernel of
+    ``kron_kernel``."""
+    ref = reference_kron_assemble(field, rows, cols, blocks)
+    cells, vals, den = exactlin_module._kron_triples(field, rows, cols, blocks)
+    assert cells.dtype == np.intp and np.unique(cells).size == cells.size
+    assert ((0 <= cells) & (cells < rows * cols)).all() and (vals != 0).all()
+    assert type(den) is int and den > 0
+    if field.char:
+        assert den == 1 and vals.dtype == np.float64
+        assert (vals < field.char).all() and (np.trunc(vals) == vals).all()
+    else:
+        assert all(type(v) is int for v in vals.tolist())
+    dense = _zeros(field, (rows, cols))
+    np.put(dense, cells, vals)
+    assert Mat(field, rows, cols, dense).scaled(field.inv(den)).row_list() == ref
+    got = Mat.kron_assemble(field, rows, cols, blocks)
+    _assert_canonical(got)
+    assert got.row_list() == ref
+    assert kron_kernel(field, rows, cols, blocks) == reference_kernel(Mat(field, rows, cols, ref))
+    return cells.size
+
+
+@given(st.sampled_from([Field.prime(5), F101, Field.prime(16777213), QQ]), st.integers(0, 3),
+       st.integers(0, 3), st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_kron_triples_match_the_reference(field, extra_rows, extra_cols, seed):
+    blocks = _kron_blocks(field, random.Random(seed))
+    rows, cols = _kron_extent(blocks)
+    _check_kron_triples(field, rows + extra_rows, cols + extra_cols, blocks)
+
+
+@pytest.mark.parametrize("field", [Field.prime(5), F101, Field.prime(16777213), QQ], ids=repr)
+def test_kron_triples_on_loops_cancelling_and_empty_blocks(field):
+    one = Mat.identity(field, 2)
+    a = Mat.from_rows(field, [[1, -1], [0, 2]])
+    b = Mat.from_rows(field, [[-1, 0], [3, 1]]).scaled(field.inv(2))
+    cases = {
+        # a loop: I ⊗ b^T - a ⊗ I on one unknown, the Hom system of a pencil
+        "loop": ([(0, 0, None, b.T, 2), (0, 0, -a, None, 2)], None),
+        # None on either side against the identity given as a matrix
+        "cancel": ([(0, 0, None, a, 2), (0, 0, -one, a, 0), (1, 1, b, None, 2),
+                    (1, 1, b, -one, 0)], 0),
+        "empty": ([(0, 0, Mat.zeros(field, 0, 3), b, 0), (2, 1, None, a, 0),
+                   (0, 0, Mat.zeros(field, 2, 2), a, 0)], 0),
+        "no blocks": ([], 0),
+    }
+    for blocks, count in cases.values():
+        rows, cols = _kron_extent(blocks)
+        got = _check_kron_triples(field, rows + 1, cols + 1, blocks)
+        assert count is None or got == count
+    # a ⊗ b and 4 a ⊗ b sum to 5 a ⊗ b: all nine cells cancel mod 5 only
+    assert _check_kron_triples(field, 4, 4, [(0, 0, a, b, 0), (0, 0, a.scaled(4), b, 0)]) == (
+        0 if field.char == 5 else 9)
+
+
+def test_kron_triples_reduce_before_the_sum():
+    # 40 product blocks on the same cells at p = 16777213, the largest prime
+    # below the 2**24 cap, each adding an odd product near p**2: summed
+    # unreduced, 33 of them pass 2**53, where float64 no longer holds an odd
+    # integer.  A relation with a varying arrow at many places of its terms
+    # sums this many blocks per cell in its Jacobian
+    field = Field.prime(16777213)
+    x = Mat.from_rows(field, [[-2, -4, 0]])
+    y = Mat.from_rows(field, [[-2], [-6]])
+    assert 33 * (field.char - 2) ** 2 > 2 ** 53
+    blocks = [(0, 0, x, y, 0)] * 40 + [(0, 0, None, y, 1)] * 3
+    _check_kron_triples(field, 2, 3, blocks)
 
 
 @pytest.mark.parametrize("field", FIELDS + [Field.prime(16777213)], ids=str)
@@ -1434,7 +1527,7 @@ def test_trusted_constructor_sites_give_canonical_entries(field, monkeypatch):
             shape = _kron_extent(blocks)
             got = Mat.kron_assemble(field, *shape, blocks)
             _assert_canonical(got)
-            assert got.row_list() == _ref_kron_assemble(field, *shape, blocks)
+            assert got.row_list() == reference_kron_assemble(field, *shape, blocks)
         # the sites that bring operands to a common denominator, on operands
         # over 3, over 2 and over 2 with even numerators (over F_p the same
         # scalars are residues), and results that must be put in lowest terms
@@ -1657,6 +1750,36 @@ def test_jordan_route_hands_the_kernel_its_nonzero_rows_unreduced(case, k3_table
         found.append((*system, width))
     assert found == ([(384, 196, 392)] * 2 if case == "certify" else
                      [(110, 28, 28), (220, 56, 56), (220, 56, 56), (440, 112, 112)])
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=repr)
+def test_kronecker_route_makes_no_array_of_its_system_shape(field, monkeypatch):
+    # Hom between K3 preprojectives goes the Kronecker route (two roots, no
+    # arrow invertible): its system reaches the null basis as its nonzero
+    # entries, and no numpy function inside exactlin returns an array of
+    # the system's shape, or one with as many entries, while it is solved
+    bq = k3_bound_quiver()
+    pool = [p.rep for p in enumerate_preprojectives(bq, field, 1)]
+    pairs = [(m, n) for m in pool for n in pool if m.dim_vector() in ((3, 8), (8, 21))]
+    systems, shapes = [], []
+    null_basis = exactlin_module._null_basis
+    monkeypatch.setattr(exactlin_module, "_null_basis",
+                        lambda f, *triples: systems.append(triples) or null_basis(f, *triples))
+    monkeypatch.setattr(exactlin_module, "np", _ShapeLog(shapes))
+    found = []
+    for m, n in pairs:
+        fresh = [Representation(bq, field, x.dims, x.mats, check=False) for x in (m, n)]
+        systems.clear()
+        shapes.clear()
+        hom = hom_space(*fresh)
+        (rows, cols, vals, (height, width)), = systems
+        assert hom._framed.jordan is None
+        assert width == sum(n.dims[v] * m.dims[v] for v in ("1", "2"))
+        assert (height, width) not in shapes and (width, height) not in shapes
+        assert max(math.prod(x) for x in shapes) < height * width
+        found.append((m.dim_vector(), n.dim_vector(), height, width))
+    # End of (8, 21): 3 arrows x 21 x 8 rows, 8 * 8 + 21 * 21 unknowns
+    assert len(found) == 2 * len(pool) and ((8, 21), (8, 21), 504, 505) in found, found
 
 
 def _triples(field, rows, n):
@@ -2530,7 +2653,7 @@ def test_rational_joins_over_large_denominators_match_fraction_references():
                        [(0, 0, a, c, 0), (0, 0, b, c, 0), (1, 1, None, a, 2)]):
             shape = _kron_extent(blocks)
             assert _checked(Mat.kron_assemble(QQ, *shape, blocks)) == \
-                _ref_kron_assemble(QQ, *shape, blocks)
+                reference_kron_assemble(QQ, *shape, blocks)
         # combinations and the trace form
         coeffs = _big_rows(rng, 3, 2, zero_rows=0)
         combos = Span(QQ, m, n, [a, b, c]).combine(_q(coeffs))
